@@ -462,6 +462,61 @@ let boxed_cnum_in_hot_loop =
                      | _ -> ());
                   prev.Ast_iterator.expr self e) }) }
 
+(* --- hot-external-alloc ------------------------------------------------ *)
+
+(* The flat-phase kernels are C stubs (kernels_stubs.c) called once per
+   pool stripe. Their externals must be [@@noalloc]: a stub declared
+   without it pays the runtime's allocating-call protocol on every
+   stripe, and a stub that did allocate would race the GC from inside a
+   pool worker. OCaml also needs a separate byte-code entry point for an
+   external of more than 5 arguments (the bytecode interpreter passes
+   those as an argv array), and forgetting it only fails at bytecode link
+   time. Scope: every [external] in the hot libraries (complexnum,
+   statevec, dmav, convert). *)
+let hot_external_paths = [ "lib/complexnum/"; "lib/statevec/"; "lib/dmav/"; "lib/convert/" ]
+
+let rec arrow_arity t =
+  match t.ptyp_desc with Ptyp_arrow (_, _, r) -> 1 + arrow_arity r | _ -> 0
+
+let hot_external_alloc =
+  let rule =
+    stub "hot-external-alloc" Lint.Error
+      "external in a hot-path library without [@@noalloc], or with more than \
+       5 arguments and no byte-code stub name"
+  in
+  let applies path =
+    List.exists (fun p -> String.starts_with ~prefix:p path) hot_external_paths
+  in
+  { rule with
+    Lint.ast =
+      Some
+        (fun ctx prev ->
+           { prev with
+             Ast_iterator.value_description =
+               (fun self vd ->
+                  (if applies ctx.Lint.src.Lint.path && vd.pval_prim <> [] then begin
+                     let name = vd.pval_name.Location.txt in
+                     let noalloc =
+                       List.exists
+                         (fun a ->
+                            match a.attr_name.Location.txt with
+                            | "noalloc" | "ocaml.noalloc" -> true
+                            | _ -> false)
+                         vd.pval_attributes
+                     in
+                     if not noalloc then
+                       Lint.report ctx ~rule ~loc:vd.pval_loc
+                         (name ^ ": hot-path external must carry [@@noalloc]");
+                     let arity = arrow_arity vd.pval_type in
+                     if arity > 5 && List.length vd.pval_prim < 2 then
+                       Lint.report ctx ~rule ~loc:vd.pval_loc
+                         (Printf.sprintf
+                            "%s: %d arguments need a byte-code stub name \
+                             (external ... = \"byte_stub\" \"native_stub\")"
+                            name arity)
+                   end);
+                  prev.Ast_iterator.value_description self vd) }) }
+
 (* --- todo-marker ------------------------------------------------------ *)
 
 (* The words themselves would trip the scan. qcs-lint: allow todo-marker *)
@@ -497,7 +552,8 @@ let todo_marker =
 
 let all =
   [ float_eq; obj_magic; unsafe_array; catchall_exn; mutex_discipline; naked_hashtbl;
-    printf_in_lib; node_alloc_outside_arena; boxed_cnum_in_hot_loop; todo_marker ]
+    printf_in_lib; node_alloc_outside_arena; boxed_cnum_in_hot_loop; hot_external_alloc;
+    todo_marker ]
 
 let find name = List.find_opt (fun r -> r.Lint.name = name) all
 

@@ -5,7 +5,8 @@
 val all : Lint.rule list
 (** Every rule, in catalog order: [float-eq], [obj-magic],
     [unsafe-array], [catchall-exn], [mutex-discipline],
-    [naked-hashtbl-in-parallel], [printf-in-lib], [todo-marker]. *)
+    [naked-hashtbl-in-parallel], [printf-in-lib], [node-alloc-outside-arena],
+    [boxed-cnum-in-hot-loop], [hot-external-alloc], [todo-marker]. *)
 
 val find : string -> Lint.rule option
 (** Look a rule up by name. *)

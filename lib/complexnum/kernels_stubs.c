@@ -1,0 +1,247 @@
+/* Flat-phase inner loops over interleaved re/im amplitude planes, each
+   written once as a macro body over the element type T and instantiated
+   for double (f64 storage) and float (f32 storage). Loads widen to
+   double, arithmetic runs in double, only the stores round to T. Every
+   expression keeps the operand order of the OCaml reference kernels;
+   with -ffp-contract=off and no reassociation the results are
+   bit-identical to them.
+
+   Contract with Storage.Core64/Core32: ranges, lengths and qubit indices
+   are checked in OCaml before the call, the externals are [@@noalloc],
+   and one call covers a pool stripe or a DMAV task. Nothing here
+   allocates, raises or writes to the OCaml heap. */
+
+#define CAML_NAME_SPACE
+#include <string.h>
+#include <caml/mlvalues.h>
+#include <caml/alloc.h>
+#include <caml/bigarray.h>
+
+/* A packed DD edge: low 31 bits target slot, high bits weight id
+   (Node_store.pack). */
+#define EDGE_TGT_BITS 31
+#define EDGE_TGT(e) ((e) & ((1L << EDGE_TGT_BITS) - 1))
+#define EDGE_WID(e) ((unsigned long)(e) >> EDGE_TGT_BITS)
+
+/* Bits.insert_bit i k 0: a zero bit inserted at position k. */
+static inline long insert_zero(long i, long k)
+{
+  long low_mask = (1L << k) - 1;
+  return ((i & ~low_mask) << 1) | (i & low_mask);
+}
+
+/* The matrix-DD arena window (Storage.arena, = Dd.view): slot levels and
+   packed children are OCaml int arrays, weight planes flat float
+   arrays. */
+typedef struct { const value *lv, *ch; const double *re, *im; } arena;
+
+static inline arena arena_of(value view)
+{
+  arena a = { (const value *)Field(view, 0), (const value *)Field(view, 1),
+              (const double *)Field(view, 2), (const double *)Field(view, 3) };
+  return a;
+}
+
+#define ARGS5 argv[0], argv[1], argv[2], argv[3], argv[4]
+#define BYTE_STUB(NAME, ...)                                                  \
+  value NAME##_byte(value *argv, int argn)                                    \
+  {                                                                           \
+    (void)argn;                                                               \
+    return NAME(__VA_ARGS__);                                                 \
+  }
+
+#define DEFINE_KERNELS(T, SFX)                                                \
+                                                                              \
+  /* dst[dp+k] <- s * src[sp+k] for k < len. */                               \
+  value qcs_scale2_into_##SFX(value src, value sp, value dst, value dp,       \
+                              value len, double sre, double sim)              \
+  {                                                                           \
+    const T *s = (const T *)Caml_ba_data_val(src) + 2 * Long_val(sp);         \
+    T *d = (T *)Caml_ba_data_val(dst) + 2 * Long_val(dp);                     \
+    long n = Long_val(len);                                                   \
+    for (long k = 0; k < n; k++) {                                            \
+      double re = s[2 * k], im = s[2 * k + 1];                                \
+      d[2 * k] = (T)((sre * re) - (sim * im));                                \
+      d[2 * k + 1] = (T)((sre * im) + (sim * re));                            \
+    }                                                                         \
+    return Val_unit;                                                          \
+  }                                                                           \
+                                                                              \
+  /* dst[dp+k] <- dst[dp+k] + s * src[sp+k] for k < len. */                  \
+  value qcs_scale2_add_into_##SFX(value src, value sp, value dst, value dp,   \
+                                  value len, double sre, double sim)          \
+  {                                                                           \
+    const T *s = (const T *)Caml_ba_data_val(src) + 2 * Long_val(sp);         \
+    T *d = (T *)Caml_ba_data_val(dst) + 2 * Long_val(dp);                     \
+    long n = Long_val(len);                                                   \
+    for (long k = 0; k < n; k++) {                                            \
+      double re = s[2 * k], im = s[2 * k + 1];                                \
+      d[2 * k] = (T)((double)d[2 * k] + ((sre * re) - (sim * im)));           \
+      d[2 * k + 1] = (T)((double)d[2 * k + 1] + ((sre * im) + (sim * re)));   \
+    }                                                                         \
+    return Val_unit;                                                          \
+  }                                                                           \
+                                                                              \
+  /* dst[dp+k] <- dst[dp+k] + src[sp+k] for k < len. */                      \
+  value qcs_add_into_##SFX(value src, value sp, value dst, value dp,          \
+                           value len)                                         \
+  {                                                                           \
+    const T *s = (const T *)Caml_ba_data_val(src) + 2 * Long_val(sp);         \
+    T *d = (T *)Caml_ba_data_val(dst) + 2 * Long_val(dp);                     \
+    long n = 2 * Long_val(len);                                               \
+    for (long k = 0; k < n; k++) d[k] = (T)((double)d[k] + (double)s[k]);     \
+    return Val_unit;                                                          \
+  }                                                                           \
+                                                                              \
+  value qcs_fill_zero_range_##SFX(value t, value pos, value len)              \
+  {                                                                           \
+    T *d = (T *)Caml_ba_data_val(t) + 2 * Long_val(pos);                      \
+    memset(d, 0, 2 * (size_t)Long_val(len) * sizeof(T));                     \
+    return Val_unit;                                                          \
+  }                                                                           \
+                                                                              \
+  /* Sum of squares of the first 2*len floats, in index order. */            \
+  double qcs_norm2_##SFX(value t, value len)                                  \
+  {                                                                           \
+    const T *d = (const T *)Caml_ba_data_val(t);                              \
+    long n = 2 * Long_val(len);                                               \
+    double acc = 0.0;                                                         \
+    for (long k = 0; k < n; k++) acc = acc + ((double)d[k] * (double)d[k]);   \
+    return acc;                                                               \
+  }                                                                           \
+                                                                              \
+  /* The 2x2 butterfly over pair indices [lo, hi). [m] is the gate as 8      \
+     floats, row-major re/im; only pairs whose low index has every bit of    \
+     [cmask] set are touched. */                                              \
+  value qcs_dense_single_##SFX(value buf, value m, value target, value cmask, \
+                               value lo, value hi)                            \
+  {                                                                           \
+    T *a = (T *)Caml_ba_data_val(buf);                                        \
+    const double *u = (const double *)m;                                      \
+    double u00re = u[0], u00im = u[1], u01re = u[2], u01im = u[3];            \
+    double u10re = u[4], u10im = u[5], u11re = u[6], u11im = u[7];            \
+    long tg = Long_val(target), cm = Long_val(cmask);                         \
+    long bit = 1L << tg;                                                      \
+    for (long k = Long_val(lo); k < Long_val(hi); k++) {                      \
+      long i0 = insert_zero(k, tg);                                           \
+      if ((i0 & cm) != cm) continue;                                          \
+      T *p0 = a + 2 * i0, *p1 = a + 2 * (i0 | bit);                           \
+      double a0re = p0[0], a0im = p0[1], a1re = p1[0], a1im = p1[1];          \
+      p0[0] = (T)((u00re * a0re) - (u00im * a0im) + (u01re * a1re)            \
+                  - (u01im * a1im));                                          \
+      p0[1] = (T)((u00re * a0im) + (u00im * a0re) + (u01re * a1im)            \
+                  + (u01im * a1re));                                          \
+      p1[0] = (T)((u10re * a0re) - (u10im * a0im) + (u11re * a1re)            \
+                  - (u11im * a1im));                                          \
+      p1[1] = (T)((u10re * a0im) + (u10im * a0re) + (u11re * a1im)            \
+                  + (u11im * a1re));                                          \
+    }                                                                         \
+    return Val_unit;                                                          \
+  }                                                                           \
+                                                                              \
+  /* The 4x4 kernel over quad indices [lo, hi). [m] is the gate as 32        \
+     floats, row-major re/im; row/column index is 2*b(q_hi) + b(q_lo). */    \
+  value qcs_dense_two_##SFX(value buf, value m, value q_hi, value q_lo,       \
+                            value lo, value hi)                               \
+  {                                                                           \
+    T *a = (T *)Caml_ba_data_val(buf);                                        \
+    const double *u = (const double *)m;                                      \
+    long qh = Long_val(q_hi), ql = Long_val(q_lo);                            \
+    long kmin = qh < ql ? qh : ql, kmax = qh < ql ? ql : qh;                  \
+    long bh = 1L << qh, bl = 1L << ql;                                        \
+    for (long k = Long_val(lo); k < Long_val(hi); k++) {                      \
+      long base = insert_zero(insert_zero(k, kmin), kmax);                    \
+      long idx[4] = { base, base | bl, base | bh, base | bh | bl };           \
+      double xre[4], xim[4];                                                  \
+      for (int r = 0; r < 4; r++) {                                           \
+        xre[r] = a[2 * idx[r]];                                               \
+        xim[r] = a[2 * idx[r] + 1];                                           \
+      }                                                                       \
+      for (int r = 0; r < 4; r++) {                                           \
+        double accre = 0.0, accim = 0.0;                                      \
+        for (int c = 0; c < 4; c++) {                                         \
+          double ure = u[2 * (4 * r + c)], uim = u[2 * (4 * r + c) + 1];      \
+          accre = accre + ((ure * xre[c]) - (uim * xim[c]));                  \
+          accim = accim + ((ure * xim[c]) + (uim * xre[c]));                  \
+        }                                                                     \
+        a[2 * idx[r]] = (T)accre;                                             \
+        a[2 * idx[r] + 1] = (T)accim;                                         \
+      }                                                                       \
+    }                                                                         \
+    return Val_unit;                                                          \
+  }                                                                           \
+                                                                              \
+  /* w[iw] += (f * e.weight) * v[iv] for one terminal edge: the MAC the     \
+     cost model counts. */                                                    \
+  static inline void mac_##SFX(const arena *ar, long e, const T *v, T *w,    \
+                               long iv, long iw, double fre, double fim)      \
+  {                                                                           \
+    long wid = EDGE_WID(e);                                                   \
+    double er = ar->re[wid], ei = ar->im[wid];                                \
+    double gre = (fre * er) - (fim * ei);                                     \
+    double gim = (fre * ei) + (fim * er);                                     \
+    double vre = v[2 * iv], vim = v[2 * iv + 1];                              \
+    w[2 * iw] = (T)((double)w[2 * iw] + ((gre * vre) - (gim * vim)));         \
+    w[2 * iw + 1] = (T)((double)w[2 * iw + 1] + ((gre * vim) + (gim * vre))); \
+  }                                                                           \
+                                                                              \
+  /* Algorithm 1's Run: W[iw..] += f * M(node) * V[iv..]. */                 \
+  static void run_node_##SFX(const arena *ar, long node, const T *v, T *w,   \
+                             long iv, long iw, double fre, double fim)        \
+  {                                                                           \
+    long level = Long_val(ar->lv[node]);                                      \
+    const value *c = ar->ch + 4 * node;                                       \
+    long e00 = Long_val(c[0]), e01 = Long_val(c[1]);                          \
+    long e10 = Long_val(c[2]), e11 = Long_val(c[3]);                          \
+    if (level == 0) {                                                         \
+      /* Terminal children: the four MACs inline. */                          \
+      if (e00 != 0) mac_##SFX(ar, e00, v, w, iv, iw, fre, fim);               \
+      if (e01 != 0) mac_##SFX(ar, e01, v, w, iv + 1, iw, fre, fim);           \
+      if (e10 != 0) mac_##SFX(ar, e10, v, w, iv, iw + 1, fre, fim);           \
+      if (e11 != 0) mac_##SFX(ar, e11, v, w, iv + 1, iw + 1, fre, fim);       \
+    } else if (node == 0) {                                                   \
+      /* Degenerate n = 0 case: a border task at the terminal. */             \
+      double vre = v[2 * iv], vim = v[2 * iv + 1];                            \
+      w[2 * iw] = (T)((double)w[2 * iw] + ((fre * vre) - (fim * vim)));       \
+      w[2 * iw + 1] = (T)((double)w[2 * iw + 1] + ((fre * vim) + (fim * vre))); \
+    } else {                                                                  \
+      long half = 1L << level;                                                \
+      long es[4] = { e00, e01, e10, e11 };                                    \
+      for (int q = 0; q < 4; q++) {                                           \
+        long e = es[q];                                                       \
+        if (e == 0) continue;                                                 \
+        long wid = EDGE_WID(e);                                               \
+        double er = ar->re[wid], ei = ar->im[wid];                            \
+        run_node_##SFX(ar, EDGE_TGT(e), v, w, iv + (q & 1) * half,            \
+                       iw + (q >> 1) * half, (fre * er) - (fim * ei),         \
+                       (fre * ei) + (fim * er));                              \
+      }                                                                       \
+    }                                                                         \
+  }                                                                           \
+                                                                              \
+  value qcs_dmav_run_##SFX(value view, value node, value v, value w,          \
+                           value iv, value iw, double fre, double fim)        \
+  {                                                                           \
+    arena ar = arena_of(view);                                                \
+    run_node_##SFX(&ar, Long_val(node), (const T *)Caml_ba_data_val(v),       \
+                   (T *)Caml_ba_data_val(w), Long_val(iv), Long_val(iw),      \
+                   fre, fim);                                                 \
+    return Val_unit;                                                          \
+  }                                                                           \
+                                                                              \
+  /* Byte-code entry points: boxed floats, argument vectors past 5. */      \
+  BYTE_STUB(qcs_scale2_into_##SFX, ARGS5, Double_val(argv[5]),                \
+            Double_val(argv[6]))                                              \
+  BYTE_STUB(qcs_scale2_add_into_##SFX, ARGS5, Double_val(argv[5]),            \
+            Double_val(argv[6]))                                              \
+  BYTE_STUB(qcs_dense_single_##SFX, ARGS5, argv[5])                           \
+  BYTE_STUB(qcs_dense_two_##SFX, ARGS5, argv[5])                              \
+  BYTE_STUB(qcs_dmav_run_##SFX, ARGS5, argv[5], Double_val(argv[6]),          \
+            Double_val(argv[7]))                                              \
+  value qcs_norm2_##SFX##_byte(value t, value len)                            \
+  {                                                                           \
+    return caml_copy_double(qcs_norm2_##SFX(t, len));                         \
+  }
+
+DEFINE_KERNELS(double, f64)
+DEFINE_KERNELS(float, f32)

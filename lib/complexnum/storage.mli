@@ -4,8 +4,8 @@
     [2i+1] the imaginary part of amplitude [i] — in one
     [Bigarray.Array1], the closest OCaml equivalent of the paper's aligned
     [double2] arrays. The payload is a raw malloc'd block outside the OCaml
-    heap, so it never moves under the GC and a future C SIMD stub can take
-    the data pointer directly.
+    heap, so it never moves under the GC and the C stripe kernels
+    (kernels_stubs.c) take the data pointer directly.
 
     Two element kinds are provided behind the same signature: [F64]
     (8-byte floats, the default precision, bit-compatible with the old
@@ -15,6 +15,11 @@
     which is where the documented error accumulates.
 
     All indices and lengths are in {e amplitudes}, not floats. *)
+
+type arena = { lv : int array; ch : int array; re : float array; im : float array }
+(** A raw matrix-DD arena window: slot levels, packed child edges (four
+    per slot, [wid lsl 31 lor tgt]) and the weight planes. [Dd.view] is
+    this type; {!S.dmav_run} walks it. *)
 
 (** The storage/precision signature the dense and DMAV kernels are
     functorized over. The [*2] primitives pass bare floats — they never
@@ -52,12 +57,6 @@ module type S = sig
   val get_re : t -> int -> float
   val get_im : t -> int -> float
 
-  val unsafe_get_re : t -> int -> float
-  (** Unchecked read of a real part; only for kernels that have already
-      range-checked the stripe. *)
-
-  val unsafe_get_im : t -> int -> float
-
   val set2 : t -> int -> float -> float -> unit
   (** [set2 t i re im] stores amplitude [i] from bare parts, allocating
       nothing. *)
@@ -94,6 +93,25 @@ module type S = sig
 
   val scale2_add_into :
     src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> sre:float -> sim:float -> unit
+
+  (** {2 Flat-phase kernels}
+
+      C stubs (kernels_stubs.c), one call per pool stripe or DMAV task.
+      The wrappers check lengths, ranges and qubit indices first. *)
+
+  val dense_single : t -> float array -> target:int -> cmask:int -> lo:int -> hi:int -> unit
+  (** Applies the 2×2 gate given as 8 floats (row-major re/im) to the
+      amplitude pairs [k ∈ [lo, hi)] of a length-2ⁿ vector, skipping pairs
+      whose low index lacks a bit of [cmask]. *)
+
+  val dense_two : t -> float array -> q_hi:int -> q_lo:int -> lo:int -> hi:int -> unit
+  (** Applies the 4×4 gate given as 32 floats (row-major re/im, index
+      [2·b(q_hi) + b(q_lo)]) to the amplitude quads [k ∈ [lo, hi)]. *)
+
+  val dmav_run :
+    arena -> node:int -> v:t -> w:t -> iv:int -> iw:int -> fre:float -> fim:float -> unit
+  (** Algorithm 1's Run: [w[iw..] += f · M(node) · v[iv..]] over a live
+      [Dd.mview], with [f = fre + i·fim]. *)
 
   val copy : t -> t
   val sub_vector : t -> pos:int -> len:int -> t

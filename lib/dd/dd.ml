@@ -1068,7 +1068,7 @@ let stats p =
 (* Raw kernel views                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type view = {
+type view = Storage.arena = {
   lv : int array;    (* slot -> level (-1 terminal, -2 free) *)
   ch : int array;    (* packed child edges, arena width per slot *)
   re : float array;  (* weight id -> real part *)

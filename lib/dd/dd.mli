@@ -262,7 +262,7 @@ val ctable : package -> Ctable.t
     capture a view per kernel invocation and do not allocate DD nodes or
     intern new weights while holding it. *)
 
-type view = {
+type view = Storage.arena = {
   lv : int array;    (** slot -> level (-1 terminal, -2 free) *)
   ch : int array;    (** packed child edges, arena width per slot *)
   re : float array;  (** weight id -> real part *)

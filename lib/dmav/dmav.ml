@@ -1,150 +1,25 @@
-(* The Run recursion (Algorithm 1) carries the accumulated weight product
-   in a per-worker mutable float-pair scratch record to keep the hot path
-   allocation-free: float *arguments* are boxed at every non-inlined call
-   in OCaml's native calling convention (4 minor words per visit — one
-   box per component), while an all-float record is flat and its field
-   reads/writes are unboxed. Each call copies the pair into locals at
-   entry and re-stores the child's product before each recursive call, so
-   the float expression trees — and therefore the result bits — are
-   exactly those of the boxed-argument formulation. The level parameter
-   of the paper is implicit in each node's own level. Kernels run on the
-   package's raw matrix-arena view — packed child edges and unboxed
-   weight planes — so a node visit is three array reads, no dereference
-   chains. The view stays valid for the whole apply because nothing
-   allocates DD nodes or interns weights inside the kernels. *)
-type weight_scratch = { mutable fre : float; mutable fim : float }
+(* The f64 DMAV kernels: [Dmav_generic.Make (Storage.F64)] — the C Run
+   stub behind the paper's Assign/AssignCache traversals — under this
+   module's metrics. The types and traversals are re-exported so callers
+   keep one name for the default precision. *)
 
-(* W[iw] += (f·ew) · V[iv] — the MAC the cost model counts. [s] holds f;
-   untouched here, so the caller's entry value survives the call. *)
-let[@inline] mac (mv : Dd.view) (e : int) (v : Buf.buffer) (w : Buf.buffer)
-    iv iw (s : weight_scratch) =
-  let wid = Dd.edge_wid e in
-  let er = mv.Dd.re.(wid) and ei = mv.Dd.im.(wid) in
-  let fre = s.fre and fim = s.fim in
-  let gre = (fre *. er) -. (fim *. ei) in
-  let gim = (fre *. ei) +. (fim *. er) in
-  let vre = v.{2 * iv} and vim = v.{(2 * iv) + 1} in
-  w.{2 * iw} <- w.{2 * iw} +. ((gre *. vre) -. (gim *. vim));
-  w.{(2 * iw) + 1} <- w.{(2 * iw) + 1} +. ((gre *. vim) +. (gim *. vre))
+module K = Dmav_generic.Make (Storage.F64)
 
-let rec run_node (mv : Dd.view) (node : int) (v : Buf.buffer) (w : Buf.buffer)
-    iv iw (s : weight_scratch) =
-  let fre = s.fre and fim = s.fim in
-  if mv.Dd.lv.(node) = 0 then begin
-    (* The children are terminals: perform the (up to) four MACs inline,
-       which halves the visit count of the recursion. [s] still holds
-       this call's weight (mac never writes it). *)
-    let base = 4 * node in
-    let e00 = mv.Dd.ch.(base) and e01 = mv.Dd.ch.(base + 1) in
-    let e10 = mv.Dd.ch.(base + 2) and e11 = mv.Dd.ch.(base + 3) in
-    if e00 <> 0 then mac mv e00 v w iv iw s;
-    if e01 <> 0 then mac mv e01 v w (iv + 1) iw s;
-    if e10 <> 0 then mac mv e10 v w iv (iw + 1) s;
-    if e11 <> 0 then mac mv e11 v w (iv + 1) (iw + 1) s
-  end
-  else if node = 0 then begin
-    (* Degenerate n = 0 case (a border task at the terminal). *)
-    let vre = v.{2 * iv} and vim = v.{(2 * iv) + 1} in
-    w.{2 * iw} <- w.{2 * iw} +. ((fre *. vre) -. (fim *. vim));
-    w.{(2 * iw) + 1} <- w.{(2 * iw) + 1} +. ((fre *. vim) +. (fim *. vre))
-  end
-  else begin
-    (* Recursive calls clobber [s], so each branch re-derives the child
-       product from this call's locals and re-stores it just before
-       descending. *)
-    let half = 1 lsl mv.Dd.lv.(node) in
-    let base = 4 * node in
-    let e00 = mv.Dd.ch.(base) and e01 = mv.Dd.ch.(base + 1) in
-    let e10 = mv.Dd.ch.(base + 2) and e11 = mv.Dd.ch.(base + 3) in
-    if e00 <> 0 then begin
-      let wid = Dd.edge_wid e00 in
-      let er = mv.Dd.re.(wid) and ei = mv.Dd.im.(wid) in
-      s.fre <- (fre *. er) -. (fim *. ei);
-      s.fim <- (fre *. ei) +. (fim *. er);
-      run_node mv (Dd.edge_tgt e00) v w iv iw s
-    end;
-    if e01 <> 0 then begin
-      let wid = Dd.edge_wid e01 in
-      let er = mv.Dd.re.(wid) and ei = mv.Dd.im.(wid) in
-      s.fre <- (fre *. er) -. (fim *. ei);
-      s.fim <- (fre *. ei) +. (fim *. er);
-      run_node mv (Dd.edge_tgt e01) v w (iv + half) iw s
-    end;
-    if e10 <> 0 then begin
-      let wid = Dd.edge_wid e10 in
-      let er = mv.Dd.re.(wid) and ei = mv.Dd.im.(wid) in
-      s.fre <- (fre *. er) -. (fim *. ei);
-      s.fim <- (fre *. ei) +. (fim *. er);
-      run_node mv (Dd.edge_tgt e10) v w iv (iw + half) s
-    end;
-    if e11 <> 0 then begin
-      let wid = Dd.edge_wid e11 in
-      let er = mv.Dd.re.(wid) and ei = mv.Dd.im.(wid) in
-      s.fre <- (fre *. er) -. (fim *. ei);
-      s.fim <- (fre *. ei) +. (fim *. er);
-      run_node mv (Dd.edge_tgt e11) v w (iv + half) (iw + half) s
-    end
-  end
+type task = Dmav_generic.task = { node : Dd.mnode; start : int; weight : Cnum.t }
 
-(* A border-level multiplication task: the sub-matrix node with the full
-   weight product (path weights and the border edge's own weight folded
-   together, which is what the caching factor needs), plus the sub-vector
-   start index — I_V for the row-space kernel, I_P for the column-space
-   one. *)
-type task = { node : Dd.mnode; start : int; weight : Cnum.t }
+type exec_stats = Dmav_generic.exec_stats = {
+  used_cache : bool;
+  decision : Cost.decision;
+  cache_hits : int;
+  buffers_used : int;
+}
 
-(* Algorithm 1's Assign: row-major traversal of the top log₂ t levels.
-   The thread index follows row bits; the V offset follows column bits. *)
-let assign_rows p ~n ~t (root : Dd.medge) =
-  let border = n - Bits.log2_exact t - 1 in
-  let tasks = Array.make t [] in
-  let rec go (e : Dd.medge) (f : Cnum.t) u iv l =
-    if not (Dd.medge_is_zero e) then begin
-      if l = border then
-        tasks.(u) <- { node = Dd.mtgt e; start = iv; weight = Cnum.mul f (Dd.mw p e) }
-                     :: tasks.(u)
-      else begin
-        let step = t / (1 lsl (n - l)) in
-        let half = 1 lsl l in
-        let f' = Cnum.mul f (Dd.mw p e) in
-        for i = 0 to 1 do
-          for j = 0 to 1 do
-            go (Dd.medge_child p e i j) f' (u + (i * step)) (iv + (j * half)) (l - 1)
-          done
-        done
-      end
-    end
-  in
-  go root Cnum.one 0 0 (n - 1);
-  Array.map List.rev tasks
+let assign_rows = Dmav_generic.assign_rows
+let assign_cols = Dmav_generic.assign_cols
 
-(* Algorithm 2's AssignCache: column-major — the thread index follows
-   column bits, the partial-output offset follows row bits. *)
-let assign_cols p ~n ~t (root : Dd.medge) =
-  let border = n - Bits.log2_exact t - 1 in
-  let tasks = Array.make t [] in
-  let rec go (e : Dd.medge) (f : Cnum.t) u ip l =
-    if not (Dd.medge_is_zero e) then begin
-      if l = border then
-        tasks.(u) <- { node = Dd.mtgt e; start = ip; weight = Cnum.mul f (Dd.mw p e) }
-                     :: tasks.(u)
-      else begin
-        let step = t / (1 lsl (n - l)) in
-        let half = 1 lsl l in
-        let f' = Cnum.mul f (Dd.mw p e) in
-        for j = 0 to 1 do
-          for i = 0 to 1 do
-            go (Dd.medge_child p e i j) f' (u + (j * step)) (ip + (i * half)) (l - 1)
-          done
-        done
-      end
-    end
-  in
-  go root Cnum.one 0 0 (n - 1);
-  Array.map List.rev tasks
-
-(* Instrumentation is per kernel invocation (one gate application), never per
-   MAC: the Run recursion stays untouched, so metrics cost nothing there. *)
+(* Instrumentation is per kernel invocation (one gate application), never
+   per MAC: the Run recursion stays untouched, so metrics cost nothing
+   there. *)
 let c_kernel_uncached = Obs.counter "dmav.kernel.uncached"
 let c_kernel_cached = Obs.counter "dmav.kernel.cached"
 let c_cache_hits = Obs.counter "dmav.cache.hits"
@@ -154,184 +29,27 @@ let fc_macs_modeled_cached = Obs.fcounter "dmav.macs.modeled_cached"
 let fc_macs_modeled_uncached = Obs.fcounter "dmav.macs.modeled_uncached"
 let s_apply = Obs.span "dmav.apply"
 
+type workspace = K.workspace
+
+let workspace = K.workspace
+let workspace_n = K.workspace_n
+let free_buffers = K.free_buffers
+let take = K.take
+let give = K.give
+let scrub_workspace = K.scrub_workspace
+
 let apply_nocache p ~pool ~n root ~v ~w =
-  if Buf.length v <> 1 lsl n || Buf.length w <> 1 lsl n then
-    invalid_arg "Dmav.apply_nocache: buffer size mismatch";
   Obs.incr c_kernel_uncached;
-  let t = Cost.pow2_threads ~n (Pool.size pool) in
-  let h = (1 lsl n) / t in
-  let tasks = assign_rows p ~n ~t root in
-  let mv = Dd.mview p in
-  Buf.fill_zero w;
-  let vd = v.Buf.data and wd = w.Buf.data in
-  (* Check mode: each worker claims its W stripe on a region scoped to
-     this kernel call, so a task-assignment bug that lands two domains on
-     the same output rows is reported as a race. *)
-  let claim =
-    if Check.enabled () then begin
-      let r = Check.region ~name:"dmav.w" in
-      fun lo hi -> Check.claim r ~owner:(Domain.self () :> int) ~lo ~hi
-    end
-    else fun _ _ -> ()
-  in
-  Pool.run pool (fun u ->
-      if u < t then begin
-        claim (u * h) ((u + 1) * h);
-        (* One weight scratch per worker, reused across its tasks. *)
-        let s = { fre = 0.0; fim = 0.0 } in
-        List.iter
-          (fun task ->
-             s.fre <- task.weight.Cnum.re;
-             s.fim <- task.weight.Cnum.im;
-             run_node mv (Dd.mid task.node) vd wd task.start (u * h) s)
-          tasks.(u)
-      end)
-
-type workspace = { ws_n : int; mutable free : Buf.t list }
-
-let workspace ~n = { ws_n = n; free = [] }
-let workspace_n ws = ws.ws_n
-let free_buffers ws = List.length ws.free
-
-let take ws =
-  match ws.free with
-  | b :: rest ->
-    ws.free <- rest;
-    b
-  | [] -> Buf.create (1 lsl ws.ws_n)
-
-let give ws b =
-  if Buf.length b = 1 lsl ws.ws_n then begin
-    if Check.enabled () && List.memq b ws.free then
-      Check.violation "Dmav.give: buffer returned twice";
-    ws.free <- b :: ws.free
-  end
-
-let scrub_workspace ws =
-  List.iter Buf.fill_zero ws.free;
-  List.length ws.free
-
-let take_buffer ws n =
-  match ws with
-  | Some ws when ws.ws_n = n ->
-    (match ws.free with
-     | b :: rest ->
-       ws.free <- rest;
-       b
-     | [] -> Buf.create (1 lsl n))
-  | _ -> Buf.create (1 lsl n)
-
-let return_buffers ws bufs =
-  match ws with
-  | Some ws ->
-    if Check.enabled () then
-      List.iter
-        (fun b ->
-           if List.memq b ws.free then
-             Check.violation "Dmav.return_buffers: buffer returned twice")
-        bufs;
-    ws.free <- List.rev_append bufs ws.free
-  | None -> ()
+  K.apply_nocache p ~pool ~n root ~v ~w
 
 let apply_cache ?workspace p ~pool ~n root ~v ~w =
-  if Buf.length v <> 1 lsl n || Buf.length w <> 1 lsl n then
-    invalid_arg "Dmav.apply_cache: buffer size mismatch";
   Obs.incr c_kernel_cached;
-  let t = Cost.pow2_threads ~n (Pool.size pool) in
-  let h = (1 lsl n) / t in
-  let tasks = assign_cols p ~n ~t root in
-  let mv = Dd.mview p in
-  (* Buffer allocation over the threads' output-block sets. *)
-  let blocks = Array.map (List.map (fun task -> task.start)) tasks in
-  let v_b, n_buffers = Cost.allocate_buffers blocks in
-  let bufs = Array.init n_buffers (fun _ -> take_buffer workspace n) in
-  (* Occupied blocks per buffer, for targeted zeroing and summation. The
-     membership test runs once per (thread, block) pair, so it must be
-     O(1): a per-buffer seen-set instead of scanning the accumulated list,
-     which is quadratic in the block count when many threads share a
-     buffer. *)
-  let occupied = Array.make n_buffers [] in
-  let occ_seen : (int, unit) Hashtbl.t array =
-    Array.init n_buffers (fun _ -> Hashtbl.create 16)
-  in
-  Array.iteri
-    (fun u blks ->
-       let bi = v_b.(u) in
-       let seen = occ_seen.(bi) in
-       List.iter
-         (fun b ->
-            if not (Hashtbl.mem seen b) then begin
-              Hashtbl.replace seen b ();
-              occupied.(bi) <- b :: occupied.(bi)
-            end)
-         blks)
-    blocks;
-  (* Zero exactly the blocks Run will accumulate into. *)
-  Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:n_buffers (fun bi ->
-      List.iter (fun blk -> Buf.fill_zero_range bufs.(bi) ~pos:blk ~len:h) occupied.(bi));
-  let hits = ref 0 in
-  let hit_counts = Array.make t 0 in
-  (* Check mode: each block write is claimed on a per-buffer region, so a
-     Cost.allocate_buffers bug that shares a buffer between threads with
-     overlapping block sets surfaces as a cross-domain race. *)
-  let claim =
-    if Check.enabled () then begin
-      let regions =
-        Array.init n_buffers (fun i -> Check.region ~name:(Printf.sprintf "dmav.buf%d" i))
-      in
-      fun u blk ->
-        Check.claim regions.(v_b.(u)) ~owner:(Domain.self () :> int) ~lo:blk ~hi:(blk + h)
-    end
-    else fun _ _ -> ()
-  in
-  Pool.run pool (fun u ->
-      if u < t then begin
-        let buf = bufs.(v_b.(u)) in
-        let cache : (int, Cnum.t * int) Hashtbl.t = Hashtbl.create 16 in
-        let vd = v.Buf.data and bd = buf.Buf.data in
-        let s = { fre = 0.0; fim = 0.0 } in
-        List.iter
-          (fun task ->
-             claim u task.start;
-             match Hashtbl.find_opt cache (Dd.mid task.node) with
-             | Some (f0, ip0) ->
-               (* Same sub-matrix node, same V slice: the new block is the
-                  old one scaled by the weight ratio. *)
-               hit_counts.(u) <- hit_counts.(u) + 1;
-               Buf.scale_into ~src:buf ~src_pos:ip0 ~dst:buf ~dst_pos:task.start
-                 ~len:h (Cnum.div task.weight f0)
-             | None ->
-               s.fre <- task.weight.Cnum.re;
-               s.fim <- task.weight.Cnum.im;
-               run_node mv (Dd.mid task.node) vd bd (u * h) task.start s;
-               Hashtbl.replace cache (Dd.mid task.node) (task.weight, task.start))
-          tasks.(u)
-      end);
-  Array.iter (fun c -> hits := !hits + c) hit_counts;
-  (* Sum the partial outputs into W, one output block per loop step. *)
-  let contributors = Array.make t [] in
-  Array.iteri
-    (fun bi blks -> List.iter (fun blk -> contributors.(blk / h) <- bi :: contributors.(blk / h)) blks)
-    occupied;
-  Buf.fill_zero w;
-  Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:t (fun blk ->
-      List.iter
-        (fun bi ->
-           Buf.add_into ~src:bufs.(bi) ~src_pos:(blk * h) ~dst:w ~dst_pos:(blk * h) ~len:h)
-        contributors.(blk));
-  return_buffers workspace (Array.to_list bufs);
+  let hits, n_buffers = K.apply_cache ?workspace p ~pool ~n root ~v ~w in
   if Obs.enabled () then begin
-    Obs.add c_cache_hits !hits;
+    Obs.add c_cache_hits hits;
     Obs.add c_buffers n_buffers
   end;
-  (!hits, n_buffers)
-
-type exec_stats = {
-  used_cache : bool;
-  decision : Cost.decision;
-  cache_hits : int;
-  buffers_used : int;
-}
+  (hits, n_buffers)
 
 let apply_decided ?workspace:ws p ~pool ~n decision root ~v ~w =
   if Obs.enabled () then begin

@@ -16,7 +16,9 @@
     the buffers are summed into [W] in parallel at the end.
 
     [apply] picks between the kernels per gate with the §3.2.3 cost
-    model. *)
+    model. The kernels are {!Dmav_generic.Make} at [Storage.F64] (each
+    task's Run recursion is one C stub call); this module adds the
+    [dmav.*] metrics around them. *)
 
 type workspace
 (** A free list of reusable 2ⁿ-sized buffers: the cached kernel's partial
@@ -43,19 +45,17 @@ val scrub_workspace : workspace -> int
     it exists so a multi-tenant server can guarantee one tenant's
     amplitudes never sit in a buffer handed to the next. *)
 
-type exec_stats = {
+type exec_stats = Dmav_generic.exec_stats = {
   used_cache : bool;
   decision : Cost.decision;
   cache_hits : int;     (** realized hits (= modeled H when cached) *)
   buffers_used : int;
 }
 
-type task = { node : Dd.mnode; start : int; weight : Cnum.t }
+type task = Dmav_generic.task = { node : Dd.mnode; start : int; weight : Cnum.t }
 (** A border-level multiplication task: the sub-matrix node with the full
     weight product folded in, plus the sub-vector start index — I_V for
-    the row-space kernel, I_P for the column-space one. Exposed so the
-    precision-generic kernels ({!Dmav_generic.Make}) reuse the exact same
-    Assign traversals. *)
+    the row-space kernel, I_P for the column-space one. *)
 
 val assign_rows : Dd.package -> n:int -> t:int -> Dd.medge -> task list array
 (** Algorithm 1's Assign: row-major traversal of the top log₂ t levels. *)

@@ -1,70 +1,101 @@
-(* Precision-generic DMAV kernels (ISSUE 10).
+(* DD-matrix × array-vector kernels over a storage kind [P : Storage.S] —
+   the only DMAV kernels, for both precisions: [Dmav] runs
+   [Make (Storage.F64)] under its metrics, the f32 engine instantiates it
+   at [Storage.F32].
 
-   A functor-body port of the [Dmav] kernels over an arbitrary storage
-   kind [P : Storage.S]: same Assign traversals (shared via
-   [Dmav.assign_rows]/[assign_cols]), same Run recursion, same
-   cache/buffer logic, with every buffer access going through [P]'s
-   kind-specialized unboxed primitives. Weights always stay f64 — they
-   come off the ctable planes — so at [F32] the only rounding happens on
-   the store into W, and the inline complex arithmetic matches the
-   specialized [Dmav] term for term: [Make (Storage.F64)] produces
-   bit-identical output to [Dmav.apply] (pinned by tests).
-
-   [Dmav] itself is kept hand-specialized on [Buf] (= [Storage.F64])
-   rather than routed through this functor because the functor argument's
-   primitives are indirect calls — fine for the f32 twin, not acceptable
-   as a regression on the default f64 hot path.
+   The Assign traversals and the cache/buffer bookkeeping stay in OCaml;
+   each border task's Run recursion is one call into the [P.dmav_run] C
+   stub over the package's raw arena view, and cache hits, buffer zeroing
+   and summation are one stripe-primitive call per block. Weights always
+   stay f64 — they come off the ctable planes — so at [F32] the only
+   rounding happens on the stores. The view stays valid for the whole
+   apply because nothing allocates DD nodes or interns weights inside the
+   kernels.
 
    Kernels here are uninstrumented ([Obs] counters are global names, and
-   the functor may be instantiated several times); the Check-mode claim
-   discipline is replicated in full. *)
+   the functor is instantiated once per precision); the Check-mode claim
+   discipline is in full. *)
+
+(* A border-level multiplication task: the sub-matrix node with the full
+   weight product (path weights and the border edge's own weight folded
+   together, which is what the caching factor needs), plus the sub-vector
+   start index — I_V for the row-space kernel, I_P for the column-space
+   one. *)
+type task = { node : Dd.mnode; start : int; weight : Cnum.t }
+
+type exec_stats = {
+  used_cache : bool;
+  decision : Cost.decision;
+  cache_hits : int;
+  buffers_used : int;
+}
+
+(* Algorithm 1's Assign: row-major traversal of the top log₂ t levels.
+   The thread index follows row bits; the V offset follows column bits. *)
+let assign_rows p ~n ~t (root : Dd.medge) =
+  let border = n - Bits.log2_exact t - 1 in
+  let tasks = Array.make t [] in
+  let rec go (e : Dd.medge) (f : Cnum.t) u iv l =
+    if not (Dd.medge_is_zero e) then begin
+      if l = border then
+        tasks.(u) <- { node = Dd.mtgt e; start = iv; weight = Cnum.mul f (Dd.mw p e) }
+                     :: tasks.(u)
+      else begin
+        let step = t / (1 lsl (n - l)) in
+        let half = 1 lsl l in
+        let f' = Cnum.mul f (Dd.mw p e) in
+        for i = 0 to 1 do
+          for j = 0 to 1 do
+            go (Dd.medge_child p e i j) f' (u + (i * step)) (iv + (j * half)) (l - 1)
+          done
+        done
+      end
+    end
+  in
+  go root Cnum.one 0 0 (n - 1);
+  Array.map List.rev tasks
+
+(* Algorithm 2's AssignCache: column-major — the thread index follows
+   column bits, the partial-output offset follows row bits. *)
+let assign_cols p ~n ~t (root : Dd.medge) =
+  let border = n - Bits.log2_exact t - 1 in
+  let tasks = Array.make t [] in
+  let rec go (e : Dd.medge) (f : Cnum.t) u ip l =
+    if not (Dd.medge_is_zero e) then begin
+      if l = border then
+        tasks.(u) <- { node = Dd.mtgt e; start = ip; weight = Cnum.mul f (Dd.mw p e) }
+                     :: tasks.(u)
+      else begin
+        let step = t / (1 lsl (n - l)) in
+        let half = 1 lsl l in
+        let f' = Cnum.mul f (Dd.mw p e) in
+        for j = 0 to 1 do
+          for i = 0 to 1 do
+            go (Dd.medge_child p e i j) f' (u + (j * step)) (ip + (i * half)) (l - 1)
+          done
+        done
+      end
+    end
+  in
+  go root Cnum.one 0 0 (n - 1);
+  Array.map List.rev tasks
 
 module Make (P : Storage.S) = struct
-  let[@inline] mac (mv : Dd.view) (e : int) (v : P.t) (w : P.t) iv iw fre fim =
-    let wid = Dd.edge_wid e in
-    let er = mv.Dd.re.(wid) and ei = mv.Dd.im.(wid) in
-    let gre = (fre *. er) -. (fim *. ei) in
-    let gim = (fre *. ei) +. (fim *. er) in
-    P.madd2 w iw ~wre:gre ~wim:gim ~xre:(P.get_re v iv) ~xim:(P.get_im v iv)
-
-  let rec run_node (mv : Dd.view) (node : int) (v : P.t) (w : P.t) iv iw fre fim =
-    if mv.Dd.lv.(node) = 0 then begin
-      let base = 4 * node in
-      let e00 = mv.Dd.ch.(base) and e01 = mv.Dd.ch.(base + 1) in
-      let e10 = mv.Dd.ch.(base + 2) and e11 = mv.Dd.ch.(base + 3) in
-      if e00 <> 0 then mac mv e00 v w iv iw fre fim;
-      if e01 <> 0 then mac mv e01 v w (iv + 1) iw fre fim;
-      if e10 <> 0 then mac mv e10 v w iv (iw + 1) fre fim;
-      if e11 <> 0 then mac mv e11 v w (iv + 1) (iw + 1) fre fim
-    end
-    else if node = 0 then
-      P.madd2 w iw ~wre:fre ~wim:fim ~xre:(P.get_re v iv) ~xim:(P.get_im v iv)
-    else begin
-      let half = 1 lsl mv.Dd.lv.(node) in
-      let base = 4 * node in
-      let e00 = mv.Dd.ch.(base) and e01 = mv.Dd.ch.(base + 1) in
-      let e10 = mv.Dd.ch.(base + 2) and e11 = mv.Dd.ch.(base + 3) in
-      let descend e iv iw =
-        let wid = Dd.edge_wid e in
-        let er = mv.Dd.re.(wid) and ei = mv.Dd.im.(wid) in
-        run_node mv (Dd.edge_tgt e) v w iv iw
-          ((fre *. er) -. (fim *. ei))
-          ((fre *. ei) +. (fim *. er))
-      in
-      if e00 <> 0 then descend e00 iv iw;
-      if e01 <> 0 then descend e01 (iv + half) iw;
-      if e10 <> 0 then descend e10 iv (iw + half);
-      if e11 <> 0 then descend e11 (iv + half) (iw + half)
-    end
+  let run_task mv (task : task) ~v ~w ~iv ~iw =
+    P.dmav_run mv ~node:(Dd.mid task.node) ~v ~w ~iv ~iw ~fre:task.weight.Cnum.re
+      ~fim:task.weight.Cnum.im
 
   let apply_nocache p ~pool ~n root ~v ~w =
     if P.length v <> 1 lsl n || P.length w <> 1 lsl n then
-      invalid_arg "Dmav_generic.apply_nocache: buffer size mismatch";
+      invalid_arg "Dmav.apply_nocache: buffer size mismatch";
     let t = Cost.pow2_threads ~n (Pool.size pool) in
     let h = (1 lsl n) / t in
-    let tasks = Dmav.assign_rows p ~n ~t root in
+    let tasks = assign_rows p ~n ~t root in
     let mv = Dd.mview p in
     P.fill_zero w;
+    (* Check mode: each worker claims its W stripe on a region scoped to
+       this kernel call, so a task-assignment bug that lands two domains
+       on the same output rows is reported as a race. *)
     let claim =
       if Check.enabled () then begin
         let r = Check.region ~name:("dmav." ^ P.label ^ ".w") in
@@ -75,16 +106,15 @@ module Make (P : Storage.S) = struct
     Pool.run pool (fun u ->
         if u < t then begin
           claim (u * h) ((u + 1) * h);
-          List.iter
-            (fun (task : Dmav.task) ->
-               run_node mv (Dd.mid task.Dmav.node) v w task.Dmav.start (u * h)
-                 task.Dmav.weight.Cnum.re task.Dmav.weight.Cnum.im)
-            tasks.(u)
+          List.iter (fun task -> run_task mv task ~v ~w ~iv:task.start ~iw:(u * h)) tasks.(u)
         end)
 
+  (* A free list of reusable 2ⁿ-sized buffers: the cached kernel's partial
+     outputs and the flat engine's scratch vector. *)
   type workspace = { ws_n : int; mutable free : P.t list }
 
   let workspace ~n = { ws_n = n; free = [] }
+  let workspace_n ws = ws.ws_n
   let free_buffers ws = List.length ws.free
 
   let take ws =
@@ -97,18 +127,17 @@ module Make (P : Storage.S) = struct
   let give ws b =
     if P.length b = 1 lsl ws.ws_n then begin
       if Check.enabled () && List.memq b ws.free then
-        Check.violation "Dmav_generic.give: buffer returned twice";
+        Check.violation "Dmav.give: buffer returned twice";
       ws.free <- b :: ws.free
     end
 
+  let scrub_workspace ws =
+    List.iter P.fill_zero ws.free;
+    List.length ws.free
+
   let take_buffer ws n =
     match ws with
-    | Some ws when ws.ws_n = n ->
-      (match ws.free with
-       | b :: rest ->
-         ws.free <- rest;
-         b
-       | [] -> P.create (1 lsl n))
+    | Some ws when ws.ws_n = n -> take ws
     | _ -> P.create (1 lsl n)
 
   let return_buffers ws bufs =
@@ -118,21 +147,27 @@ module Make (P : Storage.S) = struct
         List.iter
           (fun b ->
              if List.memq b ws.free then
-               Check.violation "Dmav_generic.return_buffers: buffer returned twice")
+               Check.violation "Dmav.return_buffers: buffer returned twice")
           bufs;
       ws.free <- List.rev_append bufs ws.free
     | None -> ()
 
   let apply_cache ?workspace p ~pool ~n root ~v ~w =
     if P.length v <> 1 lsl n || P.length w <> 1 lsl n then
-      invalid_arg "Dmav_generic.apply_cache: buffer size mismatch";
+      invalid_arg "Dmav.apply_cache: buffer size mismatch";
     let t = Cost.pow2_threads ~n (Pool.size pool) in
     let h = (1 lsl n) / t in
-    let tasks = Dmav.assign_cols p ~n ~t root in
+    let tasks = assign_cols p ~n ~t root in
     let mv = Dd.mview p in
-    let blocks = Array.map (List.map (fun (task : Dmav.task) -> task.Dmav.start)) tasks in
+    (* Buffer allocation over the threads' output-block sets. *)
+    let blocks = Array.map (List.map (fun task -> task.start)) tasks in
     let v_b, n_buffers = Cost.allocate_buffers blocks in
     let bufs = Array.init n_buffers (fun _ -> take_buffer workspace n) in
+    (* Occupied blocks per buffer, for targeted zeroing and summation. The
+       membership test runs once per (thread, block) pair, so it must be
+       O(1): a per-buffer seen-set instead of scanning the accumulated
+       list, which is quadratic in the block count when many threads share
+       a buffer. *)
     let occupied = Array.make n_buffers [] in
     let occ_seen : (int, unit) Hashtbl.t array =
       Array.init n_buffers (fun _ -> Hashtbl.create 16)
@@ -149,10 +184,13 @@ module Make (P : Storage.S) = struct
               end)
            blks)
       blocks;
+    (* Zero exactly the blocks Run will accumulate into. *)
     Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:n_buffers (fun bi ->
         List.iter (fun blk -> P.fill_zero_range bufs.(bi) ~pos:blk ~len:h) occupied.(bi));
-    let hits = ref 0 in
     let hit_counts = Array.make t 0 in
+    (* Check mode: each block write is claimed on a per-buffer region, so
+       a Cost.allocate_buffers bug that shares a buffer between threads
+       with overlapping block sets surfaces as a cross-domain race. *)
     let claim =
       if Check.enabled () then begin
         let regions =
@@ -170,21 +208,22 @@ module Make (P : Storage.S) = struct
           let buf = bufs.(v_b.(u)) in
           let cache : (int, Cnum.t * int) Hashtbl.t = Hashtbl.create 16 in
           List.iter
-            (fun (task : Dmav.task) ->
-               claim u task.Dmav.start;
-               match Hashtbl.find_opt cache (Dd.mid task.Dmav.node) with
+            (fun task ->
+               claim u task.start;
+               match Hashtbl.find_opt cache (Dd.mid task.node) with
                | Some (f0, ip0) ->
+                 (* Same sub-matrix node, same V slice: the new block is
+                    the old one scaled by the weight ratio. *)
                  hit_counts.(u) <- hit_counts.(u) + 1;
-                 P.scale_into ~src:buf ~src_pos:ip0 ~dst:buf ~dst_pos:task.Dmav.start
-                   ~len:h (Cnum.div task.Dmav.weight f0)
+                 P.scale_into ~src:buf ~src_pos:ip0 ~dst:buf ~dst_pos:task.start ~len:h
+                   (Cnum.div task.weight f0)
                | None ->
-                 run_node mv (Dd.mid task.Dmav.node) v buf (u * h) task.Dmav.start
-                   task.Dmav.weight.Cnum.re task.Dmav.weight.Cnum.im;
-                 Hashtbl.replace cache (Dd.mid task.Dmav.node)
-                   (task.Dmav.weight, task.Dmav.start))
+                 run_task mv task ~v ~w:buf ~iv:(u * h) ~iw:task.start;
+                 Hashtbl.replace cache (Dd.mid task.node) (task.weight, task.start))
             tasks.(u)
         end);
-    Array.iter (fun c -> hits := !hits + c) hit_counts;
+    let hits = Array.fold_left ( + ) 0 hit_counts in
+    (* Sum the partial outputs into W, one output block per loop step. *)
     let contributors = Array.make t [] in
     Array.iteri
       (fun bi blks ->
@@ -194,20 +233,19 @@ module Make (P : Storage.S) = struct
     Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:t (fun blk ->
         List.iter
           (fun bi ->
-             P.add_into ~src:bufs.(bi) ~src_pos:(blk * h) ~dst:w ~dst_pos:(blk * h)
-               ~len:h)
+             P.add_into ~src:bufs.(bi) ~src_pos:(blk * h) ~dst:w ~dst_pos:(blk * h) ~len:h)
           contributors.(blk));
     return_buffers workspace (Array.to_list bufs);
-    (!hits, n_buffers)
+    (hits, n_buffers)
 
   let apply_decided ?workspace:ws p ~pool ~n (decision : Cost.decision) root ~v ~w =
     if decision.Cost.cached then begin
       let hits, buffers = apply_cache ?workspace:ws p ~pool ~n root ~v ~w in
-      { Dmav.used_cache = true; decision; cache_hits = hits; buffers_used = buffers }
+      { used_cache = true; decision; cache_hits = hits; buffers_used = buffers }
     end
     else begin
       apply_nocache p ~pool ~n root ~v ~w;
-      { Dmav.used_cache = false; decision; cache_hits = 0; buffers_used = 0 }
+      { used_cache = false; decision; cache_hits = 0; buffers_used = 0 }
     end
 
   let apply ?workspace:ws p ~pool ~simd_width ~n root ~v ~w =

@@ -200,6 +200,14 @@ let cancel t id =
       true
     end
 
+let release t id =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.by_id id with
+      | Some tracked when tracked.result <> None ->
+        Hashtbl.remove t.by_id id;
+        t.order <- List.filter (fun x -> x != tracked) t.order
+      | _ -> ())
+
 let drain t =
   Taskq.wait_idle t.tq;
   let in_order = locked t (fun () -> List.rev t.order) in

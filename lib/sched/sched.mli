@@ -107,6 +107,13 @@ val cancel : t -> string -> bool
     [Cancelled] within one gate. [false] when [id] is unknown or the job
     already resolved. *)
 
+val release : t -> string -> unit
+(** [release t id] forgets a resolved job: its tracked entry, and with it
+    the result and final state, is dropped, so a long-lived scheduler
+    (the serve daemon) does not grow with every job it has run. A
+    released job no longer appears in {!drain} and its id may be
+    submitted again. No-op for an unknown or still unresolved id. *)
+
 val drain : t -> job_result list
 (** Starts dispatch if paused, waits for every submitted job to resolve
     and returns results in {e submission} order — deterministic output

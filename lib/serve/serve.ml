@@ -312,7 +312,8 @@ let runner t ~cancel ~pool (job : Sched.job) =
 
 (* Scheduler completion callback (runs on a runner domain). Renders the
    result lines, journals terminal outcomes, releases the warm handle,
-   streams to the owning connection, and refills the freed slot. *)
+   streams to the owning connection, drops the scheduler's tracked entry
+   and refills the freed slot. *)
 let deliver t (jr : Sched.job_result) =
   let id = jr.Sched.job.Sched.id in
   locked t (fun () ->
@@ -356,6 +357,10 @@ let deliver t (jr : Sched.job_result) =
          end;
          if conn.c_ended && conn.c_outstanding = 0 then
            send conn (Protocol.Bye { results = conn.c_delivered }));
+      (* Journaled and sent: the scheduler's copy of the result (final
+         state included) is dead weight for the rest of the daemon's life;
+         exactly-once replays come from the journal. *)
+      Sched.release (sched t) id;
       pump_locked t)
 
 (* --- connection reader ------------------------------------------------- *)

@@ -1,109 +1,17 @@
-(* The hot loops below read/write the raw bigarray behind the Buf to
-   avoid complex boxing in the innermost pair update; the element kind is
-   statically float64 here, so every access compiles to a direct load. *)
+(* The f64 dense kernel on a [State.t]: a thin adapter over
+   [Dense_kernel.Make (Storage.F64)], which owns the checks and the C
+   stripe calls. *)
 
-let seq_threshold = 1 lsl 12
-(* Below this many iterations the parallel dispatch overhead dominates;
-   run sequentially even when a pool is available. *)
+module K = Dense_kernel.Make (Storage.F64)
 
-let single ?pool st (m : Gate.single) ~target ~controls =
-  let n = st.State.n in
-  if target < 0 || target >= n then invalid_arg "Apply.single: bad target";
-  List.iter
-    (fun c ->
-       if c < 0 || c >= n || c = target then invalid_arg "Apply.single: bad control")
-    controls;
-  let data = st.State.amps.Buf.data in
-  let cmask = Bits.all_masks controls in
-  let m00 = m.(0).(0) and m01 = m.(0).(1) and m10 = m.(1).(0) and m11 = m.(1).(1) in
-  let u00re = m00.Cnum.re and u00im = m00.Cnum.im in
-  let u01re = m01.Cnum.re and u01im = m01.Cnum.im in
-  let u10re = m10.Cnum.re and u10im = m10.Cnum.im in
-  let u11re = m11.Cnum.re and u11im = m11.Cnum.im in
-  let half = 1 lsl (n - 1) in
-  let body lo hi =
-    for k = lo to hi - 1 do
-      let i0 = Bits.insert_bit k target 0 in
-      if i0 land cmask = cmask then begin
-        let i1 = i0 lor (1 lsl target) in
-        let p0 = 2 * i0 and p1 = 2 * i1 in
-        let a0re = data.{p0} and a0im = data.{p0 + 1} in
-        let a1re = data.{p1} and a1im = data.{p1 + 1} in
-        data.{p0} <- (u00re *. a0re) -. (u00im *. a0im)
-                     +. (u01re *. a1re) -. (u01im *. a1im);
-        data.{p0 + 1} <- (u00re *. a0im) +. (u00im *. a0re)
-                         +. (u01re *. a1im) +. (u01im *. a1re);
-        data.{p1} <- (u10re *. a0re) -. (u10im *. a0im)
-                     +. (u11re *. a1re) -. (u11im *. a1im);
-        data.{p1 + 1} <- (u10re *. a0im) +. (u10im *. a0re)
-                         +. (u11re *. a1im) +. (u11im *. a1re)
-      end
-    done
-  in
-  match pool with
-  | Some p when Pool.size p > 1 && half >= seq_threshold ->
-    Pool.parallel_for_ranges p ~lo:0 ~hi:half body
-  | _ -> body 0 half
+let single ?pool st m ~target ~controls =
+  K.single ?pool ~n:st.State.n st.State.amps m ~target ~controls
 
-let two ?pool st (m : Gate.two) ~q_hi ~q_lo =
-  let n = st.State.n in
-  if q_hi = q_lo || q_hi < 0 || q_lo < 0 || q_hi >= n || q_lo >= n then
-    invalid_arg "Apply.two: bad qubits";
-  let amps = st.State.amps in
-  let k_min = Int.min q_hi q_lo and k_max = Int.max q_hi q_lo in
-  let quarter = 1 lsl (n - 2) in
-  (* Hoist the 4×4 matrix into unboxed planes so the quarter loop touches
-     no Cnum at all. *)
-  let mre = Array.make 16 0.0 and mim = Array.make 16 0.0 in
-  for r = 0 to 3 do
-    for c = 0 to 3 do
-      mre.((4 * r) + c) <- m.(r).(c).Cnum.re;
-      mim.((4 * r) + c) <- m.(r).(c).Cnum.im
-    done
-  done;
-  let body lo hi =
-    let are = Array.make 4 0.0 and aim = Array.make 4 0.0 in
-    let idx = Array.make 4 0 in
-    for k = lo to hi - 1 do
-      let base = Bits.insert_bit2 k k_min 0 k_max 0 in
-      (* Matrix row/col index is 2·b(q_hi) + b(q_lo). *)
-      idx.(0) <- base;
-      idx.(1) <- base lor (1 lsl q_lo);
-      idx.(2) <- base lor (1 lsl q_hi);
-      idx.(3) <- base lor (1 lsl q_hi) lor (1 lsl q_lo);
-      for r = 0 to 3 do
-        let i = idx.(r) in
-        are.(r) <- Buf.get_re amps i;
-        aim.(r) <- Buf.get_im amps i
-      done;
-      for r = 0 to 3 do
-        let accre = ref 0.0 and accim = ref 0.0 in
-        for c = 0 to 3 do
-          let ure = mre.((4 * r) + c) and uim = mim.((4 * r) + c) in
-          let xre = are.(c) and xim = aim.(c) in
-          accre := !accre +. ((ure *. xre) -. (uim *. xim));
-          accim := !accim +. ((ure *. xim) +. (uim *. xre))
-        done;
-        Buf.set2 amps idx.(r) !accre !accim
-      done
-    done
-  in
-  match pool with
-  | Some p when Pool.size p > 1 && quarter >= seq_threshold ->
-    Pool.parallel_for_ranges p ~lo:0 ~hi:quarter body
-  | _ -> body 0 quarter
-
-let op ?pool st (o : Circuit.op) =
-  match o with
-  | Circuit.Single { matrix; target; controls; _ } ->
-    single ?pool st matrix ~target ~controls
-  | Circuit.Two { matrix; q_hi; q_lo; _ } -> two ?pool st matrix ~q_hi ~q_lo
+let two ?pool st m ~q_hi ~q_lo = K.two ?pool ~n:st.State.n st.State.amps m ~q_hi ~q_lo
+let op ?pool st o = K.op ?pool ~n:st.State.n st.State.amps o
 
 let circuit ?pool st (c : Circuit.t) =
   if c.Circuit.n <> st.State.n then invalid_arg "Apply.circuit: qubit count mismatch";
-  Array.iter (op ?pool st) c.Circuit.ops
+  K.circuit ?pool st.State.amps c
 
-let run ?pool (c : Circuit.t) =
-  let st = State.zero_state c.Circuit.n in
-  circuit ?pool st c;
-  st
+let run ?pool (c : Circuit.t) = State.of_buf c.Circuit.n (K.run ?pool c)

@@ -1,16 +1,11 @@
-(* Precision-generic dense gate application (ISSUE 10).
+(* Dense gate application over a storage kind [P : Storage.S] — the only
+   dense kernel, for both precisions: [Apply] is its [State.t] adapter at
+   [Storage.F64], the f32 engines instantiate it at [Storage.F32].
 
-   A functor-body port of the [Apply] kernels over a storage kind
-   [P : Storage.S], operating on a bare [P.t] amplitude vector instead of
-   a [State.t]. The gate matrices stay f64 [Cnum.t] arrays; all arithmetic
-   runs in double and only the stores round at [F32]. The inline complex
-   expressions match [Apply] term for term, so [Make (Storage.F64)] is
-   bit-identical to the specialized kernels (pinned by tests).
-
-   [Apply] itself stays hand-specialized on [Buf]'s concrete float64
-   bigarray — same rationale as [Dmav_generic]: the functor's accessors
-   are indirect calls, acceptable for the f32 twin, not as a regression on
-   the default path. *)
+   The gate is checked once here, flattened to a float array, and each
+   pool stripe of pair (or quad) indices is one call into the
+   [P.dense_single]/[P.dense_two] C stubs. Gate matrices stay f64; all
+   arithmetic runs in double and only the stores round at [F32]. *)
 
 module Make (P : Storage.S) = struct
   let seq_threshold = 1 lsl 12
@@ -22,6 +17,12 @@ module Make (P : Storage.S) = struct
     P.set2 amps 0 1.0 0.0;
     amps
 
+  let stripes ?pool ~hi body =
+    match pool with
+    | Some p when Pool.size p > 1 && hi >= seq_threshold ->
+      Pool.parallel_for_ranges p ~lo:0 ~hi body
+    | _ -> body 0 hi
+
   let single ?pool ~n amps (m : Gate.single) ~target ~controls =
     if target < 0 || target >= n then invalid_arg "Dense_kernel.single: bad target";
     List.iter
@@ -31,81 +32,29 @@ module Make (P : Storage.S) = struct
       controls;
     if P.length amps <> 1 lsl n then invalid_arg "Dense_kernel.single: bad length";
     let cmask = Bits.all_masks controls in
-    let m00 = m.(0).(0) and m01 = m.(0).(1) and m10 = m.(1).(0) and m11 = m.(1).(1) in
-    let u00re = m00.Cnum.re and u00im = m00.Cnum.im in
-    let u01re = m01.Cnum.re and u01im = m01.Cnum.im in
-    let u10re = m10.Cnum.re and u10im = m10.Cnum.im in
-    let u11re = m11.Cnum.re and u11im = m11.Cnum.im in
-    let half = 1 lsl (n - 1) in
-    let body lo hi =
-      for k = lo to hi - 1 do
-        let i0 = Bits.insert_bit k target 0 in
-        if i0 land cmask = cmask then begin
-          let i1 = i0 lor (1 lsl target) in
-          let a0re = P.get_re amps i0 and a0im = P.get_im amps i0 in
-          let a1re = P.get_re amps i1 and a1im = P.get_im amps i1 in
-          P.set2 amps i0
-            ((u00re *. a0re) -. (u00im *. a0im)
-             +. (u01re *. a1re) -. (u01im *. a1im))
-            ((u00re *. a0im) +. (u00im *. a0re)
-             +. (u01re *. a1im) +. (u01im *. a1re));
-          P.set2 amps i1
-            ((u10re *. a0re) -. (u10im *. a0im)
-             +. (u11re *. a1re) -. (u11im *. a1im))
-            ((u10re *. a0im) +. (u10im *. a0re)
-             +. (u11re *. a1im) +. (u11im *. a1re))
-        end
+    let u = Array.make 8 0.0 in
+    for r = 0 to 1 do
+      for c = 0 to 1 do
+        u.(4 * r + 2 * c) <- m.(r).(c).Cnum.re;
+        u.(4 * r + 2 * c + 1) <- m.(r).(c).Cnum.im
       done
-    in
-    match pool with
-    | Some p when Pool.size p > 1 && half >= seq_threshold ->
-      Pool.parallel_for_ranges p ~lo:0 ~hi:half body
-    | _ -> body 0 half
+    done;
+    stripes ?pool ~hi:(1 lsl (n - 1)) (fun lo hi ->
+        P.dense_single amps u ~target ~cmask ~lo ~hi)
 
   let two ?pool ~n amps (m : Gate.two) ~q_hi ~q_lo =
     if q_hi = q_lo || q_hi < 0 || q_lo < 0 || q_hi >= n || q_lo >= n then
       invalid_arg "Dense_kernel.two: bad qubits";
     if P.length amps <> 1 lsl n then invalid_arg "Dense_kernel.two: bad length";
-    let k_min = Int.min q_hi q_lo and k_max = Int.max q_hi q_lo in
-    let quarter = 1 lsl (n - 2) in
-    let mre = Array.make 16 0.0 and mim = Array.make 16 0.0 in
+    let u = Array.make 32 0.0 in
     for r = 0 to 3 do
       for c = 0 to 3 do
-        mre.((4 * r) + c) <- m.(r).(c).Cnum.re;
-        mim.((4 * r) + c) <- m.(r).(c).Cnum.im
+        u.(2 * (4 * r + c)) <- m.(r).(c).Cnum.re;
+        u.(2 * (4 * r + c) + 1) <- m.(r).(c).Cnum.im
       done
     done;
-    let body lo hi =
-      let are = Array.make 4 0.0 and aim = Array.make 4 0.0 in
-      let idx = Array.make 4 0 in
-      for k = lo to hi - 1 do
-        let base = Bits.insert_bit2 k k_min 0 k_max 0 in
-        (* Matrix row/col index is 2·b(q_hi) + b(q_lo). *)
-        idx.(0) <- base;
-        idx.(1) <- base lor (1 lsl q_lo);
-        idx.(2) <- base lor (1 lsl q_hi);
-        idx.(3) <- base lor (1 lsl q_hi) lor (1 lsl q_lo);
-        for r = 0 to 3 do
-          let i = idx.(r) in
-          are.(r) <- P.get_re amps i;
-          aim.(r) <- P.get_im amps i
-        done;
-        for r = 0 to 3 do
-          let accre = ref 0.0 and accim = ref 0.0 in
-          for c = 0 to 3 do
-            let ure = mre.((4 * r) + c) and uim = mim.((4 * r) + c) in
-            let xre = are.(c) and xim = aim.(c) in
-            accre := !accre +. ((ure *. xre) -. (uim *. xim));
-            accim := !accim +. ((ure *. xim) +. (uim *. xre))
-          done;
-          P.set2 amps idx.(r) !accre !accim
-        done
-      done
-    in
-    match pool with
-    | Some p when Pool.size p > 1 && quarter >= seq_threshold ->
-      Pool.parallel_for_ranges p ~lo:0 ~hi:quarter body
-    | _ -> body 0 quarter
+    stripes ?pool ~hi:(1 lsl (n - 2)) (fun lo hi ->
+        P.dense_two amps u ~q_hi ~q_lo ~lo ~hi)
 
   let op ?pool ~n amps (o : Circuit.op) =
     match o with

@@ -175,7 +175,7 @@ let storage_set2_get (module P : Storage.S) eps =
        P.set2 b 2 re im;
        Float.abs (P.get_re b 2 -. re) <= eps
        && Float.abs (P.get_im b 2 -. im) <= eps
-       && P.get_re b 1 = 0.0 && P.get_im b 3 = 0.0)
+       && Float.equal (P.get_re b 1) 0.0 && Float.equal (P.get_im b 3) 0.0)
 
 let prop_demote_promote =
   QCheck.Test.make ~name:"promote (demote b) is b up to one f32 rounding" ~count:100

@@ -1,0 +1,209 @@
+(* The C stripe kernels (lib/complexnum/kernels_stubs.c), pinned bit for
+   bit against the pure-OCaml reference bodies of [Kernel_ref] at both
+   precisions: every dense target with and without controls, two-qubit
+   gates in both qubit orders, DMAV cached and uncached at pool sizes 1,
+   2 and 4, and the stripe primitives at odd positions and lengths, for
+   n from 1 to 14. Plus the allocation claim: a dense gate and a DMAV
+   gate cost the same small constant number of minor words at f32 as at
+   f64. *)
+
+let cnum rs = Cnum.make (Random.State.float rs 2.0 -. 1.0) (Random.State.float rs 2.0 -. 1.0)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Runs [prop] over (n, seed) cases with n in [lo, 14]; the clamp keeps
+   shrunk counterexamples (QCheck shrinks integers towards 0) in range. *)
+let cases ~name ~count ~lo prop =
+  QCheck.Test.make ~name ~count QCheck.(pair (int_range lo 14) int) (fun (n, seed) ->
+      prop (Int.max lo (Int.min 14 n)) (Random.State.make [| seed |]))
+
+let check_all tests =
+  List.iter (fun t -> QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |]) t) tests
+
+module Suite_for (P : Storage.S) = struct
+  module R = Kernel_ref.Make (P)
+  module DK = Dense_kernel.Make (P)
+  module DG = Dmav_generic.Make (P)
+
+  let eq x y =
+    P.length x = P.length y
+    && Seq.for_all
+         (fun i -> same_bits (P.get_re x i) (P.get_re y i) && same_bits (P.get_im x i) (P.get_im y i))
+         (Seq.init (P.length x) Fun.id)
+
+  let random_vec rs len = P.init len (fun _ -> cnum rs)
+
+  let random_single rs =
+    Gate.u3 (Random.State.float rs 6.3) (Random.State.float rs 6.3) (Random.State.float rs 6.3)
+
+  let random_two rs = Array.init 4 (fun _ -> Array.init 4 (fun _ -> cnum rs))
+
+  (* Every target, each once uncontrolled and once under a random
+     non-empty control set when n allows one. *)
+  let dense_single pool =
+    cases ~name:(P.label ^ " dense single, every target") ~count:40 ~lo:1 (fun n rs ->
+        let v = random_vec rs (1 lsl n) in
+        List.for_all
+          (fun target ->
+             let others = List.filter (( <> ) target) (List.init n Fun.id) in
+             let picked = List.filter (fun _ -> Random.State.bool rs) others in
+             let control_sets =
+               if others = [] then [ [] ]
+               else [ []; (if picked = [] then [ List.hd others ] else picked) ]
+             in
+             List.for_all
+               (fun controls ->
+                  let m = random_single rs in
+                  let a = P.copy v and b = P.copy v in
+                  R.single ~n a m ~target ~controls;
+                  DK.single ~pool ~n b m ~target ~controls;
+                  eq a b)
+               control_sets)
+          (List.init n Fun.id))
+
+  let dense_two pool =
+    cases ~name:(P.label ^ " dense two, both qubit orders") ~count:60 ~lo:2 (fun n rs ->
+        let v = random_vec rs (1 lsl n) in
+        let q1 = Random.State.int rs n in
+        let q2 = (q1 + 1 + Random.State.int rs (n - 1)) mod n in
+        List.for_all
+          (fun (q_hi, q_lo) ->
+             let m = random_two rs in
+             let a = P.copy v and b = P.copy v in
+             R.two ~n a m ~q_hi ~q_lo;
+             DK.two ~pool ~n b m ~q_hi ~q_lo;
+             eq a b)
+          [ (Int.max q1 q2, Int.min q1 q2); (Int.min q1 q2, Int.max q1 q2) ])
+
+  (* A gate matrix DD: the product of up to three random ops, so the
+     border nodes repeat and the cached kernel actually hits. *)
+  let random_mat p rs n =
+    let op () =
+      if n >= 2 && Random.State.bool rs then begin
+        let q1 = Random.State.int rs n in
+        let q2 = (q1 + 1 + Random.State.int rs (n - 1)) mod n in
+        Circuit.Two
+          { name = "r2"; matrix = random_two rs; q_hi = Int.max q1 q2; q_lo = Int.min q1 q2 }
+      end
+      else begin
+        let target = Random.State.int rs n in
+        let controls =
+          if n >= 2 && Random.State.bool rs then [ (target + 1) mod n ] else []
+        in
+        Circuit.Single { name = "r1"; matrix = random_single rs; target; controls }
+      end
+    in
+    let m = ref (Mat_dd.of_op p ~n (op ())) in
+    for _ = 1 to Random.State.int rs 3 do
+      m := Dd.mm p (Mat_dd.of_op p ~n (op ())) !m
+    done;
+    !m
+
+  let dmav pools =
+    cases ~name:(P.label ^ " dmav cached and uncached, pools 1/2/4") ~count:40 ~lo:1
+      (fun n rs ->
+         let p = Dd.create () in
+         let m = random_mat p rs n in
+         let v = random_vec rs (1 lsl n) in
+         List.for_all
+           (fun pool ->
+              let threads = Pool.size pool in
+              let want = P.create (1 lsl n) and got = P.create (1 lsl n) in
+              R.apply_nocache p ~threads ~n m ~v ~w:want;
+              DG.apply_nocache p ~pool ~n m ~v ~w:got;
+              let uncached = eq want got in
+              let ws = DG.workspace ~n in
+              let want_hits = R.apply_cache p ~threads ~n m ~v ~w:want in
+              let got_hits, _ = DG.apply_cache ~workspace:ws p ~pool ~n m ~v ~w:got in
+              (* Again on the now-stale workspace buffers. *)
+              let again = P.create (1 lsl n) in
+              ignore (DG.apply_cache ~workspace:ws p ~pool ~n m ~v ~w:again);
+              uncached && eq want got && eq want again && want_hits = got_hits)
+           pools)
+
+  (* Random lengths and offsets (odd ones included) with disjoint source
+     and destination ranges, so each primitive also runs with one vector
+     as both source and destination, as cache hits and fills do. *)
+  let stripes =
+    cases ~name:(P.label ^ " stripe primitives, odd offsets") ~count:200 ~lo:1
+      (fun n rs ->
+         let size = (1 lsl n) + Random.State.int rs 7 in
+         let len = Random.State.int rs ((size / 2) + 1) in
+         let lo = Random.State.int rs (size - (2 * len) + 1) in
+         let hi = lo + len + Random.State.int rs (size - (2 * len) - lo + 1) in
+         let src_pos, dst_pos = if Random.State.bool rs then (lo, hi) else (hi, lo) in
+         let s = cnum rs in
+         let sre = s.Cnum.re and sim = s.Cnum.im in
+         let src = random_vec rs size and dst = random_vec rs size in
+         let agree ref_op stub_op =
+           let a = P.copy dst and b = P.copy dst in
+           ref_op ~src ~dst:a;
+           stub_op ~src ~dst:b;
+           let c = P.copy dst and d = P.copy dst in
+           ref_op ~src:c ~dst:c;
+           stub_op ~src:d ~dst:d;
+           eq a b && eq c d
+         in
+         let zero_a = P.copy dst and zero_b = P.copy dst in
+         R.fill_zero_range zero_a ~pos:dst_pos ~len;
+         P.fill_zero_range zero_b ~pos:dst_pos ~len;
+         agree
+           (fun ~src ~dst -> R.scale2_into ~src ~src_pos ~dst ~dst_pos ~len ~sre ~sim)
+           (fun ~src ~dst -> P.scale2_into ~src ~src_pos ~dst ~dst_pos ~len ~sre ~sim)
+         && agree
+              (fun ~src ~dst -> R.scale2_add_into ~src ~src_pos ~dst ~dst_pos ~len ~sre ~sim)
+              (fun ~src ~dst -> P.scale2_add_into ~src ~src_pos ~dst ~dst_pos ~len ~sre ~sim)
+         && agree
+              (fun ~src ~dst -> R.add_into ~src ~src_pos ~dst ~dst_pos ~len)
+              (fun ~src ~dst -> P.add_into ~src ~src_pos ~dst ~dst_pos ~len)
+         && eq zero_a zero_b
+         && same_bits (R.norm2 src) (P.norm2 src))
+
+  let tests () =
+    Pool.with_pool 1 (fun p1 ->
+        Pool.with_pool 2 (fun p2 ->
+            Pool.with_pool 4 (fun p4 ->
+                check_all
+                  [ dense_single p2; dense_two p2; dmav [ p1; p2; p4 ]; stripes ])))
+
+  (* Minor words of one dense gate and one uncached DMAV gate at n = 14 on
+     a size-1 pool (jobs run inline, so every word is seen). *)
+  let gate_words () =
+    let n = 14 in
+    Pool.with_pool 1 (fun pool ->
+        let p = Dd.create () in
+        let op = (Suite.generate ~seed:1 Suite.Qft ~n).Circuit.ops.(1) in
+        let m = Mat_dd.of_op p ~n op in
+        let v = DK.zero_state n and w = P.create (1 lsl n) in
+        let words f =
+          f ();
+          let before = Gc.minor_words () in
+          f ();
+          Gc.minor_words () -. before
+        in
+        ( words (fun () -> DK.single ~pool ~n v Gate.h ~target:3 ~controls:[ 5 ]),
+          words (fun () -> DG.apply_nocache p ~pool ~n m ~v ~w) ))
+end
+
+module K64 = Suite_for (Storage.F64)
+module K32 = Suite_for (Storage.F32)
+
+(* The dense kernel flattens the gate into one small float array; the
+   DMAV kernel builds its task lists and the pool job closure. Neither
+   may grow with 2ⁿ, and the storage kind must not change the count. *)
+let test_allocation () =
+  let d64, m64 = K64.gate_words () and d32, m32 = K32.gate_words () in
+  Alcotest.(check (float 0.0)) "dense gate: f32 words = f64 words" d64 d32;
+  Alcotest.(check (float 0.0)) "dmav gate: f32 words = f64 words" m64 m32;
+  List.iter
+    (fun (what, words) ->
+       if words > 256.0 then
+         Alcotest.failf "%s allocated %.0f minor words at n = 14" what words)
+    [ ("dense gate", d64); ("dmav gate", m64) ]
+
+let suite =
+  [ ( "kernels",
+      [ Alcotest.test_case "f64 stubs = OCaml reference (bits)" `Quick K64.tests;
+        Alcotest.test_case "f32 stubs = OCaml reference (bits)" `Quick K32.tests;
+        Alcotest.test_case "one gate allocates O(1), same at f32 and f64" `Quick
+          test_allocation ] ) ]

@@ -169,6 +169,30 @@ let test_boxed_cnum_in_hot_loop () =
     "(* qcs-lint: allow boxed-cnum-in-hot-loop *)\n\
      let f w v = for i = 0 to 3 do ignore (Cnum.mul w v.(i)) done\n"
 
+let test_hot_external_alloc () =
+  check_flagged "missing noalloc" ~path:"lib/complexnum/fixture.ml"
+    ~rule:"hot-external-alloc"
+    "external f : int -> int -> unit = \"qcs_f\"\n";
+  check_flagged "six arguments, native name only" ~path:"lib/dmav/fixture.ml"
+    ~rule:"hot-external-alloc"
+    "external f : int -> int -> int -> int -> int -> int -> unit = \"qcs_f\" \
+     [@@noalloc]\n";
+  check_flagged "inside a module, statevec" ~path:"lib/statevec/fixture.ml"
+    ~rule:"hot-external-alloc"
+    "module M = struct external f : int -> unit = \"qcs_f\" end\n";
+  check_clean "noalloc, five arguments" ~path:"lib/convert/fixture.ml"
+    "external f : int -> int -> int -> int -> int -> unit = \"qcs_f\" [@@noalloc]\n";
+  check_clean "noalloc with a byte-code stub" ~path:"lib/complexnum/fixture.ml"
+    "external f : int -> int -> int -> int -> int -> (float[@unboxed]) -> unit\n\
+    \  = \"qcs_f_byte\" \"qcs_f\" [@@noalloc]\n";
+  check_clean "cold libraries are out of scope" ~path:"lib/serve/fixture.ml"
+    "external f : int -> unit = \"qcs_f\"\n";
+  check_clean "plain vals are not externals" ~path:"lib/complexnum/fixture.ml"
+    "module type S = sig val f : int -> int -> int -> int -> int -> int -> unit end\n";
+  check_clean "suppressed" ~path:"lib/complexnum/fixture.ml"
+    "(* qcs-lint: allow hot-external-alloc *)\n\
+     external f : int -> unit = \"qcs_f\"\n"
+
 let test_todo_marker () =
   let fs = lint ("let x = 1 (* " ^ todo_word ^ ": later *)\n") in
   Alcotest.(check bool) "marker flagged" true (List.mem "todo-marker" (rules_of fs));
@@ -484,6 +508,7 @@ let suite =
         Alcotest.test_case "node-alloc-outside-arena" `Quick
           test_node_alloc_outside_arena;
         Alcotest.test_case "boxed-cnum-in-hot-loop" `Quick test_boxed_cnum_in_hot_loop;
+        Alcotest.test_case "hot-external-alloc" `Quick test_hot_external_alloc;
         Alcotest.test_case "todo-marker" `Quick test_todo_marker;
         Alcotest.test_case "allow-all suppression" `Quick test_suppress_all;
         Alcotest.test_case "allowlist prefixes" `Quick test_allowlist;

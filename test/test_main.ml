@@ -34,4 +34,5 @@ let () =
          Test_manifest.suite;
          Test_serve.suite;
          Test_order.suite;
-         Test_precision.suite ])
+         Test_precision.suite;
+         Test_kernels.suite ])

@@ -2,10 +2,9 @@
 
    Three claims, each tested where it can actually fail:
 
-   - the precision-generic functor kernels instantiated at F64 are the
-     *same arithmetic* as the hand-specialized f64 kernels — pinned bit
-     for bit, so the generic code path cannot drift from the one the
-     default engines run;
+   - the f64 entry points ([Apply], [Dmav]) produce the bits of the
+     precision-generic functor kernels at F64 (the C stubs behind both
+     are pinned against the OCaml reference in test_kernels);
    - the f32 amplitude plane is the f64 result plus rounding, bounded by
      a documented tolerance (1e-4 at up to 13 qubits — generous: gate
      counts here keep the observed error well under 1e-5, but depth
@@ -28,7 +27,7 @@ let check_bits_equal name (a : Buf.t) (b : Buf.t) =
       Alcotest.failf "%s: word %d differs (%h vs %h)" name i da.{i} db.{i}
   done
 
-(* --- generic-at-F64 pins the specialized kernels ---------------------- *)
+(* --- the f64 entry points are the generic kernels at F64 -------------- *)
 
 let test_dense64_pins_apply () =
   let c = Suite.generate ~seed:3 ~gates:200 Suite.Supremacy ~n:10 in
