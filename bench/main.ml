@@ -24,7 +24,6 @@ let experiments =
     ("fig14", Exp_fig14.run);
     ("ablation", Exp_ablation.run);
     ("ddmem", Exp_ddmem.run);
-    ("ddpar", Exp_ddpar.run);
     ("dispatch", Exp_dispatch.run);
     ("obs", Exp_obs.run);
     ("order", Exp_order.run);

@@ -71,14 +71,14 @@ let line_outcome line =
   | _ | (exception Obs.Metrics.Parse_error _) -> "unknown"
 
 let run manifest slots threads seed out no_timings strict verbose metrics metrics_json
-    dd_domains order precision connect tenant =
+    order precision connect tenant =
   try
     let metrics_wanted = metrics || metrics_json <> None in
     if metrics_wanted then begin
       Obs.set_enabled true;
       Obs.Metrics.reset ()
     end;
-    let default_config = { Config.default with Config.dd_domains; order; precision } in
+    let default_config = { Config.default with Config.order; precision } in
     let text, outcomes, interrupted =
       match connect with
       | Some socket_path ->
@@ -185,12 +185,6 @@ let cmd =
     Arg.(value & opt (some string) None
          & info [ "metrics-json" ] ~docv:"FILE" ~doc:"Enable the instrumentation layer and write the snapshot as JSON to $(docv).")
   in
-  let dd_domains =
-    Arg.(value & opt int 1
-         & info [ "dd-domains" ]
-             ~doc:"Default DD-phase domain count for every job (a job's own \
-                   $(i,dd_domains) manifest field overrides it).")
-  in
   let order =
     let order_c =
       let parse s =
@@ -237,7 +231,7 @@ let cmd =
   in
   let term =
     Term.(const run $ manifest $ slots $ threads $ seed $ out $ no_timings $ strict
-          $ verbose $ metrics $ metrics_json $ dd_domains $ order $ precision $ connect
+          $ verbose $ metrics $ metrics_json $ order $ precision $ connect
           $ tenant)
   in
   Cmd.v

@@ -84,7 +84,7 @@ let print_top_amplitudes buf count =
   done
 
 let run engine family qasm n gates seed threads beta epsilon fusion dispatch trace top
-    export metrics metrics_json compact_every dd_domains dd_task_depth order precision =
+    export metrics metrics_json compact_every order precision =
   try
     let metrics_wanted = metrics || metrics_json <> None in
     if metrics_wanted then begin
@@ -113,11 +113,11 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
        let cfg =
          { Config.default with
            Config.threads; beta; epsilon; fusion; trace; dense_dispatch = dispatch;
-           dd_domains; dd_task_depth; order; precision }
+           order; precision }
        in
        let r, dt = Timer.time (fun () -> Simulator.simulate cfg circuit) in
-       Printf.printf "engine: flatdd (%d threads, %d dd domains, beta=%.2f eps=%.2f)\n"
-         threads dd_domains beta epsilon;
+       Printf.printf "engine: flatdd (%d threads, beta=%.2f eps=%.2f)\n" threads beta
+         epsilon;
        (match order with
         | Config.No_order -> ()
         | o -> Printf.printf "order: %s\n" (Config.order_name o));
@@ -170,13 +170,8 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
            r.Simulator.trace;
        if top > 0 then print_top_amplitudes (Simulator.amplitudes r) top
      | Dd_engine ->
-       let task_depth = if dd_task_depth > 0 then Some dd_task_depth else None in
-       let r, dt =
-         Timer.time (fun () ->
-             Ddsim.run ~compact_every ~domains:dd_domains ?task_depth circuit)
-       in
-       if dd_domains > 1 then Printf.printf "engine: dd (%d domains)\n" dd_domains
-       else Printf.printf "engine: dd (single thread)\n";
+       let r, dt = Timer.time (fun () -> Ddsim.run ~compact_every circuit) in
+       Printf.printf "engine: dd (single thread)\n";
        Printf.printf "runtime: %.4f s\n" dt;
        Printf.printf "final DD size: %d nodes (peak %d)\n"
          (Dd.vnode_count r.Ddsim.package r.Ddsim.state) r.Ddsim.peak_nodes;
@@ -281,20 +276,6 @@ let cmd =
              ~doc:"DD engine only: run mark-sweep compaction every N gates (0 \
                    disables; 1 collects after every gate — the gc-soak setting).")
   in
-  let dd_domains =
-    Arg.(value & opt int 1
-         & info [ "dd-domains" ]
-             ~doc:"DD-phase domain count. With > 1 the DD unique/compute tables \
-                   are sharded and each gate is applied in parallel across this \
-                   many domains (flatdd and dd engines); amplitudes match the \
-                   single-domain run bit for bit.")
-  in
-  let dd_task_depth =
-    Arg.(value & opt int 0
-         & info [ "dd-task-depth" ]
-             ~doc:"Recursion depth at which the parallel DD apply splits into \
-                   tasks (0 = auto from the domain count).")
-  in
   let order =
     Arg.(value & opt order_conv Config.No_order
          & info [ "order" ]
@@ -315,7 +296,7 @@ let cmd =
   let term =
     Term.(const run $ engine $ family $ qasm $ n $ gates $ seed $ threads $ beta
           $ epsilon $ fusion $ dispatch $ trace $ top $ export $ metrics $ metrics_json
-          $ compact_every $ dd_domains $ dd_task_depth $ order $ precision)
+          $ compact_every $ order $ precision)
   in
   Cmd.v (Cmd.info "flatdd" ~doc:"Hybrid decision-diagram / flat-array quantum circuit simulator") term
 

@@ -93,60 +93,6 @@ let claim r ~owner ~lo ~hi =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Transient exclusive holds                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Unlike region claims, which accumulate forever (the same index must
-   never be handed out twice for the region's lifetime), an exclusive
-   hold models a critical section: the same slot may be held repeatedly
-   over time, but never by two owners at once. This is how the DD
-   unique-table stripes are checked — every probe-and-publish brackets
-   its stripe with [hold]/[release], so a broken (or test-bypassed)
-   stripe lock shows up as two domains inside one stripe. *)
-
-type excl = {
-  e_name : string;
-  e_mutex : Mutex.t;
-  e_holders : (int, int) Hashtbl.t;  (* slot -> owner *)
-}
-
-let excl ~name = { e_name = name; e_mutex = Mutex.create (); e_holders = Hashtbl.create 64 }
-
-let hold e ~owner ~slot =
-  if enabled () then begin
-    let conflict =
-      Mutex.lock e.e_mutex;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock e.e_mutex)
-        (fun () ->
-           match Hashtbl.find_opt e.e_holders slot with
-           | Some o when o <> owner -> Some o
-           | _ ->
-             Hashtbl.replace e.e_holders slot owner;
-             None)
-    in
-    ignore (Atomic.fetch_and_add claims_total 1);
-    Obs.incr c_claims;
-    match conflict with
-    | None -> ()
-    | Some o ->
-      race
-        (Printf.sprintf "%s: owner %d entered slot %d while owner %d holds it"
-           e.e_name owner slot o)
-  end
-
-let release e ~owner ~slot =
-  if enabled () then begin
-    Mutex.lock e.e_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock e.e_mutex)
-      (fun () ->
-         match Hashtbl.find_opt e.e_holders slot with
-         | Some o when o = owner -> Hashtbl.remove e.e_holders slot
-         | _ -> ()  (* racing release after a detected violation: stay harmless *))
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Re-entrant pool admission                                           *)
 (* ------------------------------------------------------------------ *)
 

@@ -60,25 +60,6 @@ val violation : string -> unit
     workspace buffer): bumps the race total and raises in [Abort]
     mode. *)
 
-(** {2 Transient exclusive holds} *)
-
-type excl
-(** A set of slots that must each be inside at most one owner's critical
-    section at a time (e.g. the DD unique-table stripes). Unlike a
-    {!region}, holds are released: the same slot may be re-held later by
-    any owner — only {e concurrent} holds by different owners race. *)
-
-val excl : name:string -> excl
-
-val hold : excl -> owner:int -> slot:int -> unit
-(** Records that [owner] entered the critical section of [slot]. If a
-    different owner currently holds the slot, that is a race (counted,
-    and raised in [Abort] mode). No-op when the checker is off. *)
-
-val release : excl -> owner:int -> slot:int -> unit
-(** Ends [owner]'s hold of [slot]. Releasing a slot held by someone else
-    (possible only after a detected violation) is ignored. *)
-
 (** {2 Re-entrant pool admission} *)
 
 val enter_job : key:int -> unit

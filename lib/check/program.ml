@@ -97,7 +97,7 @@ let readers =
 (* Dd API calls whose result is a packed edge (arena index). *)
 let dd_edge_fns =
   [ "make_vnode"; "make_mnode"; "vterm_edge"; "mterm_edge"; "vunit"; "munit";
-    "vadd"; "madd"; "mv"; "mm"; "mv_par"; "vscale"; "mscale"; "v0"; "v1";
+    "vadd"; "madd"; "mv"; "mm"; "vscale"; "mscale"; "v0"; "v1";
     "mchild"; "medge_child" ]
 
 let compact_seeds = [ "Dd.compact"; "Dd.reset"; "Dd.swap_levels"; "Dd.sift_pass" ]
@@ -483,8 +483,8 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
   in
 
   (* Indexed lock family acquired inside a loop body without matching
-     releases: the ctable stripe pattern. Safe only under a global
-     ascending-order convention, so it gets a warning. *)
+     releases (e.g. per-stripe locks taken in one sweep). Safe only under a
+     global ascending-order convention, so it gets a warning. *)
   let loop_check env loc body =
     if env.phase = 2 then begin
       let locks = ref [] and unlocks = ref 0 in
@@ -638,7 +638,7 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
 
   (* The lock effect of one statement in a sequence, applied to what
      follows it. [if Mutex.try_lock l then () else (... Mutex.lock l)]
-     leaves l held on both paths (the node_store stripe dance). *)
+     leaves l held on both paths (a contention-counting lock). *)
   and seq_effect env a =
     match (Callgraph.strip_constraint a).pexp_desc with
     | Pexp_apply (f, [ (_, m) ]) ->

@@ -12,13 +12,6 @@ type t
 
 type entry = private { value : Cnum.t; id : int }
 
-exception Need_grow
-(** Raised by {!lookup} in concurrent mode when an insert runs past the
-    dense reverse maps' capacity: growth would replace arrays that other
-    domains may be reading. The caller quiesces (joins its domains),
-    calls {!ensure_headroom}, and retries — the same protocol as arena
-    growth in the DD layer. Never raised in sequential mode. *)
-
 val create : ?tolerance:float -> unit -> t
 
 val lookup : t -> Cnum.t -> entry
@@ -35,27 +28,6 @@ val id : t -> Cnum.t -> int
 
 val zero_id : int
 val one_id : int
-
-val set_concurrent : t -> bool -> unit
-(** While set, {!lookup} (and {!id}/{!canon}) lock the grid stripes the
-    probed neighborhood touches, so several domains may intern
-    concurrently without losing canonicity, and capacity misses surface
-    as {!Need_grow}. Toggle only at quiesce points (no lookup in
-    flight). Off by default: the sequential paths pay nothing but one
-    flag test. *)
-
-val ensure_headroom : t -> slots:int -> unit
-(** Quiesced only: grow the dense reverse maps until at least [slots]
-    ids beyond the current cursor fit without growth. Call after
-    catching {!Need_grow} (with no lookup in flight) before retrying. *)
-
-val enter_section : t -> unit
-(** Worker domains are about to run: capacity misses must raise
-    {!Need_grow} instead of growing (other domains may be mid-read). *)
-
-val exit_section : t -> unit
-(** The workers have joined; the orchestrating domain may grow in place
-    again. {!set_concurrent}[ t false] also clears the section flag. *)
 
 val count : t -> int
 (** Number of distinct representatives stored. *)

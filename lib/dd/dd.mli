@@ -129,43 +129,6 @@ val mv : package -> medge -> vedge -> vedge
 val mm : package -> medge -> medge -> medge
 (** Matrix-matrix product (DDMM) — the gate-fusion primitive. *)
 
-(** {1 Parallel gate application}
-
-    With parallel mode enabled, gate application splits at a depth cutoff
-    into node-level tasks drained by a {!Pool.t}'s domains, each recursing
-    with private compute caches into the shared stripe-locked arena.
-    Amplitudes are byte-identical to the sequential engine at any domain
-    count (held by the differential battery in test_dd_par.ml).
-    Reclamation and growth stay stop-the-world: {!compact} must only run
-    between gates, and arena exhaustion mid-gate is retried after a
-    quiesced grow. *)
-
-val enable_parallel : package -> domains:int -> unit
-(** Put the package in multi-domain mode: stripe-locked unique tables,
-    per-domain arena segments and compute caches, mutex-serialized weight
-    interning. [domains:1] (or {!disable_parallel}) restores the exact
-    sequential regime. Call only at a quiesce point. *)
-
-val disable_parallel : package -> unit
-(** Leave multi-domain mode, returning per-domain free-list stashes to the
-    shared pool. Call only at a quiesce point. *)
-
-val parallel_domains : package -> int
-(** Configured domain count; 1 when parallel mode is off. *)
-
-val mv_par : package -> pool:Pool.t -> ?depth:int -> medge -> vedge -> vedge
-(** Parallel {!mv}. [pool] must have exactly [parallel_domains p] workers.
-    [depth] overrides the task-split depth cutoff (default: auto from the
-    domain count). Falls back to the sequential {!mv} when parallel mode
-    is off or the DD is too small to split profitably. *)
-
-val quiesce : package -> unit
-(** Refresh the quiesce-point snapshot behind {!stats}, {!memory_bytes}
-    and {!observe_gauges}. While parallel mode is on those report the
-    snapshot rather than racing the arenas, so `--metrics-json` never
-    serializes torn occupancy values. Engines call this at phase
-    boundaries; {!mv_par} and {!compact} refresh it themselves. *)
-
 (** {1 Inspection} *)
 
 val vnode_count : package -> vedge -> int
@@ -192,8 +155,7 @@ val swap_levels : package -> upper:int -> unit
     included — remain valid and denote the level-swapped function.
     Exactness: amplitudes are preserved bit-for-bit up to the ctable's
     canonical arithmetic; sharing at level [upper] is best-effort until
-    the next {!compact}. Requires [upper >= 1] and no parallel section
-    in flight (call it between gates).
+    the next {!compact}. Requires [upper >= 1]; call it between gates.
     @raise Invalid_argument otherwise. *)
 
 val sift_pass :
@@ -219,8 +181,7 @@ val compact : package -> vroots:vedge list -> mroots:medge list -> unit
 
 val reset : package -> unit
 (** Return the package to its just-created state while keeping the grown
-    arena/table capacities: quiesces any parallel regime, sweeps every
-    non-terminal slot, clears the complex-number table (ids are reissued
+    arena/table capacities: sweeps every non-terminal slot, clears the complex-number table (ids are reissued
     from the seeded constants) and bumps the epoch. All previously issued
     edges are invalid afterwards. This is the warm-reuse primitive: a
     reset package computes bit-identical amplitudes to a fresh one, but
@@ -283,38 +244,11 @@ val edge_wid : int -> int
 
 (** {1 Test-only surface}
 
-    Hooks for the race-injection and free-list property tests, which must
-    drive the arena from several domains without referencing [Node_store]
-    directly (the node-alloc-outside-arena lint rule bans that outside
-    lib/dd). Not for production use. *)
+    Arena counters for the slot-conservation property test, which may not
+    reference [Node_store] directly (the node-alloc-outside-arena lint
+    rule bans that outside lib/dd). Not for production use. *)
 
 module Testing : sig
-  exception Arena_need_grow
-  (** The arena's growth-needed signal (re-exported so tests can exercise
-      the quiesce → {!ensure_headroom} → retry protocol directly). *)
-
-  val set_race_spins : int -> unit
-  (** Widen the window between a unique-table probe and its publish by
-      spinning; 0 restores the production path. Process-global. *)
-
-  val set_bypass_stripe_lock : bool -> unit
-  (** Skip the stripe mutex (keeping the FLATDD_CHECK hold/release
-      bracket) so a seeded race becomes observable. Process-global;
-      never set outside tests. *)
-
-  val intern_vnode : package -> dom:int -> int -> vedge -> vedge -> vedge
-  (** [intern_vnode p ~dom level e0 e1] is {!make_vnode} running as the
-      given domain (its caches and arena segment). *)
-
-  val enter_parallel : package -> unit
-  (** Mark a parallel section open, so arena exhaustion raises instead of
-      growing under concurrent readers. Pair with {!exit_parallel}. *)
-
-  val exit_parallel : package -> unit
-
-  val ensure_headroom : package -> slots:int -> unit
-  (** Pre-grow both arenas (quiesced) to at least [slots] free slots. *)
-
   val varena_high_water : package -> int
   (** Slots ever issued by the vector arena — with {!live_vnodes} and
       {!vfree_slots}, the conservation check of the property test. *)

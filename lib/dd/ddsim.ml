@@ -16,20 +16,9 @@ type result = {
   seconds : float;
 }
 
-let run ?package ?(trace = false) ?(compact_every = 64) ?time_limit
-    ?(domains = 1) ?task_depth (c : Circuit.t) =
+let run ?package ?(trace = false) ?(compact_every = 64) ?time_limit (c : Circuit.t) =
   let p = match package with Some p -> p | None -> Dd.create () in
   let n = c.Circuit.n in
-  (* Multi-domain gate application: a run-scoped pool plus the package's
-     parallel regime, both torn down in the [finally] below so a shared
-     [?package] returns to the exact sequential state. *)
-  let pool = if domains > 1 then Some (Pool.create domains) else None in
-  if domains > 1 then Dd.enable_parallel p ~domains;
-  Fun.protect
-    ~finally:(fun () ->
-        if domains > 1 then Dd.disable_parallel p;
-        match pool with Some pl -> Pool.shutdown pl | None -> ())
-    (fun () ->
   let state = ref (Vec_dd.zero_state p n) in
   let entries = ref [] in
   let peak_nodes = ref n in
@@ -44,9 +33,7 @@ let run ?package ?(trace = false) ?(compact_every = 64) ?time_limit
     let (), dt =
       Timer.time (fun () ->
           let g = Mat_dd.of_op p ~n op in
-          match pool with
-          | Some pl -> state := Dd.mv_par p ~pool:pl ?depth:task_depth g !state
-          | None -> state := Dd.mv p g !state)
+          state := Dd.mv p g !state)
     in
     let size = Dd.vnode_count p !state in
     if size > !peak_nodes then peak_nodes := size;
@@ -64,7 +51,6 @@ let run ?package ?(trace = false) ?(compact_every = 64) ?time_limit
      | _ -> ());
     incr i
   done;
-  Dd.quiesce p;
   let m = Dd.memory_bytes p in
   if m > !peak_mem then peak_mem := m;
   { state = !state;
@@ -74,6 +60,6 @@ let run ?package ?(trace = false) ?(compact_every = 64) ?time_limit
     peak_memory_bytes = !peak_mem;
     timed_out = !timed_out;
     gates_done = !i;
-    seconds = elapsed () })
+    seconds = elapsed () }
 
 let final_amplitudes r n = Vec_dd.to_buf r.package n r.state

@@ -29,8 +29,6 @@ val run :
   ?trace:bool ->
   ?compact_every:int ->
   ?time_limit:float ->
-  ?domains:int ->
-  ?task_depth:int ->
   Circuit.t ->
   result
 (** Simulates from |0…0⟩. [compact_every] (default 64) is how many gates
@@ -38,10 +36,7 @@ val run :
     [time_limit] (seconds) reproduces the paper's bounded runs: the engine
     stops after the first gate that exceeds the budget and flags
     [timed_out] — the scaled-down analogue of the paper's "> 24 h"
-    entries. [domains] (default 1) > 1 applies every gate with
-    {!Dd.mv_par} over a run-scoped pool: amplitudes are byte-identical to
-    the sequential run at any domain count. [task_depth] overrides the
-    task-split depth cutoff (default: auto). *)
+    entries. *)
 
 val final_amplitudes : result -> int -> Buf.t
 (** Flat amplitudes of the final state ([n] = qubit count), via the

@@ -13,106 +13,39 @@
    tables of node indices, selected by high hash bits, each probed by
    low hash bits and compared directly against the arena fields — the
    node *is* its own key, there is no separate key record to allocate.
-   In sequential mode the shards are probed without any locking and
-   [intern2]/[intern4] behave exactly like the old find+alloc pair; in
-   parallel mode every intern takes its shard's stripe mutex for the
-   whole probe-or-publish, so concurrent domains deduplicate against one
-   shared table (the MQT-DDSIM concurrent-unique-table shape). The
-   stripe lock is deliberately not a lock-free fast path: OCaml 5's
-   memory model lets a racing prober observe a freshly published table
-   entry together with only *some* of the node's field writes, and a
-   node whose stale child reads happen to be 0 where the probe key is 0
-   would falsely match. With 64 stripes and <= 8 domains the mutex is
-   uncontended in practice (the contention counter proves it), and the
-   locked path is trivially sequentially consistent.
+   The package is single-domain, so the shards are probed and published
+   without any locking.
 
    Reclamation is real: [sweep] pushes every unmarked slot onto a LIFO
    free list and the next allocation pops it, so long runs with periodic
-   GC stay inside one arena footprint instead of growing forever. Under
-   parallel mode, allocation is routed through per-domain free-list
-   stashes refilled in batches from the global list, falling back to
-   fresh-slot segments handed out from the shared high-water cursor;
-   only the (rare) batch refill and segment grant take a lock. Arena
-   growth cannot happen mid-parallel-section (other domains hold the
-   backing arrays): an allocation that would need it raises {!Need_grow}
-   and the caller quiesces, grows, and retries — any partially built
-   nodes stay valid canonical structure, so retries lose no work.
+   GC stay inside one arena footprint instead of growing forever. An
+   allocation that finds neither a free slot nor fresh capacity grows the
+   arena in place by doubling.
 
    This module is owned by lib/dd: nothing outside the DD package may
    allocate nodes or forge edges (enforced by the node-alloc-outside-arena
    lint rule); consumers read nodes through [Dd]'s accessors or the raw
    kernel views it exposes. *)
 
-exception Need_grow
-(* Raised by parallel-mode allocation when the arena is exhausted and
-   growing in place is impossible (a parallel section is in flight).
-   The package catches it at the gate boundary, grows, and retries. *)
-
 let nshards = 64
 let shard_shift = 20 (* hash bits used for the in-shard index are below these *)
-let seg_size = 256   (* fresh slots granted per segment / stash refill batch *)
 
 type shard = {
   mutable tbl : int array;     (* open-addressed node indices; 0 = empty *)
   mutable occ : int;
-  lock : Mutex.t;              (* taken only in parallel mode *)
-}
-
-(* Per-domain allocation state: a stash of reclaimed slots plus a fresh
-   segment [seg_lo, seg_hi) carved off the shared high-water cursor. Only
-   the owning domain touches its stash during a parallel section. *)
-type stash = {
-  mutable slots : int array;
-  mutable len : int;
-  mutable seg_lo : int;
-  mutable seg_hi : int;
-}
-
-type par_state = {
-  ndom : int;
-  stashes : stash array;
-  free_lock : Mutex.t;          (* guards global free-list batch refills *)
-  seg_lock : Mutex.t;           (* guards the high-water segment cursor *)
-  seg_region : Check.region;    (* fresh segments must never overlap *)
 }
 
 type t = {
   width : int;                 (* outgoing edges per node: 2 vector, 4 matrix *)
-  sid : int;                   (* process-unique store id, keys checker slots *)
   mutable level : int array;   (* per slot: qubit level; -1 terminal; -2 free *)
   mutable child : int array;   (* width packed edges per slot *)
   mutable mark : Bytes.t;      (* traversal scratch bits, one byte per slot *)
   mutable next : int;          (* high-water mark: slots [1, next) ever issued *)
   mutable free : int array;    (* global LIFO stack of reclaimed slots *)
   mutable free_len : int;
-  live : int Atomic.t;         (* allocated minus freed (terminal excluded) *)
+  mutable live : int;          (* allocated minus freed (terminal excluded) *)
   shards : shard array;
-  mutable par : par_state option;
-  mutable in_parallel : bool;  (* a parallel section is in flight: no growth *)
 }
-
-(* ------------------------------------------------------------------ *)
-(* Instrumentation and test hooks                                      *)
-(* ------------------------------------------------------------------ *)
-
-let c_stripe_contention = Obs.counter "dd.par.stripe.contention"
-let c_segments = Obs.counter "dd.par.segments"
-let c_stash_refills = Obs.counter "dd.par.stash.refills"
-let c_grow_aborts = Obs.counter "dd.par.grow.aborts"
-
-(* Stripe critical sections are bracketed with transient exclusive holds
-   so FLATDD_CHECK can prove mutual exclusion actually holds. One excl
-   set serves every store; slots are (store id, shard index) pairs. *)
-let stripe_excl = Check.excl ~name:"dd.unique.stripe"
-let store_ids = Atomic.make 0
-
-(* Race-injection hooks, for the checker's red-team tests only: widen the
-   window between a stripe's probe and its publish, optionally with the
-   stripe mutex bypassed so the seeded race is observable. Never set
-   outside tests. Atomics: every interning domain reads them while the
-   test harness writes. *)
-let test_race_spins = Atomic.make 0
-let test_bypass_stripe_lock = Atomic.make false
 
 (* ------------------------------------------------------------------ *)
 (* Packed edges                                                        *)
@@ -122,7 +55,7 @@ let test_bypass_stripe_lock = Atomic.make false
    bits the ctable weight id. 2^31 node slots would need >100 GB of
    arena, and 2^31 distinct interned weights >100 GB of ctable, so
    neither field can overflow in a process that fits in memory; the
-   slot side is still checked at segment-grant time. *)
+   slot side is still checked at allocation time. *)
 let tgt_bits = 31
 let tgt_mask = (1 lsl tgt_bits) - 1
 
@@ -141,34 +74,22 @@ let create ~width ~capacity =
   let shard_cap = Int.max 16 (2 * capacity / nshards) in
   let a =
     { width;
-      sid = Atomic.fetch_and_add store_ids 1;
       level = Array.make capacity (-2);
       child = Array.make (width * capacity) 0;
       mark = Bytes.make capacity '\000';
       next = 1;
       free = Array.make 256 0;
       free_len = 0;
-      live = Atomic.make 0;
-      shards =
-        Array.init nshards (fun _ ->
-            { tbl = Array.make shard_cap 0; occ = 0; lock = Mutex.create () });
-      par = None;
-      in_parallel = false }
+      live = 0;
+      shards = Array.init nshards (fun _ -> { tbl = Array.make shard_cap 0; occ = 0 }) }
   in
   a.level.(0) <- -1;
   a
 
 let capacity a = Array.length a.level
-let live a = Atomic.get a.live
+let live a = a.live
 let high_water a = a.next - 1
-
-let free_slots a =
-  let n = ref a.free_len in
-  (match a.par with
-   | None -> ()
-   | Some ps ->
-     Array.iter (fun st -> n := !n + st.len + (st.seg_hi - st.seg_lo)) ps.stashes);
-  !n
+let free_slots a = a.free_len
 
 (* Field reads on the hot paths. The [unsafe_get]s are justified by the
    arena invariant that every reachable edge targets a slot below [next],
@@ -206,7 +127,6 @@ let[@inline] hash4 level c0 c1 c2 c3 =
   mix (mix (mix (mix (mix 0x9D7 level) c0) c1) c2) c3
 
 let[@inline] shard_of a h = Array.unsafe_get a.shards ((h lsr shard_shift) land (nshards - 1)) (* qcs-lint: allow unsafe-array *)
-let[@inline] shard_index h = (h lsr shard_shift) land (nshards - 1)
 
 let[@inline] node_hash a n =
   let base = a.width * n in
@@ -218,12 +138,6 @@ let[@inline] node_hash a n =
 (* ------------------------------------------------------------------ *)
 (* Shard probing and insertion                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* Probes never lock, even in parallel mode: a shard table is only ever
-   replaced wholesale (grown under its stripe lock into a freshly built
-   array), so a concurrent reader sees either the current table or a
-   complete older one. A stale read can only turn a hit into a miss, and
-   every miss re-probes under the stripe lock before allocating. *)
 
 let probe2 a s h ~level c0 c1 =
   let tbl = s.tbl in
@@ -280,9 +194,7 @@ let shard_insert s h n =
   tbl.(!i) <- n;
   s.occ <- s.occ + 1
 
-(* Grow a shard in place: build the doubled table aside, then publish it
-   with one field write. Runs under the shard's stripe lock in parallel
-   mode (interning is fully striped), so this never needs a quiesce. *)
+(* Grow a shard in place: build the doubled table aside, then swap it in. *)
 let grow_shard a s =
   let old = s.tbl in
   let tbl = Array.make (2 * Array.length old) 0 in
@@ -328,9 +240,9 @@ let grow_arena a =
   Bytes.blit a.mark 0 mark 0 cap;
   a.mark <- mark
 
-(* Sequential-mode slot source: global free list, then the high-water
-   cursor, growing inline when exhausted (no concurrent readers exist). *)
-let fresh_slot_seq a =
+(* Slot source: the free list first, then the high-water cursor,
+   growing the arena when it is exhausted. *)
+let fresh_slot a =
   if a.free_len > 0 then begin
     a.free_len <- a.free_len - 1;
     a.free.(a.free_len)
@@ -343,188 +255,44 @@ let fresh_slot_seq a =
     n
   end
 
-(* Parallel-mode slot source: the domain's stash, then its segment, then
-   a locked batch refill from the global free list, then a locked fresh
-   segment grant. Growth mid-parallel-section is impossible — raise and
-   let the package quiesce, grow and retry the gate. *)
-let rec fresh_slot_par a ps ~dom =
-  let st = ps.stashes.(dom) in
-  if st.len > 0 then begin
-    st.len <- st.len - 1;
-    st.slots.(st.len)
-  end
-  else if st.seg_lo < st.seg_hi then begin
-    let n = st.seg_lo in
-    st.seg_lo <- n + 1;
-    n
-  end
-  else begin
-    (* Batch-refill the stash from the global free list first: reclaimed
-       slots must be reused before the arena footprint grows. *)
-    Mutex.lock ps.free_lock;
-    let took =
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock ps.free_lock)
-        (fun () ->
-           let take = Int.min seg_size a.free_len in
-           if take > 0 then begin
-             if Array.length st.slots < take then st.slots <- Array.make seg_size 0;
-             Array.blit a.free (a.free_len - take) st.slots 0 take;
-             st.len <- take;
-             a.free_len <- a.free_len - take
-           end;
-           take)
-    in
-    if took > 0 then begin
-      Obs.incr c_stash_refills;
-      fresh_slot_par a ps ~dom
-    end
-    else begin
-      Mutex.lock ps.seg_lock;
-      let granted =
-        Fun.protect
-          ~finally:(fun () -> Mutex.unlock ps.seg_lock)
-          (fun () ->
-             let avail = capacity a - a.next in
-             if avail = 0 then false
-             else begin
-               let take = Int.min seg_size avail in
-               if a.next + take > tgt_mask then
-                 failwith "Node_store: arena index overflow";
-               st.seg_lo <- a.next;
-               st.seg_hi <- a.next + take;
-               a.next <- a.next + take;
-               if Check.enabled () then
-                 Check.claim ps.seg_region ~owner:dom ~lo:st.seg_lo ~hi:st.seg_hi;
-               true
-             end)
-      in
-      if granted then begin
-        Obs.incr c_segments;
-        fresh_slot_par a ps ~dom
-      end
-      else if a.in_parallel then begin
-        Obs.incr c_grow_aborts;
-        raise Need_grow
-      end
-      else begin
-        (* Quiesced (no parallel section in flight): grow inline. *)
-        grow_arena a;
-        fresh_slot_par a ps ~dom
-      end
-    end
-  end
-
-let[@inline] fresh_slot a ~dom =
-  match a.par with
-  | None -> fresh_slot_seq a
-  | Some ps ->
-    let n = fresh_slot_par a ps ~dom in
-    (* A slot leaving the allocator must be free — a segment/stash bug
-       handing a live slot to a second owner is memory corruption. *)
-    if Check.enabled () && a.level.(n) <> -2 then
-      Check.violation
-        (Printf.sprintf "Node_store: slot %d allocated while level=%d (not free)"
-           n a.level.(n));
-    n
-
 (* ------------------------------------------------------------------ *)
 (* Find-or-allocate (the unique-table operation)                       *)
 (* ------------------------------------------------------------------ *)
 
-(* The stripe critical section. In sequential mode this is a plain call;
-   in parallel mode it takes the shard's stripe lock (counting contended
-   acquisitions) and brackets the body with a transient FLATDD_CHECK
-   exclusive hold, so a broken stripe lock — or the test hook that
-   bypasses it — is observable as a race rather than silent corruption. *)
-let with_stripe a s ~dom ~sidx f =
-  match a.par with
-  | None -> f ()
-  | Some _ ->
-    let bypass = Atomic.get test_bypass_stripe_lock in
-    if not bypass then
-      if not (Mutex.try_lock s.lock) then begin
-        Obs.incr c_stripe_contention;
-        Mutex.lock s.lock
-      end;
-    let key = (a.sid * nshards) + sidx in
-    Check.hold stripe_excl ~owner:dom ~slot:key;
-    Fun.protect
-      ~finally:(fun () ->
-          Check.release stripe_excl ~owner:dom ~slot:key;
-          if not bypass then Mutex.unlock s.lock)
-      f
-
-let[@inline] race_window () =
-  let spins = Atomic.get test_race_spins in
-  if spins > 0 then
-    for _ = 1 to spins do
-      Domain.cpu_relax ()
-    done
-
-(* The whole probe-or-publish runs inside the stripe (see the header on
-   why there is no lock-free pre-probe): the test race window sits between
-   the probe and the publish, so bypassing the stripe lock lets two
-   domains miss on the same key and publish it twice — exactly the bug
-   class the checker's hold/release bracket must catch. *)
-let intern2 a ~dom ~level c0 c1 =
+(* Both return the node's slot; a miss allocates and bumps [live], which
+   is how callers tell a fresh node from a reused one without a tuple. *)
+let intern2 a ~level c0 c1 =
   let h = hash2 level c0 c1 in
   let s = shard_of a h in
-  with_stripe a s ~dom ~sidx:(shard_index h) (fun () ->
-      match probe2 a s h ~level c0 c1 with
-      | n when n >= 0 -> (n, false)
-      | _ ->
-        race_window ();
-        maybe_grow_shard a s;
-        let n = fresh_slot a ~dom in
-        a.level.(n) <- level;
-        a.child.(2 * n) <- c0;
-        a.child.((2 * n) + 1) <- c1;
-        ignore (Atomic.fetch_and_add a.live 1);
-        shard_insert s h n;
-        (n, true))
+  match probe2 a s h ~level c0 c1 with
+  | n when n >= 0 -> n
+  | _ ->
+    maybe_grow_shard a s;
+    let n = fresh_slot a in
+    a.level.(n) <- level;
+    a.child.(2 * n) <- c0;
+    a.child.((2 * n) + 1) <- c1;
+    a.live <- a.live + 1;
+    shard_insert s h n;
+    n
 
-let intern4 a ~dom ~level c0 c1 c2 c3 =
+let intern4 a ~level c0 c1 c2 c3 =
   let h = hash4 level c0 c1 c2 c3 in
   let s = shard_of a h in
-  with_stripe a s ~dom ~sidx:(shard_index h) (fun () ->
-      match probe4 a s h ~level c0 c1 c2 c3 with
-      | n when n >= 0 -> (n, false)
-      | _ ->
-        race_window ();
-        maybe_grow_shard a s;
-        let n = fresh_slot a ~dom in
-        a.level.(n) <- level;
-        let b = 4 * n in
-        a.child.(b) <- c0;
-        a.child.(b + 1) <- c1;
-        a.child.(b + 2) <- c2;
-        a.child.(b + 3) <- c3;
-        ignore (Atomic.fetch_and_add a.live 1);
-        shard_insert s h n;
-        (n, true))
-
-(* ------------------------------------------------------------------ *)
-(* Parallel-mode lifecycle                                             *)
-(* ------------------------------------------------------------------ *)
-
-let enable_parallel a ~domains =
-  if domains < 1 then invalid_arg "Node_store.enable_parallel: domains";
-  match a.par with
-  | Some ps when ps.ndom = domains -> ()
+  match probe4 a s h ~level c0 c1 c2 c3 with
+  | n when n >= 0 -> n
   | _ ->
-    (match a.par with
-     | Some _ -> invalid_arg "Node_store.enable_parallel: already enabled"
-     | None -> ());
-    a.par <-
-      Some
-        { ndom = domains;
-          stashes =
-            Array.init domains (fun _ ->
-                { slots = [||]; len = 0; seg_lo = 0; seg_hi = 0 });
-          free_lock = Mutex.create ();
-          seg_lock = Mutex.create ();
-          seg_region = Check.region ~name:"dd.arena.segments" }
+    maybe_grow_shard a s;
+    let n = fresh_slot a in
+    a.level.(n) <- level;
+    let b = 4 * n in
+    a.child.(b) <- c0;
+    a.child.(b + 1) <- c1;
+    a.child.(b + 2) <- c2;
+    a.child.(b + 3) <- c3;
+    a.live <- a.live + 1;
+    shard_insert s h n;
+    n
 
 let push_free a n =
   if a.free_len = Array.length a.free then begin
@@ -534,39 +302,6 @@ let push_free a n =
   end;
   a.free.(a.free_len) <- n;
   a.free_len <- a.free_len + 1
-
-(* Hand every stash and unconsumed segment back to the global free list,
-   then drop the parallel state. Must be called quiesced. *)
-let disable_parallel a =
-  match a.par with
-  | None -> ()
-  | Some ps ->
-    Array.iter
-      (fun st ->
-         for i = 0 to st.len - 1 do
-           push_free a st.slots.(i)
-         done;
-         st.len <- 0;
-         for n = st.seg_lo to st.seg_hi - 1 do
-           push_free a n
-         done;
-         st.seg_lo <- 0;
-         st.seg_hi <- 0)
-      ps.stashes;
-    a.par <- None
-
-let parallel_domains a = match a.par with None -> 0 | Some ps -> ps.ndom
-
-let enter_parallel a = a.in_parallel <- true
-let exit_parallel a = a.in_parallel <- false
-let in_parallel a = a.in_parallel
-
-(* Pre-grow so a parallel section with [slots] expected allocations does
-   not hit Need_grow. Call quiesced only. *)
-let ensure_headroom a ~slots =
-  while capacity a - a.next + free_slots a < slots do
-    grow_arena a
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Marking and sweep                                                   *)
@@ -580,19 +315,15 @@ let[@inline] clear_mark a n = Bytes.unsafe_set a.mark n '\000' (* qcs-lint: allo
    and rebuilds the unique-table shards over the survivors. Returns the
    number of slots reclaimed. Freed slots keep their index on the free
    list and are handed back by later allocations; the epoch stamp kept by
-   the package is what protects compute-cache entries from the reuse.
-   Must be called quiesced (stop-the-world): it touches every shard and
-   the shared free list without locks. Slots sitting in per-domain
-   stashes or segments are already level -2 and are left untouched. *)
+   the package is what protects compute-cache entries from the reuse. *)
 let sweep a =
-  if a.in_parallel then invalid_arg "Node_store.sweep: parallel section in flight";
   let freed = ref 0 in
   for n = 1 to a.next - 1 do
     if a.level.(n) >= 0 && not (marked a n) then begin
       a.level.(n) <- -2;
       Array.fill a.child (a.width * n) a.width 0;
       push_free a n;
-      ignore (Atomic.fetch_and_add a.live (-1));
+      a.live <- a.live - 1;
       incr freed
     end
   done;
@@ -611,16 +342,8 @@ let memory_bytes a =
   let shard_bytes =
     Array.fold_left (fun acc s -> acc + (8 * (Array.length s.tbl + 1))) 0 a.shards
   in
-  let stash_bytes =
-    match a.par with
-    | None -> 0
-    | Some ps ->
-      Array.fold_left
-        (fun acc st -> acc + (8 * (Array.length st.slots + 1)))
-        0 ps.stashes
-  in
   (8 * (Array.length a.level + 1))
   + (8 * (Array.length a.child + 1))
   + (Bytes.length a.mark + 8)
   + (8 * (Array.length a.free + 1))
-  + shard_bytes + stash_bytes
+  + shard_bytes

@@ -53,8 +53,6 @@ type t = {
   compact_every : int;
   trace : bool;
   dense_dispatch : bool;
-  dd_domains : int;
-  dd_task_depth : int;
   order : order_mode;
   precision : precision;
 }
@@ -69,10 +67,7 @@ let default =
     compact_every = 64;
     trace = false;
     dense_dispatch = false;
-    dd_domains = 1;
-    dd_task_depth = 0;
     order = No_order;
     precision = F64 }
 
 let with_threads threads t = { t with threads }
-let with_dd_domains dd_domains t = { t with dd_domains }

@@ -43,14 +43,6 @@ type t = {
       route it to the dense direct-apply kernels ([Apply.single]/[Apply.two])
       instead of a DMAV multiplication. Off by default so the stock DMAV
       phase stays bit-for-bit reproducible. *)
-  dd_domains : int;
-  (** DD-phase domain count (≥ 1). When > 1 the DD engine shards its
-      unique/compute tables and applies each gate with {!Dd.mv_par} over a
-      dedicated pool of this many domains. 1 (the default) keeps the
-      sequential single-domain regime. *)
-  dd_task_depth : int;
-  (** Recursion depth at which the parallel DD apply splits into tasks.
-      0 (the default) picks automatically from [dd_domains]. *)
   order : order_mode;
   (** Qubit-order policy (`--order`). Results are always reported in the
       logical basis regardless of this setting. *)
@@ -63,8 +55,7 @@ type t = {
 
 val default : t
 (** 1 thread, β = 0.9, ε = 2.0, d = 4, no fusion, EWMA policy,
-    compaction every 64 gates, no trace, no dense dispatch, 1 DD domain,
-    no order optimization. *)
+    compaction every 64 gates, no trace, no dense dispatch, no order
+    optimization. *)
 
 val with_threads : int -> t -> t
-val with_dd_domains : int -> t -> t

@@ -1,38 +1,17 @@
 (* DD simulation as a stepwise engine: the state is a vector DD in the
    shared package; a gate is built as a matrix DD and applied with the
-   compute-cached DD matrix-vector product.
-
-   When [Config.dd_domains] > 1 the engine owns a dedicated pool of that
-   many domains and applies each gate with [Dd.mv_par]; the package is
-   switched into its sharded parallel regime for the engine's lifetime
-   and restored (and the pool shut down) in [finalize]/[release], so the
-   conversion and flat phases always see a quiesced sequential package. *)
+   compute-cached DD matrix-vector product. *)
 
 type state = {
   ctx : Engine.ctx;
   n : int;
   mutable edge : Dd.vedge;
-  mutable dpool : Pool.t option;
-  task_depth : int option;
 }
 
 let name = "dd"
 let trace_phase = Engine.Dd_phase
 
-let init (ctx : Engine.ctx) ~n =
-  let cfg = ctx.Engine.cfg in
-  let domains = cfg.Config.dd_domains in
-  let dpool =
-    if domains > 1 then begin
-      Dd.enable_parallel ctx.Engine.package ~domains;
-      Some (Pool.create domains)
-    end
-    else None
-  in
-  let task_depth =
-    if cfg.Config.dd_task_depth > 0 then Some cfg.Config.dd_task_depth else None
-  in
-  { ctx; n; edge = Vec_dd.zero_state ctx.Engine.package n; dpool; task_depth }
+let init (ctx : Engine.ctx) ~n = { ctx; n; edge = Vec_dd.zero_state ctx.Engine.package n }
 
 let qubits st = st.n
 let edge st = st.edge
@@ -48,9 +27,7 @@ let apply_op st (xo : Engine.exec_op) =
        | Some op -> Mat_dd.of_op p ~n:st.n op
        | None -> invalid_arg "Dd_engine.apply_op: op without matrix or circuit op")
   in
-  (match st.dpool with
-   | Some pool -> st.edge <- Dd.mv_par p ~pool ?depth:st.task_depth g st.edge
-   | None -> st.edge <- Dd.mv p g st.edge);
+  st.edge <- Dd.mv p g st.edge;
   Engine.no_stats
 
 let size_metric st = Dd.vnode_count st.ctx.Engine.package st.edge
@@ -60,18 +37,9 @@ let observe st = Dd.observe_gauges st.ctx.Engine.package
 
 let extract st = Engine.Dd_state { package = st.ctx.Engine.package; edge = st.edge }
 
-(* Idempotent: leaves the package in the plain sequential regime. *)
-let finalize st =
-  match st.dpool with
-  | None -> ()
-  | Some pool ->
-    Dd.quiesce st.ctx.Engine.package;
-    Dd.disable_parallel st.ctx.Engine.package;
-    Pool.shutdown pool;
-    st.dpool <- None
+let finalize _ = ()
 
 let release st =
-  finalize st;
   (* The vector DD is dead (converted away); keep only what the matrix
      side of the package reuses. *)
   st.edge <- Dd.vzero;

@@ -308,9 +308,6 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
        Obs.add c_dd_gates !i;
        Dd_engine.observe dd;
        acc.bump_mem (Dd_engine.memory_bytes dd);
-       (* Quiesce the DD phase: shut down the domain pool and return the
-          package to its sequential regime before conversion reads it. *)
-       Dd_engine.finalize dd;
 
        (* ---- Conversion: the explicit DD→flat transition -------------- *)
        let conversion_stats = ref None in

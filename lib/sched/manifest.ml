@@ -92,6 +92,16 @@ let parse_line ?(default_config = Config.default) ?(base_seed = 1) ?(dir = ".")
     | None -> (false, Rng.derive base_seed index)
   in
   let tenant = Option.value (str_field ~where kvs "tenant") ~default:"" in
+  (* Older clients pinned "dd_domains":1 into every line they sent, so
+     journals written before the DD phase became single-domain still
+     carry it. Accept that value as a no-op; anything else asked for a
+     mode that no longer exists. *)
+  (match int_field ~where kvs "dd_domains" with
+   | None | Some 1 -> ()
+   | Some d when d > 1 ->
+     failf "%s: dd_domains > 1 is no longer supported (the DD phase is single-domain)"
+       where
+   | Some d -> failf "%s: dd_domains must be 1 (got %d)" where d);
   let circuit =
     match str_field ~where kvs "circuit", str_field ~where kvs "qasm" with
     | Some _, Some _ -> failf "%s: give either \"circuit\" or \"qasm\", not both" where
@@ -151,12 +161,6 @@ let parse_line ?(default_config = Config.default) ?(base_seed = 1) ?(dir = ".")
       | Some (Jnum s) when int_of_string_opt s <> None ->
         { cfg with Config.policy = Config.Convert_at (int_of_string s) }
       | Some _ -> failf "%s: policy is \"ewma\" | \"never\" | convert-at gate index" where
-    in
-    let cfg =
-      match int_field ~where kvs "dd_domains" with
-      | Some d when d >= 1 -> { cfg with Config.dd_domains = d }
-      | Some d -> failf "%s: dd_domains must be >= 1 (got %d)" where d
-      | None -> cfg
     in
     let cfg =
       match field kvs "order" with

@@ -4,7 +4,7 @@
    Determinism lives here, not in the daemon: the client parses the
    manifest locally (same code path as flatdd_batch), which fixes every
    job's id and splitmix-derived seed by physical line index, then ships
-   each line with "id", "seed" and the effective "dd_domains"/"order"
+   each line with "id", "seed" and the effective "order"/"precision"
    pinned and any relative "qasm" path absolutized against the manifest
    directory.
    The daemon therefore computes the same bytes regardless
@@ -109,15 +109,9 @@ let pin_line ~dir ?tenant (r : Manifest.resolved) raw =
       Protocol.set_field kvs "qasm" (Jstr (Filename.concat base path))
     | _ -> kvs
   in
-  (* Config defaults that exist only client-side (--dd-domains) ride the
-     wire as an explicit field, so the daemon's own defaults never
+  (* Config defaults that exist only client-side (--order, --precision)
+     ride the wire as explicit fields, so the daemon's own defaults never
      silently override what this client's flags resolved to. *)
-  let kvs =
-    if List.mem_assoc "dd_domains" kvs then kvs
-    else
-      Protocol.set_field kvs "dd_domains"
-        (Jnum (string_of_int r.Manifest.job.Sched.config.Config.dd_domains))
-  in
   let kvs =
     if List.mem_assoc "order" kvs then kvs
     else

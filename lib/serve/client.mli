@@ -31,8 +31,8 @@ val read_frame : connection -> Protocol.frame
 val close : connection -> unit
 
 val pin_line : dir:string -> ?tenant:string -> Manifest.resolved -> string -> string
-(** [pin_line ~dir r raw] bakes [r]'s id, seed and effective [dd_domains]
-    (and [tenant], when given and absent from the line) into the raw
+(** [pin_line ~dir r raw] bakes [r]'s id, seed, effective [order] and
+    [precision] (and [tenant], when given and absent from the line) into the raw
     manifest line and absolutizes a relative qasm path against [dir]
     (prefixing the cwd only when [dir] itself is relative). *)
 

@@ -451,6 +451,108 @@ let prop_unitary_mv_preserves_norm =
        let r = Dd.mv p m v in
        Float.abs (Vec_dd.norm2 p r -. Vec_dd.norm2 p v) < 1e-8)
 
+(* -------------------------------------------------------------------- *)
+(* Arena slot conservation under random intern/compact scripts            *)
+(* -------------------------------------------------------------------- *)
+
+(* A script is a list of (op, arg) pairs: op < 4 interns a small chain of
+   fresh vector nodes plus one matrix node, op = 4 compacts keeping a
+   prefix of the root set. After every step: live + free = high-water in
+   both arenas; every node of a still-rooted chain keeps the children it
+   was created with (a slot handed out twice would have been overwritten);
+   and [memory_bytes] has not decreased since the last compaction. *)
+
+type chain = {
+  vroot : Dd.vedge;
+  mroot : Dd.medge;
+  nodes : (Dd.vnode * Dd.vedge * Dd.vedge) list;  (* slot and its children at creation *)
+}
+
+let gen_script =
+  QCheck.(list_of_size (Gen.int_range 5 40) (pair (int_bound 4) (int_bound 9)))
+
+let check_arena p chains ~mem_floor ~where =
+  let conserved what live free hw =
+    if live + free <> hw then
+      QCheck.Test.fail_reportf "%s: %s live %d + free %d <> high-water %d" where what
+        live free hw
+  in
+  conserved "vector" (Dd.live_vnodes p) (Dd.vfree_slots p)
+    (Dd.Testing.varena_high_water p);
+  conserved "matrix" (Dd.live_mnodes p) (Dd.mfree_slots p)
+    (Dd.Testing.marena_high_water p);
+  List.iter
+    (fun c ->
+       List.iter
+         (fun (n, c0, c1) ->
+            if Dd.v0 p n <> c0 || Dd.v1 p n <> c1 then
+              QCheck.Test.fail_reportf "%s: live slot %d was handed out again" where
+                (Dd.vid n))
+         c.nodes)
+    chains;
+  let m = Dd.memory_bytes p in
+  if m < mem_floor then
+    QCheck.Test.fail_reportf "%s: memory_bytes fell from %d to %d without a compaction"
+      where mem_floor m;
+  m
+
+let run_script script =
+  let p = Dd.create () in
+  let chains = ref [] in
+  let stamp = ref 0 in
+  let mem = ref (Dd.memory_bytes p) in
+  let intern_chain arg =
+    (* Weights salted by a global stamp, so most batches intern fresh
+       structure (and reuse freed slots after a compaction). *)
+    incr stamp;
+    let x k = Cnum.make (0.001 *. float_of_int ((13 * !stamp) + k + arg)) 0.0 in
+    let w k = Dd.vterm_edge p (x k) in
+    let e0a = Dd.make_vnode p 0 (w 0) (w 1) in
+    let e0b = Dd.make_vnode p 0 (w 2) (w 0) in
+    let e2 = Dd.make_vnode p 1 e0a e0b in
+    let e3 = Dd.make_vnode p 2 e2 Dd.vzero in
+    (* Re-interning the same triple must not allocate again. *)
+    let e3' = Dd.make_vnode p 2 e2 Dd.vzero in
+    if e3 <> e3' then
+      QCheck.Test.fail_reportf "double-allocated (%d, %d)"
+        (Dd.vid (Dd.vtgt e3))
+        (Dd.vid (Dd.vtgt e3'));
+    let m =
+      Dd.make_mnode p 0 (Dd.mterm_edge p (x 3)) Dd.mzero Dd.mzero (Dd.mterm_edge p (x 4))
+    in
+    let node e = (Dd.vtgt e, Dd.v0 p (Dd.vtgt e), Dd.v1 p (Dd.vtgt e)) in
+    let c = { vroot = e3; mroot = m; nodes = List.map node [ e0a; e0b; e2; e3 ] } in
+    chains := List.filteri (fun i _ -> i < 6) (c :: !chains)
+  in
+  let compact keep =
+    chains := List.filteri (fun i _ -> i < keep) !chains;
+    Dd.compact p
+      ~vroots:(List.map (fun c -> c.vroot) !chains)
+      ~mroots:(List.map (fun c -> c.mroot) !chains)
+  in
+  List.iter
+    (fun (op, arg) ->
+       if op < 4 then intern_chain arg
+       else begin
+         compact (arg mod 4);
+         mem := 0
+       end;
+       let where = Printf.sprintf "op %d/%d" op arg in
+       mem := check_arena p !chains ~mem_floor:!mem ~where)
+    script;
+  (* Leak check: dropping every root and compacting must reclaim both
+     arenas entirely. *)
+  compact 0;
+  if Dd.live_vnodes p <> 0 || Dd.live_mnodes p <> 0 then
+    QCheck.Test.fail_reportf "leak: %d vector / %d matrix nodes live with no roots"
+      (Dd.live_vnodes p) (Dd.live_mnodes p);
+  ignore (check_arena p [] ~mem_floor:0 ~where:"final");
+  true
+
+let prop_alloc_compact_conservation =
+  QCheck.Test.make ~name:"alloc/compact conserves arena slots" ~count:40 gen_script
+    run_script
+
 let suite =
   [ ( "dd",
       [ Alcotest.test_case "canonicity: equal vectors share nodes" `Quick
@@ -488,4 +590,5 @@ let suite =
           test_freelist_reuse_no_stale_cache;
         QCheck_alcotest.to_alcotest prop_roundtrip;
         QCheck_alcotest.to_alcotest prop_mv_linear;
-        QCheck_alcotest.to_alcotest prop_unitary_mv_preserves_norm ] ) ]
+        QCheck_alcotest.to_alcotest prop_unitary_mv_preserves_norm;
+        QCheck_alcotest.to_alcotest prop_alloc_compact_conservation ] ) ]

@@ -80,8 +80,8 @@ let test_fusion_agrees_with_unfused () =
     (List.filteri (fun i _ -> i mod 3 = 0) seeds)
 
 let test_order_sweep () =
-  (* For every seed and both non-trivial order modes: the EWMA hybrid at
-     1/2/4 DD domains, the pure-DD path (order-aware extraction), and
+  (* For every seed and both non-trivial order modes: the EWMA hybrid,
+     the pure-DD path (order-aware extraction), and
      the forced-DMAV path (buffers logicalized before conversion results
      surface) all match the dense reference in the logical basis. *)
   List.iter
@@ -92,17 +92,11 @@ let test_order_sweep () =
        List.iter
          (fun order ->
             let name = Config.order_name order in
-            List.iter
-              (fun dd_domains ->
-                 let cfg =
-                   { Config.default with Config.threads = 2; dd_domains; order }
-                 in
-                 Test_util.check_close ~tol
-                   (Printf.sprintf "seed %d (n=%d): %s ewma d=%d vs dense"
-                      seed n name dd_domains)
-                   (Simulator.amplitudes (Simulator.simulate cfg c))
-                   dense)
-              [ 1; 2; 4 ];
+            Test_util.check_close ~tol
+              (Printf.sprintf "seed %d (n=%d): %s ewma vs dense" seed n name)
+              (Simulator.amplitudes
+                 (Simulator.simulate { Config.default with Config.threads = 2; order } c))
+              dense;
             Test_util.check_close ~tol
               (Printf.sprintf "seed %d (n=%d): %s pure-dd vs dense" seed n name)
               (Simulator.amplitudes

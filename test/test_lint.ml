@@ -401,8 +401,9 @@ let test_program_epoch () =
   Alcotest.(check bool) "lib/dd owns its own epochs" false
     (List.exists (fun (r, _, _) -> r = "arena-epoch") (program_keys in_dd))
 
-(* Against the real tree: the parallel-reachable set must cover the mv_par
-   task body and the serve connection threads. Skips silently when the
+(* Against the real tree: the parallel-reachable set must cover the DD→flat
+   conversion's pool task body (the closures inside [Convert.parallel]) and
+   the serve connection threads. Skips silently when the
    test binary runs outside a source checkout. *)
 let test_program_par_regression () =
   let rec find_root d =
@@ -423,7 +424,7 @@ let test_program_par_regression () =
       (fun name ->
          Alcotest.(check bool) (name ^ " is parallel-reachable") true
            (List.mem name res.Program.r_par))
-      [ "Dd.mv_nodes_d"; "Serve.writer"; "Serve.reader" ]
+      [ "Convert.parallel"; "Serve.writer"; "Serve.reader" ]
 
 (* ---- baseline ratchet -------------------------------------------------- *)
 

@@ -26,7 +26,6 @@ let () =
          Test_extras.suite;
          Test_cross_engine.suite;
          Test_differential.suite;
-         Test_dd_par.suite;
          Test_obs.suite;
          Test_analysis.suite;
          Test_taskq.suite;

@@ -67,6 +67,24 @@ let test_order_field () =
   expect_error "non-string order" (fun () ->
       Manifest.parse_line ~index:0 {|{"circuit":"qft","n":5,"order":1}|})
 
+(* Journals written before the DD phase became single-domain pin
+   "dd_domains":1 into every line; that value must keep parsing, as a
+   no-op, while a request for more domains is a located error. *)
+let test_dd_domains_compat () =
+  let plain = {|{"id":"j","circuit":"qft","n":5,"seed":3}|} in
+  let pinned = {|{"id":"j","circuit":"qft","n":5,"seed":3,"dd_domains":1}|} in
+  Alcotest.(check bool) "dd_domains 1 is the same job as no field" true
+    (Manifest.parse_line ~index:0 pinned = Manifest.parse_line ~index:0 plain);
+  match
+    Manifest.parse_line ~index:4 {|{"id":"j","circuit":"qft","n":5,"dd_domains":2}|}
+  with
+  | _ -> Alcotest.fail "dd_domains 2 must be rejected"
+  | exception Manifest.Error m ->
+    Alcotest.(check string) "located error"
+      "manifest line 5: dd_domains > 1 is no longer supported (the DD phase is \
+       single-domain)"
+      m
+
 let test_parse_errors () =
   expect_error "no circuit source" (fun () ->
       Manifest.parse_line ~index:0 {|{"id":"x","n":4}|});
@@ -232,6 +250,7 @@ let suite =
           test_defaults_and_derived_seed;
         Alcotest.test_case "config overrides" `Quick test_config_overrides;
         Alcotest.test_case "order field" `Quick test_order_field;
+        Alcotest.test_case "dd_domains compatibility" `Quick test_dd_domains_compat;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "schema versioning" `Quick test_schema_versioning;
         Alcotest.test_case "strict gates unknown fields" `Quick
