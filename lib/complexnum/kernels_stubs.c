@@ -30,16 +30,28 @@ static inline long insert_zero(long i, long k)
   return ((i & ~low_mask) << 1) | (i & low_mask);
 }
 
-/* The matrix-DD arena window (Storage.arena, = Dd.view): slot levels and
-   packed children are OCaml int arrays, weight planes flat float
-   arrays. */
-typedef struct { const value *lv, *ch; const double *re, *im; } arena;
+/* The matrix-DD arena window (Storage.arena, = Dd.view): slot levels,
+   packed children and the per-level identity slots are OCaml int arrays,
+   weight planes flat float arrays. */
+typedef struct {
+  const value *lv, *ch;
+  const double *re, *im;
+  const value *ident;
+  long nident;
+} arena;
 
 static inline arena arena_of(value view)
 {
+  value ident = Field(view, 4);
   arena a = { (const value *)Field(view, 0), (const value *)Field(view, 1),
-              (const double *)Field(view, 2), (const double *)Field(view, 3) };
+              (const double *)Field(view, 2), (const double *)Field(view, 3),
+              (const value *)ident, (long)Wosize_val(ident) };
   return a;
+}
+
+static inline int is_identity(const arena *ar, long node, long level)
+{
+  return level >= 0 && level < ar->nident && Long_val(ar->ident[level]) == node;
 }
 
 #define ARGS5 argv[0], argv[1], argv[2], argv[3], argv[4]
@@ -193,7 +205,28 @@ static inline arena arena_of(value view)
     const value *c = ar->ch + 4 * node;                                       \
     long e00 = Long_val(c[0]), e01 = Long_val(c[1]);                          \
     long e10 = Long_val(c[2]), e11 = Long_val(c[3]);                          \
-    if (level == 0) {                                                         \
+    if (is_identity(ar, node, level)) {                                       \
+      /* W[iw, iw+2s) += g * V[iv, ...) with s = 2^level: each element gets  \
+         exactly the one MAC the recursion would give it. g replays the     \
+         recursion's weight products, one per level, so signed zeros come  \
+         out as they would there. */                                        \
+      long wid = EDGE_WID(e00);                                               \
+      double er = ar->re[wid], ei = ar->im[wid];                              \
+      double gre = fre, gim = fim;                                            \
+      for (long l = 0; l <= level; l++) {                                     \
+        double r = (gre * er) - (gim * ei);                                   \
+        gim = (gre * ei) + (gim * er);                                        \
+        gre = r;                                                              \
+      }                                                                       \
+      const T *s = v + 2 * iv;                                                \
+      T *d = w + 2 * iw;                                                      \
+      long len = 2L << level;                                                 \
+      for (long k = 0; k < len; k++) {                                        \
+        double vre = s[2 * k], vim = s[2 * k + 1];                            \
+        d[2 * k] = (T)((double)d[2 * k] + ((gre * vre) - (gim * vim)));       \
+        d[2 * k + 1] = (T)((double)d[2 * k + 1] + ((gre * vim) + (gim * vre))); \
+      }                                                                       \
+    } else if (level == 0) {                                                  \
       /* Terminal children: the four MACs inline. */                          \
       if (e00 != 0) mac_##SFX(ar, e00, v, w, iv, iw, fre, fim);               \
       if (e01 != 0) mac_##SFX(ar, e01, v, w, iv + 1, iw, fre, fim);           \

@@ -24,7 +24,13 @@ let bigarray_header_bytes = 64
 
 (* The raw matrix-DD arena window the DMAV Run stub walks; [Dd.view] is
    this type. *)
-type arena = { lv : int array; ch : int array; re : float array; im : float array }
+type arena = {
+  lv : int array;
+  ch : int array;
+  re : float array;
+  im : float array;
+  ident : int array;
+}
 
 (* What differs per element kind: the kind itself, the unboxed element
    accessors (OCaml only emits a direct bigarray load when the kind is

@@ -16,10 +16,18 @@
 
     All indices and lengths are in {e amplitudes}, not floats. *)
 
-type arena = { lv : int array; ch : int array; re : float array; im : float array }
+type arena = {
+  lv : int array;
+  ch : int array;
+  re : float array;
+  im : float array;
+  ident : int array;
+}
 (** A raw matrix-DD arena window: slot levels, packed child edges (four
-    per slot, [wid lsl 31 lor tgt]) and the weight planes. [Dd.view] is
-    this type; {!S.dmav_run} walks it. *)
+    per slot, [wid lsl 31 lor tgt]), the weight planes, and per level the
+    slot of the canonical identity node (levels past the end of [ident]
+    have none). [Dd.view] is this type; {!S.dmav_run} walks it and
+    applies an identity node as one contiguous stripe. *)
 
 (** The storage/precision signature the dense and DMAV kernels are
     functorized over. The [*2] primitives pass bare floats — they never

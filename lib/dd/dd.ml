@@ -633,19 +633,35 @@ type view = Storage.arena = {
   ch : int array;    (* packed child edges, arena width per slot *)
   re : float array;  (* weight id -> real part *)
   im : float array;  (* weight id -> imaginary part *)
+  ident : int array; (* level -> slot of the identity node, matrix views *)
 }
 
 let vview p =
   { lv = Node_store.level_array p.va;
     ch = Node_store.child_array p.va;
     re = Ctable.re_array p.ct;
-    im = Ctable.im_array p.ct }
+    im = Ctable.im_array p.ct;
+    ident = [||] }
+
+(* The slots of the canonical identity nodes, level 0 upwards, as far as
+   the arena holds them: level 0 is (mone, 0, 0, mone), level l is
+   (e, 0, 0, e) with e the unit edge to level l-1's identity. Probed
+   fresh on every view, lookup only: [compact], [reset] and slot reuse
+   reissue indices, and interning here could grow the arena under a view
+   the caller is about to hold. *)
+let identity_slots p =
+  let rec go l below acc =
+    let n = Node_store.find4 p.ma ~level:l below mzero mzero below in
+    if n < 0 then Array.of_list (List.rev acc) else go (l + 1) (munit n) (n :: acc)
+  in
+  go 0 mone []
 
 let mview p =
   { lv = Node_store.level_array p.ma;
     ch = Node_store.child_array p.ma;
     re = Ctable.re_array p.ct;
-    im = Ctable.im_array p.ct }
+    im = Ctable.im_array p.ct;
+    ident = identity_slots p }
 
 (* ------------------------------------------------------------------ *)
 (* Test-only surface                                                   *)

@@ -228,13 +228,19 @@ type view = Storage.arena = {
   ch : int array;    (** packed child edges, arena width per slot *)
   re : float array;  (** weight id -> real part *)
   im : float array;  (** weight id -> imaginary part *)
+  ident : int array;
+  (** level -> slot of the canonical identity node over that level and
+      the ones below; levels past the end hold none. Empty in vector
+      views. *)
 }
 
 val vview : package -> view
 (** Vector arena ([ch] width 2: slots [2n], [2n+1]). *)
 
 val mview : package -> view
-(** Matrix arena ([ch] width 4: slots [4n .. 4n+3], row-major). *)
+(** Matrix arena ([ch] width 4: slots [4n .. 4n+3], row-major). [ident]
+    is derived from the current arena by lookup-only unique-table probes,
+    so it is valid exactly as long as the rest of the view. *)
 
 val edge_tgt : int -> int
 (** Unpack the target index of a raw packed edge read from a view. *)

@@ -294,6 +294,12 @@ let intern4 a ~level c0 c1 c2 c3 =
     shard_insert s h n;
     n
 
+(* Lookup only: the slot of the node, or -1. Never allocates, so it is
+   safe while a raw view of the arena is held. *)
+let find4 a ~level c0 c1 c2 c3 =
+  let h = hash4 level c0 c1 c2 c3 in
+  probe4 a (shard_of a h) h ~level c0 c1 c2 c3
+
 let push_free a n =
   if a.free_len = Array.length a.free then begin
     let free = Array.make (2 * a.free_len) 0 in

@@ -1,10 +1,13 @@
-let mac_count p (e : Dd.medge) =
+(* Σ over root-to-terminal paths, memoized per node; [leaf] stops the
+   walk early at the nodes it has a value for. *)
+let path_count p ~leaf (e : Dd.medge) =
   if Dd.medge_is_zero e then 0.0
   else begin
     let memo : (int, float) Hashtbl.t = Hashtbl.create 256 in
     let rec count (node : Dd.mnode) =
-      if node = Dd.mterminal then 1.0
-      else
+      match leaf node with
+      | Some v -> v
+      | None ->
         match Hashtbl.find_opt memo (Dd.mid node) with
         | Some v -> v
         | None ->
@@ -18,6 +21,9 @@ let mac_count p (e : Dd.medge) =
     in
     count (Dd.mtgt e)
   end
+
+let mac_count p e =
+  path_count p e ~leaf:(fun node -> if node = Dd.mterminal then Some 1.0 else None)
 
 type breakdown = {
   k1 : float;
@@ -88,10 +94,10 @@ let allocate_buffers per_thread_blocks =
   in
   (assignment, List.length !buffers)
 
-let breakdown p ~n ~threads root =
-  let t = pow2_threads ~n threads in
-  let tasks = assign_cache_tasks p ~n ~t root in
-  let k2 = ref 0.0 and hits = ref 0 in
+(* The cached kernel runs each thread's distinct task nodes once: Σ [f]
+   over them, and the number of repeats (cache hits). *)
+let sum_distinct_tasks tasks f =
+  let sum = ref 0.0 and hits = ref 0 in
   Array.iter
     (fun lst ->
        let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
@@ -100,13 +106,19 @@ let breakdown p ~n ~threads root =
             if Hashtbl.mem seen (Dd.mid node) then incr hits
             else begin
               Hashtbl.replace seen (Dd.mid node) ();
-              k2 := !k2 +. mac_count p (Dd.munit node)
+              sum := !sum +. f node
             end)
          lst)
     tasks;
+  (!sum, !hits)
+
+let breakdown p ~n ~threads root =
+  let t = pow2_threads ~n threads in
+  let tasks = assign_cache_tasks p ~n ~t root in
+  let k2, hits = sum_distinct_tasks tasks (fun node -> mac_count p (Dd.munit node)) in
   let per_thread_blocks = Array.map (List.map snd) tasks in
   let _, buffers = allocate_buffers per_thread_blocks in
-  { k1 = mac_count p root; k2 = !k2; hits = !hits; buffers }
+  { k1 = mac_count p root; k2; hits; buffers }
 
 type decision = { cached : bool; c1 : float; c2 : float; threads_used : int }
 
@@ -121,6 +133,26 @@ let decide p ~n ~threads ~simd_width root =
   { cached = c2 < c1; c1; c2; threads_used = tu }
 
 let modeled_macs d = float_of_int d.threads_used *. Float.min d.c1 d.c2
+
+(* The part of [modeled_macs] (its MAC terms, not the block operations)
+   under identity nodes, which the Run stub applies as contiguous
+   stripes. The model itself still charges them at the recursion rate. *)
+let identity_macs p ~n d root =
+  let ident = (Dd.mview p).Dd.ident in
+  let leaf node =
+    if node = Dd.mterminal then Some 0.0
+    else begin
+      let l = Dd.mlevel p node in
+      if l < Array.length ident && ident.(l) = Dd.mid node then
+        Some (Float.pow 2.0 (float_of_int (l + 1)))
+      else None
+    end
+  in
+  if not d.cached then path_count p ~leaf root
+  else
+    fst
+      (sum_distinct_tasks (assign_cache_tasks p ~n ~t:d.threads_used root) (fun node ->
+           path_count p ~leaf (Dd.munit node)))
 
 (* Dense direct application touches every amplitude with a fixed-size
    matrix: 2ⁿ⁻¹ pairs × 4 complex MACs for a single-qubit gate, 2ⁿ⁻² quads

@@ -58,6 +58,11 @@ val modeled_macs : decision -> float
 (** [min C₁ C₂ × t] — the modeled MAC work of the chosen kernel, the
     quantity Table 2 reports as "Cost". *)
 
+val identity_macs : Dd.package -> n:int -> decision -> Dd.medge -> float
+(** The MACs of the chosen kernel's Run calls that lie under identity
+    nodes, which the Run stub applies as contiguous stripes. The model
+    still charges them at the full recursion rate. *)
+
 (** {1 Per-gate kernel dispatch (DMAV vs dense direct apply)} *)
 
 val dense_direct_macs : n:int -> Circuit.op -> float

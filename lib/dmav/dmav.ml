@@ -27,6 +27,7 @@ let c_buffers = Obs.counter "dmav.buffers"
 let fc_macs_modeled = Obs.fcounter "dmav.macs.modeled"
 let fc_macs_modeled_cached = Obs.fcounter "dmav.macs.modeled_cached"
 let fc_macs_modeled_uncached = Obs.fcounter "dmav.macs.modeled_uncached"
+let fc_macs_modeled_identity = Obs.fcounter "dmav.macs.modeled_identity"
 let s_apply = Obs.span "dmav.apply"
 
 type workspace = K.workspace
@@ -56,7 +57,8 @@ let apply_decided ?workspace:ws p ~pool ~n decision root ~v ~w =
     let t = float_of_int decision.Cost.threads_used in
     Obs.fadd fc_macs_modeled (Cost.modeled_macs decision);
     Obs.fadd fc_macs_modeled_cached (t *. decision.Cost.c2);
-    Obs.fadd fc_macs_modeled_uncached (t *. decision.Cost.c1)
+    Obs.fadd fc_macs_modeled_uncached (t *. decision.Cost.c1);
+    Obs.fadd fc_macs_modeled_identity (Cost.identity_macs p ~n decision root)
   end;
   Obs.with_span s_apply (fun () ->
       if decision.Cost.cached then begin

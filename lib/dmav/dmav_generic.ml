@@ -6,7 +6,8 @@
    The Assign traversals and the cache/buffer bookkeeping stay in OCaml;
    each border task's Run recursion is one call into the [P.dmav_run] C
    stub over the package's raw arena view, and cache hits, buffer zeroing
-   and summation are one stripe-primitive call per block. Weights always
+   and summation are one stripe-primitive call per block. W is zeroed
+   inside the workers, one output stripe or block each. Weights always
    stay f64 — they come off the ctable planes — so at [F32] the only
    rounding happens on the stores. The view stays valid for the whole
    apply because nothing allocates DD nodes or interns weights inside the
@@ -92,10 +93,10 @@ module Make (P : Storage.S) = struct
     let h = (1 lsl n) / t in
     let tasks = assign_rows p ~n ~t root in
     let mv = Dd.mview p in
-    P.fill_zero w;
     (* Check mode: each worker claims its W stripe on a region scoped to
        this kernel call, so a task-assignment bug that lands two domains
-       on the same output rows is reported as a race. *)
+       on the same output rows is reported as a race. The worker zeroes
+       its own stripe after the claim. *)
     let claim =
       if Check.enabled () then begin
         let r = Check.region ~name:("dmav." ^ P.label ^ ".w") in
@@ -106,6 +107,7 @@ module Make (P : Storage.S) = struct
     Pool.run pool (fun u ->
         if u < t then begin
           claim (u * h) ((u + 1) * h);
+          P.fill_zero_range w ~pos:(u * h) ~len:h;
           List.iter (fun task -> run_task mv task ~v ~w ~iv:task.start ~iw:(u * h)) tasks.(u)
         end)
 
@@ -229,8 +231,8 @@ module Make (P : Storage.S) = struct
       (fun bi blks ->
          List.iter (fun blk -> contributors.(blk / h) <- bi :: contributors.(blk / h)) blks)
       occupied;
-    P.fill_zero w;
     Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:t (fun blk ->
+        P.fill_zero_range w ~pos:(blk * h) ~len:h;
         List.iter
           (fun bi ->
              P.add_into ~src:bufs.(bi) ~src_pos:(blk * h) ~dst:w ~dst_pos:(blk * h) ~len:h)

@@ -34,6 +34,7 @@ type result = {
 let s_dd_phase = Obs.span "sim.dd_phase"
 let s_convert = Obs.span "sim.convert"
 let s_dmav_phase = Obs.span "sim.dmav_phase"
+let s_flat_plan = Obs.span "sim.flat_plan"
 let c_runs = Obs.counter "sim.runs"
 let c_gates = Obs.counter "sim.gates"
 let c_dd_gates = Obs.counter "sim.gates_dd"
@@ -352,7 +353,10 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
                    | None -> remaining
                    | Some m -> List.map (map_op m) remaining
                  in
-                 let plan, fstats = flat_plan ctx ~n ~first_index:!i remaining in
+                 let plan, fstats =
+                   Obs.with_span s_flat_plan (fun () ->
+                       flat_plan ctx ~n ~first_index:!i remaining)
+                 in
                  fusion_stats := fstats;
                  Obs.add c_dmav_gates (List.length plan);
                  (* Precision branch: at [F32] the converted f64 buffer is

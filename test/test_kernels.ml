@@ -3,19 +3,19 @@
    precisions: every dense target with and without controls, two-qubit
    gates in both qubit orders, DMAV cached and uncached at pool sizes 1,
    2 and 4, and the stripe primitives at odd positions and lengths, for
-   n from 1 to 14. Plus the allocation claim: a dense gate and a DMAV
-   gate cost the same small constant number of minor words at f32 as at
-   f64. *)
+   n from 1 to 14, and the identity stripes of the Run recursion. Plus
+   the allocation claim: a dense gate and a DMAV gate cost the same small
+   constant number of minor words at f32 as at f64. *)
 
 let cnum rs = Cnum.make (Random.State.float rs 2.0 -. 1.0) (Random.State.float rs 2.0 -. 1.0)
 
 let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
-(* Runs [prop] over (n, seed) cases with n in [lo, 14]; the clamp keeps
+(* Runs [prop] over (n, seed) cases with n in [lo, hi]; the clamp keeps
    shrunk counterexamples (QCheck shrinks integers towards 0) in range. *)
-let cases ~name ~count ~lo prop =
-  QCheck.Test.make ~name ~count QCheck.(pair (int_range lo 14) int) (fun (n, seed) ->
-      prop (Int.max lo (Int.min 14 n)) (Random.State.make [| seed |]))
+let cases ~name ~count ~lo ?(hi = 14) prop =
+  QCheck.Test.make ~name ~count QCheck.(pair (int_range lo hi) int) (fun (n, seed) ->
+      prop (Int.max lo (Int.min hi n)) (Random.State.make [| seed |]))
 
 let check_all tests =
   List.iter (fun t -> QCheck.Test.check_exn ~rand:(Random.State.make [| 14 |]) t) tests
@@ -99,27 +99,112 @@ module Suite_for (P : Storage.S) = struct
     done;
     !m
 
+  (* One matrix through both kernels at every pool size: uncached, then
+     cached, then cached again on the now-stale workspace buffers. *)
+  let dmav_agrees p pools ~n m ~v =
+    List.for_all
+      (fun pool ->
+         let threads = Pool.size pool in
+         let want = P.create (1 lsl n) and got = P.create (1 lsl n) in
+         R.apply_nocache p ~threads ~n m ~v ~w:want;
+         DG.apply_nocache p ~pool ~n m ~v ~w:got;
+         let uncached = eq want got in
+         let ws = DG.workspace ~n in
+         let want_hits = R.apply_cache p ~threads ~n m ~v ~w:want in
+         let got_hits, _ = DG.apply_cache ~workspace:ws p ~pool ~n m ~v ~w:got in
+         let again = P.create (1 lsl n) in
+         ignore (DG.apply_cache ~workspace:ws p ~pool ~n m ~v ~w:again);
+         uncached && eq want got && eq want again && want_hits = got_hits)
+      pools
+
   let dmav pools =
     cases ~name:(P.label ^ " dmav cached and uncached, pools 1/2/4") ~count:40 ~lo:1
       (fun n rs ->
          let p = Dd.create () in
          let m = random_mat p rs n in
-         let v = random_vec rs (1 lsl n) in
-         List.for_all
-           (fun pool ->
-              let threads = Pool.size pool in
-              let want = P.create (1 lsl n) and got = P.create (1 lsl n) in
-              R.apply_nocache p ~threads ~n m ~v ~w:want;
-              DG.apply_nocache p ~pool ~n m ~v ~w:got;
-              let uncached = eq want got in
-              let ws = DG.workspace ~n in
-              let want_hits = R.apply_cache p ~threads ~n m ~v ~w:want in
-              let got_hits, _ = DG.apply_cache ~workspace:ws p ~pool ~n m ~v ~w:got in
-              (* Again on the now-stale workspace buffers. *)
-              let again = P.create (1 lsl n) in
-              ignore (DG.apply_cache ~workspace:ws p ~pool ~n m ~v ~w:again);
-              uncached && eq want got && eq want again && want_hits = got_hits)
-           pools)
+         dmav_agrees p pools ~n m ~v:(random_vec rs (1 lsl n)))
+
+  (* Amplitude parts drawn from a few values, both zeros included, so
+     products and sums land on signed zeros. *)
+  let special rs =
+    let xs = [| 0.0; -0.0; 0.5; -0.5; 1.0; -1.25 |] in
+    xs.(Random.State.int rs (Array.length xs))
+
+  let special_vec rs len = P.init len (fun _ -> Cnum.make (special rs) (special rs))
+
+  (* A controlled single-qubit gate with every control above the target:
+     each control level's 0-branch is the identity below it. *)
+  let controlled_mat p rs n =
+    let target = Random.State.int rs (n - 1) in
+    let above = List.init (n - 1 - target) (fun k -> target + 1 + k) in
+    let controls = List.filter (fun _ -> Random.State.bool rs) above in
+    let controls = if controls = [] then [ n - 1 ] else controls in
+    Mat_dd.of_op p ~n
+      (Circuit.Single { name = "cu"; matrix = random_single rs; target; controls })
+
+  (* The DMAV-aware fusion of a random-length prefix of a deep circuit. *)
+  let fused_mats p rs n =
+    let fam = [| Suite.Dnn; Suite.Vqe; Suite.Supremacy |].(Random.State.int rs 3) in
+    let c = Suite.generate ~seed:(Random.State.bits rs) ~gates:(20 + Random.State.int rs 60) fam ~n in
+    let ops = Array.to_list c.Circuit.ops in
+    let prefix = List.filteri (fun i _ -> i < 4 + Random.State.int rs 60) ops in
+    fst (Fusion.dmav_aware p (List.map (Mat_dd.of_op p ~n) prefix))
+
+  (* Identity roots at every n, plain and scaled by weights with a
+     signed-zero part. *)
+  let identity_roots pools =
+    let rs = Random.State.make [| 17 |] in
+    let p = Dd.create () in
+    for n = 1 to 14 do
+      let id = Mat_dd.identity p n in
+      List.iter
+        (fun m ->
+           if not (dmav_agrees p pools ~n m ~v:(random_vec rs (1 lsl n))) then
+             Alcotest.failf "%s identity n = %d" P.label n)
+        [ id; Dd.mscale p id (Cnum.make (-0.0) (-0.5)); Dd.mscale p id (Cnum.make 0.75 (-0.0)) ]
+    done
+
+  (* The stub against the reference Run on one root node, with signed
+     zeros in V, in the starting W and in the root weight, which is where
+     the stripe's replayed weight product shows. *)
+  let run_agrees p rs m =
+    let mv = Dd.mview p in
+    let node = Dd.mid (Dd.mtgt m) in
+    let len = 2 lsl Dd.mlevel p (Dd.mtgt m) in
+    let v = special_vec rs len and w0 = special_vec rs len in
+    List.for_all
+      (fun (fre, fim) ->
+         let want = P.copy w0 and got = P.copy w0 in
+         R.run_node mv node v want 0 0 fre fim;
+         P.dmav_run mv ~node ~v ~w:got ~iv:0 ~iw:0 ~fre ~fim;
+         eq want got)
+      [ (-0.0, -0.5); (-0.0, 0.5); (0.5, -0.0); (-0.5, -0.0); (-0.0, -0.0); (0.0, -0.0);
+        (special rs, special rs) ]
+
+  (* Identity roots, control 0-branches, random products and fused
+     prefixes, in one package that is compacted and then reset between
+     rounds, so the identity slots are reissued. *)
+  let identity_blocks pools =
+    cases ~name:(P.label ^ " dmav identity blocks across compact and reset") ~count:30 ~lo:2
+      ~hi:10 (fun n rs ->
+         let p = Dd.create () in
+         let round () =
+           let ms =
+             Mat_dd.identity p n :: controlled_mat p rs n :: random_mat p rs n
+             :: fused_mats p rs n
+           in
+           List.for_all
+             (fun m ->
+                run_agrees p rs m && dmav_agrees p pools ~n m ~v:(special_vec rs (1 lsl n)))
+             ms
+         in
+         let keep = random_mat p rs n in
+         let first = round () in
+         Dd.compact p ~vroots:[] ~mroots:[ keep ];
+         let second = round () in
+         Dd.reset p;
+         let third = round () in
+         first && second && third)
 
   (* Random lengths and offsets (odd ones included) with disjoint source
      and destination ranges, so each primitive also runs with one vector
@@ -166,6 +251,13 @@ module Suite_for (P : Storage.S) = struct
                 check_all
                   [ dense_single p2; dense_two p2; dmav [ p1; p2; p4 ]; stripes ])))
 
+  let identity_tests () =
+    Pool.with_pool 1 (fun p1 ->
+        Pool.with_pool 2 (fun p2 ->
+            Pool.with_pool 4 (fun p4 ->
+                identity_roots [ p1; p2; p4 ];
+                check_all [ identity_blocks [ p1; p2; p4 ] ])))
+
   (* Minor words of one dense gate and one uncached DMAV gate at n = 14 on
      a size-1 pool (jobs run inline, so every word is seen). *)
   let gate_words () =
@@ -206,4 +298,8 @@ let suite =
       [ Alcotest.test_case "f64 stubs = OCaml reference (bits)" `Quick K64.tests;
         Alcotest.test_case "f32 stubs = OCaml reference (bits)" `Quick K32.tests;
         Alcotest.test_case "one gate allocates O(1), same at f32 and f64" `Quick
-          test_allocation ] ) ]
+          test_allocation;
+        Alcotest.test_case "f64 identity stripes = OCaml reference (bits)" `Quick
+          K64.identity_tests;
+        Alcotest.test_case "f32 identity stripes = OCaml reference (bits)" `Quick
+          K32.identity_tests ] ) ]

@@ -200,10 +200,12 @@ let test_forced_conversion_has_cache_stats () =
       Alcotest.(check int) "cache hits match simulator view"
         r.Simulator.dmav_cache_hits
         (counter_exn snap "dmav.cache.hits");
-      Alcotest.(check bool) "modeled MACs accumulated" true
-        (match Obs.Metrics.fcounter_value snap "dmav.macs.modeled" with
-         | Some v -> v > 0.0
-         | None -> false))
+      let fc name = Option.value ~default:(-1.0) (Obs.Metrics.fcounter_value snap name) in
+      let modeled = fc "dmav.macs.modeled" and identity = fc "dmav.macs.modeled_identity" in
+      Alcotest.(check bool) "modeled MACs accumulated" true (modeled > 0.0);
+      (* Unfused single gates keep identity blocks beside their target. *)
+      Alcotest.(check bool) "identity MACs are a part of the modeled MACs" true
+        (identity > 0.0 && identity <= modeled))
 
 let test_span_seconds_track_simulator_view () =
   with_metrics (fun () ->
@@ -215,7 +217,11 @@ let test_span_seconds_track_simulator_view () =
       Alcotest.(check bool) "dd span ~ seconds_dd" true
         (close (span_exn snap "sim.dd_phase").Obs.Metrics.seconds r.Simulator.seconds_dd);
       Alcotest.(check bool) "dmav span ~ seconds_dmav" true
-        (close (span_exn snap "sim.dmav_phase").Obs.Metrics.seconds r.Simulator.seconds_dmav))
+        (close (span_exn snap "sim.dmav_phase").Obs.Metrics.seconds r.Simulator.seconds_dmav);
+      let plan = span_exn snap "sim.flat_plan" in
+      Alcotest.(check int) "one flat plan" 1 plan.Obs.Metrics.count;
+      Alcotest.(check bool) "flat plan inside the flat phase" true
+        (plan.Obs.Metrics.seconds <= (span_exn snap "sim.dmav_phase").Obs.Metrics.seconds))
 
 let suite =
   [ ( "obs",

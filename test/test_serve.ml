@@ -386,10 +386,12 @@ let test_checkpoint_prefix_compacted () = check_prefix_property ~done_tail:1 ()
 
 (* --- warm engine state ------------------------------------------------- *)
 
-let p0 (r : Simulator.result) =
-  match r.Simulator.final with
-  | Simulator.Flat_state buf -> Cnum.norm2 (Buf.get buf 0)
-  | Simulator.Dd_state { package; edge } -> Cnum.norm2 (Dd.vamplitude package edge 0)
+(* The exact bits of every final amplitude. A DD final reads its
+   package, so take these before the handle is released. *)
+let amp_bits (r : Simulator.result) =
+  let a = Simulator.amplitudes r in
+  Array.init (2 * Buf.length a) (fun k ->
+      Int64.bits_of_float (if k land 1 = 0 then Buf.get_re a (k / 2) else Buf.get_im a (k / 2)))
 
 let test_warm_bit_identical () =
   with_obs (fun () ->
@@ -398,15 +400,20 @@ let test_warm_bit_identical () =
       let scrubs = Obs.counter "serve.warm_scrubs" in
       let circ_a = Suite.generate ~seed:5 Suite.Supremacy ~n:6 ~gates:40 in
       let circ_b = Suite.generate ~seed:9 Suite.Qft ~n:6 in
+      let circ_c = Suite.generate ~seed:11 Suite.Vqe ~n:6 ~gates:80 in
       let cfg = { Config.default with Config.policy = Config.Convert_at 20 } in
-      let cold_a = Simulator.simulate cfg circ_a in
-      let cold_b = Simulator.simulate { cfg with Config.policy = Config.Never_convert } circ_b in
+      let cfg_fused = { cfg with Config.policy = Config.Convert_at 10; fusion = Config.Dmav_aware } in
+      let cold_a = amp_bits (Simulator.simulate cfg circ_a) in
+      let cold_b =
+        amp_bits (Simulator.simulate { cfg with Config.policy = Config.Never_convert } circ_b)
+      in
+      let cold_c = amp_bits (Simulator.simulate cfg_fused circ_c) in
       let w = Warm.create ~capacity:2 () in
       let h1 = Warm.acquire w ~tenant:"t1" ~n:6 () in
       let m0 = Obs.value misses in
       Alcotest.(check bool) "first acquire is a miss" true (m0 >= 1);
       let warm_a =
-        Driver.run ~package:h1.Warm.package ~workspace:h1.Warm.workspace cfg circ_a
+        amp_bits (Driver.run ~package:h1.Warm.package ~workspace:h1.Warm.workspace cfg circ_a)
       in
       Warm.release w h1;
       let h2 = Warm.acquire w ~tenant:"t1" ~n:6 () in
@@ -415,13 +422,22 @@ let test_warm_bit_identical () =
       (* A different circuit on the reused package: bit-identical to cold,
          DD-final included (the reset cleared the canonicalization table). *)
       let warm_b =
-        Driver.run ~package:h2.Warm.package ~workspace:h2.Warm.workspace
-          { cfg with Config.policy = Config.Never_convert } circ_b
+        amp_bits
+          (Driver.run ~package:h2.Warm.package ~workspace:h2.Warm.workspace
+             { cfg with Config.policy = Config.Never_convert } circ_b)
       in
-      Alcotest.(check bool) "warm flat run bit-identical" true
-        (Float.equal (p0 cold_a) (p0 warm_a));
-      Alcotest.(check bool) "warm DD run bit-identical" true
-        (Float.equal (p0 cold_b) (p0 warm_b));
+      Alcotest.(check bool) "warm flat run bit-identical" true (cold_a = warm_a);
+      Alcotest.(check bool) "warm DD run bit-identical" true (cold_b = warm_b);
+      Warm.release w h2;
+      (* A third job on the handle, reset again: a DMAV-fused flat run,
+         whose identity slots are reissued by the reset. *)
+      let h2 = Warm.acquire w ~tenant:"t1" ~n:6 () in
+      Alcotest.(check bool) "same handle reused again" true (h2.Warm.package == h1.Warm.package);
+      let warm_c =
+        amp_bits
+          (Driver.run ~package:h2.Warm.package ~workspace:h2.Warm.workspace cfg_fused circ_c)
+      in
+      Alcotest.(check bool) "warm fused flat run bit-identical" true (cold_c = warm_c);
       Warm.release w h2;
       (* Tenant change scrubs the workspace buffers. *)
       let s0 = Obs.value scrubs in
