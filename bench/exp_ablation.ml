@@ -28,13 +28,13 @@ let ewma_grid () =
                            beta;
                            epsilon }
                        in
-                       let r = Simulator.simulate ~pool cfg c in
+                       let r = Driver.run ~pool cfg c in
                        [ Printf.sprintf "%.2f" beta;
                          Printf.sprintf "%.1f" epsilon;
-                         (match r.Simulator.converted_at with
+                         (match r.Driver.converted_at with
                           | None -> "never"
                           | Some i -> string_of_int i);
-                         Report.time_s r.Simulator.seconds_total ])
+                         Report.time_s r.Driver.seconds_total ])
                     epsilons)
                betas
            in
@@ -55,8 +55,8 @@ let kops_sweep () =
         let cfg =
           { Config.default with Config.threads = Pool.size pool; fusion }
         in
-        let r = Simulator.simulate ~pool cfg c in
-        (r.Simulator.seconds_total, r.Simulator.modeled_macs)
+        let r = Driver.run ~pool cfg c in
+        (r.Driver.seconds_total, r.Driver.modeled_macs)
       in
       let t0, c0 = run Config.No_fusion in
       let ta, ca = run Config.Dmav_aware in
@@ -87,9 +87,9 @@ let policy_comparison () =
         let cfg =
           { Config.default with Config.threads = Pool.size pool; policy }
         in
-        let r = Simulator.simulate ~pool cfg c in
-        ( r.Simulator.seconds_total,
-          match r.Simulator.converted_at with None -> "never" | Some i -> string_of_int i )
+        let r = Driver.run ~pool cfg c in
+        ( r.Driver.seconds_total,
+          match r.Driver.converted_at with None -> "never" | Some i -> string_of_int i )
       in
       let rows =
         [ (let t, at = run Config.Ewma_policy in

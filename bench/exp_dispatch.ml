@@ -31,22 +31,22 @@ let run () =
                  policy = Config.Convert_at (-1);
                  dense_dispatch }
              in
-             let r_dmav = Simulator.simulate ~pool (cfg false) c in
-             let r_dense = Simulator.simulate ~pool (cfg true) c in
+             let r_dmav = Driver.run ~pool (cfg false) c in
+             let r_dense = Driver.run ~pool (cfg true) c in
              let gates = Circuit.num_gates c in
              let dense_gates =
-               gates - r_dense.Simulator.dmav_gates_cached
-               - r_dense.Simulator.dmav_gates_uncached
+               gates - r_dense.Driver.dmav_gates_cached
+               - r_dense.Driver.dmav_gates_uncached
              in
              [ string_of_int n;
                string_of_int gates;
-               Printf.sprintf "%d/%d" r_dmav.Simulator.dmav_gates_cached
-                 r_dmav.Simulator.dmav_gates_uncached;
+               Printf.sprintf "%d/%d" r_dmav.Driver.dmav_gates_cached
+                 r_dmav.Driver.dmav_gates_uncached;
                string_of_int dense_gates;
-               Report.time_s r_dmav.Simulator.seconds_dmav;
-               Report.time_s r_dense.Simulator.seconds_dmav;
+               Report.time_s r_dmav.Driver.seconds_dmav;
+               Report.time_s r_dense.Driver.seconds_dmav;
                Report.speedup
-                 (r_dmav.Simulator.seconds_dmav /. r_dense.Simulator.seconds_dmav) ])
+                 (r_dmav.Driver.seconds_dmav /. r_dense.Driver.seconds_dmav) ])
           [ 16; 18; 20 ]
       in
       Report.table

@@ -10,17 +10,17 @@ let run () =
         List.map
           (fun row ->
              let c = Workloads.circuit_of row in
-             let dd = Ddsim.run ~time_limit:Workloads.dd_time_limit c in
+             let dd = Workloads.run_dd c in
              let arr = Workloads.run_qpp ~pool c in
-             let dd_mem = float_of_int dd.Ddsim.peak_memory_bytes in
+             let dd_mem = float_of_int dd.Workloads.dd_peak_memory_bytes in
              let arr_mem = float_of_int (Workloads.qpp_memory_bytes row.Workloads.n) in
-             let tmax = Float.max dd.Ddsim.seconds arr.Workloads.seconds in
+             let tmax = Float.max dd.Workloads.dd_seconds arr.Workloads.seconds in
              let mmax = Float.max dd_mem arr_mem in
              [ row.Workloads.label;
                (if Suite.regular row.Workloads.family then "regular" else "irregular");
-               Report.time_s ~timed_out:dd.Ddsim.timed_out dd.Ddsim.seconds;
+               Report.time_s ~timed_out:dd.Workloads.dd_timed_out dd.Workloads.dd_seconds;
                Report.time_s arr.Workloads.seconds;
-               Report.f2 (dd.Ddsim.seconds /. tmax);
+               Report.f2 (dd.Workloads.dd_seconds /. tmax);
                Report.f2 (arr.Workloads.seconds /. tmax);
                Report.f2 (dd_mem /. mmax);
                Report.f2 (arr_mem /. mmax) ])

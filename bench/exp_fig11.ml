@@ -22,23 +22,19 @@ let run_one pool (row : Workloads.row) =
   let gates = Circuit.num_gates c in
   (* FlatDD per-gate times from its trace. *)
   let cfg = { Config.default with Config.threads = Pool.size pool; trace = true } in
-  let fr = Simulator.simulate ~pool cfg c in
+  let fr = Driver.run ~pool cfg c in
   let flat_times = Array.make gates 0.0 in
   List.iter
-    (fun (g : Simulator.gate_record) ->
-       if g.Simulator.index < gates then
-         flat_times.(g.Simulator.index) <- flat_times.(g.Simulator.index) +. g.Simulator.seconds)
-    fr.Simulator.trace;
-  (* DDSIM per-gate times, bounded. *)
-  let dr = Ddsim.run ~trace:true ~time_limit:Workloads.dd_time_limit c in
-  let dd_times = Array.make gates 0.0 in
-  List.iter
-    (fun (t : Ddsim.trace_entry) -> dd_times.(t.Ddsim.gate_index) <- t.Ddsim.seconds)
-    dr.Ddsim.trace;
+    (fun (g : Engine.gate_record) ->
+       if g.Engine.index < gates then
+         flat_times.(g.Engine.index) <- flat_times.(g.Engine.index) +. g.Engine.seconds)
+    fr.Driver.trace;
+  (* DDSIM cumulative times, bounded. *)
+  let dr = Workloads.run_dd c in
   (* Array engine per-gate times. *)
   let _, qpp_times = Qpp_kernel.run_traced ~pool c in
   let flat_cum = cumulative flat_times in
-  let dd_cum = cumulative dd_times in
+  let dd_cum = dr.Workloads.dd_cum in
   let qpp_cum = cumulative qpp_times in
   let rows =
     List.map
@@ -46,8 +42,8 @@ let run_one pool (row : Workloads.row) =
          let gate = int_of_float (frac *. float_of_int gates) in
          let dd_val = sample_at gates dd_cum frac in
          let dd_str =
-           if dr.Ddsim.timed_out && gate > dr.Ddsim.gates_done then
-             Printf.sprintf "> %.3f" dd_cum.(Int.max 0 (dr.Ddsim.gates_done - 1))
+           if dr.Workloads.dd_timed_out && gate > dr.Workloads.dd_gates_done then
+             Printf.sprintf "> %.3f" dd_cum.(Int.max 0 (dr.Workloads.dd_gates_done - 1))
            else Printf.sprintf "%.3f" dd_val
          in
          [ string_of_int gate;
@@ -61,7 +57,7 @@ let run_one pool (row : Workloads.row) =
       (Printf.sprintf "Figure 11: cumulative runtime (s) by gate — %s (%d gates)"
          c.Circuit.name gates)
     ~header:[ "gate"; "FlatDD"; "DDSIM"; "Quantum++" ] rows;
-  (match fr.Simulator.converted_at with
+  (match fr.Driver.converted_at with
    | Some k -> Report.note "FlatDD converted after gate %d." k
    | None -> Report.note "FlatDD never converted.")
 

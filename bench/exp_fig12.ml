@@ -42,11 +42,11 @@ let run_one (row : Workloads.row) =
       (fun threads ->
          Pool.with_pool threads (fun pool ->
              let cfg = { Config.default with Config.threads = threads } in
-             let fr = Simulator.simulate ~pool cfg c in
+             let fr = Driver.run ~pool cfg c in
              let qr = Workloads.run_qpp ~pool c in
              let share = modeled_balance row threads in
              [ string_of_int threads;
-               Report.time_s fr.Simulator.seconds_total;
+               Report.time_s fr.Driver.seconds_total;
                Report.time_s qr.Workloads.seconds;
                Printf.sprintf "1/%.2f" (1.0 /. share);
                Printf.sprintf "%d" (Cost.pow2_threads ~n:row.Workloads.n threads) ]))

@@ -53,8 +53,8 @@ let run () =
                (* Total runtime context: a full FlatDD run of the same
                   circuit, to express conversion as a share of total. *)
                let cfg = { Config.default with Config.threads = Pool.size pool } in
-               let fr = Simulator.simulate ~pool cfg c in
-               let total = fr.Simulator.seconds_total in
+               let fr = Driver.run ~pool cfg c in
+               let total = fr.Driver.seconds_total in
                let fill_frac =
                  float_of_int stats.Convert.filled_amplitudes /. float_of_int (1 lsl n)
                in

@@ -11,43 +11,43 @@ let run () =
           Config.threads = Pool.size pool;
           trace = true }
       in
-      let r = Simulator.simulate ~pool cfg c in
+      let r = Driver.run ~pool cfg c in
       let rows = ref [] in
-      let emit (g : Simulator.gate_record) =
+      let emit (g : Engine.gate_record) =
         rows :=
-          [ string_of_int g.Simulator.index;
-            g.Simulator.name;
-            (match g.Simulator.phase with
-             | Simulator.Dd_phase -> "DD"
-             | Simulator.Conversion -> ">> CONVERT <<"
-             | Simulator.Dmav_phase ->
-               (match g.Simulator.cached with
+          [ string_of_int g.Engine.index;
+            g.Engine.name;
+            (match g.Engine.phase with
+             | Engine.Dd_phase -> "DD"
+             | Engine.Conversion -> ">> CONVERT <<"
+             | Engine.Dmav_phase ->
+               (match g.Engine.cached with
                 | Some true -> "DMAV (cached)"
                 | _ -> "DMAV"));
-            Printf.sprintf "%.6f" g.Simulator.seconds;
-            (if g.Simulator.dd_size > 0 then string_of_int g.Simulator.dd_size else "-");
-            (if g.Simulator.ewma > 0.0 then Printf.sprintf "%.1f" g.Simulator.ewma else "-") ]
+            Printf.sprintf "%.6f" g.Engine.seconds;
+            (if g.Engine.dd_size > 0 then string_of_int g.Engine.dd_size else "-");
+            (if g.Engine.ewma > 0.0 then Printf.sprintf "%.1f" g.Engine.ewma else "-") ]
           :: !rows
       in
       List.iteri
         (fun i g ->
            (* Sample the trace: every 8th gate, plus the switch region. *)
            let near_switch =
-             match r.Simulator.converted_at with
-             | Some k -> abs (g.Simulator.index - k) <= 2
+             match r.Driver.converted_at with
+             | Some k -> abs (g.Engine.index - k) <= 2
              | None -> false
            in
-           if i mod 8 = 0 || near_switch || g.Simulator.phase = Simulator.Conversion then
+           if i mod 8 = 0 || near_switch || g.Engine.phase = Engine.Conversion then
              emit g)
-        r.Simulator.trace;
+        r.Driver.trace;
       Report.table
         ~title:
           (Printf.sprintf "Figure 3 trace on %s (%d gates, sampled)" c.Circuit.name
              (Circuit.num_gates c))
         ~header:[ "gate"; "op"; "engine"; "seconds"; "DD size"; "EWMA" ]
         (List.rev !rows);
-      (match r.Simulator.converted_at with
+      (match r.Driver.converted_at with
        | Some k ->
          Report.note "conversion fired after gate %d; DD-phase %.3fs, conversion %.4fs, DMAV %.3fs."
-           k r.Simulator.seconds_dd r.Simulator.seconds_convert r.Simulator.seconds_dmav
+           k r.Driver.seconds_dd r.Driver.seconds_convert r.Driver.seconds_dmav
        | None -> Report.note "no conversion occurred (unexpected for this workload)"))

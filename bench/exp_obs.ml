@@ -23,8 +23,7 @@ let run () =
       let p = Dd.create () in
       (* A dense, irregular state: exactly the regime DMAV runs in. *)
       let c = Suite.generate ~seed:1 ~gates:200 Suite.Supremacy ~n in
-      let dd = Ddsim.run ~package:p c in
-      let v = Convert.sequential p ~n dd.Ddsim.state in
+      let v = Convert.sequential p ~n (Workloads.dd_state p c) in
       let w = Buf.create (1 lsl n) in
       let h = Mat_dd.of_single p ~n ~target:(n - 1) ~controls:[] Gate.h in
       let cx = Mat_dd.of_single p ~n ~target:7 ~controls:[ 2 ] Gate.x in

@@ -41,17 +41,18 @@ let peak_rows row =
   let base = ref 0 in
   List.map
     (fun (mode, circuit) ->
-       let r = Ddsim.run ~time_limit:Workloads.dd_time_limit circuit in
-       if mode = "none" then base := r.Ddsim.peak_nodes;
+       let r = Workloads.run_dd circuit in
+       let nodes = r.Workloads.dd_peak_nodes in
+       if mode = "none" then base := Option.value nodes ~default:0;
        [ row.Workloads.label;
          mode;
          (if mode = "static" && Order.is_identity sigma then "id" else "");
-         string_of_int r.Ddsim.peak_nodes;
-         (if !base > 0 then
-            Printf.sprintf "%.2fx"
-              (float_of_int !base /. float_of_int (max r.Ddsim.peak_nodes 1))
-          else "-");
-         Report.time_s ~timed_out:r.Ddsim.timed_out r.Ddsim.seconds ])
+         (match nodes with Some k -> string_of_int k | None -> "-");
+         (match nodes with
+          | Some k when !base > 0 ->
+            Printf.sprintf "%.2fx" (float_of_int !base /. float_of_int (max k 1))
+          | _ -> "-");
+         Report.time_s ~timed_out:r.Workloads.dd_timed_out r.Workloads.dd_seconds ])
     [ ("none", c); ("static", static_c) ]
 
 let gauge snap k =
@@ -68,21 +69,21 @@ let hybrid_rows row =
        Obs.set_enabled true;
        Obs.Metrics.reset ();
        let cfg = { Config.default with Config.threads = 2; order } in
-       let r = Simulator.simulate cfg c in
+       let r = Driver.run cfg c in
        let snap = Obs.Metrics.snapshot () in
        Obs.set_enabled was_enabled;
        let sift_before = gauge snap "order.sift.nodes.before" in
        let sift_after = gauge snap "order.sift.nodes.after" in
        [ row.Workloads.label;
          Config.order_name order;
-         (match r.Simulator.converted_at with
+         (match r.Driver.converted_at with
           | Some g -> string_of_int g
           | None -> "-");
          (if sift_before = 0 then "-"
           else Printf.sprintf "%d>%d" sift_before sift_after);
          string_of_int (counter snap "order.swaps");
-         Report.time_s r.Simulator.seconds_dd;
-         Report.time_s r.Simulator.seconds_total ])
+         Report.time_s r.Driver.seconds_dd;
+         Report.time_s r.Driver.seconds_total ])
     [ Config.No_order; Config.Static_order; Config.Sift_order ]
 
 let run () =

@@ -39,9 +39,9 @@ let run () =
       let sequential () =
         List.map
           (fun (j : Sched.job) ->
-             let r = Simulator.simulate ~pool j.Sched.config j.Sched.circuit in
+             let r = Driver.run ~pool j.Sched.config j.Sched.circuit in
              { Sched.job = j; outcome = Sched.Completed r; queue_wait_s = 0.0;
-               run_s = r.Simulator.seconds_total; attempts = 1; downgraded = false })
+               run_s = r.Driver.seconds_total; attempts = 1; downgraded = false })
           batch
       in
       let rows = ref [] in

@@ -24,17 +24,17 @@ let stream () =
       (Suite.Qft, 12, None, "a");
       (Suite.Supremacy, 12, Some 160, "b") ]
 
-let p0 (r : Simulator.result) =
-  match r.Simulator.final with
-  | Simulator.Flat_state buf -> Cnum.norm2 (Buf.get buf 0)
-  | Simulator.Dd_state { package; edge } -> Cnum.norm2 (Dd.vamplitude package edge 0)
+let p0 (r : Driver.result) =
+  match r.Driver.final with
+  | Engine.Flat_state buf -> Cnum.norm2 (Buf.get buf 0)
+  | Engine.Dd_state { package; edge } -> Cnum.norm2 (Dd.vamplitude package edge 0)
 
 let run () =
   Report.section "Serve warm-state reuse (cold vs warm engine construction)";
   let jobs = stream () in
   Pool.with_pool Workloads.threads_default (fun pool ->
       let cfg = Config.default in
-      let cold () = List.map (fun (_, c) -> p0 (Simulator.simulate ~pool cfg c)) jobs in
+      let cold () = List.map (fun (_, c) -> p0 (Driver.run ~pool cfg c)) jobs in
       let warm () =
         let w = Warm.create ~capacity:2 () in
         let out =

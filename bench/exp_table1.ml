@@ -26,21 +26,21 @@ let run_row pool (r : Workloads.row) =
   let cfg =
     { Config.default with Config.threads = Pool.size pool }
   in
-  let flat = Simulator.simulate ~pool cfg c in
-  let dd = Ddsim.run ~time_limit:Workloads.dd_time_limit c in
+  let flat = Driver.run ~pool cfg c in
+  let dd = Workloads.run_dd c in
   let qpp = Workloads.run_qpp ~pool ~time_limit:(2.0 *. Workloads.dd_time_limit) c in
   let check =
     if qpp.Workloads.timed_out then nan
-    else Buf.max_abs_diff (Simulator.amplitudes flat) qpp.Workloads.state.State.amps
+    else Buf.max_abs_diff (Driver.amplitudes flat) qpp.Workloads.state.State.amps
   in
   { label = r.Workloads.label;
     n = r.Workloads.n;
     gates = Circuit.num_gates c;
-    flat_s = flat.Simulator.seconds_total;
-    flat_mem = flat.Simulator.peak_memory_bytes;
-    dd_s = dd.Ddsim.seconds;
-    dd_timeout = dd.Ddsim.timed_out;
-    dd_mem = dd.Ddsim.peak_memory_bytes;
+    flat_s = flat.Driver.seconds_total;
+    flat_mem = flat.Driver.peak_memory_bytes;
+    dd_s = dd.Workloads.dd_seconds;
+    dd_timeout = dd.Workloads.dd_timed_out;
+    dd_mem = dd.Workloads.dd_peak_memory_bytes;
     qpp_s = qpp.Workloads.seconds;
     qpp_timeout = qpp.Workloads.timed_out;
     qpp_mem = Workloads.qpp_memory_bytes r.Workloads.n;

@@ -11,8 +11,8 @@ let run_variant pool fusion c =
       Config.threads = Pool.size pool;
       fusion }
   in
-  let r = Simulator.simulate ~pool cfg c in
-  { seconds = r.Simulator.seconds_total; cost = r.Simulator.modeled_macs }
+  let r = Driver.run ~pool cfg c in
+  { seconds = r.Driver.seconds_total; cost = r.Driver.modeled_macs }
 
 let run () =
   Report.section "Table 2: DMAV-aware gate fusion vs no fusion vs k-operations";

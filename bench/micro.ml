@@ -12,8 +12,7 @@ let make_tests pool =
   let gate = Mat_dd.of_single p ~n ~target:(n - 1) ~controls:[] Gate.h in
   let cx = Mat_dd.of_single p ~n ~target:7 ~controls:[ 2 ] Gate.x in
   let c = Suite.generate ~seed:1 ~gates:200 Suite.Supremacy ~n in
-  let dd_state = (Ddsim.run ~package:p c).Ddsim.state in
-  let vdd = dd_state in
+  let vdd = Workloads.dd_state p c in
   let vbuf = Convert.sequential p ~n vdd in
   let vflat = Buf.copy vbuf in
   let wflat = Buf.create (1 lsl n) in

@@ -91,6 +91,64 @@ let threads_default =
 
 let thread_sweep = [ 1; 2; 4; 8; 16 ]
 
+(* The DD baseline (DDSIM): the driver's own run loop with conversion off,
+   on one thread, as in the paper. *)
+let dd_config = { Config.default with Config.policy = Config.Never_convert; threads = 1 }
+
+(* The final state DD of a pure-DD run, built in [package]. *)
+let dd_state package c =
+  match (Driver.run ~package dd_config c).Driver.final with
+  | Engine.Dd_state { edge; _ } -> edge
+  | Engine.Flat_state _ -> invalid_arg "Workloads.dd_state: the run converted"
+
+type dd_run = {
+  dd_seconds : float;
+  dd_timed_out : bool;
+  dd_gates_done : int;
+  dd_cum : float array;  (* wall seconds since the start, after each gate done *)
+  dd_peak_nodes : int option;  (* [None] when the run timed out *)
+  dd_peak_memory_bytes : int;
+}
+
+(* The DD baseline under a time budget. The cancel poll runs before every
+   gate: it counts the gates done, records the cumulative time of the one
+   just finished, and stops the run once the budget is spent. The package
+   is ours, so a timed-out row can still report its memory. *)
+let run_dd ?(time_limit = dd_time_limit) (c : Circuit.t) =
+  let gates = Circuit.num_gates c in
+  let cum = Array.make gates 0.0 in
+  let polls = ref 0 in
+  let package = Dd.create () in
+  let t0 = Timer.now_ns () in
+  let elapsed () = Int64.to_float (Int64.sub (Timer.now_ns ()) t0) *. 1e-9 in
+  let cancel () =
+    let t = elapsed () in
+    if !polls > 0 then cum.(!polls - 1) <- t;
+    incr polls;
+    t > time_limit
+  in
+  match Driver.run ~cancel ~package { dd_config with Config.trace = true } c with
+  | r ->
+    let t = elapsed () in
+    if gates > 0 then cum.(gates - 1) <- t;
+    { dd_seconds = t;
+      dd_timed_out = false;
+      dd_gates_done = gates;
+      dd_cum = cum;
+      dd_peak_nodes =
+        Some
+          (List.fold_left
+             (fun m (g : Engine.gate_record) -> max m g.Engine.dd_size)
+             r.Driver.n r.Driver.trace);
+      dd_peak_memory_bytes = r.Driver.peak_memory_bytes }
+  | exception Driver.Cancelled ->
+    { dd_seconds = elapsed ();
+      dd_timed_out = true;
+      dd_gates_done = !polls - 1;
+      dd_cum = cum;
+      dd_peak_nodes = None;
+      dd_peak_memory_bytes = Dd.memory_bytes package }
+
 (* Run the array baseline (Quantum++-style kernels) under a deadline. *)
 type array_run = { seconds : float; timed_out : bool; state : State.t }
 

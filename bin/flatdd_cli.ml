@@ -115,7 +115,7 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
            Config.threads; beta; epsilon; fusion; trace; dense_dispatch = dispatch;
            order; precision }
        in
-       let r, dt = Timer.time (fun () -> Simulator.simulate cfg circuit) in
+       let r, dt = Timer.time (fun () -> Driver.run cfg circuit) in
        Printf.printf "engine: flatdd (%d threads, beta=%.2f eps=%.2f)\n" threads beta
          epsilon;
        (match order with
@@ -125,28 +125,28 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
         | Config.F64 -> ()
         | p -> Printf.printf "precision: %s\n" (Config.precision_name p));
        Printf.printf "runtime: %.4f s  (dd %.4f | convert %.4f | dmav %.4f)\n" dt
-         r.Simulator.seconds_dd r.Simulator.seconds_convert r.Simulator.seconds_dmav;
-       (match r.Simulator.converted_at with
+         r.Driver.seconds_dd r.Driver.seconds_convert r.Driver.seconds_dmav;
+       (match r.Driver.converted_at with
         | None -> Printf.printf "conversion: never (stayed in DD simulation)\n"
         | Some i ->
           Printf.printf "conversion: after gate %d\n" i;
           Printf.printf "dmav kernels: %d cached, %d uncached (%d cache hits)\n"
-            r.Simulator.dmav_gates_cached r.Simulator.dmav_gates_uncached
-            r.Simulator.dmav_cache_hits;
+            r.Driver.dmav_gates_cached r.Driver.dmav_gates_uncached
+            r.Driver.dmav_cache_hits;
           if dispatch then begin
             let flat_total =
-              match r.Simulator.fusion_stats with
+              match r.Driver.fusion_stats with
               | Some s -> s.Fusion.gates_out
-              | None -> r.Simulator.gates - i - 1
+              | None -> r.Driver.gates - i - 1
             in
             Printf.printf "dispatch: %d dense direct, %d dmav\n"
-              (flat_total - r.Simulator.dmav_gates_cached
-               - r.Simulator.dmav_gates_uncached)
-              (r.Simulator.dmav_gates_cached + r.Simulator.dmav_gates_uncached)
+              (flat_total - r.Driver.dmav_gates_cached
+               - r.Driver.dmav_gates_uncached)
+              (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached)
           end);
        Printf.printf "peak memory (modeled): %.2f MB\n"
-         (float_of_int r.Simulator.peak_memory_bytes /. 1048576.0);
-       (match r.Simulator.fusion_stats with
+         (float_of_int r.Driver.peak_memory_bytes /. 1048576.0);
+       (match r.Driver.fusion_stats with
         | None -> ()
         | Some s ->
           Printf.printf "fusion: %d -> %d gates, macs %.3g -> %.3g\n"
@@ -155,58 +155,56 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
          List.iter
            (fun g ->
               Printf.printf "  gate %4d %-10s %-10s %.6fs dd=%d ewma=%.1f\n"
-                g.Simulator.index g.Simulator.name
-                (match g.Simulator.phase with
-                 | Simulator.Dd_phase -> "dd"
-                 | Simulator.Conversion -> "convert"
-                 | Simulator.Dmav_phase ->
-                   (match g.Simulator.dispatch with
-                    | Some Simulator.Dense_direct -> "dense"
-                    | Some Simulator.Dmav_cached -> "dmav+cache"
-                    | Some Simulator.Dmav_uncached -> "dmav"
+                g.Engine.index g.Engine.name
+                (match g.Engine.phase with
+                 | Engine.Dd_phase -> "dd"
+                 | Engine.Conversion -> "convert"
+                 | Engine.Dmav_phase ->
+                   (match g.Engine.dispatch with
+                    | Some Engine.Dense_direct -> "dense"
+                    | Some Engine.Dmav_cached -> "dmav+cache"
+                    | Some Engine.Dmav_uncached -> "dmav"
                     | None ->
-                      if g.Simulator.cached = Some true then "dmav+cache" else "dmav"))
-                g.Simulator.seconds g.Simulator.dd_size g.Simulator.ewma)
-           r.Simulator.trace;
-       if top > 0 then print_top_amplitudes (Simulator.amplitudes r) top
+                      if g.Engine.cached = Some true then "dmav+cache" else "dmav"))
+                g.Engine.seconds g.Engine.dd_size g.Engine.ewma)
+           r.Driver.trace;
+       if top > 0 then print_top_amplitudes (Driver.amplitudes r) top
      | Dd_engine ->
-       let r, dt = Timer.time (fun () -> Ddsim.run ~compact_every circuit) in
+       let cfg =
+         { Config.default with
+           Config.threads = 1; policy = Config.Never_convert; compact_every; trace = true }
+       in
+       let r, dt = Timer.time (fun () -> Driver.run cfg circuit) in
+       let p, edge =
+         match r.Driver.final with
+         | Engine.Dd_state { package; edge } -> (package, edge)
+         | Engine.Flat_state _ -> invalid_arg "dd engine: the run converted"
+       in
        Printf.printf "engine: dd (single thread)\n";
        Printf.printf "runtime: %.4f s\n" dt;
-       Printf.printf "final DD size: %d nodes (peak %d)\n"
-         (Dd.vnode_count r.Ddsim.package r.Ddsim.state) r.Ddsim.peak_nodes;
+       Printf.printf "final DD size: %d nodes (peak %d)\n" (Dd.vnode_count p edge)
+         (List.fold_left
+            (fun m (g : Engine.gate_record) -> max m g.Engine.dd_size)
+            r.Driver.n r.Driver.trace);
        Printf.printf "peak memory (modeled): %.2f MB\n"
-         (float_of_int r.Ddsim.peak_memory_bytes /. 1048576.0);
-       let p = r.Ddsim.package in
+         (float_of_int r.Driver.peak_memory_bytes /. 1048576.0);
        Printf.printf "gc: epoch=%d vfree=%d mfree=%d live=%d\n" (Dd.epoch p)
          (Dd.vfree_slots p) (Dd.mfree_slots p) (Dd.live_vnodes p);
-       if top > 0 then
-         print_top_amplitudes (Ddsim.final_amplitudes r circuit.Circuit.n) top
+       if top > 0 then print_top_amplitudes (Driver.amplitudes r) top
      | Array_engine ->
-       (match precision with
-        | Config.F64 ->
-          (* The specialized f64 kernels — byte-identical to every release
-             before --precision existed. *)
-          let st, dt =
-            Timer.time (fun () ->
-                Pool.with_pool threads (fun pool -> Apply.run ~pool circuit))
-          in
-          Printf.printf "engine: array (%d threads, f64)\n" threads;
-          Printf.printf "runtime: %.4f s\n" dt;
-          Printf.printf "memory: %.2f MB\n"
-            (float_of_int (Buf.memory_bytes st.State.amps) /. 1048576.0);
-          if top > 0 then print_top_amplitudes st.State.amps top
-        | Config.F32 ->
-          let cfg = { Config.default with Config.threads; precision } in
-          let r, dt =
-            Timer.time (fun () ->
-                Driver.run_engine (module Dense32_engine) cfg circuit)
-          in
-          Printf.printf "engine: array (%d threads, f32)\n" threads;
-          Printf.printf "runtime: %.4f s\n" dt;
-          Printf.printf "memory: %.2f MB\n"
-            (float_of_int r.Driver.peak_memory_bytes /. 1048576.0);
-          if top > 0 then print_top_amplitudes (Driver.amplitudes r) top));
+       let cfg = { Config.default with Config.threads; precision } in
+       let r, dt =
+         Timer.time (fun () ->
+             match precision with
+             | Config.F64 -> Driver.run_engine (module Dense_engine) cfg circuit
+             | Config.F32 -> Driver.run_engine (module Dense_engine.F32) cfg circuit)
+       in
+       Printf.printf "engine: array (%d threads, %s)\n" threads
+         (Config.precision_name precision);
+       Printf.printf "runtime: %.4f s\n" dt;
+       Printf.printf "memory: %.2f MB\n"
+         (float_of_int r.Driver.peak_memory_bytes /. 1048576.0);
+       if top > 0 then print_top_amplitudes (Driver.amplitudes r) top);
     if metrics_wanted then begin
       let snap = Obs.Metrics.snapshot () in
       (match metrics_json with

@@ -48,10 +48,10 @@ let () =
     Printf.printf "parsed %s: %d qubits, %d gates, %d measurements\n" label
       c.Circuit.n (Circuit.num_gates c) (List.length prog.Qasm.measurements);
     let cfg = { Config.default with Config.threads = 2 } in
-    let r = Simulator.simulate cfg c in
-    let st = State.of_buf c.Circuit.n (Simulator.amplitudes r) in
+    let r = Driver.run cfg c in
+    let st = State.of_buf c.Circuit.n (Driver.amplitudes r) in
     Printf.printf "simulated in %.4f s; outcome distribution:\n"
-      r.Simulator.seconds_total;
+      r.Driver.seconds_total;
     for basis = 0 to Int.min 15 ((1 lsl c.Circuit.n) - 1) do
       let p = State.probability st basis in
       if p > 1e-9 then begin

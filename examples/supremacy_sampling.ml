@@ -13,8 +13,8 @@ let () =
 
   (* FlatDD vs the two baselines on identical input. *)
   let cfg = { Config.default with Config.threads = 4 } in
-  let r, t_flat = Timer.time (fun () -> Simulator.simulate cfg c) in
-  let flat = Simulator.amplitudes r in
+  let r, t_flat = Timer.time (fun () -> Driver.run cfg c) in
+  let flat = Driver.amplitudes r in
   let st_arr, t_arr = Timer.time (fun () -> Apply.run c) in
   Printf.printf "flatdd: %.3f s   array engine: %.3f s   (max amplitude diff %.2e)\n"
     t_flat t_arr (Buf.max_abs_diff flat st_arr.State.amps);

@@ -21,8 +21,8 @@ let () =
   let cfg = { Config.default with Config.threads = 4 } in
   let energy angles =
     let c = Vqe.ansatz ~layers n angles in
-    let r = Simulator.simulate cfg c in
-    let st = State.of_buf n (Simulator.amplitudes r) in
+    let r = Driver.run cfg c in
+    let st = State.of_buf n (Driver.amplitudes r) in
     State.expectation_pauli st hamiltonian
   in
   Printf.printf "TFIM chain: n=%d J=%.2f h=%.2f (%d ansatz parameters)\n" n j h

@@ -15,34 +15,15 @@ let c_filled = Obs.counter "convert.filled_amplitudes"
 let c_split_nodes = Obs.counter "convert.split_nodes_visited"
 let s_convert = Obs.span "convert.span"
 
-(* The DFS walks run on the raw arena view: packed child edges and unboxed
-   weight planes, no node dereferences. The view stays valid for the whole
-   conversion because nothing allocates DD nodes or interns weights here.
-   The inline complex multiply matches [Cnum.mul] term for term, so the
-   amplitudes are bit-identical to the boxed walk this replaces. *)
+(* The sequential conversion is [Vec_dd.to_buf]'s DFS; the parallel
+   tasks below run the same walk on the raw arena view: packed child edges
+   and unboxed weight planes, no node dereferences. The view stays valid
+   for the whole conversion because nothing allocates DD nodes or interns
+   weights here. *)
 
 let sequential p ~n (e : Dd.vedge) =
   Obs.incr c_seq_runs;
-  let buf = Buf.create (1 lsl n) in
-  let v = Dd.vview p in
-  let rec walk (e : int) offset wre wim =
-    if e <> 0 then begin
-      let wid = Dd.edge_wid e in
-      let er = v.Dd.re.(wid) and ei = v.Dd.im.(wid) in
-      let wre' = (wre *. er) -. (wim *. ei)
-      and wim' = (wre *. ei) +. (wim *. er) in
-      let node = Dd.edge_tgt e in
-      if node = 0 then Buf.set2 buf offset wre' wim'
-      else begin
-        walk v.Dd.ch.(2 * node) offset wre' wim';
-        walk v.Dd.ch.((2 * node) + 1)
-          (offset + (1 lsl v.Dd.lv.(node)))
-          wre' wim'
-      end
-    end
-  in
-  walk (e :> int) 0 1.0 0.0;
-  buf
+  Vec_dd.to_buf p n e
 
 (* A DFS task converts the sub-tree under [node] (incoming weight already
    folded into [weight]) into [buf] starting at [offset]. A fill derives

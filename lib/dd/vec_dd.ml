@@ -37,8 +37,9 @@ let of_buf p buf =
 let to_buf p n (e : Dd.vedge) =
   let buf = Buf.create (1 lsl n) in
   (* One DFS over the raw arena view, multiplying packed-edge weights down
-     each path. Zero edges (the packed int 0) leave the pre-zeroed buffer
-     untouched. *)
+     each path with [Cnum.mul]'s expression, term for term. Zero edges (the
+     packed int 0) leave the pre-zeroed buffer untouched. The view stays
+     valid because nothing allocates DD nodes or interns weights here. *)
   let v = Dd.vview p in
   let rec walk (e : int) offset wre wim =
     if e <> 0 then begin
@@ -47,7 +48,7 @@ let to_buf p n (e : Dd.vedge) =
       let wre' = (wre *. er) -. (wim *. ei)
       and wim' = (wre *. ei) +. (wim *. er) in
       let node = Dd.edge_tgt e in
-      if node = 0 then Buf.set buf offset { Cnum.re = wre'; im = wim' }
+      if node = 0 then Buf.set2 buf offset wre' wim'
       else begin
         walk v.Dd.ch.(2 * node) offset wre' wim';
         walk v.Dd.ch.((2 * node) + 1)

@@ -16,11 +16,11 @@
     the buffers are summed into [W] in parallel at the end.
 
     [apply] picks between the kernels per gate with the §3.2.3 cost
-    model. The kernels are {!Dmav_generic.Make} at [Storage.F64] (each
-    task's Run recursion is one C stub call); this module adds the
-    [dmav.*] metrics around them. *)
+    model. This module is {!Dmav_generic.Make} at [Storage.F64] (each
+    task's Run recursion is one C stub call); every instance of the
+    functor counts its gates in the same [dmav.*] metrics. *)
 
-type workspace
+type workspace = Buf.t Dmav_generic.workspace
 (** A free list of reusable 2ⁿ-sized buffers: the cached kernel's partial
     outputs, and the flat engine's scratch vector, so repeated
     applications (and batched runs sharing a workspace) do not reallocate

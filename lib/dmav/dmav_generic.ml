@@ -1,7 +1,7 @@
 (* DD-matrix × array-vector kernels over a storage kind [P : Storage.S] —
-   the only DMAV kernels, for both precisions: [Dmav] runs
-   [Make (Storage.F64)] under its metrics, the f32 engine instantiates it
-   at [Storage.F32].
+   the only DMAV kernels, for both precisions: [Dmav] is
+   [Make (Storage.F64)] plus the shared traversals, and the f32 flat
+   engine instantiates it at [Storage.F32].
 
    The Assign traversals and the cache/buffer bookkeeping stay in OCaml;
    each border task's Run recursion is one call into the [P.dmav_run] C
@@ -13,9 +13,10 @@
    apply because nothing allocates DD nodes or interns weights inside the
    kernels.
 
-   Kernels here are uninstrumented ([Obs] counters are global names, and
-   the functor is instantiated once per precision); the Check-mode claim
-   discipline is in full. *)
+   Instrumentation is per kernel invocation (one gate application), never
+   per MAC. [Obs] instruments are registered by name and a repeated name
+   returns the existing one, so every instance of [Make] feeds the same
+   [dmav.*] counters and span: f64 and f32 gates are counted together. *)
 
 (* A border-level multiplication task: the sub-matrix node with the full
    weight product (path weights and the border edge's own weight folded
@@ -81,7 +82,24 @@ let assign_cols p ~n ~t (root : Dd.medge) =
   go root Cnum.one 0 0 (n - 1);
   Array.map List.rev tasks
 
+(* A free list of reusable 2ⁿ-sized buffers: the cached kernel's partial
+   outputs and the flat engine's scratch vector. Polymorphic in the buffer
+   so a workspace type can be named without applying [Make]. *)
+type 'b workspace = { ws_n : int; mutable free : 'b list }
+
+let workspace ~n = { ws_n = n; free = [] }
+
 module Make (P : Storage.S) = struct
+  let c_kernel_uncached = Obs.counter "dmav.kernel.uncached"
+  let c_kernel_cached = Obs.counter "dmav.kernel.cached"
+  let c_cache_hits = Obs.counter "dmav.cache.hits"
+  let c_buffers = Obs.counter "dmav.buffers"
+  let fc_macs_modeled = Obs.fcounter "dmav.macs.modeled"
+  let fc_macs_modeled_cached = Obs.fcounter "dmav.macs.modeled_cached"
+  let fc_macs_modeled_uncached = Obs.fcounter "dmav.macs.modeled_uncached"
+  let fc_macs_modeled_identity = Obs.fcounter "dmav.macs.modeled_identity"
+  let s_apply = Obs.span "dmav.apply"
+
   let run_task mv (task : task) ~v ~w ~iv ~iw =
     P.dmav_run mv ~node:(Dd.mid task.node) ~v ~w ~iv ~iw ~fre:task.weight.Cnum.re
       ~fim:task.weight.Cnum.im
@@ -89,6 +107,7 @@ module Make (P : Storage.S) = struct
   let apply_nocache p ~pool ~n root ~v ~w =
     if P.length v <> 1 lsl n || P.length w <> 1 lsl n then
       invalid_arg "Dmav.apply_nocache: buffer size mismatch";
+    Obs.incr c_kernel_uncached;
     let t = Cost.pow2_threads ~n (Pool.size pool) in
     let h = (1 lsl n) / t in
     let tasks = assign_rows p ~n ~t root in
@@ -111,11 +130,9 @@ module Make (P : Storage.S) = struct
           List.iter (fun task -> run_task mv task ~v ~w ~iv:task.start ~iw:(u * h)) tasks.(u)
         end)
 
-  (* A free list of reusable 2ⁿ-sized buffers: the cached kernel's partial
-     outputs and the flat engine's scratch vector. *)
-  type workspace = { ws_n : int; mutable free : P.t list }
+  type nonrec workspace = P.t workspace
 
-  let workspace ~n = { ws_n = n; free = [] }
+  let workspace ~n : workspace = workspace ~n
   let workspace_n ws = ws.ws_n
   let free_buffers ws = List.length ws.free
 
@@ -157,6 +174,7 @@ module Make (P : Storage.S) = struct
   let apply_cache ?workspace p ~pool ~n root ~v ~w =
     if P.length v <> 1 lsl n || P.length w <> 1 lsl n then
       invalid_arg "Dmav.apply_cache: buffer size mismatch";
+    Obs.incr c_kernel_cached;
     let t = Cost.pow2_threads ~n (Pool.size pool) in
     let h = (1 lsl n) / t in
     let tasks = assign_cols p ~n ~t root in
@@ -238,17 +256,29 @@ module Make (P : Storage.S) = struct
              P.add_into ~src:bufs.(bi) ~src_pos:(blk * h) ~dst:w ~dst_pos:(blk * h) ~len:h)
           contributors.(blk));
     return_buffers workspace (Array.to_list bufs);
+    if Obs.enabled () then begin
+      Obs.add c_cache_hits hits;
+      Obs.add c_buffers n_buffers
+    end;
     (hits, n_buffers)
 
   let apply_decided ?workspace:ws p ~pool ~n (decision : Cost.decision) root ~v ~w =
-    if decision.Cost.cached then begin
-      let hits, buffers = apply_cache ?workspace:ws p ~pool ~n root ~v ~w in
-      { used_cache = true; decision; cache_hits = hits; buffers_used = buffers }
-    end
-    else begin
-      apply_nocache p ~pool ~n root ~v ~w;
-      { used_cache = false; decision; cache_hits = 0; buffers_used = 0 }
-    end
+    if Obs.enabled () then begin
+      let t = float_of_int decision.Cost.threads_used in
+      Obs.fadd fc_macs_modeled (Cost.modeled_macs decision);
+      Obs.fadd fc_macs_modeled_cached (t *. decision.Cost.c2);
+      Obs.fadd fc_macs_modeled_uncached (t *. decision.Cost.c1);
+      Obs.fadd fc_macs_modeled_identity (Cost.identity_macs p ~n decision root)
+    end;
+    Obs.with_span s_apply (fun () ->
+        if decision.Cost.cached then begin
+          let hits, buffers = apply_cache ?workspace:ws p ~pool ~n root ~v ~w in
+          { used_cache = true; decision; cache_hits = hits; buffers_used = buffers }
+        end
+        else begin
+          apply_nocache p ~pool ~n root ~v ~w;
+          { used_cache = false; decision; cache_hits = 0; buffers_used = 0 }
+        end)
 
   let apply ?workspace:ws p ~pool ~simd_width ~n root ~v ~w =
     let decision = Cost.decide p ~n ~threads:(Pool.size pool) ~simd_width root in

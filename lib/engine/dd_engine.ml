@@ -8,7 +8,6 @@ type state = {
   mutable edge : Dd.vedge;
 }
 
-let name = "dd"
 let trace_phase = Engine.Dd_phase
 
 let init (ctx : Engine.ctx) ~n = { ctx; n; edge = Vec_dd.zero_state ctx.Engine.package n }

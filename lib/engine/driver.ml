@@ -342,8 +342,7 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
          match !flat with
          | None -> 0.0
          | Some buf ->
-           let fe = ref None in
-           let (), dt =
+           let packed, dt =
              Obs.timed s_dmav_phase (fun () ->
                  let remaining =
                    Array.to_list (Array.sub c.Circuit.ops !i (gates - !i))
@@ -359,32 +358,28 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
                  in
                  fusion_stats := fstats;
                  Obs.add c_dmav_gates (List.length plan);
-                 (* Precision branch: at [F32] the converted f64 buffer is
-                    demoted once — the single rounding hand-off — and the
-                    flat phase runs on the f32 engine twin. *)
-                 (match cfg.Config.precision with
-                  | Config.F64 ->
-                    fe := Some (Engine.Packed ((module Dmav_engine), Dmav_engine.of_buf ctx ~n buf))
-                  | Config.F32 ->
-                    fe :=
-                      Some
-                        (Engine.Packed
-                           ((module Dmav32_engine),
-                            Dmav32_engine.of_buf ctx ~n (Storage.demote buf))));
-                 match !fe with
-                 | None -> ()
-                 | Some (Engine.Packed ((module E), eng)) ->
-                   List.iter
-                     (fun xo ->
-                        ignore
-                          (step (module E) eng acc ~check_cancel
-                             ~ewma:(Ewma.value monitor) xo))
-                     plan;
-                   acc.bump_mem (E.memory_bytes eng))
+                 (* Precision: at [F32] the engine demotes the converted
+                    f64 buffer once — the single rounding hand-off. *)
+                 let packed =
+                   match cfg.Config.precision with
+                   | Config.F64 ->
+                     Engine.Packed ((module Dmav_engine), Dmav_engine.of_buf ctx ~n buf)
+                   | Config.F32 ->
+                     Engine.Packed ((module Dmav_engine.F32), Dmav_engine.F32.of_buf ctx ~n buf)
+                 in
+                 (match packed with
+                  | Engine.Packed ((module E), eng) ->
+                    List.iter
+                      (fun xo ->
+                         ignore
+                           (step (module E) eng acc ~check_cancel
+                              ~ewma:(Ewma.value monitor) xo))
+                      plan;
+                    acc.bump_mem (E.memory_bytes eng));
+                 packed)
            in
-           (match !fe with
-            | None -> ()
-            | Some (Engine.Packed ((module E), eng)) ->
+           (match packed with
+            | Engine.Packed ((module E), eng) ->
               E.observe eng;
               final := Some (E.extract eng);
               E.finalize eng);

@@ -12,8 +12,7 @@
     [dmav.dispatch.*] counters. Engines only apply gates. *)
 
 exception Cancelled
-(** Raised when the [cancel] poll returns [true]. Re-exported as
-    [Simulator.Cancelled]. *)
+(** Raised when the [cancel] poll returns [true]. *)
 
 type result = {
   n : int;
@@ -50,8 +49,14 @@ val run :
   Config.t ->
   Circuit.t ->
   result
-(** The hybrid DD→flat run from |0…0⟩ ({!Simulator.simulate} is a shim
-    over this). A supplied [workspace] lets serial callers (the batch
+(** The hybrid DD→flat run from |0…0⟩. When [pool] is omitted a pool
+    of [config.threads] workers is created for the call; a supplied pool
+    overrides [config.threads] and is left running. [cancel] is polled at
+    every gate boundary and before the conversion; the first poll
+    returning [true] aborts the run with {!Cancelled}. With
+    [policy = Never_convert] and one thread this is the pure-DD (DDSIM)
+    baseline; take its peak nodes as the maximum [dd_size] over a traced
+    run's records. A supplied [workspace] lets serial callers (the batch
     scheduler) reuse 2ⁿ scratch buffers across runs; it must have been
     built for the same [n] (a mismatched one is ignored) and must not be
     shared across concurrent runs. A supplied [package] replaces the

@@ -14,8 +14,7 @@ type phase = Dd_phase | Conversion | Dmav_phase
 (** Which kernel executed a flat-phase gate. *)
 type dispatch = Dmav_cached | Dmav_uncached | Dense_direct
 
-(** One entry of the per-gate trace (field-compatible superset of the
-    pre-refactor [Simulator.gate_record]; [dispatch] is new). *)
+(** One entry of the per-gate trace. *)
 type gate_record = {
   index : int;            (** index into the (possibly fused) gate stream *)
   name : string;
@@ -30,13 +29,6 @@ type gate_record = {
 type final_state =
   | Dd_state of { package : Dd.package; edge : Dd.vedge }
   | Flat_state of Buf.t
-
-(* Modeled bytes of the flat phase: V, W and the partial-output buffers.
-   Exact per-buffer accounting from the storage kind — payload bytes plus
-   the bigarray custom block plus the wrapping record — instead of the old
-   [16·2ⁿ + 24] float-array guess. *)
-let memory_bytes_flat n ~buffers =
-  (2 + buffers) * (Storage.F64.buffer_bytes ~len:(1 lsl n) + 24)
 
 (** What one [apply_op] call did, for the driver's accounting. Engines
     fill only the fields that apply to them (a DD step has no kernel
@@ -90,8 +82,6 @@ type ctx = {
 module type ENGINE = sig
   type state
 
-  val name : string
-
   val trace_phase : phase
   (** Which trace phase this engine's gates report as ([Dd_phase] for DD
       engines, [Dmav_phase] for flat ones). *)
@@ -123,6 +113,39 @@ module type ENGINE = sig
   val finalize : state -> unit
   (** Release everything [extract] did not hand over (e.g. return scratch
       buffers to the workspace). Call after [extract]. *)
+end
+
+(** What a flat engine knows about its amplitude precision: the storage
+    kind, the f64 hand-offs in (the converted DD state) and out (the
+    result type), and where its scratch buffers come from. The flat
+    engines are functors over this, instantiated at {!F64} and {!F32}. *)
+module type PRECISION = sig
+  module P : Storage.S
+
+  val of_f64 : Buf.t -> P.t
+  val to_f64 : P.t -> Buf.t
+  val workspace : ctx -> n:int -> P.t Dmav_generic.workspace
+end
+
+(* f64 borrows the run's workspace, so batched runs and warm handles
+   reuse its buffers across jobs. *)
+module F64 = struct
+  module P = Storage.F64
+
+  let of_f64 b = b
+  let to_f64 b = b
+  let workspace ctx ~n:_ = ctx.workspace
+end
+
+(* f32 rounds once on the way in, widens exactly on the way out, and
+   builds a per-run workspace: the ctx one is f64-typed, and a warm
+   handle keeps holding f64 buffers only. *)
+module F32 = struct
+  module P = Storage.F32
+
+  let of_f64 = Storage.demote
+  let to_f64 = Storage.promote
+  let workspace _ ~n = Dmav_generic.workspace ~n
 end
 
 (** An engine packed with its state, the unit the driver steps. *)

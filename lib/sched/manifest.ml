@@ -214,10 +214,10 @@ let load ?default_config ?base_seed ?strict path =
 
 (* --- result stream ----------------------------------------------------- *)
 
-(* Logical-basis p0. [Simulator.amplitude] walks the result's recorded
+(* Logical-basis p0. [Driver.amplitude] walks the result's recorded
    qubit order; index 0 is order-invariant, so `--order none` keeps the
    exact bytes this produced before the order layer existed. *)
-let p0_of result = Cnum.norm2 (Simulator.amplitude result 0)
+let p0_of result = Cnum.norm2 (Driver.amplitude result 0)
 
 let json_escape s =
   let b = Buffer.create (String.length s + 2) in
@@ -285,7 +285,7 @@ let result_line ?(timings = true) ~seed (jr : Sched.job_result) =
   sep ();
   (match jr.Sched.outcome with
    | Sched.Completed r ->
-     opt_int "converted_at" r.Simulator.converted_at;
+     opt_int "converted_at" r.Driver.converted_at;
      sep ();
      key "p0";
      Buffer.add_string b (Printf.sprintf "%.17g" (p0_of r));
@@ -315,11 +315,11 @@ let result_line ?(timings = true) ~seed (jr : Sched.job_result) =
     (match jr.Sched.outcome with
      | Sched.Completed r ->
        sep ();
-       flt "dd_s" r.Simulator.seconds_dd;
+       flt "dd_s" r.Driver.seconds_dd;
        sep ();
-       flt "convert_s" r.Simulator.seconds_convert;
+       flt "convert_s" r.Driver.seconds_convert;
        sep ();
-       flt "dmav_s" r.Simulator.seconds_dmav
+       flt "dmav_s" r.Driver.seconds_dmav
      | _ -> ())
   end;
   Buffer.add_char b '}';

@@ -33,7 +33,7 @@ let job ?(config = Config.default) ?(tenant = "") ?(priority = 0) ?(deadline_s =
   { id; tenant; circuit; config; priority; deadline_s; max_retries }
 
 type outcome =
-  | Completed of Simulator.result
+  | Completed of Driver.result
   | Failed of exn
   | Timed_out
   | Cancelled
@@ -53,9 +53,9 @@ let outcome_name = function
   | Timed_out -> "timed_out"
   | Cancelled -> "cancelled"
 
-type runner = cancel:(unit -> bool) -> pool:Pool.t -> job -> Simulator.result
+type runner = cancel:(unit -> bool) -> pool:Pool.t -> job -> Driver.result
 
-let default_runner ~cancel ~pool job = Simulator.simulate ~cancel ~pool job.config job.circuit
+let default_runner ~cancel ~pool job = Driver.run ~cancel ~pool job.config job.circuit
 
 let default_downgrade cfg = { cfg with Config.policy = Config.Convert_at (-1) }
 
@@ -140,7 +140,7 @@ let execute t tracked =
       incr attempts;
       match t.runner ~cancel:cancel_poll ~pool:t.pool { job with config = cfg } with
       | r -> Completed r
-      | exception Simulator.Cancelled ->
+      | exception Driver.Cancelled ->
         if user_cancelled () then Cancelled else Timed_out
       | exception e ->
         (* Retry only while the job is still allowed to run; a failure past

@@ -22,7 +22,7 @@
 
     Deadlines are wall-clock budgets for the {e running} phase of a job
     (all attempts included), enforced cooperatively through
-    [Simulator.simulate ~cancel] — a deadline or cancellation lands within
+    [Driver.run ~cancel] — a deadline or cancellation lands within
     one gate application and never poisons the shared pool.
 
     Instrumented as [sched.{submitted,completed,failed,timed_out,
@@ -51,7 +51,7 @@ val job :
     deadline, no retries unless overridden. *)
 
 type outcome =
-  | Completed of Simulator.result
+  | Completed of Driver.result
   | Failed of exn        (** last attempt's exception, retries exhausted *)
   | Timed_out
   | Cancelled
@@ -68,10 +68,10 @@ type job_result = {
 val outcome_name : outcome -> string
 (** ["completed" | "failed" | "timed_out" | "cancelled"]. *)
 
-type runner = cancel:(unit -> bool) -> pool:Pool.t -> job -> Simulator.result
+type runner = cancel:(unit -> bool) -> pool:Pool.t -> job -> Driver.result
 (** How one attempt executes; the job carries the attempt's config (a
     retry passes the downgraded config in [job.config]). The default is
-    [Simulator.simulate]; tests inject failing runners to exercise retry
+    [Driver.run]; tests inject failing runners to exercise retry
     paths, and the serve daemon injects a warm-state runner keyed by
     [job.tenant]. *)
 

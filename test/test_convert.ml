@@ -1,6 +1,5 @@
 let dd_of_circuit c =
-  let r = Ddsim.run c in
-  (r.Ddsim.package, r.Ddsim.state)
+  Test_util.dd_state (Test_util.run_dd c)
 
 let test_sequential_matches_statevec () =
   List.iter

@@ -4,14 +4,12 @@
    threads than amplitudes) where the index arithmetic is most fragile. *)
 
 let engines_agree ?(tol = 1e-9) name (c : Circuit.t) =
-  let n = c.Circuit.n in
-  let dd = Ddsim.run c in
-  let dd_amps = Ddsim.final_amplitudes dd n in
+  let dd_amps = Driver.amplitudes (Test_util.run_dd c) in
   let fast = Apply.run c in
   let generic = Qpp_kernel.run c in
   let flat =
-    Simulator.amplitudes
-      (Simulator.simulate { Config.default with Config.threads = 3 } c)
+    Driver.amplitudes
+      (Driver.run { Config.default with Config.threads = 3 } c)
   in
   Test_util.check_close ~tol (name ^ ": dd vs fast") dd_amps fast.State.amps;
   Test_util.check_close ~tol (name ^ ": generic vs fast") generic.State.amps
@@ -62,9 +60,9 @@ let test_more_threads_than_amplitudes () =
           Config.threads = 16;
           policy = Config.Convert_at (-1) }
       in
-      let r = Simulator.simulate ~pool cfg c in
+      let r = Driver.run ~pool cfg c in
       Test_util.check_close ~tol:1e-12 "16 threads on 4 amplitudes"
-        (Simulator.amplitudes r) expect.State.amps)
+        (Driver.amplitudes r) expect.State.amps)
 
 let test_deep_narrow () =
   (* Many gates on few qubits: exercises cache reuse and compaction under
@@ -74,14 +72,14 @@ let test_deep_narrow () =
 
 let test_compaction_interval_invariance () =
   let c = Test_util.random_circuit ~seed:9 ~gates:60 6 in
-  let base = Ddsim.final_amplitudes (Ddsim.run ~compact_every:0 c) 6 in
+  let base = Driver.amplitudes (Test_util.run_dd ~compact_every:0 c) in
   List.iter
     (fun interval ->
-       let r = Ddsim.run ~compact_every:interval c in
+       let r = Test_util.run_dd ~compact_every:interval c in
        Test_util.check_close ~tol:1e-10
          (Printf.sprintf "compact_every=%d" interval)
          base
-         (Ddsim.final_amplitudes r 6))
+         (Driver.amplitudes r))
     [ 1; 7; 64 ]
 
 let test_forced_conversion_every_index () =
@@ -92,10 +90,10 @@ let test_forced_conversion_every_index () =
     let cfg =
       { Config.default with Config.threads = 2; policy = Config.Convert_at k }
     in
-    let r = Simulator.simulate cfg c in
+    let r = Driver.run cfg c in
     Test_util.check_close ~tol:1e-9
       (Printf.sprintf "convert at %d" k)
-      (Simulator.amplitudes r) expect.State.amps
+      (Driver.amplitudes r) expect.State.amps
   done
 
 let test_check_mode_differential_sweep () =
@@ -117,7 +115,7 @@ let test_check_mode_differential_sweep () =
              Config.threads = 3;
              policy = Config.Convert_at 5 }
          in
-         let flat = Simulator.amplitudes (Simulator.simulate cfg c) in
+         let flat = Driver.amplitudes (Driver.run cfg c) in
          Test_util.check_close ~tol:1e-9
            (Printf.sprintf "seed %d under check mode" seed)
            flat fast.State.amps
@@ -132,12 +130,12 @@ let prop_engines_agree_random =
     (fun seed ->
        let c = Test_util.random_circuit ~seed ~gates:30 5 in
        let fast = Apply.run c in
-       let dd = Ddsim.run c in
+       let dd = Test_util.run_dd c in
        let flat =
-         Simulator.amplitudes
-           (Simulator.simulate { Config.default with Config.threads = 2 } c)
+         Driver.amplitudes
+           (Driver.run { Config.default with Config.threads = 2 } c)
        in
-       Buf.max_abs_diff (Ddsim.final_amplitudes dd 5) fast.State.amps < 1e-9
+       Buf.max_abs_diff (Driver.amplitudes dd) fast.State.amps < 1e-9
        && Buf.max_abs_diff flat fast.State.amps < 1e-9)
 
 let suite =

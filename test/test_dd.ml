@@ -212,8 +212,7 @@ let test_mv_chain_equals_statevec () =
        let n = 6 in
        let c = Test_util.random_circuit ~seed ~gates:40 n in
        let p = Dd.create () in
-       let r = Ddsim.run ~package:p c in
-       let dd_amps = Ddsim.final_amplitudes r n in
+       let dd_amps = Driver.amplitudes (Test_util.run_dd ~package:p c) in
        let sv = Apply.run c in
        Test_util.check_close ~tol:1e-9
          (Printf.sprintf "ddsim = statevec (seed %d)" seed) dd_amps sv.State.amps)
@@ -347,12 +346,12 @@ let test_gc_every_gate_differential () =
     (fun seed ->
        let n = 5 in
        let c = Test_util.random_circuit ~seed ~gates:30 n in
-       let base = Ddsim.run ~compact_every:0 c in
-       let gc = Ddsim.run ~compact_every:1 c in
+       let base = Test_util.run_dd ~compact_every:0 c in
+       let gc = Test_util.run_dd ~compact_every:1 c in
        Test_util.check_close ~tol:0.0
          (Printf.sprintf "per-gate GC invariant (seed %d)" seed)
-         (Ddsim.final_amplitudes base n) (Ddsim.final_amplitudes gc n);
-       let p = gc.Ddsim.package in
+         (Driver.amplitudes base) (Driver.amplitudes gc);
+       let p, _ = Test_util.dd_state gc in
        Alcotest.(check bool) "vector free list nonzero after GC" true
          (Dd.vfree_slots p > 0);
        Alcotest.(check bool) "matrix free list nonzero after GC" true

@@ -33,8 +33,8 @@ let test_three_engine_sweep () =
        let n = qubits_for seed in
        let c = circuit_for seed in
        let dense = (Apply.run c).State.amps in
-       let dd = Ddsim.final_amplitudes (Ddsim.run c) n in
-       let dmav = Simulator.amplitudes (Simulator.simulate forced_dmav c) in
+       let dd = Driver.amplitudes (Test_util.run_dd c) in
+       let dmav = Driver.amplitudes (Driver.run forced_dmav c) in
        Test_util.check_close ~tol
          (Printf.sprintf "seed %d (n=%d): dd vs dense" seed n)
          dd dense;
@@ -54,8 +54,8 @@ let test_hybrid_policy_sweep () =
        let c = circuit_for seed in
        let dense = (Apply.run c).State.amps in
        let hybrid =
-         Simulator.amplitudes
-           (Simulator.simulate { Config.default with Config.threads = 2 } c)
+         Driver.amplitudes
+           (Driver.run { Config.default with Config.threads = 2 } c)
        in
        Test_util.check_close ~tol
          (Printf.sprintf "seed %d: ewma hybrid vs dense" seed)
@@ -66,12 +66,12 @@ let test_fusion_agrees_with_unfused () =
   List.iter
     (fun seed ->
        let c = circuit_for seed in
-       let plain = Simulator.amplitudes (Simulator.simulate forced_dmav c) in
+       let plain = Driver.amplitudes (Driver.run forced_dmav c) in
        List.iter
          (fun (label, fusion) ->
             let fused =
-              Simulator.amplitudes
-                (Simulator.simulate { forced_dmav with Config.fusion } c)
+              Driver.amplitudes
+                (Driver.run { forced_dmav with Config.fusion } c)
             in
             Test_util.check_close ~tol
               (Printf.sprintf "seed %d: %s fusion vs unfused" seed label)
@@ -94,19 +94,19 @@ let test_order_sweep () =
             let name = Config.order_name order in
             Test_util.check_close ~tol
               (Printf.sprintf "seed %d (n=%d): %s ewma vs dense" seed n name)
-              (Simulator.amplitudes
-                 (Simulator.simulate { Config.default with Config.threads = 2; order } c))
+              (Driver.amplitudes
+                 (Driver.run { Config.default with Config.threads = 2; order } c))
               dense;
             Test_util.check_close ~tol
               (Printf.sprintf "seed %d (n=%d): %s pure-dd vs dense" seed n name)
-              (Simulator.amplitudes
-                 (Simulator.simulate
+              (Driver.amplitudes
+                 (Driver.run
                     { Config.default with Config.policy = Config.Never_convert; order }
                     c))
               dense;
             Test_util.check_close ~tol
               (Printf.sprintf "seed %d (n=%d): %s forced dmav vs dense" seed n name)
-              (Simulator.amplitudes (Simulator.simulate { forced_dmav with Config.order } c))
+              (Driver.amplitudes (Driver.run { forced_dmav with Config.order } c))
               dense)
          [ Config.Static_order; Config.Sift_order ])
     seeds

@@ -39,8 +39,8 @@ let test_three_engine_differential () =
     (fun (name, c) ->
        let expect = dense_reference c in
        let cfg = { Config.default with Config.threads = 2; trace = true } in
-       let check ename r =
-         Test_util.check_close ~tol:1e-9
+       let check ?(tol = 1e-9) ename r =
+         Test_util.check_close ~tol
            (Printf.sprintf "%s: %s vs dense reference" name ename)
            (Driver.amplitudes r) expect;
          Alcotest.(check int)
@@ -53,7 +53,9 @@ let test_three_engine_differential () =
        in
        check "dd" (Driver.run_engine (module Dd_engine) cfg c);
        check "dmav" (Driver.run_engine (module Dmav_engine) cfg c);
-       check "dense" (Driver.run_engine (module Dense_engine) cfg c))
+       check "dense" (Driver.run_engine (module Dense_engine) cfg c);
+       check ~tol:1e-4 "dmav f32" (Driver.run_engine (module Dmav_engine.F32) cfg c);
+       check ~tol:1e-4 "dense f32" (Driver.run_engine (module Dense_engine.F32) cfg c))
     [ ("random-5", Test_util.random_circuit ~seed:21 ~gates:40 5);
       ("random-6", Test_util.random_circuit ~seed:22 ~gates:60 6);
       ("layered", layered 5 4);
@@ -71,13 +73,26 @@ let test_run_engine_phase_accounting () =
        Alcotest.(check bool) "dd records carry Dd_phase" true
          (r.Engine.phase = Engine.Dd_phase))
     dd.Driver.trace;
-  let fl = Driver.run_engine (module Dmav_engine) cfg c in
-  Alcotest.(check bool) "dmav time in seconds_dmav" true
-    (Float.equal fl.Driver.seconds_dd 0.0
-     && Float.equal fl.Driver.seconds_total fl.Driver.seconds_dmav);
-  Alcotest.(check int) "every dmav gate picked a kernel"
-    (Circuit.num_gates c)
-    (fl.Driver.dmav_gates_cached + fl.Driver.dmav_gates_uncached)
+  let flat name (r : Driver.result) =
+    Alcotest.(check bool) (name ^ " time in seconds_dmav") true
+      (Float.equal r.Driver.seconds_dd 0.0
+       && Float.equal r.Driver.seconds_total r.Driver.seconds_dmav);
+    List.iter
+      (fun (g : Engine.gate_record) ->
+         Alcotest.(check bool) (name ^ " records carry Dmav_phase") true
+           (g.Engine.phase = Engine.Dmav_phase))
+      r.Driver.trace
+  in
+  List.iter
+    (fun (name, r) ->
+       flat name r;
+       Alcotest.(check int) (name ^ ": every gate picked a kernel")
+         (Circuit.num_gates c)
+         (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached))
+    [ ("dmav", Driver.run_engine (module Dmav_engine) cfg c);
+      ("dmav f32", Driver.run_engine (module Dmav_engine.F32) cfg c) ];
+  flat "dense" (Driver.run_engine (module Dense_engine) cfg c);
+  flat "dense f32" (Driver.run_engine (module Dense_engine.F32) cfg c)
 
 (* ---- hybrid run: conversion forced at every gate index ------------- *)
 
@@ -86,22 +101,22 @@ let test_convert_at_every_index () =
   let gates = Circuit.num_gates c in
   let expect = dense_reference c in
   let pure_dd =
-    Simulator.amplitudes
-      (Simulator.simulate { Config.default with Config.policy = Config.Never_convert } c)
+    Driver.amplitudes
+      (Driver.run { Config.default with Config.policy = Config.Never_convert } c)
   in
   Test_util.check_close ~tol:1e-9 "pure dd vs dense reference" pure_dd expect;
   for k = -1 to gates - 1 do
     let cfg =
       { Config.default with Config.policy = Config.Convert_at k; threads = 2 }
     in
-    let r = Simulator.simulate cfg c in
+    let r = Driver.run cfg c in
     Alcotest.(check bool)
       (Printf.sprintf "converted_at reported for k=%d" k)
       true
-      (r.Simulator.converted_at = Some k);
+      (r.Driver.converted_at = Some k);
     Test_util.check_close ~tol:1e-9
       (Printf.sprintf "hybrid convert-at-%d vs dense reference" k)
-      (Simulator.amplitudes r) expect
+      (Driver.amplitudes r) expect
   done
 
 (* ---- per-gate kernel dispatch -------------------------------------- *)
@@ -112,7 +127,7 @@ let is_dense (g : Engine.gate_record) =
 let flat_records r =
   List.filter
     (fun (g : Engine.gate_record) -> g.Engine.phase = Engine.Dmav_phase)
-    r.Simulator.trace
+    r.Driver.trace
 
 let test_dispatch_dense_for_unfused_single_qubit () =
   (* Unfused single-qubit gates: dense direct costs 2ⁿ⁺¹/(d·t) against a
@@ -131,16 +146,16 @@ let test_dispatch_dense_for_unfused_single_qubit () =
       trace = true;
       dense_dispatch = true }
   in
-  let r = Simulator.simulate cfg c in
+  let r = Driver.run cfg c in
   let flat = flat_records r in
   Alcotest.(check int) "all gates in the flat phase" (Circuit.num_gates c)
     (List.length flat);
   Alcotest.(check bool) "every unfused 1q gate dispatched dense" true
     (List.for_all is_dense flat);
   Alcotest.(check int) "dense gates are neither cached nor uncached" 0
-    (r.Simulator.dmav_gates_cached + r.Simulator.dmav_gates_uncached);
+    (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached);
   Test_util.check_close ~tol:1e-9 "dispatched run vs dense reference"
-    (Simulator.amplitudes r) expect
+    (Driver.amplitudes r) expect
 
 let test_dispatch_mixed_kernels () =
   (* Single-qubit gates model strictly cheaper dense (2ⁿ⁺¹/d < K₁ ≥ 2ⁿ),
@@ -163,17 +178,17 @@ let test_dispatch_mixed_kernels () =
       trace = true;
       dense_dispatch = true }
   in
-  let r = Simulator.simulate cfg c in
+  let r = Driver.run cfg c in
   let flat = flat_records r in
   let dense = List.length (List.filter is_dense flat) in
   Alcotest.(check bool) "some gates dispatched dense" true (dense > 0);
   Alcotest.(check bool) "some gates dispatched to dmav" true
-    (r.Simulator.dmav_gates_cached + r.Simulator.dmav_gates_uncached > 0);
+    (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached > 0);
   Alcotest.(check int) "every flat gate accounted"
     (List.length flat)
-    (dense + r.Simulator.dmav_gates_cached + r.Simulator.dmav_gates_uncached);
+    (dense + r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached);
   Test_util.check_close ~tol:1e-9 "mixed dispatch vs dense reference"
-    (Simulator.amplitudes r) expect
+    (Driver.amplitudes r) expect
 
 let test_dispatch_never_dense_when_fused () =
   (* Fusion replaces ops with synthetic matrices; those have no circuit op
@@ -186,13 +201,13 @@ let test_dispatch_never_dense_when_fused () =
       trace = true;
       dense_dispatch = true }
   in
-  let r = Simulator.simulate cfg c in
+  let r = Driver.run cfg c in
   let flat = flat_records r in
   Alcotest.(check bool) "fused run has flat gates" true (flat <> []);
   Alcotest.(check bool) "no fused gate dispatched dense" true
     (not (List.exists is_dense flat));
   Test_util.check_close ~tol:1e-9 "fused dispatch run vs dense reference"
-    (Simulator.amplitudes r) (dense_reference c)
+    (Driver.amplitudes r) (dense_reference c)
 
 let test_dispatch_off_is_default_path () =
   (* With dense_dispatch off the trace must never show Dense_direct and
@@ -201,13 +216,13 @@ let test_dispatch_off_is_default_path () =
   let cfg =
     { Config.default with Config.policy = Config.Convert_at (-1); trace = true }
   in
-  let r = Simulator.simulate cfg c in
+  let r = Driver.run cfg c in
   let flat = flat_records r in
   Alcotest.(check bool) "no dense dispatch by default" true
     (not (List.exists is_dense flat));
   Alcotest.(check int) "kernel split covers every flat gate"
     (List.length flat)
-    (r.Simulator.dmav_gates_cached + r.Simulator.dmav_gates_uncached)
+    (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached)
 
 let test_dispatch_counters () =
   with_metrics (fun () ->
@@ -218,15 +233,15 @@ let test_dispatch_counters () =
           trace = true;
           dense_dispatch = true }
       in
-      let r = Simulator.simulate cfg c in
+      let r = Driver.run cfg c in
       let snap = Obs.Metrics.snapshot () in
       let cached = counter_exn snap "dmav.dispatch.cached" in
       let uncached = counter_exn snap "dmav.dispatch.uncached" in
       let dense = counter_exn snap "dmav.dispatch.dense" in
       Alcotest.(check int) "dispatch.cached mirrors result"
-        r.Simulator.dmav_gates_cached cached;
+        r.Driver.dmav_gates_cached cached;
       Alcotest.(check int) "dispatch.uncached mirrors result"
-        r.Simulator.dmav_gates_uncached uncached;
+        r.Driver.dmav_gates_uncached uncached;
       Alcotest.(check bool) "dense counter counts dense gates" true (dense > 0);
       Alcotest.(check int) "three-way split covers the flat phase"
         (List.length (flat_records r))
@@ -234,14 +249,14 @@ let test_dispatch_counters () =
       (* Default mode: the dense counter must not move. *)
       Obs.Metrics.reset ();
       let r0 =
-        Simulator.simulate
+        Driver.run
           { Config.default with Config.policy = Config.Convert_at (-1) } c
       in
       let snap0 = Obs.Metrics.snapshot () in
       Alcotest.(check int) "no dense dispatch without the flag" 0
         (counter_exn snap0 "dmav.dispatch.dense");
       Alcotest.(check int) "dispatch split mirrors kernel split"
-        (r0.Simulator.dmav_gates_cached + r0.Simulator.dmav_gates_uncached)
+        (r0.Driver.dmav_gates_cached + r0.Driver.dmav_gates_uncached)
         (counter_exn snap0 "dmav.dispatch.cached"
          + counter_exn snap0 "dmav.dispatch.uncached"))
 
@@ -278,6 +293,33 @@ let test_workspace_mismatched_n_ignored () =
   Test_util.check_close ~tol:1e-9 "run correct with mismatched workspace"
     (Driver.amplitudes r) (dense_reference c)
 
+(* ---- the bench's pure-DD baseline under a time budget ------------- *)
+
+let test_bench_dd_time_limit () =
+  let c = Suite.generate ~seed:1 ~gates:300 Suite.Supremacy ~n:8 in
+  let gates = Circuit.num_gates c in
+  let cut = Workloads.run_dd ~time_limit:1e-4 c in
+  Alcotest.(check bool) "tiny budget times out" true cut.Workloads.dd_timed_out;
+  Alcotest.(check bool) "stopped before the last gate" true
+    (cut.Workloads.dd_gates_done < gates);
+  Alcotest.(check bool) "no peak nodes for a cut run" true
+    (cut.Workloads.dd_peak_nodes = None);
+  let full = Workloads.run_dd ~time_limit:600.0 c in
+  Alcotest.(check bool) "generous budget finishes" false full.Workloads.dd_timed_out;
+  Alcotest.(check int) "every gate done" gates full.Workloads.dd_gates_done;
+  let cum = full.Workloads.dd_cum in
+  Alcotest.(check bool) "cumulative times never decrease" true
+    (Array.for_all Fun.id (Array.mapi (fun i t -> i = 0 || t >= cum.(i - 1)) cum));
+  let r = Driver.run { Workloads.dd_config with Config.trace = true } c in
+  Alcotest.(check (option int)) "peak nodes from the trace"
+    (Some
+       (List.fold_left
+          (fun m (g : Engine.gate_record) -> max m g.Engine.dd_size)
+          c.Circuit.n r.Driver.trace))
+    full.Workloads.dd_peak_nodes;
+  Alcotest.(check int) "peak memory of an untimed run" r.Driver.peak_memory_bytes
+    full.Workloads.dd_peak_memory_bytes
+
 let suite =
   [ ( "engine",
       [ Alcotest.test_case "three-engine differential" `Quick
@@ -297,4 +339,6 @@ let suite =
         Alcotest.test_case "workspace returned and reused" `Quick
           test_workspace_returned_and_reused;
         Alcotest.test_case "workspace n mismatch ignored" `Quick
-          test_workspace_mismatched_n_ignored ] ) ]
+          test_workspace_mismatched_n_ignored;
+        Alcotest.test_case "bench DD baseline honours its time limit" `Quick
+          test_bench_dd_time_limit ] ) ]

@@ -8,9 +8,10 @@
 
 let test_dd_sampling_matches_probabilities () =
   let c = Test_util.random_circuit ~seed:3 ~gates:30 6 in
-  let r = Ddsim.run c in
-  let sampler = Vec_sample.create r.Ddsim.package 6 r.Ddsim.state in
-  let st = State.of_buf 6 (Ddsim.final_amplitudes r 6) in
+  let r = Test_util.run_dd c in
+  let p, e = Test_util.dd_state r in
+  let sampler = Vec_sample.create p 6 e in
+  let st = State.of_buf 6 (Driver.amplitudes r) in
   (* Exact per-index probabilities agree with the flat state. *)
   for i = 0 to 63 do
     Alcotest.(check (float 1e-9)) (Printf.sprintf "p[%d]" i)
@@ -29,8 +30,8 @@ let test_dd_sampling_matches_probabilities () =
     counts
 
 let test_dd_sampling_ghz () =
-  let r = Ddsim.run (Ghz.circuit 10) in
-  let sampler = Vec_sample.create r.Ddsim.package 10 r.Ddsim.state in
+  let p, e = Test_util.dd_state (Test_util.run_dd (Ghz.circuit 10)) in
+  let sampler = Vec_sample.create p 10 e in
   let rng = Rng.create 5 in
   for _ = 1 to 200 do
     let s = Vec_sample.sample sampler rng in
@@ -75,12 +76,12 @@ let test_dd_dot_matches_buf_fidelity () =
 let test_dd_project () =
   let n = 5 in
   let c = Test_util.random_circuit ~seed:81 ~gates:25 n in
-  let r = Ddsim.run c in
-  let p = r.Ddsim.package in
+  let r = Test_util.run_dd c in
+  let p, e = Test_util.dd_state r in
   let q = 2 in
-  let proj = Vec_sample.project p r.Ddsim.state q 1 in
+  let proj = Vec_sample.project p e q 1 in
   let flat = Convert.sequential p ~n proj in
-  let reference = Ddsim.final_amplitudes r n in
+  let reference = Driver.amplitudes r in
   for i = 0 to (1 lsl n) - 1 do
     let expect = if Bits.bit i q = 1 then Buf.get reference i else Cnum.zero in
     if not (Cnum.equal ~tol:1e-9 expect (Buf.get flat i)) then
@@ -90,10 +91,10 @@ let test_dd_project () =
 let test_dd_measure_collapse_ghz () =
   (* Measuring one qubit of a GHZ state collapses all of them together. *)
   for seed = 1 to 8 do
-    let r = Ddsim.run (Ghz.circuit 8) in
-    let p = r.Ddsim.package in
+    let r = Test_util.run_dd (Ghz.circuit 8) in
+    let p, e = Test_util.dd_state r in
     let rng = Rng.create seed in
-    let outcome, collapsed = Vec_sample.measure_qubit p ~rng ~n:8 r.Ddsim.state 3 in
+    let outcome, collapsed = Vec_sample.measure_qubit p ~rng ~n:8 e 3 in
     Alcotest.(check (float 1e-9)) "collapsed state normalized" 1.0
       (Vec_dd.norm2 p collapsed);
     let expected_basis = if outcome = 1 then 255 else 0 in
@@ -106,13 +107,13 @@ let test_dd_measure_matches_flat_semantics () =
   (* DD collapse must equal the flat-state collapse on the same outcome. *)
   let n = 5 in
   let c = Test_util.random_circuit ~seed:83 ~gates:30 n in
-  let r = Ddsim.run c in
-  let p = r.Ddsim.package in
+  let r = Test_util.run_dd c in
+  let p, e = Test_util.dd_state r in
   let q = 1 in
-  let outcome, collapsed = Vec_sample.measure_qubit p ~rng:(Rng.create 3) ~n r.Ddsim.state q in
+  let outcome, collapsed = Vec_sample.measure_qubit p ~rng:(Rng.create 3) ~n e q in
   let flat_dd = Convert.sequential p ~n collapsed in
   (* Flat reference: project and renormalize by hand. *)
-  let reference = Ddsim.final_amplitudes r n in
+  let reference = Driver.amplitudes r in
   let st = State.of_buf n reference in
   for i = 0 to (1 lsl n) - 1 do
     if Bits.bit i q <> outcome then Buf.set st.State.amps i Cnum.zero
@@ -124,9 +125,9 @@ let test_dd_measure_statistics () =
   (* Outcome frequencies follow the marginal. *)
   let n = 4 in
   let c = Test_util.random_circuit ~seed:85 ~gates:20 n in
-  let r = Ddsim.run c in
-  let p = r.Ddsim.package in
-  let st = State.of_buf n (Ddsim.final_amplitudes r n) in
+  let r = Test_util.run_dd c in
+  let p, e = Test_util.dd_state r in
+  let st = State.of_buf n (Driver.amplitudes r) in
   let q = 0 in
   let p1_exact = ref 0.0 in
   for i = 0 to (1 lsl n) - 1 do
@@ -135,7 +136,7 @@ let test_dd_measure_statistics () =
   let ones = ref 0 in
   let trials = 400 in
   for seed = 1 to trials do
-    let outcome, _ = Vec_sample.measure_qubit p ~rng:(Rng.create seed) ~n r.Ddsim.state q in
+    let outcome, _ = Vec_sample.measure_qubit p ~rng:(Rng.create seed) ~n e q in
     if outcome = 1 then incr ones
   done;
   let freq = float_of_int !ones /. float_of_int trials in
@@ -150,9 +151,9 @@ let prop_dd_measurement_idempotent =
     (fun (seed, q) ->
        let n = 5 in
        let c = Test_util.random_circuit ~seed ~gates:20 n in
-       let r = Ddsim.run c in
-       let p = r.Ddsim.package in
-       let o1, collapsed = Vec_sample.measure_qubit p ~rng:(Rng.create seed) ~n r.Ddsim.state q in
+       let r = Test_util.run_dd c in
+       let p, e = Test_util.dd_state r in
+       let o1, collapsed = Vec_sample.measure_qubit p ~rng:(Rng.create seed) ~n e q in
        let o2, again = Vec_sample.measure_qubit p ~rng:(Rng.create (seed + 1)) ~n collapsed q in
        o1 = o2 && Float.abs (Vec_sample.fidelity p collapsed again -. 1.0) < 1e-9)
 
@@ -162,14 +163,14 @@ let prop_dd_projectors_complete =
     (fun (seed, q) ->
        let n = 5 in
        let c = Test_util.random_circuit ~seed ~gates:20 n in
-       let r = Ddsim.run c in
-       let p = r.Ddsim.package in
-       let p0 = Vec_sample.project p r.Ddsim.state q 0 in
-       let p1 = Vec_sample.project p r.Ddsim.state q 1 in
+       let r = Test_util.run_dd c in
+       let p, e = Test_util.dd_state r in
+       let p0 = Vec_sample.project p e q 0 in
+       let p1 = Vec_sample.project p e q 1 in
        let sum = Dd.vadd p p0 p1 in
        let restored =
          Dd.vedge_is_zero p0 || Dd.vedge_is_zero p1
-         || Float.abs (Vec_sample.fidelity p sum r.Ddsim.state -. 1.0) < 1e-9
+         || Float.abs (Vec_sample.fidelity p sum e -. 1.0) < 1e-9
        in
        let orthogonal =
          Dd.vedge_is_zero p0 || Dd.vedge_is_zero p1
@@ -428,10 +429,10 @@ let test_qpe_through_flatdd () =
   let phi = 0.7071 in
   let c = Qpe.circuit ~bits phi in
   let cfg = { Config.default with Config.threads = 2 } in
-  let r = Simulator.simulate cfg c in
+  let r = Driver.run cfg c in
   let expect = Apply.run c in
   Test_util.check_close ~tol:1e-9 "qpe flatdd = statevec"
-    (Simulator.amplitudes r) expect.State.amps
+    (Driver.amplitudes r) expect.State.amps
 
 let suite =
   [ ( "extras",

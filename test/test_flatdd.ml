@@ -3,8 +3,8 @@ let cfg ?(threads = 2) ?(fusion = Config.No_fusion) ?(policy = Config.Ewma_polic
   { Config.default with Config.threads; fusion; policy; trace }
 
 let check_against_statevec ?tol name config c =
-  let r = Simulator.simulate config c in
-  let got = Simulator.amplitudes r in
+  let r = Driver.run config c in
+  let got = Driver.amplitudes r in
   let expect = Apply.run c in
   Test_util.check_close ?tol name got expect.State.amps;
   r
@@ -14,10 +14,10 @@ let test_regular_circuits_stay_dd () =
     (fun c ->
        let r = check_against_statevec c.Circuit.name (cfg ()) c in
        Alcotest.(check bool) (c.Circuit.name ^ " stayed DD") true
-         (r.Simulator.converted_at = None);
-       (match r.Simulator.final with
-        | Simulator.Dd_state _ -> ()
-        | Simulator.Flat_state _ -> Alcotest.fail "expected DD final state"))
+         (r.Driver.converted_at = None);
+       (match r.Driver.final with
+        | Engine.Dd_state _ -> ()
+        | Engine.Flat_state _ -> Alcotest.fail "expected DD final state"))
     [ Ghz.circuit 12; Adder.circuit 12; Bv.circuit 10 ]
 
 let test_irregular_circuits_convert () =
@@ -25,10 +25,10 @@ let test_irregular_circuits_convert () =
     (fun c ->
        let r = check_against_statevec ~tol:1e-8 c.Circuit.name (cfg ~threads:4 ()) c in
        Alcotest.(check bool) (c.Circuit.name ^ " converted") true
-         (r.Simulator.converted_at <> None);
-       (match r.Simulator.final with
-        | Simulator.Flat_state _ -> ()
-        | Simulator.Dd_state _ -> Alcotest.fail "expected flat final state"))
+         (r.Driver.converted_at <> None);
+       (match r.Driver.final with
+        | Engine.Flat_state _ -> ()
+        | Engine.Dd_state _ -> Alcotest.fail "expected flat final state"))
     [ Dnn.circuit ~layers:5 10;
       Vqe.circuit ~layers:3 10;
       Supremacy.circuit ~cycles:8 10;
@@ -36,28 +36,28 @@ let test_irregular_circuits_convert () =
 
 let test_thread_counts_agree () =
   let c = Supremacy.circuit ~seed:3 ~cycles:6 9 in
-  let reference = Simulator.amplitudes (Simulator.simulate (cfg ~threads:1 ()) c) in
+  let reference = Driver.amplitudes (Driver.run (cfg ~threads:1 ()) c) in
   List.iter
     (fun threads ->
-       let r = Simulator.simulate (cfg ~threads ()) c in
+       let r = Driver.run (cfg ~threads ()) c in
        Test_util.check_close ~tol:1e-9
-         (Printf.sprintf "%d threads" threads) reference (Simulator.amplitudes r))
+         (Printf.sprintf "%d threads" threads) reference (Driver.amplitudes r))
     [ 2; 3; 4; 8 ]
 
 let test_policies () =
   let c = Dnn.circuit ~layers:4 8 in
   (* Never convert: result must still be right, final state DD. *)
   let r = check_against_statevec "never-convert" (cfg ~policy:Config.Never_convert ()) c in
-  Alcotest.(check bool) "no conversion" true (r.Simulator.converted_at = None);
+  Alcotest.(check bool) "no conversion" true (r.Driver.converted_at = None);
   (* Convert immediately: everything runs through DMAV. *)
   let r = check_against_statevec "convert-at-0" (cfg ~policy:(Config.Convert_at (-1)) ()) c in
   Alcotest.(check bool) "converted before gate 0" true
-    (r.Simulator.converted_at <> None);
+    (r.Driver.converted_at <> None);
   Alcotest.(check int) "all gates in dmav" (Circuit.num_gates c)
-    (r.Simulator.dmav_gates_cached + r.Simulator.dmav_gates_uncached);
+    (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached);
   (* Convert at a fixed index. *)
   let r = check_against_statevec "convert-at-20" (cfg ~policy:(Config.Convert_at 20) ()) c in
-  (match r.Simulator.converted_at with
+  (match r.Driver.converted_at with
    | Some i -> Alcotest.(check int) "index honored" 20 i
    | None -> Alcotest.fail "expected conversion")
 
@@ -67,9 +67,9 @@ let test_fusion_modes_preserve_results () =
     (fun (name, fusion) ->
        let r = check_against_statevec ~tol:1e-8 name (cfg ~threads:2 ~fusion ()) c in
        match fusion with
-       | Config.No_fusion -> Alcotest.(check bool) "no stats" true (r.Simulator.fusion_stats = None)
+       | Config.No_fusion -> Alcotest.(check bool) "no stats" true (r.Driver.fusion_stats = None)
        | _ ->
-         (match r.Simulator.fusion_stats with
+         (match r.Driver.fusion_stats with
           | Some s ->
             Alcotest.(check bool) (name ^ " reduced gate count") true
               (s.Fusion.gates_out <= s.Fusion.gates_in)
@@ -80,66 +80,66 @@ let test_fusion_modes_preserve_results () =
 
 let test_trace_structure () =
   let c = Supremacy.circuit ~seed:5 ~cycles:6 9 in
-  let r = Simulator.simulate (cfg ~threads:2 ~trace:true ()) c in
-  Alcotest.(check bool) "trace nonempty" true (List.length r.Simulator.trace > 0);
+  let r = Driver.run (cfg ~threads:2 ~trace:true ()) c in
+  Alcotest.(check bool) "trace nonempty" true (List.length r.Driver.trace > 0);
   (* Phases must be ordered: Dd_phase*, Conversion?, Dmav_phase*. *)
   let phase_rank = function
-    | Simulator.Dd_phase -> 0
-    | Simulator.Conversion -> 1
-    | Simulator.Dmav_phase -> 2
+    | Engine.Dd_phase -> 0
+    | Engine.Conversion -> 1
+    | Engine.Dmav_phase -> 2
   in
-  let ranks = List.map (fun g -> phase_rank g.Simulator.phase) r.Simulator.trace in
+  let ranks = List.map (fun g -> phase_rank g.Engine.phase) r.Driver.trace in
   let sorted = List.sort compare ranks in
   Alcotest.(check (list int)) "phases are monotone" sorted ranks;
   (* DD-phase records must carry sizes; DMAV records must carry kernel
      choices. *)
   List.iter
     (fun g ->
-       match g.Simulator.phase with
-       | Simulator.Dd_phase ->
-         Alcotest.(check bool) "dd size recorded" true (g.Simulator.dd_size > 0)
-       | Simulator.Dmav_phase ->
-         Alcotest.(check bool) "kernel recorded" true (g.Simulator.cached <> None)
-       | Simulator.Conversion -> ())
-    r.Simulator.trace;
+       match g.Engine.phase with
+       | Engine.Dd_phase ->
+         Alcotest.(check bool) "dd size recorded" true (g.Engine.dd_size > 0)
+       | Engine.Dmav_phase ->
+         Alcotest.(check bool) "kernel recorded" true (g.Engine.cached <> None)
+       | Engine.Conversion -> ())
+    r.Driver.trace;
   (* Without trace requested the list is empty. *)
-  let r2 = Simulator.simulate (cfg ~threads:2 ()) c in
-  Alcotest.(check int) "no trace by default" 0 (List.length r2.Simulator.trace)
+  let r2 = Driver.run (cfg ~threads:2 ()) c in
+  Alcotest.(check int) "no trace by default" 0 (List.length r2.Driver.trace)
 
 let test_deterministic () =
   let c = Vqe.circuit ~seed:9 ~layers:3 9 in
-  let a = Simulator.amplitudes (Simulator.simulate (cfg ~threads:4 ()) c) in
-  let b = Simulator.amplitudes (Simulator.simulate (cfg ~threads:4 ()) c) in
+  let a = Driver.amplitudes (Driver.run (cfg ~threads:4 ()) c) in
+  let b = Driver.amplitudes (Driver.run (cfg ~threads:4 ()) c) in
   Test_util.check_close ~tol:0.0 "bitwise deterministic" a b
 
 let test_timing_fields () =
   let c = Dnn.circuit ~layers:4 9 in
-  let r = Simulator.simulate (cfg ~threads:2 ()) c in
+  let r = Driver.run (cfg ~threads:2 ()) c in
   Alcotest.(check bool) "total >= parts" true
-    (r.Simulator.seconds_total
-     >= r.Simulator.seconds_dd +. r.Simulator.seconds_convert
-        +. r.Simulator.seconds_dmav -. 1e-6);
-  Alcotest.(check bool) "dd phase took time" true (r.Simulator.seconds_dd > 0.0);
+    (r.Driver.seconds_total
+     >= r.Driver.seconds_dd +. r.Driver.seconds_convert
+        +. r.Driver.seconds_dmav -. 1e-6);
+  Alcotest.(check bool) "dd phase took time" true (r.Driver.seconds_dd > 0.0);
   Alcotest.(check bool) "conversion stats present" true
-    (r.Simulator.conversion_stats <> None);
-  Alcotest.(check bool) "peak memory positive" true (r.Simulator.peak_memory_bytes > 0)
+    (r.Driver.conversion_stats <> None);
+  Alcotest.(check bool) "peak memory positive" true (r.Driver.peak_memory_bytes > 0)
 
 let test_modeled_macs_positive_after_conversion () =
   let c = Supremacy.circuit ~cycles:8 9 in
-  let r = Simulator.simulate (cfg ~threads:4 ()) c in
-  Alcotest.(check bool) "macs accumulated" true (r.Simulator.modeled_macs > 0.0);
+  let r = Driver.run (cfg ~threads:4 ()) c in
+  Alcotest.(check bool) "macs accumulated" true (r.Driver.modeled_macs > 0.0);
   Alcotest.(check bool) "kernel counts fill the dmav phase" true
-    (r.Simulator.dmav_gates_cached + r.Simulator.dmav_gates_uncached > 0)
+    (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached > 0)
 
 let test_epsilon_extremes () =
   let c = Dnn.circuit ~layers:4 8 in
   (* Huge epsilon: effectively never converts. *)
   let r =
-    Simulator.simulate
+    Driver.run
       { (cfg ()) with Config.epsilon = 1e9 }
       c
   in
-  Alcotest.(check bool) "huge epsilon stays DD" true (r.Simulator.converted_at = None);
+  Alcotest.(check bool) "huge epsilon stays DD" true (r.Driver.converted_at = None);
   (* Tiny epsilon: converts at the first size increase. *)
   let r2 =
     check_against_statevec ~tol:1e-8 "tiny epsilon"
@@ -148,7 +148,7 @@ let test_epsilon_extremes () =
   in
   (* DNN-8's DD size cannot grow before the first CX ladder (gate 24), so
      "early" means within the first layer. *)
-  (match r2.Simulator.converted_at with
+  (match r2.Driver.converted_at with
    | Some i -> Alcotest.(check bool) "within the first layer" true (i < Dnn.gates_per_layer 8)
    | None -> Alcotest.fail "tiny epsilon must convert")
 
@@ -161,17 +161,17 @@ let test_qft_and_grover_end_to_end () =
 
 let test_amplitudes_of_dd_final () =
   let c = Ghz.circuit 8 in
-  let r = Simulator.simulate (cfg ()) c in
-  let amps = Simulator.amplitudes r in
+  let r = Driver.run (cfg ()) c in
+  let amps = Driver.amplitudes r in
   Alcotest.(check (float 1e-12)) "|0...0|" 0.5 (Cnum.norm2 (Buf.get amps 0));
   Alcotest.(check (float 1e-12)) "|1...1|" 0.5 (Cnum.norm2 (Buf.get amps 255))
 
 let test_shared_pool () =
   Pool.with_pool 4 (fun pool ->
       let c = Supremacy.circuit ~cycles:5 8 in
-      let r = Simulator.simulate ~pool (cfg ~threads:1 ()) c in
+      let r = Driver.run ~pool (cfg ~threads:1 ()) c in
       let expect = Apply.run c in
-      Test_util.check_close ~tol:1e-9 "external pool" (Simulator.amplitudes r)
+      Test_util.check_close ~tol:1e-9 "external pool" (Driver.amplitudes r)
         expect.State.amps;
       (* Pool still alive for further use. *)
       let acc = Atomic.make 0 in
@@ -184,9 +184,9 @@ let prop_flatdd_equals_statevec =
     (fun (seed, threads) ->
        let n = 7 in
        let c = Test_util.random_circuit ~seed ~gates:40 n in
-       let r = Simulator.simulate (cfg ~threads ()) c in
+       let r = Driver.run (cfg ~threads ()) c in
        let expect = Apply.run c in
-       Buf.max_abs_diff (Simulator.amplitudes r) expect.State.amps < 1e-8)
+       Buf.max_abs_diff (Driver.amplitudes r) expect.State.amps < 1e-8)
 
 let suite =
   [ ( "flatdd",

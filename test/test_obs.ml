@@ -152,16 +152,16 @@ let test_disabled_run_snapshot_all_zero () =
   Obs.set_enabled false;
   Obs.Metrics.reset ();
   let c = Suite.generate ~seed:1 Suite.Ghz ~n:8 in
-  let r = Simulator.simulate Config.default c in
-  ignore (Simulator.amplitudes r);
+  let r = Driver.run Config.default c in
+  ignore (Driver.amplitudes r);
   Alcotest.(check bool) "disabled run leaves every metric at zero" true
     (Obs.Metrics.all_zero (Obs.Metrics.snapshot ()))
 
 let test_dd_only_run_has_zero_dmav_counters () =
   with_metrics (fun () ->
       let c = Suite.generate ~seed:1 Suite.Ghz ~n:10 in
-      let r = Simulator.simulate Config.default c in
-      Alcotest.(check bool) "GHZ stays in DD form" true (r.Simulator.converted_at = None);
+      let r = Driver.run Config.default c in
+      Alcotest.(check bool) "GHZ stays in DD form" true (r.Driver.converted_at = None);
       let snap = Obs.Metrics.snapshot () in
       List.iter
         (fun name -> Alcotest.(check int) name 0 (counter_exn snap name))
@@ -183,8 +183,8 @@ let test_forced_conversion_has_cache_stats () =
       let cfg =
         { Config.default with Config.threads = 2; policy = Config.Convert_at 40 }
       in
-      let r = Simulator.simulate cfg c in
-      Alcotest.(check bool) "conversion happened" true (r.Simulator.converted_at <> None);
+      let r = Driver.run cfg c in
+      Alcotest.(check bool) "conversion happened" true (r.Driver.converted_at <> None);
       let snap = Obs.Metrics.snapshot () in
       Alcotest.(check int) "one conversion" 1 (counter_exn snap "sim.conversions");
       let conv_span = span_exn snap "sim.convert" in
@@ -195,10 +195,10 @@ let test_forced_conversion_has_cache_stats () =
       let uncached = counter_exn snap "dmav.kernel.uncached" in
       Alcotest.(check bool) "DMAV kernels ran" true (cached + uncached > 0);
       Alcotest.(check int) "kernel counts match simulator view"
-        (r.Simulator.dmav_gates_cached + r.Simulator.dmav_gates_uncached)
+        (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached)
         (cached + uncached);
       Alcotest.(check int) "cache hits match simulator view"
-        r.Simulator.dmav_cache_hits
+        r.Driver.dmav_cache_hits
         (counter_exn snap "dmav.cache.hits");
       let fc name = Option.value ~default:(-1.0) (Obs.Metrics.fcounter_value snap name) in
       let modeled = fc "dmav.macs.modeled" and identity = fc "dmav.macs.modeled_identity" in
@@ -211,17 +211,42 @@ let test_span_seconds_track_simulator_view () =
   with_metrics (fun () ->
       let c = Suite.generate ~seed:2 Suite.Supremacy ~n:10 in
       let cfg = { Config.default with Config.policy = Config.Convert_at 20 } in
-      let r = Simulator.simulate cfg c in
+      let r = Driver.run cfg c in
       let snap = Obs.Metrics.snapshot () in
       let close a b = Float.abs (a -. b) <= 0.05 +. (0.25 *. Float.max a b) in
       Alcotest.(check bool) "dd span ~ seconds_dd" true
-        (close (span_exn snap "sim.dd_phase").Obs.Metrics.seconds r.Simulator.seconds_dd);
+        (close (span_exn snap "sim.dd_phase").Obs.Metrics.seconds r.Driver.seconds_dd);
       Alcotest.(check bool) "dmav span ~ seconds_dmav" true
-        (close (span_exn snap "sim.dmav_phase").Obs.Metrics.seconds r.Simulator.seconds_dmav);
+        (close (span_exn snap "sim.dmav_phase").Obs.Metrics.seconds r.Driver.seconds_dmav);
       let plan = span_exn snap "sim.flat_plan" in
       Alcotest.(check int) "one flat plan" 1 plan.Obs.Metrics.count;
       Alcotest.(check bool) "flat plan inside the flat phase" true
         (plan.Obs.Metrics.seconds <= (span_exn snap "sim.dmav_phase").Obs.Metrics.seconds))
+
+(* Every instance of the DMAV kernel functor feeds the same [dmav.*]
+   instruments, so an f32 flat phase is counted like an f64 one. *)
+let test_f32_flat_run_counts_dmav_gates () =
+  with_metrics (fun () ->
+      let c = Suite.generate ~seed:3 Suite.Supremacy ~n:10 ~gates:60 in
+      let cfg =
+        { Config.default with
+          Config.threads = 2; policy = Config.Convert_at (-1); precision = Config.F32 }
+      in
+      let r = Driver.run cfg c in
+      let gates = Circuit.num_gates c in
+      let snap = Obs.Metrics.snapshot () in
+      Alcotest.(check int) "every gate ran a DMAV kernel" gates
+        (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached);
+      Alcotest.(check int) "dmav.kernel.* counts every f32 gate" gates
+        (counter_exn snap "dmav.kernel.cached" + counter_exn snap "dmav.kernel.uncached");
+      Alcotest.(check int) "one dmav.apply span per gate" gates
+        (span_exn snap "dmav.apply").Obs.Metrics.count;
+      let modeled =
+        Option.value ~default:(-1.0) (Obs.Metrics.fcounter_value snap "dmav.macs.modeled")
+      in
+      Alcotest.(check bool) "dmav.macs.modeled matches the run's modeled MACs" true
+        (modeled > 0.0
+         && Float.abs (modeled -. r.Driver.modeled_macs) <= 1e-9 *. r.Driver.modeled_macs))
 
 let suite =
   [ ( "obs",
@@ -242,4 +267,6 @@ let suite =
         Alcotest.test_case "forced conversion has cache stats" `Quick
           test_forced_conversion_has_cache_stats;
         Alcotest.test_case "spans track the simulator view" `Quick
-          test_span_seconds_track_simulator_view ] ) ]
+          test_span_seconds_track_simulator_view;
+        Alcotest.test_case "f32 flat run counts its DMAV gates" `Quick
+          test_f32_flat_run_counts_dmav_gates ] ) ]

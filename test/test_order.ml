@@ -35,13 +35,13 @@ let swap_bits u i =
 let dd_state_of ?(gates = 25) ~seed n =
   let c = Test_util.random_circuit ~seed ~gates n in
   let r =
-    Simulator.simulate
+    Driver.run
       { Config.default with Config.policy = Config.Never_convert; compact_every = 0 }
       c
   in
-  match r.Simulator.final with
-  | Simulator.Dd_state { package; edge } -> (package, edge)
-  | Simulator.Flat_state _ -> Alcotest.fail "expected a DD final state"
+  match r.Driver.final with
+  | Engine.Dd_state { package; edge } -> (package, edge)
+  | Engine.Flat_state _ -> Alcotest.fail "expected a DD final state"
 
 let snapshot p e n = Array.init (1 lsl n) (fun i -> Dd.vamplitude p e i)
 
@@ -187,10 +187,10 @@ let test_driver_logical_results () =
             List.iter
               (fun (plabel, policy) ->
                  let r =
-                   Simulator.simulate
+                   Driver.run
                      { Config.default with Config.order; policy } c
                  in
-                 let amps = Simulator.amplitudes r in
+                 let amps = Driver.amplitudes r in
                  Test_util.check_close ~tol
                    (Printf.sprintf "seed %d %s/%s vs dense" seed label plabel)
                    amps dense;
@@ -199,7 +199,7 @@ let test_driver_logical_results () =
                       check_amp
                         (Printf.sprintf "seed %d %s/%s amplitude %d" seed label
                            plabel i)
-                        (Simulator.amplitude r i) (Buf.get dense i))
+                        (Driver.amplitude r i) (Buf.get dense i))
                    [ 0; 1; (1 lsl n) - 1 ])
               [ ("ewma", Config.Ewma_policy);
                 ("dd", Config.Never_convert);
@@ -213,8 +213,8 @@ let test_order_none_unchanged () =
   List.iter
     (fun seed ->
        let c = Test_util.random_circuit ~seed ~gates:25 (3 + (seed mod 3)) in
-       let r = Simulator.simulate Config.default c in
-       Alcotest.(check bool) "no order recorded" true (r.Simulator.order = None))
+       let r = Driver.run Config.default c in
+       Alcotest.(check bool) "no order recorded" true (r.Driver.order = None))
     [ 1; 2; 3 ]
 
 let suite =

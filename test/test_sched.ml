@@ -11,11 +11,11 @@ let outcome_label jr = Sched.outcome_name jr.Sched.outcome
 let test_simulate_cancel_raises () =
   let c = Suite.generate ~seed:1 Suite.Ghz ~n:6 in
   Pool.with_pool 1 (fun pool ->
-      Alcotest.check_raises "immediate cancel" Simulator.Cancelled (fun () ->
-          ignore (Simulator.simulate ~cancel:(fun () -> true) ~pool Config.default c));
+      Alcotest.check_raises "immediate cancel" Driver.Cancelled (fun () ->
+          ignore (Driver.run ~cancel:(fun () -> true) ~pool Config.default c));
       (* The supplied pool stays usable after the abandoned run. *)
-      let r = Simulator.simulate ~pool Config.default c in
-      Alcotest.(check int) "pool reusable" 6 r.Simulator.n)
+      let r = Driver.run ~pool Config.default c in
+      Alcotest.(check int) "pool reusable" 6 r.Driver.n)
 
 let test_batch_completes () =
   Pool.with_pool 2 (fun pool ->
@@ -43,7 +43,7 @@ let test_priority_ordering () =
       let started = ref [] in
       let runner ~cancel ~pool (job : Sched.job) =
         started := job.Sched.circuit.Circuit.name :: !started;
-        Simulator.simulate ~cancel ~pool job.Sched.config job.Sched.circuit
+        Driver.run ~cancel ~pool job.Sched.config job.Sched.circuit
       in
       let mk id priority =
         let c = Suite.generate ~seed:1 Suite.Ghz ~n:5 in
@@ -102,7 +102,7 @@ let test_retry_with_downgrade () =
         let cfg = job.Sched.config in
         attempts_seen := cfg.Config.policy :: !attempts_seen;
         if cfg.Config.policy <> Config.Convert_at (-1) then failwith "injected dd blowup";
-        Simulator.simulate ~cancel ~pool cfg job.Sched.circuit
+        Driver.run ~cancel ~pool cfg job.Sched.circuit
       in
       let c = Suite.generate ~seed:1 Suite.Ghz ~n:6 in
       let results =
@@ -150,7 +150,7 @@ let test_cancel_running_pool_reusable () =
       let entered = Atomic.make false in
       let runner ~cancel ~pool (job : Sched.job) =
         Atomic.set entered true;
-        Simulator.simulate ~cancel ~pool job.Sched.config job.Sched.circuit
+        Driver.run ~cancel ~pool job.Sched.config job.Sched.circuit
       in
       let t = Sched.create ~runner ~pool ~slots:1 () in
       Fun.protect
@@ -209,10 +209,10 @@ let test_stress_matches_sequential () =
            (match jr.Sched.outcome with
             | Sched.Completed r ->
               let expected =
-                Simulator.simulate ~pool j.Sched.config j.Sched.circuit
+                Driver.run ~pool j.Sched.config j.Sched.circuit
               in
-              let got = Simulator.amplitudes r in
-              let want = Simulator.amplitudes expected in
+              let got = Driver.amplitudes r in
+              let want = Driver.amplitudes expected in
               let dim = Buf.length want in
               Alcotest.(check int) ("dim " ^ j.Sched.id) dim (Buf.length got);
               for k = 0 to dim - 1 do
@@ -258,7 +258,7 @@ let test_interrupt_mid_run () =
       let runner ~cancel ~pool:_ (_ : Sched.job) =
         Atomic.set started true;
         let rec spin n =
-          if cancel () then raise Simulator.Cancelled
+          if cancel () then raise Driver.Cancelled
           else if n = 0 then Alcotest.fail "interrupt never reached the poll"
           else begin
             Thread.delay 0.002;

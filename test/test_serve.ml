@@ -329,7 +329,7 @@ let check_prefix_property ~done_tail () =
   in
   let run_one line =
     let r = Manifest.parse_line ~base_seed ~index:0 ~strict:false line in
-    let result = Simulator.simulate r.Manifest.job.Sched.config r.Manifest.job.Sched.circuit in
+    let result = Driver.run r.Manifest.job.Sched.config r.Manifest.job.Sched.circuit in
     Manifest.result_line ~timings:false ~seed:r.Manifest.seed
       { Sched.job = r.Manifest.job; outcome = Sched.Completed result;
         queue_wait_s = 0.0; run_s = 0.0; attempts = 1; downgraded = false }
@@ -388,8 +388,8 @@ let test_checkpoint_prefix_compacted () = check_prefix_property ~done_tail:1 ()
 
 (* The exact bits of every final amplitude. A DD final reads its
    package, so take these before the handle is released. *)
-let amp_bits (r : Simulator.result) =
-  let a = Simulator.amplitudes r in
+let amp_bits (r : Driver.result) =
+  let a = Driver.amplitudes r in
   Array.init (2 * Buf.length a) (fun k ->
       Int64.bits_of_float (if k land 1 = 0 then Buf.get_re a (k / 2) else Buf.get_im a (k / 2)))
 
@@ -403,11 +403,11 @@ let test_warm_bit_identical () =
       let circ_c = Suite.generate ~seed:11 Suite.Vqe ~n:6 ~gates:80 in
       let cfg = { Config.default with Config.policy = Config.Convert_at 20 } in
       let cfg_fused = { cfg with Config.policy = Config.Convert_at 10; fusion = Config.Dmav_aware } in
-      let cold_a = amp_bits (Simulator.simulate cfg circ_a) in
+      let cold_a = amp_bits (Driver.run cfg circ_a) in
       let cold_b =
-        amp_bits (Simulator.simulate { cfg with Config.policy = Config.Never_convert } circ_b)
+        amp_bits (Driver.run { cfg with Config.policy = Config.Never_convert } circ_b)
       in
-      let cold_c = amp_bits (Simulator.simulate cfg_fused circ_c) in
+      let cold_c = amp_bits (Driver.run cfg_fused circ_c) in
       let w = Warm.create ~capacity:2 () in
       let h1 = Warm.acquire w ~tenant:"t1" ~n:6 () in
       let m0 = Obs.value misses in

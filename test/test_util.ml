@@ -37,3 +37,14 @@ let random_state ?(seed = 1) n = (Apply.run (random_circuit ~seed ~gates:(6 * n)
 let check_close ?(tol = 1e-10) msg a b =
   let d = Buf.max_abs_diff a b in
   if d > tol then Alcotest.failf "%s: max amplitude diff %.3e" msg d
+
+(* The pure-DD path, the bench's DD baseline: the driver with conversion
+   off, on one thread. *)
+let run_dd ?package ?(compact_every = Workloads.dd_config.Config.compact_every) c =
+  Driver.run ?package { Workloads.dd_config with Config.compact_every } c
+
+(* The package and final state DD of a pure-DD run. *)
+let dd_state (r : Driver.result) =
+  match r.Driver.final with
+  | Engine.Dd_state { package; edge } -> (package, edge)
+  | Engine.Flat_state _ -> Alcotest.fail "pure-DD run ended flat"
