@@ -34,7 +34,7 @@ let dmav_phase pool (c : Circuit.t) ~with_cache =
     (fun op ->
        let m = Mat_dd.of_op p ~n op in
        if with_cache then begin
-         let stats = Dmav.apply ~workspace:ws p ~pool ~simd_width:4 ~n m ~v:!v ~w:!w in
+         let stats = Dmav.apply ~workspace:ws p ~pool ~n m ~v:!v ~w:!w in
          cost_nocache := !cost_nocache +. stats.Dmav.decision.Cost.c1;
          cost_chosen :=
            !cost_chosen

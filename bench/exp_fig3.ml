@@ -21,8 +21,8 @@ let run () =
              | Engine.Dd_phase -> "DD"
              | Engine.Conversion -> ">> CONVERT <<"
              | Engine.Dmav_phase ->
-               (match g.Engine.cached with
-                | Some true -> "DMAV (cached)"
+               (match g.Engine.dispatch with
+                | Some Engine.Dmav_cached -> "DMAV (cached)"
                 | _ -> "DMAV"));
             Printf.sprintf "%.6f" g.Engine.seconds;
             (if g.Engine.dd_size > 0 then string_of_int g.Engine.dd_size else "-");

@@ -33,7 +33,7 @@ let run () =
           ("dmav nocache (CX)", fun () -> Dmav.apply_nocache p ~pool ~n cx ~v ~w);
           ( "dmav apply (cost model)",
             fun () ->
-              ignore (Dmav.apply ~workspace:ws p ~pool ~simd_width:4 ~n h ~v ~w) ) ]
+              ignore (Dmav.apply ~workspace:ws p ~pool ~n h ~v ~w) ) ]
       in
       let was_enabled = Obs.enabled () in
       let rows =

@@ -163,9 +163,7 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
                    (match g.Engine.dispatch with
                     | Some Engine.Dense_direct -> "dense"
                     | Some Engine.Dmav_cached -> "dmav+cache"
-                    | Some Engine.Dmav_uncached -> "dmav"
-                    | None ->
-                      if g.Engine.cached = Some true then "dmav+cache" else "dmav"))
+                    | Some Engine.Dmav_uncached | None -> "dmav"))
                 g.Engine.seconds g.Engine.dd_size g.Engine.ewma)
            r.Driver.trace;
        if top > 0 then print_top_amplitudes (Driver.amplitudes r) top

@@ -122,10 +122,12 @@ let breakdown p ~n ~threads root =
 
 type decision = { cached : bool; c1 : float; c2 : float; threads_used : int }
 
-let decide p ~n ~threads ~simd_width root =
+let simd_width = 4
+
+let decide p ~n ~threads root =
   let tu = pow2_threads ~n threads in
   let t = float_of_int tu in
-  let d = float_of_int (Int.max 1 simd_width) in
+  let d = float_of_int simd_width in
   let b = breakdown p ~n ~threads root in
   let dim = Float.pow 2.0 (float_of_int n) in
   let c1 = b.k1 /. t in
@@ -178,13 +180,13 @@ type dispatch = {
    MACs are pointer-chasing DD traversals and stay at scalar rate, exactly
    as in C₁/C₂. An op is only eligible when the original circuit operation
    survived to the flat phase, i.e. the gate was not fused. *)
-let dispatch p ~n ~threads ~simd_width ?op root =
-  let dmav = decide p ~n ~threads ~simd_width root in
+let dispatch p ~n ~threads ?op root =
+  let dmav = decide p ~n ~threads root in
   match op with
   | None -> { kernel = Dmav_kernel; dmav; dense_c = None }
   | Some op ->
     let t = float_of_int dmav.threads_used in
-    let d = float_of_int (Int.max 1 simd_width) in
+    let d = float_of_int simd_width in
     let dense_c = dense_direct_macs ~n op /. (d *. t) in
     let kernel =
       if dense_c < Float.min dmav.c1 dmav.c2 then Dense_kernel else Dmav_kernel

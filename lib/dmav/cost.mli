@@ -50,8 +50,10 @@ val breakdown : Dd.package -> n:int -> threads:int -> Dd.medge -> breakdown
 
 type decision = { cached : bool; c1 : float; c2 : float; threads_used : int }
 
-val decide :
-  Dd.package -> n:int -> threads:int -> simd_width:int -> Dd.medge -> decision
+val simd_width : int
+(** The model's [d], fixed at 4: about one AVX2 register of doubles. *)
+
+val decide : Dd.package -> n:int -> threads:int -> Dd.medge -> decision
 (** Chooses the cheaper kernel: cached iff [C₂ < C₁]. *)
 
 val modeled_macs : decision -> float
@@ -81,9 +83,7 @@ type dispatch = {
       gate is fused (no original circuit op) and thus DMAV-only *)
 }
 
-val dispatch :
-  Dd.package ->
-  n:int -> threads:int -> simd_width:int -> ?op:Circuit.op -> Dd.medge -> dispatch
+val dispatch : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> dispatch
 (** Extends {!decide} with the dense direct-apply alternative: dense
     kernels are stride-1 branch-free loops charged at SIMD width [d]
     (like the model's block operations), DD-traversal MACs at scalar

@@ -67,13 +67,12 @@ val apply :
   ?workspace:workspace ->
   Dd.package ->
   pool:Pool.t ->
-  simd_width:int ->
   n:int ->
   Dd.medge ->
   v:Buf.t ->
   w:Buf.t ->
   exec_stats
-(** [apply ~pool ~simd_width ~n m ~v ~w] overwrites [w] with [m·v],
+(** [apply ~pool ~n m ~v ~w] overwrites [w] with [m·v],
     choosing the kernel by modeled cost. [v] and [w] must be distinct
     buffers of length 2ⁿ. *)
 
@@ -88,8 +87,8 @@ val apply_decided :
   w:Buf.t ->
   exec_stats
 (** {!apply} with a precomputed kernel decision, so a caller that already
-    ran the cost model (the driver's per-gate dispatch) does not pay for
-    it twice. *)
+    ran the cost model (the flat engine's per-gate {!Cost.dispatch}) does
+    not pay for it twice. *)
 
 val apply_nocache :
   Dd.package -> pool:Pool.t -> n:int -> Dd.medge -> v:Buf.t -> w:Buf.t -> unit

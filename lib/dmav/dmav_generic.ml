@@ -280,7 +280,7 @@ module Make (P : Storage.S) = struct
           { used_cache = false; decision; cache_hits = 0; buffers_used = 0 }
         end)
 
-  let apply ?workspace:ws p ~pool ~simd_width ~n root ~v ~w =
-    let decision = Cost.decide p ~n ~threads:(Pool.size pool) ~simd_width root in
+  let apply ?workspace:ws p ~pool ~n root ~v ~w =
+    let decision = Cost.decide p ~n ~threads:(Pool.size pool) root in
     apply_decided ?workspace:ws p ~pool ~n decision root ~v ~w
 end

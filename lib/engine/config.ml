@@ -47,7 +47,6 @@ type t = {
   threads : int;
   beta : float;
   epsilon : float;
-  simd_width : int;
   fusion : fusion_mode;
   policy : conversion_policy;
   compact_every : int;
@@ -61,7 +60,6 @@ let default =
   { threads = 1;
     beta = 0.9;
     epsilon = 2.0;
-    simd_width = 4;
     fusion = No_fusion;
     policy = Ewma_policy;
     compact_every = 64;

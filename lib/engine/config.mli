@@ -33,16 +33,16 @@ type t = {
   threads : int;          (** total worker parallelism (≥ 1) *)
   beta : float;           (** EWMA smoothing, paper uses 0.9 *)
   epsilon : float;        (** conversion threshold, paper uses 2.0 *)
-  simd_width : int;       (** the [d] of the cost model, 4 ≈ AVX2 doubles *)
   fusion : fusion_mode;
   policy : conversion_policy;
   compact_every : int;    (** DD-package GC interval in gates; 0 = never *)
   trace : bool;           (** record the per-gate trace *)
   dense_dispatch : bool;
-  (** When set, the driver cost-models each unfused flat-phase gate and may
-      route it to the dense direct-apply kernels ([Apply.single]/[Apply.two])
-      instead of a DMAV multiplication. Off by default so the stock DMAV
-      phase stays bit-for-bit reproducible. *)
+  (** When set, the DMAV engine's per-gate cost model also prices each
+      unfused gate on the dense direct-apply kernels
+      ([Apply.single]/[Apply.two]) and may run it there instead of a DMAV
+      multiplication. Off by default so the stock DMAV phase stays
+      bit-for-bit reproducible. *)
   order : order_mode;
   (** Qubit-order policy (`--order`). Results are always reported in the
       logical basis regardless of this setting. *)
@@ -54,7 +54,7 @@ type t = {
 }
 
 val default : t
-(** 1 thread, β = 0.9, ε = 2.0, d = 4, no fusion, EWMA policy,
+(** 1 thread, β = 0.9, ε = 2.0, no fusion, EWMA policy,
     compaction every 64 gates, no trace, no dense dispatch, no order
     optimization. *)
 

@@ -1,10 +1,10 @@
 (* The flat-array engine, written once over the amplitude precision: the
    state is a pair of 2ⁿ buffers (current [v], scratch [w]) and a gate is
-   a DD-matrix × array-vector product (paper §3.2), or — when the driver's
-   dispatch picked it — a dense in-place kernel on [v] that skips the
-   ping-pong entirely. The DD package (and therefore every gate matrix and
-   ctable weight) stays f64 at every precision; rounding happens only on
-   stores into V/W. The scratch buffer and the cached kernel's partial
+   a DD-matrix × array-vector product (paper §3.2), or — when
+   [Config.dense_dispatch] is on and the cost model picks it — a dense
+   in-place kernel on [v] that skips the ping-pong entirely. The DD
+   package (and therefore every gate matrix and ctable weight) stays f64
+   at every precision; rounding happens only on stores into V/W. The scratch buffer and the cached kernel's partial
    outputs come from the precision's workspace and go back to it in
    [finalize]. *)
 
@@ -49,42 +49,33 @@ module Make (Pr : Engine.PRECISION) = struct
        | Some op -> Mat_dd.of_op st.ctx.Engine.package ~n:st.n op
        | None -> invalid_arg "Dmav_engine.apply_op: op without matrix or circuit op")
 
-  let apply_dmav st (xo : Engine.exec_op) decided =
-    let m = mat_of st xo in
-    let s =
-      match decided with
-      | Some decision ->
-        K.apply_decided ~workspace:st.ws st.ctx.Engine.package ~pool:st.ctx.Engine.pool
-          ~n:st.n decision m ~v:st.v ~w:st.w
-      | None ->
-        K.apply ~workspace:st.ws st.ctx.Engine.package ~pool:st.ctx.Engine.pool
-          ~simd_width:st.ctx.Engine.cfg.Config.simd_width ~n:st.n m ~v:st.v ~w:st.w
-    in
-    if s.Dmav.buffers_used > st.max_buffers then st.max_buffers <- s.Dmav.buffers_used;
-    let tmp = st.v in
-    st.v <- st.w;
-    st.w <- tmp;
-    { Engine.gs_cached = Some s.Dmav.used_cache;
-      gs_dispatch =
-        Some (if s.Dmav.used_cache then Engine.Dmav_cached else Engine.Dmav_uncached);
-      gs_cache_hits = s.Dmav.cache_hits;
-      gs_buffers_used = s.Dmav.buffers_used;
-      gs_modeled_macs = Cost.modeled_macs s.Dmav.decision }
+  let s_cost = Obs.span "dmav.cost"
 
+  (* The one kernel pick per flat gate (§3.2.3): cached vs uncached DMAV
+     and, when dispatch is on and the gate was not fused, dense direct. *)
   let apply_op st (xo : Engine.exec_op) =
-    match xo.Engine.xo_dispatch with
-    | Some ({ Cost.kernel = Cost.Dense_kernel; _ } as disp) ->
-      let op =
-        match xo.Engine.xo_op with
-        | Some op -> op
-        | None -> invalid_arg "Dmav_engine.apply_op: dense dispatch on a fused gate"
-      in
-      DK.op ~pool:st.ctx.Engine.pool ~n:st.n st.v op;
+    let { Engine.cfg; pool; package = p; _ } = st.ctx in
+    let m = mat_of st xo in
+    let op = if cfg.Config.dense_dispatch then xo.Engine.xo_op else None in
+    let disp =
+      Obs.with_span s_cost (fun () -> Cost.dispatch p ~n:st.n ~threads:(Pool.size pool) ?op m)
+    in
+    match op, disp.Cost.kernel with
+    | Some op, Cost.Dense_kernel ->
+      DK.op ~pool ~n:st.n st.v op;
       { Engine.no_stats with
         Engine.gs_dispatch = Some Engine.Dense_direct;
         gs_modeled_macs = Cost.dispatch_modeled_macs disp }
-    | Some { Cost.dmav; _ } -> apply_dmav st xo (Some dmav)
-    | None -> apply_dmav st xo None
+    | _ ->
+      let s = K.apply_decided ~workspace:st.ws p ~pool ~n:st.n disp.Cost.dmav m ~v:st.v ~w:st.w in
+      if s.Dmav.buffers_used > st.max_buffers then st.max_buffers <- s.Dmav.buffers_used;
+      let tmp = st.v in
+      st.v <- st.w;
+      st.w <- tmp;
+      { Engine.gs_dispatch =
+          Some (if s.Dmav.used_cache then Engine.Dmav_cached else Engine.Dmav_uncached);
+        gs_cache_hits = s.Dmav.cache_hits;
+        gs_modeled_macs = Cost.modeled_macs s.Dmav.decision }
 
   let size_metric _ = 0
 

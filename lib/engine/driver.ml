@@ -1,10 +1,9 @@
 (* The driver owns everything an engine does not: the conversion policy
    (EWMA or fixed index), cooperative cancellation, per-gate trace records,
    peak-memory tracking, the per-phase Obs spans, and the explicit DD→flat
-   transition. Engines are stepped one [Engine.exec_op] at a time; inside
-   the flat phase the driver additionally picks a kernel per gate
-   (DMAV-cached / DMAV-uncached / dense direct) with the §3.2.3 cost model
-   when [Config.dense_dispatch] is on. *)
+   transition. Every gate of every run is applied by one [step] inside one
+   [loop]: the DD phase and the flat phase of [run], and [run_engine]'s
+   single engine. The flat engine picks each gate's kernel itself. *)
 
 exception Cancelled
 
@@ -43,23 +42,12 @@ let c_conversions = Obs.counter "sim.conversions"
 let s_order_score = Obs.span "order.score"
 let c_order_static = Obs.counter "order.static.applied"
 
-(* Flat-phase kernel dispatch, by outcome. Without [dense_dispatch] the
+(* Flat-phase kernels, by the engine's pick. Without [dense_dispatch] the
    cached/uncached counts mirror dmav.kernel.*; with it they reflect the
    three-way pick. *)
 let c_disp_cached = Obs.counter "dmav.dispatch.cached"
 let c_disp_uncached = Obs.counter "dmav.dispatch.uncached"
 let c_disp_dense = Obs.counter "dmav.dispatch.dense"
-
-let count_dispatch = function
-  | Some Engine.Dmav_cached -> Obs.incr c_disp_cached
-  | Some Engine.Dmav_uncached -> Obs.incr c_disp_uncached
-  | Some Engine.Dense_direct -> Obs.incr c_disp_dense
-  | None -> ()
-
-let make_check_cancel cancel =
-  match cancel with
-  | None -> fun () -> ()
-  | Some poll -> fun () -> if poll () then raise Cancelled
 
 (* A caller-supplied package (a warm handle's arena) must arrive in its
    just-reset state — [Warm] guarantees that; a mismatched workspace is
@@ -75,43 +63,24 @@ let make_ctx ?package ?workspace (cfg : Config.t) ~pool ~n =
 
 (* The flat phase's executable gate stream: remaining ops as matrix DDs,
    fused per config. An op survives as [xo_op] only when it was not fused,
-   which is what keeps it eligible for the dense kernel. *)
+   which is what keeps it eligible for the dense kernel. No costing here:
+   the engine prices each gate as it applies it. *)
 let flat_plan (ctx : Engine.ctx) ~n ~first_index ops =
-  let cfg = ctx.Engine.cfg in
   let p = ctx.Engine.package in
-  let mats = List.map (fun op -> (Circuit.op_name op, Mat_dd.of_op p ~n op)) ops in
-  let fusion_stats = ref None in
-  let plan =
-    match cfg.Config.fusion with
-    | Config.No_fusion ->
-      List.map2 (fun op (name, m) -> (name, Some op, m)) ops mats
-    | Config.Dmav_aware ->
-      let fused, st = Fusion.dmav_aware p (List.map snd mats) in
-      fusion_stats := Some st;
-      List.map (fun m -> ("fused", None, m)) fused
-    | Config.K_operations k ->
-      let fused, st = Fusion.k_operations p ~k (List.map snd mats) in
-      fusion_stats := Some st;
-      List.map (fun m -> ("kops", None, m)) fused
+  let mats = List.map (Mat_dd.of_op p ~n) ops in
+  let stream gates =
+    Array.of_list
+      (List.mapi
+         (fun j (name, op, m) ->
+            { Engine.xo_index = first_index + j; xo_name = name; xo_op = op; xo_mat = Some m })
+         gates)
   in
-  let exec =
-    List.mapi
-      (fun j (name, op, m) ->
-         let disp =
-           if cfg.Config.dense_dispatch then
-             Some
-               (Cost.dispatch p ~n ~threads:(Pool.size ctx.Engine.pool)
-                  ~simd_width:cfg.Config.simd_width ?op m)
-           else None
-         in
-         { Engine.xo_index = first_index + j;
-           xo_name = name;
-           xo_op = op;
-           xo_mat = Some m;
-           xo_dispatch = disp })
-      plan
-  in
-  (exec, !fusion_stats)
+  let fused name (ms, st) = (stream (List.map (fun m -> (name, None, m)) ms), Some st) in
+  match ctx.Engine.cfg.Config.fusion with
+  | Config.No_fusion ->
+    (stream (List.map2 (fun op m -> (Circuit.op_name op, Some op, m)) ops mats), None)
+  | Config.Dmav_aware -> fused "fused" (Fusion.dmav_aware p mats)
+  | Config.K_operations k -> fused "kops" (Fusion.k_operations p ~k mats)
 
 (* --- qubit-order plumbing (ISSUE 8) -------------------------------- *)
 
@@ -164,334 +133,275 @@ let logicalize ord buf =
   | None -> buf
   | Some ord -> Buf.init (Buf.length buf) (fun i -> Buf.get buf (phys_index ord i))
 
-(* Mutable per-run accounting shared by the hybrid run and [run_engine]. *)
-type acc = {
-  trace : Engine.gate_record list ref;
-  record : Engine.gate_record -> unit;
-  peak_mem : int ref;
-  bump_mem : int -> unit;
-  cached_gates : int ref;
-  uncached_gates : int ref;
-  cache_hits : int ref;
-  modeled : float ref;
+(* Per-run state shared by every step: the cancel poll, the EWMA monitor
+   and the accounting the result reports. *)
+type run = {
+  cfg : Config.t;
+  check_cancel : unit -> unit;
+  monitor : Ewma.t;
+  mutable trace : Engine.gate_record list;
+  mutable peak_mem : int;
+  mutable cached_gates : int;
+  mutable uncached_gates : int;
+  mutable cache_hits : int;
+  mutable modeled : float;
 }
 
-let make_acc (cfg : Config.t) =
-  let trace = ref [] in
-  let peak_mem = ref 0 in
-  { trace;
-    record = (fun r -> if cfg.Config.trace then trace := r :: !trace);
-    peak_mem;
-    bump_mem = (fun m -> if m > !peak_mem then peak_mem := m);
-    cached_gates = ref 0;
-    uncached_gates = ref 0;
-    cache_hits = ref 0;
-    modeled = ref 0.0 }
+let record r g = if r.cfg.Config.trace then r.trace <- g :: r.trace
+let bump_mem r m = if m > r.peak_mem then r.peak_mem <- m
 
-(* One cancellable, timed, traced engine step. *)
-let step (type s) (module E : Engine.ENGINE with type state = s) st acc ~check_cancel
-    ~ewma (xo : Engine.exec_op) =
-  check_cancel ();
+(* The one place a gate is applied: the cancel poll, the timed
+   [apply_op], the kernel counts, for DD engines one size read feeding
+   the EWMA, and the trace record. Returns the record (built whether or
+   not it is kept) and the EWMA verdict, [Stay] for flat engines. *)
+let step (type s) (module E : Engine.ENGINE with type state = s) st r (xo : Engine.exec_op) =
+  r.check_cancel ();
   let stats, dt = Timer.time (fun () -> E.apply_op st xo) in
-  count_dispatch stats.Engine.gs_dispatch;
-  (match stats.Engine.gs_cached with
-   | Some true -> incr acc.cached_gates
-   | Some false -> incr acc.uncached_gates
+  (match stats.Engine.gs_dispatch with
+   | Some Engine.Dmav_cached ->
+     Obs.incr c_disp_cached;
+     r.cached_gates <- r.cached_gates + 1
+   | Some Engine.Dmav_uncached ->
+     Obs.incr c_disp_uncached;
+     r.uncached_gates <- r.uncached_gates + 1
+   | Some Engine.Dense_direct -> Obs.incr c_disp_dense
    | None -> ());
-  acc.cache_hits := !(acc.cache_hits) + stats.Engine.gs_cache_hits;
-  acc.modeled := !(acc.modeled) +. stats.Engine.gs_modeled_macs;
-  acc.record
+  r.cache_hits <- r.cache_hits + stats.Engine.gs_cache_hits;
+  r.modeled <- r.modeled +. stats.Engine.gs_modeled_macs;
+  let dd_size, verdict =
+    match E.trace_phase with
+    | Engine.Dd_phase ->
+      let size = E.size_metric st in
+      (size, Ewma.observe r.monitor (float_of_int size))
+    | Engine.Conversion | Engine.Dmav_phase -> (0, Ewma.Stay)
+  in
+  let g =
     { Engine.index = xo.Engine.xo_index;
       name = xo.Engine.xo_name;
       seconds = dt;
       phase = E.trace_phase;
-      dd_size = (match E.trace_phase with Engine.Dd_phase -> E.size_metric st | _ -> 0);
-      ewma;
-      cached = stats.Engine.gs_cached;
-      dispatch = stats.Engine.gs_dispatch };
-  stats
+      dd_size;
+      ewma = Ewma.value r.monitor;
+      dispatch = stats.Engine.gs_dispatch }
+  in
+  record r g;
+  (g, verdict)
+
+(* The one gate loop: steps gates [0, count) of [xo_of] until [stop]
+   (given each gate's record and verdict) says so, compacting on the
+   configured interval. Returns the number of gates stepped. *)
+let loop (type s) ?(stop = fun _ _ -> false) (module E : Engine.ENGINE with type state = s) st r
+    ~count ~xo_of =
+  let i = ref 0 and stopped = ref false in
+  while !i < count && not !stopped do
+    let g, verdict = step (module E) st r (xo_of !i) in
+    stopped := stop g verdict;
+    let every = r.cfg.Config.compact_every in
+    if every > 0 && (!i + 1) mod every = 0 then begin
+      bump_mem r (E.memory_bytes st);
+      E.compact st
+    end;
+    incr i
+  done;
+  Obs.add (match E.trace_phase with Engine.Dd_phase -> c_dd_gates | _ -> c_dmav_gates) !i;
+  bump_mem r (E.memory_bytes st);
+  !i
+
+(* Hands an engine's state over once its gates are done. *)
+let finish (type s) (module E : Engine.ENGINE with type state = s) st =
+  E.observe st;
+  let final = E.extract st in
+  E.finalize st;
+  final
+
+(* Set-up shared by both entry points: the pool (created for the call
+   unless supplied), the run counters, the static qubit order, the engine
+   context and the per-run state. Cancellation is polled once per gate
+   (and around the conversion), never inside a kernel, so the check costs
+   one closure call per gate and its latency is one gate application. *)
+let with_run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) body =
+  let own_pool = pool = None in
+  let pool = match pool with Some p -> p | None -> Pool.create (Int.max 1 cfg.Config.threads) in
+  Fun.protect
+    ~finally:(fun () ->
+        if own_pool then Pool.shutdown pool;
+        if Check.enabled () then Check.observe ())
+    (fun () ->
+       Obs.incr c_runs;
+       Obs.add c_gates (Circuit.num_gates c);
+       let c, sigma = prepare_order cfg c in
+       let n = c.Circuit.n in
+       let ctx = make_ctx ?package ?workspace cfg ~pool ~n in
+       let monitor = Ewma.create ~beta:cfg.Config.beta ~epsilon:cfg.Config.epsilon in
+       ignore (Ewma.observe monitor (float_of_int n));
+       let check_cancel =
+         match cancel with
+         | None -> fun () -> ()
+         | Some poll -> fun () -> if poll () then raise Cancelled
+       in
+       let r =
+         { cfg; check_cancel; monitor; trace = []; peak_mem = 0; cached_gates = 0;
+           uncached_gates = 0; cache_hits = 0; modeled = 0.0 }
+       in
+       body r ctx c sigma)
+
+(* The result record of both entry points. Results are always
+   logical-basis: flat buffers are permuted here; a final DD state stays
+   physical and carries its order [ord]. *)
+let result_of r (c : Circuit.t) ~ord ?converted_at ?conversion_stats ?fusion_stats
+    ?(seconds_dd = 0.0) ?(seconds_convert = 0.0) ?(seconds_dmav = 0.0) final =
+  let final, order =
+    match final with
+    | Engine.Flat_state buf -> (Engine.Flat_state (logicalize ord buf), None)
+    | Engine.Dd_state _ as f -> (f, ord)
+  in
+  { n = c.Circuit.n;
+    gates = Circuit.num_gates c;
+    final;
+    order;
+    converted_at;
+    seconds_total = seconds_dd +. seconds_convert +. seconds_dmav;
+    seconds_dd;
+    seconds_convert;
+    seconds_dmav;
+    conversion_stats;
+    trace = List.rev r.trace;
+    peak_memory_bytes = r.peak_mem;
+    dmav_gates_cached = r.cached_gates;
+    dmav_gates_uncached = r.uncached_gates;
+    dmav_cache_hits = r.cache_hits;
+    modeled_macs = r.modeled;
+    fusion_stats }
 
 let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
-  let n = c.Circuit.n in
-  let gates = Circuit.num_gates c in
-  (* Cooperative cancellation: polled once per gate (and around the
-     conversion), never inside a kernel, so the check costs one closure
-     call per gate and cancellation latency is one gate application. *)
-  let check_cancel = make_check_cancel cancel in
-  let own_pool = pool = None in
-  let pool = match pool with Some p -> p | None -> Pool.create (Int.max 1 cfg.Config.threads) in
-  Fun.protect
-    ~finally:(fun () ->
-        if own_pool then Pool.shutdown pool;
-        if Check.enabled () then Check.observe ())
-    (fun () ->
-       Obs.incr c_runs;
-       Obs.add c_gates gates;
-       let c, sigma = prepare_order cfg c in
-       (* [cur]: register qubit -> current DD level, once sifting has
-          moved levels; [None] while the order is still the register
-          order. Gates applied after a sift are remapped through it. *)
-       let cur = ref None in
-       let sift_attempts = ref 0 in
-       let ctx = make_ctx ?package ?workspace cfg ~pool ~n in
-       let monitor = Ewma.create ~beta:cfg.Config.beta ~epsilon:cfg.Config.epsilon in
-       let acc = make_acc cfg in
+  with_run ?cancel ?pool ?package ?workspace cfg c (fun r ctx c sigma ->
+      let n = c.Circuit.n in
+      let gates = Circuit.num_gates c in
+      (* [cur]: register qubit -> current DD level, once sifting has moved
+         levels; [None] while the order is still the register order.
+         Gates applied after a sift are remapped through it. *)
+      let cur = ref None in
+      let sift_attempts = ref 0 in
 
-       (* ---- DD phase: step the DD engine until the policy trips ----- *)
-       let dd = Dd_engine.init ctx ~n in
-       ignore (Ewma.observe monitor (float_of_int n));
-       let converted_at = ref None in
-       let i = ref 0 in
-       let want_convert =
-         ref (match cfg.Config.policy with Config.Convert_at k -> k < 0 | _ -> false)
-       in
-       let (), seconds_dd =
-         Obs.timed s_dd_phase (fun () ->
-             while !i < gates && not !want_convert do
-               check_cancel ();
-               let op = c.Circuit.ops.(!i) in
-               let op = match !cur with None -> op | Some m -> map_op m op in
-               let xo = Engine.exec_of_op !i op in
-               let _stats, dt = Timer.time (fun () -> Dd_engine.apply_op dd xo) in
-               let size = Dd_engine.size_metric dd in
-               let verdict = Ewma.observe monitor (float_of_int size) in
-               (match cfg.Config.policy with
-                | Config.Ewma_policy -> if verdict = Ewma.Convert then want_convert := true
-                | Config.Convert_at k -> if !i >= k then want_convert := true
-                | Config.Never_convert -> ());
-               acc.record
-                 { Engine.index = !i; name = xo.Engine.xo_name; seconds = dt;
-                   phase = Engine.Dd_phase; dd_size = size; ewma = Ewma.value monitor;
-                   cached = None; dispatch = None };
-               (* Dynamic sifting: when the EWMA verdict says convert,
-                  try shrinking the DD by reordering levels first — a
-                  substantial shrink keeps the run in the cheap DD
-                  phase. Bounded attempts; whatever swaps the pass kept
-                  are folded into [cur] either way, since the arena's
-                  levels really moved. *)
-               if !want_convert
-                  && cfg.Config.order = Config.Sift_order
-                  && cfg.Config.policy = Config.Ewma_policy
-                  && !sift_attempts < 2 && size >= 16
-               then begin
-                 incr sift_attempts;
-                 Dd_engine.compact dd;
-                 let pkg = Dd_engine.package dd in
-                 let perm, before, after =
-                   Dd.sift_pass pkg ~root:(Dd_engine.edge dd) ~levels:n
-                 in
-                 let perm_id = ref true in
-                 Array.iteri (fun l p -> if l <> p then perm_id := false) perm;
-                 if not !perm_id then
-                   cur :=
-                     Some
-                       (match !cur with
-                        | None -> perm
-                        | Some m -> Array.map (fun l -> perm.(l)) m);
-                 Dd_engine.compact dd;
-                 (* Only a real shrink moves the conversion-cost needle;
-                    otherwise fall through to the flat array as before. *)
-                 if 10 * after <= 7 * before then begin
-                   want_convert := false;
-                   ignore
-                     (Ewma.observe monitor
-                        (float_of_int (Dd_engine.size_metric dd)))
-                 end
-               end;
-               if cfg.Config.compact_every > 0 && (!i + 1) mod cfg.Config.compact_every = 0
-               then begin
-                 acc.bump_mem (Dd_engine.memory_bytes dd);
-                 Dd_engine.compact dd
-               end;
-               incr i
-             done)
-       in
-       Obs.add c_dd_gates !i;
-       Dd_engine.observe dd;
-       acc.bump_mem (Dd_engine.memory_bytes dd);
+      (* ---- DD phase: step the DD engine until the policy trips ------ *)
+      let dd = Dd_engine.init ctx ~n in
+      (* Dynamic sifting: when the policy would convert, try shrinking the
+         DD by reordering levels first — a substantial shrink keeps the
+         run in the cheap DD phase. Bounded attempts; whatever swaps the
+         pass kept are folded into [cur] either way, since the arena's
+         levels really moved. *)
+      let sift_keeps_dd size =
+        cfg.Config.order = Config.Sift_order
+        && cfg.Config.policy = Config.Ewma_policy
+        && !sift_attempts < 2 && size >= 16
+        && begin
+          incr sift_attempts;
+          Dd_engine.compact dd;
+          let perm, before, after =
+            Dd.sift_pass (Dd_engine.package dd) ~root:(Dd_engine.edge dd) ~levels:n
+          in
+          if Array.exists Fun.id (Array.mapi ( <> ) perm) then
+            cur :=
+              Some (match !cur with None -> perm | Some m -> Array.map (fun l -> perm.(l)) m);
+          Dd_engine.compact dd;
+          (* Only a real shrink moves the conversion-cost needle;
+             otherwise fall through to the flat array. *)
+          10 * after <= 7 * before
+          && begin
+            ignore (Ewma.observe r.monitor (float_of_int (Dd_engine.size_metric dd)));
+            true
+          end
+        end
+      in
+      let want_convert =
+        ref (match cfg.Config.policy with Config.Convert_at k -> k < 0 | _ -> false)
+      in
+      let policy_trips (g : Engine.gate_record) verdict =
+        match cfg.Config.policy with
+        | Config.Ewma_policy -> verdict = Ewma.Convert
+        | Config.Convert_at k -> g.Engine.index >= k
+        | Config.Never_convert -> false
+      in
+      let stop g verdict =
+        want_convert := policy_trips g verdict && not (sift_keeps_dd g.Engine.dd_size);
+        !want_convert
+      in
+      let xo_of i =
+        let op = c.Circuit.ops.(i) in
+        Engine.exec_of_op i (match !cur with None -> op | Some m -> map_op m op)
+      in
+      let i, seconds_dd =
+        Obs.timed s_dd_phase (fun () ->
+            loop ~stop (module Dd_engine) dd r ~count:(if !want_convert then 0 else gates)
+              ~xo_of)
+      in
+      Dd_engine.observe dd;
+      if not !want_convert then
+        result_of r c ~ord:(total_order sigma !cur) ~seconds_dd (Dd_engine.extract dd)
+      else begin
+        (* ---- Conversion: the explicit DD→flat transition ------------ *)
+        r.check_cancel ();
+        Obs.incr c_conversions;
+        let (buf, conversion_stats), seconds_convert =
+          Obs.timed s_convert (fun () ->
+              Convert.parallel (Dd_engine.package dd) ~pool:ctx.Engine.pool ~n
+                (Dd_engine.edge dd))
+        in
+        record r
+          { Engine.index = i - 1; name = "dd->array"; seconds = seconds_convert;
+            phase = Engine.Conversion; dd_size = 0; ewma = Ewma.value r.monitor;
+            dispatch = None };
+        Dd_engine.release dd;
 
-       (* ---- Conversion: the explicit DD→flat transition -------------- *)
-       let conversion_stats = ref None in
-       let flat = ref None in
-       let seconds_convert =
-         if !want_convert && !i <= gates then begin
-           check_cancel ();
-           Obs.incr c_conversions;
-           let buf_stats, dt =
-             Obs.timed s_convert (fun () ->
-                 Convert.parallel (Dd_engine.package dd) ~pool ~n (Dd_engine.edge dd))
-           in
-           let buf, stats = buf_stats in
-           conversion_stats := Some stats;
-           converted_at := Some (!i - 1);
-           flat := Some buf;
-           acc.record
-             { Engine.index = !i - 1; name = "dd->array"; seconds = dt;
-               phase = Engine.Conversion; dd_size = 0; ewma = Ewma.value monitor;
-               cached = None; dispatch = None };
-           Dd_engine.release dd;
-           dt
-         end
-         else 0.0
-       in
-
-       (* ---- Flat phase: DMAV engine with per-gate dispatch ----------- *)
-       let fusion_stats = ref None in
-       let final = ref None in
-       let seconds_dmav =
-         match !flat with
-         | None -> 0.0
-         | Some buf ->
-           let packed, dt =
-             Obs.timed s_dmav_phase (fun () ->
-                 let remaining =
-                   Array.to_list (Array.sub c.Circuit.ops !i (gates - !i))
-                 in
-                 let remaining =
-                   match !cur with
-                   | None -> remaining
-                   | Some m -> List.map (map_op m) remaining
-                 in
-                 let plan, fstats =
-                   Obs.with_span s_flat_plan (fun () ->
-                       flat_plan ctx ~n ~first_index:!i remaining)
-                 in
-                 fusion_stats := fstats;
-                 Obs.add c_dmav_gates (List.length plan);
-                 (* Precision: at [F32] the engine demotes the converted
-                    f64 buffer once — the single rounding hand-off. *)
-                 let packed =
-                   match cfg.Config.precision with
-                   | Config.F64 ->
-                     Engine.Packed ((module Dmav_engine), Dmav_engine.of_buf ctx ~n buf)
-                   | Config.F32 ->
-                     Engine.Packed ((module Dmav_engine.F32), Dmav_engine.F32.of_buf ctx ~n buf)
-                 in
-                 (match packed with
-                  | Engine.Packed ((module E), eng) ->
-                    List.iter
-                      (fun xo ->
-                         ignore
-                           (step (module E) eng acc ~check_cancel
-                              ~ewma:(Ewma.value monitor) xo))
-                      plan;
-                    acc.bump_mem (E.memory_bytes eng));
-                 packed)
-           in
-           (match packed with
-            | Engine.Packed ((module E), eng) ->
-              E.observe eng;
-              final := Some (E.extract eng);
-              E.finalize eng);
-           dt
-       in
-
-       let final =
-         match !final with
-         | Some f -> f
-         | None -> Dd_engine.extract dd
-       in
-       (* Results are always logical-basis: flat buffers are permuted
-          here; a final DD state stays physical and carries its order. *)
-       let ord = total_order sigma !cur in
-       let final, order =
-         match final with
-         | Engine.Flat_state buf -> (Engine.Flat_state (logicalize ord buf), None)
-         | Engine.Dd_state _ as f -> (f, ord)
-       in
-       { n;
-         gates;
-         final;
-         order;
-         converted_at = !converted_at;
-         seconds_total = seconds_dd +. seconds_convert +. seconds_dmav;
-         seconds_dd;
-         seconds_convert;
-         seconds_dmav;
-         conversion_stats = !conversion_stats;
-         trace = List.rev !(acc.trace);
-         peak_memory_bytes = !(acc.peak_mem);
-         dmav_gates_cached = !(acc.cached_gates);
-         dmav_gates_uncached = !(acc.uncached_gates);
-         dmav_cache_hits = !(acc.cache_hits);
-         modeled_macs = !(acc.modeled);
-         fusion_stats = !fusion_stats })
+        (* ---- Flat phase: the DMAV engine of the configured precision - *)
+        let fusion_stats = ref None in
+        let flat (type s) (module E : Engine.ENGINE with type state = s) (seat : unit -> s) =
+          let st, seconds_dmav =
+            Obs.timed s_dmav_phase (fun () ->
+                let remaining = Array.to_list (Array.sub c.Circuit.ops i (gates - i)) in
+                let remaining =
+                  match !cur with None -> remaining | Some m -> List.map (map_op m) remaining
+                in
+                let plan, fstats =
+                  Obs.with_span s_flat_plan (fun () ->
+                      flat_plan ctx ~n ~first_index:i remaining)
+                in
+                fusion_stats := fstats;
+                let st = seat () in
+                ignore (loop (module E) st r ~count:(Array.length plan) ~xo_of:(Array.get plan));
+                st)
+          in
+          (finish (module E) st, seconds_dmav)
+        in
+        (* At [F32] seating demotes the converted f64 buffer once — the
+           single rounding hand-off. *)
+        let final, seconds_dmav =
+          match cfg.Config.precision with
+          | Config.F64 -> flat (module Dmav_engine) (fun () -> Dmav_engine.of_buf ctx ~n buf)
+          | Config.F32 ->
+            flat (module Dmav_engine.F32) (fun () -> Dmav_engine.F32.of_buf ctx ~n buf)
+        in
+        result_of r c ~ord:(total_order sigma !cur) ~converted_at:(i - 1) ~conversion_stats
+          ?fusion_stats:!fusion_stats ~seconds_dd ~seconds_convert ~seconds_dmav final
+      end)
 
 (* Run a whole circuit on ONE engine, no conversion — the pure-DD,
-   pure-DMAV and pure-dense reference paths, all through the same timed,
-   traced, cancellable gate loop. *)
+   pure-DMAV and pure-dense reference paths, through the same loop. *)
 let run_engine (type s) ?cancel ?pool ?package ?workspace
     (module E : Engine.ENGINE with type state = s) (cfg : Config.t) (c : Circuit.t) =
-  let n = c.Circuit.n in
-  let gates = Circuit.num_gates c in
-  let check_cancel = make_check_cancel cancel in
-  let own_pool = pool = None in
-  let pool = match pool with Some p -> p | None -> Pool.create (Int.max 1 cfg.Config.threads) in
-  Fun.protect
-    ~finally:(fun () ->
-        if own_pool then Pool.shutdown pool;
-        if Check.enabled () then Check.observe ())
-    (fun () ->
-       Obs.incr c_runs;
-       Obs.add c_gates gates;
-       (* Static order only: the single-engine paths have no conversion
-          decision, hence no sifting trigger. *)
-       let c, sigma = prepare_order cfg c in
-       let ctx = make_ctx ?package ?workspace cfg ~pool ~n in
-       let monitor = Ewma.create ~beta:cfg.Config.beta ~epsilon:cfg.Config.epsilon in
-       ignore (Ewma.observe monitor (float_of_int n));
-       let acc = make_acc cfg in
-       let span =
-         match E.trace_phase with Engine.Dd_phase -> s_dd_phase | _ -> s_dmav_phase
-       in
-       let st = E.init ctx ~n in
-       let (), seconds =
-         Obs.timed span (fun () ->
-             Array.iteri
-               (fun i op ->
-                  let xo = Engine.exec_of_op i op in
-                  ignore (step (module E) st acc ~check_cancel ~ewma:(Ewma.value monitor) xo);
-                  (match E.trace_phase with
-                   | Engine.Dd_phase ->
-                     ignore (Ewma.observe monitor (float_of_int (E.size_metric st)))
-                   | _ -> ());
-                  if cfg.Config.compact_every > 0 && (i + 1) mod cfg.Config.compact_every = 0
-                  then begin
-                    acc.bump_mem (E.memory_bytes st);
-                    E.compact st
-                  end)
-               c.Circuit.ops)
-       in
-       (match E.trace_phase with
-        | Engine.Dd_phase -> Obs.add c_dd_gates gates
-        | _ -> Obs.add c_dmav_gates gates);
-       E.observe st;
-       acc.bump_mem (E.memory_bytes st);
-       let final = E.extract st in
-       E.finalize st;
-       let dd_phase = E.trace_phase = Engine.Dd_phase in
-       let final, order =
-         match final with
-         | Engine.Flat_state buf -> (Engine.Flat_state (logicalize sigma buf), None)
-         | Engine.Dd_state _ as f -> (f, sigma)
-       in
-       { n;
-         gates;
-         final;
-         order;
-         converted_at = None;
-         seconds_total = seconds;
-         seconds_dd = (if dd_phase then seconds else 0.0);
-         seconds_convert = 0.0;
-         seconds_dmav = (if dd_phase then 0.0 else seconds);
-         conversion_stats = None;
-         trace = List.rev !(acc.trace);
-         peak_memory_bytes = !(acc.peak_mem);
-         dmav_gates_cached = !(acc.cached_gates);
-         dmav_gates_uncached = !(acc.uncached_gates);
-         dmav_cache_hits = !(acc.cache_hits);
-         modeled_macs = !(acc.modeled);
-         fusion_stats = None })
+  with_run ?cancel ?pool ?package ?workspace cfg c (fun r ctx c sigma ->
+      (* Static order only: the single-engine paths have no conversion
+         decision, hence no sifting trigger. *)
+      let st = E.init ctx ~n:c.Circuit.n in
+      let dd = E.trace_phase = Engine.Dd_phase in
+      let _, seconds =
+        Obs.timed (if dd then s_dd_phase else s_dmav_phase) (fun () ->
+            loop (module E) st r ~count:(Circuit.num_gates c)
+              ~xo_of:(fun i -> Engine.exec_of_op i c.Circuit.ops.(i)))
+      in
+      let final = finish (module E) st in
+      if dd then result_of r c ~ord:sigma ~seconds_dd:seconds final
+      else result_of r c ~ord:sigma ~seconds_dmav:seconds final)
 
 let amplitudes r =
   match r.final with

@@ -2,14 +2,16 @@
 
     [run] is the FlatDD hybrid algorithm: it steps {!Dd_engine} gate by
     gate under the conversion policy, owns the one DD→flat transition, and
-    then steps {!Dmav_engine} over the (possibly fused) remainder, picking
-    a kernel per gate when [Config.dense_dispatch] is on. [run_engine]
-    drives any single {!Engine.ENGINE} over a whole circuit with the same
-    timed/traced/cancellable gate loop and no conversion.
+    then steps {!Dmav_engine} over the (possibly fused) remainder.
+    [run_engine] drives any single {!Engine.ENGINE} over a whole circuit
+    with no conversion. Both go through one step (the only caller of an
+    engine's [apply_op]) and one gate loop, so every gate is cancellable,
+    timed and traced the same way.
 
     Everything cross-cutting lives here: cancellation polling, trace
-    records, peak-memory tracking, the per-phase [Obs] spans and the
-    [dmav.dispatch.*] counters. Engines only apply gates. *)
+    records, peak-memory tracking, the EWMA monitor, the per-phase [Obs]
+    spans and the [dmav.dispatch.*] counters. Engines only apply gates; the
+    DMAV engine picks each gate's kernel itself. *)
 
 exception Cancelled
 (** Raised when the [cancel] poll returns [true]. *)
@@ -49,9 +51,11 @@ val run :
   Config.t ->
   Circuit.t ->
   result
-(** The hybrid DD→flat run from |0…0⟩. When [pool] is omitted a pool
-    of [config.threads] workers is created for the call; a supplied pool
-    overrides [config.threads] and is left running. [cancel] is polled at
+(** The hybrid DD→flat run from |0…0⟩. With [Config.dense_dispatch] on,
+    the flat phase may run unfused gates on the dense kernel. When [pool]
+    is omitted a pool of [config.threads] workers is created for the
+    call; a supplied pool overrides [config.threads] and is left
+    running. [cancel] is polled at
     every gate boundary and before the conversion; the first poll
     returning [true] aborts the run with {!Cancelled}. With
     [policy = Never_convert] and one thread this is the pure-DD (DDSIM)
@@ -76,9 +80,11 @@ val run_engine :
 (** Runs the whole circuit on one engine — the pure-DD, pure-DMAV and
     pure-dense reference paths. [converted_at], [conversion_stats] and
     [fusion_stats] are always [None]; the total time lands in [seconds_dd]
-    or [seconds_dmav] according to the engine's trace phase. Flat-phase
-    kernel dispatch is a hybrid-run feature: here every DMAV gate goes
-    through the §3.2.3 cached/uncached cost model only. *)
+    or [seconds_dmav] according to the engine's trace phase. The DMAV
+    engines pick each gate's kernel exactly as in [run]'s flat phase, so
+    [Config.dense_dispatch] applies here too (every gate is unfused). For
+    [Dd_engine] the trace records equal those of [run] with
+    [Never_convert], EWMA values included. *)
 
 val amplitudes : result -> Buf.t
 (** Final amplitudes as a flat vector in the {e logical} basis,

@@ -22,8 +22,7 @@ type gate_record = {
   phase : phase;
   dd_size : int;          (** state DD nodes (DD phase only; 0 after) *)
   ewma : float;           (** monitor value when this gate finished *)
-  cached : bool option;   (** DMAV kernel choice, when applicable *)
-  dispatch : dispatch option;  (** flat-phase kernel dispatch, when applicable *)
+  dispatch : dispatch option;  (** flat-phase kernel, when applicable *)
 }
 
 type final_state =
@@ -34,39 +33,26 @@ type final_state =
     fill only the fields that apply to them (a DD step has no kernel
     choice, a dense step no cache hits). *)
 type gate_stats = {
-  gs_cached : bool option;
   gs_dispatch : dispatch option;
   gs_cache_hits : int;
-  gs_buffers_used : int;
   gs_modeled_macs : float;
 }
 
-let no_stats =
-  { gs_cached = None;
-    gs_dispatch = None;
-    gs_cache_hits = 0;
-    gs_buffers_used = 0;
-    gs_modeled_macs = 0.0 }
+let no_stats = { gs_dispatch = None; gs_cache_hits = 0; gs_modeled_macs = 0.0 }
 
 (** One item of the executable gate stream. The driver builds these: in
     the DD phase straight from circuit ops; in the flat phase from the
     (possibly fused) matrix list, keeping the original op when the gate
-    survived fusion so the dense kernel stays eligible, plus the driver's
-    dispatch choice for the gate. *)
+    survived fusion so the dense kernel stays eligible. *)
 type exec_op = {
   xo_index : int;                     (** trace index *)
   xo_name : string;
   xo_op : Circuit.op option;          (** original circuit op, if unfused *)
   xo_mat : Dd.medge option;           (** prebuilt matrix DD, if any *)
-  xo_dispatch : Cost.dispatch option; (** driver's kernel pick, if any *)
 }
 
 let exec_of_op i (op : Circuit.op) =
-  { xo_index = i;
-    xo_name = Circuit.op_name op;
-    xo_op = Some op;
-    xo_mat = None;
-    xo_dispatch = None }
+  { xo_index = i; xo_name = Circuit.op_name op; xo_op = Some op; xo_mat = None }
 
 (** Everything an engine may need but does not own: the worker pool, the
     run configuration, the DD package (shared across engines so the flat
@@ -91,7 +77,8 @@ module type ENGINE = sig
 
   val apply_op : state -> exec_op -> gate_stats
   (** Advance the state by one gate. This is the call the driver times for
-      the per-gate trace, so it must do nothing but the application. *)
+      the per-gate trace, so it must do nothing but the application (for
+      the DMAV engines, the gate's kernel pick included). *)
 
   val size_metric : state -> int
   (** The quantity the conversion monitor watches — state-DD node count
@@ -147,6 +134,3 @@ module F32 = struct
   let to_f64 = Storage.promote
   let workspace _ ~n = Dmav_generic.workspace ~n
 end
-
-(** An engine packed with its state, the unit the driver steps. *)
-type packed = Packed : (module ENGINE with type state = 's) * 's -> packed

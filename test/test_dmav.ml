@@ -79,7 +79,7 @@ let test_auto_apply_full_circuit () =
            Array.iter
              (fun op ->
                 let m = Mat_dd.of_op p ~n op in
-                ignore (Dmav.apply ~workspace:ws p ~pool ~simd_width:4 ~n m ~v:!v ~w:!w);
+                ignore (Dmav.apply ~workspace:ws p ~pool ~n m ~v:!v ~w:!w);
                 let tmp = !v in
                 v := !w;
                 w := tmp)
@@ -201,7 +201,7 @@ let test_decision_prefers_cache_when_repetitive () =
   let n = 12 in
   let p = Dd.create () in
   let m = Mat_dd.of_single p ~n ~target:(n - 1) ~controls:[] Gate.h in
-  let d = Cost.decide p ~n ~threads:4 ~simd_width:4 m in
+  let d = Cost.decide p ~n ~threads:4 m in
   Alcotest.(check bool) "cached cheaper for repetitive gate" true d.Cost.cached;
   (* A bottom-qubit controlled gate has little repetition at the border
      level: uncached should win (or at least cached must not be absurd). *)
@@ -214,7 +214,7 @@ let test_decision_single_thread () =
   let n = 8 in
   let p = Dd.create () in
   let m = Mat_dd.of_single p ~n ~target:0 ~controls:[] (Gate.rz 0.3) in
-  let d = Cost.decide p ~n ~threads:1 ~simd_width:4 m in
+  let d = Cost.decide p ~n ~threads:1 m in
   Alcotest.(check int) "one thread used" 1 d.Cost.threads_used;
   Alcotest.(check bool) "c1 = K1" true (Float.abs (d.Cost.c1 -. Cost.mac_count p m) < 1e-9)
 

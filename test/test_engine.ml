@@ -94,6 +94,30 @@ let test_run_engine_phase_accounting () =
   flat "dense" (Driver.run_engine (module Dense_engine) cfg c);
   flat "dense f32" (Driver.run_engine (module Dense_engine.F32) cfg c)
 
+(* The DD engine alone and the hybrid run that never converts step the
+   same gates through the same loop: their traces must agree record for
+   record, down to the EWMA's bits (the value after each gate). *)
+let test_run_engine_dd_matches_never_convert () =
+  List.iter
+    (fun (name, c) ->
+       let cfg = { Config.default with Config.trace = true; compact_every = 5 } in
+       let a = Driver.run_engine (module Dd_engine) cfg c in
+       let b = Driver.run { cfg with Config.policy = Config.Never_convert } c in
+       let key (g : Engine.gate_record) =
+         (g.Engine.index, g.Engine.name, g.Engine.phase, g.Engine.dd_size,
+          Int64.bits_of_float g.Engine.ewma)
+       in
+       Alcotest.(check int) (name ^ ": same record count")
+         (List.length b.Driver.trace) (List.length a.Driver.trace);
+       List.iter2
+         (fun ga gb ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s: gate %d record" name gb.Engine.index)
+              true (key ga = key gb))
+         a.Driver.trace b.Driver.trace)
+    [ ("random-6", Test_util.random_circuit ~seed:24 ~gates:50 6);
+      ("supremacy-8", Suite.generate ~seed:2 ~gates:80 Suite.Supremacy ~n:8) ]
+
 (* ---- hybrid run: conversion forced at every gate index ------------- *)
 
 let test_convert_at_every_index () =
@@ -131,8 +155,9 @@ let flat_records r =
 
 let test_dispatch_dense_for_unfused_single_qubit () =
   (* Unfused single-qubit gates: dense direct costs 2ⁿ⁺¹/(d·t) against a
-     DD traversal of at least 2ⁿ scalar MACs, so with the default SIMD
-     width every one of them must dispatch dense. *)
+     DD traversal of at least 2ⁿ scalar MACs, so with the model's SIMD
+     width every one of them must dispatch dense — in the hybrid run's
+     flat phase and on the DMAV engine run alone, at both precisions. *)
   let n = 6 in
   let b = Circuit.Builder.create n in
   for q = 0 to n - 1 do Circuit.Builder.h b q done;
@@ -146,16 +171,20 @@ let test_dispatch_dense_for_unfused_single_qubit () =
       trace = true;
       dense_dispatch = true }
   in
-  let r = Driver.run cfg c in
-  let flat = flat_records r in
-  Alcotest.(check int) "all gates in the flat phase" (Circuit.num_gates c)
-    (List.length flat);
-  Alcotest.(check bool) "every unfused 1q gate dispatched dense" true
-    (List.for_all is_dense flat);
-  Alcotest.(check int) "dense gates are neither cached nor uncached" 0
-    (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached);
-  Test_util.check_close ~tol:1e-9 "dispatched run vs dense reference"
-    (Driver.amplitudes r) expect
+  List.iter
+    (fun (name, tol, r) ->
+       let flat = flat_records r in
+       Alcotest.(check int) (name ^ ": all gates in the flat phase") (Circuit.num_gates c)
+         (List.length flat);
+       Alcotest.(check bool) (name ^ ": every unfused 1q gate dispatched dense") true
+         (List.for_all is_dense flat);
+       Alcotest.(check int) (name ^ ": dense gates are neither cached nor uncached") 0
+         (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached);
+       Test_util.check_close ~tol (name ^ ": dispatched run vs dense reference")
+         (Driver.amplitudes r) expect)
+    [ ("run", 1e-9, Driver.run cfg c);
+      ("run_engine dmav", 1e-9, Driver.run_engine (module Dmav_engine) cfg c);
+      ("run_engine dmav f32", 1e-4, Driver.run_engine (module Dmav_engine.F32) cfg c) ]
 
 let test_dispatch_mixed_kernels () =
   (* Single-qubit gates model strictly cheaper dense (2ⁿ⁺¹/d < K₁ ≥ 2ⁿ),
@@ -246,6 +275,11 @@ let test_dispatch_counters () =
       Alcotest.(check int) "three-way split covers the flat phase"
         (List.length (flat_records r))
         (cached + uncached + dense);
+      Alcotest.(check int) "one dmav.cost span per flat gate"
+        (cached + uncached + dense)
+        (match Obs.Metrics.span_value snap "dmav.cost" with
+         | Some s -> s.Obs.Metrics.count
+         | None -> -1);
       (* Default mode: the dense counter must not move. *)
       Obs.Metrics.reset ();
       let r0 =
@@ -341,4 +375,6 @@ let suite =
         Alcotest.test_case "workspace n mismatch ignored" `Quick
           test_workspace_mismatched_n_ignored;
         Alcotest.test_case "bench DD baseline honours its time limit" `Quick
-          test_bench_dd_time_limit ] ) ]
+          test_bench_dd_time_limit;
+        Alcotest.test_case "run_engine dd trace matches never-convert run" `Quick
+          test_run_engine_dd_matches_never_convert ] ) ]

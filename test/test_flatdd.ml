@@ -99,7 +99,7 @@ let test_trace_structure () =
        | Engine.Dd_phase ->
          Alcotest.(check bool) "dd size recorded" true (g.Engine.dd_size > 0)
        | Engine.Dmav_phase ->
-         Alcotest.(check bool) "kernel recorded" true (g.Engine.cached <> None)
+         Alcotest.(check bool) "kernel recorded" true (g.Engine.dispatch <> None)
        | Engine.Conversion -> ())
     r.Driver.trace;
   (* Without trace requested the list is empty. *)

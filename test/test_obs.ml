@@ -197,6 +197,8 @@ let test_forced_conversion_has_cache_stats () =
       Alcotest.(check int) "kernel counts match simulator view"
         (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached)
         (cached + uncached);
+      Alcotest.(check int) "one dmav.cost span per flat gate" (cached + uncached)
+        (span_exn snap "dmav.cost").Obs.Metrics.count;
       Alcotest.(check int) "cache hits match simulator view"
         r.Driver.dmav_cache_hits
         (counter_exn snap "dmav.cache.hits");
@@ -241,6 +243,8 @@ let test_f32_flat_run_counts_dmav_gates () =
         (counter_exn snap "dmav.kernel.cached" + counter_exn snap "dmav.kernel.uncached");
       Alcotest.(check int) "one dmav.apply span per gate" gates
         (span_exn snap "dmav.apply").Obs.Metrics.count;
+      Alcotest.(check int) "one dmav.cost span per gate" gates
+        (span_exn snap "dmav.cost").Obs.Metrics.count;
       let modeled =
         Option.value ~default:(-1.0) (Obs.Metrics.fcounter_value snap "dmav.macs.modeled")
       in

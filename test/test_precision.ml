@@ -52,9 +52,9 @@ let test_dmav64_pins_dmav () =
         (fun op ->
            let m = Mat_dd.of_op p ~n op in
            ignore
-             (Dmav.apply ~workspace:ws p ~pool ~simd_width:4 ~n m ~v:!v1 ~w:!w1);
+             (Dmav.apply ~workspace:ws p ~pool ~n m ~v:!v1 ~w:!w1);
            ignore
-             (DG64.apply ~workspace:gws p ~pool ~simd_width:4 ~n m ~v:!v2 ~w:!w2);
+             (DG64.apply ~workspace:gws p ~pool ~n m ~v:!v2 ~w:!w2);
            let t = !v1 in v1 := !w1; w1 := t;
            let t = !v2 in v2 := !w2; w2 := t)
         c.Circuit.ops;
