@@ -186,8 +186,8 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
             r.Driver.n r.Driver.trace);
        Printf.printf "peak memory (modeled): %.2f MB\n"
          (float_of_int r.Driver.peak_memory_bytes /. 1048576.0);
-       Printf.printf "gc: epoch=%d vfree=%d mfree=%d live=%d\n" (Dd.epoch p)
-         (Dd.vfree_slots p) (Dd.mfree_slots p) (Dd.live_vnodes p);
+       Printf.printf "gc: epoch=%d vfree=%d mfree=%d live=%d slots=%d\n" (Dd.epoch p)
+         (Dd.vfree_slots p) (Dd.mfree_slots p) (Dd.live_vnodes p) (Dd.cache_slots p);
        if top > 0 then print_top_amplitudes (Driver.amplitudes r) top
      | Array_engine ->
        let cfg = { Config.default with Config.threads; precision } in

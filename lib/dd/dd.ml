@@ -53,10 +53,10 @@ type package = {
   mutable epoch : int;                (* bumped by [compact] *)
   (* Compute caches keyed on node indices (operands' weights are factored
      out before lookup, see the ops below). *)
-  mv_cache : vedge Dd_cache.Two.t;
-  mm_cache : medge Dd_cache.Two.t;
-  vadd_cache : vedge Dd_cache.Three.t;
-  madd_cache : medge Dd_cache.Three.t;
+  mv_cache : Dd_cache.Two.t;
+  mm_cache : Dd_cache.Two.t;
+  vadd_cache : Dd_cache.Three.t;
+  madd_cache : Dd_cache.Three.t;
 }
 
 (* Global instrumentation, shared across packages. *)
@@ -81,16 +81,49 @@ let c_sift_accepted = Obs.counter "order.sift.accepted"
 let g_sift_nodes_before = Obs.gauge "order.sift.nodes.before"
 let g_sift_nodes_after = Obs.gauge "order.sift.nodes.after"
 let s_sift = Obs.span "order.sift"
+let g_cache_slots = Obs.gauge "dd.cache.slots"
+
+(* The four compute caches share one capacity, 2^cache_bits_min slots in a
+   fresh package. [fit_caches] grows them in 4x steps while the live nodes
+   outnumber the slots, up to 2^cache_bits_max; [reset] takes them back to
+   the floor. With 4x steps a package grows at most three times between
+   resets, leaving few dropped slabs for the GC. *)
+let cache_bits_min = 10
+let cache_bits_max = 16
 
 let create ?tolerance () =
+  Obs.max_gauge g_cache_slots (1 lsl cache_bits_min);
   { ct = Ctable.create ?tolerance ();
     va = Node_store.create ~width:2 ~capacity:(1 lsl 12);
     ma = Node_store.create ~width:4 ~capacity:(1 lsl 10);
     epoch = 0;
-    mv_cache = Dd_cache.Two.create ~bits:16 ~label:"mv" vzero;
-    mm_cache = Dd_cache.Two.create ~bits:16 ~label:"mm" mzero;
-    vadd_cache = Dd_cache.Three.create ~bits:16 ~label:"vadd" vzero;
-    madd_cache = Dd_cache.Three.create ~bits:16 ~label:"madd" mzero }
+    mv_cache = Dd_cache.Two.create ~bits:cache_bits_min ~label:"mv";
+    mm_cache = Dd_cache.Two.create ~bits:cache_bits_min ~label:"mm";
+    vadd_cache = Dd_cache.Three.create ~bits:cache_bits_min ~label:"vadd";
+    madd_cache = Dd_cache.Three.create ~bits:cache_bits_min ~label:"madd" }
+
+let cache_slots p = Dd_cache.Two.slots p.mv_cache
+
+let resize_caches p ~bits =
+  Dd_cache.Two.resize p.mv_cache ~bits;
+  Dd_cache.Two.resize p.mm_cache ~bits;
+  Dd_cache.Three.resize p.vadd_cache ~bits;
+  Dd_cache.Three.resize p.madd_cache ~bits
+
+(* Called on entry to the top-level [mv]/[mm] only: the check stays off the
+   recursion's hot path, and an operation never loses its own entries
+   halfway through. The target size is reached in one allocation. *)
+let fit_caches p =
+  let live = Node_store.live p.va + Node_store.live p.ma in
+  let slots = cache_slots p in
+  if live > slots && slots < 1 lsl cache_bits_max then begin
+    let bits = ref (Bits.log2_exact slots) in
+    while live > 1 lsl !bits && !bits < cache_bits_max do
+      bits := !bits + 2
+    done;
+    resize_caches p ~bits:!bits;
+    Obs.max_gauge g_cache_slots (1 lsl !bits)
+  end
 
 let ctable p = p.ct
 let vweight p w = Ctable.canon p.ct w
@@ -239,14 +272,15 @@ let rec vadd p (a : vedge) (b : vedge) : vedge =
     let rid = Ctable.id p.ct (Cnum.div (vw p b) (vw p a)) in
     let ratio = value p rid in
     let unit_sum =
-      match Dd_cache.Three.find p.vadd_cache ~epoch:p.epoch at bt rid with
-      | Some r -> r
-      | None ->
+      let r = Dd_cache.Three.find p.vadd_cache ~epoch:p.epoch at bt rid in
+      if r >= 0 then r
+      else begin
         let r0 = vadd p (v0 p at) (vscale p (v0 p bt) ratio) in
         let r1 = vadd p (v1 p at) (vscale p (v1 p bt) ratio) in
         let r = make_vnode p (Node_store.level p.va at) r0 r1 in
         Dd_cache.Three.store p.vadd_cache ~epoch:p.epoch at bt rid r;
         r
+      end
     in
     vscale p unit_sum (vw p a)
   end
@@ -264,9 +298,9 @@ let rec madd p (a : medge) (b : medge) : medge =
     let rid = Ctable.id p.ct (Cnum.div (mw p b) (mw p a)) in
     let ratio = value p rid in
     let unit_sum =
-      match Dd_cache.Three.find p.madd_cache ~epoch:p.epoch at bt rid with
-      | Some r -> r
-      | None ->
+      let r = Dd_cache.Three.find p.madd_cache ~epoch:p.epoch at bt rid in
+      if r >= 0 then r
+      else begin
         let ch i = Node_store.child4 p.ma at i
         and bch i = Node_store.child4 p.ma bt i in
         let r00 = madd p (ch 0) (mscale p (bch 0) ratio) in
@@ -276,6 +310,7 @@ let rec madd p (a : medge) (b : medge) : medge =
         let r = make_mnode p (Node_store.level p.ma at) r00 r01 r10 r11 in
         Dd_cache.Three.store p.madd_cache ~epoch:p.epoch at bt rid r;
         r
+      end
     in
     mscale p unit_sum (mw p a)
   end
@@ -293,9 +328,9 @@ let rec mv_nodes p (m : mnode) (v : vnode) : vedge =
     vone
   end
   else
-    match Dd_cache.Two.find p.mv_cache ~epoch:p.epoch m v with
-    | Some r -> r
-    | None ->
+    let r = Dd_cache.Two.find p.mv_cache ~epoch:p.epoch m v in
+    if r >= 0 then r
+    else begin
       assert (Node_store.level p.ma m = Node_store.level p.va v);
       let part (me : medge) (ve : vedge) =
         if me = 0 || ve = 0 then vzero
@@ -310,12 +345,15 @@ let rec mv_nodes p (m : mnode) (v : vnode) : vedge =
       let r = make_vnode p (Node_store.level p.ma m) r0 r1 in
       Dd_cache.Two.store p.mv_cache ~epoch:p.epoch m v r;
       r
+    end
 
 let mv p (me : medge) (ve : vedge) : vedge =
   if me = 0 || ve = 0 then vzero
-  else
+  else begin
+    fit_caches p;
     let r = mv_nodes p (edge_tgt me) (edge_tgt ve) in
     vscale p r (Cnum.mul (mw p me) (vw p ve))
+  end
 
 let rec mm_nodes p (a : mnode) (b : mnode) : medge =
   if a = 0 then begin
@@ -323,9 +361,9 @@ let rec mm_nodes p (a : mnode) (b : mnode) : medge =
     mone
   end
   else
-    match Dd_cache.Two.find p.mm_cache ~epoch:p.epoch a b with
-    | Some r -> r
-    | None ->
+    let r = Dd_cache.Two.find p.mm_cache ~epoch:p.epoch a b in
+    if r >= 0 then r
+    else begin
       assert (Node_store.level p.ma a = Node_store.level p.ma b);
       let part (ae : medge) (be : medge) =
         if ae = 0 || be = 0 then mzero
@@ -343,12 +381,15 @@ let rec mm_nodes p (a : mnode) (b : mnode) : medge =
       let r = make_mnode p (Node_store.level p.ma a) r00 r01 r10 r11 in
       Dd_cache.Two.store p.mm_cache ~epoch:p.epoch a b r;
       r
+    end
 
 let mm p (ae : medge) (be : medge) : medge =
   if ae = 0 || be = 0 then mzero
-  else
+  else begin
+    fit_caches p;
     let r = mm_nodes p (edge_tgt ae) (edge_tgt be) in
     mscale p r (Cnum.mul (mw p ae) (mw p be))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Inspection                                                          *)
@@ -544,12 +585,6 @@ let mentry p (e : medge) row col =
 (* Maintenance                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let clear_compute_caches p =
-  Dd_cache.Two.clear p.mv_cache;
-  Dd_cache.Two.clear p.mm_cache;
-  Dd_cache.Three.clear p.vadd_cache;
-  Dd_cache.Three.clear p.madd_cache
-
 let compact p ~vroots ~mroots =
   let acc = ref 0 in
   List.iter (fun (e : vedge) -> if e <> 0 then mark_v p acc (edge_tgt e)) vroots;
@@ -578,10 +613,13 @@ let compact p ~vroots ~mroots =
    epoch bump from [compact] already invalidates every compute-cache
    entry; the ctable clear reissues ids from the seeded constants, so a
    warm run canonicalizes weights exactly like a cold one — byte-identical
-   amplitudes, no tolerance drift from a previous job's residents. *)
+   amplitudes, no tolerance drift from a previous job's residents. The
+   compute caches, unlike the arenas, go back to a fresh package's size:
+   an idle warm handle should not hold a large job's cache slabs. *)
 let reset p =
   compact p ~vroots:[] ~mroots:[];
-  Ctable.clear p.ct
+  Ctable.clear p.ct;
+  if cache_slots p > 1 lsl cache_bits_min then resize_caches p ~bits:cache_bits_min
 
 let live_vnodes p = Node_store.live p.va
 let live_mnodes p = Node_store.live p.ma
@@ -613,11 +651,11 @@ let observe_gauges p =
 
 let stats p =
   Printf.sprintf
-    "vnodes=%d/%d mnodes=%d/%d vfree=%d mfree=%d cvalues=%d mv=%d/%d mm=%d/%d \
-     vadd=%d/%d madd=%d/%d mem=%dKB"
+    "vnodes=%d/%d mnodes=%d/%d vfree=%d mfree=%d cvalues=%d slots=%d mv=%d/%d \
+     mm=%d/%d vadd=%d/%d madd=%d/%d mem=%dKB"
     (live_vnodes p) (varena_capacity p) (live_mnodes p) (marena_capacity p)
     (vfree_slots p) (mfree_slots p)
-    (Ctable.count p.ct)
+    (Ctable.count p.ct) (cache_slots p)
     p.mv_cache.Dd_cache.Two.hits p.mv_cache.Dd_cache.Two.misses
     p.mm_cache.Dd_cache.Two.hits p.mm_cache.Dd_cache.Two.misses
     p.vadd_cache.Dd_cache.Three.hits p.vadd_cache.Dd_cache.Three.misses

@@ -124,10 +124,12 @@ val vadd : package -> vedge -> vedge -> vedge
 val madd : package -> medge -> medge -> medge
 
 val mv : package -> medge -> vedge -> vedge
-(** Matrix-vector product — the DD-based simulation step. *)
+(** Matrix-vector product — the DD-based simulation step. Grows the
+    compute caches first if the DD has outgrown them ({!cache_slots}). *)
 
 val mm : package -> medge -> medge -> medge
-(** Matrix-matrix product (DDMM) — the gate-fusion primitive. *)
+(** Matrix-matrix product (DDMM) — the gate-fusion primitive. Grows the
+    compute caches like {!mv}. *)
 
 (** {1 Inspection} *)
 
@@ -170,8 +172,6 @@ val sift_pass :
 
 (** {1 Package maintenance} *)
 
-val clear_compute_caches : package -> unit
-
 val compact : package -> vroots:vedge list -> mroots:medge list -> unit
 (** Mark-sweep garbage collection: every arena slot not reachable from the
     given roots is pushed onto the free list and reissued by later
@@ -180,16 +180,25 @@ val compact : package -> vroots:vedge list -> mroots:medge list -> unit
     remain valid. *)
 
 val reset : package -> unit
-(** Return the package to its just-created state while keeping the grown
-    arena/table capacities: sweeps every non-terminal slot, clears the complex-number table (ids are reissued
-    from the seeded constants) and bumps the epoch. All previously issued
-    edges are invalid afterwards. This is the warm-reuse primitive: a
-    reset package computes bit-identical amplitudes to a fresh one, but
-    skips the arena and table allocation. *)
+(** Return the package to its just-created state: sweeps every
+    non-terminal slot, clears the complex-number table (ids are reissued
+    from the seeded constants), bumps the epoch and shrinks the compute
+    caches back to a fresh package's {!cache_slots}. The arenas and the
+    complex-number table keep their grown capacities. All previously
+    issued edges are invalid afterwards. This is the warm-reuse primitive:
+    a reset package computes bit-identical amplitudes to a fresh one, but
+    skips the arena and table allocation, and an idle reset package does
+    not hold a large job's cache slabs. *)
 
 val epoch : package -> int
 (** Number of {!compact} runs so far — the stamp the compute caches are
     validated against. *)
+
+val cache_slots : package -> int
+(** Slots in each of the four compute caches. A fresh package has 2^10;
+    the top-level {!mv} and {!mm} grow the caches 4x at a time, dropping
+    their entries, while {!live_vnodes} + {!live_mnodes} exceeds the slot
+    count, up to 2^16. {!reset} returns them to 2^10. *)
 
 val stats : package -> string
 val live_vnodes : package -> int

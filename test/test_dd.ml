@@ -552,6 +552,71 @@ let prop_alloc_compact_conservation =
   QCheck.Test.make ~name:"alloc/compact conserves arena slots" ~count:40 gen_script
     run_script
 
+(* -------------------------------------------------------------------- *)
+(* Compute-cache sizing and slot layout                                   *)
+(* -------------------------------------------------------------------- *)
+
+let test_cache_lifecycle () =
+  (* A fresh package starts at the floor; a deep pure-DD run whose live
+     nodes (garbage between compactions included) pass 2^14 grows the
+     caches to the cap; a reset takes them back to the floor. *)
+  let p = Dd.create () in
+  Alcotest.(check int) "fresh package" (1 lsl 10) (Dd.cache_slots p);
+  let c = Suite.generate ~seed:1 Suite.Dnn ~n:11 ~gates:130 in
+  ignore (Test_util.run_dd ~package:p c);
+  Alcotest.(check int) "grown to the cap" (1 lsl 16) (Dd.cache_slots p);
+  Dd.reset p;
+  Alcotest.(check int) "reset shrinks to the floor" (1 lsl 10) (Dd.cache_slots p)
+
+let test_cache_empty_slot_misses () =
+  (* A fresh slab is all zeros: key (0, 0) and epoch stamp 0. The stamp is
+     stored as epoch + 1, so an untouched slot is a miss even for the
+     all-zero key at epoch 0. *)
+  let two = Dd_cache.Two.create ~bits:4 ~label:"mv" in
+  let three = Dd_cache.Three.create ~bits:4 ~label:"vadd" in
+  Alcotest.(check int) "Two: empty slot misses" (-1) (Dd_cache.Two.find two ~epoch:0 0 0);
+  Alcotest.(check int) "Three: empty slot misses" (-1)
+    (Dd_cache.Three.find three ~epoch:0 0 0 0);
+  Dd_cache.Two.store two ~epoch:0 0 0 7;
+  Alcotest.(check int) "Two: stored entry hits" 7 (Dd_cache.Two.find two ~epoch:0 0 0);
+  Alcotest.(check int) "Two: next epoch misses" (-1) (Dd_cache.Two.find two ~epoch:1 0 0)
+
+let test_cache_packed_keys_distinct () =
+  (* (a, b) and (b, a), and pairs next to the 2^31 - 1 slot-index bound,
+     must never be served each other's value: the packed key keeps both
+     indices whole. *)
+  let top = (1 lsl 31) - 1 in
+  let pairs = [ (1, 2); (0, top); (top, top - 1); (top, 0); (top - 1, 1); (12345, top) ] in
+  List.iter
+    (fun (a, b) ->
+       let two = Dd_cache.Two.create ~bits:2 ~label:"mv" in
+       let three = Dd_cache.Three.create ~bits:2 ~label:"vadd" in
+       Dd_cache.Two.store two ~epoch:0 a b 1;
+       Dd_cache.Three.store three ~epoch:0 a b 5 1;
+       let what = Printf.sprintf "(%d, %d)" a b in
+       Alcotest.(check int) (what ^ " hits") 1 (Dd_cache.Two.find two ~epoch:0 a b);
+       Alcotest.(check int) (what ^ " swapped misses") (-1) (Dd_cache.Two.find two ~epoch:0 b a);
+       Alcotest.(check int) (what ^ " swapped misses (Three)") (-1)
+         (Dd_cache.Three.find three ~epoch:0 b a 5);
+       Dd_cache.Two.store two ~epoch:0 b a 2;
+       Alcotest.(check int) (what ^ " swapped hits its own value") 2
+         (Dd_cache.Two.find two ~epoch:0 b a);
+       let r = Dd_cache.Two.find two ~epoch:0 a b in
+       Alcotest.(check bool) (what ^ " not aliased by its swap") true (r = 1 || r = -1))
+    pairs
+
+let test_cache_hit_allocates_nothing () =
+  let c = Dd_cache.Two.create ~bits:4 ~label:"mv" in
+  Dd_cache.Two.store c ~epoch:3 17 42 99;
+  let w0 = Gc.minor_words () in
+  let sum = ref 0 in
+  for _ = 1 to 10_000 do
+    sum := !sum + Dd_cache.Two.find c ~epoch:3 17 42
+  done;
+  let w1 = Gc.minor_words () in
+  Alcotest.(check int) "all hits" (99 * 10_000) !sum;
+  Alcotest.(check (float 0.0)) "minor words for 10 000 hits" 0.0 (w1 -. w0)
+
 let suite =
   [ ( "dd",
       [ Alcotest.test_case "canonicity: equal vectors share nodes" `Quick
@@ -590,4 +655,12 @@ let suite =
         QCheck_alcotest.to_alcotest prop_roundtrip;
         QCheck_alcotest.to_alcotest prop_mv_linear;
         QCheck_alcotest.to_alcotest prop_unitary_mv_preserves_norm;
-        QCheck_alcotest.to_alcotest prop_alloc_compact_conservation ] ) ]
+        QCheck_alcotest.to_alcotest prop_alloc_compact_conservation;
+        Alcotest.test_case "compute caches: grow with the DD, shrink on reset" `Quick
+          test_cache_lifecycle;
+        Alcotest.test_case "compute caches: an empty slot never hits" `Quick
+          test_cache_empty_slot_misses;
+        Alcotest.test_case "compute caches: packed keys do not alias" `Quick
+          test_cache_packed_keys_distinct;
+        Alcotest.test_case "compute caches: a hit allocates nothing" `Quick
+          test_cache_hit_allocates_nothing ] ) ]

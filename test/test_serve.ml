@@ -448,7 +448,31 @@ let test_warm_bit_identical () =
       let s1 = Obs.value scrubs in
       let h4 = Warm.acquire w ~tenant:"t2" ~n:6 () in
       Alcotest.(check int) "same-tenant acquire skips scrub" s1 (Obs.value scrubs);
-      Warm.release w h4)
+      Warm.release w h4;
+      (* A job that grows the handle's compute caches to the cap, then a
+         small job on the same handle: the release shrank the caches back,
+         and the small job is bit-identical to a cold run. *)
+      let circ_big = Suite.generate ~seed:1 Suite.Dnn ~n:11 ~gates:130 in
+      let circ_small = Suite.generate ~seed:3 Suite.Supremacy ~n:11 ~gates:30 in
+      let cold_small = amp_bits (Driver.run cfg circ_small) in
+      let h5 = Warm.acquire w ~tenant:"t3" ~n:11 () in
+      ignore
+        (Driver.run ~package:h5.Warm.package ~workspace:h5.Warm.workspace
+           { cfg with Config.policy = Config.Never_convert } circ_big);
+      Alcotest.(check int) "big job grew the caches to the cap" (1 lsl 16)
+        (Dd.cache_slots h5.Warm.package);
+      Warm.release w h5;
+      let h6 = Warm.acquire w ~tenant:"t3" ~n:11 () in
+      Alcotest.(check bool) "same handle after the big job" true
+        (h6.Warm.package == h5.Warm.package);
+      Alcotest.(check int) "release shrank the caches" (1 lsl 10)
+        (Dd.cache_slots h6.Warm.package);
+      let warm_small =
+        amp_bits (Driver.run ~package:h6.Warm.package ~workspace:h6.Warm.workspace cfg circ_small)
+      in
+      Alcotest.(check bool) "small job after a big one bit-identical" true
+        (cold_small = warm_small);
+      Warm.release w h6)
 
 let test_warm_eviction_and_sizing () =
   let w = Warm.create ~capacity:1 () in
