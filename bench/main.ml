@@ -1,6 +1,9 @@
 (* The experiment harness: regenerates every table and figure of the
    paper's evaluation section (plus the motivating Figure 1 and overview
-   Figure 3).
+   Figure 3). The experiments beyond the paper each back a row of
+   EXPERIMENTS.md or a CI step: ablation (design-choice sweeps), dispatch
+   (dense direct kernel vs DMAV), order (qubit ordering), precision
+   (f64 vs f32) and serve (warm handles vs cold construction).
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe table1     # one experiment
@@ -23,12 +26,9 @@ let experiments =
     ("fig13", Exp_fig13.run);
     ("fig14", Exp_fig14.run);
     ("ablation", Exp_ablation.run);
-    ("ddmem", Exp_ddmem.run);
     ("dispatch", Exp_dispatch.run);
-    ("obs", Exp_obs.run);
     ("order", Exp_order.run);
     ("precision", Exp_precision.run);
-    ("sched", Exp_sched.run);
     ("serve", Exp_serve.run) ]
 
 let () =

@@ -43,9 +43,6 @@ type t = {
   order : def list;  (** every definition in deterministic (file, source) order *)
 }
 
-val module_of_path : string -> string
-(** ["lib/dd/node_store.ml"] -> ["Node_store"]. *)
-
 val collect_files : string list -> string list
 (** All [.ml] files under the given roots (files or directories),
     skipping [_build] and dot-directories, sorted. *)

@@ -65,13 +65,6 @@ val normalize_path : string -> string
 (** ['/'-separate] and strip [./] so paths compare stably across
     platforms and invocation styles. *)
 
-val comment_lines : string -> (int * string) list
-(** The comment fragments of a source text, one (1-based line, fragment)
-    pair per line of each comment. The scan lexes strings (plain and
-    [{id|...|id}] quoted), char literals and nested comments, so comment
-    text is recognized exactly — a marker inside a string literal is
-    data. *)
-
 val suppressions : string -> (int * string) list
 (** The inline [(* qcs-lint: allow ... *)] markers of a source text as
     (line, rule) pairs; rule ["all"] suppresses everything on its

@@ -14,9 +14,6 @@ val circuit : ?seed:int -> int -> Circuit.t
     X gates and adds them. [n] must be even and ≥ 4.
     @raise Invalid_argument otherwise. *)
 
-val width_of_qubits : int -> int
-(** Operand width [k] for a total qubit count. *)
-
 val expected : ?seed:int -> int -> int * int * int
 (** The classical [(a, b, a + b)] the circuit computes. *)
 

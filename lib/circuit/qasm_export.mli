@@ -19,10 +19,6 @@ exception Unsupported of string
 val zyz : Gate.single -> float * float * float * float
 (** [zyz u] is [(α, θ, φ, λ)] with [u = e^{iα}·u3(θ, φ, λ)]. *)
 
-val op_to_qasm : Circuit.op -> string
-(** One statement (without trailing newline), registers named [q].
-    @raise Unsupported for inexpressible operations. *)
-
 val to_string : Circuit.t -> string
 (** Full program: header, includes, macro preamble (when needed), [qreg],
     statements. *)

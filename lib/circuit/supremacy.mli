@@ -11,8 +11,6 @@ val grid_of : int -> grid
 (** The most square grid factorization of the qubit count. *)
 
 val qubit : grid -> int -> int -> int
-val links : grid -> int -> (int * int) list
-(** The two-qubit link set of pattern [0..3]. *)
 
 val circuit : ?seed:int -> cycles:int -> int -> Circuit.t
 

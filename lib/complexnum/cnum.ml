@@ -35,7 +35,6 @@ let equal ?(tol = tolerance) a b =
 
 let is_zero ?(tol = tolerance) a = Float.abs a.re <= tol && Float.abs a.im <= tol
 let is_one ?(tol = tolerance) a = equal ~tol a one
-let approx tol a b = equal ~tol a b
 
 let to_string a = Printf.sprintf "%.6g%+.6gi" a.re a.im
 let pp fmt a = Format.pp_print_string fmt (to_string a)

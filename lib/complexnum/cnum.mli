@@ -38,9 +38,6 @@ val equal : ?tol:float -> t -> t -> bool
 val is_zero : ?tol:float -> t -> bool
 val is_one : ?tol:float -> t -> bool
 
-val approx : float -> t -> t -> bool
-(** [approx tol a b] is [equal ~tol a b]; handy as a first-class argument. *)
-
 val tolerance : float
 (** Default DD tolerance (1e-10): weights closer than this are identified,
     which is what makes decision-diagram uniquing robust to rounding. *)

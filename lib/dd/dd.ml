@@ -126,7 +126,6 @@ let fit_caches p =
   end
 
 let ctable p = p.ct
-let vweight p w = Ctable.canon p.ct w
 let epoch p = p.epoch
 
 let[@inline] value p wid = Ctable.value_of_id p.ct wid
@@ -137,7 +136,6 @@ let[@inline] value p wid = Ctable.value_of_id p.ct wid
 
 let[@inline] vtgt (e : vedge) : vnode = edge_tgt e
 let[@inline] mtgt (e : medge) : mnode = edge_tgt e
-let[@inline] vwid (e : vedge) = edge_wid e
 let[@inline] mwid (e : medge) = edge_wid e
 let[@inline] vw p (e : vedge) = value p (edge_wid e)
 let[@inline] mw p (e : medge) = value p (edge_wid e)

@@ -56,10 +56,8 @@ val mone : medge
 val vtgt : vedge -> vnode
 val mtgt : medge -> mnode
 
-val vwid : vedge -> int
-(** Ctable id of the edge weight; 0 iff the edge is the zero edge. *)
-
 val mwid : medge -> int
+(** Ctable id of the edge weight; 0 iff the edge is the zero edge. *)
 
 val vw : package -> vedge -> Cnum.t
 (** The edge weight, resolved through the package's complex table. *)
@@ -112,9 +110,6 @@ val vscale : package -> vedge -> Cnum.t -> vedge
     zero edge). *)
 
 val mscale : package -> medge -> Cnum.t -> medge
-
-val vweight : package -> Cnum.t -> Cnum.t
-(** Canonicalizes a raw complex weight through the package's table. *)
 
 (** {1 Arithmetic} *)
 

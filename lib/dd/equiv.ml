@@ -34,12 +34,6 @@ let structural_identity p ~n e =
     else Not_equivalent
   end
 
-let circuit_unitary p (c : Circuit.t) =
-  let n = c.Circuit.n in
-  Array.fold_left
-    (fun acc op -> Dd.mm p (Mat_dd.of_op p ~n op) acc)
-    (Mat_dd.identity p n) c.Circuit.ops
-
 let check ?package c1 c2 =
   if c1.Circuit.n <> c2.Circuit.n then
     invalid_arg "Equiv.check: circuits have different widths";

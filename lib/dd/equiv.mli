@@ -12,15 +12,6 @@ type verdict =
   | Equivalent_up_to_phase of Cnum.t  (** the global phase e^{iφ} *)
   | Not_equivalent
 
-val structural_identity : Dd.package -> n:int -> Dd.medge -> verdict
-(** Classifies a matrix DD as (phase-)identity by structure: every level
-    must be a diagonal node with both branches on the same child and unit
-    relative weight. O(n) — no entries are enumerated. *)
-
-val circuit_unitary : Dd.package -> Circuit.t -> Dd.medge
-(** The full 2ⁿ×2ⁿ unitary of a circuit as a matrix DD (gates multiplied
-    right-to-left so the result applies gate 0 first). *)
-
 val check : ?package:Dd.package -> Circuit.t -> Circuit.t -> verdict
 (** [check c1 c2] decides whether the circuits implement the same unitary.
     @raise Invalid_argument when the qubit counts differ. *)

@@ -1,5 +1,4 @@
-(* Tests for state analysis (density matrices, entanglement) and the
-   trajectory noise model. *)
+(* Tests for state analysis (density matrices, entanglement). *)
 
 let bell_state () =
   let st = State.zero_state 2 in
@@ -136,70 +135,6 @@ let test_bloch_vector () =
   Alcotest.(check (float 1e-9)) "y 0" 0.0 y;
   Alcotest.(check (float 1e-9)) "z 0" 0.0 z
 
-(* ------------------------------------------------------------------ *)
-(* Noise trajectories                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_noise_ideal_is_identity () =
-  let c = Ghz.circuit 4 in
-  let t = Noise.sample_trajectory Noise.ideal c in
-  Alcotest.(check int) "no insertions" (Circuit.num_gates c) (Circuit.num_gates t)
-
-let test_noise_insertion_rate () =
-  let c = Dnn.circuit ~layers:6 6 in
-  let model = Noise.depolarizing 0.2 in
-  let expected = Noise.expected_insertions model c in
-  let total = ref 0 in
-  let samples = 40 in
-  List.iter
-    (fun t -> total := !total + (Circuit.num_gates t - Circuit.num_gates c))
-    (Noise.trajectories ~seed:5 model c ~count:samples);
-  let mean = float_of_int !total /. float_of_int samples in
-  Alcotest.(check bool)
-    (Printf.sprintf "insertion rate %.1f vs expected %.1f" mean expected)
-    true
-    (Float.abs (mean -. expected) < 0.25 *. expected)
-
-let test_noise_trajectories_valid_circuits () =
-  let c = Supremacy.circuit ~cycles:4 6 in
-  List.iter
-    (fun t ->
-       let st = Apply.run t in
-       Alcotest.(check (float 1e-9)) "trajectory normalized" 1.0 (State.norm2 st))
-    (Noise.trajectories ~seed:7 (Noise.depolarizing 0.05) c ~count:5)
-
-let test_noise_decoheres_ghz () =
-  (* Dephasing kills the GHZ coherence: averaged over trajectories,
-     ⟨X⊗X⊗X⟩ decays from 1 toward 0 while Z-basis populations stay. *)
-  let n = 3 in
-  let c = Ghz.circuit n in
-  let xxx st =
-    State.expectation_pauli st [ (1.0, [ (0, State.X); (1, State.X); (2, State.X) ]) ]
-  in
-  let clean = xxx (Apply.run c) in
-  Alcotest.(check (float 1e-9)) "clean GHZ coherence" 1.0 clean;
-  let model = Noise.dephasing 0.15 in
-  let ts = Noise.trajectories ~seed:11 model c ~count:60 in
-  let avg =
-    List.fold_left (fun acc t -> acc +. xxx (Apply.run t)) 0.0 ts
-    /. float_of_int (List.length ts)
-  in
-  Alcotest.(check bool) (Printf.sprintf "coherence decays (%.3f)" avg) true
-    (Float.abs avg < 0.9);
-  (* Populations: P(000) + P(111) stays 1 under pure dephasing. *)
-  List.iter
-    (fun t ->
-       let st = Apply.run t in
-       let p = State.probability st 0 +. State.probability st 7 in
-       Alcotest.(check (float 1e-9)) "populations preserved" 1.0 p)
-    ts
-
-let test_noise_validation () =
-  Alcotest.(check bool) "p > 1 rejected" true
-    (try ignore (Noise.depolarizing 1.5); false with Invalid_argument _ -> true);
-  Alcotest.(check bool) "p < 0 rejected" true
-    (try ignore (Noise.dephasing (-0.1)); false with Invalid_argument _ -> true)
-
 let suite =
   [ ( "analysis",
       [ Alcotest.test_case "rdm of product state" `Quick test_rdm_product_state;
@@ -214,10 +149,4 @@ let suite =
         Alcotest.test_case "entropy of known states" `Quick test_entropy_known_states;
         Alcotest.test_case "entropy bounds" `Quick test_entropy_bounds;
         Alcotest.test_case "schmidt rank" `Quick test_schmidt_matches_dd_width;
-        Alcotest.test_case "bloch vector" `Quick test_bloch_vector;
-        Alcotest.test_case "noise: ideal is identity" `Quick test_noise_ideal_is_identity;
-        Alcotest.test_case "noise: insertion rate" `Quick test_noise_insertion_rate;
-        Alcotest.test_case "noise: trajectories are valid" `Quick
-          test_noise_trajectories_valid_circuits;
-        Alcotest.test_case "noise: dephasing decoheres GHZ" `Quick test_noise_decoheres_ghz;
-        Alcotest.test_case "noise: validation" `Quick test_noise_validation ] ) ]
+        Alcotest.test_case "bloch vector" `Quick test_bloch_vector ] ) ]

@@ -12,7 +12,30 @@ let test_canonicity_same_vector_same_node () =
   let e1 = Vec_dd.of_buf p buf in
   let e2 = Vec_dd.of_buf p (Buf.copy buf) in
   Alcotest.(check bool) "same physical node" true (Dd.vtgt e1 = Dd.vtgt e2);
-  ceq "same weight" (Dd.vw p e1) (Dd.vw p e2)
+  ceq "same weight" (Dd.vw p e1) (Dd.vw p e2);
+  (* Sharing must survive the sweep and the unique-table rebuild that
+     [compact] does, also after the table has grown several times. *)
+  let same_root msg e = Alcotest.(check bool) msg true (e = e1) in
+  (* Each compact has garbage to sweep, or it skips the rebuild. *)
+  let garbage () = ignore (Vec_dd.of_buf p (Test_util.random_state ~seed:3 8)) in
+  garbage ();
+  Dd.compact p ~vroots:[ e1 ] ~mroots:[];
+  same_root "rebuilt after compact" (Vec_dd.of_buf p buf);
+  let rng = Rng.create 5 in
+  let big_buf =
+    Buf.init (1 lsl 15) (fun _ -> Cnum.make (Rng.float rng 1.0) (Rng.float rng 1.0))
+  in
+  let big = Vec_dd.of_buf p big_buf in
+  (* 4x the node count at which a fresh package first grows its table. *)
+  Alcotest.(check bool) "enough nodes to grow the table" true (Dd.live_vnodes p > 16384);
+  same_root "rebuilt beside a large DD" (Vec_dd.of_buf p buf);
+  garbage ();
+  Dd.compact p ~vroots:[ e1; big ] ~mroots:[];
+  Alcotest.(check bool) "large DD rebuilt after compact" true
+    (Vec_dd.of_buf p big_buf = big);
+  same_root "rebuilt after a grown compact" (Vec_dd.of_buf p buf);
+  Dd.compact p ~vroots:[ e1 ] ~mroots:[];
+  same_root "rebuilt after dropping the large DD" (Vec_dd.of_buf p buf)
 
 let test_canonicity_scalar_multiple_shares_node () =
   (* A vector and twice the vector must share the node, differing only in

@@ -1,182 +1,6 @@
 (* Tests for the capabilities layered on top of the core reproduction:
-   DD-native sampling and overlaps, circuit utilities, equivalence
-   checking, QASM export, and phase estimation. *)
-
-(* ------------------------------------------------------------------ *)
-(* Vec_sample                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_dd_sampling_matches_probabilities () =
-  let c = Test_util.random_circuit ~seed:3 ~gates:30 6 in
-  let r = Test_util.run_dd c in
-  let p, e = Test_util.dd_state r in
-  let sampler = Vec_sample.create p 6 e in
-  let st = State.of_buf 6 (Driver.amplitudes r) in
-  (* Exact per-index probabilities agree with the flat state. *)
-  for i = 0 to 63 do
-    Alcotest.(check (float 1e-9)) (Printf.sprintf "p[%d]" i)
-      (State.probability st i) (Vec_sample.probability sampler i)
-  done;
-  (* Empirical frequencies over many shots approximate them. *)
-  let rng = Rng.create 7 in
-  let shots = 20000 in
-  let counts = Vec_sample.counts sampler rng ~shots in
-  List.iter
-    (fun (basis, count) ->
-       let p_emp = float_of_int count /. float_of_int shots in
-       let p = State.probability st basis in
-       if Float.abs (p_emp -. p) > 0.02 +. (3.0 *. sqrt (p /. float_of_int shots)) then
-         Alcotest.failf "dd sampler bias at %d: %f vs %f" basis p_emp p)
-    counts
-
-let test_dd_sampling_ghz () =
-  let p, e = Test_util.dd_state (Test_util.run_dd (Ghz.circuit 10)) in
-  let sampler = Vec_sample.create p 10 e in
-  let rng = Rng.create 5 in
-  for _ = 1 to 200 do
-    let s = Vec_sample.sample sampler rng in
-    if s <> 0 && s <> 1023 then Alcotest.failf "GHZ sample %d is not all-0/all-1" s
-  done
-
-let test_dd_sampler_rejects_zero () =
-  Alcotest.(check bool) "zero vector rejected" true
-    (try ignore (Vec_sample.create (Dd.create ()) 3 Dd.vzero); false
-     with Invalid_argument _ -> true)
-
-let test_dd_dot () =
-  let p = Dd.create () in
-  let a = Vec_dd.of_buf p (Test_util.random_state ~seed:11 5) in
-  let b = Vec_dd.of_buf p (Test_util.random_state ~seed:12 5) in
-  (* Compare against the flat-vector inner product. *)
-  let fa = Vec_dd.to_buf p 5 a and fb = Vec_dd.to_buf p 5 b in
-  let expect = ref Cnum.zero in
-  for i = 0 to 31 do
-    expect := Cnum.add !expect (Cnum.mul (Cnum.conj (Buf.get fa i)) (Buf.get fb i))
-  done;
-  let got = Vec_sample.dot p a b in
-  if not (Cnum.equal ~tol:1e-9 !expect got) then
-    Alcotest.failf "dot: %s vs %s" (Cnum.to_string !expect) (Cnum.to_string got);
-  (* Self-overlap of a unit state is 1. *)
-  Alcotest.(check (float 1e-9)) "self fidelity" 1.0 (Vec_sample.fidelity p a a);
-  (* Orthogonal basis states. *)
-  let e0 = Vec_dd.basis_state p 4 3 and e1 = Vec_dd.basis_state p 4 5 in
-  Alcotest.(check (float 0.0)) "orthogonal" 0.0 (Vec_sample.fidelity p e0 e1)
-
-let test_dd_dot_matches_buf_fidelity () =
-  let p = Dd.create () in
-  let b1 = Test_util.random_state ~seed:21 6 and b2 = Test_util.random_state ~seed:22 6 in
-  let f_flat = Buf.fidelity b1 b2 in
-  let f_dd = Vec_sample.fidelity p (Vec_dd.of_buf p b1) (Vec_dd.of_buf p b2) in
-  Alcotest.(check (float 1e-9)) "fidelity agreement" f_flat f_dd
-
-(* ------------------------------------------------------------------ *)
-(* DD projective measurement                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_dd_project () =
-  let n = 5 in
-  let c = Test_util.random_circuit ~seed:81 ~gates:25 n in
-  let r = Test_util.run_dd c in
-  let p, e = Test_util.dd_state r in
-  let q = 2 in
-  let proj = Vec_sample.project p e q 1 in
-  let flat = Convert.sequential p ~n proj in
-  let reference = Driver.amplitudes r in
-  for i = 0 to (1 lsl n) - 1 do
-    let expect = if Bits.bit i q = 1 then Buf.get reference i else Cnum.zero in
-    if not (Cnum.equal ~tol:1e-9 expect (Buf.get flat i)) then
-      Alcotest.failf "projection amplitude %d" i
-  done
-
-let test_dd_measure_collapse_ghz () =
-  (* Measuring one qubit of a GHZ state collapses all of them together. *)
-  for seed = 1 to 8 do
-    let r = Test_util.run_dd (Ghz.circuit 8) in
-    let p, e = Test_util.dd_state r in
-    let rng = Rng.create seed in
-    let outcome, collapsed = Vec_sample.measure_qubit p ~rng ~n:8 e 3 in
-    Alcotest.(check (float 1e-9)) "collapsed state normalized" 1.0
-      (Vec_dd.norm2 p collapsed);
-    let expected_basis = if outcome = 1 then 255 else 0 in
-    let amp = Dd.vamplitude p collapsed expected_basis in
-    Alcotest.(check (float 1e-9)) "fully collapsed" 1.0 (Cnum.norm2 amp);
-    Alcotest.(check int) "post-measurement DD is a chain" 8 (Dd.vnode_count p collapsed)
-  done
-
-let test_dd_measure_matches_flat_semantics () =
-  (* DD collapse must equal the flat-state collapse on the same outcome. *)
-  let n = 5 in
-  let c = Test_util.random_circuit ~seed:83 ~gates:30 n in
-  let r = Test_util.run_dd c in
-  let p, e = Test_util.dd_state r in
-  let q = 1 in
-  let outcome, collapsed = Vec_sample.measure_qubit p ~rng:(Rng.create 3) ~n e q in
-  let flat_dd = Convert.sequential p ~n collapsed in
-  (* Flat reference: project and renormalize by hand. *)
-  let reference = Driver.amplitudes r in
-  let st = State.of_buf n reference in
-  for i = 0 to (1 lsl n) - 1 do
-    if Bits.bit i q <> outcome then Buf.set st.State.amps i Cnum.zero
-  done;
-  State.renormalize st;
-  Test_util.check_close ~tol:1e-9 "collapse semantics" st.State.amps flat_dd
-
-let test_dd_measure_statistics () =
-  (* Outcome frequencies follow the marginal. *)
-  let n = 4 in
-  let c = Test_util.random_circuit ~seed:85 ~gates:20 n in
-  let r = Test_util.run_dd c in
-  let p, e = Test_util.dd_state r in
-  let st = State.of_buf n (Driver.amplitudes r) in
-  let q = 0 in
-  let p1_exact = ref 0.0 in
-  for i = 0 to (1 lsl n) - 1 do
-    if Bits.bit i q = 1 then p1_exact := !p1_exact +. State.probability st i
-  done;
-  let ones = ref 0 in
-  let trials = 400 in
-  for seed = 1 to trials do
-    let outcome, _ = Vec_sample.measure_qubit p ~rng:(Rng.create seed) ~n e q in
-    if outcome = 1 then incr ones
-  done;
-  let freq = float_of_int !ones /. float_of_int trials in
-  Alcotest.(check bool)
-    (Printf.sprintf "frequency %.3f vs exact %.3f" freq !p1_exact)
-    true
-    (Float.abs (freq -. !p1_exact) < 0.1)
-
-let prop_dd_measurement_idempotent =
-  QCheck.Test.make ~name:"re-measuring a measured qubit repeats the outcome" ~count:25
-    QCheck.(pair (int_range 1 1000) (int_bound 4))
-    (fun (seed, q) ->
-       let n = 5 in
-       let c = Test_util.random_circuit ~seed ~gates:20 n in
-       let r = Test_util.run_dd c in
-       let p, e = Test_util.dd_state r in
-       let o1, collapsed = Vec_sample.measure_qubit p ~rng:(Rng.create seed) ~n e q in
-       let o2, again = Vec_sample.measure_qubit p ~rng:(Rng.create (seed + 1)) ~n collapsed q in
-       o1 = o2 && Float.abs (Vec_sample.fidelity p collapsed again -. 1.0) < 1e-9)
-
-let prop_dd_projectors_complete =
-  QCheck.Test.make ~name:"P0 + P1 restores the state; P0·P1 = 0" ~count:25
-    QCheck.(pair (int_range 1 1000) (int_bound 4))
-    (fun (seed, q) ->
-       let n = 5 in
-       let c = Test_util.random_circuit ~seed ~gates:20 n in
-       let r = Test_util.run_dd c in
-       let p, e = Test_util.dd_state r in
-       let p0 = Vec_sample.project p e q 0 in
-       let p1 = Vec_sample.project p e q 1 in
-       let sum = Dd.vadd p p0 p1 in
-       let restored =
-         Dd.vedge_is_zero p0 || Dd.vedge_is_zero p1
-         || Float.abs (Vec_sample.fidelity p sum e -. 1.0) < 1e-9
-       in
-       let orthogonal =
-         Dd.vedge_is_zero p0 || Dd.vedge_is_zero p1
-         || Cnum.norm (Vec_sample.dot p p0 p1) < 1e-9
-       in
-       restored && orthogonal)
+   circuit utilities, equivalence checking, QASM export, and phase
+   estimation. *)
 
 (* ------------------------------------------------------------------ *)
 (* Circuit utilities                                                   *)
@@ -436,22 +260,7 @@ let test_qpe_through_flatdd () =
 
 let suite =
   [ ( "extras",
-      [ Alcotest.test_case "DD sampling matches probabilities" `Quick
-          test_dd_sampling_matches_probabilities;
-        Alcotest.test_case "DD sampling of GHZ" `Quick test_dd_sampling_ghz;
-        Alcotest.test_case "DD sampler rejects zero" `Quick test_dd_sampler_rejects_zero;
-        Alcotest.test_case "DD inner product" `Quick test_dd_dot;
-        Alcotest.test_case "DD fidelity = flat fidelity" `Quick
-          test_dd_dot_matches_buf_fidelity;
-        Alcotest.test_case "DD projection" `Quick test_dd_project;
-        Alcotest.test_case "DD measurement collapses GHZ" `Quick
-          test_dd_measure_collapse_ghz;
-        Alcotest.test_case "DD measurement = flat semantics" `Quick
-          test_dd_measure_matches_flat_semantics;
-        Alcotest.test_case "DD measurement statistics" `Quick test_dd_measure_statistics;
-        QCheck_alcotest.to_alcotest prop_dd_measurement_idempotent;
-        QCheck_alcotest.to_alcotest prop_dd_projectors_complete;
-        Alcotest.test_case "adjoint inverts" `Quick test_adjoint_inverts;
+      [ Alcotest.test_case "adjoint inverts" `Quick test_adjoint_inverts;
         Alcotest.test_case "depth" `Quick test_depth;
         Alcotest.test_case "histogram and usage" `Quick test_histogram_and_usage;
         Alcotest.test_case "equiv: identical" `Quick test_equiv_identical;
