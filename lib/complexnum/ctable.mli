@@ -10,21 +10,16 @@
 
 type t
 
-type entry = private { value : Cnum.t; id : int }
-
 val create : ?tolerance:float -> unit -> t
 
-val lookup : t -> Cnum.t -> entry
-(** [lookup t c] returns the canonical entry for [c], inserting a new
-    representative if no stored value is within tolerance. Exact zero and
-    one are pre-seeded with ids 0 and 1, so [("id" = 0)] reliably means
-    the zero weight. *)
+val id : t -> Cnum.t -> int
+(** [id t c] is the id of the canonical representative of [c], inserting
+    [c] as a new representative if no stored value is within tolerance.
+    Exact zero and one are pre-seeded with ids 0 and 1, so [id = 0]
+    reliably means the zero weight. A hit allocates nothing. *)
 
 val canon : t -> Cnum.t -> Cnum.t
-(** [canon t c] is [(lookup t c).value]. *)
-
-val id : t -> Cnum.t -> int
-(** [id t c] is [(lookup t c).id]. *)
+(** [canon t c] is [value_of_id t (id t c)]. *)
 
 val zero_id : int
 val one_id : int
@@ -47,7 +42,9 @@ val im_of_id : t -> int -> float
 
 val re_array : t -> float array
 (** The unboxed real plane of the reverse map, indexed by id. Valid for
-    ids below {!count}; the array itself is replaced when the table grows,
+    every id handed out since the last {!clear}. Ids are allocated in
+    per-stripe blocks, so live ids run past {!count} up to the id
+    high-water mark. The array itself is replaced when the table grows,
     so capture it only for the duration of one allocation-free kernel. *)
 
 val im_array : t -> float array
@@ -58,4 +55,5 @@ val clear : t -> unit
     handed out before [clear] are invalidated. *)
 
 val memory_bytes : t -> int
-(** Rough live size, for the memory-accounting experiments. *)
+(** Bytes held by the table: every array at its capacity, the records and
+    the boxed representatives, headers included. *)

@@ -220,8 +220,11 @@ let make_mnode p level (e00 : medge) (e01 : medge) (e10 : medge) (e11 : medge) :
     in
     pick e00; pick e01; pick e10; pick e11;
     let norm = value p !normid in
+    (* An edge carrying the norm's own weight divides to exactly one
+       (w/w is 1 + 0i in [Cnum.div]), which interns to [one_id]. *)
     let div (e : medge) : medge =
       if e = 0 then mzero
+      else if edge_wid e = !normid then pack (edge_tgt e) Ctable.one_id
       else
         let w = Ctable.id p.ct (Cnum.div (value p (edge_wid e)) norm) in
         if w = 0 then mzero else pack (edge_tgt e) w
@@ -402,20 +405,12 @@ let rec mark_v p acc (n : vnode) =
     if c1 <> 0 then mark_v p acc (edge_tgt c1)
   end
 
-let rec unmark_v p (n : vnode) =
-  if n <> 0 && Node_store.marked p.va n then begin
-    Node_store.clear_mark p.va n;
-    let c0 = v0 p n and c1 = v1 p n in
-    if c0 <> 0 then unmark_v p (edge_tgt c0);
-    if c1 <> 0 then unmark_v p (edge_tgt c1)
-  end
-
 let vnode_count p (e : vedge) =
   if e = 0 then 0
   else begin
     let acc = ref 0 in
+    Node_store.begin_mark p.va;
     mark_v p acc (edge_tgt e);
-    unmark_v p (edge_tgt e);
     !acc
   end
 
@@ -429,21 +424,12 @@ let rec mark_m p acc (n : mnode) =
     done
   end
 
-let rec unmark_m p (n : mnode) =
-  if n <> 0 && Node_store.marked p.ma n then begin
-    Node_store.clear_mark p.ma n;
-    for k = 0 to 3 do
-      let c = Node_store.child4 p.ma n k in
-      if c <> 0 then unmark_m p (edge_tgt c)
-    done
-  end
-
 let mnode_count p (e : medge) =
   if e = 0 then 0
   else begin
     let acc = ref 0 in
+    Node_store.begin_mark p.ma;
     mark_m p acc (edge_tgt e);
-    unmark_m p (edge_tgt e);
     !acc
   end
 
@@ -585,10 +571,12 @@ let mentry p (e : medge) row col =
 
 let compact p ~vroots ~mroots =
   let acc = ref 0 in
+  Node_store.begin_mark p.va;
+  Node_store.begin_mark p.ma;
   List.iter (fun (e : vedge) -> if e <> 0 then mark_v p acc (edge_tgt e)) vroots;
   List.iter (fun (e : medge) -> if e <> 0 then mark_m p acc (edge_tgt e)) mroots;
   (* Sweep pushes every unmarked slot onto the arena free list (the next
-     allocation reuses it) and clears all marks. *)
+     allocation reuses it). *)
   let v_dropped = Node_store.sweep p.va in
   let m_dropped = Node_store.sweep p.ma in
   (* Entering a new epoch invalidates every compute-cache entry stored so

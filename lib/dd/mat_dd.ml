@@ -1,18 +1,22 @@
+(* [identity_chain p n l] is the identity over levels [0, l). Each level
+   is interned once, on the first call that reaches it, so a gate pays
+   one [make_mnode] per identity level. Rebuilding the chain from level 0
+   on every call would create the same nodes in the same order (the
+   repeats are unique-table hits); slot order decides where compute-cache
+   entries land, and so the output bytes. *)
+let identity_chain p n =
+  let ids = Array.make (n + 1) Dd.mone and built = ref 0 in
+  fun l ->
+    while !built < l do
+      let k = !built in
+      ids.(k + 1) <- Dd.make_mnode p k ids.(k) Dd.mzero Dd.mzero ids.(k);
+      incr built
+    done;
+    ids.(l)
+
 let identity p n =
   if n < 1 then invalid_arg "Mat_dd.identity";
-  let rec build l below =
-    if l = n then below
-    else build (l + 1) (Dd.make_mnode p l below Dd.mzero Dd.mzero below)
-  in
-  build 0 Dd.mone
-
-(* Identity over levels [0, l). *)
-let identity_below p l =
-  let rec build k below =
-    if k = l then below
-    else build (k + 1) (Dd.make_mnode p k below Dd.mzero Dd.mzero below)
-  in
-  build 0 Dd.mone
+  identity_chain p n n
 
 let of_single p ~n ~target ~controls (u : Gate.single) =
   if target < 0 || target >= n then invalid_arg "Mat_dd.of_single: bad target";
@@ -29,8 +33,10 @@ let of_single p ~n ~target ~controls (u : Gate.single) =
           let w = u.(i).(j) in
           if Cnum.is_zero w then Dd.mzero else Dd.mterm_edge p w))
   in
+  let identity_below = identity_chain p n in
   for l = 0 to target - 1 do
-    let ident = identity_below p l in
+    (* Extended at every level, control or not, to keep node order. *)
+    let ident = identity_below l in
     for i = 0 to 1 do
       for j = 0 to 1 do
         let low =
@@ -43,10 +49,8 @@ let of_single p ~n ~target ~controls (u : Gate.single) =
   done;
   let e = ref (Dd.make_mnode p target em.(0).(0) em.(0).(1) em.(1).(0) em.(1).(1)) in
   for l = target + 1 to n - 1 do
-    if is_control l then begin
-      let ident = identity_below p l in
-      e := Dd.make_mnode p l ident Dd.mzero Dd.mzero !e
-    end
+    if is_control l then
+      e := Dd.make_mnode p l (identity_below l) Dd.mzero Dd.mzero !e
     else e := Dd.make_mnode p l !e Dd.mzero Dd.mzero !e
   done;
   !e
@@ -61,6 +65,15 @@ let of_two p ~n ~q_hi ~q_lo (u : Gate.two) =
     let w = u.((2 * ih) + il).((2 * jh) + jl) in
     if Cnum.is_zero w then Dd.mzero else Dd.mterm_edge p w
   in
+  (* A scalar extended up through the identity levels below lo_level is
+     the scalar times the identity there: the node at each level
+     normalizes by w, and w/w is exactly one. Scaling the identity edge
+     re-interns w, which finds w's own id. *)
+  let identity_below = identity_chain p n in
+  let scalar_to_level (le : Dd.medge) =
+    if lo_level = 0 || Dd.medge_is_zero le then le
+    else Dd.mscale p (identity_below lo_level) (Dd.mw p le)
+  in
   (* Blocks over (bit at hi_level of row, of col): each is a 2×2 matrix in
      the lo_level bit. *)
   let block bi bj =
@@ -68,15 +81,6 @@ let of_two p ~n ~q_hi ~q_lo (u : Gate.two) =
       if hi_level = q_hi then entry bi ri bj ci else entry ri bi ci bj
     in
     let e00 = pick 0 0 and e01 = pick 0 1 and e10 = pick 1 0 and e11 = pick 1 1 in
-    let scalar_to_level le =
-      (* Extend scalars up through identity levels below lo_level. *)
-      let rec up l (e : Dd.medge) =
-        if l = lo_level then e
-        else if Dd.medge_is_zero e then Dd.mzero
-        else up (l + 1) (Dd.make_mnode p l e Dd.mzero Dd.mzero e)
-      in
-      up 0 le
-    in
     Dd.make_mnode p lo_level
       (scalar_to_level e00) (scalar_to_level e01)
       (scalar_to_level e10) (scalar_to_level e11)

@@ -39,7 +39,8 @@ type t = {
   width : int;                 (* outgoing edges per node: 2 vector, 4 matrix *)
   mutable level : int array;   (* per slot: qubit level; -1 terminal; -2 free *)
   mutable child : int array;   (* width packed edges per slot *)
-  mutable mark : Bytes.t;      (* traversal scratch bits, one byte per slot *)
+  mutable mark : Bytes.t;      (* traversal stamps, one byte per slot *)
+  mutable stamp : int;         (* current traversal's stamp, 1..255 *)
   mutable next : int;          (* high-water mark: slots [1, next) ever issued *)
   mutable free : int array;    (* global LIFO stack of reclaimed slots *)
   mutable free_len : int;
@@ -77,6 +78,7 @@ let create ~width ~capacity =
       level = Array.make capacity (-2);
       child = Array.make (width * capacity) 0;
       mark = Bytes.make capacity '\000';
+      stamp = 0;
       next = 1;
       free = Array.make 256 0;
       free_len = 0;
@@ -313,12 +315,23 @@ let push_free a n =
 (* Marking and sweep                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let[@inline] marked a n = Bytes.unsafe_get a.mark n <> '\000' (* qcs-lint: allow unsafe-array *)
-let[@inline] set_mark a n = Bytes.unsafe_set a.mark n '\001' (* qcs-lint: allow unsafe-array *)
-let[@inline] clear_mark a n = Bytes.unsafe_set a.mark n '\000' (* qcs-lint: allow unsafe-array *)
+(* A traversal marks the slots it visits with a fresh stamp, so marks
+   never need an unmarking pass: [begin_mark] retires every older mark at
+   once. Freed and grown slots keep older stamps or 0, never the current
+   one; on wrap past 255 all bytes are cleared. Every traversal calls
+   [begin_mark] before its first [marked]. *)
+let begin_mark a =
+  if a.stamp = 255 then begin
+    Bytes.fill a.mark 0 (Bytes.length a.mark) '\000';
+    a.stamp <- 1
+  end
+  else a.stamp <- a.stamp + 1
 
-(* Frees every allocated slot whose mark byte is unset, clears all marks,
-   and rebuilds the unique-table shards over the survivors. Returns the
+let[@inline] marked a n = Char.code (Bytes.unsafe_get a.mark n) = a.stamp (* qcs-lint: allow unsafe-array *)
+let[@inline] set_mark a n = Bytes.unsafe_set a.mark n (Char.unsafe_chr a.stamp) (* qcs-lint: allow unsafe-array *)
+
+(* Frees every allocated slot not marked since the last [begin_mark], and
+   rebuilds the unique-table shards over the survivors. Returns the
    number of slots reclaimed. Freed slots keep their index on the free
    list and are handed back by later allocations; the epoch stamp kept by
    the package is what protects compute-cache entries from the reuse. *)
@@ -333,7 +346,6 @@ let sweep a =
       incr freed
     end
   done;
-  Bytes.fill a.mark 0 (Bytes.length a.mark) '\000';
   if !freed > 0 then rebuild_shards a;
   !freed
 

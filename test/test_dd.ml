@@ -103,6 +103,29 @@ let test_node_counts () =
   Alcotest.(check int) "identity matrix is a chain" 6
     (Dd.mnode_count p (Mat_dd.identity p 6))
 
+(* Counts and compactions take turns on one package for well past the
+   255 traversal stamps, so stale marks from every earlier traversal and
+   the wrap-around clear are both exercised. *)
+let test_node_counts_across_stamp_wrap () =
+  let p = Dd.create () in
+  let dense = Vec_dd.of_buf p (Test_util.random_state ~seed:5 7) in
+  let chain = Vec_dd.basis_state p 7 43 in
+  let nd = Dd.vnode_count p dense and nc = Dd.vnode_count p chain in
+  let m = Mat_dd.identity p 7 in
+  let live = ref (-1) in
+  for k = 1 to 700 do
+    Alcotest.(check int) "dense count" nd (Dd.vnode_count p dense);
+    Alcotest.(check int) "chain count" nc (Dd.vnode_count p chain);
+    Alcotest.(check int) "matrix count" 7 (Dd.mnode_count p m);
+    if k mod 100 = 0 then begin
+      Dd.compact p ~vroots:[ dense; chain ] ~mroots:[ m ];
+      if !live < 0 then live := Dd.live_vnodes p;
+      Alcotest.(check int) "every compaction keeps the same nodes" !live (Dd.live_vnodes p);
+      Alcotest.(check int) "matrix nodes kept" 7 (Dd.live_mnodes p)
+    end
+  done;
+  Alcotest.(check bool) "the roots' nodes survive" true (!live >= nd && !live <= nd + nc)
+
 let test_random_state_is_dense () =
   let p = Dd.create () in
   let buf = Test_util.random_state ~seed:5 7 in
@@ -640,6 +663,147 @@ let test_cache_hit_allocates_nothing () =
   Alcotest.(check int) "all hits" (99 * 10_000) !sum;
   Alcotest.(check (float 0.0)) "minor words for 10 000 hits" 0.0 (w1 -. w0)
 
+(* A fresh package reports within 10 % of what [Dd.create] allocates. The
+   runtime folds a domain's allocation counts into [Gc.quick_stat] at a
+   minor collection, so each reading forces one. *)
+let test_memory_bytes_of_fresh_package () =
+  let allocated () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = allocated () in
+  let p = Dd.create () in
+  let w1 = allocated () in
+  let bytes = 8.0 *. (w1 -. w0) and reported = float_of_int (Dd.memory_bytes p) in
+  if Float.abs (reported -. bytes) > 0.1 *. bytes then
+    Alcotest.failf "memory_bytes %.0f B, Dd.create allocated %.0f B" reported bytes
+
+(* The gate-DD builders as they were before the identity chain was shared:
+   [identity_below] rebuilt from level 0 for every level that needed it,
+   and every two-qubit entry climbed its own chain. The builders in
+   [Mat_dd] must create the same nodes in the same order and intern the
+   same weights. *)
+module Ref_gate = struct
+  let identity_below p l =
+    let rec build k below =
+      if k = l then below
+      else build (k + 1) (Dd.make_mnode p k below Dd.mzero Dd.mzero below)
+    in
+    build 0 Dd.mone
+
+  let of_single p ~n ~target ~controls (u : Gate.single) =
+    let is_control l = List.mem l controls in
+    let em = Array.init 2 (fun i ->
+        Array.init 2 (fun j ->
+            let w = u.(i).(j) in
+            if Cnum.is_zero w then Dd.mzero else Dd.mterm_edge p w))
+    in
+    for l = 0 to target - 1 do
+      let ident = identity_below p l in
+      for i = 0 to 1 do
+        for j = 0 to 1 do
+          let low =
+            if is_control l then (if i = j then ident else Dd.mzero) else em.(i).(j)
+          in
+          em.(i).(j) <- Dd.make_mnode p l low Dd.mzero Dd.mzero em.(i).(j)
+        done
+      done
+    done;
+    let e = ref (Dd.make_mnode p target em.(0).(0) em.(0).(1) em.(1).(0) em.(1).(1)) in
+    for l = target + 1 to n - 1 do
+      if is_control l then e := Dd.make_mnode p l (identity_below p l) Dd.mzero Dd.mzero !e
+      else e := Dd.make_mnode p l !e Dd.mzero Dd.mzero !e
+    done;
+    !e
+
+  let of_two p ~n ~q_hi ~q_lo (u : Gate.two) =
+    let lo_level = Int.min q_hi q_lo and hi_level = Int.max q_hi q_lo in
+    let entry ih il jh jl =
+      let w = u.((2 * ih) + il).((2 * jh) + jl) in
+      if Cnum.is_zero w then Dd.mzero else Dd.mterm_edge p w
+    in
+    let rec up top l (e : Dd.medge) =
+      if l = top then e
+      else if Dd.medge_is_zero e then Dd.mzero
+      else up top (l + 1) (Dd.make_mnode p l e Dd.mzero Dd.mzero e)
+    in
+    let block bi bj =
+      let pick ri ci = if hi_level = q_hi then entry bi ri bj ci else entry ri bi ci bj in
+      let e00 = pick 0 0 and e01 = pick 0 1 and e10 = pick 1 0 and e11 = pick 1 1 in
+      let s e = up lo_level 0 e in
+      Dd.make_mnode p lo_level (s e00) (s e01) (s e10) (s e11)
+    in
+    let b00 = block 0 0 and b01 = block 0 1 and b10 = block 1 0 and b11 = block 1 1 in
+    let lift e = up hi_level (lo_level + 1) e in
+    let e = ref (Dd.make_mnode p hi_level (lift b00) (lift b01) (lift b10) (lift b11)) in
+    for l = hi_level + 1 to n - 1 do
+      e := Dd.make_mnode p l !e Dd.mzero Dd.mzero !e
+    done;
+    !e
+end
+
+let random_single rng =
+  let a () = Rng.float rng 6.3 in
+  match Rng.int rng 8 with
+  | 0 -> Gate.x
+  | 1 -> Gate.h
+  | 2 -> Gate.t
+  | 3 -> Gate.y
+  | 4 -> Gate.rz (a ())
+  | 5 -> Gate.phase (a ())
+  | 6 -> Gate.rx (a ())
+  | _ -> Gate.u3 (a ()) (a ()) (a ())
+
+let random_two rng =
+  let kron (a : Gate.single) (b : Gate.single) : Gate.two =
+    Array.init 4 (fun r -> Array.init 4 (fun c -> Cnum.mul a.(r / 2).(c / 2) b.(r mod 2).(c mod 2)))
+  in
+  match Rng.int rng 5 with
+  | 0 -> Gate.swap2
+  | 1 -> Gate.cz2
+  | 2 -> Gate.fsim (Rng.float rng 3.0) (Rng.float rng 3.0)
+  | 3 -> kron (random_single rng) (random_single rng)
+  | _ -> Gate.mul4 (Gate.fsim (Rng.float rng 3.0) 0.4) (kron (random_single rng) Gate.h)
+
+(* Random gates at n = 9, each built with both builders, on a fresh pair
+   of packages and on a pair that accumulates every gate so far. *)
+let test_gate_dd_construction_pinned () =
+  let n = 9 in
+  let rng = Rng.create 23 in
+  let acc_new = Dd.create () and acc_ref = Dd.create () in
+  for k = 1 to 400 do
+    let build_new, build_ref =
+      if Rng.int rng 3 = 0 then begin
+        let q_hi = Rng.int rng n in
+        let q_lo = (q_hi + 1 + Rng.int rng (n - 1)) mod n in
+        let u = random_two rng in
+        ( (fun p -> Mat_dd.of_two p ~n ~q_hi ~q_lo u),
+          fun p -> Ref_gate.of_two p ~n ~q_hi ~q_lo u )
+      end
+      else begin
+        let target = Rng.int rng n in
+        let others = Array.of_list (List.filter (( <> ) target) (List.init n Fun.id)) in
+        Rng.shuffle rng others;
+        let controls = Array.to_list (Array.sub others 0 (Rng.int rng 4)) in
+        let u = random_single rng in
+        ( (fun p -> Mat_dd.of_single p ~n ~target ~controls u),
+          fun p -> Ref_gate.of_single p ~n ~target ~controls u )
+      end
+    in
+    let same what pn pr =
+      let en = (build_new pn :> int) and er = (build_ref pr :> int) in
+      let where = Printf.sprintf "gate %d, %s: " k what in
+      Alcotest.(check int) (where ^ "edge") er en;
+      Alcotest.(check int) (where ^ "matrix high water")
+        (Dd.Testing.marena_high_water pr) (Dd.Testing.marena_high_water pn);
+      Alcotest.(check int) (where ^ "ctable count")
+        (Ctable.count (Dd.ctable pr)) (Ctable.count (Dd.ctable pn))
+    in
+    same "fresh" (Dd.create ()) (Dd.create ());
+    same "accumulated" acc_new acc_ref
+  done
+
 let suite =
   [ ( "dd",
       [ Alcotest.test_case "canonicity: equal vectors share nodes" `Quick
@@ -650,6 +814,8 @@ let suite =
         Alcotest.test_case "zero collapse" `Quick test_zero_collapses;
         Alcotest.test_case "near-zero snapping" `Quick test_near_zero_weights_snap;
         Alcotest.test_case "node counts of structured states" `Quick test_node_counts;
+        Alcotest.test_case "node counts across stamp wrap" `Quick
+          test_node_counts_across_stamp_wrap;
         Alcotest.test_case "random states are dense" `Quick test_random_state_is_dense;
         Alcotest.test_case "of_buf/to_buf roundtrip" `Quick test_roundtrip_random;
         Alcotest.test_case "amplitude walk" `Quick test_amplitude_walk_matches_to_buf;
@@ -670,6 +836,10 @@ let suite =
         Alcotest.test_case "compact keeps live data" `Quick test_compact_preserves_live_data;
         Alcotest.test_case "compact then continue" `Quick test_compact_then_continue;
         Alcotest.test_case "memory accounting" `Quick test_memory_accounting;
+        Alcotest.test_case "memory accounting of a fresh package" `Quick
+          test_memory_bytes_of_fresh_package;
+        Alcotest.test_case "gate DD construction pinned" `Quick
+          test_gate_dd_construction_pinned;
         Alcotest.test_case "matrix GC roots" `Quick test_mnode_count_gc;
         Alcotest.test_case "per-gate GC differential" `Quick
           test_gc_every_gate_differential;
