@@ -19,13 +19,13 @@ let modeled_balance (row : Workloads.row) threads =
   Array.iter
     (fun op ->
        let m = Mat_dd.of_op p ~n op in
-       let tasks = Cost.assign_cache_tasks p ~n ~t m in
+       let tasks = Cost.assign p ~n ~t Cost.Column_major m in
        let per_thread =
          Array.map
            (fun lst ->
               List.fold_left
-                (fun acc ((node : Dd.mnode), _) ->
-                   acc +. Cost.mac_count p (Dd.munit node))
+                (fun acc (task : Cost.task) ->
+                   acc +. Cost.mac_count p (Dd.munit task.node))
                 0.0 lst)
            tasks
        in

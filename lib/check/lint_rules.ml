@@ -231,11 +231,11 @@ let mutex_discipline =
 (* --- naked-hashtbl-in-parallel ---------------------------------------- *)
 
 (* Hashtbl is not domain-safe. Mutating one from inside a closure handed
-   to Pool.parallel_for / Pool.run / Taskq.submit is a race unless the
-   table was created inside that same closure (the per-worker cache in
-   Dmav.apply_cache is the sanctioned pattern). *)
+   to Pool.parallel_for / Pool.run is a race unless the table was created
+   inside that same closure (the per-worker cache in Dmav.apply_cache is
+   the sanctioned pattern). *)
 let parallel_entry_points =
-  [ "Pool.parallel_for"; "Pool.parallel_for_ranges"; "Pool.run"; "Taskq.submit" ]
+  [ "Pool.parallel_for"; "Pool.parallel_for_ranges"; "Pool.run" ]
 
 let hashtbl_mutators =
   [ "Hashtbl.replace"; "Hashtbl.add"; "Hashtbl.remove"; "Hashtbl.reset";

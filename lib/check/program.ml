@@ -5,8 +5,8 @@
    - the cross-module call graph (resolved references between top-level
      definitions, including closures escaping as higher-order arguments);
    - the parallel-reachable set: everything transitively reachable from
-     closures handed to Pool/Taskq/Sched, `Thread.create` and
-     `Domain.spawn` — the code that can run off the main thread;
+     closures handed to Pool/Sched, `Thread.create` and `Domain.spawn` —
+     the code that can run off the main thread;
    - a lock environment threaded through the walk: `Mutex.lock`/`unlock`
      sequences, `Mutex.protect`, and the repo's `locked t f`-style
      combinators all push/pop symbolic lock keys, so "helper called
@@ -67,8 +67,7 @@ let rule_names = List.map (fun (n, _, _) -> n) rules
 (* Closure arguments to these run on other domains/threads. Names are the
    fully-qualified def names ((wrapped false): module = file). *)
 let parallel_entries =
-  [ "Pool.run"; "Pool.parallel_for"; "Pool.parallel_for_ranges"; "Taskq.submit";
-    "Sched.create" ]
+  [ "Pool.run"; "Pool.parallel_for"; "Pool.parallel_for_ranges"; "Sched.create" ]
 
 (* Stdlib spawns, matched on the written name (no def in the model). *)
 let spawn_entries = [ "Thread.create"; "Domain.spawn"; "Domain.spawn_on" ]

@@ -2,8 +2,8 @@
 
     Runs over a {!Callgraph.t}: computes the cross-module call graph and
     the parallel-reachable set (everything transitively reachable from
-    closures handed to Pool/Taskq/Sched, [Thread.create] and
-    [Domain.spawn]), threads a symbolic lock environment through every
+    closures handed to Pool/Sched, [Thread.create] and [Domain.spawn]),
+    threads a symbolic lock environment through every
     definition ([Mutex.lock/unlock], [Mutex.protect], and the repo's
     [locked t f] combinators), and emits three inter-procedural rules:
     [unguarded-shared-state], [lock-order] and [arena-epoch]. See the

@@ -39,29 +39,40 @@ let pow2_threads ~n threads =
   done;
   !t
 
-(* Mirror of Algorithm 2's AssignCache: collect each thread's border-level
-   task nodes, then count per-thread node repeats (cache hits) and run the
-   greedy buffer allocation over the threads' output-block sets. *)
-let assign_cache_tasks p ~n ~t (root : Dd.medge) =
+type task = { node : Dd.mnode; start : int; weight : Cnum.t }
+
+type traversal = Row_major | Column_major
+
+(* Algorithms 1 and 2's Assign/AssignCache: walk the top log₂ t levels,
+   handing each border-level sub-matrix to a thread. Row-major (Assign):
+   the thread index follows the row bit i and the V offset the column
+   bit j. Column-major (AssignCache): the thread index follows j and the
+   partial-output offset follows i. The outer loop runs over the bit the
+   thread index follows. *)
+let assign p ~n ~t traversal (root : Dd.medge) =
   let border = n - Bits.log2_exact t - 1 in
   let tasks = Array.make t [] in
-  let rec go (e : Dd.medge) u ip l =
+  let rec go (e : Dd.medge) (f : Cnum.t) u start l =
     if not (Dd.medge_is_zero e) then begin
-      if l = border then tasks.(u) <- (Dd.mtgt e, ip) :: tasks.(u)
+      let f = Cnum.mul f (Dd.mw p e) in
+      if l = border then tasks.(u) <- { node = Dd.mtgt e; start; weight = f } :: tasks.(u)
       else begin
         let step = t / (1 lsl (n - l)) in
         let half = 1 lsl l in
-        (* Column-major: the thread index follows the column bit j, the
-           partial-output offset follows the row bit i. *)
-        for j = 0 to 1 do
-          for i = 0 to 1 do
-            go (Dd.medge_child p e i j) (u + (j * step)) (ip + (i * half)) (l - 1)
+        for a = 0 to 1 do
+          for b = 0 to 1 do
+            let e' =
+              match traversal with
+              | Row_major -> Dd.medge_child p e a b
+              | Column_major -> Dd.medge_child p e b a
+            in
+            go e' f (u + (a * step)) (start + (b * half)) (l - 1)
           done
         done
       end
     end
   in
-  go root 0 0 (n - 1);
+  go root Cnum.one 0 0 (n - 1);
   Array.map List.rev tasks
 
 let allocate_buffers per_thread_blocks =
@@ -102,7 +113,7 @@ let sum_distinct_tasks tasks f =
     (fun lst ->
        let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
        List.iter
-         (fun ((node : Dd.mnode), _ip) ->
+         (fun { node; _ } ->
             if Hashtbl.mem seen (Dd.mid node) then incr hits
             else begin
               Hashtbl.replace seen (Dd.mid node) ();
@@ -114,9 +125,9 @@ let sum_distinct_tasks tasks f =
 
 let breakdown p ~n ~threads root =
   let t = pow2_threads ~n threads in
-  let tasks = assign_cache_tasks p ~n ~t root in
+  let tasks = assign p ~n ~t Column_major root in
   let k2, hits = sum_distinct_tasks tasks (fun node -> mac_count p (Dd.munit node)) in
-  let per_thread_blocks = Array.map (List.map snd) tasks in
+  let per_thread_blocks = Array.map (List.map (fun task -> task.start)) tasks in
   let _, buffers = allocate_buffers per_thread_blocks in
   { k1 = mac_count p root; k2; hits; buffers }
 
@@ -153,7 +164,7 @@ let identity_macs p ~n d root =
   if not d.cached then path_count p ~leaf root
   else
     fst
-      (sum_distinct_tasks (assign_cache_tasks p ~n ~t:d.threads_used root) (fun node ->
+      (sum_distinct_tasks (assign p ~n ~t:d.threads_used Column_major root) (fun node ->
            path_count p ~leaf (Dd.munit node)))
 
 (* Dense direct application touches every amplitude with a fixed-size

@@ -24,12 +24,22 @@ val allocate_buffers : int list array -> int array * int
     disjoint from its own, else opens a new one. Returns the thread →
     buffer assignment and the buffer count [b]. *)
 
-val assign_cache_tasks :
-  Dd.package -> n:int -> t:int -> Dd.medge -> (Dd.mnode * int) list array
-(** The column-space (AssignCache) task assignment without executing it:
-    for each of the [t] threads, the border-level (sub-matrix node,
-    output-block start) pairs in assignment order. Exposed for the
-    load-balance analyses in the benchmark harness. *)
+type task = { node : Dd.mnode; start : int; weight : Cnum.t }
+(** A border-level multiplication task: the sub-matrix node with the full
+    weight product (path weights and the border edge's own weight folded
+    together, which is what the caching factor needs), plus the
+    sub-vector start index — I_V for the row-space kernel, I_P for the
+    column-space one. *)
+
+type traversal =
+  | Row_major     (** Algorithm 1's Assign: threads own row blocks *)
+  | Column_major  (** Algorithm 2's AssignCache: threads own column blocks *)
+
+val assign : Dd.package -> n:int -> t:int -> traversal -> Dd.medge -> task list array
+(** The task assignment over the top log₂ t levels: for each of the [t]
+    threads, its border-level tasks in assignment order. Both DMAV
+    kernels, the cost model and the load-balance analyses in the
+    benchmark harness use it. *)
 
 val mac_count : Dd.package -> Dd.medge -> float
 (** [K₁] — total MACs of multiplying this matrix DD by a dense vector.

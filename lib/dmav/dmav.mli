@@ -52,17 +52,6 @@ type exec_stats = Dmav_generic.exec_stats = {
   buffers_used : int;
 }
 
-type task = Dmav_generic.task = { node : Dd.mnode; start : int; weight : Cnum.t }
-(** A border-level multiplication task: the sub-matrix node with the full
-    weight product folded in, plus the sub-vector start index — I_V for
-    the row-space kernel, I_P for the column-space one. *)
-
-val assign_rows : Dd.package -> n:int -> t:int -> Dd.medge -> task list array
-(** Algorithm 1's Assign: row-major traversal of the top log₂ t levels. *)
-
-val assign_cols : Dd.package -> n:int -> t:int -> Dd.medge -> task list array
-(** Algorithm 2's AssignCache: column-major traversal. *)
-
 val apply :
   ?workspace:workspace ->
   Dd.package ->

@@ -1,29 +1,22 @@
 (* DD-matrix × array-vector kernels over a storage kind [P : Storage.S] —
    the only DMAV kernels, for both precisions: [Dmav] is
-   [Make (Storage.F64)] plus the shared traversals, and the f32 flat
-   engine instantiates it at [Storage.F32].
+   [Make (Storage.F64)], and the f32 flat engine instantiates it at
+   [Storage.F32].
 
-   The Assign traversals and the cache/buffer bookkeeping stay in OCaml;
-   each border task's Run recursion is one call into the [P.dmav_run] C
-   stub over the package's raw arena view, and cache hits, buffer zeroing
-   and summation are one stripe-primitive call per block. W is zeroed
-   inside the workers, one output stripe or block each. Weights always
-   stay f64 — they come off the ctable planes — so at [F32] the only
-   rounding happens on the stores. The view stays valid for the whole
-   apply because nothing allocates DD nodes or interns weights inside the
-   kernels.
+   The Assign traversals ([Cost.assign]) and the cache/buffer bookkeeping
+   stay in OCaml; each border task's Run recursion is one call into the
+   [P.dmav_run] C stub over the package's raw arena view, and cache hits,
+   buffer zeroing and summation are one stripe-primitive call per block.
+   W is zeroed inside the workers, one output stripe or block each.
+   Weights always stay f64 — they come off the ctable planes — so at
+   [F32] the only rounding happens on the stores. The view stays valid
+   for the whole apply because nothing allocates DD nodes or interns
+   weights inside the kernels.
 
    Instrumentation is per kernel invocation (one gate application), never
    per MAC. [Obs] instruments are registered by name and a repeated name
    returns the existing one, so every instance of [Make] feeds the same
    [dmav.*] counters and span: f64 and f32 gates are counted together. *)
-
-(* A border-level multiplication task: the sub-matrix node with the full
-   weight product (path weights and the border edge's own weight folded
-   together, which is what the caching factor needs), plus the sub-vector
-   start index — I_V for the row-space kernel, I_P for the column-space
-   one. *)
-type task = { node : Dd.mnode; start : int; weight : Cnum.t }
 
 type exec_stats = {
   used_cache : bool;
@@ -31,56 +24,6 @@ type exec_stats = {
   cache_hits : int;
   buffers_used : int;
 }
-
-(* Algorithm 1's Assign: row-major traversal of the top log₂ t levels.
-   The thread index follows row bits; the V offset follows column bits. *)
-let assign_rows p ~n ~t (root : Dd.medge) =
-  let border = n - Bits.log2_exact t - 1 in
-  let tasks = Array.make t [] in
-  let rec go (e : Dd.medge) (f : Cnum.t) u iv l =
-    if not (Dd.medge_is_zero e) then begin
-      if l = border then
-        tasks.(u) <- { node = Dd.mtgt e; start = iv; weight = Cnum.mul f (Dd.mw p e) }
-                     :: tasks.(u)
-      else begin
-        let step = t / (1 lsl (n - l)) in
-        let half = 1 lsl l in
-        let f' = Cnum.mul f (Dd.mw p e) in
-        for i = 0 to 1 do
-          for j = 0 to 1 do
-            go (Dd.medge_child p e i j) f' (u + (i * step)) (iv + (j * half)) (l - 1)
-          done
-        done
-      end
-    end
-  in
-  go root Cnum.one 0 0 (n - 1);
-  Array.map List.rev tasks
-
-(* Algorithm 2's AssignCache: column-major — the thread index follows
-   column bits, the partial-output offset follows row bits. *)
-let assign_cols p ~n ~t (root : Dd.medge) =
-  let border = n - Bits.log2_exact t - 1 in
-  let tasks = Array.make t [] in
-  let rec go (e : Dd.medge) (f : Cnum.t) u ip l =
-    if not (Dd.medge_is_zero e) then begin
-      if l = border then
-        tasks.(u) <- { node = Dd.mtgt e; start = ip; weight = Cnum.mul f (Dd.mw p e) }
-                     :: tasks.(u)
-      else begin
-        let step = t / (1 lsl (n - l)) in
-        let half = 1 lsl l in
-        let f' = Cnum.mul f (Dd.mw p e) in
-        for j = 0 to 1 do
-          for i = 0 to 1 do
-            go (Dd.medge_child p e i j) f' (u + (j * step)) (ip + (i * half)) (l - 1)
-          done
-        done
-      end
-    end
-  in
-  go root Cnum.one 0 0 (n - 1);
-  Array.map List.rev tasks
 
 (* A free list of reusable 2ⁿ-sized buffers: the cached kernel's partial
    outputs and the flat engine's scratch vector. Polymorphic in the buffer
@@ -100,7 +43,7 @@ module Make (P : Storage.S) = struct
   let fc_macs_modeled_identity = Obs.fcounter "dmav.macs.modeled_identity"
   let s_apply = Obs.span "dmav.apply"
 
-  let run_task mv (task : task) ~v ~w ~iv ~iw =
+  let run_task mv (task : Cost.task) ~v ~w ~iv ~iw =
     P.dmav_run mv ~node:(Dd.mid task.node) ~v ~w ~iv ~iw ~fre:task.weight.Cnum.re
       ~fim:task.weight.Cnum.im
 
@@ -110,7 +53,7 @@ module Make (P : Storage.S) = struct
     Obs.incr c_kernel_uncached;
     let t = Cost.pow2_threads ~n (Pool.size pool) in
     let h = (1 lsl n) / t in
-    let tasks = assign_rows p ~n ~t root in
+    let tasks = Cost.assign p ~n ~t Cost.Row_major root in
     let mv = Dd.mview p in
     (* Check mode: each worker claims its W stripe on a region scoped to
        this kernel call, so a task-assignment bug that lands two domains
@@ -127,7 +70,9 @@ module Make (P : Storage.S) = struct
         if u < t then begin
           claim (u * h) ((u + 1) * h);
           P.fill_zero_range w ~pos:(u * h) ~len:h;
-          List.iter (fun task -> run_task mv task ~v ~w ~iv:task.start ~iw:(u * h)) tasks.(u)
+          List.iter
+            (fun (task : Cost.task) -> run_task mv task ~v ~w ~iv:task.start ~iw:(u * h))
+            tasks.(u)
         end)
 
   type nonrec workspace = P.t workspace
@@ -177,10 +122,10 @@ module Make (P : Storage.S) = struct
     Obs.incr c_kernel_cached;
     let t = Cost.pow2_threads ~n (Pool.size pool) in
     let h = (1 lsl n) / t in
-    let tasks = assign_cols p ~n ~t root in
+    let tasks = Cost.assign p ~n ~t Cost.Column_major root in
     let mv = Dd.mview p in
     (* Buffer allocation over the threads' output-block sets. *)
-    let blocks = Array.map (List.map (fun task -> task.start)) tasks in
+    let blocks = Array.map (List.map (fun (task : Cost.task) -> task.start)) tasks in
     let v_b, n_buffers = Cost.allocate_buffers blocks in
     let bufs = Array.init n_buffers (fun _ -> take_buffer workspace n) in
     (* Occupied blocks per buffer, for targeted zeroing and summation. The
@@ -228,7 +173,7 @@ module Make (P : Storage.S) = struct
           let buf = bufs.(v_b.(u)) in
           let cache : (int, Cnum.t * int) Hashtbl.t = Hashtbl.create 16 in
           List.iter
-            (fun task ->
+            (fun (task : Cost.task) ->
                claim u task.start;
                match Hashtbl.find_opt cache (Dd.mid task.node) with
                | Some (f0, ip0) ->

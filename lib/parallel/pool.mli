@@ -18,8 +18,9 @@
     time under an internal admission lock, so concurrent [run] /
     [parallel_for] calls serialize against each other instead of
     corrupting the pool. The accumulated admission wait is exported as the
-    [pool.admission_wait] span. For one-shot task submission with futures
-    see {!Taskq}. *)
+    [pool.admission_wait] span. Whole jobs are dispatched one per slot by
+    the batch scheduler ([Sched], in [lib/sched]), which owns its slot
+    domains and runs each job's parallel phases over one shared pool. *)
 
 type t
 

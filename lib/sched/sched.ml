@@ -1,13 +1,14 @@
-(* The batch scheduler: Taskq supplies slot domains and priority/FIFO
-   dispatch; this module layers job identity, deadlines, cooperative
-   cancellation and retry-with-downgrade on top, and keeps the per-job
-   accounting the batch CLI serializes.
+(* The batch scheduler: [slots] runner domains pull jobs from one
+   priority queue (max priority first, FIFO within a priority) while every
+   job's inner data-parallel phases share one pool. On top of dispatch it
+   layers job identity, deadlines, interrupts and retry-with-downgrade,
+   and keeps the per-job accounting the batch CLI serializes.
 
    Deadline enforcement needs no watchdog thread: the cancellation poll
    handed to the simulator compares the wall clock against the job's
    absolute deadline at every gate boundary, so a deadline fires within
-   one gate of its expiry and is classified afterwards by looking at the
-   user-cancel flag. *)
+   one gate of its expiry. A stopped run is [Cancelled] if the scheduler
+   was interrupted, else [Timed_out]. *)
 
 let c_submitted = Obs.counter "sched.submitted"
 let c_completed = Obs.counter "sched.completed"
@@ -62,49 +63,52 @@ let default_downgrade cfg = { cfg with Config.policy = Config.Convert_at (-1) }
 type tracked = {
   t_job : job;
   submitted_at : float;
-  user_cancel : bool Atomic.t;
-  mutable handle : unit Taskq.handle option; (* set before submit returns *)
   mutable result : job_result option;        (* guarded by [mutex] *)
 }
 
+(* Queue order: priority descending, then submission sequence. *)
+module Ready = Map.Make (struct
+    type t = int * int (* priority, seq *)
+
+    let compare (p1, s1) (p2, s2) =
+      match Int.compare p2 p1 with 0 -> Int.compare s1 s2 | c -> c
+  end)
+
 type t = {
-  tq : Taskq.t;
   pool : Pool.t;
   mutex : Mutex.t;
+  work : Condition.t;                        (* a job was queued, start, or shutdown *)
+  resolved : Condition.t;                    (* [unresolved] dropped *)
   by_id : (string, tracked) Hashtbl.t;
   mutable order : tracked list;              (* reverse submission order *)
+  mutable ready : tracked Ready.t;           (* queued, not yet dispatched *)
+  mutable seq : int;
+  mutable unresolved : int;                  (* submitted, result not yet delivered *)
+  mutable started : bool;
+  mutable closed : bool;                     (* shut down: no submits, runners exit *)
+  mutable domains : unit Domain.t list;
   downgrade : Config.t -> Config.t;
   runner : runner;
   on_result : job_result -> unit;
   stop : bool Atomic.t;                      (* interrupt: cancel everything *)
 }
 
-let create ?(downgrade = default_downgrade) ?(runner = default_runner)
-    ?(on_result = fun _ -> ()) ?paused ~pool ~slots () =
-  { tq = Taskq.create ?paused slots;
-    pool;
-    mutex = Mutex.create ();
-    by_id = Hashtbl.create 64;
-    order = [];
-    downgrade;
-    runner;
-    on_result;
-    stop = Atomic.make false }
-
-let start t = Taskq.start t.tq
+(* Every critical section runs under this combinator, so an exception
+   inside one can never leave [t.mutex] held. *)
+let locked t f =
+  Mutex.lock t.mutex;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
 
 (* One atomic store, safe to call from a signal handler: every job's
-   cancel poll ORs this flag in, so running jobs resolve as [Cancelled]
+   cancel poll reads this flag, so running jobs resolve as [Cancelled]
    within one gate and queued ones as soon as a slot picks them up.
    [drain] still returns the full result list, so a batch CLI can write
    whatever completed before the interrupt. *)
 let interrupt t = Atomic.set t.stop true
 let interrupted t = Atomic.get t.stop
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
+(* The result is stored before [on_result] runs, so the callback may
+   already [release] the job. *)
 let record t tracked jr =
   locked t (fun () -> tracked.result <- Some jr);
   (match jr.outcome with
@@ -124,15 +128,11 @@ let execute t tracked =
   let deadline_abs =
     if job.deadline_s > 0.0 then started_at +. job.deadline_s else infinity
   in
-  let user_cancelled () = Atomic.get tracked.user_cancel || Atomic.get t.stop in
-  let cancel_poll () = user_cancelled () || Unix.gettimeofday () > deadline_abs in
-  if user_cancelled () then
-    (* Cancelled (or the whole scheduler interrupted) while queued but
-       after dispatch won the race against [cancel]: resolve without
-       starting an attempt. *)
-    record t tracked
-      { job; outcome = Cancelled; queue_wait_s; run_s = 0.0; attempts = 0;
-        downgraded = false }
+  let cancel_poll () = interrupted t || Unix.gettimeofday () > deadline_abs in
+  if interrupted t then
+    (* Interrupted while queued: resolve without starting an attempt. *)
+    { job; outcome = Cancelled; queue_wait_s; run_s = 0.0; attempts = 0;
+      downgraded = false }
   else begin
     let attempts = ref 0 in
     let downgraded = ref false in
@@ -140,11 +140,10 @@ let execute t tracked =
       incr attempts;
       match t.runner ~cancel:cancel_poll ~pool:t.pool { job with config = cfg } with
       | r -> Completed r
-      | exception Driver.Cancelled ->
-        if user_cancelled () then Cancelled else Timed_out
+      | exception Driver.Cancelled -> if interrupted t then Cancelled else Timed_out
       | exception e ->
         (* Retry only while the job is still allowed to run; a failure past
-           the deadline or after a cancel keeps the failure outcome but
+           the deadline or after an interrupt keeps the failure outcome but
            burns no further attempts. *)
         if !attempts <= job.max_retries && not (cancel_poll ()) then begin
           Obs.incr c_retries;
@@ -154,51 +153,80 @@ let execute t tracked =
         else Failed e
     in
     let outcome, run_s = Obs.timed s_run (fun () -> attempt job.config) in
-    record t tracked
-      { job; outcome; queue_wait_s; run_s; attempts = !attempts; downgraded = !downgraded }
+    { job; outcome; queue_wait_s; run_s; attempts = !attempts; downgraded = !downgraded }
   end
 
-let submit t job =
-  let tracked =
-    { t_job = job;
-      submitted_at = Unix.gettimeofday ();
-      user_cancel = Atomic.make false;
-      handle = None;
-      result = None }
-  in
+(* The best queued job, taken under the lock; [None] once shut down. *)
+let next_job t =
   locked t (fun () ->
+      while (not t.closed) && (Ready.is_empty t.ready || not t.started) do
+        Condition.wait t.work t.mutex
+      done;
+      if t.closed then None
+      else begin
+        let key, tracked = Ready.min_binding t.ready in
+        t.ready <- Ready.remove key t.ready;
+        Some tracked
+      end)
+
+(* A runner domain: run each job with no lock held, record it, then
+   count it resolved, so [drain] returns only after every [on_result]. *)
+let rec runner_loop t =
+  match next_job t with
+  | None -> ()
+  | Some tracked ->
+    (* A raising [downgrade] or [on_result] must not kill the slot. *)
+    (try record t tracked (execute t tracked) with e -> ignore e);
+    locked t (fun () ->
+        t.unresolved <- t.unresolved - 1;
+        Condition.broadcast t.resolved);
+    runner_loop t
+
+let create ?(downgrade = default_downgrade) ?(runner = default_runner)
+    ?(on_result = fun _ -> ()) ?(paused = false) ~pool ~slots () =
+  if slots < 1 then invalid_arg "Sched.create: slots must be >= 1";
+  let t =
+    { pool;
+      mutex = Mutex.create ();
+      work = Condition.create ();
+      resolved = Condition.create ();
+      by_id = Hashtbl.create 64;
+      order = [];
+      ready = Ready.empty;
+      seq = 0;
+      unresolved = 0;
+      started = not paused;
+      closed = false;
+      domains = [];
+      downgrade;
+      runner;
+      on_result;
+      stop = Atomic.make false }
+  in
+  t.domains <- List.init slots (fun _ -> Domain.spawn (fun () -> runner_loop t));
+  t
+
+let start_locked t =
+  if not t.started then begin
+    t.started <- true;
+    Condition.broadcast t.work
+  end
+
+let start t = locked t (fun () -> start_locked t)
+
+let submit t job =
+  let tracked = { t_job = job; submitted_at = Unix.gettimeofday (); result = None } in
+  locked t (fun () ->
+      if t.closed then invalid_arg "Sched.submit: scheduler is shut down";
       if Hashtbl.mem t.by_id job.id then
         invalid_arg (Printf.sprintf "Sched.submit: duplicate job id %S" job.id);
       Hashtbl.add t.by_id job.id tracked;
-      t.order <- tracked :: t.order);
-  Obs.incr c_submitted;
-  tracked.handle <- Some (Taskq.submit ~priority:job.priority t.tq (fun () -> execute t tracked))
-
-let cancel t id =
-  let tracked = locked t (fun () -> Hashtbl.find_opt t.by_id id) in
-  match tracked with
-  | None -> false
-  | Some tracked ->
-    let already_done = locked t (fun () -> tracked.result <> None) in
-    if already_done then false
-    else begin
-      Atomic.set tracked.user_cancel true;
-      let aborted =
-        match tracked.handle with Some h -> Taskq.try_abort h | None -> false
-      in
-      if aborted then
-        (* Never dispatched: synthesize the result here; queue wait ends now. *)
-        record t tracked
-          { job = tracked.t_job;
-            outcome = Cancelled;
-            queue_wait_s = Unix.gettimeofday () -. tracked.submitted_at;
-            run_s = 0.0;
-            attempts = 0;
-            downgraded = false };
-      (* Running (or racing to completion): the poll resolves it. Either
-         way the cancel landed on an unresolved job. *)
-      true
-    end
+      t.order <- tracked :: t.order;
+      t.ready <- Ready.add (job.priority, t.seq) tracked t.ready;
+      t.seq <- t.seq + 1;
+      t.unresolved <- t.unresolved + 1;
+      if t.started then Condition.signal t.work);
+  Obs.incr c_submitted
 
 let release t id =
   locked t (fun () ->
@@ -209,23 +237,40 @@ let release t id =
       | _ -> ())
 
 let drain t =
-  Taskq.wait_idle t.tq;
-  let in_order = locked t (fun () -> List.rev t.order) in
+  let in_order =
+    locked t (fun () ->
+        start_locked t;
+        while t.unresolved > 0 do
+          Condition.wait t.resolved t.mutex
+        done;
+        List.rev_map (fun tracked -> (tracked.t_job, tracked.result)) t.order)
+  in
   List.map
-    (fun tracked ->
-       match locked t (fun () -> tracked.result) with
+    (fun (job, result) ->
+       match result with
        | Some jr -> jr
        | None ->
-         (* Only reachable if the queue was shut down under the job. *)
-         { job = tracked.t_job;
-           outcome = Cancelled;
-           queue_wait_s = 0.0;
-           run_s = 0.0;
-           attempts = 0;
+         (* Dropped from the queue by [shutdown] before it ever ran. *)
+         { job; outcome = Cancelled; queue_wait_s = 0.0; run_s = 0.0; attempts = 0;
            downgraded = false })
     in_order
 
-let shutdown t = Taskq.shutdown t.tq
+let shutdown t =
+  let domains =
+    locked t (fun () ->
+        if t.closed then []
+        else begin
+          t.closed <- true;
+          t.unresolved <- t.unresolved - Ready.cardinal t.ready;
+          t.ready <- Ready.empty;
+          Condition.broadcast t.work;
+          Condition.broadcast t.resolved;
+          let ds = t.domains in
+          t.domains <- [];
+          ds
+        end)
+  in
+  List.iter Domain.join domains
 
 let run_jobs ?downgrade ?runner ?on_result ~pool ~slots jobs =
   let t = create ?downgrade ?runner ?on_result ~paused:true ~pool ~slots () in

@@ -2,18 +2,20 @@
 
     The simulator runs one circuit per call; production batches run
     thousands. This scheduler dispatches many independent simulation jobs
-    over [slots] concurrent runners (a {!Taskq.t}) while every job's inner
-    data-parallel phases (conversion, DMAV) share a single {!Pool.t} —
-    pool admission serializes those, so the DD phases of different jobs
-    overlap and the wide phases take the whole pool in turn, instead of
-    every job spawning its own domains.
+    over [slots] runner domains of its own, which take jobs from one queue
+    (priority descending, submission order within a priority), while
+    every job's inner data-parallel phases (conversion, DMAV) share a
+    single {!Pool.t} — pool admission serializes those, so the DD phases
+    of different jobs overlap and the wide phases take the whole pool in
+    turn, instead of every job spawning its own domains.
 
     Job lifecycle:
 
     {v
       submit --> QUEUED --(slot free, max priority, FIFO within)--> RUNNING
-        QUEUED  --cancel----------------------------> CANCELLED (never ran)
-        RUNNING --cancel flag, polled per gate------> CANCELLED
+        QUEUED  --interrupt, picked up by a slot----> CANCELLED (never ran)
+        QUEUED  --shutdown--------------------------> CANCELLED (never ran)
+        RUNNING --interrupt, polled per gate--------> CANCELLED
         RUNNING --deadline passed, polled per gate--> TIMED_OUT
         RUNNING --exception, retries left--(downgrade config)--> RUNNING
         RUNNING --exception, retries exhausted------> FAILED
@@ -22,8 +24,8 @@
 
     Deadlines are wall-clock budgets for the {e running} phase of a job
     (all attempts included), enforced cooperatively through
-    [Driver.run ~cancel] — a deadline or cancellation lands within
-    one gate application and never poisons the shared pool.
+    [Driver.run ~cancel] — a deadline or interrupt lands within one gate
+    application and never poisons the shared pool.
 
     Instrumented as [sched.{submitted,completed,failed,timed_out,
     cancelled,retries}] and spans [sched.{queue_wait,run}]. *)
@@ -59,7 +61,7 @@ type outcome =
 type job_result = {
   job : job;
   outcome : outcome;
-  queue_wait_s : float;  (** submit → first dispatch (or cancellation) *)
+  queue_wait_s : float;  (** submit → dispatch; 0 if dropped by {!shutdown} *)
   run_s : float;         (** wall clock across all attempts *)
   attempts : int;        (** attempts started; 0 if cancelled while queued *)
   downgraded : bool;     (** at least one retry ran a downgraded config *)
@@ -92,20 +94,18 @@ val create :
   t
 (** [create ~pool ~slots ()] spawns [slots] runner domains sharing
     [pool]. [on_result] streams each result as it lands (called from a
-    runner domain; keep it cheap and thread-safe). [~paused:true] holds
+    runner domain with no scheduler lock held, so it may call {!submit}
+    and {!release}; keep it cheap and thread-safe). [~paused:true] holds
     dispatch until {!start} so a whole batch can be queued first. The
-    pool is borrowed, never shut down. *)
+    pool is borrowed, never shut down.
+    @raise Invalid_argument if [slots < 1]. *)
 
 val start : t -> unit
+(** Releases a scheduler created with [~paused:true]. Idempotent. *)
 
 val submit : t -> job -> unit
-(** @raise Invalid_argument on a duplicate id or after {!shutdown}. *)
-
-val cancel : t -> string -> bool
-(** [cancel t id]: a queued job resolves to [Cancelled] immediately and
-    never runs; a running job's flag is raised and it resolves to
-    [Cancelled] within one gate. [false] when [id] is unknown or the job
-    already resolved. *)
+(** @raise Invalid_argument on a duplicate id or after {!shutdown}; a
+    rejected job is not tracked. *)
 
 val release : t -> string -> unit
 (** [release t id] forgets a resolved job: its tracked entry, and with it
@@ -129,8 +129,10 @@ val interrupt : t -> unit
 val interrupted : t -> bool
 
 val shutdown : t -> unit
-(** Waits for running jobs, resolves still-queued ones as [Cancelled],
-    joins the runner domains. The shared pool is left alone. *)
+(** Waits for running jobs, drops still-queued ones (they never run;
+    {!drain} reports them [Cancelled] with 0 attempts, and [on_result]
+    never sees them), joins the runner domains. Idempotent. The shared
+    pool is left alone. *)
 
 val run_jobs :
   ?downgrade:(Config.t -> Config.t) ->

@@ -133,28 +133,28 @@ module Make (P : Storage.S) = struct
       if e11 <> 0 then descend e11 (iv + half) (iw + half)
     end
 
-  let run_task mv (task : Dmav_generic.task) v w iv iw =
+  let run_task mv (task : Cost.task) v w iv iw =
     run_node mv (Dd.mid task.node) v w iv iw task.weight.Cnum.re task.weight.Cnum.im
 
   (* Algorithm 1 over [threads] workers. *)
   let apply_nocache p ~threads ~n root ~v ~w =
     let t = Cost.pow2_threads ~n threads in
     let h = (1 lsl n) / t in
-    let tasks = Dmav_generic.assign_rows p ~n ~t root in
+    let tasks = Cost.assign p ~n ~t Cost.Row_major root in
     let mv = Dd.mview p in
     fill_zero_range w ~pos:0 ~len:(P.length w);
     Array.iteri
-      (fun u ts -> List.iter (fun (task : Dmav_generic.task) -> run_task mv task v w task.start (u * h)) ts)
+      (fun u ts -> List.iter (fun (task : Cost.task) -> run_task mv task v w task.start (u * h)) ts)
       tasks
 
   (* Algorithm 2 over [threads] workers; returns the cache hits. *)
   let apply_cache p ~threads ~n root ~v ~w =
     let t = Cost.pow2_threads ~n threads in
     let h = (1 lsl n) / t in
-    let tasks = Dmav_generic.assign_cols p ~n ~t root in
+    let tasks = Cost.assign p ~n ~t Cost.Column_major root in
     let mv = Dd.mview p in
     let blocks =
-      Array.map (List.map (fun (task : Dmav_generic.task) -> task.start)) tasks
+      Array.map (List.map (fun (task : Cost.task) -> task.start)) tasks
     in
     let v_b, n_buffers = Cost.allocate_buffers blocks in
     let bufs = Array.init n_buffers (fun _ -> P.create (1 lsl n)) in
@@ -172,7 +172,7 @@ module Make (P : Storage.S) = struct
          let buf = bufs.(v_b.(u)) in
          let cache = Hashtbl.create 16 in
          List.iter
-           (fun (task : Dmav_generic.task) ->
+           (fun (task : Cost.task) ->
               match Hashtbl.find_opt cache (Dd.mid task.node) with
               | Some (f0, ip0) ->
                 incr hits;

@@ -94,8 +94,6 @@ let test_mutex_discipline () =
 let test_naked_hashtbl () =
   check_flagged "captured table mutated" ~rule:"naked-hashtbl-in-parallel"
     "let f pool h = Pool.parallel_for pool ~lo:0 ~hi:4 (fun i -> Hashtbl.replace h i i)\n";
-  check_flagged "Taskq closure too" ~rule:"naked-hashtbl-in-parallel"
-    "let f q h = Taskq.submit q (fun () -> Hashtbl.add h 1 1)\n";
   check_clean "closure-local table is fine"
     "let f pool = Pool.run pool (fun _ -> let h = Hashtbl.create 4 in Hashtbl.replace h 0 0)\n";
   check_clean "reads are fine"

@@ -28,7 +28,6 @@ let () =
          Test_differential.suite;
          Test_obs.suite;
          Test_analysis.suite;
-         Test_taskq.suite;
          Test_sched.suite;
          Test_manifest.suite;
          Test_serve.suite;
