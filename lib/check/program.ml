@@ -95,7 +95,7 @@ let readers =
 
 (* Dd API calls whose result is a packed edge (arena index). *)
 let dd_edge_fns =
-  [ "make_vnode"; "make_mnode"; "vterm_edge"; "mterm_edge"; "vunit"; "munit";
+  [ "make_vnode"; "make_mnode"; "vterm_edge"; "mterm_edge"; "munit";
     "vadd"; "madd"; "mv"; "mm"; "vscale"; "mscale"; "v0"; "v1";
     "mchild"; "medge_child" ]
 

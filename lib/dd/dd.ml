@@ -161,7 +161,6 @@ let mterm_edge p (w : Cnum.t) : medge =
   let wid = Ctable.id p.ct w in
   if wid = 0 then mzero else pack 0 wid
 
-let[@inline] vunit (n : vnode) : vedge = pack n Ctable.one_id
 let[@inline] munit (n : mnode) : medge = pack n Ctable.one_id
 
 (* ------------------------------------------------------------------ *)

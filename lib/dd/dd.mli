@@ -91,9 +91,6 @@ val vterm_edge : package -> Cnum.t -> vedge
 
 val mterm_edge : package -> Cnum.t -> medge
 
-val vunit : vnode -> vedge
-(** Edge to an existing node with weight 1. *)
-
 val munit : mnode -> medge
 
 val make_vnode : package -> int -> vedge -> vedge -> vedge
@@ -203,8 +200,6 @@ val vfree_slots : package -> int
 (** Length of the vector arena's free list (reclaimed, reusable slots). *)
 
 val mfree_slots : package -> int
-val varena_capacity : package -> int
-val marena_capacity : package -> int
 
 val observe_gauges : package -> unit
 (** Pushes the current arena occupancy into the [Obs] metrics gauges

@@ -219,22 +219,6 @@ let load ?default_config ?base_seed ?strict path =
    exact bytes this produced before the order layer existed. *)
 let p0_of result = Cnum.norm2 (Driver.amplitude result 0)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-       match ch with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let result_line ?(timings = true) ~seed (jr : Sched.job_result) =
   let job = jr.Sched.job in
   let b = Buffer.create 256 in
@@ -242,7 +226,7 @@ let result_line ?(timings = true) ~seed (jr : Sched.job_result) =
   let key k = Buffer.add_string b (Printf.sprintf "\"%s\":" k) in
   let str k v =
     key k;
-    Buffer.add_string b ("\"" ^ json_escape v ^ "\"")
+    Buffer.add_string b ("\"" ^ escape v ^ "\"")
   in
   let int k v =
     key k;

@@ -1,8 +1,10 @@
-(* The batch scheduler: [slots] runner domains pull jobs from one
-   priority queue (max priority first, FIFO within a priority) while every
-   job's inner data-parallel phases share one pool. On top of dispatch it
-   layers job identity, deadlines, interrupts and retry-with-downgrade,
-   and keeps the per-job accounting the batch CLI serializes.
+(* The batch scheduler: [slots] runner domains pull jobs from one queue
+   while every job's inner data-parallel phases share one pool. The queue
+   is deficit round robin (Shreedhar & Varghese, SIGCOMM '95) over tenant
+   lanes; within a lane, max priority first, FIFO within a priority. On
+   top of dispatch it layers job identity, deadlines, interrupts and
+   retry-with-downgrade, and keeps the per-job accounting the batch CLI
+   serializes.
 
    Deadline enforcement needs no watchdog thread: the cancellation poll
    handed to the simulator compares the wall clock against the job's
@@ -16,6 +18,7 @@ let c_failed = Obs.counter "sched.failed"
 let c_timed_out = Obs.counter "sched.timed_out"
 let c_cancelled = Obs.counter "sched.cancelled"
 let c_retries = Obs.counter "sched.retries"
+let g_depth = Obs.gauge "sched.queue_depth"
 let s_queue_wait = Obs.span "sched.queue_wait"
 let s_run = Obs.span "sched.run"
 
@@ -60,13 +63,7 @@ let default_runner ~cancel ~pool job = Driver.run ~cancel ~pool job.config job.c
 
 let default_downgrade cfg = { cfg with Config.policy = Config.Convert_at (-1) }
 
-type tracked = {
-  t_job : job;
-  submitted_at : float;
-  mutable result : job_result option;        (* guarded by [mutex] *)
-}
-
-(* Queue order: priority descending, then submission sequence. *)
+(* Lane order: priority descending, then submission sequence. *)
 module Ready = Map.Make (struct
     type t = int * int (* priority, seq *)
 
@@ -74,14 +71,34 @@ module Ready = Map.Make (struct
       match Int.compare p2 p1 with 0 -> Int.compare s1 s2 | c -> c
   end)
 
+(* One tenant's share of the queue. A lane is in [t.active] exactly while
+   [ready] is non-empty, and in [t.lanes] while [jobs > 0]. *)
+type lane = {
+  tenant : string;
+  mutable ready : tracked Ready.t;           (* queued, not yet dispatched *)
+  mutable deficit : int;                     (* DRR credit, in gates *)
+  mutable jobs : int;                        (* queued + running *)
+}
+
+and tracked = {
+  t_job : job;
+  seq : int;                                 (* submission order *)
+  cost : int;                                (* gates, at least 1 *)
+  lane : lane;
+  submitted_at : float;
+  mutable result : job_result option;        (* guarded by [mutex] *)
+}
+
 type t = {
   pool : Pool.t;
   mutex : Mutex.t;
   work : Condition.t;                        (* a job was queued, start, or shutdown *)
   resolved : Condition.t;                    (* [unresolved] dropped *)
   by_id : (string, tracked) Hashtbl.t;
-  mutable order : tracked list;              (* reverse submission order *)
-  mutable ready : tracked Ready.t;           (* queued, not yet dispatched *)
+  quantum : int;                             (* credit per lane visit, in gates *)
+  lanes : (string, lane) Hashtbl.t;          (* tenants with a job queued or running *)
+  active : lane Queue.t;                     (* backlogged lanes, next visit first *)
+  mutable depth : int;                       (* queued jobs over all lanes *)
   mutable seq : int;
   mutable unresolved : int;                  (* submitted, result not yet delivered *)
   mutable started : bool;
@@ -107,10 +124,13 @@ let locked t f =
 let interrupt t = Atomic.set t.stop true
 let interrupted t = Atomic.get t.stop
 
-(* The result is stored before [on_result] runs, so the callback may
-   already [release] the job. *)
-let record t tracked jr =
-  locked t (fun () -> tracked.result <- Some jr);
+(* A lane that holds no queued or running job is forgotten, so tenants
+   that have gone idle cost nothing. *)
+let leave t lane =
+  lane.jobs <- lane.jobs - 1;
+  if lane.jobs = 0 then Hashtbl.remove t.lanes lane.tenant
+
+let report t jr =
   (match jr.outcome with
    | Completed _ -> Obs.incr c_completed
    | Failed _ -> Obs.incr c_failed
@@ -156,34 +176,59 @@ let execute t tracked =
     { job; outcome; queue_wait_s; run_s; attempts = !attempts; downgraded = !downgraded }
   end
 
-(* The best queued job, taken under the lock; [None] once shut down. *)
+(* The DRR pick, under the lock, with a job queued: each visit to the
+   head lane adds [quantum] credit, and its best job dispatches once its
+   cost fits. A lane goes to the back after every visit and leaves the
+   FIFO, forfeiting its credit, when it empties. A head costlier than the
+   credit waits at most ceil(cost / quantum) rounds. *)
+let rec pick t =
+  let lane = Queue.pop t.active in
+  lane.deficit <- lane.deficit + t.quantum;
+  let key, tracked = Ready.min_binding lane.ready in
+  if tracked.cost > lane.deficit then begin
+    Queue.push lane t.active;
+    pick t
+  end
+  else begin
+    lane.ready <- Ready.remove key lane.ready;
+    if Ready.is_empty lane.ready then lane.deficit <- 0
+    else begin
+      lane.deficit <- lane.deficit - tracked.cost;
+      Queue.push lane t.active
+    end;
+    t.depth <- t.depth - 1;
+    Obs.set_gauge g_depth t.depth;
+    tracked
+  end
+
+(* The next job to run, taken under the lock; [None] once shut down. *)
 let next_job t =
   locked t (fun () ->
-      while (not t.closed) && (Ready.is_empty t.ready || not t.started) do
+      while (not t.closed) && (t.depth = 0 || not t.started) do
         Condition.wait t.work t.mutex
       done;
-      if t.closed then None
-      else begin
-        let key, tracked = Ready.min_binding t.ready in
-        t.ready <- Ready.remove key t.ready;
-        Some tracked
-      end)
+      if t.closed then None else Some (pick t))
 
-(* A runner domain: run each job with no lock held, record it, then
-   count it resolved, so [drain] returns only after every [on_result]. *)
+(* A runner domain: run each job with no lock held, store its result and
+   release its lane's load, report it, then count it resolved, so [drain]
+   returns only after every [on_result]. *)
 let rec runner_loop t =
   match next_job t with
   | None -> ()
   | Some tracked ->
     (* A raising [downgrade] or [on_result] must not kill the slot. *)
-    (try record t tracked (execute t tracked) with e -> ignore e);
+    let jr = match execute t tracked with jr -> Some jr | exception e -> ignore e; None in
+    locked t (fun () ->
+        tracked.result <- jr;
+        leave t tracked.lane);
+    Option.iter (fun jr -> try report t jr with e -> ignore e) jr;
     locked t (fun () ->
         t.unresolved <- t.unresolved - 1;
         Condition.broadcast t.resolved);
     runner_loop t
 
 let create ?(downgrade = default_downgrade) ?(runner = default_runner)
-    ?(on_result = fun _ -> ()) ?(paused = false) ~pool ~slots () =
+    ?(on_result = fun _ -> ()) ?(paused = false) ?(quantum = 64) ~pool ~slots () =
   if slots < 1 then invalid_arg "Sched.create: slots must be >= 1";
   let t =
     { pool;
@@ -191,8 +236,10 @@ let create ?(downgrade = default_downgrade) ?(runner = default_runner)
       work = Condition.create ();
       resolved = Condition.create ();
       by_id = Hashtbl.create 64;
-      order = [];
-      ready = Ready.empty;
+      quantum = max 1 quantum;
+      lanes = Hashtbl.create 16;
+      active = Queue.create ();
+      depth = 0;
       seq = 0;
       unresolved = 0;
       started = not paused;
@@ -215,45 +262,65 @@ let start_locked t =
 let start t = locked t (fun () -> start_locked t)
 
 let submit t job =
-  let tracked = { t_job = job; submitted_at = Unix.gettimeofday (); result = None } in
+  let submitted_at = Unix.gettimeofday () in
   locked t (fun () ->
       if t.closed then invalid_arg "Sched.submit: scheduler is shut down";
       if Hashtbl.mem t.by_id job.id then
         invalid_arg (Printf.sprintf "Sched.submit: duplicate job id %S" job.id);
+      let lane =
+        match Hashtbl.find_opt t.lanes job.tenant with
+        | Some lane -> lane
+        | None ->
+          let lane = { tenant = job.tenant; ready = Ready.empty; deficit = 0; jobs = 0 } in
+          Hashtbl.add t.lanes job.tenant lane;
+          lane
+      in
+      let tracked =
+        { t_job = job; seq = t.seq; cost = max 1 (Circuit.num_gates job.circuit); lane;
+          submitted_at; result = None }
+      in
       Hashtbl.add t.by_id job.id tracked;
-      t.order <- tracked :: t.order;
-      t.ready <- Ready.add (job.priority, t.seq) tracked t.ready;
+      if Ready.is_empty lane.ready then Queue.push lane t.active;
+      lane.ready <- Ready.add (job.priority, t.seq) tracked lane.ready;
+      lane.jobs <- lane.jobs + 1;
       t.seq <- t.seq + 1;
+      t.depth <- t.depth + 1;
+      Obs.set_gauge g_depth t.depth;
       t.unresolved <- t.unresolved + 1;
       if t.started then Condition.signal t.work);
   Obs.incr c_submitted
 
+let load t ~tenant =
+  locked t (fun () ->
+      match Hashtbl.find_opt t.lanes tenant with Some lane -> lane.jobs | None -> 0)
+
 let release t id =
   locked t (fun () ->
       match Hashtbl.find_opt t.by_id id with
-      | Some tracked when tracked.result <> None ->
-        Hashtbl.remove t.by_id id;
-        t.order <- List.filter (fun x -> x != tracked) t.order
+      | Some tracked when tracked.result <> None -> Hashtbl.remove t.by_id id
       | _ -> ())
 
 let drain t =
-  let in_order =
+  let results =
     locked t (fun () ->
         start_locked t;
         while t.unresolved > 0 do
           Condition.wait t.resolved t.mutex
         done;
-        List.rev_map (fun tracked -> (tracked.t_job, tracked.result)) t.order)
+        Hashtbl.fold
+          (fun _ (tracked : tracked) acc ->
+             let jr =
+               match tracked.result with
+               | Some jr -> jr
+               | None ->
+                 (* Dropped from the queue by [shutdown] before it ever ran. *)
+                 { job = tracked.t_job; outcome = Cancelled; queue_wait_s = 0.0;
+                   run_s = 0.0; attempts = 0; downgraded = false }
+             in
+             (tracked.seq, jr) :: acc)
+          t.by_id [])
   in
-  List.map
-    (fun (job, result) ->
-       match result with
-       | Some jr -> jr
-       | None ->
-         (* Dropped from the queue by [shutdown] before it ever ran. *)
-         { job; outcome = Cancelled; queue_wait_s = 0.0; run_s = 0.0; attempts = 0;
-           downgraded = false })
-    in_order
+  List.map snd (List.sort (fun (a, _) (b, _) -> Int.compare a b) results)
 
 let shutdown t =
   let domains =
@@ -261,8 +328,15 @@ let shutdown t =
         if t.closed then []
         else begin
           t.closed <- true;
-          t.unresolved <- t.unresolved - Ready.cardinal t.ready;
-          t.ready <- Ready.empty;
+          t.unresolved <- t.unresolved - t.depth;
+          Queue.iter
+            (fun lane ->
+               Ready.iter (fun _ _ -> leave t lane) lane.ready;
+               lane.ready <- Ready.empty)
+            t.active;
+          Queue.clear t.active;
+          t.depth <- 0;
+          Obs.set_gauge g_depth 0;
           Condition.broadcast t.work;
           Condition.broadcast t.resolved;
           let ds = t.domains in

@@ -2,17 +2,25 @@
 
     The simulator runs one circuit per call; production batches run
     thousands. This scheduler dispatches many independent simulation jobs
-    over [slots] runner domains of its own, which take jobs from one queue
-    (priority descending, submission order within a priority), while
-    every job's inner data-parallel phases (conversion, DMAV) share a
-    single {!Pool.t} — pool admission serializes those, so the DD phases
-    of different jobs overlap and the wide phases take the whole pool in
-    turn, instead of every job spawning its own domains.
+    over [slots] runner domains of its own, which take jobs from one
+    queue, while every job's inner data-parallel phases (conversion,
+    DMAV) share a single {!Pool.t} — pool admission serializes those, so
+    the DD phases of different jobs overlap and the wide phases take the
+    whole pool in turn, instead of every job spawning its own domains.
+
+    The queue is deficit round robin over tenant lanes. Each tenant
+    ([job.tenant]; jobs without one share the [""] lane) has a lane
+    ordered by priority descending, then submission order. Backlogged
+    lanes take turns in a FIFO: each visit adds [quantum] credit, the
+    lane's head dispatches once its cost (gate count, at least 1) fits,
+    and the lane goes to the back. A lane that empties forfeits its
+    credit; one with no job queued or running is forgotten. With one
+    tenant this is plain priority order, FIFO within a priority.
 
     Job lifecycle:
 
     {v
-      submit --> QUEUED --(slot free, max priority, FIFO within)--> RUNNING
+      submit --> QUEUED --(slot free, DRR pick of its lane's head)--> RUNNING
         QUEUED  --interrupt, picked up by a slot----> CANCELLED (never ran)
         QUEUED  --shutdown--------------------------> CANCELLED (never ran)
         RUNNING --interrupt, polled per gate--------> CANCELLED
@@ -28,11 +36,12 @@
     application and never poisons the shared pool.
 
     Instrumented as [sched.{submitted,completed,failed,timed_out,
-    cancelled,retries}] and spans [sched.{queue_wait,run}]. *)
+    cancelled,retries}], gauge [sched.queue_depth] and spans
+    [sched.{queue_wait,run}]. *)
 
 type job = {
   id : string;                (** unique within one scheduler *)
-  tenant : string;            (** accounting key for the serve layer; "" = none *)
+  tenant : string;            (** DRR lane; "" = none *)
   circuit : Circuit.t;
   config : Config.t;
   priority : int;             (** higher dispatches first; default 0 *)
@@ -88,6 +97,7 @@ val create :
   ?runner:runner ->
   ?on_result:(job_result -> unit) ->
   ?paused:bool ->
+  ?quantum:int ->
   pool:Pool.t ->
   slots:int ->
   unit ->
@@ -96,8 +106,9 @@ val create :
     [pool]. [on_result] streams each result as it lands (called from a
     runner domain with no scheduler lock held, so it may call {!submit}
     and {!release}; keep it cheap and thread-safe). [~paused:true] holds
-    dispatch until {!start} so a whole batch can be queued first. The
-    pool is borrowed, never shut down.
+    dispatch until {!start} so a whole batch can be queued first.
+    [quantum] is the DRR credit per lane visit, in gates (default 64,
+    about one small circuit). The pool is borrowed, never shut down.
     @raise Invalid_argument if [slots < 1]. *)
 
 val start : t -> unit
@@ -106,6 +117,11 @@ val start : t -> unit
 val submit : t -> job -> unit
 (** @raise Invalid_argument on a duplicate id or after {!shutdown}; a
     rejected job is not tracked. *)
+
+val load : t -> tenant:string -> int
+(** The tenant's queued plus running jobs. A job stops counting before
+    [on_result] sees it, so a closed-loop client at a quota may submit
+    its next job from its result. *)
 
 val release : t -> string -> unit
 (** [release t id] forgets a resolved job: its tracked entry, and with it

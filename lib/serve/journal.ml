@@ -96,17 +96,17 @@ let render_entry e =
   let b = Buffer.create 256 in
   Buffer.add_string b
     (Printf.sprintf "{\"id\":\"%s\",\"tenant\":\"%s\",\"seed\":%d"
-       (Protocol.json_escape e.e_id) (Protocol.json_escape e.e_tenant) e.e_seed);
+       (Obs.Metrics.escape e.e_id) (Obs.Metrics.escape e.e_tenant) e.e_seed);
   (match e.e_state with
    | Pending -> Buffer.add_string b ",\"state\":\"pending\""
    | Done _ -> Buffer.add_string b ",\"state\":\"done\"");
   Buffer.add_string b
-    (Printf.sprintf ",\"line\":\"%s\"" (Protocol.json_escape e.e_line));
+    (Printf.sprintf ",\"line\":\"%s\"" (Obs.Metrics.escape e.e_line));
   (match e.e_state with
    | Pending -> ()
    | Done r ->
      Buffer.add_string b
-       (Printf.sprintf ",\"result\":\"%s\"" (Protocol.json_escape r)));
+       (Printf.sprintf ",\"result\":\"%s\"" (Obs.Metrics.escape r)));
   Buffer.add_char b '}';
   Buffer.contents b
 

@@ -19,22 +19,6 @@ let failf fmt = Printf.ksprintf (fun m -> raise (Error m)) fmt
 
 open Obs.Metrics
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun ch ->
-       match ch with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\r' -> Buffer.add_string b "\\r"
-       | '\t' -> Buffer.add_string b "\\t"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Re-render a parsed JSON value on one line. Numbers round-trip exactly
    ([Jnum] keeps the source digits), so pinning a field into a manifest
    line never perturbs the ones already there. *)
@@ -44,7 +28,7 @@ let rec render_jv b = function
   | Jnum s -> Buffer.add_string b s
   | Jstr s ->
     Buffer.add_char b '"';
-    Buffer.add_string b (json_escape s);
+    Buffer.add_string b (escape s);
     Buffer.add_char b '"'
   | Jarr vs ->
     Buffer.add_char b '[';
@@ -60,7 +44,7 @@ let rec render_jv b = function
       (fun i (k, v) ->
          if i > 0 then Buffer.add_char b ',';
          Buffer.add_char b '"';
-         Buffer.add_string b (json_escape k);
+         Buffer.add_string b (escape k);
          Buffer.add_string b "\":";
          render_jv b v)
       kvs;
@@ -100,21 +84,21 @@ let render_frame f =
    | Hello { server } ->
      tag "hello";
      Buffer.add_string b
-       (Printf.sprintf ",\"schema\":\"%s\",\"server\":\"%s\"" schema (json_escape server))
+       (Printf.sprintf ",\"schema\":\"%s\",\"server\":\"%s\"" schema (escape server))
    | Accepted { id; seed; replay } ->
      tag "accepted";
      Buffer.add_string b
-       (Printf.sprintf ",\"id\":\"%s\",\"seed\":%d,\"replay\":%b" (json_escape id) seed replay)
+       (Printf.sprintf ",\"id\":\"%s\",\"seed\":%d,\"replay\":%b" (escape id) seed replay)
    | Rejected { id; reason } ->
      tag "rejected";
      Buffer.add_string b
        (Printf.sprintf ",\"id\":%s,\"reason\":\"%s\""
-          (match id with None -> "null" | Some id -> "\"" ^ json_escape id ^ "\"")
-          (json_escape reason))
+          (match id with None -> "null" | Some id -> "\"" ^ escape id ^ "\"")
+          (escape reason))
    | Result { id; line } ->
      tag "result";
      Buffer.add_string b
-       (Printf.sprintf ",\"id\":\"%s\",\"line\":\"%s\"" (json_escape id) (json_escape line))
+       (Printf.sprintf ",\"id\":\"%s\",\"line\":\"%s\"" (escape id) (escape line))
    | Metrics { body } ->
      tag "metrics";
      Buffer.add_string b ",\"body\":";
@@ -186,7 +170,7 @@ let render_request = function
     Printf.sprintf "{\"op\":\"hello\",\"timings\":%b,\"metrics\":%b%s}" timings metrics
       (match tenant with
        | None -> ""
-       | Some t -> Printf.sprintf ",\"tenant\":\"%s\"" (json_escape t))
+       | Some t -> Printf.sprintf ",\"tenant\":\"%s\"" (escape t))
   | Job line -> line
   | Metrics_req -> "{\"op\":\"metrics\"}"
   | Ping -> "{\"op\":\"ping\"}"

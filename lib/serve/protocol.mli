@@ -12,8 +12,6 @@ exception Error of string
 val schema : string
 (** ["qcs_serve/v1"]. *)
 
-val json_escape : string -> string
-
 val render_obj : (string * Obs.Metrics.jv) list -> string
 (** One-line rendering of a flat/nested JSON object; [Jnum] values keep
     their source digits, so re-rendering never perturbs numbers. *)

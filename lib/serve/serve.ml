@@ -3,26 +3,28 @@
    journal, streamed delivery.
 
    Concurrency shape: one mutex ([t.mutex]) guards every piece of shared
-   daemon state (DRR queues, journal, owner/handle tables, inflight
-   count). Readers and scheduler runner domains both funnel through it.
+   daemon state (journal, owner/handle tables, connections). Readers and
+   scheduler runner domains both funnel through it; jobs wait only in the
+   scheduler, whose DRR queue over tenant lanes decides the order.
    Socket I/O never happens under it: [send] only enqueues the rendered
    frame under the connection's own mutex (lock order: t.mutex →
    conn.mutex, never the other way) and each connection's writer thread
    drains the queue with no locks held — a client that stops reading
    backs up its own queue, never the daemon's admission or delivery.
 
-   Determinism: jobs execute with journal-pinned ids and seeds, gated
-   into the scheduler one slot at a time ([inflight < slots]) so the DRR
-   picker — not the scheduler's priority queue — decides order, and each
-   runs on a Warm handle whose package was [Dd.reset] (bit-identical to a
-   cold run). The canonical timings-off result line is rendered before
-   the handle is released and stored in the journal, so a resubmitted or
-   replayed id returns byte-identical text in any daemon life. *)
+   Determinism: jobs execute with journal-pinned ids and seeds, each on a
+   Warm handle whose package was [Dd.reset] (bit-identical to a cold
+   run), so result bytes never depend on dispatch order. The canonical
+   timings-off result line is rendered before the handle is released and
+   stored in the journal, so a resubmitted or replayed id returns
+   byte-identical text in any daemon life. *)
 
 let g_uptime = Obs.gauge "serve.uptime_s"
 let c_connections = Obs.counter "serve.connections"
 let c_results = Obs.counter "serve.results"
 let c_replays = Obs.counter "serve.replays"
+let c_admitted = Obs.counter "serve.admitted"
+let c_rejected = Obs.counter "serve.rejected"
 
 type config = {
   socket_path : string;
@@ -75,11 +77,9 @@ type t = {
   pool : Pool.t;
   warm : Warm.t;
   journal : Journal.t;
-  drr : Sched.job Tenant.t;
   mutable sched : Sched.t option; (* set once in [create] *)
   owners : (string, conn) Hashtbl.t;    (* job id → owning connection *)
   handles : (string, Warm.handle) Hashtbl.t; (* job id → in-use warm handle *)
-  mutable inflight : int;
   mutable completed : int;
   mutable conns : conn list;
   mutable next_conn : int;
@@ -160,22 +160,6 @@ let terminal (outcome : Sched.outcome) =
   match outcome with
   | Sched.Completed _ | Sched.Failed _ | Sched.Timed_out -> true
   | Sched.Cancelled -> false (* daemon stopping: stays Pending, re-runs *)
-
-(* Submit ready DRR picks into the scheduler while slots are free. The
-   scheduler has exactly [slots] runner domains and we never hand it more
-   than [inflight <= slots] jobs, so its internal priority queue never
-   holds a choice — the DRR picker fully controls execution order. *)
-let pump_locked t =
-  let rec go () =
-    if (not (Atomic.get t.stop)) && t.inflight < t.cfg.slots then
-      match Tenant.next t.drr with
-      | None -> ()
-      | Some (_tenant, job) ->
-        t.inflight <- t.inflight + 1;
-        Sched.submit (sched t) job;
-        go ()
-  in
-  go ()
 
 let bare_id kvs =
   match List.assoc_opt "id" kvs with
@@ -279,16 +263,29 @@ let admit t conn line =
            | exception Manifest.Error m ->
              send conn (Protocol.Rejected { id = Some id; reason = m })
            | { Manifest.job; _ } ->
-             let cost = Circuit.num_gates job.Sched.circuit in
-             (match Tenant.offer t.drr ~tenant:job.Sched.tenant ~cost job with
-              | Error reason ->
-                send conn (Protocol.Rejected { id = Some id; reason })
-              | Ok () ->
-                ignore (Journal.accept t.journal ~id ~tenant:job.Sched.tenant ~seed ~line:pinned);
-                Hashtbl.replace t.owners id conn;
-                conn.c_outstanding <- conn.c_outstanding + 1;
-                send conn (Protocol.Accepted { id; seed; replay = false });
-                pump_locked t)))
+             let tenant = job.Sched.tenant in
+             let load = Sched.load (sched t) ~tenant in
+             if t.cfg.quota > 0 && load >= t.cfg.quota then begin
+               Obs.incr c_rejected;
+               send conn
+                 (Protocol.Rejected
+                    { id = Some id;
+                      reason =
+                        Printf.sprintf
+                          "tenant %S over quota (%d jobs queued or running, quota %d)"
+                          tenant load t.cfg.quota })
+             end
+             else begin
+               ignore (Journal.accept t.journal ~id ~tenant ~seed ~line:pinned);
+               Hashtbl.replace t.owners id conn;
+               conn.c_outstanding <- conn.c_outstanding + 1;
+               send conn (Protocol.Accepted { id; seed; replay = false });
+               Obs.incr c_admitted;
+               (* A stopping daemon's scheduler takes no more jobs; this
+                  one stays pending in the journal for the next life. *)
+               try Sched.submit (sched t) job
+               with Invalid_argument _ when Atomic.get t.stop -> ()
+             end))
   | _ -> send conn (Protocol.Rejected { id = None; reason = "job line is not a JSON object" })
 
 (* --- execution --------------------------------------------------------- *)
@@ -312,8 +309,8 @@ let runner t ~cancel ~pool (job : Sched.job) =
 
 (* Scheduler completion callback (runs on a runner domain). Renders the
    result lines, journals terminal outcomes, releases the warm handle,
-   streams to the owning connection, drops the scheduler's tracked entry
-   and refills the freed slot. *)
+   streams to the owning connection and drops the scheduler's tracked
+   entry. *)
 let deliver t (jr : Sched.job_result) =
   let id = jr.Sched.job.Sched.id in
   locked t (fun () ->
@@ -333,8 +330,6 @@ let deliver t (jr : Sched.job_result) =
          Hashtbl.remove t.handles id;
          Warm.release t.warm h
        | None -> ());
-      Tenant.finish t.drr ~tenant:jr.Sched.job.Sched.tenant;
-      t.inflight <- t.inflight - 1;
       t.completed <- t.completed + 1;
       Obs.incr c_results;
       (match Hashtbl.find_opt t.owners id with
@@ -360,8 +355,7 @@ let deliver t (jr : Sched.job_result) =
       (* Journaled and sent: the scheduler's copy of the result (final
          state included) is dead weight for the rest of the daemon's life;
          exactly-once replays come from the journal. *)
-      Sched.release (sched t) id;
-      pump_locked t)
+      Sched.release (sched t) id)
 
 (* --- connection reader ------------------------------------------------- *)
 
@@ -414,11 +408,9 @@ let create cfg =
       pool;
       warm = Warm.create ~capacity:cfg.warm_capacity ();
       journal;
-      drr = Tenant.create ~quantum:cfg.quantum ~quota:cfg.quota ();
       sched = None;
       owners = Hashtbl.create 64;
       handles = Hashtbl.create 16;
-      inflight = 0;
       completed = 0;
       conns = [];
       next_conn = 0;
@@ -426,12 +418,15 @@ let create cfg =
       started_at = Unix.gettimeofday ();
       stop = Atomic.make false }
   in
-  t.sched <-
-    Some
-      (Sched.create ~runner:(runner t) ~on_result:(deliver t) ~pool ~slots:cfg.slots ());
-  (* Crash recovery: every Pending journal entry re-enters the DRR queues
+  let sched =
+    Sched.create ~runner:(runner t) ~on_result:(deliver t) ~paused:true
+      ~quantum:cfg.quantum ~pool ~slots:cfg.slots ()
+  in
+  t.sched <- Some sched;
+  (* Crash recovery: every Pending journal entry re-enters the scheduler
      (quota was already charged in the life that accepted it) and re-runs
-     from its pinned line — same id, same seed, same bytes. *)
+     from its pinned line — same id, same seed, same bytes. It waits for
+     [run], which starts the scheduler. *)
   let restored = Journal.pending journal in
   List.iter
     (fun (e : Journal.entry) ->
@@ -440,8 +435,8 @@ let create cfg =
            ~strict:false ~index:0 e.Journal.e_line
        with
        | { Manifest.job; _ } ->
-         let cost = Circuit.num_gates job.Sched.circuit in
-         ignore (Tenant.offer ~force:true t.drr ~tenant:job.Sched.tenant ~cost job)
+         Obs.incr c_admitted;
+         Sched.submit sched job
        | exception Manifest.Error m ->
          logf t "journal entry %s no longer parses, dropping: %s" e.Journal.e_id m)
     restored;
@@ -453,17 +448,16 @@ let create cfg =
 let stop t = Atomic.set t.stop true
 let stopped t = Atomic.get t.stop
 let completed t = locked t (fun () -> t.completed)
-let pending t = locked t (fun () -> Tenant.pending t.drr + t.inflight)
 
 let run t =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  Sched.start (sched t);
   if Sys.file_exists t.cfg.socket_path then Sys.remove t.cfg.socket_path;
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind sock (Unix.ADDR_UNIX t.cfg.socket_path);
   Unix.listen sock 64;
   logf t "listening on %s (%d slots, pool %d)" t.cfg.socket_path t.cfg.slots
     t.cfg.pool_threads;
-  locked t (fun () -> pump_locked t);
   (* Accept loop with a short select timeout so [stop] — one atomic
      store, callable from a signal handler — is observed promptly without
      closing the listener out from under a blocked accept. *)

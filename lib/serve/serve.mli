@@ -2,9 +2,9 @@
     service over a Unix-domain socket.
 
     One instance owns a shared {!Pool.t}, a {!Sched.t} with [slots]
-    runner domains, a {!Warm.t} of reusable engine state, a {!Tenant.t}
-    deficit-round-robin admission structure and a crash-safe {!Journal.t}
-    of accepted jobs. Clients speak {!Protocol} (JSONL over the socket):
+    runner domains whose deficit-round-robin queue keeps tenants fair, a
+    {!Warm.t} of reusable engine state and a crash-safe {!Journal.t} of
+    accepted jobs. Clients speak {!Protocol} (JSONL over the socket):
     job lines are qcs_sched/v1 manifest lines; results stream back as
     they land, in the exact bytes a local [flatdd_batch] run would have
     produced for the same pinned id and seed.
@@ -24,7 +24,7 @@ type config = {
                               done entries are compacted away and a
                               resubmit of their id re-runs the pinned
                               line instead of replaying stored bytes *)
-  quantum : int;          (** DRR quantum, in gates per tenant visit *)
+  quantum : int;          (** scheduler DRR quantum, in gates per tenant visit *)
   quota : int;            (** per-tenant queued+running bound; 0 = none *)
   warm_capacity : int;    (** idle warm-handle bound *)
   default_config : Config.t;
@@ -41,15 +41,16 @@ type t
 
 val create : config -> t
 (** Builds the pool/scheduler/warm cache and replays the journal:
-    pending entries re-enter the queues (bypassing quota — they were
-    admitted in a previous life), completed ones become replayable.
+    pending entries re-enter the scheduler's queue (bypassing quota —
+    they were admitted in a previous life) and wait for {!run}; completed
+    ones become replayable.
     @raise Journal.Error on a corrupt or mismatched journal file. *)
 
 val run : t -> unit
-(** Binds the socket and serves until {!stop}; then cancels running jobs
-    (they stay pending in the journal), joins the scheduler, closes
-    connections and shuts the pool down. Blocking — call from the main
-    thread; SIGPIPE is ignored. *)
+(** Starts the scheduler, binds the socket and serves until {!stop}; then
+    cancels running jobs (they stay pending in the journal), joins the
+    scheduler, closes connections and shuts the pool down. Blocking —
+    call from the main thread; SIGPIPE is ignored. *)
 
 val stop : t -> unit
 (** One atomic store — safe from a signal handler. {!run} returns within
@@ -59,6 +60,3 @@ val stopped : t -> bool
 
 val completed : t -> int
 (** Jobs resolved (any outcome) in this daemon life. *)
-
-val pending : t -> int
-(** Jobs queued or running right now. *)

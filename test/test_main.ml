@@ -27,7 +27,6 @@ let () =
          Test_cross_engine.suite;
          Test_differential.suite;
          Test_obs.suite;
-         Test_analysis.suite;
          Test_sched.suite;
          Test_manifest.suite;
          Test_serve.suite;

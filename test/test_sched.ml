@@ -1,5 +1,6 @@
 (* Scheduler semantics: dispatch order (priority, FIFO within a priority,
-   many jobs over several slots), deadlines firing in either phase
+   deficit round robin across tenants, many jobs over several slots, many
+   idle tenants), deadlines firing in either phase
    (each followed by a job completing on the same pool), retry-with-
    downgrade, a raising runner, interrupts, shutdown, and a randomized
    batch cross-checked against sequential execution over the same pool. *)
@@ -63,7 +64,15 @@ let test_priority_ordering () =
     [ "urgent-a"; "urgent-b"; "normal"; "low-first"; "low-second" ]
     (dispatch_order
        [ mk "low-first" 0; mk "urgent-a" 9; mk "normal" 4; mk "urgent-b" 9;
-         mk "low-second" 0 ])
+         mk "low-second" 0 ]);
+  (* Two tenants of equal cost take turns, tenant a first (it submitted
+     first); each keeps priority, then FIFO, within its own lane. *)
+  let mk tenant id priority = Sched.job ~tenant ~priority ~id c in
+  Alcotest.(check (list string)) "tenants interleave"
+    [ "a-urgent"; "b-high"; "a-mid"; "b-low-1"; "a-low-1"; "b-low-2"; "a-low-2" ]
+    (dispatch_order
+       [ mk "a" "a-low-1" 0; mk "b" "b-low-1" 0; mk "a" "a-urgent" 9; mk "b" "b-high" 5;
+         mk "a" "a-low-2" 0; mk "a" "a-mid" 4; mk "b" "b-low-2" 0 ])
 
 (* Queue-level checks of the scheduler's one job queue, kept under the
    "taskq" group name of the standalone task queue it replaced. Jobs are
@@ -103,6 +112,111 @@ let test_queue_many_jobs_all_run () =
         (fun jr -> Alcotest.(check string) "completed" "completed" (outcome_label jr))
         results;
       Alcotest.(check int) "sum of indices" (200 * 199 / 2) (Atomic.get acc))
+
+(* The DRR across tenant lanes, on a paused one-slot scheduler with a
+   quantum of 10 gates. A job's cost is its gate count, so each job is a
+   1-qubit circuit of that many X gates; the runner fails at once, and
+   on_result sees the jobs in dispatch order. *)
+let x_gates k =
+  Circuit.make 1
+    (List.init k (fun _ -> Circuit.Single { name = "x"; matrix = Gate.x; target = 0; controls = [] }))
+
+let fail_at_once ~cancel:_ ~pool:_ (_ : Sched.job) = failwith "not run"
+
+let drr_order jobs =
+  Pool.with_pool 1 (fun pool ->
+      let sched = ref None in
+      let seen = ref [] in
+      let on_result jr =
+        let tenant = jr.Sched.job.Sched.tenant in
+        seen := (jr.Sched.job, Sched.load (Option.get !sched) ~tenant) :: !seen
+      in
+      let t =
+        Sched.create ~runner:fail_at_once ~on_result ~paused:true ~quantum:10 ~pool ~slots:1 ()
+      in
+      sched := Some t;
+      Fun.protect
+        ~finally:(fun () -> Sched.shutdown t)
+        (fun () ->
+           List.iter
+             (fun (tenant, id, cost) -> Sched.submit t (Sched.job ~tenant ~id (x_gates cost)))
+             jobs;
+           ignore (Sched.drain t);
+           (* A job leaves its tenant's load before on_result sees it, so
+              with one slot the load is the tenant's jobs still queued. *)
+           let queued tenant = List.length (List.filter (fun (t, _, _) -> t = tenant) jobs) in
+           let left = Hashtbl.create 4 in
+           List.iter
+             (fun ((j : Sched.job), load) ->
+                let tenant = j.Sched.tenant in
+                let n = Option.value (Hashtbl.find_opt left tenant) ~default:(queued tenant) - 1 in
+                Hashtbl.replace left tenant n;
+                Alcotest.(check int) ("load seen with " ^ j.Sched.id) n load)
+             (List.rev !seen);
+           List.rev_map (fun ((j : Sched.job), _) -> (j.Sched.tenant, j.Sched.id)) !seen))
+
+let test_drr_interleaves_tenants () =
+  (* Tenant a floods 6 jobs; tenant b has 2. Equal costs: the picker must
+     alternate rather than first-come-first-served through a's burst. *)
+  let order =
+    drr_order
+      (List.init 6 (fun i -> ("a", Printf.sprintf "a%d" i, 10))
+       @ List.init 2 (fun i -> ("b", Printf.sprintf "b%d" i, 10)))
+  in
+  Alcotest.(check int) "all dispatched" 8 (List.length order);
+  let first_four = List.filteri (fun i _ -> i < 4) order in
+  Alcotest.(check int) "b served twice within the first four picks" 2
+    (List.length (List.filter (fun (t, _) -> t = "b") first_four));
+  Alcotest.(check (list string)) "per-tenant FIFO" [ "a0"; "a1"; "a2"; "a3"; "a4"; "a5" ]
+    (List.filter_map (fun (t, id) -> if t = "a" then Some id else None) order)
+
+let test_drr_weights_by_cost () =
+  (* a's jobs are 3x the cost of b's: b should get ~3 picks per a pick. *)
+  let order =
+    drr_order
+      (List.init 4 (fun i -> ("a", Printf.sprintf "a%d" i, 30))
+       @ List.init 12 (fun i -> ("b", Printf.sprintf "b%d" i, 10)))
+  in
+  let prefix = List.filteri (fun i _ -> i < 8) order in
+  Alcotest.(check bool) "cheap tenant gets proportionally more picks" true
+    (List.length (List.filter (fun (t, _) -> t = "b") prefix) >= 5)
+
+let test_drr_head_above_quantum () =
+  (* A head costlier than one quantum must still dispatch: the picker
+     keeps cycling (banking credit) while any lane holds a job, instead
+     of leaving the slot idle with work queued. *)
+  Alcotest.(check (list (pair string string))) "both dispatched, cheaper first"
+    [ ("b", "b0"); ("a", "a0") ]
+    (drr_order [ ("a", "a0", 1000); ("b", "b0", 35) ])
+
+(* Tenants that have gone idle cost nothing: after 20,000 one-job tenants
+   have come and gone, one tenant's 20 jobs dispatch as fast as on a
+   fresh scheduler, and no tenant keeps a load. *)
+let test_idle_tenants_cost_nothing () =
+  Pool.with_pool 1 (fun pool ->
+      let t = Sched.create ~runner:fail_at_once ~pool ~slots:1 () in
+      Fun.protect
+        ~finally:(fun () -> Sched.shutdown t)
+        (fun () ->
+           let tenants = List.init 20_000 (Printf.sprintf "t%d") in
+           List.iter
+             (fun tenant -> Sched.submit t (Sched.job ~tenant ~id:tenant tiny))
+             tenants;
+           ignore (Sched.drain t);
+           let t0 = Unix.gettimeofday () in
+           for i = 0 to 19 do
+             Sched.submit t (Sched.job ~tenant:"busy" ~id:(Printf.sprintf "busy-%d" i) tiny)
+           done;
+           let results = Sched.drain t in
+           let elapsed = Unix.gettimeofday () -. t0 in
+           Alcotest.(check int) "every job resolved" 20_020 (List.length results);
+           if elapsed >= 1.0 then
+             Alcotest.failf "20 jobs of one tenant took %.3f s after 20,000 idle tenants"
+               elapsed;
+           List.iter
+             (fun tenant ->
+                if Sched.load t ~tenant <> 0 then Alcotest.failf "tenant %s keeps a load" tenant)
+             ("busy" :: tenants)))
 
 let test_deadline_dd_phase () =
   Pool.with_pool 2 (fun pool ->
@@ -350,9 +464,17 @@ let suite =
           test_interrupt_cancels_batch;
         Alcotest.test_case "interrupt lands mid-run" `Quick test_interrupt_mid_run;
         Alcotest.test_case "50-job stress matches sequential" `Slow
-          test_stress_matches_sequential ] );
+          test_stress_matches_sequential;
+        Alcotest.test_case "idle tenants cost nothing" `Quick test_idle_tenants_cost_nothing ] );
     ( "taskq",
       [ Alcotest.test_case "priority order" `Quick test_queue_priority_order;
         Alcotest.test_case "fifo within a priority" `Quick
           test_queue_fifo_within_priority;
         Alcotest.test_case "many tasks all run" `Quick test_queue_many_jobs_all_run ] ) ]
+
+(* The DRR tests, listed by test_serve.ml under their "serve tenant drr"
+   group name beside the daemon's quota test. *)
+let drr_cases =
+  [ Alcotest.test_case "interleaves tenants" `Quick test_drr_interleaves_tenants;
+    Alcotest.test_case "weights by cost" `Quick test_drr_weights_by_cost;
+    Alcotest.test_case "head above quantum dispatches" `Quick test_drr_head_above_quantum ]

@@ -1,8 +1,8 @@
-(* The serve subsystem: wire protocol round-trips, DRR tenant fairness,
-   the crash-safe journal (including the prefix-crash/restart property),
-   warm engine-state reuse, and a full socketed daemon e2e — concurrent
-   multi-tenant clients whose result streams must be byte-identical to a
-   local flatdd_batch run. *)
+(* The serve subsystem: wire protocol round-trips, per-tenant quota
+   admission, the crash-safe journal (including the prefix-crash/restart
+   property), warm engine-state reuse, and a full socketed daemon e2e —
+   concurrent multi-tenant clients whose result streams must be
+   byte-identical to a local flatdd_batch run. *)
 
 let with_obs f =
   let was = Obs.enabled () in
@@ -134,88 +134,6 @@ let test_load_pinned_duplicate_ids () =
         Alcotest.(check string) "same line-numbered error as Manifest.load"
           {|manifest line 2: duplicate job id "same"|} m
       | _ -> Alcotest.fail "duplicate ids must be rejected client-side")
-
-(* --- tenant DRR -------------------------------------------------------- *)
-
-let drain_order drr =
-  let rec go acc =
-    match Tenant.next drr with
-    | None -> List.rev acc
-    | Some (tenant, v) ->
-      Tenant.finish drr ~tenant;
-      go ((tenant, v) :: acc)
-  in
-  go []
-
-let test_drr_interleaves_tenants () =
-  let drr = Tenant.create ~quantum:10 () in
-  (* Tenant a floods 6 jobs; tenant b has 2. Equal costs: the picker must
-     alternate rather than first-come-first-served through a's burst. *)
-  for i = 0 to 5 do
-    Alcotest.(check bool) "admitted" true
-      (Result.is_ok (Tenant.offer drr ~tenant:"a" ~cost:10 i))
-  done;
-  for i = 10 to 11 do
-    Alcotest.(check bool) "admitted" true
-      (Result.is_ok (Tenant.offer drr ~tenant:"b" ~cost:10 i))
-  done;
-  let order = drain_order drr in
-  Alcotest.(check int) "all dispatched" 8 (List.length order);
-  let first_four = List.filteri (fun i _ -> i < 4) order in
-  Alcotest.(check int) "b served twice within the first four picks" 2
-    (List.length (List.filter (fun (t, _) -> t = "b") first_four));
-  (* FIFO within a tenant. *)
-  let a_vals = List.filter_map (fun (t, v) -> if t = "a" then Some v else None) order in
-  Alcotest.(check (list int)) "per-tenant FIFO" [ 0; 1; 2; 3; 4; 5 ] a_vals
-
-let test_drr_weights_by_cost () =
-  let drr = Tenant.create ~quantum:10 () in
-  (* a's jobs are 3x the cost of b's: b should get ~3 picks per a pick. *)
-  for i = 0 to 3 do ignore (Tenant.offer drr ~tenant:"a" ~cost:30 i) done;
-  for i = 0 to 11 do ignore (Tenant.offer drr ~tenant:"b" ~cost:10 i) done;
-  let order = drain_order drr in
-  let prefix = List.filteri (fun i _ -> i < 8) order in
-  let b_in_prefix = List.length (List.filter (fun (t, _) -> t = "b") prefix) in
-  Alcotest.(check bool) "cheap tenant gets proportionally more picks" true
-    (b_in_prefix >= 5)
-
-let test_drr_head_above_quantum () =
-  (* A head costlier than one quantum must still dispatch from a single
-     [next] call: the picker keeps cycling (banking deficit) while any
-     queue is non-empty, instead of returning None and stranding the job
-     until some unrelated event pumps again. *)
-  let drr = Tenant.create ~quantum:10 () in
-  ignore (Tenant.offer drr ~tenant:"a" ~cost:1000 1);
-  ignore (Tenant.offer drr ~tenant:"b" ~cost:35 2);
-  (match Tenant.next drr with
-   | Some (tenant, _) -> Tenant.finish drr ~tenant
-   | None -> Alcotest.fail "next must not return None while jobs are queued");
-  (match Tenant.next drr with
-   | Some (tenant, _) -> Tenant.finish drr ~tenant
-   | None -> Alcotest.fail "second queued job must dispatch too");
-  Alcotest.(check bool) "drained" true (Tenant.next drr = None);
-  Alcotest.(check int) "no pending left" 0 (Tenant.pending drr)
-
-let test_quota () =
-  let drr = Tenant.create ~quota:2 () in
-  Alcotest.(check bool) "1st ok" true (Result.is_ok (Tenant.offer drr ~tenant:"a" ~cost:1 1));
-  Alcotest.(check bool) "2nd ok" true (Result.is_ok (Tenant.offer drr ~tenant:"a" ~cost:1 2));
-  Alcotest.(check bool) "3rd over quota" true
-    (Result.is_error (Tenant.offer drr ~tenant:"a" ~cost:1 3));
-  Alcotest.(check bool) "other tenant unaffected" true
-    (Result.is_ok (Tenant.offer drr ~tenant:"b" ~cost:1 1));
-  Alcotest.(check bool) "force bypasses" true
-    (Result.is_ok (Tenant.offer ~force:true drr ~tenant:"a" ~cost:1 4));
-  (* Dispatching does not release quota (still inflight); finish does. *)
-  (match Tenant.next drr with
-   | Some ("a", 1) -> ()
-   | _ -> Alcotest.fail "expected a/1 first");
-  Alcotest.(check bool) "inflight still counts" true
-    (Result.is_error (Tenant.offer drr ~tenant:"a" ~cost:1 5));
-  Tenant.finish drr ~tenant:"a";
-  (* 2 queued + 0 inflight = at quota of 2 still. *)
-  Alcotest.(check bool) "queued still counts" true
-    (Result.is_error (Tenant.offer drr ~tenant:"a" ~cost:1 6))
 
 (* --- journal ----------------------------------------------------------- *)
 
@@ -705,6 +623,79 @@ let test_e2e_old_pinned_line_replays () =
               [ stored ]
           | _ -> Alcotest.fail "old line must be done in the journal"))
 
+(* --quota counts a tenant's queued and running jobs in the scheduler.
+   Jobs of n = 16 and 20,000 gates run for seconds, so everything
+   accepted stays queued or running until the daemon stops. *)
+let long_job id =
+  Printf.sprintf
+    {|{"id":"%s","circuit":"supremacy","n":16,"gates":20000,"seed":1,"policy":0}|} id
+
+let test_quota () =
+  with_obs (fun () ->
+      in_temp_dir (fun dir ->
+          let socket_path = Filename.concat dir "d.sock" in
+          let journal_path = Filename.concat dir "j.jsonl" in
+          let cfg =
+            { Serve.default_config with
+              Serve.socket_path;
+              journal_path = Some journal_path;
+              slots = 1;
+              pool_threads = 1;
+              quota = 2 }
+          in
+          let connect tenant =
+            let c = Client.connect ~retry_for:5.0 ~socket_path () in
+            Client.send_request c
+              (Protocol.Hello_req { timings = false; metrics = false; tenant = Some tenant });
+            c
+          in
+          (* Submit one job and read its answer: [Ok ()] or the reason. *)
+          let submit c id =
+            Client.send_request c (Protocol.Job (long_job id));
+            let rec answer () =
+              match Client.read_frame c with
+              | Protocol.Accepted { id = rid; _ } when rid = id -> Ok ()
+              | Protocol.Rejected { id = Some rid; reason } when rid = id -> Error reason
+              | _ -> answer ()
+            in
+            answer ()
+          in
+          let over_quota load answer =
+            Alcotest.(check (result unit string))
+              (Printf.sprintf "refused at load %d" load)
+              (Error
+                 (Printf.sprintf "tenant \"a\" over quota (%d jobs queued or running, quota 2)"
+                    load))
+              answer
+          in
+          let with_daemon f =
+            let daemon = start_daemon cfg in
+            Fun.protect ~finally:(fun () -> stop_daemon daemon) f
+          in
+          with_daemon (fun () ->
+              let a = connect "a" and b = connect "b" in
+              Fun.protect
+                ~finally:(fun () -> Client.close a; Client.close b)
+                (fun () ->
+                   Alcotest.(check bool) "1st of a accepted" true (submit a "a0" = Ok ());
+                   Alcotest.(check bool) "2nd of a accepted" true (submit a "a1" = Ok ());
+                   over_quota 2 (submit a "a2");
+                   Alcotest.(check bool) "b still accepted" true (submit b "b0" = Ok ())));
+          (* Between lives a third job of a was accepted (say, under a
+             larger quota). Restored jobs bypass the bound: all three of
+             a's are back, and a fresh one is refused at load 3. *)
+          let j = Journal.create ~path:journal_path ~base_seed:1 () in
+          let line =
+            {|{"id":"a3","circuit":"supremacy","n":16,"gates":20000,"seed":1,"policy":0,"tenant":"a"}|}
+          in
+          ignore (Journal.accept j ~id:"a3" ~tenant:"a" ~seed:1 ~line);
+          Alcotest.(check int) "pending in the journal" 4 (List.length (Journal.pending j));
+          with_daemon (fun () ->
+              let a = connect "a" in
+              Fun.protect
+                ~finally:(fun () -> Client.close a)
+                (fun () -> over_quota 3 (submit a "a4")))))
+
 let test_e2e_disconnect_and_rejects () =
   with_obs (fun () ->
       in_temp_dir (fun dir ->
@@ -903,12 +894,9 @@ let suite =
         Alcotest.test_case "order rides the wire" `Quick test_pin_line_order;
         Alcotest.test_case "duplicate ids rejected locally" `Quick
           test_load_pinned_duplicate_ids ] );
+    (* The DRR lives in Sched; test_sched.ml defines its tests. *)
     ( "serve tenant drr",
-      [ Alcotest.test_case "interleaves tenants" `Quick test_drr_interleaves_tenants;
-        Alcotest.test_case "weights by cost" `Quick test_drr_weights_by_cost;
-        Alcotest.test_case "head above quantum dispatches" `Quick
-          test_drr_head_above_quantum;
-        Alcotest.test_case "quota admission" `Quick test_quota ] );
+      Test_sched.drr_cases @ [ Alcotest.test_case "quota admission" `Quick test_quota ] );
     ( "serve journal",
       [ Alcotest.test_case "round-trip through disk" `Quick test_journal_roundtrip;
         Alcotest.test_case "done-tail compaction" `Quick test_journal_compaction;
