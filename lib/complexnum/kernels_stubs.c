@@ -9,7 +9,22 @@
    Contract with Storage.Core64/Core32: ranges, lengths and qubit indices
    are checked in OCaml before the call, the externals are [@@noalloc],
    and one call covers a pool stripe or a DMAV task. Nothing here
-   allocates, raises or writes to the OCaml heap. */
+   allocates, raises or writes to the OCaml heap.
+
+   The DMAV Run recurses once per root-to-node path, as in Algorithm 1,
+   with two shortcuts that keep its bytes. The canonical identity node is
+   one stripe. Below a pure-replication node, (e,0,0,e') or (0,e,e',0)
+   with e and e' on the same target, Run walks the shared child once for
+   a batch of up to BATCH_CAP paths. The batch buffer lives on the C
+   stack (2 KB per level), because a [@@noalloc] stub has no failure
+   path for malloc. The paths of a batch write disjoint W rows, because
+   the two children of a replication node cover different row halves.
+   So taking them one after another at each node gives every W element
+   the MACs of the per-path recursion, in its order, with the same
+   weight products and signed zeros. General nodes start no batch:
+   grouping their children was bit-exact too, but 1.4x slower on the
+   CNOT-ladder products that dominate dnn's Run time (4.6 -> 6.5 ms per
+   gate at n = 16, one worker on a 2-core Xeon). */
 
 #define CAML_NAME_SPACE
 #include <string.h>
@@ -52,6 +67,51 @@ static inline arena arena_of(value view)
 static inline int is_identity(const arena *ar, long node, long level)
 {
   return level >= 0 && level < ar->nident && Long_val(ar->ident[level]) == node;
+}
+
+/* One root-to-node path of the Run recursion: its V and W offsets and
+   the product f of the edge weights along it. */
+typedef struct {
+  long iv, iw;
+  double fre, fim;
+} path;
+
+/* Paths per batch: 32 bytes each, so one batch buffer is 2 KB of C stack
+   per recursion level. */
+#define BATCH_CAP 64
+
+/* The path through child edge e in quadrant q (row q >> 1, column q & 1)
+   of a node whose children are 2^level wide. */
+static inline path descend(const arena *ar, long e, const path *p, int q,
+                           long half)
+{
+  long wid = EDGE_WID(e);
+  double er = ar->re[wid], ei = ar->im[wid];
+  path c = { p->iv + (q & 1) * half, p->iw + (q >> 1) * half,
+             (p->fre * er) - (p->fim * ei), (p->fre * ei) + (p->fim * er) };
+  return c;
+}
+
+/* Run stops recursing at the canonical identity (one stripe), at a
+   level-0 node (its four MACs) and at the terminal (level -1, only as
+   the n = 0 border task). */
+static inline int ends_walk(const arena *ar, long node, long level)
+{
+  return level <= 0 || is_identity(ar, node, level);
+}
+
+/* A pure-replication node is (e, 0, 0, e') or (0, e, e', 0) with e and e'
+   on the same target. Returns the quadrant of its first nonzero child (0
+   or 1; the other is 3 minus it), or -1 for any other node. */
+static inline int replication_quadrant(const long *es)
+{
+  if (es[1] == 0 && es[2] == 0 && es[0] != 0 && es[3] != 0
+      && EDGE_TGT(es[0]) == EDGE_TGT(es[3]))
+    return 0;
+  if (es[0] == 0 && es[3] == 0 && es[1] != 0 && es[2] != 0
+      && EDGE_TGT(es[1]) == EDGE_TGT(es[2]))
+    return 1;
+  return -1;
 }
 
 #define ARGS5 argv[0], argv[1], argv[2], argv[3], argv[4]
@@ -197,20 +257,19 @@ static inline int is_identity(const arena *ar, long node, long level)
     w[2 * iw + 1] = (T)((double)w[2 * iw + 1] + ((gre * vim) + (gim * vre))); \
   }                                                                           \
                                                                               \
-  /* Algorithm 1's Run: W[iw..] += f * M(node) * V[iv..]. */                 \
-  static void run_node_##SFX(const arena *ar, long node, const T *v, T *w,   \
-                             long iv, long iw, double fre, double fim)        \
+  /* The walk ends at the canonical identity, at a level-0 node and at        \
+     the terminal (the n = 0 border task); leaf_ does that node's work for    \
+     one path. */                                                             \
+  static inline void leaf_##SFX(const arena *ar, long node, long level,       \
+                                const long *es, const T *v, T *w, long iv,    \
+                                long iw, double fre, double fim)              \
   {                                                                           \
-    long level = Long_val(ar->lv[node]);                                      \
-    const value *c = ar->ch + 4 * node;                                       \
-    long e00 = Long_val(c[0]), e01 = Long_val(c[1]);                          \
-    long e10 = Long_val(c[2]), e11 = Long_val(c[3]);                          \
-    if (is_identity(ar, node, level)) {                                       \
-      /* W[iw, iw+2s) += g * V[iv, ...) with s = 2^level: each element gets  \
-         exactly the one MAC the recursion would give it. g replays the     \
-         recursion's weight products, one per level, so signed zeros come  \
-         out as they would there. */                                        \
-      long wid = EDGE_WID(e00);                                               \
+    if (level > 0) {                                                          \
+      /* Identity: W[iw, iw+2s) += g * V[iv, ...) with s = 2^level. Each      \
+         element gets exactly the one MAC the recursion would give it. g      \
+         replays the recursion's weight products, one per level, so signed    \
+         zeros come out as they would there. */                               \
+      long wid = EDGE_WID(es[0]);                                             \
       double er = ar->re[wid], ei = ar->im[wid];                              \
       double gre = fre, gim = fim;                                            \
       for (long l = 0; l <= level; l++) {                                     \
@@ -228,18 +287,44 @@ static inline int is_identity(const arena *ar, long node, long level)
       }                                                                       \
     } else if (level == 0) {                                                  \
       /* Terminal children: the four MACs inline. */                          \
-      if (e00 != 0) mac_##SFX(ar, e00, v, w, iv, iw, fre, fim);               \
-      if (e01 != 0) mac_##SFX(ar, e01, v, w, iv + 1, iw, fre, fim);           \
-      if (e10 != 0) mac_##SFX(ar, e10, v, w, iv, iw + 1, fre, fim);           \
-      if (e11 != 0) mac_##SFX(ar, e11, v, w, iv + 1, iw + 1, fre, fim);       \
-    } else if (node == 0) {                                                   \
-      /* Degenerate n = 0 case: a border task at the terminal. */             \
+      if (es[0] != 0) mac_##SFX(ar, es[0], v, w, iv, iw, fre, fim);           \
+      if (es[1] != 0) mac_##SFX(ar, es[1], v, w, iv + 1, iw, fre, fim);       \
+      if (es[2] != 0) mac_##SFX(ar, es[2], v, w, iv, iw + 1, fre, fim);       \
+      if (es[3] != 0) mac_##SFX(ar, es[3], v, w, iv + 1, iw + 1, fre, fim);   \
+    } else {                                                                  \
       double vre = v[2 * iv], vim = v[2 * iv + 1];                            \
       w[2 * iw] = (T)((double)w[2 * iw] + ((fre * vre) - (fim * vim)));       \
       w[2 * iw + 1] = (T)((double)w[2 * iw + 1] + ((fre * vim) + (fim * vre))); \
-    } else {                                                                  \
+    }                                                                         \
+    }                                                                         \
+                                                                              \
+  static void run_batch_##SFX(const arena *ar, long node, const T *v, T *w,   \
+                              const path *ps, long k);                        \
+                                                                              \
+  /* Algorithm 1's Run: W[iw..] += f * M(node) * V[iv..], one call per        \
+     root-to-node path, except below a pure-replication node. The path        \
+     travels in scalar arguments: run_batch_ with one-path batches was        \
+     19% slower on dnn-16's all-general gates (same host as above). */        \
+  static void run_node_##SFX(const arena *ar, long node, const T *v, T *w,   \
+                               long iv, long iw, double fre, double fim)      \
+  {                                                                           \
+    long level = Long_val(ar->lv[node]);                                      \
+    const value *c = ar->ch + 4 * node;                                       \
+    long es[4] = { Long_val(c[0]), Long_val(c[1]), Long_val(c[2]),            \
+                   Long_val(c[3]) };                                          \
+    if (ends_walk(ar, node, level)) {                                         \
+      leaf_##SFX(ar, node, level, es, v, w, iv, iw, fre, fim);                \
+      return;                                                                 \
+    }                                                                         \
       long half = 1L << level;                                                \
-      long es[4] = { e00, e01, e10, e11 };                                    \
+    int r = replication_quadrant(es);                                         \
+    if (r >= 0) {                                                             \
+      path p = { iv, iw, fre, fim };                                          \
+      path pair[2] = { descend(ar, es[r], &p, r, half),                       \
+                       descend(ar, es[3 - r], &p, 3 - r, half) };             \
+      run_batch_##SFX(ar, EDGE_TGT(es[r]), v, w, pair, 2);                    \
+      return;                                                                 \
+    }                                                                         \
       for (int q = 0; q < 4; q++) {                                           \
         long e = es[q];                                                       \
         if (e == 0) continue;                                                 \
@@ -249,6 +334,46 @@ static inline int is_identity(const arena *ar, long node, long level)
                        iw + (q >> 1) * half, (fre * er) - (fim * ei),         \
                        (fre * ei) + (fim * er));                              \
       }                                                                       \
+    }                                                                         \
+                                                                              \
+  /* Run for the k <= BATCH_CAP paths ps[0..k) through one node, each node    \
+     below visited once per batch. The paths cover disjoint W rows, so        \
+     taking them one after another at every node leaves each W element's      \
+     MACs in the per-path recursion's order, with the same weights. */        \
+  static void run_batch_##SFX(const arena *ar, long node, const T *v, T *w,   \
+                              const path *ps, long k)                         \
+  {                                                                           \
+    long level = Long_val(ar->lv[node]);                                      \
+    const value *c = ar->ch + 4 * node;                                       \
+    long es[4] = { Long_val(c[0]), Long_val(c[1]), Long_val(c[2]),            \
+                   Long_val(c[3]) };                                          \
+    if (ends_walk(ar, node, level)) {                                         \
+      for (long j = 0; j < k; j++)                                            \
+        leaf_##SFX(ar, node, level, es, v, w, ps[j].iv, ps[j].iw, ps[j].fre,  \
+                   ps[j].fim);                                                \
+      return;                                                                 \
+    }                                                                         \
+      long half = 1L << level;                                                \
+    int r = replication_quadrant(es);                                         \
+    path batch[BATCH_CAP];                                                    \
+    if (r >= 0) {                                                             \
+      /* Two paths per source path, BATCH_CAP / 2 source paths a chunk. */    \
+      for (long s = 0; s < k; s += BATCH_CAP / 2) {                           \
+        long m = k - s < BATCH_CAP / 2 ? k - s : BATCH_CAP / 2;               \
+        for (long j = 0; j < m; j++) {                                        \
+          batch[2 * j] = descend(ar, es[r], &ps[s + j], r, half);             \
+          batch[2 * j + 1] = descend(ar, es[3 - r], &ps[s + j], 3 - r, half); \
+    }                                                                         \
+        run_batch_##SFX(ar, EDGE_TGT(es[r]), v, w, batch, 2 * m);             \
+    }                                                                         \
+      return;                                                                 \
+    }                                                                         \
+    /* A general node: each child in recursion order, with its own batch. */  \
+      for (int q = 0; q < 4; q++) {                                           \
+      if (es[q] == 0) continue;                                               \
+      for (long j = 0; j < k; j++)                                            \
+        batch[j] = descend(ar, es[q], &ps[j], q, half);                       \
+      run_batch_##SFX(ar, EDGE_TGT(es[q]), v, w, batch, k);                   \
     }                                                                         \
   }                                                                           \
                                                                               \

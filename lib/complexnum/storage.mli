@@ -119,7 +119,13 @@ module type S = sig
   val dmav_run :
     arena -> node:int -> v:t -> w:t -> iv:int -> iw:int -> fre:float -> fim:float -> unit
   (** Algorithm 1's Run: [w[iw..] += f · M(node) · v[iv..]] over a live
-      [Dd.mview], with [f = fre + i·fim]. *)
+      [Dd.mview], with [f = fre + i·fim]. The stub recurses once per
+      path, except that a canonical identity node is one stripe and a
+      pure-replication node ([(e,0,0,e')] or [(0,e,e',0)], [e] and [e']
+      on one target) has its shared child walked once for a batch of
+      paths. A batch's paths write disjoint rows of [w], so every element
+      still gets the per-path recursion's MACs in its order: the bytes
+      equal the per-path recursion's at both precisions. *)
 
   val copy : t -> t
   val sub_vector : t -> pos:int -> len:int -> t

@@ -17,8 +17,10 @@
 
     [apply] picks between the kernels per gate with the §3.2.3 cost
     model. This module is {!Dmav_generic.Make} at [Storage.F64] (each
-    task's Run recursion is one C stub call); every instance of the
-    functor counts its gates in the same [dmav.*] metrics. *)
+    task's Run recursion is one C stub call, {!Storage.S.dmav_run}, which
+    walks the sub-matrix under a pure-replication node once per batch of
+    paths instead of once per path, with unchanged bytes); every instance
+    of the functor counts its gates in the same [dmav.*] metrics. *)
 
 type workspace = Buf.t Dmav_generic.workspace
 (** A free list of reusable 2ⁿ-sized buffers: the cached kernel's partial

@@ -20,14 +20,8 @@ let c_accepted = Obs.counter "fusion.accepted"
 let c_rejected = Obs.counter "fusion.rejected"
 let fc_macs_saved = Obs.fcounter "fusion.macs_saved"
 
-let finish p ~gates_in ~ddmm_calls ~macs_before out =
-  let st =
-    { gates_in;
-      gates_out = List.length out;
-      ddmm_calls;
-      macs_before;
-      macs_after = sum_macs p out }
-  in
+let finish ~gates_in ~ddmm_calls ~macs_before ~macs_after out =
+  let st = { gates_in; gates_out = List.length out; ddmm_calls; macs_before; macs_after } in
   if Obs.enabled () then begin
     Obs.incr c_runs;
     Obs.add c_gates_in st.gates_in;
@@ -38,16 +32,23 @@ let finish p ~gates_in ~ddmm_calls ~macs_before out =
   (out, st)
 
 let dmav_aware p gates =
-  let macs_before = sum_macs p gates in
   let ddmm = ref 0 in
   (* M_p starts as a virtual identity with zero cost: the first real gate
      always "fuses" into it, so the identity itself is never emitted. *)
   let out = ref [] in
   let m_p = ref None in
   let c_p = ref 0.0 in
+  (* The stats' MAC sums, accumulated in input and output order from the
+     costs the scan computes anyway: the same floats as [sum_macs]. *)
+  let macs_before = ref 0.0 and macs_after = ref 0.0 in
+  let emit m c =
+    out := m :: !out;
+    macs_after := !macs_after +. c
+  in
   List.iter
     (fun m_i ->
        let c_i = Cost.mac_count p m_i in
+       macs_before := !macs_before +. c_i;
        match !m_p with
        | None ->
          m_p := Some m_i;
@@ -59,7 +60,7 @@ let dmav_aware p gates =
          let c_ip = Cost.mac_count p m_ip in
          if c_i +. !c_p < c_ip then begin
            Obs.incr c_rejected;
-           out := prev :: !out;
+           emit prev !c_p;
            m_p := Some m_i;
            c_p := c_i
          end
@@ -71,9 +72,9 @@ let dmav_aware p gates =
     gates;
   (* The paper's Algorithm 3 leaves the final pending gate implicit; it
      must be emitted for the product to be complete. *)
-  (match !m_p with Some m -> out := m :: !out | None -> ());
-  finish p ~gates_in:(List.length gates) ~ddmm_calls:!ddmm ~macs_before
-    (List.rev !out)
+  (match !m_p with Some m -> emit m !c_p | None -> ());
+  finish ~gates_in:(List.length gates) ~ddmm_calls:!ddmm ~macs_before:!macs_before
+    ~macs_after:!macs_after (List.rev !out)
 
 let k_operations p ~k gates =
   if k < 1 then invalid_arg "Fusion.k_operations: k must be >= 1";
@@ -100,5 +101,6 @@ let k_operations p ~k gates =
        end)
     gates;
   (match !pending with Some m -> out := m :: !out | None -> ());
-  finish p ~gates_in:(List.length gates) ~ddmm_calls:!ddmm ~macs_before
-    (List.rev !out)
+  let out = List.rev !out in
+  finish ~gates_in:(List.length gates) ~ddmm_calls:!ddmm ~macs_before
+    ~macs_after:(sum_macs p out) out

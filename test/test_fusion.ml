@@ -130,6 +130,26 @@ let test_fusion_beats_kops_on_cost () =
   Alcotest.(check bool) "aware cost <= kops cost" true
     (aware.Fusion.macs_after <= kops.Fusion.macs_after +. 1e-6)
 
+(* The stats' MAC sums are the input and output gates' Cost.mac_count
+   folded in list order, to the bit. *)
+let test_stats_sums_exact () =
+  let sum p ms = List.fold_left (fun acc m -> acc +. Cost.mac_count p m) 0.0 ms in
+  let same = Int64.equal in
+  List.iter
+    (fun (fam, n, gates) ->
+       let c = Suite.generate ~seed:3 ~gates fam ~n in
+       let p = Dd.create () in
+       let mats = circuit_mats p n c in
+       List.iter
+         (fun (what, (out, st)) ->
+            let name = Printf.sprintf "%s %s" what (Suite.family_name fam) in
+            Alcotest.(check bool) (name ^ " macs_before") true
+              (same (Int64.bits_of_float st.Fusion.macs_before) (Int64.bits_of_float (sum p mats)));
+            Alcotest.(check bool) (name ^ " macs_after") true
+              (same (Int64.bits_of_float st.Fusion.macs_after) (Int64.bits_of_float (sum p out))))
+         [ ("dmav-aware", Fusion.dmav_aware p mats); ("k-operations", Fusion.k_operations p ~k:4 mats) ])
+    [ (Suite.Dnn, 10, 200); (Suite.Vqe, 10, 200); (Suite.Supremacy, 10, 150) ]
+
 let suite =
   [ ( "fusion",
       [ Alcotest.test_case "dmav-aware preserves semantics" `Quick
@@ -144,4 +164,5 @@ let suite =
           test_k_operations_k1_identity_transform;
         Alcotest.test_case "fusion order is right-to-left product" `Quick test_gate_order;
         Alcotest.test_case "aware beats blind grouping on cost" `Quick
-          test_fusion_beats_kops_on_cost ] ) ]
+          test_fusion_beats_kops_on_cost;
+        Alcotest.test_case "stats MAC sums are exact" `Quick test_stats_sums_exact ] ) ]

@@ -3,7 +3,9 @@
    precisions: every dense target with and without controls, two-qubit
    gates in both qubit orders, DMAV cached and uncached at pool sizes 1,
    2 and 4, and the stripe primitives at odd positions and lengths, for
-   n from 1 to 14, and the identity stripes of the Run recursion. Plus
+   n from 1 to 14, the identity stripes of the Run recursion, and its
+   batches under pure-replication nodes (chains past the batch cap, and
+   the fused gates of real dnn, vqe and supremacy circuits). Plus
    the allocation claim: a dense gate and a DMAV gate cost the same small
    constant number of minor words at f32 as at f64. *)
 
@@ -150,6 +152,20 @@ module Suite_for (P : Storage.S) = struct
     let prefix = List.filteri (fun i _ -> i < 4 + Random.State.int rs 60) ops in
     fst (Fusion.dmav_aware p (List.map (Mat_dd.of_op p ~n) prefix))
 
+  (* Pure-replication roots, (e,0,0,e') or (0,e,e',0) at every level above
+     level 0: a single-qubit gate on qubit 0, a product of random
+     anti-diagonal (X-type) gates on every qubit, and the two shapes
+     mixed. *)
+  let replication_mats p rs n =
+    let single target matrix = Circuit.Single { name = "r1"; matrix; target; controls = [] } in
+    let anti () = [| [| Cnum.zero; cnum rs |]; [| cnum rs; Cnum.zero |] |] in
+    let product ops =
+      List.fold_left (fun m op -> Dd.mm p (Mat_dd.of_op p ~n op) m) (Mat_dd.identity p n) ops
+    in
+    [ Mat_dd.of_op p ~n (single 0 (random_single rs));
+      product (List.init n (fun q -> single q (anti ())));
+      product (single 0 (random_single rs) :: List.init (n - 1) (fun q -> single (q + 1) (anti ()))) ]
+
   (* Identity roots at every n, plain and scaled by weights with a
      signed-zero part. *)
   let identity_roots pools =
@@ -190,8 +206,9 @@ module Suite_for (P : Storage.S) = struct
          let p = Dd.create () in
          let round () =
            let ms =
-             Mat_dd.identity p n :: controlled_mat p rs n :: random_mat p rs n
-             :: fused_mats p rs n
+             (Mat_dd.identity p n :: controlled_mat p rs n :: random_mat p rs n
+              :: fused_mats p rs n)
+             @ replication_mats p rs n
            in
            List.for_all
              (fun m ->
@@ -205,6 +222,39 @@ module Suite_for (P : Storage.S) = struct
          Dd.reset p;
          let third = round () in
          first && second && third)
+
+  (* Replication chains long enough that a batch passes the C stub's
+     64-path cap and is split into chunks, through Run alone and through
+     both kernels. *)
+  let replication_roots pools =
+    let rs = Random.State.make [| 19 |] in
+    let p = Dd.create () in
+    for n = 10 to 14 do
+      List.iter
+        (fun m ->
+           if not (run_agrees p rs m && dmav_agrees p pools ~n m ~v:(special_vec rs (1 lsl n)))
+           then Alcotest.failf "%s replication root n = %d" P.label n)
+        (replication_mats p rs n)
+    done
+
+  (* Every fused gate of real 12-qubit dnn, vqe and supremacy circuits,
+     fused by Fusion.dmav_aware over the whole circuit. *)
+  let fused_streams pools =
+    let n = 12 in
+    let rs = Random.State.make [| 23 |] in
+    List.iter
+      (fun (fam, gates) ->
+         let p = Dd.create () in
+         let c = Suite.generate ~seed:7 ~gates fam ~n in
+         let ms =
+           fst (Fusion.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops)))
+         in
+         List.iteri
+           (fun i m ->
+              if not (run_agrees p rs m && dmav_agrees p pools ~n m ~v:(random_vec rs (1 lsl n)))
+              then Alcotest.failf "%s %s fused gate %d" P.label (Suite.family_name fam) i)
+           ms)
+      [ (Suite.Dnn, 300); (Suite.Vqe, 300); (Suite.Supremacy, 250) ]
 
   (* Random lengths and offsets (odd ones included) with disjoint source
      and destination ranges, so each primitive also runs with one vector
@@ -258,6 +308,13 @@ module Suite_for (P : Storage.S) = struct
                 identity_roots [ p1; p2; p4 ];
                 check_all [ identity_blocks [ p1; p2; p4 ] ])))
 
+  let batch_tests () =
+    Pool.with_pool 1 (fun p1 ->
+        Pool.with_pool 2 (fun p2 ->
+            Pool.with_pool 4 (fun p4 ->
+                replication_roots [ p1; p2; p4 ];
+                fused_streams [ p1; p2; p4 ])))
+
   (* Minor words of one dense gate and one uncached DMAV gate at n = 14 on
      a size-1 pool (jobs run inline, so every word is seen). *)
   let gate_words () =
@@ -302,4 +359,8 @@ let suite =
         Alcotest.test_case "f64 identity stripes = OCaml reference (bits)" `Quick
           K64.identity_tests;
         Alcotest.test_case "f32 identity stripes = OCaml reference (bits)" `Quick
-          K32.identity_tests ] ) ]
+          K32.identity_tests;
+        Alcotest.test_case "f64 replication batches = OCaml reference (bits)" `Quick
+          K64.batch_tests;
+        Alcotest.test_case "f32 replication batches = OCaml reference (bits)" `Quick
+          K32.batch_tests ] ) ]
