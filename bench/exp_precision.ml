@@ -1,7 +1,7 @@
 (* precision: the f32 amplitude plane against the f64 default.
 
-   The flat phase is bandwidth-bound: every kernel streams the 2ⁿ-entry
-   V/W vectors, so halving bytes-per-amplitude halves the bytes moved per
+   Every flat-phase kernel streams the 2ⁿ-entry V/W vectors, so halving
+   bytes-per-amplitude halves the bytes moved per
    gate. The PR-10 storage refactor makes that a config switch
    ([Config.precision = F32]): the DD phase, gate matrices and ctable
    weights stay f64; only the flat vectors narrow, with one rounding per
@@ -9,8 +9,8 @@
    their work:
 
    - dispatch family (dense direct kernel): layers of unfused h/ry on
-     every qubit under Convert_at(-1) + dense dispatch — the branch-free
-     streaming path where bandwidth is the whole story;
+     every qubit under Convert_at(-1) + dense dispatch — the 2-wide
+     vector pair loop;
    - suite family (DMAV kernels): supremacy and qft under forced
      conversion, no dispatch — the matrix-DD traversal path, where the
      narrowing applies to the stripe reads/writes.
@@ -21,14 +21,11 @@
    MAC), and max|Δ| between the two final vectors (the f32 result is
    widened back to f64 on extract, so the diff measures rounding only).
 
-   Honest reading on this container: it is single-core, and the f32
-   kernels are instances of the precision-generic functors — without
-   flambda every per-element primitive is an indirect call, where the
-   hand-specialized f64 kernels inline to two or three instructions. So
-   measured f32 wall time is *slower* here, by the call overhead, not
-   faster. The bytes columns are the claim; realizing them as time needs
-   the C SIMD stubs the interleaved layout was shaped for (or flambda),
-   not a different storage design. *)
+   Honest reading on the 2-core host: both precisions run the same C
+   stubs with double arithmetic, and f32 adds a widening per load and a
+   rounding per store. The dense kernel is compute-bound at these sizes,
+   so halving the bytes does not make it faster; the bytes columns are
+   the claim. *)
 
 let unfused_layers n =
   let b = Circuit.Builder.create ~name:(Printf.sprintf "1q-layers-%d" n) n in
@@ -110,10 +107,9 @@ let run () =
         ~header suite_rows);
   Report.note
     "V+W and traffic columns are exact/modeled arithmetic (the 2.0x ratio is the \
-     claim). Wall time is honest and currently favors f64: the f32 kernels are \
-     functor instances whose per-element primitives are indirect calls (no \
-     flambda), while the f64 kernels are hand-specialized; the C SIMD stubs the \
-     interleaved layout was shaped for are where the byte savings become time.";
+     claim). Wall time favors f64 or ties: both precisions run the same C stubs \
+     in double arithmetic, f32 adds a widening per load and a rounding per store, \
+     and the dense kernel is compute-bound at these sizes.";
   Report.note
     "max|d| is pure f32 rounding: the DD phase and every gate matrix stay f64, \
      and the f32 vector is widened once on extract."

@@ -6,6 +6,19 @@
    with -ffp-contract=off and no reassociation the results are
    bit-identical to them.
 
+   The dense single-qubit kernel holds an amplitude in one 16-byte
+   vector, lane 0 its real part and lane 1 its imaginary part. A complex
+   product u x is (ur x) + (sg ui) swap(x) with sg = (-1, +1): lane 0 is
+   ur re + (-ui) im, lane 1 is ur im + ui re. The bytes are the scalar
+   ones: IEEE defines x - y as x + (-y), -1 ui is exact, (-ui) im is
+   -(ui im) exactly because round-to-nearest is symmetric in sign, each
+   row adds its four terms in the scalar order, and -ffp-contract=off
+   still rules out FMA. The kernel walks only the pairs that satisfy the
+   controls. With fixed = cmask | target bit, a stripe's first index is
+   lo with a zero inserted at each fixed position, lowest first; the next
+   is ((i | fixed) + 1) & ~fixed, the increment's carry running through
+   the fixed bits; the pair's low index is i | cmask.
+
    Contract with Storage.Core64/Core32: ranges, lengths and qubit indices
    are checked in OCaml before the call, the externals are [@@noalloc],
    and one call covers a pool stripe or a DMAV task. Nothing here
@@ -43,6 +56,67 @@ static inline long insert_zero(long i, long k)
 {
   long low_mask = (1L << k) - 1;
   return ((i & ~low_mask) << 1) | (i & low_mask);
+}
+
+/* Two doubles in one 16-byte vector (GCC/Clang vector extensions): an
+   amplitude as (re, im). Lane-wise + and * are the scalar IEEE
+   operations, so a lane reproduces the scalar expression it mirrors. */
+typedef double v2d __attribute__((vector_size(16)));
+typedef float v2f __attribute__((vector_size(8)));
+
+static inline v2d splat(double x)
+{
+  v2d r = { x, x };
+  return r;
+}
+
+static inline v2d swap2(v2d x)
+{
+  v2d r = { x[1], x[0] };
+  return r;
+}
+
+/* One amplitude in and out of a vector. f32 loads widen and stores
+   round per lane, as the scalar (double) and (T) casts do. */
+static inline v2d load2_f64(const double *p)
+{
+  v2d x;
+  memcpy(&x, p, sizeof x);
+  return x;
+}
+
+static inline void store2_f64(double *p, v2d x)
+{
+  memcpy(p, &x, sizeof x);
+}
+
+static inline v2d load2_f32(const float *p)
+{
+  v2f x;
+  memcpy(&x, p, sizeof x);
+  return __builtin_convertvector(x, v2d);
+}
+
+static inline void store2_f32(float *p, v2d x)
+{
+  v2f y = __builtin_convertvector(x, v2f);
+  memcpy(p, &y, sizeof y);
+}
+
+/* The k-th index with every bit of [fixed] 0: zeros inserted at the
+   fixed positions, lowest first. */
+static inline long first_free(long k, long fixed)
+{
+  for (long f = fixed; f != 0; f &= f - 1)
+    k = insert_zero(k, __builtin_ctzl(f));
+  return k;
+}
+
+/* The next index after [i] with every bit of [fixed] 0: the carry of
+   the increment runs through the fixed bits, which are then cleared. */
+static inline long next_free(long i, long fixed)
+{
+  return ((i | fixed) + 1) & ~fixed;
 }
 
 /* The matrix-DD arena window (Storage.arena, = Dd.view): slot levels,
@@ -182,31 +256,32 @@ static inline int replication_quadrant(const long *es)
     return acc;                                                               \
   }                                                                           \
                                                                               \
-  /* The 2x2 butterfly over pair indices [lo, hi). [m] is the gate as 8      \
-     floats, row-major re/im; only pairs whose low index has every bit of    \
-     [cmask] set are touched. */                                              \
+  /* The 2x2 butterfly over the controlled pairs [lo, hi): pair k is the    \
+     k-th low index, ascending, with the target bit 0 and every bit of     \
+     [cmask] 1. [m] is the gate as 8 floats, row-major re/im. The header   \
+     gives the lanes, why the bytes stay, and the pair walk. */            \
   value qcs_dense_single_##SFX(value buf, value m, value target, value cmask, \
                                value lo, value hi)                            \
   {                                                                           \
     T *a = (T *)Caml_ba_data_val(buf);                                        \
     const double *u = (const double *)m;                                      \
-    double u00re = u[0], u00im = u[1], u01re = u[2], u01im = u[3];            \
-    double u10re = u[4], u10im = u[5], u11re = u[6], u11im = u[7];            \
-    long tg = Long_val(target), cm = Long_val(cmask);                         \
-    long bit = 1L << tg;                                                      \
-    for (long k = Long_val(lo); k < Long_val(hi); k++) {                      \
-      long i0 = insert_zero(k, tg);                                           \
-      if ((i0 & cm) != cm) continue;                                          \
-      T *p0 = a + 2 * i0, *p1 = a + 2 * (i0 | bit);                           \
-      double a0re = p0[0], a0im = p0[1], a1re = p1[0], a1im = p1[1];          \
-      p0[0] = (T)((u00re * a0re) - (u00im * a0im) + (u01re * a1re)            \
-                  - (u01im * a1im));                                          \
-      p0[1] = (T)((u00re * a0im) + (u00im * a0re) + (u01re * a1im)            \
-                  + (u01im * a1re));                                          \
-      p1[0] = (T)((u10re * a0re) - (u10im * a0im) + (u11re * a1re)            \
-                  - (u11im * a1im));                                          \
-      p1[1] = (T)((u10re * a0im) + (u10im * a0re) + (u11re * a1im)            \
-                  + (u11im * a1re));                                          \
+    const v2d sg = { -1.0, 1.0 };                                             \
+    v2d u00r = splat(u[0]), u00i = sg * splat(u[1]);                          \
+    v2d u01r = splat(u[2]), u01i = sg * splat(u[3]);                          \
+    v2d u10r = splat(u[4]), u10i = sg * splat(u[5]);                          \
+    v2d u11r = splat(u[6]), u11i = sg * splat(u[7]);                          \
+    long cm = Long_val(cmask), bit = 1L << Long_val(target);                  \
+    long fixed = cm | bit, k = Long_val(lo), end = Long_val(hi);              \
+    long i = first_free(k, fixed);                                            \
+    for (; k < end; k++) {                                                    \
+      T *p0 = a + 2 * (i | cm), *p1 = p0 + 2 * bit;                           \
+      v2d x0 = load2_##SFX(p0), x1 = load2_##SFX(p1);                         \
+      v2d s0 = swap2(x0), s1 = swap2(x1);                                     \
+      store2_##SFX(p0, (((u00r * x0) + (u00i * s0)) + (u01r * x1))            \
+                           + (u01i * s1));                                    \
+      store2_##SFX(p1, (((u10r * x0) + (u10i * s0)) + (u11r * x1))            \
+                           + (u11i * s1));                                    \
+      i = next_free(i, fixed);                                                \
     }                                                                         \
     return Val_unit;                                                          \
   }                                                                           \

@@ -264,9 +264,10 @@ module Extend (C : CORE) = struct
   let dense_single t m ~target ~cmask ~lo ~hi =
     if Array.length m <> 8 || not (is_pow2 t.len) || t.len < 2 then
       invalid_arg "Storage.dense_single: bad matrix or length";
-    if (not (qubit_ok t target)) || cmask < 0 || cmask >= t.len then
-      invalid_arg "Storage.dense_single: bad target or control mask";
-    if lo < 0 || lo > hi || hi > t.len / 2 then
+    if (not (qubit_ok t target)) || cmask < 0 || cmask >= t.len
+       || (cmask lsr target) land 1 = 1
+    then invalid_arg "Storage.dense_single: bad target or control mask";
+    if lo < 0 || lo > hi || hi > t.len lsr (1 + Bits.popcount cmask) then
       invalid_arg "Storage.dense_single: stripe out of bounds";
     C.c_dense_single t.data m target cmask lo hi
 

@@ -109,8 +109,10 @@ module type S = sig
 
   val dense_single : t -> float array -> target:int -> cmask:int -> lo:int -> hi:int -> unit
   (** Applies the 2×2 gate given as 8 floats (row-major re/im) to the
-      amplitude pairs [k ∈ [lo, hi)] of a length-2ⁿ vector, skipping pairs
-      whose low index lacks a bit of [cmask]. *)
+      controlled amplitude pairs [k ∈ [lo, hi)] of a length-2ⁿ vector:
+      pair [k] is the [k]-th pair, in ascending index order, whose low
+      index has every bit of [cmask] set, so [hi ≤ 2^(n−1−popcount cmask)].
+      [cmask] must not contain the target bit. *)
 
   val dense_two : t -> float array -> q_hi:int -> q_lo:int -> lo:int -> hi:int -> unit
   (** Applies the 4×4 gate given as 32 floats (row-major re/im, index

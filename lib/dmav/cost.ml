@@ -167,10 +167,10 @@ let identity_macs p ~n d root =
       (sum_distinct_tasks (assign p ~n ~t:d.threads_used Column_major root) (fun node ->
            path_count p ~leaf (Dd.munit node)))
 
-(* Dense direct application touches every amplitude with a fixed-size
-   matrix: 2ⁿ⁻¹ pairs × 4 complex MACs for a single-qubit gate, 2ⁿ⁻² quads
-   × 16 for a two-qubit one — so 2ⁿ⁺¹ and 2ⁿ⁺² MACs regardless of the
-   gate's sparsity. *)
+(* Dense direct application is charged as touching every amplitude with a
+   fixed-size matrix: 2ⁿ⁻¹ pairs × 4 complex MACs for a single-qubit gate,
+   2ⁿ⁻² quads × 16 for a two-qubit one — so 2ⁿ⁺¹ and 2ⁿ⁺² MACs regardless
+   of the gate's sparsity or controls. *)
 let dense_direct_macs ~n (op : Circuit.op) =
   let dim = Float.pow 2.0 (float_of_int n) in
   match op with
@@ -185,12 +185,15 @@ type dispatch = {
   dense_c : float option;  (** per-thread dense cost; [None] when ineligible *)
 }
 
-(* The dense kernels are branch-free stride-1 array loops, the shape the
-   model already charges at SIMD width [d] (block scales, buffer sums), so
-   dense direct costs [2ⁿ⁺¹/(d·t)] or [2ⁿ⁺²/(d·t)]. The Run recursion's
-   MACs are pointer-chasing DD traversals and stay at scalar rate, exactly
-   as in C₁/C₂. An op is only eligible when the original circuit operation
-   survived to the flat phase, i.e. the gate was not fused. *)
+(* The dense kernels are array loops, the single-qubit one 2-wide (one
+   vector per amplitude), charged like the model's block operations at
+   SIMD width [d], so dense direct costs [2ⁿ⁺¹/(d·t)] or [2ⁿ⁺²/(d·t)]. A
+   c-controlled gate touches only 2ⁿ⁻¹⁻ᶜ pairs but is still charged
+   2ⁿ⁺¹ MACs, which keeps every dispatch decision where it was. The Run
+   recursion's MACs are pointer-chasing DD traversals and stay at scalar
+   rate, exactly as in C₁/C₂. An op is only eligible when the original
+   circuit operation survived to the flat phase, i.e. the gate was not
+   fused. *)
 let dispatch p ~n ~threads ?op root =
   let dmav = decide p ~n ~threads root in
   match op with

@@ -80,8 +80,9 @@ val identity_macs : Dd.package -> n:int -> decision -> Dd.medge -> float
 val dense_direct_macs : n:int -> Circuit.op -> float
 (** Modeled MACs of applying [op] with the dense direct kernels
     ([Apply.single] / [Apply.two]): [2ⁿ⁺¹] for a single-qubit gate,
-    [2ⁿ⁺²] for a two-qubit one — dense kernels touch every amplitude
-    regardless of gate sparsity. *)
+    [2ⁿ⁺²] for a two-qubit one, regardless of gate sparsity. The
+    single-qubit kernel touches only the [2ⁿ⁻¹⁻ᶜ] pairs of a
+    [c]-controlled gate; the model does not credit that. *)
 
 type kernel = Dmav_kernel | Dense_kernel
 
@@ -95,7 +96,8 @@ type dispatch = {
 
 val dispatch : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> dispatch
 (** Extends {!decide} with the dense direct-apply alternative: dense
-    kernels are stride-1 branch-free loops charged at SIMD width [d]
+    kernels are array loops (the single-qubit one 2-wide, over the
+    controlled pairs only) charged at SIMD width [d]
     (like the model's block operations), DD-traversal MACs at scalar
     rate. Dense is only eligible when [op] is given — a fused matrix has
     no dense kernel. *)

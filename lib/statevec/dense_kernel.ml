@@ -39,7 +39,7 @@ module Make (P : Storage.S) = struct
         u.(4 * r + 2 * c + 1) <- m.(r).(c).Cnum.im
       done
     done;
-    stripes ?pool ~hi:(1 lsl (n - 1)) (fun lo hi ->
+    stripes ?pool ~hi:(1 lsl (n - 1 - Bits.popcount cmask)) (fun lo hi ->
         P.dense_single amps u ~target ~cmask ~lo ~hi)
 
   let two ?pool ~n amps (m : Gate.two) ~q_hi ~q_lo =

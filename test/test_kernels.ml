@@ -1,13 +1,16 @@
 (* The C stripe kernels (lib/complexnum/kernels_stubs.c), pinned bit for
    bit against the pure-OCaml reference bodies of [Kernel_ref] at both
-   precisions: every dense target with and without controls, two-qubit
-   gates in both qubit orders, DMAV cached and uncached at pool sizes 1,
-   2 and 4, and the stripe primitives at odd positions and lengths, for
-   n from 1 to 14, the identity stripes of the Run recursion, and its
-   batches under pure-replication nodes (chains past the batch cap, and
-   the fused gates of real dnn, vqe and supremacy circuits). Plus
-   the allocation claim: a dense gate and a DMAV gate cost the same small
-   constant number of minor words at f32 as at f64. *)
+   precisions: every dense target with and without controls, random
+   stripes of the controlled pairs called straight into the stub (up to
+   three controls, signed zeros, n up to 16), two-qubit gates in both
+   qubit orders, DMAV cached and uncached at pool sizes 1, 2 and 4, and
+   the stripe primitives at odd positions and lengths, for n from 1 to
+   14, the identity stripes of the Run recursion, and its batches under
+   pure-replication nodes (chains past the batch cap, and the fused
+   gates of real dnn, vqe and supremacy circuits). Plus the dense stub's
+   contract checks and the allocation claim: a dense gate and a DMAV
+   gate cost the same small constant number of minor words at f32 as at
+   f64. *)
 
 let cnum rs = Cnum.make (Random.State.float rs 2.0 -. 1.0) (Random.State.float rs 2.0 -. 1.0)
 
@@ -40,6 +43,14 @@ module Suite_for (P : Storage.S) = struct
 
   let random_two rs = Array.init 4 (fun _ -> Array.init 4 (fun _ -> cnum rs))
 
+  (* Amplitude parts drawn from a few values, both zeros included, so
+     products and sums land on signed zeros. *)
+  let special rs =
+    let xs = [| 0.0; -0.0; 0.5; -0.5; 1.0; -1.25 |] in
+    xs.(Random.State.int rs (Array.length xs))
+
+  let special_vec rs len = P.init len (fun _ -> Cnum.make (special rs) (special rs))
+
   (* Every target, each once uncontrolled and once under a random
      non-empty control set when n allows one. *)
   let dense_single pool =
@@ -62,6 +73,93 @@ module Suite_for (P : Storage.S) = struct
                   eq a b)
                control_sets)
           (List.init n Fun.id))
+
+  (* The gate as the stub takes it: 8 floats, row-major re/im. *)
+  let flat (m : Gate.single) =
+    Array.init 8 (fun j ->
+        let c = m.(j / 4).(j / 2 mod 2) in
+        if j mod 2 = 0 then c.Cnum.re else c.Cnum.im)
+
+  (* Shuffled stripes over the controlled pairs [0, pairs): random cuts,
+     so most stripes start inside a masked-increment run, plus a few
+     one-pair stripes. *)
+  let random_splits rs pairs =
+    let cuts = List.init (Random.State.int rs 7) (fun _ -> Random.State.int rs (pairs + 1)) in
+    let ones =
+      List.concat_map
+        (fun _ ->
+           let k = Random.State.int rs pairs in
+           [ k; k + 1 ])
+        (List.init (Random.State.int rs 3) Fun.id)
+    in
+    let bounds = List.sort_uniq compare ((0 :: pairs :: cuts) @ ones) in
+    let rec ranges = function
+      | a :: (b :: _ as rest) -> (a, b) :: ranges rest
+      | _ -> []
+    in
+    List.map snd
+      (List.sort compare (List.map (fun r -> (Random.State.bits rs, r)) (ranges bounds)))
+
+  (* [P.dense_single] called directly on random stripes of the controlled
+     pairs, against one whole-range call, the scalar reference and
+     [Dense_kernel.single] at every pool size. Up to three controls on
+     either side of the target; u3 gates (whose top-left entry is real),
+     random complex matrices, gates with exact-zero entries and vectors
+     with signed zeros. *)
+  let dense_splits pools =
+    cases ~name:(P.label ^ " dense single, random pair stripes") ~count:80 ~lo:1 ~hi:16
+      (fun n rs ->
+         let v = special_vec rs (1 lsl n) in
+         let target = Random.State.int rs n in
+         let others = List.filter (( <> ) target) (List.init n Fun.id) in
+         let c = Random.State.int rs (Int.min 4 n) in
+         let controls =
+           List.filteri (fun i _ -> i < c)
+             (List.sort compare (List.map (fun q -> (Random.State.bits rs, q)) others))
+           |> List.map snd
+         in
+         let m =
+           [| random_single rs; Array.init 2 (fun _ -> Array.init 2 (fun _ -> cnum rs)); Gate.x;
+              Gate.z; Gate.phase (Random.State.float rs 6.3) |].(Random.State.int rs 5)
+         in
+         let cmask = Bits.all_masks controls and u = flat m in
+         let pairs = 1 lsl (n - 1 - List.length controls) in
+         let want = P.copy v and whole = P.copy v and split = P.copy v in
+         R.single ~n want m ~target ~controls;
+         P.dense_single whole u ~target ~cmask ~lo:0 ~hi:pairs;
+         List.iter
+           (fun (lo, hi) -> P.dense_single split u ~target ~cmask ~lo ~hi)
+           (random_splits rs pairs);
+         eq want whole && eq want split
+         && List.for_all
+              (fun pool ->
+                 let got = P.copy v in
+                 DK.single ~pool ~n got m ~target ~controls;
+                 eq want got)
+              pools)
+
+  (* Every out-of-contract stripe call raises before reaching C. *)
+  let dense_contract () =
+    let n = 4 in
+    let v = P.create (1 lsl n) and u = flat Gate.h in
+    let rejects what f =
+      match f () with
+      | () -> Alcotest.failf "%s dense_single accepted %s" P.label what
+      | exception Invalid_argument _ -> ()
+    in
+    let call ~target ~cmask ~lo ~hi () = P.dense_single v u ~target ~cmask ~lo ~hi in
+    rejects "a control mask holding the target" (call ~target:1 ~cmask:0b0110 ~lo:0 ~hi:1);
+    rejects "hi past the controlled pairs" (call ~target:0 ~cmask:0b0110 ~lo:0 ~hi:3);
+    rejects "hi past the pairs" (call ~target:0 ~cmask:0 ~lo:0 ~hi:9);
+    rejects "a negative lo" (call ~target:0 ~cmask:0 ~lo:(-1) ~hi:1);
+    rejects "lo > hi" (call ~target:0 ~cmask:0 ~lo:2 ~hi:1);
+    rejects "a target past n" (call ~target:4 ~cmask:0 ~lo:0 ~hi:1);
+    rejects "a control past n" (call ~target:0 ~cmask:0b10000 ~lo:0 ~hi:1);
+    rejects "a negative control mask" (call ~target:0 ~cmask:(-2) ~lo:0 ~hi:1);
+    rejects "a short matrix" (fun () ->
+        P.dense_single v (Array.make 7 0.0) ~target:0 ~cmask:0 ~lo:0 ~hi:1);
+    call ~target:0 ~cmask:0b0110 ~lo:0 ~hi:2 ();
+    call ~target:3 ~cmask:0b0111 ~lo:1 ~hi:1 ()
 
   let dense_two pool =
     cases ~name:(P.label ^ " dense two, both qubit orders") ~count:60 ~lo:2 (fun n rs ->
@@ -125,14 +223,6 @@ module Suite_for (P : Storage.S) = struct
          let p = Dd.create () in
          let m = random_mat p rs n in
          dmav_agrees p pools ~n m ~v:(random_vec rs (1 lsl n)))
-
-  (* Amplitude parts drawn from a few values, both zeros included, so
-     products and sums land on signed zeros. *)
-  let special rs =
-    let xs = [| 0.0; -0.0; 0.5; -0.5; 1.0; -1.25 |] in
-    xs.(Random.State.int rs (Array.length xs))
-
-  let special_vec rs len = P.init len (fun _ -> Cnum.make (special rs) (special rs))
 
   (* A controlled single-qubit gate with every control above the target:
      each control level's 0-branch is the identity below it. *)
@@ -301,6 +391,11 @@ module Suite_for (P : Storage.S) = struct
                 check_all
                   [ dense_single p2; dense_two p2; dmav [ p1; p2; p4 ]; stripes ])))
 
+  let split_tests () =
+    Pool.with_pool 1 (fun p1 ->
+        Pool.with_pool 2 (fun p2 ->
+            Pool.with_pool 4 (fun p4 -> check_all [ dense_splits [ p1; p2; p4 ] ])))
+
   let identity_tests () =
     Pool.with_pool 1 (fun p1 ->
         Pool.with_pool 2 (fun p2 ->
@@ -354,6 +449,13 @@ let suite =
   [ ( "kernels",
       [ Alcotest.test_case "f64 stubs = OCaml reference (bits)" `Quick K64.tests;
         Alcotest.test_case "f32 stubs = OCaml reference (bits)" `Quick K32.tests;
+        Alcotest.test_case "f64 dense pair stripes = OCaml reference (bits)" `Quick
+          K64.split_tests;
+        Alcotest.test_case "f32 dense pair stripes = OCaml reference (bits)" `Quick
+          K32.split_tests;
+        Alcotest.test_case "dense_single rejects out-of-contract stripes" `Quick (fun () ->
+            K64.dense_contract ();
+            K32.dense_contract ());
         Alcotest.test_case "one gate allocates O(1), same at f32 and f64" `Quick
           test_allocation;
         Alcotest.test_case "f64 identity stripes = OCaml reference (bits)" `Quick
