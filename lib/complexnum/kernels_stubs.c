@@ -19,6 +19,22 @@
    is ((i | fixed) + 1) & ~fixed, the increment's carry running through
    the fixed bits; the pair's low index is i | cmask.
 
+   On x86-64 CPUs with AVX2 the kernel also has a 4-lane body: one
+   32-byte vector (re0, im0, re1, im1) holds two consecutive controlled
+   pairs' amplitudes, sg is (-1, +1, -1, +1), and the pair arithmetic is
+   the same ROW expression as in the 2-lane body, so every lane still
+   does the scalar operations in the scalar order and the bytes do not
+   change (f32 widens four floats per load and rounds per lane on the
+   store). It needs bit 0 free, i.e. neither the target nor a control on
+   qubit 0: then pair k + 1 sits right after pair k, one load covers both,
+   and the next even index is ((i | fixed) + 2) & ~fixed. A stripe's odd
+   leading pair and its odd trailing pair go through the 2-lane body.
+   The body is compiled with target("avx2") (which does not enable FMA)
+   and runs only if a load-time constructor finds AVX2 through
+   __builtin_cpu_supports; dense_lanes records the choice (2 or 4) for
+   Storage.dense_lanes. Everywhere else (bit 0 fixed, CPUs without AVX2,
+   non-x86 hosts) the 2-lane loop is the only body.
+
    Contract with Storage.Core64/Core32: ranges, lengths and qubit indices
    are checked in OCaml before the call, the externals are [@@noalloc],
    and one call covers a pool stripe or a DMAV task. Nothing here
@@ -64,11 +80,21 @@ static inline long insert_zero(long i, long k)
 typedef double v2d __attribute__((vector_size(16)));
 typedef float v2f __attribute__((vector_size(8)));
 
-static inline v2d splat(double x)
-{
-  v2d r = { x, x };
-  return r;
-}
+/* Row r of the dense butterfly on the low and high amplitudes x0, x1
+   (s0, s1: their re/im swaps), at either vector width. g holds the gate
+   as m's eight entries splatted, each imaginary part times sg. The four
+   terms add in the scalar expression's order. */
+#define ROW(g, r, x0, s0, x1, s1)                                             \
+  (((((g)[4 * (r)] * (x0)) + ((g)[4 * (r) + 1] * (s0)))                      \
+    + ((g)[4 * (r) + 2] * (x1))) + ((g)[4 * (r) + 3] * (s1)))
+
+/* g for ROW from the gate's eight floats u: real parts times one, the
+   imaginary parts times sg (a vector times a scalar splats the scalar);
+   both products are exact. */
+#define GATE(g, u, one, sg)                                                   \
+  ((g)[0] = (one) * (u)[0], (g)[1] = (sg) * (u)[1], (g)[2] = (one) * (u)[2],  \
+   (g)[3] = (sg) * (u)[3], (g)[4] = (one) * (u)[4], (g)[5] = (sg) * (u)[5],   \
+   (g)[6] = (one) * (u)[6], (g)[7] = (sg) * (u)[7])
 
 static inline v2d swap2(v2d x)
 {
@@ -102,6 +128,95 @@ static inline void store2_f32(float *p, v2d x)
   v2f y = __builtin_convertvector(x, v2f);
   memcpy(p, &y, sizeof y);
 }
+
+/* Lanes of the dense kernel's widest body on this CPU: 4 once the
+   constructor below has found AVX2, else 2. Written before main, only
+   read afterwards. */
+static long dense_lanes = 2;
+
+value qcs_dense_lanes(value unit)
+{
+  (void)unit;
+  return Val_long(dense_lanes);
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#include <immintrin.h>
+#define WIDE __attribute__((target("avx2")))
+
+/* Two amplitudes, (re0, im0, re1, im1), in one 32-byte vector. */
+typedef double v4d __attribute__((vector_size(32)));
+typedef float v4f __attribute__((vector_size(16)));
+
+__attribute__((constructor)) static void detect_dense_lanes(void)
+{
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) dense_lanes = 4;
+}
+
+WIDE static inline v4d swap4(v4d x)
+{
+  v4d r = { x[1], x[0], x[3], x[2] };
+  return r;
+}
+
+WIDE static inline v4d load4_f64(const double *p)
+{
+  v4d x;
+  memcpy(&x, p, sizeof x);
+  return x;
+}
+
+WIDE static inline void store4_f64(double *p, v4d x)
+{
+  memcpy(p, &x, sizeof x);
+}
+
+/* Four floats widened by one vcvtps2pd: GCC 12 lowers the
+   __builtin_convertvector form to two 128-bit converts and an insert,
+   which made f32 gates 1.3x slower (n = 18, one thread of a 2-core AVX2
+   Xeon). Widening is exact either way. */
+WIDE static inline v4d load4_f32(const float *p)
+{
+  return (v4d)_mm256_cvtps_pd(_mm_loadu_ps(p));
+}
+
+WIDE static inline void store4_f32(float *p, v4d x)
+{
+  v4f y = __builtin_convertvector(x, v4f);
+  memcpy(p, &y, sizeof y);
+}
+
+/* The 4-lane dense body: [steps] steps of two controlled pairs each,
+   from the even index i (bit 0 free). Returns the index after the last
+   pair. */
+#define DENSE_WIDE_BODY(T, SFX)                                               \
+  WIDE static long dense_wide_##SFX(T *a, const double *u, long cm, long bit, \
+                                    long fixed, long i, long steps)           \
+  {                                                                           \
+    const v4d one = { 1.0, 1.0, 1.0, 1.0 }, sg = { -1.0, 1.0, -1.0, 1.0 };    \
+    v4d g[8];                                                                 \
+    GATE(g, u, one, sg);                                                      \
+    for (long s = 0; s < steps; s++) {                                        \
+      T *p0 = a + 2 * (i | cm), *p1 = p0 + 2 * bit;                           \
+      v4d x0 = load4_##SFX(p0), x1 = load4_##SFX(p1);                         \
+      v4d s0 = swap4(x0), s1 = swap4(x1);                                     \
+      store4_##SFX(p0, ROW(g, 0, x0, s0, x1, s1));                            \
+      store4_##SFX(p1, ROW(g, 1, x0, s0, x1, s1));                            \
+      i = ((i | fixed) + 2) & ~fixed;                                         \
+    }                                                                         \
+    return i;                                                                 \
+  }
+#else
+/* Off x86-64 dense_lanes stays 2 and this stand-in is never called. */
+#define DENSE_WIDE_BODY(T, SFX)                                               \
+  static long dense_wide_##SFX(T *a, const double *u, long cm, long bit,      \
+                               long fixed, long i, long steps)                \
+  {                                                                           \
+    (void)a, (void)u, (void)cm, (void)bit, (void)fixed, (void)steps;          \
+    return i;                                                                 \
+  }
+#endif
 
 /* The k-th index with every bit of [fixed] 0: zeros inserted at the
    fixed positions, lowest first. */
@@ -256,31 +371,46 @@ static inline int replication_quadrant(const long *es)
     return acc;                                                               \
   }                                                                           \
                                                                               \
+  /* The 2-lane butterfly on the controlled pair whose low index is i. */   \
+  static inline void pair2_##SFX(T *a, const v2d *g, long i, long bit)        \
+  {                                                                           \
+    T *p0 = a + 2 * i, *p1 = p0 + 2 * bit;                                    \
+    v2d x0 = load2_##SFX(p0), x1 = load2_##SFX(p1);                          \
+    v2d s0 = swap2(x0), s1 = swap2(x1);                                       \
+    store2_##SFX(p0, ROW(g, 0, x0, s0, x1, s1));                              \
+    store2_##SFX(p1, ROW(g, 1, x0, s0, x1, s1));                              \
+  }                                                                           \
+                                                                              \
+  DENSE_WIDE_BODY(T, SFX)                                                     \
+                                                                              \
   /* The 2x2 butterfly over the controlled pairs [lo, hi): pair k is the    \
      k-th low index, ascending, with the target bit 0 and every bit of     \
      [cmask] 1. [m] is the gate as 8 floats, row-major re/im. The header   \
-     gives the lanes, why the bytes stay, and the pair walk. */            \
+     gives the lanes, why the bytes stay, the pair walk and when the       \
+     4-lane body takes over. */                                             \
   value qcs_dense_single_##SFX(value buf, value m, value target, value cmask, \
                                value lo, value hi)                            \
   {                                                                           \
     T *a = (T *)Caml_ba_data_val(buf);                                        \
     const double *u = (const double *)m;                                      \
-    const v2d sg = { -1.0, 1.0 };                                             \
-    v2d u00r = splat(u[0]), u00i = sg * splat(u[1]);                          \
-    v2d u01r = splat(u[2]), u01i = sg * splat(u[3]);                          \
-    v2d u10r = splat(u[4]), u10i = sg * splat(u[5]);                          \
-    v2d u11r = splat(u[6]), u11i = sg * splat(u[7]);                          \
+    const v2d one = { 1.0, 1.0 }, sg = { -1.0, 1.0 };                         \
+    v2d g[8];                                                                 \
+    GATE(g, u, one, sg);                                                      \
     long cm = Long_val(cmask), bit = 1L << Long_val(target);                  \
     long fixed = cm | bit, k = Long_val(lo), end = Long_val(hi);              \
     long i = first_free(k, fixed);                                            \
+    if (dense_lanes == 4 && (fixed & 1) == 0 && end - k >= 2) {               \
+      if (k & 1) {                                                            \
+        pair2_##SFX(a, g, i | cm, bit);                                       \
+        i = next_free(i, fixed);                                              \
+        k++;                                                                  \
+      }                                                                       \
+      long steps = (end - k) >> 1;                                            \
+      i = dense_wide_##SFX(a, u, cm, bit, fixed, i, steps);                   \
+      k += 2 * steps;                                                         \
+    }                                                                         \
     for (; k < end; k++) {                                                    \
-      T *p0 = a + 2 * (i | cm), *p1 = p0 + 2 * bit;                           \
-      v2d x0 = load2_##SFX(p0), x1 = load2_##SFX(p1);                         \
-      v2d s0 = swap2(x0), s1 = swap2(x1);                                     \
-      store2_##SFX(p0, (((u00r * x0) + (u00i * s0)) + (u01r * x1))            \
-                           + (u01i * s1));                                    \
-      store2_##SFX(p1, (((u10r * x0) + (u10i * s0)) + (u11r * x1))            \
-                           + (u11i * s1));                                    \
+      pair2_##SFX(a, g, i | cm, bit);                                         \
       i = next_free(i, fixed);                                                \
     }                                                                         \
     return Val_unit;                                                          \

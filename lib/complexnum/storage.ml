@@ -22,6 +22,11 @@
    dim[1]} (40) = 64 bytes of overhead before the payload. *)
 let bigarray_header_bytes = 64
 
+external c_dense_lanes : unit -> int = "qcs_dense_lanes" [@@noalloc]
+
+(* 4 when kernels_stubs.c's load-time check found AVX2, else 2. *)
+let dense_lanes = c_dense_lanes ()
+
 (* The raw matrix-DD arena window the DMAV Run stub walks; [Dd.view] is
    this type. *)
 type arena = {

@@ -112,7 +112,13 @@ module type S = sig
       controlled amplitude pairs [k ∈ [lo, hi)] of a length-2ⁿ vector:
       pair [k] is the [k]-th pair, in ascending index order, whose low
       index has every bit of [cmask] set, so [hi ≤ 2^(n−1−popcount cmask)].
-      [cmask] must not contain the target bit. *)
+      [cmask] must not contain the target bit. Each amplitude is one
+      16-byte vector (re, im); when {!dense_lanes} is 4 and bit 0 is
+      free (neither the target nor a control is qubit 0), two
+      consecutive pairs share one 32-byte vector, a stripe's odd first
+      and last pairs taking the 16-byte body. Every lane does the scalar
+      reference's operations in its order, so the bytes do not depend
+      on the body or the stripe split. *)
 
   val dense_two : t -> float array -> q_hi:int -> q_lo:int -> lo:int -> hi:int -> unit
   (** Applies the 4×4 gate given as 32 floats (row-major re/im, index
@@ -155,6 +161,13 @@ end
 
 module F64 : S with type elt = Bigarray.float64_elt
 module F32 : S with type elt = Bigarray.float32_elt
+
+val dense_lanes : int
+(** Lanes of the widest body {!S.dense_single} runs on this CPU, fixed
+    when the program loads: 4 on x86-64 when the CPU reports AVX2 (two
+    controlled pairs per 32-byte vector, used for gates with neither the
+    target nor a control on qubit 0), else 2 (one amplitude per 16-byte
+    vector). The bytes are the same either way. *)
 
 val bigarray_header_bytes : int
 (** Bytes of a [Bigarray.Array1] custom block on 64-bit (header + custom

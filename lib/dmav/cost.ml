@@ -185,9 +185,10 @@ type dispatch = {
   dense_c : float option;  (** per-thread dense cost; [None] when ineligible *)
 }
 
-(* The dense kernels are array loops, the single-qubit one 2-wide (one
-   vector per amplitude), charged like the model's block operations at
-   SIMD width [d], so dense direct costs [2ⁿ⁺¹/(d·t)] or [2ⁿ⁺²/(d·t)]. A
+(* The dense kernels are array loops, the single-qubit one 4-wide on
+   AVX2 hosts (two amplitudes per vector, matching [d]) and 2-wide
+   elsewhere, charged like the model's block operations at SIMD width
+   [d] either way, so dense direct costs [2ⁿ⁺¹/(d·t)] or [2ⁿ⁺²/(d·t)]. A
    c-controlled gate touches only 2ⁿ⁻¹⁻ᶜ pairs but is still charged
    2ⁿ⁺¹ MACs, which keeps every dispatch decision where it was. The Run
    recursion's MACs are pointer-chasing DD traversals and stay at scalar

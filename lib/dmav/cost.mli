@@ -96,8 +96,9 @@ type dispatch = {
 
 val dispatch : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> dispatch
 (** Extends {!decide} with the dense direct-apply alternative: dense
-    kernels are array loops (the single-qubit one 2-wide, over the
-    controlled pairs only) charged at SIMD width [d]
+    kernels are array loops (the single-qubit one 4-wide on AVX2 hosts,
+    2-wide elsewhere, over the controlled pairs only) charged at SIMD
+    width [d]
     (like the model's block operations), DD-traversal MACs at scalar
     rate. Dense is only eligible when [op] is given — a fused matrix has
     no dense kernel. *)

@@ -88,9 +88,7 @@ type t = {
   stop : bool Atomic.t;
 }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let locked t f = Mutex.protect t.mutex f
 
 let sched t = Option.get t.sched
 
@@ -105,52 +103,62 @@ let touch_uptime t =
    wakes the writer so it can exit; everyone else observes
    [c_alive = false] and stands down. *)
 let kill conn =
-  Mutex.lock conn.c_mutex;
-  let was = conn.c_alive in
-  conn.c_alive <- false;
-  Condition.broadcast conn.c_cond;
-  Mutex.unlock conn.c_mutex;
+  let was =
+    Mutex.protect conn.c_mutex (fun () ->
+        let was = conn.c_alive in
+        conn.c_alive <- false;
+        Condition.broadcast conn.c_cond;
+        was)
+  in
   if was then (try Unix.close conn.c_fd with Unix.Unix_error _ -> ())
 
 (* Enqueue a frame for the connection's writer thread. Never touches the
    socket: callers hold t.mutex, and a client that stops reading (full
    socket buffer, blocked flush) must not be able to stall admission,
-   delivery or completion for every other tenant. *)
+   delivery or completion for every other tenant. The frame is rendered
+   before the lock is taken, so a raising renderer cannot leave it held. *)
 let send conn frame =
-  Mutex.lock conn.c_mutex;
-  if conn.c_alive then begin
-    Queue.push (Protocol.render_frame frame) conn.c_outq;
-    Condition.signal conn.c_cond
-  end;
-  Mutex.unlock conn.c_mutex
+  let line = Protocol.render_frame frame in
+  Mutex.protect conn.c_mutex (fun () ->
+      if conn.c_alive then begin
+        Queue.push line conn.c_outq;
+        Condition.signal conn.c_cond
+      end)
 
 (* Per-connection writer: drains the queue with no locks held. A write
    failure (client went away mid-stream) just kills the connection; its
    jobs keep running and their results stay readable through the
    journal. *)
 let writer conn =
+  (* The queued frames, newline-terminated, or None once the connection
+     is dead. *)
+  let take () =
+    Mutex.protect conn.c_mutex (fun () ->
+        while conn.c_alive && Queue.is_empty conn.c_outq do
+          Condition.wait conn.c_cond conn.c_mutex
+        done;
+        if not conn.c_alive then begin
+          Queue.clear conn.c_outq;
+          None
+        end
+        else begin
+          let b = Buffer.create 256 in
+          while not (Queue.is_empty conn.c_outq) do
+            Buffer.add_string b (Queue.pop conn.c_outq);
+            Buffer.add_char b '\n'
+          done;
+          Some (Buffer.contents b)
+        end)
+  in
   let rec loop () =
-    Mutex.lock conn.c_mutex;
-    while conn.c_alive && Queue.is_empty conn.c_outq do
-      Condition.wait conn.c_cond conn.c_mutex
-    done;
-    if not conn.c_alive then begin
-      Queue.clear conn.c_outq;
-      Mutex.unlock conn.c_mutex
-    end
-    else begin
-      let b = Buffer.create 256 in
-      while not (Queue.is_empty conn.c_outq) do
-        Buffer.add_string b (Queue.pop conn.c_outq);
-        Buffer.add_char b '\n'
-      done;
-      Mutex.unlock conn.c_mutex;
+    match take () with
+    | None -> ()
+    | Some text ->
       (try
-         output_string conn.c_oc (Buffer.contents b);
+         output_string conn.c_oc text;
          flush conn.c_oc
        with Sys_error _ | Unix.Unix_error _ -> kill conn);
       loop ()
-    end
   in
   loop ()
 

@@ -7,6 +7,11 @@
    [P.dense_single]/[P.dense_two] C stubs. Gate matrices stay f64; all
    arithmetic runs in double and only the stores round at [F32]. *)
 
+(* Which dense body serves the run: Storage.dense_lanes (2 or 4), set
+   by every single-qubit gate rather than once, so a snapshot taken after
+   a metrics reset still shows it. *)
+let g_lanes = Obs.gauge "statevec.dense.lanes"
+
 module Make (P : Storage.S) = struct
   let seq_threshold = 1 lsl 12
   (* Below this many iterations the parallel dispatch overhead dominates;
@@ -31,6 +36,7 @@ module Make (P : Storage.S) = struct
            invalid_arg "Dense_kernel.single: bad control")
       controls;
     if P.length amps <> 1 lsl n then invalid_arg "Dense_kernel.single: bad length";
+    Obs.set_gauge g_lanes Storage.dense_lanes;
     let cmask = Bits.all_masks controls in
     let u = Array.make 8 0.0 in
     for r = 0 to 1 do

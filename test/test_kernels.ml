@@ -2,15 +2,16 @@
    bit against the pure-OCaml reference bodies of [Kernel_ref] at both
    precisions: every dense target with and without controls, random
    stripes of the controlled pairs called straight into the stub (up to
-   three controls, signed zeros, n up to 16), two-qubit gates in both
-   qubit orders, DMAV cached and uncached at pool sizes 1, 2 and 4, and
-   the stripe primitives at odd positions and lengths, for n from 1 to
-   14, the identity stripes of the Run recursion, and its batches under
+   three controls, bit 0 fixed or free, stripes of 1 to 3 pairs at both
+   parities and after increment carries, signed zeros, n up to 16),
+   two-qubit gates in both qubit orders, DMAV cached and uncached at pool
+   sizes 1, 2 and 4, and the stripe primitives at odd positions and
+   lengths, for n from 1 to 14, the identity stripes of the Run recursion, and its batches under
    pure-replication nodes (chains past the batch cap, and the fused
    gates of real dnn, vqe and supremacy circuits). Plus the dense stub's
-   contract checks and the allocation claim: a dense gate and a DMAV
-   gate cost the same small constant number of minor words at f32 as at
-   f64. *)
+   contract checks, the allocation claim (a dense gate and a DMAV gate
+   cost the same small constant number of minor words at f32 as at f64)
+   and the load-time choice of the dense stub's 4-lane body. *)
 
 let cnum rs = Cnum.make (Random.State.float rs 2.0 -. 1.0) (Random.State.float rs 2.0 -. 1.0)
 
@@ -82,17 +83,26 @@ module Suite_for (P : Storage.S) = struct
 
   (* Shuffled stripes over the controlled pairs [0, pairs): random cuts,
      so most stripes start inside a masked-increment run, plus a few
-     one-pair stripes. *)
-  let random_splits rs pairs =
+     stripes of 1, 2 or 3 pairs. Those start right after a carry of the
+     masked increment (a multiple of [run], the pairs between two carries),
+     one pair past it, or anywhere, so they begin and end on both odd and
+     even pairs: the edges of the 4-lane body. *)
+  let random_splits rs ~run pairs =
     let cuts = List.init (Random.State.int rs 7) (fun _ -> Random.State.int rs (pairs + 1)) in
-    let ones =
+    let short =
       List.concat_map
         (fun _ ->
-           let k = Random.State.int rs pairs in
-           [ k; k + 1 ])
-        (List.init (Random.State.int rs 3) Fun.id)
+           let carry = run * Random.State.int rs (pairs / run) in
+           let start =
+             match Random.State.int rs 3 with
+             | 0 -> carry
+             | 1 -> Int.min (pairs - 1) (carry + 1)
+             | _ -> Random.State.int rs pairs
+           in
+           [ start; Int.min pairs (start + 1 + Random.State.int rs 3) ])
+        (List.init (1 + Random.State.int rs 4) Fun.id)
     in
-    let bounds = List.sort_uniq compare ((0 :: pairs :: cuts) @ ones) in
+    let bounds = List.sort_uniq compare ((0 :: pairs :: cuts) @ short) in
     let rec ranges = function
       | a :: (b :: _ as rest) -> (a, b) :: ranges rest
       | _ -> []
@@ -102,34 +112,41 @@ module Suite_for (P : Storage.S) = struct
 
   (* [P.dense_single] called directly on random stripes of the controlled
      pairs, against one whole-range call, the scalar reference and
-     [Dense_kernel.single] at every pool size. Up to three controls on
-     either side of the target; u3 gates (whose top-left entry is real),
+     [Dense_kernel.single] at every pool size. Bit 0 is fixed by the
+     target, fixed by a control, or free (the gates the 4-lane body takes
+     on AVX2 hosts), a third of the cases each; up to three controls on
+     either side of the target. u3 gates (whose top-left entry is real),
      random complex matrices, gates with exact-zero entries and vectors
      with signed zeros. *)
   let dense_splits pools =
-    cases ~name:(P.label ^ " dense single, random pair stripes") ~count:80 ~lo:1 ~hi:16
+    cases ~name:(P.label ^ " dense single, random pair stripes") ~count:120 ~lo:1 ~hi:16
       (fun n rs ->
          let v = special_vec rs (1 lsl n) in
-         let target = Random.State.int rs n in
-         let others = List.filter (( <> ) target) (List.init n Fun.id) in
-         let c = Random.State.int rs (Int.min 4 n) in
+         let shape = Random.State.int rs 3 in
+         let target = if shape = 0 || n = 1 then 0 else 1 + Random.State.int rs (n - 1) in
+         let forced = if shape = 1 && target <> 0 then [ 0 ] else [] in
+         let others = List.filter (fun q -> q <> target && q <> 0) (List.init n Fun.id) in
+         let c = Random.State.int rs (Int.min (4 - List.length forced) (List.length others + 1)) in
          let controls =
-           List.filteri (fun i _ -> i < c)
-             (List.sort compare (List.map (fun q -> (Random.State.bits rs, q)) others))
-           |> List.map snd
+           forced
+           @ (List.filteri (fun i _ -> i < c)
+                (List.sort compare (List.map (fun q -> (Random.State.bits rs, q)) others))
+              |> List.map snd)
          in
          let m =
            [| random_single rs; Array.init 2 (fun _ -> Array.init 2 (fun _ -> cnum rs)); Gate.x;
               Gate.z; Gate.phase (Random.State.float rs 6.3) |].(Random.State.int rs 5)
          in
          let cmask = Bits.all_masks controls and u = flat m in
+         let fixed = cmask lor (1 lsl target) in
+         let run = fixed land -fixed in
          let pairs = 1 lsl (n - 1 - List.length controls) in
          let want = P.copy v and whole = P.copy v and split = P.copy v in
          R.single ~n want m ~target ~controls;
          P.dense_single whole u ~target ~cmask ~lo:0 ~hi:pairs;
          List.iter
            (fun (lo, hi) -> P.dense_single split u ~target ~cmask ~lo ~hi)
-           (random_splits rs pairs);
+           (random_splits rs ~run pairs);
          eq want whole && eq want split
          && List.for_all
               (fun pool ->
@@ -445,6 +462,35 @@ let test_allocation () =
          Alcotest.failf "%s allocated %.0f minor words at n = 14" what words)
     [ ("dense gate", d64); ("dmav gate", m64) ]
 
+(* The dense stub's 4-lane body is chosen at load time from the CPU:
+   [Storage.dense_lanes] must be 4 exactly on an x86-64 host whose
+   /proc/cpuinfo flags list avx2 (aarch64 lists "Features", not
+   "flags"), so a detection that silently fails shows up here. A dense
+   gate reports the choice on the statevec.dense.lanes gauge. *)
+let test_dense_lanes () =
+  let lanes = Storage.dense_lanes in
+  if lanes <> 2 && lanes <> 4 then Alcotest.failf "dense_lanes = %d" lanes;
+  (if Sys.file_exists "/proc/cpuinfo" then
+     let flags =
+       In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all
+       |> String.split_on_char '\n'
+       |> List.filter (fun l -> String.starts_with ~prefix:"flags" l)
+     in
+     let avx2 =
+       flags <> []
+       && List.for_all
+            (fun l -> List.mem "avx2" (String.split_on_char ' ' (String.trim l)))
+            flags
+     in
+     Alcotest.(check int) "dense_lanes from /proc/cpuinfo" (if avx2 then 4 else 2) lanes);
+  Obs.set_enabled true;
+  Obs.Metrics.reset ();
+  Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () ->
+      let n = 4 in
+      K64.DK.single ~n (K64.DK.zero_state n) Gate.h ~target:1 ~controls:[];
+      Alcotest.(check (option int)) "statevec.dense.lanes gauge" (Some lanes)
+        (Obs.Metrics.gauge_value (Obs.Metrics.snapshot ()) "statevec.dense.lanes"))
+
 let suite =
   [ ( "kernels",
       [ Alcotest.test_case "f64 stubs = OCaml reference (bits)" `Quick K64.tests;
@@ -465,4 +511,6 @@ let suite =
         Alcotest.test_case "f64 replication batches = OCaml reference (bits)" `Quick
           K64.batch_tests;
         Alcotest.test_case "f32 replication batches = OCaml reference (bits)" `Quick
-          K32.batch_tests ] ) ]
+          K32.batch_tests;
+        Alcotest.test_case "dense_lanes matches the host's AVX2 flag" `Quick
+          test_dense_lanes ] ) ]
