@@ -2,7 +2,8 @@
    paper's evaluation section (plus the motivating Figure 1 and overview
    Figure 3). The experiments beyond the paper each back a row of
    EXPERIMENTS.md or a CI step: ablation (design-choice sweeps), dispatch
-   (dense direct kernel vs DMAV), order (qubit ordering), precision
+   (dense direct kernel vs DMAV), fusion_price (the identity-stripe MAC
+   price of DMAV-aware fusion), order (qubit ordering), precision
    (f64 vs f32) and serve (warm handles vs cold construction).
 
      dune exec bench/main.exe            # everything
@@ -19,6 +20,7 @@
 let experiments =
   [ ("table1", Exp_table1.run);
     ("table2", Exp_table2.run);
+    ("fusion_price", Exp_fusion_price.run);
     ("fig1", Exp_fig1.run);
     ("fig3", Exp_fig3.run);
     ("fig11", Exp_fig11.run);

@@ -57,6 +57,14 @@ type package = {
   mm_cache : Dd_cache.Two.t;
   vadd_cache : Dd_cache.Three.t;
   madd_cache : Dd_cache.Three.t;
+  (* Scratch of [priced_paths], one entry per matrix slot, refitted to
+     the arena's capacity on entry: [walk_tag.(n)] is the walk's stamp
+     once slot [n] is counted (odd when [n] is the canonical identity of
+     its level), [walk_val.(n)] its count. Stamps step by 2, so a new
+     walk retires every older entry without clearing. *)
+  mutable walk_tag : int array;
+  mutable walk_val : float array;
+  mutable walk_stamp : int;
 }
 
 (* Global instrumentation, shared across packages. *)
@@ -100,7 +108,10 @@ let create ?tolerance () =
     mv_cache = Dd_cache.Two.create ~bits:cache_bits_min ~label:"mv";
     mm_cache = Dd_cache.Two.create ~bits:cache_bits_min ~label:"mm";
     vadd_cache = Dd_cache.Three.create ~bits:cache_bits_min ~label:"vadd";
-    madd_cache = Dd_cache.Three.create ~bits:cache_bits_min ~label:"madd" }
+    madd_cache = Dd_cache.Three.create ~bits:cache_bits_min ~label:"madd";
+    walk_tag = [||];
+    walk_val = [||];
+    walk_stamp = 0 }
 
 let cache_slots p = Dd_cache.Two.slots p.mv_cache
 
@@ -432,6 +443,57 @@ let mnode_count p (e : medge) =
     !acc
   end
 
+(* The priced path count of [priced_paths]. A slot is counted once per
+   walk: its four children first, then either its identity price, when
+   it is (e, 0, 0, e) with [e] the unit edge to the identity one level
+   down ([mone] at level 0), or the sum of its non-zero children's
+   counts. Counts go straight into the unboxed [walk_val], so the walk
+   allocates nothing. *)
+let[@inline] edge_count (value : float array) e =
+  if e = 0 then 0.0 else Array.unsafe_get value (edge_tgt e) (* qcs-lint: allow unsafe-array *)
+
+let rec count_paths p (tag : int array) (value : float array) stamp identity n =
+  if Array.unsafe_get tag n land lnot 1 <> stamp then begin (* qcs-lint: allow unsafe-array *)
+    let e00 = Node_store.child4 p.ma n 0 and e01 = Node_store.child4 p.ma n 1 in
+    let e10 = Node_store.child4 p.ma n 2 and e11 = Node_store.child4 p.ma n 3 in
+    if e00 <> 0 then count_paths p tag value stamp identity (edge_tgt e00);
+    if e01 <> 0 then count_paths p tag value stamp identity (edge_tgt e01);
+    if e10 <> 0 then count_paths p tag value stamp identity (edge_tgt e10);
+    if e11 <> 0 then count_paths p tag value stamp identity (edge_tgt e11);
+    let level = Node_store.level p.ma n in
+    let below = edge_tgt e00 in
+    if
+      e01 = 0 && e10 = 0 && e00 = e11
+      && edge_wid e00 = Ctable.one_id
+      && (if level = 0 then below = 0 else tag.(below) = stamp + 1)
+    then begin
+      value.(n) <- Float.ldexp identity (level + 1);
+      tag.(n) <- stamp + 1
+    end
+    else begin
+      value.(n) <-
+        edge_count value e00 +. edge_count value e01 +. edge_count value e10
+        +. edge_count value e11;
+      tag.(n) <- stamp
+    end
+  end
+
+let priced_paths p ~terminal ~identity (e : medge) =
+  if e = 0 then 0.0
+  else begin
+    let cap = Node_store.capacity p.ma in
+    if Array.length p.walk_tag < cap then begin
+      p.walk_tag <- Array.make cap 0;
+      p.walk_val <- Array.make cap 0.0
+    end;
+    p.walk_stamp <- p.walk_stamp + 2;
+    let stamp = p.walk_stamp in
+    p.walk_tag.(0) <- stamp;
+    p.walk_val.(0) <- terminal;
+    count_paths p p.walk_tag p.walk_val stamp identity (edge_tgt e);
+    p.walk_val.(edge_tgt e)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Qubit-order transformations (ISSUE 8)                               *)
 (* ------------------------------------------------------------------ *)
@@ -623,6 +685,8 @@ let memory_bytes p =
   + Dd_cache.Two.memory_bytes p.mm_cache
   + Dd_cache.Three.memory_bytes p.vadd_cache
   + Dd_cache.Three.memory_bytes p.madd_cache
+  + (8 * (Array.length p.walk_tag + 1))
+  + (8 * (Array.length p.walk_val + 1))
 
 (* Push the current arena occupancy into the metrics gauges; the simulator
    calls this at phase boundaries so DD-only runs also report them. *)

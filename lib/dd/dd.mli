@@ -131,6 +131,15 @@ val vnode_count : package -> vedge -> int
 
 val mnode_count : package -> medge -> int
 
+val priced_paths : package -> terminal:float -> identity:float -> medge -> float
+(** Root-to-terminal paths of a matrix DD, priced: a path into the
+    terminal costs [terminal], and the walk stops at a canonical identity
+    node at level [l] — [(e, 0, 0, e)] with [e] the unit edge to the
+    identity one level down, [mone] at level 0 — charging
+    [identity × 2^(l+1)] for it. [~terminal:1.0 ~identity:1.0] is the
+    plain path count. Memoized per slot in package-owned scratch, so it
+    allocates only the returned float; the zero edge counts 0. *)
+
 val vamplitude : package -> vedge -> int -> Cnum.t
 (** [vamplitude p e i] walks the path of basis index [i] from an edge at
     level [n-1]; O(n). *)

@@ -1,29 +1,20 @@
-(* Σ over root-to-terminal paths, memoized per node; [leaf] stops the
-   walk early at the nodes it has a value for. *)
-let path_count p ~leaf (e : Dd.medge) =
-  if Dd.medge_is_zero e then 0.0
-  else begin
-    let memo : (int, float) Hashtbl.t = Hashtbl.create 256 in
-    let rec count (node : Dd.mnode) =
-      match leaf node with
-      | Some v -> v
-      | None ->
-        match Hashtbl.find_opt memo (Dd.mid node) with
-        | Some v -> v
-        | None ->
-          let edge (e : Dd.medge) =
-            if Dd.medge_is_zero e then 0.0 else count (Dd.mtgt e)
-          in
-          let v = edge (Dd.mchild p node 0 0) +. edge (Dd.mchild p node 0 1)
-                  +. edge (Dd.mchild p node 1 0) +. edge (Dd.mchild p node 1 1) in
-          Hashtbl.add memo (Dd.mid node) v;
-          v
-    in
-    count (Dd.mtgt e)
-  end
+(* Every count of this model is one walk, [Dd.priced_paths], with a
+   different leaf price: the plain MAC count charges a terminal path 1
+   and an identity node its 2^(l+1) paths, the priced count charges the
+   identity node's paths [identity_price] each, and the identity share
+   charges the terminal 0. *)
+let mac_count p e = Dd.priced_paths p ~terminal:1.0 ~identity:1.0 e
 
-let mac_count p e =
-  path_count p e ~leaf:(fun node -> if node = Dd.mterminal then Some 1.0 else None)
+(* The Run stub applies an identity node as one contiguous stripe. Over
+   the uncached applications of hybrid-deep's unfused and fused gates
+   (bench/main.exe fusion_price, 2-core Xeon) a stripe MAC cost 0.25-0.35
+   of a recursion MAC, and every price from 0.05 to 0.30 gives those jobs
+   the same fused streams. A quarter is exact in binary, so priced counts
+   stay exact sums. *)
+let identity_price = 0.25
+
+let priced_macs ?(identity_price = identity_price) p e =
+  Dd.priced_paths p ~terminal:1.0 ~identity:identity_price e
 
 type breakdown = {
   k1 : float;
@@ -149,23 +140,14 @@ let modeled_macs d = float_of_int d.threads_used *. Float.min d.c1 d.c2
 
 (* The part of [modeled_macs] (its MAC terms, not the block operations)
    under identity nodes, which the Run stub applies as contiguous
-   stripes. The model itself still charges them at the recursion rate. *)
+   stripes. [decide] still charges them at the recursion rate. *)
 let identity_macs p ~n d root =
-  let ident = (Dd.mview p).Dd.ident in
-  let leaf node =
-    if node = Dd.mterminal then Some 0.0
-    else begin
-      let l = Dd.mlevel p node in
-      if l < Array.length ident && ident.(l) = Dd.mid node then
-        Some (Float.pow 2.0 (float_of_int (l + 1)))
-      else None
-    end
-  in
-  if not d.cached then path_count p ~leaf root
+  let count e = Dd.priced_paths p ~terminal:0.0 ~identity:1.0 e in
+  if not d.cached then count root
   else
     fst
       (sum_distinct_tasks (assign p ~n ~t:d.threads_used Column_major root) (fun node ->
-           path_count p ~leaf (Dd.munit node)))
+           count (Dd.munit node)))
 
 (* Dense direct application is charged as touching every amplitude with a
    fixed-size matrix: 2ⁿ⁻¹ pairs × 4 complex MACs for a single-qubit gate,

@@ -3,7 +3,9 @@
     The unit of cost is the multiply-accumulate (MAC): one terminal visit
     of the [Run] recursion. The MAC count of a matrix DD is computed by a
     memoized depth-first walk — identical nodes contribute identical
-    counts, the terminal contributes one (Figure 8).
+    counts, the terminal contributes one (Figure 8). The same walk with
+    identity nodes priced at {!identity_price} per MAC is the fusion
+    cost {!priced_macs}.
 
     For an [n]-qubit DMAV on [t] threads with SIMD width [d]:
     - without caching (Eq. 5):  [C₁ = K₁ / t];
@@ -42,9 +44,25 @@ val assign : Dd.package -> n:int -> t:int -> traversal -> Dd.medge -> task list 
     benchmark harness use it. *)
 
 val mac_count : Dd.package -> Dd.medge -> float
-(** [K₁] — total MACs of multiplying this matrix DD by a dense vector.
-    Float because counts reach 2ⁿ·(dense paths) and must not overflow
-    silently. *)
+(** [K₁] — total MACs of multiplying this matrix DD by a dense vector:
+    {!Dd.priced_paths} with every path priced 1. Float because counts
+    reach 2ⁿ·(dense paths) and must not overflow silently. *)
+
+val identity_price : float
+(** The cost of one MAC under a canonical identity node, relative to a
+    recursion MAC: 0.25. The Run stub applies an identity node at level
+    [l] as one contiguous stripe of [2^(l+1)] MACs, which ran three to
+    four times faster per MAC than the recursion on the host it was
+    fitted on ([bench/main.exe fusion_price]). A constant, fitted once,
+    and exact in binary. *)
+
+val priced_macs : ?identity_price:float -> Dd.package -> Dd.medge -> float
+(** The cost [Fusion.dmav_aware] compares (beyond the paper's Eq. 5):
+    each root-to-terminal path costs 1, except that the walk stops at a
+    canonical identity node at level [l] and charges
+    [identity_price × 2^(l+1)] for it. [identity_price] defaults to
+    {!identity_price}; other values are for calibration sweeps. The
+    kernel picks ({!decide}, {!dispatch}) keep the plain count. *)
 
 type breakdown = {
   k1 : float;
@@ -72,8 +90,9 @@ val modeled_macs : decision -> float
 
 val identity_macs : Dd.package -> n:int -> decision -> Dd.medge -> float
 (** The MACs of the chosen kernel's Run calls that lie under identity
-    nodes, which the Run stub applies as contiguous stripes. The model
-    still charges them at the full recursion rate. *)
+    nodes, which the Run stub applies as contiguous stripes:
+    {!Dd.priced_paths} with terminal paths priced 0. {!decide} still
+    charges them at the full recursion rate. *)
 
 (** {1 Per-gate kernel dispatch (DMAV vs dense direct apply)} *)
 

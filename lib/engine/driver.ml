@@ -63,8 +63,9 @@ let make_ctx ?package ?workspace (cfg : Config.t) ~pool ~n =
 
 (* The flat phase's executable gate stream: remaining ops as matrix DDs,
    fused per config. An op survives as [xo_op] only when it was not fused,
-   which is what keeps it eligible for the dense kernel. No costing here:
-   the engine prices each gate as it applies it. *)
+   which is what keeps it eligible for the dense kernel. DMAV-aware fusion
+   prices every gate it scans ([Cost.priced_macs]); the kernel pick is
+   not made here, the engine prices each gate for it as it applies it. *)
 let flat_plan (ctx : Engine.ctx) ~n ~first_index ops =
   let p = ctx.Engine.package in
   let mats = List.map (Mat_dd.of_op p ~n) ops in

@@ -10,8 +10,8 @@ let sum_macs p gates =
   List.fold_left (fun acc g -> acc +. Cost.mac_count p g) 0.0 gates
 
 (* "accepted" = a DDMM product was kept as the pending fused gate;
-   "rejected" = the product cost more modeled MACs than applying the two
-   gates separately, so the pending gate was emitted instead. *)
+   "rejected" = the product's priced cost exceeded applying the two gates
+   separately, so the pending gate was emitted instead. *)
 let c_runs = Obs.counter "fusion.runs"
 let c_gates_in = Obs.counter "fusion.gates_in"
 let c_gates_out = Obs.counter "fusion.gates_out"
@@ -31,24 +31,26 @@ let finish ~gates_in ~ddmm_calls ~macs_before ~macs_after out =
   end;
   (out, st)
 
-let dmav_aware p gates =
+let dmav_aware ?identity_price p gates =
+  let price m = Cost.priced_macs ?identity_price p m in
   let ddmm = ref 0 in
   (* M_p starts as a virtual identity with zero cost: the first real gate
      always "fuses" into it, so the identity itself is never emitted. *)
   let out = ref [] in
   let m_p = ref None in
   let c_p = ref 0.0 in
-  (* The stats' MAC sums, accumulated in input and output order from the
-     costs the scan computes anyway: the same floats as [sum_macs]. *)
+  (* The stats keep Eq. 5's MAC meaning, so they count each input and
+     output gate's plain MACs, in list order: the same floats as
+     [sum_macs]. *)
   let macs_before = ref 0.0 and macs_after = ref 0.0 in
-  let emit m c =
+  let emit m =
     out := m :: !out;
-    macs_after := !macs_after +. c
+    macs_after := !macs_after +. Cost.mac_count p m
   in
   List.iter
     (fun m_i ->
-       let c_i = Cost.mac_count p m_i in
-       macs_before := !macs_before +. c_i;
+       macs_before := !macs_before +. Cost.mac_count p m_i;
+       let c_i = price m_i in
        match !m_p with
        | None ->
          m_p := Some m_i;
@@ -57,10 +59,10 @@ let dmav_aware p gates =
          incr ddmm;
          (* Gates apply left-to-right, so the fused operator is M_i · M_p. *)
          let m_ip = Dd.mm p m_i prev in
-         let c_ip = Cost.mac_count p m_ip in
+         let c_ip = price m_ip in
          if c_i +. !c_p < c_ip then begin
            Obs.incr c_rejected;
-           emit prev !c_p;
+           emit prev;
            m_p := Some m_i;
            c_p := c_i
          end
@@ -72,7 +74,7 @@ let dmav_aware p gates =
     gates;
   (* The paper's Algorithm 3 leaves the final pending gate implicit; it
      must be emitted for the product to be complete. *)
-  (match !m_p with Some m -> emit m !c_p | None -> ());
+  (match !m_p with Some m -> emit m | None -> ());
   finish ~gates_in:(List.length gates) ~ddmm_calls:!ddmm ~macs_before:!macs_before
     ~macs_after:!macs_after (List.rev !out)
 

@@ -160,6 +160,105 @@ let test_mac_count_known_values () =
   let p2 = Dd.create () in
   Alcotest.(check (float 0.0)) "zero edge" 0.0 (Cost.mac_count p2 Dd.mzero)
 
+(* Brute-force priced count: every root-to-terminal path enumerated with
+   no memo. A path into the terminal costs [terminal]; a path reaching
+   the node [Mat_dd.identity] builds over the node's level stops there,
+   and the identity node at level l costs [identity × 2^(l+1)]. [seen]
+   records the levels at which an identity was met. *)
+let brute_force_priced ?(seen = [||]) p ~terminal ~identity m =
+  let ident_node l = Dd.mtgt (Mat_dd.identity p (l + 1)) in
+  let rec go e =
+    if Dd.medge_is_zero e then 0.0
+    else begin
+      let node = Dd.mtgt e in
+      if node = Dd.mterminal then terminal
+      else begin
+        let l = Dd.mlevel p node in
+        if node = ident_node l then begin
+          if l < Array.length seen then seen.(l) <- true;
+          identity *. Float.pow 2.0 (float_of_int (l + 1))
+        end
+        else
+          go (Dd.mchild p node 0 0) +. go (Dd.mchild p node 0 1)
+          +. go (Dd.mchild p node 1 0) +. go (Dd.mchild p node 1 1)
+      end
+    end
+  in
+  go m
+
+(* Random 1q, 2q and controlled gates at n = 8 and DDMM products of
+   them: a 1q gate on every qubit puts an identity at every level below
+   it; a control above its target has an identity in its 0-branch; the
+   whole-register identity and a phase times it are identity roots. *)
+let priced_cases p ~n =
+  let rng = Rng.create 17 in
+  let u3 () = Gate.u3 (Rng.angle rng) (Rng.angle rng) (Rng.angle rng) in
+  let singles =
+    List.init n (fun q -> (Printf.sprintf "u3 q%d" q, Mat_dd.of_single p ~n ~target:q ~controls:[] (u3 ())))
+  in
+  let controlled =
+    List.init 6 (fun i ->
+        let c = Rng.int rng n in
+        let t = (c + 1 + Rng.int rng (n - 1)) mod n in
+        let controls = if i mod 3 = 2 then [ c; (t + 1 + Rng.int rng (n - 1)) mod n ] else [ c ] in
+        let controls = List.sort_uniq compare (List.filter (fun q -> q <> t) controls) in
+        (Printf.sprintf "c%s-u3 q%d" (String.concat "," (List.map string_of_int controls)) t,
+         Mat_dd.of_single p ~n ~target:t ~controls (u3 ())))
+  in
+  let twos =
+    List.init 5 (fun _ ->
+        let hi = 1 + Rng.int rng (n - 1) in
+        let lo = Rng.int rng hi in
+        (Printf.sprintf "fsim q%d q%d" hi lo,
+         Mat_dd.of_two p ~n ~q_hi:hi ~q_lo:lo (Gate.fsim (Rng.angle rng) (Rng.angle rng))))
+  in
+  let gates =
+    singles
+    @ (("c6-u3 q2", Mat_dd.of_single p ~n ~target:2 ~controls:[ 6 ] (u3 ())) :: controlled)
+    @ twos
+  in
+  let pick () = List.nth gates (Rng.int rng (List.length gates)) in
+  let products =
+    List.init 12 (fun i ->
+        let k = 2 + (i mod 3) in
+        let parts = List.init k (fun _ -> pick ()) in
+        (String.concat " * " (List.map fst parts),
+         List.fold_left (fun acc (_, m) -> Dd.mm p m acc) (snd (List.hd parts)) (List.tl parts)))
+  in
+  let ident = Mat_dd.identity p n in
+  [ ("identity", ident); ("phase * identity", Dd.mscale p ident (Cnum.make 0.0 1.0)) ]
+  @ gates @ products
+
+let test_priced_count_matches_brute_force () =
+  let n = 8 in
+  let p = Dd.create () in
+  let seen = Array.make n false in
+  let cases = priced_cases p ~n in
+  List.iter (fun (_, m) -> ignore (brute_force_priced ~seen p ~terminal:1.0 ~identity:1.0 m)) cases;
+  Alcotest.(check bool) "an identity at every level" true (Array.for_all Fun.id seen);
+  (* c6-u3 q2: below the top level, the control's node; its 0-branch is
+     the identity over levels 5..0. *)
+  let cu = List.assoc "c6-u3 q2" cases in
+  let control_node = Dd.mtgt (Dd.mchild p (Dd.mtgt cu) 0 0) in
+  Alcotest.(check bool) "an identity in a control's 0-branch" true
+    (Dd.mtgt (Dd.mchild p control_node 0 0) = Dd.mtgt (Mat_dd.identity p 6));
+  let check name ~terminal ~identity expect got =
+    Alcotest.(check (float 0.0))
+      (Printf.sprintf "%s (terminal %g, identity %g)" name terminal identity) expect got
+  in
+  List.iter
+    (fun (name, m) ->
+       List.iter
+         (fun (terminal, identity) ->
+            check name ~terminal ~identity
+              (brute_force_priced p ~terminal ~identity m)
+              (Dd.priced_paths p ~terminal ~identity m))
+         [ (1.0, 1.0); (1.0, 0.25); (0.0, 1.0); (1.0, 0.1) ];
+       check name ~terminal:1.0 ~identity:Cost.identity_price
+         (brute_force_priced p ~terminal:1.0 ~identity:Cost.identity_price m)
+         (Cost.priced_macs p m))
+    cases
+
 let test_pow2_threads () =
   Alcotest.(check int) "4 stays" 4 (Cost.pow2_threads ~n:10 4);
   Alcotest.(check int) "6 rounds down" 4 (Cost.pow2_threads ~n:10 6);
@@ -229,6 +328,8 @@ let suite =
         Alcotest.test_case "workspace reuse" `Quick test_workspace_reuse;
         Alcotest.test_case "mac count = brute force" `Quick test_mac_count_matches_brute_force;
         Alcotest.test_case "mac count known values" `Quick test_mac_count_known_values;
+        Alcotest.test_case "priced count = brute force" `Quick
+          test_priced_count_matches_brute_force;
         Alcotest.test_case "pow2 thread rounding" `Quick test_pow2_threads;
         Alcotest.test_case "buffer allocation" `Quick test_buffer_allocation;
         Alcotest.test_case "breakdown consistency" `Quick test_breakdown_consistency;

@@ -150,6 +150,75 @@ let test_stats_sums_exact () =
          [ ("dmav-aware", Fusion.dmav_aware p mats); ("k-operations", Fusion.k_operations p ~k:4 mats) ])
     [ (Suite.Dnn, 10, 200); (Suite.Vqe, 10, 200); (Suite.Supremacy, 10, 150) ]
 
+(* dnn's layer shape at n = 10: a rotation on every qubit, then a
+   9-CNOT ladder. The ladder is a permutation (2ⁿ MACs), and so is its
+   product with anything that costs 2ⁿ or more: with every path priced
+   1, the rotations' last product absorbs the ladder, since 4·2ⁿ ≤ 4·2ⁿ
+   + 2ⁿ. That product runs slower in the Run stub than its parts, whose
+   low rotations sit above identity stripes. The priced cost keeps the
+   ladder a product of its own. *)
+let test_cnot_ladder_not_fused_into_rotations () =
+  let n = 10 in
+  let b = Circuit.Builder.create n in
+  for q = 0 to n - 1 do
+    Circuit.Builder.ry b (0.1 +. (0.2 *. float_of_int q)) q
+  done;
+  for q = 0 to n - 2 do
+    Circuit.Builder.cx b ~control:q ~target:(q + 1)
+  done;
+  let c = Circuit.Builder.finish b in
+  let p = Dd.create () in
+  let mats = circuit_mats p n c in
+  let fused, _ = Fusion.dmav_aware p mats in
+  let ladder = List.filteri (fun i _ -> i >= n) mats in
+  let ladder_product =
+    List.fold_left (fun acc m -> Dd.mm p m acc) (List.hd ladder) (List.tl ladder)
+  in
+  let last = List.nth fused (List.length fused - 1) in
+  Alcotest.(check bool) "the ladder is the last product, alone" true (last = ladder_product);
+  Alcotest.(check (float 0.0)) "a permutation: 2^n MACs" (float_of_int (1 lsl n))
+    (Cost.mac_count p last)
+
+(* Dense product of a gate list applied in order: M_k ⋯ M_1. *)
+let dense_product p ~n mats =
+  let dim = 1 lsl n in
+  let mul a b =
+    Array.init dim (fun i ->
+        Array.init dim (fun j ->
+            let acc = ref Cnum.zero in
+            for k = 0 to dim - 1 do
+              acc := Cnum.add !acc (Cnum.mul a.(i).(k) b.(k).(j))
+            done;
+            !acc))
+  in
+  List.fold_left
+    (fun acc m -> mul (Mat_dd.to_dense p ~n m) acc)
+    (Mat_dd.to_dense p ~n (Mat_dd.identity p n))
+    mats
+
+let test_dmav_aware_product_preserved () =
+  List.iter
+    (fun seed ->
+       let n = 5 in
+       let c = Test_util.random_circuit ~seed ~gates:40 n in
+       let p = Dd.create () in
+       let mats = circuit_mats p n c in
+       let fused, _ = Fusion.dmav_aware p mats in
+       let priced ms = List.fold_left (fun acc m -> acc +. Cost.priced_macs p m) 0.0 ms in
+       Alcotest.(check bool)
+         (Printf.sprintf "seed %d: priced cost does not grow" seed) true
+         (priced fused <= priced mats);
+       let expect = dense_product p ~n mats and got = dense_product p ~n fused in
+       Array.iteri
+         (fun i row ->
+            Array.iteri
+              (fun j e ->
+                 if not (Cnum.equal ~tol:1e-12 e got.(i).(j)) then
+                   Alcotest.failf "seed %d: product entry (%d, %d) differs" seed i j)
+              row)
+         expect)
+    [ 21; 22; 23; 24; 25 ]
+
 let suite =
   [ ( "fusion",
       [ Alcotest.test_case "dmav-aware preserves semantics" `Quick
@@ -165,4 +234,8 @@ let suite =
         Alcotest.test_case "fusion order is right-to-left product" `Quick test_gate_order;
         Alcotest.test_case "aware beats blind grouping on cost" `Quick
           test_fusion_beats_kops_on_cost;
-        Alcotest.test_case "stats MAC sums are exact" `Quick test_stats_sums_exact ] ) ]
+        Alcotest.test_case "stats MAC sums are exact" `Quick test_stats_sums_exact;
+        Alcotest.test_case "CNOT ladder is not fused into rotations" `Quick
+          test_cnot_ladder_not_fused_into_rotations;
+        Alcotest.test_case "dmav-aware keeps the dense product" `Quick
+          test_dmav_aware_product_preserved ] ) ]
