@@ -12,9 +12,8 @@
      circuits with long-range structure (QPE's controlled-phase ladder,
      Grover's multi-controlled oracle) and leave the nearest-neighbour
      supremacy pattern roughly alone;
-   - the EWMA hybrid per order mode: conversion point, DD-phase time,
-     and the in-arena sifting telemetry (order.sift.nodes.before/after,
-     order.swaps) when --order sift fires before conversion.
+   - the EWMA hybrid per order mode: conversion point, DD-phase time
+     and total time.
 
    Semantics are pinned elsewhere (test/test_order.ml and the 50-seed
    differential order sweep); this table only measures size and time.
@@ -55,36 +54,20 @@ let peak_rows row =
          Report.time_s ~timed_out:r.Workloads.dd_timed_out r.Workloads.dd_seconds ])
     [ ("none", c); ("static", static_c) ]
 
-let gauge snap k =
-  match List.assoc_opt k snap.Obs.Metrics.gauges with Some v -> v | None -> 0
-
-let counter snap k =
-  match List.assoc_opt k snap.Obs.Metrics.counters with Some v -> v | None -> 0
-
 let hybrid_rows row =
   let c = Workloads.circuit_of row in
   List.map
     (fun order ->
-       let was_enabled = Obs.enabled () in
-       Obs.set_enabled true;
-       Obs.Metrics.reset ();
        let cfg = { Config.default with Config.threads = 2; order } in
        let r = Driver.run cfg c in
-       let snap = Obs.Metrics.snapshot () in
-       Obs.set_enabled was_enabled;
-       let sift_before = gauge snap "order.sift.nodes.before" in
-       let sift_after = gauge snap "order.sift.nodes.after" in
        [ row.Workloads.label;
          Config.order_name order;
          (match r.Driver.converted_at with
           | Some g -> string_of_int g
           | None -> "-");
-         (if sift_before = 0 then "-"
-          else Printf.sprintf "%d>%d" sift_before sift_after);
-         string_of_int (counter snap "order.swaps");
          Report.time_s r.Driver.seconds_dd;
          Report.time_s r.Driver.seconds_total ])
-    [ Config.No_order; Config.Static_order; Config.Sift_order ]
+    [ Config.No_order; Config.Static_order ]
 
 let run () =
   Report.section "order: qubit-order layer — peak DD size and crossover";
@@ -93,16 +76,13 @@ let run () =
     ~header:[ "circuit"; "order"; ""; "peak nodes"; "vs none"; "t(s)" ]
     (List.concat_map peak_rows rows);
   Report.table
-    ~title:"order/crossover: EWMA hybrid per order mode (sift telemetry)"
-    ~header:
-      [ "circuit"; "order"; "conv@"; "sift nodes"; "swaps"; "dd t(s)"; "total t(s)" ]
+    ~title:"order/crossover: EWMA hybrid per order mode"
+    ~header:[ "circuit"; "order"; "conv@"; "dd t(s)"; "total t(s)" ]
     (List.concat_map hybrid_rows rows);
   Report.note
-    "acceptance: a measured node reduction somewhere — static 'vs none' > \
-     1.00x on the two-register workloads AND sift 'nodes before>after' \
-     shrinking on QPE. QPE/Grover/supremacy peaks are order-invariant here \
-     (the peak state is near dense / near product under any order), which is \
-     itself the honest reading: ordering pays off where correlations are \
-     long-range, not everywhere. 'sift nodes' is '-' when no sifting pass ran \
-     before conversion; results are logical-basis under every mode (pinned by \
-     the 50-seed differential order sweep)."
+    "acceptance: static 'vs none' > 1.00x on the two-register workloads. \
+     QPE/Grover/supremacy peaks are order-invariant here (the peak state is \
+     near dense / near product under any order), which is itself the honest \
+     reading: ordering pays off where correlations are long-range, not \
+     everywhere. Results are logical-basis under every mode (pinned by the \
+     50-seed differential order sweep)."

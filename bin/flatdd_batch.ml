@@ -190,14 +190,14 @@ let cmd =
       let parse s =
         match Config.order_of_name s with
         | Some o -> Ok o
-        | None -> Error (`Msg "order is none | static | sift")
+        | None -> Error (`Msg "order is none | static")
       in
       let print fmt o = Format.pp_print_string fmt (Config.order_name o) in
       Arg.conv (parse, print)
     in
     Arg.(value & opt order_c Config.No_order
          & info [ "order" ]
-             ~doc:"Default qubit-order policy — none, static or sift — for \
+             ~doc:"Default qubit-order policy — none or static — for \
                    every job (a job's own $(i,order) manifest field overrides \
                    it). Fingerprints are logical-basis and order-invariant.")
   in

@@ -41,7 +41,7 @@ let order_conv =
   let parse s =
     match Config.order_of_name s with
     | Some o -> Ok o
-    | None -> Error (`Msg "order is none | static | sift")
+    | None -> Error (`Msg "order is none | static")
   in
   let print fmt o = Format.pp_print_string fmt (Config.order_name o) in
   Arg.conv (parse, print)
@@ -277,9 +277,8 @@ let cmd =
          & info [ "order" ]
              ~doc:"Qubit-order policy (flatdd engine): none keeps the circuit \
                    order, static runs the interaction-graph scoring pass before \
-                   simulation, sift additionally reorders DD levels in place \
-                   when the EWMA policy would otherwise convert. Results are \
-                   always reported in the circuit's own (logical) basis.")
+                   simulation. Results are always reported in the circuit's own \
+                   (logical) basis.")
   in
   let precision =
     Arg.(value & opt precision_conv Config.F64

@@ -30,9 +30,9 @@
      acquirer sorts the indices the same way.
 
    arena-epoch — a let-bound Dd edge is a packed index into the arena;
-     `compact`/`reset`/`swap_levels`/`sift_pass` (or anything that may
-     transitively call them) can remap it. Using such a cached edge after
-     a may-compact call without re-validating is flagged.
+     `compact`/`reset` (or anything that may transitively call them) can
+     remap it. Using such a cached edge after a may-compact call without
+     re-validating is flagged.
 
    Everything is a conservative approximation over an untyped parse tree;
    known imprecision is documented in DESIGN.md §10. False positives are
@@ -99,7 +99,7 @@ let dd_edge_fns =
     "vadd"; "madd"; "mv"; "mm"; "vscale"; "mscale"; "v0"; "v1";
     "mchild"; "medge_child" ]
 
-let compact_seeds = [ "Dd.compact"; "Dd.reset"; "Dd.swap_levels"; "Dd.sift_pass" ]
+let compact_seeds = [ "Dd.compact"; "Dd.reset" ]
 
 (* --- small helpers ---------------------------------------------------- *)
 

@@ -84,13 +84,13 @@ let remap t ~n perm =
          invalid_arg "Circuit.remap: permutation must be injective into the new register";
        Hashtbl.replace seen q ())
     perm;
-  let map_op = function
+  let relabel = function
     | Single { name; matrix; target; controls } ->
       Single { name; matrix; target = perm.(target); controls = List.map (Array.get perm) controls }
     | Two { name; matrix; q_hi; q_lo } ->
       Two { name; matrix; q_hi = perm.(q_hi); q_lo = perm.(q_lo) }
   in
-  { n; name = t.name; ops = Array.map map_op t.ops }
+  { n; name = t.name; ops = Array.map relabel t.ops }
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%s (%d qubits, %d gates)@," t.name t.n (num_gates t);

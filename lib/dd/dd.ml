@@ -83,12 +83,6 @@ let g_varena_capacity = Obs.gauge "dd.arena.vnodes.capacity"
 let g_marena_capacity = Obs.gauge "dd.arena.mnodes.capacity"
 let g_varena_free = Obs.gauge "dd.arena.vnodes.free"
 let g_marena_free = Obs.gauge "dd.arena.mnodes.free"
-let c_order_swaps = Obs.counter "order.swaps"
-let c_sift_passes = Obs.counter "order.sift.passes"
-let c_sift_accepted = Obs.counter "order.sift.accepted"
-let g_sift_nodes_before = Obs.gauge "order.sift.nodes.before"
-let g_sift_nodes_after = Obs.gauge "order.sift.nodes.after"
-let s_sift = Obs.span "order.sift"
 let g_cache_slots = Obs.gauge "dd.cache.slots"
 
 (* The four compute caches share one capacity, 2^cache_bits_min slots in a
@@ -493,98 +487,6 @@ let priced_paths p ~terminal ~identity (e : medge) =
     count_paths p p.walk_tag p.walk_val stamp identity (edge_tgt e);
     p.walk_val.(edge_tgt e)
   end
-
-(* ------------------------------------------------------------------ *)
-(* Qubit-order transformations (ISSUE 8)                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Exchange adjacent levels [upper] and [upper-1] of the vector arena,
-   in place. Relies on the no-skipped-levels invariant: every non-zero
-   child of a level-[upper] node targets a level-[upper-1] node, and
-   every reference to a level-[upper-1] node comes from level [upper] —
-   so rewriting the level-[upper] slots is the complete transformation.
-
-   For a level-[upper] node A with children e_a (a in {0,1}) and
-   grandchildren s_ab (= child b of A's branch a), the swapped function
-   F'(x_u=b, x_{u-1}=a, rest) = F(x_u=a, x_{u-1}=b, rest) means A's new
-   branch for x_u=b is the normalized node over
-   (w(e_0)*s_0b, w(e_1)*s_1b). The new children are interned through
-   [make_vnode] (canonical, shared), but A itself is rewritten in
-   place *without* renormalizing, so the root edge stays valid and no
-   parent rethreading is needed. Cost: canonicity/sharing at level
-   [upper] is best-effort until those slots next flow through
-   [make_vnode] — semantics are exact either way, and duplicate or
-   garbage slots fall out at the next [compact].
-
-   The unique tables are rebuilt wholesale afterwards (the rewritten
-   slots hash differently) and the epoch is bumped so every compute
-   cache drops entries that mixed the old order. Call it between
-   gates. *)
-let swap_levels p ~upper =
-  if upper < 1 then invalid_arg "Dd.swap_levels: upper must be >= 1";
-  let hw = Node_store.high_water p.va in
-  for a = 1 to hw do
-    if Node_store.level p.va a = upper then begin
-      let e0 = v0 p a and e1 = v1 p a in
-      (* Branch a's sub-edge for the new upper variable value [beta],
-         scaled by the branch weight; zero edges propagate. *)
-      let sub (e : vedge) beta : vedge =
-        if e = 0 then vzero
-        else begin
-          let s = Node_store.child2 p.va (edge_tgt e) beta in
-          if s = 0 then vzero else vscale p s (vw p e)
-        end
-      in
-      let n0 = make_vnode p (upper - 1) (sub e0 0) (sub e1 0) in
-      let n1 = make_vnode p (upper - 1) (sub e0 1) (sub e1 1) in
-      Node_store.set_child2 p.va a 0 n0;
-      Node_store.set_child2 p.va a 1 n1
-    end
-  done;
-  Node_store.rebuild_shards p.va;
-  p.epoch <- p.epoch + 1;
-  Obs.incr c_order_swaps
-
-(* Bounded greedy sifting: sweep adjacent transpositions from the top
-   level down, keep a swap only if the DD over [root] strictly shrinks
-   (measured by [vnode_count]), revert otherwise; repeat up to
-   [max_rounds] sweeps or until a sweep accepts nothing. Reverting
-   restores the function exactly but may leave slight sharing loss, so
-   [best] only ratchets down — a swap is never accepted on noise.
-
-   Returns [(perm, before, after)]: [perm.(l)] is the new level of the
-   content that sat at level [l] when the pass started, plus the node
-   counts bracketing the pass. The root edge is unchanged (swaps rewrite
-   slots in place). *)
-let sift_pass ?(max_rounds = 2) p ~root ~levels =
-  Obs.with_span s_sift (fun () ->
-      Obs.incr c_sift_passes;
-      let perm = Array.init levels (fun l -> l) in
-      let before = vnode_count p root in
-      let best = ref before in
-      let rounds = ref 0 and made_progress = ref true in
-      while !made_progress && !rounds < max_rounds do
-        incr rounds;
-        made_progress := false;
-        for u = levels - 1 downto 1 do
-          swap_levels p ~upper:u;
-          let sz = vnode_count p root in
-          if sz < !best then begin
-            best := sz;
-            made_progress := true;
-            Obs.incr c_sift_accepted;
-            for l = 0 to levels - 1 do
-              if perm.(l) = u then perm.(l) <- u - 1
-              else if perm.(l) = u - 1 then perm.(l) <- u
-            done
-          end
-          else swap_levels p ~upper:u
-        done
-      done;
-      let after = vnode_count p root in
-      Obs.set_gauge g_sift_nodes_before before;
-      Obs.set_gauge g_sift_nodes_after after;
-      (perm, before, after))
 
 (* Both walks fold the path weight as two bare floats read straight off
    the ctable planes; the inline multiply matches [Cnum.mul] term for

@@ -147,30 +147,6 @@ val vamplitude : package -> vedge -> int -> Cnum.t
 val mentry : package -> medge -> int -> int -> Cnum.t
 (** Matrix entry (row, col) by path walk. *)
 
-(** {1 Qubit-order transformations} *)
-
-val swap_levels : package -> upper:int -> unit
-(** Exchange adjacent levels [upper] and [upper - 1] of the vector arena
-    in place: every level-[upper] slot's children are rebuilt as the
-    normalized nodes of the transposed sub-functions, the unique tables
-    are rebuilt and the epoch is bumped (all compute-cache entries that
-    mixed the old order are dropped). Existing edges — the root edge
-    included — remain valid and denote the level-swapped function.
-    Exactness: amplitudes are preserved bit-for-bit up to the ctable's
-    canonical arithmetic; sharing at level [upper] is best-effort until
-    the next {!compact}. Requires [upper >= 1]; call it between gates.
-    @raise Invalid_argument otherwise. *)
-
-val sift_pass :
-  ?max_rounds:int -> package -> root:vedge -> levels:int -> int array * int * int
-(** Bounded greedy sifting over [levels] adjacent pairs: sweeps
-    {!swap_levels} top-down, keeping only swaps that strictly shrink
-    [vnode_count p root] (reverting the rest), for up to [max_rounds]
-    sweeps (default 2) or until a sweep accepts nothing. Returns
-    [(perm, before, after)] where [perm.(l)] is the new level of the
-    content formerly at level [l], and [before]/[after] are the node
-    counts bracketing the pass. Counted under [order.sift.*]. *)
-
 (** {1 Package maintenance} *)
 
 val compact : package -> vroots:vedge list -> mroots:medge list -> unit

@@ -102,12 +102,6 @@ let[@inline] child4 a n k = Array.unsafe_get a.child ((4 * n) + k) (* qcs-lint: 
 let level_array a = a.level
 let child_array a = a.child
 
-(* In-place child rewrite for the level-swap transformation (Dd.swap_levels).
-   Indexes [a.child] at call time — the backing array is replaced on growth,
-   and interning during a swap pass can grow the arena. Callers must
-   rebuild the unique tables afterwards: the slot's hash changes. *)
-let[@inline] set_child2 a n k e = a.child.((2 * n) + k) <- e
-
 (* ------------------------------------------------------------------ *)
 (* Hashing                                                             *)
 (* ------------------------------------------------------------------ *)

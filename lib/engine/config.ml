@@ -10,23 +10,18 @@ type conversion_policy =
 
 (* Qubit-order policy (ISSUE 8). [No_order] keeps the identity order —
    every fingerprint byte-identical to the pre-order codebase. [Static_order]
-   runs Order.static_order once before simulation. [Sift_order] adds the
-   dynamic in-arena sifting pass, attempted when the EWMA policy would
-   otherwise convert to the flat array. *)
+   runs Order.static_order once before simulation. *)
 type order_mode =
   | No_order
   | Static_order
-  | Sift_order
 
 let order_name = function
   | No_order -> "none"
   | Static_order -> "static"
-  | Sift_order -> "sift"
 
 let order_of_name = function
   | "none" -> Some No_order
   | "static" -> Some Static_order
-  | "sift" -> Some Sift_order
   | _ -> None
 
 (* Numeric precision of the flat amplitude plane (ISSUE 10). [F64] is the

@@ -13,10 +13,9 @@ type conversion_policy =
 type order_mode =
   | No_order      (** identity qubit order — byte-identical legacy behavior *)
   | Static_order  (** pre-simulation interaction-graph scoring pass *)
-  | Sift_order    (** static pass + in-arena sifting when EWMA would convert *)
 
 val order_name : order_mode -> string
-(** ["none"] / ["static"] / ["sift"] — the CLI/manifest spelling. *)
+(** ["none"] / ["static"] — the CLI/manifest spelling. *)
 
 val order_of_name : string -> order_mode option
 

@@ -24,7 +24,7 @@ type result = {
   dmav_cache_hits : int;
   modeled_macs : float;
   fusion_stats : Fusion.stats option;
-  order : int array option;
+  order : Order.t option;
 }
 
 (* Per-phase spans: the global metrics accumulate across runs, while each
@@ -85,24 +85,6 @@ let flat_plan (ctx : Engine.ctx) ~n ~first_index ops =
 
 (* --- qubit-order plumbing (ISSUE 8) -------------------------------- *)
 
-(* Remap one op through [m] (register qubit -> physical position). Used
-   for the gates applied after a dynamic sift moved levels around; the
-   static order goes through [Circuit.remap] up front instead. *)
-let map_op m = function
-  | Circuit.Single { name; matrix; target; controls } ->
-    Circuit.Single
-      { name; matrix; target = m.(target); controls = List.map (Array.get m) controls }
-  | Circuit.Two { name; matrix; q_hi; q_lo } ->
-    Circuit.Two { name; matrix; q_hi = m.(q_hi); q_lo = m.(q_lo) }
-
-(* Physical amplitude index of logical basis state [i]: bit [q] of [i]
-   lands at bit position [ord.(q)]. Index 0 is a fixed point of every
-   order, which is why `--order none` fingerprints stay byte-identical. *)
-let phys_index ord i =
-  let k = ref 0 in
-  Array.iteri (fun q p -> k := !k lor (((i lsr q) land 1) lsl p)) ord;
-  !k
-
 (* The pre-simulation scoring pass: remap the circuit when the mode asks
    for it and the scored order strictly beats the identity. Returns the
    (possibly remapped) circuit plus the applied order
@@ -110,29 +92,21 @@ let phys_index ord i =
 let prepare_order (cfg : Config.t) (c : Circuit.t) =
   match cfg.Config.order with
   | Config.No_order -> (c, None)
-  | Config.Static_order | Config.Sift_order ->
+  | Config.Static_order ->
     let o, _ = Obs.timed s_order_score (fun () -> Order.static_order c) in
     if Order.is_identity o then (c, None)
     else begin
       Obs.incr c_order_static;
-      let sigma = Order.to_array o in
-      (Circuit.remap c ~n:c.Circuit.n sigma, Some sigma)
+      (Circuit.remap c ~n:c.Circuit.n (Order.to_array o), Some o)
     end
 
-(* Total order = static remap then dynamic sift moves:
-   logical qubit [q] lives at physical position [cur.(sigma.(q))]. *)
-let total_order sigma cur =
-  match sigma, cur with
-  | None, None -> None
-  | Some s, None -> Some (Array.copy s)
-  | None, Some m -> Some (Array.copy m)
-  | Some s, Some m -> Some (Array.map (fun r -> m.(r)) s)
-
-(* Permute a physical-order flat buffer into the logical basis. *)
+(* Permute a physical-order flat buffer into the logical basis. Index 0
+   is a fixed point of every order, which is why `--order none`
+   fingerprints stay byte-identical. *)
 let logicalize ord buf =
   match ord with
   | None -> buf
-  | Some ord -> Buf.init (Buf.length buf) (fun i -> Buf.get buf (phys_index ord i))
+  | Some ord -> Buf.init (Buf.length buf) (fun i -> Buf.get buf (Order.permute_index ord i))
 
 (* Per-run state shared by every step: the cancel poll, the EWMA monitor
    and the accounting the result reports. *)
@@ -278,59 +252,21 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
   with_run ?cancel ?pool ?package ?workspace cfg c (fun r ctx c sigma ->
       let n = c.Circuit.n in
       let gates = Circuit.num_gates c in
-      (* [cur]: register qubit -> current DD level, once sifting has moved
-         levels; [None] while the order is still the register order.
-         Gates applied after a sift are remapped through it. *)
-      let cur = ref None in
-      let sift_attempts = ref 0 in
 
       (* ---- DD phase: step the DD engine until the policy trips ------ *)
       let dd = Dd_engine.init ctx ~n in
-      (* Dynamic sifting: when the policy would convert, try shrinking the
-         DD by reordering levels first — a substantial shrink keeps the
-         run in the cheap DD phase. Bounded attempts; whatever swaps the
-         pass kept are folded into [cur] either way, since the arena's
-         levels really moved. *)
-      let sift_keeps_dd size =
-        cfg.Config.order = Config.Sift_order
-        && cfg.Config.policy = Config.Ewma_policy
-        && !sift_attempts < 2 && size >= 16
-        && begin
-          incr sift_attempts;
-          Dd_engine.compact dd;
-          let perm, before, after =
-            Dd.sift_pass (Dd_engine.package dd) ~root:(Dd_engine.edge dd) ~levels:n
-          in
-          if Array.exists Fun.id (Array.mapi ( <> ) perm) then
-            cur :=
-              Some (match !cur with None -> perm | Some m -> Array.map (fun l -> perm.(l)) m);
-          Dd_engine.compact dd;
-          (* Only a real shrink moves the conversion-cost needle;
-             otherwise fall through to the flat array. *)
-          10 * after <= 7 * before
-          && begin
-            ignore (Ewma.observe r.monitor (float_of_int (Dd_engine.size_metric dd)));
-            true
-          end
-        end
-      in
       let want_convert =
         ref (match cfg.Config.policy with Config.Convert_at k -> k < 0 | _ -> false)
       in
-      let policy_trips (g : Engine.gate_record) verdict =
-        match cfg.Config.policy with
-        | Config.Ewma_policy -> verdict = Ewma.Convert
-        | Config.Convert_at k -> g.Engine.index >= k
-        | Config.Never_convert -> false
-      in
-      let stop g verdict =
-        want_convert := policy_trips g verdict && not (sift_keeps_dd g.Engine.dd_size);
+      let stop (g : Engine.gate_record) verdict =
+        want_convert :=
+          (match cfg.Config.policy with
+           | Config.Ewma_policy -> verdict = Ewma.Convert
+           | Config.Convert_at k -> g.Engine.index >= k
+           | Config.Never_convert -> false);
         !want_convert
       in
-      let xo_of i =
-        let op = c.Circuit.ops.(i) in
-        Engine.exec_of_op i (match !cur with None -> op | Some m -> map_op m op)
-      in
+      let xo_of i = Engine.exec_of_op i c.Circuit.ops.(i) in
       let i, seconds_dd =
         Obs.timed s_dd_phase (fun () ->
             loop ~stop (module Dd_engine) dd r ~count:(if !want_convert then 0 else gates)
@@ -338,7 +274,7 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
       in
       Dd_engine.observe dd;
       if not !want_convert then
-        result_of r c ~ord:(total_order sigma !cur) ~seconds_dd (Dd_engine.extract dd)
+        result_of r c ~ord:sigma ~seconds_dd (Dd_engine.extract dd)
       else begin
         (* ---- Conversion: the explicit DD→flat transition ------------ *)
         r.check_cancel ();
@@ -360,9 +296,6 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
           let st, seconds_dmav =
             Obs.timed s_dmav_phase (fun () ->
                 let remaining = Array.to_list (Array.sub c.Circuit.ops i (gates - i)) in
-                let remaining =
-                  match !cur with None -> remaining | Some m -> List.map (map_op m) remaining
-                in
                 let plan, fstats =
                   Obs.with_span s_flat_plan (fun () ->
                       flat_plan ctx ~n ~first_index:i remaining)
@@ -382,7 +315,7 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
           | Config.F32 ->
             flat (module Dmav_engine.F32) (fun () -> Dmav_engine.F32.of_buf ctx ~n buf)
         in
-        result_of r c ~ord:(total_order sigma !cur) ~converted_at:(i - 1) ~conversion_stats
+        result_of r c ~ord:sigma ~converted_at:(i - 1) ~conversion_stats
           ?fusion_stats:!fusion_stats ~seconds_dd ~seconds_convert ~seconds_dmav final
       end)
 
@@ -391,8 +324,6 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
 let run_engine (type s) ?cancel ?pool ?package ?workspace
     (module E : Engine.ENGINE with type state = s) (cfg : Config.t) (c : Circuit.t) =
   with_run ?cancel ?pool ?package ?workspace cfg c (fun r ctx c sigma ->
-      (* Static order only: the single-engine paths have no conversion
-         decision, hence no sifting trigger. *)
       let st = E.init ctx ~n:c.Circuit.n in
       let dd = E.trace_phase = Engine.Dd_phase in
       let _, seconds =
@@ -414,5 +345,5 @@ let amplitude r i =
   match r.final with
   | Engine.Flat_state buf -> Buf.get buf i
   | Engine.Dd_state { package; edge } ->
-    let j = match r.order with None -> i | Some ord -> phys_index ord i in
+    let j = match r.order with None -> i | Some ord -> Order.permute_index ord i in
     Dd.vamplitude package edge j

@@ -33,9 +33,9 @@ type result = {
   dmav_cache_hits : int;
   modeled_macs : float;       (** Σ modeled MAC work over the flat phase *)
   fusion_stats : Fusion.stats option;
-  order : int array option;
+  order : Order.t option;
       (** Physical qubit order of [final] when it is a [Dd_state]:
-          logical qubit [q] lives at DD level [order.(q)]. Flat buffers
+          logical qubit [q] lives at DD level [Order.apply order q]. Flat buffers
           are always permuted back to the logical basis before the
           result is built, so this is [None] for every [Flat_state] and
           whenever the order is the identity. Use {!amplitudes} /

@@ -34,7 +34,6 @@ let of_array a =
   Array.copy a
 
 let to_array t = Array.copy t
-let size t = Array.length t
 
 let is_identity t =
   let ok = ref true in
@@ -42,16 +41,6 @@ let is_identity t =
   !ok
 
 let apply t q = t.(q)
-
-let compose a b =
-  if Array.length a <> Array.length b then
-    invalid_arg "Order.compose: size mismatch";
-  Array.map (fun p -> b.(p)) a
-
-let invert t =
-  let inv = Array.make (Array.length t) 0 in
-  Array.iteri (fun q p -> inv.(p) <- q) t;
-  inv
 
 let permute_index t i =
   let k = ref 0 in

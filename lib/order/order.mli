@@ -20,18 +20,10 @@ val to_array : t -> int array
 (** Fresh copy of the underlying array; [ (to_array t).(q) ] is the
     physical position of logical qubit [q]. *)
 
-val size : t -> int
 val is_identity : t -> bool
 
 val apply : t -> int -> int
 (** [apply t q] is the physical position of logical qubit [q]. *)
-
-val compose : t -> t -> t
-(** [compose a b] applies [a] first, then [b]:
-    [apply (compose a b) q = apply b (apply a q)]. *)
-
-val invert : t -> t
-(** [apply (invert t) (apply t q) = q]. *)
 
 val permute_index : t -> int -> int
 (** Basis-state index map: [permute_index t i] is the physical amplitude

@@ -102,6 +102,16 @@ let parse_line ?(default_config = Config.default) ?(base_seed = 1) ?(dir = ".")
      failf "%s: dd_domains > 1 is no longer supported (the DD phase is single-domain)"
        where
    | Some d -> failf "%s: dd_domains must be 1 (got %d)" where d);
+  (* Lines written before dynamic sifting was deleted may carry
+     "order":"sift", which ran the static order first. Accept that
+     spelling as the static order; the CLI flags no longer take it. *)
+  let order =
+    match field kvs "order" with
+    | None -> None
+    | Some (Jstr "sift") -> Some Config.Static_order
+    | Some (Jstr s) when Config.order_of_name s <> None -> Config.order_of_name s
+    | Some _ -> failf "%s: order is \"none\" | \"static\"" where
+  in
   let circuit =
     match str_field ~where kvs "circuit", str_field ~where kvs "qasm" with
     | Some _, Some _ -> failf "%s: give either \"circuit\" or \"qasm\", not both" where
@@ -162,13 +172,7 @@ let parse_line ?(default_config = Config.default) ?(base_seed = 1) ?(dir = ".")
         { cfg with Config.policy = Config.Convert_at (int_of_string s) }
       | Some _ -> failf "%s: policy is \"ewma\" | \"never\" | convert-at gate index" where
     in
-    let cfg =
-      match field kvs "order" with
-      | None -> cfg
-      | Some (Jstr s) when Config.order_of_name s <> None ->
-        { cfg with Config.order = Option.get (Config.order_of_name s) }
-      | Some _ -> failf "%s: order is \"none\" | \"static\" | \"sift\"" where
-    in
+    let cfg = match order with Some order -> { cfg with Config.order } | None -> cfg in
     let cfg =
       match field kvs "precision" with
       | None -> cfg

@@ -8,11 +8,10 @@
    A second sweep checks that DMAV-aware fusion is semantics-preserving:
    the fused and unfused hybrid runs must agree on the same circuits.
 
-   A third sweep turns the qubit-order layer on: under static scoring and
-   dynamic sifting alike, every engine and DD domain count must still
-   report the same logical amplitudes as the dense reference — the
-   physical order is an internal detail that must never leak into
-   results. *)
+   A third sweep turns the qubit-order layer on: under the static
+   scoring order, every engine must still report the same logical
+   amplitudes as the dense reference — the physical order is an
+   internal detail that must never leak into results. *)
 
 let tol = 1e-10
 
@@ -80,35 +79,29 @@ let test_fusion_agrees_with_unfused () =
     (List.filteri (fun i _ -> i mod 3 = 0) seeds)
 
 let test_order_sweep () =
-  (* For every seed and both non-trivial order modes: the EWMA hybrid,
-     the pure-DD path (order-aware extraction), and
-     the forced-DMAV path (buffers logicalized before conversion results
-     surface) all match the dense reference in the logical basis. *)
+  (* For every seed under the static order: the EWMA hybrid, the pure-DD
+     path (order-aware extraction), and the forced-DMAV path (buffers
+     logicalized before conversion results surface) all match the dense
+     reference in the logical basis. *)
+  let order = Config.Static_order in
   List.iter
     (fun seed ->
        let n = qubits_for seed in
        let c = circuit_for seed in
        let dense = (Apply.run c).State.amps in
-       List.iter
-         (fun order ->
-            let name = Config.order_name order in
-            Test_util.check_close ~tol
-              (Printf.sprintf "seed %d (n=%d): %s ewma vs dense" seed n name)
-              (Driver.amplitudes
-                 (Driver.run { Config.default with Config.threads = 2; order } c))
-              dense;
-            Test_util.check_close ~tol
-              (Printf.sprintf "seed %d (n=%d): %s pure-dd vs dense" seed n name)
-              (Driver.amplitudes
-                 (Driver.run
-                    { Config.default with Config.policy = Config.Never_convert; order }
-                    c))
-              dense;
-            Test_util.check_close ~tol
-              (Printf.sprintf "seed %d (n=%d): %s forced dmav vs dense" seed n name)
-              (Driver.amplitudes (Driver.run { forced_dmav with Config.order } c))
-              dense)
-         [ Config.Static_order; Config.Sift_order ])
+       Test_util.check_close ~tol
+         (Printf.sprintf "seed %d (n=%d): static ewma vs dense" seed n)
+         (Driver.amplitudes (Driver.run { Config.default with Config.threads = 2; order } c))
+         dense;
+       Test_util.check_close ~tol
+         (Printf.sprintf "seed %d (n=%d): static pure-dd vs dense" seed n)
+         (Driver.amplitudes
+            (Driver.run { Config.default with Config.policy = Config.Never_convert; order } c))
+         dense;
+       Test_util.check_close ~tol
+         (Printf.sprintf "seed %d (n=%d): static forced dmav vs dense" seed n)
+         (Driver.amplitudes (Driver.run { forced_dmav with Config.order } c))
+         dense)
     seeds
 
 let suite =

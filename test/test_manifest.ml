@@ -56,7 +56,9 @@ let test_order_field () =
        Alcotest.(check bool) (Printf.sprintf "order %S parses" name) true
          (r.Manifest.job.Sched.config.Config.order = expected))
     [ ("none", Config.No_order); ("static", Config.Static_order);
-      ("sift", Config.Sift_order) ];
+      (* Lines written before dynamic sifting was deleted replay static. *)
+      ("sift", Config.Static_order) ];
+  Alcotest.(check bool) "flags reject sift" true (Config.order_of_name "sift" = None);
   (* Absent field falls back to the batch-level default config. *)
   let default_config = { Config.default with Config.order = Config.Static_order } in
   let r = Manifest.parse_line ~default_config ~index:0 {|{"circuit":"qft","n":5}|} in

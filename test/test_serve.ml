@@ -118,9 +118,9 @@ let test_pin_line_order () =
   let r = Manifest.parse_line ~default_config ~index:0 raw in
   Alcotest.(check string) "client default pinned into the line" "static"
     (pinned_field (Client.pin_line ~dir:"." r raw) "order");
-  let raw = {|{"id":"o","circuit":"qft","n":4,"seed":2,"order":"sift"}|} in
+  let raw = {|{"id":"o","circuit":"qft","n":4,"seed":2,"order":"none"}|} in
   let r = Manifest.parse_line ~default_config ~index:0 raw in
-  Alcotest.(check string) "explicit line value preserved" "sift"
+  Alcotest.(check string) "explicit line value preserved" "none"
     (pinned_field (Client.pin_line ~dir:"." r raw) "order")
 
 let test_load_pinned_duplicate_ids () =
@@ -579,21 +579,29 @@ let test_e2e_restart_adopt_replay () =
                     Alcotest.(check int) "both replayed" 2 (List.length !results)))))
 
 (* Clients before the DD phase became single-domain pinned
-   "dd_domains":1 into every line, so a journal they fed still holds such
-   lines. A daemon restarted onto it must run them, and to the same bytes
-   as the line without the field. *)
+   "dd_domains":1 into every line, and clients before dynamic sifting was
+   deleted could send "order":"sift", so a journal they fed still holds
+   such lines. A daemon restarted onto it must run them, and to the same
+   bytes as the line without the field or with "order":"static". *)
 let test_e2e_old_pinned_line_replays () =
   with_obs (fun () ->
       in_temp_dir (fun dir ->
           let journal_path = Filename.concat dir "j.jsonl" in
           let base_seed = 1 in
-          let old_line =
-            {|{"id":"old","circuit":"qft","n":5,"seed":17,"dd_domains":1,"order":"none","precision":"f64"}|}
+          let old_lines =
+            [ ("old", 17,
+               {|{"id":"old","circuit":"qft","n":5,"seed":17,"dd_domains":1,"order":"none","precision":"f64"}|});
+              ("sifted", 5,
+               {|{"id":"sifted","circuit":"swaptest","n":7,"seed":5,"order":"sift","precision":"f64"}|}) ]
           in
           let j = Journal.create ~path:journal_path ~base_seed () in
-          ignore (Journal.accept j ~id:"old" ~tenant:"" ~seed:17 ~line:old_line);
+          List.iter
+            (fun (id, seed, line) -> ignore (Journal.accept j ~id ~tenant:"" ~seed ~line))
+            old_lines;
           let manifest = Filename.concat dir "m.jsonl" in
-          write_file manifest {|{"id":"old","circuit":"qft","n":5,"seed":17}|};
+          write_file manifest
+            ({|{"id":"old","circuit":"qft","n":5,"seed":17}|} ^ "\n"
+             ^ {|{"id":"sifted","circuit":"swaptest","n":7,"seed":5,"order":"static"}|});
           let reference = local_reference ~base_seed manifest in
           let socket_path = Filename.concat dir "d.sock" in
           let daemon =
@@ -610,18 +618,21 @@ let test_e2e_old_pinned_line_replays () =
             (fun () ->
                let t, _ = daemon in
                let rec wait n =
-                 if Serve.completed t < 1 && n > 0 then begin
+                 if Serve.completed t < 2 && n > 0 then begin
                    Thread.delay 0.05;
                    wait (n - 1)
                  end
                in
                wait 200;
-               Alcotest.(check int) "old line ran" 1 (Serve.completed t));
-          match Journal.find (Journal.create ~path:journal_path ~base_seed ()) "old" with
-          | Some { Journal.e_state = Journal.Done stored; _ } ->
-            Alcotest.(check (list string)) "same bytes as without the field" reference
-              [ stored ]
-          | _ -> Alcotest.fail "old line must be done in the journal"))
+               Alcotest.(check int) "old lines ran" 2 (Serve.completed t));
+          let journal = Journal.create ~path:journal_path ~base_seed () in
+          let stored (id, _, _) =
+            match Journal.find journal id with
+            | Some { Journal.e_state = Journal.Done stored; _ } -> stored
+            | _ -> Alcotest.failf "old line %s must be done in the journal" id
+          in
+          Alcotest.(check (list string)) "same bytes as the current spelling" reference
+            (List.map stored old_lines)))
 
 (* --quota counts a tenant's queued and running jobs in the scheduler.
    Jobs of n = 16 and 20,000 gates run for seconds, so everything
