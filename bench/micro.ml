@@ -17,16 +17,22 @@ let make_tests pool =
   let vflat = Buf.copy vbuf in
   let wflat = Buf.create (1 lsl n) in
   let ws = Dmav.workspace ~n in
+  (* Gates are compiled once, as the flat phase's planner does; the
+     staged calls time what its executor runs per gate. *)
+  let t = Cost.pow2_threads ~n (Pool.size pool) in
+  let h_nocache = Flat_gate.program p ~n ~t ~cached:false gate in
+  let h_cached = Flat_gate.program p ~n ~t ~cached:true gate in
+  let cx_nocache = Flat_gate.program p ~n ~t ~cached:false cx in
   let st = State.of_buf n (Buf.copy vbuf) in
   [ Test.make ~name:"dd-mv (H top, dense state)"
       (Staged.stage (fun () -> ignore (Dd.mv p gate vdd)));
     Test.make ~name:"dmav nocache (H top)"
-      (Staged.stage (fun () -> Dmav.apply_nocache p ~pool ~n gate ~v:vflat ~w:wflat));
+      (Staged.stage (fun () -> Dmav.run ~pool h_nocache ~v:vflat ~w:wflat));
     Test.make ~name:"dmav cached (H top)"
       (Staged.stage (fun () ->
-           ignore (Dmav.apply_cache ~workspace:ws p ~pool ~n gate ~v:vflat ~w:wflat)));
+           Dmav.run ~workspace:ws ~pool h_cached ~v:vflat ~w:wflat));
     Test.make ~name:"dmav nocache (CX)"
-      (Staged.stage (fun () -> Dmav.apply_nocache p ~pool ~n cx ~v:vflat ~w:wflat));
+      (Staged.stage (fun () -> Dmav.run ~pool cx_nocache ~v:vflat ~w:wflat));
     Test.make ~name:"convert sequential"
       (Staged.stage (fun () -> ignore (Convert.sequential p ~n vdd)));
     Test.make ~name:"convert parallel(1)"

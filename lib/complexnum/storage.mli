@@ -126,8 +126,8 @@ module type S = sig
 
   val dmav_run :
     arena -> node:int -> v:t -> w:t -> iv:int -> iw:int -> fre:float -> fim:float -> unit
-  (** Algorithm 1's Run: [w[iw..] += f · M(node) · v[iv..]] over a live
-      [Dd.mview], with [f = fre + i·fim]. The stub recurses once per
+  (** Algorithm 1's Run: [w[iw..] += f · M(node) · v[iv..]] over a
+      matrix arena (a gate's [Dd.export]), with [f = fre + i·fim]. The stub recurses once per
       path, except that a canonical identity node is one stripe and a
       pure-replication node ([(e,0,0,e')] or [(0,e,e',0)], [e] and [e']
       on one target) has its shared child walked once for a batch of

@@ -632,25 +632,92 @@ let vview p =
     im = Ctable.im_array p.ct;
     ident = [||] }
 
-(* The slots of the canonical identity nodes, level 0 upwards, as far as
-   the arena holds them: level 0 is (mone, 0, 0, mone), level l is
-   (e, 0, 0, e) with e the unit edge to level l-1's identity. Probed
-   fresh on every view, lookup only: [compact], [reset] and slot reuse
-   reissue indices, and interning here could grow the arena under a view
-   the caller is about to hold. *)
-let identity_slots p =
-  let rec go l below acc =
-    let n = Node_store.find4 p.ma ~level:l below mzero mzero below in
-    if n < 0 then Array.of_list (List.rev acc) else go (l + 1) (munit n) (n :: acc)
-  in
-  go 0 mone []
+(* ------------------------------------------------------------------ *)
+(* Gate-local export                                                   *)
+(* ------------------------------------------------------------------ *)
 
-let mview p =
-  { lv = Node_store.level_array p.ma;
-    ch = Node_store.child_array p.ma;
-    re = Ctable.re_array p.ct;
-    im = Ctable.im_array p.ct;
-    ident = identity_slots p }
+type export = { arena : view; local : mnode -> int }
+
+(* The nodes reachable from the entry nodes in post-order, so slot 0 is
+   the terminal and every child has a lower slot than its parents; weight
+   id 0 stays the zero weight and the others are numbered as first met.
+   A node is the canonical identity exactly when [priced_paths] would
+   stop at it: (e, 0, 0, e) with [e] the unit edge to the identity one
+   level down (to the terminal at level 0); unique tables make that the
+   slot [Testing.mview]'s probe finds. Run never walks below one, so the
+   walk does not either: an identity's child edges keep their weights
+   and point at the terminal. *)
+let export p (entries : mnode list) =
+  let child n k = Node_store.child4 p.ma n k in
+  let memo : (int, bool) Hashtbl.t = Hashtbl.create 16 in
+  let rec identity n =
+    n <> 0
+    &&
+    match Hashtbl.find_opt memo n with
+    | Some b -> b
+    | None ->
+      let e00 = child n 0 in
+      let b =
+        e00 <> 0
+        && child n 1 = 0
+        && child n 2 = 0
+        && child n 3 = e00
+        && edge_wid e00 = Ctable.one_id
+        && if Node_store.level p.ma n = 0 then edge_tgt e00 = 0 else identity (edge_tgt e00)
+      in
+      Hashtbl.replace memo n b;
+      b
+  in
+  let slot : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let wid : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  Hashtbl.replace slot 0 0;
+  Hashtbl.replace wid 0 0;
+  let nodes = ref [ 0 ] and weights = ref [ 0 ] in
+  let rec visit n =
+    if not (Hashtbl.mem slot n) then begin
+      let stop = identity n in
+      for k = 0 to 3 do
+        let c = child n k in
+        if c <> 0 then begin
+          if not stop then visit (edge_tgt c);
+          let w = edge_wid c in
+          if not (Hashtbl.mem wid w) then begin
+            Hashtbl.replace wid w (Hashtbl.length wid);
+            weights := w :: !weights
+          end
+        end
+      done;
+      Hashtbl.replace slot n (Hashtbl.length slot);
+      nodes := n :: !nodes
+    end
+  in
+  List.iter visit entries;
+  let nodes = Array.of_list (List.rev !nodes) and weights = Array.of_list (List.rev !weights) in
+  let size = Array.length nodes in
+  let lv = Array.make size (-1) and ch = Array.make (4 * size) 0 in
+  let top = ref (-1) in
+  for i = 1 to size - 1 do
+    let n = nodes.(i) in
+    lv.(i) <- Node_store.level p.ma n;
+    let stop = identity n in
+    if stop then top := Int.max !top lv.(i);
+    for k = 0 to 3 do
+      let c = child n k in
+      if c <> 0 then
+        ch.((4 * i) + k) <-
+          pack (if stop then 0 else Hashtbl.find slot (edge_tgt c)) (Hashtbl.find wid (edge_wid c))
+    done
+  done;
+  let ident = Array.make (!top + 1) (-1) in
+  Array.iteri (fun i n -> if i > 0 && identity n then ident.(lv.(i)) <- i) nodes;
+  let arena =
+    { lv;
+      ch;
+      re = Array.map (Ctable.re_of_id p.ct) weights;
+      im = Array.map (Ctable.im_of_id p.ct) weights;
+      ident }
+  in
+  { arena; local = (fun n -> Hashtbl.find slot n) }
 
 (* ------------------------------------------------------------------ *)
 (* Test-only surface                                                   *)
@@ -658,9 +725,30 @@ let mview p =
 
 (* The arena conservation property needs the high-water marks, but the
    node-alloc-outside-arena lint rule (rightly) bans Node_store references
-   outside lib/dd, so they are re-exported here. Nothing in the
-   production tree calls this module. *)
+   outside lib/dd, so they are re-exported here; the kernel oracle's
+   reference Run walks the whole matrix arena. Nothing in the production
+   tree calls this module. *)
 module Testing = struct
   let varena_high_water p = Node_store.high_water p.va
   let marena_high_water p = Node_store.high_water p.ma
+
+  (* The slots of the canonical identity nodes, level 0 upwards, as far as
+     the arena holds them: level 0 is (mone, 0, 0, mone), level l is
+     (e, 0, 0, e) with e the unit edge to level l-1's identity. Probed
+     fresh on every view, lookup only: [compact], [reset] and slot reuse
+     reissue indices, and interning here could grow the arena under a view
+     the caller is about to hold. *)
+  let identity_slots p =
+    let rec go l below acc =
+      let n = Node_store.find4 p.ma ~level:l below mzero mzero below in
+      if n < 0 then Array.of_list (List.rev acc) else go (l + 1) (munit n) (n :: acc)
+    in
+    go 0 mone []
+
+  let mview p =
+    { lv = Node_store.level_array p.ma;
+      ch = Node_store.child_array p.ma;
+      re = Ctable.re_array p.ct;
+      im = Ctable.im_array p.ct;
+      ident = identity_slots p }
 end

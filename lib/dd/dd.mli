@@ -202,10 +202,11 @@ val ctable : package -> Ctable.t
 (** {1 Raw kernel views}
 
     Flat windows onto the arena and weight storage for allocation-free
-    kernels (DMAV traversal, DD→flat conversion). All arrays are the live
-    backing stores — they are replaced when the arena or table grows, so
-    capture a view per kernel invocation and do not allocate DD nodes or
-    intern new weights while holding it. *)
+    kernels. {!vview} (DD→flat conversion) holds the live backing stores —
+    they are replaced when the arena or table grows, so capture a view per
+    kernel invocation and do not allocate DD nodes or intern new weights
+    while holding it. {!export} (the DMAV kernels' gates) is a copy that
+    stays valid whatever the package does next. *)
 
 type view = Storage.arena = {
   lv : int array;    (** slot -> level (-1 terminal, -2 free) *)
@@ -221,10 +222,26 @@ type view = Storage.arena = {
 val vview : package -> view
 (** Vector arena ([ch] width 2: slots [2n], [2n+1]). *)
 
-val mview : package -> view
-(** Matrix arena ([ch] width 4: slots [4n .. 4n+3], row-major). [ident]
-    is derived from the current arena by lookup-only unique-table probes,
-    so it is valid exactly as long as the rest of the view. *)
+type export = {
+  arena : view;
+  (** The entry nodes' sub-DDs in their own arena: nodes renumbered (the
+      terminal is slot 0, children come before parents), weights copied
+      bit for bit under new ids (0 is still the zero weight), and [ident]
+      naming the canonical identity nodes it contains ([-1] at levels it
+      has none). An identity node is kept without what lies below it,
+      which Run never walks: its child edges keep their weights and
+      point at the terminal. Nothing in it refers to the package. *)
+  local : mnode -> int;
+  (** The gate-local slot of an entry node. *)
+}
+
+val export : package -> mnode list -> export
+(** Copies the sub-DDs under the given matrix nodes (a gate's Run entry
+    points, its border-level tasks) out of the package, for a kernel that
+    must run while the package keeps changing (the flat phase's executor
+    runs gates while the planner fuses the next ones). Run from an entry
+    over [arena] does what it does over {!Testing.mview} at the same
+    node. *)
 
 val edge_tgt : int -> int
 (** Unpack the target index of a raw packed edge read from a view. *)
@@ -236,7 +253,8 @@ val edge_wid : int -> int
 
     Arena counters for the slot-conservation property test, which may not
     reference [Node_store] directly (the node-alloc-outside-arena lint
-    rule bans that outside lib/dd). Not for production use. *)
+    rule bans that outside lib/dd), and the package-wide matrix view the
+    kernel oracle runs its reference Run over. Not for production use. *)
 
 module Testing : sig
   val varena_high_water : package -> int
@@ -244,4 +262,12 @@ module Testing : sig
       {!vfree_slots}, the conservation check of the property test. *)
 
   val marena_high_water : package -> int
+
+  val mview : package -> view
+  (** The whole matrix arena as one view ([ch] width 4: slots
+      [4n .. 4n+3], row-major), [ident] derived from the current arena by
+      lookup-only unique-table probes, so it is valid exactly as long as
+      the rest of the view. The kernel oracle tests run the reference
+      Run over it; the kernels themselves run gate-local arenas from
+      {!export}. *)
 end

@@ -16,11 +16,14 @@
     the buffers are summed into [W] in parallel at the end.
 
     [apply] picks between the kernels per gate with the §3.2.3 cost
-    model. This module is {!Dmav_generic.Make} at [Storage.F64] (each
-    task's Run recursion is one C stub call, {!Storage.S.dmav_run}, which
-    walks the sub-matrix under a pure-replication node once per batch of
-    paths instead of once per path, with unchanged bytes); every instance
-    of the functor counts its gates in the same [dmav.*] metrics. *)
+    model. Every entry point runs a gate compiled by {!Flat_gate}: the
+    gate's own arena, its task lists and its cache plan, fixed before
+    the kernel starts. This module is {!Dmav_generic.Make} at
+    [Storage.F64] (each Run call is one C stub call,
+    {!Storage.S.dmav_run}, which walks the sub-matrix under a
+    pure-replication node once per batch of paths instead of once per
+    path, with unchanged bytes); every instance of the functor counts
+    its gates in the same [dmav.*] metrics. *)
 
 type workspace = Buf.t Dmav_generic.workspace
 (** A free list of reusable 2ⁿ-sized buffers: the cached kernel's partial
@@ -67,23 +70,19 @@ val apply :
     choosing the kernel by modeled cost. [v] and [w] must be distinct
     buffers of length 2ⁿ. *)
 
-val apply_decided :
-  ?workspace:workspace ->
-  Dd.package ->
-  pool:Pool.t ->
-  n:int ->
-  Cost.decision ->
-  Dd.medge ->
-  v:Buf.t ->
-  w:Buf.t ->
-  exec_stats
-(** {!apply} with a precomputed kernel decision, so a caller that already
-    ran the cost model (the flat engine's per-gate {!Cost.dispatch}) does
-    not pay for it twice. *)
+val run : ?workspace:workspace -> pool:Pool.t -> Flat_gate.program -> v:Buf.t -> w:Buf.t -> unit
+(** Runs a compiled kernel program, [w ← M·v]. Worker [k] of [pool]
+    takes the program's task lists [k], [k + size], ..., so any pool
+    size gives the same bytes; a size-1 pool runs every list itself. *)
+
+val exec : ?workspace:workspace -> pool:Pool.t -> Flat_gate.t -> v:Buf.t -> w:Buf.t -> exec_stats
+(** {!run} for a compiled DMAV gate, with the [dmav.apply] span and the
+    modeled-MAC counters. Reads nothing of the package the gate came
+    from. Raises [Invalid_argument] on a dense gate. *)
 
 val apply_nocache :
   Dd.package -> pool:Pool.t -> n:int -> Dd.medge -> v:Buf.t -> w:Buf.t -> unit
-(** Algorithm 1, unconditionally. *)
+(** Algorithm 1, unconditionally: {!Flat_gate.program} then {!run}. *)
 
 val apply_cache :
   ?workspace:workspace ->

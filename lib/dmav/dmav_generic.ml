@@ -3,15 +3,17 @@
    [Make (Storage.F64)], and the f32 flat engine instantiates it at
    [Storage.F32].
 
-   The Assign traversals ([Cost.assign]) and the cache/buffer bookkeeping
-   stay in OCaml; each border task's Run recursion is one call into the
-   [P.dmav_run] C stub over the package's raw arena view, and cache hits,
-   buffer zeroing and summation are one stripe-primitive call per block.
-   W is zeroed inside the workers, one output stripe or block each.
-   Weights always stay f64 — they come off the ctable planes — so at
-   [F32] the only rounding happens on the stores. The view stays valid
-   for the whole apply because nothing allocates DD nodes or interns
-   weights inside the kernels.
+   Every kernel runs a compiled gate ([Flat_gate]): the Assign
+   traversals, the cache hits and the buffer plan were fixed when the
+   gate was compiled, and each Run call is one call into the
+   [P.dmav_run] C stub over the gate's own arena. Cache hits, buffer
+   zeroing and summation are one stripe-primitive call per block. W is
+   zeroed inside the workers, one output stripe or block each. Weights
+   always stay f64 — they were copied off the ctable planes — so at
+   [F32] the only rounding happens on the stores. A gate's [threads]
+   task lists run on whatever pool is given: worker [w] takes lists
+   [w], [w + size], ..., so a size-1 pool runs them all, in order, with
+   the same tasks, caches and sums, and the same bytes.
 
    Instrumentation is per kernel invocation (one gate application), never
    per MAC. [Obs] instruments are registered by name and a repeated name
@@ -42,38 +44,6 @@ module Make (P : Storage.S) = struct
   let fc_macs_modeled_uncached = Obs.fcounter "dmav.macs.modeled_uncached"
   let fc_macs_modeled_identity = Obs.fcounter "dmav.macs.modeled_identity"
   let s_apply = Obs.span "dmav.apply"
-
-  let run_task mv (task : Cost.task) ~v ~w ~iv ~iw =
-    P.dmav_run mv ~node:(Dd.mid task.node) ~v ~w ~iv ~iw ~fre:task.weight.Cnum.re
-      ~fim:task.weight.Cnum.im
-
-  let apply_nocache p ~pool ~n root ~v ~w =
-    if P.length v <> 1 lsl n || P.length w <> 1 lsl n then
-      invalid_arg "Dmav.apply_nocache: buffer size mismatch";
-    Obs.incr c_kernel_uncached;
-    let t = Cost.pow2_threads ~n (Pool.size pool) in
-    let h = (1 lsl n) / t in
-    let tasks = Cost.assign p ~n ~t Cost.Row_major root in
-    let mv = Dd.mview p in
-    (* Check mode: each worker claims its W stripe on a region scoped to
-       this kernel call, so a task-assignment bug that lands two domains
-       on the same output rows is reported as a race. The worker zeroes
-       its own stripe after the claim. *)
-    let claim =
-      if Check.enabled () then begin
-        let r = Check.region ~name:("dmav." ^ P.label ^ ".w") in
-        fun lo hi -> Check.claim r ~owner:(Domain.self () :> int) ~lo ~hi
-      end
-      else fun _ _ -> ()
-    in
-    Pool.run pool (fun u ->
-        if u < t then begin
-          claim (u * h) ((u + 1) * h);
-          P.fill_zero_range w ~pos:(u * h) ~len:h;
-          List.iter
-            (fun (task : Cost.task) -> run_task mv task ~v ~w ~iv:task.start ~iw:(u * h))
-            tasks.(u)
-        end)
 
   type nonrec workspace = P.t workspace
 
@@ -116,116 +86,130 @@ module Make (P : Storage.S) = struct
       ws.free <- List.rev_append bufs ws.free
     | None -> ()
 
-  let apply_cache ?workspace p ~pool ~n root ~v ~w =
-    if P.length v <> 1 lsl n || P.length w <> 1 lsl n then
-      invalid_arg "Dmav.apply_cache: buffer size mismatch";
-    Obs.incr c_kernel_cached;
-    let t = Cost.pow2_threads ~n (Pool.size pool) in
-    let h = (1 lsl n) / t in
-    let tasks = Cost.assign p ~n ~t Cost.Column_major root in
-    let mv = Dd.mview p in
-    (* Buffer allocation over the threads' output-block sets. *)
-    let blocks = Array.map (List.map (fun (task : Cost.task) -> task.start)) tasks in
-    let v_b, n_buffers = Cost.allocate_buffers blocks in
-    let bufs = Array.init n_buffers (fun _ -> take_buffer workspace n) in
-    (* Occupied blocks per buffer, for targeted zeroing and summation. The
-       membership test runs once per (thread, block) pair, so it must be
-       O(1): a per-buffer seen-set instead of scanning the accumulated
-       list, which is quadratic in the block count when many threads share
-       a buffer. *)
-    let occupied = Array.make n_buffers [] in
-    let occ_seen : (int, unit) Hashtbl.t array =
-      Array.init n_buffers (fun _ -> Hashtbl.create 16)
+  (* Worker [wk] of [pool] runs the task lists [wk], [wk + size], ... *)
+  let[@inline] each_list pool t wk f =
+    let size = Pool.size pool in
+    let u = ref wk in
+    while !u < t do
+      f !u;
+      u := !u + size
+    done
+
+  let run_pieces (g : Flat_gate.program) ~v ~w k =
+    for i = g.tasks.((3 * k) + 2) to g.tasks.((3 * k) + 5) - 1 do
+      P.dmav_run g.arena ~node:g.pieces.(3 * i) ~v ~w ~iv:g.pieces.((3 * i) + 1)
+        ~iw:g.pieces.((3 * i) + 2) ~fre:g.weights.(2 * i) ~fim:g.weights.((2 * i) + 1)
+    done
+
+  (* Algorithm 1: list [u] owns W's stripe [u]. *)
+  let run_nocache ~pool (g : Flat_gate.program) ~v ~w =
+    Obs.incr c_kernel_uncached;
+    let t = g.threads in
+    let h = (1 lsl g.n) / t in
+    (* Check mode: each list claims its W stripe on a region scoped to
+       this kernel call, so a task-assignment bug that lands two domains
+       on the same output rows is reported as a race. The stripe is
+       zeroed after the claim. *)
+    let claim =
+      if Check.enabled () then begin
+        let r = Check.region ~name:("dmav." ^ P.label ^ ".w") in
+        fun lo hi -> Check.claim r ~owner:(Domain.self () :> int) ~lo ~hi
+      end
+      else fun _ _ -> ()
     in
-    Array.iteri
-      (fun u blks ->
-         let bi = v_b.(u) in
-         let seen = occ_seen.(bi) in
-         List.iter
-           (fun b ->
-              if not (Hashtbl.mem seen b) then begin
-                Hashtbl.replace seen b ();
-                occupied.(bi) <- b :: occupied.(bi)
-              end)
-           blks)
-      blocks;
+    Pool.run pool (fun wk ->
+        each_list pool t wk (fun u ->
+            claim (u * h) ((u + 1) * h);
+            P.fill_zero_range w ~pos:(u * h) ~len:h;
+            for k = g.lists.(u) to g.lists.(u + 1) - 1 do
+              run_pieces g ~v ~w k
+            done))
+
+  (* Algorithm 2: list [u] reads V's slice [u] and writes the blocks of
+     its partial-output buffer; the buffers are summed into W at the
+     end, block by block. *)
+  let run_cache ?workspace ~pool (g : Flat_gate.program) ~v ~w =
+    Obs.incr c_kernel_cached;
+    let n = g.n and t = g.threads in
+    let h = (1 lsl n) / t in
+    let bufs = Array.init g.buffers (fun _ -> take_buffer workspace n) in
     (* Zero exactly the blocks Run will accumulate into. *)
-    Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:n_buffers (fun bi ->
-        List.iter (fun blk -> P.fill_zero_range bufs.(bi) ~pos:blk ~len:h) occupied.(bi));
-    let hit_counts = Array.make t 0 in
+    Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:g.buffers (fun bi ->
+        Array.iter (fun blk -> P.fill_zero_range bufs.(bi) ~pos:blk ~len:h) g.occupied.(bi));
     (* Check mode: each block write is claimed on a per-buffer region, so
-       a Cost.allocate_buffers bug that shares a buffer between threads
+       a Cost.allocate_buffers bug that shares a buffer between lists
        with overlapping block sets surfaces as a cross-domain race. *)
     let claim =
       if Check.enabled () then begin
         let regions =
-          Array.init n_buffers (fun i ->
+          Array.init g.buffers (fun i ->
               Check.region ~name:(Printf.sprintf "dmav.%s.buf%d" P.label i))
         in
         fun u blk ->
-          Check.claim regions.(v_b.(u)) ~owner:(Domain.self () :> int) ~lo:blk
+          Check.claim regions.(g.thread_buffer.(u)) ~owner:(Domain.self () :> int) ~lo:blk
             ~hi:(blk + h)
       end
       else fun _ _ -> ()
     in
-    Pool.run pool (fun u ->
-        if u < t then begin
-          let buf = bufs.(v_b.(u)) in
-          let cache : (int, Cnum.t * int) Hashtbl.t = Hashtbl.create 16 in
-          List.iter
-            (fun (task : Cost.task) ->
-               claim u task.start;
-               match Hashtbl.find_opt cache (Dd.mid task.node) with
-               | Some (f0, ip0) ->
-                 (* Same sub-matrix node, same V slice: the new block is
-                    the old one scaled by the weight ratio. *)
-                 hit_counts.(u) <- hit_counts.(u) + 1;
-                 P.scale_into ~src:buf ~src_pos:ip0 ~dst:buf ~dst_pos:task.start ~len:h
-                   (Cnum.div task.weight f0)
-               | None ->
-                 run_task mv task ~v ~w:buf ~iv:(u * h) ~iw:task.start;
-                 Hashtbl.replace cache (Dd.mid task.node) (task.weight, task.start))
-            tasks.(u)
-        end);
-    let hits = Array.fold_left ( + ) 0 hit_counts in
-    (* Sum the partial outputs into W, one output block per loop step. *)
-    let contributors = Array.make t [] in
-    Array.iteri
-      (fun bi blks ->
-         List.iter (fun blk -> contributors.(blk / h) <- bi :: contributors.(blk / h)) blks)
-      occupied;
+    Pool.run pool (fun wk ->
+        each_list pool t wk (fun u ->
+            let buf = bufs.(g.thread_buffer.(u)) in
+            for k = g.lists.(u) to g.lists.(u + 1) - 1 do
+              let start = g.tasks.(3 * k) in
+              claim u start;
+              let src = g.tasks.((3 * k) + 1) in
+              if src >= 0 then
+                (* Same sub-matrix node, same V slice: the new block is
+                   the old one scaled by the weight ratio. *)
+                P.scale2_into ~src:buf ~src_pos:src ~dst:buf ~dst_pos:start ~len:h
+                  ~sre:g.ratios.(2 * k) ~sim:g.ratios.((2 * k) + 1)
+              else run_pieces g ~v ~w:buf k
+            done));
     Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:t (fun blk ->
         P.fill_zero_range w ~pos:(blk * h) ~len:h;
-        List.iter
+        Array.iter
           (fun bi ->
              P.add_into ~src:bufs.(bi) ~src_pos:(blk * h) ~dst:w ~dst_pos:(blk * h) ~len:h)
-          contributors.(blk));
+          g.contributors.(blk));
     return_buffers workspace (Array.to_list bufs);
     if Obs.enabled () then begin
-      Obs.add c_cache_hits hits;
-      Obs.add c_buffers n_buffers
-    end;
-    (hits, n_buffers)
+      Obs.add c_cache_hits g.hits;
+      Obs.add c_buffers g.buffers
+    end
 
-  let apply_decided ?workspace:ws p ~pool ~n (decision : Cost.decision) root ~v ~w =
-    if Obs.enabled () then begin
-      let t = float_of_int decision.Cost.threads_used in
-      Obs.fadd fc_macs_modeled (Cost.modeled_macs decision);
-      Obs.fadd fc_macs_modeled_cached (t *. decision.Cost.c2);
-      Obs.fadd fc_macs_modeled_uncached (t *. decision.Cost.c1);
-      Obs.fadd fc_macs_modeled_identity (Cost.identity_macs p ~n decision root)
-    end;
-    Obs.with_span s_apply (fun () ->
-        if decision.Cost.cached then begin
-          let hits, buffers = apply_cache ?workspace:ws p ~pool ~n root ~v ~w in
-          { used_cache = true; decision; cache_hits = hits; buffers_used = buffers }
-        end
-        else begin
-          apply_nocache p ~pool ~n root ~v ~w;
-          { used_cache = false; decision; cache_hits = 0; buffers_used = 0 }
-        end)
+  let run ?workspace ~pool (g : Flat_gate.program) ~v ~w =
+    if P.length v <> 1 lsl g.n || P.length w <> 1 lsl g.n then
+      invalid_arg "Dmav.run: buffer size mismatch";
+    if g.cached then run_cache ?workspace ~pool g ~v ~w else run_nocache ~pool g ~v ~w
 
-  let apply ?workspace:ws p ~pool ~n root ~v ~w =
-    let decision = Cost.decide p ~n ~threads:(Pool.size pool) root in
-    apply_decided ?workspace:ws p ~pool ~n decision root ~v ~w
+  let exec ?workspace ~pool (g : Flat_gate.t) ~v ~w =
+    match g.body with
+    | Flat_gate.Dense _ -> invalid_arg "Dmav.exec: a dense gate"
+    | Flat_gate.Dmav prog ->
+      let decision = g.dispatch.Cost.dmav in
+      if Obs.enabled () then begin
+        let t = float_of_int decision.Cost.threads_used in
+        Obs.fadd fc_macs_modeled (Cost.modeled_macs decision);
+        Obs.fadd fc_macs_modeled_cached (t *. decision.Cost.c2);
+        Obs.fadd fc_macs_modeled_uncached (t *. decision.Cost.c1);
+        Obs.fadd fc_macs_modeled_identity g.identity_macs
+      end;
+      Obs.with_span s_apply (fun () -> run ?workspace ~pool prog ~v ~w);
+      { used_cache = prog.cached;
+        decision;
+        cache_hits = (if prog.cached then prog.hits else 0);
+        buffers_used = prog.buffers }
+
+  let program p ~pool ~n ~cached root =
+    Flat_gate.program p ~n ~t:(Cost.pow2_threads ~n (Pool.size pool)) ~cached root
+
+  let apply_nocache p ~pool ~n root ~v ~w = run ~pool (program p ~pool ~n ~cached:false root) ~v ~w
+
+  let apply_cache ?workspace p ~pool ~n root ~v ~w =
+    let g = program p ~pool ~n ~cached:true root in
+    run ?workspace ~pool g ~v ~w;
+    (g.hits, g.buffers)
+
+  let apply ?workspace p ~pool ~n root ~v ~w =
+    exec ?workspace ~pool (Flat_gate.compile p ~n ~threads:(Pool.size pool) root) ~v ~w
 end

@@ -1,0 +1,72 @@
+(** Flat-phase gates compiled for the DMAV executor.
+
+    The planner compiles each gate of the flat phase once, as it emits
+    it: the kernel is picked ({!Cost.dispatch}) at the pool size the
+    gate will run on, the sub-matrices its Assign tasks ({!Cost.assign})
+    enter are copied into the gate's own arena ({!Dd.export}), and the
+    task lists become flat arrays of Run calls over gate-local slots, with the cached kernel's hits, ratios and buffer
+    plan decided too. Running a compiled gate reads nothing of the
+    {!Dd.package}, so the planner may keep fusing while earlier gates
+    run. A compiled gate is immutable and may be run on any pool: the
+    [threads] virtual task lists are the same whether [threads] domains
+    run one each or one domain runs them all, so are the bytes.
+
+    A task whose sub-matrix models more than [piece_macs] MACs is split
+    into the Run calls of its children, in the recursion's order and
+    with its weight products, which leaves every output element's MACs
+    and their order unchanged. *)
+
+type program = private {
+  n : int;
+  arena : Storage.arena;        (** the gate's own nodes and weights *)
+  cached : bool;                (** Algorithm 2 (column-space caching) *)
+  threads : int;                (** virtual task lists, a power of two *)
+  lists : int array;            (** [threads + 1] offsets: list [u] is tasks [lists.(u) ..] *)
+  tasks : int array;
+  (** per task, three ints: I_V (uncached) or the output block (cached);
+      for a cached hit the block it scales, else [-1]; its first piece.
+      One more entry closes the last task's pieces. *)
+  ratios : float array;         (** cached: per task, the hit's weight ratio (re, im) *)
+  pieces : int array;           (** per Run call, three ints: gate-local node, iv, iw *)
+  weights : float array;        (** per Run call, its full weight product (re, im) *)
+  buffers : int;                (** cached: partial-output buffers [b] *)
+  thread_buffer : int array;    (** cached: task list -> buffer *)
+  occupied : int array array;   (** cached: per buffer, the blocks written *)
+  contributors : int array array;
+  (** cached: per output block, the buffers summed into it, in order *)
+  hits : int;                   (** cached: modeled (= realized) hits [H] *)
+}
+
+type body =
+  | Dense of Circuit.op  (** the dense direct kernel on an unfused op *)
+  | Dmav of program
+
+type t = {
+  body : body;
+  dispatch : Cost.dispatch;     (** the pick and its modeled costs *)
+  identity_macs : float;
+  (** {!Cost.identity_macs} of the pick; computed only while [Obs] is on *)
+  package_bytes : int;
+  (** {!Dd.memory_bytes} when the gate was compiled, for the flat
+      engine's memory accounting *)
+}
+
+val piece_macs : float
+(** The split threshold, in {!Cost.priced_macs} units: a Run
+    call under it took at most 0.44 ms at hybrid-deep's sizes on the
+    2-core Xeon it was measured on. *)
+
+val program :
+  ?piece_macs:float -> Dd.package -> n:int -> t:int -> cached:bool -> Dd.medge -> program
+(** The Run program of one kernel over [t] virtual task lists ([t] a
+    power of two, at most 2ⁿ), without pricing. [piece_macs] (default
+    {!piece_macs}) is there for the tests, which split down to single
+    Run calls. *)
+
+val compile : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> t
+(** Prices the gate for a pool of [threads] (one [dmav.cost] span) and
+    compiles the picked kernel. [op], the unfused circuit op, makes the
+    dense kernel eligible, as in {!Cost.dispatch}. *)
+
+val pieces : program -> int
+(** Run calls in the program. *)

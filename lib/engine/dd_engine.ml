@@ -19,12 +19,9 @@ let package st = st.ctx.Engine.package
 let apply_op st (xo : Engine.exec_op) =
   let p = st.ctx.Engine.package in
   let g =
-    match xo.Engine.xo_mat with
-    | Some m -> m
-    | None ->
-      (match xo.Engine.xo_op with
-       | Some op -> Mat_dd.of_op p ~n:st.n op
-       | None -> invalid_arg "Dd_engine.apply_op: op without matrix or circuit op")
+    match xo.Engine.xo_op with
+    | Some op -> Mat_dd.of_op p ~n:st.n op
+    | None -> invalid_arg "Dd_engine.apply_op: gate without a circuit op"
   in
   st.edge <- Dd.mv p g st.edge;
   Engine.no_stats

@@ -2,11 +2,15 @@
    state is a pair of 2ⁿ buffers (current [v], scratch [w]) and a gate is
    a DD-matrix × array-vector product (paper §3.2), or — when
    [Config.dense_dispatch] is on and the cost model picks it — a dense
-   in-place kernel on [v] that skips the ping-pong entirely. The DD
-   package (and therefore every gate matrix and ctable weight) stays f64
-   at every precision; rounding happens only on stores into V/W. The scratch buffer and the cached kernel's partial
-   outputs come from the precision's workspace and go back to it in
-   [finalize]. *)
+   in-place kernel on [v] that skips the ping-pong entirely. Gates arrive
+   compiled ([Flat_gate]): the kernel pick, the task lists and the gate's
+   own copy of its matrix DD were fixed by the planner, so applying one
+   reads nothing of the DD package. A gate without a compiled form (the
+   pure-DMAV reference path of [Driver.run_engine]) is compiled here.
+   The DD package (and therefore every gate matrix and ctable weight)
+   stays f64 at every precision; rounding happens only on stores into
+   V/W. The scratch buffer and the cached kernel's partial outputs come
+   from the precision's workspace and go back to it in [finalize]. *)
 
 module Make (Pr : Engine.PRECISION) = struct
   module P = Pr.P
@@ -17,15 +21,19 @@ module Make (Pr : Engine.PRECISION) = struct
     ctx : Engine.ctx;
     n : int;
     ws : K.workspace;
+    mutable pool : Pool.t;
     mutable v : P.t;
     mutable w : P.t;
     mutable max_buffers : int;
+    mutable package_bytes : int;
     mutable extracted : bool;
   }
 
   let trace_phase = Engine.Dmav_phase
 
-  let seat ctx ~n ws v = { ctx; n; ws; v; w = K.take ws; max_buffers = 0; extracted = false }
+  let seat (ctx : Engine.ctx) ~n ws v =
+    { ctx; n; ws; pool = ctx.Engine.pool; v; w = K.take ws; max_buffers = 0;
+      package_bytes = Dd.memory_bytes ctx.Engine.package; extracted = false }
 
   (* Seat the engine on an existing f64 amplitude vector — the driver's
      DD→flat conversion hands its output buffer in here, and [Pr.of_f64]
@@ -41,51 +49,50 @@ module Make (Pr : Engine.PRECISION) = struct
     P.set2 v 0 1.0 0.0;
     seat ctx ~n ws v
 
-  let mat_of st (xo : Engine.exec_op) =
-    match xo.Engine.xo_mat with
-    | Some m -> m
-    | None ->
-      (match xo.Engine.xo_op with
-       | Some op -> Mat_dd.of_op st.ctx.Engine.package ~n:st.n op
-       | None -> invalid_arg "Dmav_engine.apply_op: op without matrix or circuit op")
+  let set_pool st pool = st.pool <- pool
 
-  let s_cost = Obs.span "dmav.cost"
+  let gate_of st (xo : Engine.exec_op) =
+    match xo.Engine.xo_gate, xo.Engine.xo_op with
+    | Some g, _ -> g
+    | None, Some op ->
+      let { Engine.cfg; pool; package = p; _ } = st.ctx in
+      let dense = if cfg.Config.dense_dispatch then Some op else None in
+      Flat_gate.compile p ~n:st.n ~threads:(Pool.size pool) ?op:dense (Mat_dd.of_op p ~n:st.n op)
+    | None, None -> invalid_arg "Dmav_engine.apply_op: gate without a compiled form or op"
 
-  (* The one kernel pick per flat gate (§3.2.3): cached vs uncached DMAV
-     and, when dispatch is on and the gate was not fused, dense direct. *)
+  (* The kernel the gate was compiled for (§3.2.3): cached vs uncached
+     DMAV or, for an unfused gate under dense dispatch, dense direct. *)
   let apply_op st (xo : Engine.exec_op) =
-    let { Engine.cfg; pool; package = p; _ } = st.ctx in
-    let m = mat_of st xo in
-    let op = if cfg.Config.dense_dispatch then xo.Engine.xo_op else None in
-    let disp =
-      Obs.with_span s_cost (fun () -> Cost.dispatch p ~n:st.n ~threads:(Pool.size pool) ?op m)
-    in
-    match op, disp.Cost.kernel with
-    | Some op, Cost.Dense_kernel ->
-      DK.op ~pool ~n:st.n st.v op;
+    let g = gate_of st xo in
+    if g.Flat_gate.package_bytes > st.package_bytes then
+      st.package_bytes <- g.Flat_gate.package_bytes;
+    match g.Flat_gate.body with
+    | Flat_gate.Dense op ->
+      DK.op ~pool:st.pool ~n:st.n st.v op;
       { Engine.no_stats with
         Engine.gs_dispatch = Some Engine.Dense_direct;
-        gs_modeled_macs = Cost.dispatch_modeled_macs disp }
-    | _ ->
-      let s = K.apply_decided ~workspace:st.ws p ~pool ~n:st.n disp.Cost.dmav m ~v:st.v ~w:st.w in
-      if s.Dmav.buffers_used > st.max_buffers then st.max_buffers <- s.Dmav.buffers_used;
+        gs_modeled_macs = Cost.dispatch_modeled_macs g.Flat_gate.dispatch }
+    | Flat_gate.Dmav _ ->
+      let s = K.exec ~workspace:st.ws ~pool:st.pool g ~v:st.v ~w:st.w in
+      if s.Dmav_generic.buffers_used > st.max_buffers then
+        st.max_buffers <- s.Dmav_generic.buffers_used;
       let tmp = st.v in
       st.v <- st.w;
       st.w <- tmp;
       { Engine.gs_dispatch =
-          Some (if s.Dmav.used_cache then Engine.Dmav_cached else Engine.Dmav_uncached);
-        gs_cache_hits = s.Dmav.cache_hits;
-        gs_modeled_macs = Cost.modeled_macs s.Dmav.decision }
+          Some (if s.Dmav_generic.used_cache then Engine.Dmav_cached else Engine.Dmav_uncached);
+        gs_cache_hits = s.Dmav_generic.cache_hits;
+        gs_modeled_macs = Cost.modeled_macs s.Dmav_generic.decision }
 
   let size_metric _ = 0
 
   (* Modeled bytes of the flat phase: V, W and the partial-output buffers,
      each counted exactly from the storage kind (payload plus bigarray
      custom block, see [Storage.S.buffer_bytes]) plus its wrapping record,
-     and the DD package that still holds the gate matrices. *)
+     and the DD package that still holds the gate matrices, as of the
+     latest gate's compilation (the planner may still be growing it). *)
   let memory_bytes st =
-    ((2 + st.max_buffers) * (P.buffer_bytes ~len:(1 lsl st.n) + 24))
-    + Dd.memory_bytes st.ctx.Engine.package
+    ((2 + st.max_buffers) * (P.buffer_bytes ~len:(1 lsl st.n) + 24)) + st.package_bytes
 
   let compact _ = ()
   let observe st = Dd.observe_gauges st.ctx.Engine.package

@@ -41,6 +41,14 @@ let c_dmav_gates = Obs.counter "sim.gates_dmav"
 let c_conversions = Obs.counter "sim.conversions"
 let s_order_score = Obs.span "order.score"
 let c_order_static = Obs.counter "order.static.applied"
+let s_logicalize = Obs.span "sim.logicalize"
+
+(* The streamed flat phase: gates the executor ran while the plan was
+   still running, the executor's window (first gate wait to stop) and
+   the part of it spent waiting for the planner. *)
+let c_streamed = Obs.counter "sim.gates_streamed"
+let s_stream = Obs.span "sim.flat_stream"
+let s_stream_wait = Obs.span "sim.flat_stream_wait"
 
 (* Flat-phase kernels, by the engine's pick. Without [dense_dispatch] the
    cached/uncached counts mirror dmav.kernel.*; with it they reflect the
@@ -61,27 +69,41 @@ let make_ctx ?package ?workspace (cfg : Config.t) ~pool ~n =
   let package = match package with Some p -> p | None -> Dd.create () in
   { Engine.cfg; pool; package; workspace }
 
-(* The flat phase's executable gate stream: remaining ops as matrix DDs,
-   fused per config. An op survives as [xo_op] only when it was not fused,
-   which is what keeps it eligible for the dense kernel. DMAV-aware fusion
-   prices every gate it scans ([Cost.priced_macs]); the kernel pick is
-   not made here, the engine prices each gate for it as it applies it. *)
-let flat_plan (ctx : Engine.ctx) ~n ~first_index ops =
+(* The flat phase's planner: the remaining ops as matrix DDs (all built
+   before the fusion scan starts, so the package interns nodes and
+   weights in one order whatever the executor does), fused per config, each output gate compiled ([Flat_gate.compile],
+   priced at the run's pool size) and handed to [emit] as soon as it is
+   final. An op survives as [xo_op] only when it was not fused, which is
+   what keeps it eligible for the dense kernel. [poll] runs before each
+   input op, in both scans. Returns the fusion stats. *)
+let flat_plan (ctx : Engine.ctx) ~n ~first_index ~poll ~emit ops =
   let p = ctx.Engine.package in
-  let mats = List.map (Mat_dd.of_op p ~n) ops in
-  let stream gates =
-    Array.of_list
-      (List.mapi
-         (fun j (name, op, m) ->
-            { Engine.xo_index = first_index + j; xo_name = name; xo_op = op; xo_mat = Some m })
-         gates)
+  let threads = Pool.size ctx.Engine.pool in
+  let dense = ctx.Engine.cfg.Config.dense_dispatch in
+  let mats =
+    List.map
+      (fun op ->
+         poll ();
+         Mat_dd.of_op p ~n op)
+      ops
   in
-  let fused name (ms, st) = (stream (List.map (fun m -> (name, None, m)) ms), Some st) in
+  let j = ref first_index in
+  let out name op m =
+    let g = Flat_gate.compile p ~n ~threads ?op:(if dense then op else None) m in
+    emit { Engine.xo_index = !j; xo_name = name; xo_op = op; xo_gate = Some g };
+    incr j
+  in
   match ctx.Engine.cfg.Config.fusion with
   | Config.No_fusion ->
-    (stream (List.map2 (fun op m -> (Circuit.op_name op, Some op, m)) ops mats), None)
-  | Config.Dmav_aware -> fused "fused" (Fusion.dmav_aware p mats)
-  | Config.K_operations k -> fused "kops" (Fusion.k_operations p ~k mats)
+    List.iter2
+      (fun op m ->
+         poll ();
+         out (Circuit.op_name op) (Some op) m)
+      ops mats;
+    None
+  | Config.Dmav_aware -> Some (Fusion.dmav_aware_iter ~poll p ~emit:(out "fused" None) mats)
+  | Config.K_operations k ->
+    Some (Fusion.k_operations_iter ~poll p ~k ~emit:(out "kops" None) mats)
 
 (* --- qubit-order plumbing (ISSUE 8) -------------------------------- *)
 
@@ -102,11 +124,27 @@ let prepare_order (cfg : Config.t) (c : Circuit.t) =
 
 (* Permute a physical-order flat buffer into the logical basis. Index 0
    is a fixed point of every order, which is why `--order none`
-   fingerprints stay byte-identical. *)
+   fingerprints stay byte-identical. A copy of unboxed floats, indices
+   mapped a byte at a time ([Order.byte_tables]). *)
 let logicalize ord buf =
   match ord with
   | None -> buf
-  | Some ord -> Buf.init (Buf.length buf) (fun i -> Buf.get buf (Order.permute_index ord i))
+  | Some ord ->
+    Obs.with_span s_logicalize (fun () ->
+        let tables = Order.byte_tables ord in
+        let bytes = Array.length tables in
+        let len = Buf.length buf in
+        let out = Buf.create len in
+        let src = buf.Buf.data and dst = out.Buf.data in
+        for i = 0 to len - 1 do
+          let j = ref 0 in
+          for b = 0 to bytes - 1 do
+            j := !j lor tables.(b).((i lsr (8 * b)) land 255)
+          done;
+          dst.{2 * i} <- src.{2 * !j};
+          dst.{(2 * i) + 1} <- src.{(2 * !j) + 1}
+        done;
+        out)
 
 (* Per-run state shared by every step: the cancel poll, the EWMA monitor
    and the accounting the result reports. *)
@@ -162,13 +200,14 @@ let step (type s) (module E : Engine.ENGINE with type state = s) st r (xo : Engi
   record r g;
   (g, verdict)
 
-(* The one gate loop: steps gates [0, count) of [xo_of] until [stop]
-   (given each gate's record and verdict) says so, compacting on the
-   configured interval. Returns the number of gates stepped. *)
+(* The one gate loop: steps gates [from, ...) of [xo_of] while [more]
+   says the next one exists and until [stop] (given each gate's record
+   and verdict) says so, compacting on the configured interval. Returns
+   the index of the first gate not stepped. *)
 let loop (type s) ?(stop = fun _ _ -> false) (module E : Engine.ENGINE with type state = s) st r
-    ~count ~xo_of =
-  let i = ref 0 and stopped = ref false in
-  while !i < count && not !stopped do
+    ?(from = 0) ~more ~xo_of () =
+  let i = ref from and stopped = ref false in
+  while (not !stopped) && more !i do
     let g, verdict = step (module E) st r (xo_of !i) in
     stopped := stop g verdict;
     let every = r.cfg.Config.compact_every in
@@ -178,7 +217,7 @@ let loop (type s) ?(stop = fun _ _ -> false) (module E : Engine.ENGINE with type
     end;
     incr i
   done;
-  Obs.add (match E.trace_phase with Engine.Dd_phase -> c_dd_gates | _ -> c_dmav_gates) !i;
+  Obs.add (match E.trace_phase with Engine.Dd_phase -> c_dd_gates | _ -> c_dmav_gates) (!i - from);
   bump_mem r (E.memory_bytes st);
   !i
 
@@ -188,6 +227,117 @@ let finish (type s) (module E : Engine.ENGINE with type state = s) st =
   let final = E.extract st in
   E.finalize st;
   final
+
+(* --- the flat phase: plan, stream, run -------------------------------- *)
+
+(* The planner's hand-off to the executor. The planner writes slot k,
+   then publishes k + 1; [finished] says the plan is complete, [failed]
+   that either side raised. The executor waits on [ready] (spin, then
+   park); every change it may wait for is followed by a wake. *)
+type stream = {
+  slots : Engine.exec_op array;
+  published : int Atomic.t;
+  finished : bool Atomic.t;
+  failed : bool Atomic.t;
+  ready : Waiter.t;
+}
+
+let no_gate = { Engine.xo_index = -1; xo_name = ""; xo_op = None; xo_gate = None }
+
+let stream_create capacity =
+  { slots = Array.make capacity no_gate;
+    published = Atomic.make 0;
+    finished = Atomic.make false;
+    failed = Atomic.make false;
+    ready = Waiter.create () }
+
+let publish s xo =
+  let k = Atomic.get s.published in
+  s.slots.(k) <- xo;
+  Atomic.set s.published (k + 1);
+  Waiter.wake s.ready
+
+let settle s flag =
+  Atomic.set flag true;
+  Waiter.wake s.ready
+
+(* The executor may step gate [i]: it is published and the plan is still
+   running. Once the plan is done the executor stops after its current
+   gate, and the pool's domains take the rest. *)
+let await s i =
+  let settled () =
+    Atomic.get s.published > i || Atomic.get s.finished || Atomic.get s.failed
+  in
+  if not (settled ()) then Obs.with_span s_stream_wait (fun () -> Waiter.await s.ready settled);
+  not (Atomic.get s.finished || Atomic.get s.failed)
+
+exception Planner_stopped
+
+(* The flat phase's gates, planned and run. On a pool of one domain the
+   plan completes first and the gates run after it. On a bigger pool one
+   [Pool.run] overlaps them: worker 0 (the caller, which owns the DD
+   package) plans and compiles, worker 1 runs each compiled gate as soon
+   as it is published, on an inline size-1 pool, reading nothing of the
+   package. When the plan is done the executor stops after its current
+   gate and the remaining gates run on the whole pool. A failure on
+   either side stops the other within one gate; the caller's exception
+   wins, as in [Pool.run]. The job holds the pool's admission lock for
+   the whole plan, so a batch slot sharing the pool waits for it
+   (DESIGN.md §9 has the multi-slot measurement). Returns the fusion
+   stats. *)
+let flat_phase (type s) (module E : Engine.FLAT with type state = s) st r (ctx : Engine.ctx) ~n
+    ~first_index ops =
+  let pool = ctx.Engine.pool in
+  let s = stream_create (List.length ops) in
+  let plan ~poll =
+    Obs.with_span s_flat_plan (fun () ->
+        flat_plan ctx ~n ~first_index ~poll ~emit:(publish s) ops)
+  in
+  (* A gate's slot is cleared as it is stepped, so a compiled gate lives
+     from its compilation to its run, not to the end of the phase. *)
+  let xo_of i =
+    let xo = s.slots.(i) in
+    s.slots.(i) <- no_gate;
+    xo
+  in
+  let executed, fusion_stats =
+    if Pool.size pool = 1 then (0, plan ~poll:r.check_cancel)
+    else
+      Pool.with_pool 1 (fun inline ->
+          let executed = ref 0 and stats = ref None in
+          let poll () =
+            if Atomic.get s.failed then raise Planner_stopped;
+            r.check_cancel ()
+          in
+          let fail e =
+            settle s s.failed;
+            raise e
+          in
+          Pool.run pool (fun w ->
+              if w = 0 then begin
+                (match plan ~poll with
+                 | st -> stats := st
+                 | exception Planner_stopped -> ()
+                 | exception e -> fail e);
+                settle s s.finished
+              end
+              else if w = 1 then begin
+                E.set_pool st inline;
+                match
+                  Obs.with_span s_stream (fun () ->
+                      loop (module E) st r ~more:(await s) ~xo_of ())
+                with
+                | k ->
+                  Obs.add c_streamed k;
+                  executed := k
+                | exception e -> fail e
+              end);
+          E.set_pool st pool;
+          (!executed, !stats))
+  in
+  let total = Atomic.get s.published in
+  ignore (loop (module E) st r ~from:executed ~more:(fun i -> i < total) ~xo_of ());
+  fusion_stats
 
 (* Set-up shared by both entry points: the pool (created for the call
    unless supplied), the run counters, the static qubit order, the engine
@@ -269,8 +419,8 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
       let xo_of i = Engine.exec_of_op i c.Circuit.ops.(i) in
       let i, seconds_dd =
         Obs.timed s_dd_phase (fun () ->
-            loop ~stop (module Dd_engine) dd r ~count:(if !want_convert then 0 else gates)
-              ~xo_of)
+            let count = if !want_convert then 0 else gates in
+            loop ~stop (module Dd_engine) dd r ~more:(fun i -> i < count) ~xo_of ())
       in
       Dd_engine.observe dd;
       if not !want_convert then
@@ -292,17 +442,12 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
 
         (* ---- Flat phase: the DMAV engine of the configured precision - *)
         let fusion_stats = ref None in
-        let flat (type s) (module E : Engine.ENGINE with type state = s) (seat : unit -> s) =
+        let flat (type s) (module E : Engine.FLAT with type state = s) (seat : unit -> s) =
           let st, seconds_dmav =
             Obs.timed s_dmav_phase (fun () ->
                 let remaining = Array.to_list (Array.sub c.Circuit.ops i (gates - i)) in
-                let plan, fstats =
-                  Obs.with_span s_flat_plan (fun () ->
-                      flat_plan ctx ~n ~first_index:i remaining)
-                in
-                fusion_stats := fstats;
                 let st = seat () in
-                ignore (loop (module E) st r ~count:(Array.length plan) ~xo_of:(Array.get plan));
+                fusion_stats := flat_phase (module E) st r ctx ~n ~first_index:i remaining;
                 st)
           in
           (finish (module E) st, seconds_dmav)
@@ -328,8 +473,10 @@ let run_engine (type s) ?cancel ?pool ?package ?workspace
       let dd = E.trace_phase = Engine.Dd_phase in
       let _, seconds =
         Obs.timed (if dd then s_dd_phase else s_dmav_phase) (fun () ->
-            loop (module E) st r ~count:(Circuit.num_gates c)
-              ~xo_of:(fun i -> Engine.exec_of_op i c.Circuit.ops.(i)))
+            let count = Circuit.num_gates c in
+            loop (module E) st r ~more:(fun i -> i < count)
+              ~xo_of:(fun i -> Engine.exec_of_op i c.Circuit.ops.(i))
+              ())
       in
       let final = finish (module E) st in
       if dd then result_of r c ~ord:sigma ~seconds_dd:seconds final

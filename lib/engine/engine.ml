@@ -42,17 +42,18 @@ let no_stats = { gs_dispatch = None; gs_cache_hits = 0; gs_modeled_macs = 0.0 }
 
 (** One item of the executable gate stream. The driver builds these: in
     the DD phase straight from circuit ops; in the flat phase from the
-    (possibly fused) matrix list, keeping the original op when the gate
-    survived fusion so the dense kernel stays eligible. *)
+    planner's compiled gates, keeping the original op when the gate
+    survived fusion (its name, and the dense kernel's eligibility, come
+    from it). *)
 type exec_op = {
   xo_index : int;                     (** trace index *)
   xo_name : string;
   xo_op : Circuit.op option;          (** original circuit op, if unfused *)
-  xo_mat : Dd.medge option;           (** prebuilt matrix DD, if any *)
+  xo_gate : Flat_gate.t option;       (** the compiled flat gate, if planned *)
 }
 
 let exec_of_op i (op : Circuit.op) =
-  { xo_index = i; xo_name = Circuit.op_name op; xo_op = Some op; xo_mat = None }
+  { xo_index = i; xo_name = Circuit.op_name op; xo_op = Some op; xo_gate = None }
 
 (** Everything an engine may need but does not own: the worker pool, the
     run configuration, the DD package (shared across engines so the flat
@@ -100,6 +101,16 @@ module type ENGINE = sig
   val finalize : state -> unit
   (** Release everything [extract] did not hand over (e.g. return scratch
       buffers to the workspace). Call after [extract]. *)
+end
+
+(** A flat engine, whose gates may run on a pool other than the run's:
+    while the planner holds the run's pool, the driver's executor runs
+    compiled gates on an inline size-1 pool. *)
+module type FLAT = sig
+  include ENGINE
+
+  val set_pool : state -> Pool.t -> unit
+  (** The pool later [apply_op] calls run on. *)
 end
 
 (** What a flat engine knows about its amplitude precision: the storage

@@ -20,8 +20,8 @@ let c_accepted = Obs.counter "fusion.accepted"
 let c_rejected = Obs.counter "fusion.rejected"
 let fc_macs_saved = Obs.fcounter "fusion.macs_saved"
 
-let finish ~gates_in ~ddmm_calls ~macs_before ~macs_after out =
-  let st = { gates_in; gates_out = List.length out; ddmm_calls; macs_before; macs_after } in
+let finish ~gates_in ~gates_out ~ddmm_calls ~macs_before ~macs_after =
+  let st = { gates_in; gates_out; ddmm_calls; macs_before; macs_after } in
   if Obs.enabled () then begin
     Obs.incr c_runs;
     Obs.add c_gates_in st.gates_in;
@@ -29,14 +29,19 @@ let finish ~gates_in ~ddmm_calls ~macs_before ~macs_after out =
     Obs.add c_ddmm_calls st.ddmm_calls;
     Obs.fadd fc_macs_saved (st.macs_before -. st.macs_after)
   end;
-  (out, st)
+  st
 
-let dmav_aware ?identity_price p gates =
+(* The list forms collect what the streaming forms emit. *)
+let collect scan =
+  let out = ref [] in
+  let st = scan (fun m -> out := m :: !out) in
+  (List.rev !out, st)
+
+let dmav_aware_iter ?identity_price ?(poll = ignore) p ~emit gates =
   let price m = Cost.priced_macs ?identity_price p m in
-  let ddmm = ref 0 in
+  let ddmm = ref 0 and gates_out = ref 0 in
   (* M_p starts as a virtual identity with zero cost: the first real gate
      always "fuses" into it, so the identity itself is never emitted. *)
-  let out = ref [] in
   let m_p = ref None in
   let c_p = ref 0.0 in
   (* The stats keep Eq. 5's MAC meaning, so they count each input and
@@ -44,11 +49,13 @@ let dmav_aware ?identity_price p gates =
      [sum_macs]. *)
   let macs_before = ref 0.0 and macs_after = ref 0.0 in
   let emit m =
-    out := m :: !out;
-    macs_after := !macs_after +. Cost.mac_count p m
+    incr gates_out;
+    macs_after := !macs_after +. Cost.mac_count p m;
+    emit m
   in
   List.iter
     (fun m_i ->
+       poll ();
        macs_before := !macs_before +. Cost.mac_count p m_i;
        let c_i = price m_i in
        match !m_p with
@@ -75,18 +82,31 @@ let dmav_aware ?identity_price p gates =
   (* The paper's Algorithm 3 leaves the final pending gate implicit; it
      must be emitted for the product to be complete. *)
   (match !m_p with Some m -> emit m | None -> ());
-  finish ~gates_in:(List.length gates) ~ddmm_calls:!ddmm ~macs_before:!macs_before
-    ~macs_after:!macs_after (List.rev !out)
+  finish ~gates_in:(List.length gates) ~gates_out:!gates_out ~ddmm_calls:!ddmm
+    ~macs_before:!macs_before ~macs_after:!macs_after
 
-let k_operations p ~k gates =
+let dmav_aware ?identity_price p gates =
+  collect (fun emit -> dmav_aware_iter ?identity_price p ~emit gates)
+
+let k_operations_iter ?(poll = ignore) p ~k ~emit gates =
   if k < 1 then invalid_arg "Fusion.k_operations: k must be >= 1";
   let macs_before = sum_macs p gates in
-  let ddmm = ref 0 in
-  let out = ref [] in
+  let ddmm = ref 0 and gates_out = ref 0 and macs_after = ref 0.0 in
   let pending = ref None in
   let count = ref 0 in
+  let flush () =
+    (match !pending with
+     | Some m ->
+       incr gates_out;
+       macs_after := !macs_after +. Cost.mac_count p m;
+       emit m
+     | None -> ());
+    pending := None;
+    count := 0
+  in
   List.iter
     (fun m_i ->
+       poll ();
        (match !pending with
         | None ->
           pending := Some m_i;
@@ -96,13 +116,10 @@ let k_operations p ~k gates =
           Obs.incr c_accepted;
           pending := Some (Dd.mm p m_i prev);
           count := !count + 1);
-       if !count = k then begin
-         (match !pending with Some m -> out := m :: !out | None -> ());
-         pending := None;
-         count := 0
-       end)
+       if !count = k then flush ())
     gates;
-  (match !pending with Some m -> out := m :: !out | None -> ());
-  let out = List.rev !out in
-  finish ~gates_in:(List.length gates) ~ddmm_calls:!ddmm ~macs_before
-    ~macs_after:(sum_macs p out) out
+  flush ();
+  finish ~gates_in:(List.length gates) ~gates_out:!gates_out ~ddmm_calls:!ddmm ~macs_before
+    ~macs_after:!macs_after
+
+let k_operations p ~k gates = collect (fun emit -> k_operations_iter p ~k ~emit gates)

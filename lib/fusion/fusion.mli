@@ -38,3 +38,27 @@ val dmav_aware : ?identity_price:float -> Dd.package -> Dd.medge list -> Dd.medg
     bench sweeps it. The stats count plain MACs whatever the price. *)
 
 val k_operations : Dd.package -> k:int -> Dd.medge list -> Dd.medge list * stats
+
+(** {1 Streaming forms}
+
+    The same scans, handing each output gate to [emit] as soon as it is
+    final (the flat phase compiles and runs it while the scan goes on),
+    and calling [poll] before each input gate (the driver's cancellation
+    poll, which may raise). The list forms above are these with [emit]
+    collecting. *)
+
+val dmav_aware_iter :
+  ?identity_price:float ->
+  ?poll:(unit -> unit) ->
+  Dd.package ->
+  emit:(Dd.medge -> unit) ->
+  Dd.medge list ->
+  stats
+
+val k_operations_iter :
+  ?poll:(unit -> unit) ->
+  Dd.package ->
+  k:int ->
+  emit:(Dd.medge -> unit) ->
+  Dd.medge list ->
+  stats

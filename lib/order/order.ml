@@ -47,6 +47,18 @@ let permute_index t i =
   Array.iteri (fun q p -> k := !k lor (((i lsr q) land 1) lsl p)) t;
   !k
 
+(* Byte [b]'s table maps the 8 index bits [8b, 8b + 8) to their
+   physical positions, so an index maps with one lookup per byte. *)
+let byte_tables t =
+  let n = Array.length t in
+  Array.init ((n + 7) / 8) (fun b ->
+      Array.init 256 (fun x ->
+          let k = ref 0 in
+          for j = 0 to Int.min 8 (n - (8 * b)) - 1 do
+            k := !k lor (((x lsr j) land 1) lsl t.((8 * b) + j))
+          done;
+          !k))
+
 (* --- interaction graph ------------------------------------------------- *)
 
 (* Dense n*n symmetric int matrix; n is a register size (tens), never a

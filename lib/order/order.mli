@@ -30,6 +30,12 @@ val permute_index : t -> int -> int
     index holding logical basis state [i] — bit [q] of [i] lands at bit
     position [apply t q]. Index [0] is a fixed point of every order. *)
 
+val byte_tables : t -> int array array
+(** {!permute_index} as per-byte lookup tables: table [b] maps the
+    8-bit value of index bits [8b .. 8b+7] to those bits' physical
+    positions, and [permute_index t i] is the [lor] over [b] of
+    [(byte_tables t).(b).((i lsr (8 * b)) land 255)]. *)
+
 val score : Circuit.t -> t -> float
 (** Adjacent-interaction cost of an order: for every pair of qubits that
     share a gate, their interaction count times the distance between

@@ -29,48 +29,35 @@ type t = {
   id : int;                     (* process-unique, keys the re-entrancy check *)
   size : int;
   admission : Mutex.t;          (* serializes whole fork-join jobs across callers *)
-  mutex : Mutex.t;
-  cond_job : Condition.t;       (* signalled when a new job (or shutdown) is posted *)
-  cond_done : Condition.t;      (* signalled when a worker finishes its share *)
-  mutable job : job;
-  mutable generation : int;     (* job sequence number; workers run each generation once *)
-  mutable pending : int;        (* workers still running the current job *)
-  mutable stop : bool;
-  mutable failure : exn option; (* first exception raised by any worker *)
+  jobs : Waiter.t;              (* workers wait here for a new job (or shutdown) *)
+  joins : Waiter.t;             (* the caller waits here for the last worker *)
+  job : job Atomic.t;           (* written before [generation] is bumped *)
+  generation : int Atomic.t;    (* job sequence number; workers run each generation once *)
+  pending : int Atomic.t;       (* workers still running the current job *)
+  stop : bool Atomic.t;
+  failure : exn option Atomic.t; (* first exception raised by any worker *)
   mutable domains : unit Domain.t list;
 }
 
-(* Worker loop: wait for a fresh generation, run the job with this worker's
-   index, report completion. The invariant is that [job]/[generation] are
-   only written while [pending = 0], so a worker never observes a torn
-   job/generation pair. *)
-(* Hand-over-hand: the lock is released around the job body and retaken
-   to report completion; Fun.protect cannot express that shape, and the
-   job body itself is exception-fenced.  qcs-lint: allow mutex-discipline *)
-let worker_loop t w my_gen =
-  let my_gen = ref my_gen in
+(* Worker loop: wait for a fresh generation, run the job with this
+   worker's index, report completion. A job is handed over by spinning
+   before parking ([Waiter]), so back-to-back jobs never reach the
+   condvar. [job] is written before [generation] is bumped and only
+   while [pending = 0], so a worker that sees a new generation sees its
+   job. *)
+let worker_loop t w =
+  let my_gen = ref 0 in
+  let fresh () = Atomic.get t.stop || Atomic.get t.generation <> !my_gen in
   let continue = ref true in
   while !continue do
-    Mutex.lock t.mutex;
-    while (not t.stop) && t.generation = !my_gen do
-      Condition.wait t.cond_job t.mutex
-    done;
-    if t.stop then begin
-      Mutex.unlock t.mutex;
-      continue := false
-    end
+    Waiter.await t.jobs fresh;
+    if Atomic.get t.stop then continue := false
     else begin
-      my_gen := t.generation;
-      let f = match t.job with Some f -> f | None -> fun _ -> () in
-      Mutex.unlock t.mutex;
-      let result = try Ok (guarded_apply ~key:t.id f w) with e -> Error e in
-      Mutex.lock t.mutex;
-      (match result with
-       | Ok () -> ()
-       | Error e -> if t.failure = None then t.failure <- Some e);
-      t.pending <- t.pending - 1;
-      if t.pending = 0 then Condition.broadcast t.cond_done;
-      Mutex.unlock t.mutex
+      my_gen := Atomic.get t.generation;
+      let f = match Atomic.get t.job with Some f -> f | None -> fun _ -> () in
+      (try guarded_apply ~key:t.id f w
+       with e -> ignore (Atomic.compare_and_set t.failure None (Some e)));
+      if Atomic.fetch_and_add t.pending (-1) = 1 then Waiter.wake t.joins
     end
   done
 
@@ -80,17 +67,16 @@ let create size =
     { id = Atomic.fetch_and_add pool_ids 1;
       size;
       admission = Mutex.create ();
-      mutex = Mutex.create ();
-      cond_job = Condition.create ();
-      cond_done = Condition.create ();
-      job = None;
-      generation = 0;
-      pending = 0;
-      stop = false;
-      failure = None;
+      jobs = Waiter.create ();
+      joins = Waiter.create ();
+      job = Atomic.make None;
+      generation = Atomic.make 0;
+      pending = Atomic.make 0;
+      stop = Atomic.make false;
+      failure = Atomic.make None;
       domains = [] }
   in
-  let spawn w = Domain.spawn (fun () -> worker_loop t w 0) in
+  let spawn w = Domain.spawn (fun () -> worker_loop t w) in
   t.domains <- List.init (size - 1) (fun i -> spawn (i + 1));
   t
 
@@ -101,7 +87,7 @@ let size t = t.size
    job, so [job]/[generation]/[pending] only ever see a single driver. A
    size-1 pool runs inline and needs no admission. *)
 let run t f =
-  if t.stop then invalid_arg "Pool.run: pool is shut down";
+  if Atomic.get t.stop then invalid_arg "Pool.run: pool is shut down";
   Obs.incr c_jobs;
   if t.size = 1 then timed_apply f 0
   else begin
@@ -111,23 +97,16 @@ let run t f =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.admission)
       (fun () ->
-         if t.stop then invalid_arg "Pool.run: pool is shut down";
-         Mutex.lock t.mutex;
-         t.job <- Some f;
-         t.failure <- None;
-         t.pending <- t.size - 1;
-         t.generation <- t.generation + 1;
-         Condition.broadcast t.cond_job;
-         Mutex.unlock t.mutex;
+         if Atomic.get t.stop then invalid_arg "Pool.run: pool is shut down";
+         Atomic.set t.job (Some f);
+         Atomic.set t.failure None;
+         Atomic.set t.pending (t.size - 1);
+         Atomic.incr t.generation;
+         Waiter.wake t.jobs;
          let caller_result = try Ok (guarded_apply ~key:t.id f 0) with e -> Error e in
-         Mutex.lock t.mutex;
-         while t.pending > 0 do
-           Condition.wait t.cond_done t.mutex
-         done;
-         t.job <- None;
-         let failure = t.failure in
-         Mutex.unlock t.mutex;
-         match caller_result, failure with
+         Waiter.await t.joins (fun () -> Atomic.get t.pending = 0);
+         Atomic.set t.job None;
+         match caller_result, Atomic.get t.failure with
          | Error e, _ -> raise e
          | Ok (), Some e -> raise e
          | Ok (), None -> ())
@@ -178,13 +157,8 @@ let parallel_for ?chunk t ~lo ~hi f =
       done)
 
 let shutdown t =
-  if not t.stop then begin
-    Mutex.lock t.mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock t.mutex)
-      (fun () ->
-         t.stop <- true;
-         Condition.broadcast t.cond_job);
+  if Atomic.compare_and_set t.stop false true then begin
+    Waiter.wake t.jobs;
     List.iter Domain.join t.domains;
     t.domains <- []
   end

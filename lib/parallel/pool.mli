@@ -7,9 +7,13 @@
     style [run] (every worker index executes a function once) and a
     dynamically load-balanced [parallel_for].
 
-    Pools are cheap to use repeatedly (workers sleep on a condition
-    variable between jobs) but creating one spawns domains, so harness code
-    keeps a pool alive across a whole experiment. A pool of size 1 never
+    Pools are cheap to use repeatedly but creating one spawns domains, so
+    harness code keeps a pool alive across a whole experiment. Between
+    jobs a worker spins for a short, fixed window (about 20 us) on the
+    job counter and then parks on a condition variable; the caller waits
+    for the join the same way. Back-to-back jobs, like a flat phase's
+    gates, are handed over without a condvar round trip, and an idle
+    pool burns no CPU after the window. A pool of size 1 never
     spawns domains and runs everything inline, which keeps single-threaded
     baselines free of synchronization overhead.
 

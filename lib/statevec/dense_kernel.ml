@@ -22,11 +22,24 @@ module Make (P : Storage.S) = struct
     P.set2 amps 0 1.0 0.0;
     amps
 
+  (* Run on one domain, a gate is several C calls of at most
+     [stripe_max] pairs: a domain inside a [@@noalloc] call holds up
+     every stop-the-world minor collection, and the flat phase's
+     executor runs dense gates beside an allocating planner. The stripe
+     split does not change the bytes. *)
+  let stripe_max = 1 lsl 15
+
   let stripes ?pool ~hi body =
     match pool with
     | Some p when Pool.size p > 1 && hi >= seq_threshold ->
       Pool.parallel_for_ranges p ~lo:0 ~hi body
-    | _ -> body 0 hi
+    | _ ->
+      let lo = ref 0 in
+      while !lo < hi do
+        let next = Int.min hi (!lo + stripe_max) in
+        body !lo next;
+        lo := next
+      done
 
   let single ?pool ~n amps (m : Gate.single) ~target ~controls =
     if target < 0 || target >= n then invalid_arg "Dense_kernel.single: bad target";

@@ -141,7 +141,7 @@ module Make (P : Storage.S) = struct
     let t = Cost.pow2_threads ~n threads in
     let h = (1 lsl n) / t in
     let tasks = Cost.assign p ~n ~t Cost.Row_major root in
-    let mv = Dd.mview p in
+    let mv = Dd.Testing.mview p in
     fill_zero_range w ~pos:0 ~len:(P.length w);
     Array.iteri
       (fun u ts -> List.iter (fun (task : Cost.task) -> run_task mv task v w task.start (u * h)) ts)
@@ -152,7 +152,7 @@ module Make (P : Storage.S) = struct
     let t = Cost.pow2_threads ~n threads in
     let h = (1 lsl n) / t in
     let tasks = Cost.assign p ~n ~t Cost.Column_major root in
-    let mv = Dd.mview p in
+    let mv = Dd.Testing.mview p in
     let blocks =
       Array.map (List.map (fun (task : Cost.task) -> task.start)) tasks
     in

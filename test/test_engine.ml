@@ -327,6 +327,103 @@ let test_workspace_mismatched_n_ignored () =
   Test_util.check_close ~tol:1e-9 "run correct with mismatched workspace"
     (Driver.amplitudes r) (dense_reference c)
 
+(* ---- the streamed flat phase ------------------------------------- *)
+
+(* A cancel poll that turns true at the caller's [trigger]-th call and
+   counts every call answered true, by any domain. With [Convert_at k]
+   the caller polls k + 1 times in the DD phase, once before the
+   conversion, then once per remaining op while building the gate DDs
+   and once more per op in the fusion scan, so [trigger] picks a point
+   in the scan. Each side raises at its first true poll, so a run that
+   stops within one gate answers at most one true poll per side. *)
+let cancelling_poll ~trigger =
+  let caller = Domain.self () in
+  let calls = ref 0 and fired = Atomic.make false and answered = Atomic.make 0 in
+  let poll () =
+    if Domain.self () = caller then begin
+      incr calls;
+      if !calls = trigger then Atomic.set fired true
+    end;
+    let v = Atomic.get fired in
+    if v then Atomic.incr answered;
+    v
+  in
+  (poll, answered)
+
+let test_cancel_while_planning () =
+  let n = 10 and k = 10 in
+  let c = Suite.generate ~seed:4 ~gates:200 Suite.Dnn ~n in
+  let g = Circuit.num_gates c in
+  let cfg =
+    { Config.default with Config.policy = Config.Convert_at k; fusion = Config.Dmav_aware }
+  in
+  List.iter
+    (fun threads ->
+       Pool.with_pool threads (fun pool ->
+           let cancel, answered = cancelling_poll ~trigger:((k + 1) + 1 + (2 * (g - k - 1)) - 40) in
+           Alcotest.check_raises "cancelled mid-fusion" Driver.Cancelled (fun () ->
+               ignore (Driver.run ~cancel ~pool cfg c));
+           if Atomic.get answered > Int.min 2 threads then
+             Alcotest.failf "pool %d: %d polls answered after the cancel" threads
+               (Atomic.get answered);
+           (* The pool is reusable and the next run is whole. *)
+           let r = Driver.run ~pool cfg c in
+           Test_util.check_close ~tol:1e-9 "run after the cancel" (Driver.amplitudes r)
+             (dense_reference c)))
+    [ 1; 2 ]
+
+let test_cancel_at_every_poll () =
+  (* Cancel a streamed run at its k-th poll, from whichever domain polls,
+     for every k: in the DD phase, at the conversion, while the planner
+     builds gate DDs and fuses, while the executor runs, and after the
+     plan. Each run raises Cancelled (or completes when k is past the
+     last poll), and the next run on the same pool gives the same bytes. *)
+  let n = 8 in
+  let c = Suite.generate ~seed:5 ~gates:90 Suite.Dnn ~n in
+  let cfg =
+    { Config.default with Config.policy = Config.Convert_at 6; fusion = Config.Dmav_aware }
+  in
+  Pool.with_pool 2 (fun pool ->
+      let expect = Driver.amplitudes (Driver.run ~pool cfg c) in
+      let polls = Atomic.make 0 in
+      ignore (Driver.run ~pool ~cancel:(fun () -> Atomic.incr polls; false) cfg c);
+      let total = Atomic.get polls in
+      for k = 0 to total do
+        let calls = Atomic.make 0 in
+        let cancel () = Atomic.fetch_and_add calls 1 >= k in
+        (match Driver.run ~pool ~cancel cfg c with
+         | _ -> if k < total then Alcotest.failf "poll %d of %d: not cancelled" k total
+         | exception Driver.Cancelled ->
+           if k >= total then Alcotest.failf "cancelled with no poll answered true");
+        let again = Driver.amplitudes (Driver.run ~pool cfg c) in
+        if Buf.max_abs_diff again expect > 0.0 then
+          Alcotest.failf "run after a cancel at poll %d differs" k
+      done)
+
+let test_streamed_trace () =
+  (* The executor's gates and the pool's are traced in order, with one
+     record and one kernel count per fused gate. *)
+  let n = 10 and k = 12 in
+  let c = Suite.generate ~seed:6 ~gates:220 Suite.Supremacy ~n in
+  let cfg =
+    { Config.default with
+      Config.policy = Config.Convert_at k; fusion = Config.Dmav_aware; trace = true }
+  in
+  Pool.with_pool 2 (fun pool ->
+      let r = Driver.run ~pool cfg c in
+      let flat = List.filter (fun g -> g.Engine.phase = Engine.Dmav_phase) r.Driver.trace in
+      let fused =
+        match r.Driver.fusion_stats with Some st -> st.Fusion.gates_out | None -> -1
+      in
+      Alcotest.(check int) "one record per fused gate" fused (List.length flat);
+      Alcotest.(check int) "one kernel count per fused gate" fused
+        (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached);
+      List.iteri
+        (fun j g -> Alcotest.(check int) "records in stream order" (k + 1 + j) g.Engine.index)
+        flat;
+      Test_util.check_close ~tol:1e-9 "streamed amplitudes" (Driver.amplitudes r)
+        (dense_reference c))
+
 (* ---- the bench's pure-DD baseline under a time budget ------------- *)
 
 let test_bench_dd_time_limit () =
@@ -374,6 +471,10 @@ let suite =
           test_workspace_returned_and_reused;
         Alcotest.test_case "workspace n mismatch ignored" `Quick
           test_workspace_mismatched_n_ignored;
+        Alcotest.test_case "cancel while the planner fuses" `Quick test_cancel_while_planning;
+        Alcotest.test_case "cancel at every poll leaves the pool whole" `Quick
+          test_cancel_at_every_poll;
+        Alcotest.test_case "streamed flat phase traces every gate" `Quick test_streamed_trace;
         Alcotest.test_case "bench DD baseline honours its time limit" `Quick
           test_bench_dd_time_limit;
         Alcotest.test_case "run_engine dd trace matches never-convert run" `Quick

@@ -291,7 +291,7 @@ module Suite_for (P : Storage.S) = struct
      zeros in V, in the starting W and in the root weight, which is where
      the stripe's replayed weight product shows. *)
   let run_agrees p rs m =
-    let mv = Dd.mview p in
+    let mv = Dd.Testing.mview p in
     let node = Dd.mid (Dd.mtgt m) in
     let len = 2 lsl Dd.mlevel p (Dd.mtgt m) in
     let v = special_vec rs len and w0 = special_vec rs len in
@@ -363,6 +363,65 @@ module Suite_for (P : Storage.S) = struct
            ms)
       [ (Suite.Dnn, 300); (Suite.Vqe, 300); (Suite.Supremacy, 250) ]
 
+  (* The flat phase's compiled gates against the package-view run: every
+     gate of the same fused streams, compiled as the planner compiles it
+     (priced for the pool, its own arena, tasks remapped), cached and
+     uncached, at the default split and split down to single-MAC pieces,
+     run on the pool and, as the streaming executor runs it, every task
+     list on an inline size-1 pool. *)
+  let compiled_streams pools =
+    let n = 12 in
+    let rs = Random.State.make [| 29 |] in
+    Pool.with_pool 1 (fun inline ->
+        List.iter
+          (fun (fam, gates) ->
+             let p = Dd.create () in
+             let c = Suite.generate ~seed:7 ~gates fam ~n in
+             let ms =
+               fst
+                 (Fusion.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops)))
+             in
+             List.iteri
+               (fun i m ->
+                  let v = random_vec rs (1 lsl n) in
+                  List.iter
+                    (fun pool ->
+                       let threads = Pool.size pool in
+                       let want = P.create (1 lsl n) and want_c = P.create (1 lsl n) in
+                       R.apply_nocache p ~threads ~n m ~v ~w:want;
+                       let want_hits = R.apply_cache p ~threads ~n m ~v ~w:want_c in
+                       let g = Flat_gate.compile p ~n ~threads m in
+                       List.iter
+                         (fun (cached, piece_macs) ->
+                            let prog =
+                              Flat_gate.program ?piece_macs p ~n
+                                ~t:g.Flat_gate.dispatch.Cost.dmav.Cost.threads_used ~cached m
+                            in
+                            let expect = if cached then want_c else want in
+                            List.iter
+                              (fun on ->
+                                 let got = P.create (1 lsl n) in
+                                 DG.run ~workspace:(DG.workspace ~n) ~pool:on prog ~v ~w:got;
+                                 if not (eq expect got) then
+                                   Alcotest.failf "%s %s gate %d: compiled %s run differs \
+                                                   (pool %d on %d, pieces %d)"
+                                     P.label (Suite.family_name fam) i
+                                     (if cached then "cached" else "uncached")
+                                     threads (Pool.size on) (Flat_gate.pieces prog))
+                              [ pool; inline ];
+                            if cached && prog.Flat_gate.hits <> want_hits then
+                              Alcotest.failf "%s gate %d: %d hits, reference %d" P.label i
+                                prog.Flat_gate.hits want_hits)
+                         [ (false, None); (true, None); (false, Some 1.0); (true, Some 1.0) ];
+                       (* The planner's own pick, through [exec]. *)
+                       let got = P.create (1 lsl n) in
+                       let st = DG.exec ~workspace:(DG.workspace ~n) ~pool:inline g ~v ~w:got in
+                       if not (eq (if st.Dmav_generic.used_cache then want_c else want) got) then
+                         Alcotest.failf "%s gate %d: exec differs" P.label i)
+                    pools)
+               ms)
+          [ (Suite.Dnn, 300); (Suite.Vqe, 300); (Suite.Supremacy, 250) ])
+
   (* Random lengths and offsets (odd ones included) with disjoint source
      and destination ranges, so each primitive also runs with one vector
      as both source and destination, as cache hits and fills do. *)
@@ -427,8 +486,17 @@ module Suite_for (P : Storage.S) = struct
                 replication_roots [ p1; p2; p4 ];
                 fused_streams [ p1; p2; p4 ])))
 
-  (* Minor words of one dense gate and one uncached DMAV gate at n = 14 on
-     a size-1 pool (jobs run inline, so every word is seen). *)
+  let compiled_tests () =
+    Pool.with_pool 1 (fun p1 ->
+        Pool.with_pool 2 (fun p2 -> Pool.with_pool 4 (fun p4 -> compiled_streams [ p1; p2; p4 ])))
+
+  (* Minor words at n = 14 on a size-1 pool (jobs run inline, so every
+     word is seen): one dense gate; one uncached DMAV gate compiled
+     outside the count, as the flat phase's planner does, so what is
+     counted is what the executor pays per gate; and the whole
+     compile-and-run path ([apply_nocache]: export, tasks, pieces, run)
+     of that gate and of the largest gate of a fused supremacy stream,
+     each with its gate size (arena nodes + Run calls). *)
   let gate_words () =
     let n = 14 in
     Pool.with_pool 1 (fun pool ->
@@ -442,25 +510,47 @@ module Suite_for (P : Storage.S) = struct
           f ();
           Gc.minor_words () -. before
         in
+        let size m =
+          let g = Flat_gate.program p ~n ~t:1 ~cached:false m in
+          Array.length g.Flat_gate.arena.Storage.lv + Flat_gate.pieces g
+        in
+        let c = Suite.generate ~seed:3 ~gates:120 Suite.Supremacy ~n in
+        let fused = fst (Fusion.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops))) in
+        let largest = List.fold_left (fun a b -> if size b > size a then b else a) m fused in
+        let g = Flat_gate.program p ~n ~t:1 ~cached:false m in
         ( words (fun () -> DK.single ~pool ~n v Gate.h ~target:3 ~controls:[ 5 ]),
-          words (fun () -> DG.apply_nocache p ~pool ~n m ~v ~w) ))
+          words (fun () -> DG.run ~pool g ~v ~w),
+          List.map
+            (fun m -> (words (fun () -> DG.apply_nocache p ~pool ~n m ~v ~w), size m))
+            [ m; largest ] ))
 end
 
 module K64 = Suite_for (Storage.F64)
 module K32 = Suite_for (Storage.F32)
 
 (* The dense kernel flattens the gate into one small float array; the
-   DMAV kernel builds its task lists and the pool job closure. Neither
-   may grow with 2ⁿ, and the storage kind must not change the count. *)
+   DMAV kernel runs a compiled gate and builds only the pool job closure.
+   Neither may grow with 2ⁿ, and the storage kind must not change the
+   count. Compiling a gate allocates its arena copy, task and piece
+   columns and export tables: at most 1024 + 32 words per arena node or
+   Run call (measured: 679 words for a 3-node gate, 23 per node at 594
+   nodes), never anything of 2ⁿ or of the package's size. *)
 let test_allocation () =
-  let d64, m64 = K64.gate_words () and d32, m32 = K32.gate_words () in
+  let d64, m64, c64 = K64.gate_words () and d32, m32, c32 = K32.gate_words () in
   Alcotest.(check (float 0.0)) "dense gate: f32 words = f64 words" d64 d32;
   Alcotest.(check (float 0.0)) "dmav gate: f32 words = f64 words" m64 m32;
+  Alcotest.(check (list (pair (float 0.0) int))) "compile+run: f32 words = f64 words" c64 c32;
   List.iter
     (fun (what, words) ->
        if words > 256.0 then
          Alcotest.failf "%s allocated %.0f minor words at n = 14" what words)
-    [ ("dense gate", d64); ("dmav gate", m64) ]
+    [ ("dense gate", d64); ("dmav gate", m64) ];
+  List.iter
+    (fun (words, size) ->
+       if words > 1024.0 +. (32.0 *. float_of_int size) then
+         Alcotest.failf "compile+run of a %d-node/call gate allocated %.0f minor words at n = 14"
+           size words)
+    c64
 
 (* The dense stub's 4-lane body is chosen at load time from the CPU:
    [Storage.dense_lanes] must be 4 exactly on an x86-64 host whose
@@ -512,5 +602,9 @@ let suite =
           K64.batch_tests;
         Alcotest.test_case "f32 replication batches = OCaml reference (bits)" `Quick
           K32.batch_tests;
+        Alcotest.test_case "f64 compiled gates = package-view run (bits)" `Quick
+          K64.compiled_tests;
+        Alcotest.test_case "f32 compiled gates = package-view run (bits)" `Quick
+          K32.compiled_tests;
         Alcotest.test_case "dense_lanes matches the host's AVX2 flag" `Quick
           test_dense_lanes ] ) ]

@@ -46,6 +46,23 @@ let test_order_algebra () =
     (Invalid_argument "Order.of_array: not a permutation") (fun () ->
         ignore (Order.of_array [| 0; 0; 1 |]))
 
+(* The driver's logicalize maps indices through per-byte tables; they
+   must agree with permute_index at every register size, including ones
+   that end mid-byte, and on the highest index. *)
+let test_byte_tables () =
+  let rng = Rng.create 11 in
+  for n = 1 to 20 do
+    let a = Order.of_array (random_perm rng n) in
+    let tables = Order.byte_tables a in
+    Alcotest.(check int) "one table per byte" ((n + 7) / 8) (Array.length tables);
+    for k = 0 to 99 do
+      let i = if k = 0 then (1 lsl n) - 1 else Rng.int rng (1 lsl n) in
+      let j = ref 0 in
+      Array.iteri (fun b t -> j := !j lor t.((i lsr (8 * b)) land 255)) tables;
+      Alcotest.(check int) "table lookup = permute_index" (Order.permute_index a i) !j
+    done
+  done
+
 let test_static_order () =
   (* Valid permutation, deterministic, and never worse than identity. *)
   List.iter
@@ -120,6 +137,7 @@ let test_order_none_unchanged () =
 let suite =
   [ ( "order",
       [ Alcotest.test_case "permutation algebra" `Quick test_order_algebra;
+        Alcotest.test_case "per-byte index tables" `Quick test_byte_tables;
         Alcotest.test_case "static scoring pass" `Quick test_static_order;
         Alcotest.test_case "driver reports logical results" `Quick
           test_driver_logical_results;

@@ -202,6 +202,81 @@ let test_concurrent_caller_exceptions_isolated () =
         (Atomic.get failures);
       Alcotest.(check int) "clean jobs unaffected" 50 (Atomic.get ok))
 
+(* ---- spin-then-park hand-off --------------------------------------- *)
+
+(* Longer than the spin window (about 20 us), so the next hand-off
+   finds the other side parked on its condvar. *)
+let nap () = Unix.sleepf 0.0005
+
+let test_back_to_back_with_naps () =
+  (* Thousands of jobs: most posted while the workers still spin, some
+     after the caller napped (workers parked), some where a worker naps
+     inside its share (the caller parks for the join). *)
+  Pool.with_pool 3 (fun pool ->
+      let total = Atomic.make 0 in
+      for i = 1 to 3000 do
+        if i mod 250 = 0 then nap ();
+        Pool.run pool (fun w ->
+            if i mod 250 = 125 && w = 2 then nap ();
+            Atomic.incr total)
+      done;
+      Alcotest.(check int) "3000 jobs x 3 workers" 9000 (Atomic.get total))
+
+let test_exceptions_both_sides () =
+  Pool.with_pool 2 (fun pool ->
+      (* Caller and worker fail in the same job: the caller's wins. *)
+      Alcotest.check_raises "caller's exception first" (Failure "caller") (fun () ->
+          Pool.run pool (fun w -> failwith (if w = 0 then "caller" else "worker")));
+      (* A worker that fails after the caller parked for the join. *)
+      Alcotest.check_raises "late worker failure" (Failure "late") (fun () ->
+          Pool.run pool (fun w ->
+              if w = 1 then begin
+                nap ();
+                failwith "late"
+              end));
+      (* A failure after the workers parked between jobs. *)
+      nap ();
+      Alcotest.check_raises "failure from a parked start" (Failure "parked") (fun () ->
+          Pool.run pool (fun w -> if w = 1 then failwith "parked"));
+      let acc = Atomic.make 0 in
+      for _ = 1 to 100 do
+        Pool.run pool (fun _ -> Atomic.incr acc)
+      done;
+      Alcotest.(check int) "pool reusable" 200 (Atomic.get acc))
+
+let test_shutdown_while_spinning () =
+  (* Shut down straight after a job, while the workers still spin for the
+     next one, and after they parked. *)
+  for k = 1 to 50 do
+    let pool = Pool.create 3 in
+    let acc = Atomic.make 0 in
+    Pool.run pool (fun _ -> Atomic.incr acc);
+    if k mod 10 = 0 then nap ();
+    Pool.shutdown pool;
+    Alcotest.(check int) "job ran before shutdown" 3 (Atomic.get acc)
+  done;
+  let pool = Pool.create 2 in
+  Pool.shutdown pool;
+  Alcotest.check_raises "run after shutdown" (Invalid_argument "Pool.run: pool is shut down")
+    (fun () -> Pool.run pool ignore)
+
+let test_two_domains_share_pool () =
+  (* Two domains drive one pool, one napping between its jobs, so jobs
+     arrive both while the workers spin and while they are parked. *)
+  Pool.with_pool 2 (fun pool ->
+      let total = Atomic.make 0 in
+      let caller napper =
+        Domain.spawn (fun () ->
+            for i = 1 to 500 do
+              if napper && i mod 50 = 0 then nap ();
+              Pool.run pool (fun _ -> Atomic.incr total)
+            done)
+      in
+      let a = caller false and b = caller true in
+      Domain.join a;
+      Domain.join b;
+      Alcotest.(check int) "2 callers x 500 jobs x 2 workers" 2000 (Atomic.get total))
+
 (* ---- FLATDD_CHECK ownership checker -------------------------------- *)
 
 let with_check mode f =
@@ -303,7 +378,11 @@ let suite =
         Alcotest.test_case "concurrent callers share one pool" `Quick
           test_concurrent_callers_share_pool;
         Alcotest.test_case "concurrent caller exceptions isolated" `Quick
-          test_concurrent_caller_exceptions_isolated ] );
+          test_concurrent_caller_exceptions_isolated;
+        Alcotest.test_case "back-to-back jobs with naps" `Quick test_back_to_back_with_naps;
+        Alcotest.test_case "exceptions on caller and worker" `Quick test_exceptions_both_sides;
+        Alcotest.test_case "shutdown while workers spin" `Quick test_shutdown_while_spinning;
+        Alcotest.test_case "two domains share one pool" `Quick test_two_domains_share_pool ] );
     ( "check",
       [ Alcotest.test_case "region overlap in count mode" `Quick
           test_check_region_overlap_counts;
