@@ -23,6 +23,7 @@ let run () =
              | Engine.Dmav_phase ->
                (match g.Engine.dispatch with
                 | Some Engine.Dmav_cached -> "DMAV (cached)"
+                | Some Engine.Dmav_local -> "DMAV (local)"
                 | _ -> "DMAV"));
             Printf.sprintf "%.6f" g.Engine.seconds;
             (if g.Engine.dd_size > 0 then string_of_int g.Engine.dd_size else "-");

@@ -130,9 +130,9 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
         | None -> Printf.printf "conversion: never (stayed in DD simulation)\n"
         | Some i ->
           Printf.printf "conversion: after gate %d\n" i;
-          Printf.printf "dmav kernels: %d cached, %d uncached (%d cache hits)\n"
+          Printf.printf "dmav kernels: %d cached, %d uncached (%d local) (%d cache hits)\n"
             r.Driver.dmav_gates_cached r.Driver.dmav_gates_uncached
-            r.Driver.dmav_cache_hits;
+            r.Driver.dmav_gates_local r.Driver.dmav_cache_hits;
           if dispatch then begin
             let flat_total =
               match r.Driver.fusion_stats with
@@ -163,6 +163,7 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
                    (match g.Engine.dispatch with
                     | Some Engine.Dense_direct -> "dense"
                     | Some Engine.Dmav_cached -> "dmav+cache"
+                    | Some Engine.Dmav_local -> "local"
                     | Some Engine.Dmav_uncached | None -> "dmav"))
                 g.Engine.seconds g.Engine.dd_size g.Engine.ewma)
            r.Driver.trace;

@@ -29,11 +29,32 @@
    qubit 0: then pair k + 1 sits right after pair k, one load covers both,
    and the next even index is ((i | fixed) + 2) & ~fixed. A stripe's odd
    leading pair and its odd trailing pair go through the 2-lane body.
+   With bit 0 fixed the 4-lane body still takes two consecutive pairs per
+   step, each 32-byte vector built from two 16-byte halves.
    The body is compiled with target("avx2") (which does not enable FMA)
    and runs only if a load-time constructor finds AVX2 through
    __builtin_cpu_supports; dense_lanes records the choice (2 or 4) for
    Storage.dense_lanes. Everywhere else (bit 0 fixed, CPUs without AVX2,
    non-x86 hosts) the 2-lane loop is the only body.
+
+   The local kernel is the local leg of an uncached DMAV gate whose
+   matrix DD is the identity pattern on all but one or two levels (its
+   support). It applies the gate's 2x2 or 4x4 matrix U in place, group
+   by group (the 2 or 4 amplitudes over one index with the support bits
+   0), and gives the bytes Run would give. Run writes W row by row from
+   +0, one MAC per terminal path, columns ascending, storing (rounding,
+   at f32) after each MAC; U holds each path's weight product, replayed
+   with Run's multiplications, and a mask holds which entries have a
+   path at all. So each output starts from +0 and adds u_rc x_c for the
+   masked c in ascending order, rounding to T after every term, with
+   the term computed as Run's MAC computes it: lane 0 ur xre + (-ui) xim,
+   lane 1 ur xim + ui xre. Run's zeroed W and the local kernel's acc
+   both start at +0 and see the same sums. The 2-lane body does one
+   group; the 4-lane body two, in one 32-byte vector per column: one
+   load when bit 0 is outside the support (the groups are neighbours),
+   two 16-byte halves when it is inside. The walk, the loads and the
+   stores are the dense kernel's 4-lane walk; only the row arithmetic
+   differs.
 
    Contract with Storage.Core64/Core32: ranges, lengths and qubit indices
    are checked in OCaml before the call, the externals are [@@noalloc],
@@ -79,6 +100,10 @@ static inline long insert_zero(long i, long k)
    operations, so a lane reproduces the scalar expression it mirrors. */
 typedef double v2d __attribute__((vector_size(16)));
 typedef float v2f __attribute__((vector_size(8)));
+
+/* The local kernel's loops over at most four rows and columns: fully
+   unrolled, so each group's amplitudes stay in registers. */
+#define UNROLL _Pragma("GCC unroll 4")
 
 /* Row r of the dense butterfly on the low and high amplitudes x0, x1
    (s0, s1: their re/im swaps), at either vector width. g holds the gate
@@ -127,6 +152,17 @@ static inline void store2_f32(float *p, v2d x)
 {
   v2f y = __builtin_convertvector(x, v2f);
   memcpy(p, &y, sizeof y);
+}
+
+/* A running sum rounded to T, as Run's store into W rounds it. */
+static inline v2d round2_f64(v2d x)
+{
+  return x;
+}
+
+static inline v2d round2_f32(v2d x)
+{
+  return __builtin_convertvector(__builtin_convertvector(x, v2f), v2d);
 }
 
 /* Lanes of the dense kernel's widest body on this CPU: 4 once the
@@ -187,33 +223,147 @@ WIDE static inline void store4_f32(float *p, v4d x)
   memcpy(p, &y, sizeof y);
 }
 
-/* The 4-lane dense body: [steps] steps of two controlled pairs each,
-   from the even index i (bit 0 free). Returns the index after the last
-   pair. */
-#define DENSE_WIDE_BODY(T, SFX)                                               \
-  WIDE static long dense_wide_##SFX(T *a, const double *u, long cm, long bit, \
+/* Two amplitudes from two addresses, one 16-byte half each: the 4-lane
+   walk's vectors when the two groups of a step are not neighbours. */
+WIDE static inline v4d load4x_f64(const double *p, const double *q)
+{
+  return (v4d)_mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(p)),
+                                    _mm_loadu_pd(q), 1);
+}
+
+WIDE static inline void store4x_f64(double *p, double *q, v4d x)
+{
+  _mm_storeu_pd(p, _mm256_castpd256_pd128((__m256d)x));
+  _mm_storeu_pd(q, _mm256_extractf128_pd((__m256d)x, 1));
+}
+
+WIDE static inline v4d load4x_f32(const float *p, const float *q)
+{
+  __m128 lo = _mm_loadl_pi(_mm_setzero_ps(), (const __m64 *)p);
+  return (v4d)_mm256_cvtps_pd(_mm_loadh_pi(lo, (const __m64 *)q));
+}
+
+WIDE static inline void store4x_f32(float *p, float *q, v4d x)
+{
+  __m128 y = _mm256_cvtpd_ps((__m256d)x);
+  _mm_storel_pi((__m64 *)p, y);
+  _mm_storeh_pi((__m64 *)q, y);
+}
+
+/* A running sum rounded to T, as Run's store into W rounds it: a no-op
+   at f64, a round trip through float at f32 (vcvtpd2ps rounds to
+   nearest, as the scalar (float) cast does). */
+WIDE static inline v4d round4_f64(v4d x)
+{
+  return x;
+}
+
+WIDE static inline v4d round4_f32(v4d x)
+{
+  return (v4d)_mm256_cvtps_pd(_mm256_cvtpd_ps((__m256d)x));
+}
+
+#define WIDE_BODIES(T, SFX)                                                   \
+  /* One output row of the local kernel for two groups at once: Run's     \
+     MACs for the row, [row] holding a bit per column with a path. */       \
+  WIDE static inline v4d local_row4_##SFX(const v4d *g, const v4d *x,         \
+                                          const v4d *sw, int d, long row)     \
+  {                                                                           \
+    v4d acc = { 0.0, 0.0, 0.0, 0.0 };                                         \
+    UNROLL                                                                    \
+    for (int c = 0; c < d; c++)                                               \
+      if ((row >> c) & 1)                                                     \
+        acc = round4_##SFX(acc + ((g[2 * c] * x[c]) + (g[2 * c + 1] * sw[c]))); \
+    return acc;                                                               \
+  }                                                                           \
+                                                                              \
+  /* The 4-lane walk shared by the dense single-qubit kernel and the local   \
+     kernel: [steps] steps of two groups each, a group being the d          \
+     amplitudes at base + off[c], the base walking the indices whose        \
+     [fixed] bits are 0, from i. Lanes 0-1 hold the first group's           \
+     amplitude, lanes 2-3 the second's. With bit 0 free ([adj]) the two     \
+     groups of a step are neighbours and one 32-byte load covers both;      \
+     otherwise each vector is built from two 16-byte halves. [dense] picks  \
+     the row arithmetic: the butterfly's ROW or the local kernel's          \
+     running sums over [paths]. Returns the base after the last group. The  \
+     constant arguments make each caller its own specialized loop. */      \
+  WIDE static inline __attribute__((always_inline)) long wide_walk_##SFX(    \
+      T *a, const v4d *g, const long *off, int d, long paths, int dense,      \
+      int adj, long fixed, long i, long steps)                                \
+  {                                                                           \
+    /* The offsets in locals: a vector store may alias the caller's array,  \
+       which would then be reloaded after every store. */                  \
+    long o[4] = { off[0], off[1], d > 2 ? off[2] : 0, d > 2 ? off[3] : 0 };   \
+    for (long s = 0; s < steps; s++) {                                        \
+      long j = adj ? i + 1 : next_free(i, fixed);                             \
+      v4d x[4], sw[4];                                                        \
+      UNROLL                                                                  \
+      for (int c = 0; c < d; c++) {                                           \
+        T *p = a + 2 * (i + o[c]), *q = a + 2 * (j + o[c]);                   \
+        x[c] = adj ? load4_##SFX(p) : load4x_##SFX(p, q);                     \
+        sw[c] = swap4(x[c]);                                                  \
+      }                                                                       \
+      UNROLL                                                                  \
+      for (int r = 0; r < d; r++) {                                           \
+        v4d y = dense ? ROW(g, r, x[0], sw[0], x[1], sw[1])                   \
+                      : local_row4_##SFX(g + 2 * d * r, x, sw, d,             \
+                                         (paths >> (d * r)) & ((1 << d) - 1)); \
+        T *p = a + 2 * (i + o[r]), *q = a + 2 * (j + o[r]);                   \
+        if (adj)                                                              \
+          store4_##SFX(p, y);                                                 \
+        else                                                                  \
+          store4x_##SFX(p, q, y);                                             \
+      }                                                                       \
+      i = next_free(j, fixed);                                                \
+    }                                                                         \
+    return i;                                                                 \
+  }                                                                           \
+                                                                              \
+  /* The dense butterfly's 4-lane body: off = {cm, cm | bit}. */              \
+  WIDE static long dense_wide_##SFX(T *a, const double *u, const long *off,   \
                                     long fixed, long i, long steps)           \
   {                                                                           \
     const v4d one = { 1.0, 1.0, 1.0, 1.0 }, sg = { -1.0, 1.0, -1.0, 1.0 };    \
     v4d g[8];                                                                 \
     GATE(g, u, one, sg);                                                      \
-    for (long s = 0; s < steps; s++) {                                        \
-      T *p0 = a + 2 * (i | cm), *p1 = p0 + 2 * bit;                           \
-      v4d x0 = load4_##SFX(p0), x1 = load4_##SFX(p1);                         \
-      v4d s0 = swap4(x0), s1 = swap4(x1);                                     \
-      store4_##SFX(p0, ROW(g, 0, x0, s0, x1, s1));                            \
-      store4_##SFX(p1, ROW(g, 1, x0, s0, x1, s1));                            \
-      i = ((i | fixed) + 2) & ~fixed;                                         \
+    if (fixed & 1) return wide_walk_##SFX(a, g, off, 2, 0, 1, 0, fixed, i, steps); \
+    return wide_walk_##SFX(a, g, off, 2, 0, 1, 1, fixed, i, steps);           \
+  }                                                                           \
+                                                                              \
+  /* The local kernel's 4-lane body, d = 2 or 4 columns. */                   \
+  WIDE static long local_wide_##SFX(T *a, const double *u, const long *off,   \
+                                    int d, long paths, long fixed, long i,    \
+                                    long steps)                               \
+  {                                                                           \
+    const v4d one = { 1.0, 1.0, 1.0, 1.0 }, sg = { -1.0, 1.0, -1.0, 1.0 };    \
+    v4d g[32];                                                                \
+    for (int k = 0; k < d * d; k++) {                                         \
+      g[2 * k] = one * u[2 * k];                                              \
+      g[2 * k + 1] = sg * u[2 * k + 1];                                       \
     }                                                                         \
-    return i;                                                                 \
+    if (d == 2) {                                                             \
+      if (fixed & 1)                                                          \
+        return wide_walk_##SFX(a, g, off, 2, paths, 0, 0, fixed, i, steps);   \
+      return wide_walk_##SFX(a, g, off, 2, paths, 0, 1, fixed, i, steps);     \
+    }                                                                         \
+    if (fixed & 1)                                                            \
+      return wide_walk_##SFX(a, g, off, 4, paths, 0, 0, fixed, i, steps);     \
+    return wide_walk_##SFX(a, g, off, 4, paths, 0, 1, fixed, i, steps);       \
   }
 #else
-/* Off x86-64 dense_lanes stays 2 and this stand-in is never called. */
-#define DENSE_WIDE_BODY(T, SFX)                                               \
-  static long dense_wide_##SFX(T *a, const double *u, long cm, long bit,      \
+/* Off x86-64 dense_lanes stays 2 and these stand-ins are never called. */
+#define WIDE_BODIES(T, SFX)                                                   \
+  static long dense_wide_##SFX(T *a, const double *u, const long *off,        \
                                long fixed, long i, long steps)                \
   {                                                                           \
-    (void)a, (void)u, (void)cm, (void)bit, (void)fixed, (void)steps;          \
+    (void)a, (void)u, (void)off, (void)fixed, (void)steps;                    \
+    return i;                                                                 \
+  }                                                                           \
+  static long local_wide_##SFX(T *a, const double *u, const long *off, int d, \
+                               long paths, long fixed, long i, long steps)    \
+  {                                                                           \
+    (void)a, (void)u, (void)off, (void)d, (void)paths, (void)fixed;           \
+    (void)steps;                                                              \
     return i;                                                                 \
   }
 #endif
@@ -381,7 +531,7 @@ static inline int replication_quadrant(const long *es)
     store2_##SFX(p1, ROW(g, 1, x0, s0, x1, s1));                              \
   }                                                                           \
                                                                               \
-  DENSE_WIDE_BODY(T, SFX)                                                     \
+  WIDE_BODIES(T, SFX)                                                         \
                                                                               \
   /* The 2x2 butterfly over the controlled pairs [lo, hi): pair k is the    \
      k-th low index, ascending, with the target bit 0 and every bit of     \
@@ -398,15 +548,16 @@ static inline int replication_quadrant(const long *es)
     GATE(g, u, one, sg);                                                      \
     long cm = Long_val(cmask), bit = 1L << Long_val(target);                  \
     long fixed = cm | bit, k = Long_val(lo), end = Long_val(hi);              \
+    long off[2] = { cm, cm | bit };                                           \
     long i = first_free(k, fixed);                                            \
-    if (dense_lanes == 4 && (fixed & 1) == 0 && end - k >= 2) {               \
-      if (k & 1) {                                                            \
+    if (dense_lanes == 4 && end - k >= 2) {                                   \
+      if ((fixed & 1) == 0 && (k & 1)) {                                      \
         pair2_##SFX(a, g, i | cm, bit);                                       \
         i = next_free(i, fixed);                                              \
         k++;                                                                  \
       }                                                                       \
       long steps = (end - k) >> 1;                                            \
-      i = dense_wide_##SFX(a, u, cm, bit, fixed, i, steps);                   \
+      i = dense_wide_##SFX(a, u, off, fixed, i, steps);                       \
       k += 2 * steps;                                                         \
     }                                                                         \
     for (; k < end; k++) {                                                    \
@@ -445,6 +596,77 @@ static inline int replication_quadrant(const long *es)
         a[2 * idx[r] + 1] = (T)accim;                                         \
       }                                                                       \
     }                                                                         \
+    return Val_unit;                                                          \
+  }                                                                           \
+                                                                              \
+  /* The local kernel's 2-lane body on the group whose base is i: every     \
+     output row starts from +0 and adds u_rc x_c column by column, each     \
+     sum rounded to T (header). */                                          \
+  static inline __attribute__((always_inline)) void local_group_##SFX(       \
+      T *a, const v2d *g, const long *off, int d, long paths, long i)         \
+  {                                                                           \
+    v2d x[4], sw[4];                                                          \
+    UNROLL                                                                    \
+    for (int c = 0; c < d; c++) {                                             \
+      x[c] = load2_##SFX(a + 2 * (i + off[c]));                               \
+      sw[c] = swap2(x[c]);                                                    \
+    }                                                                         \
+    UNROLL                                                                    \
+    for (int r = 0; r < d; r++) {                                             \
+      const v2d *gr = g + 2 * d * r;                                          \
+      v2d acc = { 0.0, 0.0 };                                                 \
+      UNROLL                                                                  \
+      for (int c = 0; c < d; c++)                                             \
+        if ((paths >> (d * r + c)) & 1)                                       \
+          acc = round2_##SFX(acc + ((gr[2 * c] * x[c]) + (gr[2 * c + 1] * sw[c]))); \
+      store2_##SFX(a + 2 * (i + off[r]), acc);                                \
+    }                                                                         \
+  }                                                                           \
+                                                                              \
+  static void local_groups_##SFX(T *a, const v2d *g, const long *off, int d,  \
+                                 long paths, long fixed, long i, long count)  \
+  {                                                                           \
+    const long o[4] = { off[0], off[1], off[2], off[3] }; /* see wide_walk */ \
+    if (d == 2)                                                               \
+      for (long k = 0; k < count; k++, i = next_free(i, fixed))               \
+        local_group_##SFX(a, g, o, 2, paths, i);                              \
+    else                                                                      \
+      for (long k = 0; k < count; k++, i = next_free(i, fixed))               \
+        local_group_##SFX(a, g, o, 4, paths, i);                              \
+  }                                                                           \
+                                                                              \
+  /* The local kernel over the groups [lo, hi): group k is the k-th base,     \
+     ascending, with every [support] bit 0. [m] is the gate's 2x2 (one      \
+     support bit) or 4x4 (two) matrix, row-major re/im, the higher support  \
+     bit the major index bit. */                                            \
+  value qcs_local_##SFX(value buf, value m, value support, value paths_v,     \
+                        value lo, value hi)                                   \
+  {                                                                           \
+    T *a = (T *)Caml_ba_data_val(buf);                                        \
+    const double *u = (const double *)m;                                      \
+    long fixed = Long_val(support), k = Long_val(lo), end = Long_val(hi);     \
+    long paths = Long_val(paths_v);                                           \
+    long bl = fixed & -fixed, bh = fixed ^ bl;                                \
+    int d = bh ? 4 : 2;                                                       \
+    long off[4] = { 0, bl, bh, bh | bl };                                     \
+    const v2d one = { 1.0, 1.0 }, sg = { -1.0, 1.0 };                         \
+    v2d g[32];                                                                \
+    for (int q = 0; q < d * d; q++) {                                         \
+      g[2 * q] = one * u[2 * q];                                              \
+      g[2 * q + 1] = sg * u[2 * q + 1];                                       \
+    }                                                                         \
+    long i = first_free(k, fixed);                                            \
+    if (dense_lanes == 4 && end - k >= 2) {                                   \
+      if ((fixed & 1) == 0 && (k & 1)) {                                      \
+        local_groups_##SFX(a, g, off, d, paths, fixed, i, 1);                 \
+        i = next_free(i, fixed);                                              \
+        k++;                                                                  \
+      }                                                                       \
+      long steps = (end - k) >> 1;                                            \
+      i = local_wide_##SFX(a, u, off, d, paths, fixed, i, steps);             \
+      k += 2 * steps;                                                         \
+    }                                                                         \
+    local_groups_##SFX(a, g, off, d, paths, fixed, i, end - k);               \
     return Val_unit;                                                          \
   }                                                                           \
                                                                               \
@@ -599,6 +821,7 @@ static inline int replication_quadrant(const long *es)
             Double_val(argv[6]))                                              \
   BYTE_STUB(qcs_dense_single_##SFX, ARGS5, argv[5])                           \
   BYTE_STUB(qcs_dense_two_##SFX, ARGS5, argv[5])                              \
+  BYTE_STUB(qcs_local_##SFX, ARGS5, argv[5])                                  \
   BYTE_STUB(qcs_dmav_run_##SFX, ARGS5, argv[5], Double_val(argv[6]),          \
             Double_val(argv[7]))                                              \
   value qcs_norm2_##SFX##_byte(value t, value len)                            \

@@ -60,6 +60,7 @@ module type CORE = sig
   val c_norm2 : buffer -> int -> float
   val c_dense_single : buffer -> float array -> int -> int -> int -> int -> unit
   val c_dense_two : buffer -> float array -> int -> int -> int -> int -> unit
+  val c_local : buffer -> float array -> int -> int -> int -> int -> unit
   val c_dmav_run : arena -> int -> buffer -> buffer -> int -> int -> float -> float -> unit
 end
 
@@ -94,6 +95,8 @@ module Core64 = struct
     = "qcs_dense_single_f64_byte" "qcs_dense_single_f64" [@@noalloc]
   external c_dense_two : buffer -> float array -> int -> int -> int -> int -> unit
     = "qcs_dense_two_f64_byte" "qcs_dense_two_f64" [@@noalloc]
+  external c_local : buffer -> float array -> int -> int -> int -> int -> unit
+    = "qcs_local_f64_byte" "qcs_local_f64" [@@noalloc]
   external c_dmav_run :
     arena -> int -> buffer -> buffer -> int -> int -> (float[@unboxed]) -> (float[@unboxed]) -> unit
     = "qcs_dmav_run_f64_byte" "qcs_dmav_run_f64" [@@noalloc]
@@ -130,6 +133,8 @@ module Core32 = struct
     = "qcs_dense_single_f32_byte" "qcs_dense_single_f32" [@@noalloc]
   external c_dense_two : buffer -> float array -> int -> int -> int -> int -> unit
     = "qcs_dense_two_f32_byte" "qcs_dense_two_f32" [@@noalloc]
+  external c_local : buffer -> float array -> int -> int -> int -> int -> unit
+    = "qcs_local_f32_byte" "qcs_local_f32" [@@noalloc]
   external c_dmav_run :
     arena -> int -> buffer -> buffer -> int -> int -> (float[@unboxed]) -> (float[@unboxed]) -> unit
     = "qcs_dmav_run_f32_byte" "qcs_dmav_run_f32" [@@noalloc]
@@ -175,6 +180,7 @@ module type S = sig
 
   val dense_single : t -> float array -> target:int -> cmask:int -> lo:int -> hi:int -> unit
   val dense_two : t -> float array -> q_hi:int -> q_lo:int -> lo:int -> hi:int -> unit
+  val local_apply : t -> float array -> support:int -> paths:int -> lo:int -> hi:int -> unit
 
   val dmav_run :
     arena -> node:int -> v:t -> w:t -> iv:int -> iw:int -> fre:float -> fim:float -> unit
@@ -284,6 +290,16 @@ module Extend (C : CORE) = struct
     if lo < 0 || lo > hi || hi > t.len / 4 then
       invalid_arg "Storage.dense_two: stripe out of bounds";
     C.c_dense_two t.data m q_hi q_lo lo hi
+
+  let local_apply t m ~support ~paths ~lo ~hi =
+    let s = Bits.popcount support in
+    if (s <> 1 && s <> 2) || support < 0 || support >= t.len || not (is_pow2 t.len) then
+      invalid_arg "Storage.local_apply: bad support";
+    if Array.length m <> 2 lsl (2 * s) || paths < 0 || paths >= 1 lsl (1 lsl (2 * s)) then
+      invalid_arg "Storage.local_apply: bad matrix";
+    if lo < 0 || lo > hi || hi > t.len lsr s then
+      invalid_arg "Storage.local_apply: groups out of bounds";
+    C.c_local t.data m support paths lo hi
 
   (* Only the root task's extent is checked: the children of a node sit
      at lower levels of the same arena, so the whole walk stays inside

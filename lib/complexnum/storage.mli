@@ -113,16 +113,34 @@ module type S = sig
       pair [k] is the [k]-th pair, in ascending index order, whose low
       index has every bit of [cmask] set, so [hi ≤ 2^(n−1−popcount cmask)].
       [cmask] must not contain the target bit. Each amplitude is one
-      16-byte vector (re, im); when {!dense_lanes} is 4 and bit 0 is
-      free (neither the target nor a control is qubit 0), two
-      consecutive pairs share one 32-byte vector, a stripe's odd first
-      and last pairs taking the 16-byte body. Every lane does the scalar
+      16-byte vector (re, im); when {!dense_lanes} is 4, two
+      consecutive pairs share one 32-byte vector: one load when bit 0 is
+      free (neither the target nor a control is qubit 0), a stripe's odd
+      first pair then taking the 16-byte body, and two 16-byte halves
+      when it is fixed; an odd last pair takes the 16-byte body. Every lane does the scalar
       reference's operations in its order, so the bytes do not depend
       on the body or the stripe split. *)
 
   val dense_two : t -> float array -> q_hi:int -> q_lo:int -> lo:int -> hi:int -> unit
   (** Applies the 4×4 gate given as 32 floats (row-major re/im, index
       [2·b(q_hi) + b(q_lo)]) to the amplitude quads [k ∈ [lo, hi)]. *)
+
+  val local_apply :
+    t -> float array -> support:int -> paths:int -> lo:int -> hi:int -> unit
+  (** The local leg of an uncached DMAV gate: applies, in place, the
+      [2^s × 2^s] matrix [m] ([s] = 1 or 2 bits set in [support], the
+      gate's non-identity levels; [2·4^s] floats, row-major re/im, the
+      higher support bit the major index bit) to the groups
+      [k ∈ [lo, hi)]: group [k] is the [2^s] amplitudes over the [k]-th
+      index, ascending, whose [support] bits are 0, so
+      [hi ≤ 2^(n−s)]. Each output starts from +0 and adds
+      [m(r,c)·x(c)] for each [c], ascending, whose bit [r·2^s + c] is set
+      in [paths], the sum stored (rounded, at [F32]) after every term:
+      the MACs {!dmav_run} does for that row, in its order, with [m]
+      holding its weight products and [paths] its terminal paths. On AVX2 hosts
+      two groups share a 32-byte vector, built from two 16-byte halves
+      when bit 0 is in the support; the bytes do not depend on the body
+      or the split. *)
 
   val dmav_run :
     arena -> node:int -> v:t -> w:t -> iv:int -> iw:int -> fre:float -> fim:float -> unit
@@ -165,9 +183,9 @@ module F32 : S with type elt = Bigarray.float32_elt
 val dense_lanes : int
 (** Lanes of the widest body {!S.dense_single} runs on this CPU, fixed
     when the program loads: 4 on x86-64 when the CPU reports AVX2 (two
-    controlled pairs per 32-byte vector, used for gates with neither the
-    target nor a control on qubit 0), else 2 (one amplitude per 16-byte
-    vector). The bytes are the same either way. *)
+    controlled pairs, or two groups of {!S.local_apply}, per 32-byte
+    vector), else 2 (one amplitude per 16-byte vector). The bytes are
+    the same either way. *)
 
 val bigarray_header_bytes : int
 (** Bytes of a [Bigarray.Array1] custom block on 64-bit (header + custom

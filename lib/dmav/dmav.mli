@@ -68,7 +68,8 @@ val apply :
   exec_stats
 (** [apply ~pool ~n m ~v ~w] overwrites [w] with [m·v],
     choosing the kernel by modeled cost. [v] and [w] must be distinct
-    buffers of length 2ⁿ. *)
+    buffers of length 2ⁿ. Always one of the paper's two DMAV kernels:
+    the flat engine's local leg is not taken here. *)
 
 val run : ?workspace:workspace -> pool:Pool.t -> Flat_gate.program -> v:Buf.t -> w:Buf.t -> unit
 (** Runs a compiled kernel program, [w ← M·v]. Worker [k] of [pool]
@@ -78,7 +79,14 @@ val run : ?workspace:workspace -> pool:Pool.t -> Flat_gate.program -> v:Buf.t ->
 val exec : ?workspace:workspace -> pool:Pool.t -> Flat_gate.t -> v:Buf.t -> w:Buf.t -> exec_stats
 (** {!run} for a compiled DMAV gate, with the [dmav.apply] span and the
     modeled-MAC counters. Reads nothing of the package the gate came
-    from. Raises [Invalid_argument] on a dense gate. *)
+    from. Raises [Invalid_argument] on a dense or local gate. *)
+
+val exec_local : pool:Pool.t -> Flat_gate.t -> v:Buf.t -> unit
+(** Runs a [Flat_gate.Local] gate in place on [v] ({!Storage.S.local_apply},
+    cut into stripes like the dense kernel's), counted and timed as the
+    uncached kernel it stands in for ([dmav.kernel.uncached], the
+    modeled-MAC counters, [dmav.apply]). Raises [Invalid_argument] on
+    any other gate. *)
 
 val apply_nocache :
   Dd.package -> pool:Pool.t -> n:int -> Dd.medge -> v:Buf.t -> w:Buf.t -> unit

@@ -182,23 +182,40 @@ module Make (P : Storage.S) = struct
       invalid_arg "Dmav.run: buffer size mismatch";
     if g.cached then run_cache ?workspace ~pool g ~v ~w else run_nocache ~pool g ~v ~w
 
+  (* The pick's modeled work, whichever leg runs it. *)
+  let count_modeled (g : Flat_gate.t) =
+    if Obs.enabled () then begin
+      let decision = g.dispatch.Cost.dmav in
+      let t = float_of_int decision.Cost.threads_used in
+      Obs.fadd fc_macs_modeled (Cost.modeled_macs decision);
+      Obs.fadd fc_macs_modeled_cached (t *. decision.Cost.c2);
+      Obs.fadd fc_macs_modeled_uncached (t *. decision.Cost.c1);
+      Obs.fadd fc_macs_modeled_identity g.identity_macs
+    end
+
   let exec ?workspace ~pool (g : Flat_gate.t) ~v ~w =
     match g.body with
-    | Flat_gate.Dense _ -> invalid_arg "Dmav.exec: a dense gate"
+    | Flat_gate.Dense _ | Flat_gate.Local _ -> invalid_arg "Dmav.exec: not a Run program"
     | Flat_gate.Dmav prog ->
-      let decision = g.dispatch.Cost.dmav in
-      if Obs.enabled () then begin
-        let t = float_of_int decision.Cost.threads_used in
-        Obs.fadd fc_macs_modeled (Cost.modeled_macs decision);
-        Obs.fadd fc_macs_modeled_cached (t *. decision.Cost.c2);
-        Obs.fadd fc_macs_modeled_uncached (t *. decision.Cost.c1);
-        Obs.fadd fc_macs_modeled_identity g.identity_macs
-      end;
+      count_modeled g;
       Obs.with_span s_apply (fun () -> run ?workspace ~pool prog ~v ~w);
       { used_cache = prog.cached;
-        decision;
+        decision = g.dispatch.Cost.dmav;
         cache_hits = (if prog.cached then prog.hits else 0);
         buffers_used = prog.buffers }
+
+  module DK = Dense_kernel.Make (P)
+
+  (* An uncached pick on its local leg, in place on [v]: counted and
+     timed as the uncached kernel it stands in for. *)
+  let exec_local ~pool (g : Flat_gate.t) ~v =
+    match g.body with
+    | Flat_gate.Dense _ | Flat_gate.Dmav _ -> invalid_arg "Dmav.exec_local: not a local gate"
+    | Flat_gate.Local l ->
+      Obs.incr c_kernel_uncached;
+      count_modeled g;
+      Obs.with_span s_apply (fun () ->
+          DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support ~paths:l.Flat_gate.paths)
 
   let program p ~pool ~n ~cached root =
     Flat_gate.program p ~n ~t:(Cost.pow2_threads ~n (Pool.size pool)) ~cached root
@@ -211,5 +228,7 @@ module Make (P : Storage.S) = struct
     (g.hits, g.buffers)
 
   let apply ?workspace p ~pool ~n root ~v ~w =
-    exec ?workspace ~pool (Flat_gate.compile p ~n ~threads:(Pool.size pool) root) ~v ~w
+    exec ?workspace ~pool
+      (Flat_gate.compile ~local_leg:false p ~n ~threads:(Pool.size pool) root)
+      ~v ~w
 end

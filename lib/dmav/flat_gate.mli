@@ -9,7 +9,10 @@
     {!Dd.package}, so the planner may keep fusing while earlier gates
     run. A compiled gate is immutable and may be run on any pool: the
     [threads] virtual task lists are the same whether [threads] domains
-    run one each or one domain runs them all, so are the bytes.
+    run one each or one domain runs them all, so are the bytes. An
+    uncached pick that acts on at most two levels compiles to its
+    [Local] form instead: a 2×2 or 4×4 matrix applied in place, with
+    the Run's bits.
 
     A task whose sub-matrix models more than [piece_macs] MACs is split
     into the Run calls of its children, in the recursion's order and
@@ -37,9 +40,25 @@ type program = private {
   hits : int;                   (** cached: modeled (= realized) hits [H] *)
 }
 
+type local = private {
+  support : int;
+  (** the levels the gate acts on, as a bit mask of one or two bits *)
+  u : float array;
+  (** its [2^s × 2^s] matrix, row-major (re, im), the higher support
+      level the major index bit: per entry, the weight product Run
+      carries to that MAC, 0 where Run has none *)
+  paths : int;
+  (** bit [r·2^s + c] set where Run has a MAC, i.e. a path of nonzero
+      edges to the terminal *)
+}
+(** An uncached pick whose matrix DD is the identity pattern on all
+    but at most two levels, run as {!Storage.S.local_apply}: in place,
+    with Run's bits (DESIGN.md). It holds no arena. *)
+
 type body =
   | Dense of Circuit.op  (** the dense direct kernel on an unfused op *)
   | Dmav of program
+  | Local of local       (** the local leg of an uncached DMAV pick *)
 
 type t = {
   body : body;
@@ -63,10 +82,19 @@ val program :
     {!piece_macs}) is there for the tests, which split down to single
     Run calls. *)
 
-val compile : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> t
+val local : Dd.package -> n:int -> Dd.medge -> local option
+(** The local form of an [n]-qubit matrix DD, if its support (the levels
+    holding a node other than (e, 0, 0, e) with one packed edge on the
+    diagonal) has at most two levels; a scalar multiple of the identity
+    acts on level [n − 1]. One walk, which stops at the third level. *)
+
+val compile :
+  ?local_leg:bool -> Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> t
 (** Prices the gate for a pool of [threads] (one [dmav.cost] span) and
     compiles the picked kernel. [op], the unfused circuit op, makes the
-    dense kernel eligible, as in {!Cost.dispatch}. *)
+    dense kernel eligible, as in {!Cost.dispatch}. An uncached DMAV pick
+    with a {!local} form compiles to [Local] unless [local_leg] (default
+    [true]) is [false], which the paper's kernel measurements use. *)
 
 val pieces : program -> int
 (** Run calls in the program. *)

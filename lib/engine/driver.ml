@@ -21,6 +21,7 @@ type result = {
   peak_memory_bytes : int;
   dmav_gates_cached : int;
   dmav_gates_uncached : int;
+  dmav_gates_local : int;
   dmav_cache_hits : int;
   modeled_macs : float;
   fusion_stats : Fusion.stats option;
@@ -52,10 +53,12 @@ let s_stream_wait = Obs.span "sim.flat_stream_wait"
 
 (* Flat-phase kernels, by the engine's pick. Without [dense_dispatch] the
    cached/uncached counts mirror dmav.kernel.*; with it they reflect the
-   three-way pick. *)
+   three-way pick. The local count is the part of the uncached one that
+   ran on the local leg. *)
 let c_disp_cached = Obs.counter "dmav.dispatch.cached"
 let c_disp_uncached = Obs.counter "dmav.dispatch.uncached"
 let c_disp_dense = Obs.counter "dmav.dispatch.dense"
+let c_disp_local = Obs.counter "dmav.dispatch.local"
 
 (* A caller-supplied package (a warm handle's arena) must arrive in its
    just-reset state — [Warm] guarantees that; a mismatched workspace is
@@ -156,6 +159,7 @@ type run = {
   mutable peak_mem : int;
   mutable cached_gates : int;
   mutable uncached_gates : int;
+  mutable local_gates : int;
   mutable cache_hits : int;
   mutable modeled : float;
 }
@@ -177,6 +181,11 @@ let step (type s) (module E : Engine.ENGINE with type state = s) st r (xo : Engi
    | Some Engine.Dmav_uncached ->
      Obs.incr c_disp_uncached;
      r.uncached_gates <- r.uncached_gates + 1
+   | Some Engine.Dmav_local ->
+     Obs.incr c_disp_uncached;
+     Obs.incr c_disp_local;
+     r.uncached_gates <- r.uncached_gates + 1;
+     r.local_gates <- r.local_gates + 1
    | Some Engine.Dense_direct -> Obs.incr c_disp_dense
    | None -> ());
   r.cache_hits <- r.cache_hits + stats.Engine.gs_cache_hits;
@@ -366,7 +375,7 @@ let with_run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) 
        in
        let r =
          { cfg; check_cancel; monitor; trace = []; peak_mem = 0; cached_gates = 0;
-           uncached_gates = 0; cache_hits = 0; modeled = 0.0 }
+           uncached_gates = 0; local_gates = 0; cache_hits = 0; modeled = 0.0 }
        in
        body r ctx c sigma)
 
@@ -394,6 +403,7 @@ let result_of r (c : Circuit.t) ~ord ?converted_at ?conversion_stats ?fusion_sta
     peak_memory_bytes = r.peak_mem;
     dmav_gates_cached = r.cached_gates;
     dmav_gates_uncached = r.uncached_gates;
+    dmav_gates_local = r.local_gates;
     dmav_cache_hits = r.cache_hits;
     modeled_macs = r.modeled;
     fusion_stats }

@@ -30,6 +30,9 @@ type result = {
   peak_memory_bytes : int;
   dmav_gates_cached : int;
   dmav_gates_uncached : int;
+  dmav_gates_local : int;
+      (** the uncached gates that ran on the local leg (counted in
+          [dmav_gates_uncached] too) *)
   dmav_cache_hits : int;
   modeled_macs : float;       (** Σ modeled MAC work over the flat phase *)
   fusion_stats : Fusion.stats option;

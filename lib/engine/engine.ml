@@ -11,8 +11,9 @@
 
 type phase = Dd_phase | Conversion | Dmav_phase
 
-(** Which kernel executed a flat-phase gate. *)
-type dispatch = Dmav_cached | Dmav_uncached | Dense_direct
+(** Which kernel executed a flat-phase gate. [Dmav_local] is an
+    uncached DMAV pick run on its local leg ([Flat_gate.Local]). *)
+type dispatch = Dmav_cached | Dmav_uncached | Dense_direct | Dmav_local
 
 (** One entry of the per-gate trace. *)
 type gate_record = {

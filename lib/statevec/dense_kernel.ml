@@ -75,6 +75,25 @@ module Make (P : Storage.S) = struct
     stripes ?pool ~hi:(1 lsl (n - 2)) (fun lo hi ->
         P.dense_two amps u ~q_hi ~q_lo ~lo ~hi)
 
+  (* The local leg of an uncached DMAV gate ([Flat_gate.Local]): its
+     2×2 or 4×4 matrix on the [support] levels, in place, over
+     [P.local_apply]'s groups, cut as [stripes] cuts pairs. The
+     one-domain loop is written out so that the gate allocates
+     nothing. *)
+  let local ~pool amps u ~support ~paths =
+    let hi = P.length amps lsr Bits.popcount support in
+    if Pool.size pool > 1 && hi >= seq_threshold then
+      Pool.parallel_for_ranges pool ~lo:0 ~hi (fun lo hi ->
+          P.local_apply amps u ~support ~paths ~lo ~hi)
+    else begin
+      let lo = ref 0 in
+      while !lo < hi do
+        let next = Int.min hi (!lo + stripe_max) in
+        P.local_apply amps u ~support ~paths ~lo:!lo ~hi:next;
+        lo := next
+      done
+    end
+
   let op ?pool ~n amps (o : Circuit.op) =
     match o with
     | Circuit.Single { matrix; target; controls; _ } ->

@@ -8,10 +8,12 @@
    sizes 1, 2 and 4, and the stripe primitives at odd positions and
    lengths, for n from 1 to 14, the identity stripes of the Run recursion, and its batches under
    pure-replication nodes (chains past the batch cap, and the fused
-   gates of real dnn, vqe and supremacy circuits). Plus the dense stub's
-   contract checks, the allocation claim (a dense gate and a DMAV gate
-   cost the same small constant number of minor words at f32 as at f64)
-   and the load-time choice of the dense stub's 4-lane body. *)
+   gates of real dnn, vqe and supremacy circuits), and the local leg of
+   uncached gates of support one or two against the Run it stands in
+   for. Plus the dense stub's contract checks, the allocation claim (a
+   dense gate and a DMAV gate cost the same small constant number of
+   minor words at f32 as at f64, a local gate none) and the load-time
+   choice of the dense stub's 4-lane body. *)
 
 let cnum rs = Cnum.make (Random.State.float rs 2.0 -. 1.0) (Random.State.float rs 2.0 -. 1.0)
 
@@ -413,14 +415,132 @@ module Suite_for (P : Storage.S) = struct
                               Alcotest.failf "%s gate %d: %d hits, reference %d" P.label i
                                 prog.Flat_gate.hits want_hits)
                          [ (false, None); (true, None); (false, Some 1.0); (true, Some 1.0) ];
-                       (* The planner's own pick, through [exec]. *)
-                       let got = P.create (1 lsl n) in
-                       let st = DG.exec ~workspace:(DG.workspace ~n) ~pool:inline g ~v ~w:got in
-                       if not (eq (if st.Dmav_generic.used_cache then want_c else want) got) then
+                       (* The planner's own pick, through [exec], or in place
+                          on its local leg. *)
+                       let got, expect =
+                         match g.Flat_gate.body with
+                         | Flat_gate.Local _ ->
+                           let got = P.copy v in
+                           DG.exec_local ~pool:inline g ~v:got;
+                           (got, want)
+                         | _ ->
+                           let got = P.create (1 lsl n) in
+                           let st = DG.exec ~workspace:(DG.workspace ~n) ~pool:inline g ~v ~w:got in
+                           (got, if st.Dmav_generic.used_cache then want_c else want)
+                       in
+                       if not (eq expect got) then
                          Alcotest.failf "%s gate %d: exec differs" P.label i)
                     pools)
                ms)
           [ (Suite.Dnn, 300); (Suite.Vqe, 300); (Suite.Supremacy, 250) ])
+
+  (* Entries of ±1 or ±1 ± i, and vectors of real parts ±1 or ±0.5 with
+     imaginary parts 0 or ±2^-60: a row's partial sums then cancel
+     exactly, and a second product whose 2^-60 part is lost in its own
+     sum but would survive another association shows, even after f32
+     rounding. *)
+  let sign_entry rs =
+    let pm () = if Random.State.bool rs then 1.0 else -1.0 in
+    Cnum.make (pm ()) (if Random.State.bool rs then 0.0 else pm ())
+
+  let cancel_vec rs len =
+    let pick xs = xs.(Random.State.int rs (Array.length xs)) in
+    let tiny = Float.ldexp 1.0 (-60) in
+    P.init len (fun _ ->
+        Cnum.make (pick [| 1.0; -1.0; 0.5; -0.5 |]) (pick [| 0.0; tiny; -.tiny |]))
+
+  (* The local leg against the Run it stands in for: every support-1 and
+     support-2 shape at n = 2..8 (each target, qubit 0 included; a control
+     above and one below the target; two-qubit gates in both qubit
+     orders; products of two random gates on one pair), the gate compiled
+     ([Flat_gate.local]) and applied in place by [exec_local] on the pool
+     and on an inline size-1 pool, and by [P.local_apply] over random
+     group stripes, each against [DG.run]'s uncached program for the same
+     pool, bit for bit, on random vectors, on vectors with signed zeros
+     and on cancelling ones. A gate on three levels has no local form. *)
+  let local_shapes p rs n =
+    let single target controls matrix =
+      Circuit.Single { name = "l1"; matrix; target; controls }
+    in
+    let two q_hi q_lo matrix = Circuit.Two { name = "l2"; matrix; q_hi; q_lo } in
+    let signs k = Array.init k (fun _ -> Array.init k (fun _ -> sign_entry rs)) in
+    let m1 () =
+      [| random_single rs; Array.init 2 (fun _ -> Array.init 2 (fun _ -> cnum rs)); Gate.x;
+         Gate.z; Gate.phase (Random.State.float rs 6.3); signs 2 |].(Random.State.int rs 6)
+    in
+    let m2 () =
+      [| random_two rs; Gate.swap2; Gate.cz2; Gate.fsim (Random.State.float rs 6.3) 0.4;
+         signs 4 |].(Random.State.int rs 5)
+    in
+    let of_op = Mat_dd.of_op p ~n in
+    let targets = List.init n Fun.id in
+    let pair () =
+      let a = Random.State.int rs n in
+      (a, (a + 1 + Random.State.int rs (n - 1)) mod n)
+    in
+    List.concat_map
+      (fun t ->
+         let others = List.filter (( <> ) t) targets in
+         let above = List.filter (fun c -> c > t) others
+         and below = List.filter (fun c -> c < t) others in
+         let pick l = List.nth l (Random.State.int rs (List.length l)) in
+         [ of_op (single t [] (m1 ())) ]
+         @ (if above = [] then [] else [ of_op (single t [ pick above ] (m1 ())) ])
+         @ if below = [] then [] else [ of_op (single t [ pick below ] (m1 ())) ])
+      targets
+    @ List.concat_map
+        (fun _ ->
+           let a, b = pair () in
+           let hi = Int.max a b and lo = Int.min a b in
+           [ of_op (two hi lo (m2 ())); of_op (two lo hi (m2 ()));
+             Dd.mm p (of_op (two a b (m2 ()))) (of_op (single b [ a ] (m1 ())));
+             Dd.mm p (of_op (single a [] (m1 ()))) (of_op (single b [] (m1 ()))) ])
+        [ (); () ]
+
+  let local_agrees p pools ~inline ~n rs m =
+    match Flat_gate.local p ~n m with
+    | None -> false
+    | Some l ->
+      let groups = 1 lsl (n - Bits.popcount l.Flat_gate.support) in
+      let run = l.Flat_gate.support land - l.Flat_gate.support in
+      let g = Flat_gate.compile p ~n ~threads:1 m in
+      let g =
+        match g.Flat_gate.body with
+        | Flat_gate.Local _ -> g
+        | _ -> { g with Flat_gate.body = Flat_gate.Local l }
+      in
+      List.for_all
+        (fun v ->
+           List.for_all
+             (fun pool ->
+                let t = Cost.pow2_threads ~n (Pool.size pool) in
+                let want = P.create (1 lsl n) in
+                DG.run ~pool (Flat_gate.program p ~n ~t ~cached:false m) ~v ~w:want;
+                let on_pool = P.copy v and on_inline = P.copy v and split = P.copy v in
+                DG.exec_local ~pool g ~v:on_pool;
+                DG.exec_local ~pool:inline g ~v:on_inline;
+                List.iter
+                  (fun (lo, hi) ->
+                     P.local_apply split l.Flat_gate.u ~support:l.Flat_gate.support
+                       ~paths:l.Flat_gate.paths ~lo ~hi)
+                  (random_splits rs ~run:(Int.min run groups) groups);
+                eq want on_pool && eq want on_inline && eq want split)
+             pools)
+        [ random_vec rs (1 lsl n); special_vec rs (1 lsl n); cancel_vec rs (1 lsl n) ]
+
+  let local_leg pools =
+    Pool.with_pool 1 (fun inline ->
+        cases ~name:(P.label ^ " local leg = Run, every support-1/2 shape") ~count:24 ~lo:2
+          ~hi:8 (fun n rs ->
+              let p = Dd.create () in
+              List.for_all (local_agrees p pools ~inline ~n rs) (local_shapes p rs n)
+              && (n < 3
+                  || Flat_gate.local p ~n
+                       (Mat_dd.of_op p ~n
+                          (Circuit.Single
+                             { name = "ccu"; matrix = random_single rs; target = 1;
+                               controls = [ 0; 2 ] }))
+                     = None)))
 
   (* Random lengths and offsets (odd ones included) with disjoint source
      and destination ranges, so each primitive also runs with one vector
@@ -490,13 +610,17 @@ module Suite_for (P : Storage.S) = struct
     Pool.with_pool 1 (fun p1 ->
         Pool.with_pool 2 (fun p2 -> Pool.with_pool 4 (fun p4 -> compiled_streams [ p1; p2; p4 ])))
 
+  let local_tests () =
+    Pool.with_pool 1 (fun p1 -> Pool.with_pool 2 (fun p2 -> check_all [ local_leg [ p1; p2 ] ]))
+
   (* Minor words at n = 14 on a size-1 pool (jobs run inline, so every
      word is seen): one dense gate; one uncached DMAV gate compiled
      outside the count, as the flat phase's planner does, so what is
-     counted is what the executor pays per gate; and the whole
+     counted is what the executor pays per gate; the whole
      compile-and-run path ([apply_nocache]: export, tasks, pieces, run)
      of that gate and of the largest gate of a fused supremacy stream,
-     each with its gate size (arena nodes + Run calls). *)
+     each with its gate size (arena nodes + Run calls); and the local
+     leg of a CNOT onto qubit 0. *)
   let gate_words () =
     let n = 14 in
     Pool.with_pool 1 (fun pool ->
@@ -518,17 +642,26 @@ module Suite_for (P : Storage.S) = struct
         let fused = fst (Fusion.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops))) in
         let largest = List.fold_left (fun a b -> if size b > size a then b else a) m fused in
         let g = Flat_gate.program p ~n ~t:1 ~cached:false m in
+        let l =
+          Option.get
+            (Flat_gate.local p ~n
+               (Mat_dd.of_op p ~n
+                  (Circuit.Single { name = "cx"; matrix = Gate.x; target = 0; controls = [ 9 ] })))
+        in
         ( words (fun () -> DK.single ~pool ~n v Gate.h ~target:3 ~controls:[ 5 ]),
           words (fun () -> DG.run ~pool g ~v ~w),
           List.map
             (fun m -> (words (fun () -> DG.apply_nocache p ~pool ~n m ~v ~w), size m))
-            [ m; largest ] ))
+            [ m; largest ],
+          words (fun () ->
+              DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support ~paths:l.Flat_gate.paths) ))
 end
 
 module K64 = Suite_for (Storage.F64)
 module K32 = Suite_for (Storage.F32)
 
-(* The dense kernel flattens the gate into one small float array; the
+(* The local leg allocates nothing on one domain. The dense kernel
+   flattens the gate into one small float array; the
    DMAV kernel runs a compiled gate and builds only the pool job closure.
    Neither may grow with 2ⁿ, and the storage kind must not change the
    count. Compiling a gate allocates its arena copy, task and piece
@@ -536,7 +669,9 @@ module K32 = Suite_for (Storage.F32)
    Run call (measured: 679 words for a 3-node gate, 23 per node at 594
    nodes), never anything of 2ⁿ or of the package's size. *)
 let test_allocation () =
-  let d64, m64, c64 = K64.gate_words () and d32, m32, c32 = K32.gate_words () in
+  let d64, m64, c64, l64 = K64.gate_words () and d32, m32, c32, l32 = K32.gate_words () in
+  Alcotest.(check (float 0.0)) "local gate: no words at f64" 0.0 l64;
+  Alcotest.(check (float 0.0)) "local gate: no words at f32" 0.0 l32;
   Alcotest.(check (float 0.0)) "dense gate: f32 words = f64 words" d64 d32;
   Alcotest.(check (float 0.0)) "dmav gate: f32 words = f64 words" m64 m32;
   Alcotest.(check (list (pair (float 0.0) int))) "compile+run: f32 words = f64 words" c64 c32;
@@ -606,5 +741,7 @@ let suite =
           K64.compiled_tests;
         Alcotest.test_case "f32 compiled gates = package-view run (bits)" `Quick
           K32.compiled_tests;
+        Alcotest.test_case "f64 local leg = Run (bits)" `Quick K64.local_tests;
+        Alcotest.test_case "f32 local leg = Run (bits)" `Quick K32.local_tests;
         Alcotest.test_case "dense_lanes matches the host's AVX2 flag" `Quick
           test_dense_lanes ] ) ]
