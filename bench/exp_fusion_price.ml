@@ -1,21 +1,42 @@
-(* Calibration of [Cost.identity_price], the per-MAC price of a canonical
-   identity node in DMAV-aware fusion's cost.
+(* Calibration of the gate price ([Cost.price], [Cost.dispatch]): the
+   per-MAC price of a canonical identity node, the local leg's and the
+   dense kernel's per-amplitude rates, and the regret of the kernel
+   picks.
 
    The jobs are hybrid-deep's three families with the circuit seeds the
    repository benchmark (perfbench) derives for its seed 1: dnn-16/570,
    vqe-16/500 and supremacy-15/420, run the way hybrid-deep runs them (EWMA
    conversion, two threads). Their flat-phase gates are rebuilt as matrix
-   DDs in a fresh package, once unfused and once fused at the constant's
-   price. Every gate is applied with the uncached kernel on a 1-worker
-   and a 2-worker pool, best of 5, and a least-squares fit of
-   time = c₀ + a·(recursion MACs) + b·(stripe MACs), with and without
-   c₀, gives the two per-MAC rates at each thread count; [b/a] is the
-   price the data supports. The fused gates' summed times give the
-   flat phase's thread scaling. The sweep then re-fuses the jobs at a
-   grid of prices and prints the range over which every fused stream is
-   the one the constant produces. *)
+   DDs in a fresh package, once unfused and once fused at the constants.
+   Every gate is applied on a 1-worker and a 2-worker pool with each
+   kernel it can take: the uncached Run, the cached Run (Algorithm 2),
+   the local leg (support ≤ 2) and, for an unfused op, the dense kernel;
+   best of 5 per gate and kernel.
 
-type job = { label : string; n : int; mats : Dd.medge list; package : Dd.package }
+   - A least-squares fit of Run time = c₀ + a·(recursion MACs) +
+     b·(stripe MACs), with and without c₀, gives the two per-MAC rates at
+     each thread count; [b/a] is the identity price the data supports.
+   - The local leg's and the dense kernel's times per amplitude they
+     stream (a fit through the origin), divided by the Run's time per
+     priced MAC, are their rates in the Run's priced MACs, the unit of
+     [Cost.dispatch].
+   - The regret: the gates, and the time, where the kernel a rule picks
+     is slower than the fastest measured of local, Run and cached, for
+     [Cost.dispatch] and for the paper's rule (Eq. 5/6 over plain MACs,
+     the local leg only for an uncached pick).
+   - Sweeps re-fuse the jobs at a grid of identity prices and of local
+     rates and print the ranges over which every fused stream is the one
+     the constants produce. *)
+
+module DK = Dense_kernel.Make (Storage.F64)
+
+type job = {
+  label : string;
+  n : int;
+  ops : Circuit.op list;
+  mats : Dd.medge list;
+  package : Dd.package;
+}
 
 (* perfbench's pass order: dnn at key 0, vqe at 2, supremacy at 4. *)
 let specs = [ (Suite.Dnn, 16, 570, 0); (Suite.Vqe, 16, 500, 2); (Suite.Supremacy, 15, 420, 4) ]
@@ -31,10 +52,12 @@ let flat_job pool (fam, n, gates, key) =
   let package = Dd.create () in
   { label = Printf.sprintf "%s-%d" (Suite.family_name fam) n;
     n;
+    ops;
     mats = List.map (Mat_dd.of_op package ~n) ops;
     package }
 
-let fused ?identity_price j = fst (Fusion.dmav_aware ?identity_price j.package j.mats)
+let fused ?identity_price ?local_rate j =
+  fst (Fusion.dmav_aware ?identity_price ?local_rate j.package j.mats)
 
 (* Recursion and stripe MACs of one uncached application. *)
 let mac_split p m =
@@ -73,74 +96,233 @@ let fit samples =
   let b0 = ((s.(1).(1) *. s.(2).(3)) -. (s.(2).(1) *. s.(1).(3))) /. d2 in
   ((solve 0, solve 1, solve 2), (0.0, a0, b0))
 
+(* y = ρ·x through the origin. *)
+let slope xys =
+  let sxy = List.fold_left (fun acc (x, y) -> acc +. (x *. y)) 0.0 xys in
+  let sxx = List.fold_left (fun acc (x, _) -> acc +. (x *. x)) 0.0 xys in
+  sxy /. sxx
+
+(* Best times per kernel, indexed by pool (0: one worker, 1: two);
+   [nan] where the gate cannot take the kernel. *)
 type sample = {
-  recursion : float;   (* MACs the Run recursion makes *)
-  stripe : float;      (* MACs under identity stripes *)
-  ns1 : float;         (* best uncached time on a 1-worker pool *)
-  ns2 : float;         (* and on a 2-worker pool *)
-  fused_gate : bool;
+  job : job;
+  mat : Dd.medge;
+  op : Circuit.op option;    (* the unfused op; [None] for a fused gate *)
+  support : int option;      (* [Cost.support] *)
+  recursion : float;         (* MACs the Run recursion makes *)
+  stripe : float;            (* MACs under identity stripes *)
+  run : float array;
+  cached : float array;
+  local : float array;
+  dense : float array;
 }
 
-(* Every unfused gate of each job and every gate fused at the constant's
-   price, applied uncached. Each of 5 rounds makes one pass over the
-   job's gates on the 1-worker pool, then one on the 2-worker pool, so
-   the gates run back to back as in a flat phase while load drift on the
-   host hits both thread counts alike; best of the 5 rounds per gate. *)
-let timed_samples p1 p2 jobs =
-  List.map
+let fused_gate x = x.op = None
+
+(* Every unfused gate of each job and every gate fused at the constants,
+   on every kernel it can take. Each of 5 rounds makes one pass over the
+   job's gates per kernel on the 1-worker pool, then on the 2-worker
+   pool, so the gates run back to back as in a flat phase while load
+   drift on the host hits every kernel and thread count alike; best of
+   the 5 rounds per gate. The Run programs and local forms are compiled
+   before the rounds, as the flat phase's planner does; the timed call is
+   what the executor runs per gate. *)
+let timed_samples pools jobs =
+  List.concat_map
     (fun j ->
        let dim = 1 lsl j.n in
        let v = Buf.init dim (fun _ -> Cnum.of_float (1.0 /. sqrt (float_of_int dim))) in
        let w = Buf.create dim in
        let gates =
-         Array.of_list (List.map (fun m -> (false, m)) j.mats @ List.map (fun m -> (true, m)) (fused j))
+         Array.of_list
+           (List.map2 (fun op m -> (Some op, m)) j.ops j.mats
+            @ List.map (fun m -> (None, m)) (fused j))
        in
-       let best1 = Array.make (Array.length gates) infinity in
-       let best2 = Array.make (Array.length gates) infinity in
-       (* Compiled once per pool, as the flat phase's planner does; the
-          timed call is what the executor runs per gate. *)
-       let compiled pool =
+       let forms = Array.map (fun (_, m) -> Flat_gate.local j.package ~n:j.n m) gates in
+       let best () = Array.init (Array.length gates) (fun _ -> Array.make 2 nan) in
+       let run = best () and cached = best () and local = best () and dense = best () in
+       let keep tbl k i ns =
+         let b = tbl.(k).(i) in
+         tbl.(k).(i) <- (if Float.is_nan b then ns else Float.min b ns)
+       in
+       let compiled pool ~cached =
          let t = Cost.pow2_threads ~n:j.n (Pool.size pool) in
-         Array.map (fun (_, m) -> Flat_gate.program j.package ~n:j.n ~t ~cached:false m) gates
+         Array.map (fun (_, m) -> Flat_gate.program j.package ~n:j.n ~t ~cached m) gates
        in
-       let progs1 = compiled p1 and progs2 = compiled p2 in
-       let pass pool progs best =
-         Array.iteri
-           (fun k g ->
-              let ns = elapsed_ns (fun () -> Dmav.run ~pool g ~v ~w) in
-              best.(k) <- Float.min best.(k) ns)
-           progs
-       in
+       let progs = List.map (fun pool -> (compiled pool ~cached:false, compiled pool ~cached:true)) pools in
        for _ = 1 to 5 do
-         pass p1 progs1 best1;
-         pass p2 progs2 best2
+         List.iteri
+           (fun i pool ->
+              let uncached_progs, cached_progs = List.nth progs i in
+              Array.iteri
+                (fun k g -> keep run k i (elapsed_ns (fun () -> Dmav.run ~pool g ~v ~w)))
+                uncached_progs;
+              Array.iteri
+                (fun k g -> keep cached k i (elapsed_ns (fun () -> Dmav.run ~pool g ~v ~w)))
+                cached_progs;
+              Array.iteri
+                (fun k form ->
+                   match form with
+                   | Some (l : Flat_gate.local) ->
+                     keep local k i
+                       (elapsed_ns (fun () ->
+                            DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support
+                              ~paths:l.Flat_gate.paths))
+                   | None -> ())
+                forms;
+              Array.iteri
+                (fun k (op, _) ->
+                   match op with
+                   | Some op -> keep dense k i (elapsed_ns (fun () -> DK.op ~pool ~n:j.n v op))
+                   | None -> ())
+                gates)
+           pools
        done;
        Array.to_list
          (Array.mapi
-            (fun k (fused_gate, m) ->
+            (fun k (op, m) ->
                let recursion, stripe = mac_split j.package m in
-               { recursion; stripe; ns1 = best1.(k); ns2 = best2.(k); fused_gate })
+               { job = j; mat = m; op;
+                 support = Cost.support j.package ~n:j.n m;
+                 recursion; stripe;
+                 run = run.(k); cached = cached.(k); local = local.(k); dense = dense.(k) })
             gates))
     jobs
 
+let priced x = x.recursion +. (Cost.identity_price *. x.stripe)
+
+(* The paper's pick, as the flat phase made it before the local leg was
+   priced: Eq. 5 against Eq. 6 over plain MACs, the local leg only for an
+   uncached pick. *)
+let paper_pick x ~threads =
+  let n = x.job.n in
+  let b = Cost.breakdown x.job.package ~n ~threads x.mat in
+  let t = float_of_int (Cost.pow2_threads ~n threads) in
+  let c1 = b.Cost.k1 /. t in
+  let c2 =
+    (b.Cost.k2 /. t)
+    +. (Float.ldexp 1.0 n /. (float_of_int Cost.simd_width *. t)
+        *. ((float_of_int b.Cost.hits /. t) +. float_of_int b.Cost.buffers))
+  in
+  if c2 < c1 then Cost.Cached else if x.support <> None then Cost.Local else Cost.Run
+
+let price_pick x ~threads = (Cost.dispatch x.job.package ~n:x.job.n ~threads x.mat).Cost.kernel
+
+let measured x i = function
+  | Cost.Local -> x.local.(i)
+  | Cost.Run -> x.run.(i)
+  | Cost.Cached -> x.cached.(i)
+  | Cost.Dense -> x.dense.(i)
+
+let fastest x i =
+  List.fold_left
+    (fun acc k -> let ns = measured x i k in if Float.is_nan ns then acc else Float.min acc ns)
+    infinity [ Cost.Local; Cost.Run; Cost.Cached ]
+
+let rate_rows samples =
+  List.concat_map
+    (fun (i, threads) ->
+       (* The Run's time per priced MAC over every gate: the unit. *)
+       let run_ns = List.fold_left (fun acc x -> acc +. x.run.(i)) 0.0 samples in
+       let unit = run_ns /. List.fold_left (fun acc x -> acc +. priced x) 0.0 samples in
+       let row kernel shape pick amps =
+         let xys =
+           List.filter_map
+             (fun x -> match pick x with Some ns -> Some (amps x, ns) | None -> None)
+             samples
+         in
+         if xys = [] then None
+         else
+           let rho = slope xys in
+           Some
+             [ string_of_int threads; kernel; shape; string_of_int (List.length xys);
+               Printf.sprintf "%.3f" rho; Printf.sprintf "%.2f" unit;
+               Printf.sprintf "%.3f" (rho /. unit) ]
+       in
+       let dim x = Float.ldexp 1.0 x.job.n in
+       let walked x =
+         match x.op with
+         | Some op -> Cost.dense_price ~n:x.job.n op /. Cost.dense_rate op
+         | None -> 0.0
+       in
+       let local s x =
+         match x.support with
+         | Some m when Bits.popcount m = s && not (Float.is_nan x.local.(i)) -> Some x.local.(i)
+         | _ -> None
+       in
+       let dense pred x =
+         match x.op with Some op when pred op -> Some x.dense.(i) | _ -> None
+       in
+       let single_c c = function
+         | Circuit.Single { controls; _ } -> List.length controls = c
+         | Circuit.Two _ -> false
+       in
+       let two = function Circuit.Two _ -> true | Circuit.Single _ -> false in
+       List.filter_map Fun.id
+         [ row "local" "support 1" (local 1) dim;
+           row "local" "support 2" (local 2) dim;
+           row "dense" "single" (dense (single_c 0)) walked;
+           row "dense" "1-controlled" (dense (single_c 1)) walked;
+           row "dense" "two-qubit" (dense two) walked ])
+    [ (0, 1); (1, 2) ]
+
+let regret_rows samples =
+  List.concat_map
+    (fun (i, threads) ->
+       List.concat_map
+         (fun (set, keep) ->
+            let xs = List.filter keep samples in
+            List.map
+              (fun (rule, pick) ->
+                 let picks = List.map (fun x -> (x, pick x ~threads)) xs in
+                 let count k = List.length (List.filter (fun (_, p) -> p = k) picks) in
+                 let regret =
+                   List.filter (fun (x, k) -> measured x i k > 1.05 *. fastest x i) picks
+                 in
+                 let ms f = List.fold_left (fun acc e -> acc +. f e) 0.0 picks /. 1e6 in
+                 [ string_of_int threads; set; rule; string_of_int (List.length xs);
+                   Printf.sprintf "%d/%d/%d" (count Cost.Local) (count Cost.Run) (count Cost.Cached);
+                   string_of_int (List.length regret);
+                   Printf.sprintf "%.2f" (ms (fun (x, k) -> measured x i k -. fastest x i));
+                   Printf.sprintf "%.2f" (ms (fun (x, k) -> measured x i k));
+                   Printf.sprintf "%.2f" (ms (fun (x, _) -> fastest x i)) ])
+              [ ("paper", paper_pick); ("Cost.dispatch", price_pick) ])
+         [ ("unfused", fun x -> not (fused_gate x)); ("fused", fused_gate) ])
+    [ (0, 1); (1, 2) ]
+
+(* Walk a grid away from a constant in both directions while every job's
+   fused stream stays the constant's. *)
+let reach ~agrees ~lo ~hi price step =
+  let rec go price =
+    let next = price +. step in
+    if next < lo || next > hi || not (agrees next) then price else go next
+  in
+  go price
+
 let run () =
-  Report.section "fusion_price: the identity-stripe MAC price of DMAV-aware fusion";
+  Report.section "fusion_price: the gate price of DMAV-aware fusion and kernel dispatch";
   let jobs = Pool.with_pool 2 (fun pool -> List.map (flat_job pool) specs) in
-  Report.table ~title:"flat-phase gates per job (unfused / fused at price 1.0 / at the constant)"
-    ~header:[ "job"; "flat gates"; "fused @1.0"; Printf.sprintf "fused @%g" Cost.identity_price ]
+  let never_local = 1e9 in
+  Report.table
+    ~title:"flat-phase gates per job (unfused / fused: identity price 1.0, local leg unpriced, constants)"
+    ~header:[ "job"; "flat gates"; "fused @1.0"; "unpriced local"; "fused" ]
     (List.map
        (fun j ->
           [ j.label;
             string_of_int (List.length j.mats);
-            string_of_int (List.length (fused ~identity_price:1.0 j));
+            string_of_int (List.length (fused ~identity_price:1.0 ~local_rate:never_local j));
+            string_of_int (List.length (fused ~local_rate:never_local j));
             string_of_int (List.length (fused j)) ])
        jobs);
-  let timed = Pool.with_pool 1 (fun p1 -> Pool.with_pool 2 (fun p2 -> timed_samples p1 p2 jobs)) in
-  let samples = List.concat timed in
+  let samples =
+    Pool.with_pool 1 (fun p1 -> Pool.with_pool 2 (fun p2 -> timed_samples [ p1; p2 ] jobs))
+  in
   let rows =
     List.concat_map
       (fun (threads, ns) ->
-         let with_c0, through_origin = fit (List.map (fun x -> (x.recursion, x.stripe, ns x)) samples) in
+         let with_c0, through_origin =
+           fit (List.map (fun x -> (x.recursion, x.stripe, ns x)) samples)
+         in
          List.map
            (fun (kind, (c0, a, b)) ->
               [ string_of_int threads;
@@ -151,30 +333,40 @@ let run () =
                 Printf.sprintf "%.2f" b;
                 Printf.sprintf "%.3f" (b /. a) ])
            [ ("c0 + a r + b s", with_c0); ("a r + b s", through_origin) ])
-      [ (1, fun x -> x.ns1); (2, fun x -> x.ns2) ]
+      [ (1, fun x -> x.run.(0)); (2, fun x -> x.run.(1)) ]
   in
   Report.table
     ~title:"uncached DMAV time (best of 5) against recursion MACs r and stripe MACs s"
     ~header:[ "threads"; "applications"; "fit"; "c0 us"; "a ns/MAC"; "b ns/MAC"; "b/a" ]
     rows;
-  let fused_ms ns per_job =
-    List.fold_left (fun acc x -> if x.fused_gate then acc +. ns x else acc) 0.0 per_job /. 1e6
-  in
-  Report.table ~title:"summed per-gate time of the fused gates, uncached, best of 5 (ms)"
-    ~header:[ "job"; "1 thread"; "2 threads"; "scaling" ]
-    (List.map2
-       (fun j per_job ->
-          let t1 = fused_ms (fun x -> x.ns1) per_job and t2 = fused_ms (fun x -> x.ns2) per_job in
-          [ j.label; Printf.sprintf "%.1f" t1; Printf.sprintf "%.1f" t2; Report.speedup (t1 /. t2) ])
-       jobs timed);
+  Report.table
+    ~title:"array kernels: time per amplitude streamed (fit through 0) over the Run's time per priced MAC"
+    ~header:[ "threads"; "kernel"; "gates"; "n"; "ns/amp"; "Run ns/priced MAC"; "rate" ]
+    (rate_rows samples);
+  Report.note "constants: local leg %g (support 1) and %g (support 2), dense %g (single) and %g (two-qubit)"
+    (Cost.local_rate ~support:1) (Cost.local_rate ~support:3)
+    (Cost.dense_rate (Circuit.Single { name = "x"; matrix = Gate.x; target = 0; controls = [] }))
+    (Cost.dense_rate (Circuit.Two { name = "iswap"; matrix = Gate.iswap; q_hi = 1; q_lo = 0 }));
+  Report.table
+    ~title:
+      "regret: picks (local/Run/cached) and gates whose pick ran >5% slower than the fastest \
+       measured of the three (ms summed over gates, best of 5)"
+    ~header:
+      [ "threads"; "gates"; "rule"; "n"; "picks L/R/C"; "regret gates"; "regret ms"; "picked ms";
+        "fastest ms" ]
+    (regret_rows samples);
   let reference = List.map (fun j -> fused j) jobs in
-  let agrees price = List.for_all2 (fun j r -> fused ~identity_price:price j = r) jobs reference in
-  (* Walk the 0.05 grid away from the constant in both directions while
-     every job's fused stream stays the constant's. *)
-  let rec reach price step =
-    let next = price +. step in
-    if next < 0.025 || next > 1.025 || not (agrees next) then price else reach next step
-  in
+  let agrees f price = List.for_all2 (fun j r -> f j price = r) jobs reference in
+  let by_identity = agrees (fun j price -> fused ~identity_price:price j) in
   Report.note
-    "fused streams of all three jobs equal the ones at %g for every price in [%.2f, %.2f] (grid 0.05 .. 1.00)"
-    Cost.identity_price (reach Cost.identity_price (-0.05)) (reach Cost.identity_price 0.05)
+    "fused streams of all three jobs equal the constants' for every identity price in [%.2f, %.2f] (grid 0.05 .. 1.00)"
+    (reach ~agrees:by_identity ~lo:0.025 ~hi:1.025 Cost.identity_price (-0.05))
+    (reach ~agrees:by_identity ~lo:0.025 ~hi:1.025 Cost.identity_price 0.05);
+  let rate = Cost.local_rate ~support:1 in
+  let by_local = agrees (fun j price -> fused ~local_rate:price j) in
+  if by_local rate then
+    Report.note
+      "fused streams of all three jobs equal the constants' for every local rate in [%.2f, %.2f] (grid 0.01 .. 0.24)"
+      (reach ~agrees:by_local ~lo:0.005 ~hi:0.245 rate (-0.01))
+      (reach ~agrees:by_local ~lo:0.005 ~hi:0.245 rate 0.01)
+  else Report.note "one local rate for both supports changes the fused streams"

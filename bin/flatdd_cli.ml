@@ -154,7 +154,7 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
        if trace then
          List.iter
            (fun g ->
-              Printf.printf "  gate %4d %-10s %-10s %.6fs dd=%d ewma=%.1f\n"
+              Printf.printf "  gate %4d %-10s %-10s %.6fs dd=%d ewma=%.1f%s\n"
                 g.Engine.index g.Engine.name
                 (match g.Engine.phase with
                  | Engine.Dd_phase -> "dd"
@@ -165,7 +165,15 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
                     | Some Engine.Dmav_cached -> "dmav+cache"
                     | Some Engine.Dmav_local -> "local"
                     | Some Engine.Dmav_uncached | None -> "dmav"))
-                g.Engine.seconds g.Engine.dd_size g.Engine.ewma)
+                g.Engine.seconds g.Engine.dd_size g.Engine.ewma
+                (* The model's price of the kernel that ran, beside its
+                   measured seconds: per thread, in the Run's priced MACs. *)
+                (match g.Engine.price with
+                 | None -> ""
+                 | Some price ->
+                   Printf.sprintf " support=%s price=%.4g"
+                     (match g.Engine.support with Some s -> string_of_int s | None -> ">2")
+                     price))
            r.Driver.trace;
        if top > 0 then print_top_amplitudes (Driver.amplitudes r) top
      | Dd_engine ->

@@ -19,6 +19,8 @@ let priced_macs ?(identity_price = identity_price) p e =
 type breakdown = {
   k1 : float;
   k2 : float;
+  k1_priced : float;
+  k2_priced : float;
   hits : int;
   buffers : int;
 }
@@ -114,33 +116,50 @@ let sum_distinct_tasks tasks f =
     tasks;
   (!sum, !hits)
 
+(* One pass over the tasks: the border tasks' paths partition the
+   root's, so K₁ is every task's count and K₂ each thread's distinct
+   tasks' count, plain and priced. The counts are sums of integers and
+   quarters, exact in any order. *)
 let breakdown p ~n ~threads root =
   let t = pow2_threads ~n threads in
   let tasks = assign p ~n ~t Column_major root in
-  let k2, hits = sum_distinct_tasks tasks (fun node -> mac_count p (Dd.munit node)) in
+  let k1 = ref 0.0 and k1_priced = ref 0.0 and k2 = ref 0.0 and k2_priced = ref 0.0 in
+  let hits = ref 0 in
+  Array.iter
+    (fun lst ->
+       let seen : (int, float * float) Hashtbl.t = Hashtbl.create 16 in
+       List.iter
+         (fun { node; _ } ->
+            let plain, priced =
+              match Hashtbl.find_opt seen (Dd.mid node) with
+              | Some counts ->
+                incr hits;
+                counts
+              | None ->
+                let e = Dd.munit node in
+                let counts = (mac_count p e, priced_macs p e) in
+                Hashtbl.replace seen (Dd.mid node) counts;
+                k2 := !k2 +. fst counts;
+                k2_priced := !k2_priced +. snd counts;
+                counts
+            in
+            k1 := !k1 +. plain;
+            k1_priced := !k1_priced +. priced)
+         lst)
+    tasks;
   let per_thread_blocks = Array.map (List.map (fun task -> task.start)) tasks in
   let _, buffers = allocate_buffers per_thread_blocks in
-  { k1 = mac_count p root; k2; hits; buffers }
+  { k1 = !k1; k2 = !k2; k1_priced = !k1_priced; k2_priced = !k2_priced; hits = !hits; buffers }
 
 type decision = { cached : bool; c1 : float; c2 : float; threads_used : int }
 
 let simd_width = 4
 
-let decide p ~n ~threads root =
-  let tu = pow2_threads ~n threads in
-  let t = float_of_int tu in
-  let d = float_of_int simd_width in
-  let b = breakdown p ~n ~threads root in
-  let dim = Float.pow 2.0 (float_of_int n) in
-  let c1 = b.k1 /. t in
-  let c2 = (b.k2 /. t) +. (dim /. (d *. t) *. ((float_of_int b.hits /. t) +. float_of_int b.buffers)) in
-  { cached = c2 < c1; c1; c2; threads_used = tu }
-
-let modeled_macs d = float_of_int d.threads_used *. Float.min d.c1 d.c2
+let modeled_macs d = float_of_int d.threads_used *. if d.cached then d.c2 else d.c1
 
 (* The part of [modeled_macs] (its MAC terms, not the block operations)
    under identity nodes, which the Run stub applies as contiguous
-   stripes. [decide] still charges them at the recursion rate. *)
+   stripes. *)
 let identity_macs p ~n d root =
   let count e = Dd.priced_paths p ~terminal:0.0 ~identity:1.0 e in
   if not d.cached then count root
@@ -149,49 +168,125 @@ let identity_macs p ~n d root =
       (sum_distinct_tasks (assign p ~n ~t:d.threads_used Column_major root) (fun node ->
            count (Dd.munit node)))
 
-(* Dense direct application is charged as touching every amplitude with a
-   fixed-size matrix: 2ⁿ⁻¹ pairs × 4 complex MACs for a single-qubit gate,
-   2ⁿ⁻² quads × 16 for a two-qubit one — so 2ⁿ⁺¹ and 2ⁿ⁺² MACs regardless
-   of the gate's sparsity or controls. *)
-let dense_direct_macs ~n (op : Circuit.op) =
-  let dim = Float.pow 2.0 (float_of_int n) in
-  match op with
-  | Circuit.Single _ -> 2.0 *. dim
-  | Circuit.Two _ -> 4.0 *. dim
+(* A scalar multiple of the identity acts on level n - 1. *)
+let support p ~n root =
+  if n < 1 then None
+  else
+    match Dd.msupport p ~max_levels:2 root with
+    | Some 0 -> Some (1 lsl (n - 1))
+    | s -> s
 
-type kernel = Dmav_kernel | Dense_kernel
+(* The local leg streams the whole vector once, in place, whatever the
+   gate's entries, so it is priced per amplitude, in the Run's priced
+   MACs. Over hybrid-deep's unfused and fused gates (bench/main.exe
+   fusion_price, 2-core Xeon, n = 15-16) an amplitude cost 0.09-0.14
+   priced MACs on support 1 and 0.14-0.18 on support 2, at one and two
+   threads. Both constants are exact in binary and below
+   [identity_price]. *)
+let local_rates = [| 0.125; 0.1875 |]
+
+let local_rate ~support = local_rates.(Bits.popcount support - 1)
+
+(* The dense kernels walk the controlled amplitudes only: 2ⁿ⁻ᶜ of a
+   c-controlled single-qubit gate, all 2ⁿ of a two-qubit one. The
+   single-qubit kernel shares the local leg's walk and measured
+   0.09-0.14 priced MACs per amplitude walked (fusion_price, as above),
+   so it takes the support-1 rate and wins the tie; the two-qubit kernel,
+   whose rows always do all 16 terms, measured 0.6-0.9. *)
+let dense_rates = [| 0.125; 0.75 |]
+
+let dense_amplitudes ~n (op : Circuit.op) =
+  match op with
+  | Circuit.Single { controls; _ } -> Float.ldexp 1.0 (n - List.length controls)
+  | Circuit.Two _ -> Float.ldexp 1.0 n
+
+let dense_rate (op : Circuit.op) =
+  match op with Circuit.Single _ -> dense_rates.(0) | Circuit.Two _ -> dense_rates.(1)
+
+let dense_price ~n op = dense_rate op *. dense_amplitudes ~n op
+
+(* The dense kernels do 4 complex MACs per amplitude pair they walk
+   (2ⁿ⁻¹⁻ᶜ pairs of a c-controlled single-qubit gate) and 16 per
+   quad of a two-qubit gate. *)
+let dense_direct_macs ~n (op : Circuit.op) =
+  match op with
+  | Circuit.Single _ -> 2.0 *. dense_amplitudes ~n op
+  | Circuit.Two _ -> 4.0 *. dense_amplitudes ~n op
+
+(* The price fusion compares: a gate on one thread, the cheaper of its
+   local leg and the Run. Algorithm 2 never pays on one thread (its one
+   task has no repeat, and Eq. 6 adds a buffer's block operations), and a
+   product has no dense kernel. The matrix DD has a node on every level,
+   so its root's level gives n. *)
+let price ?identity_price ?local_rate:rate p root =
+  let n = Dd.mlevel p (Dd.mtgt root) + 1 in
+  let run = priced_macs ?identity_price p root in
+  match support p ~n root with
+  | Some s ->
+    let rate = match rate with Some r -> r | None -> local_rate ~support:s in
+    Float.min run (rate *. Float.ldexp 1.0 n)
+  | None -> run
+
+type kernel = Local | Run | Cached | Dense
+
+type prices = {
+  local : float option;
+  run : float;
+  cached : float;
+  dense : float option;
+}
 
 type dispatch = {
   kernel : kernel;
   dmav : decision;
-  dense_c : float option;  (** per-thread dense cost; [None] when ineligible *)
+  prices : prices;
+  price : float;
+  support : int option;
 }
 
-(* The dense kernels are array loops, the single-qubit one 4-wide on
-   AVX2 hosts (two amplitudes per vector, matching [d]) and 2-wide
-   elsewhere, charged like the model's block operations at SIMD width
-   [d] either way, so dense direct costs [2ⁿ⁺¹/(d·t)] or [2ⁿ⁺²/(d·t)]. A
-   c-controlled gate touches only 2ⁿ⁻¹⁻ᶜ pairs but is still charged
-   2ⁿ⁺¹ MACs, which keeps every dispatch decision where it was. The Run
-   recursion's MACs are pointer-chasing DD traversals and stay at scalar
-   rate, exactly as in C₁/C₂. An op is only eligible when the original
-   circuit operation survived to the flat phase, i.e. the gate was not
-   fused. *)
-let dispatch p ~n ~threads ?op root =
-  let dmav = decide p ~n ~threads root in
-  match op with
-  | None -> { kernel = Dmav_kernel; dmav; dense_c = None }
-  | Some op ->
-    let t = float_of_int dmav.threads_used in
-    let d = float_of_int simd_width in
-    let dense_c = dense_direct_macs ~n op /. (d *. t) in
-    let kernel =
-      if dense_c < Float.min dmav.c1 dmav.c2 then Dense_kernel else Dmav_kernel
-    in
-    { kernel; dmav; dense_c = Some dense_c }
+(* One price per kernel, per thread, in the Run's priced MACs (a
+   recursion MAC 1, an identity-stripe MAC [identity_price]): the Run is
+   Eq. 5 over priced MACs, Algorithm 2 Eq. 6 over priced MACs plus its
+   block operations at SIMD width d, the local leg and the dense kernels
+   their per-amplitude rates. The cheapest wins; a tie goes to the kernel
+   earlier in dense, local, Run, cached. [decision] keeps Eq. 5/6's plain
+   MAC counts, which the reports and Table 2 show. *)
+let dispatch ?(local_leg = true) p ~n ~threads ?op root =
+  let tu = pow2_threads ~n threads in
+  let t = float_of_int tu in
+  let b = breakdown p ~n ~threads root in
+  let dim = Float.ldexp 1.0 n in
+  let blocks =
+    dim /. (float_of_int simd_width *. t) *. ((float_of_int b.hits /. t) +. float_of_int b.buffers)
+  in
+  let support = support p ~n root in
+  let prices =
+    { local =
+        (match support with
+         | Some s when local_leg -> Some (local_rate ~support:s *. dim /. t)
+         | _ -> None);
+      run = b.k1_priced /. t;
+      cached = (b.k2_priced /. t) +. blocks;
+      dense = Option.map (fun op -> dense_price ~n op /. t) op }
+  in
+  let kernel, price =
+    List.fold_left
+      (fun (k, c) (k', c') -> match c' with Some c' when c' < c -> (k', c') | _ -> (k, c))
+      (Run, infinity)
+      [ (Dense, prices.dense); (Local, prices.local); (Run, Some prices.run);
+        (Cached, Some prices.cached) ]
+  in
+  let dmav =
+    { cached = kernel = Cached;
+      c1 = b.k1 /. t;
+      c2 = (b.k2 /. t) +. blocks;
+      threads_used = tu }
+  in
+  { kernel; dmav; prices; price; support }
+
+let decide p ~n ~threads root = (dispatch ~local_leg:false p ~n ~threads root).dmav
 
 let dispatch_modeled_macs disp =
-  match disp with
-  | { kernel = Dense_kernel; dense_c = Some c; dmav } ->
-    float_of_int dmav.threads_used *. c
-  | { dmav; _ } -> modeled_macs dmav
+  match disp.kernel with
+  | Dense -> float_of_int disp.dmav.threads_used *. disp.price
+  | Local | Run | Cached -> modeled_macs disp.dmav

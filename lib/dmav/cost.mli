@@ -4,8 +4,9 @@
     of the [Run] recursion. The MAC count of a matrix DD is computed by a
     memoized depth-first walk — identical nodes contribute identical
     counts, the terminal contributes one (Figure 8). The same walk with
-    identity nodes priced at {!identity_price} per MAC is the fusion
-    cost {!priced_macs}.
+    identity nodes priced at {!identity_price} per MAC, {!priced_macs},
+    is the unit of the gate price that picks every flat gate's kernel
+    ({!dispatch}) and that fusion compares ({!price}).
 
     For an [n]-qubit DMAV on [t] threads with SIMD width [d]:
     - without caching (Eq. 5):  [C₁ = K₁ / t];
@@ -57,16 +58,18 @@ val identity_price : float
     and exact in binary. *)
 
 val priced_macs : ?identity_price:float -> Dd.package -> Dd.medge -> float
-(** The cost [Fusion.dmav_aware] compares (beyond the paper's Eq. 5):
-    each root-to-terminal path costs 1, except that the walk stops at a
+(** The Run's priced MACs (beyond the paper's Eq. 5): each
+    root-to-terminal path costs 1, except that the walk stops at a
     canonical identity node at level [l] and charges
     [identity_price × 2^(l+1)] for it. [identity_price] defaults to
     {!identity_price}; other values are for calibration sweeps. The
-    kernel picks ({!decide}, {!dispatch}) keep the plain count. *)
+    unit of every kernel's price ({!dispatch}, {!price}). *)
 
 type breakdown = {
   k1 : float;
   k2 : float;
+  k1_priced : float;  (** [K₁] in {!priced_macs} *)
+  k2_priced : float;  (** [K₂] in {!priced_macs} *)
   hits : int;        (** [H] *)
   buffers : int;     (** [b] *)
 }
@@ -77,51 +80,104 @@ val breakdown : Dd.package -> n:int -> threads:int -> Dd.medge -> breakdown
     rounded down to a power of two, as in {!Dmav}. *)
 
 type decision = { cached : bool; c1 : float; c2 : float; threads_used : int }
+(** The two DMAV kernels in the paper's terms: [c1] and [c2] are Eq. 5
+    and Eq. 6 over plain MAC counts, per thread, and [cached] says
+    whether Algorithm 2 runs. *)
 
 val simd_width : int
 (** The model's [d], fixed at 4: about one AVX2 register of doubles. *)
 
-val decide : Dd.package -> n:int -> threads:int -> Dd.medge -> decision
-(** Chooses the cheaper kernel: cached iff [C₂ < C₁]. *)
-
 val modeled_macs : decision -> float
-(** [min C₁ C₂ × t] — the modeled MAC work of the chosen kernel, the
-    quantity Table 2 reports as "Cost". *)
+(** [C × t] of the kernel that runs ([c2] if cached, else [c1]) — the
+    modeled MAC work Table 2 reports as "Cost". *)
 
 val identity_macs : Dd.package -> n:int -> decision -> Dd.medge -> float
 (** The MACs of the chosen kernel's Run calls that lie under identity
     nodes, which the Run stub applies as contiguous stripes:
-    {!Dd.priced_paths} with terminal paths priced 0. {!decide} still
-    charges them at the full recursion rate. *)
+    {!Dd.priced_paths} with terminal paths priced 0. *)
 
-(** {1 Per-gate kernel dispatch (DMAV vs dense direct apply)} *)
+(** {1 The gate price: local leg, Run, Algorithm 2, dense}
+
+    One unit for every flat-phase kernel: the Run's priced MAC
+    ({!priced_macs}: a recursion MAC 1, an identity-stripe MAC
+    {!identity_price}), per thread. The Run costs its priced MACs (Eq. 5),
+    Algorithm 2 its distinct tasks' priced MACs plus Eq. 6's block
+    operations at SIMD width [d], and the two array kernels, the local
+    leg and the dense kernel, a fitted rate per amplitude they stream. *)
+
+val support : Dd.package -> n:int -> Dd.medge -> int option
+(** The levels an [n]-qubit matrix DD acts on, as a bit mask, if there are
+    at most two: the levels holding a node other than (e, 0, 0, e) with
+    one packed edge on the diagonal. A scalar multiple of the identity
+    acts on level [n − 1]. One walk, which stops at the third level. *)
+
+val local_rate : support:int -> float
+(** The local leg's price per amplitude on a gate of this support mask
+    (one or two levels), fitted with [bench/main.exe fusion_price]. Below
+    {!identity_price}, so a gate with a local form never costs more there
+    than on the Run (every row has a path of at least that price) or on
+    Algorithm 2 (at least one buffer's block operations). *)
 
 val dense_direct_macs : n:int -> Circuit.op -> float
-(** Modeled MACs of applying [op] with the dense direct kernels
-    ([Apply.single] / [Apply.two]): [2ⁿ⁺¹] for a single-qubit gate,
-    [2ⁿ⁺²] for a two-qubit one, regardless of gate sparsity. The
-    single-qubit kernel touches only the [2ⁿ⁻¹⁻ᶜ] pairs of a
-    [c]-controlled gate; the model does not credit that. *)
+(** MACs of the dense direct kernels ([Apply.single] / [Apply.two]): 4
+    per amplitude pair walked, which is [2ⁿ⁻¹⁻ᶜ] pairs for a
+    [c]-controlled single-qubit gate, so [2ⁿ⁺¹⁻ᶜ]; 16 per quad of a
+    two-qubit gate, so [2ⁿ⁺²]. *)
 
-type kernel = Dmav_kernel | Dense_kernel
+val dense_rate : Circuit.op -> float
+(** The dense kernel's price per amplitude walked, fitted with
+    [bench/main.exe fusion_price]. *)
+
+val dense_price : n:int -> Circuit.op -> float
+(** The dense kernel's price on one thread: a fitted rate per amplitude
+    walked, [2ⁿ⁻ᶜ] for a [c]-controlled single-qubit gate (the local
+    leg's support-1 rate: the two share the walk), [2ⁿ] for a two-qubit
+    gate, whose rows always do all 16 terms. *)
+
+val price : ?identity_price:float -> ?local_rate:float -> Dd.package -> Dd.medge -> float
+(** The price [Fusion.dmav_aware] compares: the gate on one thread, the
+    cheaper of its local leg (when it has a local form) and the Run.
+    Algorithm 2 never wins on one thread and a product has no dense
+    kernel. [identity_price] and [local_rate] (one rate for both
+    supports) override the constants for calibration sweeps. *)
+
+type kernel =
+  | Local   (** the local leg: a 2×2 or 4×4 matrix in place, Run's bits *)
+  | Run     (** Algorithm 1, uncached *)
+  | Cached  (** Algorithm 2, column-space caching *)
+  | Dense   (** the dense direct kernel on an unfused op *)
+
+type prices = {
+  local : float option;  (** [None]: no local form, or the leg is off *)
+  run : float;
+  cached : float;
+  dense : float option;  (** [None] when no unfused op is given *)
+}
+(** Each kernel's price per thread, for a pool of [threads]. *)
 
 type dispatch = {
-  kernel : kernel;    (** the cheaper kernel under the model *)
-  dmav : decision;    (** the DMAV-side decision, reusable by the kernel *)
-  dense_c : float option;
-  (** modeled per-thread cost of dense direct application; [None] when the
-      gate is fused (no original circuit op) and thus DMAV-only *)
+  kernel : kernel;    (** the cheapest kernel *)
+  dmav : decision;
+  (** the two DMAV kernels' Eq. 5/6 counts; [dmav.cached] is
+      [kernel = Cached] *)
+  prices : prices;
+  price : float;      (** the picked kernel's price *)
+  support : int option;  (** {!support} *)
 }
 
-val dispatch : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> dispatch
-(** Extends {!decide} with the dense direct-apply alternative: dense
-    kernels are array loops (the single-qubit one 4-wide on AVX2 hosts,
-    2-wide elsewhere, over the controlled pairs only) charged at SIMD
-    width [d]
-    (like the model's block operations), DD-traversal MACs at scalar
-    rate. Dense is only eligible when [op] is given — a fused matrix has
-    no dense kernel. *)
+val dispatch :
+  ?local_leg:bool -> Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> dispatch
+(** Prices the gate on every eligible kernel for a pool of [threads] and
+    picks the cheapest; on a tie the earlier of dense, local, Run,
+    cached. The dense kernel is eligible when [op], the unfused circuit
+    op, is given; the local leg when the gate has a {!support} and
+    [local_leg] (default [true]) holds. *)
+
+val decide : Dd.package -> n:int -> threads:int -> Dd.medge -> decision
+(** {!dispatch} between the paper's two DMAV kernels only (no local leg,
+    no dense kernel): the pick the paper's kernel measurements use. *)
 
 val dispatch_modeled_macs : dispatch -> float
-(** Modeled MAC work of the dispatched kernel ([t × C] of whichever side
-    won), the dispatch-aware analogue of {!modeled_macs}. *)
+(** Modeled work of the dispatched kernel: {!modeled_macs} of its
+    decision for the DMAV kernels and the local leg (counted as the
+    uncached kernel it stands in for), [t × price] for dense. *)

@@ -206,8 +206,8 @@ module Make (P : Storage.S) = struct
 
   module DK = Dense_kernel.Make (P)
 
-  (* An uncached pick on its local leg, in place on [v]: counted and
-     timed as the uncached kernel it stands in for. *)
+  (* A gate on its local leg, in place on [v]: counted and timed as the
+     uncached kernel it stands in for. *)
   let exec_local ~pool (g : Flat_gate.t) ~v =
     match g.body with
     | Flat_gate.Dense _ | Flat_gate.Dmav _ -> invalid_arg "Dmav.exec_local: not a local gate"

@@ -201,33 +201,6 @@ let program ?(piece_macs = piece_macs) p ~n ~t ~cached root =
     contributors;
     hits = !hits }
 
-(* The levels on which [root] is not the identity pattern: a level is
-   trivial when each of its nodes is (e, 0, 0, e) with one packed edge
-   on the diagonal. [None] as soon as a third level is found. A trivial
-   node has one child to walk and a node on a support level at most
-   four, so the walk sees at most 16 paths of n nodes before it stops. *)
-let support_of p root =
-  let mask = ref 0 in
-  let rec walk node =
-    let l = Dd.mlevel p node in
-    if l >= 0 then begin
-      let e00 = Dd.mchild p node 0 0 and e01 = Dd.mchild p node 0 1 in
-      let e10 = Dd.mchild p node 1 0 and e11 = Dd.mchild p node 1 1 in
-      if Dd.medge_is_zero e01 && Dd.medge_is_zero e10 && (e00 :> int) = (e11 :> int) then
-        walk (Dd.mtgt e00)
-      else begin
-        mask := !mask lor (1 lsl l);
-        if Bits.popcount !mask > 2 then raise_notrace Exit;
-        let child e = if not (Dd.medge_is_zero e) then walk (Dd.mtgt e) in
-        child e00;
-        child e01;
-        child e10;
-        child e11
-      end
-    end
-  in
-  match walk (Dd.mtgt root) with () -> Some !mask | exception Exit -> None
-
 (* The local form of a gate of support at most two. Entry (r, c) of [u]
    is the weight product Run carries down the path of that row and
    column: [Cost.assign]'s product from one through the root edge, then
@@ -235,50 +208,46 @@ let support_of p root =
    takes its diagonal edge, an identity node's levels included (Run's
    stripe multiplies by its unit edge weight once per level too). An
    entry with no path stays 0 and its bit of [paths] clear, so the
-   kernel does no MAC for it, as Run does none. A gate that is the
-   identity up to a scalar acts on level n - 1. *)
-let local p ~n root =
-  match support_of p root with
-  | None -> None
-  | Some mask ->
-    let support = if mask = 0 then 1 lsl (n - 1) else mask in
-    let d = if Bits.popcount support = 1 then 2 else 4 in
-    let u = Array.make (2 * d * d) 0.0 and paths = ref 0 in
-    let rec fill node (f : Cnum.t) r c =
-      let l = Dd.mlevel p node in
-      if l < 0 then begin
-        u.(2 * ((r * d) + c)) <- f.Cnum.re;
-        u.((2 * ((r * d) + c)) + 1) <- f.Cnum.im;
-        paths := !paths lor (1 lsl ((r * d) + c))
-      end
-      else if (support lsr l) land 1 = 0 then step node f 0 0 r c
-      else
-        for q = 0 to 3 do
-          step node f (q lsr 1) (q land 1) ((2 * r) + (q lsr 1)) ((2 * c) + (q land 1))
-        done
-    and step node f i j r c =
-      let e = Dd.mchild p node i j in
-      if not (Dd.medge_is_zero e) then fill (Dd.mtgt e) (Cnum.mul f (Dd.mw p e)) r c
-    in
-    fill (Dd.mtgt root) (Cnum.mul Cnum.one (Dd.mw p root)) 0 0;
-    Some { support; u; paths = !paths }
+   kernel does no MAC for it, as Run does none. *)
+let local_of p root support =
+  let d = if Bits.popcount support = 1 then 2 else 4 in
+  let u = Array.make (2 * d * d) 0.0 and paths = ref 0 in
+  let rec fill node (f : Cnum.t) r c =
+    let l = Dd.mlevel p node in
+    if l < 0 then begin
+      u.(2 * ((r * d) + c)) <- f.Cnum.re;
+      u.((2 * ((r * d) + c)) + 1) <- f.Cnum.im;
+      paths := !paths lor (1 lsl ((r * d) + c))
+    end
+    else if (support lsr l) land 1 = 0 then step node f 0 0 r c
+    else
+      for q = 0 to 3 do
+        step node f (q lsr 1) (q land 1) ((2 * r) + (q lsr 1)) ((2 * c) + (q land 1))
+      done
+  and step node f i j r c =
+    let e = Dd.mchild p node i j in
+    if not (Dd.medge_is_zero e) then fill (Dd.mtgt e) (Cnum.mul f (Dd.mw p e)) r c
+  in
+  fill (Dd.mtgt root) (Cnum.mul Cnum.one (Dd.mw p root)) 0 0;
+  { support; u; paths = !paths }
+
+let local p ~n root = Option.map (local_of p root) (Cost.support p ~n root)
 
 let s_cost = Obs.span "dmav.cost"
 
-let compile ?(local_leg = true) p ~n ~threads ?op m =
-  let disp = Obs.with_span s_cost (fun () -> Cost.dispatch p ~n ~threads ?op m) in
-  let body, identity_macs =
-    match op, disp.Cost.kernel with
-    | Some op, Cost.Dense_kernel -> (Dense op, 0.0)
-    | _ ->
-      let d = disp.Cost.dmav in
-      let form = if local_leg && not d.Cost.cached then local p ~n m else None in
-      let body =
-        match form with
-        | Some l -> Local l
-        | None -> Dmav (program p ~n ~t:d.Cost.threads_used ~cached:d.Cost.cached m)
-      in
-      (body, if Obs.enabled () then Cost.identity_macs p ~n d m else 0.0)
+let compile ?local_leg p ~n ~threads ?op m =
+  let disp = Obs.with_span s_cost (fun () -> Cost.dispatch ?local_leg p ~n ~threads ?op m) in
+  let d = disp.Cost.dmav in
+  let body =
+    match disp.Cost.kernel, op, disp.Cost.support with
+    | Cost.Dense, Some op, _ -> Dense op
+    | Cost.Local, _, Some s -> Local (local_of p m s)
+    | _ -> Dmav (program p ~n ~t:d.Cost.threads_used ~cached:d.Cost.cached m)
+  in
+  let identity_macs =
+    match body with
+    | Dense _ -> 0.0
+    | Dmav _ | Local _ -> if Obs.enabled () then Cost.identity_macs p ~n d m else 0.0
   in
   { body; dispatch = disp; identity_macs; package_bytes = Dd.memory_bytes p }
 

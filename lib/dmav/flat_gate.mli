@@ -9,10 +9,9 @@
     {!Dd.package}, so the planner may keep fusing while earlier gates
     run. A compiled gate is immutable and may be run on any pool: the
     [threads] virtual task lists are the same whether [threads] domains
-    run one each or one domain runs them all, so are the bytes. An
-    uncached pick that acts on at most two levels compiles to its
-    [Local] form instead: a 2×2 or 4×4 matrix applied in place, with
-    the Run's bits.
+    run one each or one domain runs them all, so are the bytes. A gate
+    that acts on at most two levels may be picked for its [Local] form:
+    a 2×2 or 4×4 matrix applied in place, with the Run's bits.
 
     A task whose sub-matrix models more than [piece_macs] MACs is split
     into the Run calls of its children, in the recursion's order and
@@ -51,14 +50,14 @@ type local = private {
   (** bit [r·2^s + c] set where Run has a MAC, i.e. a path of nonzero
       edges to the terminal *)
 }
-(** An uncached pick whose matrix DD is the identity pattern on all
-    but at most two levels, run as {!Storage.S.local_apply}: in place,
-    with Run's bits (DESIGN.md). It holds no arena. *)
+(** A gate whose matrix DD is the identity pattern on all but at most
+    two levels ({!Cost.support}), run as {!Storage.S.local_apply}: in
+    place, with Run's bits (DESIGN.md). It holds no arena. *)
 
 type body =
   | Dense of Circuit.op  (** the dense direct kernel on an unfused op *)
-  | Dmav of program
-  | Local of local       (** the local leg of an uncached DMAV pick *)
+  | Dmav of program      (** the Run, uncached or cached *)
+  | Local of local       (** the local leg *)
 
 type t = {
   body : body;
@@ -83,18 +82,17 @@ val program :
     Run calls. *)
 
 val local : Dd.package -> n:int -> Dd.medge -> local option
-(** The local form of an [n]-qubit matrix DD, if its support (the levels
-    holding a node other than (e, 0, 0, e) with one packed edge on the
-    diagonal) has at most two levels; a scalar multiple of the identity
-    acts on level [n − 1]. One walk, which stops at the third level. *)
+(** The local form of an [n]-qubit matrix DD, if its {!Cost.support} has
+    at most two levels. *)
 
 val compile :
   ?local_leg:bool -> Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> t
-(** Prices the gate for a pool of [threads] (one [dmav.cost] span) and
-    compiles the picked kernel. [op], the unfused circuit op, makes the
-    dense kernel eligible, as in {!Cost.dispatch}. An uncached DMAV pick
-    with a {!local} form compiles to [Local] unless [local_leg] (default
-    [true]) is [false], which the paper's kernel measurements use. *)
+(** Prices the gate on every kernel for a pool of [threads]
+    ({!Cost.dispatch}, one [dmav.cost] span) and compiles the cheapest:
+    [Dense] (eligible when [op], the unfused circuit op, is given),
+    [Local] (when the gate has a local form and [local_leg], default
+    [true], holds; the paper's kernel measurements pass [false]), or the
+    Run program, uncached or cached. *)
 
 val pieces : program -> int
 (** Run calls in the program. *)

@@ -71,17 +71,20 @@ module Make (Pr : Engine.PRECISION) = struct
     let g = gate_of st xo in
     if g.Flat_gate.package_bytes > st.package_bytes then
       st.package_bytes <- g.Flat_gate.package_bytes;
+    let disp = g.Flat_gate.dispatch in
+    let priced =
+      { Engine.no_stats with
+        Engine.gs_modeled_macs = Cost.dispatch_modeled_macs disp;
+        gs_price = Some disp.Cost.price;
+        gs_support = Option.map Bits.popcount disp.Cost.support }
+    in
     match g.Flat_gate.body with
     | Flat_gate.Dense op ->
       DK.op ~pool:st.pool ~n:st.n st.v op;
-      { Engine.no_stats with
-        Engine.gs_dispatch = Some Engine.Dense_direct;
-        gs_modeled_macs = Cost.dispatch_modeled_macs g.Flat_gate.dispatch }
+      { priced with Engine.gs_dispatch = Some Engine.Dense_direct }
     | Flat_gate.Local _ ->
       K.exec_local ~pool:st.pool g ~v:st.v;
-      { Engine.no_stats with
-        Engine.gs_dispatch = Some Engine.Dmav_local;
-        gs_modeled_macs = Cost.dispatch_modeled_macs g.Flat_gate.dispatch }
+      { priced with Engine.gs_dispatch = Some Engine.Dmav_local }
     | Flat_gate.Dmav _ ->
       let s = K.exec ~workspace:st.ws ~pool:st.pool g ~v:st.v ~w:st.w in
       if s.Dmav_generic.buffers_used > st.max_buffers then
@@ -89,10 +92,10 @@ module Make (Pr : Engine.PRECISION) = struct
       let tmp = st.v in
       st.v <- st.w;
       st.w <- tmp;
-      { Engine.gs_dispatch =
+      { priced with
+        Engine.gs_dispatch =
           Some (if s.Dmav_generic.used_cache then Engine.Dmav_cached else Engine.Dmav_uncached);
-        gs_cache_hits = s.Dmav_generic.cache_hits;
-        gs_modeled_macs = Cost.modeled_macs s.Dmav_generic.decision }
+        gs_cache_hits = s.Dmav_generic.cache_hits }
 
   let size_metric _ = 0
 

@@ -204,7 +204,9 @@ let step (type s) (module E : Engine.ENGINE with type state = s) st r (xo : Engi
       phase = E.trace_phase;
       dd_size;
       ewma = Ewma.value r.monitor;
-      dispatch = stats.Engine.gs_dispatch }
+      dispatch = stats.Engine.gs_dispatch;
+      price = stats.Engine.gs_price;
+      support = stats.Engine.gs_support }
   in
   record r g;
   (g, verdict)
@@ -447,7 +449,7 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
         record r
           { Engine.index = i - 1; name = "dd->array"; seconds = seconds_convert;
             phase = Engine.Conversion; dd_size = 0; ewma = Ewma.value r.monitor;
-            dispatch = None };
+            dispatch = None; price = None; support = None };
         Dd_engine.release dd;
 
         (* ---- Flat phase: the DMAV engine of the configured precision - *)

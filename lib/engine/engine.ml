@@ -24,6 +24,12 @@ type gate_record = {
   dd_size : int;          (** state DD nodes (DD phase only; 0 after) *)
   ewma : float;           (** monitor value when this gate finished *)
   dispatch : dispatch option;  (** flat-phase kernel, when applicable *)
+  price : float option;
+  (** flat phase: the modeled price of the kernel that ran
+      ({!Cost.dispatch}'s [price], per thread, in the Run's priced MACs),
+      to set against [seconds] *)
+  support : int option;
+  (** flat phase: the levels the gate acts on, when at most two *)
 }
 
 type final_state =
@@ -37,9 +43,12 @@ type gate_stats = {
   gs_dispatch : dispatch option;
   gs_cache_hits : int;
   gs_modeled_macs : float;
+  gs_price : float option;
+  gs_support : int option;
 }
 
-let no_stats = { gs_dispatch = None; gs_cache_hits = 0; gs_modeled_macs = 0.0 }
+let no_stats =
+  { gs_dispatch = None; gs_cache_hits = 0; gs_modeled_macs = 0.0; gs_price = None; gs_support = None }
 
 (** One item of the executable gate stream. The driver builds these: in
     the DD phase straight from circuit ops; in the flat phase from the

@@ -10,7 +10,7 @@ let sum_macs p gates =
   List.fold_left (fun acc g -> acc +. Cost.mac_count p g) 0.0 gates
 
 (* "accepted" = a DDMM product was kept as the pending fused gate;
-   "rejected" = the product's priced cost exceeded applying the two gates
+   "rejected" = the product's price exceeded applying the two gates
    separately, so the pending gate was emitted instead. *)
 let c_runs = Obs.counter "fusion.runs"
 let c_gates_in = Obs.counter "fusion.gates_in"
@@ -37,8 +37,8 @@ let collect scan =
   let st = scan (fun m -> out := m :: !out) in
   (List.rev !out, st)
 
-let dmav_aware_iter ?identity_price ?(poll = ignore) p ~emit gates =
-  let price m = Cost.priced_macs ?identity_price p m in
+let dmav_aware_iter ?identity_price ?local_rate ?(poll = ignore) p ~emit gates =
+  let price m = Cost.price ?identity_price ?local_rate p m in
   let ddmm = ref 0 and gates_out = ref 0 in
   (* M_p starts as a virtual identity with zero cost: the first real gate
      always "fuses" into it, so the identity itself is never emitted. *)
@@ -85,8 +85,8 @@ let dmav_aware_iter ?identity_price ?(poll = ignore) p ~emit gates =
   finish ~gates_in:(List.length gates) ~gates_out:!gates_out ~ddmm_calls:!ddmm
     ~macs_before:!macs_before ~macs_after:!macs_after
 
-let dmav_aware ?identity_price p gates =
-  collect (fun emit -> dmav_aware_iter ?identity_price p ~emit gates)
+let dmav_aware ?identity_price ?local_rate p gates =
+  collect (fun emit -> dmav_aware_iter ?identity_price ?local_rate p ~emit gates)
 
 let k_operations_iter ?(poll = ignore) p ~k ~emit gates =
   if k < 1 then invalid_arg "Fusion.k_operations: k must be >= 1";

@@ -12,14 +12,17 @@
     itself is ignored by the model, as in the paper: it builds DD nodes,
     never 2ⁿ-sized data.
 
-    The modeled cost is {!Cost.priced_macs}, not the paper's plain path
-    count: a path costs one MAC, except that a canonical identity node at
-    level [l] costs [Cost.identity_price × 2^(l+1)], because the Run stub
-    applies it as one contiguous stripe at about a quarter of the
-    recursion's per-MAC time. With the plain count a permutation (2ⁿ
-    MACs) ties with any product costing 2ⁿ or more, so dnn's CNOT ladders
-    fused into its rotation products, which then ran slower than the
-    gates they replaced.
+    The modeled cost is {!Cost.price}, not the paper's plain path count:
+    the cheaper of the gate's two one-thread kernels. On the Run a path
+    costs one MAC, except that a canonical identity node at level [l]
+    costs [Cost.identity_price × 2^(l+1)], because the Run stub applies
+    it as one contiguous stripe at about a quarter of the recursion's
+    per-MAC time. With the plain count a permutation (2ⁿ MACs) ties with
+    any product costing 2ⁿ or more, so dnn's CNOT ladders fused into its
+    rotation products, which then ran slower than the gates they
+    replaced. A gate on at most two levels runs on the local leg, priced
+    [Cost.local_rate × 2ⁿ], so fusion does not merge two such gates into
+    a wider one that would need the Run.
 
     {!k_operations} is the fixed-grouping baseline of Zulehner & Wille
     (DATE'19): every run of [k] consecutive gates is multiplied into one
@@ -33,9 +36,11 @@ type stats = {
   macs_after : float;   (** Σ {!Cost.mac_count} of the output gates *)
 }
 
-val dmav_aware : ?identity_price:float -> Dd.package -> Dd.medge list -> Dd.medge list * stats
-(** [identity_price] defaults to {!Cost.identity_price}; the calibration
-    bench sweeps it. The stats count plain MACs whatever the price. *)
+val dmav_aware :
+  ?identity_price:float -> ?local_rate:float -> Dd.package -> Dd.medge list -> Dd.medge list * stats
+(** [identity_price] and [local_rate] default to {!Cost.price}'s
+    constants; the calibration bench sweeps them. The stats count plain
+    MACs whatever the price. *)
 
 val k_operations : Dd.package -> k:int -> Dd.medge list -> Dd.medge list * stats
 
@@ -49,6 +54,7 @@ val k_operations : Dd.package -> k:int -> Dd.medge list -> Dd.medge list * stats
 
 val dmav_aware_iter :
   ?identity_price:float ->
+  ?local_rate:float ->
   ?poll:(unit -> unit) ->
   Dd.package ->
   emit:(Dd.medge -> unit) ->

@@ -295,13 +295,21 @@ let test_breakdown_consistency () =
       Alcotest.(check int) "modeled b = realized buffers" b.Cost.buffers buffers)
 
 let test_decision_prefers_cache_when_repetitive () =
-  (* A top-qubit Hadamard at large n has massive block repetition: with
-     several threads the cached kernel must be modeled cheaper. *)
+  (* A top-qubit Hadamard times a gate on qubit 0 at large n has massive
+     block repetition and no identity stripe: with several threads the
+     cached kernel must be modeled cheaper. *)
   let n = 12 in
   let p = Dd.create () in
-  let m = Mat_dd.of_single p ~n ~target:(n - 1) ~controls:[] Gate.h in
+  let h = Mat_dd.of_single p ~n ~target:(n - 1) ~controls:[] Gate.h in
+  let m = Dd.mm p h (Mat_dd.of_single p ~n ~target:0 ~controls:[] (Gate.u3 0.3 0.5 0.7)) in
   let d = Cost.decide p ~n ~threads:4 m in
   Alcotest.(check bool) "cached cheaper for repetitive gate" true d.Cost.cached;
+  (* The Hadamard alone repeats as much, but its MACs are identity
+     stripes: Eq. 6 over plain MACs still models the cached kernel
+     cheaper, while the Run's priced MACs win the pick. *)
+  let dh = Cost.decide p ~n ~threads:4 h in
+  Alcotest.(check bool) "plain Eq. 6 below Eq. 5" true (dh.Cost.c2 < dh.Cost.c1);
+  Alcotest.(check bool) "stripes priced: the Run wins" false dh.Cost.cached;
   (* A bottom-qubit controlled gate has little repetition at the border
      level: uncached should win (or at least cached must not be absurd). *)
   Alcotest.(check bool) "costs positive" true (d.Cost.c1 > 0.0 && d.Cost.c2 > 0.0);

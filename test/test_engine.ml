@@ -451,6 +451,44 @@ let test_bench_dd_time_limit () =
   Alcotest.(check int) "peak memory of an untimed run" r.Driver.peak_memory_bytes
     full.Workloads.dd_peak_memory_bytes
 
+(* Exact bits of jobs the gate price leaves alone: unfused jobs with no
+   cached pick (flat from the first gate under dense dispatch, at f64 and
+   f32, and EWMA-converted on one thread) and DD-only jobs. The digests
+   are those of the build before the local leg was priced, where the
+   same jobs ran the same kernels; a change to the dense/local/Run split
+   of unfused gates or to the DD phase moves them. *)
+let test_unfused_bytes_pinned () =
+  let digest (b : Buf.t) =
+    let len = Buf.length b in
+    let by = Bytes.create (16 * len) in
+    for i = 0 to len - 1 do
+      Bytes.set_int64_le by (16 * i) (Int64.bits_of_float (Buf.get_re b i));
+      Bytes.set_int64_le by ((16 * i) + 8) (Int64.bits_of_float (Buf.get_im b i))
+    done;
+    Digest.to_hex (Digest.bytes by)
+  in
+  let flat = { Config.default with Config.policy = Config.Convert_at (-1); dense_dispatch = true } in
+  let never = { Config.default with Config.policy = Config.Never_convert } in
+  List.iter
+    (fun (label, cfg, threads, fam, n, gates, seed, want) ->
+       let c = Suite.generate ~seed ?gates fam ~n in
+       Pool.with_pool threads (fun pool ->
+           let r = Driver.run ~pool { cfg with Config.threads } c in
+           Alcotest.(check int) (label ^ ": no cached pick") 0 r.Driver.dmav_gates_cached;
+           Alcotest.(check string) label want (digest (Driver.amplitudes r))))
+    [ ("supremacy-10 flat, dense dispatch", flat, 2, Suite.Supremacy, 10, Some 80, 5,
+       "5c9e90c97cc2b5c81471d15e59012574");
+      ("dnn-10 flat, dense dispatch", flat, 2, Suite.Dnn, 10, Some 80, 6,
+       "32a37f3b2a805aae615ae463dc007f5c");
+      ("supremacy-10 flat, dense dispatch, f32", { flat with Config.precision = Config.F32 }, 2,
+       Suite.Supremacy, 10, Some 80, 5, "3f0837f8167b6f4cd9753051dd63281c");
+      ("vqe-10 EWMA", Config.default, 1, Suite.Vqe, 10, Some 100, 7,
+       "ca8eeebf70454cb17dd0d8412568171f");
+      ("supremacy-10 EWMA", Config.default, 1, Suite.Supremacy, 10, Some 120, 9,
+       "e2f9db29f7681b8d5ccd3e2eec20a363");
+      ("dnn-9 DD only", never, 1, Suite.Dnn, 9, Some 100, 8, "80db45ea69048ce17f8cf8147abc7cfc");
+      ("grover-8 DD only", never, 1, Suite.Grover, 8, None, 3, "2a64c5121e9aacc58384c0b7a65516da") ]
+
 let suite =
   [ ( "engine",
       [ Alcotest.test_case "three-engine differential" `Quick
@@ -478,4 +516,6 @@ let suite =
         Alcotest.test_case "bench DD baseline honours its time limit" `Quick
           test_bench_dd_time_limit;
         Alcotest.test_case "run_engine dd trace matches never-convert run" `Quick
-          test_run_engine_dd_matches_never_convert ] ) ]
+          test_run_engine_dd_matches_never_convert;
+        Alcotest.test_case "unfused and DD-only jobs: exact bits pinned" `Quick
+          test_unfused_bytes_pinned ] ) ]

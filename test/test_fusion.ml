@@ -50,11 +50,11 @@ let test_dmav_aware_fuses_rotation_chains () =
     (stats.Fusion.macs_after < stats.Fusion.macs_before)
 
 let test_dmav_aware_never_increases_cost_much () =
-  (* The greedy rule only fuses when the product's priced cost is no more
-     than its parts' priced costs, so the summed priced cost of the output
+  (* The greedy rule only fuses when the product's price ([Cost.price])
+     is no more than its parts' prices, so the summed price of the output
      can never exceed the input's. The plain Eq. 5 MAC sum carries no such
      guarantee: a product can trade stripe MACs for recursion MACs. *)
-  let priced p ms = List.fold_left (fun acc m -> acc +. Cost.priced_macs p m) 0.0 ms in
+  let priced p ms = List.fold_left (fun acc m -> acc +. Cost.price p m) 0.0 ms in
   List.iter
     (fun seed ->
        let n = 7 in
@@ -160,7 +160,9 @@ let test_stats_sums_exact () =
    1, the rotations' last product absorbs the ladder, since 4·2ⁿ ≤ 4·2ⁿ
    + 2ⁿ. That product runs slower in the Run stub than its parts, whose
    low rotations sit above identity stripes. The priced cost keeps the
-   ladder a product of its own. *)
+   ladder out of the rotation products: the stream fuses as the
+   rotations and the ladder would each alone, and the ladder's products
+   stay permutations. *)
 let test_cnot_ladder_not_fused_into_rotations () =
   let n = 10 in
   let b = Circuit.Builder.create n in
@@ -174,14 +176,15 @@ let test_cnot_ladder_not_fused_into_rotations () =
   let p = Dd.create () in
   let mats = circuit_mats p n c in
   let fused, _ = Fusion.dmav_aware p mats in
-  let ladder = List.filteri (fun i _ -> i >= n) mats in
-  let ladder_product =
-    List.fold_left (fun acc m -> Dd.mm p m acc) (List.hd ladder) (List.tl ladder)
-  in
-  let last = List.nth fused (List.length fused - 1) in
-  Alcotest.(check bool) "the ladder is the last product, alone" true (last = ladder_product);
-  Alcotest.(check (float 0.0)) "a permutation: 2^n MACs" (float_of_int (1 lsl n))
-    (Cost.mac_count p last)
+  let alone ms = fst (Fusion.dmav_aware p ms) in
+  let rotations = List.filteri (fun i _ -> i < n) mats in
+  let ladder = alone (List.filteri (fun i _ -> i >= n) mats) in
+  Alcotest.(check bool) "rotations and ladder fuse apart" true (fused = alone rotations @ ladder);
+  List.iter
+    (fun m ->
+       Alcotest.(check (float 0.0)) "a ladder product: a permutation, 2^n MACs"
+         (float_of_int (1 lsl n)) (Cost.mac_count p m))
+    ladder
 
 (* Dense product of a gate list applied in order: M_k ⋯ M_1. *)
 let dense_product p ~n mats =
@@ -208,7 +211,7 @@ let test_dmav_aware_product_preserved () =
        let p = Dd.create () in
        let mats = circuit_mats p n c in
        let fused, _ = Fusion.dmav_aware p mats in
-       let priced ms = List.fold_left (fun acc m -> acc +. Cost.priced_macs p m) 0.0 ms in
+       let priced ms = List.fold_left (fun acc m -> acc +. Cost.price p m) 0.0 ms in
        Alcotest.(check bool)
          (Printf.sprintf "seed %d: priced cost does not grow" seed) true
          (priced fused <= priced mats);
@@ -222,6 +225,46 @@ let test_dmav_aware_product_preserved () =
               row)
          expect)
     [ 21; 22; 23; 24; 25 ]
+
+(* A stream whose grouping the local leg's price changes: three pairs,
+   each a gate and a CNOT on its own two qubits. Priced by their Run MACs
+   alone, the pairs' products (permutations and near-permutations, no
+   identity stripe under their low levels) cost no more together than
+   apart, so they fuse into one wide gate; priced at the local leg's
+   rate, each pair is a cheap two-level gate and a wider product is not.
+   Either grouping keeps the dense product. *)
+let test_local_price_regroups () =
+  let n = 6 in
+  let b = Circuit.Builder.create n in
+  Circuit.Builder.h b 0;
+  Circuit.Builder.cx b ~control:0 ~target:1;
+  Circuit.Builder.rz b 0.3 2;
+  Circuit.Builder.cx b ~control:2 ~target:3;
+  Circuit.Builder.ry b 0.7 4;
+  Circuit.Builder.cx b ~control:4 ~target:5;
+  Circuit.Builder.t b 1;
+  let c = Circuit.Builder.finish b in
+  let p = Dd.create () in
+  let mats = circuit_mats p n c in
+  let priced, _ = Fusion.dmav_aware p mats in
+  let unpriced, _ = Fusion.dmav_aware ~local_rate:infinity p mats in
+  Alcotest.(check bool) "the local price changes the grouping" true
+    (List.length priced <> List.length unpriced);
+  Alcotest.(check bool) "every priced product has a local form" true
+    (List.for_all (fun m -> Cost.support p ~n m <> None) priced);
+  let expect = dense_product p ~n mats in
+  List.iter
+    (fun (what, fused) ->
+       let got = dense_product p ~n fused in
+       Array.iteri
+         (fun i row ->
+            Array.iteri
+              (fun j e ->
+                 if not (Cnum.equal ~tol:1e-12 e got.(i).(j)) then
+                   Alcotest.failf "%s: product entry (%d, %d) differs" what i j)
+              row)
+         expect)
+    [ ("local leg priced", priced); ("local leg unpriced", unpriced) ]
 
 let suite =
   [ ( "fusion",
@@ -241,5 +284,7 @@ let suite =
         Alcotest.test_case "stats MAC sums are exact" `Quick test_stats_sums_exact;
         Alcotest.test_case "CNOT ladder is not fused into rotations" `Quick
           test_cnot_ladder_not_fused_into_rotations;
+        Alcotest.test_case "local leg pricing regroups, keeps the dense product" `Quick
+          test_local_price_regroups;
         Alcotest.test_case "dmav-aware keeps the dense product" `Quick
           test_dmav_aware_product_preserved ] ) ]

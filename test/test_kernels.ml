@@ -10,7 +10,7 @@
    pure-replication nodes (chains past the batch cap, and the fused
    gates of real dnn, vqe and supremacy circuits), and the local leg of
    uncached gates of support one or two against the Run it stands in
-   for. Plus the dense stub's contract checks, the allocation claim (a
+   for, and the pick that sends such a gate to it. Plus the dense stub's contract checks, the allocation claim (a
    dense gate and a DMAV gate cost the same small constant number of
    minor words at f32 as at f64, a local gate none) and the load-time
    choice of the dense stub's 4-lane body. *)
@@ -542,6 +542,43 @@ module Suite_for (P : Storage.S) = struct
                                controls = [ 0; 2 ] }))
                      = None)))
 
+  (* The pick ([Cost.dispatch]): on every support-1/2 shape at n = 6..12
+     and pools of 1, 2 and 4, the local leg is priced below both Run
+     kernels ([Cost.local_rate] is under [Cost.identity_price], the least
+     a Run path costs), and a gate priced so never compiles to
+     Algorithm 2: it compiles to [Local]. The shapes include repetitive
+     ones (an uncontrolled gate on the top qubit) that Eq. 6 over plain
+     MACs, the paper's rule, sends to Algorithm 2 on two or four
+     threads (an h on the top qubit is always among them). *)
+  let local_pick =
+    cases ~name:"a gate with a local form priced lower never compiles to Algorithm 2" ~count:12
+      ~lo:6 ~hi:12 (fun n rs ->
+          let p = Dd.create () in
+          let top_h =
+            Mat_dd.of_op p ~n
+              (Circuit.Single { name = "h"; matrix = Gate.h; target = n - 1; controls = [] })
+          in
+          let picks =
+            List.concat_map
+              (fun m ->
+                 List.map (fun threads -> Flat_gate.compile p ~n ~threads m) [ 1; 2; 4 ])
+              (top_h :: local_shapes p rs n)
+          in
+          List.for_all
+            (fun (g : Flat_gate.t) ->
+               let d = g.Flat_gate.dispatch in
+               match d.Cost.prices.Cost.local, g.Flat_gate.body with
+               | Some l, Flat_gate.Local _ ->
+                 l < d.Cost.prices.Cost.run && l < d.Cost.prices.Cost.cached
+                 && not d.Cost.dmav.Cost.cached
+               | _ -> false)
+            picks
+          && List.exists
+               (fun (g : Flat_gate.t) ->
+                  let d = g.Flat_gate.dispatch.Cost.dmav in
+                  d.Cost.c2 < d.Cost.c1)
+               picks)
+
   (* Random lengths and offsets (odd ones included) with disjoint source
      and destination ranges, so each primitive also runs with one vector
      as both source and destination, as cache hits and fills do. *)
@@ -743,5 +780,7 @@ let suite =
           K32.compiled_tests;
         Alcotest.test_case "f64 local leg = Run (bits)" `Quick K64.local_tests;
         Alcotest.test_case "f32 local leg = Run (bits)" `Quick K32.local_tests;
+        Alcotest.test_case "local leg priced lower never compiles to Algorithm 2" `Quick
+          (fun () -> check_all [ K64.local_pick ]);
         Alcotest.test_case "dense_lanes matches the host's AVX2 flag" `Quick
           test_dense_lanes ] ) ]
