@@ -3,8 +3,8 @@
    Figure 3). The experiments beyond the paper each back a row of
    EXPERIMENTS.md or a CI step: ablation (design-choice sweeps), dispatch
    (dense direct kernel vs DMAV), fusion_price (the identity-stripe MAC
-   price of DMAV-aware fusion), order (qubit ordering), precision
-   (f64 vs f32) and serve (warm handles vs cold construction).
+   price of DMAV-aware fusion), order (qubit ordering) and precision
+   (f64 vs f32).
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe table1     # one experiment
@@ -30,8 +30,7 @@ let experiments =
     ("ablation", Exp_ablation.run);
     ("dispatch", Exp_dispatch.run);
     ("order", Exp_order.run);
-    ("precision", Exp_precision.run);
-    ("serve", Exp_serve.run) ]
+    ("precision", Exp_precision.run) ]
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -2,14 +2,15 @@
 
    Listens on a Unix-domain socket for qcs_serve/v1 clients (see
    flatdd_batch --connect), runs jobs with deficit-round-robin tenant
-   fairness over warm engine state, and journals every accepted job to an
-   atomically-rewritten checkpoint file so a kill -9 loses nothing: the
-   next start re-runs pending jobs from their pinned seeds and replays
-   completed results verbatim. SIGINT/SIGTERM stop it gracefully. *)
+   fairness, each on its own fresh engine state, and journals every
+   accepted job to an atomically-rewritten checkpoint file so a kill -9
+   loses nothing: the next start re-runs pending jobs from their pinned
+   seeds and replays completed results verbatim. SIGINT/SIGTERM stop it
+   gracefully. *)
 
 open Cmdliner
 
-let run socket slots threads seed journal journal_tail quantum quota warm strict quiet
+let run socket slots threads seed journal journal_tail quantum quota strict quiet
     metrics_json =
   Obs.set_enabled true;
   let log m = if not quiet then Printf.eprintf "flatdd_serve: %s\n%!" m in
@@ -23,7 +24,6 @@ let run socket slots threads seed journal journal_tail quantum quota warm strict
       journal_tail;
       quantum;
       quota;
-      warm_capacity = warm;
       strict;
       log }
   in
@@ -81,10 +81,6 @@ let cmd =
     Arg.(value & opt int 0
          & info [ "quota" ] ~doc:"Max queued+running jobs per tenant; 0 disables the bound.")
   in
-  let warm =
-    Arg.(value & opt int 8
-         & info [ "warm" ] ~doc:"Idle warm engine-state handles to keep between jobs.")
-  in
   let strict =
     Arg.(value & flag
          & info [ "strict" ] ~doc:"Reject job lines with unknown manifest fields instead of skipping them.")
@@ -97,11 +93,11 @@ let cmd =
   in
   let term =
     Term.(const run $ socket $ slots $ threads $ seed $ journal $ journal_tail $ quantum
-          $ quota $ warm $ strict $ quiet $ metrics_json)
+          $ quota $ strict $ quiet $ metrics_json)
   in
   Cmd.v
     (Cmd.info "flatdd_serve"
-       ~doc:"Persistent multi-tenant simulation daemon with warm engine state and a crash-safe job journal")
+       ~doc:"Persistent multi-tenant simulation daemon with a crash-safe job journal")
     term
 
 let () = exit (Cmd.eval' cmd)

@@ -5,8 +5,9 @@
    - the cross-module call graph (resolved references between top-level
      definitions, including closures escaping as higher-order arguments);
    - the parallel-reachable set: everything transitively reachable from
-     closures handed to Pool/Sched, `Thread.create` and `Domain.spawn` —
-     the code that can run off the main thread;
+     closures handed to Pool/Sched (or given as their optional
+     parameters' defaults), `Thread.create` and `Domain.spawn` — the code
+     that can run off the main thread;
    - a lock environment threaded through the walk: `Mutex.lock`/`unlock`
      sequences, `Mutex.protect`, and the repo's `locked t f`-style
      combinators all push/pop symbolic lock keys, so "helper called
@@ -30,7 +31,7 @@
      acquirer sorts the indices the same way.
 
    arena-epoch — a let-bound Dd edge is a packed index into the arena;
-     `compact`/`reset` (or anything that may transitively call them) can
+     `compact` (or anything that may transitively call it) can
      remap it. Using such a cached edge after a may-compact call without
      re-validating is flagged.
 
@@ -99,7 +100,7 @@ let dd_edge_fns =
     "vadd"; "madd"; "mv"; "mm"; "vscale"; "mscale"; "v0"; "v1";
     "mchild"; "medge_child" ]
 
-let compact_seeds = [ "Dd.compact"; "Dd.reset" ]
+let compact_seeds = [ "Dd.compact" ]
 
 (* --- small helpers ---------------------------------------------------- *)
 
@@ -579,8 +580,14 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
       walk (seq_effect env a) b
     | Pexp_apply (f, args) -> walk_apply env e f args
     | Pexp_ident _ -> ident_ref env e
-    | Pexp_fun (_, dflt, p, body) ->
-      Option.iter (walk env) dflt;
+    | Pexp_fun (lbl, dflt, p, body) ->
+      (* A parallel entry's optional closure parameter runs where a
+         passed one would: [Sched.create ?(runner = default_runner)]. *)
+      (match lbl, dflt with
+       | Optional _, Some dv
+         when List.mem env.def.Callgraph.d_name parallel_entries ->
+         walk_entry_arg env dv
+       | _ -> Option.iter (walk env) dflt);
       walk (bind_pat env p) body
     | Pexp_function cases -> walk_cases env cases
     | Pexp_match (s, cases) | Pexp_try (s, cases) ->
@@ -732,42 +739,44 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
             | Some d -> List.mem d.Callgraph.d_name parallel_entries
             | None -> false)
       in
-      if is_entry then
-        List.iter
-          (fun (_, a) ->
-             let a' = Callgraph.strip_constraint a in
-             if is_fun_lit a' then walk { env with held = []; par = true } a'
-             else
-               match a'.pexp_desc with
-               | Pexp_ident _ ->
-                 (match Callgraph.ident_of a' with
-                  | Some an when
-                      not
-                        ((not (String.contains an '.'))
-                         && SM.mem an env.locals) ->
-                    (match resolve env an with
-                     | Some d when d.Callgraph.d_kind = Callgraph.Func ->
-                       mark_root env d;
-                       on_call env d
-                     | _ -> walk env a)
-                  | _ -> walk env a)
-               | Pexp_apply (h, hargs) ->
-                 (* partially applied root: Sched.create ~runner:(runner t) *)
-                 (match Callgraph.ident_of h with
-                  | Some hn ->
-                    (match resolve env hn with
-                     | Some d when d.Callgraph.d_kind = Callgraph.Func ->
-                       mark_root env d;
-                       on_call env d;
-                       walk_args env hargs
-                     | _ -> walk env a)
-                  | None -> walk env a)
-               | _ -> walk env a)
-          args
+      if is_entry then List.iter (fun (_, a) -> walk_entry_arg env a) args
       else walk_args env args
     | None ->
       walk env f;
       walk_args env args
+
+  (* An argument handed to a parallel entry: a closure literal is walked
+     as pool code, a named or partially applied function becomes a
+     parallel root. *)
+  and walk_entry_arg env a =
+    let a' = Callgraph.strip_constraint a in
+    if is_fun_lit a' then walk { env with held = []; par = true } a'
+    else
+      match a'.pexp_desc with
+      | Pexp_ident _ ->
+        (match Callgraph.ident_of a' with
+         | Some an when
+             not
+               ((not (String.contains an '.'))
+                && SM.mem an env.locals) ->
+           (match resolve env an with
+            | Some d when d.Callgraph.d_kind = Callgraph.Func ->
+              mark_root env d;
+              on_call env d
+            | _ -> walk env a)
+         | _ -> walk env a)
+      | Pexp_apply (h, hargs) ->
+        (* partially applied root: Sched.create ~on_result:(deliver t) *)
+        (match Callgraph.ident_of h with
+         | Some hn ->
+           (match resolve env hn with
+            | Some d when d.Callgraph.d_kind = Callgraph.Func ->
+              mark_root env d;
+              on_call env d;
+              walk_args env hargs
+            | _ -> walk env a)
+         | None -> walk env a)
+      | _ -> walk env a
 
   (* [locked t (fun () -> ...)] / [Mutex.protect m f]: the closure body
      runs under a lock whose key we derive from the non-function

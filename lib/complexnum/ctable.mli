@@ -6,7 +6,8 @@
     {!Cnum.tolerance}: a lookup snaps the value to a previously stored
     representative when one lies within tolerance (checking the neighboring
     grid buckets to avoid boundary misses) and assigns each representative
-    a small integer id that unique tables and compute caches hash on. *)
+    a small integer id that unique tables and compute caches hash on.
+    Ids are sequential: the k-th distinct value gets id k - 1. *)
 
 type t
 
@@ -30,8 +31,7 @@ val count : t -> int
 val value_of_id : t -> int -> Cnum.t
 (** Dense reverse lookup: the canonical value whose {!id} was handed out.
     The returned record is physically the one {!canon} returns for that
-    value. Raises [Invalid_argument] on an id never issued (or issued
-    before the last {!clear}). *)
+    value. Raises [Invalid_argument] on an id never issued. *)
 
 val re_of_id : t -> int -> float
 (** Real part of {!value_of_id}[ t i] as a bare float — same bounds
@@ -41,18 +41,14 @@ val im_of_id : t -> int -> float
 (** Imaginary counterpart of {!re_of_id}. *)
 
 val re_array : t -> float array
-(** The unboxed real plane of the reverse map, indexed by id. Valid for
-    every id handed out since the last {!clear}. Ids are allocated in
-    per-stripe blocks, so live ids run past {!count} up to the id
-    high-water mark. The array itself is replaced when the table grows,
-    so capture it only for the duration of one allocation-free kernel. *)
+(** The unboxed real plane of the reverse map, indexed by id. Ids are
+    issued in insertion order from 0, so ids [0 .. count - 1] are valid;
+    slots past them hold 0.0. The array itself is replaced when the table
+    grows, so capture it only for the duration of one allocation-free
+    kernel. *)
 
 val im_array : t -> float array
 (** Imaginary plane, same contract as {!re_array}. *)
-
-val clear : t -> unit
-(** Drops every representative except the pre-seeded constants. Any ids
-    handed out before [clear] are invalidated. *)
 
 val memory_bytes : t -> int
 (** Bytes held by the table: every array at its capacity, the records and

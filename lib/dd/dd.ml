@@ -88,17 +88,22 @@ let g_cache_slots = Obs.gauge "dd.cache.slots"
 
 (* The four compute caches share one capacity, 2^cache_bits_min slots in a
    fresh package. [fit_caches] grows them in 4x steps while the live nodes
-   outnumber the slots, up to 2^cache_bits_max; [reset] takes them back to
-   the floor. With 4x steps a package grows at most three times between
-   resets, leaving few dropped slabs for the GC. *)
+   outnumber the slots, up to 2^cache_bits_max. With 4x steps a package
+   grows at most three times, leaving few dropped slabs for the GC. The
+   floor stays at 2^10 however small the DD: cache size decides which
+   slot each entry lands in, and so which entries evict each other. *)
 let cache_bits_min = 10
 let cache_bits_max = 16
+
+(* Every run builds its own package, so a fresh one is small: the arenas
+   and the weight table double as the DD grows. *)
+let arena_slots_min = 1 lsl 8
 
 let create ?tolerance () =
   Obs.max_gauge g_cache_slots (1 lsl cache_bits_min);
   { ct = Ctable.create ?tolerance ();
-    va = Node_store.create ~width:2 ~capacity:(1 lsl 12);
-    ma = Node_store.create ~width:4 ~capacity:(1 lsl 10);
+    va = Node_store.create ~width:2 ~capacity:arena_slots_min;
+    ma = Node_store.create ~width:4 ~capacity:arena_slots_min;
     epoch = 0;
     mv_cache = Dd_cache.Two.create ~bits:cache_bits_min ~label:"mv";
     mm_cache = Dd_cache.Two.create ~bits:cache_bits_min ~label:"mm";
@@ -591,21 +596,6 @@ let compact p ~vroots ~mroots =
     Obs.set_gauge g_marena_free (Node_store.free_slots p.ma)
   end
 
-(* Full reset for warm reuse: semantically a fresh package, physically the
-   same arenas/tables at their grown capacities. Every edge handed out
-   before the reset is dead (all non-terminal slots are swept and the
-   ctable ids are reissued), so callers must drop their roots first. The
-   epoch bump from [compact] already invalidates every compute-cache
-   entry; the ctable clear reissues ids from the seeded constants, so a
-   warm run canonicalizes weights exactly like a cold one — byte-identical
-   amplitudes, no tolerance drift from a previous job's residents. The
-   compute caches, unlike the arenas, go back to a fresh package's size:
-   an idle warm handle should not hold a large job's cache slabs. *)
-let reset p =
-  compact p ~vroots:[] ~mroots:[];
-  Ctable.clear p.ct;
-  if cache_slots p > 1 lsl cache_bits_min then resize_caches p ~bits:cache_bits_min
-
 let live_vnodes p = Node_store.live p.va
 let live_mnodes p = Node_store.live p.ma
 let vfree_slots p = Node_store.free_slots p.va
@@ -771,7 +761,7 @@ module Testing = struct
   (* The slots of the canonical identity nodes, level 0 upwards, as far as
      the arena holds them: level 0 is (mone, 0, 0, mone), level l is
      (e, 0, 0, e) with e the unit edge to level l-1's identity. Probed
-     fresh on every view, lookup only: [compact], [reset] and slot reuse
+     fresh on every view, lookup only: [compact] and slot reuse
      reissue indices, and interning here could grow the arena under a view
      the caller is about to hold. *)
   let identity_slots p =

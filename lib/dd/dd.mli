@@ -163,17 +163,6 @@ val compact : package -> vroots:vedge list -> mroots:medge list -> unit
     before the sweep can never alias a recycled index; live node indices
     remain valid. *)
 
-val reset : package -> unit
-(** Return the package to its just-created state: sweeps every
-    non-terminal slot, clears the complex-number table (ids are reissued
-    from the seeded constants), bumps the epoch and shrinks the compute
-    caches back to a fresh package's {!cache_slots}. The arenas and the
-    complex-number table keep their grown capacities. All previously
-    issued edges are invalid afterwards. This is the warm-reuse primitive:
-    a reset package computes bit-identical amplitudes to a fresh one, but
-    skips the arena and table allocation, and an idle reset package does
-    not hold a large job's cache slabs. *)
-
 val epoch : package -> int
 (** Number of {!compact} runs so far — the stamp the compute caches are
     validated against. *)
@@ -182,7 +171,7 @@ val cache_slots : package -> int
 (** Slots in each of the four compute caches. A fresh package has 2^10;
     the top-level {!mv} and {!mm} grow the caches 4x at a time, dropping
     their entries, while {!live_vnodes} + {!live_mnodes} exceeds the slot
-    count, up to 2^16. {!reset} returns them to 2^10. *)
+    count, up to 2^16. *)
 
 val stats : package -> string
 val live_vnodes : package -> int

@@ -28,11 +28,9 @@
 type workspace = Buf.t Dmav_generic.workspace
 (** A free list of reusable 2ⁿ-sized buffers: the cached kernel's partial
     outputs, and the flat engine's scratch vector, so repeated
-    applications (and batched runs sharing a workspace) do not reallocate
-    2ⁿ-sized vectors per gate or per job. *)
+    applications do not reallocate 2ⁿ-sized vectors per gate. *)
 
 val workspace : n:int -> workspace
-val workspace_n : workspace -> int
 
 val take : workspace -> Buf.t
 (** Pops a free buffer, or allocates a fresh zero one. A popped buffer's
@@ -40,15 +38,6 @@ val take : workspace -> Buf.t
 
 val give : workspace -> Buf.t -> unit
 (** Returns a buffer to the free list (ignored if the size mismatches). *)
-
-val free_buffers : workspace -> int
-(** Buffers currently on the free list (for tests and accounting). *)
-
-val scrub_workspace : workspace -> int
-(** Zeroes every buffer on the free list and returns how many were
-    scrubbed. Functionally a no-op (kernels never read stale contents);
-    it exists so a multi-tenant server can guarantee one tenant's
-    amplitudes never sit in a buffer handed to the next. *)
 
 type exec_stats = Dmav_generic.exec_stats = {
   used_cache : bool;

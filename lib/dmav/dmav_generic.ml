@@ -48,8 +48,6 @@ module Make (P : Storage.S) = struct
   type nonrec workspace = P.t workspace
 
   let workspace ~n : workspace = workspace ~n
-  let workspace_n ws = ws.ws_n
-  let free_buffers ws = List.length ws.free
 
   let take ws =
     match ws.free with
@@ -64,10 +62,6 @@ module Make (P : Storage.S) = struct
         Check.violation "Dmav.give: buffer returned twice";
       ws.free <- b :: ws.free
     end
-
-  let scrub_workspace ws =
-    List.iter P.fill_zero ws.free;
-    List.length ws.free
 
   let take_buffer ws n =
     match ws with

@@ -33,8 +33,6 @@ let observe st = Dd.observe_gauges st.ctx.Engine.package
 
 let extract st = Engine.Dd_state { package = st.ctx.Engine.package; edge = st.edge }
 
-let finalize _ = ()
-
 let release st =
   (* The vector DD is dead (converted away); keep only what the matrix
      side of the package reuses. *)

@@ -35,7 +35,6 @@ module Make (Pr : Engine.PRECISION) = struct
   let compact _ = ()
   let observe _ = ()
   let extract st = Engine.Flat_state (Pr.to_f64 st.amps)
-  let finalize _ = ()
 end
 
 include Make (Engine.F64)

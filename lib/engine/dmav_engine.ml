@@ -13,7 +13,7 @@
    The DD package (and therefore every gate matrix and ctable weight)
    stays f64 at every precision; rounding happens only on stores into
    V/W. The scratch buffer and the cached kernel's partial outputs come
-   from the precision's workspace and go back to it in [finalize]. *)
+   from the engine's own workspace, which lives as long as the run. *)
 
 module Make (Pr : Engine.PRECISION) = struct
   module P = Pr.P
@@ -29,24 +29,23 @@ module Make (Pr : Engine.PRECISION) = struct
     mutable w : P.t;
     mutable max_buffers : int;
     mutable package_bytes : int;
-    mutable extracted : bool;
   }
 
   let trace_phase = Engine.Dmav_phase
 
   let seat (ctx : Engine.ctx) ~n ws v =
     { ctx; n; ws; pool = ctx.Engine.pool; v; w = K.take ws; max_buffers = 0;
-      package_bytes = Dd.memory_bytes ctx.Engine.package; extracted = false }
+      package_bytes = Dd.memory_bytes ctx.Engine.package }
 
   (* Seat the engine on an existing f64 amplitude vector — the driver's
      DD→flat conversion hands its output buffer in here, and [Pr.of_f64]
      is the single rounding hand-off below f64. *)
   let of_buf (ctx : Engine.ctx) ~n buf =
     if Buf.length buf <> 1 lsl n then invalid_arg "Dmav_engine.of_buf: wrong length";
-    seat ctx ~n (Pr.workspace ctx ~n) (Pr.of_f64 buf)
+    seat ctx ~n (K.workspace ~n) (Pr.of_f64 buf)
 
   let init (ctx : Engine.ctx) ~n =
-    let ws = Pr.workspace ctx ~n in
+    let ws = K.workspace ~n in
     let v = K.take ws in
     P.fill_zero v;
     P.set2 v 0 1.0 0.0;
@@ -110,13 +109,7 @@ module Make (Pr : Engine.PRECISION) = struct
   let compact _ = ()
   let observe st = Dd.observe_gauges st.ctx.Engine.package
 
-  let extract st =
-    st.extracted <- true;
-    Engine.Flat_state (Pr.to_f64 st.v)
-
-  let finalize st =
-    K.give st.ws st.w;
-    if not st.extracted then K.give st.ws st.v
+  let extract st = Engine.Flat_state (Pr.to_f64 st.v)
 end
 
 include Make (Engine.F64)

@@ -60,18 +60,6 @@ let c_disp_uncached = Obs.counter "dmav.dispatch.uncached"
 let c_disp_dense = Obs.counter "dmav.dispatch.dense"
 let c_disp_local = Obs.counter "dmav.dispatch.local"
 
-(* A caller-supplied package (a warm handle's arena) must arrive in its
-   just-reset state — [Warm] guarantees that; a mismatched workspace is
-   replaced rather than trusted. *)
-let make_ctx ?package ?workspace (cfg : Config.t) ~pool ~n =
-  let workspace =
-    match workspace with
-    | Some ws when Dmav.workspace_n ws = n -> ws
-    | _ -> Dmav.workspace ~n
-  in
-  let package = match package with Some p -> p | None -> Dd.create () in
-  { Engine.cfg; pool; package; workspace }
-
 (* The flat phase's planner: the remaining ops as matrix DDs (all built
    before the fusion scan starts, so the package interns nodes and
    weights in one order whatever the executor does), fused per config, each output gate compiled ([Flat_gate.compile],
@@ -235,9 +223,7 @@ let loop (type s) ?(stop = fun _ _ -> false) (module E : Engine.ENGINE with type
 (* Hands an engine's state over once its gates are done. *)
 let finish (type s) (module E : Engine.ENGINE with type state = s) st =
   E.observe st;
-  let final = E.extract st in
-  E.finalize st;
-  final
+  E.extract st
 
 (* --- the flat phase: plan, stream, run -------------------------------- *)
 
@@ -355,7 +341,7 @@ let flat_phase (type s) (module E : Engine.FLAT with type state = s) st r (ctx :
    context and the per-run state. Cancellation is polled once per gate
    (and around the conversion), never inside a kernel, so the check costs
    one closure call per gate and its latency is one gate application. *)
-let with_run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) body =
+let with_run ?cancel ?pool ?package (cfg : Config.t) (c : Circuit.t) body =
   let own_pool = pool = None in
   let pool = match pool with Some p -> p | None -> Pool.create (Int.max 1 cfg.Config.threads) in
   Fun.protect
@@ -367,7 +353,8 @@ let with_run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) 
        Obs.add c_gates (Circuit.num_gates c);
        let c, sigma = prepare_order cfg c in
        let n = c.Circuit.n in
-       let ctx = make_ctx ?package ?workspace cfg ~pool ~n in
+       let package = match package with Some p -> p | None -> Dd.create () in
+       let ctx = { Engine.cfg; pool; package } in
        let monitor = Ewma.create ~beta:cfg.Config.beta ~epsilon:cfg.Config.epsilon in
        ignore (Ewma.observe monitor (float_of_int n));
        let check_cancel =
@@ -410,8 +397,8 @@ let result_of r (c : Circuit.t) ~ord ?converted_at ?conversion_stats ?fusion_sta
     modeled_macs = r.modeled;
     fusion_stats }
 
-let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
-  with_run ?cancel ?pool ?package ?workspace cfg c (fun r ctx c sigma ->
+let run ?cancel ?pool ?package (cfg : Config.t) (c : Circuit.t) =
+  with_run ?cancel ?pool ?package cfg c (fun r ctx c sigma ->
       let n = c.Circuit.n in
       let gates = Circuit.num_gates c in
 
@@ -478,9 +465,9 @@ let run ?cancel ?pool ?package ?workspace (cfg : Config.t) (c : Circuit.t) =
 
 (* Run a whole circuit on ONE engine, no conversion — the pure-DD,
    pure-DMAV and pure-dense reference paths, through the same loop. *)
-let run_engine (type s) ?cancel ?pool ?package ?workspace
+let run_engine (type s) ?cancel ?pool ?package
     (module E : Engine.ENGINE with type state = s) (cfg : Config.t) (c : Circuit.t) =
-  with_run ?cancel ?pool ?package ?workspace cfg c (fun r ctx c sigma ->
+  with_run ?cancel ?pool ?package cfg c (fun r ctx c sigma ->
       let st = E.init ctx ~n:c.Circuit.n in
       let dd = E.trace_phase = Engine.Dd_phase in
       let _, seconds =

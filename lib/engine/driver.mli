@@ -50,7 +50,6 @@ val run :
   ?cancel:(unit -> bool) ->
   ?pool:Pool.t ->
   ?package:Dd.package ->
-  ?workspace:Dmav.workspace ->
   Config.t ->
   Circuit.t ->
   result
@@ -63,19 +62,14 @@ val run :
     returning [true] aborts the run with {!Cancelled}. With
     [policy = Never_convert] and one thread this is the pure-DD (DDSIM)
     baseline; take its peak nodes as the maximum [dd_size] over a traced
-    run's records. A supplied [workspace] lets serial callers (the batch
-    scheduler) reuse 2ⁿ scratch buffers across runs; it must have been
-    built for the same [n] (a mismatched one is ignored) and must not be
-    shared across concurrent runs. A supplied [package] replaces the
-    per-run [Dd.create] — it must be freshly created or {!Dd.reset} (a
-    warm handle from {!Warm}); results are then bit-identical to a
-    cold run while skipping arena/table allocation. *)
+    run's records. A supplied [package] replaces the per-run
+    [Dd.create]; it must be freshly created for results to be
+    bit-identical to a run without one. *)
 
 val run_engine :
   ?cancel:(unit -> bool) ->
   ?pool:Pool.t ->
   ?package:Dd.package ->
-  ?workspace:Dmav.workspace ->
   (module Engine.ENGINE with type state = 's) ->
   Config.t ->
   Circuit.t ->

@@ -66,14 +66,13 @@ let exec_of_op i (op : Circuit.op) =
   { xo_index = i; xo_name = Circuit.op_name op; xo_op = Some op; xo_gate = None }
 
 (** Everything an engine may need but does not own: the worker pool, the
-    run configuration, the DD package (shared across engines so the flat
-    phase can build gate matrices in the same unique table the DD phase
-    populated), and the scratch-buffer workspace. *)
+    run configuration and the DD package (shared across engines so the
+    flat phase can build gate matrices in the same unique table the DD
+    phase populated). *)
 type ctx = {
   cfg : Config.t;
   pool : Pool.t;
   package : Dd.package;
-  workspace : Dmav.workspace;
 }
 
 module type ENGINE = sig
@@ -107,10 +106,6 @@ module type ENGINE = sig
 
   val extract : state -> final_state
   (** The final state, ownership transferred to the caller. *)
-
-  val finalize : state -> unit
-  (** Release everything [extract] did not hand over (e.g. return scratch
-      buffers to the workspace). Call after [extract]. *)
 end
 
 (** A flat engine, whose gates may run on a pool other than the run's:
@@ -124,34 +119,27 @@ module type FLAT = sig
 end
 
 (** What a flat engine knows about its amplitude precision: the storage
-    kind, the f64 hand-offs in (the converted DD state) and out (the
-    result type), and where its scratch buffers come from. The flat
-    engines are functors over this, instantiated at {!F64} and {!F32}. *)
+    kind and the f64 hand-offs in (the converted DD state) and out (the
+    result type). The flat engines are functors over this, instantiated
+    at {!F64} and {!F32}. *)
 module type PRECISION = sig
   module P : Storage.S
 
   val of_f64 : Buf.t -> P.t
   val to_f64 : P.t -> Buf.t
-  val workspace : ctx -> n:int -> P.t Dmav_generic.workspace
 end
 
-(* f64 borrows the run's workspace, so batched runs and warm handles
-   reuse its buffers across jobs. *)
 module F64 = struct
   module P = Storage.F64
 
   let of_f64 b = b
   let to_f64 b = b
-  let workspace ctx ~n:_ = ctx.workspace
 end
 
-(* f32 rounds once on the way in, widens exactly on the way out, and
-   builds a per-run workspace: the ctx one is f64-typed, and a warm
-   handle keeps holding f64 buffers only. *)
+(* f32 rounds once on the way in and widens exactly on the way out. *)
 module F32 = struct
   module P = Storage.F32
 
   let of_f64 = Storage.demote
   let to_f64 = Storage.promote
-  let workspace _ ~n = Dmav_generic.workspace ~n
 end

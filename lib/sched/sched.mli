@@ -83,8 +83,7 @@ type runner = cancel:(unit -> bool) -> pool:Pool.t -> job -> Driver.result
 (** How one attempt executes; the job carries the attempt's config (a
     retry passes the downgraded config in [job.config]). The default is
     [Driver.run]; tests inject failing runners to exercise retry
-    paths, and the serve daemon injects a warm-state runner keyed by
-    [job.tenant]. *)
+    paths. *)
 
 val default_downgrade : Config.t -> Config.t
 (** The retry downgrade: force the flat-array path ([Convert_at (-1)]),

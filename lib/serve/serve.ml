@@ -1,9 +1,9 @@
 (* The serve core: one daemon instance — listener, per-connection reader
-   threads, tenant-fair admission, warm-state execution, crash-safe
-   journal, streamed delivery.
+   threads, tenant-fair admission, crash-safe journal, streamed
+   delivery.
 
    Concurrency shape: one mutex ([t.mutex]) guards every piece of shared
-   daemon state (journal, owner/handle tables, connections). Readers and
+   daemon state (journal, owner table, connections). Readers and
    scheduler runner domains both funnel through it; jobs wait only in the
    scheduler, whose DRR queue over tenant lanes decides the order.
    Socket I/O never happens under it: [send] only enqueues the rendered
@@ -12,12 +12,12 @@
    drains the queue with no locks held — a client that stops reading
    backs up its own queue, never the daemon's admission or delivery.
 
-   Determinism: jobs execute with journal-pinned ids and seeds, each on a
-   Warm handle whose package was [Dd.reset] (bit-identical to a cold
-   run), so result bytes never depend on dispatch order. The canonical
-   timings-off result line is rendered before the handle is released and
-   stored in the journal, so a resubmitted or replayed id returns
-   byte-identical text in any daemon life. *)
+   Determinism: jobs execute with journal-pinned ids and seeds, each on
+   its own fresh DD package and buffers, so result bytes never depend on
+   dispatch order and nothing of one tenant's job outlives it. The
+   canonical timings-off result line is stored in the journal, so a
+   resubmitted or replayed id returns byte-identical text in any daemon
+   life. *)
 
 let g_uptime = Obs.gauge "serve.uptime_s"
 let c_connections = Obs.counter "serve.connections"
@@ -35,7 +35,7 @@ type config = {
   journal_tail : int;     (* completed journal entries retained *)
   quantum : int;          (* DRR quantum, in gates *)
   quota : int;            (* per-tenant queued+running bound; 0 = none *)
-  warm_capacity : int;
+  warm_capacity : int;    (* ignored: every job starts cold *)
   default_config : Config.t;
   strict : bool;          (* reject unknown manifest fields *)
   log : string -> unit;
@@ -75,11 +75,9 @@ type t = {
   cfg : config;
   mutex : Mutex.t;
   pool : Pool.t;
-  warm : Warm.t;
   journal : Journal.t;
   mutable sched : Sched.t option; (* set once in [create] *)
   owners : (string, conn) Hashtbl.t;    (* job id → owning connection *)
-  handles : (string, Warm.handle) Hashtbl.t; (* job id → in-use warm handle *)
   mutable completed : int;
   mutable conns : conn list;
   mutable next_conn : int;
@@ -298,26 +296,8 @@ let admit t conn line =
 
 (* --- execution --------------------------------------------------------- *)
 
-(* One scheduler attempt: run on a warm handle keyed by qubit count and
-   tenant. The handle is stashed so [deliver] can release it only after
-   the result line (which may read a Dd_state amplitude out of the
-   handle's package) has been rendered; a retry releases the previous
-   attempt's handle first. *)
-let runner t ~cancel ~pool (job : Sched.job) =
-  let h = Warm.acquire t.warm ~tenant:job.Sched.tenant ~n:job.Sched.circuit.Circuit.n () in
-  let prev =
-    locked t (fun () ->
-        let prev = Hashtbl.find_opt t.handles job.Sched.id in
-        Hashtbl.replace t.handles job.Sched.id h;
-        prev)
-  in
-  (match prev with Some prev -> Warm.release t.warm prev | None -> ());
-  Driver.run ~cancel ~pool ~package:h.Warm.package ~workspace:h.Warm.workspace
-    job.Sched.config job.Sched.circuit
-
 (* Scheduler completion callback (runs on a runner domain). Renders the
-   result lines, journals terminal outcomes, releases the warm handle,
-   streams to the owning connection and drops the scheduler's tracked
+   result lines, journals terminal outcomes, streams to the owning connection and drops the scheduler's tracked
    entry. *)
 let deliver t (jr : Sched.job_result) =
   let id = jr.Sched.job.Sched.id in
@@ -331,13 +311,6 @@ let deliver t (jr : Sched.job_result) =
       let timed = Manifest.result_line ~timings:true ~seed jr in
       if terminal jr.Sched.outcome && Journal.find t.journal id <> None then
         Journal.complete t.journal ~id ~result:canonical;
-      (* Result lines rendered — the package behind a Dd_state final may
-         now be reset for reuse. *)
-      (match Hashtbl.find_opt t.handles id with
-       | Some h ->
-         Hashtbl.remove t.handles id;
-         Warm.release t.warm h
-       | None -> ());
       t.completed <- t.completed + 1;
       Obs.incr c_results;
       (match Hashtbl.find_opt t.owners id with
@@ -414,11 +387,9 @@ let create cfg =
     { cfg;
       mutex = Mutex.create ();
       pool;
-      warm = Warm.create ~capacity:cfg.warm_capacity ();
       journal;
       sched = None;
       owners = Hashtbl.create 64;
-      handles = Hashtbl.create 16;
       completed = 0;
       conns = [];
       next_conn = 0;
@@ -427,7 +398,7 @@ let create cfg =
       stop = Atomic.make false }
   in
   let sched =
-    Sched.create ~runner:(runner t) ~on_result:(deliver t) ~paused:true
+    Sched.create ~on_result:(deliver t) ~paused:true
       ~quantum:cfg.quantum ~pool ~slots:cfg.slots ()
   in
   t.sched <- Some sched;
@@ -511,6 +482,5 @@ let run t =
   let conns = locked t (fun () -> t.conns) in
   List.iter kill conns;
   Pool.shutdown t.pool;
-  Warm.drop_all t.warm;
   touch_uptime t; (* final lifetime reading for a shutdown snapshot *)
   logf t "stopped after %d completed job(s)" (completed t)

@@ -2,9 +2,10 @@
     service over a Unix-domain socket.
 
     One instance owns a shared {!Pool.t}, a {!Sched.t} with [slots]
-    runner domains whose deficit-round-robin queue keeps tenants fair, a
-    {!Warm.t} of reusable engine state and a crash-safe {!Journal.t} of
-    accepted jobs. Clients speak {!Protocol} (JSONL over the socket):
+    runner domains whose deficit-round-robin queue keeps tenants fair,
+    and a crash-safe {!Journal.t} of accepted jobs. Every job runs on its
+    own fresh DD package and zero-filled buffers, so nothing of one
+    tenant's job outlives it. Clients speak {!Protocol} (JSONL over the socket):
     job lines are qcs_sched/v1 manifest lines; results stream back as
     they land, in the exact bytes a local [flatdd_batch] run would have
     produced for the same pinned id and seed.
@@ -26,7 +27,8 @@ type config = {
                               line instead of replaying stored bytes *)
   quantum : int;          (** scheduler DRR quantum, in gates per tenant visit *)
   quota : int;            (** per-tenant queued+running bound; 0 = none *)
-  warm_capacity : int;    (** idle warm-handle bound *)
+  warm_capacity : int;    (** ignored: every job starts cold; kept so
+                              existing callers still build a config *)
   default_config : Config.t;
   strict : bool;          (** reject unknown manifest fields *)
   log : string -> unit;   (** daemon log sink (the binary prints) *)
@@ -34,13 +36,13 @@ type config = {
 
 val default_config : config
 (** [flatdd.sock], 2 slots, pool 2, seed 1, no journal, 1024-entry
-    done-tail, quantum 64, no quota, 8 warm handles, tolerant parsing,
+    done-tail, quantum 64, no quota, [warm_capacity] 8, tolerant parsing,
     silent log. *)
 
 type t
 
 val create : config -> t
-(** Builds the pool/scheduler/warm cache and replays the journal:
+(** Builds the pool and scheduler and replays the journal:
     pending entries re-enter the scheduler's queue (bypassing quota —
     they were admitted in a previous life) and wait for {!run}; completed
     ones become replayable.

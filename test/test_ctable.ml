@@ -41,16 +41,6 @@ let test_boundary_of_tolerance () =
   let b = Ctable.id t (Cnum.make (0.5 +. 1e-6) 0.0) in
   Alcotest.(check bool) "well-separated values distinct" true (a <> b)
 
-let test_clear () =
-  let t = Ctable.create () in
-  ignore (Ctable.id t (Cnum.make 0.3 0.4));
-  ignore (Ctable.id t (Cnum.make 0.6 0.8));
-  Alcotest.(check int) "count grew" 4 (Ctable.count t);
-  Ctable.clear t;
-  Alcotest.(check int) "back to constants" 2 (Ctable.count t);
-  Alcotest.(check int) "zero id preserved" Ctable.zero_id (Ctable.id t Cnum.zero);
-  Alcotest.(check int) "one id preserved" Ctable.one_id (Ctable.id t Cnum.one)
-
 let test_memory_grows () =
   let t = Ctable.create () in
   let m0 = Ctable.memory_bytes t in
@@ -78,17 +68,16 @@ let prop_canon_within_tolerance =
        && Float.abs (c.Cnum.im -. im) <= Cnum.tolerance)
 
 (* The list-based store this table replaced, kept as the differential
-   reference: buckets are newest-first lists keyed by (stripe, cell key),
-   searched own cell first and then in the fixed 3×3 order; ids come in
-   256-id blocks per stripe. It also counts the two paths the replay must
-   cover: inserts into an occupied bucket and hits found in a neighbour. *)
+   reference: buckets are newest-first lists keyed by the cell key,
+   searched own cell first and then in the fixed 3×3 order; ids are
+   issued in insertion order. It also counts the two paths the replay
+   must cover: inserts into an occupied bucket and hits found in a
+   neighbour. *)
 module Ref_store = struct
   type t = {
     tol : float;
     inv : float;
-    buckets : (int * int, (Cnum.t * int) list) Hashtbl.t;
-    blocks : (int * int) array;
-    mutable next_id : int;
+    buckets : (int, (Cnum.t * int) list) Hashtbl.t;
     mutable count : int;
     mutable chained : int;
     mutable neighbour_hits : int;
@@ -97,30 +86,22 @@ module Ref_store = struct
   let cell t v = int_of_float (Float.floor (v *. t.inv))
   let key cr ci = (cr * 0x1fffffefd) lxor ci
 
-  let stripe cr ci =
-    ((((cr asr 2) * 0x9E3779B1) lxor ((ci asr 2) * 0x85EBCA77)) lsr 17) land 63
-
-  let bucket cr ci = (stripe cr ci, key cr ci)
-
-  let push t (v : Cnum.t) id =
-    let b = bucket (cell t v.Cnum.re) (cell t v.Cnum.im) in
+  let push t (v : Cnum.t) =
+    let b = key (cell t v.Cnum.re) (cell t v.Cnum.im) in
     let l = Option.value ~default:[] (Hashtbl.find_opt t.buckets b) in
     if l <> [] then t.chained <- t.chained + 1;
+    let id = t.count in
     Hashtbl.replace t.buckets b ((v, id) :: l);
-    t.count <- t.count + 1
-
-  let seed t =
-    push t Cnum.zero 0;
-    push t Cnum.one 1;
-    t.next_id <- 2
+    t.count <- id + 1;
+    id
 
   let create ?(tolerance = Cnum.tolerance) () =
     let t =
-      { tol = tolerance; inv = 1.0 /. tolerance; buckets = Hashtbl.create 64;
-        blocks = Array.make 64 (0, 0); next_id = 0; count = 0; chained = 0;
-        neighbour_hits = 0 }
+      { tol = tolerance; inv = 1.0 /. tolerance; buckets = Hashtbl.create 64; count = 0;
+        chained = 0; neighbour_hits = 0 }
     in
-    seed t;
+    ignore (push t Cnum.zero);
+    ignore (push t Cnum.one);
     t
 
   let probe t cr ci (c : Cnum.t) =
@@ -130,7 +111,7 @@ module Ref_store = struct
          && Float.abs (v.Cnum.im -. c.Cnum.im) <= t.tol
          then Some id
          else None)
-      (Option.value ~default:[] (Hashtbl.find_opt t.buckets (bucket cr ci)))
+      (Option.value ~default:[] (Hashtbl.find_opt t.buckets (key cr ci)))
 
   let neighbours =
     [ (-1, -1); (-1, 0); (-1, 1); (0, -1); (0, 1); (1, -1); (1, 0); (1, 1) ]
@@ -144,25 +125,7 @@ module Ref_store = struct
         | Some id ->
           t.neighbour_hits <- t.neighbour_hits + 1;
           id
-        | None ->
-          let s = stripe cr ci in
-          let b, e = t.blocks.(s) in
-          let b, e =
-            if b < e then (b, e)
-            else begin
-              t.next_id <- t.next_id + 256;
-              (t.next_id - 256, t.next_id)
-            end
-          in
-          t.blocks.(s) <- (b + 1, e);
-          push t c b;
-          b)
-
-  let clear t =
-    Hashtbl.reset t.buckets;
-    Array.fill t.blocks 0 64 (0, 0);
-    t.count <- 0;
-    seed t
+        | None -> push t c)
 end
 
 (* Values clustered around a few hundred sites: each site is a grid cell,
@@ -170,8 +133,7 @@ end
    within 1e-3 tolerance of a cell boundary, so lookups snap to near-equal
    representatives in the own cell and in every neighbour. Each random
    site is followed, when a search finds one, by a partner cell with the
-   same bucket key and stripe, so buckets hold chains of unrelated
-   cells. *)
+   same bucket key, so buckets hold chains of unrelated cells. *)
 let clustered_values ~seed count =
   let tol = Cnum.tolerance in
   let rng = Rng.create seed in
@@ -185,7 +147,7 @@ let clustered_values ~seed count =
     let cr = base () and ci = base () in
     if exact cr && exact ci then begin
       sites := (cr, ci) :: !sites;
-      (* A key- and stripe-colliding partner cell, if one turns up. *)
+      (* A key-colliding partner cell, if one turns up. *)
       let found = ref false and tries = ref 0 in
       while (not !found) && !tries < 4096 do
         incr tries;
@@ -194,8 +156,7 @@ let clustered_values ~seed count =
           ci lxor (cr * 0x1fffffefd) lxor (cr' * 0x1fffffefd)
         in
         if
-          Ref_store.stripe cr' ci' = Ref_store.stripe cr ci
-          && Ref_store.key cr' ci' = Ref_store.key cr ci
+          Ref_store.key cr' ci' = Ref_store.key cr ci
           && abs ci' < 1 lsl 40 && exact cr' && exact ci'
         then begin
           found := true;
@@ -217,22 +178,45 @@ let clustered_values ~seed count =
       let cr, ci = sites.(Rng.int rng (Array.length sites)) in
       Cnum.make (coord cr) (coord ci))
 
+(* Two halves, each on a fresh table and a fresh reference; the chain and
+   neighbour counts add up over both. *)
 let test_differential_against_list_store () =
   let values = clustered_values ~seed:7 24_000 in
-  let t = Ctable.create () and r = Ref_store.create () in
-  Array.iteri
-    (fun k v ->
-       if k = Array.length values / 2 then begin
-         Ctable.clear t;
-         Ref_store.clear r
-       end;
-       let got = Ctable.id t v and want = Ref_store.id r v in
-       if got <> want || Ctable.count t <> r.Ref_store.count then
-         Alcotest.failf "lookup %d: id %d count %d, reference id %d count %d" k got
-           (Ctable.count t) want r.Ref_store.count)
-    values;
-  Alcotest.(check bool) "buckets held chains" true (r.Ref_store.chained > 100);
-  Alcotest.(check bool) "hits came from neighbour cells" true (r.Ref_store.neighbour_hits > 100)
+  let half = Array.length values / 2 in
+  let chained = ref 0 and neighbour_hits = ref 0 in
+  List.iter
+    (fun (pos, len) ->
+       let t = Ctable.create () and r = Ref_store.create () in
+       for k = pos to pos + len - 1 do
+         let got = Ctable.id t values.(k) and want = Ref_store.id r values.(k) in
+         if got <> want || Ctable.count t <> r.Ref_store.count then
+           Alcotest.failf "lookup %d: id %d count %d, reference id %d count %d" k got
+             (Ctable.count t) want r.Ref_store.count
+       done;
+       chained := !chained + r.Ref_store.chained;
+       neighbour_hits := !neighbour_hits + r.Ref_store.neighbour_hits)
+    [ (0, half); (half, Array.length values - half) ];
+  Alcotest.(check bool) "buckets held chains" true (!chained > 100);
+  Alcotest.(check bool) "hits came from neighbour cells" true (!neighbour_hits > 100)
+
+(* k distinct weights in a fresh table take ids 2 .. k + 1, and the table
+   grows by O(k) bytes: the dense arrays and the cell table double with
+   the entries, so they never hold more than 4x the slots in use. *)
+let test_sequential_ids () =
+  let t = Ctable.create () in
+  let m0 = Ctable.memory_bytes t in
+  let k = 100 in
+  for j = 1 to k do
+    let id = Ctable.id t (Cnum.make (float_of_int j /. 7.0) 0.25) in
+    Alcotest.(check int) (Printf.sprintf "weight %d" j) (j + 1) id
+  done;
+  Alcotest.(check int) "count" (k + 2) (Ctable.count t);
+  (* Per entry: four dense slots, the boxed value and two cells, each at
+     most doubled by the last growth. *)
+  let per_entry = 8 * ((2 * 4) + 3 + (2 * 2 * 2)) in
+  let grown = Ctable.memory_bytes t - m0 in
+  if grown > per_entry * (k + 2) then
+    Alcotest.failf "memory grew by %d B for %d weights (bound %d)" grown k (per_entry * (k + 2))
 
 let test_hit_allocates_nothing () =
   let t = Ctable.create () in
@@ -258,10 +242,10 @@ let suite =
         Alcotest.test_case "id stability" `Quick test_id_stability;
         Alcotest.test_case "separated values stay distinct" `Quick
           test_boundary_of_tolerance;
-        Alcotest.test_case "clear" `Quick test_clear;
         Alcotest.test_case "memory accounting" `Quick test_memory_grows;
         Alcotest.test_case "differential against the list store" `Quick
           test_differential_against_list_store;
         Alcotest.test_case "a hit allocates nothing" `Quick test_hit_allocates_nothing;
+        Alcotest.test_case "sequential ids, memory O(k)" `Quick test_sequential_ids;
         QCheck_alcotest.to_alcotest prop_canon_idempotent;
         QCheck_alcotest.to_alcotest prop_canon_within_tolerance ] ) ]

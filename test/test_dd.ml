@@ -605,14 +605,12 @@ let prop_alloc_compact_conservation =
 let test_cache_lifecycle () =
   (* A fresh package starts at the floor; a deep pure-DD run whose live
      nodes (garbage between compactions included) pass 2^14 grows the
-     caches to the cap; a reset takes them back to the floor. *)
+     caches to the cap. *)
   let p = Dd.create () in
   Alcotest.(check int) "fresh package" (1 lsl 10) (Dd.cache_slots p);
   let c = Suite.generate ~seed:1 Suite.Dnn ~n:11 ~gates:130 in
   ignore (Test_util.run_dd ~package:p c);
-  Alcotest.(check int) "grown to the cap" (1 lsl 16) (Dd.cache_slots p);
-  Dd.reset p;
-  Alcotest.(check int) "reset shrinks to the floor" (1 lsl 10) (Dd.cache_slots p)
+  Alcotest.(check int) "grown to the cap" (1 lsl 16) (Dd.cache_slots p)
 
 let test_cache_empty_slot_misses () =
   (* A fresh slab is all zeros: key (0, 0) and epoch stamp 0. The stamp is
@@ -665,17 +663,27 @@ let test_cache_hit_allocates_nothing () =
 
 (* A fresh package reports within 10 % of what [Dd.create] allocates. The
    runtime folds a domain's allocation counts into [Gc.quick_stat] at a
-   minor collection, so each reading forces one. *)
+   minor collection, so each reading forces one. A reading can also take
+   in runtime work left over from earlier tests (about 100 KB on the
+   first reading after the preceding cases), which only ever adds words:
+   the least of three creations is what one allocates. *)
 let test_memory_bytes_of_fresh_package () =
   let allocated () =
     Gc.minor ();
     let s = Gc.quick_stat () in
     s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
   in
-  let w0 = allocated () in
-  let p = Dd.create () in
-  let w1 = allocated () in
-  let bytes = 8.0 *. (w1 -. w0) and reported = float_of_int (Dd.memory_bytes p) in
+  let create () =
+    let w0 = allocated () in
+    let p = Dd.create () in
+    (p, 8.0 *. (allocated () -. w0))
+  in
+  let p, bytes =
+    List.fold_left
+      (fun (p, b) (p', b') -> if b' < b then (p', b') else (p, b))
+      (create ()) [ create (); create () ]
+  in
+  let reported = float_of_int (Dd.memory_bytes p) in
   if Float.abs (reported -. bytes) > 0.1 *. bytes then
     Alcotest.failf "memory_bytes %.0f B, Dd.create allocated %.0f B" reported bytes
 

@@ -3,8 +3,7 @@
    the driver's unified gate loop, the hybrid run must agree at every
    possible conversion index, the flat phase's per-gate kernel dispatch
    must pick the dense kernel exactly where the cost model says and stay
-   observable through the trace and the dmav.dispatch.* counters, and the
-   scratch buffer must flow back to the shared workspace. *)
+   observable through the trace and the dmav.dispatch.* counters. *)
 
 let with_metrics f =
   Obs.set_enabled true;
@@ -294,39 +293,6 @@ let test_dispatch_counters () =
         (counter_exn snap0 "dmav.dispatch.cached"
          + counter_exn snap0 "dmav.dispatch.uncached"))
 
-(* ---- workspace flow ------------------------------------------------ *)
-
-let test_workspace_returned_and_reused () =
-  let n = 5 in
-  let c = Test_util.random_circuit ~seed:31 ~gates:30 n in
-  let expect = dense_reference c in
-  let ws = Dmav.workspace ~n in
-  Pool.with_pool 2 (fun pool ->
-      let cfg =
-        { Config.default with Config.policy = Config.Convert_at 3; threads = 2 }
-      in
-      let r1 = Driver.run ~pool ~workspace:ws cfg c in
-      let free1 = Dmav.free_buffers ws in
-      Alcotest.(check bool) "scratch buffer returned after the run" true (free1 >= 1);
-      let r2 = Driver.run ~pool ~workspace:ws cfg c in
-      Alcotest.(check int) "free list stable across runs" free1
-        (Dmav.free_buffers ws);
-      (* The first result's buffer must not have been recycled into the
-         second run: both must still hold the right amplitudes. *)
-      Test_util.check_close ~tol:1e-9 "run 1 amplitudes intact"
-        (Driver.amplitudes r1) expect;
-      Test_util.check_close ~tol:1e-9 "run 2 amplitudes intact"
-        (Driver.amplitudes r2) expect)
-
-let test_workspace_mismatched_n_ignored () =
-  let c = Test_util.random_circuit ~seed:32 ~gates:12 4 in
-  let ws = Dmav.workspace ~n:9 in
-  let cfg = { Config.default with Config.policy = Config.Convert_at 2 } in
-  let r = Driver.run ~workspace:ws cfg c in
-  Alcotest.(check int) "mismatched workspace untouched" 0 (Dmav.free_buffers ws);
-  Test_util.check_close ~tol:1e-9 "run correct with mismatched workspace"
-    (Driver.amplitudes r) (dense_reference c)
-
 (* ---- the streamed flat phase ------------------------------------- *)
 
 (* A cancel poll that turns true at the caller's [trigger]-th call and
@@ -505,10 +471,6 @@ let suite =
         Alcotest.test_case "dispatch: off by default" `Quick
           test_dispatch_off_is_default_path;
         Alcotest.test_case "dispatch: obs counters" `Quick test_dispatch_counters;
-        Alcotest.test_case "workspace returned and reused" `Quick
-          test_workspace_returned_and_reused;
-        Alcotest.test_case "workspace n mismatch ignored" `Quick
-          test_workspace_mismatched_n_ignored;
         Alcotest.test_case "cancel while the planner fuses" `Quick test_cancel_while_planning;
         Alcotest.test_case "cancel at every poll leaves the pool whole" `Quick
           test_cancel_at_every_poll;

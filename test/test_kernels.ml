@@ -307,8 +307,9 @@ module Suite_for (P : Storage.S) = struct
         (special rs, special rs) ]
 
   (* Identity roots, control 0-branches, random products and fused
-     prefixes, in one package that is compacted and then reset between
-     rounds, so the identity slots are reissued. *)
+     prefixes, in one package that is compacted between rounds, first
+     keeping one matrix and then nothing, so the identity slots are
+     reissued. *)
   let identity_blocks pools =
     cases ~name:(P.label ^ " dmav identity blocks across compact and reset") ~count:30 ~lo:2
       ~hi:10 (fun n rs ->
@@ -328,7 +329,7 @@ module Suite_for (P : Storage.S) = struct
          let first = round () in
          Dd.compact p ~vroots:[] ~mroots:[ keep ];
          let second = round () in
-         Dd.reset p;
+         Dd.compact p ~vroots:[] ~mroots:[];
          let third = round () in
          first && second && third)
 

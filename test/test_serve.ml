@@ -1,6 +1,6 @@
 (* The serve subsystem: wire protocol round-trips, per-tenant quota
    admission, the crash-safe journal (including the prefix-crash/restart
-   property), warm engine-state reuse, and a full socketed daemon e2e —
+   property), and a full socketed daemon e2e —
    concurrent multi-tenant clients whose result streams must be
    byte-identical to a local flatdd_batch run. *)
 
@@ -302,110 +302,6 @@ let check_prefix_property ~done_tail () =
 let test_checkpoint_prefix_property () = check_prefix_property ~done_tail:1024 ()
 let test_checkpoint_prefix_compacted () = check_prefix_property ~done_tail:1 ()
 
-(* --- warm engine state ------------------------------------------------- *)
-
-(* The exact bits of every final amplitude. A DD final reads its
-   package, so take these before the handle is released. *)
-let amp_bits (r : Driver.result) =
-  let a = Driver.amplitudes r in
-  Array.init (2 * Buf.length a) (fun k ->
-      Int64.bits_of_float (if k land 1 = 0 then Buf.get_re a (k / 2) else Buf.get_im a (k / 2)))
-
-let test_warm_bit_identical () =
-  with_obs (fun () ->
-      let hits = Obs.counter "serve.warm_hits" in
-      let misses = Obs.counter "serve.warm_misses" in
-      let scrubs = Obs.counter "serve.warm_scrubs" in
-      let circ_a = Suite.generate ~seed:5 Suite.Supremacy ~n:6 ~gates:40 in
-      let circ_b = Suite.generate ~seed:9 Suite.Qft ~n:6 in
-      let circ_c = Suite.generate ~seed:11 Suite.Vqe ~n:6 ~gates:80 in
-      let cfg = { Config.default with Config.policy = Config.Convert_at 20 } in
-      let cfg_fused = { cfg with Config.policy = Config.Convert_at 10; fusion = Config.Dmav_aware } in
-      let cold_a = amp_bits (Driver.run cfg circ_a) in
-      let cold_b =
-        amp_bits (Driver.run { cfg with Config.policy = Config.Never_convert } circ_b)
-      in
-      let cold_c = amp_bits (Driver.run cfg_fused circ_c) in
-      let w = Warm.create ~capacity:2 () in
-      let h1 = Warm.acquire w ~tenant:"t1" ~n:6 () in
-      let m0 = Obs.value misses in
-      Alcotest.(check bool) "first acquire is a miss" true (m0 >= 1);
-      let warm_a =
-        amp_bits (Driver.run ~package:h1.Warm.package ~workspace:h1.Warm.workspace cfg circ_a)
-      in
-      Warm.release w h1;
-      let h2 = Warm.acquire w ~tenant:"t1" ~n:6 () in
-      Alcotest.(check bool) "second acquire hits" true (Obs.value hits >= 1);
-      Alcotest.(check bool) "same handle reused" true (h2.Warm.package == h1.Warm.package);
-      (* A different circuit on the reused package: bit-identical to cold,
-         DD-final included (the reset cleared the canonicalization table). *)
-      let warm_b =
-        amp_bits
-          (Driver.run ~package:h2.Warm.package ~workspace:h2.Warm.workspace
-             { cfg with Config.policy = Config.Never_convert } circ_b)
-      in
-      Alcotest.(check bool) "warm flat run bit-identical" true (cold_a = warm_a);
-      Alcotest.(check bool) "warm DD run bit-identical" true (cold_b = warm_b);
-      Warm.release w h2;
-      (* A third job on the handle, reset again: a DMAV-fused flat run,
-         whose identity slots are reissued by the reset. *)
-      let h2 = Warm.acquire w ~tenant:"t1" ~n:6 () in
-      Alcotest.(check bool) "same handle reused again" true (h2.Warm.package == h1.Warm.package);
-      let warm_c =
-        amp_bits
-          (Driver.run ~package:h2.Warm.package ~workspace:h2.Warm.workspace cfg_fused circ_c)
-      in
-      Alcotest.(check bool) "warm fused flat run bit-identical" true (cold_c = warm_c);
-      Warm.release w h2;
-      (* Tenant change scrubs the workspace buffers. *)
-      let s0 = Obs.value scrubs in
-      let h3 = Warm.acquire w ~tenant:"t2" ~n:6 () in
-      Alcotest.(check bool) "cross-tenant acquire scrubs" true (Obs.value scrubs > s0);
-      Warm.release w h3;
-      (* Same-tenant re-acquire does not. *)
-      let s1 = Obs.value scrubs in
-      let h4 = Warm.acquire w ~tenant:"t2" ~n:6 () in
-      Alcotest.(check int) "same-tenant acquire skips scrub" s1 (Obs.value scrubs);
-      Warm.release w h4;
-      (* A job that grows the handle's compute caches to the cap, then a
-         small job on the same handle: the release shrank the caches back,
-         and the small job is bit-identical to a cold run. *)
-      let circ_big = Suite.generate ~seed:1 Suite.Dnn ~n:11 ~gates:130 in
-      let circ_small = Suite.generate ~seed:3 Suite.Supremacy ~n:11 ~gates:30 in
-      let cold_small = amp_bits (Driver.run cfg circ_small) in
-      let h5 = Warm.acquire w ~tenant:"t3" ~n:11 () in
-      ignore
-        (Driver.run ~package:h5.Warm.package ~workspace:h5.Warm.workspace
-           { cfg with Config.policy = Config.Never_convert } circ_big);
-      Alcotest.(check int) "big job grew the caches to the cap" (1 lsl 16)
-        (Dd.cache_slots h5.Warm.package);
-      Warm.release w h5;
-      let h6 = Warm.acquire w ~tenant:"t3" ~n:11 () in
-      Alcotest.(check bool) "same handle after the big job" true
-        (h6.Warm.package == h5.Warm.package);
-      Alcotest.(check int) "release shrank the caches" (1 lsl 10)
-        (Dd.cache_slots h6.Warm.package);
-      let warm_small =
-        amp_bits (Driver.run ~package:h6.Warm.package ~workspace:h6.Warm.workspace cfg circ_small)
-      in
-      Alcotest.(check bool) "small job after a big one bit-identical" true
-        (cold_small = warm_small);
-      Warm.release w h6)
-
-let test_warm_eviction_and_sizing () =
-  let w = Warm.create ~capacity:1 () in
-  let h1 = Warm.acquire w ~n:4 () in
-  let h2 = Warm.acquire w ~n:5 () in
-  Warm.release w h1;
-  Warm.release w h2;
-  Alcotest.(check int) "capacity bounds idle list" 1 (Warm.idle_handles w);
-  (* A mismatched qubit count is a miss even with an idle handle. *)
-  let h3 = Warm.acquire w ~n:9 () in
-  Alcotest.(check int) "n mismatch leaves idle handle alone" 1 (Warm.idle_handles w);
-  Alcotest.(check int) "built for requested n" 9 h3.Warm.h_n;
-  Warm.drop_all w;
-  Alcotest.(check int) "drop_all empties" 0 (Warm.idle_handles w)
-
 (* --- socketed daemon e2e ----------------------------------------------- *)
 
 let write_file path text =
@@ -450,8 +346,6 @@ let test_e2e_concurrent_clients () =
                  {\"id\":\"sb\",\"circuit\":\"ghz\",\"n\":6,\"deadline_s\":30.0,\"tenant\":\"t2\"}\n" ]
           in
           let references = List.map (fun m -> local_reference m) manifests in
-          let hits = Obs.counter "serve.warm_hits" in
-          let hits0 = Obs.value hits in
           let socket_path = Filename.concat dir "d.sock" in
           let daemon =
             start_daemon
@@ -459,8 +353,7 @@ let test_e2e_concurrent_clients () =
                 Serve.socket_path;
                 journal_path = Some (Filename.concat dir "j.jsonl");
                 slots = 2;
-                pool_threads = 2;
-                warm_capacity = 4 }
+                pool_threads = 2 }
           in
           Fun.protect
             ~finally:(fun () -> stop_daemon daemon)
@@ -488,11 +381,7 @@ let test_e2e_concurrent_clients () =
                     Alcotest.(check (list string))
                       (Printf.sprintf "client %d byte-identical to local run" i)
                       reference outs.(i))
-                 references;
-               (* 6 jobs over <= 2 warm handles of the same n: the cache
-                  must have served warm state at least once. *)
-               Alcotest.(check bool) "warm hits observed" true
-                 (Obs.value hits > hits0))))
+                 references)))
 
 let test_e2e_restart_adopt_replay () =
   with_obs (fun () ->
@@ -838,9 +727,8 @@ let test_e2e_id_collision_rejected () =
                     Alcotest.(check bool) "identical resubmission replays" true
                       (drain ())))))
 
-(* A long-lived daemon must not keep what it has served: after the warm
-   cache, the done-tail of the journal and the metrics registry have
-   filled (the first 50 jobs), 150 more jobs may not grow the live heap
+(* A long-lived daemon must not keep what it has served: after the
+   done-tail of the journal and the metrics registry have filled (the first 50 jobs), 150 more jobs may not grow the live heap
    by more than the slack. Measured with 6-qubit jobs: about 150 words of
    growth over the 150 jobs with delivered jobs released, 77k words
    (about 500 per job) when the scheduler kept every result, final state
@@ -856,8 +744,7 @@ let test_serve_heap_flat () =
             Serve.socket_path;
             journal_tail = 8;
             slots = 1;
-            pool_threads = 1;
-            warm_capacity = 2 }
+            pool_threads = 1 }
       in
       let round first count =
         let c = Client.connect ~retry_for:5.0 ~socket_path () in
@@ -915,9 +802,6 @@ let suite =
           test_checkpoint_prefix_property;
         Alcotest.test_case "crash/restart prefix property, compacted" `Slow
           test_checkpoint_prefix_compacted ] );
-    ( "serve warm",
-      [ Alcotest.test_case "warm reuse is bit-identical" `Quick test_warm_bit_identical;
-        Alcotest.test_case "eviction and sizing" `Quick test_warm_eviction_and_sizing ] );
     ( "serve e2e",
       [ Alcotest.test_case "concurrent clients match local runs" `Slow
           test_e2e_concurrent_clients;
