@@ -1,7 +1,7 @@
 (* Calibration of the gate price ([Cost.price], [Cost.dispatch]): the
    per-MAC price of a canonical identity node, the local leg's and the
-   dense kernel's per-amplitude rates, and the regret of the kernel
-   picks.
+   dense single-qubit kernel's per-amplitude rates, and the regret of the
+   kernel picks.
 
    The jobs are hybrid-deep's three families with the circuit seeds the
    repository benchmark (perfbench) derives for its seed 1: dnn-16/570,
@@ -10,7 +10,8 @@
    DDs in a fresh package, once unfused and once fused at the constants.
    Every gate is applied on a 1-worker and a 2-worker pool with each
    kernel it can take: the uncached Run, the cached Run (Algorithm 2),
-   the local leg (support ≤ 2) and, for an unfused op, the dense kernel;
+   the local leg (support ≤ 2) and, for an unfused single-qubit op, the
+   dense kernel (a two-qubit op's dense kernel is the local leg's walk);
    best of 5 per gate and kernel.
 
    - A least-squares fit of Run time = c₀ + a·(recursion MACs) +
@@ -173,8 +174,9 @@ let timed_samples pools jobs =
               Array.iteri
                 (fun k (op, _) ->
                    match op with
-                   | Some op -> keep dense k i (elapsed_ns (fun () -> DK.op ~pool ~n:j.n v op))
-                   | None -> ())
+                   | Some (Circuit.Single _ as op) ->
+                     keep dense k i (elapsed_ns (fun () -> DK.op ~pool ~n:j.n v op))
+                   | _ -> ())
                 gates)
            pools
        done;
@@ -242,8 +244,8 @@ let rate_rows samples =
        let dim x = Float.ldexp 1.0 x.job.n in
        let walked x =
          match x.op with
-         | Some op -> Cost.dense_price ~n:x.job.n op /. Cost.dense_rate op
-         | None -> 0.0
+         | Some (Circuit.Single { controls; _ }) -> Float.ldexp 1.0 (x.job.n - List.length controls)
+         | _ -> 0.0
        in
        let local s x =
          match x.support with
@@ -257,13 +259,11 @@ let rate_rows samples =
          | Circuit.Single { controls; _ } -> List.length controls = c
          | Circuit.Two _ -> false
        in
-       let two = function Circuit.Two _ -> true | Circuit.Single _ -> false in
        List.filter_map Fun.id
          [ row "local" "support 1" (local 1) dim;
            row "local" "support 2" (local 2) dim;
            row "dense" "single" (dense (single_c 0)) walked;
-           row "dense" "1-controlled" (dense (single_c 1)) walked;
-           row "dense" "two-qubit" (dense two) walked ])
+           row "dense" "1-controlled" (dense (single_c 1)) walked ])
     [ (0, 1); (1, 2) ]
 
 let regret_rows samples =
@@ -343,10 +343,8 @@ let run () =
     ~title:"array kernels: time per amplitude streamed (fit through 0) over the Run's time per priced MAC"
     ~header:[ "threads"; "kernel"; "gates"; "n"; "ns/amp"; "Run ns/priced MAC"; "rate" ]
     (rate_rows samples);
-  Report.note "constants: local leg %g (support 1) and %g (support 2), dense %g (single) and %g (two-qubit)"
-    (Cost.local_rate ~support:1) (Cost.local_rate ~support:3)
-    (Cost.dense_rate (Circuit.Single { name = "x"; matrix = Gate.x; target = 0; controls = [] }))
-    (Cost.dense_rate (Circuit.Two { name = "iswap"; matrix = Gate.iswap; q_hi = 1; q_lo = 0 }));
+  Report.note "constants: local leg %g (support 1) and %g (support 2), dense %g (single-qubit)"
+    (Cost.local_rate ~support:1) (Cost.local_rate ~support:3) Cost.dense_rate;
   Report.table
     ~title:
       "regret: picks (local/Run/cached) and gates whose pick ran >5% slower than the fastest \

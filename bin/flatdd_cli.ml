@@ -246,7 +246,7 @@ let cmd =
   in
   let n = Arg.(value & opt int 14 & info [ "n"; "qubits" ] ~doc:"Number of qubits.") in
   let gates =
-    Arg.(value & opt (some int) None & info [ "g"; "gates" ] ~doc:"Approximate gate count for depth-parameterized families.")
+    Arg.(value & opt (some int) None & info [ "g"; "gates" ] ~doc:"Approximate gate count (at least 1) for depth-parameterized families.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Circuit generator seed.") in
   let threads = Arg.(value & opt int 4 & info [ "t"; "threads" ] ~doc:"Worker threads.") in

@@ -114,8 +114,6 @@ module Builder = struct
     if n < 1 then invalid_arg "Circuit.Builder.create";
     { n; bname = name; rev_ops = []; count = 0 }
 
-  let num_qubits b = b.n
-
   let add b op =
     validate_op b.n op;
     b.rev_ops <- op :: b.rev_ops;

@@ -57,7 +57,6 @@ module Builder : sig
   type b
 
   val create : ?name:string -> int -> b
-  val num_qubits : b -> int
 
   val add : b -> op -> unit
   val single : b -> ?controls:int list -> string -> Gate.single -> int -> unit

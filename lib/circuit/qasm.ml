@@ -345,6 +345,14 @@ let parse ?(name = "qasm") src =
   (* Local re-implementation of macro expansion that closes over [toks]
      (avoiding the placeholder [state_toks] above). *)
   let rec apply line gname params qubits =
+    if List.length (List.sort_uniq Int.compare qubits) <> List.length qubits then
+      fail line "repeated qubit argument in %s" gname;
+    List.iter
+      (fun p ->
+         if not (Float.is_finite p) then
+           fail line "parameter %s of %s is not finite"
+             (if Float.is_nan p then "nan" else string_of_float p) gname)
+      params;
     if not (apply_builtin !state line gname params qubits) then begin
       let def = Hashtbl.find !state.defs gname in
       if List.length def.gd_params <> List.length params then

@@ -35,6 +35,9 @@ let regular = function
   | Dnn | Vqe | Knn | Swap_test | Supremacy | Qft | Grover | Qpe -> false
 
 let generate ?seed ?gates family ~n =
+  (match gates with
+   | Some g when g < 1 -> invalid_arg (Printf.sprintf "Suite.generate: gates must be >= 1 (got %d)" g)
+   | _ -> ());
   match family with
   | Dnn ->
     let gates = Option.value gates ~default:(Dnn.gates_per_layer n * 8) in

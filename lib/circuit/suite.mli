@@ -26,4 +26,5 @@ val generate : ?seed:int -> ?gates:int -> family -> n:int -> Circuit.t
 (** [generate fam ~n] builds the family's circuit on [n] qubits. [gates]
     sets an approximate target gate count for the depth-parameterized
     families (DNN, VQE, Supremacy, Grover); the others have a structural
-    gate count that [gates] does not change. *)
+    gate count that [gates] does not change. Raises [Invalid_argument]
+    when [gates] is below 1. *)

@@ -54,7 +54,8 @@
    load when bit 0 is outside the support (the groups are neighbours),
    two 16-byte halves when it is inside. The walk, the loads and the
    stores are the dense kernel's 4-lane walk; only the row arithmetic
-   differs.
+   differs. A dense two-qubit gate is the local kernel with all 16 paths
+   set, its qubits in the matrix's index order (major, minor).
 
    Contract with Storage.Core64/Core32: ranges, lengths and qubit indices
    are checked in OCaml before the call, the externals are [@@noalloc],
@@ -567,38 +568,6 @@ static inline int replication_quadrant(const long *es)
     return Val_unit;                                                          \
   }                                                                           \
                                                                               \
-  /* The 4x4 kernel over quad indices [lo, hi). [m] is the gate as 32        \
-     floats, row-major re/im; row/column index is 2*b(q_hi) + b(q_lo). */    \
-  value qcs_dense_two_##SFX(value buf, value m, value q_hi, value q_lo,       \
-                            value lo, value hi)                               \
-  {                                                                           \
-    T *a = (T *)Caml_ba_data_val(buf);                                        \
-    const double *u = (const double *)m;                                      \
-    long qh = Long_val(q_hi), ql = Long_val(q_lo);                            \
-    long kmin = qh < ql ? qh : ql, kmax = qh < ql ? ql : qh;                  \
-    long bh = 1L << qh, bl = 1L << ql;                                        \
-    for (long k = Long_val(lo); k < Long_val(hi); k++) {                      \
-      long base = insert_zero(insert_zero(k, kmin), kmax);                    \
-      long idx[4] = { base, base | bl, base | bh, base | bh | bl };           \
-      double xre[4], xim[4];                                                  \
-      for (int r = 0; r < 4; r++) {                                           \
-        xre[r] = a[2 * idx[r]];                                               \
-        xim[r] = a[2 * idx[r] + 1];                                           \
-      }                                                                       \
-      for (int r = 0; r < 4; r++) {                                           \
-        double accre = 0.0, accim = 0.0;                                      \
-        for (int c = 0; c < 4; c++) {                                         \
-          double ure = u[2 * (4 * r + c)], uim = u[2 * (4 * r + c) + 1];      \
-          accre = accre + ((ure * xre[c]) - (uim * xim[c]));                  \
-          accim = accim + ((ure * xim[c]) + (uim * xre[c]));                  \
-        }                                                                     \
-        a[2 * idx[r]] = (T)accre;                                             \
-        a[2 * idx[r] + 1] = (T)accim;                                         \
-      }                                                                       \
-    }                                                                         \
-    return Val_unit;                                                          \
-  }                                                                           \
-                                                                              \
   /* The local kernel's 2-lane body on the group whose base is i: every     \
      output row starts from +0 and adds u_rc x_c column by column, each     \
      sum rounded to T (header). */                                          \
@@ -636,17 +605,16 @@ static inline int replication_quadrant(const long *es)
   }                                                                           \
                                                                               \
   /* The local kernel over the groups [lo, hi): group k is the k-th base,     \
-     ascending, with every [support] bit 0. [m] is the gate's 2x2 (one      \
-     support bit) or 4x4 (two) matrix, row-major re/im, the higher support  \
-     bit the major index bit. */                                            \
-  value qcs_local_##SFX(value buf, value m, value support, value paths_v,     \
-                        value lo, value hi)                                   \
+     ascending, with the [major] and [minor] bits 0. [m] is the gate's 2x2  \
+     ([major] 0) or 4x4 matrix, row-major re/im, index 2 b(major) +         \
+     b(minor); for a dense gate [major] is q_hi, the lower bit or not. */   \
+  value qcs_local_##SFX(value buf, value m, value major, value minor,         \
+                        value paths_v, value lo, value hi)                    \
   {                                                                           \
     T *a = (T *)Caml_ba_data_val(buf);                                        \
     const double *u = (const double *)m;                                      \
-    long fixed = Long_val(support), k = Long_val(lo), end = Long_val(hi);     \
-    long paths = Long_val(paths_v);                                           \
-    long bl = fixed & -fixed, bh = fixed ^ bl;                                \
+    long bh = Long_val(major), bl = Long_val(minor), fixed = bh | bl;         \
+    long k = Long_val(lo), end = Long_val(hi), paths = Long_val(paths_v);     \
     int d = bh ? 4 : 2;                                                       \
     long off[4] = { 0, bl, bh, bh | bl };                                     \
     const v2d one = { 1.0, 1.0 }, sg = { -1.0, 1.0 };                         \
@@ -820,8 +788,7 @@ static inline int replication_quadrant(const long *es)
   BYTE_STUB(qcs_scale2_add_into_##SFX, ARGS5, Double_val(argv[5]),            \
             Double_val(argv[6]))                                              \
   BYTE_STUB(qcs_dense_single_##SFX, ARGS5, argv[5])                           \
-  BYTE_STUB(qcs_dense_two_##SFX, ARGS5, argv[5])                              \
-  BYTE_STUB(qcs_local_##SFX, ARGS5, argv[5])                                  \
+  BYTE_STUB(qcs_local_##SFX, ARGS5, argv[5], argv[6])                         \
   BYTE_STUB(qcs_dmav_run_##SFX, ARGS5, argv[5], Double_val(argv[6]),          \
             Double_val(argv[7]))                                              \
   value qcs_norm2_##SFX##_byte(value t, value len)                            \

@@ -59,8 +59,7 @@ module type CORE = sig
   val c_fill_zero_range : buffer -> int -> int -> unit
   val c_norm2 : buffer -> int -> float
   val c_dense_single : buffer -> float array -> int -> int -> int -> int -> unit
-  val c_dense_two : buffer -> float array -> int -> int -> int -> int -> unit
-  val c_local : buffer -> float array -> int -> int -> int -> int -> unit
+  val c_local : buffer -> float array -> int -> int -> int -> int -> int -> unit
   val c_dmav_run : arena -> int -> buffer -> buffer -> int -> int -> float -> float -> unit
 end
 
@@ -93,9 +92,7 @@ module Core64 = struct
     = "qcs_norm2_f64_byte" "qcs_norm2_f64" [@@noalloc]
   external c_dense_single : buffer -> float array -> int -> int -> int -> int -> unit
     = "qcs_dense_single_f64_byte" "qcs_dense_single_f64" [@@noalloc]
-  external c_dense_two : buffer -> float array -> int -> int -> int -> int -> unit
-    = "qcs_dense_two_f64_byte" "qcs_dense_two_f64" [@@noalloc]
-  external c_local : buffer -> float array -> int -> int -> int -> int -> unit
+  external c_local : buffer -> float array -> int -> int -> int -> int -> int -> unit
     = "qcs_local_f64_byte" "qcs_local_f64" [@@noalloc]
   external c_dmav_run :
     arena -> int -> buffer -> buffer -> int -> int -> (float[@unboxed]) -> (float[@unboxed]) -> unit
@@ -131,9 +128,7 @@ module Core32 = struct
     = "qcs_norm2_f32_byte" "qcs_norm2_f32" [@@noalloc]
   external c_dense_single : buffer -> float array -> int -> int -> int -> int -> unit
     = "qcs_dense_single_f32_byte" "qcs_dense_single_f32" [@@noalloc]
-  external c_dense_two : buffer -> float array -> int -> int -> int -> int -> unit
-    = "qcs_dense_two_f32_byte" "qcs_dense_two_f32" [@@noalloc]
-  external c_local : buffer -> float array -> int -> int -> int -> int -> unit
+  external c_local : buffer -> float array -> int -> int -> int -> int -> int -> unit
     = "qcs_local_f32_byte" "qcs_local_f32" [@@noalloc]
   external c_dmav_run :
     arena -> int -> buffer -> buffer -> int -> int -> (float[@unboxed]) -> (float[@unboxed]) -> unit
@@ -179,8 +174,8 @@ module type S = sig
     src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> sre:float -> sim:float -> unit
 
   val dense_single : t -> float array -> target:int -> cmask:int -> lo:int -> hi:int -> unit
-  val dense_two : t -> float array -> q_hi:int -> q_lo:int -> lo:int -> hi:int -> unit
-  val local_apply : t -> float array -> support:int -> paths:int -> lo:int -> hi:int -> unit
+  val local_apply :
+    t -> float array -> major:int -> minor:int -> paths:int -> lo:int -> hi:int -> unit
 
   val dmav_run :
     arena -> node:int -> v:t -> w:t -> iv:int -> iw:int -> fre:float -> fim:float -> unit
@@ -267,39 +262,26 @@ module Extend (C : CORE) = struct
 
   let norm2 t = C.c_norm2 t.data t.len
 
-  let is_pow2 x = x > 0 && x land (x - 1) = 0
-
-  (* [k] names a qubit of a [t.len]-amplitude vector. *)
-  let qubit_ok t k = k >= 0 && k < 62 && 1 lsl k < t.len
-
   let dense_single t m ~target ~cmask ~lo ~hi =
-    if Array.length m <> 8 || not (is_pow2 t.len) || t.len < 2 then
+    if Array.length m <> 8 || not (Bits.is_pow2 t.len) || t.len < 2 then
       invalid_arg "Storage.dense_single: bad matrix or length";
-    if (not (qubit_ok t target)) || cmask < 0 || cmask >= t.len
+    if target < 0 || target >= 62 || 1 lsl target >= t.len || cmask < 0 || cmask >= t.len
        || (cmask lsr target) land 1 = 1
     then invalid_arg "Storage.dense_single: bad target or control mask";
     if lo < 0 || lo > hi || hi > t.len lsr (1 + Bits.popcount cmask) then
       invalid_arg "Storage.dense_single: stripe out of bounds";
     C.c_dense_single t.data m target cmask lo hi
 
-  let dense_two t m ~q_hi ~q_lo ~lo ~hi =
-    if Array.length m <> 32 || not (is_pow2 t.len) || t.len < 4 then
-      invalid_arg "Storage.dense_two: bad matrix or length";
-    if q_hi = q_lo || (not (qubit_ok t q_hi)) || not (qubit_ok t q_lo) then
-      invalid_arg "Storage.dense_two: bad qubits";
-    if lo < 0 || lo > hi || hi > t.len / 4 then
-      invalid_arg "Storage.dense_two: stripe out of bounds";
-    C.c_dense_two t.data m q_hi q_lo lo hi
-
-  let local_apply t m ~support ~paths ~lo ~hi =
-    let s = Bits.popcount support in
-    if (s <> 1 && s <> 2) || support < 0 || support >= t.len || not (is_pow2 t.len) then
-      invalid_arg "Storage.local_apply: bad support";
+  let local_apply t m ~major ~minor ~paths ~lo ~hi =
+    if (not (Bits.is_pow2 t.len)) || (not (Bits.is_pow2 minor)) || minor >= t.len
+       || (major <> 0 && ((not (Bits.is_pow2 major)) || major >= t.len || major = minor))
+    then invalid_arg "Storage.local_apply: bad bits";
+    let s = if major = 0 then 1 else 2 in
     if Array.length m <> 2 lsl (2 * s) || paths < 0 || paths >= 1 lsl (1 lsl (2 * s)) then
       invalid_arg "Storage.local_apply: bad matrix";
     if lo < 0 || lo > hi || hi > t.len lsr s then
       invalid_arg "Storage.local_apply: groups out of bounds";
-    C.c_local t.data m support paths lo hi
+    C.c_local t.data m major minor paths lo hi
 
   (* Only the root task's extent is checked: the children of a node sit
      at lower levels of the same arena, so the whole walk stays inside

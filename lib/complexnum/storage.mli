@@ -121,26 +121,25 @@ module type S = sig
       reference's operations in its order, so the bytes do not depend
       on the body or the stripe split. *)
 
-  val dense_two : t -> float array -> q_hi:int -> q_lo:int -> lo:int -> hi:int -> unit
-  (** Applies the 4×4 gate given as 32 floats (row-major re/im, index
-      [2·b(q_hi) + b(q_lo)]) to the amplitude quads [k ∈ [lo, hi)]. *)
-
   val local_apply :
-    t -> float array -> support:int -> paths:int -> lo:int -> hi:int -> unit
-  (** The local leg of an uncached DMAV gate: applies, in place, the
-      [2^s × 2^s] matrix [m] ([s] = 1 or 2 bits set in [support], the
-      gate's non-identity levels; [2·4^s] floats, row-major re/im, the
-      higher support bit the major index bit) to the groups
-      [k ∈ [lo, hi)]: group [k] is the [2^s] amplitudes over the [k]-th
-      index, ascending, whose [support] bits are 0, so
-      [hi ≤ 2^(n−s)]. Each output starts from +0 and adds
-      [m(r,c)·x(c)] for each [c], ascending, whose bit [r·2^s + c] is set
-      in [paths], the sum stored (rounded, at [F32]) after every term:
-      the MACs {!dmav_run} does for that row, in its order, with [m]
-      holding its weight products and [paths] its terminal paths. On AVX2 hosts
-      two groups share a 32-byte vector, built from two 16-byte halves
-      when bit 0 is in the support; the bytes do not depend on the body
-      or the split. *)
+    t -> float array -> major:int -> minor:int -> paths:int -> lo:int -> hi:int -> unit
+  (** The 2×2 or 4×4 array walk: applies, in place, the [2^s × 2^s]
+      matrix [m] ([2·4^s] floats, row-major re/im) on the bits [major]
+      and [minor] ([s] = 1 when [major] is 0, else 2; one bit each,
+      distinct; index bit 1 on [major], bit 0 on [minor], whichever is
+      higher) to the groups [k ∈ [lo, hi)]: group [k] is the [2^s]
+      amplitudes over the [k]-th index, ascending, whose [major] and
+      [minor] bits are 0, so [hi ≤ 2^(n−s)]. Each output starts from +0
+      and adds [m(r,c)·x(c)] for each [c], ascending, whose bit
+      [r·2^s + c] is set in [paths], the sum stored (rounded, at [F32])
+      after every term. It serves the local leg of an uncached DMAV
+      gate, with the higher support bit as [major]: the MACs
+      {!dmav_run} does for that row, in its order, with [m] holding its
+      weight products and [paths] its terminal paths. It serves a dense
+      two-qubit gate with all 16 paths, [major] its [q_hi]. On AVX2
+      hosts two groups share a 32-byte vector, built from two 16-byte
+      halves when bit 0 is one of the two; the bytes do not depend on
+      the body or the split. *)
 
   val dmav_run :
     arena -> node:int -> v:t -> w:t -> iv:int -> iw:int -> fre:float -> fim:float -> unit

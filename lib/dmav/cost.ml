@@ -187,31 +187,25 @@ let local_rates = [| 0.125; 0.1875 |]
 
 let local_rate ~support = local_rates.(Bits.popcount support - 1)
 
-(* The dense kernels walk the controlled amplitudes only: 2ⁿ⁻ᶜ of a
-   c-controlled single-qubit gate, all 2ⁿ of a two-qubit one. The
-   single-qubit kernel shares the local leg's walk and measured
-   0.09-0.14 priced MACs per amplitude walked (fusion_price, as above),
-   so it takes the support-1 rate and wins the tie; the two-qubit kernel,
-   whose rows always do all 16 terms, measured 0.6-0.9. *)
-let dense_rates = [| 0.125; 0.75 |]
+(* The dense single-qubit kernel walks the 2ⁿ⁻ᶜ amplitudes a c-controlled
+   gate touches. It shares the local leg's walk (0.09-0.14 priced MACs per
+   amplitude walked, fusion_price, as above), so it takes the support-1
+   rate and wins the tie. A two-qubit op's dense kernel is the local leg. *)
+let dense_rate = 0.125
 
-let dense_amplitudes ~n (op : Circuit.op) =
+let dense_price ~n (op : Circuit.op) =
   match op with
-  | Circuit.Single { controls; _ } -> Float.ldexp 1.0 (n - List.length controls)
-  | Circuit.Two _ -> Float.ldexp 1.0 n
-
-let dense_rate (op : Circuit.op) =
-  match op with Circuit.Single _ -> dense_rates.(0) | Circuit.Two _ -> dense_rates.(1)
-
-let dense_price ~n op = dense_rate op *. dense_amplitudes ~n op
+  | Circuit.Single { controls; _ } ->
+    Some (dense_rate *. Float.ldexp 1.0 (n - List.length controls))
+  | Circuit.Two _ -> None
 
 (* The dense kernels do 4 complex MACs per amplitude pair they walk
    (2ⁿ⁻¹⁻ᶜ pairs of a c-controlled single-qubit gate) and 16 per
    quad of a two-qubit gate. *)
 let dense_direct_macs ~n (op : Circuit.op) =
   match op with
-  | Circuit.Single _ -> 2.0 *. dense_amplitudes ~n op
-  | Circuit.Two _ -> 4.0 *. dense_amplitudes ~n op
+  | Circuit.Single { controls; _ } -> Float.ldexp 2.0 (n - List.length controls)
+  | Circuit.Two _ -> Float.ldexp 4.0 n
 
 (* The price fusion compares: a gate on one thread, the cheaper of its
    local leg and the Run. Algorithm 2 never pays on one thread (its one
@@ -267,7 +261,7 @@ let dispatch ?(local_leg = true) p ~n ~threads ?op root =
          | _ -> None);
       run = b.k1_priced /. t;
       cached = (b.k2_priced /. t) +. blocks;
-      dense = Option.map (fun op -> dense_price ~n op /. t) op }
+      dense = Option.bind op (fun op -> Option.map (fun p -> p /. t) (dense_price ~n op)) }
   in
   let kernel, price =
     List.fold_left

@@ -103,7 +103,8 @@ val identity_macs : Dd.package -> n:int -> decision -> Dd.medge -> float
     {!identity_price}), per thread. The Run costs its priced MACs (Eq. 5),
     Algorithm 2 its distinct tasks' priced MACs plus Eq. 6's block
     operations at SIMD width [d], and the two array kernels, the local
-    leg and the dense kernel, a fitted rate per amplitude they stream. *)
+    leg and the dense single-qubit kernel, a fitted rate per amplitude
+    they stream. *)
 
 val support : Dd.package -> n:int -> Dd.medge -> int option
 (** The levels an [n]-qubit matrix DD acts on, as a bit mask, if there are
@@ -119,20 +120,21 @@ val local_rate : support:int -> float
     Algorithm 2 (at least one buffer's block operations). *)
 
 val dense_direct_macs : n:int -> Circuit.op -> float
-(** MACs of the dense direct kernels ([Apply.single] / [Apply.two]): 4
-    per amplitude pair walked, which is [2ⁿ⁻¹⁻ᶜ] pairs for a
-    [c]-controlled single-qubit gate, so [2ⁿ⁺¹⁻ᶜ]; 16 per quad of a
-    two-qubit gate, so [2ⁿ⁺²]. *)
+(** MACs of the dense direct kernels ([Dense_kernel.single] and
+    [Dense_kernel.two]): 4 per amplitude pair walked, which is [2ⁿ⁻¹⁻ᶜ]
+    pairs for a [c]-controlled single-qubit gate, so [2ⁿ⁺¹⁻ᶜ]; 16 per
+    quad of a two-qubit gate, so [2ⁿ⁺²]. *)
 
-val dense_rate : Circuit.op -> float
-(** The dense kernel's price per amplitude walked, fitted with
-    [bench/main.exe fusion_price]. *)
+val dense_rate : float
+(** The dense single-qubit kernel's price per amplitude walked, fitted
+    with [bench/main.exe fusion_price]: the local leg's support-1 rate,
+    as the two share the walk. *)
 
-val dense_price : n:int -> Circuit.op -> float
-(** The dense kernel's price on one thread: a fitted rate per amplitude
-    walked, [2ⁿ⁻ᶜ] for a [c]-controlled single-qubit gate (the local
-    leg's support-1 rate: the two share the walk), [2ⁿ] for a two-qubit
-    gate, whose rows always do all 16 terms. *)
+val dense_price : n:int -> Circuit.op -> float option
+(** The dense kernel's price on one thread: {!dense_rate} per amplitude
+    walked, [2ⁿ⁻ᶜ] for a [c]-controlled single-qubit gate. [None] for a
+    two-qubit op, whose dense kernel is the local leg's walk: its
+    {!local_rate} prices it. *)
 
 val price : ?identity_price:float -> ?local_rate:float -> Dd.package -> Dd.medge -> float
 (** The price [Fusion.dmav_aware] compares: the gate on one thread, the
@@ -151,7 +153,8 @@ type prices = {
   local : float option;  (** [None]: no local form, or the leg is off *)
   run : float;
   cached : float;
-  dense : float option;  (** [None] when no unfused op is given *)
+  dense : float option;
+  (** [None] unless an unfused single-qubit op is given *)
 }
 (** Each kernel's price per thread, for a pool of [threads]. *)
 
@@ -170,8 +173,8 @@ val dispatch :
 (** Prices the gate on every eligible kernel for a pool of [threads] and
     picks the cheapest; on a tie the earlier of dense, local, Run,
     cached. The dense kernel is eligible when [op], the unfused circuit
-    op, is given; the local leg when the gate has a {!support} and
-    [local_leg] (default [true]) holds. *)
+    op, is a single-qubit gate; the local leg when the gate has a
+    {!support} and [local_leg] (default [true]) holds. *)
 
 val decide : Dd.package -> n:int -> threads:int -> Dd.medge -> decision
 (** {!dispatch} between the paper's two DMAV kernels only (no local leg,

@@ -38,9 +38,9 @@ type t = {
   trace : bool;           (** record the per-gate trace *)
   dense_dispatch : bool;
   (** When set, the DMAV engine's per-gate cost model also prices each
-      unfused gate on the dense direct-apply kernels
-      ([Apply.single]/[Apply.two]) and may run it there instead of a DMAV
-      multiplication. Off by default so the stock DMAV phase stays
+      unfused single-qubit gate on the dense direct-apply kernel
+      ([Dense_kernel.single]) and may run it there instead of a DMAV
+      multiplication. A two-qubit gate takes the local leg either way. Off by default so the stock DMAV phase stays
       bit-for-bit reproducible. *)
   order : order_mode;
   (** Qubit-order policy (`--order`). Results are always reported in the

@@ -1,8 +1,9 @@
 (* Dense direct application as a stepwise engine, written once over the
    amplitude precision: the state is a flat vector and every gate runs
-   through the [Dense_kernel] amplitude-pair kernels — the "Quantum++"
-   style baseline behind the same ENGINE signature as the DD and DMAV
-   engines (and the kernel the flat phase's dense dispatch borrows).
+   through the [Dense_kernel] array kernels — the fast array engine
+   (`-e array`) and the dense reference, behind the same ENGINE signature
+   as the DD and DMAV engines (and the kernels the flat phase's dense
+   dispatch borrows). The paper's Quantum++ baseline is [Qpp_kernel].
    [extract] widens to the f64 [Flat_state] the driver's result type
    carries, so downstream consumers never see the storage kind — only its
    rounding. *)

@@ -30,7 +30,7 @@ type result = {
 
 (* Per-phase spans: the global metrics accumulate across runs, while each
    run's seconds_* fields are the same measurements taken locally by
-   [Obs.timed] — one clock pair per phase, no stopwatch plumbing. *)
+   [Obs.timed] — one clock pair per phase. *)
 let s_dd_phase = Obs.span "sim.dd_phase"
 let s_convert = Obs.span "sim.convert"
 let s_dmav_phase = Obs.span "sim.dmav_phase"
@@ -53,8 +53,9 @@ let s_stream_wait = Obs.span "sim.flat_stream_wait"
 
 (* Flat-phase kernels, by the engine's pick. Without [dense_dispatch] the
    cached/uncached counts mirror dmav.kernel.*; with it they reflect the
-   three-way pick. The local count is the part of the uncached one that
-   ran on the local leg. *)
+   pick among dense (unfused single-qubit ops only), local, Run and
+   cached. The local count is the part of the uncached one that ran on
+   the local leg. *)
 let c_disp_cached = Obs.counter "dmav.dispatch.cached"
 let c_disp_uncached = Obs.counter "dmav.dispatch.uncached"
 let c_disp_dense = Obs.counter "dmav.dispatch.dense"

@@ -134,19 +134,25 @@ let parse_line ?(default_config = Config.default) ?(base_seed = 1) ?(dir = ".")
         | Some n -> failf "%s: n must be >= 1 (got %d)" where n
         | None -> failf "%s: \"n\" is required with a circuit family" where
       in
-      let gates = int_field ~where kvs "gates" in
+      let gates =
+        match int_field ~where kvs "gates" with
+        | Some g when g < 1 -> failf "%s: gates must be >= 1 (got %d)" where g
+        | g -> g
+      in
       Suite.generate ?gates ~seed fam ~n
   in
   let config =
     let cfg = default_config in
     let cfg =
       match float_field ~where kvs "beta" with
-      | Some beta -> { cfg with Config.beta }
+      | Some beta when beta >= 0.0 && beta < 1.0 -> { cfg with Config.beta }
+      | Some beta -> failf "%s: beta must be in [0, 1) (got %g)" where beta
       | None -> cfg
     in
     let cfg =
       match float_field ~where kvs "epsilon" with
-      | Some epsilon -> { cfg with Config.epsilon }
+      | Some epsilon when epsilon > 0.0 -> { cfg with Config.epsilon }
+      | Some epsilon -> failf "%s: epsilon must be > 0 (got %g)" where epsilon
       | None -> cfg
     in
     let cfg =

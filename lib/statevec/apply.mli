@@ -13,7 +13,8 @@ val single :
 
 val two : ?pool:Pool.t -> State.t -> Gate.two -> q_hi:int -> q_lo:int -> unit
 (** In-place application of a two-qubit unitary; the 4×4 matrix is indexed
-    by [2·b(q_hi) + b(q_lo)]. *)
+    by [2·b(q_hi) + b(q_lo)]. It runs on the local leg's array walk
+    ({!Storage.S.local_apply}) with every entry taken. *)
 
 val op : ?pool:Pool.t -> State.t -> Circuit.op -> unit
 
@@ -21,7 +22,9 @@ val circuit : ?pool:Pool.t -> State.t -> Circuit.t -> unit
 (** Applies every operation in order. *)
 
 val run : ?pool:Pool.t -> Circuit.t -> State.t
-(** [run c] simulates [c] from |0…0⟩ — the "Quantum++" baseline engine.
+(** [run c] simulates [c] from |0…0⟩ on the fast array kernels: the
+    dense reference the tests check the other engines against. The
+    paper's Quantum++ baseline is {!Qpp_kernel}, not this.
     For a per-gate timed run, use [Driver.run_engine] over the dense
     engine with [trace] enabled — the timing loop lives in the driver's
     unified trace path, not here. *)

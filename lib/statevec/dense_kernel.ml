@@ -3,14 +3,30 @@
    [Storage.F64], the f32 engines instantiate it at [Storage.F32].
 
    The gate is checked once here, flattened to a float array, and each
-   pool stripe of pair (or quad) indices is one call into the
-   [P.dense_single]/[P.dense_two] C stubs. Gate matrices stay f64; all
-   arithmetic runs in double and only the stores round at [F32]. *)
+   pool stripe of pair (or quad) indices is one call into a C stub:
+   [P.dense_single] for a single-qubit gate, [P.local_apply], the local
+   leg's walk with every path set, for a two-qubit one. Gate matrices
+   stay f64; all arithmetic runs in double and only the stores round at
+   [F32]. *)
 
 (* Which dense body serves the run: Storage.dense_lanes (2 or 4), set
    by every single-qubit gate rather than once, so a snapshot taken after
    a metrics reset still shows it. *)
 let g_lanes = Obs.gauge "statevec.dense.lanes"
+
+(* A d×d gate matrix as the C stubs take it: 2·d² floats, row-major
+   (re, im). Loops, not [Array.init], which boxes every float: that
+   version ran perfbench's flat-wide 4 % slower. *)
+let flatten (m : Cnum.t array array) =
+  let d = Array.length m in
+  let u = Array.make (2 * d * d) 0.0 in
+  for r = 0 to d - 1 do
+    for c = 0 to d - 1 do
+      u.(2 * ((d * r) + c)) <- m.(r).(c).Cnum.re;
+      u.((2 * ((d * r) + c)) + 1) <- m.(r).(c).Cnum.im
+    done
+  done;
+  u
 
 module Make (P : Storage.S) = struct
   let seq_threshold = 1 lsl 12
@@ -50,14 +66,7 @@ module Make (P : Storage.S) = struct
       controls;
     if P.length amps <> 1 lsl n then invalid_arg "Dense_kernel.single: bad length";
     Obs.set_gauge g_lanes Storage.dense_lanes;
-    let cmask = Bits.all_masks controls in
-    let u = Array.make 8 0.0 in
-    for r = 0 to 1 do
-      for c = 0 to 1 do
-        u.(4 * r + 2 * c) <- m.(r).(c).Cnum.re;
-        u.(4 * r + 2 * c + 1) <- m.(r).(c).Cnum.im
-      done
-    done;
+    let cmask = Bits.all_masks controls and u = flatten m in
     stripes ?pool ~hi:(1 lsl (n - 1 - Bits.popcount cmask)) (fun lo hi ->
         P.dense_single amps u ~target ~cmask ~lo ~hi)
 
@@ -65,31 +74,27 @@ module Make (P : Storage.S) = struct
     if q_hi = q_lo || q_hi < 0 || q_lo < 0 || q_hi >= n || q_lo >= n then
       invalid_arg "Dense_kernel.two: bad qubits";
     if P.length amps <> 1 lsl n then invalid_arg "Dense_kernel.two: bad length";
-    let u = Array.make 32 0.0 in
-    for r = 0 to 3 do
-      for c = 0 to 3 do
-        u.(2 * (4 * r + c)) <- m.(r).(c).Cnum.re;
-        u.(2 * (4 * r + c) + 1) <- m.(r).(c).Cnum.im
-      done
-    done;
+    let u = flatten m in
     stripes ?pool ~hi:(1 lsl (n - 2)) (fun lo hi ->
-        P.dense_two amps u ~q_hi ~q_lo ~lo ~hi)
+        P.local_apply amps u ~major:(1 lsl q_hi) ~minor:(1 lsl q_lo) ~paths:0xffff ~lo ~hi)
 
   (* The local leg of an uncached DMAV gate ([Flat_gate.Local]): its
-     2×2 or 4×4 matrix on the [support] levels, in place, over
-     [P.local_apply]'s groups, cut as [stripes] cuts pairs. The
-     one-domain loop is written out so that the gate allocates
-     nothing. *)
+     2×2 or 4×4 matrix on the [support] levels, the higher one the major
+     index bit, in place, over [P.local_apply]'s groups, cut as
+     [stripes] cuts pairs. The one-domain loop is written out so that the
+     gate allocates nothing. *)
   let local ~pool amps u ~support ~paths =
+    let minor = support land -support in
+    let major = support lxor minor in
     let hi = P.length amps lsr Bits.popcount support in
     if Pool.size pool > 1 && hi >= seq_threshold then
       Pool.parallel_for_ranges pool ~lo:0 ~hi (fun lo hi ->
-          P.local_apply amps u ~support ~paths ~lo ~hi)
+          P.local_apply amps u ~major ~minor ~paths ~lo ~hi)
     else begin
       let lo = ref 0 in
       while !lo < hi do
         let next = Int.min hi (!lo + stripe_max) in
-        P.local_apply amps u ~support ~paths ~lo:!lo ~hi:next;
+        P.local_apply amps u ~major ~minor ~paths ~lo:!lo ~hi:next;
         lo := next
       done
     end

@@ -31,8 +31,6 @@ let renormalize t =
       ~len:(Buf.length t.amps) inv
   end
 
-let probabilities t = Array.init (dim t) (probability t)
-
 let most_likely t =
   let best = ref 0 and best_p = ref (probability t 0) in
   for i = 1 to dim t - 1 do

@@ -23,8 +23,6 @@ val probability : t -> int -> float
 val norm2 : t -> float
 val renormalize : t -> unit
 
-val probabilities : t -> float array
-
 val most_likely : t -> int * float
 (** Basis index with the largest probability. *)
 

@@ -15,31 +15,3 @@ let time_ns f =
   let r = f () in
   let t1 = now_ns () in
   (r, Int64.sub t1 t0)
-
-type stopwatch = { mutable acc_ns : int64; mutable started : int64 option }
-
-let stopwatch () = { acc_ns = 0L; started = None }
-
-let start sw =
-  match sw.started with
-  | Some _ -> ()
-  | None -> sw.started <- Some (now_ns ())
-
-let stop sw =
-  match sw.started with
-  | None -> ()
-  | Some t0 ->
-    sw.acc_ns <- Int64.add sw.acc_ns (Int64.sub (now_ns ()) t0);
-    sw.started <- None
-
-let elapsed_s sw =
-  let live =
-    match sw.started with
-    | None -> 0L
-    | Some t0 -> Int64.sub (now_ns ()) t0
-  in
-  Int64.to_float (Int64.add sw.acc_ns live) *. 1e-9
-
-let reset sw =
-  sw.acc_ns <- 0L;
-  sw.started <- None

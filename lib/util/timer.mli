@@ -9,13 +9,3 @@ val time : (unit -> 'a) -> 'a * float
 
 val time_ns : (unit -> 'a) -> 'a * int64
 (** Same, in nanoseconds. *)
-
-type stopwatch
-(** Accumulating stopwatch, used to attribute total runtime to phases
-    (DD phase, conversion, DMAV phase). *)
-
-val stopwatch : unit -> stopwatch
-val start : stopwatch -> unit
-val stop : stopwatch -> unit
-val elapsed_s : stopwatch -> float
-val reset : stopwatch -> unit

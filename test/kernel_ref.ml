@@ -72,6 +72,10 @@ module Make (P : Storage.S) = struct
       end
     done
 
+  (* The dense two-qubit kernel is the local leg's walk with all 16 paths:
+     a row's running sum is stored to [P] after every term ([round]). *)
+  let round x = if P.bytes_per_float = 8 then x else Int32.float_of_bits (Int32.bits_of_float x)
+
   let two ~n amps (m : Gate.two) ~q_hi ~q_lo =
     let k_min = Int.min q_hi q_lo and k_max = Int.max q_hi q_lo in
     let are = Array.make 4 0.0 and aim = Array.make 4 0.0 in
@@ -90,8 +94,8 @@ module Make (P : Storage.S) = struct
         let accre = ref 0.0 and accim = ref 0.0 in
         for c = 0 to 3 do
           let ure = m.(r).(c).Cnum.re and uim = m.(r).(c).Cnum.im in
-          accre := !accre +. ((ure *. are.(c)) -. (uim *. aim.(c)));
-          accim := !accim +. ((ure *. aim.(c)) +. (uim *. are.(c)))
+          accre := round (!accre +. ((ure *. are.(c)) -. (uim *. aim.(c))));
+          accim := round (!accim +. ((ure *. aim.(c)) +. (uim *. are.(c))))
         done;
         P.set2 amps idx.(r) !accre !accim
       done

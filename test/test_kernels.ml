@@ -4,7 +4,8 @@
    stripes of the controlled pairs called straight into the stub (up to
    three controls, bit 0 fixed or free, stripes of 1 to 3 pairs at both
    parities and after increment carries, signed zeros, n up to 16),
-   two-qubit gates in both qubit orders, DMAV cached and uncached at pool
+   two-qubit gates in both qubit orders (random stripes of the quads,
+   signed zeros and cancelling sums, no pool and pools 1/2), DMAV cached and uncached at pool
    sizes 1, 2 and 4, and the stripe primitives at odd positions and
    lengths, for n from 1 to 14, the identity stripes of the Run recursion, and its batches under
    pure-replication nodes (chains past the batch cap, and the fused
@@ -77,12 +78,6 @@ module Suite_for (P : Storage.S) = struct
                control_sets)
           (List.init n Fun.id))
 
-  (* The gate as the stub takes it: 8 floats, row-major re/im. *)
-  let flat (m : Gate.single) =
-    Array.init 8 (fun j ->
-        let c = m.(j / 4).(j / 2 mod 2) in
-        if j mod 2 = 0 then c.Cnum.re else c.Cnum.im)
-
   (* Shuffled stripes over the controlled pairs [0, pairs): random cuts,
      so most stripes start inside a masked-increment run, plus a few
      stripes of 1, 2 or 3 pairs. Those start right after a carry of the
@@ -139,7 +134,7 @@ module Suite_for (P : Storage.S) = struct
            [| random_single rs; Array.init 2 (fun _ -> Array.init 2 (fun _ -> cnum rs)); Gate.x;
               Gate.z; Gate.phase (Random.State.float rs 6.3) |].(Random.State.int rs 5)
          in
-         let cmask = Bits.all_masks controls and u = flat m in
+         let cmask = Bits.all_masks controls and u = Dense_kernel.flatten m in
          let fixed = cmask lor (1 lsl target) in
          let run = fixed land -fixed in
          let pairs = 1 lsl (n - 1 - List.length controls) in
@@ -160,7 +155,7 @@ module Suite_for (P : Storage.S) = struct
   (* Every out-of-contract stripe call raises before reaching C. *)
   let dense_contract () =
     let n = 4 in
-    let v = P.create (1 lsl n) and u = flat Gate.h in
+    let v = P.create (1 lsl n) and u = Dense_kernel.flatten Gate.h in
     let rejects what f =
       match f () with
       | () -> Alcotest.failf "%s dense_single accepted %s" P.label what
@@ -179,20 +174,6 @@ module Suite_for (P : Storage.S) = struct
         P.dense_single v (Array.make 7 0.0) ~target:0 ~cmask:0 ~lo:0 ~hi:1);
     call ~target:0 ~cmask:0b0110 ~lo:0 ~hi:2 ();
     call ~target:3 ~cmask:0b0111 ~lo:1 ~hi:1 ()
-
-  let dense_two pool =
-    cases ~name:(P.label ^ " dense two, both qubit orders") ~count:60 ~lo:2 (fun n rs ->
-        let v = random_vec rs (1 lsl n) in
-        let q1 = Random.State.int rs n in
-        let q2 = (q1 + 1 + Random.State.int rs (n - 1)) mod n in
-        List.for_all
-          (fun (q_hi, q_lo) ->
-             let m = random_two rs in
-             let a = P.copy v and b = P.copy v in
-             R.two ~n a m ~q_hi ~q_lo;
-             DK.two ~pool ~n b m ~q_hi ~q_lo;
-             eq a b)
-          [ (Int.max q1 q2, Int.min q1 q2); (Int.min q1 q2, Int.max q1 q2) ])
 
   (* A gate matrix DD: the product of up to three random ops, so the
      border nodes repeat and the cached kernel actually hits. *)
@@ -450,6 +431,40 @@ module Suite_for (P : Storage.S) = struct
     P.init len (fun _ ->
         Cnum.make (pick [| 1.0; -1.0; 0.5; -0.5 |]) (pick [| 0.0; tiny; -.tiny |]))
 
+  let signs rs k = Array.init k (fun _ -> Array.init k (fun _ -> sign_entry rs))
+
+  (* Two-qubit gates in both qubit orders against the scalar reference,
+     random and sign matrices on random, signed-zero and cancelling
+     vectors: through [Dense_kernel.two] with no pool, on a size-1 and on
+     a size-2 pool, and straight through [P.local_apply], all 16 paths
+     set, on random stripes of the quads. *)
+  let dense_two pools =
+    cases ~name:(P.label ^ " dense two, both qubit orders") ~count:60 ~lo:2 (fun n rs ->
+        let q1 = Random.State.int rs n in
+        let q2 = (q1 + 1 + Random.State.int rs (n - 1)) mod n in
+        let quads = 1 lsl (n - 2) and run = 1 lsl Int.min q1 q2 in
+        List.for_all
+          (fun v ->
+             List.for_all
+               (fun (q_hi, q_lo) ->
+                  let m = if Random.State.bool rs then random_two rs else signs rs 4 in
+                  let want = P.copy v and split = P.copy v in
+                  R.two ~n want m ~q_hi ~q_lo;
+                  List.iter
+                    (fun (lo, hi) ->
+                       P.local_apply split (Dense_kernel.flatten m) ~major:(1 lsl q_hi) ~minor:(1 lsl q_lo)
+                         ~paths:0xffff ~lo ~hi)
+                    (random_splits rs ~run:(Int.min run quads) quads);
+                  eq want split
+                  && List.for_all
+                       (fun pool ->
+                          let got = P.copy v in
+                          DK.two ?pool ~n got m ~q_hi ~q_lo;
+                          eq want got)
+                       (None :: List.map Option.some pools))
+               [ (Int.max q1 q2, Int.min q1 q2); (Int.min q1 q2, Int.max q1 q2) ])
+          [ random_vec rs (1 lsl n); special_vec rs (1 lsl n); cancel_vec rs (1 lsl n) ])
+
   (* The local leg against the Run it stands in for: every support-1 and
      support-2 shape at n = 2..8 (each target, qubit 0 included; a control
      above and one below the target; two-qubit gates in both qubit
@@ -464,14 +479,13 @@ module Suite_for (P : Storage.S) = struct
       Circuit.Single { name = "l1"; matrix; target; controls }
     in
     let two q_hi q_lo matrix = Circuit.Two { name = "l2"; matrix; q_hi; q_lo } in
-    let signs k = Array.init k (fun _ -> Array.init k (fun _ -> sign_entry rs)) in
     let m1 () =
       [| random_single rs; Array.init 2 (fun _ -> Array.init 2 (fun _ -> cnum rs)); Gate.x;
-         Gate.z; Gate.phase (Random.State.float rs 6.3); signs 2 |].(Random.State.int rs 6)
+         Gate.z; Gate.phase (Random.State.float rs 6.3); signs rs 2 |].(Random.State.int rs 6)
     in
     let m2 () =
       [| random_two rs; Gate.swap2; Gate.cz2; Gate.fsim (Random.State.float rs 6.3) 0.4;
-         signs 4 |].(Random.State.int rs 5)
+         signs rs 4 |].(Random.State.int rs 5)
     in
     let of_op = Mat_dd.of_op p ~n in
     let targets = List.init n Fun.id in
@@ -522,8 +536,8 @@ module Suite_for (P : Storage.S) = struct
                 DG.exec_local ~pool:inline g ~v:on_inline;
                 List.iter
                   (fun (lo, hi) ->
-                     P.local_apply split l.Flat_gate.u ~support:l.Flat_gate.support
-                       ~paths:l.Flat_gate.paths ~lo ~hi)
+                     P.local_apply split l.Flat_gate.u ~major:(l.Flat_gate.support lxor run)
+                       ~minor:run ~paths:l.Flat_gate.paths ~lo ~hi)
                   (random_splits rs ~run:(Int.min run groups) groups);
                 eq want on_pool && eq want on_inline && eq want split)
              pools)
@@ -618,42 +632,35 @@ module Suite_for (P : Storage.S) = struct
          && eq zero_a zero_b
          && same_bits (R.norm2 src) (P.norm2 src))
 
-  let tests () =
-    Pool.with_pool 1 (fun p1 ->
-        Pool.with_pool 2 (fun p2 ->
-            Pool.with_pool 4 (fun p4 ->
-                check_all
-                  [ dense_single p2; dense_two p2; dmav [ p1; p2; p4 ]; stripes ])))
+  (* Pools of 1, 2 and 4 domains for the length of [f]. *)
+  let with_pools f =
+    Pool.with_pool 1 (fun p1 -> Pool.with_pool 2 (fun p2 -> Pool.with_pool 4 (fun p4 -> f p1 p2 p4)))
 
-  let split_tests () =
-    Pool.with_pool 1 (fun p1 ->
-        Pool.with_pool 2 (fun p2 ->
-            Pool.with_pool 4 (fun p4 -> check_all [ dense_splits [ p1; p2; p4 ] ])))
+  let tests () =
+    with_pools (fun p1 p2 p4 ->
+        check_all [ dense_single p2; dense_two [ p1; p2 ]; dmav [ p1; p2; p4 ]; stripes ])
+
+  let split_tests () = with_pools (fun p1 p2 p4 -> check_all [ dense_splits [ p1; p2; p4 ] ])
 
   let identity_tests () =
-    Pool.with_pool 1 (fun p1 ->
-        Pool.with_pool 2 (fun p2 ->
-            Pool.with_pool 4 (fun p4 ->
-                identity_roots [ p1; p2; p4 ];
-                check_all [ identity_blocks [ p1; p2; p4 ] ])))
+    with_pools (fun p1 p2 p4 ->
+        identity_roots [ p1; p2; p4 ];
+        check_all [ identity_blocks [ p1; p2; p4 ] ])
 
   let batch_tests () =
-    Pool.with_pool 1 (fun p1 ->
-        Pool.with_pool 2 (fun p2 ->
-            Pool.with_pool 4 (fun p4 ->
-                replication_roots [ p1; p2; p4 ];
-                fused_streams [ p1; p2; p4 ])))
+    with_pools (fun p1 p2 p4 ->
+        replication_roots [ p1; p2; p4 ];
+        fused_streams [ p1; p2; p4 ])
 
-  let compiled_tests () =
-    Pool.with_pool 1 (fun p1 ->
-        Pool.with_pool 2 (fun p2 -> Pool.with_pool 4 (fun p4 -> compiled_streams [ p1; p2; p4 ])))
+  let compiled_tests () = with_pools (fun p1 p2 p4 -> compiled_streams [ p1; p2; p4 ])
 
   let local_tests () =
     Pool.with_pool 1 (fun p1 -> Pool.with_pool 2 (fun p2 -> check_all [ local_leg [ p1; p2 ] ]))
 
   (* Minor words at n = 14 on a size-1 pool (jobs run inline, so every
-     word is seen): one dense gate; one uncached DMAV gate compiled
-     outside the count, as the flat phase's planner does, so what is
+     word is seen): one dense single-qubit gate and one dense two-qubit
+     gate (q_hi below q_lo); one uncached DMAV gate compiled outside the
+     count, as the flat phase's planner does, so what is
      counted is what the executor pays per gate; the whole
      compile-and-run path ([apply_nocache]: export, tasks, pieces, run)
      of that gate and of the largest gate of a fused supremacy stream,
@@ -687,6 +694,7 @@ module Suite_for (P : Storage.S) = struct
                   (Circuit.Single { name = "cx"; matrix = Gate.x; target = 0; controls = [ 9 ] })))
         in
         ( words (fun () -> DK.single ~pool ~n v Gate.h ~target:3 ~controls:[ 5 ]),
+          words (fun () -> DK.two ~pool ~n v Gate.iswap ~q_hi:3 ~q_lo:9),
           words (fun () -> DG.run ~pool g ~v ~w),
           List.map
             (fun m -> (words (fun () -> DG.apply_nocache p ~pool ~n m ~v ~w), size m))
@@ -707,17 +715,18 @@ module K32 = Suite_for (Storage.F32)
    Run call (measured: 679 words for a 3-node gate, 23 per node at 594
    nodes), never anything of 2ⁿ or of the package's size. *)
 let test_allocation () =
-  let d64, m64, c64, l64 = K64.gate_words () and d32, m32, c32, l32 = K32.gate_words () in
+  let d64, t64, m64, c64, l64 = K64.gate_words () and d32, t32, m32, c32, l32 = K32.gate_words () in
   Alcotest.(check (float 0.0)) "local gate: no words at f64" 0.0 l64;
   Alcotest.(check (float 0.0)) "local gate: no words at f32" 0.0 l32;
   Alcotest.(check (float 0.0)) "dense gate: f32 words = f64 words" d64 d32;
+  Alcotest.(check (float 0.0)) "dense two-qubit gate: f32 words = f64 words" t64 t32;
   Alcotest.(check (float 0.0)) "dmav gate: f32 words = f64 words" m64 m32;
   Alcotest.(check (list (pair (float 0.0) int))) "compile+run: f32 words = f64 words" c64 c32;
   List.iter
     (fun (what, words) ->
        if words > 256.0 then
          Alcotest.failf "%s allocated %.0f minor words at n = 14" what words)
-    [ ("dense gate", d64); ("dmav gate", m64) ];
+    [ ("dense gate", d64); ("dense two-qubit gate", t64); ("dmav gate", m64) ];
   List.iter
     (fun (words, size) ->
        if words > 1024.0 +. (32.0 *. float_of_int size) then

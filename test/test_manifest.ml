@@ -100,6 +100,27 @@ let test_parse_errors () =
       Manifest.parse_line ~index:0 {|{"circuit":"nonesuch","n":4}|});
   expect_error "not an object" (fun () -> Manifest.parse_line ~index:0 {|[1,2]|})
 
+(* A gate budget below 1 and EWMA parameters outside [Ewma.create]'s
+   domain are located manifest errors; [Suite.generate] refuses the
+   budget too. *)
+let test_budget_and_ewma_bounds () =
+  List.iter
+    (fun (fields, want) ->
+       match Manifest.parse_line ~index:2 ("{" ^ fields ^ "}") with
+       | _ -> Alcotest.failf "expected Manifest.Error for %s" fields
+       | exception Manifest.Error m -> Alcotest.(check string) fields ("manifest line 3: " ^ want) m)
+    [ ({|"circuit":"dnn","n":8,"gates":0|}, "gates must be >= 1 (got 0)");
+      ({|"circuit":"dnn","n":8,"gates":-5|}, "gates must be >= 1 (got -5)");
+      ({|"circuit":"ghz","n":4,"beta":1.0|}, "beta must be in [0, 1) (got 1)");
+      ({|"circuit":"ghz","n":4,"beta":-0.1|}, "beta must be in [0, 1) (got -0.1)");
+      ({|"circuit":"ghz","n":4,"epsilon":0|}, "epsilon must be > 0 (got 0)");
+      ({|"circuit":"ghz","n":4,"epsilon":-2|}, "epsilon must be > 0 (got -2)") ];
+  let r = Manifest.parse_line ~index:0 {|{"circuit":"dnn","n":8,"gates":1,"beta":0,"epsilon":0.5}|} in
+  Alcotest.(check (float 0.0)) "beta 0 accepted" 0.0 r.Manifest.job.Sched.config.Config.beta;
+  Alcotest.check_raises "Suite.generate gates 0"
+    (Invalid_argument "Suite.generate: gates must be >= 1 (got 0)") (fun () ->
+      ignore (Suite.generate ~gates:0 Suite.Dnn ~n:8))
+
 let test_load_file () =
   let path = Filename.temp_file "qcs_manifest" ".jsonl" in
   Fun.protect
@@ -254,6 +275,7 @@ let suite =
         Alcotest.test_case "order field" `Quick test_order_field;
         Alcotest.test_case "dd_domains compatibility" `Quick test_dd_domains_compat;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
+        Alcotest.test_case "gate budget and EWMA bounds" `Quick test_budget_and_ewma_bounds;
         Alcotest.test_case "schema versioning" `Quick test_schema_versioning;
         Alcotest.test_case "strict gates unknown fields" `Quick
           test_strict_gates_unknown_fields;

@@ -179,6 +179,34 @@ let test_error_line_numbers () =
   | exception Qasm.Parse_error { line; _ } -> Alcotest.(check int) "line" 4 line
   | _ -> Alcotest.fail "expected parse error"
 
+(* Each statement, after a 3-qubit register, fails with (line, message):
+   a gate application whose qubits repeat or whose parameter is inf or
+   NaN fails on its own line, naming the gate as written, not the ops it
+   expands to; a macro body's statement fails on the body's line. *)
+let check_errors cases =
+  List.iter
+    (fun (body, want) ->
+       match parse ("OPENQASM 2.0;\nqreg q[3];\n" ^ body ^ "\n") with
+       | exception Qasm.Parse_error { line; message } ->
+         Alcotest.(check (pair int string)) body want (line, message)
+       | _ -> Alcotest.failf "expected a parse error for %s" body)
+    cases
+
+let test_repeated_qubits () =
+  let at3 gate = (3, "repeated qubit argument in " ^ gate) in
+  check_errors
+    [ ("swap q[1],q[1];", at3 "swap"); ("cx q[0],q[0];", at3 "cx");
+      ("ccx q[0],q[1],q[0];", at3 "ccx"); ("cu3(1,2,3) q[2],q[2];", at3 "cu3");
+      ("rzz(0.5) q[1],q[1];", at3 "rzz"); ("gate g a,b { cx a,b; } g q[0],q[0];", at3 "g");
+      ("gate g a,b { cx a,a; }\ng q[0],q[1];", at3 "cx") ]
+
+let test_non_finite_parameters () =
+  let at3 p gate = (3, Printf.sprintf "parameter %s of %s is not finite" p gate) in
+  check_errors
+    [ ("rx(1/0) q[0];", at3 "inf" "rx"); ("u3(1e400,0,0) q[1];", at3 "inf" "u3");
+      ("rz(-1/0) q[0];", at3 "-inf" "rz"); ("p(0/0) q[0];", at3 "nan" "p");
+      ("gate g(a) x { rz(a) x; } g(ln(0)) q[0];", at3 "-inf" "g") ]
+
 let test_qasm_vs_generator () =
   (* A hand-written QFT-3 in QASM must match our generator (no swaps). *)
   let p =
@@ -216,4 +244,6 @@ let suite =
         Alcotest.test_case "barrier ignored" `Quick test_barrier_ignored;
         Alcotest.test_case "error reporting" `Quick test_errors;
         Alcotest.test_case "error line numbers" `Quick test_error_line_numbers;
+        Alcotest.test_case "repeated qubit arguments" `Quick test_repeated_qubits;
+        Alcotest.test_case "non-finite parameters" `Quick test_non_finite_parameters;
         Alcotest.test_case "hand QFT matches generator" `Quick test_qasm_vs_generator ] ) ]
