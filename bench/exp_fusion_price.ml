@@ -57,8 +57,13 @@ let flat_job pool (fam, n, gates, key) =
     mats = List.map (Mat_dd.of_op package ~n) ops;
     package }
 
+(* The flat phase's scan over the job's ops; its output gates as matrix
+   DDs in the job's package, for the Run programs and the timings. *)
+let fuse ?identity_price ?local_rate j =
+  Fusion.dmav_aware ?identity_price ?local_rate j.package ~n:j.n j.ops
+
 let fused ?identity_price ?local_rate j =
-  fst (Fusion.dmav_aware ?identity_price ?local_rate j.package j.mats)
+  List.map (Fusion.to_dd j.package ~n:j.n) (fst (fuse ?identity_price ?local_rate j))
 
 (* Recursion and stripe MACs of one uncached application. *)
 let mac_split p m =
@@ -304,15 +309,20 @@ let run () =
   let jobs = Pool.with_pool 2 (fun pool -> List.map (flat_job pool) specs) in
   let never_local = 1e9 in
   Report.table
-    ~title:"flat-phase gates per job (unfused / fused: identity price 1.0, local leg unpriced, constants)"
-    ~header:[ "job"; "flat gates"; "fused @1.0"; "unpriced local"; "fused" ]
+    ~title:
+      "flat-phase gates per job (unfused / fused: identity price 1.0, local leg unpriced, \
+       constants), and the constants' products (2x2/4x4 matrix, DDMM)"
+    ~header:[ "job"; "flat gates"; "fused @1.0"; "unpriced local"; "fused"; "narrow"; "DDMM" ]
     (List.map
        (fun j ->
+          let out, st = fuse j in
           [ j.label;
             string_of_int (List.length j.mats);
             string_of_int (List.length (fused ~identity_price:1.0 ~local_rate:never_local j));
             string_of_int (List.length (fused ~local_rate:never_local j));
-            string_of_int (List.length (fused j)) ])
+            string_of_int (List.length out);
+            string_of_int st.Fusion.narrow_products;
+            string_of_int st.Fusion.ddmm_calls ])
        jobs);
   let samples =
     Pool.with_pool 1 (fun p1 -> Pool.with_pool 2 (fun p2 -> timed_samples [ p1; p2 ] jobs))

@@ -67,6 +67,7 @@ let load_circuit ~name ~qasm ~n ~gates ~seed =
       | None ->
         raise (Invalid_argument (Printf.sprintf "unknown circuit family %S" name))
     in
+    (try Circuit.check_qubits n with Invalid_argument m -> invalid_arg ("-n: " ^ m));
     Suite.generate ?gates ~seed fam ~n
 
 let print_top_amplitudes buf count =
@@ -149,8 +150,9 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
        (match r.Driver.fusion_stats with
         | None -> ()
         | Some s ->
-          Printf.printf "fusion: %d -> %d gates, macs %.3g -> %.3g\n"
-            s.Fusion.gates_in s.Fusion.gates_out s.Fusion.macs_before s.Fusion.macs_after);
+          Printf.printf "fusion: %d -> %d gates, macs %.3g -> %.3g (%d matrix products, %d DDMM)\n"
+            s.Fusion.gates_in s.Fusion.gates_out s.Fusion.macs_before s.Fusion.macs_after
+            s.Fusion.narrow_products s.Fusion.ddmm_calls);
        if trace then
          List.iter
            (fun g ->

@@ -25,8 +25,16 @@ let validate_op n op =
   if List.length sorted <> List.length qs then
     invalid_arg (Printf.sprintf "Circuit: repeated qubit in %s" (op_name op))
 
+(* State indices are native ints (lib/util/bits.mli), and so is a
+   register's dimension 2ⁿ, which [1 lsl 62] no longer is. *)
+let max_qubits = 61
+
+let check_qubits n =
+  if n < 1 || n > max_qubits then
+    invalid_arg (Printf.sprintf "%d qubits: a register holds 1 to %d" n max_qubits)
+
 let make ?(name = "circuit") n ops =
-  if n < 1 then invalid_arg "Circuit.make: need at least one qubit";
+  check_qubits n;
   List.iter (validate_op n) ops;
   { n; name; ops = Array.of_list ops }
 
@@ -76,6 +84,7 @@ let qubit_usage t =
   usage
 
 let remap t ~n perm =
+  check_qubits n;
   if Array.length perm <> t.n then invalid_arg "Circuit.remap: permutation width";
   let seen = Hashtbl.create 16 in
   Array.iter
@@ -111,7 +120,7 @@ module Builder = struct
   type b = { n : int; bname : string; mutable rev_ops : op list; mutable count : int }
 
   let create ?(name = "circuit") n =
-    if n < 1 then invalid_arg "Circuit.Builder.create";
+    check_qubits n;
     { n; bname = name; rev_ops = []; count = 0 }
 
   let add b op =

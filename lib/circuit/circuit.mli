@@ -17,9 +17,19 @@ type op =
 
 type t = { n : int; name : string; ops : op array }
 
+val max_qubits : int
+(** 61: state indices and a register's dimension 2ⁿ are native ints
+    ({!Bits}), and [1 lsl 62] is negative. *)
+
+val check_qubits : int -> unit
+(** The one bound on a register's width, which {!make}, {!remap} and
+    {!Builder.create} apply: 1 to {!max_qubits} qubits. Front ends call
+    it first to name the input at fault.
+    @raise Invalid_argument otherwise, with a message naming the count. *)
+
 val make : ?name:string -> int -> op list -> t
-(** Validates that every referenced qubit is in range, controls are
-    distinct and never equal the target.
+(** Validates the qubit count ({!check_qubits}) and that every referenced
+    qubit is in range, controls are distinct and never equal the target.
     @raise Invalid_argument on malformed operations. *)
 
 val num_gates : t -> int
@@ -57,6 +67,7 @@ module Builder : sig
   type b
 
   val create : ?name:string -> int -> b
+  (** @raise Invalid_argument outside {!check_qubits}'s bound. *)
 
   val add : b -> op -> unit
   val single : b -> ?controls:int list -> string -> Gate.single -> int -> unit

@@ -321,19 +321,27 @@ let parse ?(name = "qasm") src =
   let st = { toks; cur = 0 } in
   (* First pass: find total qubit count from qreg declarations so the
      builder can be created before the first gate. We scan tokens. *)
-  let total_qubits = ref 0 in
+  let total_qubits = ref 0 and past_bound = ref 1 in
   Array.iteri
     (fun i t ->
        match t.tok with
        | Id "qreg" when i + 3 < Array.length toks ->
          (match toks.(i + 2).tok, toks.(i + 3).tok with
-          | Sym '[', Int sz -> total_qubits := !total_qubits + sz
+          | Sym '[', Int sz ->
+            if !total_qubits <= Circuit.max_qubits then past_bound := t.tline;
+            total_qubits := !total_qubits + sz
           | _ -> ())
        | _ -> ())
     toks;
   if !total_qubits = 0 then fail 1 "no qreg declaration found";
+  (* A register past the bound is blamed on the declaration that
+     crossed it. *)
+  let builder =
+    try Circuit.Builder.create ~name !total_qubits
+    with Invalid_argument m -> fail !past_bound "qreg declarations total %s" m
+  in
   let state =
-    { builder = Circuit.Builder.create ~name !total_qubits;
+    { builder;
       qregs = [];
       cregs = [];
       defs = Hashtbl.create 16;

@@ -66,6 +66,12 @@ type package = {
   mutable walk_tag : int array;
   mutable walk_val : float array;
   mutable walk_stamp : int;
+  (* Scratch of [export], stamped by [walk_stamp] like the walks above:
+     per matrix slot its exported slot, and per weight id its stamp and
+     exported id. *)
+  mutable walk_slot : int array;
+  mutable wid_tag : int array;
+  mutable wid_slot : int array;
 }
 
 (* Global instrumentation, shared across packages. *)
@@ -111,7 +117,10 @@ let create ?tolerance () =
     madd_cache = Dd_cache.Three.create ~bits:cache_bits_min ~label:"madd";
     walk_tag = [||];
     walk_val = [||];
-    walk_stamp = 0 }
+    walk_stamp = 0;
+    walk_slot = [||];
+    wid_tag = [||];
+    wid_slot = [||] }
 
 let cache_slots p = Dd_cache.Two.slots p.mv_cache
 
@@ -615,6 +624,9 @@ let memory_bytes p =
   + Dd_cache.Three.memory_bytes p.madd_cache
   + (8 * (Array.length p.walk_tag + 1))
   + (8 * (Array.length p.walk_val + 1))
+  + (8 * (Array.length p.walk_slot + 1))
+  + (8 * (Array.length p.wid_tag + 1))
+  + (8 * (Array.length p.wid_slot + 1))
 
 (* Push the current arena occupancy into the metrics gauges; the simulator
    calls this at phase boundaries so DD-only runs also report them. *)
@@ -673,47 +685,67 @@ type export = { arena : view; local : mnode -> int }
    slot [Testing.mview]'s probe finds. Run never walks below one, so the
    walk does not either: an identity's child edges keep their weights
    and point at the terminal. *)
+(* The slots of the canonical identity nodes, level 0 upwards, as far as
+   the arena holds them: level 0 is (mone, 0, 0, mone), level l is
+   (e, 0, 0, e) with e the unit edge to level l-1's identity. Probed
+   fresh on every call, lookup only: [compact] and slot reuse reissue
+   indices, and interning here could grow the arena under a view the
+   caller is about to hold. *)
+let identity_slots p =
+  let rec go l below acc =
+    let n = Node_store.find4 p.ma ~level:l below mzero mzero below in
+    if n < 0 then Array.of_list (List.rev acc) else go (l + 1) (munit n) (n :: acc)
+  in
+  go 0 mone []
+
 let export p (entries : mnode list) =
   let child n k = Node_store.child4 p.ma n k in
-  let memo : (int, bool) Hashtbl.t = Hashtbl.create 16 in
-  let rec identity n =
+  let ids = identity_slots p in
+  let identity n =
     n <> 0
     &&
-    match Hashtbl.find_opt memo n with
-    | Some b -> b
-    | None ->
-      let e00 = child n 0 in
-      let b =
-        e00 <> 0
-        && child n 1 = 0
-        && child n 2 = 0
-        && child n 3 = e00
-        && edge_wid e00 = Ctable.one_id
-        && if Node_store.level p.ma n = 0 then edge_tgt e00 = 0 else identity (edge_tgt e00)
-      in
-      Hashtbl.replace memo n b;
-      b
+    let l = Node_store.level p.ma n in
+    l < Array.length ids && ids.(l) = n
   in
-  let slot : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  let wid : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.replace slot 0 0;
-  Hashtbl.replace wid 0 0;
-  let nodes = ref [ 0 ] and weights = ref [ 0 ] in
+  let cap = Node_store.capacity p.ma and wids = Ctable.count p.ct in
+  if Array.length p.walk_tag < cap then begin
+    p.walk_tag <- Array.make cap 0;
+    p.walk_val <- Array.make cap 0.0
+  end;
+  if Array.length p.walk_slot < cap then p.walk_slot <- Array.make cap 0;
+  if Array.length p.wid_tag < wids then begin
+    p.wid_tag <- Array.make wids 0;
+    p.wid_slot <- Array.make wids 0
+  end;
+  p.walk_stamp <- p.walk_stamp + 2;
+  let stamp = p.walk_stamp in
+  let tag = p.walk_tag and slot = p.walk_slot and wtag = p.wid_tag and wslot = p.wid_slot in
+  tag.(0) <- stamp;
+  slot.(0) <- 0;
+  wtag.(0) <- stamp;
+  wslot.(0) <- 0;
+  let nodes = ref [ 0 ] and weights = ref [ 0 ] and node_count = ref 1 and weight_count = ref 1 in
+  (* Post-order: children first, each node numbered after them; weights
+     numbered as first met. *)
   let rec visit n =
-    if not (Hashtbl.mem slot n) then begin
+    if tag.(n) <> stamp then begin
       let stop = identity n in
       for k = 0 to 3 do
         let c = child n k in
         if c <> 0 then begin
           if not stop then visit (edge_tgt c);
           let w = edge_wid c in
-          if not (Hashtbl.mem wid w) then begin
-            Hashtbl.replace wid w (Hashtbl.length wid);
+          if wtag.(w) <> stamp then begin
+            wtag.(w) <- stamp;
+            wslot.(w) <- !weight_count;
+            incr weight_count;
             weights := w :: !weights
           end
         end
       done;
-      Hashtbl.replace slot n (Hashtbl.length slot);
+      tag.(n) <- stamp;
+      slot.(n) <- !node_count;
+      incr node_count;
       nodes := n :: !nodes
     end
   in
@@ -730,8 +762,7 @@ let export p (entries : mnode list) =
     for k = 0 to 3 do
       let c = child n k in
       if c <> 0 then
-        ch.((4 * i) + k) <-
-          pack (if stop then 0 else Hashtbl.find slot (edge_tgt c)) (Hashtbl.find wid (edge_wid c))
+        ch.((4 * i) + k) <- pack (if stop then 0 else slot.(edge_tgt c)) wslot.(edge_wid c)
     done
   done;
   let ident = Array.make (!top + 1) (-1) in
@@ -743,7 +774,9 @@ let export p (entries : mnode list) =
       im = Array.map (Ctable.im_of_id p.ct) weights;
       ident }
   in
-  { arena; local = (fun n -> Hashtbl.find slot n) }
+  (* The entries' slots, read now: the scratch belongs to the next walk. *)
+  let local = List.map (fun n -> (n, slot.(n))) entries in
+  { arena; local = (fun n -> List.assoc n local) }
 
 (* ------------------------------------------------------------------ *)
 (* Test-only surface                                                   *)
@@ -757,19 +790,6 @@ let export p (entries : mnode list) =
 module Testing = struct
   let varena_high_water p = Node_store.high_water p.va
   let marena_high_water p = Node_store.high_water p.ma
-
-  (* The slots of the canonical identity nodes, level 0 upwards, as far as
-     the arena holds them: level 0 is (mone, 0, 0, mone), level l is
-     (e, 0, 0, e) with e the unit edge to level l-1's identity. Probed
-     fresh on every view, lookup only: [compact] and slot reuse
-     reissue indices, and interning here could grow the arena under a view
-     the caller is about to hold. *)
-  let identity_slots p =
-    let rec go l below acc =
-      let n = Node_store.find4 p.ma ~level:l below mzero mzero below in
-      if n < 0 then Array.of_list (List.rev acc) else go (l + 1) (munit n) (n :: acc)
-    in
-    go 0 mone []
 
   let mview p =
     { lv = Node_store.level_array p.ma;

@@ -212,13 +212,15 @@ let dense_direct_macs ~n (op : Circuit.op) =
    task has no repeat, and Eq. 6 adds a buffer's block operations), and a
    product has no dense kernel. The matrix DD has a node on every level,
    so its root's level gives n. *)
-let price ?identity_price ?local_rate:rate p root =
+let local_price ?local_rate:rate ~n ~support run =
+  let rate = match rate with Some r -> r | None -> local_rate ~support in
+  Float.min run (rate *. Float.ldexp 1.0 n)
+
+let price ?identity_price ?local_rate p root =
   let n = Dd.mlevel p (Dd.mtgt root) + 1 in
   let run = priced_macs ?identity_price p root in
   match support p ~n root with
-  | Some s ->
-    let rate = match rate with Some r -> r | None -> local_rate ~support:s in
-    Float.min run (rate *. Float.ldexp 1.0 n)
+  | Some support -> local_price ?local_rate ~n ~support run
   | None -> run
 
 type kernel = Local | Run | Cached | Dense
@@ -277,6 +279,21 @@ let dispatch ?(local_leg = true) p ~n ~threads ?op root =
       threads_used = tu }
   in
   { kernel; dmav; prices; price; support }
+
+(* A gate priced from its local form ([Flat_gate.of_local]) rather than
+   its DD: the local leg. The Run costs at least [identity_price] per
+   amplitude, more than either local rate, so it cannot win, and
+   Algorithm 2 is not priced: its price is infinite and Eq. 6's count
+   [c2] is Eq. 5's. *)
+let local_dispatch ~n ~threads ~macs ~priced support =
+  let tu = pow2_threads ~n threads in
+  let t = float_of_int tu in
+  let local = local_rate ~support *. Float.ldexp 1.0 n /. t in
+  { kernel = Local;
+    dmav = { cached = false; c1 = macs /. t; c2 = macs /. t; threads_used = tu };
+    prices = { local = Some local; run = priced /. t; cached = infinity; dense = None };
+    price = local;
+    support = Some support }
 
 let decide p ~n ~threads root = (dispatch ~local_leg:false p ~n ~threads root).dmav
 

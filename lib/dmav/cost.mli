@@ -136,6 +136,12 @@ val dense_price : n:int -> Circuit.op -> float option
     two-qubit op, whose dense kernel is the local leg's walk: its
     {!local_rate} prices it. *)
 
+val local_price : ?local_rate:float -> n:int -> support:int -> float -> float
+(** [local_price ~n ~support run] is the price of an [n]-qubit gate with a
+    local form on [support] whose Run costs [run] priced MACs: the cheaper
+    of the two, the local leg at {!local_rate} (or [local_rate], one rate
+    for both supports) per amplitude. *)
+
 val price : ?identity_price:float -> ?local_rate:float -> Dd.package -> Dd.medge -> float
 (** The price [Fusion.dmav_aware] compares: the gate on one thread, the
     cheaper of its local leg (when it has a local form) and the Run.
@@ -175,6 +181,15 @@ val dispatch :
     cached. The dense kernel is eligible when [op], the unfused circuit
     op, is a single-qubit gate; the local leg when the gate has a
     {!support} and [local_leg] (default [true]) holds. *)
+
+val local_dispatch : n:int -> threads:int -> macs:float -> priced:float -> int -> dispatch
+(** [local_dispatch ~n ~threads ~macs ~priced support]: the pick for a
+    gate given by its local form on [support], not its DD
+    ([Flat_gate.of_local]), whose plain and priced MAC counts are [macs]
+    and [priced]: the local leg. The Run costs at least {!identity_price}
+    per amplitude, more than the local leg, so it never wins; Algorithm 2
+    is not priced ([prices.cached] is infinite and [dmav.c2] equals
+    [dmav.c1]), and a fused gate has no dense kernel. *)
 
 val decide : Dd.package -> n:int -> threads:int -> Dd.medge -> decision
 (** {!dispatch} between the paper's two DMAV kernels only (no local leg,

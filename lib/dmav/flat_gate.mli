@@ -11,7 +11,10 @@
     [threads] virtual task lists are the same whether [threads] domains
     run one each or one domain runs them all, so are the bytes. A gate
     that acts on at most two levels may be picked for its [Local] form:
-    a 2×2 or 4×4 matrix applied in place, with the Run's bits.
+    a 2×2 or 4×4 matrix applied in place, with the Run's bits when it
+    comes from the gate's DD. A narrow gate of DMAV-aware fusion comes
+    from its matrices ({!of_local}) and carries their float product
+    instead.
 
     A task whose sub-matrix models more than [piece_macs] MACs is split
     into the Run calls of its children, in the recursion's order and
@@ -44,15 +47,17 @@ type local = private {
   (** the levels the gate acts on, as a bit mask of one or two bits *)
   u : float array;
   (** its [2^s × 2^s] matrix, row-major (re, im), the higher support
-      level the major index bit: per entry, the weight product Run
-      carries to that MAC, 0 where Run has none *)
+      level the major index bit: from a DD ({!local}), per entry the
+      weight product Run carries to that MAC, 0 where Run has none; from
+      matrices ({!local_of_op}, {!local_product}), the entry itself *)
   paths : int;
-  (** bit [r·2^s + c] set where Run has a MAC, i.e. a path of nonzero
-      edges to the terminal *)
+  (** bit [r·2^s + c] set where the entry is not 0: from a DD, where
+      Run has a MAC, i.e. a path of nonzero edges to the terminal *)
 }
-(** A gate whose matrix DD is the identity pattern on all but at most
-    two levels ({!Cost.support}), run as {!Storage.S.local_apply}: in
-    place, with Run's bits (DESIGN.md). It holds no arena. *)
+(** A gate whose matrix is the identity on all but at most two levels
+    ({!Cost.support}), run as {!Storage.S.local_apply}: in place, with
+    Run's bits when built from the gate's DD (DESIGN.md). It holds no
+    arena. *)
 
 type body =
   | Dense of Circuit.op  (** the dense direct kernel on an unfused op *)
@@ -84,6 +89,43 @@ val program :
 val local : Dd.package -> n:int -> Dd.medge -> local option
 (** The local form of an [n]-qubit matrix DD, if its {!Cost.support} has
     at most two levels. *)
+
+(** {1 Narrow forms}
+
+    The local form of a gate of support ≤ 2 built from its matrix, with
+    no DD: the flat phase's fusion multiplies such gates as matrices of
+    at most 16×16. A form is normalized as its DD would be: entries
+    within {!Cnum.tolerance} of zero are 0 and have no path, and the
+    levels the matrix is trivial on are dropped, so its [support] is the
+    DD's {!Cost.support}. *)
+
+val local_of_op : n:int -> Circuit.op -> local option
+(** The form of an uncontrolled single-qubit op (2×2), a singly
+    controlled one (4×4, the identity where the control is 0) or a
+    two-qubit op (4×4, its bits swapped when [q_hi < q_lo]); [None] for
+    a gate with two or more controls. Its entries are the op matrix's. *)
+
+type product =
+  | Narrow_product of local  (** the product acts on at most two levels *)
+  | Wide_product of float
+  (** it acts on three or four: its DD's priced MACs ({!Dd.priced_paths}
+      with terminal 1 and the given identity price) *)
+
+val local_product : n:int -> identity:float -> local -> local -> product
+(** [local_product ~n ~identity a b] is the product [a·b] on the union of
+    their supports, as a matrix of at most 16×16 whose entries sum their
+    terms in ascending order. A product on more than two levels is only
+    priced: the caller that keeps it builds its DD. *)
+
+val local_paths : n:int -> terminal:float -> identity:float -> local -> float
+(** {!Dd.priced_paths} of the form's DD, from its block pattern alone. *)
+
+val local_dd : Dd.package -> n:int -> local -> Dd.medge
+(** The form's matrix DD ({!Mat_dd.of_single} or {!Mat_dd.of_two}). *)
+
+val of_local : Dd.package -> n:int -> threads:int -> local -> t
+(** Compiles a form without its DD, as [Local] ({!Cost.local_dispatch}).
+    The package gives [package_bytes] only. *)
 
 val compile :
   ?local_leg:bool -> Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> t

@@ -61,41 +61,52 @@ let c_disp_uncached = Obs.counter "dmav.dispatch.uncached"
 let c_disp_dense = Obs.counter "dmav.dispatch.dense"
 let c_disp_local = Obs.counter "dmav.dispatch.local"
 
-(* The flat phase's planner: the remaining ops as matrix DDs (all built
-   before the fusion scan starts, so the package interns nodes and
-   weights in one order whatever the executor does), fused per config, each output gate compiled ([Flat_gate.compile],
-   priced at the run's pool size) and handed to [emit] as soon as it is
-   final. An op survives as [xo_op] only when it was not fused, which is
-   what keeps it eligible for the dense kernel. [poll] runs before each
-   input op, in both scans. Returns the fusion stats. *)
+(* The flat phase's planner: the remaining ops fused per config, each
+   output gate compiled ([Flat_gate.compile], or [Flat_gate.of_local] for
+   a narrow fused gate, priced at the run's pool size) and handed to
+   [emit] as soon as it is final. DMAV-aware fusion builds a gate's DD
+   only when a product needs DDMM; without fusion and under k-operations
+   every op's DD is built before the scan starts. An op survives as
+   [xo_op] only without fusion, which is what keeps it eligible for the
+   dense kernel. [poll] runs before each input op, in every scan. Returns
+   the fusion stats. *)
+let s_gate_dd = Obs.span "plan.gate_dd"
+let s_compile = Obs.span "plan.compile"
+
 let flat_plan (ctx : Engine.ctx) ~n ~first_index ~poll ~emit ops =
   let p = ctx.Engine.package in
   let threads = Pool.size ctx.Engine.pool in
   let dense = ctx.Engine.cfg.Config.dense_dispatch in
-  let mats =
+  let j = ref first_index in
+  let out name op compile =
+    let g = Obs.with_span s_compile compile in
+    emit { Engine.xo_index = !j; xo_name = name; xo_op = op; xo_gate = Some g };
+    incr j
+  in
+  let wide ?op m () = Flat_gate.compile p ~n ~threads ?op m in
+  let mats () =
     List.map
       (fun op ->
          poll ();
-         Mat_dd.of_op p ~n op)
+         Obs.with_span s_gate_dd (fun () -> Mat_dd.of_op p ~n op))
       ops
-  in
-  let j = ref first_index in
-  let out name op m =
-    let g = Flat_gate.compile p ~n ~threads ?op:(if dense then op else None) m in
-    emit { Engine.xo_index = !j; xo_name = name; xo_op = op; xo_gate = Some g };
-    incr j
   in
   match ctx.Engine.cfg.Config.fusion with
   | Config.No_fusion ->
     List.iter2
       (fun op m ->
          poll ();
-         out (Circuit.op_name op) (Some op) m)
-      ops mats;
+         out (Circuit.op_name op) (Some op) (wide ?op:(if dense then Some op else None) m))
+      ops (mats ());
     None
-  | Config.Dmav_aware -> Some (Fusion.dmav_aware_iter ~poll p ~emit:(out "fused" None) mats)
+  | Config.Dmav_aware ->
+    let fused = function
+      | Fusion.Narrow l -> out "fused" None (fun () -> Flat_gate.of_local p ~n ~threads l)
+      | Fusion.Wide m -> out "fused" None (wide m)
+    in
+    Some (Fusion.dmav_aware_iter ~poll p ~n ~emit:fused ops)
   | Config.K_operations k ->
-    Some (Fusion.k_operations_iter ~poll p ~k ~emit:(out "kops" None) mats)
+    Some (Fusion.k_operations_iter ~poll p ~k ~emit:(fun m -> out "kops" None (wide m)) (mats ()))
 
 (* --- qubit-order plumbing (ISSUE 8) -------------------------------- *)
 

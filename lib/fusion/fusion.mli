@@ -1,16 +1,25 @@
 (** Gate fusion for the DMAV phase (paper §3.3).
 
-    Both strategies take the gate matrices remaining after FlatDD's
-    DD→array conversion and return a shorter list of (possibly fused)
-    matrices whose product, applied in list order, equals the product of
-    the input gates applied in list order.
+    Both strategies take the gates remaining after FlatDD's DD→array
+    conversion and return a shorter list of (possibly fused) gates whose
+    product, applied in list order, equals the product of the input gates
+    applied in list order.
 
     {!dmav_aware} is Algorithm 3: a greedy scan that fuses the incoming
-    gate into the pending one (via DD matrix-matrix multiplication, DDMM)
-    exactly when the fused gate's modeled DMAV cost is not more than the
-    two gates' costs applied sequentially ([c_ip ≤ c_i + c_p]). The DDMM
-    itself is ignored by the model, as in the paper: it builds DD nodes,
-    never 2ⁿ-sized data.
+    gate into the pending one exactly when the fused gate's modeled DMAV
+    cost is not more than the two gates' costs applied sequentially
+    ([c_ip ≤ c_i + c_p]). The product itself is ignored by the model, as
+    in the paper: it never touches 2ⁿ-sized data.
+
+    The scan keeps every gate of support ≤ 2 as its narrow form
+    ({!Flat_gate.local_of_op}): a level mask and a 2×2 or 4×4 matrix,
+    built from the op's matrix with no DD. Two narrow gates whose
+    supports together span at most two levels multiply as matrices
+    ({!Flat_gate.local_mul}), priced at the local leg's rate. Every other
+    product is a DD matrix-matrix multiplication (DDMM): the DDs of its
+    two sides are built only then ({!Mat_dd.of_op} for an op,
+    {!Flat_gate.local_dd} for a narrow fused gate) and the product is
+    priced by {!Cost.price}.
 
     The modeled cost is {!Cost.price}, not the paper's plain path count:
     the cheaper of the gate's two one-thread kernels. On the Run a path
@@ -22,22 +31,37 @@
     rotation products, which then ran slower than the gates they
     replaced. A gate on at most two levels runs on the local leg, priced
     [Cost.local_rate × 2ⁿ], so fusion does not merge two such gates into
-    a wider one that would need the Run.
+    a wider one that would need the Run. A narrow gate is priced from its
+    form ({!Flat_gate.local_paths}, {!Cost.local_price}), the same number
+    its DD would give.
 
     {!k_operations} is the fixed-grouping baseline of Zulehner & Wille
-    (DATE'19): every run of [k] consecutive gates is multiplied into one
-    matrix, regardless of cost. *)
+    (DATE'19): every run of [k] consecutive matrix DDs is multiplied into
+    one, regardless of cost. *)
 
 type stats = {
   gates_in : int;
   gates_out : int;
   ddmm_calls : int;
+  narrow_products : int;  (** products taken as 2×2 or 4×4 matrices *)
   macs_before : float;  (** Σ {!Cost.mac_count} (Eq. 5 MACs) of the input gates *)
   macs_after : float;   (** Σ {!Cost.mac_count} of the output gates *)
 }
 
+type gate =
+  | Narrow of Flat_gate.local  (** a gate on at most two levels, as its form *)
+  | Wide of Dd.medge           (** any other gate, as its matrix DD *)
+
+val to_dd : Dd.package -> n:int -> gate -> Dd.medge
+(** The output gate's matrix DD (a narrow one's built on the call). *)
+
 val dmav_aware :
-  ?identity_price:float -> ?local_rate:float -> Dd.package -> Dd.medge list -> Dd.medge list * stats
+  ?identity_price:float ->
+  ?local_rate:float ->
+  Dd.package ->
+  n:int ->
+  Circuit.op list ->
+  gate list * stats
 (** [identity_price] and [local_rate] default to {!Cost.price}'s
     constants; the calibration bench sweeps them. The stats count plain
     MACs whatever the price. *)
@@ -57,8 +81,9 @@ val dmav_aware_iter :
   ?local_rate:float ->
   ?poll:(unit -> unit) ->
   Dd.package ->
-  emit:(Dd.medge -> unit) ->
-  Dd.medge list ->
+  n:int ->
+  emit:(gate -> unit) ->
+  Circuit.op list ->
   stats
 
 val k_operations_iter :

@@ -130,7 +130,10 @@ let parse_line ?(default_config = Config.default) ?(base_seed = 1) ?(dir = ".")
       in
       let n =
         match int_field ~where kvs "n" with
-        | Some n when n >= 1 -> n
+        | Some n when n >= 1 -> (
+            match Circuit.check_qubits n with
+            | () -> n
+            | exception Invalid_argument m -> failf "%s: n: %s" where m)
         | Some n -> failf "%s: n must be >= 1 (got %d)" where n
         | None -> failf "%s: \"n\" is required with a circuit family" where
       in

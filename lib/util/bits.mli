@@ -2,8 +2,9 @@
 
     State-vector indices are [n]-bit integers where bit [k] is the value of
     qubit [k] (qubit 0 is the least significant). All functions operate on
-    native [int]s, which limits circuits to 62 qubits — far beyond what a
-    full-state simulator can hold in memory anyway. *)
+    native [int]s, and so does a register's dimension [1 lsl n], which
+    limits circuits to 61 qubits ([Circuit.max_qubits]) — far beyond what
+    a full-state simulator can hold in memory anyway. *)
 
 val is_pow2 : int -> bool
 (** [is_pow2 x] is [true] iff [x] is a positive power of two. *)

@@ -298,9 +298,9 @@ let test_dispatch_counters () =
 (* A cancel poll that turns true at the caller's [trigger]-th call and
    counts every call answered true, by any domain. With [Convert_at k]
    the caller polls k + 1 times in the DD phase, once before the
-   conversion, then once per remaining op while building the gate DDs
-   and once more per op in the fusion scan, so [trigger] picks a point
-   in the scan. Each side raises at its first true poll, so a run that
+   conversion, then once per remaining op in the DMAV-aware fusion scan
+   (which builds no gate DD before it starts), so [trigger] picks a
+   point in the scan. Each side raises at its first true poll, so a run that
    stops within one gate answers at most one true poll per side. *)
 let cancelling_poll ~trigger =
   let caller = Domain.self () in
@@ -326,7 +326,7 @@ let test_cancel_while_planning () =
   List.iter
     (fun threads ->
        Pool.with_pool threads (fun pool ->
-           let cancel, answered = cancelling_poll ~trigger:((k + 1) + 1 + (2 * (g - k - 1)) - 40) in
+           let cancel, answered = cancelling_poll ~trigger:((k + 1) + 1 + (g - k - 1) - 40) in
            Alcotest.check_raises "cancelled mid-fusion" Driver.Cancelled (fun () ->
                ignore (Driver.run ~cancel ~pool cfg c));
            if Atomic.get answered > Int.min 2 threads then

@@ -15,6 +15,13 @@ let apply_all pool p n mats v0 =
 let circuit_mats p n c =
   Array.to_list (Array.map (fun op -> Mat_dd.of_op p ~n op) c.Circuit.ops)
 
+let circuit_ops c = Array.to_list c.Circuit.ops
+
+(* DMAV-aware fusion of a circuit, its output gates as matrix DDs. *)
+let fuse ?local_rate p n ops =
+  let fused, stats = Fusion.dmav_aware ?local_rate p ~n ops in
+  (List.map (Fusion.to_dd p ~n) fused, stats)
+
 let test_dmav_aware_preserves_semantics () =
   List.iter
     (fun seed ->
@@ -22,7 +29,7 @@ let test_dmav_aware_preserves_semantics () =
        let c = Test_util.random_circuit ~seed ~gates:30 n in
        let p = Dd.create () in
        let mats = circuit_mats p n c in
-       let fused, stats = Fusion.dmav_aware p mats in
+       let fused, stats = fuse p n (circuit_ops c) in
        Alcotest.(check int) "gates_in" 30 stats.Fusion.gates_in;
        Alcotest.(check int) "gates_out" (List.length fused) stats.Fusion.gates_out;
        let v0 = Test_util.random_state ~seed:(seed * 7) n in
@@ -44,7 +51,7 @@ let test_dmav_aware_fuses_rotation_chains () =
   done;
   let c = Circuit.Builder.finish b in
   let p = Dd.create () in
-  let fused, stats = Fusion.dmav_aware p (circuit_mats p n c) in
+  let fused, stats = fuse p n (circuit_ops c) in
   Alcotest.(check bool) "collapses heavily" true (List.length fused <= 3);
   Alcotest.(check bool) "cost reduced" true
     (stats.Fusion.macs_after < stats.Fusion.macs_before)
@@ -61,7 +68,7 @@ let test_dmav_aware_never_increases_cost_much () =
        let c = Test_util.random_circuit ~seed ~gates:40 n in
        let p = Dd.create () in
        let mats = circuit_mats p n c in
-       let fused, _ = Fusion.dmav_aware p mats in
+       let fused, _ = fuse p n (circuit_ops c) in
        Alcotest.(check bool)
          (Printf.sprintf "priced after <= priced before (seed %d)" seed) true
          (priced p fused <= priced p mats))
@@ -69,13 +76,16 @@ let test_dmav_aware_never_increases_cost_much () =
 
 let test_empty_and_singleton () =
   let p = Dd.create () in
-  let fused, stats = Fusion.dmav_aware p [] in
+  let fused, stats = Fusion.dmav_aware p ~n:4 [] in
   Alcotest.(check int) "empty in" 0 stats.Fusion.gates_in;
   Alcotest.(check int) "empty out" 0 (List.length fused);
-  let m = Mat_dd.of_single p ~n:4 ~target:1 ~controls:[] Gate.h in
-  let fused, _ = Fusion.dmav_aware p [ m ] in
+  let op = Circuit.Single { name = "h"; matrix = Gate.h; target = 1; controls = [] } in
+  let m = Mat_dd.of_op p ~n:4 op in
+  let fused, _ = Fusion.dmav_aware p ~n:4 [ op ] in
   (match fused with
-   | [ only ] -> Alcotest.(check bool) "singleton passthrough" true (Dd.mtgt only = Dd.mtgt m && Dd.mwid only = Dd.mwid m)
+   | [ only ] ->
+     let dd = Fusion.to_dd p ~n:4 only in
+     Alcotest.(check bool) "singleton passthrough" true (Dd.mtgt dd = Dd.mtgt m && Dd.mwid dd = Dd.mwid m)
    | _ -> Alcotest.fail "expected one gate")
 
 let test_k_operations_grouping () =
@@ -129,7 +139,7 @@ let test_fusion_beats_kops_on_cost () =
   let c = Dnn.circuit ~seed:5 ~layers:6 n in
   let p = Dd.create () in
   let mats = circuit_mats p n c in
-  let _, aware = Fusion.dmav_aware p mats in
+  let _, aware = fuse p n (circuit_ops c) in
   let _, kops = Fusion.k_operations p ~k:4 mats in
   Alcotest.(check bool) "aware cost <= kops cost" true
     (aware.Fusion.macs_after <= kops.Fusion.macs_after +. 1e-6)
@@ -151,7 +161,7 @@ let test_stats_sums_exact () =
               (same (Int64.bits_of_float st.Fusion.macs_before) (Int64.bits_of_float (sum p mats)));
             Alcotest.(check bool) (name ^ " macs_after") true
               (same (Int64.bits_of_float st.Fusion.macs_after) (Int64.bits_of_float (sum p out))))
-         [ ("dmav-aware", Fusion.dmav_aware p mats); ("k-operations", Fusion.k_operations p ~k:4 mats) ])
+         [ ("dmav-aware", fuse p n (circuit_ops c)); ("k-operations", Fusion.k_operations p ~k:4 mats) ])
     [ (Suite.Dnn, 10, 200); (Suite.Vqe, 10, 200); (Suite.Supremacy, 10, 150) ]
 
 (* dnn's layer shape at n = 10: a rotation on every qubit, then a
@@ -174,11 +184,11 @@ let test_cnot_ladder_not_fused_into_rotations () =
   done;
   let c = Circuit.Builder.finish b in
   let p = Dd.create () in
-  let mats = circuit_mats p n c in
-  let fused, _ = Fusion.dmav_aware p mats in
-  let alone ms = fst (Fusion.dmav_aware p ms) in
-  let rotations = List.filteri (fun i _ -> i < n) mats in
-  let ladder = alone (List.filteri (fun i _ -> i >= n) mats) in
+  let ops = circuit_ops c in
+  let fused, _ = fuse p n ops in
+  let alone ops = fst (fuse p n ops) in
+  let rotations = List.filteri (fun i _ -> i < n) ops in
+  let ladder = alone (List.filteri (fun i _ -> i >= n) ops) in
   Alcotest.(check bool) "rotations and ladder fuse apart" true (fused = alone rotations @ ladder);
   List.iter
     (fun m ->
@@ -210,7 +220,7 @@ let test_dmav_aware_product_preserved () =
        let c = Test_util.random_circuit ~seed ~gates:40 n in
        let p = Dd.create () in
        let mats = circuit_mats p n c in
-       let fused, _ = Fusion.dmav_aware p mats in
+       let fused, _ = fuse p n (circuit_ops c) in
        let priced ms = List.fold_left (fun acc m -> acc +. Cost.price p m) 0.0 ms in
        Alcotest.(check bool)
          (Printf.sprintf "seed %d: priced cost does not grow" seed) true
@@ -246,8 +256,8 @@ let test_local_price_regroups () =
   let c = Circuit.Builder.finish b in
   let p = Dd.create () in
   let mats = circuit_mats p n c in
-  let priced, _ = Fusion.dmav_aware p mats in
-  let unpriced, _ = Fusion.dmav_aware ~local_rate:infinity p mats in
+  let priced, _ = fuse p n (circuit_ops c) in
+  let unpriced, _ = fuse ~local_rate:infinity p n (circuit_ops c) in
   Alcotest.(check bool) "the local price changes the grouping" true
     (List.length priced <> List.length unpriced);
   Alcotest.(check bool) "every priced product has a local form" true
@@ -265,6 +275,204 @@ let test_local_price_regroups () =
               row)
          expect)
     [ ("local leg priced", priced); ("local leg unpriced", unpriced) ]
+
+(* ---- narrow forms: matrices without a DD ---------------------------- *)
+
+let kron (a : Gate.single) (b : Gate.single) : Gate.two =
+  Array.init 4 (fun r -> Array.init 4 (fun c -> Cnum.mul a.(r / 2).(c / 2) b.(r mod 2).(c mod 2)))
+
+let random_single rng = Gate.u3 (Rng.angle rng) (Rng.angle rng) (Rng.angle rng)
+
+let random_two rng =
+  Gate.mul4 (Gate.fsim (Rng.angle rng) (Rng.angle rng)) (kron (random_single rng) (random_single rng))
+
+let other rng n q = (q + 1 + Rng.int rng (n - 1)) mod n
+
+(* One op of every kind a narrow form covers, on random levels, plus
+   gates with exact zeros and gates that act on fewer levels than they
+   name (a controlled identity, a product form). *)
+let narrow_ops rng n =
+  let t = Rng.int rng n in
+  let c = other rng n t in
+  let q = other rng n t in
+  let single ?(controls = []) matrix target = Circuit.Single { name = "u"; matrix; target; controls } in
+  let two matrix q_hi q_lo = Circuit.Two { name = "u2"; matrix; q_hi; q_lo } in
+  [ single (random_single rng) t;
+    single ~controls:[ Int.max t c ] (random_single rng) (Int.min t c);
+    single ~controls:[ Int.min t c ] (random_single rng) (Int.max t c);
+    two (random_two rng) (Int.max t c) (Int.min t c);
+    two (random_two rng) (Int.min t c) (Int.max t c);
+    single Gate.x t; single ~controls:[ c ] Gate.z t; single ~controls:[ c ] Gate.x t;
+    two Gate.iswap t c; two Gate.swap2 c t; single (Gate.rz 0.0) t;
+    single ~controls:[ c ] Gate.id2 t;
+    two (kron (random_single rng) Gate.id2) t c;
+    two (kron Gate.h (random_single rng)) t q ]
+
+let max_entry_diff (a : Flat_gate.local) (b : Flat_gate.local) =
+  let d = ref 0.0 in
+  Array.iteri (fun i x -> d := Float.max !d (Float.abs (x -. b.Flat_gate.u.(i)))) a.Flat_gate.u;
+  !d
+
+(* A narrow form equals the local form of its op's DD: support, paths,
+   entries within 1e-15, and every priced path count (so the price)
+   exact. *)
+let test_narrow_forms_match_dd () =
+  let rng = Rng.create 41 in
+  for n = 3 to 8 do
+    for _ = 1 to 6 do
+      let p = Dd.create () in
+      List.iter
+        (fun op ->
+           let what = Printf.sprintf "n = %d, %s on %s" n (Circuit.op_name op)
+               (String.concat "," (List.map string_of_int (Circuit.op_qubits op))) in
+           let m = Mat_dd.of_op p ~n op in
+           match Flat_gate.local_of_op ~n op, Flat_gate.local p ~n m with
+           | Some l, Some want ->
+             Alcotest.(check int) (what ^ ": support") want.Flat_gate.support l.Flat_gate.support;
+             Alcotest.(check int) (what ^ ": paths") want.Flat_gate.paths l.Flat_gate.paths;
+             if max_entry_diff l want > 1e-15 then Alcotest.failf "%s: entries differ" what;
+             List.iter
+               (fun (terminal, identity) ->
+                  Alcotest.(check (float 0.0)) (what ^ ": priced paths")
+                    (Dd.priced_paths p ~terminal ~identity m)
+                    (Flat_gate.local_paths ~n ~terminal ~identity l))
+               [ (1.0, 1.0); (1.0, Cost.identity_price); (0.0, 1.0); (1.0, 0.05) ];
+             Alcotest.(check (float 0.0)) (what ^ ": price") (Cost.price p m)
+               (Cost.local_price ~n ~support:l.Flat_gate.support
+                  (Flat_gate.local_paths ~n ~terminal:1.0 ~identity:Cost.identity_price l))
+           | _ -> Alcotest.failf "%s: no narrow form" what)
+        (narrow_ops rng n)
+    done
+  done;
+  let ccx = Circuit.Single { name = "ccx"; matrix = Gate.x; target = 0; controls = [ 1; 2 ] } in
+  Alcotest.(check bool) "two controls: no narrow form" true (Flat_gate.local_of_op ~n:4 ccx = None)
+
+(* A product of two narrow gates equals their DDMM: a narrow product the
+   DD's local form, a wider one the DD's priced path count, exactly. *)
+let test_narrow_products_match_ddmm () =
+  let rng = Rng.create 43 in
+  let inverse = function
+    | Circuit.Single s -> Circuit.Single { s with matrix = Gate.adjoint s.matrix }
+    | Circuit.Two t -> Circuit.Two { t with matrix = Gate.adjoint4 t.matrix }
+  in
+  for n = 3 to 8 do
+    for _ = 1 to 4 do
+      let p = Dd.create () in
+      let ops = Array.of_list (narrow_ops rng n) in
+      let w = random_single rng in
+      let product_form a b = (* w ⊗ a on (t, q), then w† ⊗ b on (t, q') *)
+        let t = Rng.int rng n in
+        let q = other rng n t in
+        let q' = other rng n t in
+        ( t,
+          Circuit.Two { name = "wa"; matrix = kron w a; q_hi = t; q_lo = q },
+          Circuit.Two { name = "wb"; matrix = kron (Gate.adjoint w) b; q_hi = t; q_lo = q' } )
+      in
+      let pairs =
+        List.init 12 (fun _ ->
+            (ops.(Rng.int rng (Array.length ops)), ops.(Rng.int rng (Array.length ops))))
+        @ List.map (fun op -> (inverse op, op)) (Array.to_list ops)
+      in
+      (* (w ⊗ a)·(w† ⊗ b) does nothing on w's level; its DD may keep it,
+         as its two equal blocks can normalize by different ones of their
+         equal-magnitude entries. The narrow product drops it. *)
+      let t, a, b = product_form (random_single rng) (random_single rng) in
+      (match
+         Flat_gate.local_product ~n ~identity:Cost.identity_price
+           (Option.get (Flat_gate.local_of_op ~n a)) (Option.get (Flat_gate.local_of_op ~n b))
+       with
+       | Flat_gate.Narrow_product l ->
+         let m = Dd.mm p (Mat_dd.of_op p ~n a) (Mat_dd.of_op p ~n b) in
+         let want = Mat_dd.to_dense p ~n m and got = Mat_dd.to_dense p ~n (Flat_gate.local_dd p ~n l) in
+         Alcotest.(check int) "product form: not on w's level" 0 (l.Flat_gate.support land (1 lsl t));
+         Array.iteri
+           (fun i row ->
+              Array.iteri
+                (fun j e ->
+                   if not (Cnum.equal ~tol:1e-12 e got.(i).(j)) then
+                     Alcotest.failf "n = %d: product form entry (%d, %d) differs" n i j)
+                row)
+           want
+       | Flat_gate.Wide_product _ -> Alcotest.fail "product form: priced wide");
+      List.iter
+        (fun (a, b) ->
+           let what = Printf.sprintf "n = %d, %s · %s" n (Circuit.op_name a) (Circuit.op_name b) in
+           let la = Option.get (Flat_gate.local_of_op ~n a)
+           and lb = Option.get (Flat_gate.local_of_op ~n b) in
+           let m = Dd.mm p (Mat_dd.of_op p ~n a) (Mat_dd.of_op p ~n b) in
+           match Flat_gate.local_product ~n ~identity:Cost.identity_price la lb, Flat_gate.local p ~n m with
+           | Flat_gate.Narrow_product l, Some want ->
+             Alcotest.(check int) (what ^ ": support") want.Flat_gate.support l.Flat_gate.support;
+             Alcotest.(check int) (what ^ ": paths") want.Flat_gate.paths l.Flat_gate.paths;
+             if max_entry_diff l want > 1e-12 then Alcotest.failf "%s: entries differ" what
+           | Flat_gate.Wide_product run, None ->
+             Alcotest.(check (float 0.0)) (what ^ ": priced paths") (Cost.priced_macs p m) run
+           | Flat_gate.Narrow_product _, None -> Alcotest.failf "%s: narrow, the DD is wide" what
+           | Flat_gate.Wide_product _, Some _ -> Alcotest.failf "%s: wide, the DD is narrow" what)
+        pairs
+    done
+  done
+
+(* Random circuits of one- and two-qubit gates with some Toffolis (whose
+   products take DDMM) at n ≤ 10: the scan emits gates of the supports a
+   DD-only Algorithm 3 ([Fusion_ref]) emits, and their product is the
+   circuit's within 1e-12, checked on a random vector, beyond the error
+   the reference's own DDMM products carry (their weights snap to
+   representatives within the 1e-10 DD tolerance, up to ~1e-11 here).
+   The circuits hold no gate followed by its inverse: on such a pair a
+   DD can miss a level the product is trivial on (two equal blocks
+   normalized by different ones of a 2×2 unitary's equal-magnitude
+   entries), which the narrow form drops ("narrow products match
+   DDMM"). *)
+let prop_scan_matches_dd_reference =
+  QCheck.Test.make ~name:"scan = DD reference; fused product = dense product" ~count:150
+    QCheck.(pair (int_range 3 10) (int_bound 1_000_000))
+    (fun (n, seed) ->
+       (* The shrinker may step out of the range. *)
+       let n = Int.max 3 (Int.min 10 n) in
+       let rng = Rng.create seed in
+       let b = Circuit.Builder.create n in
+       for _ = 1 to 10 + Rng.int rng 40 do
+         let op =
+           match Rng.int rng 10 with
+           | 1 ->
+             let q = Rng.int rng (n - 2) in
+             Circuit.Single { name = "ccx"; matrix = Gate.x; target = q + 2; controls = [ q; q + 1 ] }
+           | 2 | 3 ->
+             let t = Rng.int rng n in
+             Circuit.Two { name = "u2"; matrix = random_two rng; q_hi = t; q_lo = other rng n t }
+           | 4 | 5 ->
+             let t = Rng.int rng n in
+             Circuit.Single { name = "cu"; matrix = random_single rng; target = t; controls = [ other rng n t ] }
+           | 6 -> Circuit.Single { name = "h"; matrix = Gate.h; target = Rng.int rng n; controls = [] }
+           | _ -> Circuit.Single { name = "u"; matrix = random_single rng; target = Rng.int rng n; controls = [] }
+         in
+         Circuit.Builder.add b op
+       done;
+       let c = Circuit.Builder.finish b in
+       let ops = circuit_ops c in
+       let p = Dd.create () and p_ref = Dd.create () in
+       let fused, _ = Fusion.dmav_aware p ~n ops in
+       let reference = Fusion_ref.dmav_aware p_ref (circuit_mats p_ref n c) in
+       let supports pk ms = List.map (Cost.support pk ~n) ms in
+       let got = List.map (Fusion.to_dd p ~n) fused in
+       let show ss =
+         String.concat " " (List.map (function Some s -> string_of_int s | None -> "w") ss)
+       in
+       if supports p got <> supports p_ref reference then
+         QCheck.Test.fail_reportf "n = %d seed %d: supports %s, the reference %s" n seed
+           (show (supports p got)) (show (supports p_ref reference));
+       let v0 = Test_util.random_state ~seed n in
+       let want = State.of_buf n (Buf.copy v0) in
+       Apply.circuit want c;
+       let via = Pool.with_pool 1 (fun pool -> apply_all pool p n got v0) in
+       let via_ref = Pool.with_pool 1 (fun pool -> apply_all pool p_ref n reference v0) in
+       let d = Buf.max_abs_diff via want.State.amps
+       and d_ref = Buf.max_abs_diff via_ref want.State.amps in
+       if d > 1e-12 +. d_ref then
+         QCheck.Test.fail_reportf "n = %d seed %d: fused product off by %.3g, the reference by %.3g" n
+           seed d d_ref;
+       true)
 
 let suite =
   [ ( "fusion",
@@ -287,4 +495,7 @@ let suite =
         Alcotest.test_case "local leg pricing regroups, keeps the dense product" `Quick
           test_local_price_regroups;
         Alcotest.test_case "dmav-aware keeps the dense product" `Quick
-          test_dmav_aware_product_preserved ] ) ]
+          test_dmav_aware_product_preserved;
+        Alcotest.test_case "narrow forms match their DDs" `Quick test_narrow_forms_match_dd;
+        Alcotest.test_case "narrow products match DDMM" `Quick test_narrow_products_match_ddmm;
+        QCheck_alcotest.to_alcotest prop_scan_matches_dd_reference ] ) ]

@@ -240,7 +240,7 @@ module Suite_for (P : Storage.S) = struct
     let c = Suite.generate ~seed:(Random.State.bits rs) ~gates:(20 + Random.State.int rs 60) fam ~n in
     let ops = Array.to_list c.Circuit.ops in
     let prefix = List.filteri (fun i _ -> i < 4 + Random.State.int rs 60) ops in
-    fst (Fusion.dmav_aware p (List.map (Mat_dd.of_op p ~n) prefix))
+    Fusion_ref.dmav_aware p (List.map (Mat_dd.of_op p ~n) prefix)
 
   (* Pure-replication roots, (e,0,0,e') or (0,e,e',0) at every level above
      level 0: a single-qubit gate on qubit 0, a product of random
@@ -329,7 +329,8 @@ module Suite_for (P : Storage.S) = struct
     done
 
   (* Every fused gate of real 12-qubit dnn, vqe and supremacy circuits,
-     fused by Fusion.dmav_aware over the whole circuit. *)
+     fused by the DD reference of Algorithm 3 ([Fusion_ref]) over the
+     whole circuit. *)
   let fused_streams pools =
     let n = 12 in
     let rs = Random.State.make [| 23 |] in
@@ -338,7 +339,7 @@ module Suite_for (P : Storage.S) = struct
          let p = Dd.create () in
          let c = Suite.generate ~seed:7 ~gates fam ~n in
          let ms =
-           fst (Fusion.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops)))
+           Fusion_ref.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops))
          in
          List.iteri
            (fun i m ->
@@ -362,8 +363,7 @@ module Suite_for (P : Storage.S) = struct
              let p = Dd.create () in
              let c = Suite.generate ~seed:7 ~gates fam ~n in
              let ms =
-               fst
-                 (Fusion.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops)))
+               Fusion_ref.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops))
              in
              List.iteri
                (fun i m ->
@@ -684,7 +684,7 @@ module Suite_for (P : Storage.S) = struct
           Array.length g.Flat_gate.arena.Storage.lv + Flat_gate.pieces g
         in
         let c = Suite.generate ~seed:3 ~gates:120 Suite.Supremacy ~n in
-        let fused = fst (Fusion.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops))) in
+        let fused = Fusion_ref.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops)) in
         let largest = List.fold_left (fun a b -> if size b > size a then b else a) m fused in
         let g = Flat_gate.program p ~n ~t:1 ~cached:false m in
         let l =

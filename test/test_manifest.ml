@@ -121,6 +121,24 @@ let test_budget_and_ewma_bounds () =
     (Invalid_argument "Suite.generate: gates must be >= 1 (got 0)") (fun () ->
       ignore (Suite.generate ~gates:0 Suite.Dnn ~n:8))
 
+(* A family's qubit count past [Circuit.max_qubits] is a located
+   manifest error, as is one below 1; the CLI and QASM paths share the
+   bound ([Circuit.check_qubits]). *)
+let test_qubit_bound () =
+  List.iter
+    (fun (fields, want) ->
+       match Manifest.parse_line ~index:4 ("{" ^ fields ^ "}") with
+       | _ -> Alcotest.failf "expected Manifest.Error for %s" fields
+       | exception Manifest.Error m -> Alcotest.(check string) fields ("manifest line 5: " ^ want) m)
+    [ ({|"circuit":"ghz","n":70|}, "n: 70 qubits: a register holds 1 to 61");
+      ({|"circuit":"ghz","n":62|}, "n: 62 qubits: a register holds 1 to 61");
+      ({|"circuit":"ghz","n":0|}, "n must be >= 1 (got 0)") ];
+  let r = Manifest.parse_line ~index:0 {|{"circuit":"ghz","n":61}|} in
+  Alcotest.(check int) "61 qubits accepted" 61 r.Manifest.job.Sched.circuit.Circuit.n;
+  Alcotest.check_raises "Builder.create 62"
+    (Invalid_argument "62 qubits: a register holds 1 to 61") (fun () ->
+      ignore (Circuit.Builder.create 62))
+
 let test_load_file () =
   let path = Filename.temp_file "qcs_manifest" ".jsonl" in
   Fun.protect
@@ -276,6 +294,7 @@ let suite =
         Alcotest.test_case "dd_domains compatibility" `Quick test_dd_domains_compat;
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "gate budget and EWMA bounds" `Quick test_budget_and_ewma_bounds;
+        Alcotest.test_case "qubit count bound" `Quick test_qubit_bound;
         Alcotest.test_case "schema versioning" `Quick test_schema_versioning;
         Alcotest.test_case "strict gates unknown fields" `Quick
           test_strict_gates_unknown_fields;

@@ -207,6 +207,16 @@ let test_non_finite_parameters () =
       ("rz(-1/0) q[0];", at3 "-inf" "rz"); ("p(0/0) q[0];", at3 "nan" "p");
       ("gate g(a) x { rz(a) x; } g(ln(0)) q[0];", at3 "-inf" "g") ]
 
+(* A register wider than [Circuit.max_qubits] is a parse error on the
+   qreg declaration that crossed the bound. *)
+let test_register_bound () =
+  check_errors [ ("qreg r[59];", (3, "qreg declarations total 62 qubits: a register holds 1 to 61")) ];
+  (match parse "OPENQASM 2.0;\nqreg a[40];\nqreg b[30];\nqreg c[1];\nh a[0];\n" with
+   | exception Qasm.Parse_error { line; _ } -> Alcotest.(check int) "line of the crossing qreg" 3 line
+   | _ -> Alcotest.fail "expected a parse error for 71 qubits");
+  let p = parse "OPENQASM 2.0; qreg a[40]; qreg b[21]; h b[20];" in
+  Alcotest.(check int) "61 qubits parse" 61 p.Qasm.circuit.Circuit.n
+
 let test_qasm_vs_generator () =
   (* A hand-written QFT-3 in QASM must match our generator (no swaps). *)
   let p =
@@ -246,4 +256,5 @@ let suite =
         Alcotest.test_case "error line numbers" `Quick test_error_line_numbers;
         Alcotest.test_case "repeated qubit arguments" `Quick test_repeated_qubits;
         Alcotest.test_case "non-finite parameters" `Quick test_non_finite_parameters;
+        Alcotest.test_case "register width bound" `Quick test_register_bound;
         Alcotest.test_case "hand QFT matches generator" `Quick test_qasm_vs_generator ] ) ]
