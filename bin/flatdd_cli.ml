@@ -70,6 +70,11 @@ let load_circuit ~name ~qasm ~n ~gates ~seed =
     (try Circuit.check_qubits n with Invalid_argument m -> invalid_arg ("-n: " ^ m));
     Suite.generate ?gates ~seed fam ~n
 
+(* --top sorts the whole state vector, which a result in DD form is
+   converted to first: 2^n amplitudes of 16 B and an 8 B index each,
+   24 GiB at this bound. *)
+let top_max_qubits = 30
+
 let print_top_amplitudes buf count =
   let dim = Buf.length buf in
   let idx = Array.init dim Fun.id in
@@ -93,6 +98,11 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
       Obs.Metrics.reset ()
     end;
     let circuit = load_circuit ~name:family ~qasm ~n ~gates ~seed in
+    if top > 0 && circuit.Circuit.n > top_max_qubits then
+      invalid_arg
+        (Printf.sprintf "--top %d: the top amplitudes of %d qubits need all 2^%d amplitudes \
+                         in memory (--top works up to %d qubits; pass --top 0)"
+           top circuit.Circuit.n circuit.Circuit.n top_max_qubits);
     Printf.printf "circuit: %s  (%d qubits, %d gates, depth %d)\n" circuit.Circuit.name
       circuit.Circuit.n (Circuit.num_gates circuit) (Circuit.depth circuit);
     (match export with
@@ -264,7 +274,7 @@ let cmd =
                    the dense direct kernel when the cost model favors it over DMAV.")
   in
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the per-gate trace.") in
-  let top = Arg.(value & opt int 8 & info [ "top" ] ~doc:"Print the k most likely basis states (0 disables).") in
+  let top = Arg.(value & opt int 8 & info [ "top" ] ~doc:(Printf.sprintf "Print the k most likely basis states (0 disables; circuits of at most %d qubits)." top_max_qubits)) in
   let export =
     Arg.(value & opt (some string) None
          & info [ "export" ] ~doc:"Write the circuit as OpenQASM 2.0 to this path before simulating.")

@@ -240,13 +240,21 @@ type dispatch = {
   support : int option;
 }
 
+(* The cheapest kernel and its price; a tie goes to the earlier of
+   dense, local, Run, cached. *)
+let pick prices =
+  List.fold_left
+    (fun (k, c) (k', c') -> match c' with Some c' when c' < c -> (k', c') | _ -> (k, c))
+    (Run, infinity)
+    [ (Dense, prices.dense); (Local, prices.local); (Run, Some prices.run);
+      (Cached, Some prices.cached) ]
+
 (* One price per kernel, per thread, in the Run's priced MACs (a
    recursion MAC 1, an identity-stripe MAC [identity_price]): the Run is
    Eq. 5 over priced MACs, Algorithm 2 Eq. 6 over priced MACs plus its
    block operations at SIMD width d, the local leg and the dense kernels
-   their per-amplitude rates. The cheapest wins; a tie goes to the kernel
-   earlier in dense, local, Run, cached. [decision] keeps Eq. 5/6's plain
-   MAC counts, which the reports and Table 2 show. *)
+   their per-amplitude rates; [pick] takes the cheapest. [decision] keeps
+   Eq. 5/6's plain MAC counts, which the reports and Table 2 show. *)
 let dispatch ?(local_leg = true) p ~n ~threads ?op root =
   let tu = pow2_threads ~n threads in
   let t = float_of_int tu in
@@ -265,13 +273,7 @@ let dispatch ?(local_leg = true) p ~n ~threads ?op root =
       cached = (b.k2_priced /. t) +. blocks;
       dense = Option.bind op (fun op -> Option.map (fun p -> p /. t) (dense_price ~n op)) }
   in
-  let kernel, price =
-    List.fold_left
-      (fun (k, c) (k', c') -> match c' with Some c' when c' < c -> (k', c') | _ -> (k, c))
-      (Run, infinity)
-      [ (Dense, prices.dense); (Local, prices.local); (Run, Some prices.run);
-        (Cached, Some prices.cached) ]
-  in
+  let kernel, price = pick prices in
   let dmav =
     { cached = kernel = Cached;
       c1 = b.k1 /. t;
@@ -280,19 +282,23 @@ let dispatch ?(local_leg = true) p ~n ~threads ?op root =
   in
   { kernel; dmav; prices; price; support }
 
-(* A gate priced from its local form ([Flat_gate.of_local]) rather than
-   its DD: the local leg. The Run costs at least [identity_price] per
-   amplitude, more than either local rate, so it cannot win, and
-   Algorithm 2 is not priced: its price is infinite and Eq. 6's count
-   [c2] is Eq. 5's. *)
-let local_dispatch ~n ~threads ~macs ~priced support =
+(* A gate priced from its local form ([Flat_gate.of_local]): the Run
+   (at least [identity_price] per amplitude) and Algorithm 2 (at least a
+   buffer's block operations) cannot beat the local leg, so they are not
+   priced. *)
+let local_dispatch ~n ~threads ?op ~macs support =
   let tu = pow2_threads ~n threads in
   let t = float_of_int tu in
-  let local = local_rate ~support *. Float.ldexp 1.0 n /. t in
-  { kernel = Local;
+  let prices =
+    { local = Some (local_rate ~support *. Float.ldexp 1.0 n /. t); run = infinity;
+      cached = infinity;
+      dense = Option.bind op (fun op -> Option.map (fun p -> p /. t) (dense_price ~n op)) }
+  in
+  let kernel, price = pick prices in
+  { kernel;
     dmav = { cached = false; c1 = macs /. t; c2 = macs /. t; threads_used = tu };
-    prices = { local = Some local; run = priced /. t; cached = infinity; dense = None };
-    price = local;
+    prices;
+    price;
     support = Some support }
 
 let decide p ~n ~threads root = (dispatch ~local_leg:false p ~n ~threads root).dmav

@@ -182,14 +182,13 @@ val dispatch :
     op, is a single-qubit gate; the local leg when the gate has a
     {!support} and [local_leg] (default [true]) holds. *)
 
-val local_dispatch : n:int -> threads:int -> macs:float -> priced:float -> int -> dispatch
-(** [local_dispatch ~n ~threads ~macs ~priced support]: the pick for a
-    gate given by its local form on [support], not its DD
-    ([Flat_gate.of_local]), whose plain and priced MAC counts are [macs]
-    and [priced]: the local leg. The Run costs at least {!identity_price}
-    per amplitude, more than the local leg, so it never wins; Algorithm 2
-    is not priced ([prices.cached] is infinite and [dmav.c2] equals
-    [dmav.c1]), and a fused gate has no dense kernel. *)
+val local_dispatch : n:int -> threads:int -> ?op:Circuit.op -> macs:float -> int -> dispatch
+(** The pick for a gate given by its local form on [support], not its DD
+    ([Flat_gate.of_local]), of plain MAC count [macs]: the local leg, or
+    the dense kernel of [op], the unfused op, when it is priced no
+    higher. The Run and Algorithm 2 never win against the local leg
+    ({!local_rate}) and are not priced ([prices.run] and [prices.cached]
+    are infinite, [dmav.c2] is [dmav.c1]). *)
 
 val decide : Dd.package -> n:int -> threads:int -> Dd.medge -> decision
 (** {!dispatch} between the paper's two DMAV kernels only (no local leg,

@@ -487,17 +487,18 @@ let local_dd p ~n l =
   | [| lo; hi |] -> Mat_dd.of_two p ~n ~q_hi:hi ~q_lo:lo m
   | lv -> Mat_dd.of_single p ~n ~target:lv.(0) ~controls:[] m
 
-let of_local p ~n ~threads l =
+let of_local p ~n ~threads ?op l =
   let dispatch =
-    Cost.local_dispatch ~n ~threads
-      ~macs:(local_paths ~n ~terminal:1.0 ~identity:1.0 l)
-      ~priced:(local_paths ~n ~terminal:1.0 ~identity:Cost.identity_price l)
-      l.support
+    Cost.local_dispatch ~n ~threads ?op
+      ~macs:(local_paths ~n ~terminal:1.0 ~identity:1.0 l) l.support
   in
-  { body = Local l;
-    dispatch;
-    identity_macs = (if Obs.enabled () then local_paths ~n ~terminal:0.0 ~identity:1.0 l else 0.0);
-    package_bytes = Dd.memory_bytes p }
+  let body, identity_macs =
+    match dispatch.Cost.kernel, op with
+    | Cost.Dense, Some op -> (Dense op, 0.0)
+    | _ ->
+      (Local l, if Obs.enabled () then local_paths ~n ~terminal:0.0 ~identity:1.0 l else 0.0)
+  in
+  { body; dispatch; identity_macs; package_bytes = Dd.memory_bytes p }
 
 let s_cost = Obs.span "dmav.cost"
 

@@ -12,9 +12,9 @@
     run one each or one domain runs them all, so are the bytes. A gate
     that acts on at most two levels may be picked for its [Local] form:
     a 2×2 or 4×4 matrix applied in place, with the Run's bits when it
-    comes from the gate's DD. A narrow gate of DMAV-aware fusion comes
-    from its matrices ({!of_local}) and carries their float product
-    instead.
+    comes from the gate's DD. A narrow gate (an op of support ≤ 2, or a
+    product of such gates on at most two levels) comes from its matrices
+    ({!of_local}) and carries their entries instead.
 
     A task whose sub-matrix models more than [piece_macs] MACs is split
     into the Run calls of its children, in the recursion's order and
@@ -123,8 +123,9 @@ val local_paths : n:int -> terminal:float -> identity:float -> local -> float
 val local_dd : Dd.package -> n:int -> local -> Dd.medge
 (** The form's matrix DD ({!Mat_dd.of_single} or {!Mat_dd.of_two}). *)
 
-val of_local : Dd.package -> n:int -> threads:int -> local -> t
-(** Compiles a form without its DD, as [Local] ({!Cost.local_dispatch}).
+val of_local : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> local -> t
+(** Compiles a form without its DD ({!Cost.local_dispatch}): [Local], or
+    [Dense] when [op], the form's unfused op, is priced no higher there.
     The package gives [package_bytes] only. *)
 
 val compile :

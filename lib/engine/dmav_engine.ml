@@ -9,7 +9,8 @@
    compiled ([Flat_gate]): the kernel pick, the task lists and the gate's
    own copy of its matrix DD were fixed by the planner, so applying one
    reads nothing of the DD package. A gate without a compiled form (the
-   pure-DMAV reference path of [Driver.run_engine]) is compiled here.
+   pure-DMAV reference path of [Driver.run_engine]) is built and
+   compiled here, as the unfused plan does it.
    The DD package (and therefore every gate matrix and ctable weight)
    stays f64 at every precision; rounding happens only on stores into
    V/W. The scratch buffer and the cached kernel's partial outputs come
@@ -59,7 +60,7 @@ module Make (Pr : Engine.PRECISION) = struct
     | None, Some op ->
       let { Engine.cfg; pool; package = p; _ } = st.ctx in
       let dense = if cfg.Config.dense_dispatch then Some op else None in
-      Flat_gate.compile p ~n:st.n ~threads:(Pool.size pool) ?op:dense (Mat_dd.of_op p ~n:st.n op)
+      Fusion.compile p ~n:st.n ~threads:(Pool.size pool) ?op:dense (Fusion.of_op p ~n:st.n op)
     | None, None -> invalid_arg "Dmav_engine.apply_op: gate without a compiled form or op"
 
   (* The kernel the gate was compiled for (§3.2.3): cached vs uncached

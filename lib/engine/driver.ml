@@ -62,51 +62,31 @@ let c_disp_dense = Obs.counter "dmav.dispatch.dense"
 let c_disp_local = Obs.counter "dmav.dispatch.local"
 
 (* The flat phase's planner: the remaining ops fused per config, each
-   output gate compiled ([Flat_gate.compile], or [Flat_gate.of_local] for
-   a narrow fused gate, priced at the run's pool size) and handed to
-   [emit] as soon as it is final. DMAV-aware fusion builds a gate's DD
-   only when a product needs DDMM; without fusion and under k-operations
-   every op's DD is built before the scan starts. An op survives as
-   [xo_op] only without fusion, which is what keeps it eligible for the
-   dense kernel. [poll] runs before each input op, in every scan. Returns
-   the fusion stats. *)
-let s_gate_dd = Obs.span "plan.gate_dd"
+   output gate compiled at the run's pool size ([Fusion.compile]) and
+   handed to [emit] as soon as it is final. Every mode builds its gates
+   with [Fusion.of_op]: an op of support at most two is its narrow form,
+   and a DD is built only for any other op or when a product needs DDMM.
+   An op survives as [xo_op] only without fusion, which is what keeps it
+   eligible for the dense kernel. [poll] runs before each input op, in
+   every mode. Returns the fusion stats. *)
 let s_compile = Obs.span "plan.compile"
 
 let flat_plan (ctx : Engine.ctx) ~n ~first_index ~poll ~emit ops =
   let p = ctx.Engine.package in
   let threads = Pool.size ctx.Engine.pool in
-  let dense = ctx.Engine.cfg.Config.dense_dispatch in
   let j = ref first_index in
-  let out name op compile =
-    let g = Obs.with_span s_compile compile in
+  let out ?op name g =
+    let dense = if ctx.Engine.cfg.Config.dense_dispatch then op else None in
+    let g = Obs.with_span s_compile (fun () -> Fusion.compile p ~n ~threads ?op:dense g) in
     emit { Engine.xo_index = !j; xo_name = name; xo_op = op; xo_gate = Some g };
     incr j
   in
-  let wide ?op m () = Flat_gate.compile p ~n ~threads ?op m in
-  let mats () =
-    List.map
-      (fun op ->
-         poll ();
-         Obs.with_span s_gate_dd (fun () -> Mat_dd.of_op p ~n op))
-      ops
-  in
   match ctx.Engine.cfg.Config.fusion with
   | Config.No_fusion ->
-    List.iter2
-      (fun op m ->
-         poll ();
-         out (Circuit.op_name op) (Some op) (wide ?op:(if dense then Some op else None) m))
-      ops (mats ());
+    List.iter (fun op -> poll (); out ~op (Circuit.op_name op) (Fusion.of_op p ~n op)) ops;
     None
-  | Config.Dmav_aware ->
-    let fused = function
-      | Fusion.Narrow l -> out "fused" None (fun () -> Flat_gate.of_local p ~n ~threads l)
-      | Fusion.Wide m -> out "fused" None (wide m)
-    in
-    Some (Fusion.dmav_aware_iter ~poll p ~n ~emit:fused ops)
-  | Config.K_operations k ->
-    Some (Fusion.k_operations_iter ~poll p ~k ~emit:(fun m -> out "kops" None (wide m)) (mats ()))
+  | Config.Dmav_aware -> Some (Fusion.dmav_aware_iter ~poll p ~n ~emit:(out "fused") ops)
+  | Config.K_operations k -> Some (Fusion.k_operations_iter ~poll p ~n ~k ~emit:(out "kops") ops)
 
 (* --- qubit-order plumbing (ISSUE 8) -------------------------------- *)
 

@@ -9,9 +9,6 @@ type stats = {
 
 type gate = Narrow of Flat_gate.local | Wide of Dd.medge
 
-let sum_macs p gates =
-  List.fold_left (fun acc g -> acc +. Cost.mac_count p g) 0.0 gates
-
 (* "accepted" = a product was kept as the pending fused gate;
    "rejected" = the product's price exceeded applying the two gates
    separately, so the pending gate was emitted instead. *)
@@ -29,8 +26,80 @@ let s_gate_dd = Obs.span "plan.gate_dd"
 let s_ddmm = Obs.span "plan.ddmm"
 let s_price = Obs.span "plan.price"
 
-let finish ~gates_in ~gates_out ~ddmm_calls ~narrow_products ~macs_before ~macs_after =
-  let st = { gates_in; gates_out; ddmm_calls; narrow_products; macs_before; macs_after } in
+let gate_dd build = Obs.with_span s_gate_dd build
+
+let to_dd p ~n = function Narrow l -> Flat_gate.local_dd p ~n l | Wide m -> m
+
+let of_op p ~n op =
+  match Flat_gate.local_of_op ~n op with
+  | Some l -> Narrow l
+  | None -> Wide (gate_dd (fun () -> Mat_dd.of_op p ~n op))
+
+let compile p ~n ~threads ?op = function
+  | Narrow l -> Flat_gate.of_local p ~n ~threads ?op l
+  | Wide m -> Flat_gate.compile p ~n ~threads ?op m
+
+(* A gate of a scan: its narrow form when it has one, and its matrix DD,
+   built when first forced (a narrow op's from the op, a narrow
+   product's from its form, a product priced from its matrix as the
+   DDMM of its two sides). *)
+type pending = { form : Flat_gate.local option; dd : Dd.medge Lazy.t }
+
+(* What both scans share: the package, the gate steps and the stats,
+   which keep Eq. 5's MAC meaning: each input and output gate's plain
+   MACs, in list order. *)
+type scan = { p : Dd.package; n : int; mutable st : stats }
+
+let scan p ~n =
+  { p; n; st = { gates_in = 0; gates_out = 0; ddmm_calls = 0; narrow_products = 0;
+                 macs_before = 0.0; macs_after = 0.0 } }
+
+let macs sc g =
+  match g.form with
+  | Some l -> Flat_gate.local_paths ~n:sc.n ~terminal:1.0 ~identity:1.0 l
+  | None -> Cost.mac_count sc.p (Lazy.force g.dd)
+
+(* An input op as a scan gate, as [of_op] builds it: a wide op's DD is
+   built at once, for its MACs. *)
+let input sc op =
+  let dd = lazy (gate_dd (fun () -> Mat_dd.of_op sc.p ~n:sc.n op)) in
+  let g = { form = Flat_gate.local_of_op ~n:sc.n op; dd } in
+  let m = macs sc g in
+  sc.st <- { sc.st with gates_in = sc.st.gates_in + 1; macs_before = sc.st.macs_before +. m };
+  g
+
+(* M_i · M_p (gates apply left to right). Two narrow gates multiply as
+   matrices on their union: on at most two levels the product stays
+   narrow; on three or four it comes with its price from the matrix, and
+   its DD is a DDMM left for [keep] to build. Any other pair is a DDMM
+   now. *)
+let product sc ~identity g_i g_p =
+  let ddmm () =
+    sc.st <- { sc.st with ddmm_calls = sc.st.ddmm_calls + 1 };
+    let m_i = Lazy.force g_i.dd in
+    let m_p = Lazy.force g_p.dd in
+    Obs.with_span s_ddmm (fun () -> Dd.mm sc.p m_i m_p)
+  in
+  match g_i.form, g_p.form with
+  | Some a, Some b -> (
+      sc.st <- { sc.st with narrow_products = sc.st.narrow_products + 1 };
+      match Flat_gate.local_product ~n:sc.n ~identity a b with
+      | Flat_gate.Narrow_product l ->
+        ({ form = Some l; dd = lazy (gate_dd (fun () -> Flat_gate.local_dd sc.p ~n:sc.n l)) }, None)
+      | Flat_gate.Wide_product run -> ({ form = None; dd = lazy (ddmm ()) }, Some run))
+  | _ -> ({ form = None; dd = Lazy.from_val (ddmm ()) }, None)
+
+(* A kept product: a wide one's DD is built now, in the scan's order. *)
+let keep g =
+  if Option.is_none g.form then ignore (Lazy.force g.dd);
+  g
+
+let output sc emit g =
+  let m = macs sc g in
+  sc.st <- { sc.st with gates_out = sc.st.gates_out + 1; macs_after = sc.st.macs_after +. m };
+  emit (match g.form with Some l -> Narrow l | None -> Wide (Lazy.force g.dd))
+
+let finish { st; _ } =
   if Obs.enabled () then begin
     Obs.incr c_runs;
     Obs.add c_gates_in st.gates_in;
@@ -47,146 +116,69 @@ let collect scan =
   let st = scan (fun m -> out := m :: !out) in
   (List.rev !out, st)
 
-let to_dd p ~n = function Narrow l -> Flat_gate.local_dd p ~n l | Wide m -> m
-
-(* A gate of the scan: its op while it is one unfused op, its narrow form
-   when it has one, and its matrix DD once the wide route needed it. *)
-type pending = {
-  p_op : Circuit.op option;
-  form : Flat_gate.local option;
-  mutable dd : Dd.medge option;
-  mutable cost : float;
-}
-
 let dmav_aware_iter ?identity_price ?local_rate ?(poll = ignore) p ~n ~emit ops =
   let ident = Option.value identity_price ~default:Cost.identity_price in
-  let narrow_price (l : Flat_gate.local) =
-    Cost.local_price ?local_rate ~n ~support:l.Flat_gate.support
-      (Flat_gate.local_paths ~n ~terminal:1.0 ~identity:ident l)
+  let sc = scan p ~n in
+  (* A product priced from its matrix comes with its price [run]. *)
+  let price ?run g =
+    match run, g.form with
+    | Some run, _ -> run
+    | None, Some l ->
+      Cost.local_price ?local_rate ~n ~support:l.Flat_gate.support
+        (Flat_gate.local_paths ~n ~terminal:1.0 ~identity:ident l)
+    | None, None ->
+      Obs.with_span s_price (fun () -> Cost.price ?identity_price ?local_rate p (Lazy.force g.dd))
   in
-  let wide_price m = Obs.with_span s_price (fun () -> Cost.price ?identity_price ?local_rate p m) in
-  let ddmm_calls = ref 0 in
-  let dd_of g =
-    match g.dd with
-    | Some m -> m
-    | None ->
-      let m =
-        Obs.with_span s_gate_dd (fun () ->
-            match g.p_op, g.form with
-            | Some op, _ -> Mat_dd.of_op p ~n op
-            | None, Some l -> Flat_gate.local_dd p ~n l
-            | None, None -> invalid_arg "Fusion: a wide gate without its DD")
-      in
-      g.dd <- Some m;
-      m
-  in
-  (* M_i · M_p as DDs; a DDMM. *)
-  let ddmm g_i g_p =
-    incr ddmm_calls;
-    let m_i = dd_of g_i in
-    let m_p = dd_of g_p in
-    Obs.with_span s_ddmm (fun () -> Dd.mm p m_i m_p)
-  in
-  let macs g =
-    match g.form with
-    | Some l -> Flat_gate.local_paths ~n ~terminal:1.0 ~identity:1.0 l
-    | None -> Cost.mac_count p (dd_of g)
-  in
-  let narrow = ref 0 and gates_out = ref 0 in
   (* M_p starts as a virtual identity with zero cost: the first real gate
      always "fuses" into it, so the identity itself is never emitted. *)
   let pending = ref None in
-  (* The stats keep Eq. 5's MAC meaning, so they count each input and
-     output gate's plain MACs, in list order. *)
-  let macs_before = ref 0.0 and macs_after = ref 0.0 in
-  let emit g =
-    incr gates_out;
-    macs_after := !macs_after +. macs g;
-    emit (match g.form with Some l -> Narrow l | None -> Wide (dd_of g))
-  in
   List.iter
     (fun op ->
        poll ();
-       let form = Flat_gate.local_of_op ~n op in
-       let g_i = { p_op = Some op; form; dd = None; cost = 0.0 } in
-       g_i.cost <- (match form with Some l -> narrow_price l | None -> wide_price (dd_of g_i));
-       macs_before := !macs_before +. macs g_i;
+       let g_i = input sc op in
+       let c_i = price g_i in
        match !pending with
-       | None -> pending := Some g_i
-       | Some g_p ->
-         (* Gates apply left-to-right, so the fused operator is M_i · M_p.
-            Two narrow gates multiply as matrices on their union: the
-            product stays narrow on at most two levels, else it is priced
-            from its matrix and its DD (a DDMM) is built only if it is
-            kept. Any other pair is a DDMM. *)
-         let g_ip =
-           match form, g_p.form with
-           | Some a, Some b -> (
-               incr narrow;
-               match Flat_gate.local_product ~n ~identity:ident a b with
-               | Flat_gate.Narrow_product l ->
-                 { p_op = None; form = Some l; dd = None; cost = narrow_price l }
-               | Flat_gate.Wide_product run ->
-                 (* Priced without its DD: built below only if kept. *)
-                 { p_op = None; form = None; dd = None; cost = run })
-           | _ ->
-             let m = ddmm g_i g_p in
-             { p_op = None; form = None; dd = Some m; cost = wide_price m }
-         in
-         if g_i.cost +. g_p.cost < g_ip.cost then begin
+       | None -> pending := Some (g_i, c_i)
+       | Some (g_p, c_p) ->
+         let g_ip, run = product sc ~identity:ident g_i g_p in
+         let c_ip = price ?run g_ip in
+         if c_i +. c_p < c_ip then begin
            Obs.incr c_rejected;
-           emit g_p;
-           pending := Some g_i
+           output sc emit g_p;
+           pending := Some (g_i, c_i)
          end
          else begin
            Obs.incr c_accepted;
-           (match g_ip with
-            | { form = None; dd = None; _ } -> g_ip.dd <- Some (ddmm g_i g_p)
-            | _ -> ());
-           pending := Some g_ip
+           pending := Some (keep g_ip, c_ip)
          end)
     ops;
   (* The paper's Algorithm 3 leaves the final pending gate implicit; it
      must be emitted for the product to be complete. *)
-  (match !pending with Some g -> emit g | None -> ());
-  finish ~gates_in:(List.length ops) ~gates_out:!gates_out ~ddmm_calls:!ddmm_calls
-    ~narrow_products:!narrow ~macs_before:!macs_before ~macs_after:!macs_after
+  Option.iter (fun (g, _) -> output sc emit g) !pending;
+  finish sc
 
 let dmav_aware ?identity_price ?local_rate p ~n ops =
   collect (fun emit -> dmav_aware_iter ?identity_price ?local_rate p ~n ~emit ops)
 
-let k_operations_iter ?(poll = ignore) p ~k ~emit gates =
+(* Every [k] consecutive ops multiply into one gate, whatever it costs. *)
+let k_operations_iter ?(poll = ignore) p ~n ~k ~emit ops =
   if k < 1 then invalid_arg "Fusion.k_operations: k must be >= 1";
-  let macs_before = sum_macs p gates in
-  let ddmm = ref 0 and gates_out = ref 0 and macs_after = ref 0.0 in
+  let sc = scan p ~n in
   let pending = ref None in
-  let count = ref 0 in
-  let flush () =
-    (match !pending with
-     | Some m ->
-       incr gates_out;
-       macs_after := !macs_after +. Cost.mac_count p m;
-       emit m
-     | None -> ());
-    pending := None;
-    count := 0
-  in
-  List.iter
-    (fun m_i ->
+  List.iteri
+    (fun i op ->
        poll ();
-       (match !pending with
-        | None ->
-          pending := Some m_i;
-          count := 1
-        | Some prev ->
-          incr ddmm;
-          Obs.incr c_accepted;
-          pending := Some (Obs.with_span s_ddmm (fun () -> Dd.mm p m_i prev));
-          count := !count + 1);
-       if !count = k then flush ())
-    gates;
-  flush ();
-  finish ~gates_in:(List.length gates) ~gates_out:!gates_out ~ddmm_calls:!ddmm
-    ~narrow_products:0 ~macs_before ~macs_after:!macs_after
+       let g_i = input sc op in
+       let g =
+         match !pending with
+         | None -> g_i
+         | Some g_p ->
+           Obs.incr c_accepted;
+           keep (fst (product sc ~identity:Cost.identity_price g_i g_p))
+       in
+       pending := if (i + 1) mod k = 0 then (output sc emit g; None) else Some g)
+    ops;
+  Option.iter (output sc emit) !pending;
+  finish sc
 
-let k_operations p ~k gates = collect (fun emit -> k_operations_iter p ~k ~emit gates)
+let k_operations p ~n ~k ops = collect (fun emit -> k_operations_iter p ~n ~k ~emit ops)

@@ -11,15 +11,13 @@
     ([c_ip ≤ c_i + c_p]). The product itself is ignored by the model, as
     in the paper: it never touches 2ⁿ-sized data.
 
-    The scan keeps every gate of support ≤ 2 as its narrow form
-    ({!Flat_gate.local_of_op}): a level mask and a 2×2 or 4×4 matrix,
-    built from the op's matrix with no DD. Two narrow gates whose
-    supports together span at most two levels multiply as matrices
-    ({!Flat_gate.local_mul}), priced at the local leg's rate. Every other
-    product is a DD matrix-matrix multiplication (DDMM): the DDs of its
-    two sides are built only then ({!Mat_dd.of_op} for an op,
-    {!Flat_gate.local_dd} for a narrow fused gate) and the product is
-    priced by {!Cost.price}.
+    Both scans build their gates with {!of_op}: an op of support ≤ 2 is
+    its narrow form ({!Flat_gate.local_of_op}: a level mask and a 2×2 or
+    4×4 matrix, no DD), any other op its matrix DD. Two narrow gates
+    multiply as matrices ({!Flat_gate.local_product}), and a product on
+    three or four levels is priced from its matrix. Every other product
+    is a DD matrix-matrix multiplication (DDMM), priced by {!Cost.price},
+    whose sides' DDs are built only then.
 
     The modeled cost is {!Cost.price}, not the paper's plain path count:
     the cheaper of the gate's two one-thread kernels. On the Run a path
@@ -36,8 +34,8 @@
     its DD would give.
 
     {!k_operations} is the fixed-grouping baseline of Zulehner & Wille
-    (DATE'19): every run of [k] consecutive matrix DDs is multiplied into
-    one, regardless of cost. *)
+    (DATE'19): every run of [k] consecutive ops is multiplied into one
+    gate, regardless of cost, with the same product step. *)
 
 type stats = {
   gates_in : int;
@@ -55,6 +53,15 @@ type gate =
 val to_dd : Dd.package -> n:int -> gate -> Dd.medge
 (** The output gate's matrix DD (a narrow one's built on the call). *)
 
+val of_op : Dd.package -> n:int -> Circuit.op -> gate
+(** An op as a flat gate: its narrow form when it has one, and only
+    otherwise its matrix DD (span [plan.gate_dd]). *)
+
+val compile : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> gate -> Flat_gate.t
+(** Compiles a gate for a pool of [threads]: a narrow one with
+    {!Flat_gate.of_local}, a wide one with {!Flat_gate.compile}. [op],
+    the unfused circuit op, makes the dense kernel eligible. *)
+
 val dmav_aware :
   ?identity_price:float ->
   ?local_rate:float ->
@@ -66,7 +73,7 @@ val dmav_aware :
     constants; the calibration bench sweeps them. The stats count plain
     MACs whatever the price. *)
 
-val k_operations : Dd.package -> k:int -> Dd.medge list -> Dd.medge list * stats
+val k_operations : Dd.package -> n:int -> k:int -> Circuit.op list -> gate list * stats
 
 (** {1 Streaming forms}
 
@@ -89,7 +96,8 @@ val dmav_aware_iter :
 val k_operations_iter :
   ?poll:(unit -> unit) ->
   Dd.package ->
+  n:int ->
   k:int ->
-  emit:(Dd.medge -> unit) ->
-  Dd.medge list ->
+  emit:(gate -> unit) ->
+  Circuit.op list ->
   stats

@@ -22,6 +22,23 @@ let fuse ?local_rate p n ops =
   let fused, stats = Fusion.dmav_aware ?local_rate p ~n ops in
   (List.map (Fusion.to_dd p ~n) fused, stats)
 
+(* Dense product of a gate list applied in order: M_k ⋯ M_1. *)
+let dense_product p ~n mats =
+  let dim = 1 lsl n in
+  let mul a b =
+    Array.init dim (fun i ->
+        Array.init dim (fun j ->
+            let acc = ref Cnum.zero in
+            for k = 0 to dim - 1 do
+              acc := Cnum.add !acc (Cnum.mul a.(i).(k) b.(k).(j))
+            done;
+            !acc))
+  in
+  List.fold_left
+    (fun acc m -> mul (Mat_dd.to_dense p ~n m) acc)
+    (Mat_dd.to_dense p ~n (Mat_dd.identity p n))
+    mats
+
 let test_dmav_aware_preserves_semantics () =
   List.iter
     (fun seed ->
@@ -88,29 +105,68 @@ let test_empty_and_singleton () =
      Alcotest.(check bool) "singleton passthrough" true (Dd.mtgt dd = Dd.mtgt m && Dd.mwid dd = Dd.mwid m)
    | _ -> Alcotest.fail "expected one gate")
 
+(* Every entry of [got] within [tol] of [want]'s. *)
+let check_dense_product what ~tol want got =
+  Array.iteri
+    (fun i row ->
+       Array.iteri
+         (fun j e ->
+            if not (Cnum.equal ~tol e got.(i).(j)) then
+              Alcotest.failf "%s: product entry (%d, %d) differs" what i j)
+         row)
+    want
+
+let k_operations p ~n ~k ops =
+  let fused, stats = Fusion.k_operations p ~n ~k ops in
+  (List.map (Fusion.to_dd p ~n) fused, stats)
+
+(* k-operations takes ops: every group of up to [k] ops multiplies into
+   one gate, as matrices or by DDMM, and the fused gates' product is the
+   circuit's within 1e-12. *)
 let test_k_operations_grouping () =
   let n = 5 in
   let p = Dd.create () in
   let c = Test_util.random_circuit ~seed:9 ~gates:10 n in
   let mats = circuit_mats p n c in
-  let fused, stats = Fusion.k_operations p ~k:4 mats in
+  let fused, stats = k_operations p ~n ~k:4 (circuit_ops c) in
   Alcotest.(check int) "ceil(10/4) groups" 3 (List.length fused);
-  Alcotest.(check int) "ddmm calls" 7 stats.Fusion.ddmm_calls;
+  Alcotest.(check int) "gates in" 10 stats.Fusion.gates_in;
+  check_dense_product "k-operations" ~tol:1e-12 (dense_product p ~n mats) (dense_product p ~n fused);
   let v0 = Test_util.random_state ~seed:10 n in
   Pool.with_pool 2 (fun pool ->
       let direct = apply_all pool p n mats v0 in
       let via = apply_all pool p n fused v0 in
       Test_util.check_close ~tol:1e-8 "k-operations semantics" direct via)
 
+(* Groups of several sizes, on grover's multi-controlled gates too, so
+   narrow products, products priced wide and DDMMs all occur. *)
+let test_k_operations_dense_product () =
+  List.iter
+    (fun (fam, n, gates, seed) ->
+       let c = Suite.generate ~seed ~gates fam ~n in
+       let p = Dd.create () in
+       let want = dense_product p ~n (circuit_mats p n c) in
+       List.iter
+         (fun k ->
+            let fused, stats = k_operations p ~n ~k (circuit_ops c) in
+            Alcotest.(check int) "groups" ((Circuit.num_gates c + k - 1) / k) stats.Fusion.gates_out;
+            check_dense_product
+              (Printf.sprintf "%s-%d k = %d" (Suite.family_name fam) n k)
+              ~tol:1e-12 want (dense_product p ~n fused))
+         [ 2; 3; 4; 7 ])
+    [ (Suite.Dnn, 5, 40, 1); (Suite.Supremacy, 5, 40, 2); (Suite.Grover, 5, 40, 3);
+      (Suite.Vqe, 6, 40, 4) ]
+
 let test_k_operations_k1_identity_transform () =
   let n = 4 in
   let p = Dd.create () in
-  let mats = circuit_mats p n (Test_util.random_circuit ~seed:11 ~gates:6 n) in
-  let fused, stats = Fusion.k_operations p ~k:1 mats in
+  let ops = circuit_ops (Test_util.random_circuit ~seed:11 ~gates:6 n) in
+  let fused, stats = Fusion.k_operations p ~n ~k:1 ops in
   Alcotest.(check int) "k=1 keeps every gate" 6 (List.length fused);
   Alcotest.(check int) "no ddmm" 0 stats.Fusion.ddmm_calls;
+  Alcotest.(check int) "no matrix product" 0 stats.Fusion.narrow_products;
   Alcotest.(check bool) "k must be positive" true
-    (try ignore (Fusion.k_operations p ~k:0 mats); false
+    (try ignore (Fusion.k_operations p ~n ~k:0 ops); false
      with Invalid_argument _ -> true)
 
 let test_gate_order () =
@@ -118,9 +174,8 @@ let test_gate_order () =
      gives H|1> = (|0> - |1>)/sqrt2. *)
   let n = 1 in
   let p = Dd.create () in
-  let mx = Mat_dd.of_single p ~n ~target:0 ~controls:[] Gate.x in
-  let mh = Mat_dd.of_single p ~n ~target:0 ~controls:[] Gate.h in
-  let fused, _ = Fusion.k_operations p ~k:2 [ mx; mh ] in
+  let single name matrix = Circuit.Single { name; matrix; target = 0; controls = [] } in
+  let fused, _ = k_operations p ~n ~k:2 [ single "x" Gate.x; single "h" Gate.h ] in
   match fused with
   | [ m ] ->
     let s = 1.0 /. sqrt 2.0 in
@@ -138,9 +193,8 @@ let test_fusion_beats_kops_on_cost () =
   let n = 8 in
   let c = Dnn.circuit ~seed:5 ~layers:6 n in
   let p = Dd.create () in
-  let mats = circuit_mats p n c in
   let _, aware = fuse p n (circuit_ops c) in
-  let _, kops = Fusion.k_operations p ~k:4 mats in
+  let _, kops = Fusion.k_operations p ~n ~k:4 (circuit_ops c) in
   Alcotest.(check bool) "aware cost <= kops cost" true
     (aware.Fusion.macs_after <= kops.Fusion.macs_after +. 1e-6)
 
@@ -161,7 +215,7 @@ let test_stats_sums_exact () =
               (same (Int64.bits_of_float st.Fusion.macs_before) (Int64.bits_of_float (sum p mats)));
             Alcotest.(check bool) (name ^ " macs_after") true
               (same (Int64.bits_of_float st.Fusion.macs_after) (Int64.bits_of_float (sum p out))))
-         [ ("dmav-aware", fuse p n (circuit_ops c)); ("k-operations", Fusion.k_operations p ~k:4 mats) ])
+         [ ("dmav-aware", fuse p n (circuit_ops c)); ("k-operations", k_operations p ~n ~k:4 (circuit_ops c)) ])
     [ (Suite.Dnn, 10, 200); (Suite.Vqe, 10, 200); (Suite.Supremacy, 10, 150) ]
 
 (* dnn's layer shape at n = 10: a rotation on every qubit, then a
@@ -196,23 +250,6 @@ let test_cnot_ladder_not_fused_into_rotations () =
          (float_of_int (1 lsl n)) (Cost.mac_count p m))
     ladder
 
-(* Dense product of a gate list applied in order: M_k ⋯ M_1. *)
-let dense_product p ~n mats =
-  let dim = 1 lsl n in
-  let mul a b =
-    Array.init dim (fun i ->
-        Array.init dim (fun j ->
-            let acc = ref Cnum.zero in
-            for k = 0 to dim - 1 do
-              acc := Cnum.add !acc (Cnum.mul a.(i).(k) b.(k).(j))
-            done;
-            !acc))
-  in
-  List.fold_left
-    (fun acc m -> mul (Mat_dd.to_dense p ~n m) acc)
-    (Mat_dd.to_dense p ~n (Mat_dd.identity p n))
-    mats
-
 let test_dmav_aware_product_preserved () =
   List.iter
     (fun seed ->
@@ -225,15 +262,8 @@ let test_dmav_aware_product_preserved () =
        Alcotest.(check bool)
          (Printf.sprintf "seed %d: priced cost does not grow" seed) true
          (priced fused <= priced mats);
-       let expect = dense_product p ~n mats and got = dense_product p ~n fused in
-       Array.iteri
-         (fun i row ->
-            Array.iteri
-              (fun j e ->
-                 if not (Cnum.equal ~tol:1e-12 e got.(i).(j)) then
-                   Alcotest.failf "seed %d: product entry (%d, %d) differs" seed i j)
-              row)
-         expect)
+       check_dense_product (Printf.sprintf "seed %d" seed) ~tol:1e-12 (dense_product p ~n mats)
+         (dense_product p ~n fused))
     [ 21; 22; 23; 24; 25 ]
 
 (* A stream whose grouping the local leg's price changes: three pairs,
@@ -264,16 +294,7 @@ let test_local_price_regroups () =
     (List.for_all (fun m -> Cost.support p ~n m <> None) priced);
   let expect = dense_product p ~n mats in
   List.iter
-    (fun (what, fused) ->
-       let got = dense_product p ~n fused in
-       Array.iteri
-         (fun i row ->
-            Array.iteri
-              (fun j e ->
-                 if not (Cnum.equal ~tol:1e-12 e got.(i).(j)) then
-                   Alcotest.failf "%s: product entry (%d, %d) differs" what i j)
-              row)
-         expect)
+    (fun (what, fused) -> check_dense_product what ~tol:1e-12 expect (dense_product p ~n fused))
     [ ("local leg priced", priced); ("local leg unpriced", unpriced) ]
 
 (* ---- narrow forms: matrices without a DD ---------------------------- *)
@@ -385,14 +406,7 @@ let test_narrow_products_match_ddmm () =
          let m = Dd.mm p (Mat_dd.of_op p ~n a) (Mat_dd.of_op p ~n b) in
          let want = Mat_dd.to_dense p ~n m and got = Mat_dd.to_dense p ~n (Flat_gate.local_dd p ~n l) in
          Alcotest.(check int) "product form: not on w's level" 0 (l.Flat_gate.support land (1 lsl t));
-         Array.iteri
-           (fun i row ->
-              Array.iteri
-                (fun j e ->
-                   if not (Cnum.equal ~tol:1e-12 e got.(i).(j)) then
-                     Alcotest.failf "n = %d: product form entry (%d, %d) differs" n i j)
-                row)
-           want
+         check_dense_product (Printf.sprintf "n = %d: product form" n) ~tol:1e-12 want got
        | Flat_gate.Wide_product _ -> Alcotest.fail "product form: priced wide");
       List.iter
         (fun (a, b) ->
@@ -412,6 +426,52 @@ let test_narrow_products_match_ddmm () =
         pairs
     done
   done
+
+(* Every op compiles through [Fusion.of_op] and [Fusion.compile] to the
+   kernel [Flat_gate.compile] picks on the op's DD, the route unfused
+   gates took before they had narrow forms: same kernel, price, support
+   and modeled MACs, and a local gate's paths, for every family at
+   n = 6-12, pools of 1 and 2, with the dense kernel eligible or not. *)
+let test_unfused_gates_keep_dd_kernel () =
+  let check p ~n ~threads ~dense what op =
+    let what = Printf.sprintf "%s t=%d%s" what threads (if dense then " dense" else "") in
+    let op' = if dense then Some op else None in
+    let got = Fusion.compile p ~n ~threads ?op:op' (Fusion.of_op p ~n op) in
+    let want = Flat_gate.compile p ~n ~threads ?op:op' (Mat_dd.of_op p ~n op) in
+    let dg = got.Flat_gate.dispatch and dw = want.Flat_gate.dispatch in
+    if dg.Cost.kernel <> dw.Cost.kernel then Alcotest.failf "%s: kernel" what;
+    Alcotest.(check (float 0.0)) (what ^ ": price") dw.Cost.price dg.Cost.price;
+    Alcotest.(check (option int)) (what ^ ": support") dw.Cost.support dg.Cost.support;
+    Alcotest.(check (float 0.0)) (what ^ ": modeled MACs")
+      (Cost.dispatch_modeled_macs dw) (Cost.dispatch_modeled_macs dg);
+    match got.Flat_gate.body, want.Flat_gate.body with
+    | Flat_gate.Local l, Flat_gate.Local l' ->
+      Alcotest.(check int) (what ^ ": paths") l'.Flat_gate.paths l.Flat_gate.paths
+    | Flat_gate.Dense _, Flat_gate.Dense _ | Flat_gate.Dmav _, Flat_gate.Dmav _ -> ()
+    | _ -> Alcotest.failf "%s: body" what
+  in
+  List.iter
+    (fun fam ->
+       (* adder registers are even, swap tests odd. *)
+       let fits n =
+         match fam with
+         | Suite.Adder -> n mod 2 = 0
+         | Suite.Swap_test | Suite.Knn -> n mod 2 = 1
+         | _ -> true
+       in
+       List.iter
+         (fun n ->
+            let c = Suite.generate ~seed:n ~gates:60 fam ~n in
+            let p = Dd.create () in
+            Array.iteri
+              (fun i op ->
+                 let what = Printf.sprintf "%s-%d op %d (%s)" (Suite.family_name fam) n i (Circuit.op_name op) in
+                 List.iter
+                   (fun (threads, dense) -> check p ~n ~threads ~dense what op)
+                   [ (1, false); (1, true); (2, false); (2, true) ])
+              c.Circuit.ops)
+         (List.filter fits [ 6; 7; 8; 9; 10; 11; 12 ]))
+    Suite.all_families
 
 (* Random circuits of one- and two-qubit gates with some Toffolis (whose
    products take DDMM) at n ≤ 10: the scan emits gates of the supports a
@@ -484,6 +544,8 @@ let suite =
           test_dmav_aware_never_increases_cost_much;
         Alcotest.test_case "empty and singleton" `Quick test_empty_and_singleton;
         Alcotest.test_case "k-operations grouping" `Quick test_k_operations_grouping;
+        Alcotest.test_case "k-operations keeps the dense product" `Quick
+          test_k_operations_dense_product;
         Alcotest.test_case "k=1 is identity transform" `Quick
           test_k_operations_k1_identity_transform;
         Alcotest.test_case "fusion order is right-to-left product" `Quick test_gate_order;
@@ -498,4 +560,6 @@ let suite =
           test_dmav_aware_product_preserved;
         Alcotest.test_case "narrow forms match their DDs" `Quick test_narrow_forms_match_dd;
         Alcotest.test_case "narrow products match DDMM" `Quick test_narrow_products_match_ddmm;
+        Alcotest.test_case "unfused gates keep their DD's kernel" `Quick
+          test_unfused_gates_keep_dd_kernel;
         QCheck_alcotest.to_alcotest prop_scan_matches_dd_reference ] ) ]
