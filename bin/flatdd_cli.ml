@@ -91,6 +91,8 @@ let print_top_amplitudes buf count =
 
 let run engine family qasm n gates seed threads beta epsilon fusion dispatch trace top
     export metrics metrics_json compact_every order precision =
+  (* What the run is doing, for the out-of-memory report. *)
+  let stage = ref "loading the circuit" in
   try
     let metrics_wanted = metrics || metrics_json <> None in
     if metrics_wanted then begin
@@ -98,13 +100,19 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
       Obs.Metrics.reset ()
     end;
     let circuit = load_circuit ~name:family ~qasm ~n ~gates ~seed in
-    if top > 0 && circuit.Circuit.n > top_max_qubits then
+    let n = circuit.Circuit.n in
+    stage := Printf.sprintf "simulating %s (%d qubits)" circuit.Circuit.name n;
+    let top_amplitudes r =
+      stage := Printf.sprintf "reading all 2^%d amplitudes for --top %d" n top;
+      print_top_amplitudes (Driver.amplitudes r) top
+    in
+    if top > 0 && n > top_max_qubits then
       invalid_arg
         (Printf.sprintf "--top %d: the top amplitudes of %d qubits need all 2^%d amplitudes \
                          in memory (--top works up to %d qubits; pass --top 0)"
-           top circuit.Circuit.n circuit.Circuit.n top_max_qubits);
+           top n n top_max_qubits);
     Printf.printf "circuit: %s  (%d qubits, %d gates, depth %d)\n" circuit.Circuit.name
-      circuit.Circuit.n (Circuit.num_gates circuit) (Circuit.depth circuit);
+      n (Circuit.num_gates circuit) (Circuit.depth circuit);
     (match export with
      | None -> ()
      | Some path ->
@@ -187,7 +195,7 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
                      (match g.Engine.support with Some s -> string_of_int s | None -> ">2")
                      price))
            r.Driver.trace;
-       if top > 0 then print_top_amplitudes (Driver.amplitudes r) top
+       if top > 0 then top_amplitudes r
      | Dd_engine ->
        let cfg =
          { Config.default with
@@ -209,7 +217,7 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
          (float_of_int r.Driver.peak_memory_bytes /. 1048576.0);
        Printf.printf "gc: epoch=%d vfree=%d mfree=%d live=%d slots=%d\n" (Dd.epoch p)
          (Dd.vfree_slots p) (Dd.mfree_slots p) (Dd.live_vnodes p) (Dd.cache_slots p);
-       if top > 0 then print_top_amplitudes (Driver.amplitudes r) top
+       if top > 0 then top_amplitudes r
      | Array_engine ->
        let cfg = { Config.default with Config.threads; precision } in
        let r, dt =
@@ -223,7 +231,7 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
        Printf.printf "runtime: %.4f s\n" dt;
        Printf.printf "memory: %.2f MB\n"
          (float_of_int r.Driver.peak_memory_bytes /. 1048576.0);
-       if top > 0 then print_top_amplitudes (Driver.amplitudes r) top);
+       if top > 0 then top_amplitudes r);
     if metrics_wanted then begin
       let snap = Obs.Metrics.snapshot () in
       (match metrics_json with
@@ -243,6 +251,9 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
     1
   | Qasm.Parse_error _ as e ->
     Format.eprintf "%a@." Qasm.pp_error e;
+    1
+  | Out_of_memory ->
+    Printf.eprintf "error: out of memory while %s\n" !stage;
     1
 
 let cmd =

@@ -73,18 +73,29 @@ let single_stmt name matrix target controls =
               (List.length cs) name))
     else raise (Unsupported "multi-controlled general unitary")
 
+(* The angles of an fsim matrix ([Gate.fsim]): θ from its middle block
+   (cos θ, -i sin θ), φ from its last entry e^{-iφ}. [None] when the
+   matrix is not of that form. *)
+let fsim_angles (m : Gate.two) =
+  let theta = atan2 (-.m.(1).(2).Cnum.im) m.(1).(1).Cnum.re in
+  let phi = -.Cnum.arg m.(3).(3) in
+  if Gate.equal m (Gate.fsim theta phi) then Some (theta, phi) else None
+
 let op_to_qasm (op : Circuit.op) =
   match op with
   | Circuit.Single { name; matrix; target; controls } ->
     single_stmt name matrix target controls
+  | Circuit.Two { name = "iswap"; matrix; q_hi; q_lo } when Gate.equal matrix Gate.iswap ->
+    Printf.sprintf "iswap_m %s,%s;" (q q_hi) (q q_lo)
   | Circuit.Two { name; matrix; q_hi; q_lo } ->
-    if Gate.is_unitary4 ~tol:1e-9 matrix && name = "iswap" then
-      Printf.sprintf "iswap_m %s,%s;" (q q_hi) (q q_lo)
-    else raise (Unsupported (Printf.sprintf "two-qubit gate %s" name))
+    (match fsim_angles matrix with
+     | Some (theta, phi) when name = "fsim" ->
+       Printf.sprintf "fsim_m(%s,%s) %s,%s;" (f theta) (f phi) (q q_hi) (q q_lo)
+     | _ -> raise (Unsupported (Printf.sprintf "two-qubit gate %s" name)))
 
-let needs_iswap c =
+let uses name c =
   Array.exists
-    (function Circuit.Two { name = "iswap"; _ } -> true | _ -> false)
+    (function Circuit.Two { name = n; _ } -> n = name | Circuit.Single _ -> false)
     c.Circuit.ops
 
 let iswap_macro =
@@ -92,14 +103,25 @@ let iswap_macro =
      spelled with qelib1 gates on (a = high bit of the pair, b = low). *)
   "gate iswap_m a,b { s a; s b; h a; cx a,b; cx b,a; h b; }"
 
+let fsim_macro =
+  (* fsim(θ,φ) = exp(-iθ(XX+YY)/2)·cu1(-φ): XX and YY commute, and each
+     rotation is the ZZ rotation (cx; rz(θ); cx) conjugated by H⊗H,
+     respectively by (S·H)⊗(S·H). Every factor is symmetric in a and b. *)
+  "gate fsim_m(theta,phi) a,b { h a; h b; cx a,b; rz(theta) b; cx a,b; h a; h b; \
+   sdg a; sdg b; h a; h b; cx a,b; rz(theta) b; cx a,b; h a; h b; s a; s b; \
+   cu1(-phi) a,b; }"
+
 let to_string (c : Circuit.t) =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "OPENQASM 2.0;\n";
   Buffer.add_string buf "include \"qelib1.inc\";\n";
-  if needs_iswap c then begin
-    Buffer.add_string buf iswap_macro;
-    Buffer.add_char buf '\n'
-  end;
+  List.iter
+    (fun (name, macro) ->
+       if uses name c then begin
+         Buffer.add_string buf macro;
+         Buffer.add_char buf '\n'
+       end)
+    [ ("iswap", iswap_macro); ("fsim", fsim_macro) ];
   Buffer.add_string buf (Printf.sprintf "qreg q[%d];\n" c.Circuit.n);
   Array.iter
     (fun op ->
@@ -108,7 +130,8 @@ let to_string (c : Circuit.t) =
     c.Circuit.ops;
   Buffer.contents buf
 
+(* The text is rendered before the file is opened, so an unsupported
+   gate leaves no file behind. *)
 let to_file path c =
-  let oc = open_out path in
-  output_string oc (to_string c);
-  close_out oc
+  let text = to_string c in
+  Out_channel.with_open_text path (fun oc -> output_string oc text)

@@ -7,9 +7,10 @@
     singly-controlled gate, the phase becomes an extra [u1(α)] on the
     control (the textbook controlled-U construction). Doubly-controlled
     gates are emitted only for the standard named forms (ccx and friends);
-    everything else raises {!Unsupported}, as do [Two] ops, whose 4×4
-    matrices have no faithful qelib1 spelling ([iswap] is provided via a
-    macro definition in the preamble).
+    everything else raises {!Unsupported}. Of the [Two] ops, [iswap] and
+    [fsim] are emitted through macro definitions in the preamble
+    ([iswap_m], and [fsim_m(θ,φ)] spelled in h, s, sdg, cx, rz and cu1);
+    any other 4×4 matrix raises {!Unsupported}.
 
     Round-trip guarantee (covered by the test suite): parsing the exported
     text yields a circuit implementing the same unitary. *)
@@ -24,3 +25,5 @@ val to_string : Circuit.t -> string
     statements. *)
 
 val to_file : string -> Circuit.t -> unit
+(** Renders the program before opening [path], so {!Unsupported} leaves
+    no file behind. *)

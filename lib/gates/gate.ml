@@ -110,8 +110,8 @@ let is_unitary4 ?tol a = is_unitary_gen 4 ?tol a
 
 let equal ?(tol = 1e-12) a b =
   let ok = ref true in
-  for i = 0 to 1 do
-    for j = 0 to 1 do
+  for i = 0 to Array.length a - 1 do
+    for j = 0 to Array.length a - 1 do
       if not (Cnum.equal ~tol a.(i).(j) b.(i).(j)) then ok := false
     done
   done;

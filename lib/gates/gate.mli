@@ -67,4 +67,7 @@ val is_unitary : ?tol:float -> single -> bool
 val is_unitary4 : ?tol:float -> two -> bool
 
 val equal : ?tol:float -> single -> single -> bool
+(** Entrywise within [tol] (default 1e-12); also compares two {!two}
+    matrices, which are of the same type. *)
+
 val pp : Format.formatter -> single -> unit

@@ -1,9 +1,9 @@
 (* The stepwise engine layer (lib/engine): the three ENGINE
    implementations must agree amplitude-for-amplitude when driven through
-   the driver's unified gate loop, the hybrid run must agree at every
-   possible conversion index, the flat phase's per-gate kernel dispatch
-   must pick the dense kernel exactly where the cost model says and stay
-   observable through the trace and the dmav.dispatch.* counters. *)
+   run_engine, and the flat phase's per-gate kernel dispatch must pick the
+   dense kernel exactly where the cost model says and stay observable
+   through the trace and the dmav.dispatch.* counters. Driver.run at every
+   conversion index is test_oracle.ml's policy axis. *)
 
 let with_metrics f =
   Obs.set_enabled true;
@@ -116,31 +116,6 @@ let test_run_engine_dd_matches_never_convert () =
          a.Driver.trace b.Driver.trace)
     [ ("random-6", Test_util.random_circuit ~seed:24 ~gates:50 6);
       ("supremacy-8", Suite.generate ~seed:2 ~gates:80 Suite.Supremacy ~n:8) ]
-
-(* ---- hybrid run: conversion forced at every gate index ------------- *)
-
-let test_convert_at_every_index () =
-  let c = Test_util.random_circuit ~seed:11 ~gates:24 5 in
-  let gates = Circuit.num_gates c in
-  let expect = dense_reference c in
-  let pure_dd =
-    Driver.amplitudes
-      (Driver.run { Config.default with Config.policy = Config.Never_convert } c)
-  in
-  Test_util.check_close ~tol:1e-9 "pure dd vs dense reference" pure_dd expect;
-  for k = -1 to gates - 1 do
-    let cfg =
-      { Config.default with Config.policy = Config.Convert_at k; threads = 2 }
-    in
-    let r = Driver.run cfg c in
-    Alcotest.(check bool)
-      (Printf.sprintf "converted_at reported for k=%d" k)
-      true
-      (r.Driver.converted_at = Some k);
-    Test_util.check_close ~tol:1e-9
-      (Printf.sprintf "hybrid convert-at-%d vs dense reference" k)
-      (Driver.amplitudes r) expect
-  done
 
 (* ---- per-gate kernel dispatch -------------------------------------- *)
 
@@ -495,8 +470,6 @@ let suite =
           test_three_engine_differential;
         Alcotest.test_case "run_engine phase accounting" `Quick
           test_run_engine_phase_accounting;
-        Alcotest.test_case "conversion at every gate index" `Quick
-          test_convert_at_every_index;
         Alcotest.test_case "dispatch: unfused 1q gates go dense" `Quick
           test_dispatch_dense_for_unfused_single_qubit;
         Alcotest.test_case "dispatch: mixed kernels" `Quick test_dispatch_mixed_kernels;

@@ -118,47 +118,21 @@ let test_zyz_reconstruction () =
         (Format.asprintf "%a" Gate.pp u)
   done
 
-let exportable_circuit ?(seed = 1) ?(gates = 30) n =
-  (* Random circuit restricted to ops the exporter guarantees. *)
-  let rng = Rng.create seed in
-  let b = Circuit.Builder.create n in
-  for _ = 1 to gates do
-    match Rng.int rng 7 with
-    | 0 -> Circuit.Builder.h b (Rng.int rng n)
-    | 1 ->
-      Circuit.Builder.u3 b (Rng.angle rng) (Rng.angle rng) (Rng.angle rng) (Rng.int rng n)
-    | 2 ->
-      let c = Rng.int rng n in
-      let t = (c + 1 + Rng.int rng (n - 1)) mod n in
-      Circuit.Builder.cx b ~control:c ~target:t
-    | 3 ->
-      let c = Rng.int rng n in
-      let t = (c + 1 + Rng.int rng (n - 1)) mod n in
-      Circuit.Builder.crz b (Rng.angle rng) ~control:c ~target:t
-    | 4 when n >= 3 ->
-      let q = Rng.int rng (n - 2) in
-      Circuit.Builder.ccx b ~c1:q ~c2:(q + 1) ~target:(q + 2)
-    | 5 ->
-      let q1 = Rng.int rng n in
-      let q2 = (q1 + 1 + Rng.int rng (n - 1)) mod n in
-      Circuit.Builder.iswap b q1 q2
-    | _ -> Circuit.Builder.rz b (Rng.angle rng) (Rng.int rng n)
-  done;
-  Circuit.Builder.finish b
-
+(* The configuration oracle's random mix, all of it exportable, and
+   supremacy circuits (fsim goes through the fsim_m macro) must reparse to
+   the same unitary, up to a global phase (rz re-enters as u3/u1). *)
 let test_export_roundtrip () =
+  let rand = Random.State.make [| 7 |] in
+  let random n = Circuit.make n (QCheck.Gen.generate1 ~rand (Test_oracle.random_ops n)) in
   List.iter
-    (fun seed ->
-       let c = exportable_circuit ~seed ~gates:30 5 in
+    (fun c ->
        let text = Qasm_export.to_string c in
-       let parsed = (Qasm.of_string text).Qasm.circuit in
-       (* The reparsed circuit must implement the same unitary (global
-          phase allowed: rz-style gates re-enter as u3/u1). *)
-       match Equiv.check c parsed with
+       match Equiv.check c (Qasm.of_string text).Qasm.circuit with
        | Equiv.Equivalent | Equiv.Equivalent_up_to_phase _ -> ()
        | Equiv.Not_equivalent ->
-         Alcotest.failf "roundtrip broke circuit (seed %d):\n%s" seed text)
-    [ 1; 2; 3; 4 ]
+         Alcotest.failf "roundtrip broke %s:\n%s" c.Circuit.name text)
+    (List.init 12 (fun i -> random (2 + (i mod 5)))
+     @ List.map (fun n -> Suite.generate ~seed:n ~gates:60 Suite.Supremacy ~n) [ 4; 6 ])
 
 let test_export_named_gates () =
   let b = Circuit.Builder.create 3 in

@@ -178,16 +178,6 @@ let test_shared_pool () =
       Pool.run pool (fun _ -> Atomic.incr acc);
       Alcotest.(check int) "pool survives simulate" 4 (Atomic.get acc))
 
-let prop_flatdd_equals_statevec =
-  QCheck.Test.make ~name:"flatdd equals statevec on random circuits" ~count:15
-    QCheck.(pair (int_range 1 500) (int_range 1 4))
-    (fun (seed, threads) ->
-       let n = 7 in
-       let c = Test_util.random_circuit ~seed ~gates:40 n in
-       let r = Driver.run (cfg ~threads ()) c in
-       let expect = Apply.run c in
-       Buf.max_abs_diff (Driver.amplitudes r) expect.State.amps < 1e-8)
-
 let suite =
   [ ( "flatdd",
       [ Alcotest.test_case "regular circuits stay in DD" `Quick
@@ -207,5 +197,4 @@ let suite =
           test_qft_and_grover_end_to_end;
         Alcotest.test_case "amplitudes of DD final state" `Quick
           test_amplitudes_of_dd_final;
-        Alcotest.test_case "shared pool" `Quick test_shared_pool;
-        QCheck_alcotest.to_alcotest prop_flatdd_equals_statevec ] ) ]
+        Alcotest.test_case "shared pool" `Quick test_shared_pool ] ) ]

@@ -25,7 +25,7 @@ let () =
          Test_flatdd.suite;
          Test_extras.suite;
          Test_cross_engine.suite;
-         Test_differential.suite;
+         Test_oracle.suite;
          Test_obs.suite;
          Test_sched.suite;
          Test_manifest.suite;

@@ -1,9 +1,6 @@
-(* Units for the qubit-order layer (ISSUE 8): the Order basis-index map
-   and scoring pass, and the driver's logical-basis extraction under the
-   static order. The heavier cross-engine battery lives in
-   test_differential.ml; this file pins the primitives. *)
-
-let tol = 1e-10
+(* Units for the qubit-order layer: the Order basis-index map and the
+   scoring pass. The driver's logical-basis results under the static
+   order are test_oracle.ml's; this file pins the primitives. *)
 
 (* --- helpers ----------------------------------------------------- *)
 
@@ -19,10 +16,6 @@ let random_perm rng n =
   let a = Array.init n (fun i -> i) in
   shuffle rng a;
   a
-
-let check_amp msg a b =
-  if Cnum.norm2 (Cnum.sub a b) > tol *. tol then
-    Alcotest.failf "%s: %s vs %s" msg (Cnum.to_string a) (Cnum.to_string b)
 
 (* --- Order basis-index map ---------------------------------------- *)
 
@@ -91,55 +84,8 @@ let test_static_order () =
   let t = Order.to_array o in
   Alcotest.(check int) "extremes adjacent" 1 (abs (t.(0) - t.(5)))
 
-(* --- driver-level logical results --------------------------------- *)
-
-let test_driver_logical_results () =
-  (* Whatever the internal order, results must come back logical —
-     against the dense reference, under the static order at each policy
-     extreme, and through both amplitudes and the single-amplitude
-     walk. *)
-  List.iter
-    (fun seed ->
-       let n = 3 + (seed mod 4) in
-       let c = Test_util.random_circuit ~seed ~gates:30 n in
-       let dense = (Apply.run c).State.amps in
-       List.iter
-         (fun (plabel, policy) ->
-            let r =
-              Driver.run
-                { Config.default with Config.order = Config.Static_order; policy } c
-            in
-            let amps = Driver.amplitudes r in
-            Test_util.check_close ~tol
-              (Printf.sprintf "seed %d static/%s vs dense" seed plabel)
-              amps dense;
-            List.iter
-              (fun i ->
-                 check_amp
-                   (Printf.sprintf "seed %d static/%s amplitude %d" seed plabel i)
-                   (Driver.amplitude r i) (Buf.get dense i))
-              [ 0; 1; (1 lsl n) - 1 ])
-         [ ("ewma", Config.Ewma_policy);
-           ("dd", Config.Never_convert);
-           ("flat", Config.Convert_at (-1)) ])
-    [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
-
-let test_order_none_unchanged () =
-  (* --order none must not even consult the scoring pass: the result
-     record carries no order and equals the legacy path bit-for-bit. *)
-  List.iter
-    (fun seed ->
-       let c = Test_util.random_circuit ~seed ~gates:25 (3 + (seed mod 3)) in
-       let r = Driver.run Config.default c in
-       Alcotest.(check bool) "no order recorded" true (r.Driver.order = None))
-    [ 1; 2; 3 ]
-
 let suite =
   [ ( "order",
       [ Alcotest.test_case "permutation algebra" `Quick test_order_algebra;
         Alcotest.test_case "per-byte index tables" `Quick test_byte_tables;
-        Alcotest.test_case "static scoring pass" `Quick test_static_order;
-        Alcotest.test_case "driver reports logical results" `Quick
-          test_driver_logical_results;
-        Alcotest.test_case "order none is untouched" `Quick
-          test_order_none_unchanged ] ) ]
+        Alcotest.test_case "static scoring pass" `Quick test_static_order ] ) ]

@@ -62,6 +62,9 @@ let test_dmav64_pins_dmav () =
 
 (* --- f32 differential sweep ------------------------------------------- *)
 
+(* test_oracle.ml draws f32 up to 10 qubits and ~80 gates; these cases
+   run 12-13 qubits and 300-400 gates, and epsilon = 0.01. *)
+
 let tol = 1e-4
 let sweep_n = 13
 
