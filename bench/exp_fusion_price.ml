@@ -1,4 +1,5 @@
-(* Calibration of the gate price ([Cost.price], [Cost.dispatch]): the
+(* Calibration of the gate price ([Cost.dispatch], [Cost.local_dispatch]
+   and fusion's price, [Cost.local_price] and [Cost.priced_macs]): the
    per-MAC price of a canonical identity node, the local leg's and the
    dense single-qubit kernel's per-amplitude rates, and the regret of the
    kernel picks.
@@ -10,9 +11,11 @@
    DDs in a fresh package, once unfused and once fused at the constants.
    Every gate is applied on a 1-worker and a 2-worker pool with each
    kernel it can take: the uncached Run, the cached Run (Algorithm 2),
-   the local leg (support ≤ 2) and, for an unfused single-qubit op, the
-   dense kernel (a two-qubit op's dense kernel is the local leg's walk);
-   best of 5 per gate and kernel.
+   the local leg on the forms the flat phase runs there (an unfused op's
+   [Flat_gate.local_of_op], a fused gate's [Narrow] output of
+   [Fusion.dmav_aware]) and, for an unfused single-qubit op, the dense
+   kernel (a two-qubit op's dense kernel is the local leg's walk); best
+   of 5 per gate and kernel.
 
    - A least-squares fit of Run time = c₀ + a·(recursion MACs) +
      b·(stripe MACs), with and without c₀, gives the two per-MAC rates at
@@ -114,7 +117,7 @@ type sample = {
   job : job;
   mat : Dd.medge;
   op : Circuit.op option;    (* the unfused op; [None] for a fused gate *)
-  support : int option;      (* [Cost.support] *)
+  support : int option;      (* the local form's support; [None]: wide *)
   recursion : float;         (* MACs the Run recursion makes *)
   stripe : float;            (* MACs under identity stripes *)
   run : float array;
@@ -139,12 +142,17 @@ let timed_samples pools jobs =
        let dim = 1 lsl j.n in
        let v = Buf.init dim (fun _ -> Cnum.of_float (1.0 /. sqrt (float_of_int dim))) in
        let w = Buf.create dim in
+       (* Per gate: the unfused op, its DD for the Run programs, and the
+          local form the flat phase runs it on, if any. *)
        let gates =
          Array.of_list
-           (List.map2 (fun op m -> (Some op, m)) j.ops j.mats
-            @ List.map (fun m -> (None, m)) (fused j))
+           (List.map2 (fun op m -> (Some op, m, Flat_gate.local_of_op ~n:j.n op)) j.ops j.mats
+            @ List.map
+                (function
+                  | Fusion.Narrow l -> (None, Flat_gate.local_dd j.package ~n:j.n l, Some l)
+                  | Fusion.Wide m -> (None, m, None))
+                (fst (fuse j)))
        in
-       let forms = Array.map (fun (_, m) -> Flat_gate.local j.package ~n:j.n m) gates in
        let best () = Array.init (Array.length gates) (fun _ -> Array.make 2 nan) in
        let run = best () and cached = best () and local = best () and dense = best () in
        let keep tbl k i ns =
@@ -153,7 +161,7 @@ let timed_samples pools jobs =
        in
        let compiled pool ~cached =
          let t = Cost.pow2_threads ~n:j.n (Pool.size pool) in
-         Array.map (fun (_, m) -> Flat_gate.program j.package ~n:j.n ~t ~cached m) gates
+         Array.map (fun (_, m, _) -> Flat_gate.program j.package ~n:j.n ~t ~cached m) gates
        in
        let progs = List.map (fun pool -> (compiled pool ~cached:false, compiled pool ~cached:true)) pools in
        for _ = 1 to 5 do
@@ -167,7 +175,7 @@ let timed_samples pools jobs =
                 (fun k g -> keep cached k i (elapsed_ns (fun () -> Dmav.run ~pool g ~v ~w)))
                 cached_progs;
               Array.iteri
-                (fun k form ->
+                (fun k (_, _, form) ->
                    match form with
                    | Some (l : Flat_gate.local) ->
                      keep local k i
@@ -175,9 +183,9 @@ let timed_samples pools jobs =
                             DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support
                               ~paths:l.Flat_gate.paths))
                    | None -> ())
-                forms;
+                gates;
               Array.iteri
-                (fun k (op, _) ->
+                (fun k (op, _, _) ->
                    match op with
                    | Some (Circuit.Single _ as op) ->
                      keep dense k i (elapsed_ns (fun () -> DK.op ~pool ~n:j.n v op))
@@ -187,10 +195,10 @@ let timed_samples pools jobs =
        done;
        Array.to_list
          (Array.mapi
-            (fun k (op, m) ->
+            (fun k (op, m, form) ->
                let recursion, stripe = mac_split j.package m in
                { job = j; mat = m; op;
-                 support = Cost.support j.package ~n:j.n m;
+                 support = Option.map (fun (l : Flat_gate.local) -> l.Flat_gate.support) form;
                  recursion; stripe;
                  run = run.(k); cached = cached.(k); local = local.(k); dense = dense.(k) })
             gates))
@@ -213,7 +221,14 @@ let paper_pick x ~threads =
   in
   if c2 < c1 then Cost.Cached else if x.support <> None then Cost.Local else Cost.Run
 
-let price_pick x ~threads = (Cost.dispatch x.job.package ~n:x.job.n ~threads x.mat).Cost.kernel
+(* The flat phase's pick: a narrow gate's from its form, a wide gate's
+   from its DD (no dense kernel for either, as the regret compares the
+   three DMAV-phase kernels). *)
+let price_pick x ~threads =
+  let n = x.job.n in
+  match x.support with
+  | Some support -> (Cost.local_dispatch ~n ~threads ~macs:(x.recursion +. x.stripe) support).Cost.kernel
+  | None -> (Cost.dispatch x.job.package ~n ~threads x.mat).Cost.kernel
 
 let measured x i = function
   | Cost.Local -> x.local.(i)

@@ -68,6 +68,7 @@ let load_circuit ~name ~qasm ~n ~gates ~seed =
         raise (Invalid_argument (Printf.sprintf "unknown circuit family %S" name))
     in
     (try Circuit.check_qubits n with Invalid_argument m -> invalid_arg ("-n: " ^ m));
+    (try Option.iter Suite.check_gates gates with Invalid_argument m -> invalid_arg ("-g: " ^ m));
     Suite.generate ?gates ~seed fam ~n
 
 (* --top sorts the whole state vector, which a result in DD form is
@@ -269,7 +270,7 @@ let cmd =
   in
   let n = Arg.(value & opt int 14 & info [ "n"; "qubits" ] ~doc:"Number of qubits.") in
   let gates =
-    Arg.(value & opt (some int) None & info [ "g"; "gates" ] ~doc:"Approximate gate count (at least 1) for depth-parameterized families.")
+    Arg.(value & opt (some int) None & info [ "g"; "gates" ] ~doc:"Approximate gate count (1 to 100000) for depth-parameterized families.")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Circuit generator seed.") in
   let threads = Arg.(value & opt int 4 & info [ "t"; "threads" ] ~doc:"Worker threads.") in

@@ -37,19 +37,16 @@
    Storage.dense_lanes. Everywhere else (bit 0 fixed, CPUs without AVX2,
    non-x86 hosts) the 2-lane loop is the only body.
 
-   The local kernel is the local leg of an uncached DMAV gate whose
-   matrix DD is the identity pattern on all but one or two levels (its
-   support). It applies the gate's 2x2 or 4x4 matrix U in place, group
-   by group (the 2 or 4 amplitudes over one index with the support bits
-   0), and gives the bytes Run would give. Run writes W row by row from
-   +0, one MAC per terminal path, columns ascending, storing (rounding,
-   at f32) after each MAC; U holds each path's weight product, replayed
-   with Run's multiplications, and a mask holds which entries have a
-   path at all. So each output starts from +0 and adds u_rc x_c for the
-   masked c in ascending order, rounding to T after every term, with
-   the term computed as Run's MAC computes it: lane 0 ur xre + (-ui) xim,
-   lane 1 ur xim + ui xre. Run's zeroed W and the local kernel's acc
-   both start at +0 and see the same sums. The 2-lane body does one
+   The local kernel is the local leg of a narrow gate: its matrix is
+   the identity on all but one or two levels (its support), built from
+   op matrices. It applies the gate's 2x2 or 4x4 matrix U in place,
+   group by group (the 2 or 4 amplitudes over one index with the support
+   bits 0), with Run's arithmetic: Run writes W row by row from +0, one
+   MAC per terminal path, columns ascending, storing (rounding, at f32)
+   after each MAC. So each output starts from +0 and adds u_rc x_c for
+   the c whose entry is masked in (not 0) in ascending order, rounding
+   to T after every term, with the term computed as Run's MAC computes
+   it: lane 0 ur xre + (-ui) xim, lane 1 ur xim + ui xre. The 2-lane body does one
    group; the 4-lane body two, in one 32-byte vector per column: one
    load when bit 0 is outside the support (the groups are neighbours),
    two 16-byte halves when it is inside. The walk, the loads and the

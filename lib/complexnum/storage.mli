@@ -132,11 +132,10 @@ module type S = sig
       [minor] bits are 0, so [hi ≤ 2^(n−s)]. Each output starts from +0
       and adds [m(r,c)·x(c)] for each [c], ascending, whose bit
       [r·2^s + c] is set in [paths], the sum stored (rounded, at [F32])
-      after every term. It serves the local leg of an uncached DMAV
-      gate, with the higher support bit as [major]: the MACs
-      {!dmav_run} does for that row, in its order, with [m] holding its
-      weight products and [paths] its terminal paths. It serves a dense
-      two-qubit gate with all 16 paths, [major] its [q_hi]. On AVX2
+      after every term, as {!dmav_run} sums a row. It serves the local
+      leg of a narrow gate, with the higher support bit as [major] and
+      [paths] its nonzero entries, and a dense two-qubit gate with all
+      16 paths, [major] its [q_hi]. On AVX2
       hosts two groups share a 32-byte vector, built from two 16-byte
       halves when bit 0 is one of the two; the bytes do not depend on
       the body or the split. *)

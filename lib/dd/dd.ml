@@ -57,16 +57,16 @@ type package = {
   mm_cache : Dd_cache.Two.t;
   vadd_cache : Dd_cache.Three.t;
   madd_cache : Dd_cache.Three.t;
-  (* Scratch of [priced_paths] and [msupport], one entry per matrix
-     slot, refitted to the arena's capacity on entry: [walk_tag.(n)] is
-     the walk's stamp once slot [n] is counted or visited (odd when [n]
-     is the canonical identity of its level), [walk_val.(n)] its count.
+  (* Scratch of [priced_paths], one entry per matrix slot, refitted to
+     the arena's capacity on entry: [walk_tag.(n)] is the walk's stamp
+     once slot [n] is counted (odd when [n] is the canonical identity of
+     its level), [walk_val.(n)] its count.
      Stamps step by 2, so a new walk retires every older entry without
      clearing. *)
   mutable walk_tag : int array;
   mutable walk_val : float array;
   mutable walk_stamp : int;
-  (* Scratch of [export], stamped by [walk_stamp] like the walks above:
+  (* Scratch of [export], stamped by [walk_stamp] like the walk above:
      per matrix slot its exported slot, and per weight id its stamp and
      exported id. *)
   mutable walk_slot : int array;
@@ -501,41 +501,6 @@ let priced_paths p ~terminal ~identity (e : medge) =
     p.walk_val.(0) <- terminal;
     count_paths p p.walk_tag p.walk_val stamp identity (edge_tgt e);
     p.walk_val.(edge_tgt e)
-  end
-
-(* The same scratch, one stamp per walk: each node is visited once. A
-   node is trivial when it is (e, 0, 0, e) with one packed edge on the
-   diagonal; the walk follows its one child. *)
-exception Wide
-
-let msupport p ~max_levels (e : medge) =
-  if e = 0 then Some 0
-  else begin
-    let cap = Node_store.capacity p.ma in
-    if Array.length p.walk_tag < cap then begin
-      p.walk_tag <- Array.make cap 0;
-      p.walk_val <- Array.make cap 0.0
-    end;
-    p.walk_stamp <- p.walk_stamp + 2;
-    let stamp = p.walk_stamp and tag = p.walk_tag in
-    let mask = ref 0 in
-    let rec walk n =
-      if n <> 0 && tag.(n) <> stamp then begin
-        tag.(n) <- stamp;
-        let e00 = Node_store.child4 p.ma n 0 and e01 = Node_store.child4 p.ma n 1 in
-        let e10 = Node_store.child4 p.ma n 2 and e11 = Node_store.child4 p.ma n 3 in
-        if e01 = 0 && e10 = 0 && e00 = e11 then walk (edge_tgt e00)
-        else begin
-          mask := !mask lor (1 lsl Node_store.level p.ma n);
-          if Bits.popcount !mask > max_levels then raise_notrace Wide;
-          walk (edge_tgt e00);
-          walk (edge_tgt e01);
-          walk (edge_tgt e10);
-          walk (edge_tgt e11)
-        end
-      end
-    in
-    match walk (edge_tgt e) with () -> Some !mask | exception Wide -> None
   end
 
 (* Both walks fold the path weight as two bare floats read straight off

@@ -140,13 +140,6 @@ val priced_paths : package -> terminal:float -> identity:float -> medge -> float
     plain path count. Memoized per slot in package-owned scratch, so it
     allocates only the returned float; the zero edge counts 0. *)
 
-val msupport : package -> max_levels:int -> medge -> int option
-(** The levels a matrix DD acts on, as a bit mask: those holding a node
-    other than (e, 0, 0, e) with one packed edge on the diagonal. [None]
-    once more than [max_levels] levels are found. Visits each node once,
-    in the same package-owned scratch as {!priced_paths}, and allocates
-    only the result. *)
-
 val vamplitude : package -> vedge -> int -> Cnum.t
 (** [vamplitude p e i] walks the path of basis index [i] from an edge at
     level [n-1]; O(n). *)

@@ -168,14 +168,6 @@ let identity_macs p ~n d root =
       (sum_distinct_tasks (assign p ~n ~t:d.threads_used Column_major root) (fun node ->
            count (Dd.munit node)))
 
-(* A scalar multiple of the identity acts on level n - 1. *)
-let support p ~n root =
-  if n < 1 then None
-  else
-    match Dd.msupport p ~max_levels:2 root with
-    | Some 0 -> Some (1 lsl (n - 1))
-    | s -> s
-
 (* The local leg streams the whole vector once, in place, whatever the
    gate's entries, so it is priced per amplitude, in the Run's priced
    MACs. Over hybrid-deep's unfused and fused gates (bench/main.exe
@@ -207,21 +199,13 @@ let dense_direct_macs ~n (op : Circuit.op) =
   | Circuit.Single { controls; _ } -> Float.ldexp 2.0 (n - List.length controls)
   | Circuit.Two _ -> Float.ldexp 4.0 n
 
-(* The price fusion compares: a gate on one thread, the cheaper of its
-   local leg and the Run. Algorithm 2 never pays on one thread (its one
-   task has no repeat, and Eq. 6 adds a buffer's block operations), and a
-   product has no dense kernel. The matrix DD has a node on every level,
-   so its root's level gives n. *)
+(* The price fusion compares for a narrow gate: the gate on one thread,
+   the cheaper of its local leg and the Run. Algorithm 2 never pays on
+   one thread (its one task has no repeat, and Eq. 6 adds a buffer's
+   block operations), and a product has no dense kernel. *)
 let local_price ?local_rate:rate ~n ~support run =
   let rate = match rate with Some r -> r | None -> local_rate ~support in
   Float.min run (rate *. Float.ldexp 1.0 n)
-
-let price ?identity_price ?local_rate p root =
-  let n = Dd.mlevel p (Dd.mtgt root) + 1 in
-  let run = priced_macs ?identity_price p root in
-  match support p ~n root with
-  | Some support -> local_price ?local_rate ~n ~support run
-  | None -> run
 
 type kernel = Local | Run | Cached | Dense
 
@@ -249,13 +233,13 @@ let pick prices =
     [ (Dense, prices.dense); (Local, prices.local); (Run, Some prices.run);
       (Cached, Some prices.cached) ]
 
-(* One price per kernel, per thread, in the Run's priced MACs (a
-   recursion MAC 1, an identity-stripe MAC [identity_price]): the Run is
-   Eq. 5 over priced MACs, Algorithm 2 Eq. 6 over priced MACs plus its
-   block operations at SIMD width d, the local leg and the dense kernels
-   their per-amplitude rates; [pick] takes the cheapest. [decision] keeps
-   Eq. 5/6's plain MAC counts, which the reports and Table 2 show. *)
-let dispatch ?(local_leg = true) p ~n ~threads ?op root =
+(* One price per kernel of a wide gate, per thread, in the Run's priced
+   MACs (a recursion MAC 1, an identity-stripe MAC [identity_price]): the
+   Run is Eq. 5 over priced MACs, Algorithm 2 Eq. 6 over priced MACs plus
+   its block operations at SIMD width d, the dense kernel its
+   per-amplitude rate; [pick] takes the cheapest. [decision] keeps Eq.
+   5/6's plain MAC counts, which the reports and Table 2 show. *)
+let dispatch p ~n ~threads ?op root =
   let tu = pow2_threads ~n threads in
   let t = float_of_int tu in
   let b = breakdown p ~n ~threads root in
@@ -263,12 +247,8 @@ let dispatch ?(local_leg = true) p ~n ~threads ?op root =
   let blocks =
     dim /. (float_of_int simd_width *. t) *. ((float_of_int b.hits /. t) +. float_of_int b.buffers)
   in
-  let support = support p ~n root in
   let prices =
-    { local =
-        (match support with
-         | Some s when local_leg -> Some (local_rate ~support:s *. dim /. t)
-         | _ -> None);
+    { local = None;
       run = b.k1_priced /. t;
       cached = (b.k2_priced /. t) +. blocks;
       dense = Option.bind op (fun op -> Option.map (fun p -> p /. t) (dense_price ~n op)) }
@@ -280,7 +260,7 @@ let dispatch ?(local_leg = true) p ~n ~threads ?op root =
       c2 = (b.k2 /. t) +. blocks;
       threads_used = tu }
   in
-  { kernel; dmav; prices; price; support }
+  { kernel; dmav; prices; price; support = None }
 
 (* A gate priced from its local form ([Flat_gate.of_local]): the Run
    (at least [identity_price] per amplitude) and Algorithm 2 (at least a
@@ -300,8 +280,6 @@ let local_dispatch ~n ~threads ?op ~macs support =
     prices;
     price;
     support = Some support }
-
-let decide p ~n ~threads root = (dispatch ~local_leg:false p ~n ~threads root).dmav
 
 let dispatch_modeled_macs disp =
   match disp.kernel with

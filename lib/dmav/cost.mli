@@ -6,7 +6,7 @@
     counts, the terminal contributes one (Figure 8). The same walk with
     identity nodes priced at {!identity_price} per MAC, {!priced_macs},
     is the unit of the gate price that picks every flat gate's kernel
-    ({!dispatch}) and that fusion compares ({!price}).
+    ({!dispatch}, {!local_dispatch}) and that fusion compares.
 
     For an [n]-qubit DMAV on [t] threads with SIMD width [d]:
     - without caching (Eq. 5):  [C₁ = K₁ / t];
@@ -63,7 +63,8 @@ val priced_macs : ?identity_price:float -> Dd.package -> Dd.medge -> float
     canonical identity node at level [l] and charges
     [identity_price × 2^(l+1)] for it. [identity_price] defaults to
     {!identity_price}; other values are for calibration sweeps. The
-    unit of every kernel's price ({!dispatch}, {!price}). *)
+    unit of every kernel's price ({!dispatch}), and fusion's price of a
+    wide gate. *)
 
 type breakdown = {
   k1 : float;
@@ -104,19 +105,16 @@ val identity_macs : Dd.package -> n:int -> decision -> Dd.medge -> float
     Algorithm 2 its distinct tasks' priced MACs plus Eq. 6's block
     operations at SIMD width [d], and the two array kernels, the local
     leg and the dense single-qubit kernel, a fitted rate per amplitude
-    they stream. *)
-
-val support : Dd.package -> n:int -> Dd.medge -> int option
-(** The levels an [n]-qubit matrix DD acts on, as a bit mask, if there are
-    at most two: the levels holding a node other than (e, 0, 0, e) with
-    one packed edge on the diagonal. A scalar multiple of the identity
-    acts on level [n − 1]. One walk, which stops at the third level. *)
+    they stream. Only a narrow gate, one given by its local form
+    ([Flat_gate.local_of_op], [Flat_gate.local_product]), has a local
+    leg ({!local_dispatch}); a wide gate, given by its matrix DD, is
+    priced on the other three ({!dispatch}). *)
 
 val local_rate : support:int -> float
 (** The local leg's price per amplitude on a gate of this support mask
     (one or two levels), fitted with [bench/main.exe fusion_price]. Below
-    {!identity_price}, so a gate with a local form never costs more there
-    than on the Run (every row has a path of at least that price) or on
+    {!identity_price}, so a narrow gate never costs more there than on
+    the Run (every row has a path of at least that price) or on
     Algorithm 2 (at least one buffer's block operations). *)
 
 val dense_direct_macs : n:int -> Circuit.op -> float
@@ -137,26 +135,22 @@ val dense_price : n:int -> Circuit.op -> float option
     {!local_rate} prices it. *)
 
 val local_price : ?local_rate:float -> n:int -> support:int -> float -> float
-(** [local_price ~n ~support run] is the price of an [n]-qubit gate with a
-    local form on [support] whose Run costs [run] priced MACs: the cheaper
-    of the two, the local leg at {!local_rate} (or [local_rate], one rate
-    for both supports) per amplitude. *)
-
-val price : ?identity_price:float -> ?local_rate:float -> Dd.package -> Dd.medge -> float
-(** The price [Fusion.dmav_aware] compares: the gate on one thread, the
-    cheaper of its local leg (when it has a local form) and the Run.
-    Algorithm 2 never wins on one thread and a product has no dense
-    kernel. [identity_price] and [local_rate] (one rate for both
-    supports) override the constants for calibration sweeps. *)
+(** [local_price ~n ~support run] is the price [Fusion.dmav_aware]
+    compares for an [n]-qubit narrow gate on [support] whose Run costs
+    [run] priced MACs: the gate on one thread, the cheaper of the two,
+    the local leg at {!local_rate} (or [local_rate], one rate for both
+    supports, for calibration sweeps) per amplitude. Algorithm 2 never
+    wins on one thread and a product has no dense kernel. A wide gate's
+    price is its {!priced_macs}. *)
 
 type kernel =
-  | Local   (** the local leg: a 2×2 or 4×4 matrix in place, Run's bits *)
+  | Local   (** the local leg: a narrow gate's 2×2 or 4×4 matrix in place *)
   | Run     (** Algorithm 1, uncached *)
   | Cached  (** Algorithm 2, column-space caching *)
   | Dense   (** the dense direct kernel on an unfused op *)
 
 type prices = {
-  local : float option;  (** [None]: no local form, or the leg is off *)
+  local : float option;  (** [None] for a wide gate *)
   run : float;
   cached : float;
   dense : float option;
@@ -171,16 +165,16 @@ type dispatch = {
       [kernel = Cached] *)
   prices : prices;
   price : float;      (** the picked kernel's price *)
-  support : int option;  (** {!support} *)
+  support : int option;
+  (** a narrow gate's levels, as a bit mask; [None] for a wide gate *)
 }
 
-val dispatch :
-  ?local_leg:bool -> Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> dispatch
-(** Prices the gate on every eligible kernel for a pool of [threads] and
-    picks the cheapest; on a tie the earlier of dense, local, Run,
-    cached. The dense kernel is eligible when [op], the unfused circuit
-    op, is a single-qubit gate; the local leg when the gate has a
-    {!support} and [local_leg] (default [true]) holds. *)
+val dispatch : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> dispatch
+(** Prices a wide gate, given by its matrix DD, on every eligible kernel
+    for a pool of [threads] and picks the cheapest; on a tie the earlier
+    of dense, Run, cached. The dense kernel is eligible when [op], the
+    unfused circuit op, is a single-qubit gate; the local leg never is.
+    With no [op] the pick is one of the paper's two DMAV kernels. *)
 
 val local_dispatch : n:int -> threads:int -> ?op:Circuit.op -> macs:float -> int -> dispatch
 (** The pick for a gate given by its local form on [support], not its DD
@@ -189,10 +183,6 @@ val local_dispatch : n:int -> threads:int -> ?op:Circuit.op -> macs:float -> int
     higher. The Run and Algorithm 2 never win against the local leg
     ({!local_rate}) and are not priced ([prices.run] and [prices.cached]
     are infinite, [dmav.c2] is [dmav.c1]). *)
-
-val decide : Dd.package -> n:int -> threads:int -> Dd.medge -> decision
-(** {!dispatch} between the paper's two DMAV kernels only (no local leg,
-    no dense kernel): the pick the paper's kernel measurements use. *)
 
 val dispatch_modeled_macs : dispatch -> float
 (** Modeled work of the dispatched kernel: {!modeled_macs} of its

@@ -56,9 +56,11 @@ val apply :
   w:Buf.t ->
   exec_stats
 (** [apply ~pool ~n m ~v ~w] overwrites [w] with [m·v],
-    choosing the kernel by modeled cost. [v] and [w] must be distinct
-    buffers of length 2ⁿ. Always one of the paper's two DMAV kernels:
-    the flat engine's local leg is not taken here. *)
+    choosing the kernel by modeled cost ({!Flat_gate.compile} with no
+    op). [v] and [w] must be distinct buffers of length 2ⁿ. Always one
+    of the paper's two DMAV kernels: a gate given by its DD never takes
+    the local leg, which only a narrow gate ({!Flat_gate.of_local})
+    runs. *)
 
 val run : ?workspace:workspace -> pool:Pool.t -> Flat_gate.program -> v:Buf.t -> w:Buf.t -> unit
 (** Runs a compiled kernel program, [w ← M·v]. Worker [k] of [pool]
@@ -71,7 +73,7 @@ val exec : ?workspace:workspace -> pool:Pool.t -> Flat_gate.t -> v:Buf.t -> w:Bu
     from. Raises [Invalid_argument] on a dense or local gate. *)
 
 val exec_local : pool:Pool.t -> Flat_gate.t -> v:Buf.t -> unit
-(** Runs a [Flat_gate.Local] gate in place on [v] ({!Storage.S.local_apply},
+(** Runs a [Flat_gate.Local] gate, a narrow one, in place on [v] ({!Storage.S.local_apply},
     cut into stripes like the dense kernel's), counted and timed as the
     uncached kernel it stands in for ([dmav.kernel.uncached], the
     modeled-MAC counters, [dmav.apply]). Raises [Invalid_argument] on

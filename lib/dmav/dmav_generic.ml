@@ -222,7 +222,5 @@ module Make (P : Storage.S) = struct
     (g.hits, g.buffers)
 
   let apply ?workspace p ~pool ~n root ~v ~w =
-    exec ?workspace ~pool
-      (Flat_gate.compile ~local_leg:false p ~n ~threads:(Pool.size pool) root)
-      ~v ~w
+    exec ?workspace ~pool (Flat_gate.compile p ~n ~threads:(Pool.size pool) root) ~v ~w
 end

@@ -201,38 +201,6 @@ let program ?(piece_macs = piece_macs) p ~n ~t ~cached root =
     contributors;
     hits = !hits }
 
-(* The local form of a gate of support at most two. Entry (r, c) of [u]
-   is the weight product Run carries down the path of that row and
-   column: [Cost.assign]'s product from one through the root edge, then
-   one [Cnum.mul] per level, in Run's operand order. A trivial level
-   takes its diagonal edge, an identity node's levels included (Run's
-   stripe multiplies by its unit edge weight once per level too). An
-   entry with no path stays 0 and its bit of [paths] clear, so the
-   kernel does no MAC for it, as Run does none. *)
-let local_of p root support =
-  let d = if Bits.popcount support = 1 then 2 else 4 in
-  let u = Array.make (2 * d * d) 0.0 and paths = ref 0 in
-  let rec fill node (f : Cnum.t) r c =
-    let l = Dd.mlevel p node in
-    if l < 0 then begin
-      u.(2 * ((r * d) + c)) <- f.Cnum.re;
-      u.((2 * ((r * d) + c)) + 1) <- f.Cnum.im;
-      paths := !paths lor (1 lsl ((r * d) + c))
-    end
-    else if (support lsr l) land 1 = 0 then step node f 0 0 r c
-    else
-      for q = 0 to 3 do
-        step node f (q lsr 1) (q land 1) ((2 * r) + (q lsr 1)) ((2 * c) + (q land 1))
-      done
-  and step node f i j r c =
-    let e = Dd.mchild p node i j in
-    if not (Dd.medge_is_zero e) then fill (Dd.mtgt e) (Cnum.mul f (Dd.mw p e)) r c
-  in
-  fill (Dd.mtgt root) (Cnum.mul Cnum.one (Dd.mw p root)) 0 0;
-  { support; u; paths = !paths }
-
-let local p ~n root = Option.map (local_of p root) (Cost.support p ~n root)
-
 (* --- narrow forms: matrices on a few levels, without a DD ------------ *)
 
 (* A matrix on the [k] levels of [mask] (k ≤ 4), identity elsewhere: a
@@ -286,9 +254,9 @@ let trivial f b =
       && is_zero f.m (at f (r + h) c)
       && near f.m (at f r c) (at f (r + h) (c + h)))
 
-(* The form as its DD has it: the levels of [check] the matrix is
-   trivial on are dropped, as [Cost.support] drops them; a multiple of
-   the identity acts on level n − 1. *)
+(* The levels of [check] the matrix is trivial on are dropped: its
+   support is the levels it acts on. A multiple of the identity acts on
+   level n − 1. *)
 let rec reduce ~n ~check f =
   let lv = levels f.mask in
   let rec find b =
@@ -502,19 +470,15 @@ let of_local p ~n ~threads ?op l =
 
 let s_cost = Obs.span "dmav.cost"
 
-let compile ?local_leg p ~n ~threads ?op m =
-  let disp = Obs.with_span s_cost (fun () -> Cost.dispatch ?local_leg p ~n ~threads ?op m) in
+let compile p ~n ~threads ?op m =
+  let disp = Obs.with_span s_cost (fun () -> Cost.dispatch p ~n ~threads ?op m) in
   let d = disp.Cost.dmav in
-  let body =
-    match disp.Cost.kernel, op, disp.Cost.support with
-    | Cost.Dense, Some op, _ -> Dense op
-    | Cost.Local, _, Some s -> Local (local_of p m s)
-    | _ -> Dmav (program p ~n ~t:d.Cost.threads_used ~cached:d.Cost.cached m)
-  in
-  let identity_macs =
-    match body with
-    | Dense _ -> 0.0
-    | Dmav _ | Local _ -> if Obs.enabled () then Cost.identity_macs p ~n d m else 0.0
+  let body, identity_macs =
+    match disp.Cost.kernel, op with
+    | Cost.Dense, Some op -> (Dense op, 0.0)
+    | _ ->
+      ( Dmav (program p ~n ~t:d.Cost.threads_used ~cached:d.Cost.cached m),
+        if Obs.enabled () then Cost.identity_macs p ~n d m else 0.0 )
   in
   { body; dispatch = disp; identity_macs; package_bytes = Dd.memory_bytes p }
 

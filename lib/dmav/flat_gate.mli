@@ -9,12 +9,11 @@
     {!Dd.package}, so the planner may keep fusing while earlier gates
     run. A compiled gate is immutable and may be run on any pool: the
     [threads] virtual task lists are the same whether [threads] domains
-    run one each or one domain runs them all, so are the bytes. A gate
-    that acts on at most two levels may be picked for its [Local] form:
-    a 2×2 or 4×4 matrix applied in place, with the Run's bits when it
-    comes from the gate's DD. A narrow gate (an op of support ≤ 2, or a
-    product of such gates on at most two levels) comes from its matrices
-    ({!of_local}) and carries their entries instead.
+    run one each or one domain runs them all, so are the bytes. A narrow
+    gate (an op of support ≤ 2, or a product of such gates on at most
+    two levels) is compiled from its matrices ({!of_local}), not from a
+    DD, to its [Local] form: a 2×2 or 4×4 matrix applied in place. A
+    wide gate ({!compile}) never takes the local leg.
 
     A task whose sub-matrix models more than [piece_macs] MACs is split
     into the Run calls of its children, in the recursion's order and
@@ -47,16 +46,12 @@ type local = private {
   (** the levels the gate acts on, as a bit mask of one or two bits *)
   u : float array;
   (** its [2^s × 2^s] matrix, row-major (re, im), the higher support
-      level the major index bit: from a DD ({!local}), per entry the
-      weight product Run carries to that MAC, 0 where Run has none; from
-      matrices ({!local_of_op}, {!local_product}), the entry itself *)
-  paths : int;
-  (** bit [r·2^s + c] set where the entry is not 0: from a DD, where
-      Run has a MAC, i.e. a path of nonzero edges to the terminal *)
+      level the major index bit *)
+  paths : int;  (** bit [r·2^s + c] set where the entry is not 0 *)
 }
-(** A gate whose matrix is the identity on all but at most two levels
-    ({!Cost.support}), run as {!Storage.S.local_apply}: in place, with
-    Run's bits when built from the gate's DD (DESIGN.md). It holds no
+(** A narrow gate: its matrix is the identity on all but at most two
+    levels, built from op matrices ({!local_of_op}, {!local_product}) and
+    run as {!Storage.S.local_apply}, in place (DESIGN.md). It holds no
     arena. *)
 
 type body =
@@ -86,18 +81,16 @@ val program :
     {!piece_macs}) is there for the tests, which split down to single
     Run calls. *)
 
-val local : Dd.package -> n:int -> Dd.medge -> local option
-(** The local form of an [n]-qubit matrix DD, if its {!Cost.support} has
-    at most two levels. *)
-
 (** {1 Narrow forms}
 
     The local form of a gate of support ≤ 2 built from its matrix, with
     no DD: the flat phase's fusion multiplies such gates as matrices of
     at most 16×16. A form is normalized as its DD would be: entries
     within {!Cnum.tolerance} of zero are 0 and have no path, and the
-    levels the matrix is trivial on are dropped, so its [support] is the
-    DD's {!Cost.support}. *)
+    levels the matrix is trivial on (the identity, its diagonal blocks
+    within {!Cnum.tolerance}) are dropped, so its [support] is the levels
+    the matrix acts on. A multiple of the identity acts on level
+    [n − 1]. *)
 
 val local_of_op : n:int -> Circuit.op -> local option
 (** The form of an uncontrolled single-qubit op (2×2), a singly
@@ -128,14 +121,12 @@ val of_local : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> local -> 
     [Dense] when [op], the form's unfused op, is priced no higher there.
     The package gives [package_bytes] only. *)
 
-val compile :
-  ?local_leg:bool -> Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> t
-(** Prices the gate on every kernel for a pool of [threads]
-    ({!Cost.dispatch}, one [dmav.cost] span) and compiles the cheapest:
-    [Dense] (eligible when [op], the unfused circuit op, is given),
-    [Local] (when the gate has a local form and [local_leg], default
-    [true], holds; the paper's kernel measurements pass [false]), or the
-    Run program, uncached or cached. *)
+val compile : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> t
+(** Prices a wide gate, given by its matrix DD, on every kernel it may
+    take for a pool of [threads] ({!Cost.dispatch}, one [dmav.cost]
+    span) and compiles the cheapest: [Dense] (eligible when [op], the
+    unfused circuit op, is given) or the Run program, uncached or
+    cached. Never [Local]: only {!of_local} compiles to the local leg. *)
 
 val pieces : program -> int
 (** Run calls in the program. *)

@@ -2,10 +2,10 @@
    state is a pair of 2ⁿ buffers (current [v], scratch [w]) and a gate is
    a DD-matrix × array-vector product (paper §3.2), or — when
    [Config.dense_dispatch] is on and the cost model picks it — a dense
-   in-place kernel on [v] that skips the ping-pong entirely. An uncached
-   DMAV pick whose matrix acts on at most two levels skips it too: its
-   local leg applies the 2×2 or 4×4 matrix in place with the Run's
-   bits. Gates arrive
+   in-place kernel on [v] that skips the ping-pong entirely. A narrow
+   gate (its matrix acts on at most two levels, built from op matrices)
+   skips it too: its local leg applies the 2×2 or 4×4 matrix in place.
+   Gates arrive
    compiled ([Flat_gate]): the kernel pick, the task lists and the gate's
    own copy of its matrix DD were fixed by the planner, so applying one
    reads nothing of the DD package. A gate without a compiled form (the
@@ -64,8 +64,8 @@ module Make (Pr : Engine.PRECISION) = struct
     | None, None -> invalid_arg "Dmav_engine.apply_op: gate without a compiled form or op"
 
   (* The kernel the gate was compiled for (§3.2.3): cached vs uncached
-     DMAV or, for an unfused gate under dense dispatch, dense direct. An
-     uncached pick of support at most two runs on its local leg, in
+     DMAV or, for an unfused gate under dense dispatch, dense direct. A
+     narrow gate runs on its local leg, counted as an uncached pick, in
      place like the dense kernel: no W to zero, no swap. *)
   let apply_op st (xo : Engine.exec_op) =
     let g = gate_of st xo in

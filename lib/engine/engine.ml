@@ -11,8 +11,9 @@
 
 type phase = Dd_phase | Conversion | Dmav_phase
 
-(** Which kernel executed a flat-phase gate. [Dmav_local] is an
-    uncached DMAV pick run on its local leg ([Flat_gate.Local]). *)
+(** Which kernel executed a flat-phase gate. [Dmav_local] is a narrow
+    gate run on its local leg ([Flat_gate.Local]), counted as an
+    uncached DMAV pick. *)
 type dispatch = Dmav_cached | Dmav_uncached | Dense_direct | Dmav_local
 
 (** One entry of the per-gate trace. *)
@@ -26,10 +27,11 @@ type gate_record = {
   dispatch : dispatch option;  (** flat-phase kernel, when applicable *)
   price : float option;
   (** flat phase: the modeled price of the kernel that ran
-      ({!Cost.dispatch}'s [price], per thread, in the Run's priced MACs),
+      ([Cost.dispatch]'s [price], per thread, in the Run's priced MACs),
       to set against [seconds] *)
   support : int option;
-  (** flat phase: the levels the gate acts on, when at most two *)
+  (** flat phase: a narrow gate's levels (one or two); [None] for a
+      wide one *)
 }
 
 type final_state =

@@ -119,7 +119,9 @@ let collect scan =
 let dmav_aware_iter ?identity_price ?local_rate ?(poll = ignore) p ~n ~emit ops =
   let ident = Option.value identity_price ~default:Cost.identity_price in
   let sc = scan p ~n in
-  (* A product priced from its matrix comes with its price [run]. *)
+  (* A narrow gate's price is its local leg's or its Run's; a wide
+     gate's is its Run's. A product priced from its matrix comes with its
+     price [run]. *)
   let price ?run g =
     match run, g.form with
     | Some run, _ -> run
@@ -127,7 +129,7 @@ let dmav_aware_iter ?identity_price ?local_rate ?(poll = ignore) p ~n ~emit ops 
       Cost.local_price ?local_rate ~n ~support:l.Flat_gate.support
         (Flat_gate.local_paths ~n ~terminal:1.0 ~identity:ident l)
     | None, None ->
-      Obs.with_span s_price (fun () -> Cost.price ?identity_price ?local_rate p (Lazy.force g.dd))
+      Obs.with_span s_price (fun () -> Cost.priced_macs ?identity_price p (Lazy.force g.dd))
   in
   (* M_p starts as a virtual identity with zero cost: the first real gate
      always "fuses" into it, so the identity itself is never emitted. *)

@@ -16,22 +16,22 @@
     4×4 matrix, no DD), any other op its matrix DD. Two narrow gates
     multiply as matrices ({!Flat_gate.local_product}), and a product on
     three or four levels is priced from its matrix. Every other product
-    is a DD matrix-matrix multiplication (DDMM), priced by {!Cost.price},
-    whose sides' DDs are built only then.
+    is a DD matrix-matrix multiplication (DDMM), whose sides' DDs are
+    built only then; it is wide, whatever its DD turns out to act on.
 
-    The modeled cost is {!Cost.price}, not the paper's plain path count:
-    the cheaper of the gate's two one-thread kernels. On the Run a path
-    costs one MAC, except that a canonical identity node at level [l]
-    costs [Cost.identity_price × 2^(l+1)], because the Run stub applies
-    it as one contiguous stripe at about a quarter of the recursion's
-    per-MAC time. With the plain count a permutation (2ⁿ MACs) ties with
-    any product costing 2ⁿ or more, so dnn's CNOT ladders fused into its
-    rotation products, which then ran slower than the gates they
-    replaced. A gate on at most two levels runs on the local leg, priced
-    [Cost.local_rate × 2ⁿ], so fusion does not merge two such gates into
-    a wider one that would need the Run. A narrow gate is priced from its
-    form ({!Flat_gate.local_paths}, {!Cost.local_price}), the same number
-    its DD would give.
+    The modeled cost is the gate's price on one thread, not the paper's
+    plain path count. On the Run a path costs one MAC, except that a
+    canonical identity node at level [l] costs
+    [Cost.identity_price × 2^(l+1)], because the Run stub applies it as
+    one contiguous stripe at about a quarter of the recursion's per-MAC
+    time: a wide gate costs its {!Cost.priced_macs}. With the plain
+    count a permutation (2ⁿ MACs) ties with any product costing 2ⁿ or
+    more, so dnn's CNOT ladders fused into its rotation products, which
+    then ran slower than the gates they replaced. A narrow gate runs on
+    the local leg, so it costs the cheaper of that leg,
+    [Cost.local_rate × 2ⁿ], and its Run ({!Cost.local_price} over
+    {!Flat_gate.local_paths}), and fusion does not merge two such gates
+    into a wider one that would need the Run.
 
     {!k_operations} is the fixed-grouping baseline of Zulehner & Wille
     (DATE'19): every run of [k] consecutive ops is multiplied into one
@@ -69,9 +69,10 @@ val dmav_aware :
   n:int ->
   Circuit.op list ->
   gate list * stats
-(** [identity_price] and [local_rate] default to {!Cost.price}'s
-    constants; the calibration bench sweeps them. The stats count plain
-    MACs whatever the price. *)
+(** [identity_price] and [local_rate] (one rate for both supports)
+    default to {!Cost.identity_price} and {!Cost.local_rate}; the
+    calibration bench sweeps them. The stats count plain MACs whatever
+    the price. *)
 
 val k_operations : Dd.package -> n:int -> k:int -> Circuit.op list -> gate list * stats
 

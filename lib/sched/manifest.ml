@@ -137,11 +137,8 @@ let parse_line ?(default_config = Config.default) ?(base_seed = 1) ?(dir = ".")
         | Some n -> failf "%s: n must be >= 1 (got %d)" where n
         | None -> failf "%s: \"n\" is required with a circuit family" where
       in
-      let gates =
-        match int_field ~where kvs "gates" with
-        | Some g when g < 1 -> failf "%s: gates must be >= 1 (got %d)" where g
-        | g -> g
-      in
+      let gates = int_field ~where kvs "gates" in
+      (try Option.iter Suite.check_gates gates with Invalid_argument m -> failf "%s: %s" where m);
       Suite.generate ?gates ~seed fam ~n
   in
   let config =

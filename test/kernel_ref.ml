@@ -72,33 +72,38 @@ module Make (P : Storage.S) = struct
       end
     done
 
-  (* The dense two-qubit kernel is the local leg's walk with all 16 paths:
-     a row's running sum is stored to [P] after every term ([round]). *)
+  (* The local leg's walk ([P.local_apply]): the [2^s × 2^s] matrix [u]
+     (row-major re/im; [s] = 1 when [major] is 0, else 2) on the bits
+     [major] (index bit 1) and [minor] (index bit 0), in place on every
+     group of amplitudes whose [major] and [minor] bits are 0. Each
+     output starts from +0 and adds [u(r, c)·x(c)] for each [c],
+     ascending, whose bit [r·2^s + c] is set in [paths], the running sum
+     stored to [P] after every term ([round]). The dense two-qubit kernel
+     is this walk with all 16 paths, [major] its [q_hi]. *)
   let round x = if P.bytes_per_float = 8 then x else Int32.float_of_bits (Int32.bits_of_float x)
 
-  let two ~n amps (m : Gate.two) ~q_hi ~q_lo =
-    let k_min = Int.min q_hi q_lo and k_max = Int.max q_hi q_lo in
-    let are = Array.make 4 0.0 and aim = Array.make 4 0.0 in
-    let idx = Array.make 4 0 in
-    for k = 0 to (1 lsl (n - 2)) - 1 do
-      let base = Bits.insert_bit2 k k_min 0 k_max 0 in
-      idx.(0) <- base;
-      idx.(1) <- base lor (1 lsl q_lo);
-      idx.(2) <- base lor (1 lsl q_hi);
-      idx.(3) <- base lor (1 lsl q_hi) lor (1 lsl q_lo);
-      for r = 0 to 3 do
-        are.(r) <- P.get_re amps idx.(r);
-        aim.(r) <- P.get_im amps idx.(r)
-      done;
-      for r = 0 to 3 do
-        let accre = ref 0.0 and accim = ref 0.0 in
-        for c = 0 to 3 do
-          let ure = m.(r).(c).Cnum.re and uim = m.(r).(c).Cnum.im in
-          accre := round (!accre +. ((ure *. are.(c)) -. (uim *. aim.(c))));
-          accim := round (!accim +. ((ure *. aim.(c)) +. (uim *. are.(c))))
+  let local ~n amps (u : float array) ~major ~minor ~paths =
+    let d = if major = 0 then 2 else 4 in
+    let xre = Array.make d 0.0 and xim = Array.make d 0.0 and idx = Array.make d 0 in
+    for base = 0 to (1 lsl n) - 1 do
+      if base land (major lor minor) = 0 then begin
+        for c = 0 to d - 1 do
+          idx.(c) <- base lor (if c land 1 = 1 then minor else 0) lor (if c land 2 = 2 then major else 0);
+          xre.(c) <- P.get_re amps idx.(c);
+          xim.(c) <- P.get_im amps idx.(c)
         done;
-        P.set2 amps idx.(r) !accre !accim
-      done
+        for r = 0 to d - 1 do
+          let accre = ref 0.0 and accim = ref 0.0 in
+          for c = 0 to d - 1 do
+            if (paths lsr ((r * d) + c)) land 1 = 1 then begin
+              let ure = u.(2 * ((r * d) + c)) and uim = u.((2 * ((r * d) + c)) + 1) in
+              accre := round (!accre +. ((ure *. xre.(c)) -. (uim *. xim.(c))));
+              accim := round (!accim +. ((ure *. xim.(c)) +. (uim *. xre.(c))))
+            end
+          done;
+          P.set2 amps idx.(r) !accre !accim
+        done
+      end
     done
 
   (* --- DMAV ------------------------------------------------------------ *)

@@ -302,12 +302,12 @@ let test_decision_prefers_cache_when_repetitive () =
   let p = Dd.create () in
   let h = Mat_dd.of_single p ~n ~target:(n - 1) ~controls:[] Gate.h in
   let m = Dd.mm p h (Mat_dd.of_single p ~n ~target:0 ~controls:[] (Gate.u3 0.3 0.5 0.7)) in
-  let d = Cost.decide p ~n ~threads:4 m in
+  let d = (Cost.dispatch p ~n ~threads:4 m).Cost.dmav in
   Alcotest.(check bool) "cached cheaper for repetitive gate" true d.Cost.cached;
   (* The Hadamard alone repeats as much, but its MACs are identity
      stripes: Eq. 6 over plain MACs still models the cached kernel
      cheaper, while the Run's priced MACs win the pick. *)
-  let dh = Cost.decide p ~n ~threads:4 h in
+  let dh = (Cost.dispatch p ~n ~threads:4 h).Cost.dmav in
   Alcotest.(check bool) "plain Eq. 6 below Eq. 5" true (dh.Cost.c2 < dh.Cost.c1);
   Alcotest.(check bool) "stripes priced: the Run wins" false dh.Cost.cached;
   (* A bottom-qubit controlled gate has little repetition at the border
@@ -321,7 +321,7 @@ let test_decision_single_thread () =
   let n = 8 in
   let p = Dd.create () in
   let m = Mat_dd.of_single p ~n ~target:0 ~controls:[] (Gate.rz 0.3) in
-  let d = Cost.decide p ~n ~threads:1 m in
+  let d = (Cost.dispatch p ~n ~threads:1 m).Cost.dmav in
   Alcotest.(check int) "one thread used" 1 d.Cost.threads_used;
   Alcotest.(check bool) "c1 = K1" true (Float.abs (d.Cost.c1 -. Cost.mac_count p m) < 1e-9)
 

@@ -10,8 +10,8 @@
    lengths, for n from 1 to 14, the identity stripes of the Run recursion, and its batches under
    pure-replication nodes (chains past the batch cap, and the fused
    gates of real dnn, vqe and supremacy circuits), and the local leg of
-   uncached gates of support one or two against the Run it stands in
-   for, and the pick that sends such a gate to it. Plus the dense stub's contract checks, the allocation claim (a
+   narrow gates (ops and products of support one or two) against the
+   reference walk, and the pick that sends such a gate to it. Plus the dense stub's contract checks, the allocation claim (a
    dense gate and a DMAV gate cost the same small constant number of
    minor words at f32 as at f64, a local gate none) and the load-time
    choice of the dense stub's 4-lane body. *)
@@ -240,7 +240,7 @@ module Suite_for (P : Storage.S) = struct
     let c = Suite.generate ~seed:(Random.State.bits rs) ~gates:(20 + Random.State.int rs 60) fam ~n in
     let ops = Array.to_list c.Circuit.ops in
     let prefix = List.filteri (fun i _ -> i < 4 + Random.State.int rs 60) ops in
-    Fusion_ref.dmav_aware p (List.map (Mat_dd.of_op p ~n) prefix)
+    Fusion_ref.fused_dds p ~n prefix
 
   (* Pure-replication roots, (e,0,0,e') or (0,e,e',0) at every level above
      level 0: a single-qubit gate on qubit 0, a product of random
@@ -339,7 +339,7 @@ module Suite_for (P : Storage.S) = struct
          let p = Dd.create () in
          let c = Suite.generate ~seed:7 ~gates fam ~n in
          let ms =
-           Fusion_ref.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops))
+           Fusion_ref.fused_dds p ~n (Array.to_list c.Circuit.ops)
          in
          List.iteri
            (fun i m ->
@@ -363,7 +363,7 @@ module Suite_for (P : Storage.S) = struct
              let p = Dd.create () in
              let c = Suite.generate ~seed:7 ~gates fam ~n in
              let ms =
-               Fusion_ref.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops))
+               Fusion_ref.fused_dds p ~n (Array.to_list c.Circuit.ops)
              in
              List.iteri
                (fun i m ->
@@ -397,19 +397,10 @@ module Suite_for (P : Storage.S) = struct
                               Alcotest.failf "%s gate %d: %d hits, reference %d" P.label i
                                 prog.Flat_gate.hits want_hits)
                          [ (false, None); (true, None); (false, Some 1.0); (true, Some 1.0) ];
-                       (* The planner's own pick, through [exec], or in place
-                          on its local leg. *)
-                       let got, expect =
-                         match g.Flat_gate.body with
-                         | Flat_gate.Local _ ->
-                           let got = P.copy v in
-                           DG.exec_local ~pool:inline g ~v:got;
-                           (got, want)
-                         | _ ->
-                           let got = P.create (1 lsl n) in
-                           let st = DG.exec ~workspace:(DG.workspace ~n) ~pool:inline g ~v ~w:got in
-                           (got, if st.Dmav_generic.used_cache then want_c else want)
-                       in
+                       (* The planner's own pick, through [exec]. *)
+                       let got = P.create (1 lsl n) in
+                       let st = DG.exec ~workspace:(DG.workspace ~n) ~pool:inline g ~v ~w:got in
+                       let expect = if st.Dmav_generic.used_cache then want_c else want in
                        if not (eq expect got) then
                          Alcotest.failf "%s gate %d: exec differs" P.label i)
                     pools)
@@ -449,7 +440,8 @@ module Suite_for (P : Storage.S) = struct
                (fun (q_hi, q_lo) ->
                   let m = if Random.State.bool rs then random_two rs else signs rs 4 in
                   let want = P.copy v and split = P.copy v in
-                  R.two ~n want m ~q_hi ~q_lo;
+                  R.local ~n want (Dense_kernel.flatten m) ~major:(1 lsl q_hi)
+                    ~minor:(1 lsl q_lo) ~paths:0xffff;
                   List.iter
                     (fun (lo, hi) ->
                        P.local_apply split (Dense_kernel.flatten m) ~major:(1 lsl q_hi) ~minor:(1 lsl q_lo)
@@ -465,16 +457,17 @@ module Suite_for (P : Storage.S) = struct
                [ (Int.max q1 q2, Int.min q1 q2); (Int.min q1 q2, Int.max q1 q2) ])
           [ random_vec rs (1 lsl n); special_vec rs (1 lsl n); cancel_vec rs (1 lsl n) ])
 
-  (* The local leg against the Run it stands in for: every support-1 and
-     support-2 shape at n = 2..8 (each target, qubit 0 included; a control
-     above and one below the target; two-qubit gates in both qubit
-     orders; products of two random gates on one pair), the gate compiled
-     ([Flat_gate.local]) and applied in place by [exec_local] on the pool
-     and on an inline size-1 pool, and by [P.local_apply] over random
-     group stripes, each against [DG.run]'s uncached program for the same
-     pool, bit for bit, on random vectors, on vectors with signed zeros
-     and on cancelling ones. A gate on three levels has no local form. *)
-  let local_shapes p rs n =
+  (* The local leg against the reference walk ([R.local]): every
+     support-1 and support-2 shape at n = 2..8 (each target, qubit 0
+     included; a control above and one below the target; two-qubit gates
+     in both qubit orders; products of two random gates on one pair), as
+     the flat phase builds them ([Flat_gate.local_of_op],
+     [Flat_gate.local_product]), compiled ([Flat_gate.of_local]) and
+     applied in place by [exec_local] on the pool and on an inline size-1
+     pool, and by [P.local_apply] over random group stripes, bit for bit,
+     on random vectors, on vectors with signed zeros and on cancelling
+     ones. A gate on three levels has no local form. *)
+  let local_shapes rs n =
     let single target controls matrix =
       Circuit.Single { name = "l1"; matrix; target; controls }
     in
@@ -487,7 +480,12 @@ module Suite_for (P : Storage.S) = struct
       [| random_two rs; Gate.swap2; Gate.cz2; Gate.fsim (Random.State.float rs 6.3) 0.4;
          signs rs 4 |].(Random.State.int rs 5)
     in
-    let of_op = Mat_dd.of_op p ~n in
+    let form op = Option.get (Flat_gate.local_of_op ~n op) in
+    let product a b =
+      match Flat_gate.local_product ~n ~identity:Cost.identity_price (form a) (form b) with
+      | Flat_gate.Narrow_product l -> l
+      | Flat_gate.Wide_product _ -> Alcotest.fail "a product on one pair priced wide"
+    in
     let targets = List.init n Fun.id in
     let pair () =
       let a = Random.State.int rs n in
@@ -499,100 +497,91 @@ module Suite_for (P : Storage.S) = struct
          let above = List.filter (fun c -> c > t) others
          and below = List.filter (fun c -> c < t) others in
          let pick l = List.nth l (Random.State.int rs (List.length l)) in
-         [ of_op (single t [] (m1 ())) ]
-         @ (if above = [] then [] else [ of_op (single t [ pick above ] (m1 ())) ])
-         @ if below = [] then [] else [ of_op (single t [ pick below ] (m1 ())) ])
+         [ form (single t [] (m1 ())) ]
+         @ (if above = [] then [] else [ form (single t [ pick above ] (m1 ())) ])
+         @ if below = [] then [] else [ form (single t [ pick below ] (m1 ())) ])
       targets
     @ List.concat_map
         (fun _ ->
            let a, b = pair () in
            let hi = Int.max a b and lo = Int.min a b in
-           [ of_op (two hi lo (m2 ())); of_op (two lo hi (m2 ()));
-             Dd.mm p (of_op (two a b (m2 ()))) (of_op (single b [ a ] (m1 ())));
-             Dd.mm p (of_op (single a [] (m1 ()))) (of_op (single b [] (m1 ()))) ])
+           [ form (two hi lo (m2 ())); form (two lo hi (m2 ()));
+             product (two a b (m2 ())) (single b [ a ] (m1 ()));
+             product (single a [] (m1 ())) (single b [] (m1 ())) ])
         [ (); () ]
 
-  let local_agrees p pools ~inline ~n rs m =
-    match Flat_gate.local p ~n m with
-    | None -> false
-    | Some l ->
-      let groups = 1 lsl (n - Bits.popcount l.Flat_gate.support) in
-      let run = l.Flat_gate.support land - l.Flat_gate.support in
-      let g = Flat_gate.compile p ~n ~threads:1 m in
-      let g =
-        match g.Flat_gate.body with
-        | Flat_gate.Local _ -> g
-        | _ -> { g with Flat_gate.body = Flat_gate.Local l }
-      in
-      List.for_all
-        (fun v ->
-           List.for_all
-             (fun pool ->
-                let t = Cost.pow2_threads ~n (Pool.size pool) in
-                let want = P.create (1 lsl n) in
-                DG.run ~pool (Flat_gate.program p ~n ~t ~cached:false m) ~v ~w:want;
-                let on_pool = P.copy v and on_inline = P.copy v and split = P.copy v in
-                DG.exec_local ~pool g ~v:on_pool;
-                DG.exec_local ~pool:inline g ~v:on_inline;
-                List.iter
-                  (fun (lo, hi) ->
-                     P.local_apply split l.Flat_gate.u ~major:(l.Flat_gate.support lxor run)
-                       ~minor:run ~paths:l.Flat_gate.paths ~lo ~hi)
-                  (random_splits rs ~run:(Int.min run groups) groups);
-                eq want on_pool && eq want on_inline && eq want split)
-             pools)
-        [ random_vec rs (1 lsl n); special_vec rs (1 lsl n); cancel_vec rs (1 lsl n) ]
+  let local_agrees p pools ~inline ~n rs (l : Flat_gate.local) =
+    let groups = 1 lsl (n - Bits.popcount l.Flat_gate.support) in
+    let minor = l.Flat_gate.support land - l.Flat_gate.support in
+    let major = l.Flat_gate.support lxor minor in
+    let g = Flat_gate.of_local p ~n ~threads:1 l in
+    List.for_all
+      (fun v ->
+         let want = P.copy v in
+         R.local ~n want l.Flat_gate.u ~major ~minor ~paths:l.Flat_gate.paths;
+         List.for_all
+           (fun pool ->
+              let on_pool = P.copy v and on_inline = P.copy v and split = P.copy v in
+              DG.exec_local ~pool g ~v:on_pool;
+              DG.exec_local ~pool:inline g ~v:on_inline;
+              List.iter
+                (fun (lo, hi) ->
+                   P.local_apply split l.Flat_gate.u ~major ~minor ~paths:l.Flat_gate.paths ~lo ~hi)
+                (random_splits rs ~run:(Int.min minor groups) groups);
+              eq want on_pool && eq want on_inline && eq want split)
+           pools)
+      [ random_vec rs (1 lsl n); special_vec rs (1 lsl n); cancel_vec rs (1 lsl n) ]
 
   let local_leg pools =
     Pool.with_pool 1 (fun inline ->
-        cases ~name:(P.label ^ " local leg = Run, every support-1/2 shape") ~count:24 ~lo:2
-          ~hi:8 (fun n rs ->
+        cases ~name:(P.label ^ " local leg = reference walk, every support-1/2 shape") ~count:24
+          ~lo:2 ~hi:8 (fun n rs ->
               let p = Dd.create () in
-              List.for_all (local_agrees p pools ~inline ~n rs) (local_shapes p rs n)
+              List.for_all (local_agrees p pools ~inline ~n rs) (local_shapes rs n)
               && (n < 3
-                  || Flat_gate.local p ~n
-                       (Mat_dd.of_op p ~n
-                          (Circuit.Single
-                             { name = "ccu"; matrix = random_single rs; target = 1;
-                               controls = [ 0; 2 ] }))
+                  || Flat_gate.local_of_op ~n
+                       (Circuit.Single
+                          { name = "ccu"; matrix = random_single rs; target = 1; controls = [ 0; 2 ] })
                      = None)))
 
-  (* The pick ([Cost.dispatch]): on every support-1/2 shape at n = 6..12
-     and pools of 1, 2 and 4, the local leg is priced below both Run
-     kernels ([Cost.local_rate] is under [Cost.identity_price], the least
-     a Run path costs), and a gate priced so never compiles to
-     Algorithm 2: it compiles to [Local]. The shapes include repetitive
-     ones (an uncontrolled gate on the top qubit) that Eq. 6 over plain
-     MACs, the paper's rule, sends to Algorithm 2 on two or four
-     threads (an h on the top qubit is always among them). *)
+  (* The pick ([Cost.local_dispatch]): on every support-1/2 shape at
+     n = 6..12 and pools of 1, 2 and 4, a narrow gate compiles to [Local]
+     at a price below both Run kernels' on its DD ([Cost.dispatch] of
+     [Flat_gate.local_dd]; [Cost.local_rate] is under
+     [Cost.identity_price], the least a Run path costs), so never to
+     Algorithm 2. The shapes include repetitive ones (an uncontrolled
+     gate on the top qubit) that Eq. 6 over plain MACs, the paper's rule,
+     sends to Algorithm 2 on two or four threads (an h on the top qubit
+     is always among them). *)
   let local_pick =
     cases ~name:"a gate with a local form priced lower never compiles to Algorithm 2" ~count:12
       ~lo:6 ~hi:12 (fun n rs ->
           let p = Dd.create () in
           let top_h =
-            Mat_dd.of_op p ~n
-              (Circuit.Single { name = "h"; matrix = Gate.h; target = n - 1; controls = [] })
+            Option.get
+              (Flat_gate.local_of_op ~n
+                 (Circuit.Single { name = "h"; matrix = Gate.h; target = n - 1; controls = [] }))
           in
           let picks =
             List.concat_map
-              (fun m ->
-                 List.map (fun threads -> Flat_gate.compile p ~n ~threads m) [ 1; 2; 4 ])
-              (top_h :: local_shapes p rs n)
+              (fun l ->
+                 List.map
+                   (fun threads ->
+                      ( Flat_gate.of_local p ~n ~threads l,
+                        Cost.dispatch p ~n ~threads (Flat_gate.local_dd p ~n l) ))
+                   [ 1; 2; 4 ])
+              (top_h :: local_shapes rs n)
           in
           List.for_all
-            (fun (g : Flat_gate.t) ->
+            (fun ((g : Flat_gate.t), dd) ->
                let d = g.Flat_gate.dispatch in
                match d.Cost.prices.Cost.local, g.Flat_gate.body with
                | Some l, Flat_gate.Local _ ->
-                 l < d.Cost.prices.Cost.run && l < d.Cost.prices.Cost.cached
+                 l < dd.Cost.prices.Cost.run && l < dd.Cost.prices.Cost.cached
                  && not d.Cost.dmav.Cost.cached
                | _ -> false)
             picks
-          && List.exists
-               (fun (g : Flat_gate.t) ->
-                  let d = g.Flat_gate.dispatch.Cost.dmav in
-                  d.Cost.c2 < d.Cost.c1)
-               picks)
+          && List.exists (fun (_, dd) -> dd.Cost.dmav.Cost.c2 < dd.Cost.dmav.Cost.c1) picks)
 
   (* Random lengths and offsets (odd ones included) with disjoint source
      and destination ranges, so each primitive also runs with one vector
@@ -684,14 +673,13 @@ module Suite_for (P : Storage.S) = struct
           Array.length g.Flat_gate.arena.Storage.lv + Flat_gate.pieces g
         in
         let c = Suite.generate ~seed:3 ~gates:120 Suite.Supremacy ~n in
-        let fused = Fusion_ref.dmav_aware p (List.map (Mat_dd.of_op p ~n) (Array.to_list c.Circuit.ops)) in
+        let fused = Fusion_ref.fused_dds p ~n (Array.to_list c.Circuit.ops) in
         let largest = List.fold_left (fun a b -> if size b > size a then b else a) m fused in
         let g = Flat_gate.program p ~n ~t:1 ~cached:false m in
         let l =
           Option.get
-            (Flat_gate.local p ~n
-               (Mat_dd.of_op p ~n
-                  (Circuit.Single { name = "cx"; matrix = Gate.x; target = 0; controls = [ 9 ] })))
+            (Flat_gate.local_of_op ~n
+               (Circuit.Single { name = "cx"; matrix = Gate.x; target = 0; controls = [ 9 ] }))
         in
         ( words (fun () -> DK.single ~pool ~n v Gate.h ~target:3 ~controls:[ 5 ]),
           words (fun () -> DK.two ~pool ~n v Gate.iswap ~q_hi:3 ~q_lo:9),
@@ -788,8 +776,8 @@ let suite =
           K64.compiled_tests;
         Alcotest.test_case "f32 compiled gates = package-view run (bits)" `Quick
           K32.compiled_tests;
-        Alcotest.test_case "f64 local leg = Run (bits)" `Quick K64.local_tests;
-        Alcotest.test_case "f32 local leg = Run (bits)" `Quick K32.local_tests;
+        Alcotest.test_case "f64 local leg = OCaml reference (bits)" `Quick K64.local_tests;
+        Alcotest.test_case "f32 local leg = OCaml reference (bits)" `Quick K32.local_tests;
         Alcotest.test_case "local leg priced lower never compiles to Algorithm 2" `Quick
           (fun () -> check_all [ K64.local_pick ]);
         Alcotest.test_case "dense_lanes matches the host's AVX2 flag" `Quick

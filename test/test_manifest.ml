@@ -100,9 +100,10 @@ let test_parse_errors () =
       Manifest.parse_line ~index:0 {|{"circuit":"nonesuch","n":4}|});
   expect_error "not an object" (fun () -> Manifest.parse_line ~index:0 {|[1,2]|})
 
-(* A gate budget below 1 and EWMA parameters outside [Ewma.create]'s
-   domain are located manifest errors; [Suite.generate] refuses the
-   budget too. *)
+(* A gate budget below 1 or above [Suite.max_gates] (a circuit that
+   size would exhaust memory before it ran) and EWMA parameters outside
+   [Ewma.create]'s domain are located manifest errors; [Suite.generate]
+   refuses the budget too. *)
 let test_budget_and_ewma_bounds () =
   List.iter
     (fun (fields, want) ->
@@ -111,6 +112,8 @@ let test_budget_and_ewma_bounds () =
        | exception Manifest.Error m -> Alcotest.(check string) fields ("manifest line 3: " ^ want) m)
     [ ({|"circuit":"dnn","n":8,"gates":0|}, "gates must be >= 1 (got 0)");
       ({|"circuit":"dnn","n":8,"gates":-5|}, "gates must be >= 1 (got -5)");
+      ({|"circuit":"dnn","n":4,"gates":100000000000|}, "gates must be <= 100000 (got 100000000000)");
+      ({|"circuit":"qft","n":4,"gates":100001|}, "gates must be <= 100000 (got 100001)");
       ({|"circuit":"ghz","n":4,"beta":1.0|}, "beta must be in [0, 1) (got 1)");
       ({|"circuit":"ghz","n":4,"beta":-0.1|}, "beta must be in [0, 1) (got -0.1)");
       ({|"circuit":"ghz","n":4,"epsilon":0|}, "epsilon must be > 0 (got 0)");
@@ -119,7 +122,10 @@ let test_budget_and_ewma_bounds () =
   Alcotest.(check (float 0.0)) "beta 0 accepted" 0.0 r.Manifest.job.Sched.config.Config.beta;
   Alcotest.check_raises "Suite.generate gates 0"
     (Invalid_argument "Suite.generate: gates must be >= 1 (got 0)") (fun () ->
-      ignore (Suite.generate ~gates:0 Suite.Dnn ~n:8))
+      ignore (Suite.generate ~gates:0 Suite.Dnn ~n:8));
+  Alcotest.check_raises "Suite.generate gates past the cap"
+    (Invalid_argument "Suite.generate: gates must be <= 100000 (got 100000000000)") (fun () ->
+      ignore (Suite.generate ~gates:100_000_000_000 Suite.Dnn ~n:4))
 
 (* A family's qubit count past [Circuit.max_qubits] is a located
    manifest error, as is one below 1; the CLI and QASM paths share the

@@ -666,6 +666,58 @@ let test_e2e_disconnect_and_rejects () =
                     Alcotest.(check bool) "bad job rejected" true !got_reject;
                     Alcotest.(check bool) "orphan result replayed" true !got_result))))
 
+(* A job line asking for more gates than [Suite.max_gates] is rejected
+   at admission with the manifest's located error, before any circuit
+   is built, and the daemon keeps serving: the same connection's next
+   job and a new connection's job complete. *)
+let test_e2e_huge_gate_budget_rejected () =
+  with_obs (fun () ->
+      in_temp_dir (fun dir ->
+          let socket_path = Filename.concat dir "d.sock" in
+          let daemon =
+            start_daemon
+              { Serve.default_config with
+                Serve.socket_path;
+                journal_path = Some (Filename.concat dir "j.jsonl");
+                slots = 1;
+                pool_threads = 1 }
+          in
+          Fun.protect
+            ~finally:(fun () -> stop_daemon daemon)
+            (fun () ->
+               let submit jobs =
+                 let c = Client.connect ~retry_for:5.0 ~socket_path () in
+                 Fun.protect
+                   ~finally:(fun () -> Client.close c)
+                   (fun () ->
+                      Client.send_request c
+                        (Protocol.Hello_req { timings = false; metrics = false; tenant = Some "t" });
+                      List.iter (fun j -> Client.send_request c (Protocol.Job j)) jobs;
+                      Client.send_request c Protocol.End_req;
+                      let rec drain rejects results =
+                        match Client.read_frame c with
+                        | Protocol.Bye _ -> (List.rev rejects, List.rev results)
+                        | Protocol.Rejected { id; reason } -> drain ((id, reason) :: rejects) results
+                        | Protocol.Result { id; _ } -> drain rejects (id :: results)
+                        | _ -> drain rejects results
+                      in
+                      drain [] [])
+               in
+               let rejects, results =
+                 submit
+                   [ {|{"id":"huge","circuit":"dnn","n":4,"gates":100000000000}|};
+                     {|{"id":"after","circuit":"dnn","n":4,"gates":40,"seed":1}|} ]
+               in
+               (match rejects with
+                | [ (Some "huge", reason) ] ->
+                  if not (String.ends_with ~suffix:": gates must be <= 100000 (got 100000000000)" reason)
+                  then
+                    Alcotest.failf "reject reason %S" reason
+                | _ -> Alcotest.fail "expected one reject, of the huge job");
+               Alcotest.(check (list string)) "the next job completes" [ "after" ] results;
+               let _, results = submit [ {|{"id":"next","circuit":"qft","n":5,"seed":2}|} ] in
+               Alcotest.(check (list string)) "a new connection is served" [ "next" ] results)))
+
 let test_e2e_id_collision_rejected () =
   with_obs (fun () ->
       in_temp_dir (fun dir ->
@@ -811,6 +863,8 @@ let suite =
           test_e2e_disconnect_and_rejects;
         Alcotest.test_case "id collision across tenants rejected" `Slow
           test_e2e_id_collision_rejected;
+        Alcotest.test_case "huge gate budget rejected, daemon serves on" `Slow
+          test_e2e_huge_gate_budget_rejected;
         Alcotest.test_case "200 served jobs keep the heap flat" `Slow
           test_serve_heap_flat;
         Alcotest.test_case "old pinned journal line replays" `Slow
