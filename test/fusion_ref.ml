@@ -53,16 +53,18 @@ let narrow_on p ~n ~mask dd =
   let s = support ~n ~mask (block p ~mask dd) in
   if Bits.popcount s <= 2 then Some s else None
 
+let qubit_mask op = List.fold_left (fun acc q -> acc lor (1 lsl q)) 0 (Circuit.op_qubits op)
+
 let of_op p ~n op =
   let dd = Mat_dd.of_op p ~n op in
-  let mask = List.fold_left (fun acc q -> acc lor (1 lsl q)) 0 (Circuit.op_qubits op) in
+  let mask = qubit_mask op in
   { dd; narrow = (if Bits.popcount mask <= 2 then narrow_on p ~n ~mask dd else None) }
 
-let dmav_aware ?identity_price ?local_rate p ~n ops =
+let dmav_aware p ~n ops =
   let price g =
-    let run = Cost.priced_macs ?identity_price p g.dd in
+    let run = Cost.priced_macs p g.dd in
     match g.narrow with
-    | Some support -> Cost.local_price ?local_rate ~n ~support run
+    | Some support -> Cost.local_price ~n ~support run
     | None -> run
   in
   let out = ref [] and pending = ref None in

@@ -341,8 +341,6 @@ let narrow_ops rng n =
     two (kron (random_single rng) Gate.id2) t c;
     two (kron Gate.h (random_single rng)) t q ]
 
-let qubit_mask op = List.fold_left (fun acc q -> acc lor (1 lsl q)) 0 (Circuit.op_qubits op)
-
 (* Bit [r·d + c] set where entry (r, c) of a [d × d] dense matrix is not
    0: the paths a form on its levels has. *)
 let nonzero_paths (b : Cnum.t array array) =
@@ -449,7 +447,7 @@ let test_narrow_products_match_ddmm () =
            let la = Option.get (Flat_gate.local_of_op ~n a)
            and lb = Option.get (Flat_gate.local_of_op ~n b) in
            let m = Dd.mm p (Mat_dd.of_op p ~n a) (Mat_dd.of_op p ~n b) in
-           let mask = qubit_mask a lor qubit_mask b in
+           let mask = Fusion_ref.qubit_mask a lor Fusion_ref.qubit_mask b in
            let narrow = Bits.popcount (Fusion_ref.support ~n ~mask (Fusion_ref.block p ~mask m)) <= 2 in
            match Flat_gate.local_product ~n ~identity:Cost.identity_price la lb with
            | Flat_gate.Narrow_product l when narrow ->
@@ -480,7 +478,7 @@ let test_unfused_gates_keep_dd_kernel () =
     let got = Fusion.compile p ~n ~threads ?op:op' (Fusion.of_op p ~n op) in
     let dg = got.Flat_gate.dispatch in
     let m = Mat_dd.of_op p ~n op in
-    let mask = qubit_mask op in
+    let mask = Fusion_ref.qubit_mask op in
     let kernel, price, support, macs =
       if Bits.popcount mask <= 2 then begin
         let s = Fusion_ref.support ~n ~mask (Fusion_ref.block p ~mask m) in
