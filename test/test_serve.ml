@@ -863,9 +863,9 @@ let suite =
           test_e2e_disconnect_and_rejects;
         Alcotest.test_case "id collision across tenants rejected" `Slow
           test_e2e_id_collision_rejected;
-        Alcotest.test_case "huge gate budget rejected, daemon serves on" `Slow
-          test_e2e_huge_gate_budget_rejected;
         Alcotest.test_case "200 served jobs keep the heap flat" `Slow
           test_serve_heap_flat;
         Alcotest.test_case "old pinned journal line replays" `Slow
-          test_e2e_old_pinned_line_replays ] ) ]
+          test_e2e_old_pinned_line_replays;
+        Alcotest.test_case "huge gate budget rejected, daemon serves on" `Slow
+          test_e2e_huge_gate_budget_rejected ] ) ]
