@@ -96,7 +96,7 @@ let run manifest slots threads seed out no_timings strict verbose metrics metric
         (String.concat "" (List.map (fun l -> l ^ "\n") lines),
          List.map line_outcome lines, false)
       | None ->
-        let resolved = Manifest.load ~default_config ~base_seed:seed manifest in
+        let resolved = List.map fst (Manifest.load ~default_config ~base_seed:seed manifest) in
         if resolved = [] then begin
           Printf.eprintf "error: manifest %s contains no jobs\n" manifest;
           raise Exit

@@ -95,6 +95,7 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
   (* What the run is doing, for the out-of-memory report. *)
   let stage = ref "loading the circuit" in
   try
+    if threads < 1 then invalid_arg (Printf.sprintf "-t: threads must be >= 1 (got %d)" threads);
     let metrics_wanted = metrics || metrics_json <> None in
     if metrics_wanted then begin
       Obs.set_enabled true;

@@ -27,7 +27,14 @@ let run socket slots threads seed journal journal_tail quantum quota strict quie
       strict;
       log }
   in
-  match Serve.create cfg with
+  let at_least_one flag name v =
+    if v < 1 then invalid_arg (Printf.sprintf "%s: %s must be >= 1 (got %d)" flag name v)
+  in
+  match
+    at_least_one "-s" "slots" slots;
+    at_least_one "-t" "threads" threads;
+    Serve.create cfg
+  with
   | t ->
     List.iter
       (fun s -> Sys.set_signal s (Sys.Signal_handle (fun _ -> Serve.stop t)))
@@ -39,7 +46,7 @@ let run socket slots threads seed journal journal_tail quantum quota strict quie
        Obs.Metrics.write_file path (Obs.Metrics.snapshot ());
        if not quiet then Printf.eprintf "flatdd_serve: metrics written to %s\n%!" path);
     0
-  | exception Journal.Error m ->
+  | exception (Journal.Error m | Invalid_argument m) ->
     Printf.eprintf "error: %s\n" m;
     1
   | exception Unix.Unix_error (e, fn, arg) ->

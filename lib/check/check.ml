@@ -14,7 +14,6 @@ let parse_env () =
   | _ -> Off
 
 let mode_cell = Atomic.make (parse_env ())
-let mode () = Atomic.get mode_cell
 let set_mode m = Atomic.set mode_cell m
 let enabled () = Atomic.get mode_cell <> Off
 

@@ -27,12 +27,11 @@
 
 type mode = Off | Count | Abort
 
-val mode : unit -> mode
 val set_mode : mode -> unit
 (** Tests override the environment-derived mode; remember to restore. *)
 
 val enabled : unit -> bool
-(** [mode () <> Off]. The one check hot paths perform. *)
+(** The mode is not [Off]. The one check hot paths perform. *)
 
 exception Race of string
 (** Raised at the violation site in [Abort] mode: an overlapping

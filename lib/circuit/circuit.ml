@@ -66,23 +66,6 @@ let depth t =
     t.ops;
   Array.fold_left Int.max 0 layer
 
-let gate_histogram t =
-  let tbl = Hashtbl.create 16 in
-  Array.iter
-    (fun op ->
-       let name = op_name op in
-       Hashtbl.replace tbl name (1 + Option.value (Hashtbl.find_opt tbl name) ~default:0))
-    t.ops;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
-
-let qubit_usage t =
-  let usage = Array.make t.n 0 in
-  Array.iter
-    (fun op -> List.iter (fun q -> usage.(q) <- usage.(q) + 1) (op_qubits op))
-    t.ops;
-  usage
-
 let remap t ~n perm =
   check_qubits n;
   if Array.length perm <> t.n then invalid_arg "Circuit.remap: permutation width";

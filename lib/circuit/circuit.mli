@@ -47,12 +47,6 @@ val depth : t -> int
 (** Circuit depth under the usual greedy layering: each operation starts
     at layer [1 + max] over the layers of the qubits it touches. *)
 
-val gate_histogram : t -> (string * int) list
-(** Gate counts by name, sorted by decreasing count. *)
-
-val qubit_usage : t -> int array
-(** [qubit_usage c] counts, per qubit, the operations touching it. *)
-
 val remap : t -> n:int -> int array -> t
 (** [remap c ~n perm] re-targets the circuit onto an [n]-qubit register:
     qubit [i] of [c] becomes qubit [perm.(i)]. Used to embed a smaller

@@ -1,5 +1,5 @@
 (* Buckets are keyed by an integer mixing the two grid-cell coordinates
-   (cell = floor(coord / tolerance)). Values within tolerance land in the
+   (cell = floor(coord / Cnum.tolerance)). Values within tolerance land in the
    same or an adjacent cell, so a full search probes the 3×3 neighborhood;
    the common case — the value was interned before at (almost) exactly the
    same spot — is served by probing the value's own cell first.
@@ -26,9 +26,9 @@
 let ids_min = 64
 let cells_min = 2 * ids_min
 
+let inv_tolerance = 1.0 /. Cnum.tolerance
+
 type t = {
-  tolerance : float;
-  inv_tolerance : float;
   mutable keys : int array;    (* bucket key per cell *)
   mutable heads : int array;   (* newest id in the bucket; -1 = empty cell *)
   mutable used : int;          (* occupied cells *)
@@ -58,7 +58,7 @@ let c_collisions = Obs.counter "ctable.collisions"
 let c_neighbor_probes = Obs.counter "ctable.neighbor_probes"
 let g_entries = Obs.gauge "ctable.entries"
 
-let[@inline] cell t v = int_of_float (Float.floor (v *. t.inv_tolerance))
+let[@inline] cell v = int_of_float (Float.floor (v *. inv_tolerance))
 
 (* 2-D cell -> bucket key. Collisions between distant cells are harmless:
    entries are verified with a tolerance comparison. *)
@@ -119,7 +119,7 @@ let insert t (value : Cnum.t) =
   t.im.(id) <- value.Cnum.im;
   t.count <- id + 1;
   if 2 * (t.used + 1) > Array.length t.heads then grow_cells t;
-  let k = key (cell t value.Cnum.re) (cell t value.Cnum.im) in
+  let k = key (cell value.Cnum.re) (cell value.Cnum.im) in
   let i = find_cell t k in
   let head = t.heads.(i) in
   if head < 0 then begin
@@ -141,11 +141,9 @@ let add_entry t (value : Cnum.t) =
 
 (* The zero/one seeds take ids 0 and 1: the packed-edge encoding builds
    on [zero_id] = 0. *)
-let create ?(tolerance = Cnum.tolerance) () =
+let create () =
   let t =
-    { tolerance;
-      inv_tolerance = 1.0 /. tolerance;
-      keys = Array.make cells_min 0;
+    { keys = Array.make cells_min 0;
       heads = Array.make cells_min (-1);
       used = 0;
       count = 0;
@@ -166,15 +164,15 @@ let probe t cr ci (c : Cnum.t) =
   while
     !id >= 0
     && not
-         (Float.abs (t.re.(!id) -. c.Cnum.re) <= t.tolerance
-          && Float.abs (t.im.(!id) -. c.Cnum.im) <= t.tolerance)
+         (Float.abs (t.re.(!id) -. c.Cnum.re) <= Cnum.tolerance
+          && Float.abs (t.im.(!id) -. c.Cnum.im) <= Cnum.tolerance)
   do
     id := t.chain.(!id)
   done;
   !id
 
 let find_near t (c : Cnum.t) =
-  let cr = cell t c.Cnum.re and ci = cell t c.Cnum.im in
+  let cr = cell c.Cnum.re and ci = cell c.Cnum.im in
   (* Own cell first — the overwhelmingly common hit path. *)
   let found = ref (probe t cr ci c) in
   if !found < 0 then begin

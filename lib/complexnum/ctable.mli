@@ -11,7 +11,7 @@
 
 type t
 
-val create : ?tolerance:float -> unit -> t
+val create : unit -> t
 
 val id : t -> Cnum.t -> int
 (** [id t c] is the id of the canonical representative of [c], inserting

@@ -371,15 +371,3 @@ let promote (src : F32.t) : F64.t =
     d.{k} <- s.{k}
   done;
   dst
-
-let max_abs_diff_mixed (a : F64.t) (b : F32.t) =
-  if F64.length a <> F32.length b then
-    invalid_arg "Storage.max_abs_diff_mixed: length mismatch";
-  let worst = ref 0.0 in
-  for i = 0 to F64.length a - 1 do
-    let dre = F64.get_re a i -. F32.get_re b i in
-    let dim = F64.get_im a i -. F32.get_im b i in
-    let d = sqrt ((dre *. dre) +. (dim *. dim)) in
-    if d > !worst then worst := d
-  done;
-  !worst

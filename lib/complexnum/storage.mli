@@ -195,7 +195,3 @@ val demote : F64.t -> F32.t
 
 val promote : F32.t -> F64.t
 (** Widen an f32 vector back to f64 (exact). *)
-
-val max_abs_diff_mixed : F64.t -> F32.t -> float
-(** L∞ distance between an f64 and an f32 vector, for differential tests
-    and the precision bench. *)

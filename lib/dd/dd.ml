@@ -105,9 +105,9 @@ let cache_bits_max = 16
    and the weight table double as the DD grows. *)
 let arena_slots_min = 1 lsl 8
 
-let create ?tolerance () =
+let create () =
   Obs.max_gauge g_cache_slots (1 lsl cache_bits_min);
-  { ct = Ctable.create ?tolerance ();
+  { ct = Ctable.create ();
     va = Node_store.create ~width:2 ~capacity:arena_slots_min;
     ma = Node_store.create ~width:4 ~capacity:arena_slots_min;
     epoch = 0;

@@ -35,7 +35,7 @@ type medge = private int
 
 type package
 
-val create : ?tolerance:float -> unit -> package
+val create : unit -> package
 
 (** {1 Terminals and zero edges} *)
 

@@ -80,11 +80,3 @@ let norm2 p e =
   in
   if Dd.vedge_is_zero e then 0.0
   else Cnum.norm2 (Dd.vw p e) *. node_norm (Dd.vtgt e)
-
-let equal ?(tol = 1e-8) p ~n a b =
-  let ok = ref true in
-  for i = 0 to (1 lsl n) - 1 do
-    if not (Cnum.equal ~tol (Dd.vamplitude p a i) (Dd.vamplitude p b i)) then
-      ok := false
-  done;
-  !ok

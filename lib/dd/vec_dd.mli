@@ -18,6 +18,3 @@ val to_buf : Dd.package -> int -> Dd.vedge -> Buf.t
 
 val norm2 : Dd.package -> Dd.vedge -> float
 (** Σ|amplitude|² computed on the DD in one memoized pass. *)
-
-val equal : ?tol:float -> Dd.package -> n:int -> Dd.vedge -> Dd.vedge -> bool
-(** Amplitude-wise comparison; exponential in [n], for tests. *)

@@ -12,7 +12,6 @@ let trace_phase = Engine.Dd_phase
 
 let init (ctx : Engine.ctx) ~n = { ctx; n; edge = Vec_dd.zero_state ctx.Engine.package n }
 
-let qubits st = st.n
 let edge st = st.edge
 let package st = st.ctx.Engine.package
 

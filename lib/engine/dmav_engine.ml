@@ -1,16 +1,14 @@
-(* The flat-array engine, written once over the amplitude precision: the
-   state is a pair of 2ⁿ buffers (current [v], scratch [w]) and a gate is
-   a DD-matrix × array-vector product (paper §3.2), or — when
+(* The flat-array engine of the flat phase, written once over the
+   amplitude precision: the state is a pair of 2ⁿ buffers (current [v],
+   scratch [w]), seated on the converted DD state ([of_buf]), and a gate
+   is a DD-matrix × array-vector product (paper §3.2), or — when
    [Config.dense_dispatch] is on and the cost model picks it — a dense
    in-place kernel on [v] that skips the ping-pong entirely. A narrow
    gate (its matrix acts on at most two levels, built from op matrices)
    skips it too: its local leg applies the 2×2 or 4×4 matrix in place.
-   Gates arrive
-   compiled ([Flat_gate]): the kernel pick, the task lists and the gate's
-   own copy of its matrix DD were fixed by the planner, so applying one
-   reads nothing of the DD package. A gate without a compiled form (the
-   pure-DMAV reference path of [Driver.run_engine]) is built and
-   compiled here, as the unfused plan does it.
+   Every gate arrives compiled by the driver's planner ([Flat_gate]): the
+   kernel pick, the task lists and the gate's own copy of its matrix DD
+   are fixed, so applying one reads nothing of the DD package.
    The DD package (and therefore every gate matrix and ctable weight)
    stays f64 at every precision; rounding happens only on stores into
    V/W. The scratch buffer and the cached kernel's partial outputs come
@@ -34,41 +32,28 @@ module Make (Pr : Engine.PRECISION) = struct
 
   let trace_phase = Engine.Dmav_phase
 
-  let seat (ctx : Engine.ctx) ~n ws v =
-    { ctx; n; ws; pool = ctx.Engine.pool; v; w = K.take ws; max_buffers = 0;
-      package_bytes = Dd.memory_bytes ctx.Engine.package }
-
   (* Seat the engine on an existing f64 amplitude vector — the driver's
      DD→flat conversion hands its output buffer in here, and [Pr.of_f64]
      is the single rounding hand-off below f64. *)
   let of_buf (ctx : Engine.ctx) ~n buf =
     if Buf.length buf <> 1 lsl n then invalid_arg "Dmav_engine.of_buf: wrong length";
-    seat ctx ~n (K.workspace ~n) (Pr.of_f64 buf)
-
-  let init (ctx : Engine.ctx) ~n =
+    let v = Pr.of_f64 buf in
     let ws = K.workspace ~n in
-    let v = K.take ws in
-    P.fill_zero v;
-    P.set2 v 0 1.0 0.0;
-    seat ctx ~n ws v
+    { ctx; n; ws; pool = ctx.Engine.pool; v; w = K.take ws; max_buffers = 0;
+      package_bytes = Dd.memory_bytes ctx.Engine.package }
 
   let set_pool st pool = st.pool <- pool
-
-  let gate_of st (xo : Engine.exec_op) =
-    match xo.Engine.xo_gate, xo.Engine.xo_op with
-    | Some g, _ -> g
-    | None, Some op ->
-      let { Engine.cfg; pool; package = p; _ } = st.ctx in
-      let dense = if cfg.Config.dense_dispatch then Some op else None in
-      Fusion.compile p ~n:st.n ~threads:(Pool.size pool) ?op:dense (Fusion.of_op p ~n:st.n op)
-    | None, None -> invalid_arg "Dmav_engine.apply_op: gate without a compiled form or op"
 
   (* The kernel the gate was compiled for (§3.2.3): cached vs uncached
      DMAV or, for an unfused gate under dense dispatch, dense direct. A
      narrow gate runs on its local leg, counted as an uncached pick, in
      place like the dense kernel: no W to zero, no swap. *)
   let apply_op st (xo : Engine.exec_op) =
-    let g = gate_of st xo in
+    let g =
+      match xo.Engine.xo_gate with
+      | Some g -> g
+      | None -> invalid_arg "Dmav_engine.apply_op: gate without a compiled form"
+    in
     if g.Flat_gate.package_bytes > st.package_bytes then
       st.package_bytes <- g.Flat_gate.package_bytes;
     let disp = g.Flat_gate.dispatch in

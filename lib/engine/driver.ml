@@ -3,7 +3,9 @@
    peak-memory tracking, the per-phase Obs spans, and the explicit DD→flat
    transition. Every gate of every run is applied by one [step] inside one
    [loop]: the DD phase and the flat phase of [run], and [run_engine]'s
-   single engine. The flat engine picks each gate's kernel itself. *)
+   dense engine. A DD-only run is [run] that never converts, a DMAV-only
+   run [run] that converts before the first gate. The flat engine picks
+   each gate's kernel itself. *)
 
 exception Cancelled
 
@@ -455,23 +457,20 @@ let run ?cancel ?pool ?package (cfg : Config.t) (c : Circuit.t) =
           ?fusion_stats:!fusion_stats ~seconds_dd ~seconds_convert ~seconds_dmav final
       end)
 
-(* Run a whole circuit on ONE engine, no conversion — the pure-DD,
-   pure-DMAV and pure-dense reference paths, through the same loop. *)
-let run_engine (type s) ?cancel ?pool ?package
-    (module E : Engine.ENGINE with type state = s) (cfg : Config.t) (c : Circuit.t) =
-  with_run ?cancel ?pool ?package cfg c (fun r ctx c sigma ->
+(* Run a whole circuit on one stand-alone (dense) engine, no conversion:
+   the dense reference path, through the same loop. *)
+let run_engine (type s) ?pool (module E : Engine.STANDALONE with type state = s)
+    (cfg : Config.t) (c : Circuit.t) =
+  with_run ?pool cfg c (fun r ctx c sigma ->
       let st = E.init ctx ~n:c.Circuit.n in
-      let dd = E.trace_phase = Engine.Dd_phase in
-      let _, seconds =
-        Obs.timed (if dd then s_dd_phase else s_dmav_phase) (fun () ->
+      let _, seconds_dmav =
+        Obs.timed s_dmav_phase (fun () ->
             let count = Circuit.num_gates c in
             loop (module E) st r ~more:(fun i -> i < count)
               ~xo_of:(fun i -> Engine.exec_of_op i c.Circuit.ops.(i))
               ())
       in
-      let final = finish (module E) st in
-      if dd then result_of r c ~ord:sigma ~seconds_dd:seconds final
-      else result_of r c ~ord:sigma ~seconds_dmav:seconds final)
+      result_of r c ~ord:sigma ~seconds_dmav (finish (module E) st))
 
 let amplitudes r =
   match r.final with

@@ -2,11 +2,12 @@
 
     [run] is the FlatDD hybrid algorithm: it steps {!Dd_engine} gate by
     gate under the conversion policy, owns the one DD→flat transition, and
-    then steps {!Dmav_engine} over the (possibly fused) remainder.
-    [run_engine] drives any single {!Engine.ENGINE} over a whole circuit
-    with no conversion. Both go through one step (the only caller of an
-    engine's [apply_op]) and one gate loop, so every gate is cancellable,
-    timed and traced the same way.
+    then steps {!Dmav_engine} over the (possibly fused) remainder. Its
+    policies give the single-engine runs too: [Never_convert] is DD alone,
+    [Convert_at (-1)] DMAV alone. [run_engine] drives a dense engine over
+    a whole circuit. Both go through one step (the only caller of an
+    engine's [apply_op]) and one gate loop, so every gate is timed and
+    traced the same way.
 
     Everything cross-cutting lives here: cancellation polling, trace
     records, peak-memory tracking, the EWMA monitor, the per-phase [Obs]
@@ -67,21 +68,16 @@ val run :
     bit-identical to a run without one. *)
 
 val run_engine :
-  ?cancel:(unit -> bool) ->
   ?pool:Pool.t ->
-  ?package:Dd.package ->
-  (module Engine.ENGINE with type state = 's) ->
+  (module Engine.STANDALONE with type state = 's) ->
   Config.t ->
   Circuit.t ->
   result
-(** Runs the whole circuit on one engine — the pure-DD, pure-DMAV and
-    pure-dense reference paths. [converted_at], [conversion_stats] and
-    [fusion_stats] are always [None]; the total time lands in [seconds_dd]
-    or [seconds_dmav] according to the engine's trace phase. The DMAV
-    engines pick each gate's kernel exactly as in [run]'s flat phase, so
-    [Config.dense_dispatch] applies here too (every gate is unfused). For
-    [Dd_engine] the trace records equal those of [run] with
-    [Never_convert], EWMA values included. *)
+(** Runs the whole circuit on one dense engine ({!Dense_engine} or
+    [Dense_engine.F32]) — the [-e array] engine and the dense reference
+    path. [converted_at], [conversion_stats] and [fusion_stats] are always
+    [None] and the total time lands in [seconds_dmav]. A fused gate has
+    no dense kernel, so every gate is a circuit op. *)
 
 val amplitudes : result -> Buf.t
 (** Final amplitudes as a flat vector in the {e logical} basis,

@@ -84,9 +84,6 @@ module type ENGINE = sig
   (** Which trace phase this engine's gates report as ([Dd_phase] for DD
       engines, [Dmav_phase] for flat ones). *)
 
-  val init : ctx -> n:int -> state
-  (** |0…0⟩ over [n] qubits. *)
-
   val apply_op : state -> exec_op -> gate_stats
   (** Advance the state by one gate. This is the call the driver times for
       the per-gate trace, so it must do nothing but the application (for
@@ -108,6 +105,15 @@ module type ENGINE = sig
 
   val extract : state -> final_state
   (** The final state, ownership transferred to the caller. *)
+end
+
+(** An engine that starts from |0…0⟩ on its own, so {!Driver.run_engine}
+    can run a whole circuit on it: the dense engines. *)
+module type STANDALONE = sig
+  include ENGINE
+
+  val init : ctx -> n:int -> state
+  (** |0…0⟩ over [n] qubits. *)
 end
 
 (** A flat engine, whose gates may run on a pool other than the run's:

@@ -164,7 +164,7 @@ let dmav_aware ?identity_price ?local_rate p ~n ops =
 
 (* Every [k] consecutive ops multiply into one gate, whatever it costs. *)
 let k_operations_iter ?(poll = ignore) p ~n ~k ~emit ops =
-  if k < 1 then invalid_arg "Fusion.k_operations: k must be >= 1";
+  if k < 1 then invalid_arg "Fusion.k_operations_iter: k must be >= 1";
   let sc = scan p ~n in
   let pending = ref None in
   List.iteri
@@ -182,5 +182,3 @@ let k_operations_iter ?(poll = ignore) p ~n ~k ~emit ops =
     ops;
   Option.iter (output sc emit) !pending;
   finish sc
-
-let k_operations p ~n ~k ops = collect (fun emit -> k_operations_iter p ~n ~k ~emit ops)

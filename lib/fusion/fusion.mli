@@ -33,7 +33,7 @@
     {!Flat_gate.local_paths}), and fusion does not merge two such gates
     into a wider one that would need the Run.
 
-    {!k_operations} is the fixed-grouping baseline of Zulehner & Wille
+    {!k_operations_iter} is the fixed-grouping baseline of Zulehner & Wille
     (DATE'19): every run of [k] consecutive ops is multiplied into one
     gate, regardless of cost, with the same product step. *)
 
@@ -74,14 +74,12 @@ val dmav_aware :
     calibration bench sweeps them. The stats count plain MACs whatever
     the price. *)
 
-val k_operations : Dd.package -> n:int -> k:int -> Circuit.op list -> gate list * stats
-
 (** {1 Streaming forms}
 
     The same scans, handing each output gate to [emit] as soon as it is
     final (the flat phase compiles and runs it while the scan goes on),
     and calling [poll] before each input gate (the driver's cancellation
-    poll, which may raise). The list forms above are these with [emit]
+    poll, which may raise). {!dmav_aware} above is its scan with [emit]
     collecting. *)
 
 val dmav_aware_iter :

@@ -217,7 +217,7 @@ let load ?default_config ?base_seed ?strict path =
              let id = r.job.Sched.id in
              if List.mem id seen then
                failf "manifest line %d: duplicate job id %S" (index + 1) id;
-             go (index + 1) (r :: acc) (id :: seen)
+             go (index + 1) ((r, stripped) :: acc) (id :: seen)
            end
        in
        go 0 [] [])

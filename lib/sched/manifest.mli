@@ -50,9 +50,10 @@ val parse_line :
     @raise Error on malformed input. *)
 
 val load :
-  ?default_config:Config.t -> ?base_seed:int -> ?strict:bool -> string -> resolved list
-(** Reads a whole manifest file; blank lines and [#]-prefixed comment
-    lines are skipped (indices still count physical lines).
+  ?default_config:Config.t -> ?base_seed:int -> ?strict:bool -> string -> (resolved * string) list
+(** Reads a whole manifest file, each job with the trimmed line it was
+    parsed from; blank lines and [#]-prefixed comment lines are skipped
+    (indices still count physical lines).
     @raise Error on malformed input, [Sys_error] on IO failure. *)
 
 val result_line : ?timings:bool -> seed:int -> Sched.job_result -> string

@@ -61,7 +61,9 @@ type runner = cancel:(unit -> bool) -> pool:Pool.t -> job -> Driver.result
 
 let default_runner ~cancel ~pool job = Driver.run ~cancel ~pool job.config job.circuit
 
-let default_downgrade cfg = { cfg with Config.policy = Config.Convert_at (-1) }
+(* The retry downgrade: the flat-array path, the predictable-memory
+   fallback for jobs whose DD phase blew up. *)
+let downgrade cfg = { cfg with Config.policy = Config.Convert_at (-1) }
 
 (* Lane order: priority descending, then submission sequence. *)
 module Ready = Map.Make (struct
@@ -104,7 +106,6 @@ type t = {
   mutable started : bool;
   mutable closed : bool;                     (* shut down: no submits, runners exit *)
   mutable domains : unit Domain.t list;
-  downgrade : Config.t -> Config.t;
   runner : runner;
   on_result : job_result -> unit;
   stop : bool Atomic.t;                      (* interrupt: cancel everything *)
@@ -168,7 +169,7 @@ let execute t tracked =
         if !attempts <= job.max_retries && not (cancel_poll ()) then begin
           Obs.incr c_retries;
           downgraded := true;
-          attempt (t.downgrade cfg)
+          attempt (downgrade cfg)
         end
         else Failed e
     in
@@ -216,7 +217,7 @@ let rec runner_loop t =
   match next_job t with
   | None -> ()
   | Some tracked ->
-    (* A raising [downgrade] or [on_result] must not kill the slot. *)
+    (* A raising [on_result] must not kill the slot. *)
     let jr = match execute t tracked with jr -> Some jr | exception e -> ignore e; None in
     locked t (fun () ->
         tracked.result <- jr;
@@ -227,7 +228,7 @@ let rec runner_loop t =
         Condition.broadcast t.resolved);
     runner_loop t
 
-let create ?(downgrade = default_downgrade) ?(runner = default_runner)
+let create ?(runner = default_runner)
     ?(on_result = fun _ -> ()) ?(paused = false) ?(quantum = 64) ~pool ~slots () =
   if slots < 1 then invalid_arg "Sched.create: slots must be >= 1";
   let t =
@@ -245,7 +246,6 @@ let create ?(downgrade = default_downgrade) ?(runner = default_runner)
       started = not paused;
       closed = false;
       domains = [];
-      downgrade;
       runner;
       on_result;
       stop = Atomic.make false }
@@ -346,8 +346,8 @@ let shutdown t =
   in
   List.iter Domain.join domains
 
-let run_jobs ?downgrade ?runner ?on_result ~pool ~slots jobs =
-  let t = create ?downgrade ?runner ?on_result ~paused:true ~pool ~slots () in
+let run_jobs ?runner ?on_result ~pool ~slots jobs =
+  let t = create ?runner ?on_result ~paused:true ~pool ~slots () in
   Fun.protect
     ~finally:(fun () -> shutdown t)
     (fun () ->

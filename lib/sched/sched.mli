@@ -81,18 +81,15 @@ val outcome_name : outcome -> string
 
 type runner = cancel:(unit -> bool) -> pool:Pool.t -> job -> Driver.result
 (** How one attempt executes; the job carries the attempt's config (a
-    retry passes the downgraded config in [job.config]). The default is
+    retry passes the downgraded config in [job.config]: the flat-array
+    path, [Convert_at (-1)], the predictable-memory fallback for jobs
+    whose DD phase blew up). The default is
     [Driver.run]; tests inject failing runners to exercise retry
     paths. *)
-
-val default_downgrade : Config.t -> Config.t
-(** The retry downgrade: force the flat-array path ([Convert_at (-1)]),
-    the predictable-memory fallback for jobs whose DD phase blew up. *)
 
 type t
 
 val create :
-  ?downgrade:(Config.t -> Config.t) ->
   ?runner:runner ->
   ?on_result:(job_result -> unit) ->
   ?paused:bool ->
@@ -150,7 +147,6 @@ val shutdown : t -> unit
     pool is left alone. *)
 
 val run_jobs :
-  ?downgrade:(Config.t -> Config.t) ->
   ?runner:runner ->
   ?on_result:(job_result -> unit) ->
   pool:Pool.t ->

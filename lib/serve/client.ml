@@ -19,7 +19,6 @@ type connection = {
   fd : Unix.file_descr;
   ic : in_channel;
   oc : out_channel;
-  greeting : string;
 }
 
 (* Establishment includes the daemon's Hello greeting, not just the
@@ -60,7 +59,7 @@ let connect ?(retry_for = 0.0) ~socket_path () =
          retry (Error "daemon reset the connection during handshake")
        | line ->
          (match Protocol.parse_frame line with
-          | Protocol.Hello { server } -> { fd; ic; oc; greeting = server }
+          | Protocol.Hello _ -> { fd; ic; oc }
           | exception Protocol.Error m ->
             (try Unix.close fd with Unix.Unix_error _ -> ());
             failf "bad greeting from daemon: %s" m
@@ -81,7 +80,6 @@ let read_frame c =
   | line -> Protocol.parse_frame line
 
 let close c = try Unix.close c.fd with Unix.Unix_error _ -> ()
-let greeting c = c.greeting
 
 (* --- manifest shipping ------------------------------------------------- *)
 
@@ -131,35 +129,15 @@ let pin_line ~dir ?tenant (r : Manifest.resolved) raw =
   in
   Protocol.render_obj kvs
 
-(* Manifest walk matching Manifest.load: physical line indices, blank and
-   #-comment lines skipped, each surviving line locally parsed (errors
-   surface here with their line numbers, before anything is sent). *)
+(* [Manifest.load]'s walk, each resolved job with its pinned line. Every
+   error surfaces here with its line number, before anything is sent; a
+   duplicate id would otherwise reach the daemon, run once, and map both
+   manifest entries to the first job's result line. *)
 let load_pinned ?default_config ?base_seed ?strict ?tenant path =
   let dir = Filename.dirname path in
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-       let rec go index acc seen =
-         match input_line ic with
-         | exception End_of_file -> List.rev acc
-         | line ->
-           let stripped = String.trim line in
-           if stripped = "" || stripped.[0] = '#' then go (index + 1) acc seen
-           else begin
-             let r =
-               Manifest.parse_line ?default_config ?base_seed ?strict ~dir ~index stripped
-             in
-             let id = r.Manifest.job.Sched.id in
-             (* Same check (and message) as Manifest.load: a duplicate id
-                would otherwise reach the daemon, run once, and map both
-                manifest entries to the first job's result line. *)
-             if List.mem id seen then
-               failf "manifest line %d: duplicate job id %S" (index + 1) id;
-             go (index + 1) ((r, pin_line ~dir ?tenant r stripped) :: acc) (id :: seen)
-           end
-       in
-       go 0 [] [])
+  List.map
+    (fun (r, line) -> (r, pin_line ~dir ?tenant r line))
+    (Manifest.load ?default_config ?base_seed ?strict path)
 
 let run_manifest ?default_config ?base_seed ?strict ?tenant ?(timings = true)
     ?(retry_for = 0.0) ~socket_path path =

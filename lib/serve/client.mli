@@ -21,9 +21,6 @@ val connect : ?retry_for:float -> socket_path:string -> unit -> connection
     connect racing a daemon restart observes — for that many seconds
     (50 ms backoff). Default [0.0]: fail immediately. *)
 
-val greeting : connection -> string
-(** The server identification string from the handshake hello frame. *)
-
 val send_request : connection -> Protocol.request -> unit
 val read_frame : connection -> Protocol.frame
 (** @raise Error on EOF, {!Protocol.Error} on a malformed frame. *)
@@ -43,11 +40,9 @@ val load_pinned :
   ?tenant:string ->
   string ->
   (Manifest.resolved * string) list
-(** Parses a manifest file exactly as [Manifest.load] would — physical
-    line indices, blank/comment skipping, the same duplicate-id error —
-    and returns each resolved job with its {!pin_line}d wire line.
-    @raise Error (line-numbered) on a duplicate job id;
-    [Manifest.Error] on a line that does not parse. *)
+(** [Manifest.load], each resolved job with its {!pin_line}d wire line.
+    @raise Manifest.Error (line-numbered) on a line that does not parse
+    or a duplicate job id. *)
 
 val run_manifest :
   ?default_config:Config.t ->

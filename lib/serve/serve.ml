@@ -425,7 +425,6 @@ let create cfg =
   t
 
 let stop t = Atomic.set t.stop true
-let stopped t = Atomic.get t.stop
 let completed t = locked t (fun () -> t.completed)
 
 let run t =

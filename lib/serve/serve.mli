@@ -27,8 +27,8 @@ type config = {
                               line instead of replaying stored bytes *)
   quantum : int;          (** scheduler DRR quantum, in gates per tenant visit *)
   quota : int;            (** per-tenant queued+running bound; 0 = none *)
-  warm_capacity : int;    (** ignored: every job starts cold; kept so
-                              existing callers still build a config *)
+  warm_capacity : int;    (** ignored: every job starts cold; kept
+                              because the serve-stream benchmark sets it *)
   default_config : Config.t;
   strict : bool;          (** reject unknown manifest fields *)
   log : string -> unit;   (** daemon log sink (the binary prints) *)
@@ -57,8 +57,6 @@ val run : t -> unit
 val stop : t -> unit
 (** One atomic store — safe from a signal handler. {!run} returns within
     the accept-poll interval (200 ms). *)
-
-val stopped : t -> bool
 
 val completed : t -> int
 (** Jobs resolved (any outcome) in this daemon life. *)

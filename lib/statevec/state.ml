@@ -23,14 +23,6 @@ let probability t i =
   (re *. re) +. (im *. im)
 let norm2 t = Buf.norm2 t.amps
 
-let renormalize t =
-  let s = sqrt (norm2 t) in
-  if s > 0.0 then begin
-    let inv = Cnum.of_float (1.0 /. s) in
-    Buf.scale_into ~src:t.amps ~src_pos:0 ~dst:t.amps ~dst_pos:0
-      ~len:(Buf.length t.amps) inv
-  end
-
 let most_likely t =
   let best = ref 0 and best_p = ref (probability t 0) in
   for i = 1 to dim t - 1 do
@@ -41,37 +33,6 @@ let most_likely t =
     end
   done;
   (!best, !best_p)
-
-let measure_qubit ?rng t q =
-  let rng = match rng with Some r -> r | None -> Rng.create 42 in
-  if q < 0 || q >= t.n then invalid_arg "State.measure_qubit";
-  let p1 = ref 0.0 in
-  for i = 0 to dim t - 1 do
-    if Bits.bit i q = 1 then p1 := !p1 +. probability t i
-  done;
-  let outcome = if Rng.float rng 1.0 < !p1 then 1 else 0 in
-  for i = 0 to dim t - 1 do
-    if Bits.bit i q <> outcome then Buf.set2 t.amps i 0.0 0.0
-  done;
-  renormalize t;
-  outcome
-
-let expectation_z t q =
-  let acc = ref 0.0 in
-  for i = 0 to dim t - 1 do
-    let p = probability t i in
-    acc := !acc +. (if Bits.bit i q = 0 then p else -.p)
-  done;
-  !acc
-
-let expectation_zz t q1 q2 =
-  let acc = ref 0.0 in
-  for i = 0 to dim t - 1 do
-    let p = probability t i in
-    let sign = if Bits.bit i q1 = Bits.bit i q2 then p else -.p in
-    acc := !acc +. sign
-  done;
-  !acc
 
 type pauli = I | X | Y | Z
 

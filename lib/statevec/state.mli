@@ -1,7 +1,7 @@
 (** Full state vectors over [n] qubits, stored as a flat {!Buf.t}.
 
-    This module owns state construction, measurement, sampling and
-    observable evaluation; {!Apply} owns gate application. Together they
+    This module owns state construction, sampling and observable
+    evaluation; {!Apply} owns gate application. Together they
     form the array-based simulation engine the paper compares against
     (Quantum++-style local amplitude manipulation). *)
 
@@ -21,20 +21,9 @@ val dim : t -> int
 val amplitude : t -> int -> Cnum.t
 val probability : t -> int -> float
 val norm2 : t -> float
-val renormalize : t -> unit
 
 val most_likely : t -> int * float
 (** Basis index with the largest probability. *)
-
-val measure_qubit : ?rng:Rng.t -> t -> int -> int
-(** Projective measurement: samples an outcome for one qubit, collapses
-    and renormalizes the state in place, returns the outcome bit. *)
-
-val expectation_z : t -> int -> float
-(** ⟨Z_q⟩. *)
-
-val expectation_zz : t -> int -> int -> float
-(** ⟨Z_q1 Z_q2⟩. *)
 
 type pauli = I | X | Y | Z
 

@@ -36,7 +36,7 @@ let test_id_stability () =
 
 let test_boundary_of_tolerance () =
   (* Values farther than ~2 grid cells apart must stay distinct. *)
-  let t = Ctable.create ~tolerance:1e-10 () in
+  let t = Ctable.create () in
   let a = Ctable.id t (Cnum.make 0.5 0.0) in
   let b = Ctable.id t (Cnum.make (0.5 +. 1e-6) 0.0) in
   Alcotest.(check bool) "well-separated values distinct" true (a <> b)

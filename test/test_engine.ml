@@ -1,6 +1,7 @@
-(* The stepwise engine layer (lib/engine): the three ENGINE
-   implementations must agree amplitude-for-amplitude when driven through
-   run_engine, and the flat phase's per-gate kernel dispatch must pick the
+(* The stepwise engine layer (lib/engine): DD alone (Driver.run that never
+   converts), DMAV alone (Driver.run converting before the first gate) and
+   the dense engine (run_engine) must agree amplitude-for-amplitude, and
+   the flat phase's per-gate kernel dispatch must pick the
    dense kernel exactly where the cost model says and stay observable
    through the trace and the dmav.dispatch.* counters. Driver.run at every
    conversion index is test_oracle.ml's policy axis. *)
@@ -31,29 +32,38 @@ let layered n depth =
   done;
   Circuit.Builder.finish b
 
-(* ---- run_engine: each engine through the same driver loop ---------- *)
+(* ---- each engine alone, through the same driver loop ---------------- *)
+
+(* DD alone never converts; DMAV alone converts the |0…0⟩ DD before the
+   first gate. *)
+let dd_only cfg c = Driver.run { cfg with Config.policy = Config.Never_convert } c
+
+let dmav_only ?(precision = Config.F64) cfg c =
+  Driver.run { cfg with Config.policy = Config.Convert_at (-1); precision } c
 
 let test_three_engine_differential () =
   List.iter
     (fun (name, c) ->
        let expect = dense_reference c in
        let cfg = { Config.default with Config.threads = 2; trace = true } in
-       let check ?(tol = 1e-9) ename r =
+       let check ?(tol = 1e-9) ?converted_at ename r =
          Test_util.check_close ~tol
            (Printf.sprintf "%s: %s vs dense reference" name ename)
            (Driver.amplitudes r) expect;
          Alcotest.(check int)
            (Printf.sprintf "%s: %s records every gate" name ename)
            (Circuit.num_gates c)
-           (List.length r.Driver.trace);
-         Alcotest.(check bool)
-           (Printf.sprintf "%s: %s never converts" name ename)
-           true (r.Driver.converted_at = None)
+           (List.length
+              (List.filter (fun (g : Engine.gate_record) -> g.Engine.phase <> Engine.Conversion)
+                 r.Driver.trace));
+         Alcotest.(check (option int))
+           (Printf.sprintf "%s: %s conversion index" name ename)
+           converted_at r.Driver.converted_at
        in
-       check "dd" (Driver.run_engine (module Dd_engine) cfg c);
-       check "dmav" (Driver.run_engine (module Dmav_engine) cfg c);
+       check "dd" (dd_only cfg c);
+       check ~converted_at:(-1) "dmav" (dmav_only cfg c);
        check "dense" (Driver.run_engine (module Dense_engine) cfg c);
-       check ~tol:1e-4 "dmav f32" (Driver.run_engine (module Dmav_engine.F32) cfg c);
+       check ~tol:1e-4 ~converted_at:(-1) "dmav f32" (dmav_only ~precision:Config.F32 cfg c);
        check ~tol:1e-4 "dense f32" (Driver.run_engine (module Dense_engine.F32) cfg c))
     [ ("random-5", Test_util.random_circuit ~seed:21 ~gates:40 5);
       ("random-6", Test_util.random_circuit ~seed:22 ~gates:60 6);
@@ -63,7 +73,7 @@ let test_three_engine_differential () =
 let test_run_engine_phase_accounting () =
   let c = Test_util.random_circuit ~seed:23 ~gates:20 4 in
   let cfg = { Config.default with Config.trace = true } in
-  let dd = Driver.run_engine (module Dd_engine) cfg c in
+  let dd = dd_only cfg c in
   Alcotest.(check bool) "dd time in seconds_dd" true
     (Float.equal dd.Driver.seconds_dmav 0.0
      && Float.equal dd.Driver.seconds_total dd.Driver.seconds_dd);
@@ -72,50 +82,28 @@ let test_run_engine_phase_accounting () =
        Alcotest.(check bool) "dd records carry Dd_phase" true
          (r.Engine.phase = Engine.Dd_phase))
     dd.Driver.trace;
-  let flat name (r : Driver.result) =
-    Alcotest.(check bool) (name ^ " time in seconds_dmav") true
-      (Float.equal r.Driver.seconds_dd 0.0
-       && Float.equal r.Driver.seconds_total r.Driver.seconds_dmav);
+  let gate_records name (r : Driver.result) =
     List.iter
       (fun (g : Engine.gate_record) ->
          Alcotest.(check bool) (name ^ " records carry Dmav_phase") true
-           (g.Engine.phase = Engine.Dmav_phase))
+           (g.Engine.phase = Engine.Dmav_phase || g.Engine.phase = Engine.Conversion))
       r.Driver.trace
   in
   List.iter
     (fun (name, r) ->
-       flat name r;
+       gate_records name r;
        Alcotest.(check int) (name ^ ": every gate picked a kernel")
          (Circuit.num_gates c)
          (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached))
-    [ ("dmav", Driver.run_engine (module Dmav_engine) cfg c);
-      ("dmav f32", Driver.run_engine (module Dmav_engine.F32) cfg c) ];
-  flat "dense" (Driver.run_engine (module Dense_engine) cfg c);
-  flat "dense f32" (Driver.run_engine (module Dense_engine.F32) cfg c)
-
-(* The DD engine alone and the hybrid run that never converts step the
-   same gates through the same loop: their traces must agree record for
-   record, down to the EWMA's bits (the value after each gate). *)
-let test_run_engine_dd_matches_never_convert () =
-  List.iter
-    (fun (name, c) ->
-       let cfg = { Config.default with Config.trace = true; compact_every = 5 } in
-       let a = Driver.run_engine (module Dd_engine) cfg c in
-       let b = Driver.run { cfg with Config.policy = Config.Never_convert } c in
-       let key (g : Engine.gate_record) =
-         (g.Engine.index, g.Engine.name, g.Engine.phase, g.Engine.dd_size,
-          Int64.bits_of_float g.Engine.ewma)
-       in
-       Alcotest.(check int) (name ^ ": same record count")
-         (List.length b.Driver.trace) (List.length a.Driver.trace);
-       List.iter2
-         (fun ga gb ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: gate %d record" name gb.Engine.index)
-              true (key ga = key gb))
-         a.Driver.trace b.Driver.trace)
-    [ ("random-6", Test_util.random_circuit ~seed:24 ~gates:50 6);
-      ("supremacy-8", Suite.generate ~seed:2 ~gates:80 Suite.Supremacy ~n:8) ]
+    [ ("dmav", dmav_only cfg c); ("dmav f32", dmav_only ~precision:Config.F32 cfg c) ];
+  let dense name (r : Driver.result) =
+    Alcotest.(check bool) (name ^ " time in seconds_dmav") true
+      (Float.equal r.Driver.seconds_dd 0.0
+       && Float.equal r.Driver.seconds_total r.Driver.seconds_dmav);
+    gate_records name r
+  in
+  dense "dense" (Driver.run_engine (module Dense_engine) cfg c);
+  dense "dense f32" (Driver.run_engine (module Dense_engine.F32) cfg c)
 
 (* ---- per-gate kernel dispatch -------------------------------------- *)
 
@@ -131,7 +119,8 @@ let test_dispatch_dense_for_unfused_single_qubit () =
   (* Unfused single-qubit gates: dense direct costs 2ⁿ⁺¹/(d·t) against a
      DD traversal of at least 2ⁿ scalar MACs, so with the model's SIMD
      width every one of them must dispatch dense — in the hybrid run's
-     flat phase and on the DMAV engine run alone, at both precisions. *)
+     flat phase of a run that converts before the first gate, at both
+     precisions. *)
   let n = 6 in
   let b = Circuit.Builder.create n in
   for q = 0 to n - 1 do Circuit.Builder.h b q done;
@@ -157,8 +146,7 @@ let test_dispatch_dense_for_unfused_single_qubit () =
        Test_util.check_close ~tol (name ^ ": dispatched run vs dense reference")
          (Driver.amplitudes r) expect)
     [ ("run", 1e-9, Driver.run cfg c);
-      ("run_engine dmav", 1e-9, Driver.run_engine (module Dmav_engine) cfg c);
-      ("run_engine dmav f32", 1e-4, Driver.run_engine (module Dmav_engine.F32) cfg c) ]
+      ("run f32", 1e-4, Driver.run { cfg with Config.precision = Config.F32 } c) ]
 
 let test_dispatch_mixed_kernels () =
   (* Single-qubit gates model strictly cheaper dense (2ⁿ⁺¹/d < K₁ ≥ 2ⁿ),
@@ -484,8 +472,6 @@ let suite =
         Alcotest.test_case "streamed flat phase traces every gate" `Quick test_streamed_trace;
         Alcotest.test_case "bench DD baseline honours its time limit" `Quick
           test_bench_dd_time_limit;
-        Alcotest.test_case "run_engine dd trace matches never-convert run" `Quick
-          test_run_engine_dd_matches_never_convert;
         Alcotest.test_case "unfused and DD-only jobs: exact bits pinned" `Quick
           test_unfused_bytes_pinned;
         Alcotest.test_case "unfused plan builds DDs for wide ops only" `Quick

@@ -27,14 +27,6 @@ let test_depth () =
   Alcotest.(check int) "depth" 3 (Circuit.depth c);
   Alcotest.(check int) "empty depth" 0 (Circuit.depth (Circuit.make 2 []))
 
-let test_histogram_and_usage () =
-  let c = Ghz.circuit 5 in
-  let hist = Circuit.gate_histogram c in
-  Alcotest.(check (list (pair string int))) "ghz histogram" [ ("cx", 4); ("h", 1) ] hist;
-  let usage = Circuit.qubit_usage c in
-  Alcotest.(check int) "qubit 0 usage" 2 usage.(0);
-  Alcotest.(check int) "qubit 4 usage" 1 usage.(4)
-
 (* ------------------------------------------------------------------ *)
 (* Equivalence checking                                                *)
 (* ------------------------------------------------------------------ *)
@@ -236,7 +228,6 @@ let suite =
   [ ( "extras",
       [ Alcotest.test_case "adjoint inverts" `Quick test_adjoint_inverts;
         Alcotest.test_case "depth" `Quick test_depth;
-        Alcotest.test_case "histogram and usage" `Quick test_histogram_and_usage;
         Alcotest.test_case "equiv: identical" `Quick test_equiv_identical;
         Alcotest.test_case "equiv: rewrites" `Quick test_equiv_rewrites;
         Alcotest.test_case "equiv: global phase" `Quick test_equiv_global_phase;

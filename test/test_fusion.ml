@@ -127,8 +127,14 @@ let check_dense_product what ~tol want got =
          row)
     want
 
+(* The k-operations scan's output gates, collected. *)
+let kops p ~n ~k ops =
+  let out = ref [] in
+  let stats = Fusion.k_operations_iter p ~n ~k ~emit:(fun g -> out := g :: !out) ops in
+  (List.rev !out, stats)
+
 let k_operations p ~n ~k ops =
-  let fused, stats = Fusion.k_operations p ~n ~k ops in
+  let fused, stats = kops p ~n ~k ops in
   (List.map (Fusion.to_dd p ~n) fused, stats)
 
 (* k-operations takes ops: every group of up to [k] ops multiplies into
@@ -172,12 +178,12 @@ let test_k_operations_k1_identity_transform () =
   let n = 4 in
   let p = Dd.create () in
   let ops = circuit_ops (Test_util.random_circuit ~seed:11 ~gates:6 n) in
-  let fused, stats = Fusion.k_operations p ~n ~k:1 ops in
+  let fused, stats = kops p ~n ~k:1 ops in
   Alcotest.(check int) "k=1 keeps every gate" 6 (List.length fused);
   Alcotest.(check int) "no ddmm" 0 stats.Fusion.ddmm_calls;
   Alcotest.(check int) "no matrix product" 0 stats.Fusion.narrow_products;
   Alcotest.(check bool) "k must be positive" true
-    (try ignore (Fusion.k_operations p ~n ~k:0 ops); false
+    (try ignore (kops p ~n ~k:0 ops); false
      with Invalid_argument _ -> true)
 
 let test_gate_order () =
@@ -205,7 +211,7 @@ let test_fusion_beats_kops_on_cost () =
   let c = Dnn.circuit ~seed:5 ~layers:6 n in
   let p = Dd.create () in
   let _, aware = fuse p n (circuit_ops c) in
-  let _, kops = Fusion.k_operations p ~n ~k:4 (circuit_ops c) in
+  let _, kops = kops p ~n ~k:4 (circuit_ops c) in
   Alcotest.(check bool) "aware cost <= kops cost" true
     (aware.Fusion.macs_after <= kops.Fusion.macs_after +. 1e-6)
 

@@ -424,6 +424,309 @@ let test_program_par_regression () =
            (List.mem name res.Program.r_par))
       [ "Convert.parallel"; "Serve.writer"; "Serve.reader" ]
 
+(* ---- reachability guard ------------------------------------------------ *)
+
+(* The programs the project ships. Every lib definition must be reached
+   from their code, or stand on [reach_allow]. *)
+let reach_roots = [ "bin"; "bench"; "perfbench"; "tools"; "examples" ]
+
+(* Lib definitions that no shipped program reaches but that stay, with
+   the reason each one does. An entry ending in '.' covers a module. *)
+let reach_allow =
+  [ (* oracles: what the tests compare the simulator against *)
+    ("Apply.", "dense state-vector reference of the oracle and engine tests");
+    ("Qpp_kernel.run", "Quantum++-style reference of the statevec and cross-engine tests");
+    ("Mat_dd.to_dense", "dense form of a gate DD, the DD and fusion tests' product oracle");
+    ("Mat_dd.is_identity", "the DD tests' U·U† = I check");
+    ("Gate.mul2", "dense 2×2 product, oracle of the gate and DD tests");
+    ("Gate.mul4", "dense 4×4 product, oracle of the gate, DD and fusion tests");
+    ("Gate.is_unitary", "unitarity oracle of the gate tests");
+    ("Gate.is_unitary4", "unitarity oracle of the gate tests");
+    ("Adder.expected", "the adder's operands and sum, oracle of the generator tests");
+    ("Adder.expected_basis_index", "where the adder's sum lands, oracle of the generator tests");
+    ("Qpe.expected_estimate", "QPE's expected phase estimate, oracle of the QPE tests");
+    ("Obs.Metrics.of_json", "parser of the metrics JSON writer's round-trip test");
+    ("Order.score", "the static order's objective, pinned by the order tests");
+    ("Order.of_array", "builds the orders the order tests apply");
+    ("Order.apply", "maps a qubit through an order in the order tests");
+    ("Dd.mentry", "matrix entry by path walk, oracle of the DD tests and test/fusion_ref.ml");
+    ("Vec_dd.norm2", "the DD-side norm the DD tests check");
+    ("State.norm2", "norm of the dense reference's state");
+    ("State.amplitude", "reads the dense reference's state");
+    (* fixtures: test inputs and probes of internal state *)
+    ("Check.", "the ownership checker's test API: mode override, counts, reset");
+    ("Dd.Testing.", "arena high-water marks and the kernel reference's arena view");
+    ("Dd.ctable", "the weight table the DD tests count");
+    ("Dd.mlevel", "a matrix node's level, read by the DMAV and kernel tests");
+    ("Dd.mnode_count", "matrix DD size, checked by the DD tests");
+    ("Dd.mwid", "a matrix edge's weight id, compared by the fusion tests");
+    ("Dd.vterm_edge", "builds hand-made vector DDs in the DD tests");
+    ("Vec_dd.basis_state", "basis-state DDs of the DD and conversion tests");
+    ("Vec_dd.of_buf", "builds the DD tests' vector DDs from arrays");
+    ("State.basis_state", "basis states of the statevec and circuit tests");
+    ("Ctable.canon", "the canonical representative the ctable tests compare");
+    ("Ctable.zero_id", "the zero weight's id the ctable tests expect");
+    ("Cnum.scale", "arithmetic of the tests' expected values");
+    ("Cnum.sub", "arithmetic of the tests' expected values");
+    ("Cnum.sqrt2_inv", "a constant of the cnum and buf tests");
+    ("Gate.cz2", "a two-qubit fixture gate of the gate, DD and kernel tests");
+    ("Gate.pp", "prints the matrices of a failing gate check");
+    ("Circuit.pp", "prints the oracle's counterexample when it has no QASM form");
+    ("Qft.on_basis", "QFT of a basis state, a generator test with a closed-form answer");
+    ("Journal.size", "journal probe of the serve tests");
+    ("Journal.done_results", "journal probe of the serve tests");
+    ("Obs.value", "metric reader of the obs and serve tests");
+    ("Obs.fvalue", "metric reader of the obs tests");
+    ("Obs.gauge_value", "metric reader of the obs tests");
+    ("Obs.span_count", "metric reader of the obs tests");
+    ("Obs.span_seconds", "metric reader of the obs tests");
+    ("Obs.Metrics.all_zero", "checks that a metrics reset zeroed everything");
+    ("Rng.shuffle", "random operand orders of the DD gate-builder test");
+    ("Bits.clear_bit", "basis-index arithmetic of the circuit tests");
+    (* only their own unit tests call these: each deletion takes a unit
+       test with it, so they go in a later change *)
+    ("Rng.bool", "unit-tested only; to delete");
+    ("Rng.copy", "unit-tested only; to delete");
+    ("Rng.split", "unit-tested only; to delete");
+    ("Stats.median", "unit-tested only; to delete");
+    ("Stats.ratio", "unit-tested only; to delete");
+    ("Stats.stddev", "unit-tested only; to delete");
+    ("Bits.ceil_pow2", "unit-tested only; to delete");
+    ("Bits.insert_bit2", "unit-tested only; to delete");
+    ("Bits.reverse_bits", "unit-tested only; to delete") ]
+
+(* The definitions one piece of code references. [Callgraph] resolves
+   plain [Module.name] references; on top of it this models local opens,
+   [let module] aliases, and a module named where a module is expected (a
+   [(module M)] pack, a functor argument, an [include]) as a reference to
+   every definition inside it. *)
+let reach_refs (model : Callgraph.t) =
+  let by_module = Hashtbl.create 256 in
+  List.iter
+    (fun (d : Callgraph.def) ->
+       let rec prefixes acc = function
+         | [] -> ()
+         | m :: rest ->
+           let p = if acc = "" then m else acc ^ "." ^ m in
+           Hashtbl.add by_module p d.Callgraph.d_name;
+           prefixes p rest
+       in
+       prefixes "" d.Callgraph.d_modpath)
+    model.Callgraph.order;
+  fun ~modpath ~opens (visit : Ast_iterator.iterator -> unit) ->
+    let out = ref [] and opens = ref opens and aliases = ref [] in
+    let dealias name =
+      match String.index_opt name '.' with
+      | None -> Option.value ~default:name (List.assoc_opt name !aliases)
+      | Some i ->
+        (match List.assoc_opt (String.sub name 0 i) !aliases with
+         | Some target -> target ^ String.sub name i (String.length name - i)
+         | None -> name)
+    in
+    let rec prefixes = function
+      | [] -> [ [] ]
+      | p -> p :: prefixes (List.rev (List.tl (List.rev p)))
+    in
+    let resolve_module m =
+      let m = dealias m in
+      List.find_opt (Hashtbl.mem by_module)
+        (List.map (fun p -> String.concat "." (p @ [ m ])) (prefixes modpath)
+         @ List.map (fun o -> o ^ "." ^ m) !opens)
+    in
+    let module_ref lid =
+      match Callgraph.lid_to_string lid with
+      | None -> ()
+      | Some m ->
+        (match resolve_module m with
+         | Some full -> out := Hashtbl.find_all by_module full @ !out
+         | None -> ())
+    in
+    let add_open lid =
+      match Callgraph.lid_to_string lid with
+      | Some o -> opens := Option.value ~default:o (resolve_module o) :: !opens
+      | None -> ()
+    in
+    let scoped f =
+      let o = !opens and a = !aliases in
+      f ();
+      opens := o;
+      aliases := a
+    in
+    let default = Ast_iterator.default_iterator in
+    let it =
+      { default with
+        Ast_iterator.expr =
+          (fun self e ->
+             match e.Parsetree.pexp_desc with
+             | Parsetree.Pexp_ident { txt; _ } ->
+               (match Callgraph.lid_to_string txt with
+                | Some n ->
+                  (match Callgraph.resolve model ~modpath ~opens:!opens (dealias n) with
+                   | Some d -> out := d.Callgraph.d_name :: !out
+                   | None -> ())
+                | None -> ())
+             | Parsetree.Pexp_open
+                 ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, body) ->
+               scoped (fun () ->
+                   add_open txt;
+                   self.Ast_iterator.expr self body)
+             | Parsetree.Pexp_letmodule
+                 ({ txt = Some name; _ }, { pmod_desc = Pmod_ident { txt; _ }; _ }, body) ->
+               scoped (fun () ->
+                   (match Callgraph.lid_to_string txt with
+                    | Some m ->
+                      let m = dealias m in
+                      aliases := (name, Option.value ~default:m (resolve_module m)) :: !aliases
+                    | None -> ());
+                   self.Ast_iterator.expr self body)
+             | _ -> default.Ast_iterator.expr self e);
+        module_expr =
+          (fun self me ->
+             match me.Parsetree.pmod_desc with
+             | Parsetree.Pmod_ident { txt; _ } -> module_ref txt
+             | _ -> default.Ast_iterator.module_expr self me);
+        open_declaration =
+          (fun _ od ->
+             match od.Parsetree.popen_expr.pmod_desc with
+             | Parsetree.Pmod_ident { txt; _ } -> add_open txt
+             | _ -> ()) }
+    in
+    visit it;
+    !out
+
+(* Module-level code outside the definitions [Callgraph] collects: functor
+   bodies and arguments, [include]s, top-level expressions and
+   destructuring [let]s. It runs when its module is linked, so what it
+   references is a root. *)
+let module_level_refs refs (f : Callgraph.file) =
+  let acc = ref [] in
+  let visit ~modpath v = acc := refs ~modpath ~opens:f.Callgraph.f_opens v @ !acc in
+  let rec structure modpath str =
+    List.iter
+      (fun si ->
+         match si.Parsetree.pstr_desc with
+         | Parsetree.Pstr_value (_, vbs) ->
+           List.iter
+             (fun vb ->
+                match vb.Parsetree.pvb_pat.ppat_desc with
+                | _ when Callgraph.pat_name vb.Parsetree.pvb_pat <> None -> ()
+                | Parsetree.Ppat_any | Parsetree.Ppat_construct _ -> ()
+                | _ -> visit ~modpath (fun it -> it.Ast_iterator.value_binding it vb))
+             vbs
+         | Parsetree.Pstr_module mb -> module_binding modpath mb
+         | Parsetree.Pstr_recmodule mbs -> List.iter (module_binding modpath) mbs
+         | Parsetree.Pstr_include incl ->
+           visit ~modpath (fun it -> it.Ast_iterator.module_expr it incl.Parsetree.pincl_mod)
+         | Parsetree.Pstr_eval (e, _) -> visit ~modpath (fun it -> it.Ast_iterator.expr it e)
+         | _ -> ())
+      str
+  and module_binding modpath mb =
+    match mb.Parsetree.pmb_name.txt with
+    | None -> ()
+    | Some m ->
+      let rec unwrap me =
+        match me.Parsetree.pmod_desc with
+        | Parsetree.Pmod_structure str -> structure (modpath @ [ m ]) str
+        | Parsetree.Pmod_constraint (me, _) -> unwrap me
+        | _ -> visit ~modpath:(modpath @ [ m ]) (fun it -> it.Ast_iterator.module_expr it me)
+      in
+      unwrap mb.Parsetree.pmb_expr
+  in
+  (match Lint.parse f.Callgraph.f_path f.Callgraph.f_text with
+   | Ok str -> structure [ f.Callgraph.f_module ] str
+   | Error _ -> ());
+  !acc
+
+let covers entry name =
+  if String.ends_with ~suffix:"." entry then String.starts_with ~prefix:entry name
+  else entry = name
+
+(* The lib definitions no shipped program reaches, as
+   (name, "path:line"), and the allowlist entries that cover none of
+   them. What an allowlisted definition references is kept with it. *)
+let reach_check root =
+  let prefix = root ^ "/" in
+  let sources =
+    Callgraph.load (List.map (Filename.concat root) ("lib" :: reach_roots))
+    |> List.map (fun (p, text) ->
+           if String.starts_with ~prefix p then
+             (String.sub p (String.length prefix) (String.length p - String.length prefix), text)
+           else (p, text))
+  in
+  let model = Callgraph.build sources in
+  let refs = reach_refs model in
+  let opens_of =
+    let tbl = Hashtbl.create 64 in
+    List.iter (fun f -> Hashtbl.replace tbl f.Callgraph.f_path f.Callgraph.f_opens) model.Callgraph.files;
+    fun path -> Option.value ~default:[] (Hashtbl.find_opt tbl path)
+  in
+  let in_lib (d : Callgraph.def) = String.starts_with ~prefix:"lib/" d.Callgraph.d_path in
+  let is_init (d : Callgraph.def) =
+    String.starts_with ~prefix:"(init:" (Callgraph.last_component d.Callgraph.d_name)
+  in
+  let reached = Hashtbl.create 1024 in
+  let queue = Queue.create () in
+  let reach_def (d : Callgraph.def) =
+    Hashtbl.replace reached d.Callgraph.d_name ();
+    Queue.add d queue
+  in
+  let reach name =
+    if not (Hashtbl.mem reached name) then Option.iter reach_def (Callgraph.find model name)
+  in
+  let drain () =
+    while not (Queue.is_empty queue) do
+      let d = Queue.pop queue in
+      List.iter reach
+        (refs ~modpath:d.Callgraph.d_modpath ~opens:(opens_of d.Callgraph.d_path)
+           (fun it -> it.Ast_iterator.expr it d.Callgraph.d_body))
+    done
+  in
+  let unreached () =
+    List.filter
+      (fun (d : Callgraph.def) -> in_lib d && not (Hashtbl.mem reached d.Callgraph.d_name))
+      model.Callgraph.order
+  in
+  List.iter (fun d -> if (not (in_lib d)) || is_init d then reach_def d) model.Callgraph.order;
+  List.iter (fun f -> List.iter reach (module_level_refs refs f)) model.Callgraph.files;
+  drain ();
+  let shipped_unreached = unreached () in
+  let stale =
+    List.filter_map
+      (fun (entry, _) ->
+         if List.exists (fun (d : Callgraph.def) -> covers entry d.Callgraph.d_name) shipped_unreached
+         then None
+         else Some entry)
+      reach_allow
+  in
+  List.iter
+    (fun (d : Callgraph.def) ->
+       if List.exists (fun (entry, _) -> covers entry d.Callgraph.d_name) reach_allow then
+         reach_def d)
+    shipped_unreached;
+  drain ();
+  ( stale,
+    List.map
+      (fun (d : Callgraph.def) ->
+         (d.Callgraph.d_name, Printf.sprintf "%s:%d" d.Callgraph.d_path d.Callgraph.d_line))
+      (unreached ()) )
+
+(* Against the real tree, whose sources the test stanza depends on: no
+   lib definition is left that neither a shipped program nor an
+   allowlisted oracle or fixture reaches, and every allowlist entry
+   still covers one. *)
+let test_reachability () =
+  let rec find_root d =
+    if List.for_all (fun r -> Sys.file_exists (Filename.concat d r)) ("lib/dd/dd.ml" :: reach_roots)
+    then d
+    else
+      let parent = Filename.dirname d in
+      if parent = d then Alcotest.fail "no source tree above the test's directory" else find_root parent
+  in
+  let stale, unreached = reach_check (find_root (Sys.getcwd ())) in
+  Alcotest.(check (list string)) "allowlist entries that cover nothing unreached" [] stale;
+  Alcotest.(check (list string)) "lib definitions no shipped program reaches" []
+    (List.map (fun (name, loc) -> name ^ " (" ^ loc ^ ")") unreached)
+
 (* ---- baseline ratchet -------------------------------------------------- *)
 
 let mkf ?(rule = "unguarded-shared-state") ?(sev = Lint.Error)
@@ -528,7 +831,8 @@ let suite =
         Alcotest.test_case "arena-epoch staleness" `Quick test_program_epoch;
         Alcotest.test_case "parallel-reachable regression" `Quick
           test_program_par_regression;
-        Alcotest.test_case "baseline ratchet" `Quick test_baseline ] ) ]
+        Alcotest.test_case "baseline ratchet" `Quick test_baseline;
+        Alcotest.test_case "reachability" `Quick test_reachability ] ) ]
 
 (* Own binary: the linter's compiler-libs dependency cannot be linked
    next to the simulator's Config (see test/dune). *)

@@ -157,8 +157,11 @@ let test_load_file () =
           \n\
           {\"circuit\":\"qft\",\"n\":6}\n";
        close_out oc;
-       let rs = Manifest.load ~base_seed:1 path in
+       let rs = List.map fst (Manifest.load ~base_seed:1 path) in
        Alcotest.(check int) "two jobs" 2 (List.length rs);
+       Alcotest.(check (list string)) "each job with its line"
+         [ {|{"id":"a","circuit":"ghz","n":5}|}; {|{"circuit":"qft","n":6}|} ]
+         (List.map snd (Manifest.load ~base_seed:1 path));
        Alcotest.(check (list string)) "ids count physical lines"
          [ "a"; "job-3" ]
          (List.map (fun r -> r.Manifest.job.Sched.id) rs))

@@ -130,7 +130,7 @@ let test_load_pinned_duplicate_ids () =
         "{\"id\":\"same\",\"circuit\":\"qft\",\"n\":4}\n\
          {\"id\":\"same\",\"circuit\":\"ghz\",\"n\":4}\n";
       match Client.load_pinned path with
-      | exception Client.Error m ->
+      | exception Manifest.Error m ->
         Alcotest.(check string) "same line-numbered error as Manifest.load"
           {|manifest line 2: duplicate job id "same"|} m
       | _ -> Alcotest.fail "duplicate ids must be rejected client-side")
@@ -310,7 +310,7 @@ let write_file path text =
   close_out oc
 
 let local_reference ?(base_seed = 1) path =
-  let resolved = Manifest.load ~base_seed path in
+  let resolved = List.map fst (Manifest.load ~base_seed path) in
   let results =
     Pool.with_pool 2 (fun pool ->
         Sched.run_jobs ~pool ~slots:2 (List.map (fun r -> r.Manifest.job) resolved))

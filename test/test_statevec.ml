@@ -79,48 +79,33 @@ let test_norm_preservation () =
   Alcotest.(check (float 1e-9)) "unitary evolution preserves norm" 1.0
     (State.norm2 st)
 
-let test_measure_collapse () =
-  (* Measure a GHZ state: both qubits must agree afterwards. *)
-  for seed = 1 to 10 do
-    let st = Apply.run (Ghz.circuit 2) in
-    let r = Rng.create seed in
-    let outcome = State.measure_qubit ~rng:r st 0 in
-    let expected_basis = if outcome = 1 then 3 else 0 in
-    Alcotest.(check (float 1e-9)) "collapsed" 1.0 (State.probability st expected_basis);
-    Alcotest.(check (float 1e-9)) "renormalized" 1.0 (State.norm2 st)
-  done
-
-let test_measure_statistics () =
-  (* On |+>, outcomes must be roughly balanced across seeds. *)
-  let ones = ref 0 in
-  for seed = 1 to 200 do
-    let st = State.zero_state 1 in
-    Apply.single st Gate.h ~target:0 ~controls:[];
-    let r = Rng.create seed in
-    if State.measure_qubit ~rng:r st 0 = 1 then incr ones
-  done;
-  Alcotest.(check bool) "roughly balanced" true (!ones > 60 && !ones < 140)
+(* ⟨Z_q1 ⋯ Z_qk⟩ as a one-term Pauli string. *)
+let z st qs = State.expectation_pauli st [ (1.0, List.map (fun q -> (q, State.Z)) qs) ]
 
 let test_expectations () =
   let st = State.zero_state 2 in
-  Alcotest.(check (float 1e-12)) "<Z> on |0>" 1.0 (State.expectation_z st 0);
+  Alcotest.(check (float 1e-12)) "<Z> on |0>" 1.0 (z st [ 0 ]);
   Apply.single st Gate.x ~target:0 ~controls:[];
-  Alcotest.(check (float 1e-12)) "<Z> on |1>" (-1.0) (State.expectation_z st 0);
-  Alcotest.(check (float 1e-12)) "<ZZ> anti-aligned" (-1.0) (State.expectation_zz st 0 1);
+  Alcotest.(check (float 1e-12)) "<Z> on |1>" (-1.0) (z st [ 0 ]);
+  Alcotest.(check (float 1e-12)) "<ZZ> anti-aligned" (-1.0) (z st [ 0; 1 ]);
   let plus = State.zero_state 1 in
   Apply.single plus Gate.h ~target:0 ~controls:[];
-  Alcotest.(check (float 1e-12)) "<Z> on |+>" 0.0 (State.expectation_z plus 0);
+  Alcotest.(check (float 1e-12)) "<Z> on |+>" 0.0 (z plus [ 0 ]);
   Alcotest.(check (float 1e-12)) "<X> on |+>" 1.0
     (State.expectation_pauli plus [ (1.0, [ (0, State.X) ]) ]);
   Alcotest.(check (float 1e-12)) "<Y> on |+>" 0.0
     (State.expectation_pauli plus [ (1.0, [ (0, State.Y) ]) ])
 
+(* H Z H = X: ⟨Z_q⟩ of a state is ⟨X_q⟩ of the state with H applied to
+   qubit q. *)
 let test_expectation_pauli_matches_z () =
   let c = Test_util.random_circuit ~seed:11 ~gates:30 5 in
   let st = Apply.run c in
   for q = 0 to 4 do
+    let rotated = State.copy st in
+    Apply.single rotated Gate.h ~target:q ~controls:[];
     Alcotest.(check (float 1e-9)) (Printf.sprintf "Z_%d consistency" q)
-      (State.expectation_z st q)
+      (State.expectation_pauli rotated [ (1.0, [ (q, State.X) ]) ])
       (State.expectation_pauli st [ (1.0, [ (q, State.Z) ]) ])
   done
 
@@ -148,14 +133,6 @@ let test_most_likely () =
   Alcotest.(check int) "basis" 9 basis;
   Alcotest.(check (float 0.0)) "prob" 1.0 p
 
-let test_renormalize () =
-  let st = State.zero_state 2 in
-  Buf.set st.State.amps 0 (Cnum.make 3.0 0.0);
-  Buf.set st.State.amps 1 (Cnum.make 0.0 4.0);
-  State.renormalize st;
-  Alcotest.(check (float 1e-12)) "normalized" 1.0 (State.norm2 st);
-  Alcotest.(check (float 1e-12)) "ratios kept" 0.36 (State.probability st 0)
-
 let prop_single_qubit_unitary_preserves_norm =
   QCheck.Test.make ~name:"random u3 on random qubit preserves norm" ~count:100
     QCheck.(triple (float_range 0.0 6.3) (float_range 0.0 6.3) (int_bound 5))
@@ -176,12 +153,9 @@ let suite =
         Alcotest.test_case "qpp kernel matches fast kernel" `Quick test_qpp_kernel_matches;
         Alcotest.test_case "qpp kernel parallel" `Quick test_qpp_kernel_parallel;
         Alcotest.test_case "norm preservation" `Quick test_norm_preservation;
-        Alcotest.test_case "measurement collapse" `Quick test_measure_collapse;
-        Alcotest.test_case "measurement statistics" `Quick test_measure_statistics;
         Alcotest.test_case "expectations" `Quick test_expectations;
         Alcotest.test_case "pauli expectation consistency" `Quick
           test_expectation_pauli_matches_z;
         Alcotest.test_case "sampler statistics" `Quick test_sampler;
         Alcotest.test_case "most likely" `Quick test_most_likely;
-        Alcotest.test_case "renormalize" `Quick test_renormalize;
         QCheck_alcotest.to_alcotest prop_single_qubit_unitary_preserves_norm ] ) ]
