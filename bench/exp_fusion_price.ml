@@ -18,8 +18,12 @@
    of 5 per gate and kernel.
 
    - A least-squares fit of Run time = c₀ + a·(recursion MACs) +
-     b·(stripe MACs), with and without c₀, gives the two per-MAC rates at
-     each thread count; [b/a] is the identity price the data supports.
+     b·(stripe MACs) + v·(visits), with and without c₀ and with and
+     without the visits column, gives the two per-MAC rates and the
+     per-visit rate at each thread count, where a visit is one call of
+     the Run's recursion on an internal node other than an identity or
+     a level-0 node; [b/a] is the identity price and [v/a] the visit
+     price the data supports.
    - The local leg's and the dense kernel's times per amplitude they
      stream (a fit through the origin), divided by the Run's time per
      priced MAC, are their rates in the Run's priced MACs, the unit of
@@ -68,42 +72,107 @@ let fuse ?identity_price ?local_rate j =
 let fused ?identity_price ?local_rate j =
   List.map (Fusion.to_dd j.package ~n:j.n) (fst (fuse ?identity_price ?local_rate j))
 
-(* Recursion and stripe MACs of one uncached application. *)
+(* Recursion and stripe MACs and recursion visits of one uncached
+   application. *)
 let mac_split p m =
-  let stripe = Dd.priced_paths p ~terminal:0.0 ~identity:1.0 m in
-  (Cost.mac_count p m -. stripe, stripe)
+  let stripe = Dd.priced_paths p ~terminal:0.0 ~identity:1.0 ~visit:0.0 m in
+  (Cost.mac_count p m -. stripe, stripe, Dd.priced_paths p ~terminal:0.0 ~identity:0.0 ~visit:1.0 m)
+
+(* The visits the Run stub makes in batches: every visit below a
+   pure-replication node ((e, 0, 0, e') or (0, e, e', 0) on one target),
+   which [run_batch_] walks once for up to 64 paths. Counted per path,
+   like [Dd.priced_paths]'s visits, so the rest are [run_node] calls. *)
+let batched_visits p m =
+  let idents = Hashtbl.create 16 in
+  let identity l =
+    match Hashtbl.find_opt idents l with
+    | Some i -> i
+    | None ->
+      let i = Dd.mtgt (Mat_dd.identity p (l + 1)) in
+      Hashtbl.replace idents l i;
+      i
+  in
+  let memo = Hashtbl.create 64 in
+  (* [go node batched]: the visits of one path into [node] that fall in
+     a batch. *)
+  let rec go node batched =
+    let l = if node = Dd.mterminal then -1 else Dd.mlevel p node in
+    if l <= 0 || node = identity l then 0.0
+    else
+      match Hashtbl.find_opt memo (Dd.mid node, batched) with
+      | Some v -> v
+      | None ->
+        let c a b = Dd.mchild p node a b in
+        let replication =
+          let same e e' =
+            (not (Dd.medge_is_zero e)) && (not (Dd.medge_is_zero e')) && Dd.mtgt e = Dd.mtgt e'
+          in
+          (Dd.medge_is_zero (c 0 1) && Dd.medge_is_zero (c 1 0) && same (c 0 0) (c 1 1))
+          || (Dd.medge_is_zero (c 0 0) && Dd.medge_is_zero (c 1 1) && same (c 0 1) (c 1 0))
+        in
+        let below = batched || replication in
+        let v =
+          (if batched then 1.0 else 0.0)
+          +. List.fold_left
+               (fun acc (a, b) ->
+                  let e = c a b in
+                  if Dd.medge_is_zero e then acc else acc +. go (Dd.mtgt e) below)
+               0.0 [ (0, 0); (0, 1); (1, 0); (1, 1) ]
+        in
+        Hashtbl.replace memo (Dd.mid node, batched) v;
+        v
+  in
+  if Dd.medge_is_zero m then 0.0 else go (Dd.mtgt m) false
 
 let elapsed_ns f =
   let t0 = Timer.now_ns () in
   f ();
   Int64.to_float (Int64.sub (Timer.now_ns ()) t0)
 
-(* Least squares for y = c₀ + a·x₁ + b·x₂ through the 3×3 normal
-   equations (Cramer's rule), and for y = a·x₁ + b·x₂ through the 2×2
-   system of the MAC columns alone. Returns [(c₀, a, b)] for each. *)
-let fit samples =
-  let s = Array.make_matrix 3 4 0.0 in
+(* Least squares for y = Σ βᵢ·xᵢ over the columns [row x], by Gaussian
+   elimination with partial pivoting on the normal equations: the
+   coefficients and the root-mean-square residual. *)
+let fit row samples =
+  let k = Array.length (row (List.hd samples |> fst)) in
+  let s = Array.make_matrix k (k + 1) 0.0 in
   List.iter
-    (fun (x1, x2, y) ->
-       let row = [| 1.0; x1; x2 |] in
-       for i = 0 to 2 do
-         for j = 0 to 2 do
-           s.(i).(j) <- s.(i).(j) +. (row.(i) *. row.(j))
+    (fun (x, y) ->
+       let r = row x in
+       for i = 0 to k - 1 do
+         for j = 0 to k - 1 do
+           s.(i).(j) <- s.(i).(j) +. (r.(i) *. r.(j))
          done;
-         s.(i).(3) <- s.(i).(3) +. (row.(i) *. y)
+         s.(i).(k) <- s.(i).(k) +. (r.(i) *. y)
        done)
     samples;
-  let det m =
-    (m.(0).(0) *. ((m.(1).(1) *. m.(2).(2)) -. (m.(1).(2) *. m.(2).(1))))
-    -. (m.(0).(1) *. ((m.(1).(0) *. m.(2).(2)) -. (m.(1).(2) *. m.(2).(0))))
-    +. (m.(0).(2) *. ((m.(1).(0) *. m.(2).(1)) -. (m.(1).(1) *. m.(2).(0))))
+  for c = 0 to k - 1 do
+    let piv = ref c in
+    for r = c + 1 to k - 1 do
+      if Float.abs s.(r).(c) > Float.abs s.(!piv).(c) then piv := r
+    done;
+    let tmp = s.(c) in
+    s.(c) <- s.(!piv);
+    s.(!piv) <- tmp;
+    for r = 0 to k - 1 do
+      if r <> c then begin
+        let f = s.(r).(c) /. s.(c).(c) in
+        for j = c to k do
+          s.(r).(j) <- s.(r).(j) -. (f *. s.(c).(j))
+        done
+      end
+    done
+  done;
+  let beta = Array.init k (fun i -> s.(i).(k) /. s.(i).(i)) in
+  let sq =
+    List.fold_left
+      (fun acc (x, y) ->
+         let r = row x in
+         let e = ref y in
+         Array.iteri (fun i b -> e := !e -. (b *. r.(i))) beta;
+         acc +. (!e *. !e))
+      0.0 samples
   in
-  let d = det (Array.map (fun r -> Array.sub r 0 3) s) in
-  let solve k = det (Array.map (fun r -> Array.init 3 (fun j -> if j = k then r.(3) else r.(j))) s) /. d in
-  let d2 = (s.(1).(1) *. s.(2).(2)) -. (s.(1).(2) *. s.(2).(1)) in
-  let a0 = ((s.(1).(3) *. s.(2).(2)) -. (s.(1).(2) *. s.(2).(3))) /. d2 in
-  let b0 = ((s.(1).(1) *. s.(2).(3)) -. (s.(2).(1) *. s.(1).(3))) /. d2 in
-  ((solve 0, solve 1, solve 2), (0.0, a0, b0))
+  (beta, sqrt (sq /. float_of_int (List.length samples)))
 
 (* y = ρ·x through the origin. *)
 let slope xys =
@@ -120,6 +189,8 @@ type sample = {
   support : int option;      (* the local form's support; [None]: wide *)
   recursion : float;         (* MACs the Run recursion makes *)
   stripe : float;            (* MACs under identity stripes *)
+  visits : float;            (* Run calls on priced internal nodes *)
+  batched : float;           (* the part of [visits] made in batches *)
   run : float array;
   cached : float array;
   local : float array;
@@ -196,15 +267,16 @@ let timed_samples pools jobs =
        Array.to_list
          (Array.mapi
             (fun k (op, m, form) ->
-               let recursion, stripe = mac_split j.package m in
+               let recursion, stripe, visits = mac_split j.package m in
                { job = j; mat = m; op;
                  support = Option.map (fun (l : Flat_gate.local) -> l.Flat_gate.support) form;
-                 recursion; stripe;
+                 recursion; stripe; visits; batched = batched_visits j.package m;
                  run = run.(k); cached = cached.(k); local = local.(k); dense = dense.(k) })
             gates))
     jobs
 
-let priced x = x.recursion +. (Cost.identity_price *. x.stripe)
+let priced x =
+  x.recursion +. (Cost.identity_price *. x.stripe) +. (Cost.visit_price *. x.visits)
 
 (* The paper's pick, as the flat phase made it before the local leg was
    priced: Eq. 5 against Eq. 6 over plain MACs, the local leg only for an
@@ -345,25 +417,59 @@ let run () =
   let rows =
     List.concat_map
       (fun (threads, ns) ->
-         let with_c0, through_origin =
-           fit (List.map (fun x -> (x.recursion, x.stripe, ns x)) samples)
-         in
+         let data = List.map (fun x -> (x, ns x)) samples in
          List.map
-           (fun (kind, (c0, a, b)) ->
+           (fun (kind, row) ->
+              let beta, rms = fit row data in
+              (* The coefficients in (c₀, a, b, v) order, 0 where the
+                 fit has no such column. *)
+              let ip = Cost.identity_price in
+              let c0, a, b, v =
+                match kind with
+                | `C0_visits -> (beta.(0), beta.(1), beta.(2), beta.(3))
+                | `Visits -> (0.0, beta.(0), beta.(1), beta.(2))
+                | `Priced_visits | `Batched -> (beta.(0), beta.(1), ip *. beta.(1), beta.(2))
+                | `C0 -> (beta.(0), beta.(1), beta.(2), 0.0)
+                | `Macs -> (0.0, beta.(0), beta.(1), 0.0)
+              in
               [ string_of_int threads;
-                string_of_int (List.length samples);
-                kind;
+                string_of_int (List.length data);
+                (match kind with
+                 | `C0_visits -> "c0 + a r + b s + v n"
+                 | `Visits -> "a r + b s + v n"
+                 | `Priced_visits -> Printf.sprintf "c0 + a (r + %g s) + v n" ip
+                 | `Batched ->
+                   Printf.sprintf "c0 + a (r + %g s) + v n_call + %.2f n_batch" ip
+                     (beta.(3) /. beta.(1))
+                 | `C0 -> "c0 + a r + b s"
+                 | `Macs -> "a r + b s");
                 Printf.sprintf "%.1f" (c0 /. 1e3);
                 Printf.sprintf "%.2f" a;
                 Printf.sprintf "%.2f" b;
-                Printf.sprintf "%.3f" (b /. a) ])
-           [ ("c0 + a r + b s", with_c0); ("a r + b s", through_origin) ])
+                Printf.sprintf "%.2f" v;
+                Printf.sprintf "%.3f" (b /. a);
+                Printf.sprintf "%.2f" (v /. a);
+                Printf.sprintf "%.1f" (rms /. 1e3) ])
+           [ (`C0_visits, fun x -> [| 1.0; x.recursion; x.stripe; x.visits |]);
+             (`Visits, fun x -> [| x.recursion; x.stripe; x.visits |]);
+             ( `Priced_visits,
+               fun x -> [| 1.0; x.recursion +. (Cost.identity_price *. x.stripe); x.visits |] );
+             ( `Batched,
+               fun x ->
+                 [| 1.0; x.recursion +. (Cost.identity_price *. x.stripe); x.visits -. x.batched;
+                    x.batched |] );
+             (`C0, fun x -> [| 1.0; x.recursion; x.stripe |]);
+             (`Macs, fun x -> [| x.recursion; x.stripe |]) ])
       [ (1, fun x -> x.run.(0)); (2, fun x -> x.run.(1)) ]
   in
   Report.table
-    ~title:"uncached DMAV time (best of 5) against recursion MACs r and stripe MACs s"
-    ~header:[ "threads"; "applications"; "fit"; "c0 us"; "a ns/MAC"; "b ns/MAC"; "b/a" ]
+    ~title:
+      "uncached DMAV time (best of 5) against recursion MACs r, stripe MACs s and Run visits n"
+    ~header:
+      [ "threads"; "applications"; "fit"; "c0 us"; "a ns/MAC"; "b ns/MAC"; "v ns/visit"; "b/a";
+        "v/a"; "rms us" ]
     rows;
+  Report.note "constants: identity price %g, visit price %g" Cost.identity_price Cost.visit_price;
   Report.table
     ~title:"array kernels: time per amplitude streamed (fit through 0) over the Run's time per priced MAC"
     ~header:[ "threads"; "kernel"; "gates"; "n"; "ns/amp"; "Run ns/priced MAC"; "rate" ]

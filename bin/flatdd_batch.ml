@@ -72,7 +72,12 @@ let line_outcome line =
 
 let run manifest slots threads seed out no_timings strict verbose metrics metrics_json
     order precision connect tenant =
+  let at_least_one flag name v =
+    if v < 1 then invalid_arg (Printf.sprintf "%s: %s must be >= 1 (got %d)" flag name v)
+  in
   try
+    at_least_one "-s" "slots" slots;
+    at_least_one "-t" "threads" threads;
     let metrics_wanted = metrics || metrics_json <> None in
     if metrics_wanted then begin
       Obs.set_enabled true;

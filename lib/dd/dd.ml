@@ -456,19 +456,19 @@ let mnode_count p (e : medge) =
    walk: its four children first, then either its identity price, when
    it is (e, 0, 0, e) with [e] the unit edge to the identity one level
    down ([mone] at level 0), or the sum of its non-zero children's
-   counts. Counts go straight into the unboxed [walk_val], so the walk
-   allocates nothing. *)
+   counts, plus [visit] at level 1 and up. Counts go straight into the
+   unboxed [walk_val], so the walk allocates nothing. *)
 let[@inline] edge_count (value : float array) e =
   if e = 0 then 0.0 else Array.unsafe_get value (edge_tgt e) (* qcs-lint: allow unsafe-array *)
 
-let rec count_paths p (tag : int array) (value : float array) stamp identity n =
+let rec count_paths p (tag : int array) (value : float array) stamp identity visit n =
   if Array.unsafe_get tag n land lnot 1 <> stamp then begin (* qcs-lint: allow unsafe-array *)
     let e00 = Node_store.child4 p.ma n 0 and e01 = Node_store.child4 p.ma n 1 in
     let e10 = Node_store.child4 p.ma n 2 and e11 = Node_store.child4 p.ma n 3 in
-    if e00 <> 0 then count_paths p tag value stamp identity (edge_tgt e00);
-    if e01 <> 0 then count_paths p tag value stamp identity (edge_tgt e01);
-    if e10 <> 0 then count_paths p tag value stamp identity (edge_tgt e10);
-    if e11 <> 0 then count_paths p tag value stamp identity (edge_tgt e11);
+    if e00 <> 0 then count_paths p tag value stamp identity visit (edge_tgt e00);
+    if e01 <> 0 then count_paths p tag value stamp identity visit (edge_tgt e01);
+    if e10 <> 0 then count_paths p tag value stamp identity visit (edge_tgt e10);
+    if e11 <> 0 then count_paths p tag value stamp identity visit (edge_tgt e11);
     let level = Node_store.level p.ma n in
     let below = edge_tgt e00 in
     if
@@ -482,12 +482,13 @@ let rec count_paths p (tag : int array) (value : float array) stamp identity n =
     else begin
       value.(n) <-
         edge_count value e00 +. edge_count value e01 +. edge_count value e10
-        +. edge_count value e11;
+        +. edge_count value e11
+        +. (if level > 0 then visit else 0.0);
       tag.(n) <- stamp
     end
   end
 
-let priced_paths p ~terminal ~identity (e : medge) =
+let priced_paths p ~terminal ~identity ~visit (e : medge) =
   if e = 0 then 0.0
   else begin
     let cap = Node_store.capacity p.ma in
@@ -499,7 +500,7 @@ let priced_paths p ~terminal ~identity (e : medge) =
     let stamp = p.walk_stamp in
     p.walk_tag.(0) <- stamp;
     p.walk_val.(0) <- terminal;
-    count_paths p p.walk_tag p.walk_val stamp identity (edge_tgt e);
+    count_paths p p.walk_tag p.walk_val stamp identity visit (edge_tgt e);
     p.walk_val.(edge_tgt e)
   end
 

@@ -1,20 +1,36 @@
-(* Every count of this model is one walk, [Dd.priced_paths], with a
-   different leaf price: the plain MAC count charges a terminal path 1
-   and an identity node its 2^(l+1) paths, the priced count charges the
-   identity node's paths [identity_price] each, and the identity share
-   charges the terminal 0. *)
-let mac_count p e = Dd.priced_paths p ~terminal:1.0 ~identity:1.0 e
+(* Every count of this model is one walk, [Dd.priced_paths], with
+   different prices: the plain MAC count charges a terminal path 1 and
+   an identity node its 2^(l+1) paths, the priced count charges the
+   identity node's paths [identity_price] each and every Run call
+   [visit_price], and the identity share charges only the identity
+   nodes' paths. *)
+let mac_count p e = Dd.priced_paths p ~terminal:1.0 ~identity:1.0 ~visit:0.0 e
 
 (* The Run stub applies an identity node as one contiguous stripe. Over
    the uncached applications of hybrid-deep's unfused and fused gates
    (bench/main.exe fusion_price, 2-core Xeon) a stripe MAC cost 0.25-0.35
-   of a recursion MAC, and every price from 0.05 to 0.30 gives those jobs
-   the same fused streams. A quarter is exact in binary, so priced counts
-   stay exact sums. *)
+   of a recursion MAC when the fit had no visit term. With one, the free
+   fit reads 0.65-0.98: most of a stripe's discount is the recursion
+   calls it skips, which [visit_price] now charges. The price stays a
+   quarter, the unit of [Flat_gate.piece_macs] and of every fit of
+   [visit_price] and the array kernels' rates; it is exact in binary, so
+   priced counts stay exact sums. *)
 let identity_price = 0.25
 
+(* A Run call on an internal node (level 1 and up, not an identity): the
+   recursion's own work, one per root-to-node path, which the leaf MACs
+   do not price. A call under a replication node, which the stub makes
+   in a batch, costs the same: fitted apart, the batched visits took the
+   whole visit rate and the rest explained nothing. Over hybrid-deep's
+   unfused and fused gates (bench/main.exe fusion_price, 2-core Xeon),
+   with [identity_price] held, a visit cost 2.1-2.5 recursion MACs on the
+   stream this price fuses (3.2-3.5 on the stream fused without it,
+   which holds the slow wide products it now rejects). Two is exact in
+   binary: priced counts stay sums of halves. *)
+let visit_price = 2.0
+
 let priced_macs ?(identity_price = identity_price) p e =
-  Dd.priced_paths p ~terminal:1.0 ~identity:identity_price e
+  Dd.priced_paths p ~terminal:1.0 ~identity:identity_price ~visit:visit_price e
 
 type breakdown = {
   k1 : float;
@@ -118,8 +134,13 @@ let sum_distinct_tasks tasks f =
 
 (* One pass over the tasks: the border tasks' paths partition the
    root's, so K₁ is every task's count and K₂ each thread's distinct
-   tasks' count, plain and priced. The counts are sums of integers and
-   quarters, exact in any order. *)
+   tasks' count, plain and priced. A hit saves its MACs but not its
+   visits: priced K₂ charges every task's visits, so the visit price
+   never moves a pick between the Run and Algorithm 2. (Discounted
+   visits moved four k-operations products of supremacy-15, 2 hits
+   each, to Algorithm 2, where they ran 4-10x slower on the 2-core Xeon
+   of [fusion_price].) The counts are sums of integers and halves,
+   exact in any order. *)
 let breakdown p ~n ~threads root =
   let t = pow2_threads ~n threads in
   let tasks = assign p ~n ~t Column_major root in
@@ -127,21 +148,23 @@ let breakdown p ~n ~threads root =
   let hits = ref 0 in
   Array.iter
     (fun lst ->
-       let seen : (int, float * float) Hashtbl.t = Hashtbl.create 16 in
+       let seen : (int, float * float * float) Hashtbl.t = Hashtbl.create 16 in
        List.iter
          (fun { node; _ } ->
             let plain, priced =
               match Hashtbl.find_opt seen (Dd.mid node) with
-              | Some counts ->
+              | Some (plain, priced, visits) ->
                 incr hits;
-                counts
+                k2_priced := !k2_priced +. visits;
+                (plain, priced)
               | None ->
                 let e = Dd.munit node in
-                let counts = (mac_count p e, priced_macs p e) in
-                Hashtbl.replace seen (Dd.mid node) counts;
-                k2 := !k2 +. fst counts;
-                k2_priced := !k2_priced +. snd counts;
-                counts
+                let plain = mac_count p e and priced = priced_macs p e in
+                let visits = Dd.priced_paths p ~terminal:0.0 ~identity:0.0 ~visit:visit_price e in
+                Hashtbl.replace seen (Dd.mid node) (plain, priced, visits);
+                k2 := !k2 +. plain;
+                k2_priced := !k2_priced +. priced;
+                (plain, priced)
             in
             k1 := !k1 +. plain;
             k1_priced := !k1_priced +. priced)
@@ -161,7 +184,7 @@ let modeled_macs d = float_of_int d.threads_used *. if d.cached then d.c2 else d
    under identity nodes, which the Run stub applies as contiguous
    stripes. *)
 let identity_macs p ~n d root =
-  let count e = Dd.priced_paths p ~terminal:0.0 ~identity:1.0 e in
+  let count e = Dd.priced_paths p ~terminal:0.0 ~identity:1.0 ~visit:0.0 e in
   if not d.cached then count root
   else
     fst
@@ -234,11 +257,12 @@ let pick prices =
       (Cached, Some prices.cached) ]
 
 (* One price per kernel of a wide gate, per thread, in the Run's priced
-   MACs (a recursion MAC 1, an identity-stripe MAC [identity_price]): the
-   Run is Eq. 5 over priced MACs, Algorithm 2 Eq. 6 over priced MACs plus
-   its block operations at SIMD width d, the dense kernel its
-   per-amplitude rate; [pick] takes the cheapest. [decision] keeps Eq.
-   5/6's plain MAC counts, which the reports and Table 2 show. *)
+   MACs (a recursion MAC 1, an identity-stripe MAC [identity_price], a
+   recursion call [visit_price]): the Run is Eq. 5 over priced MACs,
+   Algorithm 2 Eq. 6 over priced MACs plus its block operations at SIMD
+   width d, the dense kernel its per-amplitude rate; [pick] takes the
+   cheapest. [decision] keeps Eq. 5/6's plain MAC counts, which the
+   reports and Table 2 show. *)
 let dispatch p ~n ~threads ?op root =
   let tu = pow2_threads ~n threads in
   let t = float_of_int tu in

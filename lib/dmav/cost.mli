@@ -4,8 +4,9 @@
     of the [Run] recursion. The MAC count of a matrix DD is computed by a
     memoized depth-first walk — identical nodes contribute identical
     counts, the terminal contributes one (Figure 8). The same walk with
-    identity nodes priced at {!identity_price} per MAC, {!priced_macs},
-    is the unit of the gate price that picks every flat gate's kernel
+    identity nodes priced at {!identity_price} per MAC and the
+    recursion's calls at {!visit_price} each, {!priced_macs}, is the
+    unit of the gate price that picks every flat gate's kernel
     ({!dispatch}, {!local_dispatch}) and that fusion compares.
 
     For an [n]-qubit DMAV on [t] threads with SIMD width [d]:
@@ -54,23 +55,36 @@ val identity_price : float
     recursion MAC: 0.25. The Run stub applies an identity node at level
     [l] as one contiguous stripe of [2^(l+1)] MACs, which ran three to
     four times faster per MAC than the recursion on the host it was
-    fitted on ([bench/main.exe fusion_price]). A constant, fitted once,
-    and exact in binary. *)
+    fitted on ([bench/main.exe fusion_price]) while the Run's calls
+    went unpriced; most of that gap is the calls a stripe skips, which
+    {!visit_price} now charges. A constant, the unit the other prices
+    were fitted in, and exact in binary. *)
+
+val visit_price : float
+(** The cost of one call of the Run's recursion on an internal node
+    (level 1 and up, not a canonical identity), relative to a recursion
+    MAC: 2. A root-to-node path costs one, batched under a replication
+    node or not. Fitted with [bench/main.exe fusion_price] with
+    {!identity_price} held; a constant, exact in binary. *)
 
 val priced_macs : ?identity_price:float -> Dd.package -> Dd.medge -> float
 (** The Run's priced MACs (beyond the paper's Eq. 5): each
     root-to-terminal path costs 1, except that the walk stops at a
     canonical identity node at level [l] and charges
-    [identity_price × 2^(l+1)] for it. [identity_price] defaults to
-    {!identity_price}; other values are for calibration sweeps. The
-    unit of every kernel's price ({!dispatch}), and fusion's price of a
-    wide gate. *)
+    [identity_price × 2^(l+1)] for it, and each root-to-node path into
+    any other node at level 1 or above costs {!visit_price}.
+    [identity_price] defaults to {!identity_price}; other values are for
+    calibration sweeps. The unit of every kernel's price ({!dispatch}),
+    and fusion's price of a wide gate. *)
 
 type breakdown = {
   k1 : float;
   k2 : float;
   k1_priced : float;  (** [K₁] in {!priced_macs} *)
-  k2_priced : float;  (** [K₂] in {!priced_macs} *)
+  k2_priced : float;
+  (** [K₂] in {!priced_macs}, plus the repeated tasks' visits: a hit
+      saves its MACs, not the Run's calls, so the visit price never
+      moves a pick between the Run and Algorithm 2 *)
   hits : int;        (** [H] *)
   buffers : int;     (** [b] *)
 }
@@ -101,8 +115,9 @@ val identity_macs : Dd.package -> n:int -> decision -> Dd.medge -> float
 
     One unit for every flat-phase kernel: the Run's priced MAC
     ({!priced_macs}: a recursion MAC 1, an identity-stripe MAC
-    {!identity_price}), per thread. The Run costs its priced MACs (Eq. 5),
-    Algorithm 2 its distinct tasks' priced MACs plus Eq. 6's block
+    {!identity_price}, a recursion call {!visit_price}), per thread.
+    The Run costs its priced MACs (Eq. 5), Algorithm 2 its distinct
+    tasks' priced MACs and its repeated tasks' visits plus Eq. 6's block
     operations at SIMD width [d], and the two array kernels, the local
     leg and the dense single-qubit kernel, a fitted rate per amplitude
     they stream. Only a narrow gate, one given by its local form

@@ -49,9 +49,10 @@ type t = {
 let piece_macs = 8192.0
 
 (* The Run work under each gate-local slot, priced like
-   [Cost.priced_macs]: a terminal path costs 1, a canonical identity node
-   at level l costs [Cost.identity_price] per each of its 2^(l+1) MACs.
-   Children have lower slots than their parents. *)
+   [Cost.priced_macs] without its visits: a terminal path costs 1, a
+   canonical identity node at level l costs [Cost.identity_price] per
+   each of its 2^(l+1) MACs. Children have lower slots than their
+   parents. *)
 let work (a : Storage.arena) =
   let size = Array.length a.lv in
   let work = Array.make size 1.0 in
@@ -333,9 +334,11 @@ let local_of_op ~n (op : Circuit.op) =
    up: a block over the lowest j index bits is zero, a non-zero multiple
    of the identity (a canonical identity node one level above its
    levels, at level n − 1 for the whole form; a scalar below level 0 is
-   the terminal), or a node whose paths are its four quadrants', doubled
-   by each level off the mask above it. *)
-let form_paths ~n ~terminal ~identity f =
+   the terminal), or a node whose paths are its four quadrants' plus its
+   own visit (at level 1 and up). Each of the m levels off the mask
+   above such a node is a replication node (e, 0, 0, e), which doubles
+   the count and adds its own visit: 2^m·c + (2^m − 1)·visit. *)
+let form_paths ~n ~terminal ~identity ~visit f =
   let lv = levels f.mask and d = 1 lsl f.k in
   let top j = if j = f.k then n - 1 else lv.(j) - 1 in
   let stripe j = if top j < 0 then terminal else Float.ldexp identity (top j + 1) in
@@ -353,6 +356,7 @@ let form_paths ~n ~terminal ~identity f =
   done;
   for j = 1 to f.k do
     let w = d lsr j and sj = stripe j and double = Float.ldexp 1.0 (top j - lv.(j - 1)) in
+    let own = if lv.(j - 1) > 0 then visit else 0.0 in
     for br = 0 to w - 1 do
       for bc = 0 to w - 1 do
         let c00 = (2 * br * 2 * w) + (2 * bc) in
@@ -371,14 +375,17 @@ let form_paths ~n ~terminal ~identity f =
         end
         else begin
           kind.(x) <- 2;
-          count.(x) <- double *. (count.(c00) +. count.(c01) +. count.(c10) +. count.(c11))
+          count.(x) <-
+            (double *. (count.(c00) +. count.(c01) +. count.(c10) +. count.(c11) +. own))
+            +. ((double -. 1.0) *. visit)
         end
       done
     done
   done;
   count.(0)
 
-let local_paths ~n ~terminal ~identity l = form_paths ~n ~terminal ~identity (form_of l)
+let local_paths ~n ~terminal ~identity ~visit l =
+  form_paths ~n ~terminal ~identity ~visit (form_of l)
 
 type product = Narrow_product of local | Wide_product of float
 
@@ -443,7 +450,7 @@ let local_product ~n ~identity a b =
   in
   let f = normalize ~n ~check:(a.support land b.support lor scalar a lor scalar b) x in
   if f.k <= 2 then Narrow_product (to_local f)
-  else Wide_product (form_paths ~n ~terminal:1.0 ~identity f)
+  else Wide_product (form_paths ~n ~terminal:1.0 ~identity ~visit:Cost.visit_price f)
 
 let local_dd p ~n l =
   let d = if Bits.popcount l.support = 1 then 2 else 4 in
@@ -458,13 +465,14 @@ let local_dd p ~n l =
 let of_local p ~n ~threads ?op l =
   let dispatch =
     Cost.local_dispatch ~n ~threads ?op
-      ~macs:(local_paths ~n ~terminal:1.0 ~identity:1.0 l) l.support
+      ~macs:(local_paths ~n ~terminal:1.0 ~identity:1.0 ~visit:0.0 l) l.support
   in
   let body, identity_macs =
     match dispatch.Cost.kernel, op with
     | Cost.Dense, Some op -> (Dense op, 0.0)
     | _ ->
-      (Local l, if Obs.enabled () then local_paths ~n ~terminal:0.0 ~identity:1.0 l else 0.0)
+      ( Local l,
+        if Obs.enabled () then local_paths ~n ~terminal:0.0 ~identity:1.0 ~visit:0.0 l else 0.0 )
   in
   { body; dispatch; identity_macs; package_bytes = Dd.memory_bytes p }
 

@@ -70,9 +70,9 @@ type t = {
 }
 
 val piece_macs : float
-(** The split threshold, in {!Cost.priced_macs} units: a Run
-    call under it took at most 0.44 ms at hybrid-deep's sizes on the
-    2-core Xeon it was measured on. *)
+(** The split threshold, in {!Cost.priced_macs} units without the
+    visit term: a Run call under it took at most 0.44 ms at
+    hybrid-deep's sizes on the 2-core Xeon it was measured on. *)
 
 val program :
   ?piece_macs:float -> Dd.package -> n:int -> t:int -> cached:bool -> Dd.medge -> program
@@ -102,7 +102,8 @@ type product =
   | Narrow_product of local  (** the product acts on at most two levels *)
   | Wide_product of float
   (** it acts on three or four: its DD's priced MACs ({!Dd.priced_paths}
-      with terminal 1 and the given identity price) *)
+      with terminal 1, the given identity price and
+      {!Cost.visit_price}) *)
 
 val local_product : n:int -> identity:float -> local -> local -> product
 (** [local_product ~n ~identity a b] is the product [a·b] on the union of
@@ -110,7 +111,7 @@ val local_product : n:int -> identity:float -> local -> local -> product
     terms in ascending order. A product on more than two levels is only
     priced: the caller that keeps it builds its DD. *)
 
-val local_paths : n:int -> terminal:float -> identity:float -> local -> float
+val local_paths : n:int -> terminal:float -> identity:float -> visit:float -> local -> float
 (** {!Dd.priced_paths} of the form's DD, from its block pattern alone. *)
 
 val local_dd : Dd.package -> n:int -> local -> Dd.medge

@@ -336,8 +336,11 @@ let flat_phase (type s) (module E : Engine.FLAT with type state = s) st r (ctx :
    (and around the conversion), never inside a kernel, so the check costs
    one closure call per gate and its latency is one gate application. *)
 let with_run ?cancel ?pool ?package (cfg : Config.t) (c : Circuit.t) body =
+  if cfg.Config.threads < 1 then
+    invalid_arg
+      (Printf.sprintf "Driver: Config.threads must be >= 1 (got %d)" cfg.Config.threads);
   let own_pool = pool = None in
-  let pool = match pool with Some p -> p | None -> Pool.create (Int.max 1 cfg.Config.threads) in
+  let pool = match pool with Some p -> p | None -> Pool.create cfg.Config.threads in
   Fun.protect
     ~finally:(fun () ->
         if own_pool then Pool.shutdown pool;

@@ -56,7 +56,7 @@ let scan p ~n =
 
 let macs sc g =
   match g.form with
-  | Some l -> Flat_gate.local_paths ~n:sc.n ~terminal:1.0 ~identity:1.0 l
+  | Some l -> Flat_gate.local_paths ~n:sc.n ~terminal:1.0 ~identity:1.0 ~visit:0.0 l
   | None -> Cost.mac_count sc.p (Lazy.force g.dd)
 
 (* An input op as a scan gate, as [of_op] builds it: a wide op's DD is
@@ -127,7 +127,7 @@ let dmav_aware_iter ?identity_price ?local_rate ?(poll = ignore) p ~n ~emit ops 
     | Some run, _ -> run
     | None, Some l ->
       Cost.local_price ?local_rate ~n ~support:l.Flat_gate.support
-        (Flat_gate.local_paths ~n ~terminal:1.0 ~identity:ident l)
+        (Flat_gate.local_paths ~n ~terminal:1.0 ~identity:ident ~visit:Cost.visit_price l)
     | None, None ->
       Obs.with_span s_price (fun () -> Cost.priced_macs ?identity_price p (Lazy.force g.dd))
   in

@@ -23,8 +23,11 @@
     plain path count. On the Run a path costs one MAC, except that a
     canonical identity node at level [l] costs
     [Cost.identity_price × 2^(l+1)], because the Run stub applies it as
-    one contiguous stripe at about a quarter of the recursion's per-MAC
-    time: a wide gate costs its {!Cost.priced_macs}. With the plain
+    one contiguous stripe, and every root-to-node path into another
+    internal node costs [Cost.visit_price], the recursion's call there:
+    a wide gate costs its {!Cost.priced_macs}. Without the visit term a
+    CNOT-ladder or CZ-ring product was priced at its leaf MACs alone and
+    kept, then ran 3-8x slower per price unit than the local leg. With the plain
     count a permutation (2ⁿ MACs) ties with any product costing 2ⁿ or
     more, so dnn's CNOT ladders fused into its rotation products, which
     then ran slower than the gates they replaced. A narrow gate runs on

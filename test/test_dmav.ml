@@ -163,9 +163,10 @@ let test_mac_count_known_values () =
 (* Brute-force priced count: every root-to-terminal path enumerated with
    no memo. A path into the terminal costs [terminal]; a path reaching
    the node [Mat_dd.identity] builds over the node's level stops there,
-   and the identity node at level l costs [identity × 2^(l+1)]. [seen]
+   and the identity node at level l costs [identity × 2^(l+1)]; a path
+   into any other node at level 1 or above costs [visit]. [seen]
    records the levels at which an identity was met. *)
-let brute_force_priced ?(seen = [||]) p ~terminal ~identity m =
+let brute_force_priced ?(seen = [||]) p ~terminal ~identity ~visit m =
   let ident_node l = Dd.mtgt (Mat_dd.identity p (l + 1)) in
   let rec go e =
     if Dd.medge_is_zero e then 0.0
@@ -181,6 +182,7 @@ let brute_force_priced ?(seen = [||]) p ~terminal ~identity m =
         else
           go (Dd.mchild p node 0 0) +. go (Dd.mchild p node 0 1)
           +. go (Dd.mchild p node 1 0) +. go (Dd.mchild p node 1 1)
+          +. (if l > 0 then visit else 0.0)
       end
     end
   in
@@ -234,7 +236,9 @@ let test_priced_count_matches_brute_force () =
   let p = Dd.create () in
   let seen = Array.make n false in
   let cases = priced_cases p ~n in
-  List.iter (fun (_, m) -> ignore (brute_force_priced ~seen p ~terminal:1.0 ~identity:1.0 m)) cases;
+  List.iter
+    (fun (_, m) -> ignore (brute_force_priced ~seen p ~terminal:1.0 ~identity:1.0 ~visit:0.0 m))
+    cases;
   Alcotest.(check bool) "an identity at every level" true (Array.for_all Fun.id seen);
   (* c6-u3 q2: below the top level, the control's node; its 0-branch is
      the identity over levels 5..0. *)
@@ -242,20 +246,23 @@ let test_priced_count_matches_brute_force () =
   let control_node = Dd.mtgt (Dd.mchild p (Dd.mtgt cu) 0 0) in
   Alcotest.(check bool) "an identity in a control's 0-branch" true
     (Dd.mtgt (Dd.mchild p control_node 0 0) = Dd.mtgt (Mat_dd.identity p 6));
-  let check name ~terminal ~identity expect got =
+  let check name ~terminal ~identity ~visit expect got =
     Alcotest.(check (float 0.0))
-      (Printf.sprintf "%s (terminal %g, identity %g)" name terminal identity) expect got
+      (Printf.sprintf "%s (terminal %g, identity %g, visit %g)" name terminal identity visit)
+      expect got
   in
   List.iter
     (fun (name, m) ->
        List.iter
-         (fun (terminal, identity) ->
-            check name ~terminal ~identity
-              (brute_force_priced p ~terminal ~identity m)
-              (Dd.priced_paths p ~terminal ~identity m))
-         [ (1.0, 1.0); (1.0, 0.25); (0.0, 1.0); (1.0, 0.1) ];
-       check name ~terminal:1.0 ~identity:Cost.identity_price
-         (brute_force_priced p ~terminal:1.0 ~identity:Cost.identity_price m)
+         (fun (terminal, identity, visit) ->
+            check name ~terminal ~identity ~visit
+              (brute_force_priced p ~terminal ~identity ~visit m)
+              (Dd.priced_paths p ~terminal ~identity ~visit m))
+         [ (1.0, 1.0, 0.0); (1.0, 0.25, 0.0); (0.0, 1.0, 0.0); (1.0, 0.1, 0.0);
+           (0.0, 0.0, 1.0); (1.0, 0.25, 3.0) ];
+       check name ~terminal:1.0 ~identity:Cost.identity_price ~visit:Cost.visit_price
+         (brute_force_priced p ~terminal:1.0 ~identity:Cost.identity_price
+            ~visit:Cost.visit_price m)
          (Cost.priced_macs p m))
     cases
 
@@ -325,6 +332,92 @@ let test_decision_single_thread () =
   Alcotest.(check int) "one thread used" 1 d.Cost.threads_used;
   Alcotest.(check bool) "c1 = K1" true (Float.abs (d.Cost.c1 -. Cost.mac_count p m) < 1e-9)
 
+(* A diagonal gate makes 2ⁿ plain MACs on any qubit, but its Run does
+   not cost the same: on qubit n − 1 it is one node over two identity
+   stripes, on qubit 0 a chain of replication nodes whose 2ⁿ⁻¹ − 1
+   root-to-node paths above level 0 each take one Run call. The visit
+   price charges those calls, in the DD walk and in the block walks of
+   a narrow form and of a wide narrow product ([Flat_gate.local_product]),
+   which must agree with it exactly. *)
+let test_diagonal_prices_in_visit_order () =
+  let check what = Alcotest.(check (float 0.0)) what in
+  for n = 4 to 9 do
+    let p = Dd.create () in
+    let what s = Printf.sprintf "n = %d: %s" n s in
+    let pow k = Float.ldexp 1.0 k in
+    let single q = Circuit.Single { name = "t"; matrix = Gate.t; target = q; controls = [] } in
+    let cz hi lo = Circuit.Two { name = "cz"; matrix = Gate.cz2; q_hi = hi; q_lo = lo } in
+    let form op = Option.get (Flat_gate.local_of_op ~n op) in
+    let visits m = Dd.priced_paths p ~terminal:0.0 ~identity:0.0 ~visit:1.0 m in
+    let bottom = Mat_dd.of_op p ~n (single 0) and top = Mat_dd.of_op p ~n (single (n - 1)) in
+    check (what "plain MACs") (Cost.mac_count p top) (Cost.mac_count p bottom);
+    check (what "bottom visits") (pow (n - 1) -. 1.0) (visits bottom);
+    check (what "top visits") 1.0 (visits top);
+    check (what "bottom price")
+      (pow n +. (Cost.visit_price *. (pow (n - 1) -. 1.0)))
+      (Cost.priced_macs p bottom);
+    check (what "top price") ((Cost.identity_price *. pow n) +. Cost.visit_price)
+      (Cost.priced_macs p top);
+    List.iter
+      (fun (q, m) ->
+         check (what (Printf.sprintf "form price, qubit %d" q)) (Cost.priced_macs p m)
+           (Flat_gate.local_paths ~n ~terminal:1.0 ~identity:Cost.identity_price
+              ~visit:Cost.visit_price (form (single q))))
+      [ (0, bottom); (n - 1, top) ];
+    (* Two CZs on three levels: a wide diagonal product. *)
+    let product a b =
+      let m = Dd.mm p (Mat_dd.of_op p ~n a) (Mat_dd.of_op p ~n b) in
+      match Flat_gate.local_product ~n ~identity:Cost.identity_price (form a) (form b) with
+      | Flat_gate.Wide_product run ->
+        check (what "product price = its DD's") (Cost.priced_macs p m) run;
+        (m, run)
+      | Flat_gate.Narrow_product _ -> Alcotest.failf "%s" (what "CZ product narrow")
+    in
+    let m_lo, lo = product (cz 1 0) (cz 2 1) in
+    let m_hi, hi = product (cz (n - 1) (n - 2)) (cz (n - 2) (n - 3)) in
+    check (what "bottom product visits") (pow (n - 1) -. 1.0) (visits m_lo);
+    Alcotest.(check bool) (what "top product visits fewer") true (visits m_hi < visits m_lo);
+    Alcotest.(check bool) (what "bottom product priced higher") true (hi < lo)
+  done
+
+(* Algorithm 2's priced K₂ keeps its repeated tasks' visits: a hit saves
+   MACs, not the Run's calls. So K₁' − K₂' is the repeated tasks' priced
+   MACs without visits, and the visit price never moves a pick between
+   the Run and Algorithm 2. Checked against the tasks of Algorithm 2's
+   assignment, on the priced cases and on a top Hadamard times a bottom
+   gate (a gate with many hits), at 2 and 4 threads. *)
+let test_cached_price_keeps_visits () =
+  let n = 8 in
+  let p = Dd.create () in
+  let h = Mat_dd.of_single p ~n ~target:(n - 1) ~controls:[] Gate.h in
+  let repetitive = Dd.mm p h (Mat_dd.of_single p ~n ~target:0 ~controls:[] (Gate.u3 0.3 0.5 0.7)) in
+  Alcotest.(check bool) "hits" true ((Cost.breakdown p ~n ~threads:4 repetitive).Cost.hits > 0);
+  List.iter
+    (fun (name, m) ->
+       List.iter
+         (fun threads ->
+            let b = Cost.breakdown p ~n ~threads m in
+            let t = Cost.pow2_threads ~n threads in
+            let saved = ref 0.0 in
+            Array.iter
+              (fun lst ->
+                 let seen = Hashtbl.create 16 in
+                 List.iter
+                   (fun (task : Cost.task) ->
+                      if Hashtbl.mem seen (Dd.mid task.Cost.node) then
+                        saved :=
+                          !saved
+                          +. Dd.priced_paths p ~terminal:1.0 ~identity:Cost.identity_price
+                               ~visit:0.0 (Dd.munit task.Cost.node)
+                      else Hashtbl.replace seen (Dd.mid task.Cost.node) ())
+                   lst)
+              (Cost.assign p ~n ~t Cost.Column_major m);
+            Alcotest.(check (float 0.0))
+              (Printf.sprintf "%s, %d threads: K1' - K2'" name threads)
+              !saved (b.Cost.k1_priced -. b.Cost.k2_priced))
+         [ 2; 4 ])
+    (("H top * u3 bottom", repetitive) :: priced_cases p ~n)
+
 let suite =
   [ ( "dmav",
       [ Alcotest.test_case "nocache matches reference" `Quick test_nocache_matches_reference;
@@ -343,4 +436,8 @@ let suite =
         Alcotest.test_case "breakdown consistency" `Quick test_breakdown_consistency;
         Alcotest.test_case "decision prefers cache when repetitive" `Quick
           test_decision_prefers_cache_when_repetitive;
-        Alcotest.test_case "decision single thread" `Quick test_decision_single_thread ] ) ]
+        Alcotest.test_case "decision single thread" `Quick test_decision_single_thread;
+        Alcotest.test_case "diagonal gates price in visit order" `Quick
+          test_diagonal_prices_in_visit_order;
+        Alcotest.test_case "cached price keeps the hits' visits" `Quick
+          test_cached_price_keeps_visits ] ) ]

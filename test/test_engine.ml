@@ -452,6 +452,23 @@ let test_unfused_plan_builds_wide_dds_only () =
     [ (Suite.Grover, 7, 1, false); (Suite.Adder, 8, 2, true); (Suite.Dnn, 8, 2, false);
       (Suite.Grover, 9, 2, true) ]
 
+(* A [Config] with no threads is refused before any domain starts, by
+   both entry points, with or without a pool, not run on one domain. *)
+let test_zero_threads_refused () =
+  let c = Suite.generate ~seed:1 ~gates:10 Suite.Ghz ~n:3 in
+  List.iter
+    (fun threads ->
+       let cfg = Config.with_threads threads Config.default in
+       let expect =
+         Invalid_argument (Printf.sprintf "Driver: Config.threads must be >= 1 (got %d)" threads)
+       in
+       Alcotest.check_raises "run" expect (fun () -> ignore (Driver.run cfg c));
+       Alcotest.check_raises "run on a pool" expect (fun () ->
+           Pool.with_pool 1 (fun pool -> ignore (Driver.run ~pool cfg c)));
+       Alcotest.check_raises "run_engine" expect (fun () ->
+           ignore (Driver.run_engine (module Dense_engine) cfg c)))
+    [ 0; -2 ]
+
 let suite =
   [ ( "engine",
       [ Alcotest.test_case "three-engine differential" `Quick
@@ -475,4 +492,5 @@ let suite =
         Alcotest.test_case "unfused and DD-only jobs: exact bits pinned" `Quick
           test_unfused_bytes_pinned;
         Alcotest.test_case "unfused plan builds DDs for wide ops only" `Quick
-          test_unfused_plan_builds_wide_dds_only ] ) ]
+          test_unfused_plan_builds_wide_dds_only;
+        Alcotest.test_case "zero threads refused" `Quick test_zero_threads_refused ] ) ]

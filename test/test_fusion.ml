@@ -27,7 +27,8 @@ let fuse ?local_rate p n ops =
 let gate_price p ~n = function
   | Fusion.Narrow l ->
     Cost.local_price ~n ~support:l.Flat_gate.support
-      (Flat_gate.local_paths ~n ~terminal:1.0 ~identity:Cost.identity_price l)
+      (Flat_gate.local_paths ~n ~terminal:1.0 ~identity:Cost.identity_price
+         ~visit:Cost.visit_price l)
   | Fusion.Wide m -> Cost.priced_macs p m
 
 (* The summed price of a circuit's ops as the scan's input gates and of
@@ -401,11 +402,13 @@ let test_narrow_forms_match_dd () =
            | Some l ->
              check_form what p ~n ~tol:1e-15 ~mask:((1 lsl n) - 1) m l;
              List.iter
-               (fun (terminal, identity) ->
+               (fun (terminal, identity, visit) ->
                   Alcotest.(check (float 0.0)) (what ^ ": priced paths")
-                    (Dd.priced_paths p ~terminal ~identity m)
-                    (Flat_gate.local_paths ~n ~terminal ~identity l))
-               [ (1.0, 1.0); (1.0, Cost.identity_price); (0.0, 1.0); (1.0, 0.05) ]
+                    (Dd.priced_paths p ~terminal ~identity ~visit m)
+                    (Flat_gate.local_paths ~n ~terminal ~identity ~visit l))
+               [ (1.0, 1.0, 0.0); (1.0, Cost.identity_price, 0.0); (0.0, 1.0, 0.0);
+                 (1.0, 0.05, 0.0); (0.0, 0.0, 1.0); (1.0, 0.05, 3.0);
+                 (1.0, Cost.identity_price, Cost.visit_price) ]
            | None -> Alcotest.failf "%s: no narrow form" what)
         (narrow_ops rng n)
     done

@@ -457,7 +457,6 @@ let reach_allow =
     ("Check.", "the ownership checker's test API: mode override, counts, reset");
     ("Dd.Testing.", "arena high-water marks and the kernel reference's arena view");
     ("Dd.ctable", "the weight table the DD tests count");
-    ("Dd.mlevel", "a matrix node's level, read by the DMAV and kernel tests");
     ("Dd.mnode_count", "matrix DD size, checked by the DD tests");
     ("Dd.mwid", "a matrix edge's weight id, compared by the fusion tests");
     ("Dd.vterm_edge", "builds hand-made vector DDs in the DD tests");
