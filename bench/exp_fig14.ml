@@ -34,11 +34,10 @@ let dmav_phase pool (c : Circuit.t) ~with_cache =
     (fun op ->
        let m = Mat_dd.of_op p ~n op in
        if with_cache then begin
-         let stats = Dmav.apply ~workspace:ws p ~pool ~n m ~v:!v ~w:!w in
-         cost_nocache := !cost_nocache +. stats.Dmav.decision.Cost.c1;
-         cost_chosen :=
-           !cost_chosen
-           +. Float.min stats.Dmav.decision.Cost.c1 stats.Dmav.decision.Cost.c2
+         let g = Dmav.apply ~workspace:ws p ~pool ~n m ~v:!v ~w:!w in
+         let d = g.Flat_gate.dispatch.Cost.dmav in
+         cost_nocache := !cost_nocache +. d.Cost.c1;
+         cost_chosen := !cost_chosen +. Float.min d.Cost.c1 d.Cost.c2
        end
        else Dmav.apply_nocache p ~pool ~n m ~v:!v ~w:!w;
        swap ())

@@ -96,6 +96,13 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
   let stage = ref "loading the circuit" in
   try
     if threads < 1 then invalid_arg (Printf.sprintf "-t: threads must be >= 1 (got %d)" threads);
+    if not (beta >= 0.0 && beta < 1.0) then
+      invalid_arg (Printf.sprintf "--beta: beta must be in [0, 1) (got %g)" beta);
+    if not (epsilon > 0.0) then
+      invalid_arg (Printf.sprintf "--epsilon: epsilon must be > 0 (got %g)" epsilon);
+    if compact_every < 0 then
+      invalid_arg
+        (Printf.sprintf "--compact-every: compact_every must be >= 0 (got %d)" compact_every);
     let metrics_wanted = metrics || metrics_json <> None in
     if metrics_wanted then begin
       Obs.set_enabled true;

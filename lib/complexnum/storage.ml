@@ -188,7 +188,6 @@ module type S = sig
   val to_array : t -> Cnum.t array
   val of_array : Cnum.t array -> t
   val memory_bytes : t -> int
-  val pp : Format.formatter -> t -> unit
 end
 
 module Extend (C : CORE) = struct
@@ -340,15 +339,6 @@ module Extend (C : CORE) = struct
   (* Exact: payload bytes from the element kind, plus the bigarray custom
      block (64 bytes) and the {data; len} record (3 words). *)
   let memory_bytes t = buffer_bytes ~len:t.len + 24
-
-  let pp fmt t =
-    Format.fprintf fmt "[";
-    for i = 0 to Int.min (t.len - 1) 15 do
-      if i > 0 then Format.fprintf fmt "; ";
-      Cnum.pp fmt (get t i)
-    done;
-    if t.len > 16 then Format.fprintf fmt "; …(%d)" t.len;
-    Format.fprintf fmt "]"
 end
 
 module F64 = Extend (Core64)

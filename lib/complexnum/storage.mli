@@ -170,9 +170,6 @@ module type S = sig
   val memory_bytes : t -> int
   (** Exact bytes held by this vector: kind-sized payload + bigarray
       header + the wrapping record. *)
-
-  val pp : Format.formatter -> t -> unit
-  (** Prints up to 16 amplitudes, for debugging. *)
 end
 
 module F64 : S with type elt = Bigarray.float64_elt

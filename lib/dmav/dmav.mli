@@ -39,13 +39,6 @@ val take : workspace -> Buf.t
 val give : workspace -> Buf.t -> unit
 (** Returns a buffer to the free list (ignored if the size mismatches). *)
 
-type exec_stats = Dmav_generic.exec_stats = {
-  used_cache : bool;
-  decision : Cost.decision;
-  cache_hits : int;     (** realized hits (= modeled H when cached) *)
-  buffers_used : int;
-}
-
 val apply :
   ?workspace:workspace ->
   Dd.package ->
@@ -54,30 +47,31 @@ val apply :
   Dd.medge ->
   v:Buf.t ->
   w:Buf.t ->
-  exec_stats
+  Flat_gate.t
 (** [apply ~pool ~n m ~v ~w] overwrites [w] with [m·v],
     choosing the kernel by modeled cost ({!Flat_gate.compile} with no
-    op). [v] and [w] must be distinct buffers of length 2ⁿ. Always one
-    of the paper's two DMAV kernels: a gate given by its DD never takes
-    the local leg, which only a narrow gate ({!Flat_gate.of_local})
-    runs. *)
+    op), and returns the compiled gate it ran: its [dispatch] holds the
+    pick and its modeled costs, its [Dmav] program whether it cached
+    and its hits. [v] and [w] must be distinct buffers of length 2ⁿ.
+    Always one of the paper's two DMAV kernels: a gate given by its DD
+    never takes the local leg, which only a narrow gate
+    ({!Flat_gate.of_local}) runs. *)
 
 val run : ?workspace:workspace -> pool:Pool.t -> Flat_gate.program -> v:Buf.t -> w:Buf.t -> unit
 (** Runs a compiled kernel program, [w ← M·v]. Worker [k] of [pool]
     takes the program's task lists [k], [k + size], ..., so any pool
     size gives the same bytes; a size-1 pool runs every list itself. *)
 
-val exec : ?workspace:workspace -> pool:Pool.t -> Flat_gate.t -> v:Buf.t -> w:Buf.t -> exec_stats
-(** {!run} for a compiled DMAV gate, with the [dmav.apply] span and the
-    modeled-MAC counters. Reads nothing of the package the gate came
-    from. Raises [Invalid_argument] on a dense or local gate. *)
-
-val exec_local : pool:Pool.t -> Flat_gate.t -> v:Buf.t -> unit
-(** Runs a [Flat_gate.Local] gate, a narrow one, in place on [v] ({!Storage.S.local_apply},
-    cut into stripes like the dense kernel's), counted and timed as the
-    uncached kernel it stands in for ([dmav.kernel.uncached], the
-    modeled-MAC counters, [dmav.apply]). Raises [Invalid_argument] on
-    any other gate. *)
+val exec : ?workspace:workspace -> pool:Pool.t -> Flat_gate.t -> v:Buf.t -> w:Buf.t -> unit
+(** Runs a compiled gate on the kernel it was compiled for, reading
+    nothing of the package it came from. A [Dmav] gate is {!run}
+    ([w ← M·v]) with the [dmav.apply] span and the modeled-MAC
+    counters. A [Local] gate, a narrow one, runs in place on [v]
+    ({!Storage.S.local_apply}, cut into stripes like the dense
+    kernel's), counted and timed as the uncached kernel it stands in
+    for ([dmav.kernel.uncached], the modeled-MAC counters,
+    [dmav.apply]). A [Dense] gate runs the dense direct kernel in place
+    on [v]. Only a [Dmav] gate writes [w]. *)
 
 val apply_nocache :
   Dd.package -> pool:Pool.t -> n:int -> Dd.medge -> v:Buf.t -> w:Buf.t -> unit

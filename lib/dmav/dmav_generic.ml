@@ -20,13 +20,6 @@
    returns the existing one, so every instance of [Make] feeds the same
    [dmav.*] counters and span: f64 and f32 gates are counted together. *)
 
-type exec_stats = {
-  used_cache : bool;
-  decision : Cost.decision;
-  cache_hits : int;
-  buffers_used : int;
-}
-
 (* A free list of reusable 2ⁿ-sized buffers: the cached kernel's partial
    outputs and the flat engine's scratch vector. Polymorphic in the buffer
    so a workspace type can be named without applying [Make]. *)
@@ -187,29 +180,23 @@ module Make (P : Storage.S) = struct
       Obs.fadd fc_macs_modeled_identity g.identity_macs
     end
 
-  let exec ?workspace ~pool (g : Flat_gate.t) ~v ~w =
-    match g.body with
-    | Flat_gate.Dense _ | Flat_gate.Local _ -> invalid_arg "Dmav.exec: not a Run program"
-    | Flat_gate.Dmav prog ->
-      count_modeled g;
-      Obs.with_span s_apply (fun () -> run ?workspace ~pool prog ~v ~w);
-      { used_cache = prog.cached;
-        decision = g.dispatch.Cost.dmav;
-        cache_hits = (if prog.cached then prog.hits else 0);
-        buffers_used = prog.buffers }
-
   module DK = Dense_kernel.Make (P)
 
-  (* A gate on its local leg, in place on [v]: counted and timed as the
-     uncached kernel it stands in for. *)
-  let exec_local ~pool (g : Flat_gate.t) ~v =
+  (* A compiled gate on its kernel, the one match over its body: the
+     dense kernel and the local leg work in place on [v], the Run writes
+     [w]. The local leg is counted and timed as the uncached kernel it
+     stands in for. *)
+  let exec ?workspace ~pool (g : Flat_gate.t) ~v ~w =
     match g.body with
-    | Flat_gate.Dense _ | Flat_gate.Dmav _ -> invalid_arg "Dmav.exec_local: not a local gate"
+    | Flat_gate.Dense op -> DK.op ~pool ~n:(Bits.log2_exact (P.length v)) v op
     | Flat_gate.Local l ->
       Obs.incr c_kernel_uncached;
       count_modeled g;
       Obs.with_span s_apply (fun () ->
           DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support ~paths:l.Flat_gate.paths)
+    | Flat_gate.Dmav prog ->
+      count_modeled g;
+      Obs.with_span s_apply (fun () -> run ?workspace ~pool prog ~v ~w)
 
   let program p ~pool ~n ~cached root =
     Flat_gate.program p ~n ~t:(Cost.pow2_threads ~n (Pool.size pool)) ~cached root
@@ -222,5 +209,7 @@ module Make (P : Storage.S) = struct
     (g.hits, g.buffers)
 
   let apply ?workspace p ~pool ~n root ~v ~w =
-    exec ?workspace ~pool (Flat_gate.compile p ~n ~threads:(Pool.size pool) root) ~v ~w
+    let g = Flat_gate.compile p ~n ~threads:(Pool.size pool) root in
+    exec ?workspace ~pool g ~v ~w;
+    g
 end

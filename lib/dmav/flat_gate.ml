@@ -39,7 +39,6 @@ type t = {
   body : body;
   dispatch : Cost.dispatch;
   identity_macs : float;
-  package_bytes : int;
 }
 
 (* A Run call at hybrid-deep's sizes (n = 15-16, one domain, 2-core
@@ -462,7 +461,7 @@ let local_dd p ~n l =
   | [| lo; hi |] -> Mat_dd.of_two p ~n ~q_hi:hi ~q_lo:lo m
   | lv -> Mat_dd.of_single p ~n ~target:lv.(0) ~controls:[] m
 
-let of_local p ~n ~threads ?op l =
+let of_local ~n ~threads ?op l =
   let dispatch =
     Cost.local_dispatch ~n ~threads ?op
       ~macs:(local_paths ~n ~terminal:1.0 ~identity:1.0 ~visit:0.0 l) l.support
@@ -474,7 +473,7 @@ let of_local p ~n ~threads ?op l =
       ( Local l,
         if Obs.enabled () then local_paths ~n ~terminal:0.0 ~identity:1.0 ~visit:0.0 l else 0.0 )
   in
-  { body; dispatch; identity_macs; package_bytes = Dd.memory_bytes p }
+  { body; dispatch; identity_macs }
 
 let s_cost = Obs.span "dmav.cost"
 
@@ -488,6 +487,6 @@ let compile p ~n ~threads ?op m =
       ( Dmav (program p ~n ~t:d.Cost.threads_used ~cached:d.Cost.cached m),
         if Obs.enabled () then Cost.identity_macs p ~n d m else 0.0 )
   in
-  { body; dispatch = disp; identity_macs; package_bytes = Dd.memory_bytes p }
+  { body; dispatch = disp; identity_macs }
 
 let pieces g = Array.length g.pieces / 3

@@ -64,10 +64,10 @@ type t = {
   dispatch : Cost.dispatch;     (** the pick and its modeled costs *)
   identity_macs : float;
   (** {!Cost.identity_macs} of the pick; computed only while [Obs] is on *)
-  package_bytes : int;
-  (** {!Dd.memory_bytes} when the gate was compiled, for the flat
-      engine's memory accounting *)
 }
+(** The one record of what a flat gate runs: the driver reads the
+    kernel, price, support, modeled MACs and cache hits it counts and
+    traces off it. *)
 
 val piece_macs : float
 (** The split threshold, in {!Cost.priced_macs} units without the
@@ -117,10 +117,9 @@ val local_paths : n:int -> terminal:float -> identity:float -> visit:float -> lo
 val local_dd : Dd.package -> n:int -> local -> Dd.medge
 (** The form's matrix DD ({!Mat_dd.of_single} or {!Mat_dd.of_two}). *)
 
-val of_local : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> local -> t
+val of_local : n:int -> threads:int -> ?op:Circuit.op -> local -> t
 (** Compiles a form without its DD ({!Cost.local_dispatch}): [Local], or
-    [Dense] when [op], the form's unfused op, is priced no higher there.
-    The package gives [package_bytes] only. *)
+    [Dense] when [op], the form's unfused op, is priced no higher there. *)
 
 val compile : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> t
 (** Prices a wide gate, given by its matrix DD, on every kernel it may

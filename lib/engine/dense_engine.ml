@@ -13,28 +13,22 @@ module Make (Pr : Engine.PRECISION) = struct
   module DK = Dense_kernel.Make (P)
 
   type state = {
-    ctx : Engine.ctx;
     n : int;
     amps : P.t;
   }
 
   let trace_phase = Engine.Dmav_phase
 
-  let init (ctx : Engine.ctx) ~n = { ctx; n; amps = DK.zero_state n }
+  let init ~n = { n; amps = DK.zero_state n }
 
-  let apply_op st (xo : Engine.exec_op) =
+  let apply_op st ~pool (xo : Engine.exec_op) =
     match xo.Engine.xo_op with
     | None -> invalid_arg "Dense_engine.apply_op: fused matrices have no dense kernel"
-    | Some op ->
-      DK.op ~pool:st.ctx.Engine.pool ~n:st.n st.amps op;
-      { Engine.no_stats with
-        Engine.gs_dispatch = Some Engine.Dense_direct;
-        gs_modeled_macs = Cost.dense_direct_macs ~n:st.n op }
+    | Some op -> DK.op ~pool ~n:st.n st.amps op
 
   let size_metric _ = 0
   let memory_bytes st = P.memory_bytes st.amps
   let compact _ = ()
-  let observe _ = ()
   let extract st = Engine.Flat_state (Pr.to_f64 st.amps)
 end
 

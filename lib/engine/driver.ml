@@ -4,8 +4,9 @@
    transition. Every gate of every run is applied by one [step] inside one
    [loop]: the DD phase and the flat phase of [run], and [run_engine]'s
    dense engine. A DD-only run is [run] that never converts, a DMAV-only
-   run [run] that converts before the first gate. The flat engine picks
-   each gate's kernel itself. *)
+   run [run] that converts before the first gate. The planner picks each
+   flat gate's kernel when it compiles the gate, and the step reads what
+   the gate ran off that compiled form. *)
 
 exception Cancelled
 
@@ -135,6 +136,7 @@ let logicalize ord buf =
    and the accounting the result reports. *)
 type run = {
   cfg : Config.t;
+  n : int;
   check_cancel : unit -> unit;
   monitor : Ewma.t;
   mutable trace : Engine.gate_record list;
@@ -146,63 +148,83 @@ type run = {
   mutable modeled : float;
 }
 
-let record r g = if r.cfg.Config.trace then r.trace <- g :: r.trace
 let bump_mem r m = if m > r.peak_mem then r.peak_mem <- m
 
+(* What a flat-phase gate ran, off its compiled form, counted: the
+   kernel, its modeled MACs and its cache hits. A flat-phase op with no
+   compiled form is the dense engine's. *)
+let account r (xo : Engine.exec_op) =
+  match xo.Engine.xo_gate, xo.Engine.xo_op with
+  | Some g, _ ->
+    r.modeled <- r.modeled +. Cost.dispatch_modeled_macs g.Flat_gate.dispatch;
+    (match g.Flat_gate.body with
+     | Flat_gate.Dmav prog when prog.Flat_gate.cached ->
+       Obs.incr c_disp_cached;
+       r.cached_gates <- r.cached_gates + 1;
+       r.cache_hits <- r.cache_hits + prog.Flat_gate.hits;
+       Engine.Dmav_cached
+     | Flat_gate.Dmav _ ->
+       Obs.incr c_disp_uncached;
+       r.uncached_gates <- r.uncached_gates + 1;
+       Engine.Dmav_uncached
+     | Flat_gate.Local _ ->
+       Obs.incr c_disp_uncached;
+       Obs.incr c_disp_local;
+       r.uncached_gates <- r.uncached_gates + 1;
+       r.local_gates <- r.local_gates + 1;
+       Engine.Dmav_local
+     | Flat_gate.Dense _ ->
+       Obs.incr c_disp_dense;
+       Engine.Dense_direct)
+  | None, Some op ->
+    Obs.incr c_disp_dense;
+    r.modeled <- r.modeled +. Cost.dense_direct_macs ~n:r.n op;
+    Engine.Dense_direct
+  | None, None -> invalid_arg "Driver.step: a flat gate with neither form"
+
 (* The one place a gate is applied: the cancel poll, the timed
-   [apply_op], the kernel counts, for DD engines one size read feeding
-   the EWMA, and the trace record. Returns the record (built whether or
-   not it is kept) and the EWMA verdict, [Stay] for flat engines. *)
-let step (type s) (module E : Engine.ENGINE with type state = s) st r (xo : Engine.exec_op) =
+   [apply_op] on [pool], then for flat engines the kernel counts, for DD
+   engines one size read feeding the EWMA, and, when the config traces,
+   the gate's record. Returns the EWMA verdict, [Stay] for flat
+   engines. *)
+let step (type s) (module E : Engine.ENGINE with type state = s) st r ~pool
+    (xo : Engine.exec_op) =
   r.check_cancel ();
-  let stats, dt = Timer.time (fun () -> E.apply_op st xo) in
-  (match stats.Engine.gs_dispatch with
-   | Some Engine.Dmav_cached ->
-     Obs.incr c_disp_cached;
-     r.cached_gates <- r.cached_gates + 1
-   | Some Engine.Dmav_uncached ->
-     Obs.incr c_disp_uncached;
-     r.uncached_gates <- r.uncached_gates + 1
-   | Some Engine.Dmav_local ->
-     Obs.incr c_disp_uncached;
-     Obs.incr c_disp_local;
-     r.uncached_gates <- r.uncached_gates + 1;
-     r.local_gates <- r.local_gates + 1
-   | Some Engine.Dense_direct -> Obs.incr c_disp_dense
-   | None -> ());
-  r.cache_hits <- r.cache_hits + stats.Engine.gs_cache_hits;
-  r.modeled <- r.modeled +. stats.Engine.gs_modeled_macs;
-  let dd_size, verdict =
+  let (), dt = Timer.time (fun () -> E.apply_op st ~pool xo) in
+  let dd_size, verdict, dispatch =
     match E.trace_phase with
     | Engine.Dd_phase ->
       let size = E.size_metric st in
-      (size, Ewma.observe r.monitor (float_of_int size))
-    | Engine.Conversion | Engine.Dmav_phase -> (0, Ewma.Stay)
+      (size, Ewma.observe r.monitor (float_of_int size), None)
+    | Engine.Conversion | Engine.Dmav_phase -> (0, Ewma.Stay, Some (account r xo))
   in
-  let g =
-    { Engine.index = xo.Engine.xo_index;
-      name = xo.Engine.xo_name;
-      seconds = dt;
-      phase = E.trace_phase;
-      dd_size;
-      ewma = Ewma.value r.monitor;
-      dispatch = stats.Engine.gs_dispatch;
-      price = stats.Engine.gs_price;
-      support = stats.Engine.gs_support }
-  in
-  record r g;
-  (g, verdict)
+  if r.cfg.Config.trace then begin
+    let disp = Option.map (fun g -> g.Flat_gate.dispatch) xo.Engine.xo_gate in
+    r.trace <-
+      { Engine.index = xo.Engine.xo_index;
+        name = xo.Engine.xo_name;
+        seconds = dt;
+        phase = E.trace_phase;
+        dd_size;
+        ewma = Ewma.value r.monitor;
+        dispatch;
+        price = Option.map (fun d -> d.Cost.price) disp;
+        support = Option.bind disp (fun d -> Option.map Bits.popcount d.Cost.support) }
+      :: r.trace
+  end;
+  verdict
 
-(* The one gate loop: steps gates [from, ...) of [xo_of] while [more]
-   says the next one exists and until [stop] (given each gate's record
-   and verdict) says so, compacting on the configured interval. Returns
-   the index of the first gate not stepped. *)
+(* The one gate loop: steps gates [from, ...) of [xo_of] on [pool] while
+   [more] says the next one exists and until [stop] (given each gate's
+   index and verdict) says so, compacting on the configured interval.
+   Returns the index of the first gate not stepped. *)
 let loop (type s) ?(stop = fun _ _ -> false) (module E : Engine.ENGINE with type state = s) st r
-    ?(from = 0) ~more ~xo_of () =
+    ~pool ?(from = 0) ~more ~xo_of () =
   let i = ref from and stopped = ref false in
   while (not !stopped) && more !i do
-    let g, verdict = step (module E) st r (xo_of !i) in
-    stopped := stop g verdict;
+    let xo = xo_of !i in
+    let verdict = step (module E) st r ~pool xo in
+    stopped := stop xo.Engine.xo_index verdict;
     let every = r.cfg.Config.compact_every in
     if every > 0 && (!i + 1) mod every = 0 then begin
       bump_mem r (E.memory_bytes st);
@@ -213,11 +235,6 @@ let loop (type s) ?(stop = fun _ _ -> false) (module E : Engine.ENGINE with type
   Obs.add (match E.trace_phase with Engine.Dd_phase -> c_dd_gates | _ -> c_dmav_gates) (!i - from);
   bump_mem r (E.memory_bytes st);
   !i
-
-(* Hands an engine's state over once its gates are done. *)
-let finish (type s) (module E : Engine.ENGINE with type state = s) st =
-  E.observe st;
-  E.extract st
 
 (* --- the flat phase: plan, stream, run -------------------------------- *)
 
@@ -276,8 +293,8 @@ exception Planner_stopped
    the whole plan, so a batch slot sharing the pool waits for it
    (DESIGN.md §9 has the multi-slot measurement). Returns the fusion
    stats. *)
-let flat_phase (type s) (module E : Engine.FLAT with type state = s) st r (ctx : Engine.ctx) ~n
-    ~first_index ops =
+let flat_phase (type s) (module E : Engine.ENGINE with type state = s) st r (ctx : Engine.ctx)
+    ~n ~first_index ops =
   let pool = ctx.Engine.pool in
   let s = stream_create (List.length ops) in
   let plan ~poll =
@@ -313,21 +330,21 @@ let flat_phase (type s) (module E : Engine.FLAT with type state = s) st r (ctx :
                 settle s s.finished
               end
               else if w = 1 then begin
-                E.set_pool st inline;
                 match
                   Obs.with_span s_stream (fun () ->
-                      loop (module E) st r ~more:(await s) ~xo_of ())
+                      loop (module E) st r ~pool:inline ~more:(await s) ~xo_of ())
                 with
                 | k ->
                   Obs.add c_streamed k;
                   executed := k
                 | exception e -> fail e
               end);
-          E.set_pool st pool;
           (!executed, !stats))
   in
   let total = Atomic.get s.published in
-  ignore (loop (module E) st r ~from:executed ~more:(fun i -> i < total) ~xo_of ());
+  ignore (loop (module E) st r ~pool ~from:executed ~more:(fun i -> i < total) ~xo_of ());
+  (* The plan is done: the package holds every gate matrix it built. *)
+  bump_mem r (E.memory_bytes st + Dd.memory_bytes ctx.Engine.package);
   fusion_stats
 
 (* Set-up shared by both entry points: the pool (created for the call
@@ -360,7 +377,7 @@ let with_run ?cancel ?pool ?package (cfg : Config.t) (c : Circuit.t) body =
          | Some poll -> fun () -> if poll () then raise Cancelled
        in
        let r =
-         { cfg; check_cancel; monitor; trace = []; peak_mem = 0; cached_gates = 0;
+         { cfg; n; check_cancel; monitor; trace = []; peak_mem = 0; cached_gates = 0;
            uncached_gates = 0; local_gates = 0; cache_hits = 0; modeled = 0.0 }
        in
        body r ctx c sigma)
@@ -400,15 +417,15 @@ let run ?cancel ?pool ?package (cfg : Config.t) (c : Circuit.t) =
       let gates = Circuit.num_gates c in
 
       (* ---- DD phase: step the DD engine until the policy trips ------ *)
-      let dd = Dd_engine.init ctx ~n in
+      let dd = Dd_engine.init ctx.Engine.package ~n in
       let want_convert =
         ref (match cfg.Config.policy with Config.Convert_at k -> k < 0 | _ -> false)
       in
-      let stop (g : Engine.gate_record) verdict =
+      let stop index verdict =
         want_convert :=
           (match cfg.Config.policy with
            | Config.Ewma_policy -> verdict = Ewma.Convert
-           | Config.Convert_at k -> g.Engine.index >= k
+           | Config.Convert_at k -> index >= k
            | Config.Never_convert -> false);
         !want_convert
       in
@@ -416,9 +433,10 @@ let run ?cancel ?pool ?package (cfg : Config.t) (c : Circuit.t) =
       let i, seconds_dd =
         Obs.timed s_dd_phase (fun () ->
             let count = if !want_convert then 0 else gates in
-            loop ~stop (module Dd_engine) dd r ~more:(fun i -> i < count) ~xo_of ())
+            loop ~stop (module Dd_engine) dd r ~pool:ctx.Engine.pool ~more:(fun i -> i < count)
+              ~xo_of ())
       in
-      Dd_engine.observe dd;
+      Dd.observe_gauges ctx.Engine.package;
       if not !want_convert then
         result_of r c ~ord:sigma ~seconds_dd (Dd_engine.extract dd)
       else begin
@@ -427,18 +445,19 @@ let run ?cancel ?pool ?package (cfg : Config.t) (c : Circuit.t) =
         Obs.incr c_conversions;
         let (buf, conversion_stats), seconds_convert =
           Obs.timed s_convert (fun () ->
-              Convert.parallel (Dd_engine.package dd) ~pool:ctx.Engine.pool ~n
-                (Dd_engine.edge dd))
+              Convert.parallel ctx.Engine.package ~pool:ctx.Engine.pool ~n (Dd_engine.edge dd))
         in
-        record r
-          { Engine.index = i - 1; name = "dd->array"; seconds = seconds_convert;
-            phase = Engine.Conversion; dd_size = 0; ewma = Ewma.value r.monitor;
-            dispatch = None; price = None; support = None };
+        if cfg.Config.trace then
+          r.trace <-
+            { Engine.index = i - 1; name = "dd->array"; seconds = seconds_convert;
+              phase = Engine.Conversion; dd_size = 0; ewma = Ewma.value r.monitor;
+              dispatch = None; price = None; support = None }
+            :: r.trace;
         Dd_engine.release dd;
 
         (* ---- Flat phase: the DMAV engine of the configured precision - *)
         let fusion_stats = ref None in
-        let flat (type s) (module E : Engine.FLAT with type state = s) (seat : unit -> s) =
+        let flat (type s) (module E : Engine.ENGINE with type state = s) (seat : unit -> s) =
           let st, seconds_dmav =
             Obs.timed s_dmav_phase (fun () ->
                 let remaining = Array.to_list (Array.sub c.Circuit.ops i (gates - i)) in
@@ -446,15 +465,15 @@ let run ?cancel ?pool ?package (cfg : Config.t) (c : Circuit.t) =
                 fusion_stats := flat_phase (module E) st r ctx ~n ~first_index:i remaining;
                 st)
           in
-          (finish (module E) st, seconds_dmav)
+          Dd.observe_gauges ctx.Engine.package;
+          (E.extract st, seconds_dmav)
         in
         (* At [F32] seating demotes the converted f64 buffer once — the
            single rounding hand-off. *)
         let final, seconds_dmav =
           match cfg.Config.precision with
-          | Config.F64 -> flat (module Dmav_engine) (fun () -> Dmav_engine.of_buf ctx ~n buf)
-          | Config.F32 ->
-            flat (module Dmav_engine.F32) (fun () -> Dmav_engine.F32.of_buf ctx ~n buf)
+          | Config.F64 -> flat (module Dmav_engine) (fun () -> Dmav_engine.of_buf ~n buf)
+          | Config.F32 -> flat (module Dmav_engine.F32) (fun () -> Dmav_engine.F32.of_buf ~n buf)
         in
         result_of r c ~ord:sigma ~converted_at:(i - 1) ~conversion_stats
           ?fusion_stats:!fusion_stats ~seconds_dd ~seconds_convert ~seconds_dmav final
@@ -465,15 +484,15 @@ let run ?cancel ?pool ?package (cfg : Config.t) (c : Circuit.t) =
 let run_engine (type s) ?pool (module E : Engine.STANDALONE with type state = s)
     (cfg : Config.t) (c : Circuit.t) =
   with_run ?pool cfg c (fun r ctx c sigma ->
-      let st = E.init ctx ~n:c.Circuit.n in
+      let st = E.init ~n:c.Circuit.n in
       let _, seconds_dmav =
         Obs.timed s_dmav_phase (fun () ->
             let count = Circuit.num_gates c in
-            loop (module E) st r ~more:(fun i -> i < count)
+            loop (module E) st r ~pool:ctx.Engine.pool ~more:(fun i -> i < count)
               ~xo_of:(fun i -> Engine.exec_of_op i c.Circuit.ops.(i))
               ())
       in
-      result_of r c ~ord:sigma ~seconds_dmav (finish (module E) st))
+      result_of r c ~ord:sigma ~seconds_dmav (E.extract st))
 
 let amplitudes r =
   match r.final with

@@ -10,9 +10,11 @@
     traced the same way.
 
     Everything cross-cutting lives here: cancellation polling, trace
-    records, peak-memory tracking, the EWMA monitor, the per-phase [Obs]
-    spans and the [dmav.dispatch.*] counters. Engines only apply gates; the
-    DMAV engine picks each gate's kernel itself. *)
+    records, peak-memory tracking (the DD package's bytes included), the
+    EWMA monitor, the per-phase [Obs] spans and the [dmav.dispatch.*]
+    counters. Engines only apply gates, on the pool the driver passes;
+    the planner picks each flat gate's kernel when it compiles the gate,
+    and the driver reads what ran off that compiled form. *)
 
 exception Cancelled
 (** Raised when the [cancel] poll returns [true]. *)

@@ -4,10 +4,12 @@
     one gate: DD simulation ([Dd_engine]), flat-array DMAV with per-gate
     kernel dispatch ([Dmav_engine]), or dense direct application
     ([Dense_engine]). Everything cross-cutting — the conversion policy,
-    cooperative cancellation, trace records, peak-memory tracking, phase
-    spans — lives in {!Driver}, which steps an engine gate by gate and owns
-    the transitions between engines. An engine only knows how to apply one
-    {!exec_op} and report what it did. *)
+    cooperative cancellation, kernel counts and trace records (read off
+    each flat gate's compiled form), peak-memory tracking, the DD
+    package and its gauges, the pool, phase spans — lives in {!Driver},
+    which steps an engine gate by gate and owns the transitions between
+    engines. An engine holds its state and applies one {!exec_op} on the
+    pool it is given. *)
 
 type phase = Dd_phase | Conversion | Dmav_phase
 
@@ -38,25 +40,12 @@ type final_state =
   | Dd_state of { package : Dd.package; edge : Dd.vedge }
   | Flat_state of Buf.t
 
-(** What one [apply_op] call did, for the driver's accounting. Engines
-    fill only the fields that apply to them (a DD step has no kernel
-    choice, a dense step no cache hits). *)
-type gate_stats = {
-  gs_dispatch : dispatch option;
-  gs_cache_hits : int;
-  gs_modeled_macs : float;
-  gs_price : float option;
-  gs_support : int option;
-}
-
-let no_stats =
-  { gs_dispatch = None; gs_cache_hits = 0; gs_modeled_macs = 0.0; gs_price = None; gs_support = None }
-
 (** One item of the executable gate stream. The driver builds these: in
     the DD phase straight from circuit ops; in the flat phase from the
     planner's compiled gates, keeping the original op when the gate
     survived fusion (its name, and the dense kernel's eligibility, come
-    from it). *)
+    from it). A flat gate's compiled form is the one record of the
+    kernel it runs. *)
 type exec_op = {
   xo_index : int;                     (** trace index *)
   xo_name : string;
@@ -67,10 +56,10 @@ type exec_op = {
 let exec_of_op i (op : Circuit.op) =
   { xo_index = i; xo_name = Circuit.op_name op; xo_op = Some op; xo_gate = None }
 
-(** Everything an engine may need but does not own: the worker pool, the
-    run configuration and the DD package (shared across engines so the
-    flat phase can build gate matrices in the same unique table the DD
-    phase populated). *)
+(** What a run shares across its phases and engines: the worker pool,
+    the run configuration and the DD package (the DD engine's state, and
+    the unique table the flat phase's planner builds gate matrices in).
+    The driver owns all three. *)
 type ctx = {
   cfg : Config.t;
   pool : Pool.t;
@@ -84,24 +73,23 @@ module type ENGINE = sig
   (** Which trace phase this engine's gates report as ([Dd_phase] for DD
       engines, [Dmav_phase] for flat ones). *)
 
-  val apply_op : state -> exec_op -> gate_stats
-  (** Advance the state by one gate. This is the call the driver times for
-      the per-gate trace, so it must do nothing but the application (for
-      the DMAV engines, the gate's kernel pick included). *)
+  val apply_op : state -> pool:Pool.t -> exec_op -> unit
+  (** Advance the state by one gate, its kernels running on [pool]. This
+      is the call the driver times for the per-gate trace, so it must do
+      nothing but the application. *)
 
   val size_metric : state -> int
   (** The quantity the conversion monitor watches — state-DD node count
       for DD engines, 0 for flat ones. Called outside the timed region. *)
 
   val memory_bytes : state -> int
-  (** Modeled bytes currently held (peak-so-far for phase-level buffers). *)
+  (** Modeled bytes the engine holds itself (peak-so-far for phase-level
+      buffers); the flat engine's gate matrices live in the package, which
+      the driver counts. *)
 
   val compact : state -> unit
   (** Reclaim dead internal storage (DD garbage collection); may be a
       no-op. The driver calls it on the configured interval. *)
-
-  val observe : state -> unit
-  (** Push engine gauges into [Obs] (no-op while metrics are disabled). *)
 
   val extract : state -> final_state
   (** The final state, ownership transferred to the caller. *)
@@ -112,18 +100,8 @@ end
 module type STANDALONE = sig
   include ENGINE
 
-  val init : ctx -> n:int -> state
+  val init : n:int -> state
   (** |0…0⟩ over [n] qubits. *)
-end
-
-(** A flat engine, whose gates may run on a pool other than the run's:
-    while the planner holds the run's pool, the driver's executor runs
-    compiled gates on an inline size-1 pool. *)
-module type FLAT = sig
-  include ENGINE
-
-  val set_pool : state -> Pool.t -> unit
-  (** The pool later [apply_op] calls run on. *)
 end
 
 (** What a flat engine knows about its amplitude precision: the storage

@@ -36,7 +36,7 @@ let of_op p ~n op =
   | None -> Wide (gate_dd (fun () -> Mat_dd.of_op p ~n op))
 
 let compile p ~n ~threads ?op = function
-  | Narrow l -> Flat_gate.of_local p ~n ~threads ?op l
+  | Narrow l -> Flat_gate.of_local ~n ~threads ?op l
   | Wide m -> Flat_gate.compile p ~n ~threads ?op m
 
 (* A gate of a scan: its narrow form when it has one, and its matrix DD,

@@ -157,7 +157,8 @@ let parse_line ?(default_config = Config.default) ?(base_seed = 1) ?(dir = ".")
     in
     let cfg =
       match int_field ~where kvs "compact_every" with
-      | Some compact_every -> { cfg with Config.compact_every }
+      | Some compact_every when compact_every >= 0 -> { cfg with Config.compact_every }
+      | Some k -> failf "%s: compact_every must be >= 0 (got %d)" where k
       | None -> cfg
     in
     let cfg =

@@ -469,6 +469,35 @@ let test_zero_threads_refused () =
            ignore (Driver.run_engine (module Dense_engine) cfg c)))
     [ 0; -2 ]
 
+(* A converted run's peak memory is the flat phase's two state buffers
+   plus the DD package as the plan left it: on one domain Algorithm 2
+   never wins, so there are no partial-output buffers, and within a run
+   the package's bytes never fall, so the last sample is the peak. Read
+   the package after the run, at both precisions, fused and unfused. *)
+let test_flat_peak_memory () =
+  let c = Suite.generate ~seed:3 ~gates:120 Suite.Supremacy ~n:9 in
+  let n = c.Circuit.n in
+  List.iter
+    (fun (precision, buffer_bytes) ->
+       List.iter
+         (fun fusion ->
+            let what =
+              Printf.sprintf "%s %s" (Config.precision_name precision)
+                (match fusion with Config.No_fusion -> "unfused" | _ -> "fused")
+            in
+            let package = Dd.create () in
+            let cfg =
+              { Config.default with
+                Config.threads = 1; policy = Config.Convert_at 20; fusion; precision }
+            in
+            let r = Pool.with_pool 1 (fun pool -> Driver.run ~pool ~package cfg c) in
+            Alcotest.(check (option int)) (what ^ ": converted") (Some 20) r.Driver.converted_at;
+            Alcotest.(check int) (what ^ ": peak memory")
+              ((2 * (buffer_bytes ~len:(1 lsl n) + 24)) + Dd.memory_bytes package)
+              r.Driver.peak_memory_bytes)
+         [ Config.Dmav_aware; Config.No_fusion ])
+    [ (Config.F64, Storage.F64.buffer_bytes); (Config.F32, Storage.F32.buffer_bytes) ]
+
 let suite =
   [ ( "engine",
       [ Alcotest.test_case "three-engine differential" `Quick
@@ -493,4 +522,6 @@ let suite =
           test_unfused_bytes_pinned;
         Alcotest.test_case "unfused plan builds DDs for wide ops only" `Quick
           test_unfused_plan_builds_wide_dds_only;
-        Alcotest.test_case "zero threads refused" `Quick test_zero_threads_refused ] ) ]
+        Alcotest.test_case "zero threads refused" `Quick test_zero_threads_refused;
+        Alcotest.test_case "flat peak memory: two buffers and the package" `Quick
+          test_flat_peak_memory ] ) ]

@@ -399,8 +399,12 @@ module Suite_for (P : Storage.S) = struct
                          [ (false, None); (true, None); (false, Some 1.0); (true, Some 1.0) ];
                        (* The planner's own pick, through [exec]. *)
                        let got = P.create (1 lsl n) in
-                       let st = DG.exec ~workspace:(DG.workspace ~n) ~pool:inline g ~v ~w:got in
-                       let expect = if st.Dmav_generic.used_cache then want_c else want in
+                       DG.exec ~workspace:(DG.workspace ~n) ~pool:inline g ~v ~w:got;
+                       let expect =
+                         match g.Flat_gate.body with
+                         | Flat_gate.Dmav prog when prog.Flat_gate.cached -> want_c
+                         | _ -> want
+                       in
                        if not (eq expect got) then
                          Alcotest.failf "%s gate %d: exec differs" P.label i)
                     pools)
@@ -463,7 +467,7 @@ module Suite_for (P : Storage.S) = struct
      in both qubit orders; products of two random gates on one pair), as
      the flat phase builds them ([Flat_gate.local_of_op],
      [Flat_gate.local_product]), compiled ([Flat_gate.of_local]) and
-     applied in place by [exec_local] on the pool and on an inline size-1
+     applied in place by [exec] on the pool and on an inline size-1
      pool, and by [P.local_apply] over random group stripes, bit for bit,
      on random vectors, on vectors with signed zeros and on cancelling
      ones. A gate on three levels has no local form. *)
@@ -510,11 +514,12 @@ module Suite_for (P : Storage.S) = struct
              product (single a [] (m1 ())) (single b [] (m1 ())) ])
         [ (); () ]
 
-  let local_agrees p pools ~inline ~n rs (l : Flat_gate.local) =
+  let local_agrees pools ~inline ~n rs (l : Flat_gate.local) =
     let groups = 1 lsl (n - Bits.popcount l.Flat_gate.support) in
     let minor = l.Flat_gate.support land - l.Flat_gate.support in
     let major = l.Flat_gate.support lxor minor in
-    let g = Flat_gate.of_local p ~n ~threads:1 l in
+    let g = Flat_gate.of_local ~n ~threads:1 l in
+    let unused = P.create 0 in
     List.for_all
       (fun v ->
          let want = P.copy v in
@@ -522,8 +527,8 @@ module Suite_for (P : Storage.S) = struct
          List.for_all
            (fun pool ->
               let on_pool = P.copy v and on_inline = P.copy v and split = P.copy v in
-              DG.exec_local ~pool g ~v:on_pool;
-              DG.exec_local ~pool:inline g ~v:on_inline;
+              DG.exec ~pool g ~v:on_pool ~w:unused;
+              DG.exec ~pool:inline g ~v:on_inline ~w:unused;
               List.iter
                 (fun (lo, hi) ->
                    P.local_apply split l.Flat_gate.u ~major ~minor ~paths:l.Flat_gate.paths ~lo ~hi)
@@ -536,8 +541,7 @@ module Suite_for (P : Storage.S) = struct
     Pool.with_pool 1 (fun inline ->
         cases ~name:(P.label ^ " local leg = reference walk, every support-1/2 shape") ~count:24
           ~lo:2 ~hi:8 (fun n rs ->
-              let p = Dd.create () in
-              List.for_all (local_agrees p pools ~inline ~n rs) (local_shapes rs n)
+              List.for_all (local_agrees pools ~inline ~n rs) (local_shapes rs n)
               && (n < 3
                   || Flat_gate.local_of_op ~n
                        (Circuit.Single
@@ -567,7 +571,7 @@ module Suite_for (P : Storage.S) = struct
               (fun l ->
                  List.map
                    (fun threads ->
-                      ( Flat_gate.of_local p ~n ~threads l,
+                      ( Flat_gate.of_local ~n ~threads l,
                         Cost.dispatch p ~n ~threads (Flat_gate.local_dd p ~n l) ))
                    [ 1; 2; 4 ])
               (top_h :: local_shapes rs n)

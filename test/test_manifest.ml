@@ -293,6 +293,26 @@ let test_strict_gates_unknown_fields () =
   let derived = Manifest.parse_line ~index:0 {|{"circuit":"ghz","n":4}|} in
   Alcotest.(check bool) "derived seed flagged" false derived.Manifest.explicit_seed
 
+(* A negative compaction interval is a located error, not a silent
+   "never compact"; 0 (never) and a positive interval are taken. *)
+let test_compact_every_bound () =
+  List.iter
+    (fun (fields, want) ->
+       match Manifest.parse_line ~index:6 ("{" ^ fields ^ "}") with
+       | _ -> Alcotest.failf "expected Manifest.Error for %s" fields
+       | exception Manifest.Error m -> Alcotest.(check string) fields ("manifest line 7: " ^ want) m)
+    [ ({|"circuit":"ghz","n":4,"compact_every":-5|}, "compact_every must be >= 0 (got -5)");
+      ({|"circuit":"ghz","n":4,"compact_every":-1|}, "compact_every must be >= 0 (got -1)") ];
+  List.iter
+    (fun k ->
+       let r =
+         Manifest.parse_line ~index:0
+           (Printf.sprintf {|{"circuit":"ghz","n":4,"compact_every":%d}|} k)
+       in
+       Alcotest.(check int) (Printf.sprintf "compact_every %d accepted" k) k
+         r.Manifest.job.Sched.config.Config.compact_every)
+    [ 0; 1; 64 ]
+
 let suite =
   [ ( "manifest",
       [ Alcotest.test_case "parse full line" `Quick test_parse_full_line;
@@ -312,4 +332,5 @@ let suite =
         Alcotest.test_case "result stream deterministic" `Quick
           test_result_stream_deterministic;
         Alcotest.test_case "result line fields" `Quick test_result_line_fields;
-        Alcotest.test_case "atomic snapshot write" `Quick test_atomic_write_file ] ) ]
+        Alcotest.test_case "atomic snapshot write" `Quick test_atomic_write_file;
+        Alcotest.test_case "compact_every bound" `Quick test_compact_every_bound ] ) ]
