@@ -19,7 +19,7 @@ let modeled_balance (row : Workloads.row) threads =
   Array.iter
     (fun op ->
        let m = Mat_dd.of_op p ~n op in
-       let tasks = Cost.assign p ~n ~t Cost.Column_major m in
+       let tasks = Cost.assign p ~n ~t m in
        let per_thread =
          Array.map
            (fun lst ->

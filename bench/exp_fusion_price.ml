@@ -72,12 +72,6 @@ let fuse ?identity_price ?local_rate j =
 let fused ?identity_price ?local_rate j =
   List.map (Fusion.to_dd j.package ~n:j.n) (fst (fuse ?identity_price ?local_rate j))
 
-(* Recursion and stripe MACs and recursion visits of one uncached
-   application. *)
-let mac_split p m =
-  let stripe = Dd.priced_paths p ~terminal:0.0 ~identity:1.0 ~visit:0.0 m in
-  (Cost.mac_count p m -. stripe, stripe, Dd.priced_paths p ~terminal:0.0 ~identity:0.0 ~visit:1.0 m)
-
 (* The visits the Run stub makes in batches: every visit below a
    pure-replication node ((e, 0, 0, e') or (0, e, e', 0) on one target),
    which [run_batch_] walks once for up to 64 paths. Counted per path,
@@ -187,10 +181,8 @@ type sample = {
   mat : Dd.medge;
   op : Circuit.op option;    (* the unfused op; [None] for a fused gate *)
   support : int option;      (* the local form's support; [None]: wide *)
-  recursion : float;         (* MACs the Run recursion makes *)
-  stripe : float;            (* MACs under identity stripes *)
-  visits : float;            (* Run calls on priced internal nodes *)
-  batched : float;           (* the part of [visits] made in batches *)
+  paths : Dd.paths;          (* recursion MACs, stripe MACs, Run calls *)
+  batched : float;           (* the part of the visits made in batches *)
   run : float array;
   cached : float array;
   local : float array;
@@ -231,8 +223,11 @@ let timed_samples pools jobs =
          tbl.(k).(i) <- (if Float.is_nan b then ns else Float.min b ns)
        in
        let compiled pool ~cached =
-         let t = Cost.pow2_threads ~n:j.n (Pool.size pool) in
-         Array.map (fun (_, m, _) -> Flat_gate.program j.package ~n:j.n ~t ~cached m) gates
+         Array.map
+           (fun (_, m, _) ->
+              Flat_gate.program j.package ~n:j.n ~cached
+                (Cost.breakdown j.package ~n:j.n ~threads:(Pool.size pool) m))
+           gates
        in
        let progs = List.map (fun pool -> (compiled pool ~cached:false, compiled pool ~cached:true)) pools in
        for _ = 1 to 5 do
@@ -267,16 +262,14 @@ let timed_samples pools jobs =
        Array.to_list
          (Array.mapi
             (fun k (op, m, form) ->
-               let recursion, stripe, visits = mac_split j.package m in
                { job = j; mat = m; op;
                  support = Option.map (fun (l : Flat_gate.local) -> l.Flat_gate.support) form;
-                 recursion; stripe; visits; batched = batched_visits j.package m;
+                 paths = Dd.priced_paths j.package m; batched = batched_visits j.package m;
                  run = run.(k); cached = cached.(k); local = local.(k); dense = dense.(k) })
             gates))
     jobs
 
-let priced x =
-  x.recursion +. (Cost.identity_price *. x.stripe) +. (Cost.visit_price *. x.visits)
+let priced x = Cost.priced x.paths
 
 (* The paper's pick, as the flat phase made it before the local leg was
    priced: Eq. 5 against Eq. 6 over plain MACs, the local leg only for an
@@ -299,8 +292,8 @@ let paper_pick x ~threads =
 let price_pick x ~threads =
   let n = x.job.n in
   match x.support with
-  | Some support -> (Cost.local_dispatch ~n ~threads ~macs:(x.recursion +. x.stripe) support).Cost.kernel
-  | None -> (Cost.dispatch x.job.package ~n ~threads x.mat).Cost.kernel
+  | Some support -> (Cost.local_dispatch ~n ~threads ~macs:(Cost.macs x.paths) support).Cost.kernel
+  | None -> (Cost.dispatch ~n (Cost.breakdown x.job.package ~n ~threads x.mat)).Cost.kernel
 
 let measured x i = function
   | Cost.Local -> x.local.(i)
@@ -450,16 +443,15 @@ let run () =
                 Printf.sprintf "%.3f" (b /. a);
                 Printf.sprintf "%.2f" (v /. a);
                 Printf.sprintf "%.1f" (rms /. 1e3) ])
-           [ (`C0_visits, fun x -> [| 1.0; x.recursion; x.stripe; x.visits |]);
-             (`Visits, fun x -> [| x.recursion; x.stripe; x.visits |]);
-             ( `Priced_visits,
-               fun x -> [| 1.0; x.recursion +. (Cost.identity_price *. x.stripe); x.visits |] );
-             ( `Batched,
-               fun x ->
-                 [| 1.0; x.recursion +. (Cost.identity_price *. x.stripe); x.visits -. x.batched;
-                    x.batched |] );
-             (`C0, fun x -> [| 1.0; x.recursion; x.stripe |]);
-             (`Macs, fun x -> [| x.recursion; x.stripe |]) ])
+           (let open Dd in
+            let r x = x.paths.terminal and s x = x.paths.stripe and v x = x.paths.visits in
+            let priced x = r x +. (Cost.identity_price *. s x) in
+            [ (`C0_visits, fun x -> [| 1.0; r x; s x; v x |]);
+              (`Visits, fun x -> [| r x; s x; v x |]);
+              (`Priced_visits, fun x -> [| 1.0; priced x; v x |]);
+              (`Batched, fun x -> [| 1.0; priced x; v x -. x.batched; x.batched |]);
+              (`C0, fun x -> [| 1.0; r x; s x |]);
+              (`Macs, fun x -> [| r x; s x |]) ]))
       [ (1, fun x -> x.run.(0)); (2, fun x -> x.run.(1)) ]
   in
   Report.table

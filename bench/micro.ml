@@ -19,10 +19,12 @@ let make_tests pool =
   let ws = Dmav.workspace ~n in
   (* Gates are compiled once, as the flat phase's planner does; the
      staged calls time what its executor runs per gate. *)
-  let t = Cost.pow2_threads ~n (Pool.size pool) in
-  let h_nocache = Flat_gate.program p ~n ~t ~cached:false gate in
-  let h_cached = Flat_gate.program p ~n ~t ~cached:true gate in
-  let cx_nocache = Flat_gate.program p ~n ~t ~cached:false cx in
+  let program ~cached m =
+    Flat_gate.program p ~n ~cached (Cost.breakdown p ~n ~threads:(Pool.size pool) m)
+  in
+  let h_nocache = program ~cached:false gate in
+  let h_cached = program ~cached:true gate in
+  let cx_nocache = program ~cached:false cx in
   let st = State.of_buf n (Buf.copy vbuf) in
   [ Test.make ~name:"dd-mv (H top, dense state)"
       (Staged.stage (fun () -> ignore (Dd.mv p gate vdd)));

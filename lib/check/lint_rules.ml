@@ -401,7 +401,7 @@ let node_alloc_outside_arena =
 (* --- boxed-cnum-in-hot-loop ------------------------------------------- *)
 
 (* The PR-10 storage refactor moved every kernel inner loop onto the
-   unboxed Storage primitives: bare-float get_re/get_im/set2/madd2 calls
+   unboxed Storage primitives: bare-float get_re/get_im/set2 calls
    that never construct a [Cnum.t] and never pay the checked [Buf.get]
    bounds test per element. A boxed call creeping back into a loop in the
    hot libraries (dmav, convert, statevec) re-introduces an allocation
@@ -446,8 +446,7 @@ let boxed_cnum_in_hot_loop =
                         (id
                          ^ " inside a loop boxes a complex (or bounds-checks) per \
                             element; use the unboxed Storage primitives \
-                            (get_re/get_im, set2, madd2) or hoist it out of the \
-                            loop")
+                            (get_re/get_im, set2) or hoist it out of the loop")
                     end
                   | _ -> ())
                body

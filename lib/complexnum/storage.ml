@@ -153,9 +153,6 @@ module type S = sig
   val get_re : t -> int -> float
   val get_im : t -> int -> float
   val set2 : t -> int -> float -> float -> unit
-  val madd : t -> int -> Cnum.t -> Cnum.t -> unit
-  val madd2 : t -> int -> wre:float -> wim:float -> xre:float -> xim:float -> unit
-  val fill_zero : t -> unit
   val fill_zero_range : t -> pos:int -> len:int -> unit
   val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 
@@ -213,14 +210,6 @@ module Extend (C : CORE) = struct
     done;
     t
 
-  let madd2 t i ~wre ~wim ~xre ~xim =
-    let re = (wre *. xre) -. (wim *. xim) in
-    let im = (wre *. xim) +. (wim *. xre) in
-    set2 t i (get_re t i +. re) (get_im t i +. im)
-
-  let madd t i (w : Cnum.t) (x : Cnum.t) =
-    madd2 t i ~wre:w.re ~wim:w.im ~xre:x.re ~xim:x.im
-
   (* Every check happens here, before the call crosses into C: the stubs
      trust their ranges. The failure message is built only on failure. *)
   let check_range name t ~pos ~len =
@@ -230,8 +219,6 @@ module Extend (C : CORE) = struct
   let fill_zero_range t ~pos ~len =
     check_range "fill_zero_range" t ~pos ~len;
     C.c_fill_zero_range t.data pos len
-
-  let fill_zero t = C.c_fill_zero_range t.data 0 t.len
 
   let blit ~src ~src_pos ~dst ~dst_pos ~len =
     Bigarray.Array1.blit

@@ -69,15 +69,6 @@ module type S = sig
   (** [set2 t i re im] stores amplitude [i] from bare parts, allocating
       nothing. *)
 
-  val madd : t -> int -> Cnum.t -> Cnum.t -> unit
-  (** [madd v i w x] performs the multiply-accumulate
-      [v.(i) <- v.(i) + w·x] without allocating. This is the MAC the cost
-      model counts. *)
-
-  val madd2 : t -> int -> wre:float -> wim:float -> xre:float -> xim:float -> unit
-  (** [madd] with the operands already unboxed. *)
-
-  val fill_zero : t -> unit
   val fill_zero_range : t -> pos:int -> len:int -> unit
   val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 

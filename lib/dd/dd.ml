@@ -60,11 +60,14 @@ type package = {
   (* Scratch of [priced_paths], one entry per matrix slot, refitted to
      the arena's capacity on entry: [walk_tag.(n)] is the walk's stamp
      once slot [n] is counted (odd when [n] is the canonical identity of
-     its level), [walk_val.(n)] its count.
+     its level), [walk_terminal.(n)], [walk_stripe.(n)] and
+     [walk_visits.(n)] its three counts.
      Stamps step by 2, so a new walk retires every older entry without
      clearing. *)
   mutable walk_tag : int array;
-  mutable walk_val : float array;
+  mutable walk_terminal : float array;
+  mutable walk_stripe : float array;
+  mutable walk_visits : float array;
   mutable walk_stamp : int;
   (* Scratch of [export], stamped by [walk_stamp] like the walk above:
      per matrix slot its exported slot, and per weight id its stamp and
@@ -116,7 +119,9 @@ let create () =
     vadd_cache = Dd_cache.Three.create ~bits:cache_bits_min ~label:"vadd";
     madd_cache = Dd_cache.Three.create ~bits:cache_bits_min ~label:"madd";
     walk_tag = [||];
-    walk_val = [||];
+    walk_terminal = [||];
+    walk_stripe = [||];
+    walk_visits = [||];
     walk_stamp = 0;
     walk_slot = [||];
     wid_tag = [||];
@@ -452,23 +457,26 @@ let mnode_count p (e : medge) =
     !acc
   end
 
-(* The priced path count of [priced_paths]. A slot is counted once per
-   walk: its four children first, then either its identity price, when
-   it is (e, 0, 0, e) with [e] the unit edge to the identity one level
-   down ([mone] at level 0), or the sum of its non-zero children's
-   counts, plus [visit] at level 1 and up. Counts go straight into the
-   unboxed [walk_val], so the walk allocates nothing. *)
-let[@inline] edge_count (value : float array) e =
-  if e = 0 then 0.0 else Array.unsafe_get value (edge_tgt e) (* qcs-lint: allow unsafe-array *)
+(* The three path counts of [priced_paths]. A slot is counted once per
+   walk: its four children first, then either its stripe, when it is
+   (e, 0, 0, e) with [e] the unit edge to the identity one level down
+   ([mone] at level 0), or the sums of its non-zero children's counts,
+   plus its own visit at level 1 and up. Counts go straight into the
+   unboxed scratch arrays, so the walk allocates nothing. *)
+let[@inline] edge_count (count : float array) e =
+  if e = 0 then 0.0 else Array.unsafe_get count (edge_tgt e) (* qcs-lint: allow unsafe-array *)
 
-let rec count_paths p (tag : int array) (value : float array) stamp identity visit n =
+let[@inline] sum4 count e00 e01 e10 e11 =
+  edge_count count e00 +. edge_count count e01 +. edge_count count e10 +. edge_count count e11
+
+let rec count_paths p (tag : int array) stamp n =
   if Array.unsafe_get tag n land lnot 1 <> stamp then begin (* qcs-lint: allow unsafe-array *)
     let e00 = Node_store.child4 p.ma n 0 and e01 = Node_store.child4 p.ma n 1 in
     let e10 = Node_store.child4 p.ma n 2 and e11 = Node_store.child4 p.ma n 3 in
-    if e00 <> 0 then count_paths p tag value stamp identity visit (edge_tgt e00);
-    if e01 <> 0 then count_paths p tag value stamp identity visit (edge_tgt e01);
-    if e10 <> 0 then count_paths p tag value stamp identity visit (edge_tgt e10);
-    if e11 <> 0 then count_paths p tag value stamp identity visit (edge_tgt e11);
+    if e00 <> 0 then count_paths p tag stamp (edge_tgt e00);
+    if e01 <> 0 then count_paths p tag stamp (edge_tgt e01);
+    if e10 <> 0 then count_paths p tag stamp (edge_tgt e10);
+    if e11 <> 0 then count_paths p tag stamp (edge_tgt e11);
     let level = Node_store.level p.ma n in
     let below = edge_tgt e00 in
     if
@@ -476,32 +484,45 @@ let rec count_paths p (tag : int array) (value : float array) stamp identity vis
       && edge_wid e00 = Ctable.one_id
       && (if level = 0 then below = 0 else tag.(below) = stamp + 1)
     then begin
-      value.(n) <- Float.ldexp identity (level + 1);
+      p.walk_terminal.(n) <- 0.0;
+      p.walk_stripe.(n) <- Float.ldexp 1.0 (level + 1);
+      p.walk_visits.(n) <- 0.0;
       tag.(n) <- stamp + 1
     end
     else begin
-      value.(n) <-
-        edge_count value e00 +. edge_count value e01 +. edge_count value e10
-        +. edge_count value e11
-        +. (if level > 0 then visit else 0.0);
+      p.walk_terminal.(n) <- sum4 p.walk_terminal e00 e01 e10 e11;
+      p.walk_stripe.(n) <- sum4 p.walk_stripe e00 e01 e10 e11;
+      p.walk_visits.(n) <- sum4 p.walk_visits e00 e01 e10 e11 +. (if level > 0 then 1.0 else 0.0);
       tag.(n) <- stamp
     end
   end
 
-let priced_paths p ~terminal ~identity ~visit (e : medge) =
-  if e = 0 then 0.0
+(* Refits the walk scratch to the matrix arena's capacity. *)
+let fit_walk p cap =
+  if Array.length p.walk_tag < cap then begin
+    p.walk_tag <- Array.make cap 0;
+    p.walk_terminal <- Array.make cap 0.0;
+    p.walk_stripe <- Array.make cap 0.0;
+    p.walk_visits <- Array.make cap 0.0
+  end
+
+type paths = { terminal : float; stripe : float; visits : float }
+
+let no_paths = { terminal = 0.0; stripe = 0.0; visits = 0.0 }
+
+let priced_paths p (e : medge) =
+  if e = 0 then no_paths
   else begin
-    let cap = Node_store.capacity p.ma in
-    if Array.length p.walk_tag < cap then begin
-      p.walk_tag <- Array.make cap 0;
-      p.walk_val <- Array.make cap 0.0
-    end;
+    fit_walk p (Node_store.capacity p.ma);
     p.walk_stamp <- p.walk_stamp + 2;
     let stamp = p.walk_stamp in
     p.walk_tag.(0) <- stamp;
-    p.walk_val.(0) <- terminal;
-    count_paths p p.walk_tag p.walk_val stamp identity visit (edge_tgt e);
-    p.walk_val.(edge_tgt e)
+    p.walk_terminal.(0) <- 1.0;
+    p.walk_stripe.(0) <- 0.0;
+    p.walk_visits.(0) <- 0.0;
+    let n = edge_tgt e in
+    count_paths p p.walk_tag stamp n;
+    { terminal = p.walk_terminal.(n); stripe = p.walk_stripe.(n); visits = p.walk_visits.(n) }
   end
 
 (* Both walks fold the path weight as two bare floats read straight off
@@ -589,7 +610,9 @@ let memory_bytes p =
   + Dd_cache.Three.memory_bytes p.vadd_cache
   + Dd_cache.Three.memory_bytes p.madd_cache
   + (8 * (Array.length p.walk_tag + 1))
-  + (8 * (Array.length p.walk_val + 1))
+  + (8 * (Array.length p.walk_terminal + 1))
+  + (8 * (Array.length p.walk_stripe + 1))
+  + (8 * (Array.length p.walk_visits + 1))
   + (8 * (Array.length p.walk_slot + 1))
   + (8 * (Array.length p.wid_tag + 1))
   + (8 * (Array.length p.wid_slot + 1))
@@ -674,10 +697,7 @@ let export p (entries : mnode list) =
     l < Array.length ids && ids.(l) = n
   in
   let cap = Node_store.capacity p.ma and wids = Ctable.count p.ct in
-  if Array.length p.walk_tag < cap then begin
-    p.walk_tag <- Array.make cap 0;
-    p.walk_val <- Array.make cap 0.0
-  end;
+  fit_walk p cap;
   if Array.length p.walk_slot < cap then p.walk_slot <- Array.make cap 0;
   if Array.length p.wid_tag < wids then begin
     p.wid_tag <- Array.make wids 0;

@@ -131,16 +131,26 @@ val vnode_count : package -> vedge -> int
 
 val mnode_count : package -> medge -> int
 
-val priced_paths : package -> terminal:float -> identity:float -> visit:float -> medge -> float
-(** Root-to-terminal paths of a matrix DD, priced: a path into the
-    terminal costs [terminal], the walk stops at a canonical identity
-    node at level [l] — [(e, 0, 0, e)] with [e] the unit edge to the
-    identity one level down, [mone] at level 0 — charging
-    [identity × 2^(l+1)] for it, and every root-to-node path into any
-    other node at level 1 or above costs [visit] (one call of the Run's
-    recursion). [~terminal:1.0 ~identity:1.0 ~visit:0.0] is the plain
-    path count. Memoized per slot in package-owned scratch, so it
-    allocates only the returned float; the zero edge counts 0. *)
+type paths = {
+  terminal : float;  (** root-to-terminal paths that meet no identity *)
+  stripe : float;
+  (** MACs under canonical identity nodes: the walk stops at one at
+      level [l] and counts its [2^(l+1)] MACs *)
+  visits : float;
+  (** root-to-node paths into any other node at level 1 or above: the
+      calls of the Run's recursion *)
+}
+(** The three path counts of a matrix DD, the cost model's one input.
+    Counts are floats because they reach 2ⁿ·(dense paths); they stay
+    exact integers below 2⁵³. *)
+
+val priced_paths : package -> medge -> paths
+(** The three path counts of one walk: a canonical identity node at
+    level [l] is [(e, 0, 0, e)] with [e] the unit edge to the identity
+    one level down, [mone] at level 0. [terminal +. stripe] is the plain
+    path count (one MAC per non-zero matrix entry). Memoized per slot in
+    package-owned scratch, so it allocates only the returned record; the
+    zero edge counts 0. *)
 
 val vamplitude : package -> vedge -> int -> Cnum.t
 (** [vamplitude p e i] walks the path of basis index [i] from an edge at

@@ -1,10 +1,11 @@
-(* Every count of this model is one walk, [Dd.priced_paths], with
-   different prices: the plain MAC count charges a terminal path 1 and
-   an identity node its 2^(l+1) paths, the priced count charges the
-   identity node's paths [identity_price] each and every Run call
-   [visit_price], and the identity share charges only the identity
-   nodes' paths. *)
-let mac_count p e = Dd.priced_paths p ~terminal:1.0 ~identity:1.0 ~visit:0.0 e
+(* Every count of this model is one walk, [Dd.priced_paths], which
+   returns a gate's three path counts; every price is arithmetic on
+   them. The plain MAC count is its terminal paths and its identity
+   stripes' MACs; the priced count charges a stripe MAC
+   [identity_price] and a Run call [visit_price]. *)
+let macs (c : Dd.paths) = c.terminal +. c.stripe
+
+let mac_count p e = macs (Dd.priced_paths p e)
 
 (* The Run stub applies an identity node as one contiguous stripe. Over
    the uncached applications of hybrid-deep's unfused and fused gates
@@ -29,17 +30,8 @@ let identity_price = 0.25
    binary: priced counts stay sums of halves. *)
 let visit_price = 2.0
 
-let priced_macs ?(identity_price = identity_price) p e =
-  Dd.priced_paths p ~terminal:1.0 ~identity:identity_price ~visit:visit_price e
-
-type breakdown = {
-  k1 : float;
-  k2 : float;
-  k1_priced : float;
-  k2_priced : float;
-  hits : int;
-  buffers : int;
-}
+let priced ?(identity_price = identity_price) (c : Dd.paths) =
+  c.terminal +. (identity_price *. c.stripe) +. (visit_price *. c.visits)
 
 let pow2_threads ~n threads =
   let t = ref 1 in
@@ -50,15 +42,11 @@ let pow2_threads ~n threads =
 
 type task = { node : Dd.mnode; start : int; weight : Cnum.t }
 
-type traversal = Row_major | Column_major
-
-(* Algorithms 1 and 2's Assign/AssignCache: walk the top log₂ t levels,
-   handing each border-level sub-matrix to a thread. Row-major (Assign):
-   the thread index follows the row bit i and the V offset the column
-   bit j. Column-major (AssignCache): the thread index follows j and the
-   partial-output offset follows i. The outer loop runs over the bit the
-   thread index follows. *)
-let assign p ~n ~t traversal (root : Dd.medge) =
+(* Algorithm 2's AssignCache: walk the top log₂ t levels, handing each
+   border-level sub-matrix to a thread. The thread index follows the
+   column bit j and the partial-output offset the row bit i; the outer
+   loop runs over j. *)
+let assign p ~n ~t (root : Dd.medge) =
   let border = n - Bits.log2_exact t - 1 in
   let tasks = Array.make t [] in
   let rec go (e : Dd.medge) (f : Cnum.t) u start l =
@@ -68,14 +56,9 @@ let assign p ~n ~t traversal (root : Dd.medge) =
       else begin
         let step = t / (1 lsl (n - l)) in
         let half = 1 lsl l in
-        for a = 0 to 1 do
-          for b = 0 to 1 do
-            let e' =
-              match traversal with
-              | Row_major -> Dd.medge_child p e a b
-              | Column_major -> Dd.medge_child p e b a
-            in
-            go e' f (u + (a * step)) (start + (b * half)) (l - 1)
+        for j = 0 to 1 do
+          for i = 0 to 1 do
+            go (Dd.medge_child p e i j) f (u + (j * step)) (start + (i * half)) (l - 1)
           done
         done
       end
@@ -114,27 +97,23 @@ let allocate_buffers per_thread_blocks =
   in
   (assignment, List.length !buffers)
 
-(* The cached kernel runs each thread's distinct task nodes once: Σ [f]
-   over them, and the number of repeats (cache hits). *)
-let sum_distinct_tasks tasks f =
-  let sum = ref 0.0 and hits = ref 0 in
-  Array.iter
-    (fun lst ->
-       let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-       List.iter
-         (fun { node; _ } ->
-            if Hashtbl.mem seen (Dd.mid node) then incr hits
-            else begin
-              Hashtbl.replace seen (Dd.mid node) ();
-              sum := !sum +. f node
-            end)
-         lst)
-    tasks;
-  (!sum, !hits)
+type breakdown = {
+  tasks : task list array;
+  k1 : float;
+  k2 : float;
+  k1_priced : float;
+  k2_priced : float;
+  k1_stripe : float;
+  k2_stripe : float;
+  hits : int;
+  buffers : int;
+  thread_buffer : int array;
+}
 
-(* One pass over the tasks: the border tasks' paths partition the
-   root's, so K₁ is every task's count and K₂ each thread's distinct
-   tasks' count, plain and priced. A hit saves its MACs but not its
+(* One pass over Algorithm 2's tasks, one count walk per distinct task
+   node: the border tasks' paths partition the root's, so K₁ is every
+   task's count and K₂ each thread's distinct tasks' count, plain,
+   priced and under identity stripes. A hit saves its MACs but not its
    visits: priced K₂ charges every task's visits, so the visit price
    never moves a pick between the Run and Algorithm 2. (Discounted
    visits moved four k-operations products of supremacy-15, 2 hits
@@ -143,53 +122,52 @@ let sum_distinct_tasks tasks f =
    exact in any order. *)
 let breakdown p ~n ~threads root =
   let t = pow2_threads ~n threads in
-  let tasks = assign p ~n ~t Column_major root in
-  let k1 = ref 0.0 and k1_priced = ref 0.0 and k2 = ref 0.0 and k2_priced = ref 0.0 in
+  let tasks = assign p ~n ~t root in
+  let counts : (int, Dd.paths) Hashtbl.t = Hashtbl.create 16 in
+  let count node =
+    match Hashtbl.find_opt counts (Dd.mid node) with
+    | Some c -> c
+    | None ->
+      let c = Dd.priced_paths p (Dd.munit node) in
+      Hashtbl.replace counts (Dd.mid node) c;
+      c
+  in
+  let k1 = ref 0.0 and k1_priced = ref 0.0 and k1_stripe = ref 0.0 in
+  let k2 = ref 0.0 and k2_priced = ref 0.0 and k2_stripe = ref 0.0 in
   let hits = ref 0 in
   Array.iter
     (fun lst ->
-       let seen : (int, float * float * float) Hashtbl.t = Hashtbl.create 16 in
+       let seen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
        List.iter
          (fun { node; _ } ->
-            let plain, priced =
-              match Hashtbl.find_opt seen (Dd.mid node) with
-              | Some (plain, priced, visits) ->
-                incr hits;
-                k2_priced := !k2_priced +. visits;
-                (plain, priced)
-              | None ->
-                let e = Dd.munit node in
-                let plain = mac_count p e and priced = priced_macs p e in
-                let visits = Dd.priced_paths p ~terminal:0.0 ~identity:0.0 ~visit:visit_price e in
-                Hashtbl.replace seen (Dd.mid node) (plain, priced, visits);
-                k2 := !k2 +. plain;
-                k2_priced := !k2_priced +. priced;
-                (plain, priced)
-            in
+            let c = count node in
+            let plain = macs c and price = priced c in
+            if Hashtbl.mem seen (Dd.mid node) then begin
+              incr hits;
+              k2_priced := !k2_priced +. (visit_price *. c.visits)
+            end
+            else begin
+              Hashtbl.replace seen (Dd.mid node) ();
+              k2 := !k2 +. plain;
+              k2_priced := !k2_priced +. price;
+              k2_stripe := !k2_stripe +. c.stripe
+            end;
             k1 := !k1 +. plain;
-            k1_priced := !k1_priced +. priced)
+            k1_priced := !k1_priced +. price;
+            k1_stripe := !k1_stripe +. c.stripe)
          lst)
     tasks;
-  let per_thread_blocks = Array.map (List.map (fun task -> task.start)) tasks in
-  let _, buffers = allocate_buffers per_thread_blocks in
-  { k1 = !k1; k2 = !k2; k1_priced = !k1_priced; k2_priced = !k2_priced; hits = !hits; buffers }
+  let thread_buffer, buffers =
+    allocate_buffers (Array.map (List.map (fun task -> task.start)) tasks)
+  in
+  { tasks; k1 = !k1; k2 = !k2; k1_priced = !k1_priced; k2_priced = !k2_priced;
+    k1_stripe = !k1_stripe; k2_stripe = !k2_stripe; hits = !hits; buffers; thread_buffer }
 
 type decision = { cached : bool; c1 : float; c2 : float; threads_used : int }
 
 let simd_width = 4
 
 let modeled_macs d = float_of_int d.threads_used *. if d.cached then d.c2 else d.c1
-
-(* The part of [modeled_macs] (its MAC terms, not the block operations)
-   under identity nodes, which the Run stub applies as contiguous
-   stripes. *)
-let identity_macs p ~n d root =
-  let count e = Dd.priced_paths p ~terminal:0.0 ~identity:1.0 ~visit:0.0 e in
-  if not d.cached then count root
-  else
-    fst
-      (sum_distinct_tasks (assign p ~n ~t:d.threads_used Column_major root) (fun node ->
-           count (Dd.munit node)))
 
 (* The local leg streams the whole vector once, in place, whatever the
    gate's entries, so it is priced per amplitude, in the Run's priced
@@ -263,10 +241,9 @@ let pick prices =
    width d, the dense kernel its per-amplitude rate; [pick] takes the
    cheapest. [decision] keeps Eq. 5/6's plain MAC counts, which the
    reports and Table 2 show. *)
-let dispatch p ~n ~threads ?op root =
-  let tu = pow2_threads ~n threads in
+let dispatch ~n ?op b =
+  let tu = Array.length b.tasks in
   let t = float_of_int tu in
-  let b = breakdown p ~n ~threads root in
   let dim = Float.ldexp 1.0 n in
   let blocks =
     dim /. (float_of_int simd_width *. t) *. ((float_of_int b.hits /. t) +. float_of_int b.buffers)

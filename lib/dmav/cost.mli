@@ -1,13 +1,15 @@
 (** The DMAV computational cost model (paper §3.2.3).
 
     The unit of cost is the multiply-accumulate (MAC): one terminal visit
-    of the [Run] recursion. The MAC count of a matrix DD is computed by a
-    memoized depth-first walk — identical nodes contribute identical
-    counts, the terminal contributes one (Figure 8). The same walk with
-    identity nodes priced at {!identity_price} per MAC and the
-    recursion's calls at {!visit_price} each, {!priced_macs}, is the
-    unit of the gate price that picks every flat gate's kernel
-    ({!dispatch}, {!local_dispatch}) and that fusion compares.
+    of the [Run] recursion. Every price is arithmetic on a gate's three
+    path counts ({!Dd.paths}), which one memoized depth-first walk
+    returns ({!Dd.priced_paths}; identical nodes contribute identical
+    counts, Figure 8): the MAC count is its terminal paths plus its
+    identity stripes' MACs ({!macs}), and the priced count charges a
+    stripe MAC {!identity_price} and each of the recursion's calls
+    {!visit_price} ({!priced}), the unit of the gate price that picks
+    every flat gate's kernel ({!dispatch}, {!local_dispatch}) and that
+    fusion compares.
 
     For an [n]-qubit DMAV on [t] threads with SIMD width [d]:
     - without caching (Eq. 5):  [C₁ = K₁ / t];
@@ -35,20 +37,18 @@ type task = { node : Dd.mnode; start : int; weight : Cnum.t }
     sub-vector start index — I_V for the row-space kernel, I_P for the
     column-space one. *)
 
-type traversal =
-  | Row_major     (** Algorithm 1's Assign: threads own row blocks *)
-  | Column_major  (** Algorithm 2's AssignCache: threads own column blocks *)
+val assign : Dd.package -> n:int -> t:int -> Dd.medge -> task list array
+(** Algorithm 2's AssignCache over the top log₂ t levels: for each of
+    the [t] threads, which own column blocks, its border-level tasks in
+    assignment order, the task's start the row block. Algorithm 1's
+    row-major lists are their transpose ({!Flat_gate.program}). *)
 
-val assign : Dd.package -> n:int -> t:int -> traversal -> Dd.medge -> task list array
-(** The task assignment over the top log₂ t levels: for each of the [t]
-    threads, its border-level tasks in assignment order. Both DMAV
-    kernels, the cost model and the load-balance analyses in the
-    benchmark harness use it. *)
+val macs : Dd.paths -> float
+(** The plain MAC count of a gate's counts: [terminal +. stripe]. *)
 
 val mac_count : Dd.package -> Dd.medge -> float
 (** [K₁] — total MACs of multiplying this matrix DD by a dense vector:
-    {!Dd.priced_paths} with every path priced 1. Float because counts
-    reach 2ⁿ·(dense paths) and must not overflow silently. *)
+    {!macs} of its {!Dd.priced_paths}. *)
 
 val identity_price : float
 (** The cost of one MAC under a canonical identity node, relative to a
@@ -67,32 +67,39 @@ val visit_price : float
     node or not. Fitted with [bench/main.exe fusion_price] with
     {!identity_price} held; a constant, exact in binary. *)
 
-val priced_macs : ?identity_price:float -> Dd.package -> Dd.medge -> float
-(** The Run's priced MACs (beyond the paper's Eq. 5): each
-    root-to-terminal path costs 1, except that the walk stops at a
-    canonical identity node at level [l] and charges
-    [identity_price × 2^(l+1)] for it, and each root-to-node path into
-    any other node at level 1 or above costs {!visit_price}.
-    [identity_price] defaults to {!identity_price}; other values are for
-    calibration sweeps. The unit of every kernel's price ({!dispatch}),
-    and fusion's price of a wide gate. *)
+val priced : ?identity_price:float -> Dd.paths -> float
+(** The Run's priced MACs (beyond the paper's Eq. 5): [terminal +.
+    identity_price ×. stripe +. visit_price ×. visits], so each
+    root-to-terminal path costs 1, an identity stripe's MAC
+    [identity_price] and each root-to-node path into any other node at
+    level 1 or above {!visit_price}. [identity_price] defaults to
+    {!identity_price}; other values are for calibration sweeps. The unit
+    of every kernel's price ({!dispatch}), and fusion's price of a wide
+    gate. *)
 
 type breakdown = {
+  tasks : task list array;
+  (** Algorithm 2's assignment ({!assign}), which the compiled program
+      runs *)
   k1 : float;
   k2 : float;
-  k1_priced : float;  (** [K₁] in {!priced_macs} *)
+  k1_priced : float;  (** [K₁] in {!priced} MACs *)
   k2_priced : float;
-  (** [K₂] in {!priced_macs}, plus the repeated tasks' visits: a hit
+  (** [K₂] in {!priced} MACs, plus the repeated tasks' visits: a hit
       saves its MACs, not the Run's calls, so the visit price never
       moves a pick between the Run and Algorithm 2 *)
+  k1_stripe : float;  (** the MACs of [K₁] under identity stripes *)
+  k2_stripe : float;  (** the MACs of [K₂] under identity stripes *)
   hits : int;        (** [H] *)
   buffers : int;     (** [b] *)
+  thread_buffer : int array;  (** {!allocate_buffers}' thread → buffer *)
 }
 
 val breakdown : Dd.package -> n:int -> threads:int -> Dd.medge -> breakdown
 (** Simulates the cached task assignment (Algorithm 2's AssignCache and
-    buffer allocation) without touching any state vector. [threads] is
-    rounded down to a power of two, as in {!Dmav}. *)
+    buffer allocation) without touching any state vector, with one
+    count walk per distinct task node. [threads] is rounded down to a
+    power of two ({!pow2_threads}), as in {!Dmav}. *)
 
 type decision = { cached : bool; c1 : float; c2 : float; threads_used : int }
 (** The two DMAV kernels in the paper's terms: [c1] and [c2] are Eq. 5
@@ -106,15 +113,10 @@ val modeled_macs : decision -> float
 (** [C × t] of the kernel that runs ([c2] if cached, else [c1]) — the
     modeled MAC work Table 2 reports as "Cost". *)
 
-val identity_macs : Dd.package -> n:int -> decision -> Dd.medge -> float
-(** The MACs of the chosen kernel's Run calls that lie under identity
-    nodes, which the Run stub applies as contiguous stripes:
-    {!Dd.priced_paths} with terminal paths priced 0. *)
-
 (** {1 The gate price: local leg, Run, Algorithm 2, dense}
 
     One unit for every flat-phase kernel: the Run's priced MAC
-    ({!priced_macs}: a recursion MAC 1, an identity-stripe MAC
+    ({!priced}: a recursion MAC 1, an identity-stripe MAC
     {!identity_price}, a recursion call {!visit_price}), per thread.
     The Run costs its priced MACs (Eq. 5), Algorithm 2 its distinct
     tasks' priced MACs and its repeated tasks' visits plus Eq. 6's block
@@ -156,7 +158,7 @@ val local_price : ?local_rate:float -> n:int -> support:int -> float -> float
     the local leg at {!local_rate} (or [local_rate], one rate for both
     supports, for calibration sweeps) per amplitude. Algorithm 2 never
     wins on one thread and a product has no dense kernel. A wide gate's
-    price is its {!priced_macs}. *)
+    price is its {!priced} count. *)
 
 type kernel =
   | Local   (** the local leg: a narrow gate's 2×2 or 4×4 matrix in place *)
@@ -184,10 +186,10 @@ type dispatch = {
   (** a narrow gate's levels, as a bit mask; [None] for a wide gate *)
 }
 
-val dispatch : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> dispatch
-(** Prices a wide gate, given by its matrix DD, on every eligible kernel
-    for a pool of [threads] and picks the cheapest; on a tie the earlier
-    of dense, Run, cached. The dense kernel is eligible when [op], the
+val dispatch : n:int -> ?op:Circuit.op -> breakdown -> dispatch
+(** Prices a wide gate on every eligible kernel from its {!breakdown}
+    for the pool it will run on, and picks the cheapest; on a tie the
+    earlier of dense, Run, cached. The dense kernel is eligible when [op], the
     unfused circuit op, is a single-qubit gate; the local leg never is.
     With no [op] the pick is one of the paper's two DMAV kernels. *)
 

@@ -3,9 +3,8 @@
    [Make (Storage.F64)], and the f32 flat engine instantiates it at
    [Storage.F32].
 
-   Every kernel runs a compiled gate ([Flat_gate]): the Assign
-   traversals, the cache hits and the buffer plan were fixed when the
-   gate was compiled, and each Run call is one call into the
+   Every kernel runs a compiled gate ([Flat_gate]): the task lists, the
+   cache hits and the buffer plan were fixed when the gate was compiled, and each Run call is one call into the
    [P.dmav_run] C stub over the gate's own arena. Cache hits, buffer
    zeroing and summation are one stripe-primitive call per block. W is
    zeroed inside the workers, one output stripe or block each. Weights
@@ -199,7 +198,7 @@ module Make (P : Storage.S) = struct
       Obs.with_span s_apply (fun () -> run ?workspace ~pool prog ~v ~w)
 
   let program p ~pool ~n ~cached root =
-    Flat_gate.program p ~n ~t:(Cost.pow2_threads ~n (Pool.size pool)) ~cached root
+    Flat_gate.program p ~n ~cached (Cost.breakdown p ~n ~threads:(Pool.size pool) root)
 
   let apply_nocache p ~pool ~n root ~v ~w = run ~pool (program p ~pool ~n ~cached:false root) ~v ~w
 

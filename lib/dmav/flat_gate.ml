@@ -2,7 +2,9 @@
    DMAV executor needs: the kernel pick priced at the real pool size,
    the sub-matrices its tasks enter in the gate's own arena
    ([Dd.export]), and Algorithm 1's or 2's task lists turned into flat
-   arrays of Run calls over gate-local slots. After
+   arrays of Run calls over gate-local slots. The gate is assigned once,
+   column-major, for its price ([Cost.breakdown]); Algorithm 1 runs the
+   transpose of those lists. After
    [compile] returns, running the gate reads nothing of the package, so
    the planner can keep interning and fusing while the gate runs.
 
@@ -47,11 +49,10 @@ type t = {
    took 0.44 ms and the 99th percentile 0.24 ms. *)
 let piece_macs = 8192.0
 
-(* The Run work under each gate-local slot, priced like
-   [Cost.priced_macs] without its visits: a terminal path costs 1, a
-   canonical identity node at level l costs [Cost.identity_price] per
-   each of its 2^(l+1) MACs. Children have lower slots than their
-   parents. *)
+(* The Run work under each gate-local slot, priced like [Cost.priced]
+   without its visits: a terminal path costs 1, a canonical identity
+   node at level l costs [Cost.identity_price] per each of its 2^(l+1)
+   MACs. Children have lower slots than their parents. *)
 let work (a : Storage.arena) =
   let size = Array.length a.lv in
   let work = Array.make size 1.0 in
@@ -81,15 +82,32 @@ let push c x =
 
 let to_array c = Array.of_list (List.rev c.items)
 
-let program ?(piece_macs = piece_macs) p ~n ~t ~cached root =
-  let tasks =
-    Cost.assign p ~n ~t (if cached then Cost.Column_major else Cost.Row_major) root
-  in
+(* Algorithm 1's Assign lists from Algorithm 2's: list [u] of the
+   column-major lists holds column block [u]'s tasks in ascending row
+   block ([start / h]); row-major list [r] holds row block [r]'s tasks in
+   ascending column block, each starting at its column's V offset. The
+   two recursions walk the same root-to-border paths, so node and weight
+   are the same. *)
+let transpose ~h (tasks : Cost.task list array) =
+  let rows = Array.make (Array.length tasks) [] in
+  Array.iteri
+    (fun u lst ->
+       List.iter
+         (fun (task : Cost.task) ->
+            let r = task.start / h in
+            rows.(r) <- { task with start = u * h } :: rows.(r))
+         lst)
+    tasks;
+  Array.map List.rev rows
+
+let program ?(piece_macs = piece_macs) p ~n ~cached (b : Cost.breakdown) =
+  let t = Array.length b.tasks in
+  let h = (1 lsl n) / t in
+  let tasks = if cached then b.tasks else transpose ~h b.tasks in
   let { Dd.arena = a; local } =
     Dd.export p (List.concat_map (List.map (fun (task : Cost.task) -> task.node)) (Array.to_list tasks))
   in
   let work = work a in
-  let h = (1 lsl n) / t in
   let pieces = column () and weights = column () in
   let task_cols = column () and ratios = column () in
   let emit node iv iw fre fim =
@@ -164,17 +182,17 @@ let program ?(piece_macs = piece_macs) p ~n ~t ~cached root =
     if not cached then ([||], 0, [||], [||])
     else begin
       let blocks = Array.map (List.map (fun (task : Cost.task) -> task.start)) tasks in
-      let v_b, buffers = Cost.allocate_buffers blocks in
+      let v_b = b.thread_buffer and buffers = b.buffers in
       let occupied = Array.make buffers [] in
       let seen = Array.init buffers (fun _ -> Hashtbl.create 16) in
       Array.iteri
         (fun u blks ->
            let bi = v_b.(u) in
            List.iter
-             (fun b ->
-                if not (Hashtbl.mem seen.(bi) b) then begin
-                  Hashtbl.replace seen.(bi) b ();
-                  occupied.(bi) <- b :: occupied.(bi)
+             (fun blk ->
+                if not (Hashtbl.mem seen.(bi) blk) then begin
+                  Hashtbl.replace seen.(bi) blk ();
+                  occupied.(bi) <- blk :: occupied.(bi)
                 end)
              blks)
         blocks;
@@ -333,60 +351,61 @@ let local_of_op ~n (op : Circuit.op) =
    up: a block over the lowest j index bits is zero, a non-zero multiple
    of the identity (a canonical identity node one level above its
    levels, at level n − 1 for the whole form; a scalar below level 0 is
-   the terminal), or a node whose paths are its four quadrants' plus its
-   own visit (at level 1 and up). Each of the m levels off the mask
+   the terminal), or a node whose counts are its four quadrants' plus
+   its own visit (at level 1 and up). Each of the m levels off the mask
    above such a node is a replication node (e, 0, 0, e), which doubles
-   the count and adds its own visit: 2^m·c + (2^m − 1)·visit. *)
-let form_paths ~n ~terminal ~identity ~visit f =
+   the counts and adds its own visit: 2^m·c + (2^m − 1) visits. *)
+let form_paths ~n f =
   let lv = levels f.mask and d = 1 lsl f.k in
   let top j = if j = f.k then n - 1 else lv.(j) - 1 in
-  let stripe j = if top j < 0 then terminal else Float.ldexp identity (top j + 1) in
   (* Per block, row-major in place: 0 zero, 1 identity (its scalar at
-     float offset [scalar]), 2 other; and its priced paths. *)
-  let kind = Array.make (d * d) 0 and count = Array.make (d * d) 0.0 in
-  let scalar = Array.make (d * d) 0 in
-  let s0 = stripe 0 in
+     float offset [scalar]), 2 other; and its three counts. *)
+  let kind = Array.make (d * d) 0 and scalar = Array.make (d * d) 0 in
+  let terminal = Array.make (d * d) 0.0 and stripe = Array.make (d * d) 0.0 in
+  let visits = Array.make (d * d) 0.0 in
+  let identity x j =
+    kind.(x) <- 1;
+    if top j < 0 then terminal.(x) <- 1.0 else stripe.(x) <- Float.ldexp 1.0 (top j + 1)
+  in
   for x = 0 to (d * d) - 1 do
     scalar.(x) <- 2 * x;
-    if not (is_zero f.m (2 * x)) then begin
-      kind.(x) <- 1;
-      count.(x) <- s0
-    end
+    if not (is_zero f.m (2 * x)) then identity x 0
   done;
   for j = 1 to f.k do
-    let w = d lsr j and sj = stripe j and double = Float.ldexp 1.0 (top j - lv.(j - 1)) in
-    let own = if lv.(j - 1) > 0 then visit else 0.0 in
+    let w = d lsr j and double = Float.ldexp 1.0 (top j - lv.(j - 1)) in
+    let own = if lv.(j - 1) > 0 then 1.0 else 0.0 in
     for br = 0 to w - 1 do
       for bc = 0 to w - 1 do
         let c00 = (2 * br * 2 * w) + (2 * bc) in
         let c01 = c00 + 1 and c10 = c00 + (2 * w) in
         let c11 = c10 + 1 and x = (br * w) + bc in
         let k00 = kind.(c00) and k01 = kind.(c01) and k10 = kind.(c10) and k11 = kind.(c11) in
-        if k00 = 0 && k01 = 0 && k10 = 0 && k11 = 0 then begin
-          kind.(x) <- 0;
-          count.(x) <- 0.0
-        end
+        let t = terminal.(c00) +. terminal.(c01) +. terminal.(c10) +. terminal.(c11) in
+        let s = stripe.(c00) +. stripe.(c01) +. stripe.(c10) +. stripe.(c11) in
+        let v = visits.(c00) +. visits.(c01) +. visits.(c10) +. visits.(c11) in
+        terminal.(x) <- 0.0;
+        stripe.(x) <- 0.0;
+        visits.(x) <- 0.0;
+        if k00 = 0 && k01 = 0 && k10 = 0 && k11 = 0 then kind.(x) <- 0
         else if k01 = 0 && k10 = 0 && k00 = 1 && k11 = 1 && near f.m scalar.(c00) scalar.(c11)
         then begin
-          kind.(x) <- 1;
           scalar.(x) <- scalar.(c00);
-          count.(x) <- sj
+          identity x j
         end
         else begin
           kind.(x) <- 2;
-          count.(x) <-
-            (double *. (count.(c00) +. count.(c01) +. count.(c10) +. count.(c11) +. own))
-            +. ((double -. 1.0) *. visit)
+          terminal.(x) <- double *. t;
+          stripe.(x) <- double *. s;
+          visits.(x) <- (double *. (v +. own)) +. (double -. 1.0)
         end
       done
     done
   done;
-  count.(0)
+  { Dd.terminal = terminal.(0); stripe = stripe.(0); visits = visits.(0) }
 
-let local_paths ~n ~terminal ~identity ~visit l =
-  form_paths ~n ~terminal ~identity ~visit (form_of l)
+let local_paths ~n l = form_paths ~n (form_of l)
 
-type product = Narrow_product of local | Wide_product of float
+type product = Narrow_product of local | Wide_product of Dd.paths
 
 (* The bits of a union index that the levels of [support] take, and
    their packed value ([gather]) or the packed value [v] spread back onto
@@ -410,7 +429,7 @@ let side lv support =
   let own = 1 lsl Array.length pos in
   (spread (own - 1), Array.init (1 lsl Array.length lv) pack, Array.init own spread)
 
-let local_product ~n ~identity a b =
+let local_product ~n a b =
   let mask = a.support lor b.support in
   let lv = levels mask in
   let d = 1 lsl Array.length lv in
@@ -449,7 +468,7 @@ let local_product ~n ~identity a b =
   in
   let f = normalize ~n ~check:(a.support land b.support lor scalar a lor scalar b) x in
   if f.k <= 2 then Narrow_product (to_local f)
-  else Wide_product (form_paths ~n ~terminal:1.0 ~identity ~visit:Cost.visit_price f)
+  else Wide_product (form_paths ~n f)
 
 let local_dd p ~n l =
   let d = if Bits.popcount l.support = 1 then 2 else 4 in
@@ -462,31 +481,28 @@ let local_dd p ~n l =
   | lv -> Mat_dd.of_single p ~n ~target:lv.(0) ~controls:[] m
 
 let of_local ~n ~threads ?op l =
-  let dispatch =
-    Cost.local_dispatch ~n ~threads ?op
-      ~macs:(local_paths ~n ~terminal:1.0 ~identity:1.0 ~visit:0.0 l) l.support
-  in
-  let body, identity_macs =
-    match dispatch.Cost.kernel, op with
-    | Cost.Dense, Some op -> (Dense op, 0.0)
-    | _ ->
-      ( Local l,
-        if Obs.enabled () then local_paths ~n ~terminal:0.0 ~identity:1.0 ~visit:0.0 l else 0.0 )
-  in
-  { body; dispatch; identity_macs }
+  let c = local_paths ~n l in
+  let dispatch = Cost.local_dispatch ~n ~threads ?op ~macs:(Cost.macs c) l.support in
+  match dispatch.Cost.kernel, op with
+  | Cost.Dense, Some op -> { body = Dense op; dispatch; identity_macs = 0.0 }
+  | _ -> { body = Local l; dispatch; identity_macs = c.Dd.stripe }
 
 let s_cost = Obs.span "dmav.cost"
 
+(* One Assign, column-major: the breakdown prices the gate, and the Run
+   program runs its task lists and buffer plan. *)
 let compile p ~n ~threads ?op m =
-  let disp = Obs.with_span s_cost (fun () -> Cost.dispatch p ~n ~threads ?op m) in
-  let d = disp.Cost.dmav in
-  let body, identity_macs =
-    match disp.Cost.kernel, op with
-    | Cost.Dense, Some op -> (Dense op, 0.0)
-    | _ ->
-      ( Dmav (program p ~n ~t:d.Cost.threads_used ~cached:d.Cost.cached m),
-        if Obs.enabled () then Cost.identity_macs p ~n d m else 0.0 )
+  let b, dispatch =
+    Obs.with_span s_cost (fun () ->
+        let b = Cost.breakdown p ~n ~threads m in
+        (b, Cost.dispatch ~n ?op b))
   in
-  { body; dispatch = disp; identity_macs }
+  let cached = dispatch.Cost.dmav.Cost.cached in
+  match dispatch.Cost.kernel, op with
+  | Cost.Dense, Some op -> { body = Dense op; dispatch; identity_macs = 0.0 }
+  | _ ->
+    { body = Dmav (program p ~n ~cached b);
+      dispatch;
+      identity_macs = (if cached then b.Cost.k2_stripe else b.Cost.k1_stripe) }
 
 let pieces g = Array.length g.pieces / 3

@@ -1,11 +1,15 @@
 (** Flat-phase gates compiled for the DMAV executor.
 
     The planner compiles each gate of the flat phase once, as it emits
-    it: the kernel is picked ({!Cost.dispatch}) at the pool size the
-    gate will run on, the sub-matrices its Assign tasks ({!Cost.assign})
-    enter are copied into the gate's own arena ({!Dd.export}), and the
-    task lists become flat arrays of Run calls over gate-local slots, with the cached kernel's hits, ratios and buffer
-    plan decided too. Running a compiled gate reads nothing of the
+    it: the gate is assigned once, column-major ({!Cost.breakdown}, one
+    count walk per distinct task node), the kernel is picked from those
+    counts ({!Cost.dispatch}) at the pool size the gate will run on, the
+    sub-matrices its tasks enter are copied into the gate's own arena
+    ({!Dd.export}), and the task lists become flat arrays of Run calls
+    over gate-local slots, with the cached kernel's hits, ratios and the
+    breakdown's buffer plan. Algorithm 1 runs the transpose of
+    Algorithm 2's lists: thread [r]'s row block, its tasks in ascending
+    column block. Running a compiled gate reads nothing of the
     {!Dd.package}, so the planner may keep fusing while earlier gates
     run. A compiled gate is immutable and may be run on any pool: the
     [threads] virtual task lists are the same whether [threads] domains
@@ -63,21 +67,24 @@ type t = {
   body : body;
   dispatch : Cost.dispatch;     (** the pick and its modeled costs *)
   identity_macs : float;
-  (** {!Cost.identity_macs} of the pick; computed only while [Obs] is on *)
+  (** the pick's modeled MACs under identity stripes, read off its
+      pricing: the breakdown's [k1_stripe] or [k2_stripe], a narrow
+      gate's stripe count, 0 for the dense kernel *)
 }
 (** The one record of what a flat gate runs: the driver reads the
     kernel, price, support, modeled MACs and cache hits it counts and
     traces off it. *)
 
 val piece_macs : float
-(** The split threshold, in {!Cost.priced_macs} units without the
-    visit term: a Run call under it took at most 0.44 ms at
+(** The split threshold, in {!Cost.priced} units without the visit
+    term: a Run call under it took at most 0.44 ms at
     hybrid-deep's sizes on the 2-core Xeon it was measured on. *)
 
-val program :
-  ?piece_macs:float -> Dd.package -> n:int -> t:int -> cached:bool -> Dd.medge -> program
-(** The Run program of one kernel over [t] virtual task lists ([t] a
-    power of two, at most 2ⁿ), without pricing. [piece_macs] (default
+val program : ?piece_macs:float -> Dd.package -> n:int -> cached:bool -> Cost.breakdown -> program
+(** The Run program of one kernel over the breakdown's task lists
+    ({!Cost.assign}: [t] column-major lists, [t] a power of two, at most
+    2ⁿ), without pricing: Algorithm 2 runs them with the breakdown's
+    buffer plan, Algorithm 1 their transpose. [piece_macs] (default
     {!piece_macs}) is there for the tests, which split down to single
     Run calls. *)
 
@@ -100,18 +107,17 @@ val local_of_op : n:int -> Circuit.op -> local option
 
 type product =
   | Narrow_product of local  (** the product acts on at most two levels *)
-  | Wide_product of float
-  (** it acts on three or four: its DD's priced MACs ({!Dd.priced_paths}
-      with terminal 1, the given identity price and
-      {!Cost.visit_price}) *)
+  | Wide_product of Dd.paths
+  (** it acts on three or four: its DD's path counts
+      ({!Dd.priced_paths}) *)
 
-val local_product : n:int -> identity:float -> local -> local -> product
-(** [local_product ~n ~identity a b] is the product [a·b] on the union of
+val local_product : n:int -> local -> local -> product
+(** [local_product ~n a b] is the product [a·b] on the union of
     their supports, as a matrix of at most 16×16 whose entries sum their
     terms in ascending order. A product on more than two levels is only
     priced: the caller that keeps it builds its DD. *)
 
-val local_paths : n:int -> terminal:float -> identity:float -> visit:float -> local -> float
+val local_paths : n:int -> local -> Dd.paths
 (** {!Dd.priced_paths} of the form's DD, from its block pattern alone. *)
 
 val local_dd : Dd.package -> n:int -> local -> Dd.medge
@@ -123,8 +129,9 @@ val of_local : n:int -> threads:int -> ?op:Circuit.op -> local -> t
 
 val compile : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> t
 (** Prices a wide gate, given by its matrix DD, on every kernel it may
-    take for a pool of [threads] ({!Cost.dispatch}, one [dmav.cost]
-    span) and compiles the cheapest: [Dense] (eligible when [op], the
+    take for a pool of [threads] ({!Cost.breakdown} and
+    {!Cost.dispatch}, one [dmav.cost] span) and compiles the cheapest
+    from the same assignment: [Dense] (eligible when [op], the
     unfused circuit op, is given) or the Run program, uncached or
     cached. Never [Local]: only {!of_local} compiles to the local leg. *)
 

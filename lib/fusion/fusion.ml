@@ -39,11 +39,13 @@ let compile p ~n ~threads ?op = function
   | Narrow l -> Flat_gate.of_local ~n ~threads ?op l
   | Wide m -> Flat_gate.compile p ~n ~threads ?op m
 
-(* A gate of a scan: its narrow form when it has one, and its matrix DD,
+(* A gate of a scan: its narrow form when it has one, its matrix DD,
    built when first forced (a narrow op's from the op, a narrow
    product's from its form, a product priced from its matrix as the
-   DDMM of its two sides). *)
-type pending = { form : Flat_gate.local option; dd : Dd.medge Lazy.t }
+   DDMM of its two sides), and its path counts, counted once (from the
+   form's or the product's matrix when it has one, else by walking the
+   DD), which its MACs and its price read. *)
+type pending = { form : Flat_gate.local option; dd : Dd.medge Lazy.t; paths : Dd.paths Lazy.t }
 
 (* What both scans share: the package, the gate steps and the stats,
    which keep Eq. 5's MAC meaning: each input and output gate's plain
@@ -54,26 +56,36 @@ let scan p ~n =
   { p; n; st = { gates_in = 0; gates_out = 0; ddmm_calls = 0; narrow_products = 0;
                  macs_before = 0.0; macs_after = 0.0 } }
 
-let macs sc g =
-  match g.form with
-  | Some l -> Flat_gate.local_paths ~n:sc.n ~terminal:1.0 ~identity:1.0 ~visit:0.0 l
-  | None -> Cost.mac_count sc.p (Lazy.force g.dd)
+(* A scan gate of this form and DD; [paths] when they are known. *)
+let scan_gate sc ?paths form dd =
+  let paths =
+    match paths, form with
+    | Some c, _ -> Lazy.from_val c
+    | None, Some l -> lazy (Flat_gate.local_paths ~n:sc.n l)
+    | None, None ->
+      lazy
+        (let m = Lazy.force dd in
+         Obs.with_span s_price (fun () -> Dd.priced_paths sc.p m))
+  in
+  { form; dd; paths }
+
+let macs g = Cost.macs (Lazy.force g.paths)
 
 (* An input op as a scan gate, as [of_op] builds it: a wide op's DD is
    built at once, for its MACs. *)
 let input sc op =
   let dd = lazy (gate_dd (fun () -> Mat_dd.of_op sc.p ~n:sc.n op)) in
-  let g = { form = Flat_gate.local_of_op ~n:sc.n op; dd } in
-  let m = macs sc g in
+  let g = scan_gate sc (Flat_gate.local_of_op ~n:sc.n op) dd in
+  let m = macs g in
   sc.st <- { sc.st with gates_in = sc.st.gates_in + 1; macs_before = sc.st.macs_before +. m };
   g
 
 (* M_i · M_p (gates apply left to right). Two narrow gates multiply as
    matrices on their union: on at most two levels the product stays
-   narrow; on three or four it comes with its price from the matrix, and
-   its DD is a DDMM left for [keep] to build. Any other pair is a DDMM
-   now. *)
-let product sc ~identity g_i g_p =
+   narrow; on three or four it comes with its counts from the matrix,
+   and its DD is a DDMM left for [keep] to build. Any other pair is a
+   DDMM now. *)
+let product sc g_i g_p =
   let ddmm () =
     sc.st <- { sc.st with ddmm_calls = sc.st.ddmm_calls + 1 };
     let m_i = Lazy.force g_i.dd in
@@ -83,11 +95,11 @@ let product sc ~identity g_i g_p =
   match g_i.form, g_p.form with
   | Some a, Some b -> (
       sc.st <- { sc.st with narrow_products = sc.st.narrow_products + 1 };
-      match Flat_gate.local_product ~n:sc.n ~identity a b with
+      match Flat_gate.local_product ~n:sc.n a b with
       | Flat_gate.Narrow_product l ->
-        ({ form = Some l; dd = lazy (gate_dd (fun () -> Flat_gate.local_dd sc.p ~n:sc.n l)) }, None)
-      | Flat_gate.Wide_product run -> ({ form = None; dd = lazy (ddmm ()) }, Some run))
-  | _ -> ({ form = None; dd = Lazy.from_val (ddmm ()) }, None)
+        scan_gate sc (Some l) (lazy (gate_dd (fun () -> Flat_gate.local_dd sc.p ~n:sc.n l)))
+      | Flat_gate.Wide_product paths -> scan_gate sc ~paths None (lazy (ddmm ())))
+  | _ -> scan_gate sc None (Lazy.from_val (ddmm ()))
 
 (* A kept product: a wide one's DD is built now, in the scan's order. *)
 let keep g =
@@ -95,7 +107,7 @@ let keep g =
   g
 
 let output sc emit g =
-  let m = macs sc g in
+  let m = macs g in
   sc.st <- { sc.st with gates_out = sc.st.gates_out + 1; macs_after = sc.st.macs_after +. m };
   emit (match g.form with Some l -> Narrow l | None -> Wide (Lazy.force g.dd))
 
@@ -117,19 +129,14 @@ let collect scan =
   (List.rev !out, st)
 
 let dmav_aware_iter ?identity_price ?local_rate ?(poll = ignore) p ~n ~emit ops =
-  let ident = Option.value identity_price ~default:Cost.identity_price in
   let sc = scan p ~n in
   (* A narrow gate's price is its local leg's or its Run's; a wide
-     gate's is its Run's. A product priced from its matrix comes with its
-     price [run]. *)
-  let price ?run g =
-    match run, g.form with
-    | Some run, _ -> run
-    | None, Some l ->
-      Cost.local_price ?local_rate ~n ~support:l.Flat_gate.support
-        (Flat_gate.local_paths ~n ~terminal:1.0 ~identity:ident ~visit:Cost.visit_price l)
-    | None, None ->
-      Obs.with_span s_price (fun () -> Cost.priced_macs ?identity_price p (Lazy.force g.dd))
+     gate's is its Run's. *)
+  let price g =
+    let run = Cost.priced ?identity_price (Lazy.force g.paths) in
+    match g.form with
+    | Some l -> Cost.local_price ?local_rate ~n ~support:l.Flat_gate.support run
+    | None -> run
   in
   (* M_p starts as a virtual identity with zero cost: the first real gate
      always "fuses" into it, so the identity itself is never emitted. *)
@@ -142,8 +149,8 @@ let dmav_aware_iter ?identity_price ?local_rate ?(poll = ignore) p ~n ~emit ops 
        match !pending with
        | None -> pending := Some (g_i, c_i)
        | Some (g_p, c_p) ->
-         let g_ip, run = product sc ~identity:ident g_i g_p in
-         let c_ip = price ?run g_ip in
+         let g_ip = product sc g_i g_p in
+         let c_ip = price g_ip in
          if c_i +. c_p < c_ip then begin
            Obs.incr c_rejected;
            output sc emit g_p;
@@ -176,7 +183,7 @@ let k_operations_iter ?(poll = ignore) p ~n ~k ~emit ops =
          | None -> g_i
          | Some g_p ->
            Obs.incr c_accepted;
-           keep (fst (product sc ~identity:Cost.identity_price g_i g_p))
+           keep (product sc g_i g_p)
        in
        pending := if (i + 1) mod k = 0 then (output sc emit g; None) else Some g)
     ops;

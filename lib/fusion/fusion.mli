@@ -20,12 +20,16 @@
     built only then; it is wide, whatever its DD turns out to act on.
 
     The modeled cost is the gate's price on one thread, not the paper's
-    plain path count. On the Run a path costs one MAC, except that a
-    canonical identity node at level [l] costs
+    plain path count. Each scan gate carries its path counts
+    ({!Dd.paths}, counted once: from its matrix for a narrow gate or a
+    product priced from its matrix, else by one walk of its DD), and
+    its price and its MACs in the stats are arithmetic on them. On the
+    Run a path costs one MAC, except that a canonical identity node at
+    level [l] costs
     [Cost.identity_price × 2^(l+1)], because the Run stub applies it as
     one contiguous stripe, and every root-to-node path into another
     internal node costs [Cost.visit_price], the recursion's call there:
-    a wide gate costs its {!Cost.priced_macs}. Without the visit term a
+    a wide gate costs its {!Cost.priced} count. Without the visit term a
     CNOT-ladder or CZ-ring product was priced at its leaf MACs alone and
     kept, then ran 3-8x slower per price unit than the local leg. With the plain
     count a permutation (2ⁿ MACs) ties with any product costing 2ⁿ or
@@ -45,8 +49,8 @@ type stats = {
   gates_out : int;
   ddmm_calls : int;
   narrow_products : int;  (** products taken as 2×2 or 4×4 matrices *)
-  macs_before : float;  (** Σ {!Cost.mac_count} (Eq. 5 MACs) of the input gates *)
-  macs_after : float;   (** Σ {!Cost.mac_count} of the output gates *)
+  macs_before : float;  (** Σ {!Cost.macs} (Eq. 5 MACs) of the input gates *)
+  macs_after : float;   (** Σ {!Cost.macs} of the output gates *)
 }
 
 type gate =

@@ -9,10 +9,6 @@ let log2_exact x =
   if not (is_pow2 x) then invalid_arg "Bits.log2_exact";
   floor_log2 x
 
-let ceil_pow2 x =
-  if x <= 0 then invalid_arg "Bits.ceil_pow2";
-  if is_pow2 x then x else 1 lsl (floor_log2 x + 1)
-
 let bit i k = (i lsr k) land 1
 let set_bit i k = i lor (1 lsl k)
 let clear_bit i k = i land lnot (1 lsl k)
@@ -23,22 +19,8 @@ let insert_bit i k b =
   let high = (i land lnot low_mask) lsl 1 in
   high lor (b lsl k) lor low
 
-let insert_bit2 i k1 b1 k2 b2 =
-  if k1 >= k2 then invalid_arg "Bits.insert_bit2: need k1 < k2";
-  (* [k2] refers to a position in the widened result, so insert the higher
-     bit after the lower one has already widened the index. *)
-  let i = insert_bit i k1 b1 in
-  insert_bit i k2 b2
-
 let popcount i =
   let rec go acc i = if i = 0 then acc else go (acc + (i land 1)) (i lsr 1) in
   go 0 i
-
-let reverse_bits i n =
-  let r = ref 0 in
-  for k = 0 to n - 1 do
-    r := !r lor (bit i k lsl (n - 1 - k))
-  done;
-  !r
 
 let all_masks ks = List.fold_left (fun acc k -> acc lor (1 lsl k)) 0 ks

@@ -16,9 +16,6 @@ val log2_exact : int -> int
 val floor_log2 : int -> int
 (** [floor_log2 x] is the position of the highest set bit of [x > 0]. *)
 
-val ceil_pow2 : int -> int
-(** [ceil_pow2 x] is the smallest power of two [>= x] (for [x >= 1]). *)
-
 val bit : int -> int -> int
 (** [bit i k] is bit [k] of [i] (0 or 1). *)
 
@@ -33,15 +30,8 @@ val insert_bit : int -> int -> int -> int
     up one position and bit [k] of the result is [b]. Used to enumerate all
     indices with a fixed value at one qubit position. *)
 
-val insert_bit2 : int -> int -> int -> int -> int -> int
-(** [insert_bit2 i k1 b1 k2 b2] inserts two bits, [k1 < k2] referring to
-    positions in the {e widened} result. *)
-
 val popcount : int -> int
 (** Number of set bits. *)
-
-val reverse_bits : int -> int -> int
-(** [reverse_bits i n] reverses the lowest [n] bits of [i]. *)
 
 val all_masks : int list -> int
 (** [all_masks ks] is the bitwise OR of [1 lsl k] for each [k]. *)

@@ -18,8 +18,6 @@ let create seed =
   let s3 = splitmix64 st in
   { s0; s1; s2; s3 }
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let next t =
@@ -48,8 +46,6 @@ let float t bound =
 
 let angle t = float t (2.0 *. Float.pi)
 
-let bool t = Int64.logand (next t) 1L = 1L
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in
@@ -57,10 +53,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let split t =
-  let seed = Int64.to_int (Int64.shift_right_logical (next t) 2) in
-  create seed
 
 let derive seed index =
   if index < 0 then invalid_arg "Rng.derive: index must be >= 0";

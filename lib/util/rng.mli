@@ -10,9 +10,6 @@ type t
 val create : int -> t
 (** [create seed] builds a fresh generator from a 63-bit seed. *)
 
-val copy : t -> t
-(** Independent copy with identical future output. *)
-
 val next : t -> int64
 (** Raw 64-bit output. *)
 
@@ -25,14 +22,8 @@ val float : t -> float -> float
 val angle : t -> float
 (** Uniform rotation angle in [\[0, 2π)]. *)
 
-val bool : t -> bool
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a generator with a decorrelated
-    stream; used to hand independent streams to parallel workers. *)
 
 val derive : int -> int -> int
 (** [derive seed index] is a stateless splitmix64-mixed sub-seed for the

@@ -9,23 +9,7 @@ let geomean = function
     let log_sum = List.fold_left (fun acc x -> acc +. log x) 0.0 xs in
     exp (log_sum /. float_of_int (List.length xs))
 
-let median = function
-  | [] -> invalid_arg "Stats.median: empty"
-  | xs ->
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    let n = Array.length a in
-    if n mod 2 = 1 then a.(n / 2) else 0.5 *. (a.((n / 2) - 1) +. a.(n / 2))
-
 let min_max = function
   | [] -> invalid_arg "Stats.min_max: empty"
   | x :: xs ->
     List.fold_left (fun (lo, hi) v -> (Float.min lo v, Float.max hi v)) (x, x) xs
-
-let stddev xs =
-  let m = mean xs in
-  let sq = List.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs in
-  sqrt (sq /. float_of_int (List.length xs))
-
-let ratio a b =
-  if Float.classify_float b = Float.FP_zero then Float.infinity else a /. b

@@ -5,8 +5,4 @@ val geomean : float list -> float
 (** Geometric mean; the paper reports averages of ratios this way.
     All inputs must be positive. *)
 
-val median : float list -> float
 val min_max : float list -> float * float
-val stddev : float list -> float
-val ratio : float -> float -> float
-(** [ratio a b] is [a /. b], guarding against a zero denominator. *)

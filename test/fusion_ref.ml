@@ -62,7 +62,7 @@ let of_op p ~n op =
 
 let dmav_aware p ~n ops =
   let price g =
-    let run = Cost.priced_macs p g.dd in
+    let run = Cost.priced (Dd.priced_paths p g.dd) in
     match g.narrow with
     | Some support -> Cost.local_price ~n ~support run
     | None -> run

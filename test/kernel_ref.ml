@@ -9,6 +9,31 @@
    the pool's task lists one worker after another: each worker writes
    only its own blocks, so the serial order gives the parallel result. *)
 
+(* Algorithm 1's Assign as the paper gives it, the reference of the
+   compiled Run programs' task lists: walk the top log₂ t levels; the
+   thread index follows the row bit i, the V offset the column bit j,
+   and the outer loop runs over i. *)
+let assign_rows p ~n ~t (root : Dd.medge) =
+  let border = n - Bits.log2_exact t - 1 in
+  let tasks = Array.make t [] in
+  let rec go e f u start l =
+    if not (Dd.medge_is_zero e) then begin
+      let f = Cnum.mul f (Dd.mw p e) in
+      if l = border then tasks.(u) <- { Cost.node = Dd.mtgt e; start; weight = f } :: tasks.(u)
+      else
+        for i = 0 to 1 do
+          for j = 0 to 1 do
+            go (Dd.medge_child p e i j) f
+              (u + (i * (t / (1 lsl (n - l)))))
+              (start + (j * (1 lsl l)))
+              (l - 1)
+          done
+        done
+    end
+  in
+  go root Cnum.one 0 0 (n - 1);
+  Array.map List.rev tasks
+
 module Make (P : Storage.S) = struct
   (* --- stripe primitives ---------------------------------------------- *)
 
@@ -108,12 +133,18 @@ module Make (P : Storage.S) = struct
 
   (* --- DMAV ------------------------------------------------------------ *)
 
+  (* One MAC, w(iw) += g·v(iv), as the Run stub rounds it: the product
+     in double, one add per part, one store. *)
+  let madd w iw gre gim v iv =
+    let xre = P.get_re v iv and xim = P.get_im v iv in
+    P.set2 w iw
+      (P.get_re w iw +. ((gre *. xre) -. (gim *. xim)))
+      (P.get_im w iw +. ((gre *. xim) +. (gim *. xre)))
+
   let mac (mv : Dd.view) e v w iv iw fre fim =
     let wid = Dd.edge_wid e in
     let er = mv.Dd.re.(wid) and ei = mv.Dd.im.(wid) in
-    let gre = (fre *. er) -. (fim *. ei) in
-    let gim = (fre *. ei) +. (fim *. er) in
-    P.madd2 w iw ~wre:gre ~wim:gim ~xre:(P.get_re v iv) ~xim:(P.get_im v iv)
+    madd w iw ((fre *. er) -. (fim *. ei)) ((fre *. ei) +. (fim *. er)) v iv
 
   let rec run_node (mv : Dd.view) node v w iv iw fre fim =
     let base = 4 * node in
@@ -125,8 +156,7 @@ module Make (P : Storage.S) = struct
       if e10 <> 0 then mac mv e10 v w iv (iw + 1) fre fim;
       if e11 <> 0 then mac mv e11 v w (iv + 1) (iw + 1) fre fim
     end
-    else if node = 0 then
-      P.madd2 w iw ~wre:fre ~wim:fim ~xre:(P.get_re v iv) ~xim:(P.get_im v iv)
+    else if node = 0 then madd w iw fre fim v iv
     else begin
       let half = 1 lsl mv.Dd.lv.(node) in
       let descend e iv iw =
@@ -149,7 +179,7 @@ module Make (P : Storage.S) = struct
   let apply_nocache p ~threads ~n root ~v ~w =
     let t = Cost.pow2_threads ~n threads in
     let h = (1 lsl n) / t in
-    let tasks = Cost.assign p ~n ~t Cost.Row_major root in
+    let tasks = assign_rows p ~n ~t root in
     let mv = Dd.Testing.mview p in
     fill_zero_range w ~pos:0 ~len:(P.length w);
     Array.iteri
@@ -160,7 +190,7 @@ module Make (P : Storage.S) = struct
   let apply_cache p ~threads ~n root ~v ~w =
     let t = Cost.pow2_threads ~n threads in
     let h = (1 lsl n) / t in
-    let tasks = Cost.assign p ~n ~t Cost.Column_major root in
+    let tasks = Cost.assign p ~n ~t root in
     let mv = Dd.Testing.mview p in
     let blocks =
       Array.map (List.map (fun (task : Cost.task) -> task.start)) tasks

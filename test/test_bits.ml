@@ -16,12 +16,6 @@ let test_log2 () =
   check "floor_log2 5" 2 (Bits.floor_log2 5);
   check "floor_log2 1023" 9 (Bits.floor_log2 1023)
 
-let test_ceil_pow2 () =
-  check "ceil 1" 1 (Bits.ceil_pow2 1);
-  check "ceil 3" 4 (Bits.ceil_pow2 3);
-  check "ceil 4" 4 (Bits.ceil_pow2 4);
-  check "ceil 1025" 2048 (Bits.ceil_pow2 1025)
-
 let test_bit_ops () =
   check "bit 0 of 5" 1 (Bits.bit 5 0);
   check "bit 1 of 5" 0 (Bits.bit 5 1);
@@ -51,30 +45,9 @@ let test_insert_bit_enumerates () =
   done;
   Alcotest.(check int) "covers half the space" (1 lsl (n - 1)) (Hashtbl.length seen)
 
-let test_insert_bit2 () =
-  check "insert2" 0b111 (Bits.insert_bit2 0b1 0 1 2 1);
-  (* Widened positions: k1 and k2 refer to positions in the result. *)
-  check "insert2 zeros" 0b101 (Bits.insert_bit2 0b11 1 0 3 0);
-  Alcotest.check_raises "k1 < k2 required" (Invalid_argument "Bits.insert_bit2: need k1 < k2")
-    (fun () -> ignore (Bits.insert_bit2 0 3 0 1 0))
-
-let test_insert_bit2_enumerates () =
-  let n = 6 and k1 = 1 and k2 = 4 in
-  let seen = Hashtbl.create 16 in
-  for i = 0 to (1 lsl (n - 2)) - 1 do
-    let j = Bits.insert_bit2 i k1 0 k2 0 in
-    Alcotest.(check int) "k1 clear" 0 (Bits.bit j k1);
-    Alcotest.(check int) "k2 clear" 0 (Bits.bit j k2);
-    Alcotest.(check bool) "fresh" false (Hashtbl.mem seen j);
-    Hashtbl.replace seen j ()
-  done;
-  Alcotest.(check int) "covers quarter" (1 lsl (n - 2)) (Hashtbl.length seen)
-
-let test_popcount_reverse () =
+let test_popcount_masks () =
   check "popcount 0" 0 (Bits.popcount 0);
   check "popcount 0b1011" 3 (Bits.popcount 0b1011);
-  check "reverse" 0b110 (Bits.reverse_bits 0b011 3);
-  check "reverse palindrome" 0b101 (Bits.reverse_bits 0b101 3);
   check "masks" 0b10101 (Bits.all_masks [ 0; 2; 4 ]);
   check "masks empty" 0 (Bits.all_masks [])
 
@@ -105,12 +78,9 @@ let suite =
   [ ( "bits",
       [ Alcotest.test_case "is_pow2" `Quick test_is_pow2;
         Alcotest.test_case "log2" `Quick test_log2;
-        Alcotest.test_case "ceil_pow2" `Quick test_ceil_pow2;
         Alcotest.test_case "bit set/clear" `Quick test_bit_ops;
         Alcotest.test_case "insert_bit" `Quick test_insert_bit;
         Alcotest.test_case "insert_bit enumeration" `Quick test_insert_bit_enumerates;
-        Alcotest.test_case "insert_bit2" `Quick test_insert_bit2;
-        Alcotest.test_case "insert_bit2 enumeration" `Quick test_insert_bit2_enumerates;
-        Alcotest.test_case "popcount/reverse/masks" `Quick test_popcount_reverse;
+        Alcotest.test_case "popcount/masks" `Quick test_popcount_masks;
         QCheck_alcotest.to_alcotest prop_insert_roundtrip;
         QCheck_alcotest.to_alcotest prop_popcount_additive ] ) ]

@@ -160,33 +160,38 @@ let test_mac_count_known_values () =
   let p2 = Dd.create () in
   Alcotest.(check (float 0.0)) "zero edge" 0.0 (Cost.mac_count p2 Dd.mzero)
 
-(* Brute-force priced count: every root-to-terminal path enumerated with
-   no memo. A path into the terminal costs [terminal]; a path reaching
-   the node [Mat_dd.identity] builds over the node's level stops there,
-   and the identity node at level l costs [identity × 2^(l+1)]; a path
-   into any other node at level 1 or above costs [visit]. [seen]
-   records the levels at which an identity was met. *)
-let brute_force_priced ?(seen = [||]) p ~terminal ~identity ~visit m =
+(* Brute-force path counts: every root-to-terminal path enumerated with
+   no memo. A path into the terminal counts one terminal path; a path
+   reaching the node [Mat_dd.identity] builds over the node's level
+   stops there, and the identity node at level l counts 2^(l+1) stripe
+   MACs; a path into any other node at level 1 or above counts one
+   visit. [seen] records the levels at which an identity was met. *)
+let brute_force_paths ?(seen = [||]) p m =
   let ident_node l = Dd.mtgt (Mat_dd.identity p (l + 1)) in
+  let terminal = ref 0 and stripe = ref 0 and visits = ref 0 in
   let rec go e =
-    if Dd.medge_is_zero e then 0.0
-    else begin
+    if not (Dd.medge_is_zero e) then begin
       let node = Dd.mtgt e in
-      if node = Dd.mterminal then terminal
+      if node = Dd.mterminal then incr terminal
       else begin
         let l = Dd.mlevel p node in
         if node = ident_node l then begin
           if l < Array.length seen then seen.(l) <- true;
-          identity *. Float.pow 2.0 (float_of_int (l + 1))
+          stripe := !stripe + (1 lsl (l + 1))
         end
-        else
-          go (Dd.mchild p node 0 0) +. go (Dd.mchild p node 0 1)
-          +. go (Dd.mchild p node 1 0) +. go (Dd.mchild p node 1 1)
-          +. (if l > 0 then visit else 0.0)
+        else begin
+          if l > 0 then incr visits;
+          go (Dd.mchild p node 0 0);
+          go (Dd.mchild p node 0 1);
+          go (Dd.mchild p node 1 0);
+          go (Dd.mchild p node 1 1)
+        end
       end
     end
   in
-  go m
+  go m;
+  { Dd.terminal = float_of_int !terminal; stripe = float_of_int !stripe;
+    visits = float_of_int !visits }
 
 (* Random 1q, 2q and controlled gates at n = 8 and DDMM products of
    them: a 1q gate on every qubit puts an identity at every level below
@@ -236,9 +241,7 @@ let test_priced_count_matches_brute_force () =
   let p = Dd.create () in
   let seen = Array.make n false in
   let cases = priced_cases p ~n in
-  List.iter
-    (fun (_, m) -> ignore (brute_force_priced ~seen p ~terminal:1.0 ~identity:1.0 ~visit:0.0 m))
-    cases;
+  List.iter (fun (_, m) -> ignore (brute_force_paths ~seen p m)) cases;
   Alcotest.(check bool) "an identity at every level" true (Array.for_all Fun.id seen);
   (* c6-u3 q2: below the top level, the control's node; its 0-branch is
      the identity over levels 5..0. *)
@@ -246,25 +249,22 @@ let test_priced_count_matches_brute_force () =
   let control_node = Dd.mtgt (Dd.mchild p (Dd.mtgt cu) 0 0) in
   Alcotest.(check bool) "an identity in a control's 0-branch" true
     (Dd.mtgt (Dd.mchild p control_node 0 0) = Dd.mtgt (Mat_dd.identity p 6));
-  let check name ~terminal ~identity ~visit expect got =
-    Alcotest.(check (float 0.0))
-      (Printf.sprintf "%s (terminal %g, identity %g, visit %g)" name terminal identity visit)
-      expect got
+  let check name what expect got =
+    Alcotest.(check (float 0.0)) (Printf.sprintf "%s: %s" name what) expect got
   in
   List.iter
     (fun (name, m) ->
-       List.iter
-         (fun (terminal, identity, visit) ->
-            check name ~terminal ~identity ~visit
-              (brute_force_priced p ~terminal ~identity ~visit m)
-              (Dd.priced_paths p ~terminal ~identity ~visit m))
-         [ (1.0, 1.0, 0.0); (1.0, 0.25, 0.0); (0.0, 1.0, 0.0); (1.0, 0.1, 0.0);
-           (0.0, 0.0, 1.0); (1.0, 0.25, 3.0) ];
-       check name ~terminal:1.0 ~identity:Cost.identity_price ~visit:Cost.visit_price
-         (brute_force_priced p ~terminal:1.0 ~identity:Cost.identity_price
-            ~visit:Cost.visit_price m)
-         (Cost.priced_macs p m))
-    cases
+       let want = brute_force_paths p m and got = Dd.priced_paths p m in
+       check name "terminal paths" want.Dd.terminal got.Dd.terminal;
+       check name "stripe MACs" want.Dd.stripe got.Dd.stripe;
+       check name "visits" want.Dd.visits got.Dd.visits;
+       check name "plain MACs" (want.Dd.terminal +. want.Dd.stripe) (Cost.macs got);
+       check name "priced"
+         (want.Dd.terminal +. (Cost.identity_price *. want.Dd.stripe)
+          +. (Cost.visit_price *. want.Dd.visits))
+         (Cost.priced got))
+    cases;
+  Alcotest.(check bool) "zero edge" true (Dd.priced_paths p Dd.mzero = brute_force_paths p Dd.mzero)
 
 let test_pow2_threads () =
   Alcotest.(check int) "4 stays" 4 (Cost.pow2_threads ~n:10 4);
@@ -309,12 +309,12 @@ let test_decision_prefers_cache_when_repetitive () =
   let p = Dd.create () in
   let h = Mat_dd.of_single p ~n ~target:(n - 1) ~controls:[] Gate.h in
   let m = Dd.mm p h (Mat_dd.of_single p ~n ~target:0 ~controls:[] (Gate.u3 0.3 0.5 0.7)) in
-  let d = (Cost.dispatch p ~n ~threads:4 m).Cost.dmav in
+  let d = (Cost.dispatch ~n (Cost.breakdown p ~n ~threads:4 m)).Cost.dmav in
   Alcotest.(check bool) "cached cheaper for repetitive gate" true d.Cost.cached;
   (* The Hadamard alone repeats as much, but its MACs are identity
      stripes: Eq. 6 over plain MACs still models the cached kernel
      cheaper, while the Run's priced MACs win the pick. *)
-  let dh = (Cost.dispatch p ~n ~threads:4 h).Cost.dmav in
+  let dh = (Cost.dispatch ~n (Cost.breakdown p ~n ~threads:4 h)).Cost.dmav in
   Alcotest.(check bool) "plain Eq. 6 below Eq. 5" true (dh.Cost.c2 < dh.Cost.c1);
   Alcotest.(check bool) "stripes priced: the Run wins" false dh.Cost.cached;
   (* A bottom-qubit controlled gate has little repetition at the border
@@ -328,7 +328,7 @@ let test_decision_single_thread () =
   let n = 8 in
   let p = Dd.create () in
   let m = Mat_dd.of_single p ~n ~target:0 ~controls:[] (Gate.rz 0.3) in
-  let d = (Cost.dispatch p ~n ~threads:1 m).Cost.dmav in
+  let d = (Cost.dispatch ~n (Cost.breakdown p ~n ~threads:1 m)).Cost.dmav in
   Alcotest.(check int) "one thread used" 1 d.Cost.threads_used;
   Alcotest.(check bool) "c1 = K1" true (Float.abs (d.Cost.c1 -. Cost.mac_count p m) < 1e-9)
 
@@ -348,28 +348,29 @@ let test_diagonal_prices_in_visit_order () =
     let single q = Circuit.Single { name = "t"; matrix = Gate.t; target = q; controls = [] } in
     let cz hi lo = Circuit.Two { name = "cz"; matrix = Gate.cz2; q_hi = hi; q_lo = lo } in
     let form op = Option.get (Flat_gate.local_of_op ~n op) in
-    let visits m = Dd.priced_paths p ~terminal:0.0 ~identity:0.0 ~visit:1.0 m in
+    let visits m = (Dd.priced_paths p m).Dd.visits in
+    let priced m = Cost.priced (Dd.priced_paths p m) in
     let bottom = Mat_dd.of_op p ~n (single 0) and top = Mat_dd.of_op p ~n (single (n - 1)) in
     check (what "plain MACs") (Cost.mac_count p top) (Cost.mac_count p bottom);
     check (what "bottom visits") (pow (n - 1) -. 1.0) (visits bottom);
     check (what "top visits") 1.0 (visits top);
     check (what "bottom price")
       (pow n +. (Cost.visit_price *. (pow (n - 1) -. 1.0)))
-      (Cost.priced_macs p bottom);
+      (priced bottom);
     check (what "top price") ((Cost.identity_price *. pow n) +. Cost.visit_price)
-      (Cost.priced_macs p top);
+      (priced top);
     List.iter
       (fun (q, m) ->
-         check (what (Printf.sprintf "form price, qubit %d" q)) (Cost.priced_macs p m)
-           (Flat_gate.local_paths ~n ~terminal:1.0 ~identity:Cost.identity_price
-              ~visit:Cost.visit_price (form (single q))))
+         check (what (Printf.sprintf "form price, qubit %d" q)) (priced m)
+           (Cost.priced (Flat_gate.local_paths ~n (form (single q)))))
       [ (0, bottom); (n - 1, top) ];
     (* Two CZs on three levels: a wide diagonal product. *)
     let product a b =
       let m = Dd.mm p (Mat_dd.of_op p ~n a) (Mat_dd.of_op p ~n b) in
-      match Flat_gate.local_product ~n ~identity:Cost.identity_price (form a) (form b) with
-      | Flat_gate.Wide_product run ->
-        check (what "product price = its DD's") (Cost.priced_macs p m) run;
+      match Flat_gate.local_product ~n (form a) (form b) with
+      | Flat_gate.Wide_product c ->
+        let run = Cost.priced c in
+        check (what "product price = its DD's") (priced m) run;
         (m, run)
       | Flat_gate.Narrow_product _ -> Alcotest.failf "%s" (what "CZ product narrow")
     in
@@ -397,7 +398,6 @@ let test_cached_price_keeps_visits () =
        List.iter
          (fun threads ->
             let b = Cost.breakdown p ~n ~threads m in
-            let t = Cost.pow2_threads ~n threads in
             let saved = ref 0.0 in
             Array.iter
               (fun lst ->
@@ -407,16 +407,79 @@ let test_cached_price_keeps_visits () =
                       if Hashtbl.mem seen (Dd.mid task.Cost.node) then
                         saved :=
                           !saved
-                          +. Dd.priced_paths p ~terminal:1.0 ~identity:Cost.identity_price
-                               ~visit:0.0 (Dd.munit task.Cost.node)
+                          +. (let c = Dd.priced_paths p (Dd.munit task.Cost.node) in
+                              c.Dd.terminal +. (Cost.identity_price *. c.Dd.stripe))
                       else Hashtbl.replace seen (Dd.mid task.Cost.node) ())
                    lst)
-              (Cost.assign p ~n ~t Cost.Column_major m);
+              b.Cost.tasks;
             Alcotest.(check (float 0.0))
               (Printf.sprintf "%s, %d threads: K1' - K2'" name threads)
               !saved (b.Cost.k1_priced -. b.Cost.k2_priced))
          [ 2; 4 ])
     (("H top * u3 bottom", repetitive) :: priced_cases p ~n)
+
+(* Algorithm 1's program runs the transpose of Algorithm 2's task lists
+   ([Cost.assign]): it must hold the row-major Assign's tasks
+   ([Kernel_ref.assign_rows]) list by list, in their order, each at its
+   V offset and output stripe, with the same gate-local node and
+   bit-equal weights. Every task is one Run call here ([piece_macs]
+   infinite), on random gate DDs and their k = 2 and 4 products at 1 to
+   16 threads. *)
+let prop_uncached_program_is_row_major =
+  let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let matches p ~n ~t m =
+    let prog =
+      Flat_gate.program ~piece_macs:infinity p ~n ~cached:false (Cost.breakdown p ~n ~threads:t m)
+    in
+    let rows = Kernel_ref.assign_rows p ~n ~t m in
+    let { Dd.arena; local } =
+      Dd.export p (List.concat_map (List.map (fun (r : Cost.task) -> r.node)) (Array.to_list rows))
+    in
+    let h = (1 lsl n) / t and k = ref 0 in
+    prog.Flat_gate.threads = t
+    && prog.Flat_gate.arena = arena
+    && Array.for_all Fun.id
+         (Array.mapi
+            (fun u lst ->
+               prog.Flat_gate.lists.(u + 1) - prog.Flat_gate.lists.(u) = List.length lst
+               && List.for_all
+                    (fun (r : Cost.task) ->
+                       let tk = prog.Flat_gate.tasks and pc = prog.Flat_gate.pieces in
+                       let i = tk.((3 * !k) + 2) in
+                       let ok =
+                         tk.(3 * !k) = r.start
+                         && tk.((3 * !k) + 1) = -1
+                         && tk.((3 * !k) + 5) = i + 1
+                         && pc.(3 * i) = local r.node
+                         && pc.((3 * i) + 1) = r.start
+                         && pc.((3 * i) + 2) = u * h
+                         && same_bits prog.Flat_gate.weights.(2 * i) r.weight.Cnum.re
+                         && same_bits prog.Flat_gate.weights.((2 * i) + 1) r.weight.Cnum.im
+                       in
+                       incr k;
+                       ok)
+                    lst)
+            rows)
+  in
+  QCheck.Test.make ~name:"uncached program = row-major Assign" ~count:30
+    QCheck.(pair (int_range 5 8) small_nat)
+    (fun (n, seed) ->
+       let n = Int.max 5 (Int.min 8 n) in
+       let p = Dd.create () in
+       let gates =
+         Array.to_list
+           (Array.map (Mat_dd.of_op p ~n) (Test_util.random_circuit ~seed ~gates:12 n).Circuit.ops)
+       in
+       let rec products k = function
+         | [] -> []
+         | g :: rest ->
+           let group = List.filteri (fun i _ -> i < k - 1) rest in
+           List.fold_left (fun acc m -> Dd.mm p m acc) g group
+           :: products k (List.filteri (fun i _ -> i >= k - 1) rest)
+       in
+       List.for_all
+         (fun m -> List.for_all (fun t -> matches p ~n ~t m) [ 1; 2; 4; 8; 16 ])
+         (gates @ products 2 gates @ products 4 gates))
 
 let suite =
   [ ( "dmav",
@@ -440,4 +503,5 @@ let suite =
         Alcotest.test_case "diagonal gates price in visit order" `Quick
           test_diagonal_prices_in_visit_order;
         Alcotest.test_case "cached price keeps the hits' visits" `Quick
-          test_cached_price_keeps_visits ] ) ]
+          test_cached_price_keeps_visits;
+        QCheck_alcotest.to_alcotest prop_uncached_program_is_row_major ] ) ]

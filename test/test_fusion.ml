@@ -26,10 +26,8 @@ let fuse ?local_rate p n ops =
    or Run, whichever is cheaper, a wide gate's Run. *)
 let gate_price p ~n = function
   | Fusion.Narrow l ->
-    Cost.local_price ~n ~support:l.Flat_gate.support
-      (Flat_gate.local_paths ~n ~terminal:1.0 ~identity:Cost.identity_price
-         ~visit:Cost.visit_price l)
-  | Fusion.Wide m -> Cost.priced_macs p m
+    Cost.local_price ~n ~support:l.Flat_gate.support (Cost.priced (Flat_gate.local_paths ~n l))
+  | Fusion.Wide m -> Cost.priced (Dd.priced_paths p m)
 
 (* The summed price of a circuit's ops as the scan's input gates and of
    the scan's output gates. *)
@@ -384,9 +382,16 @@ let check_form what p ~n ~tol ~mask m (l : Flat_gate.local) =
     b;
   Alcotest.(check int) (what ^ ": paths") (nonzero_paths b) l.Flat_gate.paths
 
+(* Two count records, field by field, exactly. *)
+let check_paths what (want : Dd.paths) (got : Dd.paths) =
+  let check field w g = Alcotest.(check (float 0.0)) (what ^ ": " ^ field) w g in
+  check "terminal paths" want.terminal got.terminal;
+  check "stripe MACs" want.stripe got.stripe;
+  check "visits" want.visits got.visits
+
 (* A narrow form against its op's DD as a dense matrix
    ([Mat_dd.to_dense], every level): support, entries within 1e-15 and
-   paths, and every priced path count (so the price) the DD's
+   paths, and its three path counts (so every price) the DD's
    [Dd.priced_paths], exactly. *)
 let test_narrow_forms_match_dd () =
   let rng = Rng.create 41 in
@@ -401,14 +406,7 @@ let test_narrow_forms_match_dd () =
            match Flat_gate.local_of_op ~n op with
            | Some l ->
              check_form what p ~n ~tol:1e-15 ~mask:((1 lsl n) - 1) m l;
-             List.iter
-               (fun (terminal, identity, visit) ->
-                  Alcotest.(check (float 0.0)) (what ^ ": priced paths")
-                    (Dd.priced_paths p ~terminal ~identity ~visit m)
-                    (Flat_gate.local_paths ~n ~terminal ~identity ~visit l))
-               [ (1.0, 1.0, 0.0); (1.0, Cost.identity_price, 0.0); (0.0, 1.0, 0.0);
-                 (1.0, 0.05, 0.0); (0.0, 0.0, 1.0); (1.0, 0.05, 3.0);
-                 (1.0, Cost.identity_price, Cost.visit_price) ]
+             check_paths what (Dd.priced_paths p m) (Flat_gate.local_paths ~n l)
            | None -> Alcotest.failf "%s: no narrow form" what)
         (narrow_ops rng n)
     done
@@ -419,7 +417,7 @@ let test_narrow_forms_match_dd () =
 (* A product of two narrow gates against the dense matrix of their DDMM
    on the levels their ops act on: narrow exactly when that matrix acts
    on at most two of them, then a form of it within 1e-12 ([check_form]);
-   otherwise priced at the DD's priced path count, exactly. *)
+   otherwise counted at the DD's path counts, exactly. *)
 let test_narrow_products_match_ddmm () =
   let rng = Rng.create 43 in
   let inverse = function
@@ -458,13 +456,12 @@ let test_narrow_products_match_ddmm () =
            let m = Dd.mm p (Mat_dd.of_op p ~n a) (Mat_dd.of_op p ~n b) in
            let mask = Fusion_ref.qubit_mask a lor Fusion_ref.qubit_mask b in
            let narrow = Bits.popcount (Fusion_ref.support ~n ~mask (Fusion_ref.block p ~mask m)) <= 2 in
-           match Flat_gate.local_product ~n ~identity:Cost.identity_price la lb with
+           match Flat_gate.local_product ~n la lb with
            | Flat_gate.Narrow_product l when narrow ->
              check_form what p ~n ~tol:1e-12 ~mask m l;
              if Circuit.op_name a = "wa" && l.Flat_gate.support land (1 lsl t) <> 0 then
                Alcotest.failf "%s: product form on w's level" what
-           | Flat_gate.Wide_product run when not narrow ->
-             Alcotest.(check (float 0.0)) (what ^ ": priced paths") (Cost.priced_macs p m) run
+           | Flat_gate.Wide_product c when not narrow -> check_paths what (Dd.priced_paths p m) c
            | Flat_gate.Narrow_product _ -> Alcotest.failf "%s: narrow, the dense product is wide" what
            | Flat_gate.Wide_product _ -> Alcotest.failf "%s: wide, the dense product is narrow" what)
         pairs
@@ -498,7 +495,7 @@ let test_unfused_gates_keep_dd_kernel () =
         | _ -> (Cost.Local, local, Some s, Cost.mac_count p m)
       end
       else begin
-        let dw = Cost.dispatch p ~n ~threads ?op:op' m in
+        let dw = Cost.dispatch ~n ?op:op' (Cost.breakdown p ~n ~threads m) in
         (dw.Cost.kernel, dw.Cost.price, None, Cost.dispatch_modeled_macs dw)
       end
     in

@@ -378,8 +378,8 @@ module Suite_for (P : Storage.S) = struct
                        List.iter
                          (fun (cached, piece_macs) ->
                             let prog =
-                              Flat_gate.program ?piece_macs p ~n
-                                ~t:g.Flat_gate.dispatch.Cost.dmav.Cost.threads_used ~cached m
+                              Flat_gate.program ?piece_macs p ~n ~cached
+                                (Cost.breakdown p ~n ~threads m)
                             in
                             let expect = if cached then want_c else want in
                             List.iter
@@ -486,7 +486,7 @@ module Suite_for (P : Storage.S) = struct
     in
     let form op = Option.get (Flat_gate.local_of_op ~n op) in
     let product a b =
-      match Flat_gate.local_product ~n ~identity:Cost.identity_price (form a) (form b) with
+      match Flat_gate.local_product ~n (form a) (form b) with
       | Flat_gate.Narrow_product l -> l
       | Flat_gate.Wide_product _ -> Alcotest.fail "a product on one pair priced wide"
     in
@@ -572,7 +572,7 @@ module Suite_for (P : Storage.S) = struct
                  List.map
                    (fun threads ->
                       ( Flat_gate.of_local ~n ~threads l,
-                        Cost.dispatch p ~n ~threads (Flat_gate.local_dd p ~n l) ))
+                        Cost.dispatch ~n (Cost.breakdown p ~n ~threads (Flat_gate.local_dd p ~n l)) ))
                    [ 1; 2; 4 ])
               (top_h :: local_shapes rs n)
           in
@@ -673,13 +673,13 @@ module Suite_for (P : Storage.S) = struct
           Gc.minor_words () -. before
         in
         let size m =
-          let g = Flat_gate.program p ~n ~t:1 ~cached:false m in
+          let g = Flat_gate.program p ~n ~cached:false (Cost.breakdown p ~n ~threads:1 m) in
           Array.length g.Flat_gate.arena.Storage.lv + Flat_gate.pieces g
         in
         let c = Suite.generate ~seed:3 ~gates:120 Suite.Supremacy ~n in
         let fused = Fusion_ref.fused_dds p ~n (Array.to_list c.Circuit.ops) in
         let largest = List.fold_left (fun a b -> if size b > size a then b else a) m fused in
-        let g = Flat_gate.program p ~n ~t:1 ~cached:false m in
+        let g = Flat_gate.program p ~n ~cached:false (Cost.breakdown p ~n ~threads:1 m) in
         let l =
           Option.get
             (Flat_gate.local_of_op ~n

@@ -481,18 +481,7 @@ let reach_allow =
     ("Obs.span_seconds", "metric reader of the obs tests");
     ("Obs.Metrics.all_zero", "checks that a metrics reset zeroed everything");
     ("Rng.shuffle", "random operand orders of the DD gate-builder test");
-    ("Bits.clear_bit", "basis-index arithmetic of the circuit tests");
-    (* only their own unit tests call these: each deletion takes a unit
-       test with it, so they go in a later change *)
-    ("Rng.bool", "unit-tested only; to delete");
-    ("Rng.copy", "unit-tested only; to delete");
-    ("Rng.split", "unit-tested only; to delete");
-    ("Stats.median", "unit-tested only; to delete");
-    ("Stats.ratio", "unit-tested only; to delete");
-    ("Stats.stddev", "unit-tested only; to delete");
-    ("Bits.ceil_pow2", "unit-tested only; to delete");
-    ("Bits.insert_bit2", "unit-tested only; to delete");
-    ("Bits.reverse_bits", "unit-tested only; to delete") ]
+    ("Bits.clear_bit", "basis-index arithmetic of the circuit tests") ]
 
 (* The definitions one piece of code references. [Callgraph] resolves
    plain [Module.name] references; on top of it this models local opens,

@@ -12,16 +12,6 @@ let test_seeds_differ () =
   done;
   Alcotest.(check bool) "streams differ" true (!same < 4)
 
-let test_copy () =
-  let a = Rng.create 7 in
-  for _ = 1 to 10 do
-    ignore (Rng.next a)
-  done;
-  let b = Rng.copy a in
-  for _ = 1 to 50 do
-    Alcotest.(check int64) "copy continues identically" (Rng.next a) (Rng.next b)
-  done
-
 let test_int_range () =
   let rng = Rng.create 3 in
   for _ = 1 to 1000 do
@@ -66,15 +56,6 @@ let test_shuffle_permutation () =
   Alcotest.(check (array int)) "permutation" (Array.init 50 Fun.id) sorted;
   Alcotest.(check bool) "actually shuffled" true (a <> Array.init 50 Fun.id)
 
-let test_split_independence () =
-  let a = Rng.create 23 in
-  let b = Rng.split a in
-  let same = ref 0 in
-  for _ = 1 to 64 do
-    if Rng.next a = Rng.next b then incr same
-  done;
-  Alcotest.(check bool) "split stream differs" true (!same < 4)
-
 let test_derive () =
   Alcotest.(check int) "deterministic" (Rng.derive 42 7) (Rng.derive 42 7);
   let seen = Hashtbl.create 256 in
@@ -99,26 +80,15 @@ let test_derive_streams_differ () =
   done;
   Alcotest.(check bool) "derived streams differ" true (!same < 4)
 
-let test_bool_balance () =
-  let rng = Rng.create 29 in
-  let trues = ref 0 in
-  for _ = 1 to 2000 do
-    if Rng.bool rng then incr trues
-  done;
-  Alcotest.(check bool) "roughly balanced" true (!trues > 850 && !trues < 1150)
-
 let suite =
   [ ( "rng",
       [ Alcotest.test_case "determinism" `Quick test_determinism;
         Alcotest.test_case "seeds differ" `Quick test_seeds_differ;
-        Alcotest.test_case "copy" `Quick test_copy;
         Alcotest.test_case "int range" `Quick test_int_range;
         Alcotest.test_case "int covers all values" `Quick test_int_covers;
         Alcotest.test_case "float range and mean" `Quick test_float_range;
         Alcotest.test_case "angle range" `Quick test_angle;
         Alcotest.test_case "shuffle is a permutation" `Quick test_shuffle_permutation;
-        Alcotest.test_case "split independence" `Quick test_split_independence;
         Alcotest.test_case "derive sub-seeds" `Quick test_derive;
         Alcotest.test_case "derived streams decorrelate" `Quick
-          test_derive_streams_differ;
-        Alcotest.test_case "bool balance" `Quick test_bool_balance ] ) ]
+          test_derive_streams_differ ] ) ]

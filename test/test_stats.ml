@@ -13,23 +13,10 @@ let test_geomean () =
   Alcotest.check_raises "nonpositive" (Invalid_argument "Stats.geomean: nonpositive")
     (fun () -> ignore (Stats.geomean [ 1.0; 0.0 ]))
 
-let test_median () =
-  feq "odd" 2.0 (Stats.median [ 3.0; 1.0; 2.0 ]);
-  feq "even" 2.5 (Stats.median [ 4.0; 1.0; 2.0; 3.0 ]);
-  feq "singleton" 7.0 (Stats.median [ 7.0 ])
-
 let test_min_max () =
   let lo, hi = Stats.min_max [ 3.0; -1.0; 2.0 ] in
   feq "min" (-1.0) lo;
   feq "max" 3.0 hi
-
-let test_stddev () =
-  feq "constant" 0.0 (Stats.stddev [ 4.0; 4.0; 4.0 ]);
-  feq "known" 1.0 (Stats.stddev [ 1.0; 3.0; 1.0; 3.0 ])
-
-let test_ratio () =
-  feq "ratio" 2.5 (Stats.ratio 5.0 2.0);
-  Alcotest.(check bool) "zero denominator" true (Stats.ratio 1.0 0.0 = Float.infinity)
 
 let prop_geomean_scale =
   QCheck.Test.make ~name:"geomean scales linearly" ~count:200
@@ -51,9 +38,6 @@ let suite =
   [ ( "stats",
       [ Alcotest.test_case "mean" `Quick test_mean;
         Alcotest.test_case "geomean" `Quick test_geomean;
-        Alcotest.test_case "median" `Quick test_median;
         Alcotest.test_case "min_max" `Quick test_min_max;
-        Alcotest.test_case "stddev" `Quick test_stddev;
-        Alcotest.test_case "ratio" `Quick test_ratio;
         QCheck_alcotest.to_alcotest prop_geomean_scale;
         QCheck_alcotest.to_alcotest prop_mean_bounds ] ) ]
