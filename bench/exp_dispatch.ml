@@ -1,10 +1,12 @@
-(* Per-gate kernel dispatch (lib/engine). On an unfused single-qubit gate
-   the DMAV kernels traverse the gate's full n-qubit matrix DD — at least
-   2ⁿ scalar MACs of pointer-chasing — while the dense direct kernel
-   streams 2ⁿ⁻¹ contiguous amplitude pairs branch-free. The §3.2.3 cost
-   extension prices dense at 2ⁿ⁺¹/(d·t) and dispatches such gates to the
-   dense kernel; this experiment shows that pick winning on layers of
-   unfused h/ry gates once the vectors are flat-phase sized (n ≥ 20). *)
+(* Per-gate kernel dispatch (lib/engine). With [Config.dense_dispatch]
+   the flat phase's planner compiles every unfused single-qubit op to
+   the dense direct kernel by rule ([Flat_gate.dense]), building no gate
+   DD: the kernel streams the 2ⁿ⁻ᶜ amplitudes a c-controlled gate
+   touches at [Cost.dense_rate] (0.125 priced MACs) each, below the
+   least a Run row or Algorithm 2's block term can cost. Without it the
+   same op runs on the local leg (an op of support ≤ 2) or on the DMAV
+   Run. This experiment times both on layers of unfused h/ry gates at
+   flat-phase sizes. *)
 
 let unfused_layers n =
   let b = Circuit.Builder.create ~name:(Printf.sprintf "1q-layers-%d" n) n in
@@ -56,5 +58,5 @@ let run () =
             "speedup" ]
         rows);
   Report.note
-    "every unfused single-qubit gate dispatches dense (2ⁿ⁺¹/d beats the ≥2ⁿ DD \
-     traversal); fused or multi-qubit permutation gates stay on DMAV."
+    "every unfused single-qubit gate dispatches dense, by rule; fused gates and \
+     two-qubit ops stay on the local leg or DMAV."

@@ -1,5 +1,5 @@
-(* Calibration of the gate price ([Cost.dispatch], [Cost.local_dispatch]
-   and fusion's price, [Cost.local_price] and [Cost.priced_macs]): the
+(* Calibration of the gate price ([Cost.dispatch] and fusion's price,
+   [Cost.local_price] and [Cost.priced]): the
    per-MAC price of a canonical identity node, the local leg's and the
    dense single-qubit kernel's per-amplitude rates, and the regret of the
    kernel picks.
@@ -284,27 +284,28 @@ let paper_pick x ~threads =
     +. (Float.ldexp 1.0 n /. (float_of_int Cost.simd_width *. t)
         *. ((float_of_int b.Cost.hits /. t) +. float_of_int b.Cost.buffers))
   in
-  if c2 < c1 then Cost.Cached else if x.support <> None then Cost.Local else Cost.Run
+  if c2 < c1 then Cost.Dmav_cached else if x.support <> None then Cost.Dmav_local else Cost.Dmav_uncached
 
-(* The flat phase's pick: a narrow gate's from its form, a wide gate's
-   from its DD (no dense kernel for either, as the regret compares the
-   three DMAV-phase kernels). *)
+(* The flat phase's pick: a narrow gate takes the local leg, a wide
+   gate the cheaper of the Run and Algorithm 2 on its DD (no dense
+   kernel for either, as the regret compares the three DMAV-phase
+   kernels). *)
 let price_pick x ~threads =
   let n = x.job.n in
   match x.support with
-  | Some support -> (Cost.local_dispatch ~n ~threads ~macs:(Cost.macs x.paths) support).Cost.kernel
+  | Some _ -> Cost.Dmav_local
   | None -> (Cost.dispatch ~n (Cost.breakdown x.job.package ~n ~threads x.mat)).Cost.kernel
 
 let measured x i = function
-  | Cost.Local -> x.local.(i)
-  | Cost.Run -> x.run.(i)
-  | Cost.Cached -> x.cached.(i)
-  | Cost.Dense -> x.dense.(i)
+  | Cost.Dmav_local -> x.local.(i)
+  | Cost.Dmav_uncached -> x.run.(i)
+  | Cost.Dmav_cached -> x.cached.(i)
+  | Cost.Dense_direct -> x.dense.(i)
 
 let fastest x i =
   List.fold_left
     (fun acc k -> let ns = measured x i k in if Float.is_nan ns then acc else Float.min acc ns)
-    infinity [ Cost.Local; Cost.Run; Cost.Cached ]
+    infinity [ Cost.Dmav_local; Cost.Dmav_uncached; Cost.Dmav_cached ]
 
 let rate_rows samples =
   List.concat_map
@@ -366,7 +367,7 @@ let regret_rows samples =
                  in
                  let ms f = List.fold_left (fun acc e -> acc +. f e) 0.0 picks /. 1e6 in
                  [ string_of_int threads; set; rule; string_of_int (List.length xs);
-                   Printf.sprintf "%d/%d/%d" (count Cost.Local) (count Cost.Run) (count Cost.Cached);
+                   Printf.sprintf "%d/%d/%d" (count Cost.Dmav_local) (count Cost.Dmav_uncached) (count Cost.Dmav_cached);
                    string_of_int (List.length regret);
                    Printf.sprintf "%.2f" (ms (fun (x, k) -> measured x i k -. fastest x i));
                    Printf.sprintf "%.2f" (ms (fun (x, k) -> measured x i k));

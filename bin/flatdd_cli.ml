@@ -290,8 +290,8 @@ let cmd =
   let dispatch =
     Arg.(value & flag
          & info [ "dispatch" ]
-             ~doc:"Per-gate kernel dispatch in the flat phase: unfused gates may run on \
-                   the dense direct kernel when the cost model favors it over DMAV.")
+             ~doc:"Per-gate kernel dispatch in the flat phase: every unfused single-qubit \
+                   gate runs on the dense direct kernel, without building its gate DD.")
   in
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the per-gate trace.") in
   let top = Arg.(value & opt int 8 & info [ "top" ] ~doc:(Printf.sprintf "Print the k most likely basis states (0 disables; circuits of at most %d qubits)." top_max_qubits)) in

@@ -232,8 +232,7 @@ let mutex_discipline =
 
 (* Hashtbl is not domain-safe. Mutating one from inside a closure handed
    to Pool.parallel_for / Pool.run is a race unless the table was created
-   inside that same closure (the per-worker cache in Dmav.apply_cache is
-   the sanctioned pattern). *)
+   inside that same closure, where it is that worker's own. *)
 let parallel_entry_points =
   [ "Pool.parallel_for"; "Pool.parallel_for_ranges"; "Pool.run" ]
 

@@ -476,21 +476,6 @@ static inline int replication_quadrant(const long *es)
     return Val_unit;                                                          \
   }                                                                           \
                                                                               \
-  /* dst[dp+k] <- dst[dp+k] + s * src[sp+k] for k < len. */                  \
-  value qcs_scale2_add_into_##SFX(value src, value sp, value dst, value dp,   \
-                                  value len, double sre, double sim)          \
-  {                                                                           \
-    const T *s = (const T *)Caml_ba_data_val(src) + 2 * Long_val(sp);         \
-    T *d = (T *)Caml_ba_data_val(dst) + 2 * Long_val(dp);                     \
-    long n = Long_val(len);                                                   \
-    for (long k = 0; k < n; k++) {                                            \
-      double re = s[2 * k], im = s[2 * k + 1];                                \
-      d[2 * k] = (T)((double)d[2 * k] + ((sre * re) - (sim * im)));           \
-      d[2 * k + 1] = (T)((double)d[2 * k + 1] + ((sre * im) + (sim * re)));   \
-    }                                                                         \
-    return Val_unit;                                                          \
-  }                                                                           \
-                                                                              \
   /* dst[dp+k] <- dst[dp+k] + src[sp+k] for k < len. */                      \
   value qcs_add_into_##SFX(value src, value sp, value dst, value dp,          \
                            value len)                                         \
@@ -781,8 +766,6 @@ static inline int replication_quadrant(const long *es)
                                                                               \
   /* Byte-code entry points: boxed floats, argument vectors past 5. */      \
   BYTE_STUB(qcs_scale2_into_##SFX, ARGS5, Double_val(argv[5]),                \
-            Double_val(argv[6]))                                              \
-  BYTE_STUB(qcs_scale2_add_into_##SFX, ARGS5, Double_val(argv[5]),            \
             Double_val(argv[6]))                                              \
   BYTE_STUB(qcs_dense_single_##SFX, ARGS5, argv[5])                           \
   BYTE_STUB(qcs_local_##SFX, ARGS5, argv[5], argv[6])                         \

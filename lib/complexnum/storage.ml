@@ -54,7 +54,6 @@ module type CORE = sig
   val get_im : t -> int -> float
   val set2 : t -> int -> float -> float -> unit
   val c_scale2_into : buffer -> int -> buffer -> int -> int -> float -> float -> unit
-  val c_scale2_add_into : buffer -> int -> buffer -> int -> int -> float -> float -> unit
   val c_add_into : buffer -> int -> buffer -> int -> int -> unit
   val c_fill_zero_range : buffer -> int -> int -> unit
   val c_norm2 : buffer -> int -> float
@@ -81,9 +80,6 @@ module Core64 = struct
   external c_scale2_into :
     buffer -> int -> buffer -> int -> int -> (float[@unboxed]) -> (float[@unboxed]) -> unit
     = "qcs_scale2_into_f64_byte" "qcs_scale2_into_f64" [@@noalloc]
-  external c_scale2_add_into :
-    buffer -> int -> buffer -> int -> int -> (float[@unboxed]) -> (float[@unboxed]) -> unit
-    = "qcs_scale2_add_into_f64_byte" "qcs_scale2_add_into_f64" [@@noalloc]
   external c_add_into : buffer -> int -> buffer -> int -> int -> unit = "qcs_add_into_f64"
   [@@noalloc]
   external c_fill_zero_range : buffer -> int -> int -> unit = "qcs_fill_zero_range_f64"
@@ -117,9 +113,6 @@ module Core32 = struct
   external c_scale2_into :
     buffer -> int -> buffer -> int -> int -> (float[@unboxed]) -> (float[@unboxed]) -> unit
     = "qcs_scale2_into_f32_byte" "qcs_scale2_into_f32" [@@noalloc]
-  external c_scale2_add_into :
-    buffer -> int -> buffer -> int -> int -> (float[@unboxed]) -> (float[@unboxed]) -> unit
-    = "qcs_scale2_add_into_f32_byte" "qcs_scale2_add_into_f32" [@@noalloc]
   external c_add_into : buffer -> int -> buffer -> int -> int -> unit = "qcs_add_into_f32"
   [@@noalloc]
   external c_fill_zero_range : buffer -> int -> int -> unit = "qcs_fill_zero_range_f32"
@@ -143,7 +136,6 @@ module type S = sig
   val kind : (float, elt) Bigarray.kind
   val label : string
   val bytes_per_float : int
-  val bytes_per_amp : int
   val buffer_bytes : len:int -> int
   val create : int -> t
   val init : int -> (int -> Cnum.t) -> t
@@ -164,12 +156,6 @@ module type S = sig
 
   val add_into : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
 
-  val scale_add_into :
-    src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> Cnum.t -> unit
-
-  val scale2_add_into :
-    src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> sre:float -> sim:float -> unit
-
   val dense_single : t -> float array -> target:int -> cmask:int -> lo:int -> hi:int -> unit
   val local_apply :
     t -> float array -> major:int -> minor:int -> paths:int -> lo:int -> hi:int -> unit
@@ -178,9 +164,7 @@ module type S = sig
     arena -> node:int -> v:t -> w:t -> iv:int -> iw:int -> fre:float -> fim:float -> unit
 
   val copy : t -> t
-  val sub_vector : t -> pos:int -> len:int -> t
   val norm2 : t -> float
-  val fidelity : t -> t -> float
   val max_abs_diff : t -> t -> float
   val to_array : t -> Cnum.t array
   val of_array : Cnum.t array -> t
@@ -190,7 +174,6 @@ end
 module Extend (C : CORE) = struct
   include C
 
-  let bytes_per_amp = 2 * C.bytes_per_float
   let buffer_bytes ~len = (2 * len * C.bytes_per_float) + bigarray_header_bytes
 
   let create len =
@@ -235,16 +218,8 @@ module Extend (C : CORE) = struct
     check_range "add_into" dst ~pos:dst_pos ~len;
     C.c_add_into src.data src_pos dst.data dst_pos len
 
-  let scale2_add_into ~src ~src_pos ~dst ~dst_pos ~len ~sre ~sim =
-    check_range "scale2_add_into" src ~pos:src_pos ~len;
-    check_range "scale2_add_into" dst ~pos:dst_pos ~len;
-    C.c_scale2_add_into src.data src_pos dst.data dst_pos len sre sim
-
   let scale_into ~src ~src_pos ~dst ~dst_pos ~len (s : Cnum.t) =
     scale2_into ~src ~src_pos ~dst ~dst_pos ~len ~sre:s.re ~sim:s.im
-
-  let scale_add_into ~src ~src_pos ~dst ~dst_pos ~len (s : Cnum.t) =
-    scale2_add_into ~src ~src_pos ~dst ~dst_pos ~len ~sre:s.re ~sim:s.im
 
   let norm2 t = C.c_norm2 t.data t.len
 
@@ -287,23 +262,6 @@ module Extend (C : CORE) = struct
     let r = create t.len in
     blit ~src:t ~src_pos:0 ~dst:r ~dst_pos:0 ~len:t.len;
     r
-
-  let sub_vector t ~pos ~len =
-    let r = create len in
-    blit ~src:t ~src_pos:pos ~dst:r ~dst_pos:0 ~len;
-    r
-
-  let fidelity a b =
-    if a.len <> b.len then invalid_arg "Buf.fidelity: length mismatch";
-    (* <a|b> = sum conj(a_i) * b_i *)
-    let re = ref 0.0 and im = ref 0.0 in
-    for i = 0 to a.len - 1 do
-      let are = get_re a i and aim = get_im a i in
-      let bre = get_re b i and bim = get_im b i in
-      re := !re +. ((are *. bre) +. (aim *. bim));
-      im := !im +. ((are *. bim) -. (aim *. bre))
-    done;
-    (!re *. !re) +. (!im *. !im)
 
   let max_abs_diff a b =
     if a.len <> b.len then invalid_arg "Buf.max_abs_diff: length mismatch";

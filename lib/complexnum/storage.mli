@@ -47,7 +47,6 @@ module type S = sig
   (** ["f64"] or ["f32"] — the token used by [--precision]. *)
 
   val bytes_per_float : int
-  val bytes_per_amp : int
 
   val buffer_bytes : len:int -> int
   (** Exact bytes of one [len]-amplitude buffer: payload from the element
@@ -85,13 +84,6 @@ module type S = sig
   val add_into : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
   (** [dst.(dst_pos+k) <- dst.(dst_pos+k) + src.(src_pos+k)] — the buffer
       summation kernel. *)
-
-  val scale_add_into :
-    src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> Cnum.t -> unit
-  (** Fused [dst += s · src] over a block. *)
-
-  val scale2_add_into :
-    src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> sre:float -> sim:float -> unit
 
   (** {2 Flat-phase kernels}
 
@@ -143,13 +135,9 @@ module type S = sig
       equal the per-path recursion's at both precisions. *)
 
   val copy : t -> t
-  val sub_vector : t -> pos:int -> len:int -> t
 
   val norm2 : t -> float
   (** Σ|aᵢ|² — should be 1 for a valid quantum state. *)
-
-  val fidelity : t -> t -> float
-  (** |⟨a|b⟩|² between two unit vectors of equal length. *)
 
   val max_abs_diff : t -> t -> float
   (** L∞ distance between amplitude vectors, the metric differential tests

@@ -183,14 +183,13 @@ let local_rate ~support = local_rates.(Bits.popcount support - 1)
 (* The dense single-qubit kernel walks the 2ⁿ⁻ᶜ amplitudes a c-controlled
    gate touches. It shares the local leg's walk (0.09-0.14 priced MACs per
    amplitude walked, fusion_price, as above), so it takes the support-1
-   rate and wins the tie. A two-qubit op's dense kernel is the local leg. *)
+   rate. A two-qubit op's dense kernel is the local leg. *)
 let dense_rate = 0.125
 
 let dense_price ~n (op : Circuit.op) =
   match op with
-  | Circuit.Single { controls; _ } ->
-    Some (dense_rate *. Float.ldexp 1.0 (n - List.length controls))
-  | Circuit.Two _ -> None
+  | Circuit.Single { controls; _ } -> dense_rate *. Float.ldexp 1.0 (n - List.length controls)
+  | Circuit.Two _ -> invalid_arg "Cost.dense_price: a two-qubit op's dense kernel is the local leg"
 
 (* The dense kernels do 4 complex MACs per amplitude pair they walk
    (2ⁿ⁻¹⁻ᶜ pairs of a c-controlled single-qubit gate) and 16 per
@@ -208,81 +207,51 @@ let local_price ?local_rate:rate ~n ~support run =
   let rate = match rate with Some r -> r | None -> local_rate ~support in
   Float.min run (rate *. Float.ldexp 1.0 n)
 
-type kernel = Local | Run | Cached | Dense
-
-type prices = {
-  local : float option;
-  run : float;
-  cached : float;
-  dense : float option;
-}
+type kernel = Dmav_local | Dmav_uncached | Dmav_cached | Dense_direct
 
 type dispatch = {
   kernel : kernel;
   dmav : decision;
-  prices : prices;
   price : float;
   support : int option;
 }
 
-(* The cheapest kernel and its price; a tie goes to the earlier of
-   dense, local, Run, cached. *)
-let pick prices =
-  List.fold_left
-    (fun (k, c) (k', c') -> match c' with Some c' when c' < c -> (k', c') | _ -> (k, c))
-    (Run, infinity)
-    [ (Dense, prices.dense); (Local, prices.local); (Run, Some prices.run);
-      (Cached, Some prices.cached) ]
-
-(* One price per kernel of a wide gate, per thread, in the Run's priced
-   MACs (a recursion MAC 1, an identity-stripe MAC [identity_price], a
-   recursion call [visit_price]): the Run is Eq. 5 over priced MACs,
-   Algorithm 2 Eq. 6 over priced MACs plus its block operations at SIMD
-   width d, the dense kernel its per-amplitude rate; [pick] takes the
-   cheapest. [decision] keeps Eq. 5/6's plain MAC counts, which the
-   reports and Table 2 show. *)
-let dispatch ~n ?op b =
+(* The paper's one choice, priced per thread in the Run's priced MACs (a
+   recursion MAC 1, an identity-stripe MAC [identity_price], a recursion
+   call [visit_price]): the Run at Eq. 5 over priced MACs against
+   Algorithm 2 at Eq. 6 over priced MACs plus its block operations at
+   SIMD width d; a tie goes to the Run. [decision] keeps Eq. 5/6's plain
+   MAC counts, which the reports and Table 2 show. *)
+let dispatch ~n b =
   let tu = Array.length b.tasks in
   let t = float_of_int tu in
   let dim = Float.ldexp 1.0 n in
   let blocks =
     dim /. (float_of_int simd_width *. t) *. ((float_of_int b.hits /. t) +. float_of_int b.buffers)
   in
-  let prices =
-    { local = None;
-      run = b.k1_priced /. t;
-      cached = (b.k2_priced /. t) +. blocks;
-      dense = Option.bind op (fun op -> Option.map (fun p -> p /. t) (dense_price ~n op)) }
-  in
-  let kernel, price = pick prices in
-  let dmav =
-    { cached = kernel = Cached;
-      c1 = b.k1 /. t;
-      c2 = (b.k2 /. t) +. blocks;
-      threads_used = tu }
-  in
-  { kernel; dmav; prices; price; support = None }
+  let run = b.k1_priced /. t and cached = (b.k2_priced /. t) +. blocks in
+  let cached_wins = cached < run in
+  { kernel = (if cached_wins then Dmav_cached else Dmav_uncached);
+    dmav = { cached = cached_wins; c1 = b.k1 /. t; c2 = (b.k2 /. t) +. blocks; threads_used = tu };
+    price = (if cached_wins then cached else run);
+    support = None }
 
-(* A gate priced from its local form ([Flat_gate.of_local]): the Run
-   (at least [identity_price] per amplitude) and Algorithm 2 (at least a
-   buffer's block operations) cannot beat the local leg, so they are not
-   priced. *)
-let local_dispatch ~n ~threads ?op ~macs support =
+(* A kernel taken by rule, not priced against the others: the dense
+   kernel and the local leg cost less per amplitude than any Run row
+   ([identity_price]) or Eq. 6's block operations (2ⁿ/(d·t) at least).
+   Its [decision] holds its modeled MACs as one uncached kernel. *)
+let by_rule ~n ~threads kernel ~macs ~price support =
   let tu = pow2_threads ~n threads in
   let t = float_of_int tu in
-  let prices =
-    { local = Some (local_rate ~support *. Float.ldexp 1.0 n /. t); run = infinity;
-      cached = infinity;
-      dense = Option.bind op (fun op -> Option.map (fun p -> p /. t) (dense_price ~n op)) }
-  in
-  let kernel, price = pick prices in
   { kernel;
     dmav = { cached = false; c1 = macs /. t; c2 = macs /. t; threads_used = tu };
-    prices;
-    price;
-    support = Some support }
+    price = price /. t;
+    support }
 
-let dispatch_modeled_macs disp =
-  match disp.kernel with
-  | Dense -> float_of_int disp.dmav.threads_used *. disp.price
-  | Local | Run | Cached -> modeled_macs disp.dmav
+let local_dispatch ~n ~threads ~macs support =
+  by_rule ~n ~threads Dmav_local ~macs ~price:(local_rate ~support *. Float.ldexp 1.0 n)
+    (Some support)
+
+let dense_dispatch ~n ~threads ~support op =
+  by_rule ~n ~threads Dense_direct ~macs:(dense_direct_macs ~n op) ~price:(dense_price ~n op)
+    support

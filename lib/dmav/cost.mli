@@ -7,9 +7,8 @@
     counts, Figure 8): the MAC count is its terminal paths plus its
     identity stripes' MACs ({!macs}), and the priced count charges a
     stripe MAC {!identity_price} and each of the recursion's calls
-    {!visit_price} ({!priced}), the unit of the gate price that picks
-    every flat gate's kernel ({!dispatch}, {!local_dispatch}) and that
-    fusion compares.
+    {!visit_price} ({!priced}), the unit of the gate price that picks a
+    wide gate's kernel ({!dispatch}) and that fusion compares.
 
     For an [n]-qubit DMAV on [t] threads with SIMD width [d]:
     - without caching (Eq. 5):  [C₁ = K₁ / t];
@@ -111,21 +110,28 @@ val simd_width : int
 
 val modeled_macs : decision -> float
 (** [C × t] of the kernel that runs ([c2] if cached, else [c1]) — the
-    modeled MAC work Table 2 reports as "Cost". *)
+    modeled MAC work Table 2 reports as "Cost", and what the driver sums
+    over a flat phase. *)
 
-(** {1 The gate price: local leg, Run, Algorithm 2, dense}
+(** {1 The gate price: the Run against Algorithm 2}
 
     One unit for every flat-phase kernel: the Run's priced MAC
     ({!priced}: a recursion MAC 1, an identity-stripe MAC
     {!identity_price}, a recursion call {!visit_price}), per thread.
-    The Run costs its priced MACs (Eq. 5), Algorithm 2 its distinct
-    tasks' priced MACs and its repeated tasks' visits plus Eq. 6's block
-    operations at SIMD width [d], and the two array kernels, the local
-    leg and the dense single-qubit kernel, a fitted rate per amplitude
-    they stream. Only a narrow gate, one given by its local form
-    ([Flat_gate.local_of_op], [Flat_gate.local_product]), has a local
-    leg ({!local_dispatch}); a wide gate, given by its matrix DD, is
-    priced on the other three ({!dispatch}). *)
+    The one priced choice is the paper's: a wide gate, given by its
+    matrix DD, runs on the Run at its priced MACs (Eq. 5) or on
+    Algorithm 2 at its distinct tasks' priced MACs and its repeated
+    tasks' visits plus Eq. 6's block operations at SIMD width [d]
+    ({!dispatch}). The two array kernels beyond the paper are taken by
+    rule: a narrow gate, one given by its local form
+    ([Flat_gate.local_of_op], [Flat_gate.local_product]), runs on the
+    local leg ({!local_dispatch}), and with [Config.dense_dispatch] an
+    unfused single-qubit op runs on the dense kernel
+    ({!dense_dispatch}). Their rates per amplitude, {!local_rate} and
+    {!dense_rate}, are the prices the trace shows; both sit below the
+    least a Run row ({!identity_price}) or Algorithm 2's block term
+    ([2ⁿ/(d·t)]) can cost, so pricing them against the DMAV kernels
+    would never pick otherwise. *)
 
 val local_rate : support:int -> float
 (** The local leg's price per amplitude on a gate of this support mask
@@ -138,18 +144,19 @@ val dense_direct_macs : n:int -> Circuit.op -> float
 (** MACs of the dense direct kernels ([Dense_kernel.single] and
     [Dense_kernel.two]): 4 per amplitude pair walked, which is [2ⁿ⁻¹⁻ᶜ]
     pairs for a [c]-controlled single-qubit gate, so [2ⁿ⁺¹⁻ᶜ]; 16 per
-    quad of a two-qubit gate, so [2ⁿ⁺²]. *)
+    quad of a two-qubit gate, so [2ⁿ⁺²]. The modeled MACs of every
+    dense gate, on the dense engine or in the flat phase. *)
 
 val dense_rate : float
 (** The dense single-qubit kernel's price per amplitude walked, fitted
     with [bench/main.exe fusion_price]: the local leg's support-1 rate,
     as the two share the walk. *)
 
-val dense_price : n:int -> Circuit.op -> float option
+val dense_price : n:int -> Circuit.op -> float
 (** The dense kernel's price on one thread: {!dense_rate} per amplitude
-    walked, [2ⁿ⁻ᶜ] for a [c]-controlled single-qubit gate. [None] for a
-    two-qubit op, whose dense kernel is the local leg's walk: its
-    {!local_rate} prices it. *)
+    walked, [2ⁿ⁻ᶜ] for a [c]-controlled single-qubit gate. Raises
+    [Invalid_argument] on a two-qubit op, whose dense kernel is the
+    local leg's walk. *)
 
 val local_price : ?local_rate:float -> n:int -> support:int -> float -> float
 (** [local_price ~n ~support run] is the price [Fusion.dmav_aware]
@@ -160,48 +167,38 @@ val local_price : ?local_rate:float -> n:int -> support:int -> float -> float
     wins on one thread and a product has no dense kernel. A wide gate's
     price is its {!priced} count. *)
 
+(** What a flat gate runs: the kernel the trace and the driver's counts
+    name ([Engine.dispatch] is this type). *)
 type kernel =
-  | Local   (** the local leg: a narrow gate's 2×2 or 4×4 matrix in place *)
-  | Run     (** Algorithm 1, uncached *)
-  | Cached  (** Algorithm 2, column-space caching *)
-  | Dense   (** the dense direct kernel on an unfused op *)
-
-type prices = {
-  local : float option;  (** [None] for a wide gate *)
-  run : float;
-  cached : float;
-  dense : float option;
-  (** [None] unless an unfused single-qubit op is given *)
-}
-(** Each kernel's price per thread, for a pool of [threads]. *)
+  | Dmav_local     (** the local leg: a narrow gate's 2×2 or 4×4 matrix in place *)
+  | Dmav_uncached  (** Algorithm 1, the Run *)
+  | Dmav_cached    (** Algorithm 2, column-space caching *)
+  | Dense_direct   (** the dense direct kernel on an unfused op *)
 
 type dispatch = {
-  kernel : kernel;    (** the cheapest kernel *)
+  kernel : kernel;
   dmav : decision;
-  (** the two DMAV kernels' Eq. 5/6 counts; [dmav.cached] is
-      [kernel = Cached] *)
-  prices : prices;
-  price : float;      (** the picked kernel's price *)
+  (** a wide gate's Eq. 5/6 counts ([dmav.cached] is [kernel =
+      Dmav_cached]); a gate taken by rule has [c1 = c2], its modeled
+      MACs per thread *)
+  price : float;      (** the kernel's price per thread *)
   support : int option;
-  (** a narrow gate's levels, as a bit mask; [None] for a wide gate *)
+  (** the levels of the gate's narrow form, as a bit mask; [None] for a
+      gate without one *)
 }
 
-val dispatch : n:int -> ?op:Circuit.op -> breakdown -> dispatch
-(** Prices a wide gate on every eligible kernel from its {!breakdown}
-    for the pool it will run on, and picks the cheapest; on a tie the
-    earlier of dense, Run, cached. The dense kernel is eligible when [op], the
-    unfused circuit op, is a single-qubit gate; the local leg never is.
-    With no [op] the pick is one of the paper's two DMAV kernels. *)
+val dispatch : n:int -> breakdown -> dispatch
+(** Prices a wide gate from its {!breakdown} for the pool it will run on
+    on the Run and on Algorithm 2, and picks the cheaper; a tie goes to
+    the Run. *)
 
-val local_dispatch : n:int -> threads:int -> ?op:Circuit.op -> macs:float -> int -> dispatch
-(** The pick for a gate given by its local form on [support], not its DD
-    ([Flat_gate.of_local]), of plain MAC count [macs]: the local leg, or
-    the dense kernel of [op], the unfused op, when it is priced no
-    higher. The Run and Algorithm 2 never win against the local leg
-    ({!local_rate}) and are not priced ([prices.run] and [prices.cached]
-    are infinite, [dmav.c2] is [dmav.c1]). *)
+val local_dispatch : n:int -> threads:int -> macs:float -> int -> dispatch
+(** A gate given by its local form on [support], not its DD
+    ([Flat_gate.of_local]), of plain MAC count [macs]: the local leg, at
+    {!local_rate} per amplitude; its modeled MACs are [macs], counted as
+    the uncached kernel it stands in for. *)
 
-val dispatch_modeled_macs : dispatch -> float
-(** Modeled work of the dispatched kernel: {!modeled_macs} of its
-    decision for the DMAV kernels and the local leg (counted as the
-    uncached kernel it stands in for), [t × price] for dense. *)
+val dense_dispatch : n:int -> threads:int -> support:int option -> Circuit.op -> dispatch
+(** An unfused single-qubit op on the dense kernel ([Flat_gate.dense]),
+    at {!dense_price}; its modeled MACs are {!dense_direct_macs}.
+    [support] is the op's narrow form's, if it has one. *)

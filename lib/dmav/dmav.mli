@@ -36,8 +36,9 @@ val take : workspace -> Buf.t
 (** Pops a free buffer, or allocates a fresh zero one. A popped buffer's
     contents are unspecified; every kernel here zeroes what it reads. *)
 
-val give : workspace -> Buf.t -> unit
-(** Returns a buffer to the free list (ignored if the size mismatches). *)
+val return_buffers : workspace option -> Buf.t list -> unit
+(** Returns buffers to the free list; under [FLATDD_CHECK] a buffer
+    already on it is a violation. *)
 
 val apply :
   ?workspace:workspace ->
@@ -49,8 +50,8 @@ val apply :
   w:Buf.t ->
   Flat_gate.t
 (** [apply ~pool ~n m ~v ~w] overwrites [w] with [m·v],
-    choosing the kernel by modeled cost ({!Flat_gate.compile} with no
-    op), and returns the compiled gate it ran: its [dispatch] holds the
+    choosing the kernel by modeled cost ({!Flat_gate.compile}), and
+    returns the compiled gate it ran: its [dispatch] holds the
     pick and its modeled costs, its [Dmav] program whether it cached
     and its hits. [v] and [w] must be distinct buffers of length 2ⁿ.
     Always one of the paper's two DMAV kernels: a gate given by its DD
@@ -77,13 +78,3 @@ val apply_nocache :
   Dd.package -> pool:Pool.t -> n:int -> Dd.medge -> v:Buf.t -> w:Buf.t -> unit
 (** Algorithm 1, unconditionally: {!Flat_gate.program} then {!run}. *)
 
-val apply_cache :
-  ?workspace:workspace ->
-  Dd.package ->
-  pool:Pool.t ->
-  n:int ->
-  Dd.medge ->
-  v:Buf.t ->
-  w:Buf.t ->
-  int * int
-(** Algorithm 2, unconditionally; returns (cache hits, buffers used). *)

@@ -24,8 +24,6 @@
    so a workspace type can be named without applying [Make]. *)
 type 'b workspace = { ws_n : int; mutable free : 'b list }
 
-let workspace ~n = { ws_n = n; free = [] }
-
 module Make (P : Storage.S) = struct
   let c_kernel_uncached = Obs.counter "dmav.kernel.uncached"
   let c_kernel_cached = Obs.counter "dmav.kernel.cached"
@@ -39,7 +37,7 @@ module Make (P : Storage.S) = struct
 
   type nonrec workspace = P.t workspace
 
-  let workspace ~n : workspace = workspace ~n
+  let workspace ~n : workspace = { ws_n = n; free = [] }
 
   let take ws =
     match ws.free with
@@ -47,13 +45,6 @@ module Make (P : Storage.S) = struct
       ws.free <- rest;
       b
     | [] -> P.create (1 lsl ws.ws_n)
-
-  let give ws b =
-    if P.length b = 1 lsl ws.ws_n then begin
-      if Check.enabled () && List.memq b ws.free then
-        Check.violation "Dmav.give: buffer returned twice";
-      ws.free <- b :: ws.free
-    end
 
   let take_buffer ws n =
     match ws with
@@ -197,15 +188,9 @@ module Make (P : Storage.S) = struct
       count_modeled g;
       Obs.with_span s_apply (fun () -> run ?workspace ~pool prog ~v ~w)
 
-  let program p ~pool ~n ~cached root =
-    Flat_gate.program p ~n ~cached (Cost.breakdown p ~n ~threads:(Pool.size pool) root)
-
-  let apply_nocache p ~pool ~n root ~v ~w = run ~pool (program p ~pool ~n ~cached:false root) ~v ~w
-
-  let apply_cache ?workspace p ~pool ~n root ~v ~w =
-    let g = program p ~pool ~n ~cached:true root in
-    run ?workspace ~pool g ~v ~w;
-    (g.hits, g.buffers)
+  let apply_nocache p ~pool ~n root ~v ~w =
+    let b = Cost.breakdown p ~n ~threads:(Pool.size pool) root in
+    run ~pool (Flat_gate.program p ~n ~cached:false b) ~v ~w
 
   let apply ?workspace p ~pool ~n root ~v ~w =
     let g = Flat_gate.compile p ~n ~threads:(Pool.size pool) root in

@@ -480,29 +480,29 @@ let local_dd p ~n l =
   | [| lo; hi |] -> Mat_dd.of_two p ~n ~q_hi:hi ~q_lo:lo m
   | lv -> Mat_dd.of_single p ~n ~target:lv.(0) ~controls:[] m
 
-let of_local ~n ~threads ?op l =
+let of_local ~n ~threads l =
   let c = local_paths ~n l in
-  let dispatch = Cost.local_dispatch ~n ~threads ?op ~macs:(Cost.macs c) l.support in
-  match dispatch.Cost.kernel, op with
-  | Cost.Dense, Some op -> { body = Dense op; dispatch; identity_macs = 0.0 }
-  | _ -> { body = Local l; dispatch; identity_macs = c.Dd.stripe }
+  { body = Local l;
+    dispatch = Cost.local_dispatch ~n ~threads ~macs:(Cost.macs c) l.support;
+    identity_macs = c.Dd.stripe }
+
+let dense ~n ~threads op =
+  let support = Option.map (fun l -> l.support) (local_of_op ~n op) in
+  { body = Dense op; dispatch = Cost.dense_dispatch ~n ~threads ~support op; identity_macs = 0.0 }
 
 let s_cost = Obs.span "dmav.cost"
 
 (* One Assign, column-major: the breakdown prices the gate, and the Run
    program runs its task lists and buffer plan. *)
-let compile p ~n ~threads ?op m =
+let compile p ~n ~threads m =
   let b, dispatch =
     Obs.with_span s_cost (fun () ->
         let b = Cost.breakdown p ~n ~threads m in
-        (b, Cost.dispatch ~n ?op b))
+        (b, Cost.dispatch ~n b))
   in
   let cached = dispatch.Cost.dmav.Cost.cached in
-  match dispatch.Cost.kernel, op with
-  | Cost.Dense, Some op -> { body = Dense op; dispatch; identity_macs = 0.0 }
-  | _ ->
-    { body = Dmav (program p ~n ~cached b);
-      dispatch;
-      identity_macs = (if cached then b.Cost.k2_stripe else b.Cost.k1_stripe) }
+  { body = Dmav (program p ~n ~cached b);
+    dispatch;
+    identity_macs = (if cached then b.Cost.k2_stripe else b.Cost.k1_stripe) }
 
 let pieces g = Array.length g.pieces / 3

@@ -1,7 +1,7 @@
 (** Flat-phase gates compiled for the DMAV executor.
 
     The planner compiles each gate of the flat phase once, as it emits
-    it: the gate is assigned once, column-major ({!Cost.breakdown}, one
+    it: a wide gate is assigned once, column-major ({!Cost.breakdown}, one
     count walk per distinct task node), the kernel is picked from those
     counts ({!Cost.dispatch}) at the pool size the gate will run on, the
     sub-matrices its tasks enter are copied into the gate's own arena
@@ -16,8 +16,10 @@
     run one each or one domain runs them all, so are the bytes. A narrow
     gate (an op of support ≤ 2, or a product of such gates on at most
     two levels) is compiled from its matrices ({!of_local}), not from a
-    DD, to its [Local] form: a 2×2 or 4×4 matrix applied in place. A
-    wide gate ({!compile}) never takes the local leg.
+    DD, to its [Local] form: a 2×2 or 4×4 matrix applied in place. An
+    unfused single-qubit op may be compiled to the dense kernel
+    ({!dense}) with neither. Only a wide gate ({!compile}) is priced
+    between kernels: the Run against Algorithm 2.
 
     A task whose sub-matrix models more than [piece_macs] MACs is split
     into the Run calls of its children, in the recursion's order and
@@ -65,7 +67,7 @@ type body =
 
 type t = {
   body : body;
-  dispatch : Cost.dispatch;     (** the pick and its modeled costs *)
+  dispatch : Cost.dispatch;     (** the kernel it runs and its modeled costs *)
   identity_macs : float;
   (** the pick's modeled MACs under identity stripes, read off its
       pricing: the breakdown's [k1_stripe] or [k2_stripe], a narrow
@@ -123,17 +125,21 @@ val local_paths : n:int -> local -> Dd.paths
 val local_dd : Dd.package -> n:int -> local -> Dd.medge
 (** The form's matrix DD ({!Mat_dd.of_single} or {!Mat_dd.of_two}). *)
 
-val of_local : n:int -> threads:int -> ?op:Circuit.op -> local -> t
-(** Compiles a form without its DD ({!Cost.local_dispatch}): [Local], or
-    [Dense] when [op], the form's unfused op, is priced no higher there. *)
+val of_local : n:int -> threads:int -> local -> t
+(** Compiles a form without its DD to the local leg
+    ({!Cost.local_dispatch}). *)
 
-val compile : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> Dd.medge -> t
-(** Prices a wide gate, given by its matrix DD, on every kernel it may
-    take for a pool of [threads] ({!Cost.breakdown} and
-    {!Cost.dispatch}, one [dmav.cost] span) and compiles the cheapest
-    from the same assignment: [Dense] (eligible when [op], the
-    unfused circuit op, is given) or the Run program, uncached or
-    cached. Never [Local]: only {!of_local} compiles to the local leg. *)
+val dense : n:int -> threads:int -> Circuit.op -> t
+(** Compiles an unfused single-qubit op to the dense direct kernel
+    ({!Cost.dense_dispatch}), building no DD and counting no paths: its
+    support is its narrow form's ({!local_of_op}), if it has one. *)
+
+val compile : Dd.package -> n:int -> threads:int -> Dd.medge -> t
+(** Prices a wide gate, given by its matrix DD, on the Run and on
+    Algorithm 2 for a pool of [threads] ({!Cost.breakdown} and
+    {!Cost.dispatch}, one [dmav.cost] span) and compiles the cheaper
+    from the same assignment. Never [Local] or [Dense]: only {!of_local}
+    and {!dense} compile to those. *)
 
 val pieces : program -> int
 (** Run calls in the program. *)

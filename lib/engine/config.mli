@@ -37,11 +37,13 @@ type t = {
   compact_every : int;    (** DD-package GC interval in gates; 0 = never *)
   trace : bool;           (** record the per-gate trace *)
   dense_dispatch : bool;
-  (** When set, the DMAV engine's per-gate cost model also prices each
-      unfused single-qubit gate on the dense direct-apply kernel
-      ([Dense_kernel.single]) and may run it there instead of a DMAV
-      multiplication. A two-qubit gate takes the local leg either way. Off by default so the stock DMAV phase stays
-      bit-for-bit reproducible. *)
+  (** When set, the flat phase runs every unfused single-qubit gate on
+      the dense direct-apply kernel ([Dense_kernel.single]), by rule and
+      without building its gate DD: the kernel's price per amplitude
+      walked is below the least a DMAV kernel can cost. A two-qubit gate
+      takes the local leg either way, and a fused gate never runs dense.
+      Off by default so the stock DMAV phase stays bit-for-bit
+      reproducible. *)
   order : order_mode;
   (** Qubit-order policy (`--order`). Results are always reported in the
       logical basis regardless of this setting. *)

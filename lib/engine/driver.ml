@@ -54,11 +54,10 @@ let c_streamed = Obs.counter "sim.gates_streamed"
 let s_stream = Obs.span "sim.flat_stream"
 let s_stream_wait = Obs.span "sim.flat_stream_wait"
 
-(* Flat-phase kernels, by the engine's pick. Without [dense_dispatch] the
-   cached/uncached counts mirror dmav.kernel.*; with it they reflect the
-   pick among dense (unfused single-qubit ops only), local, Run and
-   cached. The local count is the part of the uncached one that ran on
-   the local leg. *)
+(* Flat-phase kernels, by the compiled gate's kernel. Without
+   [dense_dispatch] the cached/uncached counts mirror dmav.kernel.*; with
+   it an unfused single-qubit op counts as dense. The local count is the
+   part of the uncached one that ran on the local leg. *)
 let c_disp_cached = Obs.counter "dmav.dispatch.cached"
 let c_disp_uncached = Obs.counter "dmav.dispatch.uncached"
 let c_disp_dense = Obs.counter "dmav.dispatch.dense"
@@ -69,27 +68,38 @@ let c_disp_local = Obs.counter "dmav.dispatch.local"
    handed to [emit] as soon as it is final. Every mode builds its gates
    with [Fusion.of_op]: an op of support at most two is its narrow form,
    and a DD is built only for any other op or when a product needs DDMM.
-   An op survives as [xo_op] only without fusion, which is what keeps it
-   eligible for the dense kernel. [poll] runs before each input op, in
-   every mode. Returns the fusion stats. *)
+   Without fusion and with [dense_dispatch], a single-qubit op compiles
+   to the dense kernel by rule ([Flat_gate.dense]) and builds neither.
+   [poll] runs before each input op, in every mode. Returns the fusion
+   stats. *)
 let s_compile = Obs.span "plan.compile"
 
 let flat_plan (ctx : Engine.ctx) ~n ~first_index ~poll ~emit ops =
   let p = ctx.Engine.package in
   let threads = Pool.size ctx.Engine.pool in
   let j = ref first_index in
-  let out ?op name g =
-    let dense = if ctx.Engine.cfg.Config.dense_dispatch then op else None in
-    let g = Obs.with_span s_compile (fun () -> Fusion.compile p ~n ~threads ?op:dense g) in
-    emit { Engine.xo_index = !j; xo_name = name; xo_op = op; xo_gate = Some g };
+  let out name compile =
+    let g = Obs.with_span s_compile compile in
+    emit { Engine.xo_index = !j; xo_name = name; xo_op = None; xo_gate = Some g };
     incr j
   in
+  let gate g () = Fusion.compile p ~n ~threads g in
   match ctx.Engine.cfg.Config.fusion with
   | Config.No_fusion ->
-    List.iter (fun op -> poll (); out ~op (Circuit.op_name op) (Fusion.of_op p ~n op)) ops;
+    let dense = ctx.Engine.cfg.Config.dense_dispatch in
+    List.iter
+      (fun op ->
+         poll ();
+         out (Circuit.op_name op)
+           (match op with
+            | Circuit.Single _ when dense -> fun () -> Flat_gate.dense ~n ~threads op
+            | _ -> gate (Fusion.of_op p ~n op)))
+      ops;
     None
-  | Config.Dmav_aware -> Some (Fusion.dmav_aware_iter ~poll p ~n ~emit:(out "fused") ops)
-  | Config.K_operations k -> Some (Fusion.k_operations_iter ~poll p ~n ~k ~emit:(out "kops") ops)
+  | Config.Dmav_aware ->
+    Some (Fusion.dmav_aware_iter ~poll p ~n ~emit:(fun g -> out "fused" (gate g)) ops)
+  | Config.K_operations k ->
+    Some (Fusion.k_operations_iter ~poll p ~n ~k ~emit:(fun g -> out "kops" (gate g)) ops)
 
 (* --- qubit-order plumbing (ISSUE 8) -------------------------------- *)
 
@@ -156,26 +166,25 @@ let bump_mem r m = if m > r.peak_mem then r.peak_mem <- m
 let account r (xo : Engine.exec_op) =
   match xo.Engine.xo_gate, xo.Engine.xo_op with
   | Some g, _ ->
-    r.modeled <- r.modeled +. Cost.dispatch_modeled_macs g.Flat_gate.dispatch;
-    (match g.Flat_gate.body with
-     | Flat_gate.Dmav prog when prog.Flat_gate.cached ->
+    let d = g.Flat_gate.dispatch in
+    r.modeled <- r.modeled +. Cost.modeled_macs d.Cost.dmav;
+    (match d.Cost.kernel with
+     | Engine.Dmav_cached ->
        Obs.incr c_disp_cached;
        r.cached_gates <- r.cached_gates + 1;
-       r.cache_hits <- r.cache_hits + prog.Flat_gate.hits;
-       Engine.Dmav_cached
-     | Flat_gate.Dmav _ ->
+       (match g.Flat_gate.body with
+        | Flat_gate.Dmav prog -> r.cache_hits <- r.cache_hits + prog.Flat_gate.hits
+        | Flat_gate.Local _ | Flat_gate.Dense _ -> ())
+     | Engine.Dmav_uncached ->
        Obs.incr c_disp_uncached;
-       r.uncached_gates <- r.uncached_gates + 1;
-       Engine.Dmav_uncached
-     | Flat_gate.Local _ ->
+       r.uncached_gates <- r.uncached_gates + 1
+     | Engine.Dmav_local ->
        Obs.incr c_disp_uncached;
        Obs.incr c_disp_local;
        r.uncached_gates <- r.uncached_gates + 1;
-       r.local_gates <- r.local_gates + 1;
-       Engine.Dmav_local
-     | Flat_gate.Dense _ ->
-       Obs.incr c_disp_dense;
-       Engine.Dense_direct)
+       r.local_gates <- r.local_gates + 1
+     | Engine.Dense_direct -> Obs.incr c_disp_dense);
+    d.Cost.kernel
   | None, Some op ->
     Obs.incr c_disp_dense;
     r.modeled <- r.modeled +. Cost.dense_direct_macs ~n:r.n op;

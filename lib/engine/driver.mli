@@ -37,7 +37,9 @@ type result = {
       (** the uncached gates that ran on the local leg (counted in
           [dmav_gates_uncached] too) *)
   dmav_cache_hits : int;
-  modeled_macs : float;       (** Σ modeled MAC work over the flat phase *)
+  modeled_macs : float;
+      (** Σ modeled MAC work over the flat phase: [Cost.modeled_macs] of
+          each gate's pick, a dense gate's [Cost.dense_direct_macs] *)
   fusion_stats : Fusion.stats option;
   order : Order.t option;
       (** Physical qubit order of [final] when it is a [Dd_state]:
@@ -57,7 +59,8 @@ val run :
   Circuit.t ->
   result
 (** The hybrid DD→flat run from |0…0⟩. With [Config.dense_dispatch] on,
-    the flat phase may run unfused gates on the dense kernel. When [pool]
+    the flat phase runs every unfused single-qubit gate on the dense
+    kernel, building no gate DD for it. When [pool]
     is omitted a pool of [config.threads] workers is created for the
     call; a supplied pool overrides [config.threads] and is left
     running. [cancel] is polled at

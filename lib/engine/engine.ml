@@ -13,10 +13,10 @@
 
 type phase = Dd_phase | Conversion | Dmav_phase
 
-(** Which kernel executed a flat-phase gate. [Dmav_local] is a narrow
-    gate run on its local leg ([Flat_gate.Local]), counted as an
-    uncached DMAV pick. *)
-type dispatch = Dmav_cached | Dmav_uncached | Dense_direct | Dmav_local
+(** Which kernel executed a flat-phase gate: the compiled gate's
+    [Cost.kernel]. [Dmav_local] is a narrow gate run on its local leg
+    ([Flat_gate.Local]), counted as an uncached DMAV pick. *)
+type dispatch = Cost.kernel = Dmav_local | Dmav_uncached | Dmav_cached | Dense_direct
 
 (** One entry of the per-gate trace. *)
 type gate_record = {
@@ -41,15 +41,14 @@ type final_state =
   | Flat_state of Buf.t
 
 (** One item of the executable gate stream. The driver builds these: in
-    the DD phase straight from circuit ops; in the flat phase from the
-    planner's compiled gates, keeping the original op when the gate
-    survived fusion (its name, and the dense kernel's eligibility, come
-    from it). A flat gate's compiled form is the one record of the
-    kernel it runs. *)
+    the DD phase and on the dense engines straight from circuit ops; in
+    the flat phase from the planner's compiled gates, named after the op
+    when the gate survived fusion. A flat gate's compiled form is the
+    one record of the kernel it runs. *)
 type exec_op = {
   xo_index : int;                     (** trace index *)
   xo_name : string;
-  xo_op : Circuit.op option;          (** original circuit op, if unfused *)
+  xo_op : Circuit.op option;          (** the circuit op, for the DD and dense engines *)
   xo_gate : Flat_gate.t option;       (** the compiled flat gate, if planned *)
 }
 

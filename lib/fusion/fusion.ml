@@ -35,9 +35,9 @@ let of_op p ~n op =
   | Some l -> Narrow l
   | None -> Wide (gate_dd (fun () -> Mat_dd.of_op p ~n op))
 
-let compile p ~n ~threads ?op = function
-  | Narrow l -> Flat_gate.of_local ~n ~threads ?op l
-  | Wide m -> Flat_gate.compile p ~n ~threads ?op m
+let compile p ~n ~threads = function
+  | Narrow l -> Flat_gate.of_local ~n ~threads l
+  | Wide m -> Flat_gate.compile p ~n ~threads m
 
 (* A gate of a scan: its narrow form when it has one, its matrix DD,
    built when first forced (a narrow op's from the op, a narrow

@@ -64,10 +64,12 @@ val of_op : Dd.package -> n:int -> Circuit.op -> gate
 (** An op as a flat gate: its narrow form when it has one, and only
     otherwise its matrix DD (span [plan.gate_dd]). *)
 
-val compile : Dd.package -> n:int -> threads:int -> ?op:Circuit.op -> gate -> Flat_gate.t
-(** Compiles a gate for a pool of [threads]: a narrow one with
-    {!Flat_gate.of_local}, a wide one with {!Flat_gate.compile}. [op],
-    the unfused circuit op, makes the dense kernel eligible. *)
+val compile : Dd.package -> n:int -> threads:int -> gate -> Flat_gate.t
+(** Compiles a gate for a pool of [threads]: a narrow one to the local
+    leg ({!Flat_gate.of_local}), a wide one to the Run or Algorithm 2,
+    whichever its price favors ({!Flat_gate.compile}). The dense kernel
+    is not a gate's: the driver compiles an unfused single-qubit op to
+    it ({!Flat_gate.dense}) without building a gate. *)
 
 val dmav_aware :
   ?identity_price:float ->

@@ -43,15 +43,6 @@ module Make (P : Storage.S) = struct
       P.set2 dst (dst_pos + k) ((sre *. re) -. (sim *. im)) ((sre *. im) +. (sim *. re))
     done
 
-  let scale2_add_into ~src ~src_pos ~dst ~dst_pos ~len ~sre ~sim =
-    for k = 0 to len - 1 do
-      let re = P.get_re src (src_pos + k) and im = P.get_im src (src_pos + k) in
-      let i = dst_pos + k in
-      P.set2 dst i
-        (P.get_re dst i +. ((sre *. re) -. (sim *. im)))
-        (P.get_im dst i +. ((sre *. im) +. (sim *. re)))
-    done
-
   let add_into ~src ~src_pos ~dst ~dst_pos ~len =
     for k = 0 to len - 1 do
       let i = dst_pos + k and j = src_pos + k in

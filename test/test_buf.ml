@@ -53,14 +53,6 @@ let test_add_into () =
     ceq "summed" (Cnum.make (float_of_int k) 1.0) (Buf.get dst k)
   done
 
-let test_scale_add_into () =
-  let src = Buf.init 3 (fun _ -> Cnum.one) in
-  let dst = Buf.init 3 (fun i -> Cnum.of_float (float_of_int i)) in
-  Buf.scale_add_into ~src ~src_pos:0 ~dst ~dst_pos:0 ~len:3 (Cnum.make 0.0 2.0);
-  for k = 0 to 2 do
-    ceq "axpy" (Cnum.make (float_of_int k) 2.0) (Buf.get dst k)
-  done
-
 let test_offsets () =
   let src = Buf.init 8 (fun i -> Cnum.of_float (float_of_int i)) in
   let dst = Buf.create 8 in
@@ -75,32 +67,12 @@ let test_norm2 () =
   Buf.set b 3 (Cnum.make 0.0 0.8);
   Alcotest.(check (float 1e-12)) "norm2" 1.0 (Buf.norm2 b)
 
-let test_fidelity () =
-  let a = Buf.create 2 in
-  Buf.set a 0 Cnum.one;
-  let b = Buf.create 2 in
-  Buf.set b 0 Cnum.sqrt2_inv;
-  Buf.set b 1 Cnum.sqrt2_inv;
-  Alcotest.(check (float 1e-12)) "self fidelity" 1.0 (Buf.fidelity a a);
-  Alcotest.(check (float 1e-12)) "half overlap" 0.5 (Buf.fidelity a b);
-  (* Global phase leaves fidelity unchanged. *)
-  let c = Buf.create 2 in
-  Buf.set c 0 Cnum.i;
-  Alcotest.(check (float 1e-12)) "phase invariant" 1.0 (Buf.fidelity a c)
-
 let test_max_abs_diff () =
   let a = Buf.init 4 (fun i -> Cnum.of_float (float_of_int i)) in
   let b = Buf.copy a in
   Alcotest.(check (float 0.0)) "identical" 0.0 (Buf.max_abs_diff a b);
   Buf.set b 2 (Cnum.make 2.0 0.5);
   Alcotest.(check (float 1e-12)) "perturbed" 0.5 (Buf.max_abs_diff a b)
-
-let test_sub_vector () =
-  let a = Buf.init 8 (fun i -> Cnum.of_float (float_of_int i)) in
-  let s = Buf.sub_vector a ~pos:3 ~len:2 in
-  Alcotest.(check int) "length" 2 (Buf.length s);
-  ceq "content" (Cnum.of_float 3.0) (Buf.get s 0);
-  ceq "content 2" (Cnum.of_float 4.0) (Buf.get s 1)
 
 let test_memory () =
   (* Exact accounting: payload + the bigarray custom block + the record.
@@ -125,20 +97,6 @@ let prop_scale_then_unscale =
        Buf.scale_into ~src:tmp ~src_pos:0 ~dst:back ~dst_pos:0 ~len:16
          (Cnum.div Cnum.one s);
        Buf.max_abs_diff src back < 1e-9)
-
-let prop_add_commutes_with_scale2 =
-  QCheck.Test.make ~name:"scale_add_into equals scale_into + add_into" ~count:100
-    QCheck.(pair (float_range (-2.0) 2.0) (float_range (-2.0) 2.0))
-    (fun (re, im) ->
-       let s = Cnum.make re im in
-       let src = Buf.init 12 (fun i -> Cnum.make (sin (float_of_int i)) 0.25) in
-       let d1 = Buf.init 12 (fun i -> Cnum.of_float (float_of_int i)) in
-       let d2 = Buf.copy d1 in
-       Buf.scale_add_into ~src ~src_pos:0 ~dst:d1 ~dst_pos:0 ~len:12 s;
-       let tmp = Buf.create 12 in
-       Buf.scale_into ~src ~src_pos:0 ~dst:tmp ~dst_pos:0 ~len:12 s;
-       Buf.add_into ~src:tmp ~src_pos:0 ~dst:d2 ~dst_pos:0 ~len:12;
-       Buf.max_abs_diff d1 d2 < 1e-12)
 
 (* The same round-trip nets over both storage precisions, through the
    Storage.S abstraction the PR-10 refactor introduced. [eps] absorbs the
@@ -191,15 +149,11 @@ let suite =
         Alcotest.test_case "blit" `Quick test_blit;
         Alcotest.test_case "scale_into" `Quick test_scale_into;
         Alcotest.test_case "add_into" `Quick test_add_into;
-        Alcotest.test_case "scale_add_into" `Quick test_scale_add_into;
         Alcotest.test_case "offset handling" `Quick test_offsets;
         Alcotest.test_case "norm2" `Quick test_norm2;
-        Alcotest.test_case "fidelity" `Quick test_fidelity;
         Alcotest.test_case "max_abs_diff" `Quick test_max_abs_diff;
-        Alcotest.test_case "sub_vector" `Quick test_sub_vector;
         Alcotest.test_case "memory accounting" `Quick test_memory;
         QCheck_alcotest.to_alcotest prop_scale_then_unscale;
-        QCheck_alcotest.to_alcotest prop_add_commutes_with_scale2;
         QCheck_alcotest.to_alcotest (storage_roundtrip (module Storage.F64) 0.0);
         QCheck_alcotest.to_alcotest (storage_roundtrip (module Storage.F32) 5e-7);
         QCheck_alcotest.to_alcotest (storage_set2_get (module Storage.F64) 0.0);

@@ -5,6 +5,13 @@ let reference_apply n op v =
   Apply.op st op;
   st.State.amps
 
+(* Algorithm 2, unconditionally: the cached program of [m] run on
+   [pool]; its hits and buffers, read off the program. *)
+let apply_cache ?workspace p ~pool ~n m ~v ~w =
+  let g = Flat_gate.program p ~n ~cached:true (Cost.breakdown p ~n ~threads:(Pool.size pool) m) in
+  Dmav.run ?workspace ~pool g ~v ~w;
+  (g.Flat_gate.hits, g.Flat_gate.buffers)
+
 let test_nocache_matches_reference () =
   let n = 6 in
   let c = Test_util.random_circuit ~seed:1 ~gates:30 n in
@@ -32,7 +39,7 @@ let test_cache_matches_reference () =
         (fun op ->
            let m = Mat_dd.of_op p ~n op in
            let w = Buf.create (1 lsl n) in
-           ignore (Dmav.apply_cache ~workspace:ws p ~pool ~n m ~v:!v ~w);
+           ignore (apply_cache ~workspace:ws p ~pool ~n m ~v:!v ~w);
            let expect = reference_apply n op !v in
            Test_util.check_close ~tol:1e-10 "cache kernel" expect w;
            v := w)
@@ -60,7 +67,7 @@ let test_kernels_agree_across_threads () =
                 Test_util.check_close ~tol:1e-12
                   (Printf.sprintf "nocache %d threads" threads) reference w1;
                 let w2 = Buf.create (1 lsl n) in
-                ignore (Dmav.apply_cache p ~pool ~n m ~v ~w:w2);
+                ignore (apply_cache p ~pool ~n m ~v ~w:w2);
                 Test_util.check_close ~tol:1e-12
                   (Printf.sprintf "cache %d threads" threads) reference w2))
          [ 1; 2; 4; 8; 16 ])
@@ -99,7 +106,7 @@ let test_cache_hits_on_hadamard () =
   let v = Test_util.random_state ~seed:21 n in
   Pool.with_pool 4 (fun pool ->
       let w = Buf.create (1 lsl n) in
-      let hits, buffers = Dmav.apply_cache p ~pool ~n m ~v ~w in
+      let hits, buffers = apply_cache p ~pool ~n m ~v ~w in
       Alcotest.(check bool) "cache hits happen" true (hits > 0);
       Alcotest.(check bool) "buffers allocated" true (buffers >= 1))
 
@@ -114,7 +121,7 @@ let test_workspace_reuse () =
       let v = ref (Test_util.random_state ~seed:31 n) in
       for _round = 1 to 6 do
         let w = Buf.create (1 lsl n) in
-        ignore (Dmav.apply_cache ~workspace:ws p ~pool ~n m ~v:!v ~w);
+        ignore (apply_cache ~workspace:ws p ~pool ~n m ~v:!v ~w);
         let reference = Buf.create (1 lsl n) in
         Dmav.apply_nocache p ~pool ~n m ~v:!v ~w:reference;
         Test_util.check_close ~tol:1e-12 "workspace round" reference w;
@@ -297,7 +304,7 @@ let test_breakdown_consistency () =
   let v = Test_util.random_state ~seed:41 n in
   Pool.with_pool 4 (fun pool ->
       let w = Buf.create (1 lsl n) in
-      let hits, buffers = Dmav.apply_cache p ~pool ~n m ~v ~w in
+      let hits, buffers = apply_cache p ~pool ~n m ~v ~w in
       Alcotest.(check int) "modeled H = realized hits" b.Cost.hits hits;
       Alcotest.(check int) "modeled b = realized buffers" b.Cost.buffers buffers)
 

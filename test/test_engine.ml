@@ -116,10 +116,9 @@ let flat_records r =
     r.Driver.trace
 
 let test_dispatch_dense_for_unfused_single_qubit () =
-  (* Unfused single-qubit gates: dense direct costs 2ⁿ⁺¹/(d·t) against a
-     DD traversal of at least 2ⁿ scalar MACs, so with the model's SIMD
-     width every one of them must dispatch dense — in the hybrid run's
-     flat phase of a run that converts before the first gate, at both
+  (* Unfused single-qubit gates compile to the dense kernel by rule, so
+     every one of them must dispatch dense — in the hybrid run's flat
+     phase of a run that converts before the first gate, at both
      precisions. *)
   let n = 6 in
   let b = Circuit.Builder.create n in
@@ -149,10 +148,10 @@ let test_dispatch_dense_for_unfused_single_qubit () =
       ("run f32", 1e-4, Driver.run { cfg with Config.precision = Config.F32 } c) ]
 
 let test_dispatch_mixed_kernels () =
-  (* Single-qubit gates model strictly cheaper dense (2ⁿ⁺¹/d < K₁ ≥ 2ⁿ),
-     but a two-qubit permutation like iswap ties the dense kernel's
-     2ⁿ⁺²/d = 2ⁿ against K₁ = 2ⁿ and a tie goes to DMAV — so an h/iswap
-     mix must use both kernels, and still match the reference. *)
+  (* Single-qubit gates go dense, but a two-qubit op's dense kernel is
+     the local leg's walk, so its narrow form takes the local leg (an
+     uncached DMAV pick) — an h/iswap mix must use both kernels, and
+     still match the reference. *)
   let n = 6 in
   let b = Circuit.Builder.create n in
   for l = 0 to 2 do
@@ -423,7 +422,8 @@ let test_unfused_bytes_pinned () =
 (* The unfused flat phase builds a gate DD ([plan.gate_dd]) and prices
    it with Algorithm 2's breakdown ([dmav.cost]) only for an op with no
    narrow form, a gate with two or more controls here; every other op
-   compiles from its matrix. *)
+   compiles from its matrix. With the dense kernel on, such a gate is a
+   single-qubit op and compiles to it by rule: nothing is built. *)
 let test_unfused_plan_builds_wide_dds_only () =
   List.iter
     (fun (fam, n, threads, dense_dispatch) ->
@@ -445,12 +445,56 @@ let test_unfused_plan_builds_wide_dds_only () =
            let count name =
              match Obs.Metrics.span_value snap name with Some s -> s.Obs.Metrics.count | None -> 0
            in
+           let wide = if dense_dispatch then 0 else wide in
            Alcotest.(check int) (what ^ ": gate DDs") wide (count "plan.gate_dd");
            Alcotest.(check int) (what ^ ": dmav.cost spans") wide (count "dmav.cost");
            Alcotest.(check int) (what ^ ": every gate compiled") (Circuit.num_gates c)
              (count "plan.compile")))
     [ (Suite.Grover, 7, 1, false); (Suite.Adder, 8, 2, true); (Suite.Dnn, 8, 2, false);
       (Suite.Grover, 9, 2, true) ]
+
+(* With the dense kernel on, a converted run over multi-controlled
+   single-qubit ops (mcz, ccx) compiles every one to the dense kernel by
+   rule: no gate DD is built, so a supplied package's matrix nodes do
+   not move, and every gate traces [Dense_direct]. An x layer first (an
+   uncontrolled single-qubit op, dense as well) sets the controls, so
+   the ops move the state: a basis state and its sign, checked against
+   [Apply.run]. At f64 and f32, on pools of 1 and 2. *)
+let test_dispatch_dense_builds_no_dd () =
+  let n = 7 in
+  let b = Circuit.Builder.create n in
+  for q = 0 to n - 1 do
+    if q <> 2 then Circuit.Builder.x b q
+  done;
+  for l = 0 to 5 do
+    Circuit.Builder.single b ~controls:(List.init (n - 1) Fun.id) "mcz" Gate.z (n - 1);
+    Circuit.Builder.ccx b ~c1:((l + 3) mod n) ~c2:((l + 4) mod n) ~target:((l + 2) mod n);
+    Circuit.Builder.single b ~controls:[ 0; 1; 4; 5 ] "mcx" Gate.x ((l mod 2) + 2)
+  done;
+  let c = Circuit.Builder.finish b in
+  let expect = dense_reference c in
+  List.iter
+    (fun (precision, tol) ->
+       List.iter
+         (fun threads ->
+            Pool.with_pool threads (fun pool ->
+                let package = Dd.create () in
+                let before = Dd.live_mnodes package in
+                let cfg =
+                  { Config.default with
+                    Config.policy = Config.Convert_at (-1); precision; trace = true;
+                    dense_dispatch = true }
+                in
+                let r = Driver.run ~pool ~package cfg c in
+                let what = Printf.sprintf "%s t=%d" (Config.precision_name precision) threads in
+                Alcotest.(check int) (what ^ ": live matrix nodes") before (Dd.live_mnodes package);
+                let flat = flat_records r in
+                Alcotest.(check int) (what ^ ": every gate in the flat phase")
+                  (Circuit.num_gates c) (List.length flat);
+                Alcotest.(check bool) (what ^ ": every gate dense") true (List.for_all is_dense flat);
+                Test_util.check_close ~tol (what ^ ": vs Apply.run") (Driver.amplitudes r) expect))
+         [ 1; 2 ])
+    [ (Config.F64, 1e-12); (Config.F32, 1e-6) ]
 
 (* A [Config] with no threads is refused before any domain starts, by
    both entry points, with or without a pool, not run on one domain. *)
@@ -524,4 +568,6 @@ let suite =
           test_unfused_plan_builds_wide_dds_only;
         Alcotest.test_case "zero threads refused" `Quick test_zero_threads_refused;
         Alcotest.test_case "flat peak memory: two buffers and the package" `Quick
-          test_flat_peak_memory ] ) ]
+          test_flat_peak_memory;
+        Alcotest.test_case "dispatch: multi-controlled ops go dense, no DD built" `Quick
+          test_dispatch_dense_builds_no_dd ] ) ]

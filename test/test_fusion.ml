@@ -468,46 +468,50 @@ let test_narrow_products_match_ddmm () =
     done
   done
 
-(* Every op compiles through [Fusion.of_op] and [Fusion.compile] to the
-   kernel its DD prices. An op on at most two qubits takes the local
-   leg, priced at [Cost.local_rate] of the levels the dense matrix of its
-   DD acts on, or the dense kernel when that is eligible and priced no
-   higher; its modeled MACs are the DD's plain count, and a local gate's
-   paths the dense matrix's nonzero entries. Any other op takes
-   [Cost.dispatch]'s pick on its DD, never the local leg. For every
-   family at n = 6-12, pools of 1 and 2, with the dense kernel eligible
-   or not. *)
+(* Every op compiles by the rule: through [Fusion.of_op] and
+   [Fusion.compile], an op on at most two qubits takes the local leg,
+   priced at [Cost.local_rate] of the levels the dense matrix of its DD
+   acts on, its modeled MACs the DD's plain count and its paths the
+   dense matrix's nonzero entries; any other op takes [Cost.dispatch]'s
+   pick on its DD, the Run or Algorithm 2. With the dense kernel on, a
+   single-qubit op compiles to it ([Flat_gate.dense]) at
+   [Cost.dense_price], its support its DD's when it has a narrow form,
+   its modeled MACs [Cost.dense_direct_macs]. For every family at
+   n = 6-12, pools of 1 and 2. *)
 let test_unfused_gates_keep_dd_kernel () =
   let check p ~n ~threads ~dense what op =
     let what = Printf.sprintf "%s t=%d%s" what threads (if dense then " dense" else "") in
-    let op' = if dense then Some op else None in
-    let got = Fusion.compile p ~n ~threads ?op:op' (Fusion.of_op p ~n op) in
+    let got =
+      match op with
+      | Circuit.Single _ when dense -> Flat_gate.dense ~n ~threads op
+      | _ -> Fusion.compile p ~n ~threads (Fusion.of_op p ~n op)
+    in
     let dg = got.Flat_gate.dispatch in
     let m = Mat_dd.of_op p ~n op in
     let mask = Fusion_ref.qubit_mask op in
-    let kernel, price, support, macs =
-      if Bits.popcount mask <= 2 then begin
-        let s = Fusion_ref.support ~n ~mask (Fusion_ref.block p ~mask m) in
-        let t = float_of_int (Cost.pow2_threads ~n threads) in
-        let local = Cost.local_rate ~support:s *. Float.ldexp 1.0 n /. t in
-        match Option.bind op' (Cost.dense_price ~n) with
-        | Some d when d /. t <= local -> (Cost.Dense, d /. t, Some s, d)
-        | _ -> (Cost.Local, local, Some s, Cost.mac_count p m)
-      end
-      else begin
-        let dw = Cost.dispatch ~n ?op:op' (Cost.breakdown p ~n ~threads m) in
-        (dw.Cost.kernel, dw.Cost.price, None, Cost.dispatch_modeled_macs dw)
-      end
+    let t = float_of_int (Cost.pow2_threads ~n threads) in
+    let narrow = Bits.popcount mask <= 2 in
+    let support = if narrow then Some (Fusion_ref.support ~n ~mask (Fusion_ref.block p ~mask m)) else None in
+    let kernel, price, macs =
+      match op, support with
+      | Circuit.Single _, _ when dense ->
+        (Cost.Dense_direct, Cost.dense_price ~n op /. t, Cost.dense_direct_macs ~n op)
+      | _, Some s ->
+        (Cost.Dmav_local, Cost.local_rate ~support:s *. Float.ldexp 1.0 n /. t, Cost.mac_count p m)
+      | _, None ->
+        let dw = Cost.dispatch ~n (Cost.breakdown p ~n ~threads m) in
+        (dw.Cost.kernel, dw.Cost.price, Cost.modeled_macs dw.Cost.dmav)
     in
     if dg.Cost.kernel <> kernel then Alcotest.failf "%s: kernel" what;
     Alcotest.(check (float 0.0)) (what ^ ": price") price dg.Cost.price;
     Alcotest.(check (option int)) (what ^ ": support") support dg.Cost.support;
-    Alcotest.(check (float 0.0)) (what ^ ": modeled MACs") macs (Cost.dispatch_modeled_macs dg);
+    Alcotest.(check (float 0.0)) (what ^ ": modeled MACs") macs (Cost.modeled_macs dg.Cost.dmav);
     match got.Flat_gate.body, kernel with
-    | Flat_gate.Local l, Cost.Local ->
+    | Flat_gate.Local l, Cost.Dmav_local ->
       Alcotest.(check int) (what ^ ": paths")
         (nonzero_paths (Fusion_ref.block p ~mask:l.Flat_gate.support m)) l.Flat_gate.paths
-    | Flat_gate.Dense _, Cost.Dense | Flat_gate.Dmav _, (Cost.Run | Cost.Cached) -> ()
+    | Flat_gate.Dense _, Cost.Dense_direct
+    | Flat_gate.Dmav _, (Cost.Dmav_uncached | Cost.Dmav_cached) -> ()
     | _ -> Alcotest.failf "%s: body" what
   in
   List.iter

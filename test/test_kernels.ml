@@ -34,6 +34,13 @@ module Suite_for (P : Storage.S) = struct
   module DK = Dense_kernel.Make (P)
   module DG = Dmav_generic.Make (P)
 
+  (* Algorithm 2, unconditionally: the cached program of [m] run on
+     [pool]; its hits, read off the program. *)
+  let apply_cache ?workspace p ~pool ~n m ~v ~w =
+    let g = Flat_gate.program p ~n ~cached:true (Cost.breakdown p ~n ~threads:(Pool.size pool) m) in
+    DG.run ?workspace ~pool g ~v ~w;
+    g.Flat_gate.hits
+
   let eq x y =
     P.length x = P.length y
     && Seq.for_all
@@ -211,9 +218,9 @@ module Suite_for (P : Storage.S) = struct
          let uncached = eq want got in
          let ws = DG.workspace ~n in
          let want_hits = R.apply_cache p ~threads ~n m ~v ~w:want in
-         let got_hits, _ = DG.apply_cache ~workspace:ws p ~pool ~n m ~v ~w:got in
+         let got_hits = apply_cache ~workspace:ws p ~pool ~n m ~v ~w:got in
          let again = P.create (1 lsl n) in
-         ignore (DG.apply_cache ~workspace:ws p ~pool ~n m ~v ~w:again);
+         ignore (apply_cache ~workspace:ws p ~pool ~n m ~v ~w:again);
          uncached && eq want got && eq want again && want_hits = got_hits)
       pools
 
@@ -548,10 +555,10 @@ module Suite_for (P : Storage.S) = struct
                           { name = "ccu"; matrix = random_single rs; target = 1; controls = [ 0; 2 ] })
                      = None)))
 
-  (* The pick ([Cost.local_dispatch]): on every support-1/2 shape at
+  (* The rule ([Cost.local_dispatch]): on every support-1/2 shape at
      n = 6..12 and pools of 1, 2 and 4, a narrow gate compiles to [Local]
-     at a price below both Run kernels' on its DD ([Cost.dispatch] of
-     [Flat_gate.local_dd]; [Cost.local_rate] is under
+     at a price below the Run's and Algorithm 2's pick on its DD
+     ([Cost.dispatch] of [Flat_gate.local_dd]; [Cost.local_rate] is under
      [Cost.identity_price], the least a Run path costs), so never to
      Algorithm 2. The shapes include repetitive ones (an uncontrolled
      gate on the top qubit) that Eq. 6 over plain MACs, the paper's rule,
@@ -579,10 +586,9 @@ module Suite_for (P : Storage.S) = struct
           List.for_all
             (fun ((g : Flat_gate.t), dd) ->
                let d = g.Flat_gate.dispatch in
-               match d.Cost.prices.Cost.local, g.Flat_gate.body with
-               | Some l, Flat_gate.Local _ ->
-                 l < dd.Cost.prices.Cost.run && l < dd.Cost.prices.Cost.cached
-                 && not d.Cost.dmav.Cost.cached
+               match d.Cost.kernel, g.Flat_gate.body with
+               | Cost.Dmav_local, Flat_gate.Local _ ->
+                 d.Cost.price < dd.Cost.price && not d.Cost.dmav.Cost.cached
                | _ -> false)
             picks
           && List.exists (fun (_, dd) -> dd.Cost.dmav.Cost.c2 < dd.Cost.dmav.Cost.c1) picks)
@@ -616,9 +622,6 @@ module Suite_for (P : Storage.S) = struct
          agree
            (fun ~src ~dst -> R.scale2_into ~src ~src_pos ~dst ~dst_pos ~len ~sre ~sim)
            (fun ~src ~dst -> P.scale2_into ~src ~src_pos ~dst ~dst_pos ~len ~sre ~sim)
-         && agree
-              (fun ~src ~dst -> R.scale2_add_into ~src ~src_pos ~dst ~dst_pos ~len ~sre ~sim)
-              (fun ~src ~dst -> P.scale2_add_into ~src ~src_pos ~dst ~dst_pos ~len ~sre ~sim)
          && agree
               (fun ~src ~dst -> R.add_into ~src ~src_pos ~dst ~dst_pos ~len)
               (fun ~src ~dst -> P.add_into ~src ~src_pos ~dst ~dst_pos ~len)
@@ -783,6 +786,17 @@ let suite =
         Alcotest.test_case "f64 local leg = OCaml reference (bits)" `Quick K64.local_tests;
         Alcotest.test_case "f32 local leg = OCaml reference (bits)" `Quick K32.local_tests;
         Alcotest.test_case "local leg priced lower never compiles to Algorithm 2" `Quick
-          (fun () -> check_all [ K64.local_pick ]);
+          (fun () ->
+             (* The premise of taking the array kernels by rule: the dense
+                kernel costs no more than the local leg it shares a walk
+                with, both local rates sit under the least a Run row
+                costs, and Eq. 6's block term is 2ⁿ/(4t) per buffer. *)
+             Alcotest.(check bool) "dense rate <= support-1 local rate" true
+               (Cost.dense_rate <= Cost.local_rate ~support:1);
+             Alcotest.(check bool) "local rates < identity price" true
+               (Cost.local_rate ~support:1 < Cost.identity_price
+                && Cost.local_rate ~support:3 < Cost.identity_price);
+             Alcotest.(check int) "SIMD width" 4 Cost.simd_width;
+             check_all [ K64.local_pick ]);
         Alcotest.test_case "dense_lanes matches the host's AVX2 flag" `Quick
           test_dense_lanes ] ) ]

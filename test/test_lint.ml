@@ -462,12 +462,14 @@ let reach_allow =
     ("Dd.vterm_edge", "builds hand-made vector DDs in the DD tests");
     ("Vec_dd.basis_state", "basis-state DDs of the DD and conversion tests");
     ("Vec_dd.of_buf", "builds the DD tests' vector DDs from arrays");
+    ("Storage.Extend.of_array", "builds the buf, DD and kernel tests' vectors from Cnum.t values");
+    ("Storage.Extend.to_array", "reads the buf and DD tests' vectors as Cnum.t values");
     ("State.basis_state", "basis states of the statevec and circuit tests");
     ("Ctable.canon", "the canonical representative the ctable tests compare");
     ("Ctable.zero_id", "the zero weight's id the ctable tests expect");
     ("Cnum.scale", "arithmetic of the tests' expected values");
     ("Cnum.sub", "arithmetic of the tests' expected values");
-    ("Cnum.sqrt2_inv", "a constant of the cnum and buf tests");
+    ("Cnum.sqrt2_inv", "a constant of the cnum tests");
     ("Gate.cz2", "a two-qubit fixture gate of the gate, DD and kernel tests");
     ("Gate.pp", "prints the matrices of a failing gate check");
     ("Circuit.pp", "prints the oracle's counterexample when it has no QASM form");
@@ -483,12 +485,111 @@ let reach_allow =
     ("Rng.shuffle", "random operand orders of the DD gate-builder test");
     ("Bits.clear_bit", "basis-index arithmetic of the circuit tests") ]
 
+(* What [Callgraph] leaves out and the guard models on top: the
+   definitions inside functor bodies, under the functor's own path
+   ("Storage.Extend.fidelity"); the functors' parameters
+   ("Dmav_generic.Make.P"); and what a module made by a functor
+   application, an alias or an [include] stands for ("Storage.F64" for
+   "Storage.Extend", "Buf" for "Storage.F64"), each target as written
+   with the module path it is written in. *)
+type functors = {
+  model : Callgraph.t;  (** [Callgraph]'s model plus the functor bodies' definitions *)
+  body_defs : (string, Callgraph.def) Hashtbl.t;  (** by last component *)
+  params : (string, unit) Hashtbl.t;
+  stands_for : (string, string list * string) Hashtbl.t;
+}
+
+let functors (model : Callgraph.t) =
+  let defs = ref [] and params = Hashtbl.create 16 and stands_for = Hashtbl.create 32 in
+  let key = String.concat "." in
+  let rec target me =
+    match me.Parsetree.pmod_desc with
+    | Parsetree.Pmod_ident { txt; _ } -> Callgraph.lid_to_string txt
+    | Parsetree.Pmod_apply (f, _) | Parsetree.Pmod_apply_unit f | Parsetree.Pmod_constraint (f, _) ->
+      target f
+    | _ -> None
+  in
+  let stand modpath ~at me =
+    Option.iter (fun t -> Hashtbl.replace stands_for (key modpath) (at, t)) (target me)
+  in
+  let rec structure ~path ~in_functor modpath str =
+    List.iter
+      (fun si ->
+         match si.Parsetree.pstr_desc with
+         | Parsetree.Pstr_value (_, vbs) when in_functor ->
+           List.iter
+             (fun (vb : Parsetree.value_binding) ->
+                let line = vb.pvb_loc.Location.loc_start.Lexing.pos_lnum in
+                let name =
+                  match Callgraph.pat_name vb.pvb_pat, vb.pvb_pat.ppat_desc with
+                  | Some n, _ -> Some n
+                  | None, (Parsetree.Ppat_any | Parsetree.Ppat_construct _) ->
+                    Some (Printf.sprintf "(init:%d)" line)
+                  | None, _ -> None
+                in
+                Option.iter
+                  (fun n ->
+                     defs :=
+                       { Callgraph.d_name = key (modpath @ [ n ]); d_modpath = modpath; d_path = path;
+                         d_line = line; d_kind = Callgraph.Plain; d_body = vb.pvb_expr }
+                       :: !defs)
+                  name)
+             vbs
+         | Parsetree.Pstr_module mb -> module_binding ~path ~in_functor modpath mb
+         | Parsetree.Pstr_recmodule mbs -> List.iter (module_binding ~path ~in_functor modpath) mbs
+         | Parsetree.Pstr_include incl -> stand modpath ~at:modpath incl.Parsetree.pincl_mod
+         | _ -> ())
+      str
+  and module_binding ~path ~in_functor modpath mb =
+    match mb.Parsetree.pmb_name.txt with
+    | None -> ()
+    | Some m ->
+      let inner = modpath @ [ m ] in
+      let rec unwrap ~in_functor me =
+        match me.Parsetree.pmod_desc with
+        | Parsetree.Pmod_structure str -> structure ~path ~in_functor inner str
+        | Parsetree.Pmod_constraint (me, _) -> unwrap ~in_functor me
+        | Parsetree.Pmod_functor (param, body) ->
+          (match param with
+           | Parsetree.Named ({ txt = Some p; _ }, _) -> Hashtbl.replace params (key (inner @ [ p ])) ()
+           | _ -> ());
+          unwrap ~in_functor:true body
+        | _ -> stand inner ~at:modpath me
+      in
+      unwrap ~in_functor mb.Parsetree.pmb_expr
+  in
+  List.iter
+    (fun (f : Callgraph.file) ->
+       match Lint.parse f.Callgraph.f_path f.Callgraph.f_text with
+       | Ok str -> structure ~path:f.Callgraph.f_path ~in_functor:false [ f.Callgraph.f_module ] str
+       | Error _ -> ())
+    model.Callgraph.files;
+  let defs = List.rev !defs in
+  let table = Hashtbl.copy model.Callgraph.defs and body_defs = Hashtbl.create 256 in
+  List.iter
+    (fun (d : Callgraph.def) ->
+       Hashtbl.replace table d.Callgraph.d_name d;
+       Hashtbl.add body_defs (Callgraph.last_component d.Callgraph.d_name) d)
+    defs;
+  { model = { model with Callgraph.defs = table; order = model.Callgraph.order @ defs };
+    body_defs; params; stands_for }
+
+(* Every enclosing module path of [p], innermost first, down to []. *)
+let rec prefixes = function
+  | [] -> [ [] ]
+  | p -> p :: prefixes (List.rev (List.tl (List.rev p)))
+
 (* The definitions one piece of code references. [Callgraph] resolves
    plain [Module.name] references; on top of it this models local opens,
-   [let module] aliases, and a module named where a module is expected (a
+   [let module] aliases, a module named where a module is expected (a
    [(module M)] pack, a functor argument, an [include]) as a reference to
-   every definition inside it. *)
-let reach_refs (model : Callgraph.t) =
+   every definition inside it, and a qualified name through what its
+   modules stand for: a functor's instance or an [include] of it to the
+   functor's body, a functor parameter's member to every functor body's
+   definition of that name. A functor applied is not itself a
+   reference: only the members its instances are asked for are. *)
+let reach_refs (fm : functors) =
+  let model = fm.model in
   let by_module = Hashtbl.create 256 in
   List.iter
     (fun (d : Callgraph.def) ->
@@ -501,6 +602,51 @@ let reach_refs (model : Callgraph.t) =
        in
        prefixes "" d.Callgraph.d_modpath)
     model.Callgraph.order;
+  let rec is_param m =
+    Hashtbl.mem fm.params m
+    || (match String.rindex_opt m '.' with Some i -> is_param (String.sub m 0 i) | None -> false)
+  in
+  let known m = Hashtbl.mem by_module m || Hashtbl.mem fm.stands_for m || is_param m in
+  (* A module written [m] inside [modpath]: the innermost scope that has it. *)
+  let locate modpath m =
+    List.find_opt known (List.map (fun p -> String.concat "." (p @ [ m ])) (prefixes modpath))
+  in
+  (* A qualified name through the longest module prefix that is a
+     parameter or stands for another module. *)
+  let rec through depth full =
+    match Callgraph.find model full with
+    | Some d -> [ d ]
+    | None when depth > 8 -> []
+    | None ->
+      let parts = String.split_on_char '.' full in
+      let rec go k =
+        if k = 0 then []
+        else
+          let m = String.concat "." (List.filteri (fun i _ -> i < k) parts) in
+          let rest = String.concat "." (List.filteri (fun i _ -> i >= k) parts) in
+          if Hashtbl.mem fm.params m then
+            Hashtbl.find_all fm.body_defs (Callgraph.last_component full)
+          else
+            match Hashtbl.find_opt fm.stands_for m with
+            | Some (at, written) ->
+              (match locate at written with
+               | Some t -> through (depth + 1) (t ^ "." ^ rest)
+               | None -> [])
+            | None -> go (k - 1)
+      in
+      go (List.length parts - 1)
+  in
+  let resolve ~modpath ~opens n =
+    match Callgraph.resolve model ~modpath ~opens n with
+    | Some d -> [ d ]
+    | None when String.contains n '.' ->
+      List.fold_left
+        (fun acc full -> if acc <> [] then acc else through 0 full)
+        []
+        (List.map (fun p -> String.concat "." (p @ [ n ])) (prefixes modpath)
+         @ List.map (fun o -> o ^ "." ^ n) opens)
+    | None -> []
+  in
   fun ~modpath ~opens (visit : Ast_iterator.iterator -> unit) ->
     let out = ref [] and opens = ref opens and aliases = ref [] in
     let dealias name =
@@ -511,15 +657,11 @@ let reach_refs (model : Callgraph.t) =
          | Some target -> target ^ String.sub name i (String.length name - i)
          | None -> name)
     in
-    let rec prefixes = function
-      | [] -> [ [] ]
-      | p -> p :: prefixes (List.rev (List.tl (List.rev p)))
-    in
     let resolve_module m =
       let m = dealias m in
-      List.find_opt (Hashtbl.mem by_module)
-        (List.map (fun p -> String.concat "." (p @ [ m ])) (prefixes modpath)
-         @ List.map (fun o -> o ^ "." ^ m) !opens)
+      match locate modpath m with
+      | Some full -> Some full
+      | None -> List.find_opt known (List.map (fun o -> o ^ "." ^ m) !opens)
     in
     let module_ref lid =
       match Callgraph.lid_to_string lid with
@@ -549,9 +691,9 @@ let reach_refs (model : Callgraph.t) =
              | Parsetree.Pexp_ident { txt; _ } ->
                (match Callgraph.lid_to_string txt with
                 | Some n ->
-                  (match Callgraph.resolve model ~modpath ~opens:!opens (dealias n) with
-                   | Some d -> out := d.Callgraph.d_name :: !out
-                   | None -> ())
+                  List.iter
+                    (fun (d : Callgraph.def) -> out := d.Callgraph.d_name :: !out)
+                    (resolve ~modpath ~opens:!opens (dealias n))
                 | None -> ())
              | Parsetree.Pexp_open
                  ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, body) ->
@@ -572,6 +714,11 @@ let reach_refs (model : Callgraph.t) =
           (fun self me ->
              match me.Parsetree.pmod_desc with
              | Parsetree.Pmod_ident { txt; _ } -> module_ref txt
+             | Parsetree.Pmod_apply (f, arg) ->
+               (match f.Parsetree.pmod_desc with
+                | Parsetree.Pmod_ident _ -> ()
+                | _ -> self.Ast_iterator.module_expr self f);
+               self.Ast_iterator.module_expr self arg
              | _ -> default.Ast_iterator.module_expr self me);
         open_declaration =
           (fun _ od ->
@@ -582,9 +729,10 @@ let reach_refs (model : Callgraph.t) =
     visit it;
     !out
 
-(* Module-level code outside the definitions [Callgraph] collects: functor
-   bodies and arguments, [include]s, top-level expressions and
-   destructuring [let]s. It runs when its module is linked, so what it
+(* Module-level code outside the definitions [Callgraph] and [functors]
+   collect: functor arguments, [include]s, top-level expressions and
+   destructuring [let]s, in structures and functor bodies alike. It
+   runs when its module is linked or its functor applied, so what it
    references is a root. *)
 let module_level_refs refs (f : Callgraph.file) =
   let acc = ref [] in
@@ -615,7 +763,7 @@ let module_level_refs refs (f : Callgraph.file) =
       let rec unwrap me =
         match me.Parsetree.pmod_desc with
         | Parsetree.Pmod_structure str -> structure (modpath @ [ m ]) str
-        | Parsetree.Pmod_constraint (me, _) -> unwrap me
+        | Parsetree.Pmod_constraint (me, _) | Parsetree.Pmod_functor (_, me) -> unwrap me
         | _ -> visit ~modpath:(modpath @ [ m ]) (fun it -> it.Ast_iterator.module_expr it me)
       in
       unwrap mb.Parsetree.pmb_expr
@@ -641,8 +789,9 @@ let reach_check root =
              (String.sub p (String.length prefix) (String.length p - String.length prefix), text)
            else (p, text))
   in
-  let model = Callgraph.build sources in
-  let refs = reach_refs model in
+  let fm = functors (Callgraph.build sources) in
+  let model = fm.model in
+  let refs = reach_refs fm in
   let opens_of =
     let tbl = Hashtbl.create 64 in
     List.iter (fun f -> Hashtbl.replace tbl f.Callgraph.f_path f.Callgraph.f_opens) model.Callgraph.files;

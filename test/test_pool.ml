@@ -347,8 +347,8 @@ let test_check_workspace_double_give () =
   with_check Check.Abort (fun () ->
       let ws = Dmav.workspace ~n:4 in
       let b = Dmav.take ws in
-      Dmav.give ws b;
-      let raised = try Dmav.give ws b; false with Check.Race _ -> true in
+      Dmav.return_buffers (Some ws) [ b ];
+      let raised = try Dmav.return_buffers (Some ws) [ b ]; false with Check.Race _ -> true in
       Alcotest.(check bool) "double give detected" true raised)
 
 let suite =
