@@ -5,7 +5,9 @@
 
    On one core the wall-clock gap comes only from the work-saving fill
    optimization, so the table also reports the fraction of amplitudes
-   produced by fills — the machine-independent part of the speedup. *)
+   produced by fills — the machine-independent part of the speedup —
+   and, per converter, nanoseconds per amplitude and the minor words one
+   conversion allocates. *)
 
 (* Reproduce the DD phase up to the EWMA trigger and hand back the state
    DD at the moment FlatDD would convert. *)
@@ -26,6 +28,8 @@ let state_at_conversion (c : Circuit.t) =
   done;
   (p, !state, !fired, !i)
 
+(* Best of [repeats]: a conversion at these sizes takes 10 µs to 2 ms,
+   and single timings on a shared host move 2x. *)
 let time_best ~repeats f =
   let best = ref infinity in
   for _ = 1 to repeats do
@@ -33,6 +37,13 @@ let time_best ~repeats f =
     if dt < !best then best := dt
   done;
   !best
+
+(* Minor words of one call, after a warm-up call. *)
+let minor_words f =
+  ignore (f ());
+  let before = Gc.minor_words () in
+  ignore (f ());
+  Gc.minor_words () -. before
 
 let run () =
   Report.section "Figure 13: parallel vs sequential DD->array conversion";
@@ -45,11 +56,14 @@ let run () =
              let p, state, fired, at = state_at_conversion c in
              if not fired then None
              else begin
-               let seq_t = time_best ~repeats:3 (fun () -> Convert.sequential p ~n state) in
+               let seq_t = time_best ~repeats:25 (fun () -> Convert.sequential p ~n state) in
                let par_t =
-                 time_best ~repeats:3 (fun () -> Convert.parallel_ p ~pool ~n state)
+                 time_best ~repeats:25 (fun () -> Convert.parallel p ~pool ~n state)
                in
                let _, stats = Convert.parallel p ~pool ~n state in
+               let amps = float_of_int (1 lsl n) in
+               let seq_words = minor_words (fun () -> Convert.sequential p ~n state) in
+               let par_words = minor_words (fun () -> Convert.parallel p ~pool ~n state) in
                (* Total runtime context: a full FlatDD run of the same
                   circuit, to express conversion as a share of total. *)
                let cfg = { Config.default with Config.threads = Pool.size pool } in
@@ -65,6 +79,10 @@ let run () =
                    Printf.sprintf "%.5f" seq_t;
                    Printf.sprintf "%.5f" par_t;
                    Report.speedup (seq_t /. par_t);
+                   Printf.sprintf "%.1f" (1e9 *. seq_t /. amps);
+                   Printf.sprintf "%.1f" (1e9 *. par_t /. amps);
+                   Printf.sprintf "%.0f" seq_words;
+                   Printf.sprintf "%.0f" par_words;
                    string_of_int stats.Convert.tasks;
                    Report.pct fill_frac;
                    Report.pct (seq_t /. (total +. seq_t -. par_t));
@@ -76,9 +94,12 @@ let run () =
         ~title:"Figure 13 (conversion measured on the state DD at the EWMA trigger)"
         ~header:
           [ "circuit"; "DD nodes"; "conv@gate"; "seq t(s)"; "par t(s)"; "spd";
-            "tasks"; "filled"; "seq %total"; "par %total" ]
+            "seq ns/amp"; "par ns/amp"; "seq words"; "par words"; "tasks"; "filled";
+            "seq %total"; "par %total" ]
         rows;
       Report.note
         "'filled' = share of amplitudes produced by SIMD-style scalar fills instead of DFS.";
+      Report.note
+        "'words' = minor words one conversion allocates (on the calling domain).";
       Report.note
         "'%%total' = conversion share of the full FlatDD runtime with each converter.")

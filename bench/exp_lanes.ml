@@ -1,0 +1,101 @@
+(* The vector bodies of the dense single-qubit kernel and the local leg
+   (lib/complexnum/kernels_stubs.c): nanoseconds per amplitude at n = 16
+   on one thread for every body this host has (2, 4 and 8 lanes, held by
+   [Storage.Testing.with_lanes]), f64 and f32. Each gate shape puts its
+   support on or off index bits 0 and 1, which decide the loads: the
+   4-lane body loads two groups at once when bit 0 is free, the 8-lane
+   body four when bits 0 and 1 are, and both build their vectors from
+   smaller pieces otherwise. The bodies alternate within every
+   round, so drift in the host's clock hits them alike; the table takes
+   each body's median over the rounds. *)
+
+let n = 16
+let rounds = 41
+let reps = 8
+
+(* A gate shape: a dense single-qubit gate on [target], or the local
+   leg's full 2x2 ([major] < 0) or 4x4 on [major] and [minor]. *)
+type shape = Dense of int | Local of { major : int; minor : int }
+
+let label = function
+  | Dense t -> Printf.sprintf "dense 2x2, q%d" t
+  | Local { major; minor } when major < 0 -> Printf.sprintf "local 2x2, q%d" minor
+  | Local { major; minor } -> Printf.sprintf "local 4x4 full, q%d q%d" major minor
+
+let shapes =
+  [ Dense 5; Dense 1; Dense 0; Local { major = -1; minor = 5 }; Local { major = 9; minor = 5 };
+    Local { major = 9; minor = 1 }; Local { major = 9; minor = 0 } ]
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* Gates run as one domain runs them: [Dense_kernel]'s stripes on a
+   size-1 pool. *)
+module Rows (P : Storage.S) = struct
+  module DK = Dense_kernel.Make (P)
+
+  let time_shape pool shape =
+    let rs = Random.State.make [| 7 |] in
+    let apply =
+      match shape with
+      | Dense target ->
+        let m = Gate.u3 0.3 1.1 2.3 in
+        fun v -> DK.single ~n v m ~target ~controls:[]
+      | Local { major; minor } ->
+        let d = if major < 0 then 2 else 4 in
+        let u = Array.init (2 * d * d) (fun _ -> Random.State.float rs 2.0 -. 1.0) in
+        let paths = (1 lsl (d * d)) - 1 in
+        let support = (1 lsl minor) lor if major < 0 then 0 else 1 lsl major in
+        fun v -> DK.local ~pool v u ~support ~paths
+    in
+    let v =
+      P.init (1 lsl n) (fun _ ->
+          Cnum.make (Random.State.float rs 2.0 -. 1.0) (Random.State.float rs 2.0 -. 1.0))
+    in
+    let lanes = Storage.Testing.lanes in
+    let samples = Array.make (List.length lanes) [] in
+    for round = 1 to rounds do
+      (* Alternate the order of the bodies from round to round. *)
+      let order = if round land 1 = 0 then lanes else List.rev lanes in
+      List.iter
+        (fun l ->
+           Storage.Testing.with_lanes l (fun () ->
+               let t0 = Timer.now_ns () in
+               for _ = 1 to reps do
+                 apply v
+               done;
+               let dt = Int64.to_float (Int64.sub (Timer.now_ns ()) t0) in
+               let k = List.length (List.filter (fun x -> x < l) lanes) in
+               samples.(k) <- (dt /. float_of_int (reps * (1 lsl n))) :: samples.(k)))
+        order
+    done;
+    Array.to_list (Array.map median samples)
+
+  let rows prec =
+    Pool.with_pool 1 @@ fun pool ->
+    List.map
+      (fun shape ->
+         let ns = time_shape pool shape in
+         let ratio =
+           match ns with
+           | [ _; four; eight ] -> Report.f2 (eight /. four)
+           | _ -> "-"
+         in
+         (prec :: label shape :: List.map Report.f2 ns) @ [ ratio ])
+      shapes
+end
+
+let run () =
+  Report.section "Vector bodies: ns per amplitude at 2, 4 and 8 lanes";
+  Report.table
+    ~title:(Printf.sprintf "n = %d, one thread, median of %d rounds of %d gates" n rounds reps)
+    ~header:
+      ([ "prec"; "gate" ]
+       @ List.map (fun l -> Printf.sprintf "%d lanes" l) Storage.Testing.lanes
+       @ [ "8/4" ])
+    (let module R64 = Rows (Storage.F64) in
+     let module R32 = Rows (Storage.F32) in
+     R64.rows "f64" @ R32.rows "f32");
+  Report.note "host pick: %d lanes (Storage.dense_lanes)" Storage.dense_lanes

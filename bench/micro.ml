@@ -38,7 +38,7 @@ let make_tests pool =
     Test.make ~name:"convert sequential"
       (Staged.stage (fun () -> ignore (Convert.sequential p ~n vdd)));
     Test.make ~name:"convert parallel(1)"
-      (Staged.stage (fun () -> ignore (Convert.parallel_ p ~pool ~n vdd)));
+      (Staged.stage (fun () -> ignore (Convert.parallel p ~pool ~n vdd)));
     Test.make ~name:"array kernel (H)"
       (Staged.stage (fun () -> Apply.single st Gate.h ~target:5 ~controls:[]));
     Test.make ~name:"qpp kernel (H)"

@@ -70,6 +70,7 @@ type def = {
   d_path : string;           (* source file, '/'-separated *)
   d_line : int;
   d_kind : kind;
+  d_rec : bool;              (* bound by [let rec]: its body sees itself *)
   d_body : expression;
 }
 
@@ -131,7 +132,7 @@ let rec collect_structure ~path ~modpath ~defs ~order ~opens str =
   List.iter
     (fun si ->
        match si.pstr_desc with
-       | Pstr_value (_, vbs) ->
+       | Pstr_value (rf, vbs) ->
          List.iter
            (fun vb ->
               let line = vb.pvb_loc.Location.loc_start.Lexing.pos_lnum in
@@ -156,6 +157,7 @@ let rec collect_structure ~path ~modpath ~defs ~order ~opens str =
                     d_path = path;
                     d_line = line;
                     d_kind = kind_of_rhs vb.pvb_expr;
+                    d_rec = rf = Asttypes.Recursive;
                     d_body = vb.pvb_expr }
                 in
                 Hashtbl.replace defs d.d_name d;
@@ -216,8 +218,17 @@ let find t name = Hashtbl.find_opt t.defs name
 (* Candidate scopes for a reference written [name] inside [modpath] with
    [opens] in force, innermost first: every enclosing module prefix, then
    the opened modules, then the name as written (an absolute
-   [Module.func] path). First hit wins. *)
-let resolve t ~modpath ~opens name =
+   [Module.func] path). First hit wins, except that a reference inside
+   the body of a non-recursive [self] does not see [self]: in
+   [let x = ... x ...] the inner [x] is an outer binding. An earlier
+   definition of the same name in the same module shares [self]'s
+   qualified name, so the lookup passes it over too. *)
+let resolve t ?self ~modpath ~opens name =
+  let hides (d : def) =
+    match self with
+    | Some s -> (not s.d_rec) && d.d_name = s.d_name
+    | None -> false
+  in
   let rec prefixes = function
     | [] -> [ [] ]
     | p -> p :: prefixes (List.rev (List.tl (List.rev p)))
@@ -228,6 +239,7 @@ let resolve t ~modpath ~opens name =
   in
   let rec first = function
     | [] -> None
-    | c :: rest -> (match find t c with Some d -> Some d | None -> first rest)
+    | c :: rest ->
+      (match find t c with Some d when not (hides d) -> Some d | _ -> first rest)
   in
   first candidates

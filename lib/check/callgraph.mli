@@ -26,6 +26,7 @@ type def = {
   d_path : string;          (** source file, '/'-separated *)
   d_line : int;
   d_kind : kind;
+  d_rec : bool;             (** bound by [let rec]: its body sees itself *)
   d_body : Parsetree.expression;
 }
 
@@ -57,10 +58,14 @@ val build : (string * string) list -> t
 
 val find : t -> string -> def option
 
-val resolve : t -> modpath:string list -> opens:string list -> string -> def option
+val resolve :
+  t -> ?self:def -> modpath:string list -> opens:string list -> string -> def option
 (** Resolve a reference written [name] from inside [modpath] with
     [opens] in force: innermost enclosing module first, then opened
-    modules, then the name as an absolute path. *)
+    modules, then the name as an absolute path. A reference inside the
+    body of [self] skips [self] unless it is [let rec]-bound: in a
+    non-recursive [let x = ... x ...] the inner [x] is an outer
+    binding. *)
 
 (** {2 Parsetree helpers shared with {!Program}} *)
 

@@ -260,7 +260,7 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
   let resolve env n =
     if (not (String.contains n '.')) && SM.mem n env.locals then None
     else
-      Callgraph.resolve model ~modpath:env.def.Callgraph.d_modpath
+      Callgraph.resolve model ~self:env.def ~modpath:env.def.Callgraph.d_modpath
         ~opens:env.opens n
   in
   let key env m = env.mname ^ ":" ^ raw_key m in

@@ -25,17 +25,27 @@
    the same ROW expression as in the 2-lane body, so every lane still
    does the scalar operations in the scalar order and the bytes do not
    change (f32 widens four floats per load and rounds per lane on the
-   store). It needs bit 0 free, i.e. neither the target nor a control on
-   qubit 0: then pair k + 1 sits right after pair k, one load covers both,
-   and the next even index is ((i | fixed) + 2) & ~fixed. A stripe's odd
-   leading pair and its odd trailing pair go through the 2-lane body.
-   With bit 0 fixed the 4-lane body still takes two consecutive pairs per
-   step, each 32-byte vector built from two 16-byte halves.
-   The body is compiled with target("avx2") (which does not enable FMA)
-   and runs only if a load-time constructor finds AVX2 through
-   __builtin_cpu_supports; dense_lanes records the choice (2 or 4) for
-   Storage.dense_lanes. Everywhere else (bit 0 fixed, CPUs without AVX2,
-   non-x86 hosts) the 2-lane loop is the only body.
+   store). With bit 0 free, i.e. neither the target nor a control on
+   qubit 0, pair k + 1 sits right after pair k and one load covers both;
+   a stripe's odd leading pair and its odd trailing pair go through the
+   2-lane body. With bit 0 fixed the 4-lane body still takes two
+   consecutive pairs per step, each 32-byte vector built from two
+   16-byte halves. On CPUs with AVX-512F an 8-lane body holds four
+   consecutive pairs in one 64-byte vector, sg (-1, +1) four times: one
+   load when bits 0 and 1 are both free, two 32-byte loads when only bit
+   0 is, four 16-byte halves when bit 0 is fixed (neighbours() gives the
+   run of neighbouring pairs a load may take). A step starts at a pair
+   index divisible by that run, so the pairs of a load never straddle a
+   carry; the pairs before the first step and after the last go through
+   the 4- and 2-lane bodies. The 4- and 8-lane bodies are one macro
+   source (WIDE_BODIES_W), compiled with target("avx2") and
+   target("avx512f"); -ffp-contract=off keeps the FMA instructions both
+   targets have out of them (CI checks the object code for any). A load-time constructor picks the widest
+   body the CPU has through __builtin_cpu_supports; host_lanes records
+   the pick (2, 4 or 8) for Storage.dense_lanes, and lanes, which the
+   kernels read, is the pick unless a test holds a narrower body
+   (Storage.Testing.with_lanes). On non-x86 hosts the 2-lane loop is the
+   only body.
 
    The local kernel is the local leg of a narrow gate: its matrix is
    the identity on all but one or two levels (its support), built from
@@ -46,13 +56,15 @@
    after each MAC. So each output starts from +0 and adds u_rc x_c for
    the c whose entry is masked in (not 0) in ascending order, rounding
    to T after every term, with the term computed as Run's MAC computes
-   it: lane 0 ur xre + (-ui) xim, lane 1 ur xim + ui xre. The 2-lane body does one
-   group; the 4-lane body two, in one 32-byte vector per column: one
-   load when bit 0 is outside the support (the groups are neighbours),
-   two 16-byte halves when it is inside. The walk, the loads and the
-   stores are the dense kernel's 4-lane walk; only the row arithmetic
-   differs. A dense two-qubit gate is the local kernel with all 16 paths
-   set, its qubits in the matrix's index order (major, minor).
+   it: lane 0 ur xre + (-ui) xim, lane 1 ur xim + ui xre. The 2-lane
+   body does one group; the 4-lane body two, in one 32-byte vector per
+   column: one load when bit 0 is outside the support (the groups are
+   neighbours), two 16-byte halves when it is inside; the 8-lane body
+   four, in one 64-byte load when bits 0 and 1 are both outside it, else
+   from 32-byte or 16-byte pieces. The walks, the loads and the stores
+   are the dense kernel's; only the row arithmetic differs. A dense
+   two-qubit gate is the local kernel with all 16 paths set, its qubits
+   in the matrix's index order (major, minor).
 
    Contract with Storage.Core64/Core32: ranges, lengths and qubit indices
    are checked in OCaml before the call, the externals are [@@noalloc],
@@ -72,7 +84,10 @@
    weight products and signed zeros. General nodes start no batch:
    grouping their children was bit-exact too, but 1.4x slower on the
    CNOT-ladder products that dominate dnn's Run time (4.6 -> 6.5 ms per
-   gate at n = 16, one worker on a 2-core Xeon). */
+   gate at n = 16, one worker on a 2-core Xeon).
+
+   The DD->array conversion's walk (qcs_convert, at the end) is here too:
+   it shares the arena window and the [@@noalloc] contract. */
 
 #define CAML_NAME_SPACE
 #include <string.h>
@@ -163,45 +178,67 @@ static inline v2d round2_f32(v2d x)
   return __builtin_convertvector(__builtin_convertvector(x, v2f), v2d);
 }
 
-/* Lanes of the dense kernel's widest body on this CPU: 4 once the
-   constructor below has found AVX2, else 2. Written before main, only
-   read afterwards. */
-static long dense_lanes = 2;
+/* Lanes of the widest body the dense and local kernels run: on x86-64,
+   8 once the constructor below has found AVX-512F, else 4 once it has
+   found AVX2, else 2. [host_lanes] is the pick, [lanes] what the kernels
+   read: the pick, or a narrower body a test asked for
+   (qcs_testing_set_lanes). Written before main and by
+   Storage.Testing.with_lanes only. */
+static long host_lanes = 2;
+static long lanes = 2;
 
 value qcs_dense_lanes(value unit)
 {
   (void)unit;
-  return Val_long(dense_lanes);
+  return Val_long(host_lanes);
+}
+
+/* Storage.Testing.with_lanes has checked l against host_lanes. */
+value qcs_testing_set_lanes(value l)
+{
+  lanes = Long_val(l);
+  return Val_unit;
 }
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
-#define WIDE __attribute__((target("avx2")))
+#define TARGET4 __attribute__((target("avx2")))
+#define TARGET8 __attribute__((target("avx512f")))
 
-/* Two amplitudes, (re0, im0, re1, im1), in one 32-byte vector. */
+/* Two amplitudes, (re0, im0, re1, im1), in one 32-byte vector; four in
+   one 64-byte vector. */
 typedef double v4d __attribute__((vector_size(32)));
 typedef float v4f __attribute__((vector_size(16)));
+typedef double v8d __attribute__((vector_size(64)));
 
-__attribute__((constructor)) static void detect_dense_lanes(void)
+__attribute__((constructor)) static void detect_lanes(void)
 {
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) dense_lanes = 4;
+  if (__builtin_cpu_supports("avx2")) host_lanes = 4;
+  if (__builtin_cpu_supports("avx512f")) host_lanes = 8;
+  lanes = host_lanes;
 }
 
-WIDE static inline v4d swap4(v4d x)
+TARGET4 static inline v4d swap4(v4d x)
 {
   v4d r = { x[1], x[0], x[3], x[2] };
   return r;
 }
 
-WIDE static inline v4d load4_f64(const double *p)
+TARGET8 static inline v8d swap8(v8d x)
+{
+  v8d r = { x[1], x[0], x[3], x[2], x[5], x[4], x[7], x[6] };
+  return r;
+}
+
+TARGET4 static inline v4d load4_f64(const double *p)
 {
   v4d x;
   memcpy(&x, p, sizeof x);
   return x;
 }
 
-WIDE static inline void store4_f64(double *p, v4d x)
+TARGET4 static inline void store4_f64(double *p, v4d x)
 {
   memcpy(p, &x, sizeof x);
 }
@@ -210,12 +247,12 @@ WIDE static inline void store4_f64(double *p, v4d x)
    __builtin_convertvector form to two 128-bit converts and an insert,
    which made f32 gates 1.3x slower (n = 18, one thread of a 2-core AVX2
    Xeon). Widening is exact either way. */
-WIDE static inline v4d load4_f32(const float *p)
+TARGET4 static inline v4d load4_f32(const float *p)
 {
   return (v4d)_mm256_cvtps_pd(_mm_loadu_ps(p));
 }
 
-WIDE static inline void store4_f32(float *p, v4d x)
+TARGET4 static inline void store4_f32(float *p, v4d x)
 {
   v4f y = __builtin_convertvector(x, v4f);
   memcpy(p, &y, sizeof y);
@@ -223,25 +260,25 @@ WIDE static inline void store4_f32(float *p, v4d x)
 
 /* Two amplitudes from two addresses, one 16-byte half each: the 4-lane
    walk's vectors when the two groups of a step are not neighbours. */
-WIDE static inline v4d load4x_f64(const double *p, const double *q)
+TARGET4 static inline v4d load4x_f64(const double *p, const double *q)
 {
   return (v4d)_mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(p)),
                                     _mm_loadu_pd(q), 1);
 }
 
-WIDE static inline void store4x_f64(double *p, double *q, v4d x)
+TARGET4 static inline void store4x_f64(double *p, double *q, v4d x)
 {
   _mm_storeu_pd(p, _mm256_castpd256_pd128((__m256d)x));
   _mm_storeu_pd(q, _mm256_extractf128_pd((__m256d)x, 1));
 }
 
-WIDE static inline v4d load4x_f32(const float *p, const float *q)
+TARGET4 static inline v4d load4x_f32(const float *p, const float *q)
 {
   __m128 lo = _mm_loadl_pi(_mm_setzero_ps(), (const __m64 *)p);
   return (v4d)_mm256_cvtps_pd(_mm_loadh_pi(lo, (const __m64 *)q));
 }
 
-WIDE static inline void store4x_f32(float *p, float *q, v4d x)
+TARGET4 static inline void store4x_f32(float *p, float *q, v4d x)
 {
   __m128 y = _mm256_cvtpd_ps((__m256d)x);
   _mm_storel_pi((__m64 *)p, y);
@@ -251,119 +288,274 @@ WIDE static inline void store4x_f32(float *p, float *q, v4d x)
 /* A running sum rounded to T, as Run's store into W rounds it: a no-op
    at f64, a round trip through float at f32 (vcvtpd2ps rounds to
    nearest, as the scalar (float) cast does). */
-WIDE static inline v4d round4_f64(v4d x)
+TARGET4 static inline v4d round4_f64(v4d x)
 {
   return x;
 }
 
-WIDE static inline v4d round4_f32(v4d x)
+TARGET4 static inline v4d round4_f32(v4d x)
 {
   return (v4d)_mm256_cvtps_pd(_mm256_cvtpd_ps((__m256d)x));
 }
 
-#define WIDE_BODIES(T, SFX)                                                   \
-  /* One output row of the local kernel for two groups at once: Run's     \
-     MACs for the row, [row] holding a bit per column with a path. */       \
-  WIDE static inline v4d local_row4_##SFX(const v4d *g, const v4d *x,         \
-                                          const v4d *sw, int d, long row)     \
+TARGET8 static inline v8d load8_f64(const double *p)
+{
+  v8d x;
+  memcpy(&x, p, sizeof x);
+  return x;
+}
+
+TARGET8 static inline void store8_f64(double *p, v8d x)
+{
+  memcpy(p, &x, sizeof x);
+}
+
+TARGET8 static inline v8d load8_f32(const float *p)
+{
+  return (v8d)_mm512_cvtps_pd(_mm256_loadu_ps(p));
+}
+
+TARGET8 static inline void store8_f32(float *p, v8d x)
+{
+  _mm256_storeu_ps(p, _mm512_cvtpd_ps((__m512d)x));
+}
+
+TARGET8 static inline v8d round8_f64(v8d x)
+{
+  return x;
+}
+
+TARGET8 static inline v8d round8_f32(v8d x)
+{
+  return (v8d)_mm512_cvtps_pd(_mm512_cvtpd_ps((__m512d)x));
+}
+
+/* An 8-lane vector from pieces: the groups with bases b[0..4), runs of
+   nb = 2 neighbours (two 32-byte runs) or single groups (four 16-byte
+   halves). At f32 the pieces are gathered as floats and widened by one
+   vcvtps2pd, as load8_f32 widens a whole load. */
+TARGET8 static inline v8d load8x_f64(const double *a, const long *b, long o, int nb)
+{
+  const double *p0 = a + 2 * (b[0] + o), *p2 = a + 2 * (b[2] + o);
+  v4d lo = nb == 2 ? load4_f64(p0) : load4x_f64(p0, a + 2 * (b[1] + o));
+  v4d hi = nb == 2 ? load4_f64(p2) : load4x_f64(p2, a + 2 * (b[3] + o));
+  return (v8d)_mm512_insertf64x4(_mm512_castpd256_pd512((__m256d)lo), (__m256d)hi, 1);
+}
+
+TARGET8 static inline void store8x_f64(double *a, const long *b, long o, int nb, v8d y)
+{
+  v4d lo = (v4d)_mm512_castpd512_pd256((__m512d)y);
+  v4d hi = (v4d)_mm512_extractf64x4_pd((__m512d)y, 1);
+  double *p0 = a + 2 * (b[0] + o), *p2 = a + 2 * (b[2] + o);
+  if (nb == 2) {
+    store4_f64(p0, lo);
+    store4_f64(p2, hi);
+  } else {
+    store4x_f64(p0, a + 2 * (b[1] + o), lo);
+    store4x_f64(p2, a + 2 * (b[3] + o), hi);
+  }
+}
+
+/* Two amplitudes' four floats from the groups at b[0], b[1]. */
+TARGET4 static inline __m128 pair_f32(const float *a, const long *b, long o, int nb)
+{
+  const float *p = a + 2 * (b[0] + o);
+  if (nb == 2) return _mm_loadu_ps(p);
+  return _mm_loadh_pi(_mm_loadl_pi(_mm_setzero_ps(), (const __m64 *)p),
+                      (const __m64 *)(a + 2 * (b[1] + o)));
+}
+
+TARGET4 static inline void unpair_f32(float *a, const long *b, long o, int nb, __m128 y)
+{
+  float *p = a + 2 * (b[0] + o);
+  if (nb == 2) {
+    _mm_storeu_ps(p, y);
+    return;
+  }
+  _mm_storel_pi((__m64 *)p, y);
+  _mm_storeh_pi((__m64 *)(a + 2 * (b[1] + o)), y);
+}
+
+TARGET8 static inline v8d load8x_f32(const float *a, const long *b, long o, int nb)
+{
+  __m256 x = _mm256_insertf128_ps(_mm256_castps128_ps256(pair_f32(a, b, o, nb)),
+                                  pair_f32(a, b + 2, o, nb), 1);
+  return (v8d)_mm512_cvtps_pd(x);
+}
+
+TARGET8 static inline void store8x_f32(float *a, const long *b, long o, int nb, v8d y)
+{
+  __m256 f = _mm512_cvtpd_ps((__m512d)y);
+  unpair_f32(a, b, o, nb, _mm256_castps256_ps128(f));
+  unpair_f32(a, b + 2, o, nb, _mm256_extractf128_ps(f, 1));
+}
+
+/* A column's vector for a step whose groups have bases b[0..W/2), at
+   offset o. [nb] says how many neighbouring groups one load may take:
+   W / 2 (one load), 2 (the 8-lane vector from two 32-byte loads) or 1
+   (from 16-byte halves). */
+#define STEP_IO(T, SFX)                                                       \
+  TARGET4 static inline v4d vload4_##SFX(T *a, const long *b, long o, int nb) \
   {                                                                           \
-    v4d acc = { 0.0, 0.0, 0.0, 0.0 };                                         \
+    return nb > 1 ? load4_##SFX(a + 2 * (b[0] + o))                           \
+                  : load4x_##SFX(a + 2 * (b[0] + o), a + 2 * (b[1] + o));     \
+  }                                                                           \
+                                                                              \
+  TARGET4 static inline void vstore4_##SFX(T *a, const long *b, long o,       \
+                                           int nb, v4d y)                     \
+  {                                                                           \
+    if (nb > 1)                                                               \
+      store4_##SFX(a + 2 * (b[0] + o), y);                                    \
+    else                                                                      \
+      store4x_##SFX(a + 2 * (b[0] + o), a + 2 * (b[1] + o), y);               \
+  }                                                                           \
+                                                                              \
+  TARGET8 static inline v8d vload8_##SFX(T *a, const long *b, long o, int nb) \
+  {                                                                           \
+    return nb == 4 ? load8_##SFX(a + 2 * (b[0] + o)) : load8x_##SFX(a, b, o, nb); \
+  }                                                                           \
+                                                                              \
+  TARGET8 static inline void vstore8_##SFX(T *a, const long *b, long o,       \
+                                           int nb, v8d y)                     \
+  {                                                                           \
+    if (nb == 4)                                                              \
+      store8_##SFX(a + 2 * (b[0] + o), y);                                    \
+    else                                                                      \
+      store8x_##SFX(a, b, o, nb, y);                                          \
+  }
+
+/* The W-lane bodies, W = 4 or 8, from one source: a W-lane vector holds
+   W / 2 groups' amplitude of one column, one group per 16-byte lane
+   pair. */
+#define WIDE_BODIES_W(W, T, SFX)                                              \
+  /* One output row of the local kernel for W / 2 groups at once: Run's   \
+     MACs for the row, [row] holding a bit per column with a path. */       \
+  TARGET##W static inline v##W##d local_row##W##_##SFX(                      \
+      const v##W##d *g, const v##W##d *x, const v##W##d *sw, int d, long row) \
+  {                                                                           \
+    v##W##d acc = { 0.0 };                                                    \
     UNROLL                                                                    \
     for (int c = 0; c < d; c++)                                               \
       if ((row >> c) & 1)                                                     \
-        acc = round4_##SFX(acc + ((g[2 * c] * x[c]) + (g[2 * c + 1] * sw[c]))); \
+        acc = round##W##_##SFX(acc + ((g[2 * c] * x[c]) + (g[2 * c + 1] * sw[c]))); \
     return acc;                                                               \
   }                                                                           \
                                                                               \
-  /* The 4-lane walk shared by the dense single-qubit kernel and the local   \
-     kernel: [steps] steps of two groups each, a group being the d          \
-     amplitudes at base + off[c], the base walking the indices whose        \
-     [fixed] bits are 0, from i. Lanes 0-1 hold the first group's           \
-     amplitude, lanes 2-3 the second's. With bit 0 free ([adj]) the two     \
-     groups of a step are neighbours and one 32-byte load covers both;      \
-     otherwise each vector is built from two 16-byte halves. [dense] picks  \
-     the row arithmetic: the butterfly's ROW or the local kernel's          \
-     running sums over [paths]. Returns the base after the last group. The  \
-     constant arguments make each caller its own specialized loop. */      \
-  WIDE static inline __attribute__((always_inline)) long wide_walk_##SFX(    \
-      T *a, const v4d *g, const long *off, int d, long paths, int dense,      \
-      int adj, long fixed, long i, long steps)                                \
+  /* The W-lane walk shared by the dense single-qubit kernel and the local    \
+     kernel: [steps] steps of W / 2 groups each, a group being the d          \
+     amplitudes at base + off[c], the base walking the indices whose          \
+     [fixed] bits are 0, from i. Runs of [nb] groups of a step are            \
+     neighbours, so one load covers a run: nb = W / 2 when the low            \
+     log2(W / 2) bits are free, 2 when only bit 0 is, else 1 (16-byte         \
+     halves). [dense] picks the row arithmetic: the butterfly's ROW or the    \
+     local kernel's running sums over [paths]. Returns the base after the     \
+     last group. The constant arguments make each caller its own              \
+     specialized loop. */                                                     \
+  TARGET##W static inline __attribute__((always_inline)) long                 \
+      wide_walk##W##_##SFX(T *a, const v##W##d *g, const long *off, int d,    \
+                           long paths, int dense, int nb, long fixed, long i, \
+                           long steps)                                        \
   {                                                                           \
-    /* The offsets in locals: a vector store may alias the caller's array,  \
-       which would then be reloaded after every store. */                  \
+    /* The offsets in locals: a vector store may alias the caller's array,    \
+       which would then be reloaded after every store. */                     \
     long o[4] = { off[0], off[1], d > 2 ? off[2] : 0, d > 2 ? off[3] : 0 };   \
     for (long s = 0; s < steps; s++) {                                        \
-      long j = adj ? i + 1 : next_free(i, fixed);                             \
-      v4d x[4], sw[4];                                                        \
+      long b[W / 2];                                                          \
+      b[0] = i;                                                               \
+      for (int m = 1; m < W / 2; m++)                                         \
+        b[m] = m % nb ? b[m - 1] + 1 : next_free(b[m - 1], fixed);            \
+      v##W##d x[4], sw[4];                                                    \
       UNROLL                                                                  \
       for (int c = 0; c < d; c++) {                                           \
-        T *p = a + 2 * (i + o[c]), *q = a + 2 * (j + o[c]);                   \
-        x[c] = adj ? load4_##SFX(p) : load4x_##SFX(p, q);                     \
-        sw[c] = swap4(x[c]);                                                  \
+        x[c] = vload##W##_##SFX(a, b, o[c], nb);                              \
+        sw[c] = swap##W(x[c]);                                                \
       }                                                                       \
       UNROLL                                                                  \
       for (int r = 0; r < d; r++) {                                           \
-        v4d y = dense ? ROW(g, r, x[0], sw[0], x[1], sw[1])                   \
-                      : local_row4_##SFX(g + 2 * d * r, x, sw, d,             \
-                                         (paths >> (d * r)) & ((1 << d) - 1)); \
-        T *p = a + 2 * (i + o[r]), *q = a + 2 * (j + o[r]);                   \
-        if (adj)                                                              \
-          store4_##SFX(p, y);                                                 \
-        else                                                                  \
-          store4x_##SFX(p, q, y);                                             \
+        v##W##d y = dense ? ROW(g, r, x[0], sw[0], x[1], sw[1])               \
+                          : local_row##W##_##SFX(g + 2 * d * r, x, sw, d,     \
+                                                 (paths >> (d * r))           \
+                                                     & ((1 << d) - 1));       \
+        vstore##W##_##SFX(a, b, o[r], nb, y);                                 \
       }                                                                       \
-      i = next_free(j, fixed);                                                \
+      i = next_free(b[W / 2 - 1], fixed);                                     \
     }                                                                         \
     return i;                                                                 \
   }                                                                           \
                                                                               \
-  /* The dense butterfly's 4-lane body: off = {cm, cm | bit}. */              \
-  WIDE static long dense_wide_##SFX(T *a, const double *u, const long *off,   \
-                                    long fixed, long i, long steps)           \
+  /* The gate's entries splatted, the imaginary parts times sg, for ROW     \
+     and local_row: both products exact. */                                 \
+  TARGET##W static inline void splat##W##_##SFX(v##W##d *g, const double *u,  \
+                                                int entries)                  \
   {                                                                           \
-    const v4d one = { 1.0, 1.0, 1.0, 1.0 }, sg = { -1.0, 1.0, -1.0, 1.0 };    \
-    v4d g[8];                                                                 \
-    GATE(g, u, one, sg);                                                      \
-    if (fixed & 1) return wide_walk_##SFX(a, g, off, 2, 0, 1, 0, fixed, i, steps); \
-    return wide_walk_##SFX(a, g, off, 2, 0, 1, 1, fixed, i, steps);           \
-  }                                                                           \
-                                                                              \
-  /* The local kernel's 4-lane body, d = 2 or 4 columns. */                   \
-  WIDE static long local_wide_##SFX(T *a, const double *u, const long *off,   \
-                                    int d, long paths, long fixed, long i,    \
-                                    long steps)                               \
-  {                                                                           \
-    const v4d one = { 1.0, 1.0, 1.0, 1.0 }, sg = { -1.0, 1.0, -1.0, 1.0 };    \
-    v4d g[32];                                                                \
-    for (int k = 0; k < d * d; k++) {                                         \
+    v##W##d one, sg;                                                          \
+    for (int l = 0; l < W; l++) {                                             \
+      one[l] = 1.0;                                                           \
+      sg[l] = (l & 1) ? 1.0 : -1.0;                                           \
+    }                                                                         \
+    for (int k = 0; k < entries; k++) {                                       \
       g[2 * k] = one * u[2 * k];                                              \
       g[2 * k + 1] = sg * u[2 * k + 1];                                       \
     }                                                                         \
-    if (d == 2) {                                                             \
-      if (fixed & 1)                                                          \
-        return wide_walk_##SFX(a, g, off, 2, paths, 0, 0, fixed, i, steps);   \
-      return wide_walk_##SFX(a, g, off, 2, paths, 0, 1, fixed, i, steps);     \
+  }                                                                           \
+                                                                              \
+  /* The dense butterfly's W-lane body: off = {cm, cm | bit}. */              \
+  TARGET##W static long dense_wide##W##_##SFX(T *a, const double *u,          \
+                                              const long *off, long fixed,    \
+                                              long i, long steps)             \
+  {                                                                           \
+    v##W##d g[8];                                                             \
+    splat##W##_##SFX(g, u, 4);                                                \
+    switch (neighbours(W, fixed)) {                                           \
+    case 1: return wide_walk##W##_##SFX(a, g, off, 2, 0, 1, 1, fixed, i, steps); \
+    case 2: return wide_walk##W##_##SFX(a, g, off, 2, 0, 1, 2, fixed, i, steps); \
+    default: return wide_walk##W##_##SFX(a, g, off, 2, 0, 1, W / 2, fixed, i, steps); \
     }                                                                         \
-    if (fixed & 1)                                                            \
-      return wide_walk_##SFX(a, g, off, 4, paths, 0, 0, fixed, i, steps);     \
-    return wide_walk_##SFX(a, g, off, 4, paths, 0, 1, fixed, i, steps);       \
+  }                                                                           \
+                                                                              \
+  /* The local kernel's W-lane body, d = 2 or 4 columns. */                   \
+  TARGET##W static long local_wide##W##_##SFX(T *a, const double *u,          \
+                                              const long *off, int d,         \
+                                              long paths, long fixed, long i, \
+                                              long steps)                     \
+  {                                                                           \
+    v##W##d g[32];                                                            \
+    splat##W##_##SFX(g, u, d * d);                                            \
+    int nb = neighbours(W, fixed);                                            \
+    if (d == 2) {                                                             \
+      if (nb == 1) return wide_walk##W##_##SFX(a, g, off, 2, paths, 0, 1, fixed, i, steps); \
+      if (nb == 2) return wide_walk##W##_##SFX(a, g, off, 2, paths, 0, 2, fixed, i, steps); \
+      return wide_walk##W##_##SFX(a, g, off, 2, paths, 0, W / 2, fixed, i, steps); \
+    }                                                                         \
+    if (nb == 1) return wide_walk##W##_##SFX(a, g, off, 4, paths, 0, 1, fixed, i, steps); \
+    if (nb == 2) return wide_walk##W##_##SFX(a, g, off, 4, paths, 0, 2, fixed, i, steps); \
+    return wide_walk##W##_##SFX(a, g, off, 4, paths, 0, W / 2, fixed, i, steps); \
   }
-#else
-/* Off x86-64 dense_lanes stays 2 and these stand-ins are never called. */
+
 #define WIDE_BODIES(T, SFX)                                                   \
-  static long dense_wide_##SFX(T *a, const double *u, const long *off,        \
-                               long fixed, long i, long steps)                \
+  STEP_IO(T, SFX)                                                             \
+  WIDE_BODIES_W(4, T, SFX)                                                    \
+  WIDE_BODIES_W(8, T, SFX)
+#else
+/* Off x86-64 the lanes stay 2 and these stand-ins are never called. */
+#define WIDE_STANDINS(W, T, SFX)                                              \
+  static long dense_wide##W##_##SFX(T *a, const double *u, const long *off,   \
+                                    long fixed, long i, long steps)           \
   {                                                                           \
     (void)a, (void)u, (void)off, (void)fixed, (void)steps;                    \
     return i;                                                                 \
   }                                                                           \
-  static long local_wide_##SFX(T *a, const double *u, const long *off, int d, \
-                               long paths, long fixed, long i, long steps)    \
+  static long local_wide##W##_##SFX(T *a, const double *u, const long *off,   \
+                                    int d, long paths, long fixed, long i,    \
+                                    long steps)                               \
   {                                                                           \
     (void)a, (void)u, (void)off, (void)d, (void)paths, (void)fixed;           \
     (void)steps;                                                              \
     return i;                                                                 \
   }
+#define WIDE_BODIES(T, SFX)                                                   \
+  WIDE_STANDINS(4, T, SFX)                                                    \
+  WIDE_STANDINS(8, T, SFX)
 #endif
 
 /* The k-th index with every bit of [fixed] 0: zeros inserted at the
@@ -380,6 +572,14 @@ static inline long first_free(long k, long fixed)
 static inline long next_free(long i, long fixed)
 {
   return ((i | fixed) + 1) & ~fixed;
+}
+
+/* Neighbouring groups one load of a W-lane step takes, for [fixed]:
+   runs of consecutive free indices are as long as the lowest fixed bit
+   allows (1 with bit 0 fixed, 2 with bit 1 fixed, 4 with neither). */
+static inline int neighbours(int w, long fixed)
+{
+  return fixed & 1 ? 1 : w == 8 && !(fixed & 2) ? 4 : 2;
 }
 
 /* The matrix-DD arena window (Storage.arena, = Dd.view): slot levels,
@@ -516,44 +716,10 @@ static inline int replication_quadrant(const long *es)
                                                                               \
   WIDE_BODIES(T, SFX)                                                         \
                                                                               \
-  /* The 2x2 butterfly over the controlled pairs [lo, hi): pair k is the    \
-     k-th low index, ascending, with the target bit 0 and every bit of     \
-     [cmask] 1. [m] is the gate as 8 floats, row-major re/im. The header   \
-     gives the lanes, why the bytes stay, the pair walk and when the       \
-     4-lane body takes over. */                                             \
-  value qcs_dense_single_##SFX(value buf, value m, value target, value cmask, \
-                               value lo, value hi)                            \
-  {                                                                           \
-    T *a = (T *)Caml_ba_data_val(buf);                                        \
-    const double *u = (const double *)m;                                      \
-    const v2d one = { 1.0, 1.0 }, sg = { -1.0, 1.0 };                         \
-    v2d g[8];                                                                 \
-    GATE(g, u, one, sg);                                                      \
-    long cm = Long_val(cmask), bit = 1L << Long_val(target);                  \
-    long fixed = cm | bit, k = Long_val(lo), end = Long_val(hi);              \
-    long off[2] = { cm, cm | bit };                                           \
-    long i = first_free(k, fixed);                                            \
-    if (dense_lanes == 4 && end - k >= 2) {                                   \
-      if ((fixed & 1) == 0 && (k & 1)) {                                      \
-        pair2_##SFX(a, g, i | cm, bit);                                       \
-        i = next_free(i, fixed);                                              \
-        k++;                                                                  \
-      }                                                                       \
-      long steps = (end - k) >> 1;                                            \
-      i = dense_wide_##SFX(a, u, off, fixed, i, steps);                       \
-      k += 2 * steps;                                                         \
-    }                                                                         \
-    for (; k < end; k++) {                                                    \
-      pair2_##SFX(a, g, i | cm, bit);                                         \
-      i = next_free(i, fixed);                                                \
-    }                                                                         \
-    return Val_unit;                                                          \
-  }                                                                           \
-                                                                              \
-  /* The local kernel's 2-lane body on the group whose base is i: every     \
-     output row starts from +0 and adds u_rc x_c column by column, each     \
-     sum rounded to T (header). */                                          \
-  static inline __attribute__((always_inline)) void local_group_##SFX(       \
+  /* The local kernel's 2-lane body on the group whose base is i: every       \
+     output row starts from +0 and adds u_rc x_c column by column, each       \
+     sum rounded to T (header). */                                            \
+  static inline __attribute__((always_inline)) void local_group_##SFX(        \
       T *a, const v2d *g, const long *off, int d, long paths, long i)         \
   {                                                                           \
     v2d x[4], sw[4];                                                          \
@@ -574,29 +740,95 @@ static inline int replication_quadrant(const long *es)
     }                                                                         \
   }                                                                           \
                                                                               \
-  static void local_groups_##SFX(T *a, const v2d *g, const long *off, int d,  \
-                                 long paths, long fixed, long i, long count)  \
+  /* [count] groups from base i by the 2-lane body: the butterfly's pairs     \
+     ([dense], off = {cm, cm | bit}) or the local kernel's groups.            \
+     Returns the base after the last. */                                      \
+  static long narrow_##SFX(T *a, const v2d *g, const long *off, int d,        \
+                           long paths, int dense, long fixed, long i,         \
+                           long count)                                        \
   {                                                                           \
     const long o[4] = { off[0], off[1], off[2], off[3] }; /* see wide_walk */ \
-    if (d == 2)                                                               \
+    if (dense)                                                                \
+      for (long k = 0; k < count; k++, i = next_free(i, fixed))               \
+        pair2_##SFX(a, g, i | o[0], o[1] ^ o[0]);                             \
+    else if (d == 2)                                                          \
       for (long k = 0; k < count; k++, i = next_free(i, fixed))               \
         local_group_##SFX(a, g, o, 2, paths, i);                              \
     else                                                                      \
       for (long k = 0; k < count; k++, i = next_free(i, fixed))               \
         local_group_##SFX(a, g, o, 4, paths, i);                              \
+    return i;                                                                 \
+  }                                                                           \
+                                                                              \
+  /* Groups [k, end) from base i at 4 lanes at most: with 4 lanes, two        \
+     groups a step from an even k on when bit 0 is free (from k itself        \
+     when it is fixed); the 2-lane body for the rest. */                      \
+  static long span4_##SFX(T *a, const v2d *g, const double *u,                \
+                          const long *off, int d, long paths, int dense,      \
+                          long fixed, long i, long k, long end)               \
+  {                                                                           \
+    if (lanes >= 4 && end - k >= 2) {                                         \
+      if ((fixed & 1) == 0 && (k & 1)) {                                      \
+        i = narrow_##SFX(a, g, off, d, paths, dense, fixed, i, 1);            \
+        k++;                                                                  \
+      }                                                                       \
+      long steps = (end - k) >> 1;                                            \
+      i = dense ? dense_wide4_##SFX(a, u, off, fixed, i, steps)               \
+                : local_wide4_##SFX(a, u, off, d, paths, fixed, i, steps);    \
+      k += 2 * steps;                                                         \
+    }                                                                         \
+    return narrow_##SFX(a, g, off, d, paths, dense, fixed, i, end - k);       \
+  }                                                                           \
+                                                                              \
+  /* Groups [k, end) from base i = first_free(k, fixed): with 8 lanes,       \
+     four groups a step from the first k divisible by the run of            \
+     neighbours a load takes; span4 for the groups before it and after the  \
+     last step. */                                                          \
+  static void span_##SFX(T *a, const v2d *g, const double *u, const long *off, \
+                         int d, long paths, int dense, long fixed, long k,    \
+                         long end)                                            \
+  {                                                                           \
+    long i = first_free(k, fixed);                                            \
+    if (lanes == 8 && end - k >= 4) {                                         \
+      long lead = (-k) & (neighbours(8, fixed) - 1);                          \
+      i = span4_##SFX(a, g, u, off, d, paths, dense, fixed, i, k, k + lead);  \
+      k += lead;                                                              \
+      long steps = (end - k) >> 2;                                            \
+      i = dense ? dense_wide8_##SFX(a, u, off, fixed, i, steps)               \
+                : local_wide8_##SFX(a, u, off, d, paths, fixed, i, steps);    \
+      k += 4 * steps;                                                         \
+    }                                                                         \
+    span4_##SFX(a, g, u, off, d, paths, dense, fixed, i, k, end);             \
+  }                                                                           \
+                                                                              \
+  /* The 2x2 butterfly over the controlled pairs [lo, hi): pair k is the      \
+     k-th low index, ascending, with the target bit 0 and every bit of        \
+     [cmask] 1. [m] is the gate as 8 floats, row-major re/im. The header      \
+     gives the lanes, why the bytes stay, the pair walk and when the          \
+     wider bodies take over. */                                               \
+  value qcs_dense_single_##SFX(value buf, value m, value target, value cmask, \
+                               value lo, value hi)                            \
+  {                                                                           \
+    const double *u = (const double *)m;                                      \
+    const v2d one = { 1.0, 1.0 }, sg = { -1.0, 1.0 };                         \
+    v2d g[8];                                                                 \
+    GATE(g, u, one, sg);                                                      \
+    long cm = Long_val(cmask), bit = 1L << Long_val(target);                  \
+    long off[4] = { cm, cm | bit, 0, 0 };                                     \
+    span_##SFX((T *)Caml_ba_data_val(buf), g, u, off, 2, 0, 1, cm | bit,      \
+               Long_val(lo), Long_val(hi));                                   \
+    return Val_unit;                                                          \
   }                                                                           \
                                                                               \
   /* The local kernel over the groups [lo, hi): group k is the k-th base,     \
-     ascending, with the [major] and [minor] bits 0. [m] is the gate's 2x2  \
-     ([major] 0) or 4x4 matrix, row-major re/im, index 2 b(major) +         \
-     b(minor); for a dense gate [major] is q_hi, the lower bit or not. */   \
+     ascending, with the [major] and [minor] bits 0. [m] is the gate's 2x2    \
+     ([major] 0) or 4x4 matrix, row-major re/im, index 2 b(major) +           \
+     b(minor); for a dense gate [major] is q_hi, the lower bit or not. */     \
   value qcs_local_##SFX(value buf, value m, value major, value minor,         \
                         value paths_v, value lo, value hi)                    \
   {                                                                           \
-    T *a = (T *)Caml_ba_data_val(buf);                                        \
     const double *u = (const double *)m;                                      \
-    long bh = Long_val(major), bl = Long_val(minor), fixed = bh | bl;         \
-    long k = Long_val(lo), end = Long_val(hi), paths = Long_val(paths_v);     \
+    long bh = Long_val(major), bl = Long_val(minor);                          \
     int d = bh ? 4 : 2;                                                       \
     long off[4] = { 0, bl, bh, bh | bl };                                     \
     const v2d one = { 1.0, 1.0 }, sg = { -1.0, 1.0 };                         \
@@ -605,18 +837,8 @@ static inline int replication_quadrant(const long *es)
       g[2 * q] = one * u[2 * q];                                              \
       g[2 * q + 1] = sg * u[2 * q + 1];                                       \
     }                                                                         \
-    long i = first_free(k, fixed);                                            \
-    if (dense_lanes == 4 && end - k >= 2) {                                   \
-      if ((fixed & 1) == 0 && (k & 1)) {                                      \
-        local_groups_##SFX(a, g, off, d, paths, fixed, i, 1);                 \
-        i = next_free(i, fixed);                                              \
-        k++;                                                                  \
-      }                                                                       \
-      long steps = (end - k) >> 1;                                            \
-      i = local_wide_##SFX(a, u, off, d, paths, fixed, i, steps);             \
-      k += 2 * steps;                                                         \
-    }                                                                         \
-    local_groups_##SFX(a, g, off, d, paths, fixed, i, end - k);               \
+    span_##SFX((T *)Caml_ba_data_val(buf), g, u, off, d, Long_val(paths_v), 0, \
+               bh | bl, Long_val(lo), Long_val(hi));                          \
     return Val_unit;                                                          \
   }                                                                           \
                                                                               \
@@ -778,3 +1000,170 @@ static inline int replication_quadrant(const long *es)
 
 DEFINE_KERNELS(double, f64)
 DEFINE_KERNELS(float, f32)
+
+/* DD->array conversion over a vector arena window (Dd.vview: two packed
+   children per slot): the walk of Convert.parallel's tasks and, with
+   fills off, of Vec_dd.to_buf. A path's weight is the product of its
+   edge weights, root first, each step Cnum.mul's expression
+   (wre er - wim ei, wre ei + wim er); a terminal child takes the
+   product as its amplitude. With fills on, a node whose two children
+   are one node converts its low half only and fills the high half with
+   one block scale by w1 / w0, the quotient written term for term as
+   Cnum.div and the scale as qcs_scale2_into's. Level-0 and level-1
+   nodes are done inline by their parents rather than entered, so a call
+   covers at least four amplitudes.
+   Only f64: the converter fills a Buf, which f32 runs then demote.
+
+   A node is met once per path through it, and its fill factor is the
+   same each time, so a call keeps the factors it has computed in a
+   small direct-mapped table on the C stack: two divisions per fill
+   cost more than walking the high half would. */
+
+#define FACTOR_SLOTS 64
+
+typedef struct {
+  arena ar;
+  double *buf;
+  int fills;
+  struct {
+    long node;
+    double re, im;
+  } factor[FACTOR_SLOTS];
+} convert_ctx;
+
+/* The fill factor w1 / w0 of [node], whose children e0, e1 are one
+   node. */
+static inline void convert_factor(convert_ctx *cx, long node, long e0, long e1,
+                                  double *sre, double *sim)
+{
+  long slot = node & (FACTOR_SLOTS - 1);
+  if (cx->factor[slot].node != node) {
+    const arena *ar = &cx->ar;
+    long w0 = EDGE_WID(e0), w1 = EDGE_WID(e1);
+    double bre = ar->re[w0], bim = ar->im[w0], are = ar->re[w1], aim = ar->im[w1];
+    double d = (bre * bre) + (bim * bim);
+    cx->factor[slot].node = node;
+    cx->factor[slot].re = ((are * bre) + (aim * bim)) / d;
+    cx->factor[slot].im = ((aim * bre) - (are * bim)) / d;
+  }
+  *sre = cx->factor[slot].re;
+  *sim = cx->factor[slot].im;
+}
+
+/* The fill of [node]: the [half] amplitudes at off + half from those at
+   off. */
+static inline void convert_fill(convert_ctx *cx, long node, long e0, long e1,
+                                long off, long half)
+{
+  double sre, sim;
+  convert_factor(cx, node, e0, e1, &sre, &sim);
+  const double *s = cx->buf + 2 * off;
+  double *t = cx->buf + 2 * (off + half);
+  for (long k = 0; k < half; k++) {
+    double re = s[2 * k], im = s[2 * k + 1];
+    t[2 * k] = (sre * re) - (sim * im);
+    t[2 * k + 1] = (sre * im) + (sim * re);
+  }
+}
+
+/* The children of [node] (incoming weight wre + i wim, sub-vector at
+   off) in order, each child c's weight and offset handed to VISIT(tgt,
+   o, r, i); the high child is skipped when it will be filled, and the
+   fill comes last. */
+#define CONVERT_CHILDREN(cx, node, off, wre, wim, VISIT)                      \
+  do {                                                                        \
+    const arena *ar_ = &(cx)->ar;                                             \
+    long half_ = 1L << Long_val(ar_->lv[node]);                               \
+    long e0_ = Long_val(ar_->ch[2 * (node)]);                                 \
+    long e1_ = Long_val(ar_->ch[2 * (node) + 1]);                             \
+    int fill_ = (cx)->fills && e0_ != 0 && e1_ != 0                           \
+                && EDGE_TGT(e0_) == EDGE_TGT(e1_);                            \
+    for (int b_ = 0; b_ < 2; b_++) {                                          \
+      long e_ = b_ ? e1_ : e0_;                                               \
+      if (e_ == 0 || (b_ && fill_)) continue;                                 \
+      long wid_ = EDGE_WID(e_), tgt = EDGE_TGT(e_), o = (off) + b_ * half_;   \
+      double er_ = ar_->re[wid_], ei_ = ar_->im[wid_];                        \
+      double r = ((wre) * er_) - ((wim) * ei_);                               \
+      double i = ((wre) * ei_) + ((wim) * er_);                               \
+      VISIT;                                                                  \
+    }                                                                         \
+    if (fill_) convert_fill(cx, node, e0_, e1_, off, half_);                  \
+  } while (0)
+
+static inline void convert_write(convert_ctx *cx, long o, double r, double i)
+{
+  cx->buf[2 * o] = r;
+  cx->buf[2 * o + 1] = i;
+}
+
+/* A level-0 node: its children are the terminal. A fill scales the
+   low amplitude straight from the registers it was stored from, which
+   is the same double. */
+static inline void convert_leaf(convert_ctx *cx, long node, long off, double wre,
+                                double wim)
+{
+  const arena *ar = &cx->ar;
+  long e0 = Long_val(ar->ch[2 * node]), e1 = Long_val(ar->ch[2 * node + 1]);
+  if (cx->fills && e0 != 0 && e1 != 0) {
+    long wid = EDGE_WID(e0);
+    double er = ar->re[wid], ei = ar->im[wid];
+    double r = (wre * er) - (wim * ei), i = (wre * ei) + (wim * er);
+    double sre, sim;
+    convert_factor(cx, node, e0, e1, &sre, &sim);
+    convert_write(cx, off, r, i);
+    convert_write(cx, off + 1, (sre * r) - (sim * i), (sre * i) + (sim * r));
+    return;
+  }
+  CONVERT_CHILDREN(cx, node, off, wre, wim, ((void)tgt, convert_write(cx, o, r, i)));
+}
+
+/* A level-1 node: its children are level-0 nodes, done inline. */
+static inline void convert_pair(convert_ctx *cx, long node, long off, double wre,
+                                double wim)
+{
+  CONVERT_CHILDREN(cx, node, off, wre, wim, convert_leaf(cx, tgt, o, r, i));
+}
+
+/* A node of level 2 or more: the walk enters only these, so a call
+   covers at least four amplitudes. */
+static void convert_node(convert_ctx *cx, long node, long off, double wre,
+                         double wim)
+{
+  CONVERT_CHILDREN(cx, node, off, wre, wim, {
+    long level = Long_val(cx->ar.lv[tgt]);
+    if (tgt == 0)
+      convert_write(cx, o, r, i);
+    else if (level == 1)
+      convert_pair(cx, tgt, o, r, i);
+    else if (level == 0)
+      convert_leaf(cx, tgt, o, r, i);
+    else
+      convert_node(cx, tgt, o, r, i);
+  });
+}
+
+/* The sub-vector under [node], its incoming weight already folded into
+   (wre, wim), written at amplitude [pos] of [buf]. */
+value qcs_convert(value view, value node, value buf, value pos, double wre,
+                  double wim, value fills)
+{
+  convert_ctx cx;
+  cx.ar = arena_of(view);
+  cx.buf = (double *)Caml_ba_data_val(buf);
+  cx.fills = Bool_val(fills);
+  for (int k = 0; k < FACTOR_SLOTS; k++) cx.factor[k].node = -1;
+  long nd = Long_val(node), off = Long_val(pos);
+  if (nd == 0) {
+    cx.buf[2 * off] = wre;
+    cx.buf[2 * off + 1] = wim;
+  } else if (Long_val(cx.ar.lv[nd]) == 0)
+    convert_leaf(&cx, nd, off, wre, wim);
+  else if (Long_val(cx.ar.lv[nd]) == 1)
+    convert_pair(&cx, nd, off, wre, wim);
+  else
+    convert_node(&cx, nd, off, wre, wim);
+  return Val_unit;
+}
+
+BYTE_STUB(qcs_convert, argv[0], argv[1], argv[2], argv[3], Double_val(argv[4]),
+          Double_val(argv[5]), argv[6])

@@ -12,7 +12,8 @@
    still happens in double precision).
 
    Layout note: the stripe kernels (scaling, summation, zeroing, norm,
-   the dense 2x2/4x4 gate kernels and the DMAV Run recursion) are C stubs
+   the dense 2x2/4x4 gate kernels, the DMAV Run recursion and the
+   DD->array walk) are C stubs
    in kernels_stubs.c, bound per element type in Core64/Core32. The
    shared API, with every range check made before a stub is called, is
    layered on top once, in [Extend]. *)
@@ -23,9 +24,20 @@
 let bigarray_header_bytes = 64
 
 external c_dense_lanes : unit -> int = "qcs_dense_lanes" [@@noalloc]
+external c_testing_set_lanes : int -> unit = "qcs_testing_set_lanes" [@@noalloc]
 
-(* 4 when kernels_stubs.c's load-time check found AVX2, else 2. *)
+(* 8 when kernels_stubs.c's load-time check found AVX-512F, else 4 when
+   it found AVX2, else 2. *)
 let dense_lanes = c_dense_lanes ()
+
+module Testing = struct
+  let lanes = List.filter (fun l -> l <= dense_lanes) [ 2; 4; 8 ]
+
+  let with_lanes l f =
+    if not (List.mem l lanes) then invalid_arg "Storage.Testing.with_lanes: not a body of this host";
+    c_testing_set_lanes l;
+    Fun.protect ~finally:(fun () -> c_testing_set_lanes dense_lanes) f
+end
 
 (* The raw matrix-DD arena window the DMAV Run stub walks; [Dd.view] is
    this type. *)
@@ -288,6 +300,22 @@ end
 
 module F64 = Extend (Core64)
 module F32 = Extend (Core32)
+
+external c_convert :
+  arena -> int -> Core64.buffer -> int -> (float[@unboxed]) -> (float[@unboxed]) -> bool -> unit
+  = "qcs_convert_byte" "qcs_convert" [@@noalloc]
+
+(* As [dmav_run], only the root's extent is checked: a vector node's
+   children sit one level down, inside its 2^(level+1) amplitudes. *)
+let convert (a : arena) ~node (buf : F64.t) ~pos ~wre ~wim ~fills =
+  if node < 0 || node >= Array.length a.lv || (2 * node) + 1 >= Array.length a.ch then
+    invalid_arg "Storage.convert: node outside the arena";
+  let level = a.lv.(node) in
+  if node <> 0 && (level < 0 || level > 61) then
+    invalid_arg "Storage.convert: not a live vector node";
+  let span = if node = 0 then 1 else 1 lsl (level + 1) in
+  if pos < 0 || pos > buf.F64.len - span then invalid_arg "Storage.convert: range out of bounds";
+  c_convert a node buf.F64.data pos wre wim fills
 
 (* Both element kinds are statically known here, so the loops compile to
    direct loads and rounding stores, allocating nothing per element. *)

@@ -96,13 +96,18 @@ module type S = sig
       pair [k] is the [k]-th pair, in ascending index order, whose low
       index has every bit of [cmask] set, so [hi ≤ 2^(n−1−popcount cmask)].
       [cmask] must not contain the target bit. Each amplitude is one
-      16-byte vector (re, im); when {!dense_lanes} is 4, two
+      16-byte vector (re, im); when {!dense_lanes} is 4 or more, two
       consecutive pairs share one 32-byte vector: one load when bit 0 is
       free (neither the target nor a control is qubit 0), a stripe's odd
       first pair then taking the 16-byte body, and two 16-byte halves
-      when it is fixed; an odd last pair takes the 16-byte body. Every lane does the scalar
-      reference's operations in its order, so the bytes do not depend
-      on the body or the stripe split. *)
+      when it is fixed; an odd last pair takes the 16-byte body. When it
+      is 8, four consecutive pairs share one 64-byte vector: one load
+      when bits 0 and 1 are both free (from the stripe's first pair index
+      divisible by 4 on), two 32-byte loads when only bit 0 is, four
+      16-byte halves when bit 0 is fixed; the pairs before the first and
+      after the last step take the narrower bodies. Every
+      lane does the scalar reference's operations in its order, so the
+      bytes do not depend on the body or the stripe split. *)
 
   val local_apply :
     t -> float array -> major:int -> minor:int -> paths:int -> lo:int -> hi:int -> unit
@@ -120,8 +125,10 @@ module type S = sig
       [paths] its nonzero entries, and a dense two-qubit gate with all
       16 paths, [major] its [q_hi]. On AVX2
       hosts two groups share a 32-byte vector, built from two 16-byte
-      halves when bit 0 is one of the two; the bytes do not depend on
-      the body or the split. *)
+      halves when bit 0 is one of the two; on AVX-512F hosts four groups
+      share a 64-byte vector, one load when neither bit 0 nor bit 1 is
+      one of the two, else built from 32- or 16-byte pieces; the bytes do
+      not depend on the body or the split. *)
 
   val dmav_run :
     arena -> node:int -> v:t -> w:t -> iv:int -> iw:int -> fre:float -> fim:float -> unit
@@ -155,11 +162,37 @@ module F64 : S with type elt = Bigarray.float64_elt
 module F32 : S with type elt = Bigarray.float32_elt
 
 val dense_lanes : int
-(** Lanes of the widest body {!S.dense_single} runs on this CPU, fixed
-    when the program loads: 4 on x86-64 when the CPU reports AVX2 (two
-    controlled pairs, or two groups of {!S.local_apply}, per 32-byte
-    vector), else 2 (one amplitude per 16-byte vector). The bytes are
-    the same either way. *)
+(** Lanes of the widest body {!S.dense_single} and {!S.local_apply} run
+    on this CPU, fixed when the program loads: on x86-64, 8 when the CPU
+    reports AVX-512F (four controlled pairs, or four groups, per 64-byte
+    vector), else 4 when it
+    reports AVX2 (two per 32-byte vector); else 2 (one amplitude per
+    16-byte vector). The bytes are the same either way. *)
+
+(** The narrower bodies of this host, for the kernel tests and the
+    [bench/main.exe lanes] timings; nothing else sets them. *)
+module Testing : sig
+  val lanes : int list
+  (** The bodies this host has: 2, then 4 and 8 up to {!dense_lanes}. *)
+
+  val with_lanes : int -> (unit -> 'a) -> 'a
+  (** [with_lanes l f] runs [f] with {!S.dense_single} and
+      {!S.local_apply} held to the [l]-lane body and its narrower ones,
+      then restores the host's pick. Process-wide: a kernel on another
+      domain meanwhile runs the same bodies. *)
+end
+
+val convert :
+  arena -> node:int -> F64.t -> pos:int -> wre:float -> wim:float -> fills:bool -> unit
+(** The DD→array walk: writes the sub-vector under [node] of a vector
+    arena ([Dd.vview], two packed children per slot), scaled by the
+    incoming weight [wre + i·wim], at amplitude [pos] of the buffer. Each
+    amplitude is its path's weight product, root first, with
+    [Cnum.mul]'s expression per edge; amplitudes under zero edges are not
+    written. With [fills], a node whose two children are one node walks
+    its low half only and writes the high half as the low half times
+    [w1 / w0] ([Cnum.div]'s terms, {!S.scale2_into}'s products). One
+    allocation-free C call; the view must not change during it. *)
 
 val bigarray_header_bytes : int
 (** Bytes of a [Bigarray.Array1] custom block on 64-bit (header + custom

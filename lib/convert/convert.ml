@@ -15,11 +15,12 @@ let c_filled = Obs.counter "convert.filled_amplitudes"
 let c_split_nodes = Obs.counter "convert.split_nodes_visited"
 let s_convert = Obs.span "convert.span"
 
-(* The sequential conversion is [Vec_dd.to_buf]'s DFS; the parallel
-   tasks below run the same walk on the raw arena view: packed child edges
-   and unboxed weight planes, no node dereferences. The view stays valid
-   for the whole conversion because nothing allocates DD nodes or interns
-   weights here. *)
+(* Both conversions run one walk, [Storage.convert]: a C call over the
+   package's raw vector arena view (packed child edges, weight planes),
+   allocating nothing. The sequential one is [Vec_dd.to_buf], the walk
+   from the root with fills off. The view stays valid for the whole
+   conversion because nothing allocates DD nodes or interns weights
+   here. *)
 
 let sequential p ~n (e : Dd.vedge) =
   Obs.incr c_seq_runs;
@@ -40,6 +41,12 @@ let parallel p ~pool ~n (e : Dd.vedge) =
   let n_tasks = ref 0 in
   let split_nodes = ref 0 in
   let target_tasks = Int.max 1 (4 * threads) in
+  (* A task's walk is one [@@noalloc] C call, during which its domain
+     holds up every stop-the-world minor collection: a node above level
+     [task_level] (2^(task_level+1) amplitudes) is split further even
+     when the budget is spent, as [Dense_kernel.stripe_max] cuts a dense
+     gate. The split depth does not change the bytes. *)
+  let task_level = 15 in
   (* Phase 1 — split the DD into sub-tree tasks. Zero edges are never
      descended into (load balancing) and identical children become fills
      (scalar multiplication), exactly the two cases of Figure 4. *)
@@ -49,7 +56,7 @@ let parallel p ~pool ~n (e : Dd.vedge) =
       tasks := { t_node = node; t_offset = offset; t_weight = weight } :: !tasks;
       incr n_tasks
     end
-    else if budget <= 1 then begin
+    else if budget <= 1 && Dd.vlevel p node <= task_level then begin
       tasks := { t_node = node; t_offset = offset; t_weight = weight } :: !tasks;
       incr n_tasks
     end
@@ -85,46 +92,16 @@ let parallel p ~pool ~n (e : Dd.vedge) =
     end
   in
   if not (Dd.vedge_is_zero e) then split (Dd.vtgt e) 0 (Dd.vw p e) target_tasks;
-  (* Phase 2 — DFS conversion of the tasks, drained over the pool. Within
-     a task the identical-children case is still exploited sequentially
-     (convert low half, block-scale the high half). Workers share the view
-     read-only. *)
+  (* Phase 2 — the walk of each task, drained over the pool. Within a
+     task the identical-children case is still taken sequentially
+     (convert the low half, block-scale the high half). Workers share the
+     view read-only. *)
   let task_array = Array.of_list !tasks in
   let v = Dd.vview p in
-  let rec convert (node : int) offset wre wim =
-    if node = 0 then Buf.set2 buf offset wre wim
-    else begin
-      let half = 1 lsl v.Dd.lv.(node) in
-      let e0 = v.Dd.ch.(2 * node) and e1 = v.Dd.ch.((2 * node) + 1) in
-      let descend (e : int) offset =
-        let wid = Dd.edge_wid e in
-        let er = v.Dd.re.(wid) and ei = v.Dd.im.(wid) in
-        convert (Dd.edge_tgt e) offset
-          ((wre *. er) -. (wim *. ei))
-          ((wre *. ei) +. (wim *. er))
-      in
-      if e0 <> 0 && e1 <> 0 && Dd.edge_tgt e0 = Dd.edge_tgt e1 then begin
-        descend e0 offset;
-        let w0 = Dd.edge_wid e0 and w1 = Dd.edge_wid e1 in
-        (* Inline complex division, term for term the same as [Cnum.div],
-           so the scaled half stays bit-identical to the boxed walk. *)
-        let bre = v.Dd.re.(w0) and bim = v.Dd.im.(w0) in
-        let are = v.Dd.re.(w1) and aim = v.Dd.im.(w1) in
-        let d = (bre *. bre) +. (bim *. bim) in
-        Buf.scale2_into ~src:buf ~src_pos:offset ~dst:buf ~dst_pos:(offset + half)
-          ~len:half
-          ~sre:(((are *. bre) +. (aim *. bim)) /. d)
-          ~sim:(((aim *. bre) -. (are *. bim)) /. d)
-      end
-      else begin
-        if e0 <> 0 then descend e0 offset;
-        if e1 <> 0 then descend e1 (offset + half)
-      end
-    end
-  in
   Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:(Array.length task_array) (fun i ->
       let t = task_array.(i) in
-      convert (Dd.vid t.t_node) t.t_offset t.t_weight.Cnum.re t.t_weight.Cnum.im);
+      Storage.convert v ~node:(Dd.vid t.t_node) buf ~pos:t.t_offset ~wre:t.t_weight.Cnum.re
+        ~wim:t.t_weight.Cnum.im ~fills:true);
   (* Phase 3 — execute the recorded fills, lowest level first (a fill at
      level l reads only amplitudes produced below level l). Each fill is
      chunked so one huge top-level fill still uses every worker. *)
@@ -149,5 +126,3 @@ let parallel p ~pool ~n (e : Dd.vedge) =
     { tasks = Array.length task_array;
       fills = List.length fill_list;
       filled_amplitudes = !filled } )
-
-let parallel_ p ~pool ~n e = fst (parallel p ~pool ~n e)

@@ -36,28 +36,20 @@ let of_buf p buf =
 
 let to_buf p n (e : Dd.vedge) =
   let buf = Buf.create (1 lsl n) in
-  (* One DFS over the raw arena view, multiplying packed-edge weights down
-     each path with [Cnum.mul]'s expression, term for term. Zero edges (the
-     packed int 0) leave the pre-zeroed buffer untouched. The view stays
+  (* The conversion walk with fills off: every amplitude its path's
+     weight product, the root edge's weight times 1 first. A zero edge
+     (the packed int 0) leaves the zeroed buffer as it is. The view stays
      valid because nothing allocates DD nodes or interns weights here. *)
-  let v = Dd.vview p in
-  let rec walk (e : int) offset wre wim =
-    if e <> 0 then begin
-      let wid = Dd.edge_wid e in
-      let er = v.Dd.re.(wid) and ei = v.Dd.im.(wid) in
-      let wre' = (wre *. er) -. (wim *. ei)
-      and wim' = (wre *. ei) +. (wim *. er) in
-      let node = Dd.edge_tgt e in
-      if node = 0 then Buf.set2 buf offset wre' wim'
-      else begin
-        walk v.Dd.ch.(2 * node) offset wre' wim';
-        walk v.Dd.ch.((2 * node) + 1)
-          (offset + (1 lsl v.Dd.lv.(node)))
-          wre' wim'
-      end
-    end
-  in
-  walk (e :> int) 0 1.0 0.0;
+  let e = (e :> int) in
+  if e <> 0 then begin
+    let v = Dd.vview p in
+    let wid = Dd.edge_wid e in
+    let er = v.Dd.re.(wid) and ei = v.Dd.im.(wid) in
+    Storage.convert v ~node:(Dd.edge_tgt e) buf ~pos:0
+      ~wre:((1.0 *. er) -. (0.0 *. ei))
+      ~wim:((1.0 *. ei) +. (0.0 *. er))
+      ~fills:false
+  end;
   buf
 
 let norm2 p e =

@@ -14,7 +14,8 @@ val of_buf : Dd.package -> Buf.t -> Dd.vedge
 val to_buf : Dd.package -> int -> Dd.vedge -> Buf.t
 (** Sequential DD→array conversion (the DDSIM-style baseline the parallel
     converter is compared against): one depth-first walk writing weight
-    products into a fresh [2^n] buffer. *)
+    products into a fresh [2^n] buffer, {!Storage.convert} with fills
+    off, allocating nothing per amplitude. *)
 
 val norm2 : Dd.package -> Dd.vedge -> float
 (** Σ|amplitude|² computed on the DD in one memoized pass. *)

@@ -1,6 +1,7 @@
-(* Pure-OCaml reference kernels: the flat-phase loops as they were written
-   before they moved into C (lib/complexnum/kernels_stubs.c), kept only
-   as the oracle test_kernels pins the stubs against, bit for bit, at
+(* Pure-OCaml reference kernels: the flat-phase loops and the DD→array
+   conversion as they were written before they moved into C
+   (lib/complexnum/kernels_stubs.c), kept only as the oracles
+   test_kernels and test_convert pin the stubs against, bit for bit, at
    both precisions.
 
    Every loop goes through [P]'s unboxed element accessors, so loads
@@ -33,6 +34,102 @@ let assign_rows p ~n ~t (root : Dd.medge) =
   in
   go root Cnum.one 0 0 (n - 1);
   Array.map List.rev tasks
+
+(* The DD→array conversion as it was written in OCaml before its walk
+   moved into C ([Storage.convert]), the reference test_convert pins
+   both converters against bit for bit: [to_buf] is [Vec_dd.to_buf]'s
+   path-product walk, [convert] [Convert.parallel] with its per-task DFS
+   (fills inline, in the task) and its own split, which never splits
+   past the task budget. *)
+let to_buf p n (e : Dd.vedge) =
+  let buf = Buf.create (1 lsl n) in
+  let v = Dd.vview p in
+  let rec walk (e : int) offset wre wim =
+    if e <> 0 then begin
+      let wid = Dd.edge_wid e in
+      let er = v.Dd.re.(wid) and ei = v.Dd.im.(wid) in
+      let wre' = (wre *. er) -. (wim *. ei)
+      and wim' = (wre *. ei) +. (wim *. er) in
+      let node = Dd.edge_tgt e in
+      if node = 0 then Buf.set2 buf offset wre' wim'
+      else begin
+        walk v.Dd.ch.(2 * node) offset wre' wim';
+        walk v.Dd.ch.((2 * node) + 1) (offset + (1 lsl v.Dd.lv.(node))) wre' wim'
+      end
+    end
+  in
+  walk (e :> int) 0 1.0 0.0;
+  buf
+
+let convert p ~pool ~n (e : Dd.vedge) =
+  let buf = Buf.create (1 lsl n) in
+  let threads = Pool.size pool in
+  let tasks = ref [] and fills = ref [] in
+  let rec split (node : Dd.vnode) offset (weight : Cnum.t) budget =
+    if node = Dd.vterminal || budget <= 1 then tasks := (node, offset, weight) :: !tasks
+    else begin
+      let half = 1 lsl Dd.vlevel p node in
+      let e0 = Dd.v0 p node and e1 = Dd.v1 p node in
+      match Dd.vedge_is_zero e0, Dd.vedge_is_zero e1 with
+      | true, true -> ()
+      | false, true -> split (Dd.vtgt e0) offset (Cnum.mul weight (Dd.vw p e0)) budget
+      | true, false ->
+        split (Dd.vtgt e1) (offset + half) (Cnum.mul weight (Dd.vw p e1)) budget
+      | false, false ->
+        if Dd.vtgt e0 = Dd.vtgt e1 then begin
+          fills :=
+            (Dd.vlevel p node, offset, half, Cnum.div (Dd.vw p e1) (Dd.vw p e0)) :: !fills;
+          split (Dd.vtgt e0) offset (Cnum.mul weight (Dd.vw p e0)) budget
+        end
+        else begin
+          let b0 = budget / 2 in
+          split (Dd.vtgt e0) offset (Cnum.mul weight (Dd.vw p e0)) b0;
+          split (Dd.vtgt e1) (offset + half) (Cnum.mul weight (Dd.vw p e1)) (budget - b0)
+        end
+    end
+  in
+  if not (Dd.vedge_is_zero e) then split (Dd.vtgt e) 0 (Dd.vw p e) (Int.max 1 (4 * threads));
+  let v = Dd.vview p in
+  let rec walk (node : int) offset wre wim =
+    if node = 0 then Buf.set2 buf offset wre wim
+    else begin
+      let half = 1 lsl v.Dd.lv.(node) in
+      let e0 = v.Dd.ch.(2 * node) and e1 = v.Dd.ch.((2 * node) + 1) in
+      let descend (e : int) offset =
+        let wid = Dd.edge_wid e in
+        let er = v.Dd.re.(wid) and ei = v.Dd.im.(wid) in
+        walk (Dd.edge_tgt e) offset ((wre *. er) -. (wim *. ei)) ((wre *. ei) +. (wim *. er))
+      in
+      if e0 <> 0 && e1 <> 0 && Dd.edge_tgt e0 = Dd.edge_tgt e1 then begin
+        descend e0 offset;
+        let w0 = Dd.edge_wid e0 and w1 = Dd.edge_wid e1 in
+        let bre = v.Dd.re.(w0) and bim = v.Dd.im.(w0) in
+        let are = v.Dd.re.(w1) and aim = v.Dd.im.(w1) in
+        let d = (bre *. bre) +. (bim *. bim) in
+        let sre = ((are *. bre) +. (aim *. bim)) /. d
+        and sim = ((aim *. bre) -. (are *. bim)) /. d in
+        for k = 0 to half - 1 do
+          let re = Buf.get_re buf (offset + k) and im = Buf.get_im buf (offset + k) in
+          Buf.set2 buf (offset + half + k) ((sre *. re) -. (sim *. im)) ((sre *. im) +. (sim *. re))
+        done
+      end
+      else begin
+        if e0 <> 0 then descend e0 offset;
+        if e1 <> 0 then descend e1 (offset + half)
+      end
+    end
+  in
+  List.iter
+    (fun ((node : Dd.vnode), offset, (w : Cnum.t)) -> walk (Dd.vid node) offset w.re w.im)
+    (List.rev !tasks);
+  List.iter
+    (fun (_, src, len, (s : Cnum.t)) ->
+       for k = 0 to len - 1 do
+         let re = Buf.get_re buf (src + k) and im = Buf.get_im buf (src + k) in
+         Buf.set2 buf (src + len + k) ((s.re *. re) -. (s.im *. im)) ((s.re *. im) +. (s.im *. re))
+       done)
+    (List.stable_sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) !fills);
+  buf
 
 module Make (P : Storage.S) = struct
   (* --- stripe primitives ---------------------------------------------- *)

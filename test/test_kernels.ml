@@ -14,7 +14,9 @@
    reference walk, and the pick that sends such a gate to it. Plus the dense stub's contract checks, the allocation claim (a
    dense gate and a DMAV gate cost the same small constant number of
    minor words at f32 as at f64, a local gate none) and the load-time
-   choice of the dense stub's 4-lane body. *)
+   choice of the dense and local stubs' widest body. The dense stripe
+   and local leg cases run every vector body the host has (2, 4 and 8
+   lanes, through [Storage.Testing]). *)
 
 let cnum rs = Cnum.make (Random.State.float rs 2.0 -. 1.0) (Random.State.float rs 2.0 -. 1.0)
 
@@ -87,10 +89,11 @@ module Suite_for (P : Storage.S) = struct
 
   (* Shuffled stripes over the controlled pairs [0, pairs): random cuts,
      so most stripes start inside a masked-increment run, plus a few
-     stripes of 1, 2 or 3 pairs. Those start right after a carry of the
+     stripes of 1 to 9 pairs. Those start right after a carry of the
      masked increment (a multiple of [run], the pairs between two carries),
-     one pair past it, or anywhere, so they begin and end on both odd and
-     even pairs: the edges of the 4-lane body. *)
+     one to three pairs past it, or anywhere, so they begin and end at
+     every residue mod 4: the leading and trailing groups of the 4- and
+     8-lane bodies. *)
   let random_splits rs ~run pairs =
     let cuts = List.init (Random.State.int rs 7) (fun _ -> Random.State.int rs (pairs + 1)) in
     let short =
@@ -100,10 +103,10 @@ module Suite_for (P : Storage.S) = struct
            let start =
              match Random.State.int rs 3 with
              | 0 -> carry
-             | 1 -> Int.min (pairs - 1) (carry + 1)
+             | 1 -> Int.min (pairs - 1) (carry + 1 + Random.State.int rs 3)
              | _ -> Random.State.int rs pairs
            in
-           [ start; Int.min pairs (start + 1 + Random.State.int rs 3) ])
+           [ start; Int.min pairs (start + 1 + Random.State.int rs 9) ])
         (List.init (1 + Random.State.int rs 4) Fun.id)
     in
     let bounds = List.sort_uniq compare ((0 :: pairs :: cuts) @ short) in
@@ -116,20 +119,29 @@ module Suite_for (P : Storage.S) = struct
 
   (* [P.dense_single] called directly on random stripes of the controlled
      pairs, against one whole-range call, the scalar reference and
-     [Dense_kernel.single] at every pool size. Bit 0 is fixed by the
-     target, fixed by a control, or free (the gates the 4-lane body takes
-     on AVX2 hosts), a third of the cases each; up to three controls on
-     either side of the target. u3 gates (whose top-left entry is real),
-     random complex matrices, gates with exact-zero entries and vectors
-     with signed zeros. *)
+     [Dense_kernel.single] at every pool size, under every vector body
+     the host has ([Storage.Testing.lanes]). Bit 0 and bit 1 are each
+     fixed by the target, fixed by a control, or free (which decides how
+     many neighbouring pairs one load of the 4- and 8-lane bodies takes:
+     1, 2 or 4); up to three controls on either side of the target.
+     u3 gates (whose top-left entry is real), random complex matrices,
+     gates with exact-zero entries and vectors with signed zeros. *)
   let dense_splits pools =
-    cases ~name:(P.label ^ " dense single, random pair stripes") ~count:120 ~lo:1 ~hi:16
+    cases ~name:(P.label ^ " dense single, random pair stripes") ~count:160 ~lo:1 ~hi:16
       (fun n rs ->
          let v = special_vec rs (1 lsl n) in
-         let shape = Random.State.int rs 3 in
-         let target = if shape = 0 || n = 1 then 0 else 1 + Random.State.int rs (n - 1) in
-         let forced = if shape = 1 && target <> 0 then [ 0 ] else [] in
-         let others = List.filter (fun q -> q <> target && q <> 0) (List.init n Fun.id) in
+         (* Per bit: 0 the target, 1 a control, 2 free. *)
+         let b0 = Random.State.int rs 3 and b1 = Random.State.int rs 3 in
+         let b1 = if b0 = 0 && b1 = 0 then 1 + Random.State.int rs 2 else b1 in
+         let target =
+           if b0 = 0 || n = 1 then 0 else if b1 = 0 || n = 2 then 1 else 2 + Random.State.int rs (n - 2)
+         in
+         let forced =
+           List.filter
+             (fun q -> q < n && q <> target)
+             ((if b0 = 1 then [ 0 ] else []) @ if b1 = 1 then [ 1 ] else [])
+         in
+         let others = List.filter (fun q -> q <> target && q > 1) (List.init n Fun.id) in
          let c = Random.State.int rs (Int.min (4 - List.length forced) (List.length others + 1)) in
          let controls =
            forced
@@ -145,19 +157,23 @@ module Suite_for (P : Storage.S) = struct
          let fixed = cmask lor (1 lsl target) in
          let run = fixed land -fixed in
          let pairs = 1 lsl (n - 1 - List.length controls) in
-         let want = P.copy v and whole = P.copy v and split = P.copy v in
+         let want = P.copy v in
          R.single ~n want m ~target ~controls;
-         P.dense_single whole u ~target ~cmask ~lo:0 ~hi:pairs;
-         List.iter
-           (fun (lo, hi) -> P.dense_single split u ~target ~cmask ~lo ~hi)
-           (random_splits rs ~run pairs);
-         eq want whole && eq want split
-         && List.for_all
-              (fun pool ->
-                 let got = P.copy v in
-                 DK.single ~pool ~n got m ~target ~controls;
-                 eq want got)
-              pools)
+         let splits = random_splits rs ~run pairs in
+         List.for_all
+           (fun lanes ->
+              Storage.Testing.with_lanes lanes (fun () ->
+                  let whole = P.copy v and split = P.copy v in
+                  P.dense_single whole u ~target ~cmask ~lo:0 ~hi:pairs;
+                  List.iter (fun (lo, hi) -> P.dense_single split u ~target ~cmask ~lo ~hi) splits;
+                  eq want whole && eq want split
+                  && List.for_all
+                       (fun pool ->
+                          let got = P.copy v in
+                          DK.single ~pool ~n got m ~target ~controls;
+                          eq want got)
+                       pools))
+           Storage.Testing.lanes)
 
   (* Every out-of-contract stripe call raises before reaching C. *)
   let dense_contract () =
@@ -471,13 +487,15 @@ module Suite_for (P : Storage.S) = struct
   (* The local leg against the reference walk ([R.local]): every
      support-1 and support-2 shape at n = 2..8 (each target, qubit 0
      included; a control above and one below the target; two-qubit gates
-     in both qubit orders; products of two random gates on one pair), as
+     in both qubit orders and products of two random gates, on pairs
+     holding qubit 0, qubit 1, both or neither), as
      the flat phase builds them ([Flat_gate.local_of_op],
      [Flat_gate.local_product]), compiled ([Flat_gate.of_local]) and
      applied in place by [exec] on the pool and on an inline size-1
-     pool, and by [P.local_apply] over random group stripes, bit for bit,
-     on random vectors, on vectors with signed zeros and on cancelling
-     ones. A gate on three levels has no local form. *)
+     pool, and by [P.local_apply] over random group stripes, under every
+     vector body the host has, bit for bit, on random vectors, on vectors
+     with signed zeros and on cancelling ones. A gate on three levels has
+     no local form. *)
   let local_shapes rs n =
     let single target controls matrix =
       Circuit.Single { name = "l1"; matrix; target; controls }
@@ -498,9 +516,22 @@ module Suite_for (P : Storage.S) = struct
       | Flat_gate.Wide_product _ -> Alcotest.fail "a product on one pair priced wide"
     in
     let targets = List.init n Fun.id in
-    let pair () =
-      let a = Random.State.int rs n in
-      (a, (a + 1 + Random.State.int rs (n - 1)) mod n)
+    (* Bits 0 and 1: both in the pair, one of them, or neither. *)
+    let pair cls =
+      let high () = 2 + Random.State.int rs (n - 2) in
+      let a, b =
+        match cls with
+        | 0 -> (0, 1)
+        | 1 when n > 2 -> (0, high ())
+        | 2 when n > 2 -> (1, high ())
+        | 3 when n > 3 ->
+          let a = high () in
+          (a, 2 + ((a - 2 + 1 + Random.State.int rs (n - 3)) mod (n - 2)))
+        | _ ->
+          let a = Random.State.int rs n in
+          (a, (a + 1 + Random.State.int rs (n - 1)) mod n)
+      in
+      if Random.State.bool rs then (a, b) else (b, a)
     in
     List.concat_map
       (fun t ->
@@ -513,13 +544,13 @@ module Suite_for (P : Storage.S) = struct
          @ if below = [] then [] else [ form (single t [ pick below ] (m1 ())) ])
       targets
     @ List.concat_map
-        (fun _ ->
-           let a, b = pair () in
+        (fun cls ->
+           let a, b = pair cls in
            let hi = Int.max a b and lo = Int.min a b in
            [ form (two hi lo (m2 ())); form (two lo hi (m2 ()));
              product (two a b (m2 ())) (single b [ a ] (m1 ()));
              product (single a [] (m1 ())) (single b [] (m1 ())) ])
-        [ (); () ]
+        [ 0; 1; 2; 3 ]
 
   let local_agrees pools ~inline ~n rs (l : Flat_gate.local) =
     let groups = 1 lsl (n - Bits.popcount l.Flat_gate.support) in
@@ -531,17 +562,23 @@ module Suite_for (P : Storage.S) = struct
       (fun v ->
          let want = P.copy v in
          R.local ~n want l.Flat_gate.u ~major ~minor ~paths:l.Flat_gate.paths;
+         let splits = random_splits rs ~run:(Int.min minor groups) groups in
          List.for_all
-           (fun pool ->
-              let on_pool = P.copy v and on_inline = P.copy v and split = P.copy v in
-              DG.exec ~pool g ~v:on_pool ~w:unused;
-              DG.exec ~pool:inline g ~v:on_inline ~w:unused;
-              List.iter
-                (fun (lo, hi) ->
-                   P.local_apply split l.Flat_gate.u ~major ~minor ~paths:l.Flat_gate.paths ~lo ~hi)
-                (random_splits rs ~run:(Int.min minor groups) groups);
-              eq want on_pool && eq want on_inline && eq want split)
-           pools)
+           (fun lanes ->
+              Storage.Testing.with_lanes lanes (fun () ->
+                  List.for_all
+                    (fun pool ->
+                       let on_pool = P.copy v and on_inline = P.copy v and split = P.copy v in
+                       DG.exec ~pool g ~v:on_pool ~w:unused;
+                       DG.exec ~pool:inline g ~v:on_inline ~w:unused;
+                       List.iter
+                         (fun (lo, hi) ->
+                            P.local_apply split l.Flat_gate.u ~major ~minor ~paths:l.Flat_gate.paths
+                              ~lo ~hi)
+                         splits;
+                       eq want on_pool && eq want on_inline && eq want split)
+                    pools))
+           Storage.Testing.lanes)
       [ random_vec rs (1 lsl n); special_vec rs (1 lsl n); cancel_vec rs (1 lsl n) ]
 
   let local_leg pools =
@@ -729,27 +766,33 @@ let test_allocation () =
            size words)
     c64
 
-(* The dense stub's 4-lane body is chosen at load time from the CPU:
-   [Storage.dense_lanes] must be 4 exactly on an x86-64 host whose
-   /proc/cpuinfo flags list avx2 (aarch64 lists "Features", not
-   "flags"), so a detection that silently fails shows up here. A dense
-   gate reports the choice on the statevec.dense.lanes gauge. *)
+(* The dense and local stubs' widest body is chosen at load time from
+   the CPU: [Storage.dense_lanes] must be 8 exactly on an x86-64 host
+   whose /proc/cpuinfo flags list avx512f, else 4 exactly when they list
+   avx2, else 2 (aarch64 lists "Features", not "flags"), so a detection
+   that silently fails shows up here. The test-only bodies are those up
+   to it. A dense gate reports the choice on the statevec.dense.lanes
+   gauge. *)
 let test_dense_lanes () =
   let lanes = Storage.dense_lanes in
-  if lanes <> 2 && lanes <> 4 then Alcotest.failf "dense_lanes = %d" lanes;
+  if lanes <> 2 && lanes <> 4 && lanes <> 8 then Alcotest.failf "dense_lanes = %d" lanes;
+  Alcotest.(check (list int)) "test-only bodies" (List.filter (fun l -> l <= lanes) [ 2; 4; 8 ])
+    Storage.Testing.lanes;
   (if Sys.file_exists "/proc/cpuinfo" then
      let flags =
        In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all
        |> String.split_on_char '\n'
        |> List.filter (fun l -> String.starts_with ~prefix:"flags" l)
      in
-     let avx2 =
+     let has flag =
        flags <> []
        && List.for_all
-            (fun l -> List.mem "avx2" (String.split_on_char ' ' (String.trim l)))
+            (fun l -> List.mem flag (String.split_on_char ' ' (String.trim l)))
             flags
      in
-     Alcotest.(check int) "dense_lanes from /proc/cpuinfo" (if avx2 then 4 else 2) lanes);
+     Alcotest.(check int) "dense_lanes from /proc/cpuinfo"
+       (if has "avx512f" then 8 else if has "avx2" then 4 else 2)
+       lanes);
   Obs.set_enabled true;
   Obs.Metrics.reset ();
   Fun.protect ~finally:(fun () -> Obs.set_enabled false) (fun () ->
@@ -798,5 +841,5 @@ let suite =
                 && Cost.local_rate ~support:3 < Cost.identity_price);
              Alcotest.(check int) "SIMD width" 4 Cost.simd_width;
              check_all [ K64.local_pick ]);
-        Alcotest.test_case "dense_lanes matches the host's AVX2 flag" `Quick
+        Alcotest.test_case "dense_lanes matches the host's AVX-512F and AVX2 flags" `Quick
           test_dense_lanes ] ) ]

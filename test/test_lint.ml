@@ -337,6 +337,32 @@ let test_program_guarded_helper () =
   Alcotest.(check (list (triple string string string)))
     "guarded helper is clean" [] keys
 
+(* A non-recursive [let x = ... x ...] calls the outer [x]: a wrapper
+   module's [bump] that forwards to the file-level [bump] must carry the
+   parallel path through to the table it mutates, while a [let rec]
+   wrapper of the same name calls only itself. *)
+let test_program_shadowing () =
+  let wrapper rec_ body =
+    [ pool_stub;
+      ( "lib/fix_state.ml",
+        "let tbl : (int, int) Hashtbl.t = Hashtbl.create 16\n\
+         let bump k = Hashtbl.replace tbl k k\n\
+         module Wrap = struct\n\
+        \  let " ^ rec_ ^ "bump k = " ^ body ^ "\n\
+         end\n" );
+      ( "lib/fix_user.ml",
+        "let record pool k = Pool.run pool (fun () -> Fix_state.Wrap.bump k)\n" ) ]
+  in
+  let forward = wrapper "" "bump k" in
+  Alcotest.(check bool) "the forwarded-to helper is parallel-reachable" true
+    (List.mem "Fix_state.bump" (program forward).Program.r_par);
+  Alcotest.(check bool) "its unguarded mutation is flagged" true
+    (List.mem ("unguarded-shared-state", "lib/fix_state.ml", "Fix_state.bump")
+       (program_keys forward));
+  Alcotest.(check bool) "a let rec wrapper reaches only itself" false
+    (List.mem "Fix_state.bump"
+       (program (wrapper "rec " "if k > 0 then bump (k - 1)")).Program.r_par)
+
 let test_program_lock_order () =
   let cyclic =
     [ ( "lib/fix_locks.ml",
@@ -516,7 +542,7 @@ let functors (model : Callgraph.t) =
     List.iter
       (fun si ->
          match si.Parsetree.pstr_desc with
-         | Parsetree.Pstr_value (_, vbs) when in_functor ->
+         | Parsetree.Pstr_value (rf, vbs) when in_functor ->
            List.iter
              (fun (vb : Parsetree.value_binding) ->
                 let line = vb.pvb_loc.Location.loc_start.Lexing.pos_lnum in
@@ -531,7 +557,8 @@ let functors (model : Callgraph.t) =
                   (fun n ->
                      defs :=
                        { Callgraph.d_name = key (modpath @ [ n ]); d_modpath = modpath; d_path = path;
-                         d_line = line; d_kind = Callgraph.Plain; d_body = vb.pvb_expr }
+                         d_line = line; d_kind = Callgraph.Plain;
+                         d_rec = rf = Asttypes.Recursive; d_body = vb.pvb_expr }
                        :: !defs)
                   name)
              vbs
@@ -636,8 +663,8 @@ let reach_refs (fm : functors) =
       in
       go (List.length parts - 1)
   in
-  let resolve ~modpath ~opens n =
-    match Callgraph.resolve model ~modpath ~opens n with
+  let resolve ?self ~modpath ~opens n =
+    match Callgraph.resolve model ?self ~modpath ~opens n with
     | Some d -> [ d ]
     | None when String.contains n '.' ->
       List.fold_left
@@ -647,7 +674,7 @@ let reach_refs (fm : functors) =
          @ List.map (fun o -> o ^ "." ^ n) opens)
     | None -> []
   in
-  fun ~modpath ~opens (visit : Ast_iterator.iterator -> unit) ->
+  fun ?within ~modpath ~opens (visit : Ast_iterator.iterator -> unit) ->
     let out = ref [] and opens = ref opens and aliases = ref [] in
     let dealias name =
       match String.index_opt name '.' with
@@ -693,7 +720,7 @@ let reach_refs (fm : functors) =
                 | Some n ->
                   List.iter
                     (fun (d : Callgraph.def) -> out := d.Callgraph.d_name :: !out)
-                    (resolve ~modpath ~opens:!opens (dealias n))
+                    (resolve ?self:within ~modpath ~opens:!opens (dealias n))
                 | None -> ())
              | Parsetree.Pexp_open
                  ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, body) ->
@@ -814,7 +841,7 @@ let reach_check root =
     while not (Queue.is_empty queue) do
       let d = Queue.pop queue in
       List.iter reach
-        (refs ~modpath:d.Callgraph.d_modpath ~opens:(opens_of d.Callgraph.d_path)
+        (refs ~within:d ~modpath:d.Callgraph.d_modpath ~opens:(opens_of d.Callgraph.d_path)
            (fun it -> it.Ast_iterator.expr it d.Callgraph.d_body))
     done
   in
@@ -824,7 +851,9 @@ let reach_check root =
       model.Callgraph.order
   in
   List.iter (fun d -> if (not (in_lib d)) || is_init d then reach_def d) model.Callgraph.order;
-  List.iter (fun f -> List.iter reach (module_level_refs refs f)) model.Callgraph.files;
+  List.iter
+    (fun f -> List.iter reach (module_level_refs (fun ~modpath ~opens v -> refs ~modpath ~opens v) f))
+    model.Callgraph.files;
   drain ();
   let shipped_unreached = unreached () in
   let stale =
@@ -964,6 +993,7 @@ let suite =
           test_program_cross_module;
         Alcotest.test_case "guarded helper stays clean" `Quick
           test_program_guarded_helper;
+        Alcotest.test_case "shadowing binding resolves outward" `Quick test_program_shadowing;
         Alcotest.test_case "lock-order cycles" `Quick test_program_lock_order;
         Alcotest.test_case "arena-epoch staleness" `Quick test_program_epoch;
         Alcotest.test_case "parallel-reachable regression" `Quick
