@@ -1,8 +1,7 @@
 (* Calibration of the gate price ([Cost.dispatch] and fusion's price,
    [Cost.local_price] and [Cost.priced]): the
-   per-MAC price of a canonical identity node, the local leg's and the
-   dense single-qubit kernel's per-amplitude rates, and the regret of the
-   kernel picks.
+   per-MAC price of a canonical identity node, the local leg's
+   per-amplitude rates, and the regret of the kernel picks.
 
    The jobs are hybrid-deep's three families with the circuit seeds the
    repository benchmark (perfbench) derives for its seed 1: dnn-16/570,
@@ -12,10 +11,8 @@
    Every gate is applied on a 1-worker and a 2-worker pool with each
    kernel it can take: the uncached Run, the cached Run (Algorithm 2),
    the local leg on the forms the flat phase runs there (an unfused op's
-   [Flat_gate.local_of_op], a fused gate's [Narrow] output of
-   [Fusion.dmav_aware]) and, for an unfused single-qubit op, the dense
-   kernel (a two-qubit op's dense kernel is the local leg's walk); best
-   of 5 per gate and kernel.
+   [Flat_gate.local_of_op], a fused gate's [Local] output of
+   [Fusion.dmav_aware]); best of 5 per gate and kernel.
 
    - A least-squares fit of Run time = c₀ + a·(recursion MACs) +
      b·(stripe MACs) + v·(visits), with and without c₀ and with and
@@ -24,10 +21,10 @@
      the Run's recursion on an internal node other than an identity or
      a level-0 node; [b/a] is the identity price and [v/a] the visit
      price the data supports.
-   - The local leg's and the dense kernel's times per amplitude they
-     stream (a fit through the origin), divided by the Run's time per
-     priced MAC, are their rates in the Run's priced MACs, the unit of
-     [Cost.dispatch].
+   - The local leg's times per amplitude it walks (a fit through the
+     origin; a controlled form walks the amplitudes under its controls),
+     divided by the Run's time per priced MAC, are its rates in the Run's
+     priced MACs, the unit of [Cost.dispatch].
    - The regret: the gates, and the time, where the kernel a rule picks
      is slower than the fastest measured of local, Run and cached, for
      [Cost.dispatch] and for the paper's rule (Eq. 5/6 over plain MACs,
@@ -181,12 +178,12 @@ type sample = {
   mat : Dd.medge;
   op : Circuit.op option;    (* the unfused op; [None] for a fused gate *)
   support : int option;      (* the local form's support; [None]: wide *)
+  controls : int;            (* the local form's controls *)
   paths : Dd.paths;          (* recursion MACs, stripe MACs, Run calls *)
   batched : float;           (* the part of the visits made in batches *)
   run : float array;
   cached : float array;
   local : float array;
-  dense : float array;
 }
 
 let fused_gate x = x.op = None
@@ -209,15 +206,15 @@ let timed_samples pools jobs =
           local form the flat phase runs it on, if any. *)
        let gates =
          Array.of_list
-           (List.map2 (fun op m -> (Some op, m, Flat_gate.local_of_op ~n:j.n op)) j.ops j.mats
+           (List.map2 (fun op m -> (Some op, m, Some (Flat_gate.local_of_op ~n:j.n op))) j.ops j.mats
             @ List.map
                 (function
-                  | Fusion.Narrow l -> (None, Flat_gate.local_dd j.package ~n:j.n l, Some l)
+                  | Fusion.Local l -> (None, Flat_gate.local_dd j.package ~n:j.n l, Some l)
                   | Fusion.Wide m -> (None, m, None))
                 (fst (fuse j)))
        in
        let best () = Array.init (Array.length gates) (fun _ -> Array.make 2 nan) in
-       let run = best () and cached = best () and local = best () and dense = best () in
+       let run = best () and cached = best () and local = best () in
        let keep tbl k i ns =
          let b = tbl.(k).(i) in
          tbl.(k).(i) <- (if Float.is_nan b then ns else Float.min b ns)
@@ -247,15 +244,8 @@ let timed_samples pools jobs =
                      keep local k i
                        (elapsed_ns (fun () ->
                             DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support
-                              ~paths:l.Flat_gate.paths))
+                              ~controls:l.Flat_gate.controls ~paths:l.Flat_gate.paths))
                    | None -> ())
-                gates;
-              Array.iteri
-                (fun k (op, _, _) ->
-                   match op with
-                   | Some (Circuit.Single _ as op) ->
-                     keep dense k i (elapsed_ns (fun () -> DK.op ~pool ~n:j.n v op))
-                   | _ -> ())
                 gates)
            pools
        done;
@@ -264,8 +254,10 @@ let timed_samples pools jobs =
             (fun k (op, m, form) ->
                { job = j; mat = m; op;
                  support = Option.map (fun (l : Flat_gate.local) -> l.Flat_gate.support) form;
+                 controls =
+                   (match form with Some (l : Flat_gate.local) -> l.Flat_gate.controls | None -> 0);
                  paths = Dd.priced_paths j.package m; batched = batched_visits j.package m;
-                 run = run.(k); cached = cached.(k); local = local.(k); dense = dense.(k) })
+                 run = run.(k); cached = cached.(k); local = local.(k) })
             gates))
     jobs
 
@@ -286,10 +278,8 @@ let paper_pick x ~threads =
   in
   if c2 < c1 then Cost.Dmav_cached else if x.support <> None then Cost.Dmav_local else Cost.Dmav_uncached
 
-(* The flat phase's pick: a narrow gate takes the local leg, a wide
-   gate the cheaper of the Run and Algorithm 2 on its DD (no dense
-   kernel for either, as the regret compares the three DMAV-phase
-   kernels). *)
+(* The flat phase's pick: a gate with a form takes the local leg, a
+   wide gate the cheaper of the Run and Algorithm 2 on its DD. *)
 let price_pick x ~threads =
   let n = x.job.n in
   match x.support with
@@ -300,7 +290,7 @@ let measured x i = function
   | Cost.Dmav_local -> x.local.(i)
   | Cost.Dmav_uncached -> x.run.(i)
   | Cost.Dmav_cached -> x.cached.(i)
-  | Cost.Dense_direct -> x.dense.(i)
+  | Cost.Dense_direct -> nan
 
 let fastest x i =
   List.fold_left
@@ -327,29 +317,17 @@ let rate_rows samples =
                Printf.sprintf "%.3f" rho; Printf.sprintf "%.2f" unit;
                Printf.sprintf "%.3f" (rho /. unit) ]
        in
-       let dim x = Float.ldexp 1.0 x.job.n in
-       let walked x =
-         match x.op with
-         | Some (Circuit.Single { controls; _ }) -> Float.ldexp 1.0 (x.job.n - List.length controls)
-         | _ -> 0.0
-       in
-       let local s x =
+       let walked x = Float.ldexp 1.0 (x.job.n - Bits.popcount x.controls) in
+       let local s c x =
          match x.support with
-         | Some m when Bits.popcount m = s && not (Float.is_nan x.local.(i)) -> Some x.local.(i)
+         | Some m when Bits.popcount m = s && Bits.popcount x.controls = c
+                       && not (Float.is_nan x.local.(i)) -> Some x.local.(i)
          | _ -> None
        in
-       let dense pred x =
-         match x.op with Some op when pred op -> Some x.dense.(i) | _ -> None
-       in
-       let single_c c = function
-         | Circuit.Single { controls; _ } -> List.length controls = c
-         | Circuit.Two _ -> false
-       in
        List.filter_map Fun.id
-         [ row "local" "support 1" (local 1) dim;
-           row "local" "support 2" (local 2) dim;
-           row "dense" "single" (dense (single_c 0)) walked;
-           row "dense" "1-controlled" (dense (single_c 1)) walked ])
+         [ row "local" "support 1" (local 1 0) walked;
+           row "local" "support 2" (local 2 0) walked;
+           row "local" "support 1, 1 control" (local 1 1) walked ])
     [ (0, 1); (1, 2) ]
 
 let regret_rows samples =
@@ -464,11 +442,11 @@ let run () =
     rows;
   Report.note "constants: identity price %g, visit price %g" Cost.identity_price Cost.visit_price;
   Report.table
-    ~title:"array kernels: time per amplitude streamed (fit through 0) over the Run's time per priced MAC"
+    ~title:"local leg: time per amplitude walked (fit through 0) over the Run's time per priced MAC"
     ~header:[ "threads"; "kernel"; "gates"; "n"; "ns/amp"; "Run ns/priced MAC"; "rate" ]
     (rate_rows samples);
-  Report.note "constants: local leg %g (support 1) and %g (support 2), dense %g (single-qubit)"
-    (Cost.local_rate ~support:1) (Cost.local_rate ~support:3) Cost.dense_rate;
+  Report.note "constants: local leg %g (support 1) and %g (support 2)"
+    (Cost.local_rate ~support:1) (Cost.local_rate ~support:3);
   Report.table
     ~title:
       "regret: picks (local/Run/cached) and gates whose pick ran >5% slower than the fastest \

@@ -1,8 +1,10 @@
 (* The vector bodies of the dense single-qubit kernel and the local leg
    (lib/complexnum/kernels_stubs.c): nanoseconds per amplitude at n = 16
    on one thread for every body this host has (2, 4 and 8 lanes, held by
-   [Storage.Testing.with_lanes]), f64 and f32. Each gate shape puts its
-   support on or off index bits 0 and 1, which decide the loads: the
+   [Storage.Testing.with_lanes]), f64 and f32, per amplitude of the
+   register whether the gate walks it or not (a gate under one control
+   walks half). Each gate shape puts its support and control on or off
+   index bits 0 and 1, which decide the loads: the
    4-lane body loads two groups at once when bit 0 is free, the 8-lane
    body four when bits 0 and 1 are, and both build their vectors from
    smaller pieces otherwise. The bodies alternate within every
@@ -14,17 +16,30 @@ let rounds = 41
 let reps = 8
 
 (* A gate shape: a dense single-qubit gate on [target], or the local
-   leg's full 2x2 ([major] < 0) or 4x4 on [major] and [minor]. *)
-type shape = Dense of int | Local of { major : int; minor : int }
+   leg's full 2x2 ([major] < 0) or 4x4 on [major] and [minor]; either
+   under the controls [ctl] (a list of qubits). *)
+type shape =
+  | Dense of { target : int; ctl : int list }
+  | Local of { major : int; minor : int; ctl : int list }
 
-let label = function
-  | Dense t -> Printf.sprintf "dense 2x2, q%d" t
-  | Local { major; minor } when major < 0 -> Printf.sprintf "local 2x2, q%d" minor
-  | Local { major; minor } -> Printf.sprintf "local 4x4 full, q%d q%d" major minor
+let label shape =
+  let ctl = function
+    | [] -> ""
+    | cs -> ", ctl " ^ String.concat " " (List.map (Printf.sprintf "q%d") cs)
+  in
+  match shape with
+  | Dense { target; ctl = cs } -> Printf.sprintf "dense 2x2, q%d%s" target (ctl cs)
+  | Local { major; minor; ctl = cs } when major < 0 ->
+    Printf.sprintf "local 2x2, q%d%s" minor (ctl cs)
+  | Local { major; minor; ctl = cs } ->
+    Printf.sprintf "local 4x4 full, q%d q%d%s" major minor (ctl cs)
 
 let shapes =
-  [ Dense 5; Dense 1; Dense 0; Local { major = -1; minor = 5 }; Local { major = 9; minor = 5 };
-    Local { major = 9; minor = 1 }; Local { major = 9; minor = 0 } ]
+  [ Dense { target = 5; ctl = [] }; Dense { target = 1; ctl = [] }; Dense { target = 0; ctl = [] };
+    Local { major = -1; minor = 5; ctl = [] }; Dense { target = 5; ctl = [ 9 ] };
+    Local { major = -1; minor = 5; ctl = [ 9 ] }; Dense { target = 5; ctl = [ 0 ] };
+    Local { major = -1; minor = 5; ctl = [ 0 ] }; Local { major = 9; minor = 5; ctl = [] };
+    Local { major = 9; minor = 1; ctl = [] }; Local { major = 9; minor = 0; ctl = [] } ]
 
 let median xs =
   let a = Array.of_list xs in
@@ -40,15 +55,15 @@ module Rows (P : Storage.S) = struct
     let rs = Random.State.make [| 7 |] in
     let apply =
       match shape with
-      | Dense target ->
+      | Dense { target; ctl } ->
         let m = Gate.u3 0.3 1.1 2.3 in
-        fun v -> DK.single ~n v m ~target ~controls:[]
-      | Local { major; minor } ->
+        fun v -> DK.single ~n v m ~target ~controls:ctl
+      | Local { major; minor; ctl } ->
         let d = if major < 0 then 2 else 4 in
         let u = Array.init (2 * d * d) (fun _ -> Random.State.float rs 2.0 -. 1.0) in
         let paths = (1 lsl (d * d)) - 1 in
         let support = (1 lsl minor) lor if major < 0 then 0 else 1 lsl major in
-        fun v -> DK.local ~pool v u ~support ~paths
+        fun v -> DK.local ~pool v u ~support ~controls:(Bits.all_masks ctl) ~paths
     in
     let v =
       P.init (1 lsl n) (fun _ ->

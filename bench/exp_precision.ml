@@ -5,15 +5,13 @@
    gate. The PR-10 storage refactor makes that a config switch
    ([Config.precision = F32]): the DD phase, gate matrices and ctable
    weights stay f64; only the flat vectors narrow, with one rounding per
-   store. Two workload families, matching where the two flat kernels do
-   their work:
+   store. Two workload families:
 
-   - dispatch family (dense direct kernel): layers of unfused h/ry on
-     every qubit under Convert_at(-1) + dense dispatch — the 2-wide
-     vector pair loop;
-   - suite family (DMAV kernels): supremacy and qft under forced
-     conversion, no dispatch — the matrix-DD traversal path, where the
-     narrowing applies to the stripe reads/writes.
+   - 1q-layers family (the local leg): layers of unfused h/ry on every
+     qubit under Convert_at(-1) — the in-place 2x2 walk;
+   - suite family: supremacy and qft under forced conversion, unfused —
+     their gates' forms on the local leg as well, where the narrowing
+     applies to the walk's reads and writes.
 
    Columns report wall time both ways, the modeled V+W buffer bytes
    (exact arithmetic from the storage kind — the acceptance metric is the
@@ -23,7 +21,7 @@
 
    Honest reading on the 2-core host: both precisions run the same C
    stubs with double arithmetic, and f32 adds a widening per load and a
-   rounding per store. The dense kernel is compute-bound at these sizes,
+   rounding per store. The local leg is compute-bound at these sizes,
    so halving the bytes does not make it faster; the bytes columns are
    the claim. *)
 
@@ -81,14 +79,13 @@ let run () =
              let cfg =
                { Config.default with
                  Config.threads = Pool.size pool;
-                 policy = Config.Convert_at (-1);
-                 dense_dispatch = true }
+                 policy = Config.Convert_at (-1) }
              in
              row_of ~pool cfg (Printf.sprintf "1q-layers-%d" n) c n)
           [ 14; 16; 18 ]
       in
       Report.table
-        ~title:"dispatch family: dense direct kernel (Convert_at -1, dispatch on)"
+        ~title:"unfused 1q layers: the local leg (Convert_at -1)"
         ~header dispatch_rows;
       let suite_rows =
         List.map
@@ -103,13 +100,13 @@ let run () =
           [ (Suite.Supremacy, 14, Some 500); (Suite.Qft, 14, None) ]
       in
       Report.table
-        ~title:"suite family: DMAV kernels (Convert_at -1, no dispatch)"
+        ~title:"suite family: unfused flat phase (Convert_at -1)"
         ~header suite_rows);
   Report.note
     "V+W and traffic columns are exact/modeled arithmetic (the 2.0x ratio is the \
      claim). Wall time favors f64 or ties: both precisions run the same C stubs \
      in double arithmetic, f32 adds a widening per load and a rounding per store, \
-     and the dense kernel is compute-bound at these sizes.";
+     and the local leg is compute-bound at these sizes.";
   Report.note
     "max|d| is pure f32 rounding: the DD phase and every gate matrix stay f64, \
      and the f32 vector is widened once on extract."

@@ -1,10 +1,10 @@
 (* The experiment harness: regenerates every table and figure of the
    paper's evaluation section (plus the motivating Figure 1 and overview
    Figure 3). The experiments beyond the paper each back a row of
-   EXPERIMENTS.md or a CI step: ablation (design-choice sweeps), dispatch
-   (dense direct kernel vs DMAV), fusion_price (the identity-stripe MAC
-   price of DMAV-aware fusion), order (qubit ordering), precision
-   (f64 vs f32) and lanes (the dense and local kernels' vector bodies).
+   EXPERIMENTS.md or a CI step: ablation (design-choice sweeps),
+   fusion_price (the identity-stripe MAC price of DMAV-aware fusion),
+   order (qubit ordering), precision (f64 vs f32) and lanes (the dense
+   and local kernels' vector bodies).
 
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe table1     # one experiment
@@ -28,7 +28,6 @@ let experiments =
     ("fig13", Exp_fig13.run);
     ("fig14", Exp_fig14.run);
     ("ablation", Exp_ablation.run);
-    ("dispatch", Exp_dispatch.run);
     ("order", Exp_order.run);
     ("precision", Exp_precision.run);
     ("lanes", Exp_lanes.run) ]

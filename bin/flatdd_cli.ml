@@ -90,7 +90,7 @@ let print_top_amplitudes buf count =
       Printf.printf "  |%d>  %s  (p=%.6f)\n" i (Cnum.to_string a) (Cnum.norm2 a)
   done
 
-let run engine family qasm n gates seed threads beta epsilon fusion dispatch trace top
+let run engine family qasm n gates seed threads beta epsilon fusion trace top
     export metrics metrics_json compact_every order precision =
   (* What the run is doing, for the out-of-memory report. *)
   let stage = ref "loading the circuit" in
@@ -140,8 +140,7 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
      | Flatdd_engine ->
        let cfg =
          { Config.default with
-           Config.threads; beta; epsilon; fusion; trace; dense_dispatch = dispatch;
-           order; precision }
+           Config.threads; beta; epsilon; fusion; trace; order; precision }
        in
        let r, dt = Timer.time (fun () -> Driver.run cfg circuit) in
        Printf.printf "engine: flatdd (%d threads, beta=%.2f eps=%.2f)\n" threads beta
@@ -160,18 +159,7 @@ let run engine family qasm n gates seed threads beta epsilon fusion dispatch tra
           Printf.printf "conversion: after gate %d\n" i;
           Printf.printf "dmav kernels: %d cached, %d uncached (%d local) (%d cache hits)\n"
             r.Driver.dmav_gates_cached r.Driver.dmav_gates_uncached
-            r.Driver.dmav_gates_local r.Driver.dmav_cache_hits;
-          if dispatch then begin
-            let flat_total =
-              match r.Driver.fusion_stats with
-              | Some s -> s.Fusion.gates_out
-              | None -> r.Driver.gates - i - 1
-            in
-            Printf.printf "dispatch: %d dense direct, %d dmav\n"
-              (flat_total - r.Driver.dmav_gates_cached
-               - r.Driver.dmav_gates_uncached)
-              (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached)
-          end);
+            r.Driver.dmav_gates_local r.Driver.dmav_cache_hits);
        Printf.printf "peak memory (modeled): %.2f MB\n"
          (float_of_int r.Driver.peak_memory_bytes /. 1048576.0);
        (match r.Driver.fusion_stats with
@@ -287,12 +275,6 @@ let cmd =
   let fusion =
     Arg.(value & opt fusion_conv Config.No_fusion & info [ "fusion" ] ~doc:"Gate fusion: none, dmav, or an integer k for k-operations.")
   in
-  let dispatch =
-    Arg.(value & flag
-         & info [ "dispatch" ]
-             ~doc:"Per-gate kernel dispatch in the flat phase: every unfused single-qubit \
-                   gate runs on the dense direct kernel, without building its gate DD.")
-  in
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the per-gate trace.") in
   let top = Arg.(value & opt int 8 & info [ "top" ] ~doc:(Printf.sprintf "Print the k most likely basis states (0 disables; circuits of at most %d qubits)." top_max_qubits)) in
   let export =
@@ -331,7 +313,7 @@ let cmd =
   in
   let term =
     Term.(const run $ engine $ family $ qasm $ n $ gates $ seed $ threads $ beta
-          $ epsilon $ fusion $ dispatch $ trace $ top $ export $ metrics $ metrics_json
+          $ epsilon $ fusion $ trace $ top $ export $ metrics $ metrics_json
           $ compact_every $ order $ precision)
   in
   Cmd.v (Cmd.info "flatdd" ~doc:"Hybrid decision-diagram / flat-array quantum circuit simulator") term

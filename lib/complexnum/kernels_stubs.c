@@ -47,24 +47,26 @@
    (Storage.Testing.with_lanes). On non-x86 hosts the 2-lane loop is the
    only body.
 
-   The local kernel is the local leg of a narrow gate: its matrix is
-   the identity on all but one or two levels (its support), built from
-   op matrices. It applies the gate's 2x2 or 4x4 matrix U in place,
-   group by group (the 2 or 4 amplitudes over one index with the support
-   bits 0), with Run's arithmetic: Run writes W row by row from +0, one
-   MAC per terminal path, columns ascending, storing (rounding, at f32)
-   after each MAC. So each output starts from +0 and adds u_rc x_c for
-   the c whose entry is masked in (not 0) in ascending order, rounding
-   to T after every term, with the term computed as Run's MAC computes
-   it: lane 0 ur xre + (-ui) xim, lane 1 ur xim + ui xre. The 2-lane
-   body does one group; the 4-lane body two, in one 32-byte vector per
-   column: one load when bit 0 is outside the support (the groups are
-   neighbours), two 16-byte halves when it is inside; the 8-lane body
-   four, in one 64-byte load when bits 0 and 1 are both outside it, else
-   from 32-byte or 16-byte pieces. The walks, the loads and the stores
-   are the dense kernel's; only the row arithmetic differs. A dense
-   two-qubit gate is the local kernel with all 16 paths set, its qubits
-   in the matrix's index order (major, minor).
+   The local kernel is the local leg, the flat phase's kernel for every
+   gate given by its matrix rather than its DD: a 2x2 or 4x4 matrix U on
+   one or two levels (its support), optionally under a control mask. It
+   applies U in place, group by group (the 2 or 4 amplitudes over one
+   index with the support bits 0 and every control bit 1): with fixed =
+   support | cmask the bases walk the indices whose fixed bits are 0, as
+   the dense kernel's pairs do, and cmask is added to every offset, so
+   only the 2^(n-s-c) groups whose control bits are all 1 are visited.
+   Each output starts from +0 and adds u_rc x_c for the c whose entry is
+   masked in (not 0) in ascending order, in double, and rounds to T once,
+   at the store, with the term computed as Run's MAC computes it: lane 0
+   ur xre + (-ui) xim, lane 1 ur xim + ui xre. The 2-lane body does one
+   group; the 4-lane body two, in one 32-byte vector per column: one load
+   when bit 0 is not fixed (the groups are neighbours), two 16-byte halves
+   when it is; the 8-lane body four, in one 64-byte load when bits 0 and
+   1 are both free, else from 32-byte or 16-byte pieces. The walks, the
+   loads and the stores are the dense kernel's; only the row arithmetic
+   differs. A dense two-qubit gate is the local kernel with all 16 paths
+   set and no controls, its qubits in the matrix's index order (major,
+   minor).
 
    Contract with Storage.Core64/Core32: ranges, lengths and qubit indices
    are checked in OCaml before the call, the externals are [@@noalloc],
@@ -165,17 +167,6 @@ static inline void store2_f32(float *p, v2d x)
 {
   v2f y = __builtin_convertvector(x, v2f);
   memcpy(p, &y, sizeof y);
-}
-
-/* A running sum rounded to T, as Run's store into W rounds it. */
-static inline v2d round2_f64(v2d x)
-{
-  return x;
-}
-
-static inline v2d round2_f32(v2d x)
-{
-  return __builtin_convertvector(__builtin_convertvector(x, v2f), v2d);
 }
 
 /* Lanes of the widest body the dense and local kernels run: on x86-64,
@@ -285,19 +276,6 @@ TARGET4 static inline void store4x_f32(float *p, float *q, v4d x)
   _mm_storeh_pi((__m64 *)q, y);
 }
 
-/* A running sum rounded to T, as Run's store into W rounds it: a no-op
-   at f64, a round trip through float at f32 (vcvtpd2ps rounds to
-   nearest, as the scalar (float) cast does). */
-TARGET4 static inline v4d round4_f64(v4d x)
-{
-  return x;
-}
-
-TARGET4 static inline v4d round4_f32(v4d x)
-{
-  return (v4d)_mm256_cvtps_pd(_mm256_cvtpd_ps((__m256d)x));
-}
-
 TARGET8 static inline v8d load8_f64(const double *p)
 {
   v8d x;
@@ -318,16 +296,6 @@ TARGET8 static inline v8d load8_f32(const float *p)
 TARGET8 static inline void store8_f32(float *p, v8d x)
 {
   _mm256_storeu_ps(p, _mm512_cvtpd_ps((__m512d)x));
-}
-
-TARGET8 static inline v8d round8_f64(v8d x)
-{
-  return x;
-}
-
-TARGET8 static inline v8d round8_f32(v8d x)
-{
-  return (v8d)_mm512_cvtps_pd(_mm512_cvtpd_ps((__m512d)x));
 }
 
 /* An 8-lane vector from pieces: the groups with bases b[0..4), runs of
@@ -424,12 +392,20 @@ TARGET8 static inline void store8x_f32(float *a, const long *b, long o, int nb, 
       store8x_##SFX(a, b, o, nb, y);                                          \
   }
 
+/* The local walk over [d] columns with paths [p], one specialized loop
+   per run of neighbouring groups a load takes (see wide_walk). */
+#define LOCAL_WALK(W, SFX, D, P)                                              \
+  (nb == 1   ? wide_walk##W##_##SFX(a, g, off, D, P, 0, 1, fixed, i, steps)    \
+   : nb == 2 ? wide_walk##W##_##SFX(a, g, off, D, P, 0, 2, fixed, i, steps)    \
+             : wide_walk##W##_##SFX(a, g, off, D, P, 0, W / 2, fixed, i, steps))
+
 /* The W-lane bodies, W = 4 or 8, from one source: a W-lane vector holds
    W / 2 groups' amplitude of one column, one group per 16-byte lane
    pair. */
 #define WIDE_BODIES_W(W, T, SFX)                                              \
-  /* One output row of the local kernel for W / 2 groups at once: Run's   \
-     MACs for the row, [row] holding a bit per column with a path. */       \
+  /* One output row of the local kernel for W / 2 groups at once: the     \
+     row's terms summed in double, [row] holding a bit per column with a    \
+     path; the caller's store rounds. */                                    \
   TARGET##W static inline v##W##d local_row##W##_##SFX(                      \
       const v##W##d *g, const v##W##d *x, const v##W##d *sw, int d, long row) \
   {                                                                           \
@@ -437,7 +413,7 @@ TARGET8 static inline void store8x_f32(float *a, const long *b, long o, int nb, 
     UNROLL                                                                    \
     for (int c = 0; c < d; c++)                                               \
       if ((row >> c) & 1)                                                     \
-        acc = round##W##_##SFX(acc + ((g[2 * c] * x[c]) + (g[2 * c + 1] * sw[c]))); \
+        acc = acc + ((g[2 * c] * x[c]) + (g[2 * c + 1] * sw[c]));          \
     return acc;                                                               \
   }                                                                           \
                                                                               \
@@ -513,7 +489,9 @@ TARGET8 static inline void store8x_f32(float *a, const long *b, long o, int nb, 
     }                                                                         \
   }                                                                           \
                                                                               \
-  /* The local kernel's W-lane body, d = 2 or 4 columns. */                   \
+  /* The local kernel's W-lane body, d = 2 or 4 columns. The common 2x2    \
+     patterns (every entry, the diagonal, the anti-diagonal) walk with      \
+     their paths a constant, so no column is tested per step. */            \
   TARGET##W static long local_wide##W##_##SFX(T *a, const double *u,          \
                                               const long *off, int d,         \
                                               long paths, long fixed, long i, \
@@ -522,14 +500,12 @@ TARGET8 static inline void store8x_f32(float *a, const long *b, long o, int nb, 
     v##W##d g[32];                                                            \
     splat##W##_##SFX(g, u, d * d);                                            \
     int nb = neighbours(W, fixed);                                            \
-    if (d == 2) {                                                             \
-      if (nb == 1) return wide_walk##W##_##SFX(a, g, off, 2, paths, 0, 1, fixed, i, steps); \
-      if (nb == 2) return wide_walk##W##_##SFX(a, g, off, 2, paths, 0, 2, fixed, i, steps); \
-      return wide_walk##W##_##SFX(a, g, off, 2, paths, 0, W / 2, fixed, i, steps); \
+    switch (d == 2 ? paths : -1) {                                            \
+    case 0xf: return LOCAL_WALK(W, SFX, 2, 0xf);                              \
+    case 0x9: return LOCAL_WALK(W, SFX, 2, 0x9);                              \
+    case 0x6: return LOCAL_WALK(W, SFX, 2, 0x6);                              \
+    default: return d == 2 ? LOCAL_WALK(W, SFX, 2, paths) : LOCAL_WALK(W, SFX, 4, paths); \
     }                                                                         \
-    if (nb == 1) return wide_walk##W##_##SFX(a, g, off, 4, paths, 0, 1, fixed, i, steps); \
-    if (nb == 2) return wide_walk##W##_##SFX(a, g, off, 4, paths, 0, 2, fixed, i, steps); \
-    return wide_walk##W##_##SFX(a, g, off, 4, paths, 0, W / 2, fixed, i, steps); \
   }
 
 #define WIDE_BODIES(T, SFX)                                                   \
@@ -717,8 +693,8 @@ static inline int replication_quadrant(const long *es)
   WIDE_BODIES(T, SFX)                                                         \
                                                                               \
   /* The local kernel's 2-lane body on the group whose base is i: every       \
-     output row starts from +0 and adds u_rc x_c column by column, each       \
-     sum rounded to T (header). */                                            \
+     output row starts from +0 and adds u_rc x_c column by column, in         \
+     double; the store rounds (header). */                                    \
   static inline __attribute__((always_inline)) void local_group_##SFX(        \
       T *a, const v2d *g, const long *off, int d, long paths, long i)         \
   {                                                                           \
@@ -735,7 +711,7 @@ static inline int replication_quadrant(const long *es)
       UNROLL                                                                  \
       for (int c = 0; c < d; c++)                                             \
         if ((paths >> (d * r + c)) & 1)                                       \
-          acc = round2_##SFX(acc + ((gr[2 * c] * x[c]) + (gr[2 * c + 1] * sw[c]))); \
+          acc = acc + ((gr[2 * c] * x[c]) + (gr[2 * c + 1] * sw[c]));       \
       store2_##SFX(a + 2 * (i + off[r]), acc);                                \
     }                                                                         \
   }                                                                           \
@@ -821,16 +797,18 @@ static inline int replication_quadrant(const long *es)
   }                                                                           \
                                                                               \
   /* The local kernel over the groups [lo, hi): group k is the k-th base,     \
-     ascending, with the [major] and [minor] bits 0. [m] is the gate's 2x2    \
-     ([major] 0) or 4x4 matrix, row-major re/im, index 2 b(major) +           \
-     b(minor); for a dense gate [major] is q_hi, the lower bit or not. */     \
+     ascending, with the [major], [minor] and [cmask] bits 0; its             \
+     amplitudes sit at base | cmask plus the support bits. [m] is the         \
+     gate's 2x2 ([major] 0) or 4x4 matrix, row-major re/im, index             \
+     2 b(major) + b(minor); for a dense gate [major] is q_hi, the lower       \
+     bit or not. */                                                           \
   value qcs_local_##SFX(value buf, value m, value major, value minor,         \
-                        value paths_v, value lo, value hi)                    \
+                        value cmask, value paths_v, value lo, value hi)       \
   {                                                                           \
     const double *u = (const double *)m;                                      \
-    long bh = Long_val(major), bl = Long_val(minor);                          \
+    long bh = Long_val(major), bl = Long_val(minor), cm = Long_val(cmask);   \
     int d = bh ? 4 : 2;                                                       \
-    long off[4] = { 0, bl, bh, bh | bl };                                     \
+    long off[4] = { cm, cm | bl, cm | bh, cm | bh | bl };                     \
     const v2d one = { 1.0, 1.0 }, sg = { -1.0, 1.0 };                         \
     v2d g[32];                                                                \
     for (int q = 0; q < d * d; q++) {                                         \
@@ -838,7 +816,7 @@ static inline int replication_quadrant(const long *es)
       g[2 * q + 1] = sg * u[2 * q + 1];                                       \
     }                                                                         \
     span_##SFX((T *)Caml_ba_data_val(buf), g, u, off, d, Long_val(paths_v), 0, \
-               bh | bl, Long_val(lo), Long_val(hi));                          \
+               bh | bl | cm, Long_val(lo), Long_val(hi));                     \
     return Val_unit;                                                          \
   }                                                                           \
                                                                               \
@@ -990,7 +968,7 @@ static inline int replication_quadrant(const long *es)
   BYTE_STUB(qcs_scale2_into_##SFX, ARGS5, Double_val(argv[5]),                \
             Double_val(argv[6]))                                              \
   BYTE_STUB(qcs_dense_single_##SFX, ARGS5, argv[5])                           \
-  BYTE_STUB(qcs_local_##SFX, ARGS5, argv[5], argv[6])                         \
+  BYTE_STUB(qcs_local_##SFX, ARGS5, argv[5], argv[6], argv[7])                \
   BYTE_STUB(qcs_dmav_run_##SFX, ARGS5, argv[5], Double_val(argv[6]),          \
             Double_val(argv[7]))                                              \
   value qcs_norm2_##SFX##_byte(value t, value len)                            \

@@ -110,25 +110,27 @@ module type S = sig
       bytes do not depend on the body or the stripe split. *)
 
   val local_apply :
-    t -> float array -> major:int -> minor:int -> paths:int -> lo:int -> hi:int -> unit
+    t -> float array -> major:int -> minor:int -> cmask:int -> paths:int -> lo:int -> hi:int -> unit
   (** The 2×2 or 4×4 array walk: applies, in place, the [2^s × 2^s]
       matrix [m] ([2·4^s] floats, row-major re/im) on the bits [major]
       and [minor] ([s] = 1 when [major] is 0, else 2; one bit each,
       distinct; index bit 1 on [major], bit 0 on [minor], whichever is
-      higher) to the groups [k ∈ [lo, hi)]: group [k] is the [2^s]
-      amplitudes over the [k]-th index, ascending, whose [major] and
-      [minor] bits are 0, so [hi ≤ 2^(n−s)]. Each output starts from +0
+      higher), under the control bits [cmask] (disjoint from both), to
+      the groups [k ∈ [lo, hi)]: group [k] is the [2^s] amplitudes over
+      the [k]-th index, ascending, whose [major] and [minor] bits are 0
+      and whose [cmask] bits are all 1, so [hi ≤ 2^(n−s−popcount cmask)];
+      the other amplitudes are not touched. Each output starts from +0
       and adds [m(r,c)·x(c)] for each [c], ascending, whose bit
-      [r·2^s + c] is set in [paths], the sum stored (rounded, at [F32])
-      after every term, as {!dmav_run} sums a row. It serves the local
-      leg of a narrow gate, with the higher support bit as [major] and
-      [paths] its nonzero entries, and a dense two-qubit gate with all
-      16 paths, [major] its [q_hi]. On AVX2
-      hosts two groups share a 32-byte vector, built from two 16-byte
-      halves when bit 0 is one of the two; on AVX-512F hosts four groups
-      share a 64-byte vector, one load when neither bit 0 nor bit 1 is
-      one of the two, else built from 32- or 16-byte pieces; the bytes do
-      not depend on the body or the split. *)
+      [r·2^s + c] is set in [paths], in double, and is rounded (at [F32])
+      once, when stored. It serves the local leg of every gate given by
+      its form, with the higher support bit as [major], [paths] its
+      nonzero entries and [cmask] its controls, and a dense two-qubit
+      gate with all 16 paths, [major] its [q_hi]. On AVX2 hosts two
+      groups share a 32-byte vector, built from two 16-byte halves when
+      bit 0 is one of the fixed bits (support or control); on AVX-512F
+      hosts four groups share a 64-byte vector, one load when neither bit
+      0 nor bit 1 is fixed, else built from 32- or 16-byte pieces; the
+      bytes do not depend on the body or the split. *)
 
   val dmav_run :
     arena -> node:int -> v:t -> w:t -> iv:int -> iw:int -> fre:float -> fim:float -> unit

@@ -180,17 +180,6 @@ let local_rates = [| 0.125; 0.1875 |]
 
 let local_rate ~support = local_rates.(Bits.popcount support - 1)
 
-(* The dense single-qubit kernel walks the 2ⁿ⁻ᶜ amplitudes a c-controlled
-   gate touches. It shares the local leg's walk (0.09-0.14 priced MACs per
-   amplitude walked, fusion_price, as above), so it takes the support-1
-   rate. A two-qubit op's dense kernel is the local leg. *)
-let dense_rate = 0.125
-
-let dense_price ~n (op : Circuit.op) =
-  match op with
-  | Circuit.Single { controls; _ } -> dense_rate *. Float.ldexp 1.0 (n - List.length controls)
-  | Circuit.Two _ -> invalid_arg "Cost.dense_price: a two-qubit op's dense kernel is the local leg"
-
 (* The dense kernels do 4 complex MACs per amplitude pair they walk
    (2ⁿ⁻¹⁻ᶜ pairs of a c-controlled single-qubit gate) and 16 per
    quad of a two-qubit gate. *)
@@ -202,7 +191,7 @@ let dense_direct_macs ~n (op : Circuit.op) =
 (* The price fusion compares for a narrow gate: the gate on one thread,
    the cheaper of its local leg and the Run. Algorithm 2 never pays on
    one thread (its one task has no repeat, and Eq. 6 adds a buffer's
-   block operations), and a product has no dense kernel. *)
+   block operations). *)
 let local_price ?local_rate:rate ~n ~support run =
   let rate = match rate with Some r -> r | None -> local_rate ~support in
   Float.min run (rate *. Float.ldexp 1.0 n)
@@ -236,22 +225,15 @@ let dispatch ~n b =
     price = (if cached_wins then cached else run);
     support = None }
 
-(* A kernel taken by rule, not priced against the others: the dense
-   kernel and the local leg cost less per amplitude than any Run row
-   ([identity_price]) or Eq. 6's block operations (2ⁿ/(d·t) at least).
-   Its [decision] holds its modeled MACs as one uncached kernel. *)
-let by_rule ~n ~threads kernel ~macs ~price support =
+(* The local leg, taken by rule, not priced against the others: it
+   costs less per amplitude than any Run row ([identity_price]) or
+   Eq. 6's block operations (2ⁿ/(d·t) at least). It walks the 2ⁿ⁻ᶜ
+   amplitudes whose c control bits are all 1. Its [decision] holds its
+   modeled MACs as one uncached kernel. *)
+let local_dispatch ~n ~threads ~macs ~controls support =
   let tu = pow2_threads ~n threads in
   let t = float_of_int tu in
-  { kernel;
+  { kernel = Dmav_local;
     dmav = { cached = false; c1 = macs /. t; c2 = macs /. t; threads_used = tu };
-    price = price /. t;
-    support }
-
-let local_dispatch ~n ~threads ~macs support =
-  by_rule ~n ~threads Dmav_local ~macs ~price:(local_rate ~support *. Float.ldexp 1.0 n)
-    (Some support)
-
-let dense_dispatch ~n ~threads ~support op =
-  by_rule ~n ~threads Dense_direct ~macs:(dense_direct_macs ~n op) ~price:(dense_price ~n op)
-    support
+    price = local_rate ~support *. Float.ldexp 1.0 (n - Bits.popcount controls) /. t;
+    support = Some (support lor controls) }

@@ -122,16 +122,14 @@ val modeled_macs : decision -> float
     matrix DD, runs on the Run at its priced MACs (Eq. 5) or on
     Algorithm 2 at its distinct tasks' priced MACs and its repeated
     tasks' visits plus Eq. 6's block operations at SIMD width [d]
-    ({!dispatch}). The two array kernels beyond the paper are taken by
-    rule: a narrow gate, one given by its local form
-    ([Flat_gate.local_of_op], [Flat_gate.local_product]), runs on the
-    local leg ({!local_dispatch}), and with [Config.dense_dispatch] an
-    unfused single-qubit op runs on the dense kernel
-    ({!dense_dispatch}). Their rates per amplitude, {!local_rate} and
-    {!dense_rate}, are the prices the trace shows; both sit below the
-    least a Run row ({!identity_price}) or Algorithm 2's block term
-    ([2ⁿ/(d·t)]) can cost, so pricing them against the DMAV kernels
-    would never pick otherwise. *)
+    ({!dispatch}). The array kernel beyond the paper is taken by rule:
+    a gate given by its form ([Flat_gate.local_of_op], every unfused op,
+    or [Flat_gate.local_product], a fused product on at most two levels)
+    runs on the local leg ({!local_dispatch}). Its rate per amplitude,
+    {!local_rate}, is the price the trace shows; it sits below the least
+    a Run row ({!identity_price}) or Algorithm 2's block term
+    ([2ⁿ/(d·t)]) can cost, so pricing it against the DMAV kernels would
+    never pick otherwise. *)
 
 val local_rate : support:int -> float
 (** The local leg's price per amplitude on a gate of this support mask
@@ -145,18 +143,7 @@ val dense_direct_macs : n:int -> Circuit.op -> float
     [Dense_kernel.two]): 4 per amplitude pair walked, which is [2ⁿ⁻¹⁻ᶜ]
     pairs for a [c]-controlled single-qubit gate, so [2ⁿ⁺¹⁻ᶜ]; 16 per
     quad of a two-qubit gate, so [2ⁿ⁺²]. The modeled MACs of every
-    dense gate, on the dense engine or in the flat phase. *)
-
-val dense_rate : float
-(** The dense single-qubit kernel's price per amplitude walked, fitted
-    with [bench/main.exe fusion_price]: the local leg's support-1 rate,
-    as the two share the walk. *)
-
-val dense_price : n:int -> Circuit.op -> float
-(** The dense kernel's price on one thread: {!dense_rate} per amplitude
-    walked, [2ⁿ⁻ᶜ] for a [c]-controlled single-qubit gate. Raises
-    [Invalid_argument] on a two-qubit op, whose dense kernel is the
-    local leg's walk. *)
+    gate of the dense engines. *)
 
 val local_price : ?local_rate:float -> n:int -> support:int -> float -> float
 (** [local_price ~n ~support run] is the price [Fusion.dmav_aware]
@@ -164,16 +151,15 @@ val local_price : ?local_rate:float -> n:int -> support:int -> float -> float
     [run] priced MACs: the gate on one thread, the cheaper of the two,
     the local leg at {!local_rate} (or [local_rate], one rate for both
     supports, for calibration sweeps) per amplitude. Algorithm 2 never
-    wins on one thread and a product has no dense kernel. A wide gate's
-    price is its {!priced} count. *)
+    wins on one thread. A wide gate's price is its {!priced} count. *)
 
 (** What a flat gate runs: the kernel the trace and the driver's counts
     name ([Engine.dispatch] is this type). *)
 type kernel =
-  | Dmav_local     (** the local leg: a narrow gate's 2×2 or 4×4 matrix in place *)
+  | Dmav_local     (** the local leg: a form's 2×2 or 4×4 matrix in place *)
   | Dmav_uncached  (** Algorithm 1, the Run *)
   | Dmav_cached    (** Algorithm 2, column-space caching *)
-  | Dense_direct   (** the dense direct kernel on an unfused op *)
+  | Dense_direct   (** the dense engines' kernel ([-e array]); no flat gate's *)
 
 type dispatch = {
   kernel : kernel;
@@ -183,8 +169,8 @@ type dispatch = {
       MACs per thread *)
   price : float;      (** the kernel's price per thread *)
   support : int option;
-  (** the levels of the gate's narrow form, as a bit mask; [None] for a
-      gate without one *)
+  (** the levels of the gate's form, its support and its controls, as a
+      bit mask; [None] for a gate without one *)
 }
 
 val dispatch : n:int -> breakdown -> dispatch
@@ -192,13 +178,9 @@ val dispatch : n:int -> breakdown -> dispatch
     on the Run and on Algorithm 2, and picks the cheaper; a tie goes to
     the Run. *)
 
-val local_dispatch : n:int -> threads:int -> macs:float -> int -> dispatch
-(** A gate given by its local form on [support], not its DD
-    ([Flat_gate.of_local]), of plain MAC count [macs]: the local leg, at
-    {!local_rate} per amplitude; its modeled MACs are [macs], counted as
-    the uncached kernel it stands in for. *)
-
-val dense_dispatch : n:int -> threads:int -> support:int option -> Circuit.op -> dispatch
-(** An unfused single-qubit op on the dense kernel ([Flat_gate.dense]),
-    at {!dense_price}; its modeled MACs are {!dense_direct_macs}.
-    [support] is the op's narrow form's, if it has one. *)
+val local_dispatch : n:int -> threads:int -> macs:float -> controls:int -> int -> dispatch
+(** A gate given by its form on [support] under the control mask
+    [controls], not its DD ([Flat_gate.of_local]), of plain MAC count
+    [macs]: the local leg, at {!local_rate} per amplitude it walks,
+    [2ⁿ⁻ᶜ] for [c] controls; its modeled MACs are [macs], counted as the
+    uncached kernel it stands in for. *)

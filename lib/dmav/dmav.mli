@@ -55,7 +55,7 @@ val apply :
     pick and its modeled costs, its [Dmav] program whether it cached
     and its hits. [v] and [w] must be distinct buffers of length 2ⁿ.
     Always one of the paper's two DMAV kernels: a gate given by its DD
-    never takes the local leg, which only a narrow gate
+    never takes the local leg, which only a gate given by its form
     ({!Flat_gate.of_local}) runs. *)
 
 val run : ?workspace:workspace -> pool:Pool.t -> Flat_gate.program -> v:Buf.t -> w:Buf.t -> unit
@@ -67,12 +67,12 @@ val exec : ?workspace:workspace -> pool:Pool.t -> Flat_gate.t -> v:Buf.t -> w:Bu
 (** Runs a compiled gate on the kernel it was compiled for, reading
     nothing of the package it came from. A [Dmav] gate is {!run}
     ([w ← M·v]) with the [dmav.apply] span and the modeled-MAC
-    counters. A [Local] gate, a narrow one, runs in place on [v]
-    ({!Storage.S.local_apply}, cut into stripes like the dense
-    kernel's), counted and timed as the uncached kernel it stands in
-    for ([dmav.kernel.uncached], the modeled-MAC counters,
-    [dmav.apply]). A [Dense] gate runs the dense direct kernel in place
-    on [v]. Only a [Dmav] gate writes [w]. *)
+    counters. A [Local] gate, one given by its form, runs in place on
+    [v] ({!Storage.S.local_apply} over the groups its controls select,
+    cut into stripes like the dense kernel's), counted and timed as the
+    uncached kernel it stands in for ([dmav.kernel.uncached], the
+    modeled-MAC counters, [dmav.apply]). Only a [Dmav] gate writes
+    [w]. *)
 
 val apply_nocache :
   Dd.package -> pool:Pool.t -> n:int -> Dd.medge -> v:Buf.t -> w:Buf.t -> unit

@@ -173,17 +173,16 @@ module Make (P : Storage.S) = struct
   module DK = Dense_kernel.Make (P)
 
   (* A compiled gate on its kernel, the one match over its body: the
-     dense kernel and the local leg work in place on [v], the Run writes
-     [w]. The local leg is counted and timed as the uncached kernel it
-     stands in for. *)
+     local leg works in place on [v], the Run writes [w]. The local leg
+     is counted and timed as the uncached kernel it stands in for. *)
   let exec ?workspace ~pool (g : Flat_gate.t) ~v ~w =
     match g.body with
-    | Flat_gate.Dense op -> DK.op ~pool ~n:(Bits.log2_exact (P.length v)) v op
     | Flat_gate.Local l ->
       Obs.incr c_kernel_uncached;
       count_modeled g;
       Obs.with_span s_apply (fun () ->
-          DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support ~paths:l.Flat_gate.paths)
+          DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support
+            ~controls:l.Flat_gate.controls ~paths:l.Flat_gate.paths)
     | Flat_gate.Dmav prog ->
       count_modeled g;
       Obs.with_span s_apply (fun () -> run ?workspace ~pool prog ~v ~w)

@@ -33,9 +33,9 @@ type program = {
   hits : int;
 }
 
-type local = { support : int; u : float array; paths : int }
+type local = { support : int; controls : int; u : float array; paths : int }
 
-type body = Dense of Circuit.op | Dmav of program | Local of local
+type body = Dmav of program | Local of local
 
 type t = {
   body : body;
@@ -219,7 +219,7 @@ let program ?(piece_macs = piece_macs) p ~n ~cached (b : Cost.breakdown) =
     contributors;
     hits = !hits }
 
-(* --- narrow forms: matrices on a few levels, without a DD ------------ *)
+(* --- forms: matrices on a few levels, without a DD ------------------- *)
 
 (* A matrix on the [k] levels of [mask] (k ≤ 4), identity elsewhere: a
    dense 2^k × 2^k row-major (re, im) array, index bit i on the i-th
@@ -227,6 +227,8 @@ let program ?(piece_macs = piece_macs) p ~n ~cached (b : Cost.breakdown) =
 type form = { mask : int; k : int; m : float array }
 
 let form_of (l : local) = { mask = l.support; k = Bits.popcount l.support; m = l.u }
+
+let acts_on l = l.support lor l.controls
 
 let levels mask =
   let lv = Array.make (Bits.popcount mask) 0 and rest = ref mask in
@@ -309,101 +311,151 @@ let normalize ~n ~check f =
   done;
   reduce ~n ~check f
 
-let to_local f =
+let to_local ?(controls = 0) f =
   let paths = ref 0 in
   for x = 0 to (1 lsl (2 * f.k)) - 1 do
     if not (is_zero f.m (2 * x)) then paths := !paths lor (1 lsl x)
   done;
-  { support = f.mask; u = f.m; paths = !paths }
+  { support = f.mask; controls; u = f.m; paths = !paths }
 
-let local_of_op ~n (op : Circuit.op) =
-  let form mask entry =
-    let f = { mask; k = Bits.popcount mask; m = [||] } in
-    let d = 1 lsl f.k in
-    let m = Array.make (2 * d * d) 0.0 in
-    for r = 0 to d - 1 do
-      for c = 0 to d - 1 do
-        let z : Cnum.t = entry r c in
-        m.(at f r c) <- z.re;
-        m.(at f r c + 1) <- z.im
-      done
-    done;
-    Some (to_local (normalize ~n ~check:mask { f with m }))
-  in
-  match op with
-  | Circuit.Single { matrix; target; controls = []; _ } ->
-    form (1 lsl target) (fun r c -> matrix.(r).(c))
-  | Circuit.Single { matrix; target; controls = [ ctl ]; _ } ->
-    (* The identity where the control is 0, the gate where it is 1. *)
-    let split x = if ctl > target then (x lsr 1, x land 1) else (x land 1, x lsr 1) in
-    form ((1 lsl target) lor (1 lsl ctl)) (fun r c ->
-        let cr, tr = split r and cc, tc = split c in
-        if cr <> cc then Cnum.zero
-        else if cr = 1 then matrix.(tr).(tc)
-        else if tr = tc then Cnum.one
-        else Cnum.zero)
-  | Circuit.Single _ -> None
-  | Circuit.Two { matrix; q_hi; q_lo; _ } ->
-    let swap x = if q_hi > q_lo then x else ((x land 1) lsl 1) lor (x lsr 1) in
-    form ((1 lsl q_hi) lor (1 lsl q_lo)) (fun r c -> matrix.(swap r).(swap c))
-
-(* [Dd.priced_paths] of the form's DD, from its block pattern, bottom
-   up: a block over the lowest j index bits is zero, a non-zero multiple
-   of the identity (a canonical identity node one level above its
-   levels, at level n − 1 for the whole form; a scalar below level 0 is
-   the terminal), or a node whose counts are its four quadrants' plus
-   its own visit (at level 1 and up). Each of the m levels off the mask
-   above such a node is a replication node (e, 0, 0, e), which doubles
-   the counts and adds its own visit: 2^m·c + (2^m − 1) visits. *)
-let form_paths ~n f =
-  let lv = levels f.mask and d = 1 lsl f.k in
-  let top j = if j = f.k then n - 1 else lv.(j) - 1 in
-  (* Per block, row-major in place: 0 zero, 1 identity (its scalar at
-     float offset [scalar]), 2 other; and its three counts. *)
-  let kind = Array.make (d * d) 0 and scalar = Array.make (d * d) 0 in
-  let terminal = Array.make (d * d) 0.0 and stripe = Array.make (d * d) 0.0 in
-  let visits = Array.make (d * d) 0.0 in
-  let identity x j =
-    kind.(x) <- 1;
-    if top j < 0 then terminal.(x) <- 1.0 else stripe.(x) <- Float.ldexp 1.0 (top j + 1)
-  in
-  for x = 0 to (d * d) - 1 do
-    scalar.(x) <- 2 * x;
-    if not (is_zero f.m (2 * x)) then identity x 0
-  done;
-  for j = 1 to f.k do
-    let w = d lsr j and double = Float.ldexp 1.0 (top j - lv.(j - 1)) in
-    let own = if lv.(j - 1) > 0 then 1.0 else 0.0 in
-    for br = 0 to w - 1 do
-      for bc = 0 to w - 1 do
-        let c00 = (2 * br * 2 * w) + (2 * bc) in
-        let c01 = c00 + 1 and c10 = c00 + (2 * w) in
-        let c11 = c10 + 1 and x = (br * w) + bc in
-        let k00 = kind.(c00) and k01 = kind.(c01) and k10 = kind.(c10) and k11 = kind.(c11) in
-        let t = terminal.(c00) +. terminal.(c01) +. terminal.(c10) +. terminal.(c11) in
-        let s = stripe.(c00) +. stripe.(c01) +. stripe.(c10) +. stripe.(c11) in
-        let v = visits.(c00) +. visits.(c01) +. visits.(c10) +. visits.(c11) in
-        terminal.(x) <- 0.0;
-        stripe.(x) <- 0.0;
-        visits.(x) <- 0.0;
-        if k00 = 0 && k01 = 0 && k10 = 0 && k11 = 0 then kind.(x) <- 0
-        else if k01 = 0 && k10 = 0 && k00 = 1 && k11 = 1 && near f.m scalar.(c00) scalar.(c11)
-        then begin
-          scalar.(x) <- scalar.(c00);
-          identity x j
-        end
-        else begin
-          kind.(x) <- 2;
-          terminal.(x) <- double *. t;
-          stripe.(x) <- double *. s;
-          visits.(x) <- (double *. (v +. own)) +. (double -. 1.0)
-        end
-      done
+(* The form on [mask] whose entry (r, c) is [entry r c]. *)
+let dense_form mask entry =
+  let f = { mask; k = Bits.popcount mask; m = [||] } in
+  let d = 1 lsl f.k in
+  let m = Array.make (2 * d * d) 0.0 in
+  for r = 0 to d - 1 do
+    for c = 0 to d - 1 do
+      let z : Cnum.t = entry r c in
+      m.(at f r c) <- z.re;
+      m.(at f r c + 1) <- z.im
     done
   done;
-  { Dd.terminal = terminal.(0); stripe = stripe.(0); visits = visits.(0) }
+  { f with m }
 
-let local_paths ~n l = form_paths ~n (form_of l)
+(* The normalized form on [mask] whose entry (r, c) is [entry r c],
+   dropping the levels of [check] it is trivial on. *)
+let form ~n ?controls ~check mask entry =
+  to_local ?controls (normalize ~n ~check (dense_form mask entry))
+
+let local_of_op ~n (op : Circuit.op) =
+  match op with
+  | Circuit.Single { matrix; target; controls; _ } ->
+    (* Under controls the gate's 2×2 keeps its target level: only its
+       zero entries are normalized away. *)
+    let mask = 1 lsl target in
+    form ~n ~controls:(Bits.all_masks controls) ~check:(if controls = [] then mask else 0) mask
+      (fun r c -> matrix.(r).(c))
+  | Circuit.Two { matrix; q_hi; q_lo; _ } ->
+    let swap x = if q_hi > q_lo then x else ((x land 1) lsl 1) lor (x lsr 1) in
+    let mask = (1 lsl q_hi) lor (1 lsl q_lo) in
+    form ~n ~check:mask mask (fun r c -> matrix.(swap r).(swap c))
+
+(* One control folds into a 4×4 on the target and control levels: the
+   identity where the control is 0, the gate where it is 1, normalized as
+   the op's DD would be. *)
+let narrow ~n l =
+  let mask = acts_on l in
+  if l.controls = 0 then Some l
+  else if Bits.popcount mask > 2 then None
+  else begin
+    let split x = if l.controls > l.support then (x lsr 1, x land 1) else (x land 1, x lsr 1) in
+    Some
+      (form ~n ~check:mask mask (fun r c ->
+           let cr, tr = split r and cc, tc = split c in
+           if cr <> cc then Cnum.zero
+           else if cr = 1 then Cnum.make l.u.(2 * ((2 * tr) + tc)) l.u.((2 * ((2 * tr) + tc)) + 1)
+           else if tr = tc then Cnum.one
+           else Cnum.zero))
+  end
+
+(* [Dd.priced_paths] of a form's DD, from its block pattern, bottom up
+   over the levels [lv] it spans: a block over the lowest j of them is
+   zero, a non-zero multiple of the identity (a canonical identity node
+   one level above its levels, at level n − 1 for the whole form; a
+   scalar below level 0 is the terminal), or a node whose counts are its
+   four quadrants' plus its own visit (at level 1 and up). Each of the m
+   levels off the mask above such a node is a replication node
+   (e, 0, 0, e), which doubles the counts and adds its own visit:
+   2^m·c + (2^m − 1) visits. [ident j re im] is the identity block at
+   stage j, [node j q00 q01 q10 q11] the block its four quadrants at
+   stage j − 1 form. *)
+type block = { kind : int; re : float; im : float; c : Dd.paths }  (* 0 zero, 1 identity, 2 other *)
+
+let zero_paths = { Dd.terminal = 0.0; stripe = 0.0; visits = 0.0 }
+let zero_block = { kind = 0; re = 0.0; im = 0.0; c = zero_paths }
+
+let count_blocks ~n lv =
+  let k = Array.length lv in
+  let top j = if j = k then n - 1 else lv.(j) - 1 in
+  let ident j re im =
+    { kind = 1; re; im;
+      c = (if top j < 0 then { zero_paths with Dd.terminal = 1.0 }
+           else { zero_paths with Dd.stripe = Float.ldexp 1.0 (top j + 1) }) }
+  in
+  let node j q00 q01 q10 q11 =
+    if q00.kind = 0 && q01.kind = 0 && q10.kind = 0 && q11.kind = 0 then zero_block
+    else if q01.kind = 0 && q10.kind = 0 && q00.kind = 1 && q11.kind = 1
+            && Float.abs (q00.re -. q11.re) <= Cnum.tolerance
+            && Float.abs (q00.im -. q11.im) <= Cnum.tolerance
+    then ident j q00.re q00.im
+    else begin
+      let double = Float.ldexp 1.0 (top j - lv.(j - 1)) in
+      let own = if lv.(j - 1) > 0 then 1.0 else 0.0 in
+      let sum f = f q00.c +. f q01.c +. f q10.c +. f q11.c in
+      { zero_block with
+        kind = 2;
+        c = { Dd.terminal = double *. sum (fun c -> c.Dd.terminal);
+              stripe = double *. sum (fun c -> c.Dd.stripe);
+              visits = (double *. (sum (fun c -> c.Dd.visits) +. own)) +. (double -. 1.0) } }
+    end
+  in
+  (ident, node)
+
+(* A form's matrix, row-major, combined quadrant by quadrant. *)
+let form_paths ~n f =
+  let ident, node = count_blocks ~n (levels f.mask) in
+  let d = 1 lsl f.k in
+  let blocks =
+    ref (Array.init (d * d) (fun x ->
+        if is_zero f.m (2 * x) then zero_block else ident 0 f.m.(2 * x) f.m.((2 * x) + 1)))
+  in
+  for j = 1 to f.k do
+    let w = d lsr j and b = !blocks in
+    blocks :=
+      Array.init (w * w) (fun x ->
+          let c00 = (4 * w * (x / w)) + (2 * (x mod w)) in
+          node j b.(c00) b.(c00 + 1) b.(c00 + (2 * w)) b.(c00 + (2 * w) + 1))
+  done;
+  !blocks.(0).c
+
+(* A controlled 2×2 without its matrix over the controls: below the
+   target level a block is, up to a scalar, zero, the identity [i], the
+   projector onto the controls so far all 1 ([p], which an off-diagonal
+   entry of the gate scales) or the identity with a diagonal entry s of
+   the gate on that projector ([d s]); at the target the gate's block
+   [a] forms from them, and each control above adds (i, 0, 0, a). *)
+let masked_paths ~n l =
+  let lv = levels (acts_on l) in
+  let ident, node = count_blocks ~n lv in
+  let entry x = if is_zero l.u (2 * x) then zero_block else ident 0 l.u.(2 * x) l.u.((2 * x) + 1) in
+  let off x p = if is_zero l.u (2 * x) then zero_block else p in
+  let i = ref (ident 0 1.0 0.0) and p = ref (ident 0 1.0 0.0) in
+  let d0 = ref (entry 0) and d1 = ref (entry 3) and a = ref zero_block in
+  for j = 1 to Array.length lv do
+    let b = 1 lsl lv.(j - 1) in
+    if b = l.support then a := node j !d0 (off 1 !p) (off 2 !p) !d1
+    else if b < l.support then begin
+      p := node j zero_block zero_block zero_block !p;
+      d0 := node j !i zero_block zero_block !d0;
+      d1 := node j !i zero_block zero_block !d1
+    end
+    else a := node j !i zero_block zero_block !a;
+    i := ident j 1.0 0.0
+  done;
+  !a.c
+
+(* A form under controls has a one-level support ([local_of_op]). *)
+let local_paths ~n l = if l.controls = 0 then form_paths ~n (form_of l) else masked_paths ~n l
 
 type product = Narrow_product of local | Wide_product of Dd.paths
 
@@ -430,6 +482,7 @@ let side lv support =
   (spread (own - 1), Array.init (1 lsl Array.length lv) pack, Array.init own spread)
 
 let local_product ~n a b =
+  let a = Option.get (narrow ~n a) and b = Option.get (narrow ~n b) in
   let mask = a.support lor b.support in
   let lv = levels mask in
   let d = 1 lsl Array.length lv in
@@ -478,17 +531,14 @@ let local_dd p ~n l =
   in
   match levels l.support with
   | [| lo; hi |] -> Mat_dd.of_two p ~n ~q_hi:hi ~q_lo:lo m
-  | lv -> Mat_dd.of_single p ~n ~target:lv.(0) ~controls:[] m
+  | lv -> Mat_dd.of_single p ~n ~target:lv.(0) ~controls:(Array.to_list (levels l.controls)) m
 
 let of_local ~n ~threads l =
   let c = local_paths ~n l in
   { body = Local l;
-    dispatch = Cost.local_dispatch ~n ~threads ~macs:(Cost.macs c) l.support;
+    dispatch =
+      Cost.local_dispatch ~n ~threads ~macs:(Cost.macs c) ~controls:l.controls l.support;
     identity_macs = c.Dd.stripe }
-
-let dense ~n ~threads op =
-  let support = Option.map (fun l -> l.support) (local_of_op ~n op) in
-  { body = Dense op; dispatch = Cost.dense_dispatch ~n ~threads ~support op; identity_macs = 0.0 }
 
 let s_cost = Obs.span "dmav.cost"
 

@@ -13,13 +13,12 @@
     {!Dd.package}, so the planner may keep fusing while earlier gates
     run. A compiled gate is immutable and may be run on any pool: the
     [threads] virtual task lists are the same whether [threads] domains
-    run one each or one domain runs them all, so are the bytes. A narrow
-    gate (an op of support ≤ 2, or a product of such gates on at most
-    two levels) is compiled from its matrices ({!of_local}), not from a
-    DD, to its [Local] form: a 2×2 or 4×4 matrix applied in place. An
-    unfused single-qubit op may be compiled to the dense kernel
-    ({!dense}) with neither. Only a wide gate ({!compile}) is priced
-    between kernels: the Run against Algorithm 2.
+    run one each or one domain runs them all, so are the bytes. A gate
+    given by its form (any op, or a fused product on at most two levels)
+    is compiled from its matrices ({!of_local}), not from a DD, to its
+    [Local] form: a 2×2 or 4×4 matrix applied in place, under a control
+    mask. Only a wide gate ({!compile}) is priced between kernels: the
+    Run against Algorithm 2.
 
     A task whose sub-matrix models more than [piece_macs] MACs is split
     into the Run calls of its children, in the recursion's order and
@@ -49,19 +48,22 @@ type program = private {
 
 type local = private {
   support : int;
-  (** the levels the gate acts on, as a bit mask of one or two bits *)
+  (** the levels its matrix spans, as a bit mask of one or two bits *)
+  controls : int;
+  (** the control levels, a bit mask disjoint from [support]: the matrix
+      acts where they are all 1, the identity elsewhere; 0 for none *)
   u : float array;
   (** its [2^s × 2^s] matrix, row-major (re, im), the higher support
       level the major index bit *)
   paths : int;  (** bit [r·2^s + c] set where the entry is not 0 *)
 }
-(** A narrow gate: its matrix is the identity on all but at most two
-    levels, built from op matrices ({!local_of_op}, {!local_product}) and
-    run as {!Storage.S.local_apply}, in place (DESIGN.md). It holds no
+(** A gate given by its form: its matrix is the identity on all but its
+    support and its controls, built from op matrices ({!local_of_op},
+    {!local_product}) and run as {!Storage.S.local_apply}, in place, over
+    the amplitudes whose control bits are all 1 (DESIGN.md). It holds no
     arena. *)
 
 type body =
-  | Dense of Circuit.op  (** the dense direct kernel on an unfused op *)
   | Dmav of program      (** the Run, uncached or cached *)
   | Local of local       (** the local leg *)
 
@@ -70,8 +72,8 @@ type t = {
   dispatch : Cost.dispatch;     (** the kernel it runs and its modeled costs *)
   identity_macs : float;
   (** the pick's modeled MACs under identity stripes, read off its
-      pricing: the breakdown's [k1_stripe] or [k2_stripe], a narrow
-      gate's stripe count, 0 for the dense kernel *)
+      pricing: the breakdown's [k1_stripe] or [k2_stripe], a form's
+      stripe count *)
 }
 (** The one record of what a flat gate runs: the driver reads the
     kernel, price, support, modeled MACs and cache hits it counts and
@@ -90,22 +92,31 @@ val program : ?piece_macs:float -> Dd.package -> n:int -> cached:bool -> Cost.br
     {!piece_macs}) is there for the tests, which split down to single
     Run calls. *)
 
-(** {1 Narrow forms}
+(** {1 Forms}
 
-    The local form of a gate of support ≤ 2 built from its matrix, with
-    no DD: the flat phase's fusion multiplies such gates as matrices of
-    at most 16×16. A form is normalized as its DD would be: entries
-    within {!Cnum.tolerance} of zero are 0 and have no path, and the
-    levels the matrix is trivial on (the identity, its diagonal blocks
-    within {!Cnum.tolerance}) are dropped, so its [support] is the levels
-    the matrix acts on. A multiple of the identity acts on level
-    [n − 1]. *)
+    The form of a gate built from its matrix, with no DD. A form is
+    normalized as its DD would be: entries within {!Cnum.tolerance} of
+    zero are 0 and have no path, and an uncontrolled form drops the
+    levels its matrix is trivial on (the identity, its diagonal blocks
+    within {!Cnum.tolerance}), so its [support] is the levels the matrix
+    acts on; a multiple of the identity acts on level [n − 1]. A form on
+    at most two levels ({!narrow}) is what the flat phase's fusion
+    multiplies as a matrix of at most 16×16. *)
 
-val local_of_op : n:int -> Circuit.op -> local option
-(** The form of an uncontrolled single-qubit op (2×2), a singly
-    controlled one (4×4, the identity where the control is 0) or a
-    two-qubit op (4×4, its bits swapped when [q_hi < q_lo]); [None] for
-    a gate with two or more controls. Its entries are the op matrix's. *)
+val local_of_op : n:int -> Circuit.op -> local
+(** Every op's form: a single-qubit op is its 2×2 on the target under
+    its controls (any number, as the mask; only an uncontrolled one
+    drops a trivial level), a two-qubit op its 4×4 (its bits swapped
+    when [q_hi < q_lo]). Its entries are the op matrix's. *)
+
+val acts_on : local -> int
+(** The levels the form acts on: its support and its controls. *)
+
+val narrow : n:int -> local -> local option
+(** The form on at most two levels ({!acts_on}) as fusion multiplies
+    and prices it: a control folded into a 4×4 matrix (the identity
+    where the control is 0), normalized as the op's DD would be; [None]
+    on more levels. *)
 
 type product =
   | Narrow_product of local  (** the product acts on at most two levels *)
@@ -114,13 +125,15 @@ type product =
       ({!Dd.priced_paths}) *)
 
 val local_product : n:int -> local -> local -> product
-(** [local_product ~n a b] is the product [a·b] on the union of
-    their supports, as a matrix of at most 16×16 whose entries sum their
-    terms in ascending order. A product on more than two levels is only
+(** [local_product ~n a b] is the product [a·b] of two forms on at most
+    two levels each (their {!narrow} forms) on the union of their
+    levels, as a matrix of at most 16×16 whose entries sum their terms
+    in ascending order. A product on more than two levels is only
     priced: the caller that keeps it builds its DD. *)
 
 val local_paths : n:int -> local -> Dd.paths
-(** {!Dd.priced_paths} of the form's DD, from its block pattern alone. *)
+(** {!Dd.priced_paths} of the form's DD, from its block pattern alone,
+    without a matrix over its controls. *)
 
 val local_dd : Dd.package -> n:int -> local -> Dd.medge
 (** The form's matrix DD ({!Mat_dd.of_single} or {!Mat_dd.of_two}). *)
@@ -129,17 +142,12 @@ val of_local : n:int -> threads:int -> local -> t
 (** Compiles a form without its DD to the local leg
     ({!Cost.local_dispatch}). *)
 
-val dense : n:int -> threads:int -> Circuit.op -> t
-(** Compiles an unfused single-qubit op to the dense direct kernel
-    ({!Cost.dense_dispatch}), building no DD and counting no paths: its
-    support is its narrow form's ({!local_of_op}), if it has one. *)
-
 val compile : Dd.package -> n:int -> threads:int -> Dd.medge -> t
 (** Prices a wide gate, given by its matrix DD, on the Run and on
     Algorithm 2 for a pool of [threads] ({!Cost.breakdown} and
     {!Cost.dispatch}, one [dmav.cost] span) and compiles the cheaper
-    from the same assignment. Never [Local] or [Dense]: only {!of_local}
-    and {!dense} compile to those. *)
+    from the same assignment. Never [Local]: only {!of_local} compiles
+    to that. *)
 
 val pieces : program -> int
 (** Run calls in the program. *)

@@ -37,13 +37,8 @@ type t = {
   compact_every : int;    (** DD-package GC interval in gates; 0 = never *)
   trace : bool;           (** record the per-gate trace *)
   dense_dispatch : bool;
-  (** When set, the flat phase runs every unfused single-qubit gate on
-      the dense direct-apply kernel ([Dense_kernel.single]), by rule and
-      without building its gate DD: the kernel's price per amplitude
-      walked is below the least a DMAV kernel can cost. A two-qubit gate
-      takes the local leg either way, and a fused gate never runs dense.
-      Off by default so the stock DMAV phase stays bit-for-bit
-      reproducible. *)
+  (** Ignored: every unfused gate runs on the local leg, under its
+      control mask. Kept because the flat-wide benchmark sets it. *)
   order : order_mode;
   (** Qubit-order policy (`--order`). Results are always reported in the
       logical basis regardless of this setting. *)
@@ -56,7 +51,7 @@ type t = {
 
 val default : t
 (** 1 thread, β = 0.9, ε = 2.0, no fusion, EWMA policy,
-    compaction every 64 gates, no trace, no dense dispatch, no order
-    optimization. *)
+    compaction every 64 gates, no trace, [dense_dispatch] false, no
+    order optimization. *)
 
 val with_threads : int -> t -> t

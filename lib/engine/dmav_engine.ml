@@ -1,11 +1,11 @@
 (* The flat-array engine of the flat phase, written once over the
    amplitude precision: the state is a pair of 2ⁿ buffers (current [v],
    scratch [w]), seated on the converted DD state ([of_buf]), and a gate
-   is a DD-matrix × array-vector product (paper §3.2), or — when
-   [Config.dense_dispatch] is on and the cost model picks it — a dense
-   in-place kernel on [v] that skips the ping-pong entirely. A narrow
-   gate (its matrix acts on at most two levels, built from op matrices)
-   skips it too: its local leg applies the 2×2 or 4×4 matrix in place.
+   is a DD-matrix × array-vector product (paper §3.2), or, for a gate
+   given by its form (built from op matrices: every unfused op and the
+   fused products on at most two levels), its local leg, which applies
+   the 2×2 or 4×4 matrix in place under the gate's control mask and
+   skips the ping-pong.
    Every gate arrives compiled by the driver's planner ([Flat_gate]): the
    kernel pick, the task lists and the gate's own copy of its matrix DD
    are fixed, so applying one reads nothing of the DD package, and the
@@ -39,8 +39,7 @@ module Make (Pr : Engine.PRECISION) = struct
     { n; ws; v; w = K.take ws; max_buffers = 0 }
 
   (* The kernel the gate was compiled for (§3.2.3). A Run writes W, which
-     becomes the state; the dense kernel and the local leg work in place:
-     no swap. *)
+     becomes the state; the local leg works in place: no swap. *)
   let apply_op st ~pool (xo : Engine.exec_op) =
     match xo.Engine.xo_gate with
     | None -> invalid_arg "Dmav_engine.apply_op: gate without a compiled form"
@@ -52,7 +51,7 @@ module Make (Pr : Engine.PRECISION) = struct
           let tmp = st.v in
           st.v <- st.w;
           st.w <- tmp
-        | Flat_gate.Dense _ | Flat_gate.Local _ -> ())
+        | Flat_gate.Local _ -> ())
 
   let size_metric _ = 0
 

@@ -54,10 +54,10 @@ let c_streamed = Obs.counter "sim.gates_streamed"
 let s_stream = Obs.span "sim.flat_stream"
 let s_stream_wait = Obs.span "sim.flat_stream_wait"
 
-(* Flat-phase kernels, by the compiled gate's kernel. Without
-   [dense_dispatch] the cached/uncached counts mirror dmav.kernel.*; with
-   it an unfused single-qubit op counts as dense. The local count is the
-   part of the uncached one that ran on the local leg. *)
+(* Flat-phase kernels, by the compiled gate's kernel: the cached and
+   uncached counts mirror dmav.kernel.*, the local count is the part of
+   the uncached one that ran on the local leg, and the dense count is
+   the dense engines' gates. *)
 let c_disp_cached = Obs.counter "dmav.dispatch.cached"
 let c_disp_uncached = Obs.counter "dmav.dispatch.uncached"
 let c_disp_dense = Obs.counter "dmav.dispatch.dense"
@@ -65,41 +65,32 @@ let c_disp_local = Obs.counter "dmav.dispatch.local"
 
 (* The flat phase's planner: the remaining ops fused per config, each
    output gate compiled at the run's pool size ([Fusion.compile]) and
-   handed to [emit] as soon as it is final. Every mode builds its gates
-   with [Fusion.of_op]: an op of support at most two is its narrow form,
-   and a DD is built only for any other op or when a product needs DDMM.
-   Without fusion and with [dense_dispatch], a single-qubit op compiles
-   to the dense kernel by rule ([Flat_gate.dense]) and builds neither.
-   [poll] runs before each input op, in every mode. Returns the fusion
-   stats. *)
+   handed to [emit] as soon as it is final. Without fusion every op is
+   its form ([Flat_gate.local_of_op]) on the local leg and no DD is built; the
+   scans build a DD only for an op on more than two levels or when a
+   product needs DDMM. [poll] runs before each input op, in every mode.
+   Returns the fusion stats. *)
 let s_compile = Obs.span "plan.compile"
 
 let flat_plan (ctx : Engine.ctx) ~n ~first_index ~poll ~emit ops =
   let p = ctx.Engine.package in
   let threads = Pool.size ctx.Engine.pool in
   let j = ref first_index in
-  let out name compile =
-    let g = Obs.with_span s_compile compile in
+  let out name g =
+    let g = Obs.with_span s_compile (fun () -> Fusion.compile p ~n ~threads g) in
     emit { Engine.xo_index = !j; xo_name = name; xo_op = None; xo_gate = Some g };
     incr j
   in
-  let gate g () = Fusion.compile p ~n ~threads g in
   match ctx.Engine.cfg.Config.fusion with
   | Config.No_fusion ->
-    let dense = ctx.Engine.cfg.Config.dense_dispatch in
     List.iter
       (fun op ->
          poll ();
-         out (Circuit.op_name op)
-           (match op with
-            | Circuit.Single _ when dense -> fun () -> Flat_gate.dense ~n ~threads op
-            | _ -> gate (Fusion.of_op p ~n op)))
+         out (Circuit.op_name op) (Fusion.Local (Flat_gate.local_of_op ~n op)))
       ops;
     None
-  | Config.Dmav_aware ->
-    Some (Fusion.dmav_aware_iter ~poll p ~n ~emit:(fun g -> out "fused" (gate g)) ops)
-  | Config.K_operations k ->
-    Some (Fusion.k_operations_iter ~poll p ~n ~k ~emit:(fun g -> out "kops" (gate g)) ops)
+  | Config.Dmav_aware -> Some (Fusion.dmav_aware_iter ~poll p ~n ~emit:(out "fused") ops)
+  | Config.K_operations k -> Some (Fusion.k_operations_iter ~poll p ~n ~k ~emit:(out "kops") ops)
 
 (* --- qubit-order plumbing (ISSUE 8) -------------------------------- *)
 
@@ -174,7 +165,7 @@ let account r (xo : Engine.exec_op) =
        r.cached_gates <- r.cached_gates + 1;
        (match g.Flat_gate.body with
         | Flat_gate.Dmav prog -> r.cache_hits <- r.cache_hits + prog.Flat_gate.hits
-        | Flat_gate.Local _ | Flat_gate.Dense _ -> ())
+        | Flat_gate.Local _ -> ())
      | Engine.Dmav_uncached ->
        Obs.incr c_disp_uncached;
        r.uncached_gates <- r.uncached_gates + 1

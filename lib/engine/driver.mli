@@ -39,7 +39,8 @@ type result = {
   dmav_cache_hits : int;
   modeled_macs : float;
       (** Σ modeled MAC work over the flat phase: [Cost.modeled_macs] of
-          each gate's pick, a dense gate's [Cost.dense_direct_macs] *)
+          each gate's pick; on a dense engine each gate's
+          [Cost.dense_direct_macs] *)
   fusion_stats : Fusion.stats option;
   order : Order.t option;
       (** Physical qubit order of [final] when it is a [Dd_state]:
@@ -58,9 +59,8 @@ val run :
   Config.t ->
   Circuit.t ->
   result
-(** The hybrid DD→flat run from |0…0⟩. With [Config.dense_dispatch] on,
-    the flat phase runs every unfused single-qubit gate on the dense
-    kernel, building no gate DD for it. When [pool]
+(** The hybrid DD→flat run from |0…0⟩. Without fusion the flat phase
+    runs every gate on the local leg, building no gate DD. When [pool]
     is omitted a pool of [config.threads] workers is created for the
     call; a supplied pool overrides [config.threads] and is left
     running. [cancel] is polled at

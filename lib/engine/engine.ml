@@ -1,8 +1,8 @@
 (** The stepwise engine abstraction.
 
     An {!ENGINE} is one way of holding a quantum state and advancing it by
-    one gate: DD simulation ([Dd_engine]), flat-array DMAV with per-gate
-    kernel dispatch ([Dmav_engine]), or dense direct application
+    one gate: DD simulation ([Dd_engine]), the flat-array phase's
+    compiled gates ([Dmav_engine]), or dense direct application
     ([Dense_engine]). Everything cross-cutting — the conversion policy,
     cooperative cancellation, kernel counts and trace records (read off
     each flat gate's compiled form), peak-memory tracking, the DD
@@ -14,8 +14,9 @@
 type phase = Dd_phase | Conversion | Dmav_phase
 
 (** Which kernel executed a flat-phase gate: the compiled gate's
-    [Cost.kernel]. [Dmav_local] is a narrow gate run on its local leg
-    ([Flat_gate.Local]), counted as an uncached DMAV pick. *)
+    [Cost.kernel]. [Dmav_local] is a gate run on its local leg
+    ([Flat_gate.Local]), counted as an uncached DMAV pick;
+    [Dense_direct] is a dense engine's gate. *)
 type dispatch = Cost.kernel = Dmav_local | Dmav_uncached | Dmav_cached | Dense_direct
 
 (** One entry of the per-gate trace. *)

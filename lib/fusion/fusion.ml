@@ -7,7 +7,7 @@ type stats = {
   macs_after : float;
 }
 
-type gate = Narrow of Flat_gate.local | Wide of Dd.medge
+type gate = Local of Flat_gate.local | Wide of Dd.medge
 
 (* "accepted" = a product was kept as the pending fused gate;
    "rejected" = the product's price exceeded applying the two gates
@@ -28,24 +28,27 @@ let s_price = Obs.span "plan.price"
 
 let gate_dd build = Obs.with_span s_gate_dd build
 
-let to_dd p ~n = function Narrow l -> Flat_gate.local_dd p ~n l | Wide m -> m
-
-let of_op p ~n op =
-  match Flat_gate.local_of_op ~n op with
-  | Some l -> Narrow l
-  | None -> Wide (gate_dd (fun () -> Mat_dd.of_op p ~n op))
+let to_dd p ~n = function Local l -> Flat_gate.local_dd p ~n l | Wide m -> m
 
 let compile p ~n ~threads = function
-  | Narrow l -> Flat_gate.of_local ~n ~threads l
+  | Local l -> Flat_gate.of_local ~n ~threads l
   | Wide m -> Flat_gate.compile p ~n ~threads m
 
-(* A gate of a scan: its narrow form when it has one, its matrix DD,
-   built when first forced (a narrow op's from the op, a narrow
-   product's from its form, a product priced from its matrix as the
-   DDMM of its two sides), and its path counts, counted once (from the
-   form's or the product's matrix when it has one, else by walking the
-   DD), which its MACs and its price read. *)
-type pending = { form : Flat_gate.local option; dd : Dd.medge Lazy.t; paths : Dd.paths Lazy.t }
+(* A gate of a scan: its form when it has one (an op's, or a product's
+   on at most two levels), which it is emitted as; the same form on at
+   most two levels with its control folded in, which products multiply
+   and the price reads ([narrow]); its matrix DD, built when first
+   forced (an op's from the op, a narrow product's from its form, a
+   product priced from its matrix as the DDMM of its two sides); and its
+   path counts, counted once (from the form or the product's matrix when
+   it has one, else by walking the DD), which its MACs and its price
+   read. *)
+type pending = {
+  form : Flat_gate.local option;
+  narrow : Flat_gate.local option;
+  dd : Dd.medge Lazy.t;
+  paths : Dd.paths Lazy.t;
+}
 
 (* What both scans share: the package, the gate steps and the stats,
    which keep Eq. 5's MAC meaning: each input and output gate's plain
@@ -67,15 +70,17 @@ let scan_gate sc ?paths form dd =
         (let m = Lazy.force dd in
          Obs.with_span s_price (fun () -> Dd.priced_paths sc.p m))
   in
-  { form; dd; paths }
+  { form; narrow = Option.bind form (Flat_gate.narrow ~n:sc.n); dd; paths }
 
 let macs g = Cost.macs (Lazy.force g.paths)
 
-(* An input op as a scan gate, as [of_op] builds it: a wide op's DD is
-   built at once, for its MACs. *)
+(* An input op as a scan gate: its form, and a DD built from the op, at
+   once for a form on more than two levels, which any product takes by
+   DDMM. *)
 let input sc op =
   let dd = lazy (gate_dd (fun () -> Mat_dd.of_op sc.p ~n:sc.n op)) in
-  let g = scan_gate sc (Flat_gate.local_of_op ~n:sc.n op) dd in
+  let g = scan_gate sc (Some (Flat_gate.local_of_op ~n:sc.n op)) dd in
+  if Option.is_none g.narrow then ignore (Lazy.force dd);
   let m = macs g in
   sc.st <- { sc.st with gates_in = sc.st.gates_in + 1; macs_before = sc.st.macs_before +. m };
   g
@@ -92,7 +97,7 @@ let product sc g_i g_p =
     let m_p = Lazy.force g_p.dd in
     Obs.with_span s_ddmm (fun () -> Dd.mm sc.p m_i m_p)
   in
-  match g_i.form, g_p.form with
+  match g_i.narrow, g_p.narrow with
   | Some a, Some b -> (
       sc.st <- { sc.st with narrow_products = sc.st.narrow_products + 1 };
       match Flat_gate.local_product ~n:sc.n a b with
@@ -109,7 +114,7 @@ let keep g =
 let output sc emit g =
   let m = macs g in
   sc.st <- { sc.st with gates_out = sc.st.gates_out + 1; macs_after = sc.st.macs_after +. m };
-  emit (match g.form with Some l -> Narrow l | None -> Wide (Lazy.force g.dd))
+  emit (match g.form with Some l -> Local l | None -> Wide (Lazy.force g.dd))
 
 let finish { st; _ } =
   if Obs.enabled () then begin
@@ -134,7 +139,7 @@ let dmav_aware_iter ?identity_price ?local_rate ?(poll = ignore) p ~n ~emit ops 
      gate's is its Run's. *)
   let price g =
     let run = Cost.priced ?identity_price (Lazy.force g.paths) in
-    match g.form with
+    match g.narrow with
     | Some l -> Cost.local_price ?local_rate ~n ~support:l.Flat_gate.support run
     | None -> run
   in

@@ -11,18 +11,21 @@
     ([c_ip ≤ c_i + c_p]). The product itself is ignored by the model, as
     in the paper: it never touches 2ⁿ-sized data.
 
-    Both scans build their gates with {!of_op}: an op of support ≤ 2 is
-    its narrow form ({!Flat_gate.local_of_op}: a level mask and a 2×2 or
-    4×4 matrix, no DD), any other op its matrix DD. Two narrow gates
-    multiply as matrices ({!Flat_gate.local_product}), and a product on
-    three or four levels is priced from its matrix. Every other product
-    is a DD matrix-matrix multiplication (DDMM), whose sides' DDs are
-    built only then; it is wide, whatever its DD turns out to act on.
+    Every op is its form ({!Flat_gate.local_of_op}: a 2×2 or 4×4 matrix
+    on its target levels under a control mask, no DD), which an op left
+    alone is emitted as. A form on at most two levels, controls included,
+    is a narrow gate ({!Flat_gate.narrow}); an op on more levels is also
+    its matrix DD, built at once. Two narrow gates multiply as matrices
+    ({!Flat_gate.local_product}), and a product on three or four levels
+    is priced from its matrix. Every other product is a DD matrix-matrix
+    multiplication (DDMM), whose sides' DDs are built only then; it is
+    wide, whatever its DD turns out to act on.
 
     The modeled cost is the gate's price on one thread, not the paper's
     plain path count. Each scan gate carries its path counts
-    ({!Dd.paths}, counted once: from its matrix for a narrow gate or a
-    product priced from its matrix, else by one walk of its DD), and
+    ({!Dd.paths}, counted once: from its form for an op or a narrow
+    gate, from its matrix for a product priced from it, else by one walk
+    of its DD), and
     its price and its MACs in the stats are arithmetic on them. On the
     Run a path costs one MAC, except that a canonical identity node at
     level [l] costs
@@ -54,22 +57,17 @@ type stats = {
 }
 
 type gate =
-  | Narrow of Flat_gate.local  (** a gate on at most two levels, as its form *)
-  | Wide of Dd.medge           (** any other gate, as its matrix DD *)
+  | Local of Flat_gate.local
+  (** a gate given by its form: an op, or a product on at most two levels *)
+  | Wide of Dd.medge           (** any other product, as its matrix DD *)
 
 val to_dd : Dd.package -> n:int -> gate -> Dd.medge
-(** The output gate's matrix DD (a narrow one's built on the call). *)
-
-val of_op : Dd.package -> n:int -> Circuit.op -> gate
-(** An op as a flat gate: its narrow form when it has one, and only
-    otherwise its matrix DD (span [plan.gate_dd]). *)
+(** The output gate's matrix DD (a form's built on the call). *)
 
 val compile : Dd.package -> n:int -> threads:int -> gate -> Flat_gate.t
-(** Compiles a gate for a pool of [threads]: a narrow one to the local
-    leg ({!Flat_gate.of_local}), a wide one to the Run or Algorithm 2,
-    whichever its price favors ({!Flat_gate.compile}). The dense kernel
-    is not a gate's: the driver compiles an unfused single-qubit op to
-    it ({!Flat_gate.dense}) without building a gate. *)
+(** Compiles a gate for a pool of [threads]: a form to the local leg
+    ({!Flat_gate.of_local}), a wide one to the Run or Algorithm 2,
+    whichever its price favors ({!Flat_gate.compile}). *)
 
 val dmav_aware :
   ?identity_price:float ->

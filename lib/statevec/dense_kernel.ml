@@ -9,7 +9,7 @@
    stay f64; all arithmetic runs in double and only the stores round at
    [F32]. *)
 
-(* Which dense body serves the run: Storage.dense_lanes (2 or 4), set
+(* Which dense body serves the run: Storage.dense_lanes (2, 4 or 8), set
    by every single-qubit gate rather than once, so a snapshot taken after
    a metrics reset still shows it. *)
 let g_lanes = Obs.gauge "statevec.dense.lanes"
@@ -76,25 +76,26 @@ module Make (P : Storage.S) = struct
     if P.length amps <> 1 lsl n then invalid_arg "Dense_kernel.two: bad length";
     let u = flatten m in
     stripes ?pool ~hi:(1 lsl (n - 2)) (fun lo hi ->
-        P.local_apply amps u ~major:(1 lsl q_hi) ~minor:(1 lsl q_lo) ~paths:0xffff ~lo ~hi)
+        P.local_apply amps u ~major:(1 lsl q_hi) ~minor:(1 lsl q_lo) ~cmask:0 ~paths:0xffff ~lo
+          ~hi)
 
-  (* The local leg of an uncached DMAV gate ([Flat_gate.Local]): its
-     2×2 or 4×4 matrix on the [support] levels, the higher one the major
-     index bit, in place, over [P.local_apply]'s groups, cut as
-     [stripes] cuts pairs. The one-domain loop is written out so that the
-     gate allocates nothing. *)
-  let local ~pool amps u ~support ~paths =
+  (* The local leg of a flat gate ([Flat_gate.Local]): its 2×2 or 4×4
+     matrix on the [support] levels, the higher one the major index bit,
+     in place over [P.local_apply]'s groups (those whose [controls] bits
+     are all 1), cut as [stripes] cuts pairs. The one-domain loop is
+     written out so that the gate allocates nothing. *)
+  let local ~pool amps u ~support ~controls ~paths =
     let minor = support land -support in
     let major = support lxor minor in
-    let hi = P.length amps lsr Bits.popcount support in
+    let hi = P.length amps lsr (Bits.popcount support + Bits.popcount controls) in
     if Pool.size pool > 1 && hi >= seq_threshold then
       Pool.parallel_for_ranges pool ~lo:0 ~hi (fun lo hi ->
-          P.local_apply amps u ~major ~minor ~paths ~lo ~hi)
+          P.local_apply amps u ~major ~minor ~cmask:controls ~paths ~lo ~hi)
     else begin
       let lo = ref 0 in
       while !lo < hi do
         let next = Int.min hi (!lo + stripe_max) in
-        P.local_apply amps u ~major ~minor ~paths ~lo:!lo ~hi:next;
+        P.local_apply amps u ~major ~minor ~cmask:controls ~paths ~lo:!lo ~hi:next;
         lo := next
       done
     end

@@ -188,18 +188,17 @@ module Make (P : Storage.S) = struct
   (* The local leg's walk ([P.local_apply]): the [2^s × 2^s] matrix [u]
      (row-major re/im; [s] = 1 when [major] is 0, else 2) on the bits
      [major] (index bit 1) and [minor] (index bit 0), in place on every
-     group of amplitudes whose [major] and [minor] bits are 0. Each
-     output starts from +0 and adds [u(r, c)·x(c)] for each [c],
-     ascending, whose bit [r·2^s + c] is set in [paths], the running sum
-     stored to [P] after every term ([round]). The dense two-qubit kernel
-     is this walk with all 16 paths, [major] its [q_hi]. *)
-  let round x = if P.bytes_per_float = 8 then x else Int32.float_of_bits (Int32.bits_of_float x)
-
-  let local ~n amps (u : float array) ~major ~minor ~paths =
+     group of amplitudes whose [major] and [minor] bits are 0 and whose
+     [cmask] bits are all 1; every other amplitude stays. Each output
+     starts from +0 and adds [u(r, c)·x(c)] for each [c], ascending,
+     whose bit [r·2^s + c] is set in [paths], in double; the sum is
+     stored to [P] once, rounding at f32. The dense two-qubit kernel is
+     this walk with all 16 paths and no controls, [major] its [q_hi]. *)
+  let local ~n amps (u : float array) ~major ~minor ~cmask ~paths =
     let d = if major = 0 then 2 else 4 in
     let xre = Array.make d 0.0 and xim = Array.make d 0.0 and idx = Array.make d 0 in
     for base = 0 to (1 lsl n) - 1 do
-      if base land (major lor minor) = 0 then begin
+      if base land (major lor minor) = 0 && base land cmask = cmask then begin
         for c = 0 to d - 1 do
           idx.(c) <- base lor (if c land 1 = 1 then minor else 0) lor (if c land 2 = 2 then major else 0);
           xre.(c) <- P.get_re amps idx.(c);
@@ -210,8 +209,8 @@ module Make (P : Storage.S) = struct
           for c = 0 to d - 1 do
             if (paths lsr ((r * d) + c)) land 1 = 1 then begin
               let ure = u.(2 * ((r * d) + c)) and uim = u.((2 * ((r * d) + c)) + 1) in
-              accre := round (!accre +. ((ure *. xre.(c)) -. (uim *. xim.(c))));
-              accim := round (!accim +. ((ure *. xim.(c)) +. (uim *. xre.(c))))
+              accre := !accre +. ((ure *. xre.(c)) -. (uim *. xim.(c)));
+              accim := !accim +. ((ure *. xim.(c)) +. (uim *. xre.(c)))
             end
           done;
           P.set2 amps idx.(r) !accre !accim

@@ -354,7 +354,7 @@ let test_diagonal_prices_in_visit_order () =
     let pow k = Float.ldexp 1.0 k in
     let single q = Circuit.Single { name = "t"; matrix = Gate.t; target = q; controls = [] } in
     let cz hi lo = Circuit.Two { name = "cz"; matrix = Gate.cz2; q_hi = hi; q_lo = lo } in
-    let form op = Option.get (Flat_gate.local_of_op ~n op) in
+    let form op = Flat_gate.local_of_op ~n op in
     let visits m = (Dd.priced_paths p m).Dd.visits in
     let priced m = Cost.priced (Dd.priced_paths p m) in
     let bottom = Mat_dd.of_op p ~n (single 0) and top = Mat_dd.of_op p ~n (single (n - 1)) in

@@ -1,10 +1,10 @@
 (* The stepwise engine layer (lib/engine): DD alone (Driver.run that never
    converts), DMAV alone (Driver.run converting before the first gate) and
    the dense engine (run_engine) must agree amplitude-for-amplitude, and
-   the flat phase's per-gate kernel dispatch must pick the
-   dense kernel exactly where the cost model says and stay observable
-   through the trace and the dmav.dispatch.* counters. Driver.run at every
-   conversion index is test_oracle.ml's policy axis. *)
+   the flat phase must run every unfused gate on the local leg without a
+   gate DD, observable through the trace and the dmav.dispatch.*
+   counters. Driver.run at every conversion index is test_oracle.ml's
+   policy axis. *)
 
 let with_metrics f =
   Obs.set_enabled true;
@@ -107,152 +107,10 @@ let test_run_engine_phase_accounting () =
 
 (* ---- per-gate kernel dispatch -------------------------------------- *)
 
-let is_dense (g : Engine.gate_record) =
-  match g.Engine.dispatch with Some Engine.Dense_direct -> true | _ -> false
-
 let flat_records r =
   List.filter
     (fun (g : Engine.gate_record) -> g.Engine.phase = Engine.Dmav_phase)
     r.Driver.trace
-
-let test_dispatch_dense_for_unfused_single_qubit () =
-  (* Unfused single-qubit gates compile to the dense kernel by rule, so
-     every one of them must dispatch dense — in the hybrid run's flat
-     phase of a run that converts before the first gate, at both
-     precisions. *)
-  let n = 6 in
-  let b = Circuit.Builder.create n in
-  for q = 0 to n - 1 do Circuit.Builder.h b q done;
-  for q = 0 to n - 1 do Circuit.Builder.t b q done;
-  for q = 0 to n - 1 do Circuit.Builder.ry b 0.3 q done;
-  let c = Circuit.Builder.finish b in
-  let expect = dense_reference c in
-  let cfg =
-    { Config.default with
-      Config.policy = Config.Convert_at (-1);
-      trace = true;
-      dense_dispatch = true }
-  in
-  List.iter
-    (fun (name, tol, r) ->
-       let flat = flat_records r in
-       Alcotest.(check int) (name ^ ": all gates in the flat phase") (Circuit.num_gates c)
-         (List.length flat);
-       Alcotest.(check bool) (name ^ ": every unfused 1q gate dispatched dense") true
-         (List.for_all is_dense flat);
-       Alcotest.(check int) (name ^ ": dense gates are neither cached nor uncached") 0
-         (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached);
-       Test_util.check_close ~tol (name ^ ": dispatched run vs dense reference")
-         (Driver.amplitudes r) expect)
-    [ ("run", 1e-9, Driver.run cfg c);
-      ("run f32", 1e-4, Driver.run { cfg with Config.precision = Config.F32 } c) ]
-
-let test_dispatch_mixed_kernels () =
-  (* Single-qubit gates go dense, but a two-qubit op's dense kernel is
-     the local leg's walk, so its narrow form takes the local leg (an
-     uncached DMAV pick) — an h/iswap mix must use both kernels, and
-     still match the reference. *)
-  let n = 6 in
-  let b = Circuit.Builder.create n in
-  for l = 0 to 2 do
-    for q = 0 to n - 1 do Circuit.Builder.h b q done;
-    for q = 0 to n - 2 do
-      if (q + l) mod 2 = 0 then Circuit.Builder.iswap b q (q + 1)
-    done
-  done;
-  let c = Circuit.Builder.finish b in
-  let expect = dense_reference c in
-  let cfg =
-    { Config.default with
-      Config.policy = Config.Convert_at (-1);
-      trace = true;
-      dense_dispatch = true }
-  in
-  let r = Driver.run cfg c in
-  let flat = flat_records r in
-  let dense = List.length (List.filter is_dense flat) in
-  Alcotest.(check bool) "some gates dispatched dense" true (dense > 0);
-  Alcotest.(check bool) "some gates dispatched to dmav" true
-    (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached > 0);
-  Alcotest.(check int) "every flat gate accounted"
-    (List.length flat)
-    (dense + r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached);
-  Test_util.check_close ~tol:1e-9 "mixed dispatch vs dense reference"
-    (Driver.amplitudes r) expect
-
-let test_dispatch_never_dense_when_fused () =
-  (* Fusion replaces ops with synthetic matrices; those have no circuit op
-     left, so the dense kernel is ineligible no matter the model. *)
-  let c = layered 5 4 in
-  let cfg =
-    { Config.default with
-      Config.policy = Config.Convert_at (-1);
-      fusion = Config.Dmav_aware;
-      trace = true;
-      dense_dispatch = true }
-  in
-  let r = Driver.run cfg c in
-  let flat = flat_records r in
-  Alcotest.(check bool) "fused run has flat gates" true (flat <> []);
-  Alcotest.(check bool) "no fused gate dispatched dense" true
-    (not (List.exists is_dense flat));
-  Test_util.check_close ~tol:1e-9 "fused dispatch run vs dense reference"
-    (Driver.amplitudes r) (dense_reference c)
-
-let test_dispatch_off_is_default_path () =
-  (* With dense_dispatch off the trace must never show Dense_direct and
-     the kernel split must equal the pre-dispatch accounting. *)
-  let c = layered 5 3 in
-  let cfg =
-    { Config.default with Config.policy = Config.Convert_at (-1); trace = true }
-  in
-  let r = Driver.run cfg c in
-  let flat = flat_records r in
-  Alcotest.(check bool) "no dense dispatch by default" true
-    (not (List.exists is_dense flat));
-  Alcotest.(check int) "kernel split covers every flat gate"
-    (List.length flat)
-    (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached)
-
-let test_dispatch_counters () =
-  with_metrics (fun () ->
-      let c = layered 6 3 in
-      let cfg =
-        { Config.default with
-          Config.policy = Config.Convert_at (-1);
-          trace = true;
-          dense_dispatch = true }
-      in
-      let r = Driver.run cfg c in
-      let snap = Obs.Metrics.snapshot () in
-      let cached = counter_exn snap "dmav.dispatch.cached" in
-      let uncached = counter_exn snap "dmav.dispatch.uncached" in
-      let dense = counter_exn snap "dmav.dispatch.dense" in
-      Alcotest.(check int) "dispatch.cached mirrors result"
-        r.Driver.dmav_gates_cached cached;
-      Alcotest.(check int) "dispatch.uncached mirrors result"
-        r.Driver.dmav_gates_uncached uncached;
-      Alcotest.(check bool) "dense counter counts dense gates" true (dense > 0);
-      Alcotest.(check int) "three-way split covers the flat phase"
-        (List.length (flat_records r))
-        (cached + uncached + dense);
-      Alcotest.(check int) "no dmav.cost span: every gate has a narrow form" 0
-        (match Obs.Metrics.span_value snap "dmav.cost" with
-         | Some s -> s.Obs.Metrics.count
-         | None -> -1);
-      (* Default mode: the dense counter must not move. *)
-      Obs.Metrics.reset ();
-      let r0 =
-        Driver.run
-          { Config.default with Config.policy = Config.Convert_at (-1) } c
-      in
-      let snap0 = Obs.Metrics.snapshot () in
-      Alcotest.(check int) "no dense dispatch without the flag" 0
-        (counter_exn snap0 "dmav.dispatch.dense");
-      Alcotest.(check int) "dispatch split mirrors kernel split"
-        (r0.Driver.dmav_gates_cached + r0.Driver.dmav_gates_uncached)
-        (counter_exn snap0 "dmav.dispatch.cached"
-         + counter_exn snap0 "dmav.dispatch.uncached"))
 
 (* ---- the streamed flat phase ------------------------------------- *)
 
@@ -379,14 +237,16 @@ let test_bench_dd_time_limit () =
     full.Workloads.dd_peak_memory_bytes
 
 (* Exact bits of jobs the gate price leaves alone: unfused jobs with no
-   cached pick (flat from the first gate under dense dispatch, at f64 and
-   f32, and EWMA-converted on one thread) and DD-only jobs. The digests
-   are those of the build before the local leg was priced, where the
-   same jobs ran the same kernels; a change to the dense/local/Run split
-   of unfused gates or to the DD phase moves them. vqe-10's is that of
-   the first build whose unfused local gates carry their ops' entries
-   rather than their DDs' weights (max |Δ| against [Apply.run] 1.37e-16
-   before, 8.09e-17 after). *)
+   cached pick (flat from the first gate, at f64 and f32, and
+   EWMA-converted on one thread) and DD-only jobs; a change to the
+   local leg's arithmetic, to the local/Run split of unfused gates or to
+   the DD phase moves them. vqe-10's is that of the first build whose
+   unfused local gates carry their ops' entries rather than their DDs'
+   weights (max |Δ| against [Apply.run] 1.37e-16 before, 8.09e-17
+   after). supremacy-10 flat's is that of the first build without the
+   dense kernel in the flat phase, its single-qubit gates on the local
+   leg (max |Δ| 7.06e-17 before, 7.84e-17 after); its f32 digest did not
+   move (2.33e-8), the local leg rounding once per output. *)
 let test_unfused_bytes_pinned () =
   let digest (b : Buf.t) =
     let len = Buf.length b in
@@ -397,7 +257,7 @@ let test_unfused_bytes_pinned () =
     done;
     Digest.to_hex (Digest.bytes by)
   in
-  let flat = { Config.default with Config.policy = Config.Convert_at (-1); dense_dispatch = true } in
+  let flat = { Config.default with Config.policy = Config.Convert_at (-1) } in
   let never = { Config.default with Config.policy = Config.Never_convert } in
   List.iter
     (fun (label, cfg, threads, fam, n, gates, seed, want) ->
@@ -406,11 +266,11 @@ let test_unfused_bytes_pinned () =
            let r = Driver.run ~pool { cfg with Config.threads } c in
            Alcotest.(check int) (label ^ ": no cached pick") 0 r.Driver.dmav_gates_cached;
            Alcotest.(check string) label want (digest (Driver.amplitudes r))))
-    [ ("supremacy-10 flat, dense dispatch", flat, 2, Suite.Supremacy, 10, Some 80, 5,
-       "5c9e90c97cc2b5c81471d15e59012574");
-      ("dnn-10 flat, dense dispatch", flat, 2, Suite.Dnn, 10, Some 80, 6,
+    [ ("supremacy-10 flat", flat, 2, Suite.Supremacy, 10, Some 80, 5,
+       "a68201507de1459ec6022ff683bb8ae4");
+      ("dnn-10 flat", flat, 2, Suite.Dnn, 10, Some 80, 6,
        "32a37f3b2a805aae615ae463dc007f5c");
-      ("supremacy-10 flat, dense dispatch, f32", { flat with Config.precision = Config.F32 }, 2,
+      ("supremacy-10 flat, f32", { flat with Config.precision = Config.F32 }, 2,
        Suite.Supremacy, 10, Some 80, 5, "3f0837f8167b6f4cd9753051dd63281c");
       ("vqe-10 EWMA", Config.default, 1, Suite.Vqe, 10, Some 100, 7,
        "d6e85829839290fc23eec44704cf5cc5");
@@ -419,80 +279,102 @@ let test_unfused_bytes_pinned () =
       ("dnn-9 DD only", never, 1, Suite.Dnn, 9, Some 100, 8, "80db45ea69048ce17f8cf8147abc7cfc");
       ("grover-8 DD only", never, 1, Suite.Grover, 8, None, 3, "2a64c5121e9aacc58384c0b7a65516da") ]
 
-(* The unfused flat phase builds a gate DD ([plan.gate_dd]) and prices
-   it with Algorithm 2's breakdown ([dmav.cost]) only for an op with no
-   narrow form, a gate with two or more controls here; every other op
-   compiles from its matrix. With the dense kernel on, such a gate is a
-   single-qubit op and compiles to it by rule: nothing is built. *)
+(* The unfused flat phase builds no gate DD ([plan.gate_dd]) and prices
+   nothing with Algorithm 2's breakdown ([dmav.cost]): every op, those
+   on more than two levels (two or more controls, here) included,
+   compiles from its form to the local leg. *)
 let test_unfused_plan_builds_wide_dds_only () =
   List.iter
-    (fun (fam, n, threads, dense_dispatch) ->
+    (fun (fam, n, threads) ->
        let c = Suite.generate ~seed:4 ~gates:80 fam ~n in
        let wide =
          Array.fold_left
-           (fun k op -> if Flat_gate.local_of_op ~n op = None then k + 1 else k)
+           (fun k op -> if Flat_gate.narrow ~n (Flat_gate.local_of_op ~n op) = None then k + 1 else k)
            0 c.Circuit.ops
        in
        let what = Printf.sprintf "%s-%d t=%d" (Suite.family_name fam) n threads in
-       if fam <> Suite.Dnn && wide = 0 then Alcotest.failf "%s: no op without a narrow form" what;
+       if fam <> Suite.Dnn && wide = 0 then Alcotest.failf "%s: no op on more than two levels" what;
        with_metrics (fun () ->
-           let cfg =
-             { Config.default with
-               Config.threads; policy = Config.Convert_at (-1); dense_dispatch }
-           in
+           let cfg = { Config.default with Config.threads; policy = Config.Convert_at (-1) } in
            ignore (Driver.run cfg c);
            let snap = Obs.Metrics.snapshot () in
            let count name =
              match Obs.Metrics.span_value snap name with Some s -> s.Obs.Metrics.count | None -> 0
            in
-           let wide = if dense_dispatch then 0 else wide in
-           Alcotest.(check int) (what ^ ": gate DDs") wide (count "plan.gate_dd");
-           Alcotest.(check int) (what ^ ": dmav.cost spans") wide (count "dmav.cost");
+           Alcotest.(check int) (what ^ ": gate DDs") 0 (count "plan.gate_dd");
+           Alcotest.(check int) (what ^ ": dmav.cost spans") 0 (count "dmav.cost");
            Alcotest.(check int) (what ^ ": every gate compiled") (Circuit.num_gates c)
              (count "plan.compile")))
-    [ (Suite.Grover, 7, 1, false); (Suite.Adder, 8, 2, true); (Suite.Dnn, 8, 2, false);
-      (Suite.Grover, 9, 2, true) ]
+    [ (Suite.Grover, 7, 1); (Suite.Adder, 8, 2); (Suite.Dnn, 8, 2); (Suite.Grover, 9, 2) ]
 
-(* With the dense kernel on, a converted run over multi-controlled
-   single-qubit ops (mcz, ccx) compiles every one to the dense kernel by
-   rule: no gate DD is built, so a supplied package's matrix nodes do
-   not move, and every gate traces [Dense_direct]. An x layer first (an
-   uncontrolled single-qubit op, dense as well) sets the controls, so
-   the ops move the state: a basis state and its sign, checked against
-   [Apply.run]. At f64 and f32, on pools of 1 and 2. *)
-let test_dispatch_dense_builds_no_dd () =
+(* Without fusion every flat gate is its op's form on the local leg,
+   whatever its control count: a converted run over uncontrolled (h, t,
+   ry), singly controlled (cx), multi-controlled (ccx, mcz, mcx) and
+   two-qubit (iswap) ops builds no gate DD ([plan.gate_dd] and
+   [dmav.cost] never open), so a supplied package's matrix nodes do not
+   move; every gate traces [Dmav_local], and the dmav.dispatch.*
+   counters mirror the result (all local, so all uncached; no cached or
+   dense gate). An x layer first sets the controls, so the controlled
+   ops move the state; checked against [Apply.run]. At f64 and f32, on
+   pools of 1 and 2. *)
+let test_dispatch_local_builds_no_dd () =
   let n = 7 in
   let b = Circuit.Builder.create n in
   for q = 0 to n - 1 do
     if q <> 2 then Circuit.Builder.x b q
   done;
   for l = 0 to 5 do
+    Circuit.Builder.h b (l mod n);
+    Circuit.Builder.t b ((l + 1) mod n);
+    Circuit.Builder.ry b 0.3 ((l + 5) mod n);
+    Circuit.Builder.cx b ~control:((l + 1) mod n) ~target:((l + 6) mod n);
     Circuit.Builder.single b ~controls:(List.init (n - 1) Fun.id) "mcz" Gate.z (n - 1);
     Circuit.Builder.ccx b ~c1:((l + 3) mod n) ~c2:((l + 4) mod n) ~target:((l + 2) mod n);
-    Circuit.Builder.single b ~controls:[ 0; 1; 4; 5 ] "mcx" Gate.x ((l mod 2) + 2)
+    Circuit.Builder.single b ~controls:[ 0; 1; 4; 5 ] "mcx" Gate.x ((l mod 2) + 2);
+    Circuit.Builder.iswap b (l mod n) ((l + 3) mod n)
   done;
   let c = Circuit.Builder.finish b in
+  let gates = Circuit.num_gates c in
   let expect = dense_reference c in
   List.iter
     (fun (precision, tol) ->
        List.iter
          (fun threads ->
             Pool.with_pool threads (fun pool ->
-                let package = Dd.create () in
-                let before = Dd.live_mnodes package in
-                let cfg =
-                  { Config.default with
-                    Config.policy = Config.Convert_at (-1); precision; trace = true;
-                    dense_dispatch = true }
-                in
-                let r = Driver.run ~pool ~package cfg c in
-                let what = Printf.sprintf "%s t=%d" (Config.precision_name precision) threads in
-                Alcotest.(check int) (what ^ ": live matrix nodes") before (Dd.live_mnodes package);
-                let flat = flat_records r in
-                Alcotest.(check int) (what ^ ": every gate in the flat phase")
-                  (Circuit.num_gates c) (List.length flat);
-                Alcotest.(check bool) (what ^ ": every gate dense") true (List.for_all is_dense flat);
-                Test_util.check_close ~tol (what ^ ": vs Apply.run") (Driver.amplitudes r) expect))
+                with_metrics (fun () ->
+                    let package = Dd.create () in
+                    let before = Dd.live_mnodes package in
+                    let cfg =
+                      { Config.default with
+                        Config.policy = Config.Convert_at (-1); precision; trace = true }
+                    in
+                    let r = Driver.run ~pool ~package cfg c in
+                    let what = Printf.sprintf "%s t=%d" (Config.precision_name precision) threads in
+                    let snap = Obs.Metrics.snapshot () in
+                    let spans name =
+                      match Obs.Metrics.span_value snap name with
+                      | Some s -> s.Obs.Metrics.count
+                      | None -> 0
+                    in
+                    Alcotest.(check int) (what ^ ": live matrix nodes") before
+                      (Dd.live_mnodes package);
+                    Alcotest.(check int) (what ^ ": plan.gate_dd spans") 0 (spans "plan.gate_dd");
+                    Alcotest.(check int) (what ^ ": dmav.cost spans") 0 (spans "dmav.cost");
+                    let flat = flat_records r in
+                    Alcotest.(check int) (what ^ ": every gate in the flat phase") gates
+                      (List.length flat);
+                    Alcotest.(check bool) (what ^ ": every gate on the local leg") true
+                      (List.for_all
+                         (fun (g : Engine.gate_record) -> g.Engine.dispatch = Some Engine.Dmav_local)
+                         flat);
+                    Alcotest.(check int) (what ^ ": local gates") gates r.Driver.dmav_gates_local;
+                    List.iter
+                      (fun (name, want) ->
+                         Alcotest.(check int) (what ^ ": " ^ name) want (counter_exn snap name))
+                      [ ("dmav.dispatch.local", gates); ("dmav.dispatch.uncached", gates);
+                        ("dmav.dispatch.cached", 0); ("dmav.dispatch.dense", 0) ];
+                    Test_util.check_close ~tol (what ^ ": vs Apply.run") (Driver.amplitudes r)
+                      expect)))
          [ 1; 2 ])
     [ (Config.F64, 1e-12); (Config.F32, 1e-6) ]
 
@@ -548,14 +430,6 @@ let suite =
           test_three_engine_differential;
         Alcotest.test_case "run_engine phase accounting" `Quick
           test_run_engine_phase_accounting;
-        Alcotest.test_case "dispatch: unfused 1q gates go dense" `Quick
-          test_dispatch_dense_for_unfused_single_qubit;
-        Alcotest.test_case "dispatch: mixed kernels" `Quick test_dispatch_mixed_kernels;
-        Alcotest.test_case "dispatch: fused gates never dense" `Quick
-          test_dispatch_never_dense_when_fused;
-        Alcotest.test_case "dispatch: off by default" `Quick
-          test_dispatch_off_is_default_path;
-        Alcotest.test_case "dispatch: obs counters" `Quick test_dispatch_counters;
         Alcotest.test_case "cancel while the planner fuses" `Quick test_cancel_while_planning;
         Alcotest.test_case "cancel at every poll leaves the pool whole" `Quick
           test_cancel_at_every_poll;
@@ -569,5 +443,6 @@ let suite =
         Alcotest.test_case "zero threads refused" `Quick test_zero_threads_refused;
         Alcotest.test_case "flat peak memory: two buffers and the package" `Quick
           test_flat_peak_memory;
-        Alcotest.test_case "dispatch: multi-controlled ops go dense, no DD built" `Quick
-          test_dispatch_dense_builds_no_dd ] ) ]
+        Alcotest.test_case
+          "dispatch: multi-controlled ops take the local leg like every unfused op, no DD built"
+          `Quick test_dispatch_local_builds_no_dd ] ) ]

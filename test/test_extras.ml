@@ -110,12 +110,14 @@ let test_zyz_reconstruction () =
         (Format.asprintf "%a" Gate.pp u)
   done
 
-(* The configuration oracle's random mix, all of it exportable, and
+(* The configuration oracle's random mix, its exportable ops, and
    supremacy circuits (fsim goes through the fsim_m macro) must reparse to
    the same unitary, up to a global phase (rz re-enters as u3/u1). *)
 let test_export_roundtrip () =
   let rand = Random.State.make [| 7 |] in
-  let random n = Circuit.make n (QCheck.Gen.generate1 ~rand (Test_oracle.random_ops n)) in
+  let random n =
+    Circuit.make n (QCheck.Gen.generate1 ~rand (Test_oracle.random_ops ~qasm:true n))
+  in
   List.iter
     (fun c ->
        let text = Qasm_export.to_string c in

@@ -23,17 +23,21 @@ let fuse ?local_rate p n ops =
   (List.map (Fusion.to_dd p ~n) fused, stats)
 
 (* The price the scan compares, on one thread: a narrow gate's local leg
-   or Run, whichever is cheaper, a wide gate's Run. *)
+   or Run, whichever is cheaper, any other gate's Run. *)
 let gate_price p ~n = function
-  | Fusion.Narrow l ->
-    Cost.local_price ~n ~support:l.Flat_gate.support (Cost.priced (Flat_gate.local_paths ~n l))
+  | Fusion.Local l -> (
+      let run = Cost.priced (Flat_gate.local_paths ~n l) in
+      match Flat_gate.narrow ~n l with
+      | Some f -> Cost.local_price ~n ~support:f.Flat_gate.support run
+      | None -> run)
   | Fusion.Wide m -> Cost.priced (Dd.priced_paths p m)
 
 (* The summed price of a circuit's ops as the scan's input gates and of
    the scan's output gates. *)
 let priced_before_after p ~n ops =
   let sum gs = List.fold_left (fun acc g -> acc +. gate_price p ~n g) 0.0 gs in
-  (sum (List.map (Fusion.of_op p ~n) ops), sum (fst (Fusion.dmav_aware p ~n ops)))
+  ( sum (List.map (fun op -> Fusion.Local (Flat_gate.local_of_op ~n op)) ops),
+    sum (fst (Fusion.dmav_aware p ~n ops)) )
 
 (* Dense product of a gate list applied in order: M_k ⋯ M_1. *)
 let dense_product p ~n mats =
@@ -307,7 +311,7 @@ let test_local_price_regroups () =
     (List.length priced <> List.length unpriced);
   Alcotest.(check bool) "every priced product is narrow" true
     (List.for_all
-       (function Fusion.Narrow _ -> true | Fusion.Wide _ -> false)
+       (function Fusion.Local _ -> true | Fusion.Wide _ -> false)
        (fst (Fusion.dmav_aware p ~n (circuit_ops c))));
   let expect = dense_product p ~n mats in
   List.iter
@@ -389,10 +393,11 @@ let check_paths what (want : Dd.paths) (got : Dd.paths) =
   check "stripe MACs" want.stripe got.stripe;
   check "visits" want.visits got.visits
 
-(* A narrow form against its op's DD as a dense matrix
-   ([Mat_dd.to_dense], every level): support, entries within 1e-15 and
-   paths, and its three path counts (so every price) the DD's
-   [Dd.priced_paths], exactly. *)
+(* An op's form against its DD: its three path counts (so every price)
+   the DD's [Dd.priced_paths], exactly; and its narrow form (a control
+   folded in) against the DD as a dense matrix ([Mat_dd.to_dense], every
+   level): support, entries within 1e-15 and paths, and the same counts.
+   A form on three levels has no narrow form. *)
 let test_narrow_forms_match_dd () =
   let rng = Rng.create 41 in
   for n = 3 to 8 do
@@ -403,16 +408,19 @@ let test_narrow_forms_match_dd () =
            let what = Printf.sprintf "n = %d, %s on %s" n (Circuit.op_name op)
                (String.concat "," (List.map string_of_int (Circuit.op_qubits op))) in
            let m = Mat_dd.of_op p ~n op in
-           match Flat_gate.local_of_op ~n op with
-           | Some l ->
-             check_form what p ~n ~tol:1e-15 ~mask:((1 lsl n) - 1) m l;
-             check_paths what (Dd.priced_paths p m) (Flat_gate.local_paths ~n l)
+           let l = Flat_gate.local_of_op ~n op in
+           check_paths what (Dd.priced_paths p m) (Flat_gate.local_paths ~n l);
+           match Flat_gate.narrow ~n l with
+           | Some f ->
+             check_form what p ~n ~tol:1e-15 ~mask:((1 lsl n) - 1) m f;
+             check_paths what (Dd.priced_paths p m) (Flat_gate.local_paths ~n f)
            | None -> Alcotest.failf "%s: no narrow form" what)
         (narrow_ops rng n)
     done
   done;
   let ccx = Circuit.Single { name = "ccx"; matrix = Gate.x; target = 0; controls = [ 1; 2 ] } in
-  Alcotest.(check bool) "two controls: no narrow form" true (Flat_gate.local_of_op ~n:4 ccx = None)
+  Alcotest.(check bool) "two controls: no narrow form" true
+    (Flat_gate.narrow ~n:4 (Flat_gate.local_of_op ~n:4 ccx) = None)
 
 (* A product of two narrow gates against the dense matrix of their DDMM
    on the levels their ops act on: narrow exactly when that matrix acts
@@ -451,8 +459,7 @@ let test_narrow_products_match_ddmm () =
       List.iter
         (fun (a, b) ->
            let what = Printf.sprintf "n = %d, %s · %s" n (Circuit.op_name a) (Circuit.op_name b) in
-           let la = Option.get (Flat_gate.local_of_op ~n a)
-           and lb = Option.get (Flat_gate.local_of_op ~n b) in
+           let la = Flat_gate.local_of_op ~n a and lb = Flat_gate.local_of_op ~n b in
            let m = Dd.mm p (Mat_dd.of_op p ~n a) (Mat_dd.of_op p ~n b) in
            let mask = Fusion_ref.qubit_mask a lor Fusion_ref.qubit_mask b in
            let narrow = Bits.popcount (Fusion_ref.support ~n ~mask (Fusion_ref.block p ~mask m)) <= 2 in
@@ -468,51 +475,42 @@ let test_narrow_products_match_ddmm () =
     done
   done
 
-(* Every op compiles by the rule: through [Fusion.of_op] and
-   [Fusion.compile], an op on at most two qubits takes the local leg,
-   priced at [Cost.local_rate] of the levels the dense matrix of its DD
-   acts on, its modeled MACs the DD's plain count and its paths the
-   dense matrix's nonzero entries; any other op takes [Cost.dispatch]'s
-   pick on its DD, the Run or Algorithm 2. With the dense kernel on, a
-   single-qubit op compiles to it ([Flat_gate.dense]) at
-   [Cost.dense_price], its support its DD's when it has a narrow form,
-   its modeled MACs [Cost.dense_direct_macs]. For every family at
-   n = 6-12, pools of 1 and 2. *)
+(* Every op compiles by the rule: as its form and through
+   [Fusion.compile] it takes the local leg, its modeled MACs its DD's
+   plain count, priced at [Cost.local_rate] of its target levels per
+   amplitude its controls select, its support the levels it acts on: for
+   an uncontrolled op those the dense matrix of its DD acts on, with its
+   paths that matrix's nonzero entries; for a controlled one its target
+   and controls, with its paths the op matrix's nonzero entries. For
+   every family at n = 6-12, pools of 1 and 2. *)
 let test_unfused_gates_keep_dd_kernel () =
-  let check p ~n ~threads ~dense what op =
-    let what = Printf.sprintf "%s t=%d%s" what threads (if dense then " dense" else "") in
-    let got =
-      match op with
-      | Circuit.Single _ when dense -> Flat_gate.dense ~n ~threads op
-      | _ -> Fusion.compile p ~n ~threads (Fusion.of_op p ~n op)
-    in
+  let check p ~n ~threads what op =
+    let what = Printf.sprintf "%s t=%d" what threads in
+    let got = Fusion.compile p ~n ~threads (Fusion.Local (Flat_gate.local_of_op ~n op)) in
     let dg = got.Flat_gate.dispatch in
     let m = Mat_dd.of_op p ~n op in
-    let mask = Fusion_ref.qubit_mask op in
     let t = float_of_int (Cost.pow2_threads ~n threads) in
-    let narrow = Bits.popcount mask <= 2 in
-    let support = if narrow then Some (Fusion_ref.support ~n ~mask (Fusion_ref.block p ~mask m)) else None in
-    let kernel, price, macs =
-      match op, support with
-      | Circuit.Single _, _ when dense ->
-        (Cost.Dense_direct, Cost.dense_price ~n op /. t, Cost.dense_direct_macs ~n op)
-      | _, Some s ->
-        (Cost.Dmav_local, Cost.local_rate ~support:s *. Float.ldexp 1.0 n /. t, Cost.mac_count p m)
-      | _, None ->
-        let dw = Cost.dispatch ~n (Cost.breakdown p ~n ~threads m) in
-        (dw.Cost.kernel, dw.Cost.price, Cost.modeled_macs dw.Cost.dmav)
+    let target_mask, cmask, block =
+      match op with
+      | Circuit.Single { target; controls = _ :: _ as controls; matrix; _ } ->
+        (1 lsl target, Bits.all_masks controls, matrix)
+      | _ ->
+        let mask = Fusion_ref.qubit_mask op in
+        let s = Fusion_ref.support ~n ~mask (Fusion_ref.block p ~mask m) in
+        (s, 0, Fusion_ref.block p ~mask:s m)
     in
-    if dg.Cost.kernel <> kernel then Alcotest.failf "%s: kernel" what;
-    Alcotest.(check (float 0.0)) (what ^ ": price") price dg.Cost.price;
-    Alcotest.(check (option int)) (what ^ ": support") support dg.Cost.support;
-    Alcotest.(check (float 0.0)) (what ^ ": modeled MACs") macs (Cost.modeled_macs dg.Cost.dmav);
-    match got.Flat_gate.body, kernel with
-    | Flat_gate.Local l, Cost.Dmav_local ->
-      Alcotest.(check int) (what ^ ": paths")
-        (nonzero_paths (Fusion_ref.block p ~mask:l.Flat_gate.support m)) l.Flat_gate.paths
-    | Flat_gate.Dense _, Cost.Dense_direct
-    | Flat_gate.Dmav _, (Cost.Dmav_uncached | Cost.Dmav_cached) -> ()
-    | _ -> Alcotest.failf "%s: body" what
+    if dg.Cost.kernel <> Cost.Dmav_local then Alcotest.failf "%s: kernel" what;
+    Alcotest.(check (float 0.0)) (what ^ ": price")
+      (Cost.local_rate ~support:target_mask *. Float.ldexp 1.0 (n - Bits.popcount cmask) /. t)
+      dg.Cost.price;
+    Alcotest.(check (option int)) (what ^ ": support") (Some (target_mask lor cmask)) dg.Cost.support;
+    Alcotest.(check (float 0.0)) (what ^ ": modeled MACs") (Cost.mac_count p m)
+      (Cost.modeled_macs dg.Cost.dmav);
+    match got.Flat_gate.body with
+    | Flat_gate.Local l ->
+      Alcotest.(check int) (what ^ ": controls") cmask l.Flat_gate.controls;
+      Alcotest.(check int) (what ^ ": paths") (nonzero_paths block) l.Flat_gate.paths
+    | Flat_gate.Dmav _ -> Alcotest.failf "%s: body" what
   in
   List.iter
     (fun fam ->
@@ -530,9 +528,7 @@ let test_unfused_gates_keep_dd_kernel () =
             Array.iteri
               (fun i op ->
                  let what = Printf.sprintf "%s-%d op %d (%s)" (Suite.family_name fam) n i (Circuit.op_name op) in
-                 List.iter
-                   (fun (threads, dense) -> check p ~n ~threads ~dense what op)
-                   [ (1, false); (1, true); (2, false); (2, true) ])
+                 List.iter (fun threads -> check p ~n ~threads what op) [ 1; 2 ])
               c.Circuit.ops)
          (List.filter fits [ 6; 7; 8; 9; 10; 11; 12 ]))
     Suite.all_families
@@ -579,7 +575,12 @@ let prop_scan_matches_dd_reference =
        let fused, _ = Fusion.dmav_aware p ~n ops in
        let reference = Fusion_ref.dmav_aware p_ref ~n ops in
        let supports =
-         List.map (function Fusion.Narrow l -> Some l.Flat_gate.support | Fusion.Wide _ -> None) fused
+         List.map
+           (function
+             | Fusion.Local l ->
+               Option.map (fun (f : Flat_gate.local) -> f.Flat_gate.support) (Flat_gate.narrow ~n l)
+             | Fusion.Wide _ -> None)
+           fused
        and ref_supports = List.map (fun g -> g.Fusion_ref.narrow) reference in
        let show ss =
          String.concat " " (List.map (function Some s -> string_of_int s | None -> "w") ss)
@@ -628,6 +629,6 @@ let suite =
           test_dmav_aware_product_preserved;
         Alcotest.test_case "narrow forms match their DDs" `Quick test_narrow_forms_match_dd;
         Alcotest.test_case "narrow products match DDMM" `Quick test_narrow_products_match_ddmm;
-        Alcotest.test_case "unfused gates keep their DD's kernel" `Quick
+        Alcotest.test_case "unfused gates keep their DD's counts, on the local leg" `Quick
           test_unfused_gates_keep_dd_kernel;
         QCheck_alcotest.to_alcotest prop_scan_matches_dd_reference ] ) ]

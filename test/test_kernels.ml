@@ -10,8 +10,10 @@
    lengths, for n from 1 to 14, the identity stripes of the Run recursion, and its batches under
    pure-replication nodes (chains past the batch cap, and the fused
    gates of real dnn, vqe and supremacy circuits), and the local leg of
-   narrow gates (ops and products of support one or two) against the
-   reference walk, and the pick that sends such a gate to it. Plus the dense stub's contract checks, the allocation claim (a
+   every form (ops under 0 to 3 controls and products of support one or
+   two) against the reference walk, which rounds once per output, the
+   pick that sends such a gate to it, and the path counts of forms under
+   0 to 5 controls against their DDs'. Plus the dense stub's contract checks, the allocation claim (a
    dense gate and a DMAV gate cost the same small constant number of
    minor words at f32 as at f64, a local gate none) and the load-time
    choice of the dense and local stubs' widest body. The dense stripe
@@ -468,11 +470,11 @@ module Suite_for (P : Storage.S) = struct
                   let m = if Random.State.bool rs then random_two rs else signs rs 4 in
                   let want = P.copy v and split = P.copy v in
                   R.local ~n want (Dense_kernel.flatten m) ~major:(1 lsl q_hi)
-                    ~minor:(1 lsl q_lo) ~paths:0xffff;
+                    ~minor:(1 lsl q_lo) ~cmask:0 ~paths:0xffff;
                   List.iter
                     (fun (lo, hi) ->
                        P.local_apply split (Dense_kernel.flatten m) ~major:(1 lsl q_hi) ~minor:(1 lsl q_lo)
-                         ~paths:0xffff ~lo ~hi)
+                         ~cmask:0 ~paths:0xffff ~lo ~hi)
                     (random_splits rs ~run:(Int.min run quads) quads);
                   eq want split
                   && List.for_all
@@ -486,16 +488,21 @@ module Suite_for (P : Storage.S) = struct
 
   (* The local leg against the reference walk ([R.local]): every
      support-1 and support-2 shape at n = 2..8 (each target, qubit 0
-     included; a control above and one below the target; two-qubit gates
-     in both qubit orders and products of two random gates, on pairs
-     holding qubit 0, qubit 1, both or neither), as
-     the flat phase builds them ([Flat_gate.local_of_op],
+     included, under 0 to 3 controls: one above and one below the
+     target, and sets that take bits 0 and 1 both or leave both free;
+     two-qubit gates in both qubit orders and products of two random
+     gates, on pairs holding qubit 0, qubit 1, both or neither), as the
+     flat phase builds them ([Flat_gate.local_of_op],
      [Flat_gate.local_product]), compiled ([Flat_gate.of_local]) and
      applied in place by [exec] on the pool and on an inline size-1
      pool, and by [P.local_apply] over random group stripes, under every
      vector body the host has, bit for bit, on random vectors, on vectors
-     with signed zeros and on cancelling ones. A gate on three levels has
-     no local form. *)
+     with signed zeros and on cancelling ones. Plus random 2×2 and 4×4
+     matrices with random paths under 0 to 3 random controls, straight
+     through [P.local_apply]. *)
+  let shuffle rs l =
+    List.map snd (List.sort compare (List.map (fun x -> (Random.State.bits rs, x)) l))
+
   let local_shapes rs n =
     let single target controls matrix =
       Circuit.Single { name = "l1"; matrix; target; controls }
@@ -509,13 +516,21 @@ module Suite_for (P : Storage.S) = struct
       [| random_two rs; Gate.swap2; Gate.cz2; Gate.fsim (Random.State.float rs 6.3) 0.4;
          signs rs 4 |].(Random.State.int rs 5)
     in
-    let form op = Option.get (Flat_gate.local_of_op ~n op) in
+    let form op = Flat_gate.local_of_op ~n op in
     let product a b =
       match Flat_gate.local_product ~n (form a) (form b) with
       | Flat_gate.Narrow_product l -> l
       | Flat_gate.Wide_product _ -> Alcotest.fail "a product on one pair priced wide"
     in
     let targets = List.init n Fun.id in
+    (* [k] controls off [t]: with [low], bits 0 and 1 first (those that
+       are not [t]), else none of them. *)
+    let controls t k ~low =
+      let low_bits = List.filter (fun q -> q <> t && q <= 1) targets in
+      let rest = shuffle rs (List.filter (fun q -> q <> t && q > 1) targets) in
+      let pool = if low then low_bits @ rest else rest in
+      if List.length pool < k then None else Some (List.filteri (fun i _ -> i < k) pool)
+    in
     (* Bits 0 and 1: both in the pair, one of them, or neither. *)
     let pair cls =
       let high () = 2 + Random.State.int rs (n - 2) in
@@ -541,7 +556,13 @@ module Suite_for (P : Storage.S) = struct
          let pick l = List.nth l (Random.State.int rs (List.length l)) in
          [ form (single t [] (m1 ())) ]
          @ (if above = [] then [] else [ form (single t [ pick above ] (m1 ())) ])
-         @ if below = [] then [] else [ form (single t [ pick below ] (m1 ())) ])
+         @ (if below = [] then [] else [ form (single t [ pick below ] (m1 ())) ])
+         @ List.concat_map
+             (fun k ->
+                List.filter_map
+                  (fun low -> Option.map (fun cs -> form (single t cs (m1 ()))) (controls t k ~low))
+                  [ true; false ])
+             [ 2; 3 ])
       targets
     @ List.concat_map
         (fun cls ->
@@ -552,17 +573,26 @@ module Suite_for (P : Storage.S) = struct
              product (single a [] (m1 ())) (single b [] (m1 ())) ])
         [ 0; 1; 2; 3 ]
 
+  (* The groups a walk takes and the run of them between carries: the
+     lowest bit it holds fixed. *)
+  let group_count ~n ~support ~cmask = 1 lsl (n - Bits.popcount support - Bits.popcount cmask)
+
+  let run_of ~support ~cmask groups =
+    let fixed = support lor cmask in
+    Int.min (fixed land -fixed) groups
+
   let local_agrees pools ~inline ~n rs (l : Flat_gate.local) =
-    let groups = 1 lsl (n - Bits.popcount l.Flat_gate.support) in
-    let minor = l.Flat_gate.support land - l.Flat_gate.support in
-    let major = l.Flat_gate.support lxor minor in
+    let support = l.Flat_gate.support and cmask = l.Flat_gate.controls in
+    let groups = group_count ~n ~support ~cmask in
+    let minor = support land -support in
+    let major = support lxor minor in
     let g = Flat_gate.of_local ~n ~threads:1 l in
     let unused = P.create 0 in
     List.for_all
       (fun v ->
          let want = P.copy v in
-         R.local ~n want l.Flat_gate.u ~major ~minor ~paths:l.Flat_gate.paths;
-         let splits = random_splits rs ~run:(Int.min minor groups) groups in
+         R.local ~n want l.Flat_gate.u ~major ~minor ~cmask ~paths:l.Flat_gate.paths;
+         let splits = random_splits rs ~run:(run_of ~support ~cmask groups) groups in
          List.for_all
            (fun lanes ->
               Storage.Testing.with_lanes lanes (fun () ->
@@ -573,24 +603,48 @@ module Suite_for (P : Storage.S) = struct
                        DG.exec ~pool:inline g ~v:on_inline ~w:unused;
                        List.iter
                          (fun (lo, hi) ->
-                            P.local_apply split l.Flat_gate.u ~major ~minor ~paths:l.Flat_gate.paths
-                              ~lo ~hi)
+                            P.local_apply split l.Flat_gate.u ~major ~minor ~cmask
+                              ~paths:l.Flat_gate.paths ~lo ~hi)
                          splits;
                        eq want on_pool && eq want on_inline && eq want split)
                     pools))
            Storage.Testing.lanes)
       [ random_vec rs (1 lsl n); special_vec rs (1 lsl n); cancel_vec rs (1 lsl n) ]
 
+  (* A random 2×2 or 4×4 with random paths on random bits under 0 to 3
+     random controls, straight through [P.local_apply] on random group
+     stripes under every body. *)
+  let raw_agrees ~n rs =
+    let qs = shuffle rs (List.init n Fun.id) in
+    let s = if n >= 2 && Random.State.bool rs then 2 else 1 in
+    let k = Random.State.int rs (Int.min 4 (n - s + 1)) in
+    let bits = List.filteri (fun i _ -> i < s) qs and ctl = List.filteri (fun i _ -> i >= s && i < s + k) qs in
+    let major, minor =
+      match bits with [ a; b ] -> (1 lsl a, 1 lsl b) | [ a ] -> (0, 1 lsl a) | _ -> assert false
+    in
+    let cmask = Bits.all_masks ctl and support = major lor minor in
+    let d = 1 lsl s in
+    let u = Array.init (2 * d * d) (fun _ -> Random.State.float rs 2.0 -. 1.0) in
+    let paths = Random.State.int rs (1 lsl (d * d)) in
+    let groups = group_count ~n ~support ~cmask in
+    let v = cancel_vec rs (1 lsl n) in
+    let want = P.copy v in
+    R.local ~n want u ~major ~minor ~cmask ~paths;
+    let splits = random_splits rs ~run:(run_of ~support ~cmask groups) groups in
+    List.for_all
+      (fun lanes ->
+         Storage.Testing.with_lanes lanes (fun () ->
+             let got = P.copy v in
+             List.iter (fun (lo, hi) -> P.local_apply got u ~major ~minor ~cmask ~paths ~lo ~hi) splits;
+             eq want got))
+      Storage.Testing.lanes
+
   let local_leg pools =
     Pool.with_pool 1 (fun inline ->
-        cases ~name:(P.label ^ " local leg = reference walk, every support-1/2 shape") ~count:24
-          ~lo:2 ~hi:8 (fun n rs ->
+        cases ~name:(P.label ^ " local leg = reference walk, every shape under 0-3 controls")
+          ~count:24 ~lo:2 ~hi:8 (fun n rs ->
               List.for_all (local_agrees pools ~inline ~n rs) (local_shapes rs n)
-              && (n < 3
-                  || Flat_gate.local_of_op ~n
-                       (Circuit.Single
-                          { name = "ccu"; matrix = random_single rs; target = 1; controls = [ 0; 2 ] })
-                     = None)))
+              && List.for_all (fun _ -> raw_agrees ~n rs) (List.init 8 Fun.id)))
 
   (* The rule ([Cost.local_dispatch]): on every support-1/2 shape at
      n = 6..12 and pools of 1, 2 and 4, a narrow gate compiles to [Local]
@@ -606,9 +660,8 @@ module Suite_for (P : Storage.S) = struct
       ~lo:6 ~hi:12 (fun n rs ->
           let p = Dd.create () in
           let top_h =
-            Option.get
-              (Flat_gate.local_of_op ~n
-                 (Circuit.Single { name = "h"; matrix = Gate.h; target = n - 1; controls = [] }))
+            Flat_gate.local_of_op ~n
+              (Circuit.Single { name = "h"; matrix = Gate.h; target = n - 1; controls = [] })
           in
           let picks =
             List.concat_map
@@ -721,9 +774,8 @@ module Suite_for (P : Storage.S) = struct
         let largest = List.fold_left (fun a b -> if size b > size a then b else a) m fused in
         let g = Flat_gate.program p ~n ~cached:false (Cost.breakdown p ~n ~threads:1 m) in
         let l =
-          Option.get
-            (Flat_gate.local_of_op ~n
-               (Circuit.Single { name = "cx"; matrix = Gate.x; target = 0; controls = [ 9 ] }))
+          Flat_gate.local_of_op ~n
+            (Circuit.Single { name = "cx"; matrix = Gate.x; target = 0; controls = [ 9 ] })
         in
         ( words (fun () -> DK.single ~pool ~n v Gate.h ~target:3 ~controls:[ 5 ]),
           words (fun () -> DK.two ~pool ~n v Gate.iswap ~q_hi:3 ~q_lo:9),
@@ -732,7 +784,8 @@ module Suite_for (P : Storage.S) = struct
             (fun m -> (words (fun () -> DG.apply_nocache p ~pool ~n m ~v ~w), size m))
             [ m; largest ],
           words (fun () ->
-              DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support ~paths:l.Flat_gate.paths) ))
+              DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support
+                ~controls:l.Flat_gate.controls ~paths:l.Flat_gate.paths) ))
 end
 
 module K64 = Suite_for (Storage.F64)
@@ -765,6 +818,49 @@ let test_allocation () =
          Alcotest.failf "compile+run of a %d-node/call gate allocated %.0f minor words at n = 14"
            size words)
     c64
+
+(* Every single-qubit op's form counts its DD's paths
+   ([Flat_gate.local_paths] against [Dd.priced_paths] of [Mat_dd.of_op],
+   all three counts exactly) under 0 to 5 controls anywhere around the
+   target, at n = 2..10, on random, permutation, diagonal, phase and
+   scalar matrices (a controlled scalar acts on its controls only) and a
+   matrix with a zero row. *)
+let test_form_paths_under_controls () =
+  let rs = Random.State.make [| 47 |] in
+  let c re im = Cnum.make re im in
+  let scalar z = [| [| z; Cnum.zero |]; [| Cnum.zero; z |] |] in
+  for n = 2 to 10 do
+    for _ = 1 to 16 do
+      let p = Dd.create () in
+      let target = Random.State.int rs n in
+      let others =
+        List.map snd
+          (List.sort compare
+             (List.filter_map
+                (fun q -> if q = target then None else Some (Random.State.bits rs, q))
+                (List.init n Fun.id)))
+      in
+      let k = Random.State.int rs (Int.min 6 n) in
+      let controls = List.filteri (fun i _ -> i < k) others in
+      let matrix =
+        [| Gate.u3 (Random.State.float rs 6.3) (Random.State.float rs 6.3) (Random.State.float rs 6.3);
+           Gate.x; Gate.z; Gate.h; Gate.phase (Random.State.float rs 6.3); Gate.id2;
+           scalar (c (-1.0) 0.0); scalar (c 0.6 0.8);
+           [| [| Cnum.one; Cnum.one |]; [| Cnum.zero; Cnum.zero |] |] |].(Random.State.int rs 9)
+      in
+      let op = Circuit.Single { name = "cu"; matrix; target; controls } in
+      let what =
+        Printf.sprintf "n = %d, target %d, controls [%s]" n target
+          (String.concat "," (List.map string_of_int controls))
+      in
+      let want = Dd.priced_paths p (Mat_dd.of_op p ~n op) in
+      let got = Flat_gate.local_paths ~n (Flat_gate.local_of_op ~n op) in
+      let check field w g = Alcotest.(check (float 0.0)) (what ^ ": " ^ field) w g in
+      check "terminal paths" want.Dd.terminal got.Dd.terminal;
+      check "stripe MACs" want.Dd.stripe got.Dd.stripe;
+      check "visits" want.Dd.visits got.Dd.visits
+    done
+  done
 
 (* The dense and local stubs' widest body is chosen at load time from
    the CPU: [Storage.dense_lanes] must be 8 exactly on an x86-64 host
@@ -830,16 +926,15 @@ let suite =
         Alcotest.test_case "f32 local leg = OCaml reference (bits)" `Quick K32.local_tests;
         Alcotest.test_case "local leg priced lower never compiles to Algorithm 2" `Quick
           (fun () ->
-             (* The premise of taking the array kernels by rule: the dense
-                kernel costs no more than the local leg it shares a walk
-                with, both local rates sit under the least a Run row
+             (* The premise of taking the local leg by rule: both local
+                rates sit under the least a Run row
                 costs, and Eq. 6's block term is 2ⁿ/(4t) per buffer. *)
-             Alcotest.(check bool) "dense rate <= support-1 local rate" true
-               (Cost.dense_rate <= Cost.local_rate ~support:1);
              Alcotest.(check bool) "local rates < identity price" true
                (Cost.local_rate ~support:1 < Cost.identity_price
                 && Cost.local_rate ~support:3 < Cost.identity_price);
              Alcotest.(check int) "SIMD width" 4 Cost.simd_width;
              check_all [ K64.local_pick ]);
         Alcotest.test_case "dense_lanes matches the host's AVX-512F and AVX2 flags" `Quick
-          test_dense_lanes ] ) ]
+          test_dense_lanes;
+        Alcotest.test_case "forms under 0-5 controls count their DDs' paths" `Quick
+          test_form_paths_under_controls ] ) ]

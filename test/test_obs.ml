@@ -177,17 +177,6 @@ let test_dd_only_run_has_zero_dmav_counters () =
       Alcotest.(check (option int)) "zero counter serialized" (Some 0)
         (Obs.Metrics.counter_value back "dmav.kernel.cached"))
 
-(* The flat ops of a run that have no narrow form: only these build a
-   gate DD and price it with [Cost.dispatch] (span [dmav.cost]). *)
-let wide_flat_ops (r : Driver.result) (c : Circuit.t) =
-  let from = match r.Driver.converted_at with Some i -> i + 1 | None -> Circuit.num_gates c in
-  let wide = ref 0 in
-  Array.iteri
-    (fun i op ->
-       if i >= from && Flat_gate.local_of_op ~n:c.Circuit.n op = None then incr wide)
-    c.Circuit.ops;
-  !wide
-
 let test_forced_conversion_has_cache_stats () =
   with_metrics (fun () ->
       let c = Suite.generate ~seed:1 Suite.Supremacy ~n:12 in
@@ -208,8 +197,8 @@ let test_forced_conversion_has_cache_stats () =
       Alcotest.(check int) "kernel counts match simulator view"
         (r.Driver.dmav_gates_cached + r.Driver.dmav_gates_uncached)
         (cached + uncached);
-      Alcotest.(check int) "one dmav.cost span per flat gate with no narrow form"
-        (wide_flat_ops r c) (span_exn snap "dmav.cost").Obs.Metrics.count;
+      Alcotest.(check int) "no dmav.cost span: every unfused gate is its form" 0
+        (span_exn snap "dmav.cost").Obs.Metrics.count;
       Alcotest.(check int) "cache hits match simulator view"
         r.Driver.dmav_cache_hits
         (counter_exn snap "dmav.cache.hits");
@@ -254,8 +243,8 @@ let test_f32_flat_run_counts_dmav_gates () =
         (counter_exn snap "dmav.kernel.cached" + counter_exn snap "dmav.kernel.uncached");
       Alcotest.(check int) "one dmav.apply span per gate" gates
         (span_exn snap "dmav.apply").Obs.Metrics.count;
-      Alcotest.(check int) "one dmav.cost span per gate with no narrow form"
-        (wide_flat_ops r c) (span_exn snap "dmav.cost").Obs.Metrics.count;
+      Alcotest.(check int) "no dmav.cost span: every unfused gate is its form" 0
+        (span_exn snap "dmav.cost").Obs.Metrics.count;
       let modeled =
         Option.value ~default:(-1.0) (Obs.Metrics.fcounter_value snap "dmav.macs.modeled")
       in

@@ -52,8 +52,6 @@ let axes =
       (No_fusion :: Dmav_aware :: List.init 6 (fun k -> K_operations (k + 1)))
       (function No_fusion -> "none" | Dmav_aware -> "dmav" | K_operations k -> Printf.sprintf "k%d" k)
       (fun c -> c.fusion) (fun c fusion -> { c with fusion });
-    axis "dense_dispatch" [ false; true ] string_of_bool (fun c -> c.dense_dispatch)
-      (fun c dense_dispatch -> { c with dense_dispatch });
     axis "compact_every" [ 0; 1; 7; 64 ] string_of_int (fun c -> c.compact_every)
       (fun c compact_every -> { c with compact_every });
     axis "epsilon" [ 2.0; 1.01; 4.0; 8.0 ] (Printf.sprintf "%g") (fun c -> c.epsilon)
@@ -80,8 +78,10 @@ let policy_name (cfg : Config.t) =
 
 let angle = QCheck.Gen.float_range (-.Float.pi) Float.pi
 
-(* One gate of the random mix on [n] qubits, operands distinct. *)
-let op_gen n =
+(* One gate of the random mix on [n] qubits, operands distinct. With
+   [qasm], only the ops OpenQASM 2 can spell: not the three-controlled
+   u3. *)
+let op_gen ?(qasm = false) n =
   let open QCheck.Gen in
   let* qs = shuffle_l (List.init n Fun.id) in
   let q = List.nth qs in
@@ -101,9 +101,15 @@ let op_gen n =
             map (fun a -> single ~controls:[ q 1 ] "crz" (Gate.rz a) (q 0)) angle;
             return (two "iswap" Gate.iswap (q 0) (q 1));
             map2 (fun t p -> two "fsim" (Gate.fsim t p) (q 0) (q 1)) angle angle ])
-     @ (if n < 3 then [] else [ return (single ~controls:[ q 1; q 2 ] "ccx" Gate.x (q 0)) ]))
+     @ (if n < 3 then [] else [ return (single ~controls:[ q 1; q 2 ] "ccx" Gate.x (q 0)) ])
+     @
+     if n < 4 || qasm then []
+     else
+       [ map3
+           (fun a b c -> single ~controls:[ q 1; q 2; q 3 ] "c3u3" (Gate.u3 a b c) (q 0))
+           angle angle angle ])
 
-let random_ops n = QCheck.Gen.(list_size (int_range 0 40) (op_gen n))
+let random_ops ?qasm n = QCheck.Gen.(list_size (int_range 0 40) (op_gen ?qasm n))
 
 (* A Suite circuit, or [None] where its generator rejects [n] qubits;
    depth-parameterized families take a budget of [gates]. *)

@@ -107,14 +107,14 @@ let test_f32_differential () =
              Alcotest.failf "%s: f32 norm drifted to %g" c.Circuit.name n2)
         sweep_cases)
 
-(* The hybrid path (EWMA policy, dispatch on) through the driver: the p0
+(* The hybrid path (EWMA policy) through the driver: the p0
    fingerprint source must agree across precisions. *)
 let test_f32_hybrid_p0 () =
   Pool.with_pool 2 (fun pool ->
       let c = Suite.generate ~seed:1 ~gates:400 Suite.Supremacy ~n:12 in
       let cfg =
         { Config.default with
-          Config.threads = 2; epsilon = 0.01; dense_dispatch = true }
+          Config.threads = 2; epsilon = 0.01 }
       in
       let r64, r32 = run_both ~pool cfg c in
       Alcotest.(check bool) "both converted" true
