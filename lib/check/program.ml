@@ -2,8 +2,10 @@
 
    Over the Callgraph model this module computes, purely syntactically:
 
-   - the cross-module call graph (resolved references between top-level
-     definitions, including closures escaping as higher-order arguments);
+   - the cross-module call graph (resolved references between
+     definitions, functor bodies included, and closures escaping as
+     higher-order arguments; a name may resolve to several definitions,
+     each an edge);
    - the parallel-reachable set: everything transitively reachable from
      closures handed to Pool/Sched (or given as their optional
      parameters' defaults), `Thread.create` and `Domain.spawn` — the code
@@ -258,10 +260,22 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
   in
 
   let resolve env n =
-    if (not (String.contains n '.')) && SM.mem n env.locals then None
+    if (not (String.contains n '.')) && SM.mem n env.locals then []
     else
       Callgraph.resolve model ~self:env.def ~modpath:env.def.Callgraph.d_modpath
         ~opens:env.opens n
+  in
+  let funcs env n = List.filter (fun d -> d.Callgraph.d_kind = Callgraph.Func) (resolve env n) in
+  let module_ref env n =
+    List.find_opt (fun d -> d.Callgraph.d_kind = Callgraph.Mutable Callgraph.Ref) (resolve env n)
+  in
+  let module_table env n =
+    List.find_opt
+      (fun d ->
+         match d.Callgraph.d_kind with
+         | Callgraph.Mutable (Callgraph.Table | Callgraph.Queue_ | Callgraph.Buffer_) -> true
+         | _ -> false)
+      (resolve env n)
   in
   let key env m = env.mname ^ ":" ^ raw_key m in
 
@@ -340,8 +354,8 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
     if unguarded env then
       match Callgraph.ident_of (Callgraph.strip_constraint a) with
       | Some x when not (SM.mem x env.locals) ->
-        (match resolve env x with
-         | Some d when d.Callgraph.d_kind = Callgraph.Mutable Callgraph.Ref ->
+        (match module_ref env x with
+         | Some d ->
            emit_env env ~rule:rule_unguarded ~sev:Lint.Error loc
              (Printf.sprintf
                 "write to module-level ref %s %s with no lock held; make it an \
@@ -354,8 +368,8 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
     if unguarded env then
       match Callgraph.ident_of (Callgraph.strip_constraint a) with
       | Some x when not (SM.mem x env.locals) ->
-        (match resolve env x with
-         | Some d when d.Callgraph.d_kind = Callgraph.Mutable Callgraph.Ref ->
+        (match module_ref env x with
+         | Some d ->
            emit_env env ~rule:rule_unguarded ~sev:Lint.Warning loc
              (Printf.sprintf
                 "unsynchronized read of module-level ref %s %s; racy against \
@@ -382,16 +396,9 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
       | Pexp_ident _ ->
         (match Callgraph.ident_of t with
          | Some n ->
-           (match resolve env n with
-            | Some d when
-                (match d.Callgraph.d_kind with
-                 | Callgraph.Mutable
-                     (Callgraph.Table | Callgraph.Queue_ | Callgraph.Buffer_) ->
-                   true
-                 | _ -> false) ->
-              flag (Printf.sprintf "module-level %s" d.Callgraph.d_name)
-            | Some _ -> ()
-            | None -> flag n)
+           (match module_table env n with
+            | Some d -> flag (Printf.sprintf "module-level %s" d.Callgraph.d_name)
+            | None -> if resolve env n = [] then flag n)
          | None -> flag "a shared structure")
       | Pexp_field _ -> flag (Printf.sprintf "shared field %s" (raw_key t))
       | _ -> ()
@@ -402,13 +409,8 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
       match Callgraph.ident_of (Callgraph.strip_constraint target) with
       | Some n when
           not (String.contains n '.' = false && SM.mem n env.locals) ->
-        (match resolve env n with
-         | Some d when
-             (match d.Callgraph.d_kind with
-              | Callgraph.Mutable
-                  (Callgraph.Table | Callgraph.Queue_ | Callgraph.Buffer_) ->
-                true
-              | _ -> false) ->
+        (match module_table env n with
+         | Some d ->
            emit_env env ~rule:rule_unguarded ~sev:Lint.Warning loc
              (Printf.sprintf
                 "unlocked %s of module-level %s %s; races with concurrent \
@@ -447,38 +449,42 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
   in
   let epoch_call env callee_name resolved args =
     if epoch_on env then begin
-      let resolved_name =
-        match resolved with Some d -> d.Callgraph.d_name | None -> callee_name
+      let names =
+        match resolved with
+        | [] -> [ callee_name ]
+        | ds -> List.map (fun d -> d.Callgraph.d_name) ds
       in
-      if Callgraph.last_component resolved_name = "epoch"
-         && String.length resolved_name > 3
-         && String.sub resolved_name 0 3 = "Dd."
+      if
+        List.exists
+          (fun nm -> Callgraph.last_component nm = "epoch" && String.starts_with ~prefix:"Dd." nm)
+          names
       then
         Hashtbl.iter (fun x _ -> Hashtbl.replace env.edge_vars x EFresh)
           (Hashtbl.copy env.edge_vars)
-      else if
-        List.mem resolved_name compact_seeds
-        || Hashtbl.mem !maycomp resolved_name
-      then begin
-        (* Idents appearing in the call keep their freshness: they were
-           handed to the compactor (e.g. as roots) knowingly. *)
-        let mentioned = Hashtbl.create 8 in
-        List.iter
-          (fun (_, a) ->
-             iter_exprs
-               (fun e ->
-                  match e.pexp_desc with
-                  | Pexp_ident { txt = Longident.Lident x; _ } ->
-                    Hashtbl.replace mentioned x ()
-                  | _ -> ())
-               a)
-          args;
-        Hashtbl.iter
-          (fun x st ->
-             if st = EFresh && not (Hashtbl.mem mentioned x) then
-               Hashtbl.replace env.edge_vars x (EStale resolved_name))
-          (Hashtbl.copy env.edge_vars)
-      end
+      else
+        match
+          List.find_opt (fun nm -> List.mem nm compact_seeds || Hashtbl.mem !maycomp nm) names
+        with
+        | None -> ()
+        | Some resolved_name ->
+          (* Idents appearing in the call keep their freshness: they were
+             handed to the compactor (e.g. as roots) knowingly. *)
+          let mentioned = Hashtbl.create 8 in
+          List.iter
+            (fun (_, a) ->
+               iter_exprs
+                 (fun e ->
+                    match e.pexp_desc with
+                    | Pexp_ident { txt = Longident.Lident x; _ } ->
+                      Hashtbl.replace mentioned x ()
+                    | _ -> ())
+                 a)
+            args;
+          Hashtbl.iter
+            (fun x st ->
+               if st = EFresh && not (Hashtbl.mem mentioned x) then
+                 Hashtbl.replace env.edge_vars x (EStale resolved_name))
+            (Hashtbl.copy env.edge_vars)
     end
   in
 
@@ -670,10 +676,7 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
     | Some n ->
       if (not (String.contains n '.')) && SM.mem n env.locals then
         epoch_mention env n e.pexp_loc
-      else (
-        match resolve env n with
-        | Some d when d.Callgraph.d_kind = Callgraph.Func -> on_call env d
-        | _ -> ())
+      else List.iter (on_call env) (funcs env n)
 
   and walk_apply env e f args =
     let loc = e.pexp_loc in
@@ -731,13 +734,11 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
       walk_args env args
     | Some n ->
       let callee = resolve env n in
-      (match callee with Some d -> on_call env d | None -> ());
+      List.iter (on_call env) callee;
       epoch_call env n callee args;
       let is_entry =
         List.mem n spawn_entries
-        || (match callee with
-            | Some d -> List.mem d.Callgraph.d_name parallel_entries
-            | None -> false)
+        || List.exists (fun d -> List.mem d.Callgraph.d_name parallel_entries) callee
       in
       if is_entry then List.iter (fun (_, a) -> walk_entry_arg env a) args
       else walk_args env args
@@ -759,22 +760,19 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
              not
                ((not (String.contains an '.'))
                 && SM.mem an env.locals) ->
-           (match resolve env an with
-            | Some d when d.Callgraph.d_kind = Callgraph.Func ->
-              mark_root env d;
-              on_call env d
-            | _ -> walk env a)
+           (match funcs env an with
+            | [] -> walk env a
+            | ds -> List.iter (fun d -> mark_root env d; on_call env d) ds)
          | _ -> walk env a)
       | Pexp_apply (h, hargs) ->
         (* partially applied root: Sched.create ~on_result:(deliver t) *)
         (match Callgraph.ident_of h with
          | Some hn ->
-           (match resolve env hn with
-            | Some d when d.Callgraph.d_kind = Callgraph.Func ->
-              mark_root env d;
-              on_call env d;
-              walk_args env hargs
-            | _ -> walk env a)
+           (match funcs env hn with
+            | [] -> walk env a
+            | ds ->
+              List.iter (fun d -> mark_root env d; on_call env d) ds;
+              walk_args env hargs)
          | None -> walk env a)
       | _ -> walk env a
 
@@ -798,7 +796,7 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
         | (_, m) :: _ -> key env m ^ ".mutex"
         | [] -> env.mname ^ ":" ^ n
     in
-    (match resolve env n with Some d -> on_call env d | None -> ());
+    List.iter (on_call env) (resolve env n);
     acquire env k loc;
     let env' = push env { a_key = k; a_try = false } in
     List.iter
@@ -809,11 +807,10 @@ let analyze ?(allow = []) ?(only = rule_names) (model : Callgraph.t) =
            match Callgraph.ident_of a' with
            | Some an when
                not ((not (String.contains an '.')) && SM.mem an env.locals) ->
-             (match resolve env an with
-              | Some d when d.Callgraph.d_kind = Callgraph.Func ->
-                (* [locked t helper]: helper runs under the lock *)
-                on_call env' d
-              | _ -> walk env a)
+             (match funcs env an with
+              | [] -> walk env a
+              | ds -> (* [locked t helper]: helper runs under the lock *)
+                List.iter (on_call env') ds)
            | _ -> walk env a)
       args
   in

@@ -363,6 +363,67 @@ let test_program_shadowing () =
     (List.mem "Fix_state.bump"
        (program (wrapper "rec " "if k > 0 then bump (k - 1)")).Program.r_par)
 
+(* Code inside a functor body is walked like any other: a [Pool.run]
+   closure there that mutates a module-level table is flagged under the
+   functor's path. *)
+let test_program_functor_body () =
+  Alcotest.(check bool) "unguarded mutation in a functor body flagged" true
+    (List.mem ("unguarded-shared-state", "lib/fix_kernel.ml", "Fix_kernel.Make.run")
+       (program_keys
+          [ pool_stub;
+            ( "lib/fix_kernel.ml",
+              "let seen : (int, int) Hashtbl.t = Hashtbl.create 16\n\
+               module Make (P : sig val n : int end) = struct\n\
+              \  let run pool k = Pool.run pool (fun () -> Hashtbl.replace seen k P.n)\n\
+               end\n" ) ]))
+
+(* A functor's instance, made by an application or brought in by an
+   [include], stands for the functor's body, and the body's parameter for
+   the argument: [F.f] reaches [Make.f], and its [X.bump] the argument's
+   [bump]. *)
+let test_program_functor_instances () =
+  let sources instance call =
+    [ pool_stub;
+      ( "lib/fix_kernel.ml",
+        "let tbl : (int, int) Hashtbl.t = Hashtbl.create 16\n\
+         module Arg = struct let bump k = Hashtbl.replace tbl k k end\n\
+         module Make (X : sig val bump : int -> unit end) = struct\n\
+        \  let f k = X.bump k\n\
+         end\n" ^ instance );
+      ("lib/fix_user.ml", "let go pool k = Pool.run pool (fun () -> " ^ call ^ " k)\n") ]
+  in
+  List.iter
+    (fun (what, instance, call) ->
+       let srcs = sources instance call in
+       let par = (program srcs).Program.r_par in
+       Alcotest.(check bool) (what ^ ": the body's f is parallel-reachable") true
+         (List.mem "Fix_kernel.Make.f" par);
+       Alcotest.(check bool) (what ^ ": so is the argument's bump") true
+         (List.mem "Fix_kernel.Arg.bump" par);
+       Alcotest.(check bool) (what ^ ": and its mutation is flagged") true
+         (List.mem ("unguarded-shared-state", "lib/fix_kernel.ml", "Fix_kernel.Arg.bump")
+            (program_keys srcs)))
+    [ ("application", "module F = Make (Arg)\n", "Fix_kernel.F.f");
+      ("include", "include Make (Arg)\n", "Fix_kernel.f") ]
+
+(* A member of a first-class module parameter stands for that member of
+   every module the program packs. *)
+let test_program_first_class () =
+  let sources =
+    [ pool_stub;
+      ( "lib/fix_engine.ml",
+        "module type S = sig val step : int -> unit end\n\
+         let tbl : (int, int) Hashtbl.t = Hashtbl.create 16\n\
+         module M = struct let step k = Hashtbl.replace tbl k k end\n\
+         let drive pool (module E : S) k = Pool.run pool (fun () -> E.step k)\n\
+         let main pool = drive pool (module M) 1\n" ) ]
+  in
+  Alcotest.(check bool) "the packed module's step is parallel-reachable" true
+    (List.mem "Fix_engine.M.step" (program sources).Program.r_par);
+  Alcotest.(check bool) "its unguarded mutation is flagged" true
+    (List.mem ("unguarded-shared-state", "lib/fix_engine.ml", "Fix_engine.M.step")
+       (program_keys sources))
+
 let test_program_lock_order () =
   let cyclic =
     [ ( "lib/fix_locks.ml",
@@ -426,9 +487,12 @@ let test_program_epoch () =
     (List.exists (fun (r, _, _) -> r = "arena-epoch") (program_keys in_dd))
 
 (* Against the real tree: the parallel-reachable set must cover the DD→flat
-   conversion's pool task body (the closures inside [Convert.parallel]) and
-   the serve connection threads. Skips silently when the
-   test binary runs outside a source checkout. *)
+   conversion's pool task body (the closures inside [Convert.parallel]),
+   the serve connection threads, and the flat phase's kernels: the flat
+   engine's [apply_op], reached through [Driver.step]'s first-class
+   engine, and what the DMAV and local-leg pool bodies call inside the
+   functors. Skips silently when the test binary runs outside a source
+   checkout. *)
 let test_program_par_regression () =
   let rec find_root d =
     if Sys.file_exists (Filename.concat d "lib/dd/dd.ml") then Some d
@@ -448,7 +512,9 @@ let test_program_par_regression () =
       (fun name ->
          Alcotest.(check bool) (name ^ " is parallel-reachable") true
            (List.mem name res.Program.r_par))
-      [ "Convert.parallel"; "Serve.writer"; "Serve.reader" ]
+      [ "Convert.parallel"; "Serve.writer"; "Serve.reader"; "Dmav_engine.Make.apply_op";
+        "Dmav_generic.Make.run_pieces"; "Dense_kernel.Make.local"; "Storage.Extend.dmav_run";
+        "Storage.Extend.local_apply" ]
 
 (* ---- reachability guard ------------------------------------------------ *)
 
@@ -511,302 +577,16 @@ let reach_allow =
     ("Rng.shuffle", "random operand orders of the DD gate-builder test");
     ("Bits.clear_bit", "basis-index arithmetic of the circuit tests") ]
 
-(* What [Callgraph] leaves out and the guard models on top: the
-   definitions inside functor bodies, under the functor's own path
-   ("Storage.Extend.fidelity"); the functors' parameters
-   ("Dmav_generic.Make.P"); and what a module made by a functor
-   application, an alias or an [include] stands for ("Storage.F64" for
-   "Storage.Extend", "Buf" for "Storage.F64"), each target as written
-   with the module path it is written in. *)
-type functors = {
-  model : Callgraph.t;  (** [Callgraph]'s model plus the functor bodies' definitions *)
-  body_defs : (string, Callgraph.def) Hashtbl.t;  (** by last component *)
-  params : (string, unit) Hashtbl.t;
-  stands_for : (string, string list * string) Hashtbl.t;
-}
-
-let functors (model : Callgraph.t) =
-  let defs = ref [] and params = Hashtbl.create 16 and stands_for = Hashtbl.create 32 in
-  let key = String.concat "." in
-  let rec target me =
-    match me.Parsetree.pmod_desc with
-    | Parsetree.Pmod_ident { txt; _ } -> Callgraph.lid_to_string txt
-    | Parsetree.Pmod_apply (f, _) | Parsetree.Pmod_apply_unit f | Parsetree.Pmod_constraint (f, _) ->
-      target f
-    | _ -> None
-  in
-  let stand modpath ~at me =
-    Option.iter (fun t -> Hashtbl.replace stands_for (key modpath) (at, t)) (target me)
-  in
-  let rec structure ~path ~in_functor modpath str =
-    List.iter
-      (fun si ->
-         match si.Parsetree.pstr_desc with
-         | Parsetree.Pstr_value (rf, vbs) when in_functor ->
-           List.iter
-             (fun (vb : Parsetree.value_binding) ->
-                let line = vb.pvb_loc.Location.loc_start.Lexing.pos_lnum in
-                let name =
-                  match Callgraph.pat_name vb.pvb_pat, vb.pvb_pat.ppat_desc with
-                  | Some n, _ -> Some n
-                  | None, (Parsetree.Ppat_any | Parsetree.Ppat_construct _) ->
-                    Some (Printf.sprintf "(init:%d)" line)
-                  | None, _ -> None
-                in
-                Option.iter
-                  (fun n ->
-                     defs :=
-                       { Callgraph.d_name = key (modpath @ [ n ]); d_modpath = modpath; d_path = path;
-                         d_line = line; d_kind = Callgraph.Plain;
-                         d_rec = rf = Asttypes.Recursive; d_body = vb.pvb_expr }
-                       :: !defs)
-                  name)
-             vbs
-         | Parsetree.Pstr_module mb -> module_binding ~path ~in_functor modpath mb
-         | Parsetree.Pstr_recmodule mbs -> List.iter (module_binding ~path ~in_functor modpath) mbs
-         | Parsetree.Pstr_include incl -> stand modpath ~at:modpath incl.Parsetree.pincl_mod
-         | _ -> ())
-      str
-  and module_binding ~path ~in_functor modpath mb =
-    match mb.Parsetree.pmb_name.txt with
-    | None -> ()
-    | Some m ->
-      let inner = modpath @ [ m ] in
-      let rec unwrap ~in_functor me =
-        match me.Parsetree.pmod_desc with
-        | Parsetree.Pmod_structure str -> structure ~path ~in_functor inner str
-        | Parsetree.Pmod_constraint (me, _) -> unwrap ~in_functor me
-        | Parsetree.Pmod_functor (param, body) ->
-          (match param with
-           | Parsetree.Named ({ txt = Some p; _ }, _) -> Hashtbl.replace params (key (inner @ [ p ])) ()
-           | _ -> ());
-          unwrap ~in_functor:true body
-        | _ -> stand inner ~at:modpath me
-      in
-      unwrap ~in_functor mb.Parsetree.pmb_expr
-  in
-  List.iter
-    (fun (f : Callgraph.file) ->
-       match Lint.parse f.Callgraph.f_path f.Callgraph.f_text with
-       | Ok str -> structure ~path:f.Callgraph.f_path ~in_functor:false [ f.Callgraph.f_module ] str
-       | Error _ -> ())
-    model.Callgraph.files;
-  let defs = List.rev !defs in
-  let table = Hashtbl.copy model.Callgraph.defs and body_defs = Hashtbl.create 256 in
-  List.iter
-    (fun (d : Callgraph.def) ->
-       Hashtbl.replace table d.Callgraph.d_name d;
-       Hashtbl.add body_defs (Callgraph.last_component d.Callgraph.d_name) d)
-    defs;
-  { model = { model with Callgraph.defs = table; order = model.Callgraph.order @ defs };
-    body_defs; params; stands_for }
-
-(* Every enclosing module path of [p], innermost first, down to []. *)
-let rec prefixes = function
-  | [] -> [ [] ]
-  | p -> p :: prefixes (List.rev (List.tl (List.rev p)))
-
-(* The definitions one piece of code references. [Callgraph] resolves
-   plain [Module.name] references; on top of it this models local opens,
-   [let module] aliases, a module named where a module is expected (a
-   [(module M)] pack, a functor argument, an [include]) as a reference to
-   every definition inside it, and a qualified name through what its
-   modules stand for: a functor's instance or an [include] of it to the
-   functor's body, a functor parameter's member to every functor body's
-   definition of that name. A functor applied is not itself a
-   reference: only the members its instances are asked for are. *)
-let reach_refs (fm : functors) =
-  let model = fm.model in
-  let by_module = Hashtbl.create 256 in
-  List.iter
-    (fun (d : Callgraph.def) ->
-       let rec prefixes acc = function
-         | [] -> ()
-         | m :: rest ->
-           let p = if acc = "" then m else acc ^ "." ^ m in
-           Hashtbl.add by_module p d.Callgraph.d_name;
-           prefixes p rest
-       in
-       prefixes "" d.Callgraph.d_modpath)
-    model.Callgraph.order;
-  let rec is_param m =
-    Hashtbl.mem fm.params m
-    || (match String.rindex_opt m '.' with Some i -> is_param (String.sub m 0 i) | None -> false)
-  in
-  let known m = Hashtbl.mem by_module m || Hashtbl.mem fm.stands_for m || is_param m in
-  (* A module written [m] inside [modpath]: the innermost scope that has it. *)
-  let locate modpath m =
-    List.find_opt known (List.map (fun p -> String.concat "." (p @ [ m ])) (prefixes modpath))
-  in
-  (* A qualified name through the longest module prefix that is a
-     parameter or stands for another module. *)
-  let rec through depth full =
-    match Callgraph.find model full with
-    | Some d -> [ d ]
-    | None when depth > 8 -> []
-    | None ->
-      let parts = String.split_on_char '.' full in
-      let rec go k =
-        if k = 0 then []
-        else
-          let m = String.concat "." (List.filteri (fun i _ -> i < k) parts) in
-          let rest = String.concat "." (List.filteri (fun i _ -> i >= k) parts) in
-          if Hashtbl.mem fm.params m then
-            Hashtbl.find_all fm.body_defs (Callgraph.last_component full)
-          else
-            match Hashtbl.find_opt fm.stands_for m with
-            | Some (at, written) ->
-              (match locate at written with
-               | Some t -> through (depth + 1) (t ^ "." ^ rest)
-               | None -> [])
-            | None -> go (k - 1)
-      in
-      go (List.length parts - 1)
-  in
-  let resolve ?self ~modpath ~opens n =
-    match Callgraph.resolve model ?self ~modpath ~opens n with
-    | Some d -> [ d ]
-    | None when String.contains n '.' ->
-      List.fold_left
-        (fun acc full -> if acc <> [] then acc else through 0 full)
-        []
-        (List.map (fun p -> String.concat "." (p @ [ n ])) (prefixes modpath)
-         @ List.map (fun o -> o ^ "." ^ n) opens)
-    | None -> []
-  in
-  fun ?within ~modpath ~opens (visit : Ast_iterator.iterator -> unit) ->
-    let out = ref [] and opens = ref opens and aliases = ref [] in
-    let dealias name =
-      match String.index_opt name '.' with
-      | None -> Option.value ~default:name (List.assoc_opt name !aliases)
-      | Some i ->
-        (match List.assoc_opt (String.sub name 0 i) !aliases with
-         | Some target -> target ^ String.sub name i (String.length name - i)
-         | None -> name)
-    in
-    let resolve_module m =
-      let m = dealias m in
-      match locate modpath m with
-      | Some full -> Some full
-      | None -> List.find_opt known (List.map (fun o -> o ^ "." ^ m) !opens)
-    in
-    let module_ref lid =
-      match Callgraph.lid_to_string lid with
-      | None -> ()
-      | Some m ->
-        (match resolve_module m with
-         | Some full -> out := Hashtbl.find_all by_module full @ !out
-         | None -> ())
-    in
-    let add_open lid =
-      match Callgraph.lid_to_string lid with
-      | Some o -> opens := Option.value ~default:o (resolve_module o) :: !opens
-      | None -> ()
-    in
-    let scoped f =
-      let o = !opens and a = !aliases in
-      f ();
-      opens := o;
-      aliases := a
-    in
-    let default = Ast_iterator.default_iterator in
-    let it =
-      { default with
-        Ast_iterator.expr =
-          (fun self e ->
-             match e.Parsetree.pexp_desc with
-             | Parsetree.Pexp_ident { txt; _ } ->
-               (match Callgraph.lid_to_string txt with
-                | Some n ->
-                  List.iter
-                    (fun (d : Callgraph.def) -> out := d.Callgraph.d_name :: !out)
-                    (resolve ?self:within ~modpath ~opens:!opens (dealias n))
-                | None -> ())
-             | Parsetree.Pexp_open
-                 ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, body) ->
-               scoped (fun () ->
-                   add_open txt;
-                   self.Ast_iterator.expr self body)
-             | Parsetree.Pexp_letmodule
-                 ({ txt = Some name; _ }, { pmod_desc = Pmod_ident { txt; _ }; _ }, body) ->
-               scoped (fun () ->
-                   (match Callgraph.lid_to_string txt with
-                    | Some m ->
-                      let m = dealias m in
-                      aliases := (name, Option.value ~default:m (resolve_module m)) :: !aliases
-                    | None -> ());
-                   self.Ast_iterator.expr self body)
-             | _ -> default.Ast_iterator.expr self e);
-        module_expr =
-          (fun self me ->
-             match me.Parsetree.pmod_desc with
-             | Parsetree.Pmod_ident { txt; _ } -> module_ref txt
-             | Parsetree.Pmod_apply (f, arg) ->
-               (match f.Parsetree.pmod_desc with
-                | Parsetree.Pmod_ident _ -> ()
-                | _ -> self.Ast_iterator.module_expr self f);
-               self.Ast_iterator.module_expr self arg
-             | _ -> default.Ast_iterator.module_expr self me);
-        open_declaration =
-          (fun _ od ->
-             match od.Parsetree.popen_expr.pmod_desc with
-             | Parsetree.Pmod_ident { txt; _ } -> add_open txt
-             | _ -> ()) }
-    in
-    visit it;
-    !out
-
-(* Module-level code outside the definitions [Callgraph] and [functors]
-   collect: functor arguments, [include]s, top-level expressions and
-   destructuring [let]s, in structures and functor bodies alike. It
-   runs when its module is linked or its functor applied, so what it
-   references is a root. *)
-let module_level_refs refs (f : Callgraph.file) =
-  let acc = ref [] in
-  let visit ~modpath v = acc := refs ~modpath ~opens:f.Callgraph.f_opens v @ !acc in
-  let rec structure modpath str =
-    List.iter
-      (fun si ->
-         match si.Parsetree.pstr_desc with
-         | Parsetree.Pstr_value (_, vbs) ->
-           List.iter
-             (fun vb ->
-                match vb.Parsetree.pvb_pat.ppat_desc with
-                | _ when Callgraph.pat_name vb.Parsetree.pvb_pat <> None -> ()
-                | Parsetree.Ppat_any | Parsetree.Ppat_construct _ -> ()
-                | _ -> visit ~modpath (fun it -> it.Ast_iterator.value_binding it vb))
-             vbs
-         | Parsetree.Pstr_module mb -> module_binding modpath mb
-         | Parsetree.Pstr_recmodule mbs -> List.iter (module_binding modpath) mbs
-         | Parsetree.Pstr_include incl ->
-           visit ~modpath (fun it -> it.Ast_iterator.module_expr it incl.Parsetree.pincl_mod)
-         | Parsetree.Pstr_eval (e, _) -> visit ~modpath (fun it -> it.Ast_iterator.expr it e)
-         | _ -> ())
-      str
-  and module_binding modpath mb =
-    match mb.Parsetree.pmb_name.txt with
-    | None -> ()
-    | Some m ->
-      let rec unwrap me =
-        match me.Parsetree.pmod_desc with
-        | Parsetree.Pmod_structure str -> structure (modpath @ [ m ]) str
-        | Parsetree.Pmod_constraint (me, _) | Parsetree.Pmod_functor (_, me) -> unwrap me
-        | _ -> visit ~modpath:(modpath @ [ m ]) (fun it -> it.Ast_iterator.module_expr it me)
-      in
-      unwrap mb.Parsetree.pmb_expr
-  in
-  (match Lint.parse f.Callgraph.f_path f.Callgraph.f_text with
-   | Ok str -> structure [ f.Callgraph.f_module ] str
-   | Error _ -> ());
-  !acc
-
 let covers entry name =
   if String.ends_with ~suffix:"." entry then String.starts_with ~prefix:entry name
   else entry = name
 
 (* The lib definitions no shipped program reaches, as
    (name, "path:line"), and the allowlist entries that cover none of
-   them. What an allowlisted definition references is kept with it. *)
+   them. A definition reaches every definition its body names, as
+   [Callgraph.resolve] answers with its local opens in force; module-level
+   code and the shipped programs' definitions are the roots. What an
+   allowlisted definition references is kept with it. *)
 let reach_check root =
   let prefix = root ^ "/" in
   let sources =
@@ -816,13 +596,31 @@ let reach_check root =
              (String.sub p (String.length prefix) (String.length p - String.length prefix), text)
            else (p, text))
   in
-  let fm = functors (Callgraph.build sources) in
-  let model = fm.model in
-  let refs = reach_refs fm in
-  let opens_of =
-    let tbl = Hashtbl.create 64 in
-    List.iter (fun f -> Hashtbl.replace tbl f.Callgraph.f_path f.Callgraph.f_opens) model.Callgraph.files;
-    fun path -> Option.value ~default:[] (Hashtbl.find_opt tbl path)
+  let model = Callgraph.build sources in
+  let opens_of = Hashtbl.create 64 in
+  List.iter (fun f -> Hashtbl.replace opens_of f.Callgraph.f_path f.Callgraph.f_opens) model.Callgraph.files;
+  let refs (d : Callgraph.def) =
+    let out = ref [] and opens = ref (Hashtbl.find opens_of d.Callgraph.d_path) in
+    let default = Ast_iterator.default_iterator in
+    let it =
+      { default with
+        Ast_iterator.expr =
+          (fun self e ->
+             match e.Parsetree.pexp_desc with
+             | Parsetree.Pexp_ident { txt; _ } ->
+               Option.iter
+                 (fun n ->
+                    out := Callgraph.resolve model ~self:d ~modpath:d.Callgraph.d_modpath ~opens:!opens n @ !out)
+                 (Callgraph.lid_to_string txt)
+             | Parsetree.Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, body) ->
+               let outer = !opens in
+               Option.iter (fun o -> opens := o :: outer) (Callgraph.lid_to_string txt);
+               self.Ast_iterator.expr self body;
+               opens := outer
+             | _ -> default.Ast_iterator.expr self e) }
+    in
+    it.Ast_iterator.expr it d.Callgraph.d_body;
+    !out
   in
   let in_lib (d : Callgraph.def) = String.starts_with ~prefix:"lib/" d.Callgraph.d_path in
   let is_init (d : Callgraph.def) =
@@ -830,19 +628,15 @@ let reach_check root =
   in
   let reached = Hashtbl.create 1024 in
   let queue = Queue.create () in
-  let reach_def (d : Callgraph.def) =
-    Hashtbl.replace reached d.Callgraph.d_name ();
-    Queue.add d queue
-  in
-  let reach name =
-    if not (Hashtbl.mem reached name) then Option.iter reach_def (Callgraph.find model name)
+  let reach (d : Callgraph.def) =
+    if not (Hashtbl.mem reached d.Callgraph.d_name) then begin
+      Hashtbl.replace reached d.Callgraph.d_name ();
+      Queue.add d queue
+    end
   in
   let drain () =
     while not (Queue.is_empty queue) do
-      let d = Queue.pop queue in
-      List.iter reach
-        (refs ~within:d ~modpath:d.Callgraph.d_modpath ~opens:(opens_of d.Callgraph.d_path)
-           (fun it -> it.Ast_iterator.expr it d.Callgraph.d_body))
+      List.iter reach (refs (Queue.pop queue))
     done
   in
   let unreached () =
@@ -850,10 +644,7 @@ let reach_check root =
       (fun (d : Callgraph.def) -> in_lib d && not (Hashtbl.mem reached d.Callgraph.d_name))
       model.Callgraph.order
   in
-  List.iter (fun d -> if (not (in_lib d)) || is_init d then reach_def d) model.Callgraph.order;
-  List.iter
-    (fun f -> List.iter reach (module_level_refs (fun ~modpath ~opens v -> refs ~modpath ~opens v) f))
-    model.Callgraph.files;
+  List.iter (fun d -> if (not (in_lib d)) || is_init d then reach d) model.Callgraph.order;
   drain ();
   let shipped_unreached = unreached () in
   let stale =
@@ -866,8 +657,7 @@ let reach_check root =
   in
   List.iter
     (fun (d : Callgraph.def) ->
-       if List.exists (fun (entry, _) -> covers entry d.Callgraph.d_name) reach_allow then
-         reach_def d)
+       if List.exists (fun (entry, _) -> covers entry d.Callgraph.d_name) reach_allow then reach d)
     shipped_unreached;
   drain ();
   ( stale,
@@ -994,6 +784,9 @@ let suite =
         Alcotest.test_case "guarded helper stays clean" `Quick
           test_program_guarded_helper;
         Alcotest.test_case "shadowing binding resolves outward" `Quick test_program_shadowing;
+        Alcotest.test_case "functor body" `Quick test_program_functor_body;
+        Alcotest.test_case "functor instances" `Quick test_program_functor_instances;
+        Alcotest.test_case "first-class module members" `Quick test_program_first_class;
         Alcotest.test_case "lock-order cycles" `Quick test_program_lock_order;
         Alcotest.test_case "arena-epoch staleness" `Quick test_program_epoch;
         Alcotest.test_case "parallel-reachable regression" `Quick
