@@ -33,8 +33,6 @@
      rates and print the ranges over which every fused stream is the one
      the constants produce. *)
 
-module DK = Dense_kernel.Make (Storage.F64)
-
 type job = {
   label : string;
   n : int;
@@ -241,10 +239,9 @@ let timed_samples pools jobs =
                 (fun k (_, _, form) ->
                    match form with
                    | Some (l : Flat_gate.local) ->
-                     keep local k i
-                       (elapsed_ns (fun () ->
-                            DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support
-                              ~controls:l.Flat_gate.controls ~paths:l.Flat_gate.paths))
+                     (* A one-gate run, as the flat phase runs a local gate. *)
+                     let g = Flat_gate.of_local ~n:j.n ~threads:(Pool.size pool) l in
+                     keep local k i (elapsed_ns (fun () -> Dmav.exec ~pool g ~v ~w))
                    | None -> ())
                 gates)
            pools

@@ -46,12 +46,12 @@ let median xs =
   Array.sort compare a;
   a.(Array.length a / 2)
 
-(* Gates run as one domain runs them: [Dense_kernel]'s stripes on a
-   size-1 pool. *)
+(* Gates run as one domain runs them: [Dense_kernel]'s stripes, and a
+   local gate as a one-part run. *)
 module Rows (P : Storage.S) = struct
   module DK = Dense_kernel.Make (P)
 
-  let time_shape pool shape =
+  let time_shape shape =
     let rs = Random.State.make [| 7 |] in
     let apply =
       match shape with
@@ -63,7 +63,8 @@ module Rows (P : Storage.S) = struct
         let u = Array.init (2 * d * d) (fun _ -> Random.State.float rs 2.0 -. 1.0) in
         let paths = (1 lsl (d * d)) - 1 in
         let support = (1 lsl minor) lor if major < 0 then 0 else 1 lsl major in
-        fun v -> DK.local ~pool v u ~support ~controls:(Bits.all_masks ctl) ~paths
+        fun v ->
+          DK.local_part v u ~support ~controls:(Bits.all_masks ctl) ~paths ~split:0 ~part:0
     in
     let v =
       P.init (1 lsl n) (fun _ ->
@@ -89,10 +90,9 @@ module Rows (P : Storage.S) = struct
     Array.to_list (Array.map median samples)
 
   let rows prec =
-    Pool.with_pool 1 @@ fun pool ->
     List.map
       (fun shape ->
-         let ns = time_shape pool shape in
+         let ns = time_shape shape in
          let ratio =
            match ns with
            | [ _; four; eight ] -> Report.f2 (eight /. four)

@@ -797,13 +797,14 @@ static inline int replication_quadrant(const long *es)
   }                                                                           \
                                                                               \
   /* The local kernel over the groups [lo, hi): group k is the k-th base,     \
-     ascending, with the [major], [minor] and [cmask] bits 0; its             \
-     amplitudes sit at base | cmask plus the support bits. [m] is the         \
-     gate's 2x2 ([major] 0) or 4x4 matrix, row-major re/im, index             \
-     2 b(major) + b(minor); for a dense gate [major] is q_hi, the lower       \
-     bit or not. */                                                           \
+     ascending, with the [major], [minor], [cmask] and [held] bits 0; its     \
+     amplitudes sit at base | cmask plus the support bits, so the [held]      \
+     bits stay 0. [m] is the gate's 2x2 ([major] 0) or 4x4 matrix,            \
+     row-major re/im, index 2 b(major) + b(minor); for a dense gate           \
+     [major] is q_hi, the lower bit or not. */                                \
   value qcs_local_##SFX(value buf, value m, value major, value minor,         \
-                        value cmask, value paths_v, value lo, value hi)       \
+                        value cmask, value held, value paths_v, value lo,     \
+                        value hi)                                             \
   {                                                                           \
     const double *u = (const double *)m;                                      \
     long bh = Long_val(major), bl = Long_val(minor), cm = Long_val(cmask);   \
@@ -816,7 +817,7 @@ static inline int replication_quadrant(const long *es)
       g[2 * q + 1] = sg * u[2 * q + 1];                                       \
     }                                                                         \
     span_##SFX((T *)Caml_ba_data_val(buf), g, u, off, d, Long_val(paths_v), 0, \
-               bh | bl | cm, Long_val(lo), Long_val(hi));                     \
+               bh | bl | cm | Long_val(held), Long_val(lo), Long_val(hi));     \
     return Val_unit;                                                          \
   }                                                                           \
                                                                               \
@@ -968,7 +969,7 @@ static inline int replication_quadrant(const long *es)
   BYTE_STUB(qcs_scale2_into_##SFX, ARGS5, Double_val(argv[5]),                \
             Double_val(argv[6]))                                              \
   BYTE_STUB(qcs_dense_single_##SFX, ARGS5, argv[5])                           \
-  BYTE_STUB(qcs_local_##SFX, ARGS5, argv[5], argv[6], argv[7])                \
+  BYTE_STUB(qcs_local_##SFX, ARGS5, argv[5], argv[6], argv[7], argv[8])       \
   BYTE_STUB(qcs_dmav_run_##SFX, ARGS5, argv[5], Double_val(argv[6]),          \
             Double_val(argv[7]))                                              \
   value qcs_norm2_##SFX##_byte(value t, value len)                            \

@@ -70,7 +70,7 @@ module type CORE = sig
   val c_fill_zero_range : buffer -> int -> int -> unit
   val c_norm2 : buffer -> int -> float
   val c_dense_single : buffer -> float array -> int -> int -> int -> int -> unit
-  val c_local : buffer -> float array -> int -> int -> int -> int -> int -> int -> unit
+  val c_local : buffer -> float array -> int -> int -> int -> int -> int -> int -> int -> unit
   val c_dmav_run : arena -> int -> buffer -> buffer -> int -> int -> float -> float -> unit
 end
 
@@ -100,7 +100,7 @@ module Core64 = struct
     = "qcs_norm2_f64_byte" "qcs_norm2_f64" [@@noalloc]
   external c_dense_single : buffer -> float array -> int -> int -> int -> int -> unit
     = "qcs_dense_single_f64_byte" "qcs_dense_single_f64" [@@noalloc]
-  external c_local : buffer -> float array -> int -> int -> int -> int -> int -> int -> unit
+  external c_local : buffer -> float array -> int -> int -> int -> int -> int -> int -> int -> unit
     = "qcs_local_f64_byte" "qcs_local_f64" [@@noalloc]
   external c_dmav_run :
     arena -> int -> buffer -> buffer -> int -> int -> (float[@unboxed]) -> (float[@unboxed]) -> unit
@@ -133,7 +133,7 @@ module Core32 = struct
     = "qcs_norm2_f32_byte" "qcs_norm2_f32" [@@noalloc]
   external c_dense_single : buffer -> float array -> int -> int -> int -> int -> unit
     = "qcs_dense_single_f32_byte" "qcs_dense_single_f32" [@@noalloc]
-  external c_local : buffer -> float array -> int -> int -> int -> int -> int -> int -> unit
+  external c_local : buffer -> float array -> int -> int -> int -> int -> int -> int -> int -> unit
     = "qcs_local_f32_byte" "qcs_local_f32" [@@noalloc]
   external c_dmav_run :
     arena -> int -> buffer -> buffer -> int -> int -> (float[@unboxed]) -> (float[@unboxed]) -> unit
@@ -170,7 +170,8 @@ module type S = sig
 
   val dense_single : t -> float array -> target:int -> cmask:int -> lo:int -> hi:int -> unit
   val local_apply :
-    t -> float array -> major:int -> minor:int -> cmask:int -> paths:int -> lo:int -> hi:int -> unit
+    t -> float array -> major:int -> minor:int -> cmask:int -> held:int -> paths:int -> lo:int ->
+    hi:int -> unit
 
   val dmav_run :
     arena -> node:int -> v:t -> w:t -> iv:int -> iw:int -> fre:float -> fim:float -> unit
@@ -245,17 +246,18 @@ module Extend (C : CORE) = struct
       invalid_arg "Storage.dense_single: stripe out of bounds";
     C.c_dense_single t.data m target cmask lo hi
 
-  let local_apply t m ~major ~minor ~cmask ~paths ~lo ~hi =
+  let local_apply t m ~major ~minor ~cmask ~held ~paths ~lo ~hi =
     if (not (Bits.is_pow2 t.len)) || (not (Bits.is_pow2 minor)) || minor >= t.len
        || (major <> 0 && ((not (Bits.is_pow2 major)) || major >= t.len || major = minor))
        || cmask < 0 || cmask >= t.len || cmask land (major lor minor) <> 0
+       || held < 0 || held >= t.len || held land (major lor minor lor cmask) <> 0
     then invalid_arg "Storage.local_apply: bad bits";
     let s = if major = 0 then 1 else 2 in
     if Array.length m <> 2 lsl (2 * s) || paths < 0 || paths >= 1 lsl (1 lsl (2 * s)) then
       invalid_arg "Storage.local_apply: bad matrix";
-    if lo < 0 || lo > hi || hi > t.len lsr (s + Bits.popcount cmask) then
+    if lo < 0 || lo > hi || hi > t.len lsr (s + Bits.popcount (cmask lor held)) then
       invalid_arg "Storage.local_apply: groups out of bounds";
-    C.c_local t.data m major minor cmask paths lo hi
+    C.c_local t.data m major minor cmask held paths lo hi
 
   (* Only the root task's extent is checked: the children of a node sit
      at lower levels of the same arena, so the whole walk stays inside

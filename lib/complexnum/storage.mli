@@ -110,16 +110,20 @@ module type S = sig
       bytes do not depend on the body or the stripe split. *)
 
   val local_apply :
-    t -> float array -> major:int -> minor:int -> cmask:int -> paths:int -> lo:int -> hi:int -> unit
+    t -> float array -> major:int -> minor:int -> cmask:int -> held:int -> paths:int -> lo:int ->
+    hi:int -> unit
   (** The 2×2 or 4×4 array walk: applies, in place, the [2^s × 2^s]
       matrix [m] ([2·4^s] floats, row-major re/im) on the bits [major]
       and [minor] ([s] = 1 when [major] is 0, else 2; one bit each,
       distinct; index bit 1 on [major], bit 0 on [minor], whichever is
-      higher), under the control bits [cmask] (disjoint from both), to
-      the groups [k ∈ [lo, hi)]: group [k] is the [2^s] amplitudes over
-      the [k]-th index, ascending, whose [major] and [minor] bits are 0
-      and whose [cmask] bits are all 1, so [hi ≤ 2^(n−s−popcount cmask)];
-      the other amplitudes are not touched. Each output starts from +0
+      higher), under the control bits [cmask] and with the bits [held]
+      at 0 (the three sets disjoint), to the groups [k ∈ [lo, hi)]: group
+      [k] is the [2^s] amplitudes over the [k]-th index, ascending, whose
+      [major], [minor] and [held] bits are 0 and whose [cmask] bits are
+      all 1, so [hi ≤ 2^(n−s−popcount (cmask lor held))]; the other
+      amplitudes are not touched. A gate's controls go in [cmask]; a
+      run's part ([Dense_kernel.Make.local_part]) adds the split bits it
+      holds at 1 to them and the others to [held]. Each output starts from +0
       and adds [m(r,c)·x(c)] for each [c], ascending, whose bit
       [r·2^s + c] is set in [paths], in double, and is rounded (at [F32])
       once, when stored. It serves the local leg of every gate given by

@@ -98,10 +98,20 @@ let parallel p ~pool ~n (e : Dd.vedge) =
      view read-only. *)
   let task_array = Array.of_list !tasks in
   let v = Dd.vview p in
-  Pool.parallel_for ~chunk:1 pool ~lo:0 ~hi:(Array.length task_array) (fun i ->
-      let t = task_array.(i) in
-      Storage.convert v ~node:(Dd.vid t.t_node) buf ~pos:t.t_offset ~wre:t.t_weight.Cnum.re
-        ~wim:t.t_weight.Cnum.im ~fills:true);
+  (* A small state runs its tasks and fills on the caller: below
+     [Dense_kernel.seq_threshold] amplitude pairs, as for a gate, waking
+     the pool's parked domains costs more than the walk. The tasks and
+     fills, and so the bytes, are the same. *)
+  let on_caller = Pool.size pool = 1 || 1 lsl n < 2 * Dense_kernel.seq_threshold in
+  let ranges ~chunk ~hi f =
+    if on_caller then f 0 hi else Pool.parallel_for_ranges ~chunk pool ~lo:0 ~hi f
+  in
+  ranges ~chunk:1 ~hi:(Array.length task_array) (fun lo hi ->
+      for i = lo to hi - 1 do
+        let t = task_array.(i) in
+        Storage.convert v ~node:(Dd.vid t.t_node) buf ~pos:t.t_offset ~wre:t.t_weight.Cnum.re
+          ~wim:t.t_weight.Cnum.im ~fills:true
+      done);
   (* Phase 3 — execute the recorded fills, lowest level first (a fill at
      level l reads only amplitudes produced below level l). Each fill is
      chunked so one huge top-level fill still uses every worker. *)
@@ -111,7 +121,7 @@ let parallel p ~pool ~n (e : Dd.vedge) =
     (fun f ->
        filled := !filled + f.f_len;
        let chunk = Int.max 4096 (f.f_len / (4 * threads)) in
-       Pool.parallel_for_ranges ~chunk pool ~lo:0 ~hi:f.f_len (fun a b ->
+       ranges ~chunk ~hi:f.f_len (fun a b ->
            Buf.scale_into ~src:buf ~src_pos:(f.f_src + a) ~dst:buf
              ~dst_pos:(f.f_dst + a) ~len:(b - a) f.f_factor))
     fill_list;

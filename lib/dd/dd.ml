@@ -224,8 +224,21 @@ let make_vnode p level (e0 : vedge) (e1 : vedge) : vedge =
     pack node normid
   end
 
+(* An edge of a new matrix node over the node's norm, the weight of
+   edge [normid]: an edge carrying the norm's own weight divides to
+   exactly one (w/w is 1 + 0i in [Cnum.div]), which interns to
+   [one_id]. *)
+let[@inline] mdiv p norm normid (e : medge) : medge =
+  if e = 0 then mzero
+  else if edge_wid e = normid then pack (edge_tgt e) Ctable.one_id
+  else
+    let w = Ctable.id p.ct (Cnum.div (value p (edge_wid e)) norm) in
+    if w = 0 then mzero else pack (edge_tgt e) w
+
 (* The normalization invariant: the pick starts from zero weight; at least
-   one edge is non-zero so [norm] is non-zero. *)
+   one edge is non-zero so [norm] is non-zero. Written without closures:
+   gate DDs are built beside the flat phase's executor, whose domains
+   wait out every minor collection. *)
 let make_mnode p level (e00 : medge) (e01 : medge) (e10 : medge) (e11 : medge) :
     medge =
   assert (level >= 0);
@@ -234,26 +247,31 @@ let make_mnode p level (e00 : medge) (e01 : medge) (e10 : medge) (e11 : medge) :
     (* Largest-magnitude weight wins; ties favor the earlier edge in
        row-major order (the fold starts from the zero weight). *)
     let normid = ref 0 and normn = ref 0.0 in
-    let pick (e : medge) =
-      let wid = edge_wid e in
-      let n = Cnum.norm2 (value p wid) in
-      if n > !normn then begin
-        normid := wid;
-        normn := n
-      end
-    in
-    pick e00; pick e01; pick e10; pick e11;
-    let norm = value p !normid in
-    (* An edge carrying the norm's own weight divides to exactly one
-       (w/w is 1 + 0i in [Cnum.div]), which interns to [one_id]. *)
-    let div (e : medge) : medge =
-      if e = 0 then mzero
-      else if edge_wid e = !normid then pack (edge_tgt e) Ctable.one_id
-      else
-        let w = Ctable.id p.ct (Cnum.div (value p (edge_wid e)) norm) in
-        if w = 0 then mzero else pack (edge_tgt e) w
-    in
-    let d00 = div e00 and d01 = div e01 and d10 = div e10 and d11 = div e11 in
+    let w = edge_wid e00 in
+    let n = Cnum.norm2 (value p w) in
+    if n > !normn then begin
+      normid := w;
+      normn := n
+    end;
+    let w = edge_wid e01 in
+    let n = Cnum.norm2 (value p w) in
+    if n > !normn then begin
+      normid := w;
+      normn := n
+    end;
+    let w = edge_wid e10 in
+    let n = Cnum.norm2 (value p w) in
+    if n > !normn then begin
+      normid := w;
+      normn := n
+    end;
+    let w = edge_wid e11 in
+    let n = Cnum.norm2 (value p w) in
+    if n > !normn then normid := w;
+    let normid = !normid in
+    let norm = value p normid in
+    let d00 = mdiv p norm normid e00 and d01 = mdiv p norm normid e01
+    and d10 = mdiv p norm normid e10 and d11 = mdiv p norm normid e11 in
     let live = Node_store.live p.ma in
     let node = Node_store.intern4 p.ma ~level d00 d01 d10 d11 in
     if Node_store.live p.ma > live then begin
@@ -263,7 +281,7 @@ let make_mnode p level (e00 : medge) (e01 : medge) (e10 : medge) (e11 : medge) :
       end
     end
     else Obs.incr c_mnodes_reused;
-    pack node !normid
+    pack node normid
   end
 
 let vscale p (e : vedge) (w : Cnum.t) : vedge =

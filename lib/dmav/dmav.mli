@@ -68,11 +68,11 @@ val exec : ?workspace:workspace -> pool:Pool.t -> Flat_gate.t -> v:Buf.t -> w:Bu
     nothing of the package it came from. A [Dmav] gate is {!run}
     ([w ← M·v]) with the [dmav.apply] span and the modeled-MAC
     counters. A [Local] gate, one given by its form, runs in place on
-    [v] ({!Storage.S.local_apply} over the groups its controls select,
-    cut into stripes like the dense kernel's), counted and timed as the
-    uncached kernel it stands in for ([dmav.kernel.uncached], the
-    modeled-MAC counters, [dmav.apply]). Only a [Dmav] gate writes
-    [w]. *)
+    [v] as a one-gate run (DESIGN.md §9: each domain of [pool]
+    {!Storage.S.local_apply}s the groups its controls select in its own
+    parts of the state), counted and timed as the uncached kernel it
+    stands in for ([dmav.kernel.uncached], the modeled-MAC counters,
+    [dmav.apply]). Only a [Dmav] gate writes [w]. *)
 
 val apply_nocache :
   Dd.package -> pool:Pool.t -> n:int -> Dd.medge -> v:Buf.t -> w:Buf.t -> unit

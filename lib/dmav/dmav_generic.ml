@@ -172,17 +172,93 @@ module Make (P : Storage.S) = struct
 
   module DK = Dense_kernel.Make (P)
 
+  let c_runs = Obs.counter "dmav.runs"
+
+  (* [Dense_kernel.split_bits] for this storage kind's amplitudes. *)
+  let split_bits ~pool ~n support =
+    Dense_kernel.split_bits ~threads:(Pool.size pool) ~n ~amplitude_bytes:(2 * P.bytes_per_float)
+      support
+
+  let local_of (g : Flat_gate.t) =
+    match g.body with
+    | Flat_gate.Local l -> l
+    | Flat_gate.Dmav _ -> invalid_arg "Dmav.local_run: a Run gate in a run"
+
+  (* A run of local gates (DESIGN.md §9): gates [0, count) of [gate], all
+     on the local leg with supports off [split] ([split_bits]),
+     applied in place on [v] by one [Pool.run]. Domain [w] takes part [w]
+     of the parts [split] cuts, then the next part no domain has taken,
+     and applies every gate of the run to a part, in order, before it
+     takes another: no gate of the run moves an amplitude out of its
+     part, so there is no barrier between gates, a part stays in the
+     domain's cache through the run, and a slow domain takes fewer parts.
+     Domain 0 calls [before k] ahead of gate [k] on its first part, and,
+     once its parts are done, [after k seconds] with its time on them,
+     which is also the gate's [dmav.apply] share; each gate is counted as
+     the uncached kernel it stands in for. When a domain raises (a cancel
+     poll in [before]), the others stop at their next gate and the
+     exception is re-raised: each part is left at a whole gate. No split
+     bits: one part, on the caller; [dmav.runs] counts the others. *)
+  let local_run ~pool ~split v ~count ~gate ~before ~after =
+    let parts = 1 lsl Bits.popcount split in
+    let stop = Atomic.make false and next = Atomic.make (Pool.size pool) in
+    (* Check mode: each domain claims its parts on a region scoped to
+       this run, so a part taken by two domains is reported as a race. *)
+    let claim =
+      if Check.enabled () then begin
+        let r = Check.region ~name:("dmav." ^ P.label ^ ".run") in
+        fun part -> Check.claim r ~owner:(Domain.self () :> int) ~lo:part ~hi:(part + 1)
+      end
+      else fun _ -> ()
+    in
+    let seconds = Array.make count 0 in
+    let apply part k =
+      let l = local_of (gate k) in
+      DK.local_part v l.u ~support:l.support ~controls:l.controls ~paths:l.paths ~split ~part
+    in
+    let domain wk =
+      try
+        let part = ref wk in
+        while !part < parts && not (Atomic.get stop) do
+          claim !part;
+          let k = ref 0 in
+          while !k < count && not (Atomic.get stop) do
+            if wk = 0 then begin
+              if !part = 0 then before !k;
+              let t0 = Timer.now () in
+              apply !part !k;
+              seconds.(!k) <- seconds.(!k) + Timer.ns_since t0
+            end
+            else apply !part !k;
+            incr k
+          done;
+          part := Atomic.fetch_and_add next 1
+        done;
+        if wk = 0 && not (Atomic.get stop) then
+          for k = 0 to count - 1 do
+            Obs.incr c_kernel_uncached;
+            count_modeled (gate k);
+            Obs.add_span_ns s_apply seconds.(k);
+            after k (float_of_int seconds.(k) *. 1e-9)
+          done
+      with e ->
+        Atomic.set stop true;
+        raise e
+    in
+    if parts = 1 then domain 0
+    else begin
+      Obs.incr c_runs;
+      Pool.run pool domain
+    end
+
   (* A compiled gate on its kernel, the one match over its body: the
-     local leg works in place on [v], the Run writes [w]. The local leg
-     is counted and timed as the uncached kernel it stands in for. *)
+     local leg works in place on [v], as a one-gate run, the Run writes
+     [w]. *)
   let exec ?workspace ~pool (g : Flat_gate.t) ~v ~w =
     match g.body with
     | Flat_gate.Local l ->
-      Obs.incr c_kernel_uncached;
-      count_modeled g;
-      Obs.with_span s_apply (fun () ->
-          DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support
-            ~controls:l.Flat_gate.controls ~paths:l.Flat_gate.paths)
+      let split = split_bits ~pool ~n:(Bits.log2_exact (P.length v)) l.support in
+      local_run ~pool ~split v ~count:1 ~gate:(fun _ -> g) ~before:ignore ~after:(fun _ _ -> ())
     | Flat_gate.Dmav prog ->
       count_modeled g;
       Obs.with_span s_apply (fun () -> run ?workspace ~pool prog ~v ~w)

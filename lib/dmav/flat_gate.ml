@@ -223,7 +223,9 @@ let program ?(piece_macs = piece_macs) p ~n ~cached (b : Cost.breakdown) =
 
 (* A matrix on the [k] levels of [mask] (k ≤ 4), identity elsewhere: a
    dense 2^k × 2^k row-major (re, im) array, index bit i on the i-th
-   lowest level of the mask. A local form is one with k ≤ 2. *)
+   lowest level of the mask, in the first 2·4^k floats of [m] (a
+   product's [m] is its domain's scratch). A local form is one with
+   k ≤ 2. *)
 type form = { mask : int; k : int; m : float array }
 
 let form_of (l : local) = { mask = l.support; k = Bits.popcount l.support; m = l.u }
@@ -239,70 +241,103 @@ let levels mask =
     lv;
   lv
 
+(* The [i]-th lowest level of [mask]. *)
+let level mask i =
+  let rest = ref mask in
+  for _ = 1 to i do
+    rest := !rest land (!rest - 1)
+  done;
+  Bits.floor_log2 (!rest land - !rest)
+
+(* What the planner's form arithmetic works in, one per domain (the
+   planners of concurrent jobs run on different domains), so that a
+   product or a path count allocates nothing of its size: the blocks of
+   a count walk, one per slot in unboxed columns (a 16×16 form's 256,
+   then [masked_paths]'s named ones), the levels it spans, and a 16×16
+   product. *)
+type scratch = {
+  kind : int array;  (* 0 zero, 1 identity, 2 other *)
+  bre : float array;
+  bim : float array;
+  terminal : float array;
+  stripe : float array;
+  visits : float array;
+  lv : int array;
+  prod : float array;
+}
+
+let block_slots = 256 + 6
+
+let scratch =
+  Domain.DLS.new_key (fun () ->
+      let col () = Array.make block_slots 0.0 in
+      { kind = Array.make block_slots 0; bre = col (); bim = col (); terminal = col ();
+        stripe = col (); visits = col (); lv = Array.make Sys.int_size 0;
+        prod = Array.make 512 0.0 })
+
 (* Float offset of entry (r, c). *)
 let[@inline] at f r c = 2 * ((r lsl f.k) + c)
 
-let[@inline] is_zero m o = Float.equal m.(o) 0.0 && Float.equal m.(o + 1) 0.0
+(* Entry at float offset [o] is 0 (either sign): [Float.equal x 0.0],
+   without its call. *)
+let[@inline] is_zero m o = Float.abs m.(o) <= 0.0 && Float.abs m.(o + 1) <= 0.0
 
 let[@inline] near m o o' =
   Float.abs (m.(o) -. m.(o')) <= Cnum.tolerance
   && Float.abs (m.(o + 1) -. m.(o' + 1)) <= Cnum.tolerance
 
-(* [f r c] for every r, c < d, stopping at the first that fails. *)
-let for_all2 d f =
+(* Index [x] with a 0 inserted at bit [b]. *)
+let[@inline] widen b x = ((x lsr b) lsl (b + 1)) lor (x land ((1 lsl b) - 1))
+
+(* The matrix does nothing on index bit [b]: its DD's nodes on that level
+   are all (e, 0, 0, e). Checked r by r, c by c, up to the first entry
+   that fails. *)
+let trivial f b =
+  let h = 1 lsl b and d = 1 lsl (f.k - 1) in
   let ok = ref true and r = ref 0 in
   while !ok && !r < d do
-    let c = ref 0 in
+    let wr = widen b !r and c = ref 0 in
     while !ok && !c < d do
-      ok := f !r !c;
+      let wc = widen b !c in
+      ok :=
+        is_zero f.m (at f wr (wc + h))
+        && is_zero f.m (at f (wr + h) wc)
+        && near f.m (at f wr wc) (at f (wr + h) (wc + h));
       incr c
     done;
     incr r
   done;
   !ok
 
-(* Index [x] with a 0 inserted at bit [b]. *)
-let widen b x = ((x lsr b) lsl (b + 1)) lor (x land ((1 lsl b) - 1))
-
-(* The matrix does nothing on index bit [b]: its DD's nodes on that level
-   are all (e, 0, 0, e). *)
-let trivial f b =
-  let h = 1 lsl b in
-  for_all2 (1 lsl (f.k - 1)) (fun r c ->
-      let r = widen b r and c = widen b c in
-      is_zero f.m (at f r (c + h))
-      && is_zero f.m (at f (r + h) c)
-      && near f.m (at f r c) (at f (r + h) (c + h)))
-
 (* The levels of [check] the matrix is trivial on are dropped: its
    support is the levels it acts on. A multiple of the identity acts on
-   level n − 1. *)
+   level n − 1. A dropped level compacts [m] in place: entry (r, c) of
+   the smaller form sits at or below the entry it is copied from, and
+   the ascending copy never overwrites an entry still to be read. *)
 let rec reduce ~n ~check f =
-  let lv = levels f.mask in
   let rec find b =
-    if b >= f.k then None
-    else if (check lsr lv.(b)) land 1 = 1 && trivial f b then Some b
+    if b >= f.k then -1
+    else if (check lsr level f.mask b) land 1 = 1 && trivial f b then b
     else find (b + 1)
   in
   match find 0 with
-  | None -> f
-  | Some _ when f.k = 1 -> { f with mask = 1 lsl (n - 1) }
-  | Some b ->
-    let g = { mask = f.mask land lnot (1 lsl lv.(b)); k = f.k - 1; m = [||] } in
-    let m = Array.make (2 lsl (2 * g.k)) 0.0 in
+  | -1 -> f
+  | _ when f.k = 1 -> { f with mask = 1 lsl (n - 1) }
+  | b ->
+    let g = { mask = f.mask land lnot (1 lsl level f.mask b); k = f.k - 1; m = f.m } in
     for r = 0 to (1 lsl g.k) - 1 do
       for c = 0 to (1 lsl g.k) - 1 do
-        let o = at f (widen b r) (widen b c) in
-        m.(at g r c) <- f.m.(o);
-        m.(at g r c + 1) <- f.m.(o + 1)
+        let o = at f (widen b r) (widen b c) and o' = at g r c in
+        f.m.(o') <- f.m.(o);
+        f.m.(o' + 1) <- f.m.(o + 1)
       done
     done;
-    reduce ~n ~check { g with m }
+    reduce ~n ~check g
 
 (* Entries within the DD tolerance of zero become 0 (no edge), then
    [reduce]. *)
 let normalize ~n ~check f =
-  for o = 0 to (Array.length f.m / 2) - 1 do
+  for o = 0 to (1 lsl (2 * f.k)) - 1 do
     if Float.abs f.m.(2 * o) <= Cnum.tolerance && Float.abs f.m.((2 * o) + 1) <= Cnum.tolerance
     then begin
       f.m.(2 * o) <- 0.0;
@@ -311,12 +346,15 @@ let normalize ~n ~check f =
   done;
   reduce ~n ~check f
 
+(* The local of a form, with a matrix of its own. *)
 let to_local ?(controls = 0) f =
+  let len = 2 lsl (2 * f.k) in
+  let u = if Array.length f.m = len then f.m else Array.sub f.m 0 len in
   let paths = ref 0 in
   for x = 0 to (1 lsl (2 * f.k)) - 1 do
-    if not (is_zero f.m (2 * x)) then paths := !paths lor (1 lsl x)
+    if not (is_zero u (2 * x)) then paths := !paths lor (1 lsl x)
   done;
-  { support = f.mask; controls; u = f.m; paths = !paths }
+  { support = f.mask; controls; u; paths = !paths }
 
 (* The form on [mask] whose entry (r, c) is [entry r c]. *)
 let dense_form mask entry =
@@ -358,10 +396,12 @@ let narrow ~n l =
   if l.controls = 0 then Some l
   else if Bits.popcount mask > 2 then None
   else begin
-    let split x = if l.controls > l.support then (x lsr 1, x land 1) else (x land 1, x lsr 1) in
+    (* The control's and the target's bit of a 4×4 index. *)
+    let cbit, tbit = if l.controls > l.support then (1, 0) else (0, 1) in
     Some
       (form ~n ~check:mask mask (fun r c ->
-           let cr, tr = split r and cc, tc = split c in
+           let cr = (r lsr cbit) land 1 and tr = (r lsr tbit) land 1 in
+           let cc = (c lsr cbit) land 1 and tc = (c lsr tbit) land 1 in
            if cr <> cc then Cnum.zero
            else if cr = 1 then Cnum.make l.u.(2 * ((2 * tr) + tc)) l.u.((2 * ((2 * tr) + tc)) + 1)
            else if tr = tc then Cnum.one
@@ -369,143 +409,199 @@ let narrow ~n l =
   end
 
 (* [Dd.priced_paths] of a form's DD, from its block pattern, bottom up
-   over the levels [lv] it spans: a block over the lowest j of them is
-   zero, a non-zero multiple of the identity (a canonical identity node
-   one level above its levels, at level n − 1 for the whole form; a
-   scalar below level 0 is the terminal), or a node whose counts are its
-   four quadrants' plus its own visit (at level 1 and up). Each of the m
-   levels off the mask above such a node is a replication node
-   (e, 0, 0, e), which doubles the counts and adds its own visit:
-   2^m·c + (2^m − 1) visits. [ident j re im] is the identity block at
-   stage j, [node j q00 q01 q10 q11] the block its four quadrants at
-   stage j − 1 form. *)
-type block = { kind : int; re : float; im : float; c : Dd.paths }  (* 0 zero, 1 identity, 2 other *)
+   over the levels [lv] it spans (k of them): a block over the lowest j
+   of them is zero, a non-zero multiple of the identity (a canonical
+   identity node one level above its levels, at level n − 1 for the
+   whole form; a scalar below level 0 is the terminal), or a node whose
+   counts are its four quadrants' plus its own visit (at level 1 and
+   up). Each of the m levels off the mask above such a node is a
+   replication node (e, 0, 0, e), which doubles the counts and adds its
+   own visit: 2^m·c + (2^m − 1) visits. Blocks are scratch slots;
+   [set_ident] makes slot [x] the identity block at stage [j] and
+   [set_node] the block that four slots at stage j − 1 form, reading
+   them before it writes, so a slot may be its own quadrant. *)
+let[@inline] top s ~n ~k j = if j = k then n - 1 else s.lv.(j) - 1
 
-let zero_paths = { Dd.terminal = 0.0; stripe = 0.0; visits = 0.0 }
-let zero_block = { kind = 0; re = 0.0; im = 0.0; c = zero_paths }
+let set_zero s x =
+  s.kind.(x) <- 0;
+  s.bre.(x) <- 0.0;
+  s.bim.(x) <- 0.0;
+  s.terminal.(x) <- 0.0;
+  s.stripe.(x) <- 0.0;
+  s.visits.(x) <- 0.0
 
-let count_blocks ~n lv =
-  let k = Array.length lv in
-  let top j = if j = k then n - 1 else lv.(j) - 1 in
-  let ident j re im =
-    { kind = 1; re; im;
-      c = (if top j < 0 then { zero_paths with Dd.terminal = 1.0 }
-           else { zero_paths with Dd.stripe = Float.ldexp 1.0 (top j + 1) }) }
-  in
-  let node j q00 q01 q10 q11 =
-    if q00.kind = 0 && q01.kind = 0 && q10.kind = 0 && q11.kind = 0 then zero_block
-    else if q01.kind = 0 && q10.kind = 0 && q00.kind = 1 && q11.kind = 1
-            && Float.abs (q00.re -. q11.re) <= Cnum.tolerance
-            && Float.abs (q00.im -. q11.im) <= Cnum.tolerance
-    then ident j q00.re q00.im
-    else begin
-      let double = Float.ldexp 1.0 (top j - lv.(j - 1)) in
-      let own = if lv.(j - 1) > 0 then 1.0 else 0.0 in
-      let sum f = f q00.c +. f q01.c +. f q10.c +. f q11.c in
-      { zero_block with
-        kind = 2;
-        c = { Dd.terminal = double *. sum (fun c -> c.Dd.terminal);
-              stripe = double *. sum (fun c -> c.Dd.stripe);
-              visits = (double *. (sum (fun c -> c.Dd.visits) +. own)) +. (double -. 1.0) } }
-    end
-  in
-  (ident, node)
+(* 2^i, exactly, for the walk's levels. *)
+let pow2 = Array.init Sys.int_size (fun i -> Float.ldexp 1.0 i)
 
-(* A form's matrix, row-major, combined quadrant by quadrant. *)
-let form_paths ~n f =
-  let ident, node = count_blocks ~n (levels f.mask) in
-  let d = 1 lsl f.k in
-  let blocks =
-    ref (Array.init (d * d) (fun x ->
-        if is_zero f.m (2 * x) then zero_block else ident 0 f.m.(2 * x) f.m.((2 * x) + 1)))
-  in
-  for j = 1 to f.k do
-    let w = d lsr j and b = !blocks in
-    blocks :=
-      Array.init (w * w) (fun x ->
-          let c00 = (4 * w * (x / w)) + (2 * (x mod w)) in
-          node j b.(c00) b.(c00 + 1) b.(c00 + (2 * w)) b.(c00 + (2 * w) + 1))
+let[@inline] set_ident s ~n ~k j x re im =
+  let top = top s ~n ~k j in
+  s.kind.(x) <- 1;
+  s.bre.(x) <- re;
+  s.bim.(x) <- im;
+  s.terminal.(x) <- (if top < 0 then 1.0 else 0.0);
+  s.stripe.(x) <- (if top < 0 then 0.0 else pow2.(top + 1));
+  s.visits.(x) <- 0.0
+
+let set_node s ~n ~k j x q00 q01 q10 q11 =
+  let kd = s.kind in
+  if kd.(q00) = 0 && kd.(q01) = 0 && kd.(q10) = 0 && kd.(q11) = 0 then set_zero s x
+  else if kd.(q01) = 0 && kd.(q10) = 0 && kd.(q00) = 1 && kd.(q11) = 1
+          && Float.abs (s.bre.(q00) -. s.bre.(q11)) <= Cnum.tolerance
+          && Float.abs (s.bim.(q00) -. s.bim.(q11)) <= Cnum.tolerance
+  then set_ident s ~n ~k j x s.bre.(q00) s.bim.(q00)
+  else begin
+    let below = s.lv.(j - 1) in
+    let double = pow2.(top s ~n ~k j - below) in
+    let own = if below > 0 then 1.0 else 0.0 in
+    let t = s.terminal and st = s.stripe and v = s.visits in
+    let terminal = double *. (t.(q00) +. t.(q01) +. t.(q10) +. t.(q11))
+    and stripe = double *. (st.(q00) +. st.(q01) +. st.(q10) +. st.(q11))
+    and visits = (double *. (v.(q00) +. v.(q01) +. v.(q10) +. v.(q11) +. own)) +. (double -. 1.0) in
+    kd.(x) <- 2;
+    s.bre.(x) <- 0.0;
+    s.bim.(x) <- 0.0;
+    t.(x) <- terminal;
+    st.(x) <- stripe;
+    v.(x) <- visits
+  end
+
+(* Block [x] of stage 1 straight from the four entries of [m] at float
+   offsets [o00] [o01] [o10] [o11], each a stage-0 block: zero, or the
+   identity scaled by the entry, with [set_ident]'s counts at stage 0.
+   [set_node] on those four blocks, with the same operands in the same
+   order, without writing them. *)
+let set_leaf s ~n ~k x m o00 o01 o10 o11 =
+  let z00 = is_zero m o00 and z01 = is_zero m o01 and z10 = is_zero m o10 and z11 = is_zero m o11 in
+  if z00 && z01 && z10 && z11 then set_zero s x
+  else if z01 && z10 && (not z00) && (not z11)
+          && Float.abs (m.(o00) -. m.(o11)) <= Cnum.tolerance
+          && Float.abs (m.(o00 + 1) -. m.(o11 + 1)) <= Cnum.tolerance
+  then set_ident s ~n ~k 1 x m.(o00) m.(o00 + 1)
+  else begin
+    let top0 = top s ~n ~k 0 and below = s.lv.(0) in
+    let t0 = if top0 < 0 then 1.0 else 0.0 and s0 = if top0 < 0 then 0.0 else pow2.(top0 + 1) in
+    let double = pow2.(top s ~n ~k 1 - below) in
+    let own = if below > 0 then 1.0 else 0.0 in
+    let[@inline] q z c = if z then 0.0 else c in
+    let terminal = double *. (q z00 t0 +. q z01 t0 +. q z10 t0 +. q z11 t0)
+    and stripe = double *. (q z00 s0 +. q z01 s0 +. q z10 s0 +. q z11 s0)
+    and visits = (double *. (0.0 +. 0.0 +. 0.0 +. 0.0 +. own)) +. (double -. 1.0) in
+    s.kind.(x) <- 2;
+    s.bre.(x) <- 0.0;
+    s.bim.(x) <- 0.0;
+    s.terminal.(x) <- terminal;
+    s.stripe.(x) <- stripe;
+    s.visits.(x) <- visits
+  end
+
+(* The levels of [mask] into the scratch; returns how many. *)
+let load_levels s mask =
+  let rest = ref mask and k = ref 0 in
+  while !rest <> 0 do
+    s.lv.(!k) <- Bits.floor_log2 (!rest land - !rest);
+    rest := !rest land (!rest - 1);
+    incr k
   done;
-  !blocks.(0).c
+  !k
+
+let paths_of s x = { Dd.terminal = s.terminal.(x); stripe = s.stripe.(x); visits = s.visits.(x) }
+
+(* A form's matrix, row-major, combined quadrant by quadrant: stage 1
+   from the entries, then in place, block x of stage j reading the
+   blocks from [c00] on, never below x. *)
+let form_paths ~n f =
+  let s = Domain.DLS.get scratch in
+  let k = load_levels s f.mask in
+  let d = 1 lsl k in
+  let w = d lsr 1 in
+  for x = 0 to (w * w) - 1 do
+    let c00 = (4 * w * (x / w)) + (2 * (x mod w)) in
+    set_leaf s ~n ~k x f.m (2 * c00) (2 * (c00 + 1)) (2 * (c00 + (2 * w))) (2 * (c00 + (2 * w) + 1))
+  done;
+  for j = 2 to k do
+    let w = d lsr j in
+    for x = 0 to (w * w) - 1 do
+      let c00 = (4 * w * (x / w)) + (2 * (x mod w)) in
+      set_node s ~n ~k j x c00 (c00 + 1) (c00 + (2 * w)) (c00 + (2 * w) + 1)
+    done
+  done;
+  paths_of s 0
 
 (* A controlled 2×2 without its matrix over the controls: below the
    target level a block is, up to a scalar, zero, the identity [i], the
    projector onto the controls so far all 1 ([p], which an off-diagonal
    entry of the gate scales) or the identity with a diagonal entry s of
-   the gate on that projector ([d s]); at the target the gate's block
-   [a] forms from them, and each control above adds (i, 0, 0, a). *)
+   the gate on that projector ([d0], [d1]); at the target the gate's
+   block [a] forms from them, and each control above adds (i, 0, 0, a).
+   Each is a named scratch slot past the 16×16 form's. *)
 let masked_paths ~n l =
-  let lv = levels (acts_on l) in
-  let ident, node = count_blocks ~n lv in
-  let entry x = if is_zero l.u (2 * x) then zero_block else ident 0 l.u.(2 * x) l.u.((2 * x) + 1) in
-  let off x p = if is_zero l.u (2 * x) then zero_block else p in
-  let i = ref (ident 0 1.0 0.0) and p = ref (ident 0 1.0 0.0) in
-  let d0 = ref (entry 0) and d1 = ref (entry 3) and a = ref zero_block in
-  for j = 1 to Array.length lv do
-    let b = 1 lsl lv.(j - 1) in
-    if b = l.support then a := node j !d0 (off 1 !p) (off 2 !p) !d1
+  let s = Domain.DLS.get scratch in
+  let k = load_levels s (acts_on l) in
+  let z = 256 and i = 257 and p = 258 and d0 = 259 and d1 = 260 and a = 261 in
+  let entry x slot =
+    if is_zero l.u (2 * x) then set_zero s slot
+    else set_ident s ~n ~k 0 slot l.u.(2 * x) l.u.((2 * x) + 1)
+  in
+  let off x = if is_zero l.u (2 * x) then z else p in
+  set_zero s z;
+  set_ident s ~n ~k 0 i 1.0 0.0;
+  set_ident s ~n ~k 0 p 1.0 0.0;
+  entry 0 d0;
+  entry 3 d1;
+  set_zero s a;
+  for j = 1 to k do
+    let b = 1 lsl s.lv.(j - 1) in
+    if b = l.support then set_node s ~n ~k j a d0 (off 1) (off 2) d1
     else if b < l.support then begin
-      p := node j zero_block zero_block zero_block !p;
-      d0 := node j !i zero_block zero_block !d0;
-      d1 := node j !i zero_block zero_block !d1
+      set_node s ~n ~k j p z z z p;
+      set_node s ~n ~k j d0 i z z d0;
+      set_node s ~n ~k j d1 i z z d1
     end
-    else a := node j !i zero_block zero_block !a;
-    i := ident j 1.0 0.0
+    else set_node s ~n ~k j a i z z a;
+    set_ident s ~n ~k j i 1.0 0.0
   done;
-  !a.c
+  paths_of s a
 
 (* A form under controls has a one-level support ([local_of_op]). *)
 let local_paths ~n l = if l.controls = 0 then form_paths ~n (form_of l) else masked_paths ~n l
 
 type product = Narrow_product of local | Wide_product of Dd.paths
 
-(* The bits of a union index that the levels of [support] take, and
-   their packed value ([gather]) or the packed value [v] spread back onto
-   them ([spread]). *)
-let side lv support =
-  let pos = Array.of_list (List.filter (fun i -> (support lsr lv.(i)) land 1 = 1) (List.init (Array.length lv) Fun.id)) in
-  let pack x =
-    let acc = ref 0 in
-    for j = 0 to Array.length pos - 1 do
-      acc := !acc lor (((x lsr pos.(j)) land 1) lsl j)
-    done;
-    !acc
-  in
-  let spread v =
-    let acc = ref 0 in
-    for j = 0 to Array.length pos - 1 do
-      acc := !acc lor (((v lsr j) land 1) lsl pos.(j))
-    done;
-    !acc
-  in
-  let own = 1 lsl Array.length pos in
-  (spread (own - 1), Array.init (1 lsl Array.length lv) pack, Array.init own spread)
+(* [Bits.extract] and [Bits.deposit] of 4-bit values on 4-bit masks, at
+   [mask lsl 4 lor x]: the index arithmetic of a product on at most four
+   levels. *)
+let extract4 = Array.init 256 (fun i -> Bits.extract (i land 15) (i lsr 4))
+let deposit4 = Array.init 256 (fun i -> Bits.deposit (i land 15) (i lsr 4))
 
 let local_product ~n a b =
   let a = Option.get (narrow ~n a) and b = Option.get (narrow ~n b) in
   let mask = a.support lor b.support in
-  let lv = levels mask in
-  let d = 1 lsl Array.length lv in
-  let m = Array.make (2 * d * d) 0.0 in
-  let x = { mask; k = Array.length lv; m } in
+  let k = Bits.popcount mask in
+  let d = 1 lsl k in
+  let s = Domain.DLS.get scratch in
+  let m = s.prod in
+  Array.fill m 0 (2 * d * d) 0.0;
+  let x = { mask; k; m } in
   (* Entry (r, c) of a·b, each side the identity off its own levels:
      term t ascending over the non-zero entries of row r of a and row t
      of b, with t ranging over the union indices that agree with r off
-     a's levels. *)
-  let bits_a, gather_a, spread_a = side lv a.support
-  and bits_b, gather_b, spread_b = side lv b.support in
-  let da = Array.length spread_a and db = Array.length spread_b in
+     a's levels. A side's bits of a union index are the positions of its
+     levels among the union's; the side's index is their
+     [Bits.extract], and [Bits.deposit] puts one back. *)
+  let bits_a = Bits.extract a.support mask and bits_b = Bits.extract b.support mask in
+  let da = 1 lsl Bits.popcount a.support and db = 1 lsl Bits.popcount b.support in
+  let ga = bits_a lsl 4 and gb = bits_b lsl 4 in
   for r = 0 to d - 1 do
-    let ra = gather_a.(r) in
+    let ra = extract4.(ga lor r) in
     for ca = 0 to da - 1 do
       let i = 2 * ((ra * da) + ca) in
       if not (is_zero a.u i) then begin
-        let t = (r land lnot bits_a) lor spread_a.(ca) in
-        let tb = gather_b.(t) in
+        let t = (r land lnot bits_a) lor deposit4.(ga lor ca) in
+        let tb = extract4.(gb lor t) in
         for cb = 0 to db - 1 do
           let j = 2 * ((tb * db) + cb) in
           if not (is_zero b.u j) then begin
-            let o = at x r ((t land lnot bits_b) lor spread_b.(cb)) in
+            let o = at x r ((t land lnot bits_b) lor deposit4.(gb lor cb)) in
             m.(o) <- m.(o) +. ((a.u.(i) *. b.u.(j)) -. (a.u.(i + 1) *. b.u.(j + 1)));
             m.(o + 1) <- m.(o + 1) +. ((a.u.(i) *. b.u.(j + 1)) +. (a.u.(i + 1) *. b.u.(j)))
           end

@@ -53,6 +53,12 @@ module Make (Pr : Engine.PRECISION) = struct
           st.w <- tmp
         | Flat_gate.Local _ -> ())
 
+  let split_bits = K.split_bits
+
+  (* A run of local gates works in place, as one local gate does. *)
+  let apply_run st ~pool ~split ~count ~gate ~before ~after =
+    K.local_run ~pool ~split st.v ~count ~gate ~before ~after
+
   let size_metric _ = 0
 
   (* Modeled bytes of the flat phase's own buffers: V, W and the

@@ -66,11 +66,12 @@ let c_disp_local = Obs.counter "dmav.dispatch.local"
 (* The flat phase's planner: the remaining ops fused per config, each
    output gate compiled at the run's pool size ([Fusion.compile]) and
    handed to [emit] as soon as it is final. Without fusion every op is
-   its form ([Flat_gate.local_of_op]) on the local leg and no DD is built; the
-   scans build a DD only for an op on more than two levels or when a
-   product needs DDMM. [poll] runs before each input op, in every mode.
-   Returns the fusion stats. *)
+   its form ([Flat_gate.local_of_op], span [plan.scan]) on the local leg
+   and no DD is built; the scans build a DD only when a product needs
+   DDMM. [poll] runs before each input op, in every mode. Returns the
+   fusion stats. *)
 let s_compile = Obs.span "plan.compile"
+let s_scan = Obs.span "plan.scan"
 
 let flat_plan (ctx : Engine.ctx) ~n ~first_index ~poll ~emit ops =
   let p = ctx.Engine.package in
@@ -86,7 +87,8 @@ let flat_plan (ctx : Engine.ctx) ~n ~first_index ~poll ~emit ops =
     List.iter
       (fun op ->
          poll ();
-         out (Circuit.op_name op) (Fusion.Local (Flat_gate.local_of_op ~n op)))
+         let l = Obs.with_span s_scan (fun () -> Flat_gate.local_of_op ~n op) in
+         out (Circuit.op_name op) (Fusion.Local l))
       ops;
     None
   | Config.Dmav_aware -> Some (Fusion.dmav_aware_iter ~poll p ~n ~emit:(out "fused") ops)
@@ -182,11 +184,28 @@ let account r (xo : Engine.exec_op) =
     Engine.Dense_direct
   | None, None -> invalid_arg "Driver.step: a flat gate with neither form"
 
-(* The one place a gate is applied: the cancel poll, the timed
+(* A gate's trace record, when the config traces. *)
+let trace_gate r (xo : Engine.exec_op) ~phase ~seconds ~dd_size ~dispatch =
+  if r.cfg.Config.trace then begin
+    let disp = Option.map (fun g -> g.Flat_gate.dispatch) xo.Engine.xo_gate in
+    r.trace <-
+      { Engine.index = xo.Engine.xo_index;
+        name = xo.Engine.xo_name;
+        seconds;
+        phase;
+        dd_size;
+        ewma = Ewma.value r.monitor;
+        dispatch;
+        price = Option.map (fun d -> d.Cost.price) disp;
+        support = Option.bind disp (fun d -> Option.map Bits.popcount d.Cost.support) }
+      :: r.trace
+  end
+
+(* The one place a gate is applied alone: the cancel poll, the timed
    [apply_op] on [pool], then for flat engines the kernel counts, for DD
    engines one size read feeding the EWMA, and, when the config traces,
    the gate's record. Returns the EWMA verdict, [Stay] for flat
-   engines. *)
+   engines. A run of local gates does the same per gate ([run_rest]). *)
 let step (type s) (module E : Engine.ENGINE with type state = s) st r ~pool
     (xo : Engine.exec_op) =
   r.check_cancel ();
@@ -198,20 +217,7 @@ let step (type s) (module E : Engine.ENGINE with type state = s) st r ~pool
       (size, Ewma.observe r.monitor (float_of_int size), None)
     | Engine.Conversion | Engine.Dmav_phase -> (0, Ewma.Stay, Some (account r xo))
   in
-  if r.cfg.Config.trace then begin
-    let disp = Option.map (fun g -> g.Flat_gate.dispatch) xo.Engine.xo_gate in
-    r.trace <-
-      { Engine.index = xo.Engine.xo_index;
-        name = xo.Engine.xo_name;
-        seconds = dt;
-        phase = E.trace_phase;
-        dd_size;
-        ewma = Ewma.value r.monitor;
-        dispatch;
-        price = Option.map (fun d -> d.Cost.price) disp;
-        support = Option.bind disp (fun d -> Option.map Bits.popcount d.Cost.support) }
-      :: r.trace
-  end;
+  trace_gate r xo ~phase:E.trace_phase ~seconds:dt ~dd_size ~dispatch;
   verdict
 
 (* The one gate loop: steps gates [from, ...) of [xo_of] on [pool] while
@@ -281,19 +287,65 @@ let await s i =
 
 exception Planner_stopped
 
+(* After the plan, gates [from, upto) of [slots] on the whole pool: a
+   Run gate is one [step]; a local gate starts a run of the local gates
+   after it whose supports avoid its split bits ([E.split_bits]),
+   applied by one [E.apply_run]
+   (DESIGN.md §9). Each gate of a run is polled before it runs and
+   counted and traced once the caller's parts are done, as a step does,
+   with the caller's time on its parts as its seconds. A slot is
+   cleared once its gate ran. *)
+let run_rest (type s) (module E : Engine.FLAT with type state = s) st r ~pool ~n ~from ~upto
+    (slots : Engine.exec_op array) =
+  let local i =
+    match slots.(i).Engine.xo_gate with
+    | Some { Flat_gate.body = Flat_gate.Local l; _ } -> Some l
+    | _ -> None
+  in
+  let i = ref from in
+  while !i < upto do
+    let base = !i in
+    (match local base with
+     | None ->
+       ignore (step (module E) st r ~pool slots.(base));
+       i := base + 1
+     | Some l ->
+       let split = E.split_bits ~pool ~n l.Flat_gate.support in
+       let off_split j =
+         match local j with Some l -> l.Flat_gate.support land split = 0 | None -> false
+       in
+       i := base + 1;
+       while !i < upto && off_split !i do
+         incr i
+       done;
+       E.apply_run st ~pool ~split ~count:(!i - base)
+         ~gate:(fun k -> Option.get slots.(base + k).Engine.xo_gate)
+         ~before:(fun _ -> r.check_cancel ())
+         ~after:(fun k seconds ->
+             let xo = slots.(base + k) in
+             let dispatch = Some (account r xo) in
+             trace_gate r xo ~phase:E.trace_phase ~seconds ~dd_size:0 ~dispatch));
+    for k = base to !i - 1 do
+      slots.(k) <- no_gate
+    done
+  done;
+  Obs.add c_dmav_gates (upto - from);
+  bump_mem r (E.memory_bytes st)
+
 (* The flat phase's gates, planned and run. On a pool of one domain the
    plan completes first and the gates run after it. On a bigger pool one
    [Pool.run] overlaps them: worker 0 (the caller, which owns the DD
    package) plans and compiles, worker 1 runs each compiled gate as soon
    as it is published, on an inline size-1 pool, reading nothing of the
    package. When the plan is done the executor stops after its current
-   gate and the remaining gates run on the whole pool. A failure on
+   gate and the remaining gates run on the whole pool, local gates in
+   runs ([run_rest]). A failure on
    either side stops the other within one gate; the caller's exception
    wins, as in [Pool.run]. The job holds the pool's admission lock for
    the whole plan, so a batch slot sharing the pool waits for it
    (DESIGN.md §9 has the multi-slot measurement). Returns the fusion
    stats. *)
-let flat_phase (type s) (module E : Engine.ENGINE with type state = s) st r (ctx : Engine.ctx)
+let flat_phase (type s) (module E : Engine.FLAT with type state = s) st r (ctx : Engine.ctx)
     ~n ~first_index ops =
   let pool = ctx.Engine.pool in
   let s = stream_create (List.length ops) in
@@ -341,8 +393,7 @@ let flat_phase (type s) (module E : Engine.ENGINE with type state = s) st r (ctx
               end);
           (!executed, !stats))
   in
-  let total = Atomic.get s.published in
-  ignore (loop (module E) st r ~pool ~from:executed ~more:(fun i -> i < total) ~xo_of ());
+  run_rest (module E) st r ~pool ~n ~from:executed ~upto:(Atomic.get s.published) s.slots;
   (* The plan is done: the package holds every gate matrix it built. *)
   bump_mem r (E.memory_bytes st + Dd.memory_bytes ctx.Engine.package);
   fusion_stats
@@ -457,7 +508,7 @@ let run ?cancel ?pool ?package (cfg : Config.t) (c : Circuit.t) =
 
         (* ---- Flat phase: the DMAV engine of the configured precision - *)
         let fusion_stats = ref None in
-        let flat (type s) (module E : Engine.ENGINE with type state = s) (seat : unit -> s) =
+        let flat (type s) (module E : Engine.FLAT with type state = s) (seat : unit -> s) =
           let st, seconds_dmav =
             Obs.timed s_dmav_phase (fun () ->
                 let remaining = Array.to_list (Array.sub c.Circuit.ops i (gates - i)) in

@@ -7,7 +7,11 @@
     [Convert_at (-1)] DMAV alone. [run_engine] drives a dense engine over
     a whole circuit. Both go through one step (the only caller of an
     engine's [apply_op]) and one gate loop, so every gate is timed and
-    traced the same way.
+    traced the same way, except that after the flat phase's plan a run
+    of local gates is one fork-join job ({!Engine.FLAT.apply_run},
+    DESIGN.md §9): each gate of the run is still polled, counted and
+    traced, and its trace [seconds] is the caller's (domain 0's) time
+    on its parts of the state, not the gate's wall time.
 
     Everything cross-cutting lives here: cancellation polling, trace
     records, peak-memory tracking (the DD package's bytes included), the
@@ -65,7 +69,10 @@ val run :
     call; a supplied pool overrides [config.threads] and is left
     running. [cancel] is polled at
     every gate boundary and before the conversion; the first poll
-    returning [true] aborts the run with {!Cancelled}. With
+    returning [true] aborts the run with {!Cancelled}. Inside a run of
+    local gates the caller polls before each gate and the other domains
+    stop at their next gate, each part of the state left at a whole
+    gate. With
     [policy = Never_convert] and one thread this is the pure-DD (DDSIM)
     baseline; take its peak nodes as the maximum [dd_size] over a traced
     run's records. A supplied [package] replaces the per-run

@@ -95,6 +95,28 @@ module type ENGINE = sig
   (** The final state, ownership transferred to the caller. *)
 end
 
+(** A flat engine: an {!ENGINE} that also applies a run of local gates
+    (DESIGN.md §9) in one fork-join job. *)
+module type FLAT = sig
+  include ENGINE
+
+  val split_bits : pool:Pool.t -> n:int -> int -> int
+  (** The split bits of a run on [pool] whose first gate acts on the
+      levels of the given support ([Dense_kernel.split_bits] for the
+      engine's amplitudes). *)
+
+  val apply_run :
+    state -> pool:Pool.t -> split:int -> count:int -> gate:(int -> Flat_gate.t) ->
+    before:(int -> unit) -> after:(int -> float -> unit) -> unit
+  (** Gates [0, count) of [gate], all on the local leg with supports off
+      the split bits [split] ({!split_bits}), the domains of
+      [pool] applying every gate to each part they take. [before k] runs
+      ahead of gate [k] and [after k seconds] once the caller's parts are
+      done, both on the caller, with the caller's time on its parts; a
+      raise in either stops every domain at its next gate and is
+      re-raised. *)
+end
+
 (** An engine that starts from |0…0⟩ on its own, so {!Driver.run_engine}
     can run a whole circuit on it: the dense engines. *)
 module type STANDALONE = sig

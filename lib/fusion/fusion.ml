@@ -21,12 +21,18 @@ let c_accepted = Obs.counter "fusion.accepted"
 let c_rejected = Obs.counter "fusion.rejected"
 let fc_macs_saved = Obs.fcounter "fusion.macs_saved"
 
-(* The planner's parts that touch the DD package. *)
+(* The planner's parts: the DD package's (a gate's DD, a DDMM, a walk
+   of a DD's paths), the products of narrow gates, and the scan's own
+   work (each op's form, narrow form and counts, the prices), which is
+   the scan's time outside its other parts and its [emit]s; with
+   [plan.compile] (the driver's, inside [emit]) they attribute
+   [sim.flat_plan]. The scan's own span is taken once per scan, not per
+   op: a clock read costs about as much as an op's form. *)
 let s_gate_dd = Obs.span "plan.gate_dd"
 let s_ddmm = Obs.span "plan.ddmm"
 let s_price = Obs.span "plan.price"
-
-let gate_dd build = Obs.with_span s_gate_dd build
+let s_scan = Obs.span "plan.scan"
+let s_narrow = Obs.span "plan.narrow"
 
 let to_dd p ~n = function Local l -> Flat_gate.local_dd p ~n l | Wide m -> m
 
@@ -38,51 +44,99 @@ let compile p ~n ~threads = function
    on at most two levels), which it is emitted as; the same form on at
    most two levels with its control folded in, which products multiply
    and the price reads ([narrow]); its matrix DD, built when first
-   forced (an op's from the op, a narrow product's from its form, a
-   product priced from its matrix as the DDMM of its two sides); and its
-   path counts, counted once (from the form or the product's matrix when
-   it has one, else by walking the DD), which its MACs and its price
-   read. *)
+   needed ([dd]: an op's from the op, a narrow product's from its form,
+   a product priced from its matrix as the DDMM of its two sides); and
+   its path counts, counted once (from the form or the product's matrix
+   when it has one, else by walking the DD), which its MACs and its
+   price read. *)
 type pending = {
   form : Flat_gate.local option;
   narrow : Flat_gate.local option;
-  dd : Dd.medge Lazy.t;
-  paths : Dd.paths Lazy.t;
+  mutable dd : source;
+  mutable paths : Dd.paths option;  (* None until counted *)
 }
 
-(* What both scans share: the package, the gate steps and the stats,
-   which keep Eq. 5's MAC meaning: each input and output gate's plain
-   MACs, in list order. *)
-type scan = { p : Dd.package; n : int; mutable st : stats }
+and source =
+  | Built of Dd.medge
+  | Of_op of Circuit.op
+  | Of_form of Flat_gate.local
+  | Ddmm of pending * pending  (* M_i · M_p *)
+
+(* What both scans share: the package, the gate steps and the counts of
+   the stats, which keep Eq. 5's MAC meaning: each input and output
+   gate's plain MACs, in list order ([macs]: before, after). *)
+type scan = {
+  p : Dd.package;
+  n : int;
+  mutable gates_in : int;
+  mutable gates_out : int;
+  mutable ddmm_calls : int;
+  mutable narrow_products : int;
+  macs : float array;
+  started : float;  (* [Timer.now] at the start, with metrics on *)
+  mutable timed_ns : int;  (* time in the parts with spans and in [emit] *)
+}
 
 let scan p ~n =
-  { p; n; st = { gates_in = 0; gates_out = 0; ddmm_calls = 0; narrow_products = 0;
-                 macs_before = 0.0; macs_after = 0.0 } }
+  { p; n; gates_in = 0; gates_out = 0; ddmm_calls = 0; narrow_products = 0;
+    macs = [| 0.0; 0.0 |]; started = (if Obs.enabled () then Timer.now () else 0.0);
+    timed_ns = 0 }
 
-(* A scan gate of this form and DD; [paths] when they are known. *)
+(* [f ()] timed as a part of the scan: on span [s], if given. *)
+let part sc ?span f =
+  if not (Obs.enabled ()) then f ()
+  else begin
+    let t0 = Timer.now () in
+    let r = f () in
+    let ns = Timer.ns_since t0 in
+    Option.iter (fun s -> Obs.add_span_ns s ns) span;
+    sc.timed_ns <- sc.timed_ns + ns;
+    r
+  end
+
 let scan_gate sc ?paths form dd =
-  let paths =
-    match paths, form with
-    | Some c, _ -> Lazy.from_val c
-    | None, Some l -> lazy (Flat_gate.local_paths ~n:sc.n l)
-    | None, None ->
-      lazy
-        (let m = Lazy.force dd in
-         Obs.with_span s_price (fun () -> Dd.priced_paths sc.p m))
-  in
   { form; narrow = Option.bind form (Flat_gate.narrow ~n:sc.n); dd; paths }
 
-let macs g = Cost.macs (Lazy.force g.paths)
+(* The gate's DD, built on the first call. *)
+let rec dd sc g =
+  let built m =
+    g.dd <- Built m;
+    m
+  in
+  match g.dd with
+  | Built m -> m
+  | Of_op op -> built (part sc ~span:s_gate_dd (fun () -> Mat_dd.of_op sc.p ~n:sc.n op))
+  | Of_form l -> built (part sc ~span:s_gate_dd (fun () -> Flat_gate.local_dd sc.p ~n:sc.n l))
+  | Ddmm (g_i, g_p) -> built (ddmm sc g_i g_p)
 
-(* An input op as a scan gate: its form, and a DD built from the op, at
-   once for a form on more than two levels, which any product takes by
-   DDMM. *)
+and ddmm sc g_i g_p =
+  sc.ddmm_calls <- sc.ddmm_calls + 1;
+  let m_i = dd sc g_i in
+  let m_p = dd sc g_p in
+  part sc ~span:s_ddmm (fun () -> Dd.mm sc.p m_i m_p)
+
+let paths sc g =
+  match g.paths with
+  | Some c -> c
+  | None ->
+    let c =
+      match g.form with
+      | Some l -> Flat_gate.local_paths ~n:sc.n l
+      | None ->
+        let m = dd sc g in
+        part sc ~span:s_price (fun () -> Dd.priced_paths sc.p m)
+    in
+    g.paths <- Some c;
+    c
+
+let macs sc g = Cost.macs (paths sc g)
+
+(* An input op as a scan gate: its form and counts; its DD is built
+   only when a product needs it. *)
 let input sc op =
-  let dd = lazy (gate_dd (fun () -> Mat_dd.of_op sc.p ~n:sc.n op)) in
-  let g = scan_gate sc (Some (Flat_gate.local_of_op ~n:sc.n op)) dd in
-  if Option.is_none g.narrow then ignore (Lazy.force dd);
-  let m = macs g in
-  sc.st <- { sc.st with gates_in = sc.st.gates_in + 1; macs_before = sc.st.macs_before +. m };
+  let g = scan_gate sc (Some (Flat_gate.local_of_op ~n:sc.n op)) (Of_op op) in
+  sc.gates_in <- sc.gates_in + 1;
+  sc.macs.(0) <- sc.macs.(0) +. macs sc g;
   g
 
 (* M_i · M_p (gates apply left to right). Two narrow gates multiply as
@@ -91,32 +145,35 @@ let input sc op =
    and its DD is a DDMM left for [keep] to build. Any other pair is a
    DDMM now. *)
 let product sc g_i g_p =
-  let ddmm () =
-    sc.st <- { sc.st with ddmm_calls = sc.st.ddmm_calls + 1 };
-    let m_i = Lazy.force g_i.dd in
-    let m_p = Lazy.force g_p.dd in
-    Obs.with_span s_ddmm (fun () -> Dd.mm sc.p m_i m_p)
-  in
   match g_i.narrow, g_p.narrow with
-  | Some a, Some b -> (
-      sc.st <- { sc.st with narrow_products = sc.st.narrow_products + 1 };
-      match Flat_gate.local_product ~n:sc.n a b with
-      | Flat_gate.Narrow_product l ->
-        scan_gate sc (Some l) (lazy (gate_dd (fun () -> Flat_gate.local_dd sc.p ~n:sc.n l)))
-      | Flat_gate.Wide_product paths -> scan_gate sc ~paths None (lazy (ddmm ())))
-  | _ -> scan_gate sc None (Lazy.from_val (ddmm ()))
+  | Some a, Some b ->
+    sc.narrow_products <- sc.narrow_products + 1;
+    part sc ~span:s_narrow (fun () ->
+        match Flat_gate.local_product ~n:sc.n a b with
+        | Flat_gate.Narrow_product l ->
+          let g = scan_gate sc (Some l) (Of_form l) in
+          ignore (paths sc g);
+          g
+        | Flat_gate.Wide_product c -> scan_gate sc ~paths:c None (Ddmm (g_i, g_p)))
+  | _ -> scan_gate sc None (Built (ddmm sc g_i g_p))
 
 (* A kept product: a wide one's DD is built now, in the scan's order. *)
-let keep g =
-  if Option.is_none g.form then ignore (Lazy.force g.dd);
+let keep sc g =
+  if Option.is_none g.form then ignore (dd sc g);
   g
 
 let output sc emit g =
-  let m = macs g in
-  sc.st <- { sc.st with gates_out = sc.st.gates_out + 1; macs_after = sc.st.macs_after +. m };
-  emit (match g.form with Some l -> Local l | None -> Wide (Lazy.force g.dd))
+  sc.gates_out <- sc.gates_out + 1;
+  sc.macs.(1) <- sc.macs.(1) +. macs sc g;
+  let gate = match g.form with Some l -> Local l | None -> Wide (dd sc g) in
+  part sc (fun () -> emit gate)
 
-let finish { st; _ } =
+let finish sc =
+  if Obs.enabled () then Obs.add_span_ns s_scan (Timer.ns_since sc.started - sc.timed_ns);
+  let st =
+    { gates_in = sc.gates_in; gates_out = sc.gates_out; ddmm_calls = sc.ddmm_calls;
+      narrow_products = sc.narrow_products; macs_before = sc.macs.(0); macs_after = sc.macs.(1) }
+  in
   if Obs.enabled () then begin
     Obs.incr c_runs;
     Obs.add c_gates_in st.gates_in;
@@ -138,7 +195,7 @@ let dmav_aware_iter ?identity_price ?local_rate ?(poll = ignore) p ~n ~emit ops 
   (* A narrow gate's price is its local leg's or its Run's; a wide
      gate's is its Run's. *)
   let price g =
-    let run = Cost.priced ?identity_price (Lazy.force g.paths) in
+    let run = Cost.priced ?identity_price (paths sc g) in
     match g.narrow with
     | Some l -> Cost.local_price ?local_rate ~n ~support:l.Flat_gate.support run
     | None -> run
@@ -163,7 +220,7 @@ let dmav_aware_iter ?identity_price ?local_rate ?(poll = ignore) p ~n ~emit ops 
          end
          else begin
            Obs.incr c_accepted;
-           pending := Some (keep g_ip, c_ip)
+           pending := Some (keep sc g_ip, c_ip)
          end)
     ops;
   (* The paper's Algorithm 3 leaves the final pending gate implicit; it
@@ -188,7 +245,7 @@ let k_operations_iter ?(poll = ignore) p ~n ~k ~emit ops =
          | None -> g_i
          | Some g_p ->
            Obs.incr c_accepted;
-           keep (product sc g_i g_p)
+           keep sc (product sc g_i g_p)
        in
        pending := if (i + 1) mod k = 0 then (output sc emit g; None) else Some g)
     ops;

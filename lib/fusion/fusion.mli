@@ -14,8 +14,9 @@
     Every op is its form ({!Flat_gate.local_of_op}: a 2×2 or 4×4 matrix
     on its target levels under a control mask, no DD), which an op left
     alone is emitted as. A form on at most two levels, controls included,
-    is a narrow gate ({!Flat_gate.narrow}); an op on more levels is also
-    its matrix DD, built at once. Two narrow gates multiply as matrices
+    is a narrow gate ({!Flat_gate.narrow}); an op on more levels takes
+    part in products by DDMM, its matrix DD built when a product first
+    needs it. Two narrow gates multiply as matrices
     ({!Flat_gate.local_product}), and a product on three or four levels
     is priced from its matrix. Every other product is a DD matrix-matrix
     multiplication (DDMM), whose sides' DDs are built only then; it is

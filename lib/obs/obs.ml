@@ -100,8 +100,9 @@ let add_span_ns s ns =
 let with_span s f =
   if not (Atomic.get enabled_ref) then f ()
   else begin
-    let r, ns = Timer.time_ns f in
-    add_span_ns s (Int64.to_int ns);
+    let t0 = Timer.now () in
+    let r = f () in
+    add_span_ns s (Timer.ns_since t0);
     r
   end
 

@@ -28,22 +28,47 @@ let flatten (m : Cnum.t array array) =
   done;
   u
 
-module Make (P : Storage.S) = struct
-  let seq_threshold = 1 lsl 12
-  (* Below this many iterations the parallel dispatch overhead dominates;
-     run sequentially even when a pool is available. *)
+(* Below this many iterations the parallel dispatch overhead dominates;
+   run sequentially even when a pool is available. *)
+let seq_threshold = 1 lsl 12
 
+(* Run on one domain, a gate is several C calls of at most [stripe_max]
+   pairs: a domain inside a [@@noalloc] call holds up every
+   stop-the-world minor collection, and the flat phase's executor runs
+   dense gates beside an allocating planner. The stripe split does not
+   change the bytes. *)
+let stripe_max = 1 lsl 15
+
+(* A run's part holds at most this many bytes (half the 2 MB L2 of the
+   host it was measured on), so a domain applying every gate of a run
+   to one part works in its cache. *)
+let part_bytes = 1 lsl 20
+
+(* The bits a run of local gates cuts a state of [amplitude_bytes]-byte
+   amplitudes on (DESIGN.md §9): the highest index bits that [support]
+   leaves free, at least ⌈log2 threads⌉ of them (the Run's W-stripe bits
+   when the gate is off them) and enough that a part holds at most
+   [part_bytes]. Part [p] is the amplitudes whose split bits, lowest
+   first, spell [p]. A state whose single-qubit gate has fewer than
+   [seq_threshold] pairs runs on one domain: no split bits, one part. *)
+let split_bits ~threads ~n ~amplitude_bytes support =
+  if threads <= 1 || 1 lsl (n - 1) < seq_threshold then 0
+  else begin
+    let part_max = Bits.floor_log2 (part_bytes / amplitude_bytes) in
+    let want = Int.max (Bits.floor_log2 ((2 * threads) - 1)) (n - part_max) in
+    let split = ref 0 and q = ref (n - 1) in
+    while Bits.popcount !split < want && !q >= 0 do
+      if (support lsr !q) land 1 = 0 then split := !split lor (1 lsl !q);
+      decr q
+    done;
+    !split
+  end
+
+module Make (P : Storage.S) = struct
   let zero_state n =
     let amps = P.create (1 lsl n) in
     P.set2 amps 0 1.0 0.0;
     amps
-
-  (* Run on one domain, a gate is several C calls of at most
-     [stripe_max] pairs: a domain inside a [@@noalloc] call holds up
-     every stop-the-world minor collection, and the flat phase's
-     executor runs dense gates beside an allocating planner. The stripe
-     split does not change the bytes. *)
-  let stripe_max = 1 lsl 15
 
   let stripes ?pool ~hi body =
     match pool with
@@ -76,26 +101,28 @@ module Make (P : Storage.S) = struct
     if P.length amps <> 1 lsl n then invalid_arg "Dense_kernel.two: bad length";
     let u = flatten m in
     stripes ?pool ~hi:(1 lsl (n - 2)) (fun lo hi ->
-        P.local_apply amps u ~major:(1 lsl q_hi) ~minor:(1 lsl q_lo) ~cmask:0 ~paths:0xffff ~lo
-          ~hi)
+        P.local_apply amps u ~major:(1 lsl q_hi) ~minor:(1 lsl q_lo) ~cmask:0 ~held:0
+          ~paths:0xffff ~lo ~hi)
 
-  (* The local leg of a flat gate ([Flat_gate.Local]): its 2×2 or 4×4
+  (* The local leg of a flat gate ([Flat_gate.Local]) on part [part] of
+     a state cut on the bits of [split] ([split_bits]): its 2×2 or 4×4
      matrix on the [support] levels, the higher one the major index bit,
-     in place over [P.local_apply]'s groups (those whose [controls] bits
-     are all 1), cut as [stripes] cuts pairs. The one-domain loop is
-     written out so that the gate allocates nothing. *)
-  let local ~pool amps u ~support ~controls ~paths =
-    let minor = support land -support in
-    let major = support lxor minor in
-    let hi = P.length amps lsr (Bits.popcount support + Bits.popcount controls) in
-    if Pool.size pool > 1 && hi >= seq_threshold then
-      Pool.parallel_for_ranges pool ~lo:0 ~hi (fun lo hi ->
-          P.local_apply amps u ~major ~minor ~cmask:controls ~paths ~lo ~hi)
-    else begin
+     in place over [P.local_apply]'s groups whose [controls] bits are all
+     1 and whose split bits spell [part]: the part's 1 bits join the
+     control mask, its 0 bits are held. A control on a split bit the
+     part holds at 0 leaves it nothing. At most [stripe_max] groups a C
+     call; the gate allocates nothing. *)
+  let local_part amps u ~support ~controls ~paths ~split ~part =
+    let ones = Bits.deposit part split in
+    if controls land split land lnot ones = 0 then begin
+      let minor = support land -support in
+      let major = support lxor minor in
+      let cmask = controls lor ones and held = split land lnot ones in
+      let hi = P.length amps lsr Bits.popcount (support lor cmask lor held) in
       let lo = ref 0 in
       while !lo < hi do
         let next = Int.min hi (!lo + stripe_max) in
-        P.local_apply amps u ~major ~minor ~cmask:controls ~paths ~lo:!lo ~hi:next;
+        P.local_apply amps u ~major ~minor ~cmask ~held ~paths ~lo:!lo ~hi:next;
         lo := next
       done
     end

@@ -24,3 +24,23 @@ let popcount i =
   go 0 i
 
 let all_masks ks = List.fold_left (fun acc k -> acc lor (1 lsl k)) 0 ks
+
+let deposit v mask =
+  let acc = ref 0 and rest = ref mask and j = ref 0 in
+  while !rest <> 0 do
+    let b = !rest land - !rest in
+    if (v lsr !j) land 1 = 1 then acc := !acc lor b;
+    rest := !rest lxor b;
+    incr j
+  done;
+  !acc
+
+let extract x mask =
+  let acc = ref 0 and rest = ref mask and j = ref 0 in
+  while !rest <> 0 do
+    let b = !rest land - !rest in
+    if x land b <> 0 then acc := !acc lor (1 lsl !j);
+    rest := !rest lxor b;
+    incr j
+  done;
+  !acc

@@ -35,3 +35,12 @@ val popcount : int -> int
 
 val all_masks : int list -> int
 (** [all_masks ks] is the bitwise OR of [1 lsl k] for each [k]. *)
+
+val deposit : int -> int -> int
+(** [deposit v mask] spreads the low bits of [v], lowest first, onto the
+    set bits of [mask] (a bit deposit); the other bits are 0. *)
+
+val extract : int -> int -> int
+(** [extract x mask] packs the bits of [x] at the set bits of [mask],
+    lowest first, into the low bits of the result (a bit extract):
+    [extract (deposit v mask) mask = v] for [v < 2^(popcount mask)]. *)

@@ -15,3 +15,6 @@ let time_ns f =
   let r = f () in
   let t1 = now_ns () in
   (r, Int64.sub t1 t0)
+
+let now () = Unix.gettimeofday ()
+let ns_since t0 = Float.to_int ((Unix.gettimeofday () -. t0) *. 1e9)

@@ -9,3 +9,11 @@ val time : (unit -> 'a) -> 'a * float
 
 val time_ns : (unit -> 'a) -> 'a * int64
 (** Same, in nanoseconds. *)
+
+val now : unit -> float
+(** Wall-clock reading in seconds, for {!ns_since}. *)
+
+val ns_since : float -> int
+(** Nanoseconds since a {!now} reading. A pair of these costs two clock
+    reads and no [int64] or tuple boxes: the planner times one span per
+    op with it ({!Obs.with_span}). *)

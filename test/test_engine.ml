@@ -424,6 +424,49 @@ let test_flat_peak_memory () =
          [ Config.Dmav_aware; Config.No_fusion ])
     [ (Config.F64, Storage.F64.buffer_bytes); (Config.F32, Storage.F32.buffer_bytes) ]
 
+let test_cancel_inside_a_run () =
+  (* Flat from the first gate, unfused, at n = 14, where a run of local
+     gates cuts the state into parts on a pool of 2 or 3: the caller
+     polls once at the conversion, once per op in the plan, then once
+     before each gate of the runs after it. The executor's first poll
+     waits for the plan's last, so it runs at most one gate and the
+     runs hold the rest. A cancel at the caller's third poll after the
+     plan raises Cancelled out of a run, every domain having stopped,
+     and the pool runs the next job to the same bytes. *)
+  let n = 14 in
+  let c = Suite.generate ~seed:9 ~gates:80 Suite.Dnn ~n in
+  let planned = 1 + Circuit.num_gates c in
+  let cfg = { Config.default with Config.policy = Config.Convert_at (-1) } in
+  List.iter
+    (fun threads ->
+       Pool.with_pool threads (fun pool ->
+           let expect = Driver.amplitudes (Driver.run ~pool cfg c) in
+           let caller = Domain.self () in
+           let calls = Atomic.make 0 and answered = Atomic.make 0 in
+           let cancel () =
+             if Domain.self () = caller then begin
+               let k = Atomic.fetch_and_add calls 1 + 1 in
+               let v = k >= planned + 3 in
+               if v then Atomic.incr answered;
+               v
+             end
+             else begin
+               while Atomic.get calls < planned do
+                 Domain.cpu_relax ()
+               done;
+               false
+             end
+           in
+           Alcotest.check_raises "cancelled inside a run" Driver.Cancelled (fun () ->
+               ignore (Driver.run ~cancel ~pool cfg c));
+           if Atomic.get answered <> 1 then
+             Alcotest.failf "pool %d: %d polls answered after the cancel" threads
+               (Atomic.get answered);
+           let again = Driver.amplitudes (Driver.run ~pool cfg c) in
+           if Buf.max_abs_diff again expect > 0.0 then
+             Alcotest.failf "pool %d: run after the cancel differs" threads))
+    [ 2; 3 ]
+
 let suite =
   [ ( "engine",
       [ Alcotest.test_case "three-engine differential" `Quick
@@ -445,4 +488,5 @@ let suite =
           test_flat_peak_memory;
         Alcotest.test_case
           "dispatch: multi-controlled ops take the local leg like every unfused op, no DD built"
-          `Quick test_dispatch_local_builds_no_dd ] ) ]
+          `Quick test_dispatch_local_builds_no_dd;
+        Alcotest.test_case "cancel inside a run of local gates" `Quick test_cancel_inside_a_run ] ) ]

@@ -474,7 +474,7 @@ module Suite_for (P : Storage.S) = struct
                   List.iter
                     (fun (lo, hi) ->
                        P.local_apply split (Dense_kernel.flatten m) ~major:(1 lsl q_hi) ~minor:(1 lsl q_lo)
-                         ~cmask:0 ~paths:0xffff ~lo ~hi)
+                         ~cmask:0 ~held:0 ~paths:0xffff ~lo ~hi)
                     (random_splits rs ~run:(Int.min run quads) quads);
                   eq want split
                   && List.for_all
@@ -603,7 +603,7 @@ module Suite_for (P : Storage.S) = struct
                        DG.exec ~pool:inline g ~v:on_inline ~w:unused;
                        List.iter
                          (fun (lo, hi) ->
-                            P.local_apply split l.Flat_gate.u ~major ~minor ~cmask
+                            P.local_apply split l.Flat_gate.u ~major ~minor ~cmask ~held:0
                               ~paths:l.Flat_gate.paths ~lo ~hi)
                          splits;
                        eq want on_pool && eq want on_inline && eq want split)
@@ -635,7 +635,7 @@ module Suite_for (P : Storage.S) = struct
       (fun lanes ->
          Storage.Testing.with_lanes lanes (fun () ->
              let got = P.copy v in
-             List.iter (fun (lo, hi) -> P.local_apply got u ~major ~minor ~cmask ~paths ~lo ~hi) splits;
+             List.iter (fun (lo, hi) -> P.local_apply got u ~major ~minor ~cmask ~held:0 ~paths ~lo ~hi) splits;
              eq want got))
       Storage.Testing.lanes
 
@@ -719,8 +719,182 @@ module Suite_for (P : Storage.S) = struct
          && same_bits (R.norm2 src) (P.norm2 src))
 
   (* Pools of 1, 2 and 4 domains for the length of [f]. *)
+  (* --- runs of local gates (DESIGN.md §9) ----------------------------- *)
+
+  (* The split bits of a run on [threads] domains that starts with a gate
+     on [support]: the highest bits it leaves free, as
+     [Dense_kernel.split_bits] takes them, without its small-state cut,
+     so that n = 1..12 is split too. *)
+  let split_for ~threads ~n support =
+    let want =
+      if threads <= 1 then 0
+      else
+        Int.max (Bits.floor_log2 ((2 * threads) - 1))
+          (n - Bits.floor_log2 (Dense_kernel.part_bytes / (2 * P.bytes_per_float)))
+    in
+    let split = ref 0 and q = ref (n - 1) in
+    while Bits.popcount !split < want && !q >= 0 do
+      if (support lsr !q) land 1 = 0 then split := !split lor (1 lsl !q);
+      decr q
+    done;
+    !split
+
+  (* A random stream of compiled gates on [n] qubits: local forms (the
+     form of a random 2×2 under 0 to 3 random controls or of a random
+     4×4, with random zero entries, their bits drawn from the top three
+     levels half the time, so that supports and controls fall on the
+     split bits and off them) and, one in five, a Run gate (a random
+     two-qubit op's DD, compiled), which breaks the runs. *)
+  let run_stream p rs ~n =
+    List.init (1 + Random.State.int rs 14) (fun _ ->
+        let qs =
+          let all = shuffle rs (List.init n Fun.id) in
+          if Random.State.bool rs then
+            List.filter (fun q -> q >= n - 3) all @ List.filter (fun q -> q < n - 3) all
+          else all
+        in
+        if n >= 2 && Random.State.int rs 5 = 0 then begin
+          let a = List.nth qs 0 and b = List.nth qs 1 in
+          let op = Circuit.Two { name = "r2"; matrix = random_two rs; q_hi = a; q_lo = b } in
+          Flat_gate.compile p ~n ~threads:1 (Mat_dd.of_op p ~n op)
+        end
+        else begin
+          (* Entries zero a quarter of the time: random paths. *)
+          let m d =
+            Array.init d (fun _ ->
+                Array.init d (fun _ -> if Random.State.int rs 4 = 0 then Cnum.zero else cnum rs))
+          in
+          let op =
+            if n >= 2 && Random.State.bool rs then
+              Circuit.Two { name = "l2"; matrix = m 4; q_hi = List.nth qs 0; q_lo = List.nth qs 1 }
+            else begin
+              let k = Random.State.int rs (Int.min 4 n) in
+              Circuit.Single
+                { name = "l1"; matrix = m 2; target = List.hd qs;
+                  controls = List.filteri (fun i _ -> i >= 1 && i <= k) qs }
+            end
+          in
+          Flat_gate.of_local ~n ~threads:1 (Flat_gate.local_of_op ~n op)
+        end)
+
+  let local_of (g : Flat_gate.t) =
+    match g.Flat_gate.body with Flat_gate.Local l -> Some l | Flat_gate.Dmav _ -> None
+
+  (* [gates] from [v]: one at a time on [pool] ([exec]: a local gate is a
+     one-gate run), or cut into runs as the flat phase cuts them, each
+     applied by one [local_run]. A Run gate writes [w], which becomes
+     the state. *)
+  let apply_stream ~pool ~runs ~n gates v =
+    let v = ref (P.copy v) and w = ref (P.create (P.length v)) in
+    let gates = Array.of_list gates in
+    let i = ref 0 in
+    while !i < Array.length gates do
+      let base = !i in
+      (match local_of gates.(base) with
+       | Some l when runs ->
+         let split = split_for ~threads:(Pool.size pool) ~n l.Flat_gate.support in
+         i := base + 1;
+         while
+           !i < Array.length gates
+           && (match local_of gates.(!i) with
+               | Some l -> l.Flat_gate.support land split = 0
+               | None -> false)
+         do
+           incr i
+         done;
+         DG.local_run ~pool ~split !v ~count:(!i - base)
+           ~gate:(fun k -> gates.(base + k))
+           ~before:ignore ~after:(fun _ _ -> ())
+       | _ ->
+         DG.exec ~pool gates.(base) ~v:!v ~w:!w;
+         (match local_of gates.(base) with
+          | Some _ -> ()
+          | None ->
+            let t = !v in
+            v := !w;
+            w := t);
+         i := base + 1)
+    done;
+    !v
+
+  (* Runs on pools of 1, 2 and 3 domains (two split bits, four parts, a
+     domain holding two) give the bytes of the same gates applied one at
+     a time on one domain, on random vectors and on cancelling ones. *)
+  let runs_agree ~inline pools =
+    cases ~name:(P.label ^ " runs on 1-3 domains = one gate at a time") ~count:60 ~lo:1 ~hi:14
+      (fun n rs ->
+         let p = Dd.create () in
+         let gates = run_stream p rs ~n in
+         List.for_all
+           (fun v ->
+              let want = apply_stream ~pool:inline ~runs:false ~n gates v in
+              List.for_all (fun pool -> eq want (apply_stream ~pool ~runs:true ~n gates v)) pools)
+           [ random_vec rs (1 lsl n); cancel_vec rs (1 lsl n) ])
+
+  (* A raise in [before] at gate [k] of a run on 2 and 3 domains: the
+     exception comes out of the run, domain 0's part holds the first [k]
+     gates, and every other part a whole prefix of the run's gates: its
+     domain stopped at a gate boundary (behind domain 0 or ahead of it),
+     never inside a gate. *)
+  let cancel_in_run ~inline pools =
+    let n = 12 and rs = Random.State.make [| 61 |] in
+    let gates =
+      List.init 24 (fun i ->
+          Flat_gate.of_local ~n ~threads:1
+            (Flat_gate.local_of_op ~n
+               (Circuit.Single
+                  { name = "u"; matrix = random_single rs; target = i mod (n - 2); controls = [] })))
+    in
+    let v = random_vec rs (1 lsl n) in
+    (* prefix.(m): the first m gates applied. *)
+    let prefix =
+      Array.init 25 (fun m ->
+          apply_stream ~pool:inline ~runs:false ~n (List.filteri (fun i _ -> i < m) gates) v)
+    in
+    List.iter
+      (fun pool ->
+         let threads = Pool.size pool in
+         let split = split_for ~threads ~n 0 in
+         let parts = 1 lsl Bits.popcount split in
+         List.iter
+           (fun k ->
+              let got = P.copy v in
+              let arr = Array.of_list gates in
+              Alcotest.check_raises "the run raises" Exit (fun () ->
+                  DG.local_run ~pool ~split got ~count:(Array.length arr)
+                    ~gate:(fun i -> arr.(i))
+                    ~before:(fun i -> if i = k then raise Exit)
+                    ~after:(fun _ _ -> ()));
+              for part = 0 to parts - 1 do
+                let ones = Bits.deposit part split in
+                let inside i = i land split = ones in
+                let whole m =
+                  Seq.for_all
+                    (fun i ->
+                       (not (inside i))
+                       || (same_bits (P.get_re got i) (P.get_re prefix.(m) i)
+                           && same_bits (P.get_im got i) (P.get_im prefix.(m) i)))
+                    (Seq.init (1 lsl n) Fun.id)
+                in
+                let m = List.find_opt whole (List.init 25 Fun.id) in
+                match m with
+                | Some m when part = 0 && m <> k ->
+                  Alcotest.failf "pool %d, raise at %d: domain 0 ran %d gates" threads k m
+                | Some _ -> ()
+                | None -> Alcotest.failf "pool %d, raise at %d: part %d torn" threads k part
+              done)
+           [ 0; 5; 23 ])
+      pools
+
   let with_pools f =
     Pool.with_pool 1 (fun p1 -> Pool.with_pool 2 (fun p2 -> Pool.with_pool 4 (fun p4 -> f p1 p2 p4)))
+
+  let run_tests () =
+    Pool.with_pool 1 (fun p1 ->
+        Pool.with_pool 2 (fun p2 ->
+            Pool.with_pool 3 (fun p3 ->
+                check_all [ runs_agree ~inline:p1 [ p1; p2; p3 ] ];
+                cancel_in_run ~inline:p1 [ p2; p3 ])))
 
   let tests () =
     with_pools (fun p1 p2 p4 ->
@@ -751,7 +925,7 @@ module Suite_for (P : Storage.S) = struct
      compile-and-run path ([apply_nocache]: export, tasks, pieces, run)
      of that gate and of the largest gate of a fused supremacy stream,
      each with its gate size (arena nodes + Run calls); and the local
-     leg of a CNOT onto qubit 0. *)
+     leg of a CNOT onto qubit 0 on a one-part run. *)
   let gate_words () =
     let n = 14 in
     Pool.with_pool 1 (fun pool ->
@@ -784,8 +958,8 @@ module Suite_for (P : Storage.S) = struct
             (fun m -> (words (fun () -> DG.apply_nocache p ~pool ~n m ~v ~w), size m))
             [ m; largest ],
           words (fun () ->
-              DK.local ~pool v l.Flat_gate.u ~support:l.Flat_gate.support
-                ~controls:l.Flat_gate.controls ~paths:l.Flat_gate.paths) ))
+              DK.local_part v l.Flat_gate.u ~support:l.Flat_gate.support
+                ~controls:l.Flat_gate.controls ~paths:l.Flat_gate.paths ~split:0 ~part:0) ))
 end
 
 module K64 = Suite_for (Storage.F64)
@@ -937,4 +1111,8 @@ let suite =
         Alcotest.test_case "dense_lanes matches the host's AVX-512F and AVX2 flags" `Quick
           test_dense_lanes;
         Alcotest.test_case "forms under 0-5 controls count their DDs' paths" `Quick
-          test_form_paths_under_controls ] ) ]
+          test_form_paths_under_controls;
+        Alcotest.test_case "f64 runs on 1-3 domains = one gate at a time (bits)" `Quick
+          K64.run_tests;
+        Alcotest.test_case "f32 runs on 1-3 domains = one gate at a time (bits)" `Quick
+          K32.run_tests ] ) ]

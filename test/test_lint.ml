@@ -513,8 +513,8 @@ let test_program_par_regression () =
          Alcotest.(check bool) (name ^ " is parallel-reachable") true
            (List.mem name res.Program.r_par))
       [ "Convert.parallel"; "Serve.writer"; "Serve.reader"; "Dmav_engine.Make.apply_op";
-        "Dmav_generic.Make.run_pieces"; "Dense_kernel.Make.local"; "Storage.Extend.dmav_run";
-        "Storage.Extend.local_apply" ]
+        "Dmav_generic.Make.run_pieces"; "Dmav_generic.Make.local_run";
+        "Dense_kernel.Make.local_part"; "Storage.Extend.dmav_run"; "Storage.Extend.local_apply" ]
 
 (* ---- reachability guard ------------------------------------------------ *)
 
