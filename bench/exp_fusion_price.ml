@@ -241,7 +241,7 @@ let timed_samples pools jobs =
                    | Some (l : Flat_gate.local) ->
                      (* A one-gate run, as the flat phase runs a local gate. *)
                      let g = Flat_gate.of_local ~n:j.n ~threads:(Pool.size pool) l in
-                     keep local k i (elapsed_ns (fun () -> Dmav.exec ~pool g ~v ~w))
+                     keep local k i (elapsed_ns (fun () -> Dmav.exec ~pool g ~v ~w:(fun () -> w)))
                    | None -> ())
                 gates)
            pools

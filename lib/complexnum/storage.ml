@@ -189,11 +189,17 @@ module Extend (C : CORE) = struct
 
   let buffer_bytes ~len = (2 * len * C.bytes_per_float) + bigarray_header_bytes
 
-  let create len =
+  (* A [len]-amplitude buffer whose payload is left as malloc gave it:
+     only for a caller that writes every element before anything reads
+     one, so the buffer costs no zeroing pass. *)
+  let uninit len =
     if len < 0 then invalid_arg "Buf.create";
-    let data = Bigarray.Array1.create C.kind Bigarray.c_layout (2 * len) in
-    Bigarray.Array1.fill data 0.0;
-    { data; len }
+    { data = Bigarray.Array1.create C.kind Bigarray.c_layout (2 * len); len }
+
+  let create len =
+    let t = uninit len in
+    Bigarray.Array1.fill t.data 0.0;
+    t
 
   let length t = t.len
   let get t i = { Cnum.re = get_re t i; im = get_im t i }
@@ -321,17 +327,24 @@ let convert (a : arena) ~node (buf : F64.t) ~pos ~wre ~wim ~fills =
   c_convert a node buf.F64.data pos wre wim fills
 
 (* Both element kinds are statically known here, so the loops compile to
-   direct loads and rounding stores, allocating nothing per element. *)
+   direct loads and rounding stores, allocating nothing per element. Each
+   loop writes every element of its destination. *)
 let demote (src : F64.t) : F32.t =
-  let dst = F32.create (F64.length src) in
+  let dst = F32.uninit (F64.length src) in
   let s = src.F64.data and d = dst.F32.data in
   for k = 0 to Bigarray.Array1.dim s - 1 do
     d.{k} <- s.{k}
   done;
   dst
 
-let promote (src : F32.t) : F64.t =
-  let dst = F64.create (F32.length src) in
+let promote ?into (src : F32.t) : F64.t =
+  let dst =
+    match into with
+    | None -> F64.uninit (F32.length src)
+    | Some dst ->
+      if F64.length dst <> F32.length src then invalid_arg "Storage.promote: length mismatch";
+      dst
+  in
   let s = src.F32.data and d = dst.F64.data in
   for k = 0 to Bigarray.Array1.dim s - 1 do
     d.{k} <- s.{k}

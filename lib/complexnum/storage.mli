@@ -208,5 +208,8 @@ val demote : F64.t -> F32.t
 (** Round every amplitude to float32 — the single precision-loss point
     when the driver hands a converted f64 buffer to an f32 engine. *)
 
-val promote : F32.t -> F64.t
-(** Widen an f32 vector back to f64 (exact). *)
+val promote : ?into:F64.t -> F32.t -> F64.t
+(** Widen an f32 vector back to f64 (exact), into [into] (same length;
+    its old contents are overwritten, and it is returned) or, without it,
+    into a fresh buffer. The f32 flat engine widens its result into the
+    f64 buffer the conversion handed it. *)

@@ -63,16 +63,19 @@ val run : ?workspace:workspace -> pool:Pool.t -> Flat_gate.program -> v:Buf.t ->
     takes the program's task lists [k], [k + size], ..., so any pool
     size gives the same bytes; a size-1 pool runs every list itself. *)
 
-val exec : ?workspace:workspace -> pool:Pool.t -> Flat_gate.t -> v:Buf.t -> w:Buf.t -> unit
+val exec :
+  ?workspace:workspace -> pool:Pool.t -> Flat_gate.t -> v:Buf.t -> w:(unit -> Buf.t) -> unit
 (** Runs a compiled gate on the kernel it was compiled for, reading
     nothing of the package it came from. A [Dmav] gate is {!run}
-    ([w ← M·v]) with the [dmav.apply] span and the modeled-MAC
+    ([w () ← M·v]) with the [dmav.apply] span and the modeled-MAC
     counters. A [Local] gate, one given by its form, runs in place on
     [v] as a one-gate run (DESIGN.md §9: each domain of [pool]
     {!Storage.S.local_apply}s the groups its controls select in its own
     parts of the state), counted and timed as the uncached kernel it
     stands in for ([dmav.kernel.uncached], the modeled-MAC counters,
-    [dmav.apply]). Only a [Dmav] gate writes [w]. *)
+    [dmav.apply]). Only a [Dmav] gate calls [w], once, and writes the
+    buffer it gives: the flat engine takes its scratch vector there when
+    it holds none. *)
 
 val apply_nocache :
   Dd.package -> pool:Pool.t -> n:int -> Dd.medge -> v:Buf.t -> w:Buf.t -> unit

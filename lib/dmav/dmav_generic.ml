@@ -20,7 +20,7 @@
    [dmav.*] counters and span: f64 and f32 gates are counted together. *)
 
 (* A free list of reusable 2ⁿ-sized buffers: the cached kernel's partial
-   outputs and the flat engine's scratch vector. Polymorphic in the buffer
+   outputs and the flat engine's scratch vector W. Polymorphic in the buffer
    so a workspace type can be named without applying [Make]. *)
 type 'b workspace = { ws_n : int; mutable free : 'b list }
 
@@ -253,7 +253,7 @@ module Make (P : Storage.S) = struct
 
   (* A compiled gate on its kernel, the one match over its body: the
      local leg works in place on [v], as a one-gate run, the Run writes
-     [w]. *)
+     the buffer [w ()] gives. *)
   let exec ?workspace ~pool (g : Flat_gate.t) ~v ~w =
     match g.body with
     | Flat_gate.Local l ->
@@ -261,7 +261,7 @@ module Make (P : Storage.S) = struct
       local_run ~pool ~split v ~count:1 ~gate:(fun _ -> g) ~before:ignore ~after:(fun _ _ -> ())
     | Flat_gate.Dmav prog ->
       count_modeled g;
-      Obs.with_span s_apply (fun () -> run ?workspace ~pool prog ~v ~w)
+      Obs.with_span s_apply (fun () -> run ?workspace ~pool prog ~v ~w:(w ()))
 
   let apply_nocache p ~pool ~n root ~v ~w =
     let b = Cost.breakdown p ~n ~threads:(Pool.size pool) root in
@@ -269,6 +269,6 @@ module Make (P : Storage.S) = struct
 
   let apply ?workspace p ~pool ~n root ~v ~w =
     let g = Flat_gate.compile p ~n ~threads:(Pool.size pool) root in
-    exec ?workspace ~pool g ~v ~w;
+    exec ?workspace ~pool g ~v ~w:(fun () -> w);
     g
 end

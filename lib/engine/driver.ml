@@ -520,11 +520,15 @@ let run ?cancel ?pool ?package (cfg : Config.t) (c : Circuit.t) =
           (E.extract st, seconds_dmav)
         in
         (* At [F32] seating demotes the converted f64 buffer once — the
-           single rounding hand-off. *)
+           single rounding hand-off — and keeps it for the result. Only a
+           fused plan can emit a Run gate, so only a fused phase takes
+           the scratch vector W. *)
+        let scratch = cfg.Config.fusion <> Config.No_fusion in
         let final, seconds_dmav =
           match cfg.Config.precision with
-          | Config.F64 -> flat (module Dmav_engine) (fun () -> Dmav_engine.of_buf ~n buf)
-          | Config.F32 -> flat (module Dmav_engine.F32) (fun () -> Dmav_engine.F32.of_buf ~n buf)
+          | Config.F64 -> flat (module Dmav_engine) (fun () -> Dmav_engine.of_buf ~n ~scratch buf)
+          | Config.F32 ->
+            flat (module Dmav_engine.F32) (fun () -> Dmav_engine.F32.of_buf ~n ~scratch buf)
         in
         result_of r c ~ord:sigma ~converted_at:(i - 1) ~conversion_stats
           ?fusion_stats:!fusion_stats ~seconds_dd ~seconds_convert ~seconds_dmav final

@@ -134,20 +134,32 @@ module type PRECISION = sig
   module P : Storage.S
 
   val of_f64 : Buf.t -> P.t
-  val to_f64 : P.t -> Buf.t
+  (** The converted state at this precision: the buffer itself, or a
+      rounded copy. *)
+
+  val staging : Buf.t -> Buf.t option
+  (** What a flat engine keeps of the converted buffer beside its state,
+      to widen its result into: nothing where the state is the buffer. *)
+
+  val to_f64 : ?into:Buf.t -> P.t -> Buf.t
+  (** The result at f64: the state itself ([into] unused), or widened
+      into [into] when given, else into a fresh buffer. *)
 end
 
 module F64 = struct
   module P = Storage.F64
 
   let of_f64 b = b
-  let to_f64 b = b
+  let staging _ = None
+  let to_f64 ?into:_ b = b
 end
 
-(* f32 rounds once on the way in and widens exactly on the way out. *)
+(* f32 rounds once on the way in and widens exactly on the way out, into
+   the converted buffer it kept. *)
 module F32 = struct
   module P = Storage.F32
 
   let of_f64 = Storage.demote
+  let staging b = Some b
   let to_f64 = Storage.promote
 end

@@ -395,18 +395,23 @@ let test_zero_threads_refused () =
            ignore (Driver.run_engine (module Dense_engine) cfg c)))
     [ 0; -2 ]
 
-(* A converted run's peak memory is the flat phase's two state buffers
-   plus the DD package as the plan left it: on one domain Algorithm 2
-   never wins, so there are no partial-output buffers, and within a run
-   the package's bytes never fall, so the last sample is the peak. Read
-   the package after the run, at both precisions, fused and unfused. *)
+(* A converted run's peak memory is the buffers the flat phase holds plus
+   the DD package as the plan left it: the state V, the scratch vector W
+   only when fused (an unfused plan never emits a Run gate, which alone
+   writes W), and at f32 the converted f64 buffer the result is widened
+   into. On one domain Algorithm 2 never wins, so there are no
+   partial-output buffers, and within a run the package's bytes never
+   fall, so the last sample is the peak. Read the package after the
+   run, at both precisions, fused and unfused; [dmav.scratch.taken]
+   counts W. *)
 let test_flat_peak_memory () =
   let c = Suite.generate ~seed:3 ~gates:120 Suite.Supremacy ~n:9 in
   let n = c.Circuit.n in
+  let state_bytes buffer_bytes = buffer_bytes ~len:(1 lsl n) + 24 in
   List.iter
-    (fun (precision, buffer_bytes) ->
+    (fun (precision, buffer_bytes, staging) ->
        List.iter
-         (fun fusion ->
+         (fun (fusion, buffers) ->
             let what =
               Printf.sprintf "%s %s" (Config.precision_name precision)
                 (match fusion with Config.No_fusion -> "unfused" | _ -> "fused")
@@ -416,13 +421,98 @@ let test_flat_peak_memory () =
               { Config.default with
                 Config.threads = 1; policy = Config.Convert_at 20; fusion; precision }
             in
-            let r = Pool.with_pool 1 (fun pool -> Driver.run ~pool ~package cfg c) in
-            Alcotest.(check (option int)) (what ^ ": converted") (Some 20) r.Driver.converted_at;
-            Alcotest.(check int) (what ^ ": peak memory")
-              ((2 * (buffer_bytes ~len:(1 lsl n) + 24)) + Dd.memory_bytes package)
-              r.Driver.peak_memory_bytes)
-         [ Config.Dmav_aware; Config.No_fusion ])
-    [ (Config.F64, Storage.F64.buffer_bytes); (Config.F32, Storage.F32.buffer_bytes) ]
+            with_metrics (fun () ->
+                let r = Pool.with_pool 1 (fun pool -> Driver.run ~pool ~package cfg c) in
+                Alcotest.(check (option int)) (what ^ ": converted") (Some 20)
+                  r.Driver.converted_at;
+                Alcotest.(check int) (what ^ ": scratch vectors taken") (buffers - 1)
+                  (counter_exn (Obs.Metrics.snapshot ()) "dmav.scratch.taken");
+                Alcotest.(check int) (what ^ ": peak memory")
+                  ((buffers * state_bytes buffer_bytes) + staging + Dd.memory_bytes package)
+                  r.Driver.peak_memory_bytes))
+         [ (Config.Dmav_aware, 2); (Config.No_fusion, 1) ])
+    [ (Config.F64, Storage.F64.buffer_bytes, 0);
+      (Config.F32, Storage.F32.buffer_bytes, state_bytes Storage.F64.buffer_bytes) ]
+
+let exact_bits (a : Buf.t) (b : Buf.t) =
+  Buf.length a = Buf.length b
+  && List.for_all
+       (fun i ->
+          Int64.bits_of_float (Buf.get_re a i) = Int64.bits_of_float (Buf.get_re b i)
+          && Int64.bits_of_float (Buf.get_im a i) = Int64.bits_of_float (Buf.get_im b i))
+       (List.init (Buf.length a) Fun.id)
+
+(* An engine seated without W (an unfused phase's seat) takes one when a
+   Run gate arrives, and gives the bytes of an engine seated with it, at
+   both precisions and on the Run and Algorithm 2. *)
+let test_run_gate_takes_scratch () =
+  let n = 8 in
+  let c = Suite.generate ~seed:5 ~gates:24 Suite.Supremacy ~n in
+  let p = Dd.create () in
+  let root =
+    Array.fold_left (fun m op -> Dd.mm p (Mat_dd.of_op p ~n op) m) (Mat_dd.identity p n)
+      c.Circuit.ops
+  in
+  let v0 = Test_util.random_state ~seed:11 n in
+  let seated (type s) (module E : Engine.FLAT with type state = s) (seat : scratch:bool -> s)
+      label ~scratch (g : Flat_gate.t) =
+    with_metrics (fun () ->
+        let st = seat ~scratch in
+        let taken () = counter_exn (Obs.Metrics.snapshot ()) "dmav.scratch.taken" in
+        Alcotest.(check int) (label ^ ": taken at seating") (Bool.to_int scratch) (taken ());
+        Pool.with_pool 2 (fun pool ->
+            E.apply_op st ~pool
+              { Engine.xo_index = 0; xo_name = "run"; xo_op = None; xo_gate = Some g });
+        Alcotest.(check int) (label ^ ": taken once") 1 (taken ());
+        match E.extract st with
+        | Engine.Flat_state b -> b
+        | Engine.Dd_state _ -> Alcotest.fail "a flat engine gave a DD state")
+  in
+  List.iter
+    (fun cached ->
+       let g =
+         let g = Flat_gate.compile p ~n ~threads:2 root in
+         match g.Flat_gate.body with
+         | Flat_gate.Dmav prog when prog.Flat_gate.cached = cached -> g
+         | Flat_gate.Dmav _ ->
+           let b = Cost.breakdown p ~n ~threads:2 root in
+           { g with Flat_gate.body = Flat_gate.Dmav (Flat_gate.program p ~n ~cached b) }
+         | Flat_gate.Local _ -> Alcotest.fail "compile gave a local gate"
+       in
+       List.iter
+         (fun (label, run) ->
+            let label = Printf.sprintf "%s %s" label (if cached then "cached" else "Run") in
+            let without = run (label ^ " without W") ~scratch:false g in
+            let with_w = run (label ^ " with W") ~scratch:true g in
+            if not (exact_bits without with_w) then
+              Alcotest.failf "%s: seated without W, the bytes differ" label)
+         [ ("f64",
+            seated (module Dmav_engine) (fun ~scratch -> Dmav_engine.of_buf ~n ~scratch (Buf.copy v0)));
+           ("f32",
+            seated (module Dmav_engine.F32) (fun ~scratch ->
+                Dmav_engine.F32.of_buf ~n ~scratch (Buf.copy v0))) ])
+    [ false; true ]
+
+(* At f32 the result is the converted buffer itself, V widened into it,
+   with the bytes of a fresh [Storage.promote] of V. *)
+let test_f32_result_is_converted_buffer () =
+  let n = 9 in
+  let c = Suite.generate ~seed:6 ~gates:40 Suite.Dnn ~n in
+  let buf = Test_util.random_state ~seed:12 n in
+  let st = Dmav_engine.F32.of_buf ~n ~scratch:false buf in
+  Pool.with_pool 2 (fun pool ->
+      Array.iteri
+        (fun i op ->
+           let g = Flat_gate.of_local ~n ~threads:2 (Flat_gate.local_of_op ~n op) in
+           Dmav_engine.F32.apply_op st ~pool
+             { Engine.xo_index = i; xo_name = Circuit.op_name op; xo_op = None; xo_gate = Some g })
+        c.Circuit.ops);
+  let want = Storage.promote st.Dmav_engine.F32.v in
+  match Dmav_engine.F32.extract st with
+  | Engine.Dd_state _ -> Alcotest.fail "a flat engine gave a DD state"
+  | Engine.Flat_state got ->
+    Alcotest.(check bool) "the result is the converted buffer" true (got == buf);
+    Alcotest.(check bool) "the bytes of Storage.promote of V" true (exact_bits got want)
 
 let test_cancel_inside_a_run () =
   (* Flat from the first gate, unfused, at n = 14, where a run of local
@@ -484,8 +574,13 @@ let suite =
         Alcotest.test_case "unfused plan builds DDs for wide ops only" `Quick
           test_unfused_plan_builds_wide_dds_only;
         Alcotest.test_case "zero threads refused" `Quick test_zero_threads_refused;
-        Alcotest.test_case "flat peak memory: two buffers and the package" `Quick
+        Alcotest.test_case
+          "flat peak memory: two buffers fused, one unfused, f32's staging, the package" `Quick
           test_flat_peak_memory;
+        Alcotest.test_case "a Run gate on an engine seated without W takes one, same bytes"
+          `Quick test_run_gate_takes_scratch;
+        Alcotest.test_case "f32: the result is the converted buffer, V widened into it" `Quick
+          test_f32_result_is_converted_buffer;
         Alcotest.test_case
           "dispatch: multi-controlled ops take the local leg like every unfused op, no DD built"
           `Quick test_dispatch_local_builds_no_dd;
